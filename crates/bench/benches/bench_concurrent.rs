@@ -15,6 +15,13 @@
 //! is read-only — while mixed rounds expose the registration churn the
 //! sharded write path parallelizes. The numbers are printed after each
 //! group and archived with the entries in `BENCH_concurrent.json`.
+//!
+//! The warm arm also reports what one wave of the §3 loop costs —
+//! `prepare` µs, probe iterations and applied rewrites per wave, µs per
+//! probe — and asserts the budget: one probe and one rewrite per warm
+//! job at every thread count, and `prepare` ≤ 32 µs/wave wherever the
+//! threads fit the host's cores (past that a mean measures the
+//! scheduler's time slices, not the loop).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use restore_core::{ReStore, ReStoreConfig};
@@ -117,8 +124,13 @@ fn stage_rows(rs: &ReStore) -> Vec<(String, String, u64, u64)> {
 /// total time, and mean per observation. The delta isolates the
 /// measured rounds — without it the cold round's real MR executions
 /// would swamp the warm-regime numbers. This is the read path the
-/// warm-round cost analysis in DESIGN.md comes from.
-fn report_stages(rs: &ReStore, baseline: &[(String, String, u64, u64)], label: &str) {
+/// warm-round cost analysis in DESIGN.md comes from. Returns the delta
+/// rows.
+fn report_stages(
+    rs: &ReStore,
+    baseline: &[(String, String, u64, u64)],
+    label: &str,
+) -> Vec<(String, String, u64, u64)> {
     let mut rows = stage_rows(rs);
     for row in &mut rows {
         if let Some(b) = baseline.iter().find(|b| b.0 == row.0 && b.1 == row.1) {
@@ -127,16 +139,48 @@ fn report_stages(rs: &ReStore, baseline: &[(String, String, u64, u64)], label: &
         }
     }
     rows.sort_by_key(|row| std::cmp::Reverse(row.3));
-    for (family, labels, count, sum_ns) in rows {
-        if count == 0 {
+    for (family, labels, count, sum_ns) in &rows {
+        if *count == 0 {
             continue;
         }
         println!(
             "{label:<48} {family}{labels} count={count} total_ms={:.2} mean_us={:.1}",
-            sum_ns as f64 / 1e6,
-            sum_ns as f64 / count as f64 / 1e3,
+            *sum_ns as f64 / 1e6,
+            *sum_ns as f64 / *count as f64 / 1e3,
         );
     }
+    rows
+}
+
+/// What one warm wave of the §3 loop costs, from the stage deltas: the
+/// loop must spend one probe and one rewrite per job it answers, and
+/// `prepare` must fit the budget — half of the 65.4 µs/wave archived
+/// before matches that cannot change the plan were skipped — unless the
+/// arm oversubscribes the host.
+fn report_wave_cost(rows: &[(String, String, u64, u64)], label: &str, threads: usize) {
+    const PREPARE_BUDGET_US: f64 = 32.0;
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let stage = |name: &str| {
+        let key = format!("stage=\"{name}\"");
+        rows.iter().find(|r| r.1.contains(&key)).map_or((0, 0), |r| (r.2, r.3))
+    };
+    let (waves, prepare_ns) = stage("prepare");
+    let (probes, probe_ns) = stage("index_probe");
+    let (rewrites, _) = stage("rewrite");
+    let prepare_us = prepare_ns as f64 / waves as f64 / 1e3;
+    println!(
+        "{label:<48} per wave ({cores} host cores): prepare_us={prepare_us:.1} \
+         probe_iterations={:.2} rewrites={:.2} probe_us_per_iteration={:.1}",
+        probes as f64 / waves as f64,
+        rewrites as f64 / waves as f64,
+        probe_ns as f64 / probes as f64 / 1e3,
+    );
+    assert_eq!(probes, waves, "{label}: a warm whole-job hit takes exactly one probe");
+    assert_eq!(rewrites, waves, "{label}: a warm whole-job hit applies exactly one rewrite");
+    assert!(
+        threads > cores || prepare_us <= PREPARE_BUDGET_US,
+        "{label}: prepare {prepare_us:.1} us/wave exceeds the {PREPARE_BUDGET_US} us budget"
+    );
 }
 
 fn bench_warm_serving(c: &mut Criterion) {
@@ -156,8 +200,9 @@ fn bench_warm_serving(c: &mut Criterion) {
                 probe.observe(|| submit_round(&rs, threads, round.fetch_add(1, Ordering::Relaxed)))
             });
         });
-        probe.report(&format!("concurrent_warm/threads/{threads}"));
-        report_stages(&rs, &baseline, &format!("concurrent_warm/threads/{threads}"));
+        let label = format!("concurrent_warm/threads/{threads}");
+        probe.report(&label);
+        report_wave_cost(&report_stages(&rs, &baseline, &label), &label, threads);
     }
     group.finish();
 }

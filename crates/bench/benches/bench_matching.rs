@@ -1,39 +1,32 @@
-//! Concurrent repository-matching throughput: the pre-refactor locked
-//! design vs the RCU snapshot design, across repository sizes and
-//! submitting threads.
+//! Concurrent repository-matching throughput of the RCU snapshot
+//! design, across repository sizes and submitting threads.
 //!
-//! Two ablation arms, identical match kernels:
-//!
-//! * `locked_scan` — the old architecture: every match takes a
-//!   repository-wide `RwLock` read guard and runs the paper's §3
-//!   sequential scan under it; every *hit* then takes the **write**
-//!   guard to bump the reuse statistics, serializing all readers.
-//! * `snapshot_indexed` — the current architecture: each match grabs
-//!   the RCU snapshot (lock-free), filters candidates through the
-//!   inverted tip-signature index, and records the reuse through the
-//!   entry's shared atomics. No lock is ever taken; the bench asserts
-//!   the publish counter stays frozen.
+//! `snapshot_indexed` — each match grabs the RCU view (lock-free),
+//! filters candidates through the inverted tip-signature index, and
+//! records the reuse through the entry's shared atomics. No lock is
+//! ever taken; the bench asserts the publish counter stays frozen.
+//! (The `locked_scan` arm it was first measured against — a
+//! repository-wide `RwLock` around the paper's sequential scan — is
+//! archived in `BENCH_matching.json`; the scan-vs-index ablation lives
+//! in `bench_matcher`.)
 //!
 //! Repository sizes default to 10² / 10³ / 10⁴ entries and 1/2/4/8
 //! threads; `MATCHING_SIZES` (comma-separated) trims the matrix — CI
 //! smoke runs `MATCHING_SIZES=100`. Results archive as
 //! `BENCH_matching.json` via `CRITERION_JSON`.
 //!
-//! A third arm, `matching_bulk_indexed`, pushes the snapshot design to
-//! 10⁵ entries (override with `MATCHING_BULK_SIZES`): ordered
-//! insertion is O(n²) in pairwise subsumption checks, so the corpus is
-//! built with [`Repository::bulk_load`] — O(n log n) rule-2 ordering,
-//! valid because the generated plans are pairwise incomparable. Only
-//! the indexed match path runs at this size (the locked sequential
-//! scan would take minutes per round).
+//! `matching_bulk_indexed` pushes the snapshot design to 10⁵ entries
+//! (override with `MATCHING_BULK_SIZES`): ordered insertion is O(n²) in
+//! pairwise subsumption checks, so the corpus is built with
+//! [`Repository::bulk_load`] — O(n log n) rule-2 ordering, valid
+//! because the generated plans are pairwise incomparable.
 //!
-//! A fourth arm, `matching_bulk_telemetry`, measures the cost of
-//! observation itself: the driver's instrumented match path (probed
-//! matcher + counter/histogram recording) against the bare indexed
-//! matcher on the same corpus, and asserts the instrumented path stays
-//! within 5% (interleaved min-of-rounds).
+//! (The `matching_bulk_telemetry` arm — probed matcher plus recording
+//! against a bare matcher — went when the probed matcher became the
+//! only match entry point and left no bare side to compare; its
+//! numbers are archived in `BENCH_matching.json`.)
 //!
-//! A fifth arm, `insert_sharded`, is the **write-path** ablation: 1/2/
+//! `insert_sharded`, is the **write-path** ablation: 1/2/
 //! 4/8 writer threads registering disjoint plan corpora into a
 //! repository striped 1 vs 8 ways (`MATCHING_SHARDS` overrides the
 //! shard list). Single-shard, every insert serializes on one writer
@@ -41,7 +34,7 @@
 //! striped, writers whose tip signatures hash to different shards
 //! insert fully in parallel against 8× shorter scans.
 //!
-//! A sixth arm, `paraphrase_reuse`, is the **analyzer** ablation:
+//! `paraphrase_reuse` is the **analyzer** ablation:
 //! each round drives the paraphrased-PigMix suite (every query plus
 //! 3–5 semantically-equal rewrites) end-to-end through a fresh ReStore
 //! session with `ReStoreConfig::canonicalize` on vs off, asserting the
@@ -49,24 +42,20 @@
 //! off: none). The timing delta is the work reuse saves; the hit rates
 //! archive alongside in `BENCH_matching.json`.
 //!
-//! A seventh arm, `canon_compile`, prices the analyzer itself:
+//! `canon_compile` prices the analyzer itself:
 //! `compile` vs `compile_canonical` over all suite formulations — the
 //! per-compile cost the canonical form adds to the submission path.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use parking_lot::RwLock;
-use restore_core::{MatchProbe, ReStore, ReStoreConfig, RepoStats, Repository};
+use restore_core::{ReStore, ReStoreConfig, RepoStats, Repository};
 use restore_dataflow::expr::Expr;
 use restore_dataflow::physical::{PhysicalOp, PhysicalPlan};
 use restore_dfs::{Dfs, DfsConfig};
 use restore_mapreduce::{ClusterConfig, Engine, EngineConfig};
 use restore_pigmix::paraphrase::paraphrase_suite;
 use restore_pigmix::{datagen, DataScale};
-use restore_telemetry::Registry;
-use std::collections::HashSet;
 use std::hint::black_box;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Instant;
 
 /// Queries per thread per measured round.
 const QUERIES_PER_THREAD: usize = 20;
@@ -214,6 +203,47 @@ fn bench_insert_sharded(c: &mut Criterion) {
     }
 }
 
+/// One group of the concurrent match arms: `threads` submitters each
+/// match their query mix against a fresh lock-free view per query and
+/// record every hit through the entry's shared atomics. Asserts the
+/// path stayed write-free — matching and reuse accounting published no
+/// snapshot.
+fn bench_concurrent_matches(
+    c: &mut Criterion,
+    group: &str,
+    repo: &Repository,
+    n: usize,
+    thread_counts: &[usize],
+) {
+    let tick = std::sync::atomic::AtomicU64::new(1);
+    let publishes_before = repo.publish_count();
+    let mut group = c.benchmark_group(format!("{group}/n{n}"));
+    for &threads in thread_counts {
+        group.throughput(Throughput::Elements((threads * QUERIES_PER_THREAD) as u64));
+        let queries: Vec<Vec<PhysicalPlan>> = (0..threads).map(|t| thread_queries(n, t)).collect();
+        group.bench_with_input(BenchmarkId::new("threads", threads), &threads, |b, _| {
+            b.iter(|| {
+                std::thread::scope(|scope| {
+                    for qs in &queries {
+                        let tick = &tick;
+                        scope.spawn(move || {
+                            for q in qs {
+                                let hit = black_box(repo.view().find_first_match(q));
+                                if let Some((id, _)) = hit {
+                                    let t = tick.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                                    repo.note_use(id, t);
+                                }
+                            }
+                        });
+                    }
+                });
+            });
+        });
+    }
+    group.finish();
+    assert_eq!(repo.publish_count(), publishes_before, "the match path must be write-free");
+}
+
 /// 10⁵-entry arm: bulk-loaded corpus, snapshot + inverted index only.
 fn bench_matching_bulk(c: &mut Criterion) {
     for &n in &bulk_sizes() {
@@ -233,263 +263,14 @@ fn bench_matching_bulk(c: &mut Criterion) {
             .collect();
         let repo = Repository::bulk_load(items);
         assert_eq!(repo.len(), n, "generated plans must be signature-distinct");
-        let tick = std::sync::atomic::AtomicU64::new(1);
-        let publishes_before = repo.publish_count();
-        let mut group = c.benchmark_group(format!("matching_bulk_indexed/n{n}"));
-        for &threads in &[1usize, 8] {
-            group.throughput(Throughput::Elements((threads * QUERIES_PER_THREAD) as u64));
-            let queries: Vec<Vec<PhysicalPlan>> =
-                (0..threads).map(|t| thread_queries(n, t)).collect();
-            group.bench_with_input(
-                BenchmarkId::new("threads", threads),
-                &threads,
-                |b, &threads| {
-                    b.iter(|| {
-                        std::thread::scope(|scope| {
-                            for qs in queries.iter().take(threads) {
-                                let repo = &repo;
-                                let tick = &tick;
-                                scope.spawn(move || {
-                                    let none = HashSet::new();
-                                    for q in qs {
-                                        let snap = repo.snapshot();
-                                        let hit = black_box(
-                                            snap.find_first_match_indexed(q, &none)
-                                                .map(|(id, _)| id),
-                                        );
-                                        if let Some(id) = hit {
-                                            let t = tick
-                                                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                                            repo.note_use(id, t);
-                                        }
-                                    }
-                                });
-                            }
-                        });
-                    });
-                },
-            );
-        }
-        group.finish();
-        assert_eq!(
-            repo.publish_count(),
-            publishes_before,
-            "the bulk-loaded match path must be write-free"
-        );
+        bench_concurrent_matches(c, "matching_bulk_indexed", &repo, n, &[1, 8]);
     }
 }
 
 fn bench_matching(c: &mut Criterion) {
     for &n in &sizes() {
-        let repo = repo_of(n);
-        let tick = std::sync::atomic::AtomicU64::new(1);
-
-        // ---- locked_scan: RwLock-serialized sequential scan ----
-        {
-            let lock = RwLock::new(&repo);
-            let mut group = c.benchmark_group(format!("matching_locked_scan/n{n}"));
-            for &threads in &[1usize, 2, 4, 8] {
-                group.throughput(Throughput::Elements((threads * QUERIES_PER_THREAD) as u64));
-                let queries: Vec<Vec<PhysicalPlan>> =
-                    (0..threads).map(|t| thread_queries(n, t)).collect();
-                group.bench_with_input(
-                    BenchmarkId::new("threads", threads),
-                    &threads,
-                    |b, &threads| {
-                        b.iter(|| {
-                            std::thread::scope(|scope| {
-                                for qs in queries.iter().take(threads) {
-                                    let lock = &lock;
-                                    let tick = &tick;
-                                    scope.spawn(move || {
-                                        let none = HashSet::new();
-                                        for q in qs {
-                                            // Old read path: scan under the
-                                            // repository-wide read guard.
-                                            let hit = {
-                                                let guard = lock.read();
-                                                let snap = guard.snapshot();
-                                                black_box(
-                                                    snap.find_first_match_scan(q, &none)
-                                                        .map(|(id, _)| id),
-                                                )
-                                            };
-                                            // Old accounting: a write-guard
-                                            // round-trip per hit.
-                                            if let Some(id) = hit {
-                                                let t = tick.fetch_add(
-                                                    1,
-                                                    std::sync::atomic::Ordering::Relaxed,
-                                                );
-                                                lock.write().note_use(id, t);
-                                            }
-                                        }
-                                    });
-                                }
-                            });
-                        });
-                    },
-                );
-            }
-            group.finish();
-        }
-
-        // ---- snapshot_indexed: RCU snapshot + inverted index ----
-        {
-            let publishes_before = repo.publish_count();
-            let mut group = c.benchmark_group(format!("matching_snapshot_indexed/n{n}"));
-            for &threads in &[1usize, 2, 4, 8] {
-                group.throughput(Throughput::Elements((threads * QUERIES_PER_THREAD) as u64));
-                let queries: Vec<Vec<PhysicalPlan>> =
-                    (0..threads).map(|t| thread_queries(n, t)).collect();
-                group.bench_with_input(
-                    BenchmarkId::new("threads", threads),
-                    &threads,
-                    |b, &threads| {
-                        b.iter(|| {
-                            std::thread::scope(|scope| {
-                                for qs in queries.iter().take(threads) {
-                                    let repo = &repo;
-                                    let tick = &tick;
-                                    scope.spawn(move || {
-                                        let none = HashSet::new();
-                                        for q in qs {
-                                            let snap = repo.snapshot();
-                                            let hit = black_box(
-                                                snap.find_first_match_indexed(q, &none)
-                                                    .map(|(id, _)| id),
-                                            );
-                                            if let Some(id) = hit {
-                                                let t = tick.fetch_add(
-                                                    1,
-                                                    std::sync::atomic::Ordering::Relaxed,
-                                                );
-                                                repo.note_use(id, t);
-                                            }
-                                        }
-                                    });
-                                }
-                            });
-                        });
-                    },
-                );
-            }
-            group.finish();
-            // Zero write-side acquisitions on the match path: matching
-            // and reuse accounting published no snapshot.
-            assert_eq!(
-                repo.publish_count(),
-                publishes_before,
-                "the snapshot match path must be write-free"
-            );
-        }
+        bench_concurrent_matches(c, "matching_snapshot_indexed", &repo_of(n), n, &[1, 2, 4, 8]);
     }
-}
-
-/// Telemetry-overhead arm: the instrumented match path — the probed
-/// matcher plus the counter/histogram recording the driver hot path
-/// performs — against the bare indexed matcher, on the same bulk
-/// corpus and query mix. Both variants run the same view machinery;
-/// the delta is exactly the observation cost (one `MatchProbe`, two
-/// `Instant` reads, and a handful of relaxed `fetch_add`s per query).
-///
-/// Beyond archiving both timings, the arm *asserts* the invariant the
-/// telemetry crate promises: interleaved min-of-rounds, the
-/// instrumented path stays within 5% of the bare one (plus a small
-/// absolute epsilon so CI's tiny smoke corpora don't flake on timer
-/// granularity).
-fn bench_matching_telemetry_overhead(c: &mut Criterion) {
-    let n = bulk_sizes().into_iter().min().unwrap_or(100_000);
-    let items: Vec<_> = (0..n)
-        .map(|i| {
-            (
-                entry_plan(i),
-                format!("/repo/{i}"),
-                RepoStats {
-                    input_bytes: 10 * n as u64 - i as u64,
-                    output_bytes: 100,
-                    job_time_s: (n - i) as f64,
-                    ..Default::default()
-                },
-            )
-        })
-        .collect();
-    let repo = Repository::bulk_load(items);
-    // Route both variants through the indexed strategy (the bulk arm's
-    // path): without the flag the view falls back to sequential scan.
-    repo.set_fingerprint_index(true);
-    let view = repo.view();
-    let queries = thread_queries(n, 0);
-
-    let registry = Registry::new();
-    let hits = registry.counter("bench_match_hits_total", "hits", &[]);
-    let misses = registry.counter("bench_match_misses_total", "misses", &[]);
-    let latency = registry.histogram("bench_match_seconds", "match latency", &[], 1e-9);
-    let probe_h = registry.histogram("bench_probe_seconds", "index probe", &[], 1e-9);
-    let winner_h = registry.histogram("bench_winner_seconds", "winner pass", &[], 1e-9);
-
-    let none = HashSet::new();
-    let round_plain = || {
-        let mut found = 0u64;
-        for q in &queries {
-            if black_box(view.find_first_match_excluding(q, &none)).is_some() {
-                found += 1;
-            }
-        }
-        found
-    };
-    // Exactly the driver's per-match recording: one reused probe, stage
-    // histograms fed from the probe's own timings (no extra clock
-    // reads), hit/miss counters per query, and the loop-level latency
-    // histogram once per round (the driver records it once per job).
-    let round_telemetry = || {
-        let t0 = Instant::now();
-        let mut probe = MatchProbe::default();
-        let mut found = 0u64;
-        for q in &queries {
-            probe.reset();
-            let hit = black_box(view.find_first_match_probed(q, &none, &mut probe));
-            probe_h.record(probe.probe_ns);
-            winner_h.record(probe.winner_ns);
-            if hit.is_some() {
-                hits.inc();
-                found += 1;
-            } else {
-                misses.inc();
-            }
-        }
-        latency.record_elapsed(t0);
-        found
-    };
-
-    let mut group = c.benchmark_group(format!("matching_bulk_telemetry/n{n}"));
-    group.throughput(Throughput::Elements(QUERIES_PER_THREAD as u64));
-    group.bench_function("off", |b| b.iter(round_plain));
-    group.bench_function("on", |b| b.iter(round_telemetry));
-    group.finish();
-
-    // The <5% assertion: interleave the two variants so drift (thermal,
-    // scheduler) hits both, and compare best-case rounds.
-    for _ in 0..5 {
-        black_box(round_plain());
-        black_box(round_telemetry());
-    }
-    let mut plain_min = u64::MAX;
-    let mut tele_min = u64::MAX;
-    for _ in 0..40 {
-        let t0 = Instant::now();
-        black_box(round_plain());
-        plain_min = plain_min.min(t0.elapsed().as_nanos() as u64);
-        let t0 = Instant::now();
-        black_box(round_telemetry());
-        tele_min = tele_min.min(t0.elapsed().as_nanos() as u64);
-    }
-    assert!(
-        tele_min <= plain_min + plain_min / 20 + 5_000,
-        "telemetry overhead exceeds 5%: instrumented {tele_min}ns vs bare {plain_min}ns \
-         per {QUERIES_PER_THREAD}-query round (n={n})"
-    );
-    assert_eq!(hits.get() + misses.get(), probe_h.count(), "every query recorded exactly once");
 }
 
 /// Analyzer ablation: the paraphrased-PigMix suite end-to-end, one
@@ -574,7 +355,6 @@ criterion_group!(
     benches,
     bench_matching,
     bench_matching_bulk,
-    bench_matching_telemetry_overhead,
     bench_insert_sharded,
     bench_paraphrase_reuse,
     bench_canon_compile

@@ -275,9 +275,7 @@ pub fn matcher_ablation() -> Vec<AblationRow> {
 
     let mut rows = Vec::new();
     for &n in &[8usize, 32, 128, 512] {
-        let scan = Repository::new();
-        let indexed = Repository::new();
-        indexed.set_fingerprint_index(true);
+        let repo = Repository::new();
         for i in 0..n {
             // Decreasing reduction ratio and job time with i, so entry
             // n-1 sorts *last* — the scan's worst case.
@@ -287,22 +285,22 @@ pub fn matcher_ablation() -> Vec<AblationRow> {
                 job_time_s: (n - i) as f64,
                 ..Default::default()
             };
-            scan.insert(entry_plan(i), format!("/r/{i}"), stats.clone());
-            indexed.insert(entry_plan(i), format!("/r/{i}"), stats);
+            repo.insert(entry_plan(i), format!("/r/{i}"), stats);
         }
+        let view = repo.view();
         // Worst case for the scan: the matching entry sits at the end.
         let query = query_plan(n - 1);
         let reps = 200;
         let t0 = Instant::now();
         let mut scan_hit = None;
         for _ in 0..reps {
-            scan_hit = scan.find_first_match(&query).map(|(id, _)| id);
+            scan_hit = view.find_first_match_scan(&query, |_, _| false).map(|(id, _)| id);
         }
         let scan_us = t0.elapsed().as_secs_f64() * 1e6 / reps as f64;
         let t1 = Instant::now();
         let mut index_hit = None;
         for _ in 0..reps {
-            index_hit = indexed.find_first_match(&query).map(|(id, _)| id);
+            index_hit = view.find_first_match(&query).map(|(id, _)| id);
         }
         let index_us = t1.elapsed().as_secs_f64() * 1e6 / reps as f64;
         rows.push(AblationRow {

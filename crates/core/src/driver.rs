@@ -50,7 +50,7 @@ use crate::pin::PinSet;
 use crate::provenance::Provenance;
 use crate::rcu::Rcu;
 use crate::repository::{MatchProbe, RepoBatch, RepoOp, RepoSnapshot, RepoStats, Repository};
-use crate::rewriter::{apply_aliases, identity_copy, rewrite};
+use crate::rewriter::{apply_aliases, identity_copy};
 use crate::selector::SelectionPolicy;
 use parking_lot::{Mutex, RwLock};
 use restore_common::{Error, Result};
@@ -929,6 +929,16 @@ impl ReStore {
 
     /// Execute a compiled workflow in a tenant's namespace (see
     /// [`ReStore::execute_query_as`]).
+    ///
+    /// **Precondition for canonical matching.** The job plans are
+    /// matched in the form they arrive in: with
+    /// [`ReStoreConfig::canonicalize`] on, only a job whose Loads an
+    /// alias rewrote is put through the analyzer again. A workflow from
+    /// [`ReStore::compile_as`] under the same configuration is already
+    /// canonical; one built elsewhere (`restore_dataflow::compile`, a
+    /// dead-letter entry parked while `canonicalize` was off) still
+    /// returns the right answer, but matches — and registers its
+    /// candidates — in its own uncanonical form.
     pub fn execute_workflow_as(
         &self,
         tenant: Option<&str>,
@@ -1148,12 +1158,11 @@ impl ReStore {
         pins: &mut PinGuard,
     ) -> Result<Prepared> {
         let mut plan = wf.jobs[idx].plan.clone();
-        apply_aliases(&mut plan, aliases);
         // Re-canonicalize after alias rewriting: aliasing two Loads to
         // the same reused path can expose common subtrees that did not
-        // exist at compile time. Idempotent, so a plan the compiler
-        // already canonicalized (and no alias touched) is unchanged.
-        if config.canonicalize {
+        // exist at compile time. A plan no alias touched is still the
+        // fixpoint `compile_as` produced, so the analyzer is skipped.
+        if apply_aliases(&mut plan, aliases) && config.canonicalize {
             let timings = restore_dataflow::analyzer::canonicalize_timed(&mut plan);
             self.obs.record_canon(&timings);
         }
@@ -1223,14 +1232,19 @@ impl ReStore {
         Ok(Prepared::Run(Box::new(PreparedJob { idx, plan, candidates, spec })))
     }
 
-    /// The §3 scan: repeatedly lineage-expand the plan, take the first
-    /// repository match that makes structural progress, and rewrite.
-    /// Entirely lock-free: each iteration loads the current repository
-    /// and provenance snapshots (lock-free), and reuse statistics are
-    /// recorded through the entries' shared atomics; `on_match` runs
-    /// after each applied rewrite. With `pins` present (a real
-    /// execution, not a dry run), the reused output is pinned against
-    /// concurrent eviction until the workflow finishes.
+    /// The §3 loop: repeatedly lineage-expand the plan, take the first
+    /// repository match whose rewrite changes it, and rewrite — one
+    /// probe per applied rewrite, plus the probe that comes back empty.
+    /// Sites whose rewrite would only collapse back into lineage the
+    /// plan already Loads are vetoed at probe time
+    /// ([`crate::provenance::ExpandedPlan::collapses_back`]), and a plan
+    /// reduced to a `Load → Store` copy is answered in full, so the loop
+    /// stops there. Entirely lock-free: each iteration loads the current
+    /// repository and provenance snapshots (lock-free), and reuse
+    /// statistics are recorded through the entries' shared atomics;
+    /// `on_match` runs after each applied rewrite. With `pins` present
+    /// (a real execution, not a dry run), the reused output is pinned
+    /// against concurrent eviction until the workflow finishes.
     ///
     /// **Pin-then-revalidate.** A match can be found in a snapshot that
     /// a concurrent sweep has already superseded — by the time we pin,
@@ -1260,25 +1274,28 @@ impl ReStore {
         // in one batch at the end — the loop itself touches no lock.
         let mut decisions: Vec<ReuseDecision> = Vec::new();
         let mut matched_any = false;
-        // Entries whose rewrite made no structural progress (they match
-        // only lineage the plan already loads) are skipped on the rescan;
-        // progress clears the set.
-        let mut unproductive: HashSet<u64> = HashSet::new();
-        // An unproductive rescan leaves `plan` untouched, so its lineage
-        // expansion is reused instead of being recomputed.
-        let mut cached_expansion: Option<crate::provenance::ExpandedPlan> = None;
+        // Every applied rewrite changes the plan (an operator becomes a
+        // Load, or a Load moves to the entry that stores its data), so
+        // the loop terminates on its own; the budget is the belt, and so
+        // is `last`: a rewrite the probe-time veto should have stopped
+        // would be found again at the same (entry, site), and is then
+        // checked for a changed plan before it is applied a second time.
         let budget = 2 * plan.len() + 4 + 2 * space.repo.len();
+        let mut last = None;
         // One probe for the whole loop, reset per iteration: its
         // candidate buffer is reused instead of reallocated.
         let mut probe = MatchProbe::default();
         for _ in 0..budget {
             let snapshot_t0 = Instant::now();
-            let expanded =
-                cached_expansion.take().unwrap_or_else(|| space.prov.load().expand(plan));
+            let expanded = space.prov.load().expand(plan);
             let snap = space.repo.view();
             self.obs.match_stage.snapshot_load.record_elapsed(snapshot_t0);
             probe.reset();
-            let found = snap.find_first_match_probed(&expanded.plan, &unproductive, &mut probe);
+            let found = snap.find_first_match_probed(
+                &expanded.plan,
+                |e, site| expanded.collapses_back(site, &e.output_path),
+                &mut probe,
+            );
             self.obs.match_stage.index_probe.record(probe.probe_ns);
             self.obs.match_stage.winner_pass.record(probe.winner_ns);
             for c in probe.candidates.iter().filter(|c| !c.matched) {
@@ -1309,44 +1326,22 @@ impl ReStore {
                 if !present {
                     p.unpin_last();
                     decisions.push(ReuseDecision::RejectedPinRevalidation { entry_id });
-                    cached_expansion = Some(expanded);
                     continue;
                 }
             }
-            // Keep the pre-rewrite expansion: an unproductive rewrite
-            // leaves `plan` unchanged, and then this clone is reused
-            // instead of re-expanding.
+            let before = cfg!(debug_assertions).then(|| plan.signature());
             let rewrite_t0 = Instant::now();
-            let mut exp = expanded.clone();
-            let remap = rewrite(&mut exp.plan, &m, &reused_path);
-            // Translate expansion tips through the GC remap; an expansion
-            // whose tip vanished was consumed by the matched region and
-            // needs no collapsing.
-            exp.expansions.retain_mut(|e| match remap.get(e.tip.index()).copied().flatten() {
-                Some(t) => {
-                    e.tip = t;
-                    true
-                }
-                None => false,
-            });
-            let before_sig = plan.signature();
-            let collapsed = exp.collapse_unused();
+            let site = (entry_id, m.tip);
+            let rewritten = expanded.rewrite(&m, &reused_path);
             self.obs.stage.rewrite.record_elapsed(rewrite_t0);
-            if collapsed.signature() == before_sig {
-                // No structural progress: try the next entry. The
-                // speculative pin is no longer needed, and the plan is
-                // unchanged, so the rescan reuses the expansion we
-                // already computed.
+            debug_assert_ne!(Some(rewritten.signature()), before, "the probe let a no-op by");
+            if last.replace(site) == Some(site) && rewritten.signature() == plan.signature() {
                 if let Some(p) = pins.as_deref_mut() {
                     p.unpin_last();
                 }
-                unproductive.insert(entry_id);
-                decisions.push(ReuseDecision::RejectedUnproductive { entry_id });
-                cached_expansion = Some(expanded);
-                continue;
+                break;
             }
-            unproductive.clear();
-            *plan = collapsed;
+            *plan = rewritten;
             matched_any = true;
             decisions.push(ReuseDecision::Matched {
                 entry_id,
@@ -1360,6 +1355,9 @@ impl ReStore {
                 space.metrics.shard_hit(shard);
             }
             on_match(entry_id, &reused_path);
+            if identity_copy(plan).is_some() {
+                break; // the whole job is answered; nothing left to match
+            }
         }
         self.obs.stage.match_loop.record_elapsed(loop_t0);
         // Per-namespace accounting and the trace ring only see real

@@ -114,23 +114,34 @@ pub fn pairwise_plan_traversal(
     repo_plan: &PhysicalPlan,
     input_plan: &PhysicalPlan,
 ) -> Option<PlanMatch> {
-    let r_tip = plan_tip(repo_plan)?;
-    let mut m = Matcher { repo: repo_plan, input: input_plan, memo: HashMap::new() };
-
     // The traversal starts at the Load frontier (Algorithm 1 is invoked
     // with the Load operators of both plans); anchoring at the repo tip
     // and recursing toward the Loads visits exactly the same pairs in
     // depth-first order while keeping the containment decision exact.
     // Candidate anchor sites are scanned in topological order so the
     // first (deepest-upstream) occurrence wins deterministically.
-    for p in input_plan.topo_order() {
+    pairwise_plan_traversal_at(repo_plan, input_plan, input_plan.topo_order())
+}
+
+/// [`pairwise_plan_traversal`] restricted to the given anchor `sites` of
+/// the input plan, tried in the order given: the repository's lookups
+/// pass the sites a rewrite could actually use (and, through the
+/// tip-signature index, only those whose signature can match at all).
+pub(crate) fn pairwise_plan_traversal_at(
+    repo_plan: &PhysicalPlan,
+    input_plan: &PhysicalPlan,
+    sites: impl IntoIterator<Item = NodeId>,
+) -> Option<PlanMatch> {
+    let r_tip = plan_tip(repo_plan)?;
+    let mut m = Matcher { repo: repo_plan, input: input_plan, memo: HashMap::new() };
+    for p in sites {
         if matches!(input_plan.op(p), PhysicalOp::Store { .. } | PhysicalOp::Split) {
             continue;
         }
         if m.equivalent(r_tip, p) {
             let mut mapping = HashMap::new();
             m.collect_mapping(r_tip, p, &mut mapping);
-            return Some(PlanMatch { tip: through_splits(input_plan, p), mapping });
+            return Some(PlanMatch { tip: p, mapping });
         }
     }
     None

@@ -23,17 +23,15 @@ pub enum ReuseDecision {
     /// The entry matched and the rewrite made structural progress.
     Matched { entry_id: u64, shard: usize, reused_path: String },
     /// The entry's tip signature matched but the pairwise §3 traversal
-    /// failed — a signature collision or partial overlap.
+    /// failed — a signature collision.
     CandidateFailedTraversal { entry_id: u64, shard: usize },
-    /// The entry matched but rewriting made no structural progress
-    /// (it matched only lineage the plan already loads); rule-2
-    /// ordering moves the scan to the next candidate.
-    RejectedUnproductive { entry_id: u64 },
     /// The entry vanished between match and pin — a concurrent §5
     /// sweep evicted it; the loop unpinned and rescanned.
     RejectedPinRevalidation { entry_id: u64 },
-    /// No candidate survived: every input-plan tip signature missed
-    /// the inverted index (or the sequential scan found nothing).
+    /// No candidate survived: every input-plan node signature missed
+    /// the inverted index, hit only entries whose rewrite would change
+    /// nothing (they match lineage the plan already loads), or failed
+    /// verification.
     NoCandidates { signatures_probed: usize },
 }
 
@@ -48,9 +46,6 @@ impl fmt::Display for ReuseDecision {
                     f,
                     "candidate #{entry_id} (shard {shard}): tip signature hit, traversal failed"
                 )
-            }
-            ReuseDecision::RejectedUnproductive { entry_id } => {
-                write!(f, "candidate #{entry_id}: rejected, no structural progress (rule-2 rescan)")
             }
             ReuseDecision::RejectedPinRevalidation { entry_id } => {
                 write!(f, "candidate #{entry_id}: rejected, evicted before pin revalidation")
@@ -107,7 +102,10 @@ pub(crate) struct StageHists {
 pub(crate) struct MatchStageHists {
     /// Provenance lineage expansion + repository snapshot load.
     pub snapshot_load: Histogram,
-    /// Inverted tip-signature index probe + candidate verification.
+    /// One probe of the inverted tip-signature index: node signatures
+    /// of the expanded plan, index lookups, and pairwise verification
+    /// of the hits. (Until the index became the match path this series
+    /// timed the sequential scan under the same name.)
     pub index_probe: Histogram,
     /// Cross-shard pairwise §3 winner pass.
     pub winner_pass: Histogram,

@@ -7,8 +7,10 @@
 //! of a produced path is replaced by the (base-level) plan that produced
 //! it. The provenance table records those producing plans.
 
+use crate::matcher::PlanMatch;
 use restore_dataflow::physical::{NodeId, PhysicalOp, PhysicalPlan};
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Path → base-level single-Store plan that produced it.
@@ -27,6 +29,8 @@ pub struct Provenance {
 pub struct Expansion {
     pub path: String,
     pub tip: NodeId,
+    /// Ids the producing plan was inlined as (`tip` among them).
+    nodes: Range<u32>,
 }
 
 /// A lineage-expanded plan plus enough bookkeeping to collapse unused
@@ -143,9 +147,11 @@ impl Provenance {
             let node = plan.node(id);
             if let PhysicalOp::Load { path } = &node.op {
                 if let Some(producer) = self.plans.get(path) {
+                    let first = out.len() as u32;
                     let tip = inline_producer(&mut out, producer);
                     remap.insert(id, tip);
-                    expansions.push(Expansion { path: path.clone(), tip });
+                    let nodes = first..out.len() as u32;
+                    expansions.push(Expansion { path: path.clone(), tip, nodes });
                     continue;
                 }
             }
@@ -225,6 +231,38 @@ fn inline_producer(target: &mut PhysicalPlan, producer: &PhysicalPlan) -> NodeId
 }
 
 impl ExpandedPlan {
+    /// Would splicing a Load of `stored_path` in at `site` collapse
+    /// straight back to the plan that was expanded? It does whenever
+    /// the site lies inside an expansion — the expansion's tip survives
+    /// the rewrite, so [`ExpandedPlan::collapse_unused`] restores the
+    /// original Load above it — or is the tip of the expansion of
+    /// `stored_path` itself (the plan already loads exactly that file).
+    /// The match loop skips such sites at probe time instead of paying
+    /// for a rewrite that cannot change the plan.
+    pub fn collapses_back(&self, site: NodeId, stored_path: &str) -> bool {
+        self.expansions
+            .iter()
+            .any(|e| e.nodes.contains(&site.0) && (site != e.tip || e.path == stored_path))
+    }
+
+    /// The §3 rewrite on a lineage-expanded plan: splice a Load of
+    /// `stored_path` over the matched region, then collapse the lineage
+    /// the match did not consume back into plain Loads.
+    pub fn rewrite(mut self, m: &PlanMatch, stored_path: &str) -> PhysicalPlan {
+        let remap = crate::rewriter::rewrite(&mut self.plan, m, stored_path);
+        // Translate expansion tips through the GC remap; an expansion
+        // whose tip vanished was consumed by the matched region and
+        // needs no collapsing.
+        self.expansions.retain_mut(|e| match remap.get(e.tip.index()).copied().flatten() {
+            Some(t) => {
+                e.tip = t;
+                true
+            }
+            None => false,
+        });
+        self.collapse_unused()
+    }
+
     /// Collapse every expansion whose tip is still present and consumed
     /// back into a plain `Load` of the produced path, then GC. Called
     /// after rewriting so unmatched lineage does not get re-executed.
@@ -328,6 +366,22 @@ mod tests {
         assert!(matches!(collapsed.op(l), Load { path } if path == "/tmp-0"));
         // Group and Store survive; producer ops are gone.
         assert_eq!(collapsed.len(), 3);
+    }
+
+    #[test]
+    fn only_sites_a_rewrite_could_change_survive_the_veto() {
+        let mut prov = Provenance::new();
+        prov.register("/tmp-0", producer());
+        // Load(/base) -> Project | -> Group -> Store; the expansion of
+        // `/tmp-0` is the first two nodes, its tip the Project.
+        let exp = prov.expand(&consumer());
+        let tip = exp.expansions[0].tip;
+        let load = exp.plan.inputs(tip)[0];
+        let group = exp.plan.consumers(tip)[0];
+        assert!(exp.collapses_back(load, "/anything"), "inside the expansion");
+        assert!(exp.collapses_back(tip, "/tmp-0"), "the file the plan already loads");
+        assert!(!exp.collapses_back(tip, "/repo/7"), "same data stored elsewhere");
+        assert!(!exp.collapses_back(group, "/tmp-0"), "outside every expansion");
     }
 
     #[test]

@@ -33,20 +33,28 @@
 //! Inside a snapshot, lookups that the locked design recomputed per
 //! call are precomputed at publish time: an id → position map (O(1)
 //! [`RepoSnapshot::get`]), a cached tip signature per entry, an inverted
-//! tip-signature → candidates multimap (the `find_first_match_indexed`
-//! pre-filter runs in O(1) per input node instead of O(entries)), and a
-//! running `stored_bytes` total maintained on insert/evict instead of
-//! re-summed per call. The paper's sequential scan
-//! ([`RepoSnapshot::find_first_match_scan`]) remains the verification /
-//! ablation path; both return byte-identical results because indexed
-//! candidates are verified with the full traversal in repository order.
+//! tip-signature → candidates multimap, and a running `stored_bytes`
+//! total maintained on insert/evict instead of re-summed per call.
+//!
+//! # Matching
+//!
+//! [`RepoView::find_first_match_probed`] is the match path: an entry can
+//! only match at an input-plan node whose Merkle signature equals the
+//! entry's cached tip signature, so candidates come out of the inverted
+//! index in O(1) per input node and only they are verified with the full
+//! §3 traversal, in repository order. The paper's sequential scan
+//! ([`RepoView::find_first_match_scan`]) is kept as the test oracle and
+//! the `bench_matcher` ablation. The two agree exactly — same entry, same
+//! site — because a node signature hashes precisely what operator
+//! equivalence compares: parameters (Store paths excluded) and inputs
+//! positionally, with `Split` tees transparent on both sides.
 
-use crate::matcher::{pairwise_plan_traversal, plan_tip, subsumes, PlanMatch};
+use crate::matcher::{pairwise_plan_traversal_at, plan_tip, subsumes, PlanMatch};
 use crate::plan_text;
 use crate::rcu::{Rcu, RcuWriter};
 use parking_lot::{Mutex, RwLock};
 use restore_common::{Error, Result};
-use restore_dataflow::physical::PhysicalPlan;
+use restore_dataflow::physical::{NodeId, PhysicalOp, PhysicalPlan};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed, Ordering::SeqCst};
 use std::sync::Arc;
@@ -177,15 +185,11 @@ pub struct RepoSnapshot {
     /// plan signature → entry id (deduplication).
     by_signature: HashMap<u64, u64>,
     /// tip signature → positions (ascending) of entries carrying it —
-    /// the inverted index behind `find_first_match_indexed`.
+    /// the inverted index the match path probes.
     tip_index: HashMap<u64, Vec<usize>>,
     /// Running total of `output_bytes`, maintained on insert/evict
     /// instead of summed per call.
     stored_bytes: u64,
-    /// Serve matches through the fingerprint index instead of the
-    /// paper's sequential scan. Results are identical; speed differs
-    /// (see the `bench_matching` ablation).
-    indexed: bool,
 }
 
 impl RepoSnapshot {
@@ -221,83 +225,6 @@ impl RepoSnapshot {
     /// counter, not a scan.
     pub fn stored_bytes(&self) -> u64 {
         self.stored_bytes
-    }
-
-    /// Is this snapshot serving matches through the fingerprint index?
-    pub fn is_indexed(&self) -> bool {
-        self.indexed
-    }
-
-    /// §3: return the first entry (in repository order) whose plan is
-    /// contained in `input_plan`, with the match. Dispatches to the
-    /// configured lookup strategy; both produce identical results.
-    pub fn find_first_match(&self, input_plan: &PhysicalPlan) -> Option<(u64, PlanMatch)> {
-        self.find_first_match_excluding(input_plan, &HashSet::new())
-    }
-
-    /// Like [`RepoSnapshot::find_first_match`] but skipping the listed
-    /// entries. The driver excludes entries whose rewrite made no
-    /// structural progress (e.g. an entry matching only its own lineage
-    /// expansion) and rescans for the next-best match.
-    pub fn find_first_match_excluding(
-        &self,
-        input_plan: &PhysicalPlan,
-        exclude: &HashSet<u64>,
-    ) -> Option<(u64, PlanMatch)> {
-        if self.indexed {
-            self.find_first_match_indexed(input_plan, exclude)
-        } else {
-            self.find_first_match_scan(input_plan, exclude)
-        }
-    }
-
-    /// The paper's sequential scan: try every entry in repository order.
-    /// Kept as the verification / ablation baseline.
-    pub fn find_first_match_scan(
-        &self,
-        input_plan: &PhysicalPlan,
-        exclude: &HashSet<u64>,
-    ) -> Option<(u64, PlanMatch)> {
-        for e in &self.entries {
-            if exclude.contains(&e.id) {
-                continue;
-            }
-            if let Some(m) = pairwise_plan_traversal(&e.plan, input_plan) {
-                return Some((e.id, m));
-            }
-        }
-        None
-    }
-
-    /// Fingerprint-index variant: an entry can only match when its
-    /// cached tip signature equals the signature of some node of the
-    /// input plan, so candidates come from the inverted tip-signature
-    /// index in O(1) per input node. Candidates are verified with the
-    /// full traversal in ascending repository order — identical results
-    /// to the sequential scan, sub-linear candidate filtering.
-    pub fn find_first_match_indexed(
-        &self,
-        input_plan: &PhysicalPlan,
-        exclude: &HashSet<u64>,
-    ) -> Option<(u64, PlanMatch)> {
-        let mut candidates: Vec<usize> = Vec::new();
-        for id in input_plan.ids() {
-            if let Some(positions) = self.tip_index.get(&input_plan.node_signature(id)) {
-                candidates.extend_from_slice(positions);
-            }
-        }
-        candidates.sort_unstable();
-        candidates.dedup();
-        for pos in candidates {
-            let e = &self.entries[pos];
-            if exclude.contains(&e.id) {
-                continue;
-            }
-            if let Some(m) = pairwise_plan_traversal(&e.plan, input_plan) {
-                return Some((e.id, m));
-            }
-        }
-        None
     }
 
     // ---- mutation internals (called with the Rcu writer serialized) ----
@@ -672,7 +599,7 @@ impl Repository {
             return self.shards[0].load();
         }
         let view = self.view();
-        let mut snap = RepoSnapshot { indexed: view.is_indexed(), ..Default::default() };
+        let mut snap = RepoSnapshot::default();
         for s in view.shards() {
             snap.stored_bytes += s.stored_bytes;
             for e in &s.entries {
@@ -735,21 +662,6 @@ impl Repository {
     /// Total bytes of stored outputs (running counters, summed).
     pub fn stored_bytes(&self) -> u64 {
         self.shards.iter().map(|s| s.load().stored_bytes()).sum()
-    }
-
-    /// Route matches through the fingerprint index (`true`) or the
-    /// paper's sequential scan (`false`, the default). Published with
-    /// each shard's snapshot, so in-flight readers keep the strategy
-    /// they started with.
-    pub fn set_fingerprint_index(&self, indexed: bool) {
-        for s in &self.shards {
-            s.update(|snap| snap.indexed = indexed);
-        }
-    }
-
-    /// Is the fingerprint index active?
-    pub fn use_fingerprint_index(&self) -> bool {
-        self.shards[0].load().indexed
     }
 
     /// Insert an entry, maintaining the §3 ordering rules. Deduplicates
@@ -974,7 +886,6 @@ impl Repository {
         let writers: Vec<RcuWriter<'_, RepoSnapshot>> =
             self.shards.iter().map(|s| s.writer()).collect();
         self.writer_sections.fetch_add(n as u64, Relaxed);
-        let indexed = view.is_indexed();
         let mut parts: Vec<Vec<Arc<RepoEntry>>> = vec![Vec::new(); n];
         for snap in view.shards() {
             for e in &snap.entries {
@@ -982,9 +893,7 @@ impl Repository {
             }
         }
         for (w, part) in writers.iter().zip(parts) {
-            let mut snap = build_shard_snapshot(part);
-            snap.indexed = indexed;
-            w.publish(snap);
+            w.publish(build_shard_snapshot(part));
         }
         self.next_id.store(next, SeqCst);
     }
@@ -994,15 +903,6 @@ impl Repository {
     /// that must agree.
     pub fn find_first_match(&self, input_plan: &PhysicalPlan) -> Option<(u64, PlanMatch)> {
         self.view().find_first_match(input_plan)
-    }
-
-    /// See [`RepoView::find_first_match_excluding`].
-    pub fn find_first_match_excluding(
-        &self,
-        input_plan: &PhysicalPlan,
-        exclude: &HashSet<u64>,
-    ) -> Option<(u64, PlanMatch)> {
-        self.view().find_first_match_excluding(input_plan, exclude)
     }
 
     // ---- persistence ----
@@ -1132,57 +1032,43 @@ fn build_shard_snapshot(entries: Vec<Arc<RepoEntry>>) -> RepoSnapshot {
 /// subsumption is not a total order. Each candidate carries the shard
 /// it came from, so the instrumented probe can attribute the win.
 fn shard_winner(
-    cands: Vec<(u64, PlanMatch, Arc<RepoEntry>, usize)>,
-) -> Option<(u64, PlanMatch, usize)> {
-    let mut best: Option<(u64, PlanMatch, Arc<RepoEntry>, usize)> = None;
-    for c in cands {
-        best = Some(match best {
-            None => c,
-            Some(b) => {
-                let c_sub_b = subsumes(&c.2.plan, &b.2.plan);
-                let b_sub_c = subsumes(&b.2.plan, &c.2.plan);
-                let c_wins = if c_sub_b != b_sub_c {
-                    c_sub_b
-                } else {
-                    let sc = (c.2.base.reduction_ratio(), c.2.base.job_time_s);
-                    let sb = (b.2.base.reduction_ratio(), b.2.base.job_time_s);
-                    match sc.partial_cmp(&sb) {
-                        Some(std::cmp::Ordering::Greater) => true,
-                        Some(std::cmp::Ordering::Less) => false,
-                        _ => c.0 < b.0,
-                    }
-                };
-                if c_wins {
-                    c
-                } else {
-                    b
-                }
+    firsts: Vec<(PlanMatch, &Arc<RepoEntry>, usize)>,
+) -> Option<(PlanMatch, &Arc<RepoEntry>, usize)> {
+    firsts.into_iter().reduce(|b, c| {
+        let c_sub_b = subsumes(&c.1.plan, &b.1.plan);
+        let b_sub_c = subsumes(&b.1.plan, &c.1.plan);
+        let c_wins = if c_sub_b != b_sub_c {
+            c_sub_b
+        } else {
+            let sc = (c.1.base.reduction_ratio(), c.1.base.job_time_s);
+            let sb = (b.1.base.reduction_ratio(), b.1.base.job_time_s);
+            match sc.partial_cmp(&sb) {
+                Some(std::cmp::Ordering::Greater) => true,
+                Some(std::cmp::Ordering::Less) => false,
+                _ => c.1.id < b.1.id,
             }
-        });
-    }
-    best.map(|(id, m, _, shard)| (id, m, shard))
+        };
+        if c_wins {
+            c
+        } else {
+            b
+        }
+    })
 }
 
 /// What one instrumented match probe observed (see
 /// [`RepoView::find_first_match_probed`]). Timings are nanoseconds.
 #[derive(Debug, Default, Clone)]
 pub struct MatchProbe {
-    /// The fingerprint index was used (vs the sequential-scan
-    /// ablation).
-    pub indexed: bool,
-    /// Candidate filtering + pairwise §3 verification time.
+    /// Node signatures + index lookups + pairwise §3 verification time.
     pub probe_ns: u64,
     /// Cross-shard winner-pass time.
     pub winner_ns: u64,
     /// Shard the winning entry lives in, when a match was found.
     pub winner_shard: Option<usize>,
-    /// Input-plan node signatures probed against the inverted index
-    /// (0 on the scan path, which does not probe signatures).
+    /// Input-plan node signatures probed against the inverted index.
     pub signatures_probed: usize,
-    /// Candidates whose pairwise traversal ran, in probe order. The
-    /// scan path records only per-shard winners (enumerating every
-    /// scanned entry would be the trace-ring equivalent of a table
-    /// scan).
+    /// Candidates whose pairwise traversal ran, in probe order.
     pub candidates: Vec<ProbedCandidate>,
 }
 
@@ -1191,7 +1077,6 @@ impl MatchProbe {
     /// keeping the `candidates` allocation — the hot path records into
     /// one probe per job instead of allocating per iteration.
     pub fn reset(&mut self) {
-        self.indexed = false;
         self.probe_ns = 0;
         self.winner_ns = 0;
         self.winner_shard = None;
@@ -1211,9 +1096,9 @@ pub struct ProbedCandidate {
 }
 
 /// A coherent lock-free read view over every shard (see
-/// [`Repository::view`]). Mirrors [`RepoSnapshot`]'s read surface;
-/// with one shard every method delegates to the shard's snapshot, so
-/// results are exactly the single-shard repository's.
+/// [`Repository::view`]). Mirrors [`RepoSnapshot`]'s read surface and
+/// adds matching; with one shard every lookup lands in that shard's
+/// snapshot, so results are exactly the single-shard repository's.
 #[derive(Debug, Clone)]
 pub struct RepoView {
     shards: Vec<Arc<RepoSnapshot>>,
@@ -1262,214 +1147,99 @@ impl RepoView {
         self.shards.iter().map(|s| s.stored_bytes()).sum()
     }
 
-    pub fn is_indexed(&self) -> bool {
-        self.shards[0].indexed
-    }
-
-    /// §3 first match across every shard; see
-    /// [`RepoView::find_first_match_excluding`].
+    /// §3 first match anywhere in `input_plan`; see
+    /// [`RepoView::find_first_match_probed`].
     pub fn find_first_match(&self, input_plan: &PhysicalPlan) -> Option<(u64, PlanMatch)> {
-        self.find_first_match_excluding(input_plan, &HashSet::new())
+        self.find_first_match_probed(input_plan, |_, _| false, &mut MatchProbe::default())
     }
 
-    /// §3 first match: each shard contributes its own first verifying
-    /// entry (in that shard's match-priority order), then the winner is
+    /// §3 first match: each shard contributes its first verifying entry
+    /// (in that shard's match-priority order), then the winner is
     /// picked by the ordering rules themselves (see [`shard_winner`]).
-    /// With one shard this is byte-identical to
-    /// [`RepoSnapshot::find_first_match_excluding`].
-    pub fn find_first_match_excluding(
-        &self,
-        input_plan: &PhysicalPlan,
-        exclude: &HashSet<u64>,
-    ) -> Option<(u64, PlanMatch)> {
-        if self.is_indexed() {
-            self.find_first_match_indexed(input_plan, exclude)
-        } else {
-            self.find_first_match_scan(input_plan, exclude)
-        }
-    }
-
-    /// Sequential-scan strategy over the view (per-shard scan, then
-    /// winner pick).
-    pub fn find_first_match_scan(
-        &self,
-        input_plan: &PhysicalPlan,
-        exclude: &HashSet<u64>,
-    ) -> Option<(u64, PlanMatch)> {
-        if self.shards.len() == 1 {
-            return self.shards[0].find_first_match_scan(input_plan, exclude);
-        }
-        let mut cands = Vec::new();
-        for (i, s) in self.shards.iter().enumerate() {
-            if let Some((id, m)) = s.find_first_match_scan(input_plan, exclude) {
-                cands.push((id, m, s.get(id).expect("matched entry").clone(), i));
-            }
-        }
-        shard_winner(cands).map(|(id, m, _)| (id, m))
-    }
-
-    /// Fingerprint-index strategy over the view. Each candidate lookup
-    /// probes **exactly one shard**: the tip signature of the query
-    /// node picks the shard that could own matching entries, so the
-    /// other shards' indexes are never touched.
-    pub fn find_first_match_indexed(
-        &self,
-        input_plan: &PhysicalPlan,
-        exclude: &HashSet<u64>,
-    ) -> Option<(u64, PlanMatch)> {
-        let n = self.shards.len();
-        if n == 1 {
-            return self.shards[0].find_first_match_indexed(input_plan, exclude);
-        }
-        let mut per_shard: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for id in input_plan.ids() {
-            let sig = input_plan.node_signature(id);
-            let s = shard_index(Some(sig), n);
-            if let Some(positions) = self.shards[s].tip_index.get(&sig) {
-                per_shard[s].extend_from_slice(positions);
-            }
-        }
-        let mut cands = Vec::new();
-        for (s, mut positions) in per_shard.into_iter().enumerate() {
-            positions.sort_unstable();
-            positions.dedup();
-            for pos in positions {
-                let e = &self.shards[s].entries[pos];
-                if exclude.contains(&e.id) {
-                    continue;
-                }
-                if let Some(m) = pairwise_plan_traversal(&e.plan, input_plan) {
-                    cands.push((e.id, m, e.clone(), s));
-                    break;
-                }
-            }
-        }
-        shard_winner(cands).map(|(id, m, _)| (id, m))
-    }
-
-    /// [`RepoView::find_first_match_excluding`] with instrumentation:
-    /// identical match results (the parity property test pins this),
-    /// plus per-stage timings and the candidate-by-candidate record the
-    /// reuse-decision trace is built from. This is the variant the
-    /// driver's match loop runs — the probe costs two `Instant` reads
-    /// and a small vector, never a lock or a publish.
+    /// `skip(entry, site)` vetoes anchoring `entry`'s tip at input node
+    /// `site` — the driver passes the sites whose rewrite would change
+    /// nothing ([`crate::provenance::ExpandedPlan::collapses_back`]).
+    ///
+    /// Candidates come from the inverted tip-signature index: every
+    /// input node's signature (one shared-memo pass) is looked up in
+    /// **exactly one shard** — the one that would own an entry with
+    /// that tip — and only the hits are verified, each at the site that
+    /// produced it, in (repository position, topological site) order.
+    /// That is the order the sequential scan tries them in, so the two
+    /// return the same entry at the same site. The probe records
+    /// per-stage timings and the candidate-by-candidate list the
+    /// reuse-decision trace is built from: two `Instant` reads and a
+    /// small vector, never a lock or a publish.
     pub fn find_first_match_probed(
         &self,
         input_plan: &PhysicalPlan,
-        exclude: &HashSet<u64>,
+        skip: impl Fn(&RepoEntry, NodeId) -> bool,
         probe: &mut MatchProbe,
     ) -> Option<(u64, PlanMatch)> {
         let n = self.shards.len();
-        probe.indexed = self.is_indexed();
-        if n == 1 {
-            // Single shard — the driver's default configuration, so the
-            // hot path: there is no cross-shard winner pass to time and
-            // no reason to pay the generic machinery (per-shard
-            // routing, entry clones, winner comparison). Mirror the
-            // snapshot's own §3 loop, recording as we go.
-            let shard = &self.shards[0];
-            let t0 = std::time::Instant::now();
-            let result = if probe.indexed {
-                let mut positions: Vec<usize> = Vec::new();
-                for id in input_plan.ids() {
-                    probe.signatures_probed += 1;
-                    if let Some(p) = shard.tip_index.get(&input_plan.node_signature(id)) {
-                        positions.extend_from_slice(p);
-                    }
-                }
-                positions.sort_unstable();
-                positions.dedup();
-                let mut found = None;
-                for pos in positions {
-                    let e = &shard.entries[pos];
-                    if exclude.contains(&e.id) {
-                        continue;
-                    }
-                    let matched = pairwise_plan_traversal(&e.plan, input_plan);
-                    probe.candidates.push(ProbedCandidate {
-                        entry_id: e.id,
-                        shard: 0,
-                        matched: matched.is_some(),
-                    });
-                    if let Some(m) = matched {
-                        found = Some((e.id, m));
-                        break;
-                    }
-                }
-                found
-            } else {
-                let hit = shard.find_first_match_scan(input_plan, exclude);
-                if let Some((id, _)) = &hit {
-                    probe.candidates.push(ProbedCandidate {
-                        entry_id: *id,
-                        shard: 0,
-                        matched: true,
-                    });
-                }
-                hit
-            };
-            probe.probe_ns = t0.elapsed().as_nanos() as u64;
-            probe.winner_ns = 0;
-            probe.winner_shard = result.as_ref().map(|_| 0);
-            return result;
-        }
         let t0 = std::time::Instant::now();
-        let cands: Vec<(u64, PlanMatch, Arc<RepoEntry>, usize)> = if probe.indexed {
-            // Mirror of [`RepoView::find_first_match_indexed`] (which
-            // single-shard delegates to the snapshot's identical loop):
-            // signature-filtered candidates per shard, verified in
-            // ascending repository order, first verifier per shard.
-            let mut per_shard: Vec<Vec<usize>> = vec![Vec::new(); n];
-            for id in input_plan.ids() {
-                let sig = input_plan.node_signature(id);
-                probe.signatures_probed += 1;
-                let s = shard_index(Some(sig), n);
-                if let Some(positions) = self.shards[s].tip_index.get(&sig) {
-                    per_shard[s].extend_from_slice(positions);
+        let sigs = input_plan.node_signatures();
+        // (shard, position, topological rank of the site, site)
+        let mut cands: Vec<(usize, usize, usize, NodeId)> = Vec::new();
+        for (rank, site) in input_plan.topo_order().into_iter().enumerate() {
+            if matches!(input_plan.op(site), PhysicalOp::Store { .. } | PhysicalOp::Split) {
+                continue; // never a rewrite site; a Split signs as its input
+            }
+            probe.signatures_probed += 1;
+            let sig = sigs[site.index()];
+            let s = shard_index(Some(sig), n);
+            for &pos in self.shards[s].tip_index.get(&sig).into_iter().flatten() {
+                if !skip(&self.shards[s].entries[pos], site) {
+                    cands.push((s, pos, rank, site));
                 }
             }
-            let mut cands = Vec::new();
-            for (s, mut positions) in per_shard.into_iter().enumerate() {
-                positions.sort_unstable();
-                positions.dedup();
-                for pos in positions {
-                    let e = &self.shards[s].entries[pos];
-                    if exclude.contains(&e.id) {
-                        continue;
-                    }
-                    let matched = pairwise_plan_traversal(&e.plan, input_plan);
-                    probe.candidates.push(ProbedCandidate {
-                        entry_id: e.id,
-                        shard: s,
-                        matched: matched.is_some(),
-                    });
-                    if let Some(m) = matched {
-                        cands.push((e.id, m, e.clone(), s));
-                        break;
-                    }
-                }
+        }
+        cands.sort_unstable();
+        let mut firsts: Vec<(PlanMatch, &Arc<RepoEntry>, usize)> = Vec::new();
+        for (s, pos, _, site) in cands {
+            if firsts.last().is_some_and(|f| f.2 == s) {
+                continue; // this shard already has its first match
             }
-            cands
-        } else {
-            let mut cands = Vec::new();
-            for (s, shard) in self.shards.iter().enumerate() {
-                if let Some((id, m)) = shard.find_first_match_scan(input_plan, exclude) {
-                    probe.candidates.push(ProbedCandidate {
-                        entry_id: id,
-                        shard: s,
-                        matched: true,
-                    });
-                    cands.push((id, m, shard.get(id).expect("matched entry").clone(), s));
-                }
-            }
-            cands
-        };
+            let e = &self.shards[s].entries[pos];
+            let matched = pairwise_plan_traversal_at(&e.plan, input_plan, [site]);
+            probe.candidates.push(ProbedCandidate {
+                entry_id: e.id,
+                shard: s,
+                matched: matched.is_some(),
+            });
+            firsts.extend(matched.map(|m| (m, e, s)));
+        }
         probe.probe_ns = t0.elapsed().as_nanos() as u64;
         let t1 = std::time::Instant::now();
-        let winner = shard_winner(cands);
+        let winner = shard_winner(firsts);
         probe.winner_ns = t1.elapsed().as_nanos() as u64;
-        probe.winner_shard = winner.as_ref().map(|(_, _, s)| *s);
-        winner.map(|(id, m, _)| (id, m))
+        probe.winner_shard = winner.as_ref().map(|w| w.2);
+        winner.map(|(m, e, _)| (e.id, m))
+    }
+
+    /// The paper's sequential scan — every entry of every shard, in
+    /// repository order, each tried at every site `skip` allows — kept
+    /// as the oracle the index is tested against and as the
+    /// `bench_matcher` ablation. Same contract and same result as
+    /// [`RepoView::find_first_match_probed`], linear in repository size.
+    pub fn find_first_match_scan(
+        &self,
+        input_plan: &PhysicalPlan,
+        skip: impl Fn(&RepoEntry, NodeId) -> bool,
+    ) -> Option<(u64, PlanMatch)> {
+        let order = input_plan.topo_order();
+        let firsts = self
+            .shards
+            .iter()
+            .enumerate()
+            .filter_map(|(s, shard)| {
+                shard.entries.iter().find_map(|e| {
+                    let sites = order.iter().copied().filter(|&site| !skip(e, site));
+                    pairwise_plan_traversal_at(&e.plan, input_plan, sites).map(|m| (m, e, s))
+                })
+            })
+            .collect();
+        shard_winner(firsts).map(|(m, e, _)| (e.id, m))
     }
 
     /// Serialize the view (shard-concatenation order; loading a text
@@ -1836,39 +1606,73 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_index_agrees_with_scan() {
-        let scan = Repository::new();
-        let indexed = Repository::new();
-        indexed.set_fingerprint_index(true);
+    fn index_agrees_with_scan() {
+        let repo = Repository::new();
         for (i, cols) in [vec![0], vec![1], vec![0, 2], vec![2]].into_iter().enumerate() {
-            let s = stats(100 + i as u64, 10, i as f64);
-            scan.insert(load_project("/pv", cols.clone()), format!("/r/{i}"), s.clone());
-            indexed.insert(load_project("/pv", cols), format!("/r/{i}"), s);
+            repo.insert(
+                load_project("/pv", cols),
+                format!("/r/{i}"),
+                stats(100 + i as u64, 10, i as f64),
+            );
         }
+        let view = repo.view();
         let q = q1_plan();
-        let a = scan.find_first_match(&q).map(|(id, m)| (id, m.tip));
-        let b = indexed.find_first_match(&q).map(|(id, m)| (id, m.tip));
+        let a = view.find_first_match_scan(&q, |_, _| false).map(|(id, m)| (id, m.tip));
+        let b = view.find_first_match(&q).map(|(id, m)| (id, m.tip));
         assert_eq!(a, b);
         assert!(a.is_some());
         // And both agree on a non-match.
         let other = load_project("/nowhere", vec![9]);
-        assert!(scan.find_first_match(&other).is_none());
-        assert!(indexed.find_first_match(&other).is_none());
-        // The two strategies are also exposed side by side on one
-        // snapshot, for the ablation bench and parity tests.
-        let snap = scan.snapshot();
-        let none = HashSet::new();
-        assert_eq!(
-            snap.find_first_match_scan(&q, &none).map(|(id, m)| (id, m.tip)),
-            snap.find_first_match_indexed(&q, &none).map(|(id, m)| (id, m.tip)),
-        );
+        assert!(view.find_first_match_scan(&other, |_, _| false).is_none());
+        assert!(view.find_first_match(&other).is_none());
+    }
+
+    #[test]
+    fn index_agrees_with_scan_through_split_tees() {
+        // The stored plan joins one shared branch with itself; the input
+        // spells the second edge through the Split tee CSE's
+        // duplicate-edge guard inserts, plus an injected side Store.
+        let mut stored = PhysicalPlan::new();
+        let l = stored.add(PhysicalOp::Load { path: "/pv".into() }, vec![]);
+        let p = stored.add(PhysicalOp::Project { cols: vec![0] }, vec![l]);
+        let j = stored.add(PhysicalOp::Join { keys: vec![vec![0], vec![0]] }, vec![p, p]);
+        stored.add(PhysicalOp::Store { path: "/r/self".into() }, vec![j]);
+
+        let mut input = PhysicalPlan::new();
+        let l = input.add(PhysicalOp::Load { path: "/pv".into() }, vec![]);
+        let p = input.add(PhysicalOp::Project { cols: vec![0] }, vec![l]);
+        let tee = input.add(PhysicalOp::Split, vec![p]);
+        input.add(PhysicalOp::Store { path: "/side".into() }, vec![tee]);
+        let j = input.add(PhysicalOp::Join { keys: vec![vec![0], vec![0]] }, vec![p, tee]);
+        input.add(PhysicalOp::Store { path: "/out".into() }, vec![j]);
+
+        for shards in [1, 8] {
+            let repo = Repository::with_shards(shards);
+            repo.insert(load_project("/pv", vec![0]), "/r/p", stats(100, 50, 1.0));
+            let InsertOutcome::Inserted(id) =
+                repo.insert(stored.clone(), "/r/self", stats(100, 10, 9.0))
+            else {
+                panic!("fresh plan");
+            };
+            let view = repo.view();
+            let scan = view.find_first_match_scan(&input, |_, _| false).map(|(id, m)| (id, m.tip));
+            assert_eq!(scan, Some((id, j)), "the scan sees through the tee");
+            assert_eq!(view.find_first_match(&input).map(|(id, m)| (id, m.tip)), scan);
+            // A vetoed site falls through to the next entry on both paths.
+            let veto = |_: &RepoEntry, site: NodeId| site == j;
+            let scan = view.find_first_match_scan(&input, veto).map(|(id, m)| (id, m.tip));
+            assert_eq!(scan.map(|(_, tip)| tip), Some(p));
+            let mut probe = MatchProbe::default();
+            let indexed = view.find_first_match_probed(&input, veto, &mut probe);
+            assert_eq!(indexed.map(|(id, m)| (id, m.tip)), scan);
+        }
     }
 
     #[test]
     fn snapshot_readers_are_isolated_from_mutations() {
         let repo = Repository::new();
         repo.insert(load_project("/pv", vec![0, 2]), "/r/b", stats(100, 10, 5.0));
-        let before = repo.snapshot();
+        let before = repo.view();
         repo.batch(|b| {
             b.insert(load_project("/x", vec![1]), "/r/x", stats(50, 5, 1.0));
             b.insert(load_project("/y", vec![1]), "/r/y", stats(50, 5, 1.0));
@@ -2039,13 +1843,12 @@ mod tests {
                 .map(|(id, m)| (sharded.get(id).unwrap().output_path.clone(), m.tip));
             assert_eq!(a, b);
         }
-        // Scan and indexed strategies agree on the sharded view.
+        // The index and the scan oracle agree on the sharded view.
         let view = sharded.view();
-        let none = HashSet::new();
         let q = q1_plan();
         assert_eq!(
-            view.find_first_match_scan(&q, &none).map(|(id, m)| (id, m.tip)),
-            view.find_first_match_indexed(&q, &none).map(|(id, m)| (id, m.tip)),
+            view.find_first_match_scan(&q, |_, _| false).map(|(id, m)| (id, m.tip)),
+            view.find_first_match(&q).map(|(id, m)| (id, m.tip)),
         );
     }
 

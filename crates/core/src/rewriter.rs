@@ -57,23 +57,30 @@ pub fn identity_copy(plan: &PhysicalPlan) -> Option<(String, String)> {
 }
 
 /// Substitute Load paths through an alias map (outputs of skipped jobs →
-/// the stored paths that replaced them), following chains.
-pub fn apply_aliases(plan: &mut PhysicalPlan, aliases: &std::collections::HashMap<String, String>) {
-    let ids: Vec<NodeId> = plan.loads();
-    for id in ids {
-        if let PhysicalOp::Load { path } = plan.op(id).clone() {
-            let mut cur = path;
-            let mut hops = 0;
-            while let Some(next) = aliases.get(&cur) {
-                cur = next.clone();
-                hops += 1;
-                if hops > aliases.len() {
-                    break; // defensive: alias cycle
-                }
+/// the stored paths that replaced them), following chains. Returns
+/// whether any Load was rewritten.
+pub fn apply_aliases(
+    plan: &mut PhysicalPlan,
+    aliases: &std::collections::HashMap<String, String>,
+) -> bool {
+    let mut rewrote = false;
+    for id in plan.loads() {
+        let PhysicalOp::Load { path } = plan.op(id) else { continue };
+        let mut cur = path;
+        let mut hops = 0;
+        while let Some(next) = aliases.get(cur) {
+            cur = next;
+            hops += 1;
+            if hops > aliases.len() {
+                break; // defensive: alias cycle
             }
-            plan.node_mut(id).op = PhysicalOp::Load { path: cur };
+        }
+        if hops > 0 {
+            plan.node_mut(id).op = PhysicalOp::Load { path: cur.clone() };
+            rewrote = true;
         }
     }
+    rewrote
 }
 
 #[cfg(test)]
@@ -187,10 +194,11 @@ mod tests {
         let mut aliases = HashMap::new();
         aliases.insert("/tmp-1".to_string(), "/tmp-0".to_string());
         aliases.insert("/tmp-0".to_string(), "/repo/7".to_string());
-        apply_aliases(&mut plan, &aliases);
+        assert!(apply_aliases(&mut plan, &aliases));
         assert!(matches!(
             plan.op(plan.loads()[0]),
             PhysicalOp::Load { path } if path == "/repo/7"
         ));
+        assert!(!apply_aliases(&mut plan, &aliases), "nothing left to rewrite");
     }
 }

@@ -1,5 +1,5 @@
-//! Driver behaviour across the configuration matrix: fingerprint index,
-//! strict selection, eviction windows, and final-output registration.
+//! Driver behaviour across the configuration matrix: strict selection,
+//! eviction windows, and final-output registration.
 
 use restore_common::{codec, tuple, Tuple};
 use restore_core::{Heuristic, ReStore, ReStoreConfig, SelectionPolicy};
@@ -39,31 +39,6 @@ fn read_sorted(dfs: &Dfs, path: &str) -> Vec<Tuple> {
     let mut t = codec::decode_all(&dfs.read_all(path).unwrap()).unwrap();
     t.sort();
     t
-}
-
-/// The fingerprint index must be behaviour-identical to the sequential
-/// scan through the full driver: same rewrites, same answers, same
-/// repository evolution.
-#[test]
-fn fingerprint_index_is_transparent() {
-    let run = |indexed: bool| {
-        let eng = engine();
-        let rs = ReStore::new(eng, ReStoreConfig::default());
-        rs.with_repository_mut_as(None, |repo| repo.set_fingerprint_index(indexed));
-        let mut log = Vec::new();
-        for i in 0..3 {
-            let e = rs.execute_query(Q, &format!("/wf/{i}")).unwrap();
-            log.push((
-                e.rewrites.len(),
-                e.jobs_skipped,
-                e.candidates_stored,
-                read_sorted(rs.engine().dfs(), &e.final_output),
-            ));
-        }
-        let repo_len = rs.repository().len();
-        (log, repo_len)
-    };
-    assert_eq!(run(false), run(true));
 }
 
 /// Strict §5 admission keeps the repository smaller without changing

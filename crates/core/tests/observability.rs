@@ -3,8 +3,9 @@
 //! 1. the §3 match hot path stays **zero-publish** with telemetry
 //!    enabled — a warm whole-workflow reuse run performs no RCU
 //!    publish and enters no writer section;
-//! 2. the instrumented probed matcher returns results identical to the
-//!    plain matcher (parity proptest over sharded repositories);
+//! 2. the probed matcher (the tip-signature index) returns results
+//!    identical to the sequential-scan oracle (parity proptest over
+//!    sharded repositories);
 //! 3. the reuse-decision trace explains hits and misses, keyed by the
 //!    execution's tick;
 //! 4. `stats_all` rows come from one consistent cut (one shared clock).
@@ -13,7 +14,7 @@ use proptest::prelude::*;
 use restore_common::{codec, tuple, Tuple};
 use restore_core::repository::InsertOutcome;
 use restore_core::{
-    Heuristic, MatchProbe, ReStore, ReStoreConfig, RepoStats, Repository, ReuseDecision,
+    Heuristic, MatchProbe, ReStore, ReStoreConfig, RepoEntry, RepoStats, Repository, ReuseDecision,
 };
 use restore_dataflow::expr::Expr;
 use restore_dataflow::physical::{PhysicalOp, PhysicalPlan};
@@ -80,6 +81,66 @@ fn warm_match_path_publishes_nothing_with_telemetry_enabled() {
     assert!(text.contains("restore_stage_seconds_bucket{stage=\"match\""), "{text}");
     assert!(text.contains("restore_match_stage_seconds_bucket{stage=\"index_probe\""), "{text}");
     assert!(text.contains("restore_match_seconds_count{tenant=\"\"} 2"), "{text}");
+}
+
+/// Observation count of one `restore_match_stage_seconds` /
+/// `restore_stage_seconds` series.
+fn stage_count(restore: &ReStore, family: &str, stage: &str) -> u64 {
+    let key = format!("stage=\"{stage}\"");
+    restore
+        .registry()
+        .histogram_stats(family)
+        .into_iter()
+        .find(|(labels, _, _)| labels.contains(&key))
+        .map_or(0, |(_, count, _)| count)
+}
+
+/// A two-job workflow (join, then group) over the same inputs as `q1`.
+fn two_job(out: &str) -> String {
+    format!(
+        "A = load '/data/page_views' as (user, timestamp:int, est_revenue:double, page_info, page_links);
+         B = foreach A generate user, est_revenue;
+         alpha = load '/data/users' as (name, phone, address, city);
+         beta = foreach alpha generate name;
+         C = join beta by name, B by user;
+         D = group C by $0;
+         E = foreach D generate group, SUM(C.est_revenue);
+         store E into '{out}';"
+    )
+}
+
+/// The §3 loop costs one probe per rewrite that changes the plan: a job
+/// answered whole from the repository is one probe iteration and one
+/// rewrite — no rescans of lineage the plan already loads — and a
+/// two-job workflow is exactly that, twice.
+#[test]
+fn a_warm_whole_job_hit_is_one_probe_and_one_rewrite() {
+    for (query, jobs) in [(q1 as fn(&str) -> String, 1u64), (two_job, 2)] {
+        let restore = restore();
+        let cold = restore.execute_query(&query("/out/a"), "/wf/a").expect("cold run");
+        assert_eq!(cold.jobs_skipped, 0);
+        let probes = stage_count(&restore, "restore_match_stage_seconds", "index_probe");
+        let rewrites = stage_count(&restore, "restore_stage_seconds", "rewrite");
+
+        let warm = restore.execute_query(&query("/out/b"), "/wf/b").expect("warm run");
+        assert_eq!(warm.jobs_skipped as u64, jobs, "every job answered from the repository");
+        assert_eq!(warm.rewrites.len() as u64, jobs);
+        assert!(warm.rewrites.iter().all(|r| r.whole_job));
+        assert_eq!(
+            stage_count(&restore, "restore_match_stage_seconds", "index_probe") - probes,
+            jobs,
+            "one probe iteration per warm job"
+        );
+        assert_eq!(
+            stage_count(&restore, "restore_stage_seconds", "rewrite") - rewrites,
+            jobs,
+            "one rewrite per warm job"
+        );
+        // The trace agrees: per job, the match and nothing else.
+        let trace = restore.trace_for(None, warm.tick);
+        assert_eq!(trace.len() as u64, jobs, "{trace:?}");
+        assert!(trace.iter().all(|e| matches!(e.decision, ReuseDecision::Matched { .. })));
+    }
 }
 
 #[test]
@@ -173,21 +234,20 @@ fn query_for(seed: u8, depth: u8) -> PhysicalPlan {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The instrumented probed matcher is the plain matcher plus
-    /// observation: identical (entry id, match tip) results on the same
-    /// view, for both the indexed and scan strategies, across shard
-    /// counts — and the probe's record is internally consistent (a
-    /// winner implies a winning shard and a matched candidate).
+    /// The probed matcher (the tip-signature index, the path the driver
+    /// runs) returns what the sequential-scan oracle returns — identical
+    /// (entry id, match tip) on the same view, with entries vetoed,
+    /// across shard counts — and the probe's record is internally
+    /// consistent (a winner implies a winning shard and a matched
+    /// candidate).
     #[test]
-    fn probed_match_agrees_with_plain(
+    fn probed_match_agrees_with_the_scan_oracle(
         shards in 1usize..5,
-        indexed in any::<bool>(),
         inserts in prop::collection::vec((any::<u8>(), any::<u8>(), 1u64..500), 0..24),
         queries in prop::collection::vec((any::<u8>(), any::<u8>()), 1..8),
         exclude_picks in prop::collection::vec(0usize..24, 0..4),
     ) {
         let repo = Repository::with_shards(shards);
-        repo.set_fingerprint_index(indexed);
         let mut ids = Vec::new();
         for (seed, depth, bytes) in inserts {
             let stats = RepoStats { input_bytes: 4096, output_bytes: bytes, ..Default::default() };
@@ -202,15 +262,15 @@ proptest! {
         let view = repo.view();
         for (seed, depth) in queries {
             let q = query_for(seed, depth);
-            let plain = view.find_first_match_excluding(&q, &exclude);
+            let skip = |e: &RepoEntry, _| exclude.contains(&e.id);
+            let scanned = view.find_first_match_scan(&q, skip);
             let mut probe = MatchProbe::default();
-            let probed = view.find_first_match_probed(&q, &exclude, &mut probe);
+            let probed = view.find_first_match_probed(&q, skip, &mut probe);
             prop_assert_eq!(
-                plain.as_ref().map(|(id, m)| (*id, m.tip)),
+                scanned.as_ref().map(|(id, m)| (*id, m.tip)),
                 probed.as_ref().map(|(id, m)| (*id, m.tip)),
-                "probed diverged from plain (indexed={}, shards={})", indexed, shards
+                "probed diverged from the scan (shards={})", shards
             );
-            prop_assert_eq!(probe.indexed, indexed);
             match &probed {
                 Some((id, _)) => {
                     prop_assert!(probe.winner_shard.is_some(), "winner must carry its shard");

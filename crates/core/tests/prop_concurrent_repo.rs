@@ -9,16 +9,15 @@
 //!   (the §3 reference semantics);
 //! * **concurrency** — under real multi-threaded insert/evict/match
 //!   traffic the snapshot matcher only ever returns entries that exist
-//!   in the snapshot it matched against, the scan and indexed
-//!   strategies agree on every snapshot, matching publishes nothing,
+//!   in the view it matched against, the index and the scan oracle
+//!   agree on every view, matching publishes nothing,
 //!   and `note_use` accounting is exact under 8-thread contention.
 
 use proptest::prelude::*;
 use restore_core::matcher::{pairwise_plan_traversal, subsumes, PlanMatch};
 use restore_core::{RepoStats, Repository};
 use restore_dataflow::expr::Expr;
-use restore_dataflow::physical::{PhysicalOp, PhysicalPlan};
-use std::collections::HashSet;
+use restore_dataflow::physical::{NodeId, PhysicalOp, PhysicalPlan};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A faithful reimplementation of the pre-refactor locked repository:
@@ -98,10 +97,10 @@ impl LockedRepo {
     }
 }
 
-/// Small pipeline plans over a handful of load paths so that random
+/// Small pipelines over a handful of load paths so that random
 /// sequences produce genuine matches, subsumption chains, and duplicate
-/// signatures.
-fn plan_for(seed: u8, depth: u8) -> PhysicalPlan {
+/// signatures. Returns the plan (no Store yet) and its last operator.
+fn pipeline(seed: u8, depth: u8) -> (PhysicalPlan, NodeId) {
     let mut p = PhysicalPlan::new();
     let path = ["/data/a", "/data/b", "/data/c"][(seed % 3) as usize];
     let mut cur = p.add(PhysicalOp::Load { path: path.into() }, vec![]);
@@ -115,16 +114,42 @@ fn plan_for(seed: u8, depth: u8) -> PhysicalPlan {
             _ => p.add(PhysicalOp::Group { keys: vec![(d % 2) as usize] }, vec![cur]),
         };
     }
+    (p, cur)
+}
+
+/// Bit 2 of `depth` makes the plan a shared-subplan shape: the pipeline
+/// unioned with itself.
+fn self_union(depth: u8) -> bool {
+    depth & 4 != 0
+}
+
+/// A stored plan. Its self-union is a duplicate edge, `Union(x, x)` —
+/// what `prefix_plan` leaves once it has elided the tees.
+fn plan_for(seed: u8, depth: u8) -> PhysicalPlan {
+    let (mut p, mut cur) = pipeline(seed, depth);
+    if self_union(depth) {
+        cur = p.add(PhysicalOp::Union, vec![cur, cur]);
+    }
     p.add(PhysicalOp::Store { path: format!("/store/{seed}-{depth}") }, vec![cur]);
     p
 }
 
-/// A longer query that embeds `plan_for(seed, depth)` as a prefix.
+/// A longer query that embeds `plan_for(seed, depth)` as a prefix, in
+/// the spelling a compiled query would carry: the self-union's second
+/// edge runs through the `Split` tee CSE's duplicate-edge guard inserts
+/// (`Union(x, Split(x))`), and bit 3 of `depth` adds a sub-job
+/// enumerator's injected `Split` + side `Store` above the prefix.
 fn query_for(seed: u8, depth: u8) -> PhysicalPlan {
-    let mut p = plan_for(seed, depth);
-    let tip = p.stores()[0];
-    let before = p.inputs(tip)[0];
-    let g = p.add(PhysicalOp::Distinct, vec![before]);
+    let (mut p, mut cur) = pipeline(seed, depth);
+    if self_union(depth) {
+        let tee = p.add(PhysicalOp::Split, vec![cur]);
+        cur = p.add(PhysicalOp::Union, vec![cur, tee]);
+    }
+    if depth & 8 != 0 {
+        cur = p.add(PhysicalOp::Split, vec![cur]);
+        p.add(PhysicalOp::Store { path: "/side".into() }, vec![cur]);
+    }
+    let g = p.add(PhysicalOp::Distinct, vec![cur]);
     p.add(PhysicalOp::Store { path: "/q".into() }, vec![g]);
     p
 }
@@ -149,8 +174,9 @@ fn arb_op() -> impl Strategy<Value = Op> {
 
 proptest! {
     /// Random insert/evict/match/note_use sequences: the snapshot-based
-    /// matcher (both strategies) returns identical (entry id, match
-    /// tip) results to the locked sequential scan, and entry order,
+    /// matcher (the index, and the scan oracle beside it) returns
+    /// identical (entry id, match tip) results to the locked sequential
+    /// scan — on queries that carry `Split` tees — and entry order,
     /// statistics, and `stored_bytes` stay in lockstep throughout.
     #[test]
     fn snapshot_repo_matches_locked_reference(ops in prop::collection::vec(arb_op(), 1..60)) {
@@ -194,8 +220,8 @@ proptest! {
                 }
                 Op::Match { seed, depth } => {
                     let q = query_for(seed, depth);
-                    let snap = repo.snapshot();
-                    let got = snap.find_first_match(&q);
+                    let view = repo.view();
+                    let got = view.find_first_match(&q);
                     let want = reference.find_first_match(&q);
                     match (&got, &want) {
                         (None, None) => {}
@@ -208,12 +234,11 @@ proptest! {
                         }
                         _ => prop_assert!(false, "hit/miss disagreement: {:?} vs {:?}", got.is_some(), want.is_some()),
                     }
-                    // The indexed strategy agrees with the scan on the
-                    // same snapshot, entry for entry, tip for tip.
-                    let none = HashSet::new();
+                    // The index agrees with the scan oracle on the same
+                    // view, entry for entry, tip for tip.
                     prop_assert_eq!(
-                        snap.find_first_match_scan(&q, &none).map(|(id, m)| (id, m.tip)),
-                        snap.find_first_match_indexed(&q, &none).map(|(id, m)| (id, m.tip))
+                        view.find_first_match_scan(&q, |_, _| false).map(|(id, m)| (id, m.tip)),
+                        got.map(|(id, m)| (id, m.tip))
                     );
                 }
                 Op::NoteUse { pick, tick } => {
@@ -247,13 +272,12 @@ fn id_map(repo: &Repository, reference: &LockedRepo, id: u64) -> Option<u64> {
 }
 
 /// Concurrency: 4 writer threads churn inserts/evictions while 4 reader
-/// threads match. Every match must name an entry present in the
-/// snapshot it was found in, the two match strategies must agree per
-/// snapshot, and matching must publish nothing.
+/// threads match. Every match must name an entry present in the view
+/// it was found in, the index must agree with the scan oracle per view,
+/// and matching must publish nothing.
 #[test]
 fn concurrent_insert_evict_match_is_coherent() {
     let repo = Repository::new();
-    repo.set_fingerprint_index(true);
     // Pre-seed so matches happen from the start.
     for s in 0..8u8 {
         let stats = RepoStats {
@@ -298,23 +322,23 @@ fn concurrent_insert_evict_match_is_coherent() {
                 while stop.load(Ordering::SeqCst) < 4 {
                     i += 1;
                     let q = query_for((r as u32 * 17 + i) as u8, (i % 4) as u8);
-                    let snap = repo.snapshot();
-                    if let Some((id, m)) = snap.find_first_match(&q) {
-                        // The match names a live entry of *this* snapshot…
-                        let e = snap.get(id).expect("matched entry must exist in its snapshot");
+                    let snap = repo.view();
+                    let found = snap.find_first_match(&q).map(|(id, m)| (id, m.tip));
+                    if let Some((id, tip)) = found {
+                        // The match names a live entry of *this* view…
+                        let e = snap.get(id).expect("matched entry must exist in its view");
                         // …that genuinely matches (re-verify the traversal).
                         let again = pairwise_plan_traversal(&e.plan, &q)
                             .expect("matched entry must verify");
-                        assert_eq!(again.tip, m.tip);
+                        assert_eq!(again.tip, tip);
                         matches_seen.fetch_add(1, Ordering::SeqCst);
                         repo.note_use(id, i as u64);
                     }
-                    // Scan and index agree on this snapshot even while
+                    // Scan and index agree on this view even while
                     // writers churn.
-                    let none = HashSet::new();
                     assert_eq!(
-                        snap.find_first_match_scan(&q, &none).map(|(id, m)| (id, m.tip)),
-                        snap.find_first_match_indexed(&q, &none).map(|(id, m)| (id, m.tip)),
+                        snap.find_first_match_scan(&q, |_, _| false).map(|(id, m)| (id, m.tip)),
+                        found,
                     );
                 }
             });
@@ -338,8 +362,7 @@ fn match_path_is_write_free() {
     let publishes = repo.publish_count();
     let q = query_for(1, 2);
     for t in 0..1000u64 {
-        let snap = repo.snapshot();
-        let (found, _) = snap.find_first_match(&q).expect("warm match");
+        let (found, _) = repo.find_first_match(&q).expect("warm match");
         assert_eq!(found, id);
         repo.note_use(found, t);
     }
@@ -357,9 +380,6 @@ proptest! {
     fn sharded_repo_stays_in_lockstep_with_single_shard(ops in prop::collection::vec(arb_op(), 1..60)) {
         let single = Repository::new();
         let sharded = Repository::with_shards(8);
-        // Index only the sharded side: the per-shard indexed probe must
-        // still agree with the single-shard sequential scan.
-        sharded.set_fingerprint_index(true);
         let mut live_ids: Vec<u64> = Vec::new();
         for op in ops {
             match op {
@@ -392,7 +412,9 @@ proptest! {
                 }
                 Op::Match { seed, depth } => {
                     let q = query_for(seed, depth);
-                    let a = single.snapshot().find_first_match(&q);
+                    // The single-shard side answers through the scan
+                    // oracle: the per-shard indexed probe must agree.
+                    let a = single.view().find_first_match_scan(&q, |_, _| false);
                     let b = sharded.view().find_first_match(&q);
                     match (a, b) {
                         (None, None) => {}
@@ -446,7 +468,6 @@ proptest! {
 #[test]
 fn sharded_concurrent_insert_evict_match_is_coherent() {
     let repo = Repository::with_shards(8);
-    repo.set_fingerprint_index(true);
     for s in 0..8u8 {
         let stats = RepoStats {
             input_bytes: 4096,
@@ -491,18 +512,18 @@ fn sharded_concurrent_insert_evict_match_is_coherent() {
                     i += 1;
                     let q = query_for((r as u32 * 17 + i) as u8, (i % 4) as u8);
                     let view = repo.view();
-                    if let Some((id, m)) = view.find_first_match(&q) {
+                    let found = view.find_first_match(&q).map(|(id, m)| (id, m.tip));
+                    if let Some((id, tip)) = found {
                         let e = view.get(id).expect("matched entry must exist in its view");
                         let again = pairwise_plan_traversal(&e.plan, &q)
                             .expect("matched entry must verify");
-                        assert_eq!(again.tip, m.tip);
+                        assert_eq!(again.tip, tip);
                         matches_seen.fetch_add(1, Ordering::SeqCst);
                         repo.note_use(id, i as u64);
                     }
-                    let none = HashSet::new();
                     assert_eq!(
-                        view.find_first_match_scan(&q, &none).map(|(id, m)| (id, m.tip)),
-                        view.find_first_match_indexed(&q, &none).map(|(id, m)| (id, m.tip)),
+                        view.find_first_match_scan(&q, |_, _| false).map(|(id, m)| (id, m.tip)),
+                        found,
                     );
                 }
             });

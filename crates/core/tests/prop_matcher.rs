@@ -41,6 +41,44 @@ fn arb_plan() -> impl Strategy<Value = PhysicalPlan> {
         })
 }
 
+/// [`arb_plan`] dressed in the shared-subplan shapes real plans carry:
+/// a self-union over a duplicate edge (`Union(x, x)`), the same union
+/// spelled through the `Split` tee CSE's duplicate-edge guard inserts
+/// (`Union(x, Split(x))`), and a sub-job enumerator's injected
+/// `Split` + side `Store` after a random operator. The matcher walks
+/// through every one of these tees; the index must too.
+fn arb_teed_plan() -> impl Strategy<Value = PhysicalPlan> {
+    (arb_plan(), 0u8..3, prop::option::of(any::<prop::sample::Index>())).prop_map(
+        |(mut p, union, tee_at)| {
+            if let Some(pick) = tee_at {
+                let nodes = op_nodes(&p);
+                let at = nodes[pick.index(nodes.len())];
+                let consumers = p.consumers(at);
+                let tee = p.add(PhysicalOp::Split, vec![at]);
+                p.add(PhysicalOp::Store { path: "/side".to_string() }, vec![tee]);
+                for c in consumers {
+                    for input in &mut p.node_mut(c).inputs {
+                        if *input == at {
+                            *input = tee;
+                        }
+                    }
+                }
+            }
+            if union > 0 {
+                let store = p
+                    .ids()
+                    .find(|&s| matches!(p.op(s), PhysicalOp::Store { path } if path == "/out"));
+                let store = store.expect("main store");
+                let x = p.inputs(store)[0];
+                let second = if union == 1 { x } else { p.add(PhysicalOp::Split, vec![x]) };
+                let u = p.add(PhysicalOp::Union, vec![x, second]);
+                p.node_mut(store).inputs[0] = u;
+            }
+            p
+        },
+    )
+}
+
 /// Non-plumbing nodes of a plan.
 fn op_nodes(p: &PhysicalPlan) -> Vec<NodeId> {
     p.ids()
@@ -110,35 +148,70 @@ proptest! {
         prop_assert_eq!(back.len(), plan.len());
     }
 
-    /// The fingerprint index and the paper's sequential scan return the
-    /// same match (or the same miss) on random repositories and queries.
+    /// The tip-signature index (the match path) and the paper's
+    /// sequential scan (the oracle) return the same entry at the same
+    /// site — or the same miss — on random repositories and queries
+    /// that carry `Split` tees and duplicate edges, at one shard and
+    /// several, with and without vetoed sites.
     #[test]
     fn index_agrees_with_scan(
-        entries in prop::collection::vec(arb_plan(), 1..8),
-        query in arb_plan(),
+        entries in prop::collection::vec(arb_teed_plan(), 1..8),
+        query in arb_teed_plan(),
         pick in any::<prop::sample::Index>(),
+        resubmit in prop::option::of(any::<prop::sample::Index>()),
+        vetoed in prop::collection::vec(any::<prop::sample::Index>(), 0..3),
     ) {
-        use restore_core::{RepoStats, Repository};
-        let scan = Repository::new();
-        let indexed = Repository::new();
-        indexed.set_fingerprint_index(true);
-        for (i, plan) in entries.iter().enumerate() {
-            // Register prefixes of random plans: realistic sub-job shapes.
-            let nodes = op_nodes(plan);
-            let n = nodes[pick.index(nodes.len())];
-            let prefix = plan.prefix_plan(n, &format!("/r/{i}"));
-            let stats = RepoStats {
-                input_bytes: 100 + i as u64,
-                output_bytes: 10,
-                job_time_s: i as f64,
-                ..Default::default()
-            };
-            scan.insert(prefix.clone(), format!("/r/{i}"), stats.clone());
-            indexed.insert(prefix, format!("/r/{i}"), stats);
+        use restore_core::{RepoEntry, RepoStats, Repository};
+        // Half the time the query is one of the plans the repository was
+        // filled from, so a match (not just an agreed miss) is on offer.
+        let query = resubmit.map_or(query, |r| entries[r.index(entries.len())].clone());
+        for shards in [1usize, 4] {
+            let repo = Repository::with_shards(shards);
+            for (i, plan) in entries.iter().enumerate() {
+                let stats = RepoStats {
+                    input_bytes: 100 + i as u64,
+                    output_bytes: 10,
+                    job_time_s: i as f64,
+                    ..Default::default()
+                };
+                // Prefixes of random plans are the realistic sub-job
+                // shapes (`prefix_plan` elides tees, so the stored side
+                // says `Union(x, x)` where the query says
+                // `Union(x, Split(x))`); a single-Store plan is also
+                // stored whole, tees and all.
+                let nodes = op_nodes(plan);
+                let n = nodes[pick.index(nodes.len())];
+                repo.insert(plan.prefix_plan(n, &format!("/r/{i}")), format!("/r/{i}"), stats.clone());
+                if plan.stores().len() == 1 {
+                    repo.insert(plan.clone(), format!("/r/w{i}"), stats);
+                }
+            }
+            let view = repo.view();
+            let scan = view.find_first_match_scan(&query, |_, _| false).map(|(id, m)| (id, m.tip));
+            let indexed = view.find_first_match(&query).map(|(id, m)| (id, m.tip));
+            prop_assert_eq!(scan, indexed, "{} shard(s), query:\n{}", shards, query.explain());
+
+            let veto: Vec<NodeId> =
+                vetoed.iter().map(|v| NodeId(v.index(query.len()) as u32)).collect();
+            let skip = |_: &RepoEntry, site: NodeId| veto.contains(&site);
+            let scan = view.find_first_match_scan(&query, skip).map(|(id, m)| (id, m.tip));
+            let mut probe = restore_core::MatchProbe::default();
+            let indexed =
+                view.find_first_match_probed(&query, skip, &mut probe).map(|(id, m)| (id, m.tip));
+            prop_assert_eq!(scan, indexed, "{} shard(s), vetoed {:?}", shards, veto);
+            prop_assert!(scan.is_none_or(|(_, tip)| !veto.contains(&tip)));
         }
-        let a = scan.find_first_match(&query).map(|(id, m)| (id, m.tip));
-        let b = indexed.find_first_match(&query).map(|(id, m)| (id, m.tip));
-        prop_assert_eq!(a, b);
+    }
+
+    /// A `Split` tee never changes a signature: the teed plan signs as
+    /// its tee-free prefix does, node for node.
+    #[test]
+    fn signatures_see_through_tees(plan in arb_teed_plan(), pick in any::<prop::sample::Index>()) {
+        let nodes = op_nodes(&plan);
+        let n = nodes[pick.index(nodes.len())];
+        let prefix = plan.prefix_plan(n, "/repo/x");
+        let tip = prefix.inputs(prefix.stores()[0])[0];
+        prop_assert_eq!(prefix.node_signature(tip), plan.node_signatures()[n.index()]);
     }
 
     /// Signatures are structural: a plan equals its own re-built copy and

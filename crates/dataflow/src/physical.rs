@@ -316,10 +316,22 @@ impl PhysicalPlan {
 
     /// Merkle-style signature of the sub-DAG rooted at `id`: hashes the
     /// operator (Store paths excluded — materialization location does not
-    /// change what is computed) and the signatures of its inputs.
+    /// change what is computed) and the signatures of its inputs. A
+    /// `Split` tee carries its input's signature, so two plans the
+    /// matcher treats as equivalent (it walks through Splits) always
+    /// sign alike — the property the repository's tip-signature index
+    /// relies on to agree with the sequential scan.
     pub fn node_signature(&self, id: NodeId) -> u64 {
         let mut memo = vec![None; self.nodes.len()];
         self.node_signature_memo(id, &mut memo)
+    }
+
+    /// [`PhysicalPlan::node_signature`] of every node, indexed by node
+    /// id, hashing each node once (one shared memo) instead of once per
+    /// consumer path.
+    pub fn node_signatures(&self) -> Vec<u64> {
+        let mut memo = vec![None; self.nodes.len()];
+        self.ids().map(|id| self.node_signature_memo(id, &mut memo)).collect()
     }
 
     fn node_signature_memo(&self, id: NodeId, memo: &mut Vec<Option<u64>>) -> u64 {
@@ -327,18 +339,22 @@ impl PhysicalPlan {
             return sig;
         }
         let node = &self.nodes[id.index()];
-        let mut h = DefaultHasher::new();
-        match &node.op {
-            // Store is a materialization point: its path is irrelevant to
-            // plan identity. Split is a transparent tee.
-            PhysicalOp::Store { .. } => "Store".hash(&mut h),
-            PhysicalOp::Split => "Split".hash(&mut h),
-            other => other.hash(&mut h),
-        }
-        for &i in &node.inputs {
-            self.node_signature_memo(i, memo).hash(&mut h);
-        }
-        let sig = h.finish();
+        let sig = if matches!(node.op, PhysicalOp::Split) {
+            // A transparent tee: what flows out is what flowed in.
+            self.node_signature_memo(node.inputs[0], memo)
+        } else {
+            let mut h = DefaultHasher::new();
+            match &node.op {
+                // Store is a materialization point: its path is
+                // irrelevant to plan identity.
+                PhysicalOp::Store { .. } => "Store".hash(&mut h),
+                other => other.hash(&mut h),
+            }
+            for &i in &node.inputs {
+                self.node_signature_memo(i, memo).hash(&mut h);
+            }
+            h.finish()
+        };
         memo[id.index()] = Some(sig);
         sig
     }
@@ -508,6 +524,26 @@ mod tests {
         assert_eq!(mk("/d", 0).signature(), mk("/d", 0).signature());
         assert_ne!(mk("/d", 0).signature(), mk("/d", 1).signature());
         assert_ne!(mk("/d", 0).signature(), mk("/e", 0).signature());
+    }
+
+    #[test]
+    fn signature_sees_through_split_tees() {
+        // The sample's Filter reads Project through a Split; the same
+        // chain without the tee must sign identically, node for node.
+        let (teed, _, proj, filt) = sample();
+        let mut plain = PhysicalPlan::new();
+        let l = plain.add(PhysicalOp::Load { path: "/data".into() }, vec![]);
+        let p = plain.add(PhysicalOp::Project { cols: vec![0, 2] }, vec![l]);
+        let f = plain.add(PhysicalOp::Filter { pred: Expr::col_eq(0, 1i64) }, vec![p]);
+        plain.add(PhysicalOp::Store { path: "/out".into() }, vec![f]);
+        assert_eq!(teed.node_signature(filt), plain.node_signature(f));
+        assert_eq!(teed.node_signature(proj), plain.node_signature(p));
+        let sigs = teed.node_signatures();
+        for id in teed.ids() {
+            assert_eq!(sigs[id.index()], teed.node_signature(id), "shared memo == fresh memo");
+        }
+        let split = teed.ids().find(|&i| matches!(teed.op(i), PhysicalOp::Split)).unwrap();
+        assert_eq!(sigs[split.index()], sigs[proj.index()]);
     }
 
     #[test]

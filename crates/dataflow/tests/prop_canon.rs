@@ -106,4 +106,20 @@ proptest! {
             );
         }
     }
+
+    /// Segmenting a canonical plan into jobs keeps every job plan
+    /// canonical — which is what lets the driver skip the analyzer for a
+    /// job whose Loads no alias rewrote.
+    #[test]
+    fn compile_canonical_emits_canonical_job_plans(q in arb_query()) {
+        let (wf, _) = compile_canonical(&q, "/wf").unwrap();
+        for job in &wf.jobs {
+            let mut again = job.plan.clone();
+            analyzer::canonicalize(&mut again);
+            prop_assert_eq!(
+                &again, &job.plan,
+                "a compiled job plan was not a fixpoint for query:\n{}", q
+            );
+        }
+    }
 }
