@@ -1,8 +1,14 @@
 //! DFS micro-benchmarks: write path (block placement + replication),
-//! read path (block fetch + range assembly), split planning.
+//! read path (block fetch + range assembly), split planning, and the map
+//! task's record-aligned split read over a PigMix-shaped file.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use restore_bench::env::pigmix_env;
+use restore_common::codec::ColumnSet;
 use restore_dfs::{Dfs, DfsConfig};
+use restore_mapreduce::split_reader::read_split;
+use restore_pigmix::datagen::PAGE_VIEWS;
+use restore_pigmix::DataScale;
 use std::hint::black_box;
 
 fn cluster() -> Dfs {
@@ -49,5 +55,28 @@ fn bench_splits(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_write, bench_read, bench_splits);
+/// One full scan of `page_views` (six columns, ≈ 600 B rows, ≈ 240 splits
+/// of ≈ 52 KB, like `restore-e2e`) through `read_split`: every column,
+/// and the two of six that L2/L3/L7/L8 read.
+fn bench_read_split(c: &mut Criterion) {
+    let env = pigmix_env(DataScale::gb15());
+    let (dfs, pv_bytes) = (env.engine.dfs(), env.data.page_views_bytes);
+    let splits = dfs.splits(PAGE_VIEWS).unwrap();
+
+    let mut group = c.benchmark_group("dfs_read_split");
+    group.sample_size(20);
+    group.throughput(Throughput::Bytes(pv_bytes));
+    for (arm, columns) in [("all_columns", None), ("columns_0_3", Some(ColumnSet::new([0, 3])))] {
+        group.bench_function(arm, |b| {
+            b.iter(|| {
+                for split in &splits {
+                    black_box(read_split(dfs, split, pv_bytes, columns.as_ref()).unwrap());
+                }
+            });
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_write, bench_read, bench_splits, bench_read_split);
 criterion_main!(benches);

@@ -82,12 +82,55 @@ pub fn encode_all(tuples: &[Tuple]) -> Vec<u8> {
     out
 }
 
+/// Field positions a reader wants materialized: ascending and distinct,
+/// which is what lets the decoder test membership with one cursor as it
+/// walks a line left to right.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ColumnSet(Vec<usize>);
+
+impl ColumnSet {
+    pub fn new(cols: impl IntoIterator<Item = usize>) -> Self {
+        let mut cols: Vec<usize> = cols.into_iter().collect();
+        cols.sort_unstable();
+        cols.dedup();
+        ColumnSet(cols)
+    }
+
+    pub fn as_slice(&self) -> &[usize] {
+        &self.0
+    }
+}
+
 /// Decode one line (without its trailing newline) into a tuple.
 pub fn decode_line(line: &[u8]) -> Result<Tuple> {
+    decode_fields(line, None, 0)
+}
+
+/// Decode one line, materializing only the positions in `cols` (`None` =
+/// every position). Unread positions come back as [`Value::Null`] with the
+/// arity intact, and are still validated: the line is accepted or rejected
+/// exactly as [`decode_line`] would.
+pub fn decode_columns(line: &[u8], cols: Option<&ColumnSet>) -> Result<Tuple> {
+    decode_fields(line, cols, 0)
+}
+
+/// The one line parser. `arity_hint` sizes the tuple up front; a wrong
+/// hint costs a reallocation, never a wrong answer.
+fn decode_fields(line: &[u8], cols: Option<&ColumnSet>, arity_hint: usize) -> Result<Tuple> {
     let mut p = Parser { bytes: line, pos: 0 };
-    let mut vals = Vec::new();
+    let mut unread = cols.map(ColumnSet::as_slice);
+    let mut want = |idx: usize| match &mut unread {
+        None => true,
+        Some(cols) if cols.first() == Some(&idx) => {
+            *cols = &cols[1..];
+            true
+        }
+        Some(_) => false,
+    };
+    let mut vals = Vec::with_capacity(arity_hint);
     loop {
-        vals.push(p.parse_field(&[SEP])?);
+        let want_field = want(vals.len());
+        vals.push(p.parse_field(false, want_field)?);
         if p.pos >= p.bytes.len() {
             break;
         }
@@ -95,11 +138,36 @@ pub fn decode_line(line: &[u8]) -> Result<Tuple> {
         p.pos += 1;
         if p.pos == p.bytes.len() {
             // Trailing separator: final empty field.
-            vals.push(Value::Str(String::new()));
+            vals.push(if want(vals.len()) { Value::Str(String::new()) } else { Value::Null });
             break;
         }
     }
     Ok(Tuple::from_values(vals))
+}
+
+/// Index of the first byte of `hay` equal to one of `needles`, testing a
+/// machine word at a time.
+fn find_byte<const N: usize>(hay: &[u8], needles: [u8; N]) -> Option<usize> {
+    const LO: u64 = 0x0101_0101_0101_0101;
+    const HI: u64 = 0x8080_8080_8080_8080;
+    let mut words = hay.chunks_exact(8);
+    let mut base = 0;
+    for word in &mut words {
+        let w = u64::from_le_bytes(word.try_into().expect("chunks_exact(8)"));
+        let mut hits = 0u64;
+        for n in needles {
+            // Zero-byte test on `w ^ nnnnnnnn`. A borrow can flag a byte
+            // above a real match but never below one, so the lowest flag
+            // (= first byte in memory, little-endian) is exact.
+            let x = w ^ (LO * n as u64);
+            hits |= x.wrapping_sub(LO) & !x & HI;
+        }
+        if hits != 0 {
+            return Some(base + (hits.trailing_zeros() / 8) as usize);
+        }
+        base += 8;
+    }
+    words.remainder().iter().position(|b| needles.contains(b)).map(|i| base + i)
 }
 
 struct Parser<'a> {
@@ -108,78 +176,107 @@ struct Parser<'a> {
 }
 
 impl<'a> Parser<'a> {
-    /// Parse one field, stopping (without consuming) at any unescaped byte
-    /// in `stop`.
-    fn parse_field(&mut self, stop: &[u8]) -> Result<Value> {
+    /// Parse one field, stopping (without consuming) at the first
+    /// unescaped separator: a tab at the top level, `,` or `)` when
+    /// `nested` in a bag tuple. With `want` false the field is checked the
+    /// same way but nothing is built and `Value::Null` comes back.
+    fn parse_field(&mut self, nested: bool, want: bool) -> Result<Value> {
         if self.peek() == Some(b'{') {
-            return self.parse_bag();
+            return self.parse_bag(want);
         }
+        let start = self.pos;
+        // Unescaped content; filled only from the first escape on (a field
+        // without escapes is its raw bytes).
         let mut buf = Vec::new();
         let mut had_escape = false;
         let mut is_null = false;
-        while let Some(b) = self.peek() {
-            if stop.contains(&b) {
+        let mut has_content = false;
+        loop {
+            let rest = &self.bytes[self.pos..];
+            let run = if nested {
+                find_byte(rest, [b',', b')', ESC])
+            } else {
+                find_byte(rest, [SEP, ESC])
+            }
+            .unwrap_or(rest.len());
+            self.pos += run;
+            let at_escape = self.peek() == Some(ESC);
+            has_content |= run > 0;
+            if want && (had_escape || at_escape) {
+                buf.extend_from_slice(&rest[..run]);
+            }
+            if !at_escape {
                 break;
             }
+            had_escape = true;
             self.pos += 1;
-            if b == ESC {
-                let next = self.next_byte()?;
-                match next {
-                    b't' => buf.push(SEP),
-                    b'n' => buf.push(NL),
-                    b'0' => {
-                        // Null marker "\0N"; only valid as the whole field.
-                        let n = self.next_byte()?;
-                        if n != b'N' || !buf.is_empty() {
-                            return Err(Error::Codec("misplaced null marker".into()));
-                        }
-                        is_null = true;
+            let unescaped = match self.next_byte()? {
+                b't' => SEP,
+                b'n' => NL,
+                b'0' => {
+                    // Null marker "\0N"; only valid as the whole field.
+                    if self.next_byte()? != b'N' || has_content {
+                        return Err(Error::Codec("misplaced null marker".into()));
                     }
-                    b if SPECIALS.contains(&b) => buf.push(b),
-                    other => {
-                        return Err(Error::Codec(format!("invalid escape \\{}", other as char)))
-                    }
+                    is_null = true;
+                    continue;
                 }
-                had_escape = true;
-            } else {
-                buf.push(b);
+                b if SPECIALS.contains(&b) => b,
+                other => return Err(Error::Codec(format!("invalid escape \\{}", other as char))),
+            };
+            has_content = true;
+            if want {
+                buf.push(unescaped);
             }
         }
         if is_null {
-            if buf.is_empty() {
-                return Ok(Value::Null);
+            if has_content {
+                return Err(Error::Codec("data after null marker".into()));
             }
-            return Err(Error::Codec("data after null marker".into()));
+            return Ok(Value::Null);
         }
-        let s =
-            String::from_utf8(buf).map_err(|_| Error::Codec("record is not valid UTF-8".into()))?;
-        Ok(infer_value(s, had_escape))
+        Ok(if want && had_escape {
+            // Fields that needed escaping are necessarily strings.
+            Value::Str(String::from_utf8(buf).map_err(not_utf8)?)
+        } else {
+            // Escapes swap one ASCII pair for one ASCII byte, so checking
+            // the raw bytes of a skipped field checks its content.
+            let raw = std::str::from_utf8(&self.bytes[start..self.pos]).map_err(not_utf8)?;
+            if want {
+                infer_value(raw)
+            } else {
+                Value::Null
+            }
+        })
     }
 
-    fn parse_bag(&mut self) -> Result<Value> {
+    fn parse_bag(&mut self, want: bool) -> Result<Value> {
         self.expect(b'{')?;
         let mut tuples = Vec::new();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Value::Bag(tuples));
-        }
-        loop {
-            tuples.push(self.parse_bag_tuple()?);
-            match self.next_byte()? {
-                b',' => continue,
-                b'}' => break,
-                other => {
-                    return Err(Error::Codec(format!(
-                        "expected ',' or '}}' in bag, found {:?}",
-                        other as char
-                    )))
+        } else {
+            loop {
+                let t = self.parse_bag_tuple(want)?;
+                if want {
+                    tuples.push(t);
+                }
+                match self.next_byte()? {
+                    b',' => continue,
+                    b'}' => break,
+                    other => {
+                        return Err(Error::Codec(format!(
+                            "expected ',' or '}}' in bag, found {:?}",
+                            other as char
+                        )))
+                    }
                 }
             }
         }
-        Ok(Value::Bag(tuples))
+        Ok(if want { Value::Bag(tuples) } else { Value::Null })
     }
 
-    fn parse_bag_tuple(&mut self) -> Result<Tuple> {
+    fn parse_bag_tuple(&mut self, want: bool) -> Result<Tuple> {
         self.expect(b'(')?;
         let mut vals = Vec::new();
         if self.peek() == Some(b')') {
@@ -187,7 +284,10 @@ impl<'a> Parser<'a> {
             return Ok(Tuple::from_values(vals));
         }
         loop {
-            vals.push(self.parse_field(b",)")?);
+            let v = self.parse_field(true, want)?;
+            if want {
+                vals.push(v);
+            }
             match self.next_byte()? {
                 b',' => continue,
                 b')' => break,
@@ -224,13 +324,14 @@ impl<'a> Parser<'a> {
     }
 }
 
-/// Re-infer the runtime type of a decoded field. Fields that needed
-/// escaping are necessarily strings; otherwise try int, then double.
-fn infer_value(s: String, had_escape: bool) -> Value {
-    if had_escape {
-        return Value::Str(s);
-    }
-    if !s.is_empty() && looks_numeric(&s) {
+fn not_utf8<E>(_: E) -> Error {
+    Error::Codec("record is not valid UTF-8".into())
+}
+
+/// Re-infer the runtime type of a decoded field that needed no escaping:
+/// try int, then double, else string.
+fn infer_value(s: &str) -> Value {
+    if !s.is_empty() && looks_numeric(s) {
         if let Ok(i) = s.parse::<i64>() {
             return Value::Int(i);
         }
@@ -238,7 +339,7 @@ fn infer_value(s: String, had_escape: bool) -> Value {
             return Value::Double(d);
         }
     }
-    Value::Str(s)
+    Value::Str(s.to_owned())
 }
 
 fn looks_numeric(s: &str) -> bool {
@@ -254,9 +355,17 @@ fn looks_numeric(s: &str) -> bool {
 
 /// Decode an entire byte buffer of newline-separated records.
 pub fn decode_all(bytes: &[u8]) -> Result<Vec<Tuple>> {
-    let mut out = Vec::new();
+    decode_all_columns(bytes, None)
+}
+
+/// [`decode_all`], materializing only the positions in `cols` (see
+/// [`decode_columns`]).
+pub fn decode_all_columns(bytes: &[u8], cols: Option<&ColumnSet>) -> Result<Vec<Tuple>> {
+    let mut out: Vec<Tuple> = Vec::new();
     for line in LineIter::new(bytes) {
-        out.push(decode_line(line)?);
+        // Records of one file nearly always share an arity.
+        let arity_hint = out.last().map_or(0, Tuple::arity);
+        out.push(decode_fields(line, cols, arity_hint)?);
     }
     Ok(out)
 }
@@ -282,7 +391,7 @@ impl<'a> Iterator for LineIter<'a> {
             return None;
         }
         let rest = &self.bytes[self.pos..];
-        match rest.iter().position(|&b| b == NL) {
+        match find_byte(rest, [NL]) {
             Some(n) => {
                 self.pos += n + 1;
                 Some(&rest[..n])

@@ -39,6 +39,29 @@ fn tuple() -> impl Strategy<Value = Tuple> {
     prop::collection::vec(value(), 1..6).prop_map(Tuple::from_values)
 }
 
+/// Arbitrary byte lines built from the fragments the decoder branches on
+/// (escapes valid and not, null markers in odd places, bag punctuation,
+/// raw tabs after a backslash, multi-byte and broken UTF-8), mixed with
+/// plain bytes.
+fn nasty_line() -> impl Strategy<Value = Vec<u8>> {
+    #[rustfmt::skip]
+    let fragments: Vec<&'static [u8]> = vec![
+        b"\t", b"\t", b"\\", b"\\t", b"\\n", b"\\\\", b"\\\t", b"\\0N", b"\\0", b"\\0x", b"\\q", b"{", b"}",
+        b"(", b")", b",", b"{}", b"{(a,1)}", b"{(\\0N),(b\\,c)}", b"{(", b"\\{", b"\\}", b"\\(", b"\\)",
+        b"\\,", b"a", b"user_7", b"42", b"-3.5", b"1e9", b"+", b"", b" ", b"\n", b"\xc3\xa9", b"\xc3", b"\xff",
+        b"\xe2\x82\xac", b"\xa9", b"title=abcdefghijklmnop;summary=qrstuvwxyz",
+    ];
+    prop_oneof![
+        4 => prop::collection::vec(prop::sample::select(fragments), 0..12)
+            .prop_map(|parts| parts.concat()),
+        1 => prop::collection::vec(any::<u8>(), 0..40),
+    ]
+}
+
+fn column_set() -> impl Strategy<Value = codec::ColumnSet> {
+    prop::collection::vec(0usize..10, 0..5).prop_map(codec::ColumnSet::new)
+}
+
 proptest! {
     /// encode → decode is the identity for any batch of tuples, up to
     /// PigStorage's documented type-lossiness (numeric strings decode as
@@ -55,6 +78,42 @@ proptest! {
                 round_trip_equiv(a, b)?;
             }
         }
+    }
+
+    /// The one parser against the frozen pre-pruning decoder: same lines
+    /// accepted, same values; and a pruned decode accepts exactly the
+    /// same lines and returns the full tuple with unread positions
+    /// nulled, arity intact.
+    #[test]
+    fn pruned_decode_matches_full_decode(line in nasty_line(), cols in column_set()) {
+        let full = codec::decode_line(&line);
+        let oracle = reference::decode_line(&line);
+        prop_assert_eq!(full.is_ok(), oracle.is_ok(), "accept set moved on {:?}", line);
+        let pruned = codec::decode_columns(&line, Some(&cols));
+        prop_assert_eq!(pruned.is_ok(), full.is_ok(), "pruned accept set differs on {:?}", line);
+        let (Ok(full), Ok(oracle), Ok(pruned)) = (full, oracle, pruned) else { return Ok(()) };
+        // Debug form, not Eq: Value's Eq equates Int(x) with Double(x).
+        prop_assert_eq!(format!("{full:?}"), format!("{oracle:?}"));
+        let expected: Tuple = full
+            .iter()
+            .enumerate()
+            .map(|(i, v)| if cols.as_slice().contains(&i) { v.clone() } else { Value::Null })
+            .collect();
+        prop_assert_eq!(format!("{pruned:?}"), format!("{expected:?}"));
+    }
+
+    /// Line splitting is byte-exact at every length and alignment the
+    /// word-at-a-time search can meet.
+    #[test]
+    fn line_iter_splits_at_every_raw_newline(bytes in prop::collection::vec(
+        prop_oneof![3 => Just(b'\n'), 1 => Just(0x0bu8), 1 => Just(0x8au8), 6 => any::<u8>()], 0..70,
+    )) {
+        let lines: Vec<&[u8]> = codec::LineIter::new(&bytes).collect();
+        let mut expected: Vec<&[u8]> = bytes.split(|&b| b == b'\n').collect();
+        if bytes.is_empty() || bytes.ends_with(b"\n") {
+            expected.pop();
+        }
+        prop_assert_eq!(lines, expected);
     }
 
     /// The value ordering is a total order: antisymmetric and transitive
@@ -144,4 +203,186 @@ fn round_trip_equiv(orig: &Value, back: &Value) -> Result<(), TestCaseError> {
         other => prop_assert!(false, "round trip changed value: {other:?}"),
     }
     Ok(())
+}
+
+/// The decoder as it stood before column pruning, frozen as the oracle
+/// for the accept/reject set and the decoded values: byte-at-a-time, one
+/// buffer per field, every position materialized.
+mod reference {
+    use restore_common::{Error, Result, Tuple, Value};
+
+    const SEP: u8 = b'\t';
+    const NL: u8 = b'\n';
+    const ESC: u8 = b'\\';
+    const SPECIALS: &[u8] = b"\t\n\\,(){}";
+
+    /// Decode one line (without its trailing newline) into a tuple.
+    pub fn decode_line(line: &[u8]) -> Result<Tuple> {
+        let mut p = Parser { bytes: line, pos: 0 };
+        let mut vals = Vec::new();
+        loop {
+            vals.push(p.parse_field(&[SEP])?);
+            if p.pos >= p.bytes.len() {
+                break;
+            }
+            // Skip the separator.
+            p.pos += 1;
+            if p.pos == p.bytes.len() {
+                // Trailing separator: final empty field.
+                vals.push(Value::Str(String::new()));
+                break;
+            }
+        }
+        Ok(Tuple::from_values(vals))
+    }
+
+    struct Parser<'a> {
+        bytes: &'a [u8],
+        pos: usize,
+    }
+
+    impl<'a> Parser<'a> {
+        /// Parse one field, stopping (without consuming) at any unescaped byte
+        /// in `stop`.
+        fn parse_field(&mut self, stop: &[u8]) -> Result<Value> {
+            if self.peek() == Some(b'{') {
+                return self.parse_bag();
+            }
+            let mut buf = Vec::new();
+            let mut had_escape = false;
+            let mut is_null = false;
+            while let Some(b) = self.peek() {
+                if stop.contains(&b) {
+                    break;
+                }
+                self.pos += 1;
+                if b == ESC {
+                    let next = self.next_byte()?;
+                    match next {
+                        b't' => buf.push(SEP),
+                        b'n' => buf.push(NL),
+                        b'0' => {
+                            // Null marker "\0N"; only valid as the whole field.
+                            let n = self.next_byte()?;
+                            if n != b'N' || !buf.is_empty() {
+                                return Err(Error::Codec("misplaced null marker".into()));
+                            }
+                            is_null = true;
+                        }
+                        b if SPECIALS.contains(&b) => buf.push(b),
+                        other => {
+                            return Err(Error::Codec(format!("invalid escape \\{}", other as char)))
+                        }
+                    }
+                    had_escape = true;
+                } else {
+                    buf.push(b);
+                }
+            }
+            if is_null {
+                if buf.is_empty() {
+                    return Ok(Value::Null);
+                }
+                return Err(Error::Codec("data after null marker".into()));
+            }
+            let s = String::from_utf8(buf)
+                .map_err(|_| Error::Codec("record is not valid UTF-8".into()))?;
+            Ok(infer_value(s, had_escape))
+        }
+
+        fn parse_bag(&mut self) -> Result<Value> {
+            self.expect(b'{')?;
+            let mut tuples = Vec::new();
+            if self.peek() == Some(b'}') {
+                self.pos += 1;
+                return Ok(Value::Bag(tuples));
+            }
+            loop {
+                tuples.push(self.parse_bag_tuple()?);
+                match self.next_byte()? {
+                    b',' => continue,
+                    b'}' => break,
+                    other => {
+                        return Err(Error::Codec(format!(
+                            "expected ',' or '}}' in bag, found {:?}",
+                            other as char
+                        )))
+                    }
+                }
+            }
+            Ok(Value::Bag(tuples))
+        }
+
+        fn parse_bag_tuple(&mut self) -> Result<Tuple> {
+            self.expect(b'(')?;
+            let mut vals = Vec::new();
+            if self.peek() == Some(b')') {
+                self.pos += 1;
+                return Ok(Tuple::from_values(vals));
+            }
+            loop {
+                vals.push(self.parse_field(b",)")?);
+                match self.next_byte()? {
+                    b',' => continue,
+                    b')' => break,
+                    other => {
+                        return Err(Error::Codec(format!(
+                            "expected ',' or ')' in bag tuple, found {:?}",
+                            other as char
+                        )))
+                    }
+                }
+            }
+            Ok(Tuple::from_values(vals))
+        }
+
+        fn peek(&self) -> Option<u8> {
+            self.bytes.get(self.pos).copied()
+        }
+
+        fn next_byte(&mut self) -> Result<u8> {
+            let b = self.peek().ok_or_else(|| Error::Codec("unexpected end of record".into()))?;
+            self.pos += 1;
+            Ok(b)
+        }
+
+        fn expect(&mut self, want: u8) -> Result<()> {
+            let got = self.next_byte()?;
+            if got != want {
+                return Err(Error::Codec(format!(
+                    "expected {:?}, found {:?}",
+                    want as char, got as char
+                )));
+            }
+            Ok(())
+        }
+    }
+
+    /// Re-infer the runtime type of a decoded field. Fields that needed
+    /// escaping are necessarily strings; otherwise try int, then double.
+    fn infer_value(s: String, had_escape: bool) -> Value {
+        if had_escape {
+            return Value::Str(s);
+        }
+        if !s.is_empty() && looks_numeric(&s) {
+            if let Ok(i) = s.parse::<i64>() {
+                return Value::Int(i);
+            }
+            if let Ok(d) = s.parse::<f64>() {
+                return Value::Double(d);
+            }
+        }
+        Value::Str(s)
+    }
+
+    fn looks_numeric(s: &str) -> bool {
+        let b = s.as_bytes();
+        let start = if b[0] == b'-' || b[0] == b'+' { 1 } else { 0 };
+        if start >= b.len() {
+            return false;
+        }
+        b[start..].iter().all(|&c| {
+            c.is_ascii_digit() || c == b'.' || c == b'e' || c == b'E' || c == b'-' || c == b'+'
+        }) && b[start].is_ascii_digit()
+    }
 }

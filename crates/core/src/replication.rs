@@ -128,9 +128,11 @@ pub enum Shipment {
 pub trait ReplicationTransport: Send + Sync {
     /// Primary side: enqueue a shipment for the standby.
     fn ship(&self, shipment: Shipment) -> Result<(), ReplicationError>;
-    /// Standby side: next shipment, blocking up to `timeout`. `None` on
-    /// timeout or when the link is closed and drained.
-    fn recv(&self, timeout: Duration) -> Option<Shipment>;
+    /// Standby side: block up to `timeout` until a shipment is queued,
+    /// without receiving it. `false` on timeout or when the link is
+    /// closed and drained. Waiting and receiving are separate calls so a
+    /// tailer can mark itself busy *before* a shipment leaves the queue.
+    fn wait_queued(&self, timeout: Duration) -> bool;
     /// Standby side: next shipment if one is already queued.
     fn try_recv(&self) -> Option<Shipment>;
     /// Standby → primary back channel: request a full-base resync.
@@ -177,19 +179,19 @@ impl ReplicationTransport for InProcessLink {
         Ok(())
     }
 
-    fn recv(&self, timeout: Duration) -> Option<Shipment> {
+    fn wait_queued(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
         let mut state = self.state.lock().unwrap();
         loop {
-            if let Some(s) = state.queue.pop_front() {
-                return Some(s);
+            if !state.queue.is_empty() {
+                return true;
             }
             if state.closed {
-                return None;
+                return false;
             }
             let now = Instant::now();
             if now >= deadline {
-                return None;
+                return false;
             }
             let (next, _) = self.arrived.wait_timeout(state, deadline - now).unwrap();
             state = next;
@@ -542,7 +544,7 @@ mod tests {
         link.ship(Shipment::Base { lineage: 1, state: "x".into() }).unwrap();
         assert_eq!(link.queued(), 1);
         assert!(matches!(link.try_recv(), Some(Shipment::Base { lineage: 1, .. })));
-        assert!(link.recv(Duration::from_millis(5)).is_none());
+        assert!(!link.wait_queued(Duration::from_millis(5)));
         link.close();
         assert!(link.is_closed());
         assert_eq!(
@@ -562,11 +564,13 @@ mod tests {
     }
 
     #[test]
-    fn recv_drains_queue_after_close() {
+    fn queue_drains_after_close() {
         let link = InProcessLink::new();
         link.ship(Shipment::Base { lineage: 1, state: "x".into() }).unwrap();
         link.close();
-        assert!(link.recv(Duration::from_millis(5)).is_some());
-        assert!(link.recv(Duration::from_millis(5)).is_none());
+        assert!(link.wait_queued(Duration::from_millis(5)));
+        assert_eq!(link.queued(), 1, "waiting receives nothing");
+        assert!(link.try_recv().is_some());
+        assert!(!link.wait_queued(Duration::from_millis(5)));
     }
 }

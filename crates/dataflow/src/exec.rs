@@ -11,6 +11,7 @@
 use crate::expr::Expr;
 use crate::mr_compiler::{CompiledJob, CompiledWorkflow};
 use crate::physical::{AggItem, NodeId, PhysicalOp, PhysicalPlan};
+use restore_common::codec::ColumnSet;
 use restore_common::{Error, Result, Tuple, Value};
 use restore_mapreduce::{JobInput, JobSpec, MapContext, Mapper, ReduceContext, Reducer, Workflow};
 use std::collections::HashMap;
@@ -89,6 +90,26 @@ fn reduce_side_set(plan: &PhysicalPlan, blocking: Option<NodeId>) -> Vec<bool> {
         }
     }
     set
+}
+
+/// The field positions of `load`'s records that the plan reads: the union
+/// of its consumers' Project lists when every consumer, looking through
+/// Split, is a Project; `None` when any other operator sees whole records.
+/// This is the one place the scan's column set is decided, and it is
+/// decided from the plan as given, so a plan ReStore rewrote or injected
+/// Stores into is pruned by the same rule. Plans, signatures and the
+/// repository never carry it.
+fn columns_read(plan: &PhysicalPlan, load: NodeId) -> Option<ColumnSet> {
+    let mut cols = Vec::new();
+    let mut pending = plan.consumers(load);
+    while let Some(id) = pending.pop() {
+        match plan.op(id) {
+            PhysicalOp::Project { cols: read } => cols.extend_from_slice(read),
+            PhysicalOp::Split => pending.extend(plan.consumers(id)),
+            _ => return None,
+        }
+    }
+    Some(ColumnSet::new(cols))
 }
 
 // ---------------------------------------------------------------------
@@ -637,13 +658,13 @@ pub fn job_spec_for_plan(plan: &PhysicalPlan, name: &str) -> Result<JobSpec> {
         }
     };
 
-    let mut spec = JobSpec::new(
-        name,
-        io.inputs.iter().map(JobInput::new).collect(),
-        io.main_output.clone(),
-        mapper,
-        reducer,
-    );
+    let inputs = plan
+        .loads()
+        .into_iter()
+        .zip(&io.inputs)
+        .map(|(load, path)| JobInput { path: path.clone(), columns: columns_read(plan, load) })
+        .collect();
+    let mut spec = JobSpec::new(name, inputs, io.main_output.clone(), mapper, reducer);
     spec.side_outputs = io.side_outputs.clone();
     spec.shuffle_tags = Some(programs.shuffle_tags);
     spec.cpu_weight_map = cpu_map.max(0.05);

@@ -190,20 +190,20 @@ impl Dfs {
 
     /// Read `len` bytes starting at `offset`, possibly spanning blocks.
     pub fn read_range(&self, path: &str, offset: u64, len: u64) -> Result<Vec<u8>> {
-        let blocks: Vec<BlockMeta> = {
-            let nn = self.inner.namenode.read();
-            let meta = nn.get(path).ok_or_else(|| Error::FileNotFound(path.into()))?;
-            if offset + len > meta.len {
-                return Err(Error::Other(format!(
-                    "read past end of {path}: offset {offset} + len {len} > {}",
-                    meta.len
-                )));
-            }
-            meta.blocks.clone()
-        };
+        // The namespace stays read-locked across the copy: that costs a
+        // writer a memcpy's wait and saves every reader a deep clone of
+        // the file's block list.
+        let nn = self.inner.namenode.read();
+        let meta = nn.get(path).ok_or_else(|| Error::FileNotFound(path.into()))?;
+        if offset + len > meta.len {
+            return Err(Error::Other(format!(
+                "read past end of {path}: offset {offset} + len {len} > {}",
+                meta.len
+            )));
+        }
         let mut out = Vec::with_capacity(len as usize);
         let mut pos = 0u64;
-        for bm in &blocks {
+        for bm in &meta.blocks {
             let block_start = pos;
             let block_end = pos + bm.len;
             pos = block_end;

@@ -202,7 +202,8 @@ impl Engine {
         reduce_tasks: usize,
         n_side: usize,
     ) -> Result<MapTaskOut> {
-        let (tuples, payload_bytes) = read_split(&self.dfs, split, file_len)?;
+        let (tuples, payload_bytes) =
+            read_split(&self.dfs, split, file_len, spec.inputs[tag].columns.as_ref())?;
         let mut mapper = spec.mapper.create();
         let mut ctx = MapContext::new(n_side);
         let mut counters = Counters {

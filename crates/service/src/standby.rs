@@ -19,7 +19,7 @@
 
 use crate::{RestoreService, ServiceConfig, ServiceError};
 use restore_core::{ReStore, ReplicaSession, ReplicationError, ReplicationTransport};
-use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::SeqCst};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -31,10 +31,35 @@ use std::time::{Duration, Instant};
 /// tailer and closes the transport, which detaches it from the primary
 /// at its next shipping beat.
 pub struct Standby {
-    replica: Arc<ReplicaSession>,
-    transport: Arc<dyn ReplicationTransport>,
+    tail: Arc<Tail>,
     stop: Arc<AtomicBool>,
     tailer: Option<JoinHandle<()>>,
+}
+
+/// What tailing needs, shared between the standby handle and its
+/// background thread.
+struct Tail {
+    replica: Arc<ReplicaSession>,
+    transport: Arc<dyn ReplicationTransport>,
+    /// Receive-and-apply steps in progress. Raised *before* a shipment
+    /// leaves the queue and lowered after it is applied, so "queue empty
+    /// and nothing in flight" means every received shipment has moved
+    /// the parity target.
+    in_flight: AtomicUsize,
+}
+
+impl Tail {
+    /// Receive and apply one queued shipment, if any. Divergence (seq
+    /// gap, diverged lineage, corruption) requests a full-base resync —
+    /// always the remedy — and surfaces the typed error.
+    fn apply_next(&self) -> Option<Result<(), ReplicationError>> {
+        self.in_flight.fetch_add(1, SeqCst);
+        let applied = self.transport.try_recv().map(|shipment| {
+            self.replica.apply_shipment(&shipment).inspect_err(|_| self.transport.request_resync())
+        });
+        self.in_flight.fetch_sub(1, SeqCst);
+        applied
+    }
 }
 
 impl Standby {
@@ -44,20 +69,15 @@ impl Standby {
     /// divergence.
     pub fn attach(restore: ReStore, transport: Arc<dyn ReplicationTransport>) -> Standby {
         let mut standby = Standby::attach_manual(restore, transport);
-        let replica = standby.replica.clone();
-        let transport = standby.transport.clone();
+        let tail = standby.tail.clone();
         let stop = standby.stop.clone();
         standby.tailer = Some(std::thread::spawn(move || {
             while !stop.load(SeqCst) {
-                match transport.recv(Duration::from_millis(25)) {
-                    Some(shipment) if replica.apply_shipment(&shipment).is_err() => {
-                        // Seq gap, diverged lineage, corruption: the
-                        // remedy is always a full-base resync.
-                        transport.request_resync();
-                    }
-                    Some(_) => {}
-                    None if transport.is_closed() => break,
-                    None => {}
+                if tail.apply_next().is_none()
+                    && !tail.transport.wait_queued(Duration::from_millis(25))
+                    && tail.transport.is_closed()
+                {
+                    break;
                 }
             }
         }));
@@ -70,8 +90,11 @@ impl Standby {
     /// much) replay happens.
     pub fn attach_manual(restore: ReStore, transport: Arc<dyn ReplicationTransport>) -> Standby {
         Standby {
-            replica: Arc::new(ReplicaSession::over(Arc::new(restore))),
-            transport,
+            tail: Arc::new(Tail {
+                replica: Arc::new(ReplicaSession::over(Arc::new(restore))),
+                transport,
+                in_flight: AtomicUsize::new(0),
+            }),
             stop: Arc::new(AtomicBool::new(false)),
             tailer: None,
         }
@@ -80,22 +103,13 @@ impl Standby {
     /// The replay-side session state (applied seq, sync status, resync
     /// count, the wrapped driver).
     pub fn replica(&self) -> &Arc<ReplicaSession> {
-        &self.replica
+        &self.tail.replica
     }
 
     /// Apply one queued shipment, if any. Divergence requests a resync
     /// (like the background tailer) and surfaces the typed error.
     pub fn tail_once(&self) -> Result<bool, ReplicationError> {
-        let Some(shipment) = self.transport.try_recv() else {
-            return Ok(false);
-        };
-        match self.replica.apply_shipment(&shipment) {
-            Ok(()) => Ok(true),
-            Err(e) => {
-                self.transport.request_resync();
-                Err(e)
-            }
-        }
+        self.tail.apply_next().map_or(Ok(false), |applied| applied.map(|()| true))
     }
 
     /// Drain the replay queue; returns shipments consumed. Divergent
@@ -103,25 +117,23 @@ impl Standby {
     /// usually already behind them in the queue), matching the
     /// background tailer's behavior.
     pub fn tail_all(&self) -> usize {
-        let mut consumed = 0;
-        while let Some(shipment) = self.transport.try_recv() {
-            consumed += 1;
-            if self.replica.apply_shipment(&shipment).is_err() {
-                self.transport.request_resync();
-            }
-        }
-        consumed
+        std::iter::from_fn(|| self.tail.apply_next()).count()
     }
 
-    /// Block until the standby is synced, has applied everything the
-    /// primary announced, and the queue is empty — or `timeout` passes.
-    /// Returns whether it caught up.
+    /// Block until the standby is synced, has *applied* everything the
+    /// primary announced (nothing queued, nothing received but still
+    /// being applied, seq parity) — or `timeout` passes. Returns whether
+    /// it caught up.
     pub fn wait_caught_up(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
         loop {
-            if self.replica.is_synced()
-                && self.transport.queued() == 0
-                && self.replica.verify_parity().is_ok()
+            // In-flight is read after the queue: a shipment seen in
+            // neither place has been applied, because the marker rises
+            // before the shipment leaves the queue.
+            if self.tail.replica.is_synced()
+                && self.tail.transport.queued() == 0
+                && self.tail.in_flight.load(SeqCst) == 0
+                && self.tail.replica.verify_parity().is_ok()
             {
                 return true;
             }
@@ -141,12 +153,12 @@ impl Standby {
     /// itself checkpoint or replicate onward without a re-anchor.
     pub fn promote(mut self, config: ServiceConfig) -> Result<RestoreService, ServiceError> {
         self.halt_tailer();
-        while let Some(shipment) = self.transport.try_recv() {
-            self.replica.apply_shipment(&shipment).map_err(ServiceError::Replication)?;
+        while let Some(shipment) = self.tail.transport.try_recv() {
+            self.tail.replica.apply_shipment(&shipment).map_err(ServiceError::Replication)?;
         }
-        self.transport.close();
-        self.replica.verify_parity().map_err(ServiceError::Replication)?;
-        let driver = self.replica.driver().clone();
+        self.tail.transport.close();
+        self.tail.replica.verify_parity().map_err(ServiceError::Replication)?;
+        let driver = self.tail.replica.driver().clone();
         Ok(RestoreService::over(driver, config))
     }
 
@@ -163,6 +175,6 @@ impl Drop for Standby {
         self.halt_tailer();
         // Detach from the primary: its next shipping beat observes the
         // closed link and drops the journal tap.
-        self.transport.close();
+        self.tail.transport.close();
     }
 }

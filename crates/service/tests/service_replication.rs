@@ -7,11 +7,14 @@
 
 use restore_core::{
     FailurePolicy, InProcessLink, ReStore, ReStoreConfig, ReplicationError, ReplicationTransport,
+    Shipment,
 };
 use restore_dfs::{Dfs, DfsConfig};
 use restore_mapreduce::{ClusterConfig, Engine, EngineConfig};
 use restore_pigmix::{datagen, queries, DataScale};
 use restore_service::{CheckpointConfig, RestoreService, ServiceConfig, ServiceError, Standby};
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 const SEED: u64 = 0xFA11;
@@ -248,4 +251,88 @@ fn rollback_on_the_primary_diverges_and_the_tailer_self_heals() {
         resync_metrics.contains("restore_replica_resyncs"),
         "standby must expose the resync counter"
     );
+}
+
+/// A link whose `try_recv`, once armed, takes the shipment off the queue
+/// and then parks until released: the shipment is received but not yet
+/// applied for exactly as long as the test wants.
+struct ParkingLink {
+    inner: Arc<InProcessLink>,
+    /// `(received, release)`: armed when present.
+    park: Mutex<Option<(Sender<()>, Receiver<()>)>>,
+}
+
+impl ReplicationTransport for ParkingLink {
+    fn ship(&self, shipment: Shipment) -> Result<(), ReplicationError> {
+        self.inner.ship(shipment)
+    }
+    fn wait_queued(&self, timeout: Duration) -> bool {
+        self.inner.wait_queued(timeout)
+    }
+    fn try_recv(&self) -> Option<Shipment> {
+        let shipment = self.inner.try_recv();
+        if let Some((received, release)) = self.park.lock().unwrap().take() {
+            received.send(()).unwrap();
+            release.recv().unwrap();
+        }
+        shipment
+    }
+    fn request_resync(&self) {
+        self.inner.request_resync()
+    }
+    fn take_resync_request(&self) -> bool {
+        self.inner.take_resync_request()
+    }
+    fn close(&self) {
+        self.inner.close()
+    }
+    fn is_closed(&self) -> bool {
+        self.inner.is_closed()
+    }
+    fn queued(&self) -> usize {
+        self.inner.queued()
+    }
+}
+
+/// "Caught up" means *applied*. A shipment the tailer has taken off the
+/// queue but not finished applying leaves the queue empty and the parity
+/// target where it was — the window in which `wait_caught_up` used to
+/// answer one segment early.
+#[test]
+fn wait_caught_up_stays_false_while_a_received_shipment_is_unapplied() {
+    let dfs = shared_dfs();
+    let primary = service_over(dfs.clone(), 1);
+    let link = InProcessLink::new();
+    primary.attach_standby(link.clone()).expect("attach");
+    let parking = Arc::new(ParkingLink { inner: link.clone(), park: Mutex::new(None) });
+    let standby = Standby::attach_manual(session_over(dfs), parking.clone());
+    assert!(standby.tail_all() > 0, "the anchoring base must arrive");
+
+    primary.submit(Some("ana"), &queries::l3("/out/pk/a"), "/wf/pk/a").unwrap().wait().unwrap();
+    primary.drain();
+    primary.ship_now();
+    assert!(link.queued() > 0, "the workflow's records must ship");
+    while link.queued() > 1 {
+        assert!(standby.tail_once().expect("applies"));
+    }
+
+    let (received_tx, received_rx) = channel();
+    let (release_tx, release_rx) = channel();
+    *parking.park.lock().unwrap() = Some((received_tx, release_rx));
+    std::thread::scope(|scope| {
+        let tailing = scope.spawn(|| standby.tail_once());
+        received_rx.recv().expect("the tailer takes the last shipment");
+        // Observe first, release, then assert: a failed assertion must
+        // not leave the tailer parked inside the scope.
+        let queued = link.queued();
+        let parity_unmoved = standby.replica().verify_parity().is_ok();
+        let caught_up = standby.wait_caught_up(Duration::from_millis(50));
+        release_tx.send(()).unwrap();
+        assert!(tailing.join().unwrap().expect("applies"));
+        assert_eq!(queued, 0, "the queue was empty");
+        assert!(parity_unmoved, "the parity target had not moved yet");
+        assert!(!caught_up, "a received-but-unapplied shipment is not caught up");
+    });
+    assert!(standby.wait_caught_up(Duration::from_secs(30)));
+    assert_eq!(standby.replica().driver().save_state(), primary.driver().save_state());
 }
