@@ -1,10 +1,11 @@
 //! MapReduce engine throughput: records/second through a full
 //! map-shuffle-reduce cycle at varying input sizes and thread counts,
 //! over narrow rows and over PigMix-shaped wide rows of which the plan
-//! reads two columns.
+//! reads two or three columns. Asserts that shuffle + reduce time does not
+//! grow from one worker thread to two.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use restore_bench::env::pigmix_env;
+use restore_bench::env::{pigmix_env, PigMixEnv};
 use restore_common::{codec, tuple, Tuple};
 use restore_dataflow::exec::job_spec_for_plan;
 use restore_dataflow::expr::{AggFunc, Expr};
@@ -14,6 +15,7 @@ use restore_mapreduce::{ClusterConfig, Engine, EngineConfig};
 use restore_pigmix::datagen::PAGE_VIEWS;
 use restore_pigmix::DataScale;
 use std::hint::black_box;
+use std::time::{Duration, Instant};
 
 fn setup(rows: usize, threads: usize) -> (Engine, restore_mapreduce::JobSpec) {
     let dfs =
@@ -79,42 +81,64 @@ fn bench_thread_scaling(c: &mut Criterion) {
     group.finish();
 }
 
-/// `page_views` (six columns, ≈ 600 B rows, ≈ 52 KB splits) through
-/// Project(user, est_revenue) → Group → SUM: the shape of L3/L7/L8's
-/// first job. `scan_only` stops at the Project (map-only), so the pair
-/// separates the scan from the shuffle and reduce.
-fn setup_pigmix(threads: usize, group: bool) -> (Engine, restore_mapreduce::JobSpec, u64) {
-    let env = pigmix_env(DataScale::gb15());
+/// The three plans of the `engine_pigmix` group over `page_views` (six
+/// columns, ≈ 600 B rows, ≈ 52 KB splits).
+#[derive(Clone, Copy)]
+enum Shape {
+    /// Load → Project(user, est_revenue) → Store: map-only, the scan.
+    ScanOnly,
+    /// … → Group by user → SUM: the first job of L3/L7/L8, ≈ 20 records
+    /// per group.
+    GroupSum,
+    /// Project(user, timestamp, est_revenue) → Group by (user, timestamp)
+    /// → SUM: L6, ≈ one record per group — per-record shuffle and reduce
+    /// overhead with nothing to amortize it.
+    GroupFine,
+}
+
+fn setup_pigmix(
+    env: &PigMixEnv,
+    threads: usize,
+    shape: Shape,
+) -> (Engine, restore_mapreduce::JobSpec, u64) {
     let engine = Engine::new(
         env.engine.dfs().clone(),
         ClusterConfig::default(),
         EngineConfig { worker_threads: threads, default_reduce_tasks: 28 },
     );
+    let (cols, keys) = match shape {
+        Shape::ScanOnly | Shape::GroupSum => (vec![0, 3], vec![0]),
+        Shape::GroupFine => (vec![0, 2, 3], vec![0, 1]),
+    };
     let mut plan = PhysicalPlan::new();
     let l = plan.add(PhysicalOp::Load { path: PAGE_VIEWS.into() }, vec![]);
-    let mut tip = plan.add(PhysicalOp::Project { cols: vec![0, 3] }, vec![l]);
-    if group {
-        let g = plan.add(PhysicalOp::Group { keys: vec![0] }, vec![tip]);
-        tip = plan.add(
-            PhysicalOp::Aggregate {
-                items: vec![
-                    AggItem::Key(0),
-                    AggItem::Agg { func: AggFunc::Sum, bag_col: 1, field: Some(1) },
-                ],
-            },
-            vec![g],
-        );
+    let mut tip = plan.add(PhysicalOp::Project { cols }, vec![l]);
+    if !matches!(shape, Shape::ScanOnly) {
+        // Grouped rows are (key fields…, bag); the revenue is the last
+        // field of the bag's tuples.
+        let n = keys.len();
+        let mut items: Vec<AggItem> = (0..n).map(AggItem::Key).collect();
+        items.push(AggItem::Agg { func: AggFunc::Sum, bag_col: n, field: Some(n) });
+        let g = plan.add(PhysicalOp::Group { keys }, vec![tip]);
+        tip = plan.add(PhysicalOp::Aggregate { items }, vec![g]);
     }
     plan.add(PhysicalOp::Store { path: "/out".into() }, vec![tip]);
     (engine, job_spec_for_plan(&plan, "bench").unwrap(), env.scale.page_views_rows as u64)
 }
 
+const PIGMIX_ARMS: [(&str, Shape); 3] = [
+    ("scan_only", Shape::ScanOnly),
+    ("project_group_sum", Shape::GroupSum),
+    ("project_group_fine", Shape::GroupFine),
+];
+
 fn bench_pigmix_shape(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine_pigmix");
     group.sample_size(10);
-    for (arm, with_group) in [("scan_only", false), ("project_group_sum", true)] {
+    let env = pigmix_env(DataScale::gb15());
+    for (arm, shape) in PIGMIX_ARMS {
         for &threads in &[1usize, 2] {
-            let (engine, spec, rows) = setup_pigmix(threads, with_group);
+            let (engine, spec, rows) = setup_pigmix(&env, threads, shape);
             group.throughput(Throughput::Elements(rows));
             group.bench_with_input(BenchmarkId::new(arm, threads), &threads, |b, _| {
                 b.iter(|| black_box(engine.run(black_box(&spec)).unwrap()));
@@ -124,5 +148,58 @@ fn bench_pigmix_shape(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_job_throughput, bench_thread_scaling, bench_pigmix_shape);
+/// `scan_only` stops at the Project, so a group arm minus `scan_only` at
+/// the same thread count is that arm's shuffle + reduce time. It must not
+/// grow when the second core joins: it did (10.0 ms at two threads against
+/// 8.6 at one) while shuffle records crossed threads as heap objects that
+/// the reduce threads freed into the map threads' arenas.
+///
+/// Best sample of each arm over rounds that visit every arm in turn, so a
+/// stretch in which the host withholds its second core (this VM does, for
+/// seconds to minutes) costs every arm the same rounds; and when even the
+/// scan shows no second core, there is nothing to compare.
+fn check_shuffle_scaling(_c: &mut Criterion) {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    if cores < 2 {
+        println!("engine_pigmix: 1 core, shuffle scaling not checked");
+        return;
+    }
+    let env = pigmix_env(DataScale::gb15());
+    let jobs =
+        PIGMIX_ARMS.map(|(_, shape)| [1, 2].map(|threads| setup_pigmix(&env, threads, shape)));
+    let mut best = [[Duration::MAX; 2]; 3];
+    for _ in 0..10 {
+        for (a, by_threads) in jobs.iter().enumerate() {
+            for (t, (engine, spec, _)) in by_threads.iter().enumerate() {
+                let start = Instant::now();
+                black_box(engine.run(black_box(spec)).unwrap());
+                best[a][t] = best[a][t].min(start.elapsed());
+            }
+        }
+    }
+    let [scan_one, scan_two] = best[0];
+    if scan_two * 5 > scan_one * 4 {
+        println!(
+            "engine_pigmix: scan {scan_one:?} at 1 thread, {scan_two:?} at 2 -- no second core \
+             to be had, shuffle scaling not checked"
+        );
+        return;
+    }
+    for (a, (arm, _)) in PIGMIX_ARMS.into_iter().enumerate().skip(1) {
+        let [one, two] = [0, 1].map(|t| best[a][t].saturating_sub(best[0][t]));
+        println!("engine_pigmix/{arm}: shuffle + reduce {one:?} at 1 thread, {two:?} at 2");
+        assert!(
+            two <= one,
+            "{arm}: shuffle + reduce got slower with a second thread ({one:?} -> {two:?})"
+        );
+    }
+}
+
+criterion_group!(
+    benches,
+    bench_job_throughput,
+    bench_thread_scaling,
+    bench_pigmix_shape,
+    check_shuffle_scaling
+);
 criterion_main!(benches);

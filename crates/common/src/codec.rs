@@ -10,6 +10,7 @@
 use crate::error::{Error, Result};
 use crate::tuple::Tuple;
 use crate::value::Value;
+use std::fmt::Write as _;
 
 const SEP: u8 = b'\t';
 const NL: u8 = b'\n';
@@ -51,10 +52,18 @@ fn encode_value(v: &Value, out: &mut Vec<u8>) {
             }
             out.push(b'}');
         }
-        other => {
-            // Ints and doubles never contain special bytes.
-            out.extend_from_slice(other.to_string().as_bytes());
-        }
+        // Ints and doubles never contain special bytes.
+        number => write!(Text(out), "{number}").expect("writing to a Vec cannot fail"),
+    }
+}
+
+/// `fmt::Write` onto the output buffer, so numbers are rendered in place.
+struct Text<'a>(&'a mut Vec<u8>);
+
+impl std::fmt::Write for Text<'_> {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.0.extend_from_slice(s.as_bytes());
+        Ok(())
     }
 }
 

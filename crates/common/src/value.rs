@@ -107,7 +107,11 @@ impl Value {
                 }
                 len
             }
-            Value::Double(d) => format_double(*d).len(),
+            Value::Double(d) => {
+                let mut len = ByteCount(0);
+                write_double(*d, &mut len).expect("counting cannot fail");
+                len.0
+            }
             Value::Str(s) => s.len(),
             Value::Bag(ts) => {
                 // "{(f,f),(f,f)}": braces + per-tuple parens and commas.
@@ -135,11 +139,21 @@ impl Value {
 
 /// Canonical text rendering for doubles: integral doubles keep a trailing
 /// `.0` so they round-trip as doubles, NaN/inf use Rust's spelling.
-pub(crate) fn format_double(d: f64) -> String {
+fn write_double(d: f64, out: &mut impl fmt::Write) -> fmt::Result {
     if d.is_finite() && d.fract() == 0.0 && d.abs() < 1e15 {
-        format!("{d:.1}")
+        write!(out, "{d:.1}")
     } else {
-        format!("{d}")
+        write!(out, "{d}")
+    }
+}
+
+/// Sink that measures a rendering without storing it.
+struct ByteCount(usize);
+
+impl fmt::Write for ByteCount {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0 += s.len();
+        Ok(())
     }
 }
 
@@ -218,7 +232,7 @@ impl fmt::Display for Value {
         match self {
             Value::Null => Ok(()),
             Value::Int(i) => write!(f, "{i}"),
-            Value::Double(d) => write!(f, "{}", format_double(*d)),
+            Value::Double(d) => write_double(*d, f),
             Value::Str(s) => write!(f, "{s}"),
             Value::Bag(ts) => {
                 write!(f, "{{")?;

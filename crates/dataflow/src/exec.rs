@@ -222,22 +222,23 @@ impl Program {
                 Ok(())
             }
             StepKind::Flatten(bag_col) => {
-                let bag = match t.get(*bag_col) {
-                    Value::Bag(b) => b.clone(),
-                    Value::Null => Vec::new(),
-                    other => {
+                // Take the bag out of the row: its tuples move into the
+                // output rows, and the other fields are cloned once per row
+                // actually emitted.
+                let Tuple(mut fields) = t;
+                let slot = fields.get_mut(*bag_col).map(|v| std::mem::replace(v, Value::Null));
+                let bag = match slot {
+                    Some(Value::Bag(b)) => b,
+                    Some(Value::Null) | None => Vec::new(),
+                    Some(other) => {
                         return Err(Error::Eval(format!("FLATTEN of non-bag value {other:?}")))
                     }
                 };
-                for inner in bag {
-                    let mut row = Vec::new();
-                    for (i, v) in t.iter().enumerate() {
-                        if i == *bag_col {
-                            row.extend(inner.iter().cloned());
-                        } else {
-                            row.push(v.clone());
-                        }
-                    }
+                for Tuple(inner) in bag {
+                    let mut row = Vec::with_capacity(fields.len() - 1 + inner.len());
+                    row.extend_from_slice(&fields[..*bag_col]);
+                    row.extend(inner);
+                    row.extend_from_slice(&fields[*bag_col + 1..]);
                     self.fanout(step_idx, Tuple::from_values(row), sink)?;
                 }
                 Ok(())
@@ -538,7 +539,12 @@ struct PlanReducer {
 }
 
 impl Reducer for PlanReducer {
-    fn reduce(&mut self, key: &Tuple, bags: &[Vec<Tuple>], ctx: &mut ReduceContext) -> Result<()> {
+    fn reduce(
+        &mut self,
+        key: Tuple,
+        bags: &mut [Vec<Tuple>],
+        ctx: &mut ReduceContext,
+    ) -> Result<()> {
         let (kind, prog) = self.programs.reduce.as_ref().expect("reducer without program");
         let mut sink = ReduceSink(ctx);
         match kind {
@@ -570,21 +576,20 @@ impl Reducer for PlanReducer {
                 }
             }
             BlockKind::Group => {
-                let mut row: Vec<Value> = key.iter().cloned().collect();
-                row.push(Value::Bag(bags[0].clone()));
+                let Tuple(mut row) = key;
+                row.push(Value::Bag(std::mem::take(&mut bags[0])));
                 prog.push_entries(0, Tuple::from_values(row), &mut sink)
             }
             BlockKind::CoGroup { n_branches } => {
-                let mut row: Vec<Value> = key.iter().cloned().collect();
-                for bag in bags.iter().take(*n_branches) {
-                    row.push(Value::Bag(bag.clone()));
+                let Tuple(mut row) = key;
+                for bag in bags.iter_mut().take(*n_branches) {
+                    row.push(Value::Bag(std::mem::take(bag)));
                 }
                 prog.push_entries(0, Tuple::from_values(row), &mut sink)
             }
-            BlockKind::Distinct => prog.push_entries(0, key.clone(), &mut sink),
+            BlockKind::Distinct => prog.push_entries(0, key, &mut sink),
             BlockKind::OrderBy { keys } => {
-                let mut rows = bags[0].clone();
-                rows.sort_by(|a, b| {
+                bags[0].sort_by(|a, b| {
                     for (col, asc) in keys {
                         let o = a.get(*col).cmp(b.get(*col));
                         let o = if *asc { o } else { o.reverse() };
@@ -594,18 +599,18 @@ impl Reducer for PlanReducer {
                     }
                     std::cmp::Ordering::Equal
                 });
-                for r in rows {
+                for r in bags[0].drain(..) {
                     prog.push_entries(0, r, &mut sink)?;
                 }
                 Ok(())
             }
             BlockKind::Limit { n } => {
-                for r in &bags[0] {
+                for r in bags[0].drain(..) {
                     if self.emitted >= *n {
                         break;
                     }
                     self.emitted += 1;
-                    prog.push_entries(0, r.clone(), &mut sink)?;
+                    prog.push_entries(0, r, &mut sink)?;
                 }
                 Ok(())
             }

@@ -1,17 +1,27 @@
 //! Job execution: map tasks over input splits, hash-partitioned
 //! sort-merge shuffle, reduce tasks, DFS output commit.
 //!
-//! Execution is multi-threaded but **deterministic**: map outputs are
-//! concatenated in task order, reduce outputs in partition order, and the
-//! shuffle sort is stable, so the bytes written to the DFS do not depend
+//! Execution is multi-threaded but **deterministic**: reduce task *p*
+//! decodes range *p* of every map task's shuffle run in task order, the
+//! shuffle sort is stable, and outputs are committed in task (map) or
+//! partition (reduce) order, so the bytes written to the DFS do not depend
 //! on the number of worker threads.
+//!
+//! One ownership rule keeps the threads out of each other's way: a heap
+//! object is freed by the thread that allocated it, and what crosses a
+//! thread boundary is a contiguous byte buffer the other side only reads.
+//! Tuples never leave the task that made them — map output crosses as a
+//! [`shuffle::Run`], task output as text-codec bytes ready to commit — and
+//! the buffers are dropped by the calling thread after the workers have
+//! gone.
 
 use crate::config::{ClusterConfig, EngineConfig};
 use crate::cost::{CostModel, JobTimes};
 use crate::counters::Counters;
 use crate::job::JobSpec;
+use crate::shuffle::{self, Run};
 use crate::split_reader::read_split;
-use crate::task::{MapContext, ReduceContext};
+use crate::task::{MapContext, ReduceContext, ReducerFactory};
 use parking_lot::Mutex;
 use restore_common::{codec, Error, Result, Tuple};
 use restore_dfs::{Dfs, FileSplit};
@@ -39,19 +49,16 @@ pub struct Engine {
     engine_cfg: EngineConfig,
 }
 
-struct MapTaskOut {
-    /// Shuffle records per reduce partition.
-    partitions: Vec<Vec<(Tuple, usize, Tuple)>>,
-    /// Direct output (map-only jobs).
-    direct: Vec<Tuple>,
-    /// Side-output records per channel.
-    side: Vec<Vec<Tuple>>,
-    counters: Counters,
-}
-
-struct ReduceTaskOut {
-    output: Vec<Tuple>,
-    side: Vec<Vec<Tuple>>,
+/// What a task hands back: bytes only. `output` and `side` are text-codec
+/// chunks, committed by concatenation.
+struct TaskOut {
+    /// Shuffle records by reduce partition (map tasks of jobs with a
+    /// reduce phase; empty otherwise).
+    shuffle: Run,
+    /// The task's share of the job's main output.
+    output: Vec<u8>,
+    /// The task's share of each side-output channel.
+    side: Vec<Vec<u8>>,
     counters: Counters,
 }
 
@@ -100,55 +107,39 @@ impl Engine {
         let n_side = spec.side_outputs.len();
 
         // ---- Map phase ----
-        let map_outs = self.run_map_tasks(spec, &splits, reduce_tasks, n_side)?;
+        let map_outs = self.run_tasks(splits.len(), |idx| {
+            let (tag, split, file_len) = &splits[idx];
+            self.run_one_map_task(spec, *tag, split, *file_len, reduce_tasks, n_side)
+        })?;
+
+        // ---- Reduce phase ----
+        let reduce_outs = match &spec.reducer {
+            None => Vec::new(),
+            Some(factory) => {
+                let n_tags = spec.shuffle_tags.unwrap_or(spec.inputs.len()).max(1);
+                self.run_tasks(reduce_tasks, |p| {
+                    run_one_reduce_task(factory.as_ref(), &map_outs, p, n_tags, n_side)
+                })?
+            }
+        };
 
         let mut counters = Counters::default();
-        for out in &map_outs {
+        for out in map_outs.iter().chain(&reduce_outs) {
             counters.absorb(&out.counters);
         }
         counters.map_tasks = map_outs.len() as u64;
         counters.reduce_tasks = reduce_tasks as u64;
 
-        // Collect map-phase side outputs (task order) before the reduce
-        // phase consumes `map_outs`.
-        let mut side_tuples: Vec<Vec<Tuple>> = vec![Vec::new(); n_side];
-        for out in &map_outs {
-            for (c, ts) in out.side.iter().enumerate() {
-                side_tuples[c].extend_from_slice(ts);
-            }
-        }
-
-        // ---- Reduce phase / output assembly ----
-        let output_tuples: Vec<Tuple> = if reduce_tasks == 0 {
-            map_outs.into_iter().flat_map(|o| o.direct).collect()
-        } else {
-            let reduce_outs = self.run_reduce_tasks(spec, map_outs, reduce_tasks, n_side)?;
-            let mut all = Vec::new();
-            for out in reduce_outs {
-                counters.absorb(&out.counters);
-                for (c, ts) in out.side.into_iter().enumerate() {
-                    side_tuples[c].extend(ts);
-                }
-                all.extend(out.output);
-            }
-            all
-        };
-
         // ---- Commit outputs ----
-        let encoded = codec::encode_all(&output_tuples);
-        counters.output_records = output_tuples.len() as u64;
-        counters.output_bytes = encoded.len() as u64;
-        let mut w = self.dfs.create_overwrite(&spec.output)?;
-        w.write(&encoded);
-        w.close()?;
-
-        counters.side_output_bytes = vec![0; n_side];
-        for (c, ts) in side_tuples.iter().enumerate() {
-            let bytes = codec::encode_all(ts);
-            counters.side_output_bytes[c] = bytes.len() as u64;
-            let mut w = self.dfs.create_overwrite(&spec.side_outputs[c])?;
-            w.write(&bytes);
-            w.close()?;
+        // Main output: the reduce tasks' chunks in partition order, or the
+        // map tasks' in task order for a map-only job. Side outputs: map
+        // tasks', then reduce tasks'.
+        let main = if spec.is_map_only() { &map_outs } else { &reduce_outs };
+        counters.output_bytes = self.commit(&spec.output, main.iter().map(|o| &o.output))?;
+        counters.side_output_bytes = Vec::with_capacity(n_side);
+        for (c, path) in spec.side_outputs.iter().enumerate() {
+            let chunks = map_outs.iter().chain(&reduce_outs).map(|o| &o.side[c]);
+            counters.side_output_bytes.push(self.commit(path, chunks)?);
         }
 
         let times = CostModel::new(self.cluster.clone()).job_times(spec, &counters);
@@ -161,28 +152,36 @@ impl Engine {
         })
     }
 
-    fn run_map_tasks(
+    /// Write `chunks`, in order, as the file at `path`; its length.
+    fn commit<'a>(&self, path: &str, chunks: impl Iterator<Item = &'a Vec<u8>>) -> Result<u64> {
+        let mut w = self.dfs.create_overwrite(path)?;
+        for chunk in chunks {
+            w.write(chunk);
+        }
+        let len = w.len();
+        w.close()?;
+        Ok(len)
+    }
+
+    /// Run `task(0..n)` on the worker threads; results in index order, or
+    /// the first error in index order.
+    fn run_tasks<T: Send>(
         &self,
-        spec: &JobSpec,
-        splits: &[(usize, FileSplit, u64)],
-        reduce_tasks: usize,
-        n_side: usize,
-    ) -> Result<Vec<MapTaskOut>> {
+        n: usize,
+        task: impl Fn(usize) -> Result<T> + Sync,
+    ) -> Result<Vec<T>> {
         let next = AtomicUsize::new(0);
-        let results: Mutex<Vec<(usize, Result<MapTaskOut>)>> =
-            Mutex::new(Vec::with_capacity(splits.len()));
-        let threads = self.engine_cfg.worker_threads.max(1).min(splits.len().max(1));
+        let results: Mutex<Vec<(usize, Result<T>)>> = Mutex::new(Vec::with_capacity(n));
+        let threads = self.engine_cfg.worker_threads.max(1).min(n.max(1));
 
         std::thread::scope(|scope| {
             for _ in 0..threads {
                 scope.spawn(|| loop {
                     let idx = next.fetch_add(1, Ordering::Relaxed);
-                    if idx >= splits.len() {
+                    if idx >= n {
                         break;
                     }
-                    let (tag, split, file_len) = &splits[idx];
-                    let out =
-                        self.run_one_map_task(spec, *tag, split, *file_len, reduce_tasks, n_side);
+                    let out = task(idx);
                     results.lock().push((idx, out));
                 });
             }
@@ -201,7 +200,7 @@ impl Engine {
         file_len: u64,
         reduce_tasks: usize,
         n_side: usize,
-    ) -> Result<MapTaskOut> {
+    ) -> Result<TaskOut> {
         let (tuples, payload_bytes) =
             read_split(&self.dfs, split, file_len, spec.inputs[tag].columns.as_ref())?;
         let mut mapper = spec.mapper.create();
@@ -216,69 +215,27 @@ impl Engine {
         }
         mapper.finish(&mut ctx)?;
 
-        let mut partitions: Vec<Vec<(Tuple, usize, Tuple)>> =
-            (0..reduce_tasks).map(|_| Vec::new()).collect();
-        for (key, vtag, value) in ctx.shuffle {
-            counters.map_output_records += 1;
+        // Everything the cost model is charged with is measured on the
+        // tuples, before anything is encoded.
+        counters.map_output_records = ctx.shuffle.len() as u64;
+        for (key, _, value) in &ctx.shuffle {
             counters.map_output_bytes += (key.encoded_len() + value.encoded_len()) as u64;
-            if reduce_tasks > 0 {
-                let p = partition_of(&key, reduce_tasks);
-                partitions[p].push((key, vtag, value));
-            }
         }
         counters.map_direct_output_records = ctx.direct.len() as u64;
-        for ts in &ctx.side {
-            counters.map_side_bytes += ts.iter().map(|t| t.encoded_len() as u64).sum::<u64>();
-        }
-        Ok(MapTaskOut { partitions, direct: ctx.direct, side: ctx.side, counters })
-    }
+        counters.map_side_bytes = side_bytes(&ctx.side);
 
-    fn run_reduce_tasks(
-        &self,
-        spec: &JobSpec,
-        map_outs: Vec<MapTaskOut>,
-        reduce_tasks: usize,
-        n_side: usize,
-    ) -> Result<Vec<ReduceTaskOut>> {
-        let n_tags = spec.shuffle_tags.unwrap_or(spec.inputs.len()).max(1);
-        // Gather shuffle input per partition, preserving map-task order so
-        // the stable sort keeps results deterministic. Each partition gets
-        // its own lock so reduce workers can take them independently.
-        let partition_in: Vec<Mutex<Vec<(Tuple, usize, Tuple)>>> =
-            (0..reduce_tasks).map(|_| Mutex::new(Vec::new())).collect();
-        for mut out in map_outs {
-            for (p, recs) in out.partitions.drain(..).enumerate() {
-                partition_in[p].lock().extend(recs);
-            }
-        }
-
-        let reducer_factory = spec
-            .reducer
-            .as_ref()
-            .ok_or_else(|| Error::Job("reduce phase without reducer".into()))?;
-
-        let next = AtomicUsize::new(0);
-        let results: Mutex<Vec<(usize, Result<ReduceTaskOut>)>> =
-            Mutex::new(Vec::with_capacity(reduce_tasks));
-        let threads = self.engine_cfg.worker_threads.max(1).min(reduce_tasks);
-
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let idx = next.fetch_add(1, Ordering::Relaxed);
-                    if idx >= reduce_tasks {
-                        break;
-                    }
-                    let recs = std::mem::take(&mut *partition_in[idx].lock());
-                    let out = run_one_reduce_task(reducer_factory.as_ref(), recs, n_tags, n_side);
-                    results.lock().push((idx, out));
-                });
-            }
-        });
-
-        let mut results = results.into_inner();
-        results.sort_by_key(|(i, _)| *i);
-        results.into_iter().map(|(_, r)| r).collect()
+        // A map-only job has no shuffle, a job with a reduce phase no
+        // direct output; what a mapper emits there is counted and dropped.
+        let (shuffle, output) = if reduce_tasks == 0 {
+            counters.output_records = ctx.direct.len() as u64;
+            (Run::default(), codec::encode_all(&ctx.direct))
+        } else {
+            let run =
+                Run::encode(&ctx.shuffle, reduce_tasks, |key| partition_of(key, reduce_tasks));
+            (run, Vec::new())
+        };
+        let side = ctx.side.iter().map(|ts| codec::encode_all(ts)).collect();
+        Ok(TaskOut { shuffle, output, side, counters })
     }
 }
 
@@ -290,42 +247,52 @@ fn partition_of(key: &Tuple, reduce_tasks: usize) -> usize {
     (h.finish() % reduce_tasks as u64) as usize
 }
 
+/// Side-output bytes as the cost model counts them (the `encoded_len`
+/// estimate, not the committed length).
+fn side_bytes(side: &[Vec<Tuple>]) -> u64 {
+    side.iter().flatten().map(|t| t.encoded_len() as u64).sum()
+}
+
 fn run_one_reduce_task(
-    factory: &dyn crate::task::ReducerFactory,
-    mut records: Vec<(Tuple, usize, Tuple)>,
+    factory: &dyn ReducerFactory,
+    map_outs: &[TaskOut],
+    partition: usize,
     n_tags: usize,
     n_side: usize,
-) -> Result<ReduceTaskOut> {
-    // Stable sort by key only: within a key, map-task emission order is
-    // preserved, keeping bag contents deterministic.
+) -> Result<TaskOut> {
+    // Map-task order, then emission order within a task: with the stable
+    // sort by key only, bag contents do not depend on which thread ran
+    // which map task.
+    let mut records = Vec::new();
+    for out in map_outs {
+        shuffle::decode_range(out.shuffle.range(partition), &mut records)?;
+    }
     records.sort_by(|a, b| a.0.cmp(&b.0));
 
     let mut reducer = factory.create();
     let mut ctx = ReduceContext::new(n_side);
-    let mut counters = Counters::default();
+    let mut counters =
+        Counters { reduce_input_records: records.len() as u64, ..Default::default() };
 
+    let mut bags: Vec<Vec<Tuple>> = (0..n_tags).map(|_| Vec::new()).collect();
     let mut records = records.into_iter().peekable();
     while let Some((key, tag, value)) = records.next() {
-        let mut bags: Vec<Vec<Tuple>> = (0..n_tags).map(|_| Vec::new()).collect();
-        counters.reduce_input_records += 1;
         bags[tag].push(value);
-        while let Some((k, _, _)) = records.peek() {
-            if *k != key {
-                break;
-            }
-            let (_, tag, value) = records.next().expect("peeked");
-            counters.reduce_input_records += 1;
+        while let Some((_, tag, value)) = records.next_if(|(k, _, _)| *k == key) {
             bags[tag].push(value);
         }
         counters.reduce_input_groups += 1;
-        reducer.reduce(&key, &bags, &mut ctx)?;
+        reducer.reduce(key, &mut bags, &mut ctx)?;
+        for bag in &mut bags {
+            bag.clear();
+        }
     }
     reducer.finish(&mut ctx)?;
 
-    for ts in &ctx.side {
-        counters.reduce_side_bytes += ts.iter().map(|t| t.encoded_len() as u64).sum::<u64>();
-    }
-    Ok(ReduceTaskOut { output: ctx.output, side: ctx.side, counters })
+    counters.output_records = ctx.output.len() as u64;
+    counters.reduce_side_bytes = side_bytes(&ctx.side);
+    let side = ctx.side.iter().map(|ts| codec::encode_all(ts)).collect();
+    Ok(TaskOut { shuffle: Run::default(), output: codec::encode_all(&ctx.output), side, counters })
 }
 
 #[cfg(test)]
@@ -366,8 +333,8 @@ mod tests {
     impl Reducer for WcReduce {
         fn reduce(
             &mut self,
-            key: &Tuple,
-            bags: &[Vec<Tuple>],
+            key: Tuple,
+            bags: &mut [Vec<Tuple>],
             ctx: &mut ReduceContext,
         ) -> Result<()> {
             let count = bags[0].len() as i64;
@@ -460,8 +427,8 @@ mod tests {
         impl Reducer for JoinReduce {
             fn reduce(
                 &mut self,
-                _k: &Tuple,
-                bags: &[Vec<Tuple>],
+                _k: Tuple,
+                bags: &mut [Vec<Tuple>],
                 ctx: &mut ReduceContext,
             ) -> Result<()> {
                 for l in &bags[0] {
@@ -507,8 +474,8 @@ mod tests {
         impl Reducer for TeeReduce {
             fn reduce(
                 &mut self,
-                key: &Tuple,
-                bags: &[Vec<Tuple>],
+                key: Tuple,
+                bags: &mut [Vec<Tuple>],
                 ctx: &mut ReduceContext,
             ) -> Result<()> {
                 let t =

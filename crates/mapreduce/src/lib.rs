@@ -25,6 +25,7 @@ pub mod cost;
 pub mod counters;
 pub mod engine;
 pub mod job;
+pub mod shuffle;
 pub mod split_reader;
 pub mod task;
 pub mod workflow;

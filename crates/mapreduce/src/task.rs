@@ -90,7 +90,19 @@ pub trait Reducer: Send {
     /// Process one key group. `bags[tag]` holds the values that arrived
     /// from input `tag` (Join and CoGroup need per-input bags; Group uses
     /// a single bag).
-    fn reduce(&mut self, key: &Tuple, bags: &[Vec<Tuple>], ctx: &mut ReduceContext) -> Result<()>;
+    ///
+    /// The key and the bags' contents are the reducer's to take: they were
+    /// decoded by this task's thread for this call and nothing reads them
+    /// afterwards, so a reducer that builds its output from them should
+    /// move them (`std::mem::take` a bag, `drain` it, sort it in place)
+    /// rather than clone. The engine owns the slice itself — one bag per
+    /// tag, allocated once per task — and clears every bag after the call.
+    fn reduce(
+        &mut self,
+        key: Tuple,
+        bags: &mut [Vec<Tuple>],
+        ctx: &mut ReduceContext,
+    ) -> Result<()>;
 
     /// Called once after the last key of the partition.
     fn finish(&mut self, _ctx: &mut ReduceContext) -> Result<()> {

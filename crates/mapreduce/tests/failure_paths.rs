@@ -28,7 +28,12 @@ impl Mapper for KeyFirst {
 
 struct CountRed;
 impl Reducer for CountRed {
-    fn reduce(&mut self, key: &Tuple, bags: &[Vec<Tuple>], ctx: &mut ReduceContext) -> Result<()> {
+    fn reduce(
+        &mut self,
+        key: Tuple,
+        bags: &mut [Vec<Tuple>],
+        ctx: &mut ReduceContext,
+    ) -> Result<()> {
         ctx.output(Tuple::from_values(vec![key.get(0).clone(), (bags[0].len() as i64).into()]));
         Ok(())
     }
@@ -82,7 +87,12 @@ fn mapper_errors_propagate() {
 fn reducer_errors_propagate() {
     struct BadReduce;
     impl Reducer for BadReduce {
-        fn reduce(&mut self, _k: &Tuple, _b: &[Vec<Tuple>], _c: &mut ReduceContext) -> Result<()> {
+        fn reduce(
+            &mut self,
+            _k: Tuple,
+            _b: &mut [Vec<Tuple>],
+            _c: &mut ReduceContext,
+        ) -> Result<()> {
             Err(Error::Eval("reduce failed".into()))
         }
     }

@@ -1,0 +1,115 @@
+//! What a job writes and what it is charged for do not depend on how many
+//! worker threads ran it.
+//!
+//! The engine's ordering argument — map outputs are consumed in task
+//! order, reduce outputs committed in partition order, the shuffle sort is
+//! stable — is checked here on every job of the eight PigMix queries and
+//! of one map-only projection, plain and instrumented with sub-job Stores
+//! (so map-side and reduce-side side outputs are covered), at 1, 2 and 8
+//! worker threads: every main and side output byte-identical, `Counters`
+//! and `JobTimes` equal. CI runs this file in both profiles, since thread
+//! interleavings differ between them.
+//!
+//! `tests/golden/engine_counters.txt` holds the same runs' `Counters` as
+//! captured from the object-graph shuffle (the commit before map output
+//! crossed threads as encoded runs), so "the cost model saw the same
+//! numbers" is checked against that engine rather than against itself. On
+//! a deliberate change to what is counted, the failing assertion prints
+//! the new text to paste in.
+
+use restore_suite::core::enumerator::{inject_subjob_stores, Heuristic};
+use restore_suite::dataflow::compile_canonical;
+use restore_suite::dataflow::exec::job_spec_for_plan;
+use restore_suite::dfs::{Dfs, DfsConfig};
+use restore_suite::mapreduce::{ClusterConfig, Counters, Engine, EngineConfig, JobTimes};
+use restore_suite::pigmix::datagen::{self, PAGE_VIEWS};
+use restore_suite::pigmix::{queries, DataScale};
+
+struct JobRun {
+    /// `"<mode> <query> job<i>"`.
+    label: String,
+    /// Main output first, then the side outputs in channel order.
+    files: Vec<Vec<u8>>,
+    counters: Counters,
+    times: JobTimes,
+}
+
+/// The standard workload has no map-only job; the direct-output commit
+/// path gets one (`bench_engine`'s `scan_only` shape).
+fn workload() -> Vec<(String, String)> {
+    let mut queries = queries::standard_workload("/out");
+    let scan = format!(
+        "A = load '{PAGE_VIEWS}' as (user, action:int, timestamp:int, est_revenue:double, page_info, page_links);
+         B = foreach A generate user, est_revenue;
+         store B into '/out/scan';"
+    );
+    queries.push(("scan".to_string(), scan));
+    queries
+}
+
+/// Run every job of the workload, in dependency order, on a fresh DFS with
+/// `threads` engine workers.
+fn run_workload(threads: usize, instrumented: bool) -> Vec<JobRun> {
+    let dfs =
+        Dfs::new(DfsConfig { nodes: 4, block_size: 4 << 10, replication: 2, node_capacity: None });
+    datagen::generate(&dfs, &DataScale::tiny(), 0x5E570E).unwrap();
+    let engine = Engine::new(
+        dfs.clone(),
+        ClusterConfig::default(),
+        EngineConfig { worker_threads: threads, default_reduce_tasks: 7 },
+    );
+    let mode = if instrumented { "stores" } else { "plain" };
+    let mut runs = Vec::new();
+    for (query, text) in workload() {
+        let (wf, _) = compile_canonical(&text, &format!("/wf/{query}")).unwrap();
+        for idx in wf.topo_order().unwrap() {
+            let mut plan = wf.jobs[idx].plan.clone();
+            if instrumented {
+                let mut n = 0;
+                let mint = || {
+                    n += 1;
+                    format!("/restore/{query}/j{idx}c{n}")
+                };
+                inject_subjob_stores(&mut plan, Heuristic::Aggressive, mint, |_| false);
+            }
+            let label = format!("{mode} {query} job{idx}");
+            let spec = job_spec_for_plan(&plan, &label).unwrap();
+            let result = engine.run(&spec).unwrap();
+            let files = std::iter::once(&spec.output)
+                .chain(&spec.side_outputs)
+                .map(|p| dfs.read_all(p).unwrap())
+                .collect();
+            runs.push(JobRun { label, files, counters: result.counters, times: result.times });
+        }
+    }
+    runs
+}
+
+#[test]
+fn outputs_counters_and_times_are_identical_at_1_2_and_8_threads() {
+    let mut golden = String::new();
+    for instrumented in [false, true] {
+        let base = run_workload(1, instrumented);
+        assert!(base.iter().any(|r| r.counters.reduce_tasks > 0 && r.counters.output_bytes > 0));
+        assert!(base.iter().any(|r| r.counters.is_map_only() && r.counters.output_bytes > 0));
+        if instrumented {
+            assert!(base.iter().any(|r| r.counters.map_side_bytes > 0), "a map-side Store");
+            assert!(base.iter().any(|r| r.counters.reduce_side_bytes > 0), "a reduce-side Store");
+        }
+        for threads in [2, 8] {
+            let other = run_workload(threads, instrumented);
+            assert_eq!(base.len(), other.len());
+            for (a, b) in base.iter().zip(&other) {
+                assert_eq!(a.label, b.label);
+                assert!(a.files == b.files, "{}: bytes differ at {threads} threads", a.label);
+                assert_eq!(a.counters, b.counters, "{} at {threads} threads", a.label);
+                assert_eq!(a.times, b.times, "{} at {threads} threads", a.label);
+            }
+        }
+        for run in &base {
+            golden.push_str(&format!("{} {:?}\n", run.label, run.counters));
+        }
+    }
+    let want = include_str!("golden/engine_counters.txt");
+    assert!(golden == want, "engine counters changed; new text:\n{golden}");
+}
