@@ -19,9 +19,12 @@
 //! The warm arm also reports what one wave of the §3 loop costs —
 //! `prepare` µs, probe iterations and applied rewrites per wave, µs per
 //! probe — and asserts the budget: one probe and one rewrite per warm
-//! job at every thread count, and `prepare` ≤ 32 µs/wave wherever the
-//! threads fit the host's cores (past that a mean measures the
-//! scheduler's time slices, not the loop).
+//! job at every thread count, and `prepare` ≤ 10 µs/wave wherever the
+//! threads fit the host's cores (past that the number measures the
+//! scheduler's time slices, not the loop). The budget is held against
+//! the count-weighted median of the per-round means, not the overall
+//! mean: one round that loses its core mid-`prepare` moves a mean by
+//! more than the loop costs.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use restore_core::{ReStore, ReStoreConfig};
@@ -30,6 +33,7 @@ use restore_mapreduce::{ClusterConfig, Engine, EngineConfig};
 use restore_pigmix::{datagen, queries, DataScale};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::{Duration, Instant};
 
 const SEED: u64 = 0xBE_2C_11;
 
@@ -107,6 +111,32 @@ impl<'a> WriteCounterProbe<'a> {
     }
 }
 
+/// `(waves, raw-ns sum)` of the `prepare` stage so far.
+fn prepare_totals(rs: &ReStore) -> (u64, u64) {
+    rs.registry()
+        .histogram_stats("restore_stage_seconds")
+        .into_iter()
+        .find(|(labels, ..)| labels.contains("stage=\"prepare\""))
+        .map_or((0, 0), |(_, count, sum_ns)| (count, sum_ns))
+}
+
+/// The median of per-round `prepare` means, each round weighted by the
+/// waves it ran: the µs/wave at which half of all waves sit in rounds
+/// no slower.
+fn weighted_median_us(rounds: &mut [(u64, u64)]) -> f64 {
+    let mean_us = |&(waves, sum_ns): &(u64, u64)| sum_ns as f64 / waves.max(1) as f64 / 1e3;
+    rounds.sort_by(|a, b| mean_us(a).total_cmp(&mean_us(b)));
+    let half = rounds.iter().map(|r| r.0).sum::<u64>().div_ceil(2);
+    let mut seen = 0;
+    rounds
+        .iter()
+        .find(|r| {
+            seen += r.0;
+            seen >= half
+        })
+        .map_or(0.0, mean_us)
+}
+
 /// `(family, labels, count, raw-ns sum)` for every pipeline stage and
 /// match sub-stage series the session has recorded.
 fn stage_rows(rs: &ReStore) -> Vec<(String, String, u64, u64)> {
@@ -154,11 +184,17 @@ fn report_stages(
 
 /// What one warm wave of the §3 loop costs, from the stage deltas: the
 /// loop must spend one probe and one rewrite per job it answers, and
-/// `prepare` must fit the budget — half of the 65.4 µs/wave archived
-/// before matches that cannot change the plan were skipped — unless the
-/// arm oversubscribes the host.
-fn report_wave_cost(rows: &[(String, String, u64, u64)], label: &str, threads: usize) {
-    const PREPARE_BUDGET_US: f64 = 32.0;
+/// `prepare` — `prepare_median_us`, see [`weighted_median_us`] — must
+/// fit the budget (the loop measures ≈ 9 µs/wave since matches that
+/// cannot change the plan are skipped; 65.4 before) unless the arm
+/// oversubscribes the host.
+fn report_wave_cost(
+    rows: &[(String, String, u64, u64)],
+    label: &str,
+    threads: usize,
+    prepare_median_us: f64,
+) {
+    const PREPARE_BUDGET_US: f64 = 10.0;
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let stage = |name: &str| {
         let key = format!("stage=\"{name}\"");
@@ -170,7 +206,8 @@ fn report_wave_cost(rows: &[(String, String, u64, u64)], label: &str, threads: u
     let prepare_us = prepare_ns as f64 / waves as f64 / 1e3;
     println!(
         "{label:<48} per wave ({cores} host cores): prepare_us={prepare_us:.1} \
-         probe_iterations={:.2} rewrites={:.2} probe_us_per_iteration={:.1}",
+         prepare_median_us={prepare_median_us:.1} probe_iterations={:.2} rewrites={:.2} \
+         probe_us_per_iteration={:.1}",
         probes as f64 / waves as f64,
         rewrites as f64 / waves as f64,
         probe_ns as f64 / probes as f64 / 1e3,
@@ -178,8 +215,9 @@ fn report_wave_cost(rows: &[(String, String, u64, u64)], label: &str, threads: u
     assert_eq!(probes, waves, "{label}: a warm whole-job hit takes exactly one probe");
     assert_eq!(rewrites, waves, "{label}: a warm whole-job hit applies exactly one rewrite");
     assert!(
-        threads > cores || prepare_us <= PREPARE_BUDGET_US,
-        "{label}: prepare {prepare_us:.1} us/wave exceeds the {PREPARE_BUDGET_US} us budget"
+        threads > cores || prepare_median_us <= PREPARE_BUDGET_US,
+        "{label}: prepare {prepare_median_us:.1} us/wave (median) exceeds the \
+         {PREPARE_BUDGET_US} us budget"
     );
 }
 
@@ -194,15 +232,36 @@ fn bench_warm_serving(c: &mut Criterion) {
         let baseline = stage_rows(&rs);
         let round = AtomicU64::new(1);
         let probe = WriteCounterProbe::new(&rs);
+        let mut prepare_rounds = Vec::new();
         group.throughput(Throughput::Elements((threads * 3) as u64));
         group.bench_with_input(BenchmarkId::new("threads", threads), &threads, |b, &threads| {
-            b.iter(|| {
-                probe.observe(|| submit_round(&rs, threads, round.fetch_add(1, Ordering::Relaxed)))
+            // The histogram reads bracket the round outside its timed
+            // region: the criterion timing is the round's alone, as it
+            // was before the per-round `prepare` samples were taken.
+            b.iter_custom(|iters| {
+                let mut timed = Duration::ZERO;
+                for _ in 0..iters {
+                    let before = prepare_totals(&rs);
+                    let t0 = Instant::now();
+                    probe.observe(|| {
+                        submit_round(&rs, threads, round.fetch_add(1, Ordering::Relaxed))
+                    });
+                    timed += t0.elapsed();
+                    let after = prepare_totals(&rs);
+                    prepare_rounds.push((after.0 - before.0, after.1 - before.1));
+                }
+                timed
             });
         });
         let label = format!("concurrent_warm/threads/{threads}");
         probe.report(&label);
-        report_wave_cost(&report_stages(&rs, &baseline, &label), &label, threads);
+        let prepare_median_us = weighted_median_us(&mut prepare_rounds);
+        report_wave_cost(
+            &report_stages(&rs, &baseline, &label),
+            &label,
+            threads,
+            prepare_median_us,
+        );
     }
     group.finish();
 }

@@ -1,7 +1,12 @@
 //! Service-level throughput: a mixed-tenant PigMix workload submitted
 //! through `RestoreService` as the worker pool grows (1/2/4/8).
 //!
-//! Three regimes:
+//! Four regimes:
+//! * `service_handoff` — one closed-loop client redeeming a pre-compiled
+//!   workflow the repository answers whole: admission, queue, dispatch,
+//!   the warm driver pass and the ticket, with no compile and no job —
+//!   what it costs to hand a submission to whoever runs it and get the
+//!   result back, at 1/2/4 pool threads;
 //! * `service_warm` — every query is answered from its tenant's
 //!   repository, isolating queue + scheduler + lock overhead;
 //! * `service_mixed` — fresh output paths each round (final outputs not
@@ -79,6 +84,33 @@ fn bench_group(c: &mut Criterion, name: &str, cross_workflow: bool, register_fin
     group.finish();
 }
 
+fn bench_handoff(c: &mut Criterion) {
+    /// Submissions per sample: one is tens of microseconds.
+    const BATCH: u64 = 1000;
+    let mut group = c.benchmark_group("service_handoff");
+    group.sample_size(10);
+    group.throughput(Throughput::Elements(BATCH));
+    for &workers in &[1usize, 2, 4] {
+        let svc = service(workers, true, true);
+        let wf = svc
+            .driver()
+            .compile_as(Some("ana"), &queries::l7("/out/handoff"), "/wf/handoff")
+            .expect("compiles");
+        // Executes once; every later submission is a whole-job hit.
+        svc.submit_workflow(Some("ana"), wf.clone()).expect("admitted").wait().expect("cold run");
+        group.bench_with_input(BenchmarkId::new("workers", workers), &workers, |b, _| {
+            b.iter(|| {
+                for _ in 0..BATCH {
+                    let handle = svc.submit_workflow(Some("ana"), wf.clone()).expect("admitted");
+                    let exec = handle.wait().expect("query completes");
+                    assert!(exec.job_results.is_empty(), "a warm hit runs zero jobs");
+                }
+            });
+        });
+    }
+    group.finish();
+}
+
 fn bench_warm_serving(c: &mut Criterion) {
     bench_group(c, "service_warm", true, true);
 }
@@ -91,5 +123,11 @@ fn bench_fifo_ablation(c: &mut Criterion) {
     bench_group(c, "service_fifo", false, false);
 }
 
-criterion_group!(benches, bench_warm_serving, bench_mixed_workload, bench_fifo_ablation);
+criterion_group!(
+    benches,
+    bench_handoff,
+    bench_warm_serving,
+    bench_mixed_workload,
+    bench_fifo_ablation
+);
 criterion_main!(benches);

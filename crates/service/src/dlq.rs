@@ -52,7 +52,7 @@ impl RestoreService {
             match self.submit_workflow(tenant, entry.wf.clone()) {
                 Ok(handle) => {
                     self.driver().dlq_ack_as(tenant, &[entry.id]);
-                    self.obs.dlq_redrives.inc();
+                    self.shared.obs.dlq_redrives.inc();
                     admitted.push(handle);
                 }
                 Err(e) => return RedriveOutcome { admitted, stopped: Some((entry.id, e)) },

@@ -17,8 +17,8 @@
 //!                                                  cross-workflow scheduler
 //!                                                  (footprint conflict probe)
 //!                                                               │
-//!                                            fixed worker pool ─┴─► ReStore
-//!                                                  (per-tenant namespaces)
+//!                          pool thread, or the submitter ───────┴─► ReStore
+//!                          blocked in wait() if it is next   (per-tenant namespaces)
 //! ```
 //!
 //! * **Admission control** — the submission queue is bounded
@@ -27,8 +27,17 @@
 //!   tenant exceeding [`ServiceConfig::max_inflight_per_tenant`] is
 //!   rejected with [`ServiceError::TenantOverloaded`] so one tenant
 //!   cannot monopolize the pool.
-//! * **Cross-workflow scheduling** — workers may dispatch a queued
-//!   workflow ahead of earlier ones whenever its DFS footprint
+//! * **The waiter runs what no worker has taken** — `submit` never
+//!   blocks on execution and wakes one pool thread, so a submission
+//!   nobody waits on still runs. A caller blocked in
+//!   [`SubmitHandle::wait`] asks the scheduler the pool's own question
+//!   and, if the answer is its own submission, runs it on its own
+//!   thread: a query answered from the repository never changes
+//!   threads. (The woken pool thread yields once before it asks, so a
+//!   submitter one call away from `wait()` gets there first.) [`ServiceConfig::workers`] sizes the pool, not the number
+//!   of concurrent executions; admission's bounds are the load limits.
+//! * **Cross-workflow scheduling** — a queued workflow may be
+//!   dispatched ahead of earlier ones whenever its DFS footprint
 //!   ([`CompiledWorkflow::io_path_sets`]) conflicts with neither the
 //!   in-flight workflows nor any earlier-queued workflow still waiting.
 //!   Conflicting workflows keep their submission order, so results are

@@ -10,14 +10,21 @@ use restore_telemetry::{Counter, Histogram, Registry};
 /// Instruments shared by the submit path, the worker pool, and the
 /// checkpoint keeper.
 pub(crate) struct ServiceObs {
-    /// Submission → dispatch latency (time spent queued).
+    /// Submission → dispatch latency (time spent queued); one
+    /// observation per dispatch, whoever dispatched.
     pub queue_wait: Histogram,
     /// One scheduler `pick` evaluation under the state lock.
     pub conflict_probe: Histogram,
-    /// Workflow execution on a worker (the driver call).
+    /// Workflow execution (the driver call), on a pool thread or the
+    /// waiting submitter's.
     pub worker_run: Histogram,
     /// Submitter blocked in [`crate::SubmitHandle::wait`].
     pub ticket_wait: Histogram,
+    /// Dispatches by pool threads (`service_dispatch_total{by="worker"}`).
+    pub dispatch_worker: Counter,
+    /// Dispatches by a submitter blocked in [`crate::SubmitHandle::wait`]
+    /// running its own submission (`by="waiter"`).
+    pub dispatch_waiter: Counter,
     /// Worker wait rounds spent parked behind an in-flight barrier
     /// workflow (dispatch frozen until it completes).
     pub barrier_stalls: Counter,
@@ -38,6 +45,9 @@ pub(crate) struct ServiceObs {
     /// circuit breaker.
     pub circuit_shed: Counter,
 }
+
+const DISPATCH: &str = "service_dispatch_total";
+const DISPATCH_HELP: &str = "Submissions moved from the queue to execution, by who ran them";
 
 impl ServiceObs {
     pub(crate) fn new(registry: &Registry) -> Self {
@@ -66,6 +76,8 @@ impl ServiceObs {
                 &[],
                 1e-9,
             ),
+            dispatch_worker: registry.counter(DISPATCH, DISPATCH_HELP, &[("by", "worker")]),
+            dispatch_waiter: registry.counter(DISPATCH, DISPATCH_HELP, &[("by", "waiter")]),
             barrier_stalls: registry.counter(
                 "service_barrier_stalls_total",
                 "Worker wait rounds spent parked behind a barrier workflow",

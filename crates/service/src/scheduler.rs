@@ -12,8 +12,12 @@ use std::time::Instant;
 /// One queued submission.
 pub(crate) struct QueuedWorkflow {
     pub id: u64,
-    pub tenant: Option<String>,
+    /// Tenant key: the tenant's name, `""` for the default namespace.
+    pub key: String,
     pub wf: CompiledWorkflow,
+    /// Built once at submission and then only moved: into the
+    /// in-flight set at dispatch (a running entry's own copy is empty)
+    /// and back into the entry if the attempt is retried.
     pub footprint: WorkflowIoPaths,
     pub ticket: Arc<Ticket>,
     /// When the submission entered the queue (feeds the queue-wait
@@ -44,7 +48,8 @@ pub(crate) struct TenantCounters {
 #[derive(Default)]
 pub(crate) struct SchedulerState {
     pub queue: VecDeque<QueuedWorkflow>,
-    /// Footprints of workflows currently executing on a worker.
+    /// Footprints of workflows currently executing, on a pool thread or
+    /// on their waiting submitter's.
     pub inflight: Vec<(u64, WorkflowIoPaths)>,
     /// Running workflows that write a repository-registered path (see
     /// [`pick`]): while one is in flight, nothing else dispatches.
@@ -57,14 +62,12 @@ pub(crate) struct SchedulerState {
     pub failure: HashMap<String, TenantFailureState>,
     pub paused: bool,
     pub shutdown: bool,
+    /// Threads parked on the `idle` condvar (`drain`, quiescers): a
+    /// completion signals it only when this is non-zero.
+    pub idle_waiters: usize,
     pub submitted: u64,
     pub completed: u64,
     pub rejected: u64,
-}
-
-/// The map key for a tenant (`None` = default namespace).
-pub(crate) fn tenant_key(tenant: Option<&str>) -> String {
-    tenant.unwrap_or("").to_string()
 }
 
 /// Pick the queue index the next free worker should run, or `None` when
@@ -147,7 +150,7 @@ mod tests {
     fn queued(id: u64, footprint: WorkflowIoPaths) -> QueuedWorkflow {
         QueuedWorkflow {
             id,
-            tenant: None,
+            key: String::new(),
             wf: CompiledWorkflow { jobs: Vec::new(), tmp_paths: Vec::new() },
             footprint,
             ticket: Arc::default(),

@@ -3,7 +3,7 @@
 
 use crate::failure::{Admission, FaultInjector, TenantFailureState};
 use crate::obs::ServiceObs;
-use crate::scheduler::{next_ready_deadline, pick, tenant_key, QueuedWorkflow, SchedulerState};
+use crate::scheduler::{next_ready_deadline, pick, QueuedWorkflow, SchedulerState};
 use crate::ticket::{SubmitHandle, Ticket};
 use crate::ServiceError;
 use restore_core::{
@@ -12,6 +12,7 @@ use restore_core::{
 };
 use restore_dataflow::CompiledWorkflow;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -19,7 +20,13 @@ use std::time::Instant;
 /// Service tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Fixed worker-pool size (minimum 1).
+    /// Size of the worker pool (minimum 1): the threads that run
+    /// submissions nobody is waiting on, retries whose backoff expired,
+    /// and whatever a blocked submitter could not take itself. It is
+    /// not a cap on concurrent executions — a thread blocked in
+    /// [`SubmitHandle::wait`] lends itself to its own submission, so
+    /// in-flight workflows may exceed it. The load limits are
+    /// admission's: `queue_depth` and `max_inflight_per_tenant`.
     pub workers: usize,
     /// Bound of the submission queue; a full queue sheds new work with
     /// [`ServiceError::Overloaded`].
@@ -125,44 +132,73 @@ pub struct ServiceStats {
     pub tenants: Vec<TenantServiceStats>,
 }
 
-struct Shared {
+/// What dispatching and running a submission needs, shared by the pool
+/// threads and — weakly, through their [`SubmitHandle`]s — by waiting
+/// submitters.
+pub(crate) struct Shared {
+    restore: Arc<ReStore>,
+    cross_workflow: bool,
     state: Mutex<SchedulerState>,
     /// Workers wait here for runnable queue entries.
     work: Condvar,
-    /// `drain` waiters park here until queue and in-flight are empty.
+    /// `drain` and quiescers park here (counted in
+    /// [`SchedulerState::idle_waiters`]) until the pool goes idle.
     idle: Condvar,
     /// Deterministic fault injection on the execution path (see
     /// [`FaultInjector`]); `None` in production.
     fault: Mutex<Option<Arc<dyn FaultInjector>>>,
+    /// Serving-pipeline instruments, registered in the driver session's
+    /// registry (see [`crate::obs`]).
+    pub(crate) obs: ServiceObs,
+    /// Warm-standby links; empty until
+    /// [`RestoreService::attach_standby`].
+    replication: ReplicationHub,
 }
 
 /// Attached standby links (see [`RestoreService::attach_standby`]).
-/// Workers pump every link after each completed workflow, so the ship
-/// cadence tracks the mutation rate without a dedicated timer thread.
+/// Whoever completes a workflow pumps every link, so the ship cadence
+/// tracks the mutation rate without a dedicated timer thread.
 #[derive(Default)]
 struct ReplicationHub {
     replicators: Mutex<Vec<Replicator>>,
+    /// `replicators.len()`, written under its mutex, so the
+    /// per-completion probe is one load when no standby is attached.
+    links: AtomicUsize,
 }
 
 impl ReplicationHub {
-    /// Cheap empty probe so the per-completion pump costs one lock-free
-    /// branch when no standby is attached.
+    fn lock(&self) -> MutexGuard<'_, Vec<Replicator>> {
+        self.replicators.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     fn attached(&self) -> usize {
-        self.replicators.lock().unwrap_or_else(|e| e.into_inner()).len()
+        self.links.load(SeqCst)
+    }
+
+    fn attach(&self, replicator: Replicator) {
+        let mut reps = self.lock();
+        reps.push(replicator);
+        self.links.store(reps.len(), SeqCst);
     }
 
     /// One shipping beat on every attached link; links whose transport
     /// closed (the standby promoted or went away) are detached — their
     /// journal tap goes with them.
     fn pump_all(&self) {
-        let mut reps = self.replicators.lock().unwrap_or_else(|e| e.into_inner());
+        let mut reps = self.lock();
         reps.retain(|r| !matches!(r.pump(), Err(ReplicationError::Disconnected)));
+        self.links.store(reps.len(), SeqCst);
+    }
+
+    /// Records journaled but not yet shipped, maximized over the links.
+    fn lag_records(&self) -> u64 {
+        self.lock().iter().map(|r| r.lag_records()).max().unwrap_or(0)
     }
 }
 
-impl Shared {
-    fn lock(&self) -> MutexGuard<'_, SchedulerState> {
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
+impl std::fmt::Debug for Shared {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Shared").finish_non_exhaustive()
     }
 }
 
@@ -171,7 +207,9 @@ impl Shared {
 pub struct RestoreService {
     restore: Arc<ReStore>,
     config: ServiceConfig,
-    shared: Arc<Shared>,
+    /// Crate-visible so the dead-letter surface (see [`crate::dlq`])
+    /// counts redrives.
+    pub(crate) shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
     /// Serializes quiesced admin operations (`snapshot`, `restore`):
     /// two quiescers overlapping would both observe an idle pool and
@@ -181,13 +219,6 @@ pub struct RestoreService {
     /// Continuous-checkpoint state; `None` until
     /// [`RestoreService::checkpoint_begin`].
     checkpoint: Mutex<Option<CheckpointKeeper>>,
-    /// Warm-standby links; empty until
-    /// [`RestoreService::attach_standby`].
-    replication: Arc<ReplicationHub>,
-    /// Serving-pipeline instruments, registered in the driver session's
-    /// registry (see [`crate::obs`]). Crate-visible so the dead-letter
-    /// surface (see [`crate::dlq`]) counts redrives.
-    pub(crate) obs: Arc<ServiceObs>,
 }
 
 impl RestoreService {
@@ -199,13 +230,15 @@ impl RestoreService {
     /// Start the service over an existing (possibly shared) session.
     pub fn over(restore: Arc<ReStore>, config: ServiceConfig) -> Self {
         let shared = Arc::new(Shared {
+            restore: restore.clone(),
+            cross_workflow: config.cross_workflow,
             state: Mutex::new(SchedulerState::default()),
             work: Condvar::new(),
             idle: Condvar::new(),
             fault: Mutex::new(None),
+            obs: ServiceObs::new(restore.registry()),
+            replication: ReplicationHub::default(),
         });
-        let obs = Arc::new(ServiceObs::new(restore.registry()));
-        let replication = Arc::new(ReplicationHub::default());
         // Seed breakers the driver knows to be open (a promoted warm
         // standby replayed its primary's `breaker-state` records): each
         // inherited breaker sheds for one full cooldown from now, so
@@ -223,12 +256,8 @@ impl RestoreService {
         }
         let workers = (0..config.workers.max(1))
             .map(|_| {
-                let restore = restore.clone();
                 let shared = shared.clone();
-                let cross = config.cross_workflow;
-                let obs = obs.clone();
-                let replication = replication.clone();
-                std::thread::spawn(move || worker_loop(restore, shared, cross, obs, replication))
+                std::thread::spawn(move || shared.worker_loop())
             })
             .collect();
         RestoreService {
@@ -238,8 +267,6 @@ impl RestoreService {
             workers,
             quiesce: Mutex::new(()),
             checkpoint: Mutex::new(None),
-            replication,
-            obs,
         }
     }
 
@@ -280,8 +307,10 @@ impl RestoreService {
         // namespace; normalize so admission accounting and the driver
         // agree on which namespace serves the workflow.
         let tenant = tenant.filter(|t| !t.is_empty());
+        // Both built once, here: the queue entry carries them and
+        // dispatch, completion and retries move them along.
         let footprint = wf.io_path_sets();
-        let key = tenant_key(tenant);
+        let key = tenant.unwrap_or("").to_string();
         // Effective failure policy read before the scheduler lock (the
         // driver read takes its own locks).
         let policy = self.restore.config_as(tenant).failure;
@@ -291,7 +320,7 @@ impl RestoreService {
         }
         if st.queue.len() >= self.config.queue_depth {
             st.rejected += 1;
-            st.per_tenant.entry(key).or_default().rejected += 1;
+            st.per_tenant.entry(key.clone()).or_default().rejected += 1;
             return Err(ServiceError::Overloaded { queue_depth: self.config.queue_depth });
         }
         let load = st.tenant_load.get(&key).copied().unwrap_or(0);
@@ -314,7 +343,7 @@ impl RestoreService {
                 Admission::Shed => {
                     st.rejected += 1;
                     st.per_tenant.entry(key.clone()).or_default().rejected += 1;
-                    self.obs.circuit_shed.inc();
+                    self.shared.obs.circuit_shed.inc();
                     return Err(ServiceError::CircuitOpen { tenant: key });
                 }
             }
@@ -323,13 +352,20 @@ impl RestoreService {
         };
         st.submitted += 1;
         let id = st.submitted;
-        let counters = st.per_tenant.entry(key.clone()).or_default();
-        counters.submitted += 1;
-        *st.tenant_load.entry(key).or_default() += 1;
-        let ticket = Arc::new(Ticket::with_wait_hist(self.obs.ticket_wait.clone()));
+        // A tenant's rows are created by its first submission; after
+        // that the key is only borrowed.
+        match st.per_tenant.get_mut(&key) {
+            Some(counters) => counters.submitted += 1,
+            None => st.per_tenant.entry(key.clone()).or_default().submitted += 1,
+        }
+        match st.tenant_load.get_mut(&key) {
+            Some(load) => *load += 1,
+            None => *st.tenant_load.entry(key.clone()).or_default() += 1,
+        }
+        let ticket = Arc::new(Ticket::with_wait_hist(self.shared.obs.ticket_wait.clone()));
         st.queue.push_back(QueuedWorkflow {
             id,
-            tenant: tenant.map(str::to_string),
+            key,
             wf,
             footprint,
             ticket: ticket.clone(),
@@ -339,11 +375,20 @@ impl RestoreService {
             probe,
         });
         drop(st);
+        // One pool thread is told even though the submitter may run the
+        // entry itself from `wait`: a submission nobody waits on must
+        // still start.
         self.shared.work.notify_one();
-        Ok(SubmitHandle { id, tenant: tenant.map(str::to_string), ticket })
+        Ok(SubmitHandle {
+            id,
+            tenant: tenant.map(str::to_string),
+            ticket,
+            pool: Arc::downgrade(&self.shared),
+        })
     }
 
-    /// Stop dispatching queued workflows (already-running ones finish).
+    /// Stop dispatching queued workflows — by the pool and by waiting
+    /// submitters alike (already-running ones finish).
     /// Useful as a maintenance window — e.g. around
     /// [`ReStore::save_state`] — and for deterministic admission tests.
     pub fn pause(&self) {
@@ -359,10 +404,8 @@ impl RestoreService {
     /// Block until the queue is empty and no workflow is running. Call
     /// only while dispatch is active (not paused), or it never returns.
     pub fn drain(&self) {
-        let mut st = self.shared.lock();
-        while !(st.queue.is_empty() && st.inflight.is_empty()) {
-            st = self.shared.idle.wait(st).unwrap_or_else(|e| e.into_inner());
-        }
+        let st = self.shared.lock();
+        drop(self.shared.wait_idle(st, |st| st.queue.is_empty() && st.inflight.is_empty()));
     }
 
     /// Run `f` against a quiesced driver: dispatch is paused and no
@@ -380,9 +423,7 @@ impl RestoreService {
             let mut st = self.shared.lock();
             was_paused = st.paused;
             st.paused = true;
-            while !st.inflight.is_empty() {
-                st = self.shared.idle.wait(st).unwrap_or_else(|e| e.into_inner());
-            }
+            drop(self.shared.wait_idle(st, |st| st.inflight.is_empty()));
         }
         let out = f(&self.restore);
         if !was_paused {
@@ -433,8 +474,8 @@ impl RestoreService {
 
     /// Attach a warm standby behind `transport`: the driver's journal
     /// is enabled if it was off, an anchoring base ships immediately,
-    /// and from here every sealed journal segment is forwarded — the
-    /// worker pool pumps a shipping beat after each completed workflow.
+    /// and from here every sealed journal segment is forwarded — whoever
+    /// completes a workflow pumps a shipping beat.
     /// The receiving side is a [`crate::Standby`] (same process) or any
     /// [`restore_core::ReplicaSession`] tailing the transport's far
     /// end. Detach by closing the transport.
@@ -444,7 +485,7 @@ impl RestoreService {
     ) -> Result<(), ServiceError> {
         let replicator = Replicator::attach(self.restore.clone(), transport)
             .map_err(ServiceError::Replication)?;
-        self.replication.replicators.lock().unwrap_or_else(|e| e.into_inner()).push(replicator);
+        self.shared.replication.attach(replicator);
         Ok(())
     }
 
@@ -452,19 +493,18 @@ impl RestoreService {
     /// without waiting for the next workflow completion (flush cadence
     /// control, deterministic tests).
     pub fn ship_now(&self) {
-        self.replication.pump_all();
+        self.shared.replication.pump_all();
     }
 
     /// Standby links currently attached.
     pub fn standby_count(&self) -> usize {
-        self.replication.attached()
+        self.shared.replication.attached()
     }
 
     /// Records journaled but not yet shipped, maximized over attached
     /// links (0 with no standby attached).
     pub fn replication_lag_records(&self) -> u64 {
-        let reps = self.replication.replicators.lock().unwrap_or_else(|e| e.into_inner());
-        reps.iter().map(|r| r.lag_records()).max().unwrap_or(0)
+        self.shared.replication.lag_records()
     }
 
     /// Switch the service into **continuous-checkpoint mode**: enable
@@ -515,7 +555,7 @@ impl RestoreService {
         let segments_added = added.len();
         keeper.journal_bytes += added.iter().map(String::len).sum::<usize>();
         keeper.segments.extend(added);
-        self.obs.checkpoint_capture.record_elapsed(capture_t0);
+        self.shared.obs.checkpoint_capture.record_elapsed(capture_t0);
         let mut compacted = false;
         if keeper.journal_bytes as f64 > keeper.config.compact_ratio * keeper.base.len() as f64 {
             // Fold: a fresh base covers (by sequence number) every
@@ -528,8 +568,8 @@ impl RestoreService {
             keeper.segments.clear();
             keeper.journal_bytes = 0;
             keeper.compactions += 1;
-            self.obs.checkpoint_compact.record_elapsed(compact_t0);
-            self.obs.compactions.inc();
+            self.shared.obs.checkpoint_compact.record_elapsed(compact_t0);
+            self.shared.obs.compactions.inc();
             compacted = true;
         }
         Ok(CheckpointOutcome {
@@ -702,7 +742,7 @@ impl RestoreService {
             g("service_workers", "Worker-pool size", &[], self.workers.len() as f64);
             g(
                 "service_worker_utilization",
-                "Fraction of workers currently executing a workflow",
+                "Workflows in flight / worker-pool size; above 1 while waiting submitters run their own",
                 &[],
                 st.inflight.len() as f64 / self.workers.len().max(1) as f64,
             );
@@ -795,19 +835,19 @@ impl RestoreService {
         // `restore_replica_resyncs_total`) stream in through the
         // registry as shipping runs.
         {
-            let reps = self.replication.replicators.lock().unwrap_or_else(|e| e.into_inner());
-            if !reps.is_empty() {
+            let links = self.shared.replication.attached();
+            if links > 0 {
                 g(
                     "restore_replication_standbys",
                     "Standby links currently attached",
                     &[],
-                    reps.len() as f64,
+                    links as f64,
                 );
                 g(
                     "restore_replication_lag_records",
                     "Records journaled but not yet shipped (max over links)",
                     &[],
-                    reps.iter().map(|r| r.lag_records()).max().unwrap_or(0) as f64,
+                    self.shared.replication.lag_records() as f64,
                 );
             }
         }
@@ -851,8 +891,8 @@ impl RestoreService {
         registry.render()
     }
 
-    /// Stop accepting new work, finish everything queued, and join the
-    /// worker pool.
+    /// Stop accepting new work, finish everything queued or in flight —
+    /// whoever runs it — and join the worker pool.
     pub fn shutdown(mut self) {
         self.shutdown_inner();
     }
@@ -879,75 +919,155 @@ impl Drop for RestoreService {
     }
 }
 
-fn worker_loop(
-    restore: Arc<ReStore>,
-    shared: Arc<Shared>,
-    cross_workflow: bool,
-    obs: Arc<ServiceObs>,
-    replication: Arc<ReplicationHub>,
-) {
-    // A workflow that writes a repository-registered path is a
-    // scheduling barrier: reuse rewriting could make any other workflow
-    // Load that path at run time, invisibly to submit-time footprints.
-    let is_barrier = |q: &QueuedWorkflow| q.footprint.writes.iter().any(|w| restore.serves_path(w));
-    loop {
-        let (entry, barrier) = {
-            let mut st = shared.lock();
-            loop {
-                if st.shutdown && st.queue.is_empty() {
-                    return;
+impl Shared {
+    fn lock(&self) -> MutexGuard<'_, SchedulerState> {
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Park on `idle` until `done(state)`. The parked count is what
+    /// lets a completion skip the signal when nobody is here.
+    fn wait_idle<'a>(
+        &self,
+        mut st: MutexGuard<'a, SchedulerState>,
+        done: impl Fn(&SchedulerState) -> bool,
+    ) -> MutexGuard<'a, SchedulerState> {
+        st.idle_waiters += 1;
+        while !done(&st) {
+            st = self.idle.wait(st).unwrap_or_else(|e| e.into_inner());
+        }
+        st.idle_waiters -= 1;
+        st
+    }
+
+    /// The one dispatch site. Asks [`pick`] what should run next and
+    /// moves it queue → in-flight; the entry's footprint rides in the
+    /// in-flight row until [`Shared::run`] takes it back. A pool thread
+    /// (`own: None`) takes whatever was picked. A waiting submitter
+    /// takes the pick only if it is its own submission `own`: whether
+    /// *anything* may start is still `pick`'s decision alone, so
+    /// conflict groups keep submission order and a barrier freezes
+    /// waiters exactly as it freezes workers.
+    fn dispatch(
+        &self,
+        st: &mut SchedulerState,
+        own: Option<u64>,
+    ) -> Option<(QueuedWorkflow, bool)> {
+        // A workflow that writes a repository-registered path is a
+        // scheduling barrier: reuse rewriting could make any other
+        // workflow Load that path at run time, invisibly to submit-time
+        // footprints.
+        let is_barrier =
+            |q: &QueuedWorkflow| q.footprint.writes.iter().any(|w| self.restore.serves_path(w));
+        let probe_t0 = Instant::now();
+        let picked = pick(st, self.cross_workflow, Instant::now(), is_barrier);
+        self.obs.conflict_probe.record_elapsed(probe_t0);
+        let (i, barrier) = picked.filter(|&(i, _)| own.is_none_or(|id| st.queue[i].id == id))?;
+        let mut entry = st.queue.remove(i).expect("picked index exists");
+        st.inflight.push((entry.id, std::mem::take(&mut entry.footprint)));
+        st.inflight_barriers += usize::from(barrier);
+        let by = if own.is_some() { &self.obs.dispatch_waiter } else { &self.obs.dispatch_worker };
+        by.inc();
+        Some((entry, barrier))
+    }
+
+    /// A pool thread: dispatch and run until shutdown has drained the
+    /// service.
+    fn worker_loop(&self) {
+        loop {
+            let (entry, barrier) = {
+                let mut st = self.lock();
+                loop {
+                    // In-flight counts too: an entry a submitter is
+                    // running may yet fail into a retry, and the pool
+                    // is who runs retries.
+                    if st.shutdown && st.queue.is_empty() && st.inflight.is_empty() {
+                        return;
+                    }
+                    if !st.paused {
+                        if let Some(dispatched) = self.dispatch(&mut st, None) {
+                            break dispatched;
+                        }
+                        // Dispatch is frozen behind an in-flight barrier
+                        // workflow with work waiting — the stall the
+                        // exposition's barrier counter measures.
+                        if st.inflight_barriers > 0 && !st.queue.is_empty() {
+                            self.obs.barrier_stalls.inc();
+                        }
+                    }
+                    // A retry backing off wakes the pool by deadline; with
+                    // none pending, sleep until a submission or completion
+                    // notifies.
+                    st = match next_ready_deadline(&st, Instant::now()) {
+                        Some(deadline) => {
+                            let wait = deadline.saturating_duration_since(Instant::now());
+                            self.work.wait_timeout(st, wait).unwrap_or_else(|e| e.into_inner()).0
+                        }
+                        None => {
+                            drop(self.work.wait(st).unwrap_or_else(|e| e.into_inner()));
+                            // Woken — most often by a `submit` whose
+                            // caller is one call away from `wait()` and
+                            // will run the entry itself. Let whoever is
+                            // runnable go first, once: on a busy core
+                            // that is the submitter this wake-up just
+                            // preempted; on an idle core the yield
+                            // returns at once and an unwaited
+                            // submission starts no later than before.
+                            std::thread::yield_now();
+                            self.lock()
+                        }
+                    };
                 }
-                if !st.paused {
-                    let probe_t0 = Instant::now();
-                    let picked = pick(&st, cross_workflow, Instant::now(), is_barrier);
-                    obs.conflict_probe.record_elapsed(probe_t0);
-                    if let Some((i, barrier)) = picked {
-                        let entry = st.queue.remove(i).expect("picked index exists");
-                        st.inflight.push((entry.id, entry.footprint.clone()));
-                        st.inflight_barriers += usize::from(barrier);
-                        break (entry, barrier);
-                    }
-                    // Dispatch is frozen behind an in-flight barrier
-                    // workflow with work waiting — the stall the
-                    // exposition's barrier counter measures.
-                    if st.inflight_barriers > 0 && !st.queue.is_empty() {
-                        obs.barrier_stalls.inc();
-                    }
-                }
-                // A retry backing off wakes the pool by deadline; with
-                // none pending, sleep until a submission or completion
-                // notifies.
-                st = match next_ready_deadline(&st, Instant::now()) {
-                    Some(deadline) => {
-                        let wait = deadline.saturating_duration_since(Instant::now());
-                        shared.work.wait_timeout(st, wait).unwrap_or_else(|e| e.into_inner()).0
-                    }
-                    None => shared.work.wait(st).unwrap_or_else(|e| e.into_inner()),
-                };
+            };
+            self.run(entry, barrier);
+        }
+    }
+
+    /// [`SubmitHandle::wait`] on an unfinished ticket: run submission
+    /// `id` on the calling thread if it is what the scheduler would
+    /// start next. Otherwise — paused, already taken, or `pick` chose
+    /// something else or nothing — return, and the caller parks on its
+    /// ticket for a pool thread to get there.
+    pub(crate) fn run_own(&self, id: u64) {
+        let dispatched = {
+            let mut st = self.lock();
+            if st.paused {
+                return;
             }
+            self.dispatch(&mut st, Some(id))
         };
-        let QueuedWorkflow { id, tenant, wf, footprint, ticket, enqueued, attempt, probe, .. } =
-            entry;
-        obs.queue_wait.record_elapsed(enqueued);
+        if let Some((entry, barrier)) = dispatched {
+            self.run(entry, barrier);
+        }
+    }
+
+    /// Execute a dispatched entry and do everything its outcome
+    /// requires: retry or dead-letter, breaker and tenant accounting,
+    /// waking whoever the completion unblocks, replication, the ticket.
+    /// Runs on whichever thread dispatched it.
+    fn run(&self, entry: QueuedWorkflow, barrier: bool) {
+        let restore = &self.restore;
+        let QueuedWorkflow { id, key, wf, ticket, enqueued, attempt, probe, .. } = entry;
+        self.obs.queue_wait.record_elapsed(enqueued);
+        let tenant = (!key.is_empty()).then_some(key.as_str());
         // The failure policy current at dispatch governs this attempt
         // (a mid-flight policy change applies from the next attempt on).
-        let policy = restore.config_as(tenant.as_deref()).failure;
+        let policy = restore.config_as(tenant).failure;
         // Retry and dead-letter dispositions need the workflow back
         // after execution consumes it; everyone else skips the clone.
         let keep_wf =
             (policy.retries() || policy.on_failure == FailureDisposition::Dlq).then(|| wf.clone());
         let injected = {
-            let inj = shared.fault.lock().unwrap_or_else(|e| e.into_inner()).clone();
-            inj.and_then(|i| i.inject(tenant.as_deref(), id, attempt))
+            let inj = self.fault.lock().unwrap_or_else(|e| e.into_inner()).clone();
+            inj.and_then(|i| i.inject(tenant, id, attempt))
         };
-        // Contain panics: a poisoned workflow must not kill the worker or
-        // leave its footprint stuck in the in-flight set (which would
-        // block every conflicting submission forever).
+        // Contain panics: a poisoned workflow must not kill the thread
+        // running it or leave its footprint stuck in the in-flight set
+        // (which would block every conflicting submission forever).
         let run_t0 = Instant::now();
         let result = match injected {
             Some(reason) => Err(restore_common::Error::Job(reason)),
             None => std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                restore.execute_workflow_as(tenant.as_deref(), wf)
+                restore.execute_workflow_as(tenant, wf)
             }))
             .unwrap_or_else(|payload| {
                 // Preserve the panic payload: "panicked: index out of
@@ -962,7 +1082,7 @@ fn worker_loop(
                 Err(restore_common::Error::Job(msg))
             }),
         };
-        obs.worker_run.record_elapsed(run_t0);
+        self.obs.worker_run.record_elapsed(run_t0);
         let now = Instant::now();
         let will_retry = result.is_err() && policy.retries() && attempt < policy.max_retries;
         // Retries exhausted under the Dlq disposition: park the
@@ -971,14 +1091,18 @@ fn worker_loop(
         if result.is_err() && !will_retry && policy.on_failure == FailureDisposition::Dlq {
             let why = result.as_ref().err().map(ToString::to_string).unwrap_or_default();
             let parked = keep_wf.clone().expect("dlq disposition keeps the workflow");
-            restore.dlq_put_as(tenant.as_deref(), parked, &why, attempt + 1);
-            obs.dlq_puts.inc();
+            restore.dlq_put_as(tenant, parked, &why, attempt + 1);
+            self.obs.dlq_puts.inc();
         }
-        {
-            let mut st = shared.lock();
-            st.inflight.retain(|(fid, _)| *fid != id);
+        let (wake_pool, wake_idle) = {
+            let mut st = self.lock();
+            let at = st
+                .inflight
+                .iter()
+                .position(|(fid, _)| *fid == id)
+                .expect("a running entry is in the in-flight set");
+            let (_, footprint) = st.inflight.remove(at);
             st.inflight_barriers -= usize::from(barrier);
-            let key = tenant_key(tenant.as_deref());
             // Feed the breaker: probes always report (they decide the
             // half-open verdict); ordinary outcomes feed the window
             // except failures under Drop — a tenant declaring its
@@ -995,20 +1119,20 @@ fn worker_loop(
                 // never crosses that boundary, so this is the only
                 // transition site that needs to note.)
                 if is_open != was_open {
-                    restore.note_breaker_state(tenant.as_deref(), is_open);
+                    restore.note_breaker_state(tenant, is_open);
                 }
             }
             if will_retry {
-                // Re-enqueue instead of sleeping on the worker: the
-                // slot frees immediately and the backoff delay runs on
-                // the queue. Same id (the ticket stays attached), probe
+                // Re-enqueue instead of sleeping on the thread: it
+                // frees immediately and the backoff delay runs on the
+                // queue. Same id (the ticket stays attached), probe
                 // cleared (the breaker already judged the probe by its
                 // first outcome above).
                 let next_attempt = attempt + 1;
                 st.queue.push_back(QueuedWorkflow {
                     id,
-                    tenant: tenant.clone(),
-                    wf: keep_wf.clone().expect("retry disposition keeps the workflow"),
+                    key,
+                    wf: keep_wf.expect("retry disposition keeps the workflow"),
                     footprint,
                     ticket: ticket.clone(),
                     enqueued: Instant::now(),
@@ -1016,7 +1140,7 @@ fn worker_loop(
                     not_before: Some(now + policy.backoff_for(next_attempt, id)),
                     probe: false,
                 });
-                obs.retries.inc();
+                self.obs.retries.inc();
                 // tenant_load is untouched: the submission is still
                 // queued, so the tenant's in-flight cap keeps counting
                 // it.
@@ -1025,18 +1149,31 @@ fn worker_loop(
                     *load = load.saturating_sub(1);
                 }
                 st.completed += 1;
-                st.per_tenant.entry(key).or_default().completed += 1;
+                if let Some(counters) = st.per_tenant.get_mut(&key) {
+                    counters.completed += 1;
+                }
             }
+            // A wake-up goes only to someone who can act on it. The
+            // pool can act on a non-empty queue — this completion may
+            // have unblocked a conflicting entry for every parked
+            // worker, and a retry just queued needs one of them to arm
+            // its deadline — and on shutdown: the exit test includes
+            // the in-flight set, so when a submitter ran the last entry
+            // no later event would release the workers `shutdown` is
+            // joining.
+            (!st.queue.is_empty() || st.shutdown, st.idle_waiters > 0)
+        };
+        if wake_pool {
+            self.work.notify_all();
         }
-        // A completion can unblock a conflicting queue entry for every
-        // waiting worker, and `drain` may be watching.
-        shared.work.notify_all();
-        shared.idle.notify_all();
+        if wake_idle {
+            self.idle.notify_all();
+        }
         // Ship the workflow's journal records to attached standbys
         // before completing the ticket, so a caller that observed the
         // completion knows the records are at least in flight.
-        if replication.attached() > 0 {
-            replication.pump_all();
+        if self.replication.attached() > 0 {
+            self.replication.pump_all();
         }
         if !will_retry {
             ticket.complete(result.map_err(ServiceError::Query));

@@ -7,7 +7,12 @@ use restore_core::{ReStore, ReStoreConfig};
 use restore_dfs::{Dfs, DfsConfig};
 use restore_mapreduce::{ClusterConfig, Engine, EngineConfig};
 use restore_pigmix::{datagen, queries, DataScale};
-use restore_service::{CheckpointConfig, RestoreService, ServiceConfig, ServiceError};
+use restore_service::{
+    CheckpointConfig, FaultInjector, RestoreService, ServiceConfig, ServiceError,
+};
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 const SEED: u64 = 0xC0FFEE;
 
@@ -43,53 +48,64 @@ fn checkpoint_before_begin_is_rejected() {
     assert!(svc.checkpoint_set().is_none());
 }
 
-/// The acceptance property: a capture taken while a slow workflow is
-/// in flight returns with that workflow **still in flight** — the
+/// A fault injector that holds the first attempt it sees inside the
+/// injector — in flight, on whichever thread dispatched it — until the
+/// test lets go. Every later attempt passes straight through.
+struct HoldFirst {
+    entered: Mutex<Sender<u64>>,
+    release: Mutex<Option<Receiver<()>>>,
+}
+
+impl FaultInjector for HoldFirst {
+    fn inject(&self, _tenant: Option<&str>, id: u64, _attempt: u32) -> Option<String> {
+        let held = self.release.lock().unwrap().take();
+        if let Some(release) = held {
+            let _ = self.entered.lock().unwrap().send(id);
+            // A test that failed has dropped the sender: carry on, so
+            // the service under it can wind down.
+            let _ = release.recv();
+        }
+        None
+    }
+}
+
+/// The acceptance property: a capture taken while a workflow is in
+/// flight returns with that workflow **still in flight** — the
 /// incremental path never drain-quiesces the pool the way the full
-/// `snapshot()` does.
+/// `snapshot()` does. The workflow is held in flight by the fault
+/// injector, so the property is checked whatever the thread timing: a
+/// sub-millisecond run cannot be caught in flight by polling
+/// `stats()` on a host that gives the test one core.
 #[test]
 fn checkpoint_incremental_completes_with_zero_drain() {
     let svc = service_over(shared_dfs(), 2);
     svc.checkpoint_begin(CheckpointConfig::default());
+    let (entered_tx, entered) = channel();
+    let (release, release_rx) = channel();
+    svc.set_fault_injector(Some(Arc::new(HoldFirst {
+        entered: Mutex::new(entered_tx),
+        release: Mutex::new(Some(release_rx)),
+    })));
 
-    let mut verified = false;
-    'rounds: for round in 0..50 {
-        // Eight multi-job L3 workflows through two workers: the pool
-        // stays busy for the whole round.
-        let mut handles = Vec::new();
-        for i in 0..8 {
-            let out = format!("/out/zd/r{round}q{i}");
-            let wf = format!("/wf/zd/r{round}q{i}");
-            handles.push(svc.submit(Some("ana"), &queries::l3(&out), &wf).expect("admitted"));
-        }
-        // Wait for work to actually be running (not merely queued).
-        for _ in 0..100_000 {
-            if svc.stats().running > 0 {
-                break;
-            }
-            std::hint::spin_loop();
-        }
-        if svc.stats().running > 0 {
-            let outcome = svc.checkpoint_incremental().expect("capture under load");
-            let still_running = svc.stats().running;
-            for h in handles {
-                h.wait().expect("workflow completes");
-            }
-            if still_running > 0 {
-                assert!(outcome.base_bytes > 0);
-                verified = true;
-                break 'rounds;
-            }
-            continue;
-        }
-        for h in handles {
-            h.wait().expect("workflow completes");
-        }
+    // Eight multi-job L3 workflows through two workers: whichever
+    // starts first stays in flight, the rest run and journal around it.
+    let handles: Vec<_> = (0..8)
+        .map(|i| {
+            let query = queries::l3(&format!("/out/zd/q{i}"));
+            svc.submit(Some("ana"), &query, &format!("/wf/zd/q{i}")).expect("admitted")
+        })
+        .collect();
+    entered.recv_timeout(Duration::from_secs(20)).expect("the pool starts one");
+    assert!(svc.stats().running > 0);
+
+    let outcome = svc.checkpoint_incremental().expect("capture under load");
+    assert!(svc.stats().running > 0, "the capture returned with a workflow still in flight");
+    assert!(outcome.base_bytes > 0);
+
+    release.send(()).unwrap();
+    for h in handles {
+        h.wait().expect("workflow completes");
     }
-    assert!(
-        verified,
-        "never once observed a capture returning while a workflow was still in flight"
-    );
 }
 
 /// Checkpoint sets taken across a workload recover to the exact

@@ -79,6 +79,17 @@ impl Bencher {
             self.times.push(start.elapsed());
         }
     }
+
+    /// For a routine that times itself: `f(iters)` runs the measured
+    /// code `iters` times and returns the time that counts, so whatever
+    /// else it does around the measured code stays out of the result.
+    pub fn iter_custom<F: FnMut(u64) -> Duration>(&mut self, mut f: F) {
+        f(1); // warm-up, untimed
+        self.times.clear();
+        for _ in 0..self.samples {
+            self.times.push(f(1));
+        }
+    }
 }
 
 /// The harness entry point.
