@@ -70,7 +70,11 @@ fn bench_read_split(c: &mut Criterion) {
         group.bench_function(arm, |b| {
             b.iter(|| {
                 for split in &splits {
-                    black_box(read_split(dfs, split, pv_bytes, columns.as_ref()).unwrap());
+                    let row = |t| {
+                        black_box(t);
+                        Ok(())
+                    };
+                    black_box(read_split(dfs, split, pv_bytes, columns.as_ref(), row).unwrap());
                 }
             });
         });

@@ -1,16 +1,19 @@
 //! MapReduce engine throughput: records/second through a full
 //! map-shuffle-reduce cycle at varying input sizes and thread counts,
 //! over narrow rows and over PigMix-shaped wide rows of which the plan
-//! reads two or three columns. Asserts that shuffle + reduce time does not
-//! grow from one worker thread to two.
+//! reads two or three columns, with the map phase of the PigMix shapes
+//! broken into its stages. Asserts that shuffle + reduce time does not grow
+//! from one worker thread to two.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use restore_bench::env::{pigmix_env, PigMixEnv};
-use restore_common::{codec, tuple, Tuple};
+use restore_common::codec::{self, ColumnSet};
+use restore_common::{tuple, Tuple};
 use restore_dataflow::exec::job_spec_for_plan;
 use restore_dataflow::expr::{AggFunc, Expr};
 use restore_dataflow::physical::{AggItem, PhysicalOp, PhysicalPlan};
 use restore_dfs::{Dfs, DfsConfig};
+use restore_mapreduce::split_reader::read_split;
 use restore_mapreduce::{ClusterConfig, Engine, EngineConfig};
 use restore_pigmix::datagen::PAGE_VIEWS;
 use restore_pigmix::DataScale;
@@ -148,6 +151,50 @@ fn bench_pigmix_shape(c: &mut Criterion) {
     group.finish();
 }
 
+/// Where a map-bound job's time goes, at one worker thread over the whole
+/// of `page_views`: the split read alone (decoding the two columns
+/// `scan_only` and `project_group_sum` read), every map task of each of
+/// those two jobs (read, map, emit, encode — no commit, no reduce), and
+/// the jobs themselves.
+fn bench_map_stages(c: &mut Criterion) {
+    let env = pigmix_env(DataScale::gb15());
+    let (dfs, pv_bytes) = (env.engine.dfs(), env.data.page_views_bytes);
+    let splits = dfs.splits(PAGE_VIEWS).unwrap();
+
+    let mut group = c.benchmark_group("engine_map_stages");
+    group.sample_size(10);
+    group.throughput(Throughput::Bytes(pv_bytes));
+    let columns = ColumnSet::new([0, 3]);
+    group.bench_function("read_split_0_3", |b| {
+        b.iter(|| {
+            for split in &splits {
+                let row = |t| {
+                    black_box(t);
+                    Ok(())
+                };
+                black_box(read_split(dfs, split, pv_bytes, Some(&columns), row).unwrap());
+            }
+        });
+    });
+    for (arm, shape) in &PIGMIX_ARMS[..2] {
+        let (engine, spec, _) = setup_pigmix(&env, 1, *shape);
+        let reduce_tasks = if spec.is_map_only() { 0 } else { 28 };
+        group.bench_function(format!("map_tasks/{arm}"), |b| {
+            b.iter(|| {
+                for split in &splits {
+                    black_box(
+                        engine.run_map_task(&spec, 0, split, pv_bytes, reduce_tasks).unwrap(),
+                    );
+                }
+            });
+        });
+        group.bench_function(format!("job/{arm}"), |b| {
+            b.iter(|| black_box(engine.run(black_box(&spec)).unwrap()));
+        });
+    }
+    group.finish();
+}
+
 /// `scan_only` stops at the Project, so a group arm minus `scan_only` at
 /// the same thread count is that arm's shuffle + reduce time. It must not
 /// grow when the second core joins: it did (10.0 ms at two threads against
@@ -200,6 +247,7 @@ criterion_group!(
     bench_job_throughput,
     bench_thread_scaling,
     bench_pigmix_shape,
+    bench_map_stages,
     check_shuffle_scaling
 );
 criterion_main!(benches);

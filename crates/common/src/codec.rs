@@ -93,7 +93,8 @@ pub fn encode_all(tuples: &[Tuple]) -> Vec<u8> {
 
 /// Field positions a reader wants materialized: ascending and distinct,
 /// which is what lets the decoder test membership with one cursor as it
-/// walks a line left to right.
+/// walks a line left to right, and what fixes the layout of the rows it
+/// hands back — value `i` of a row is position `as_slice()[i]` of its line.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ColumnSet(Vec<usize>);
 
@@ -108,135 +109,298 @@ impl ColumnSet {
     pub fn as_slice(&self) -> &[usize] {
         &self.0
     }
+
+    /// Where position `col` of a line sits in a row decoded with this set.
+    pub fn index_of(&self, col: usize) -> Option<usize> {
+        self.0.binary_search(&col).ok()
+    }
 }
 
 /// Decode one line (without its trailing newline) into a tuple.
 pub fn decode_line(line: &[u8]) -> Result<Tuple> {
-    decode_fields(line, None, 0)
-}
-
-/// Decode one line, materializing only the positions in `cols` (`None` =
-/// every position). Unread positions come back as [`Value::Null`] with the
-/// arity intact, and are still validated: the line is accepted or rejected
-/// exactly as [`decode_line`] would.
-pub fn decode_columns(line: &[u8], cols: Option<&ColumnSet>) -> Result<Tuple> {
-    decode_fields(line, cols, 0)
-}
-
-/// The one line parser. `arity_hint` sizes the tuple up front; a wrong
-/// hint costs a reallocation, never a wrong answer.
-fn decode_fields(line: &[u8], cols: Option<&ColumnSet>, arity_hint: usize) -> Result<Tuple> {
-    let mut p = Parser { bytes: line, pos: 0 };
-    let mut unread = cols.map(ColumnSet::as_slice);
-    let mut want = |idx: usize| match &mut unread {
-        None => true,
-        Some(cols) if cols.first() == Some(&idx) => {
-            *cols = &cols[1..];
-            true
-        }
-        Some(_) => false,
-    };
-    let mut vals = Vec::with_capacity(arity_hint);
-    loop {
-        let want_field = want(vals.len());
-        vals.push(p.parse_field(false, want_field)?);
-        if p.pos >= p.bytes.len() {
-            break;
-        }
-        // Skip the separator.
-        p.pos += 1;
-        if p.pos == p.bytes.len() {
-            // Trailing separator: final empty field.
-            vals.push(if want(vals.len()) { Value::Str(String::new()) } else { Value::Null });
-            break;
-        }
+    if line.contains(&NL) {
+        return Err(Error::Codec("raw newline inside a record".into()));
     }
-    Ok(Tuple::from_values(vals))
+    Parser::new(line).row(None, 0)
 }
 
-/// Index of the first byte of `hay` equal to one of `needles`, testing a
-/// machine word at a time.
-fn find_byte<const N: usize>(hay: &[u8], needles: [u8; N]) -> Option<usize> {
-    const LO: u64 = 0x0101_0101_0101_0101;
-    const HI: u64 = 0x8080_8080_8080_8080;
-    let mut words = hay.chunks_exact(8);
-    let mut base = 0;
-    for word in &mut words {
-        let w = u64::from_le_bytes(word.try_into().expect("chunks_exact(8)"));
-        let mut hits = 0u64;
-        for n in needles {
-            // Zero-byte test on `w ^ nnnnnnnn`. A borrow can flag a byte
-            // above a real match but never below one, so the lowest flag
-            // (= first byte in memory, little-endian) is exact.
-            let x = w ^ (LO * n as u64);
-            hits |= x.wrapping_sub(LO) & !x & HI;
-        }
-        if hits != 0 {
-            return Some(base + (hits.trailing_zeros() / 8) as usize);
-        }
-        base += 8;
+/// Decode an entire byte buffer of newline-separated records.
+pub fn decode_all(bytes: &[u8]) -> Result<Vec<Tuple>> {
+    Rows::new(bytes, None).collect()
+}
+
+/// The records of a byte buffer, decoded one at a time in a single pass
+/// over it. Raw newline bytes are always record boundaries because
+/// newlines inside strings are escaped; a last record need not end in one.
+///
+/// With a [`ColumnSet`], a row holds *exactly* the set's positions, in
+/// ascending order — a position past the end of a short line reads
+/// [`Value::Null`], as [`Tuple::get`] would — and nothing is built for the
+/// others. Every field is still checked: a buffer is accepted or rejected
+/// exactly as without the set. The first error ends the iteration.
+pub struct Rows<'a> {
+    parser: Parser<'a>,
+    cols: Option<&'a ColumnSet>,
+    /// Arity of the previous row: records of one file nearly always share
+    /// one. A wrong hint costs a reallocation, never a wrong answer.
+    arity_hint: usize,
+}
+
+impl<'a> Rows<'a> {
+    pub fn new(bytes: &'a [u8], cols: Option<&'a ColumnSet>) -> Self {
+        Rows { parser: Parser::new(bytes), cols, arity_hint: 0 }
     }
-    words.remainder().iter().position(|b| needles.contains(b)).map(|i| base + i)
 }
 
+impl Iterator for Rows<'_> {
+    type Item = Result<Tuple>;
+
+    fn next(&mut self) -> Option<Result<Tuple>> {
+        if self.parser.pos >= self.parser.bytes.len() {
+            return None;
+        }
+        let row = self.parser.row(self.cols, self.arity_hint);
+        match &row {
+            Ok(t) => self.arity_hint = t.arity(),
+            Err(_) => self.parser.pos = self.parser.bytes.len(),
+        }
+        Some(row)
+    }
+}
+
+/// Bytes classified per step of the scan: what the compiler turns into a
+/// handful of vector compares.
+const BLOCK: usize = 32;
+
+/// The bytes that end a top-level field, and those that end a field of a
+/// bag tuple. A raw newline ends the record wherever it stands.
+const FIELD_STOPS: [u8; 3] = [SEP, ESC, NL];
+const NESTED_STOPS: [u8; 4] = [b',', b')', ESC, NL];
+
+/// One block of the scan: which of its bytes are stop bytes, and whether
+/// any byte has its high bit set (nothing else can make it invalid UTF-8).
+#[derive(Clone, Copy, Default)]
+struct Block {
+    /// Bit `i` is set when byte `i` is a stop byte.
+    stops: u32,
+    high_bit: bool,
+}
+
+impl Block {
+    /// Classify the (up to) `BLOCK` bytes of `bytes` from `at`, in one pass
+    /// without branches: a flag byte per input byte, the flag bytes OR-ed
+    /// as four words to say "nothing here" at once, and only otherwise
+    /// packed into the bit mask.
+    #[inline(always)]
+    fn at<const N: usize>(bytes: &[u8], at: usize, stop_bytes: [u8; N]) -> Block {
+        const LOW: u64 = 0x0101_0101_0101_0101;
+        let rest = &bytes[at..];
+        let block = match rest.first_chunk::<BLOCK>() {
+            Some(block) => *block,
+            None => {
+                // The buffer's last few bytes, padded with a byte that is
+                // neither a stop nor high.
+                let mut block = [0; BLOCK];
+                block[..rest.len()].copy_from_slice(rest);
+                block
+            }
+        };
+        let mut flags = [0u8; BLOCK];
+        for (flag, b) in flags.iter_mut().zip(block) {
+            let stop = stop_bytes.iter().fold(false, |any, &s| any | (b == s));
+            *flag = u8::from(stop) | (b & 0x80);
+        }
+        let words: [u64; BLOCK / 8] = std::array::from_fn(|i| {
+            u64::from_le_bytes(flags[8 * i..8 * i + 8].try_into().expect("eight bytes"))
+        });
+        let any = words.iter().fold(0, |any, w| any | w);
+        let mut stops = 0;
+        if any & LOW != 0 {
+            for (i, w) in words.iter().enumerate() {
+                // Gather the low bit of each of the eight flag bytes into
+                // the product's top byte: byte k's bit lands on bit 56 + k,
+                // and no two terms of the product meet.
+                let packed = (w & LOW).wrapping_mul(0x0102_0408_1020_4080) >> 56;
+                stops |= (packed as u32) << (8 * i);
+            }
+        }
+        Block { stops, high_bit: any & (LOW << 7) != 0 }
+    }
+}
+
+/// The one line parser: a cursor over a buffer of records, reading each
+/// byte of it once. A raw newline ends a record wherever it stands, so
+/// everything below sees it as "no more bytes".
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// The top-level scan's current block: `bytes[block_at..]`, classified
+    /// once and kept, so the several short fields that share a block cost
+    /// one classification between them.
+    block_at: usize,
+    block: Block,
 }
 
 impl<'a> Parser<'a> {
+    fn new(bytes: &'a [u8]) -> Self {
+        Parser { bytes, pos: 0, block_at: 0, block: Block::at(bytes, 0, FIELD_STOPS) }
+    }
+
+    /// Index of the first byte at or after the cursor that ends a
+    /// top-level field (or `bytes.len()`), and whether a byte ≥ 0x80 may
+    /// come before it: the flag is kept per block, so it can ask for a
+    /// UTF-8 check that was not needed, never miss one.
+    fn field_stop(&mut self) -> (usize, bool) {
+        match self.pos.checked_sub(self.block_at) {
+            // Still inside the kept block: forget the stops behind.
+            Some(done) if done < BLOCK => self.block.stops &= u32::MAX << done,
+            // A bag or an escape took the cursor elsewhere.
+            _ => {
+                self.block_at = self.pos.min(self.bytes.len());
+                self.block = Block::at(self.bytes, self.block_at, FIELD_STOPS);
+            }
+        }
+        let mut high_bit = self.block.high_bit;
+        while self.block.stops == 0 {
+            if self.bytes.len() - self.block_at <= BLOCK {
+                return (self.bytes.len(), high_bit);
+            }
+            self.block_at += BLOCK;
+            self.block = Block::at(self.bytes, self.block_at, FIELD_STOPS);
+            high_bit |= self.block.high_bit;
+        }
+        (self.block_at + self.block.stops.trailing_zeros() as usize, high_bit)
+    }
+
+    /// [`Parser::field_stop`] for a field of a bag tuple. Bags are rare and
+    /// their fields short: nothing is kept between calls.
+    fn nested_stop(&self) -> (usize, bool) {
+        let mut at = self.pos.min(self.bytes.len());
+        let mut high_bit = false;
+        loop {
+            let block = Block::at(self.bytes, at, NESTED_STOPS);
+            high_bit |= block.high_bit;
+            if block.stops != 0 {
+                return (at + block.stops.trailing_zeros() as usize, high_bit);
+            }
+            if self.bytes.len() - at <= BLOCK {
+                return (self.bytes.len(), high_bit);
+            }
+            at += BLOCK;
+        }
+    }
+
+    /// Parse the record at the cursor and step over the newline that ends
+    /// it. `arity_hint` sizes an all-columns tuple up front.
+    fn row(&mut self, cols: Option<&ColumnSet>, arity_hint: usize) -> Result<Tuple> {
+        let mut unread = cols.map(ColumnSet::as_slice);
+        let mut vals = Vec::with_capacity(unread.map_or(arity_hint, <[usize]>::len));
+        let mut idx = 0;
+        loop {
+            let want = match &mut unread {
+                None => true,
+                Some(cols) if cols.first() == Some(&idx) => {
+                    *cols = &cols[1..];
+                    true
+                }
+                Some(_) => false,
+            };
+            let v = self.parse_field(false, want)?;
+            if want {
+                vals.push(v);
+            }
+            idx += 1;
+            if self.peek().is_none() {
+                break;
+            }
+            // Skip the separator (after a bag, whatever byte stands there
+            // is taken for one, as it always was). The line may be over
+            // now: the next turn then reads the final, empty field.
+            self.pos += 1;
+        }
+        // Over the newline, if that is what ended the record.
+        self.pos = (self.pos + 1).min(self.bytes.len());
+        // Wanted positions the line did not reach.
+        if let Some(rest) = unread {
+            vals.resize(vals.len() + rest.len(), Value::Null);
+        }
+        Ok(Tuple::from_values(vals))
+    }
+
     /// Parse one field, stopping (without consuming) at the first
     /// unescaped separator: a tab at the top level, `,` or `)` when
     /// `nested` in a bag tuple. With `want` false the field is checked the
     /// same way but nothing is built and `Value::Null` comes back.
+    #[inline]
     fn parse_field(&mut self, nested: bool, want: bool) -> Result<Value> {
         if self.peek() == Some(b'{') {
             return self.parse_bag(want);
         }
         let start = self.pos;
-        // Unescaped content; filled only from the first escape on (a field
-        // without escapes is its raw bytes).
-        let mut buf = Vec::new();
-        let mut had_escape = false;
+        let (stop, high_bit) = if nested { self.nested_stop() } else { self.field_stop() };
+        self.pos = stop;
+        if self.peek() == Some(ESC) {
+            return self.parse_escaped(start, high_bit, nested, want);
+        }
+        // A field without escapes is its raw bytes.
+        let raw = &self.bytes[start..stop];
+        Ok(if want {
+            infer_value(std::str::from_utf8(raw).map_err(not_utf8)?)
+        } else {
+            // Bytes the scan saw no high bit in are ASCII.
+            if high_bit {
+                std::str::from_utf8(raw).map_err(not_utf8)?;
+            }
+            Value::Null
+        })
+    }
+
+    /// The rest of a field that began at `start`, from its first escape,
+    /// which the cursor is on.
+    #[inline(never)]
+    fn parse_escaped(
+        &mut self,
+        start: usize,
+        mut high_bit: bool,
+        nested: bool,
+        want: bool,
+    ) -> Result<Value> {
+        // The unescaped content, when somebody wants it.
+        let mut buf = if want { self.bytes[start..self.pos].to_vec() } else { Vec::new() };
+        let mut has_content = self.pos > start;
         let mut is_null = false;
-        let mut has_content = false;
-        loop {
-            let rest = &self.bytes[self.pos..];
-            let run = if nested {
-                find_byte(rest, [b',', b')', ESC])
-            } else {
-                find_byte(rest, [SEP, ESC])
-            }
-            .unwrap_or(rest.len());
-            self.pos += run;
-            let at_escape = self.peek() == Some(ESC);
-            has_content |= run > 0;
-            if want && (had_escape || at_escape) {
-                buf.extend_from_slice(&rest[..run]);
-            }
-            if !at_escape {
-                break;
-            }
-            had_escape = true;
+        while self.peek() == Some(ESC) {
             self.pos += 1;
-            let unescaped = match self.next_byte()? {
-                b't' => SEP,
-                b'n' => NL,
+            match self.next_byte()? {
                 b'0' => {
                     // Null marker "\0N"; only valid as the whole field.
                     if self.next_byte()? != b'N' || has_content {
                         return Err(Error::Codec("misplaced null marker".into()));
                     }
                     is_null = true;
-                    continue;
                 }
-                b if SPECIALS.contains(&b) => b,
-                other => return Err(Error::Codec(format!("invalid escape \\{}", other as char))),
-            };
-            has_content = true;
-            if want {
-                buf.push(unescaped);
+                escaped => {
+                    let unescaped = match escaped {
+                        b't' => SEP,
+                        b'n' => NL,
+                        b if SPECIALS.contains(&b) => b,
+                        other => {
+                            return Err(Error::Codec(format!("invalid escape \\{}", other as char)))
+                        }
+                    };
+                    has_content = true;
+                    if want {
+                        buf.push(unescaped);
+                    }
+                }
             }
+            let (stop, high) = if nested { self.nested_stop() } else { self.field_stop() };
+            high_bit |= high;
+            has_content |= stop > self.pos;
+            if want {
+                buf.extend_from_slice(&self.bytes[self.pos..stop]);
+            }
+            self.pos = stop;
         }
         if is_null {
             if has_content {
@@ -244,18 +408,16 @@ impl<'a> Parser<'a> {
             }
             return Ok(Value::Null);
         }
-        Ok(if want && had_escape {
+        Ok(if want {
             // Fields that needed escaping are necessarily strings.
             Value::Str(String::from_utf8(buf).map_err(not_utf8)?)
         } else {
             // Escapes swap one ASCII pair for one ASCII byte, so checking
             // the raw bytes of a skipped field checks its content.
-            let raw = std::str::from_utf8(&self.bytes[start..self.pos]).map_err(not_utf8)?;
-            if want {
-                infer_value(raw)
-            } else {
-                Value::Null
+            if high_bit {
+                std::str::from_utf8(&self.bytes[start..self.pos]).map_err(not_utf8)?;
             }
+            Value::Null
         })
     }
 
@@ -311,8 +473,9 @@ impl<'a> Parser<'a> {
         Ok(Tuple::from_values(vals))
     }
 
+    /// The byte at the cursor; `None` at the end of the record.
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.bytes.get(self.pos).copied().filter(|&b| b != NL)
     }
 
     fn next_byte(&mut self) -> Result<u8> {
@@ -360,57 +523,6 @@ fn looks_numeric(s: &str) -> bool {
     b[start..].iter().all(|&c| {
         c.is_ascii_digit() || c == b'.' || c == b'e' || c == b'E' || c == b'-' || c == b'+'
     }) && b[start].is_ascii_digit()
-}
-
-/// Decode an entire byte buffer of newline-separated records.
-pub fn decode_all(bytes: &[u8]) -> Result<Vec<Tuple>> {
-    decode_all_columns(bytes, None)
-}
-
-/// [`decode_all`], materializing only the positions in `cols` (see
-/// [`decode_columns`]).
-pub fn decode_all_columns(bytes: &[u8], cols: Option<&ColumnSet>) -> Result<Vec<Tuple>> {
-    let mut out: Vec<Tuple> = Vec::new();
-    for line in LineIter::new(bytes) {
-        // Records of one file nearly always share an arity.
-        let arity_hint = out.last().map_or(0, Tuple::arity);
-        out.push(decode_fields(line, cols, arity_hint)?);
-    }
-    Ok(out)
-}
-
-/// Iterator over newline-delimited records. Raw newline bytes are always
-/// record boundaries because newlines inside strings are escaped.
-pub struct LineIter<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> LineIter<'a> {
-    pub fn new(bytes: &'a [u8]) -> Self {
-        LineIter { bytes, pos: 0 }
-    }
-}
-
-impl<'a> Iterator for LineIter<'a> {
-    type Item = &'a [u8];
-
-    fn next(&mut self) -> Option<&'a [u8]> {
-        if self.pos >= self.bytes.len() {
-            return None;
-        }
-        let rest = &self.bytes[self.pos..];
-        match find_byte(rest, [NL]) {
-            Some(n) => {
-                self.pos += n + 1;
-                Some(&rest[..n])
-            }
-            None => {
-                self.pos = self.bytes.len();
-                Some(rest)
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -513,9 +625,42 @@ mod tests {
 
     #[test]
     fn line_iter_splits_records() {
-        let bytes = b"a\nb\nc";
-        let lines: Vec<&[u8]> = LineIter::new(bytes).collect();
-        assert_eq!(lines, vec![b"a".as_ref(), b"b".as_ref(), b"c".as_ref()]);
+        // At every raw newline, with or without one after the last record;
+        // an empty line is a record of one empty string.
+        let rows = |bytes: &[u8]| decode_all(bytes).unwrap();
+        assert_eq!(rows(b"a\nb\nc"), vec![tuple!["a"], tuple!["b"], tuple!["c"]]);
+        assert_eq!(rows(b"a\nb\n"), vec![tuple!["a"], tuple!["b"]]);
+        assert_eq!(rows(b"a\n\nb"), vec![tuple!["a"], tuple![""], tuple!["b"]]);
+        assert_eq!(rows(b"\n"), vec![tuple![""]]);
+        assert!(rows(b"").is_empty());
+        assert!(decode_line(b"a\nb").is_err(), "one line holds no raw newline");
+    }
+
+    #[test]
+    fn narrow_rows_hold_exactly_the_column_set() {
+        let bytes = b"u1\t7\t2.5\tlong text\nu2\t8\n\\0N\t9\t\t{(a)}\tx\n";
+        let rows = |cols: &[usize]| -> Vec<Tuple> {
+            let set = ColumnSet::new(cols.iter().copied());
+            Rows::new(bytes, Some(&set)).collect::<Result<_>>().unwrap()
+        };
+        assert_eq!(
+            rows(&[2, 0]),
+            vec![
+                tuple!["u1", 2.5],
+                // A position past the row's end reads null.
+                Tuple::from_values(vec![Value::str("u2"), Value::Null]),
+                Tuple::from_values(vec![Value::Null, Value::str("")]),
+            ]
+        );
+        assert_eq!(rows(&[]), vec![Tuple::new(), Tuple::new(), Tuple::new()]);
+        assert_eq!(rows(&[3])[2], Tuple::from_values(vec![Value::Bag(vec![tuple!["a"]])]));
+        // An unread field is still checked.
+        let set = ColumnSet::new([0]);
+        assert!(Rows::new(b"a\tb\\q", Some(&set)).any(|r| r.is_err()));
+        assert!(Rows::new(b"a\t\xff", Some(&set)).any(|r| r.is_err()));
+        assert_eq!(set.index_of(0), Some(0));
+        assert_eq!(ColumnSet::new([3, 0]).index_of(3), Some(1));
+        assert_eq!(set.index_of(1), None);
     }
 
     #[test]

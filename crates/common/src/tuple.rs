@@ -53,9 +53,13 @@ impl Tuple {
     /// separator byte between fields plus the newline. Must agree with
     /// [`crate::codec::encode_tuple`] for data without escape characters.
     pub fn encoded_len(&self) -> usize {
-        let fields: usize = self.0.iter().map(|v| v.encoded_len()).sum();
-        let seps = self.0.len().saturating_sub(1);
-        fields + seps + 1
+        Tuple::encoded_len_of(self.0.iter())
+    }
+
+    /// [`Tuple::encoded_len`] of the tuple these fields would make.
+    pub fn encoded_len_of<'a>(fields: impl ExactSizeIterator<Item = &'a Value>) -> usize {
+        let seps = fields.len().saturating_sub(1);
+        fields.map(Value::encoded_len).sum::<usize>() + seps + 1
     }
 
     /// Iterate over the fields.

@@ -80,40 +80,50 @@ proptest! {
         }
     }
 
-    /// The one parser against the frozen pre-pruning decoder: same lines
-    /// accepted, same values; and a pruned decode accepts exactly the
-    /// same lines and returns the full tuple with unread positions
-    /// nulled, arity intact.
+    /// The one parser against the frozen pre-pruning decoder, over
+    /// adversarial buffers (raw newlines included) and arbitrary column
+    /// sets: the same lines accepted, the same values, and a narrow row
+    /// that is the oracle's row projected onto the set.
     #[test]
-    fn pruned_decode_matches_full_decode(line in nasty_line(), cols in column_set()) {
-        let full = codec::decode_line(&line);
-        let oracle = reference::decode_line(&line);
-        prop_assert_eq!(full.is_ok(), oracle.is_ok(), "accept set moved on {:?}", line);
-        let pruned = codec::decode_columns(&line, Some(&cols));
-        prop_assert_eq!(pruned.is_ok(), full.is_ok(), "pruned accept set differs on {:?}", line);
-        let (Ok(full), Ok(oracle), Ok(pruned)) = (full, oracle, pruned) else { return Ok(()) };
-        // Debug form, not Eq: Value's Eq equates Int(x) with Double(x).
-        prop_assert_eq!(format!("{full:?}"), format!("{oracle:?}"));
-        let expected: Tuple = full
-            .iter()
-            .enumerate()
-            .map(|(i, v)| if cols.as_slice().contains(&i) { v.clone() } else { Value::Null })
-            .collect();
-        prop_assert_eq!(format!("{pruned:?}"), format!("{expected:?}"));
+    fn pruned_decode_matches_full_decode(
+        lines in prop::collection::vec(nasty_line(), 0..4),
+        cols in column_set(),
+    ) {
+        let payload = lines.join(&b'\n');
+        if let Err(why) = check_against_oracle(&payload, &cols) {
+            prop_assert!(false, "{}", why);
+        }
     }
 
-    /// Line splitting is byte-exact at every length and alignment the
-    /// word-at-a-time search can meet.
+    /// Record splitting is byte-exact at every length and alignment the
+    /// block-at-a-time scan can meet: bytes that merely look like a
+    /// newline (0x0b, and 0x8a inside a two-byte character) are content.
     #[test]
-    fn line_iter_splits_at_every_raw_newline(bytes in prop::collection::vec(
-        prop_oneof![3 => Just(b'\n'), 1 => Just(0x0bu8), 1 => Just(0x8au8), 6 => any::<u8>()], 0..70,
+    fn line_iter_splits_at_every_raw_newline(pieces in prop::collection::vec(
+        prop_oneof![
+            3 => Just(&b"\n"[..]),
+            1 => Just(&b"\t"[..]),
+            1 => Just(&b"\x0b"[..]),
+            1 => Just(&b"\xc2\x8a"[..]),
+            6 => prop::sample::select(vec![&b"a"[..], b"q", b"z", b" "]),
+        ],
+        0..100,
     )) {
-        let lines: Vec<&[u8]> = codec::LineIter::new(&bytes).collect();
+        let bytes = pieces.concat();
         let mut expected: Vec<&[u8]> = bytes.split(|&b| b == b'\n').collect();
         if bytes.is_empty() || bytes.ends_with(b"\n") {
             expected.pop();
         }
-        prop_assert_eq!(lines, expected);
+        let expected: Vec<Tuple> = expected
+            .into_iter()
+            .map(|line| {
+                line.split(|&b| b == b'\t')
+                    .map(|f| Value::str(std::str::from_utf8(f).unwrap()))
+                    .collect()
+            })
+            .collect();
+        let rows = codec::decode_all(&bytes).unwrap();
+        prop_assert_eq!(format!("{rows:?}"), format!("{expected:?}"));
     }
 
     /// The value ordering is a total order: antisymmetric and transitive
@@ -175,6 +185,94 @@ proptest! {
     }
 }
 
+/// Compare `codec::Rows` over `payload` — every column, and `cols` only —
+/// with the oracle applied to each raw-newline-separated line: same
+/// verdict line by line up to the first rejected one, where the iteration
+/// must end; same values (by `Debug`: `Value`'s `Eq` equates `Int(x)` with
+/// `Double(x)`); and a narrow row holding exactly the set's positions of
+/// the oracle's row, null past its end.
+fn check_against_oracle(payload: &[u8], cols: &codec::ColumnSet) -> Result<(), String> {
+    let mut lines: Vec<&[u8]> = payload.split(|&b| b == b'\n').collect();
+    if payload.is_empty() || payload.ends_with(b"\n") {
+        lines.pop();
+    }
+    let mut full = codec::Rows::new(payload, None);
+    let mut narrow = codec::Rows::new(payload, Some(cols));
+    for line in lines {
+        let oracle = reference::decode_line(line);
+        let (Some(full_row), Some(narrow_row)) = (full.next(), narrow.next()) else {
+            return Err(format!("rows ended before line {line:?} of {payload:?}"));
+        };
+        let alone = codec::decode_line(line);
+        if full_row.is_ok() != oracle.is_ok()
+            || narrow_row.is_ok() != oracle.is_ok()
+            || alone.is_ok() != oracle.is_ok()
+        {
+            return Err(format!(
+                "accept set moved on {line:?} (cols {cols:?}): oracle {oracle:?}, full \
+                 {full_row:?}, narrow {narrow_row:?}, alone {alone:?}"
+            ));
+        }
+        let Ok(oracle) = oracle else {
+            if full.next().is_some() || narrow.next().is_some() {
+                return Err(format!("rows went on after rejecting {line:?}"));
+            }
+            return Ok(());
+        };
+        let projected: Tuple = cols.as_slice().iter().map(|&c| oracle.get(c).clone()).collect();
+        let want = (format!("{oracle:?}"), format!("{projected:?}"));
+        let got = (format!("{:?}", full_row.unwrap()), format!("{:?}", narrow_row.unwrap()));
+        if got != want || format!("{:?}", alone.unwrap()) != want.0 {
+            return Err(format!("{line:?} (cols {cols:?}): got {got:?}, want {want:?}"));
+        }
+    }
+    if full.next().is_some() || narrow.next().is_some() {
+        return Err(format!("rows past the last line of {payload:?}"));
+    }
+    Ok(())
+}
+
+/// The block scan against the byte-at-a-time oracle: every byte the parser
+/// branches on — and the sequences around it — at every offset modulo the
+/// block size, at a field start and inside a field, with nothing, one
+/// byte and a whole block after it; and plain lines of every length up to
+/// three blocks.
+#[test]
+fn block_scan_matches_a_byte_at_a_time_decoder_at_every_offset() {
+    /// `codec`'s scanning step, in bytes.
+    const BLOCK: usize = 32;
+    #[rustfmt::skip]
+    let fragments: [&[u8]; 22] = [
+        b"\t", b"\n", b"\\t", b"\\\\", b"\\", b"\\q", b"\\0N", b"\\0", b"{(a,1),(\\0N)}", b"{}", b"{(", b"{",
+        // Two-, three- and four-byte characters: whole, cut short, and a
+        // continuation byte with no lead — each straddles a block edge
+        // at some offset.
+        "\u{e9}".as_bytes(), "\u{20ac}".as_bytes(), "\u{1f600}".as_bytes(), b"\xc3", b"\xe2\x82",
+        b"\xf0\x9f\x98", b"\xa9", b"\xff", b"\xc3\n\xa9", b"\xc3\t\xa9",
+    ];
+    let sets =
+        [codec::ColumnSet::new([]), codec::ColumnSet::new([0]), codec::ColumnSet::new([1, 3])];
+    let check = |payload: &[u8]| {
+        for cols in &sets {
+            check_against_oracle(payload, cols).unwrap();
+        }
+    };
+    for len in 0..=3 * BLOCK {
+        check(&vec![b'x'; len]);
+        check(&[vec![b'x'; len], b"\n".to_vec(), vec![b'y'; len]].concat());
+    }
+    for fragment in fragments {
+        for offset in 0..=2 * BLOCK + 1 {
+            for after in [0, 1, BLOCK] {
+                let (before, after) = (vec![b'a'; offset], vec![b'b'; after]);
+                // Inside the first field, and at the start of the second.
+                check(&[&before[..], fragment, &after[..]].concat());
+                check(&[&before[..], b"\t", fragment, &after[..], b"\tlast"].concat());
+            }
+        }
+    }
+}
+
 /// PigStorage-style equivalence after a round trip: values compare equal,
 /// or a string re-decoded as the number it spells.
 fn round_trip_equiv(orig: &Value, back: &Value) -> Result<(), TestCaseError> {
@@ -207,7 +305,8 @@ fn round_trip_equiv(orig: &Value, back: &Value) -> Result<(), TestCaseError> {
 
 /// The decoder as it stood before column pruning, frozen as the oracle
 /// for the accept/reject set and the decoded values: byte-at-a-time, one
-/// buffer per field, every position materialized.
+/// buffer per field, every position materialized, one pre-cut line at a
+/// time.
 mod reference {
     use restore_common::{Error, Result, Tuple, Value};
 

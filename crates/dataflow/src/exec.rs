@@ -13,7 +13,9 @@ use crate::mr_compiler::{CompiledJob, CompiledWorkflow};
 use crate::physical::{AggItem, NodeId, PhysicalOp, PhysicalPlan};
 use restore_common::codec::ColumnSet;
 use restore_common::{Error, Result, Tuple, Value};
-use restore_mapreduce::{JobInput, JobSpec, MapContext, Mapper, ReduceContext, Reducer, Workflow};
+use restore_mapreduce::{
+    JobInput, JobSpec, MapContext, Mapper, MapperFactory, ReduceContext, Reducer, Workflow,
+};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -98,7 +100,9 @@ fn reduce_side_set(plan: &PhysicalPlan, blocking: Option<NodeId>) -> Vec<bool> {
 /// This is the one place the scan's column set is decided, and it is
 /// decided from the plan as given, so a plan ReStore rewrote or injected
 /// Stores into is pruned by the same rule. Plans, signatures and the
-/// repository never carry it.
+/// repository never carry it: it is a property of the compiled programs,
+/// which are built against it ([`Compilation::project_step`]) and hand it
+/// to the engine themselves ([`PlanMapperFactory`]).
 fn columns_read(plan: &PhysicalPlan, load: NodeId) -> Option<ColumnSet> {
     let mut cols = Vec::new();
     let mut pending = plan.consumers(load);
@@ -173,6 +177,8 @@ trait Sink {
     fn output(&mut self, t: Tuple);
     fn side(&mut self, ch: usize, t: Tuple);
     fn emit(&mut self, branch: usize, key: Tuple, t: Tuple);
+    /// `emit` under the key formed by `t`'s `key_cols` positions.
+    fn emit_by(&mut self, branch: usize, key_cols: &[usize], t: &Tuple);
 }
 
 struct MapSink<'a>(&'a mut MapContext);
@@ -187,6 +193,9 @@ impl Sink for MapSink<'_> {
     fn emit(&mut self, branch: usize, key: Tuple, t: Tuple) {
         self.0.emit(key, branch, t);
     }
+    fn emit_by(&mut self, branch: usize, key_cols: &[usize], t: &Tuple) {
+        self.0.emit_by(key_cols, branch, t);
+    }
 }
 
 struct ReduceSink<'a>(&'a mut ReduceContext);
@@ -199,6 +208,9 @@ impl Sink for ReduceSink<'_> {
         self.0.side(ch, t);
     }
     fn emit(&mut self, _branch: usize, _key: Tuple, _t: Tuple) {
+        unreachable!("reduce programs never re-shuffle");
+    }
+    fn emit_by(&mut self, _branch: usize, _key_cols: &[usize], _t: &Tuple) {
         unreachable!("reduce programs never re-shuffle");
     }
 }
@@ -276,25 +288,18 @@ impl Program {
             StepKind::Emit { branch, kind } => {
                 match kind {
                     EmitKind::JoinBranch { key_cols } => {
-                        let key = t.project(key_cols);
-                        if key.iter().any(|v| v.is_null()) {
+                        if key_cols.iter().any(|&c| t.get(c).is_null()) {
                             return Ok(()); // inner join drops null keys
                         }
-                        sink.emit(*branch, key, t);
+                        sink.emit_by(*branch, key_cols, &t);
                     }
-                    EmitKind::CoGroupBranch { key_cols } => {
-                        sink.emit(*branch, t.project(key_cols), t);
+                    EmitKind::CoGroupBranch { key_cols } => sink.emit_by(*branch, key_cols, &t),
+                    EmitKind::GroupKey { key_cols } if key_cols.is_empty() => {
+                        sink.emit(*branch, Tuple::from_values(vec![Value::str("all")]), t);
                     }
-                    EmitKind::GroupKey { key_cols } => {
-                        let key = if key_cols.is_empty() {
-                            Tuple::from_values(vec![Value::str("all")])
-                        } else {
-                            t.project(key_cols)
-                        };
-                        sink.emit(*branch, key, t);
-                    }
+                    EmitKind::GroupKey { key_cols } => sink.emit_by(*branch, key_cols, &t),
                     EmitKind::WholeRecord => {
-                        sink.emit(*branch, t.clone(), Tuple::new());
+                        sink.emit(*branch, t, Tuple::new());
                     }
                     EmitKind::Constant => {
                         sink.emit(*branch, Tuple::new(), t);
@@ -306,31 +311,21 @@ impl Program {
     }
 
     fn fanout(&self, step_idx: usize, t: Tuple, sink: &mut dyn Sink) -> Result<()> {
-        let next = &self.steps[step_idx].next;
-        match next.len() {
-            0 => Ok(()),
-            1 => self.push(next[0], t, sink),
-            _ => {
-                for &n in next {
-                    self.push(n, t.clone(), sink)?;
-                }
-                Ok(())
-            }
-        }
+        self.push_all(&self.steps[step_idx].next, t, sink)
     }
 
     fn push_entries(&self, source: usize, t: Tuple, sink: &mut dyn Sink) -> Result<()> {
-        let entries = &self.entries[source];
-        match entries.len() {
-            0 => Ok(()),
-            1 => self.push(entries[0], t, sink),
-            _ => {
-                for &e in entries {
-                    self.push(e, t.clone(), sink)?;
-                }
-                Ok(())
-            }
+        self.push_all(&self.entries[source], t, sink)
+    }
+
+    /// Push `t` into each of `steps`: a copy for every consumer but the
+    /// last, which takes the row itself.
+    fn push_all(&self, steps: &[usize], t: Tuple, sink: &mut dyn Sink) -> Result<()> {
+        let Some((&last, rest)) = steps.split_last() else { return Ok(()) };
+        for &step in rest {
+            self.push(step, t.clone(), sink)?;
         }
+        self.push(last, t, sink)
     }
 }
 
@@ -361,6 +356,10 @@ struct CompiledPrograms {
     map: Program,
     reduce: Option<(BlockKind, Program)>,
     shuffle_tags: usize,
+    /// Per input (= map entry list): the layout of the rows `map` was
+    /// compiled to receive — the positions [`columns_read`] found, or
+    /// `None` for whole records.
+    scan_columns: Vec<Option<ColumnSet>>,
 }
 
 struct Compilation<'a> {
@@ -368,13 +367,40 @@ struct Compilation<'a> {
     io: &'a JobIo,
     reduce_side: Vec<bool>,
     blocking: Option<NodeId>,
+    /// Per Load, in `plan.loads()` order.
+    scan_columns: Vec<Option<ColumnSet>>,
 }
 
 impl<'a> Compilation<'a> {
+    /// The Project at `id`, compiled against the rows that reach it. Under
+    /// a pruned Load (directly or through Splits) those hold only the
+    /// scan's column set, so each position becomes its index in the set —
+    /// and a Project that lists the whole set in order, the usual
+    /// `generate user, est_revenue` over `{0,3}`, has nothing left to do.
+    fn project_step(&self, id: NodeId, cols: &[usize]) -> StepKind {
+        let mut source = self.plan.inputs(id)[0];
+        while matches!(self.plan.op(source), PhysicalOp::Split) {
+            source = self.plan.inputs(source)[0];
+        }
+        let scanned = self.plan.loads().iter().position(|&l| l == source);
+        let Some(set) = scanned.and_then(|load| self.scan_columns[load].as_ref()) else {
+            return StepKind::Project(cols.to_vec());
+        };
+        let narrow: Vec<usize> = cols
+            .iter()
+            .map(|&c| set.index_of(c).expect("the scan set is the union of its Projects' lists"))
+            .collect();
+        if narrow.iter().copied().eq(0..set.as_slice().len()) {
+            StepKind::Pass
+        } else {
+            StepKind::Project(narrow)
+        }
+    }
+
     /// Step kind for a non-Load, non-blocking node.
     fn step_kind(&self, id: NodeId) -> Result<StepKind> {
         Ok(match self.plan.op(id) {
-            PhysicalOp::Project { cols } => StepKind::Project(cols.clone()),
+            PhysicalOp::Project { cols } => self.project_step(id, cols),
             PhysicalOp::MapExpr { exprs } => StepKind::MapExpr(exprs.clone()),
             PhysicalOp::Filter { pred } => StepKind::Filter(pred.clone()),
             PhysicalOp::Flatten { bag_col } => StepKind::Flatten(*bag_col),
@@ -418,7 +444,7 @@ impl<'a> Compilation<'a> {
 
     /// Build the map program (phase = !reduce_side, excluding Loads) and
     /// the reduce program (descendants of the blocking node).
-    fn compile(&self) -> Result<CompiledPrograms> {
+    fn compile(self) -> Result<CompiledPrograms> {
         let mut map = Program::default();
         let mut reduce = Program::default();
         // plan node -> step index, per program.
@@ -515,13 +541,30 @@ impl<'a> Compilation<'a> {
             Some(b) => self.plan.inputs(b).len(),
             None => 1,
         };
-        Ok(CompiledPrograms { map, reduce: reduce_part, shuffle_tags })
+        let scan_columns = self.scan_columns;
+        Ok(CompiledPrograms { map, reduce: reduce_part, shuffle_tags, scan_columns })
     }
 }
 
 // ---------------------------------------------------------------------
 // Mapper / Reducer implementations
 // ---------------------------------------------------------------------
+
+/// Makes the job's mappers, and tells the engine which layout their
+/// program was compiled against.
+struct PlanMapperFactory {
+    programs: Arc<CompiledPrograms>,
+}
+
+impl MapperFactory for PlanMapperFactory {
+    fn create(&self) -> Box<dyn Mapper> {
+        Box::new(PlanMapper { programs: Arc::clone(&self.programs) })
+    }
+
+    fn columns(&self, tag: usize) -> Option<&ColumnSet> {
+        self.programs.scan_columns[tag].as_ref()
+    }
+}
 
 struct PlanMapper {
     programs: Arc<CompiledPrograms>,
@@ -633,7 +676,9 @@ pub fn job_spec_for_plan(plan: &PhysicalPlan, name: &str) -> Result<JobSpec> {
     let io = job_io(plan)?;
     let blocking = find_blocking(plan)?;
     let reduce_side = reduce_side_set(plan, blocking);
-    let comp = Compilation { plan, io: &io, reduce_side: reduce_side.clone(), blocking };
+    let scan_columns = plan.loads().into_iter().map(|load| columns_read(plan, load)).collect();
+    let comp =
+        Compilation { plan, io: &io, reduce_side: reduce_side.clone(), blocking, scan_columns };
     let programs = Arc::new(comp.compile()?);
 
     // Per-record CPU weights for the cost model.
@@ -648,10 +693,7 @@ pub fn job_spec_for_plan(plan: &PhysicalPlan, name: &str) -> Result<JobSpec> {
         }
     }
 
-    let map_programs = Arc::clone(&programs);
-    let mapper = Arc::new(move || {
-        Box::new(PlanMapper { programs: Arc::clone(&map_programs) }) as Box<dyn Mapper>
-    });
+    let mapper = Arc::new(PlanMapperFactory { programs: Arc::clone(&programs) });
     let reducer = match blocking {
         None => None,
         Some(_) => {
@@ -663,12 +705,7 @@ pub fn job_spec_for_plan(plan: &PhysicalPlan, name: &str) -> Result<JobSpec> {
         }
     };
 
-    let inputs = plan
-        .loads()
-        .into_iter()
-        .zip(&io.inputs)
-        .map(|(load, path)| JobInput { path: path.clone(), columns: columns_read(plan, load) })
-        .collect();
+    let inputs = io.inputs.iter().map(JobInput::new).collect();
     let mut spec = JobSpec::new(name, inputs, io.main_output.clone(), mapper, reducer);
     spec.side_outputs = io.side_outputs.clone();
     spec.shuffle_tags = Some(programs.shuffle_tags);

@@ -14,6 +14,12 @@
 //! [`shuffle::Run`], task output as text-codec bytes ready to commit — and
 //! the buffers are dropped by the calling thread after the workers have
 //! gone.
+//!
+//! A map task has a rule of its own: it reads each input byte once and
+//! builds each row once. The split is parsed in one pass straight into the
+//! columns the mapper declared ([`crate::MapperFactory::columns`]), each row goes
+//! to the mapper as it is cut, and whatever the mapper emits is counted
+//! and encoded on the spot ([`MapContext`]).
 
 use crate::config::{ClusterConfig, EngineConfig};
 use crate::cost::{CostModel, JobTimes};
@@ -21,13 +27,11 @@ use crate::counters::Counters;
 use crate::job::JobSpec;
 use crate::shuffle::{self, Run};
 use crate::split_reader::read_split;
-use crate::task::{MapContext, ReduceContext, ReducerFactory};
+use crate::task::{MapContext, ReduceContext, ReducerFactory, TaskOutput};
 use parking_lot::Mutex;
 use restore_common::{codec, Error, Result, Tuple};
 use restore_dfs::{Dfs, FileSplit};
-use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// Result of one executed job: measured counters, modeled times, output
 /// locations.
@@ -47,19 +51,6 @@ pub struct Engine {
     dfs: Dfs,
     cluster: ClusterConfig,
     engine_cfg: EngineConfig,
-}
-
-/// What a task hands back: bytes only. `output` and `side` are text-codec
-/// chunks, committed by concatenation.
-struct TaskOut {
-    /// Shuffle records by reduce partition (map tasks of jobs with a
-    /// reduce phase; empty otherwise).
-    shuffle: Run,
-    /// The task's share of the job's main output.
-    output: Vec<u8>,
-    /// The task's share of each side-output channel.
-    side: Vec<Vec<u8>>,
-    counters: Counters,
 }
 
 impl Engine {
@@ -109,7 +100,7 @@ impl Engine {
         // ---- Map phase ----
         let map_outs = self.run_tasks(splits.len(), |idx| {
             let (tag, split, file_len) = &splits[idx];
-            self.run_one_map_task(spec, *tag, split, *file_len, reduce_tasks, n_side)
+            self.run_map_task(spec, *tag, split, *file_len, reduce_tasks)
         })?;
 
         // ---- Reduce phase ----
@@ -164,24 +155,36 @@ impl Engine {
     }
 
     /// Run `task(0..n)` on the worker threads; results in index order, or
-    /// the first error in index order.
+    /// the first error in index order. No task is started once one has
+    /// failed. Indices are handed out in order, so every task below a
+    /// failed one was already started and runs to its end: the error
+    /// returned is still that of the lowest failing index.
     fn run_tasks<T: Send>(
         &self,
         n: usize,
         task: impl Fn(usize) -> Result<T> + Sync,
     ) -> Result<Vec<T>> {
         let next = AtomicUsize::new(0);
+        // A hint to stop early and nothing more: results travel under the
+        // mutex, so `Relaxed` is enough.
+        let failed = AtomicBool::new(false);
         let results: Mutex<Vec<(usize, Result<T>)>> = Mutex::new(Vec::with_capacity(n));
         let threads = self.engine_cfg.worker_threads.max(1).min(n.max(1));
 
         std::thread::scope(|scope| {
             for _ in 0..threads {
                 scope.spawn(|| loop {
+                    if failed.load(Ordering::Relaxed) {
+                        break;
+                    }
                     let idx = next.fetch_add(1, Ordering::Relaxed);
                     if idx >= n {
                         break;
                     }
                     let out = task(idx);
+                    if out.is_err() {
+                        failed.store(true, Ordering::Relaxed);
+                    }
                     results.lock().push((idx, out));
                 });
             }
@@ -192,59 +195,32 @@ impl Engine {
         results.into_iter().map(|(_, r)| r).collect()
     }
 
-    fn run_one_map_task(
+    /// One map task of `spec`: `split` of input `tag` (a file of
+    /// `file_len` bytes) through a fresh mapper, for a job with
+    /// `reduce_tasks` reduce tasks (0 = map-only). [`Engine::run`] runs one
+    /// per split; it is public so a bench can time the map phase alone.
+    pub fn run_map_task(
         &self,
         spec: &JobSpec,
         tag: usize,
         split: &FileSplit,
         file_len: u64,
         reduce_tasks: usize,
-        n_side: usize,
-    ) -> Result<TaskOut> {
-        let (tuples, payload_bytes) =
-            read_split(&self.dfs, split, file_len, spec.inputs[tag].columns.as_ref())?;
+    ) -> Result<TaskOutput> {
         let mut mapper = spec.mapper.create();
-        let mut ctx = MapContext::new(n_side);
-        let mut counters = Counters {
-            map_input_records: tuples.len() as u64,
-            map_input_bytes: payload_bytes,
-            ..Default::default()
-        };
-        for t in tuples {
-            mapper.map(tag, t, &mut ctx)?;
-        }
+        let mut ctx = MapContext::new(reduce_tasks, spec.side_outputs.len());
+        let mut records = 0;
+        let payload_bytes =
+            read_split(&self.dfs, split, file_len, spec.mapper.columns(tag), |row| {
+                records += 1;
+                mapper.map(tag, row, &mut ctx)
+            })?;
         mapper.finish(&mut ctx)?;
-
-        // Everything the cost model is charged with is measured on the
-        // tuples, before anything is encoded.
-        counters.map_output_records = ctx.shuffle.len() as u64;
-        for (key, _, value) in &ctx.shuffle {
-            counters.map_output_bytes += (key.encoded_len() + value.encoded_len()) as u64;
-        }
-        counters.map_direct_output_records = ctx.direct.len() as u64;
-        counters.map_side_bytes = side_bytes(&ctx.side);
-
-        // A map-only job has no shuffle, a job with a reduce phase no
-        // direct output; what a mapper emits there is counted and dropped.
-        let (shuffle, output) = if reduce_tasks == 0 {
-            counters.output_records = ctx.direct.len() as u64;
-            (Run::default(), codec::encode_all(&ctx.direct))
-        } else {
-            let run =
-                Run::encode(&ctx.shuffle, reduce_tasks, |key| partition_of(key, reduce_tasks));
-            (run, Vec::new())
-        };
-        let side = ctx.side.iter().map(|ts| codec::encode_all(ts)).collect();
-        Ok(TaskOut { shuffle, output, side, counters })
+        let mut out = ctx.finish();
+        out.counters.map_input_records = records;
+        out.counters.map_input_bytes = payload_bytes;
+        Ok(out)
     }
-}
-
-/// Stable hash partitioner (`DefaultHasher` has fixed keys, so
-/// partitioning is reproducible across runs and platforms).
-fn partition_of(key: &Tuple, reduce_tasks: usize) -> usize {
-    let mut h = DefaultHasher::new();
-    key.hash(&mut h);
-    (h.finish() % reduce_tasks as u64) as usize
 }
 
 /// Side-output bytes as the cost model counts them (the `encoded_len`
@@ -255,11 +231,11 @@ fn side_bytes(side: &[Vec<Tuple>]) -> u64 {
 
 fn run_one_reduce_task(
     factory: &dyn ReducerFactory,
-    map_outs: &[TaskOut],
+    map_outs: &[TaskOutput],
     partition: usize,
     n_tags: usize,
     n_side: usize,
-) -> Result<TaskOut> {
+) -> Result<TaskOutput> {
     // Map-task order, then emission order within a task: with the stable
     // sort by key only, bag contents do not depend on which thread ran
     // which map task.
@@ -292,7 +268,12 @@ fn run_one_reduce_task(
     counters.output_records = ctx.output.len() as u64;
     counters.reduce_side_bytes = side_bytes(&ctx.side);
     let side = ctx.side.iter().map(|ts| codec::encode_all(ts)).collect();
-    Ok(TaskOut { shuffle: Run::default(), output: codec::encode_all(&ctx.output), side, counters })
+    Ok(TaskOutput {
+        shuffle: Run::default(),
+        output: codec::encode_all(&ctx.output),
+        side,
+        counters,
+    })
 }
 
 #[cfg(test)]

@@ -1,23 +1,20 @@
 //! Job specifications.
 
 use crate::task::{MapperFactory, ReducerFactory};
-use restore_common::codec::ColumnSet;
 use std::sync::Arc;
 
 /// One input of a job. The index of the input within
-/// [`JobSpec::inputs`] is the *tag* mappers and reducers see.
+/// [`JobSpec::inputs`] is the *tag* mappers and reducers see. Which of
+/// its fields the scan builds is not said here but by the mapper:
+/// [`MapperFactory::columns`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobInput {
     pub path: String,
-    /// Field positions the job reads from this input; the map-side scan
-    /// materializes only these and hands mappers null elsewhere. `None`
-    /// reads every position.
-    pub columns: Option<ColumnSet>,
 }
 
 impl JobInput {
     pub fn new(path: impl Into<String>) -> Self {
-        JobInput { path: path.into(), columns: None }
+        JobInput { path: path.into() }
     }
 }
 

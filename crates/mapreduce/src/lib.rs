@@ -35,5 +35,7 @@ pub use cost::{CostModel, JobTimes};
 pub use counters::Counters;
 pub use engine::{Engine, JobResult};
 pub use job::{JobInput, JobSpec};
-pub use task::{MapContext, Mapper, MapperFactory, ReduceContext, Reducer, ReducerFactory};
+pub use task::{
+    MapContext, Mapper, MapperFactory, ReduceContext, Reducer, ReducerFactory, TaskOutput,
+};
 pub use workflow::{Workflow, WorkflowResult};

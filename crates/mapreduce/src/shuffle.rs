@@ -4,10 +4,11 @@
 //! The engine's ownership rule is that a heap object is freed by the
 //! thread that allocated it, and that what crosses a thread boundary is a
 //! contiguous byte buffer the other side only reads. A map task therefore
-//! ends by encoding its `(key, tag, value)` emissions into one [`Run`] —
-//! grouped by reduce partition, emission order kept within a partition —
-//! and dropping its own tuples; reduce task *p* decodes range *p* of every
-//! run into objects it owns.
+//! encodes each `(key, tag, value)` emission into a [`RunBuilder`] the
+//! moment it is made — from the mapper's own values, which it then drops —
+//! and ends by laying the encoded records out as one [`Run`]: grouped by
+//! reduce partition, emission order kept within a partition. Reduce task
+//! *p* decodes range *p* of every run into objects it owns.
 //!
 //! The format is typed and binary, not the text [`restore_common::codec`]:
 //! that codec stores values untyped and re-infers them on read (a
@@ -48,41 +49,83 @@ pub struct Run {
 }
 
 impl Run {
-    /// Encode `records` into `partitions` ranges. Records keep their
-    /// relative order within a partition, which is what lets the reduce
-    /// side's stable sort see the same sequence at every thread count.
-    ///
-    /// Panics when `partition_of` returns a partition out of range.
-    pub fn encode(
-        records: &[Record],
-        partitions: usize,
-        mut partition_of: impl FnMut(&Tuple) -> usize,
-    ) -> Run {
-        let parts: Vec<usize> = records.iter().map(|(key, _, _)| partition_of(key)).collect();
-        let mut order: Vec<usize> = (0..records.len()).collect();
-        order.sort_by_key(|&i| parts[i]); // stable
-        let mut rest = order.as_slice();
-        let mut run = Run { bytes: Vec::new(), bounds: Vec::with_capacity(partitions + 1) };
-        for p in 0..partitions {
-            run.bounds.push(run.bytes.len());
-            let (mine, others) = rest.split_at(rest.partition_point(|&i| parts[i] == p));
-            put_varint(mine.len() as u64, &mut run.bytes);
-            for &i in mine {
-                let (key, tag, value) = &records[i];
-                put_tuple(key, &mut run.bytes);
-                put_varint(*tag as u64, &mut run.bytes);
-                put_tuple(value, &mut run.bytes);
-            }
-            rest = others;
-        }
-        assert!(rest.is_empty(), "partitioner returned a partition >= {partitions}");
-        run.bounds.push(run.bytes.len());
-        run
-    }
-
     /// The encoded records of partition `p`, for [`decode_range`].
     pub fn range(&self, p: usize) -> &[u8] {
         &self.bytes[self.bounds[p]..self.bounds[p + 1]]
+    }
+}
+
+/// A [`Run`] in the making: records encoded as they are emitted, in
+/// emission order, each with the partition it is bound for.
+#[derive(Debug)]
+pub struct RunBuilder {
+    bytes: Vec<u8>,
+    /// Per record: its partition, and where it ends in `bytes`.
+    records: Vec<(usize, usize)>,
+    /// Records per partition.
+    counts: Vec<usize>,
+}
+
+impl RunBuilder {
+    pub fn new(partitions: usize) -> Self {
+        RunBuilder { bytes: Vec::new(), records: Vec::new(), counts: vec![0; partitions] }
+    }
+
+    pub fn partitions(&self) -> usize {
+        self.counts.len()
+    }
+
+    /// Encode one record bound for `partition`. The key is given as its
+    /// fields, so a caller whose key is some columns of `value` builds no
+    /// key tuple to say so.
+    ///
+    /// Panics when `partition` is out of range.
+    pub fn push<'a>(
+        &mut self,
+        partition: usize,
+        key: impl ExactSizeIterator<Item = &'a Value>,
+        tag: usize,
+        value: &Tuple,
+    ) {
+        self.counts[partition] += 1;
+        put_varint(key.len() as u64, &mut self.bytes);
+        for v in key {
+            put_value(v, &mut self.bytes);
+        }
+        put_varint(tag as u64, &mut self.bytes);
+        put_tuple(value, &mut self.bytes);
+        self.records.push((partition, self.bytes.len()));
+    }
+
+    /// Lay the records out by partition: one pass sizes the ranges, one
+    /// copies each record's bytes to its place. Records keep their
+    /// relative order within a partition, which is what lets the reduce
+    /// side's stable sort see the same sequence at every thread count.
+    pub fn finish(self) -> Run {
+        let mut sizes = vec![0usize; self.counts.len()];
+        let mut start = 0;
+        for &(p, end) in &self.records {
+            sizes[p] += end - start;
+            start = end;
+        }
+        let mut run = Run { bytes: Vec::new(), bounds: Vec::with_capacity(sizes.len() + 1) };
+        // Where each partition's next record goes.
+        let mut cursors = Vec::with_capacity(sizes.len());
+        for (&count, &size) in self.counts.iter().zip(&sizes) {
+            run.bounds.push(run.bytes.len());
+            put_varint(count as u64, &mut run.bytes);
+            cursors.push(run.bytes.len());
+            run.bytes.resize(run.bytes.len() + size, 0);
+        }
+        run.bounds.push(run.bytes.len());
+        let mut start = 0;
+        for &(p, end) in &self.records {
+            let record = &self.bytes[start..end];
+            run.bytes[cursors[p]..cursors[p] + record.len()].copy_from_slice(record);
+            cursors[p] += record.len();
+            start = end;
+        }
+        run
     }
 }
 
@@ -97,27 +140,31 @@ fn put_varint(mut n: u64, out: &mut Vec<u8>) {
 fn put_tuple(t: &Tuple, out: &mut Vec<u8>) {
     put_varint(t.arity() as u64, out);
     for v in t.iter() {
-        match v {
-            Value::Null => out.push(NULL),
-            Value::Int(i) => {
-                out.push(INT);
-                out.extend_from_slice(&i.to_le_bytes());
-            }
-            Value::Double(d) => {
-                out.push(DOUBLE);
-                out.extend_from_slice(&d.to_bits().to_le_bytes());
-            }
-            Value::Str(s) => {
-                out.push(STR);
-                put_varint(s.len() as u64, out);
-                out.extend_from_slice(s.as_bytes());
-            }
-            Value::Bag(ts) => {
-                out.push(BAG);
-                put_varint(ts.len() as u64, out);
-                for t in ts {
-                    put_tuple(t, out);
-                }
+        put_value(v, out);
+    }
+}
+
+fn put_value(v: &Value, out: &mut Vec<u8>) {
+    match v {
+        Value::Null => out.push(NULL),
+        Value::Int(i) => {
+            out.push(INT);
+            out.extend_from_slice(&i.to_le_bytes());
+        }
+        Value::Double(d) => {
+            out.push(DOUBLE);
+            out.extend_from_slice(&d.to_bits().to_le_bytes());
+        }
+        Value::Str(s) => {
+            out.push(STR);
+            put_varint(s.len() as u64, out);
+            out.extend_from_slice(s.as_bytes());
+        }
+        Value::Bag(ts) => {
+            out.push(BAG);
+            put_varint(ts.len() as u64, out);
+            for t in ts {
+                put_tuple(t, out);
             }
         }
     }
@@ -231,6 +278,19 @@ mod tests {
     use super::*;
     use restore_common::tuple;
 
+    /// `records` as one run over `partitions` ranges.
+    fn encode(
+        records: &[Record],
+        partitions: usize,
+        partition_of: impl Fn(&Tuple) -> usize,
+    ) -> Run {
+        let mut run = RunBuilder::new(partitions);
+        for (key, tag, value) in records {
+            run.push(partition_of(key), key.iter(), *tag, value);
+        }
+        run.finish()
+    }
+
     fn decode(run: &Run, p: usize) -> Vec<Record> {
         let mut out = Vec::new();
         decode_range(run.range(p), &mut out).unwrap();
@@ -246,7 +306,7 @@ mod tests {
             (Tuple::new(), 2, Tuple::from_values(vec![Value::Null, Value::Bag(vec![tuple![1]])])),
         ];
         // Partition by key arity and first letter: "b" -> 1, others -> 0.
-        let run = Run::encode(&records, 3, |k| usize::from(k.get(0) == &Value::str("b")));
+        let run = encode(&records, 3, |k| usize::from(k.get(0) == &Value::str("b")));
         assert_eq!(
             format!("{:?}", decode(&run, 0)),
             format!("{:?}", vec![&records[1], &records[3]])
@@ -260,7 +320,7 @@ mod tests {
 
     #[test]
     fn zero_partitions_encode_nothing() {
-        let run = Run::encode(&[], 0, |_| unreachable!());
+        let run = encode(&[], 0, |_| unreachable!());
         assert!(run.bytes.is_empty());
         assert_eq!(run.bounds, vec![0]);
     }

@@ -15,18 +15,20 @@ const FIRST_TAIL_PROBE: u64 = 1024;
 /// Each further probe doubles, up to this much per read.
 const MAX_TAIL_PROBE: u64 = 64 * 1024;
 
-/// Read all records logically belonging to `split`, returning the decoded
-/// tuples and the number of payload bytes charged to this split. Only the
-/// positions in `columns` are materialized (`None` = all); the rest read
-/// as null.
+/// Read the records logically belonging to `split`, handing each to `row`
+/// as it is cut from the bytes, and return the number of payload bytes
+/// charged to this split. With `columns`, a row holds exactly those
+/// positions (see [`codec::Rows`]); `None` decodes whole records. The
+/// first error — the decoder's or `row`'s — ends the read.
 pub fn read_split(
     dfs: &Dfs,
     split: &FileSplit,
     file_len: u64,
     columns: Option<&ColumnSet>,
-) -> Result<(Vec<Tuple>, u64)> {
+    mut row: impl FnMut(Tuple) -> Result<()>,
+) -> Result<u64> {
     if split.len == 0 {
-        return Ok((Vec::new(), 0));
+        return Ok(0);
     }
     // One read covers the byte before the split (does the split open
     // mid-record?), the split, and the first tail probe.
@@ -71,15 +73,18 @@ pub fn read_split(
 
     let payload = &bytes[start..end];
     // A payload that is one bare newline is not a row.
-    let tuples =
-        if payload == b"\n" { Vec::new() } else { codec::decode_all_columns(payload, columns)? };
-    Ok((tuples, payload.len() as u64))
+    if payload != b"\n" {
+        for decoded in codec::Rows::new(payload, columns) {
+            row(decoded?)?;
+        }
+    }
+    Ok(payload.len() as u64)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use restore_common::{tuple, Value};
+    use restore_common::tuple;
     use restore_dfs::DfsConfig;
 
     fn dfs_with(block_size: u64, tuples: &[Tuple]) -> (Dfs, u64) {
@@ -89,28 +94,38 @@ mod tests {
         (dfs, file_len)
     }
 
+    /// Every row of `split`, collected.
+    fn rows_of(
+        dfs: &Dfs,
+        split: &FileSplit,
+        file_len: u64,
+        columns: Option<&ColumnSet>,
+    ) -> (Vec<Tuple>, u64) {
+        let mut rows = Vec::new();
+        let charged = read_split(dfs, split, file_len, columns, |t| {
+            rows.push(t);
+            Ok(())
+        })
+        .unwrap();
+        (rows, charged)
+    }
+
     /// Write records, then check that reading all splits yields exactly
-    /// the original records (unread positions nulled) with no duplicates
-    /// or losses, regardless of where block boundaries fall.
+    /// the original records (projected onto the column set) with no
+    /// duplicates or losses, regardless of where block boundaries fall.
     fn check_partition(block_size: u64, tuples: &[Tuple], columns: Option<&ColumnSet>) {
         let (dfs, file_len) = dfs_with(block_size, tuples);
         let mut seen = Vec::new();
         let mut charged = 0;
         for split in dfs.splits("/t").unwrap() {
-            let (ts, payload) = read_split(&dfs, &split, file_len, columns).unwrap();
+            let (ts, payload) = rows_of(&dfs, &split, file_len, columns);
             charged += payload;
             seen.extend(ts);
         }
-        let expected: Vec<Tuple> = tuples
-            .iter()
-            .map(|t| {
-                let keep = |i: usize| columns.is_none_or(|c| c.as_slice().contains(&i));
-                t.iter()
-                    .enumerate()
-                    .map(|(i, v)| if keep(i) { v.clone() } else { Value::Null })
-                    .collect()
-            })
-            .collect();
+        let expected: Vec<Tuple> = match columns {
+            None => tuples.to_vec(),
+            Some(columns) => tuples.iter().map(|t| t.project(columns.as_slice())).collect(),
+        };
         assert_eq!(seen, expected, "block_size={block_size} columns={columns:?}");
         assert_eq!(charged, file_len, "payload bytes partition the file");
     }
@@ -161,10 +176,39 @@ mod tests {
         assert!(splits.len() > 1);
         let mut seen = Vec::new();
         for s in &splits {
-            let (ts, _) = read_split(&dfs, s, file_len, None).unwrap();
-            seen.extend(ts);
+            seen.extend(rows_of(&dfs, s, file_len, None).0);
         }
         assert_eq!(seen, vec![t]);
+    }
+
+    #[test]
+    fn the_first_error_ends_the_read() {
+        use restore_common::Error;
+        let (dfs, file_len) = dfs_with(1024, &short_rows(10));
+        let split = &dfs.splits("/t").unwrap()[0];
+        let mut seen = 0;
+        let err = read_split(&dfs, split, file_len, None, |_| {
+            seen += 1;
+            if seen == 3 {
+                return Err(Error::Eval("third row".into()));
+            }
+            Ok(())
+        })
+        .unwrap_err();
+        assert!(err.to_string().contains("third row"), "{err}");
+        assert_eq!(seen, 3, "no row is cut after the one that failed");
+
+        // A record the decoder refuses: the rows before it were handed
+        // over, none after it.
+        dfs.write_all("/bad", b"ok\t1\nbad\\q\nnever\t3\n").unwrap();
+        let split = &dfs.splits("/bad").unwrap()[0];
+        let mut rows = Vec::new();
+        let result = read_split(&dfs, split, dfs.file_len("/bad").unwrap(), None, |t| {
+            rows.push(t);
+            Ok(())
+        });
+        assert!(matches!(result, Err(Error::Codec(_))));
+        assert_eq!(rows, vec![tuple!["ok", 1]]);
     }
 
     #[test]
@@ -172,7 +216,7 @@ mod tests {
         let dfs = Dfs::new(DfsConfig::small_for_tests());
         dfs.write_all("/e", b"").unwrap();
         let splits = dfs.splits("/e").unwrap();
-        let (ts, n) = read_split(&dfs, &splits[0], 0, None).unwrap();
+        let (ts, n) = rows_of(&dfs, &splits[0], 0, None);
         assert!(ts.is_empty());
         assert_eq!(n, 0);
     }
@@ -189,8 +233,7 @@ mod tests {
         let before = dfs.metrics();
         let mut records = 0;
         for split in &splits {
-            records +=
-                read_split(&dfs, split, file_len, Some(&ColumnSet::new([0]))).unwrap().0.len();
+            records += rows_of(&dfs, split, file_len, Some(&ColumnSet::new([0]))).0.len();
         }
         assert_eq!(records, rows.len());
         let read = dfs.metrics().since(&before).bytes_read;

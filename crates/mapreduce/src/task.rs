@@ -3,51 +3,132 @@
 //! Mirrors Hadoop's task API shape. The dataflow crate implements these
 //! traits with plan-driven interpreters; tests implement them directly.
 
-use restore_common::{Result, Tuple};
+use crate::counters::Counters;
+use crate::shuffle::{Run, RunBuilder};
+use restore_common::codec::{self, ColumnSet};
+use restore_common::{Result, Tuple, Value};
+use std::collections::hash_map::DefaultHasher;
+use std::hash::{Hash, Hasher};
+
+/// What a task hands back to the engine: bytes and counts only. `output`
+/// and `side` are text-codec chunks, committed by concatenation.
+#[derive(Debug)]
+pub struct TaskOutput {
+    /// Shuffle records by reduce partition (map tasks of jobs with a
+    /// reduce phase; empty otherwise).
+    pub shuffle: Run,
+    /// The task's share of the job's main output.
+    pub output: Vec<u8>,
+    /// The task's share of each side-output channel.
+    pub side: Vec<Vec<u8>>,
+    pub counters: Counters,
+}
 
 /// Output collector handed to mappers.
 ///
 /// A mapper can emit into three channels:
-/// * [`MapContext::emit`] — keyed records for the shuffle (jobs with a
-///   reduce phase);
+/// * [`MapContext::emit`] / [`MapContext::emit_by`] — keyed records for
+///   the shuffle (jobs with a reduce phase);
 /// * [`MapContext::output`] — direct records for map-only jobs;
 /// * [`MapContext::side`] — records for an injected Store operator
 ///   (ReStore sub-job materialization in the map phase).
-#[derive(Debug, Default)]
+///
+/// Nothing emitted is kept as a tuple. Each record is counted for the cost
+/// model (the `encoded_len` estimate, as ever) and encoded on the spot —
+/// shuffle records into the task's [`RunBuilder`] under the partition
+/// their key hashes to, direct and side records as text-codec bytes — so a
+/// map task ends holding exactly the bytes it hands back.
+#[derive(Debug)]
 pub struct MapContext {
-    /// (key, input-tag, value) triples destined for the shuffle. The tag
-    /// identifies which job input produced the record so reducers can
-    /// separate Join/CoGroup sides.
-    pub shuffle: Vec<(Tuple, usize, Tuple)>,
-    /// Direct output of map-only jobs.
-    pub direct: Vec<Tuple>,
-    /// Side-output records per channel.
-    pub side: Vec<Vec<Tuple>>,
+    /// `None` in a map-only job, which has no shuffle: what a mapper emits
+    /// there is counted and dropped.
+    shuffle: Option<RunBuilder>,
+    /// Direct output; a job with a reduce phase counts it and drops it.
+    direct: Vec<u8>,
+    side: Vec<Vec<u8>>,
+    counters: Counters,
 }
 
 impl MapContext {
-    pub fn new(side_channels: usize) -> Self {
+    /// Collector for one map task of a job with `reduce_partitions` reduce
+    /// tasks (0 = map-only) and `side_channels` side outputs.
+    pub fn new(reduce_partitions: usize, side_channels: usize) -> Self {
         MapContext {
-            shuffle: Vec::new(),
+            shuffle: (reduce_partitions > 0).then(|| RunBuilder::new(reduce_partitions)),
             direct: Vec::new(),
-            side: (0..side_channels).map(|_| Vec::new()).collect(),
+            side: vec![Vec::new(); side_channels],
+            counters: Counters::default(),
         }
     }
 
     /// Emit a keyed record into the shuffle, tagged with the input index.
+    /// The tag identifies which job input produced the record so reducers
+    /// can separate Join/CoGroup sides.
     pub fn emit(&mut self, key: Tuple, tag: usize, value: Tuple) {
-        self.shuffle.push((key, tag, value));
+        self.put(key.iter(), tag, &value);
+    }
+
+    /// [`MapContext::emit`] for the usual case of a key that is some
+    /// positions of the record itself (a position past its end is null):
+    /// the key is hashed and written from `row`'s own fields.
+    pub fn emit_by(&mut self, key_cols: &[usize], tag: usize, row: &Tuple) {
+        self.put(key_cols.iter().map(|&c| row.get(c)), tag, row);
+    }
+
+    /// The one emission encoder.
+    fn put<'a>(
+        &mut self,
+        key: impl ExactSizeIterator<Item = &'a Value> + Clone,
+        tag: usize,
+        value: &Tuple,
+    ) {
+        self.counters.map_output_records += 1;
+        self.counters.map_output_bytes +=
+            (Tuple::encoded_len_of(key.clone()) + value.encoded_len()) as u64;
+        if let Some(run) = &mut self.shuffle {
+            run.push(partition_of(key.clone(), run.partitions()), key, tag, value);
+        }
     }
 
     /// Emit a record to the job's main output (map-only jobs).
     pub fn output(&mut self, value: Tuple) {
-        self.direct.push(value);
+        self.counters.map_direct_output_records += 1;
+        if self.shuffle.is_none() {
+            codec::encode_tuple(&value, &mut self.direct);
+        }
     }
 
     /// Emit a record to side-output channel `channel`.
     pub fn side(&mut self, channel: usize, value: Tuple) {
-        self.side[channel].push(value);
+        self.counters.map_side_bytes += value.encoded_len() as u64;
+        codec::encode_tuple(&value, &mut self.side[channel]);
     }
+
+    /// Everything emitted, as the bytes the engine commits or shuffles and
+    /// the counters the cost model is charged with.
+    pub fn finish(mut self) -> TaskOutput {
+        let shuffle = match self.shuffle {
+            Some(run) => run.finish(),
+            None => {
+                self.counters.output_records = self.counters.map_direct_output_records;
+                Run::default()
+            }
+        };
+        TaskOutput { shuffle, output: self.direct, side: self.side, counters: self.counters }
+    }
+}
+
+/// Stable hash partitioner (`DefaultHasher` has fixed keys, so
+/// partitioning is reproducible across runs and platforms). It hashes what
+/// a [`Tuple`] of the same fields hashes — the arity, then each field — so
+/// a key lands in the same partition however it was emitted.
+fn partition_of<'a>(key: impl ExactSizeIterator<Item = &'a Value>, partitions: usize) -> usize {
+    let mut h = DefaultHasher::new();
+    h.write_usize(key.len());
+    for v in key {
+        v.hash(&mut h);
+    }
+    (h.finish() % partitions as u64) as usize
 }
 
 /// Output collector handed to reducers.
@@ -76,7 +157,8 @@ impl ReduceContext {
 /// Per-record map function. One instance processes one input split.
 pub trait Mapper: Send {
     /// Process one record from input `tag` (the index of the job input
-    /// the current split belongs to).
+    /// the current split belongs to). The record is laid out as the
+    /// mapper's factory asked: see [`MapperFactory::columns`].
     fn map(&mut self, tag: usize, record: Tuple, ctx: &mut MapContext) -> Result<()>;
 
     /// Called once after the last record of the split.
@@ -114,6 +196,17 @@ pub trait Reducer: Send {
 /// across the engine's worker threads.
 pub trait MapperFactory: Send + Sync {
     fn create(&self) -> Box<dyn Mapper>;
+
+    /// The field positions of input `tag`'s records that this factory's
+    /// mappers read. With `Some(set)` the scan builds nothing else and
+    /// [`Mapper::map`] receives rows holding exactly the set's positions,
+    /// in ascending order; `None` — the default — hands over whole
+    /// records. The layout is the mapper's to declare because the mapper
+    /// is what was written (or compiled) against it: a job cannot scan one
+    /// layout and map another.
+    fn columns(&self, _tag: usize) -> Option<&ColumnSet> {
+        None
+    }
 }
 
 /// Factory producing a fresh [`Reducer`] per reduce task.
@@ -145,8 +238,7 @@ pub struct IdentityMapper;
 
 impl Mapper for IdentityMapper {
     fn map(&mut self, tag: usize, record: Tuple, ctx: &mut MapContext) -> Result<()> {
-        let key = Tuple::from_values(vec![record.get(0).clone()]);
-        ctx.emit(key, tag, record);
+        ctx.emit_by(&[0], tag, &record);
         Ok(())
     }
 }
@@ -154,26 +246,91 @@ impl Mapper for IdentityMapper {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shuffle;
     use restore_common::tuple;
+
+    fn shuffled(out: &TaskOutput, partitions: usize) -> Vec<Vec<shuffle::Record>> {
+        (0..partitions)
+            .map(|p| {
+                let mut records = Vec::new();
+                shuffle::decode_range(out.shuffle.range(p), &mut records).unwrap();
+                records
+            })
+            .collect()
+    }
 
     #[test]
     fn map_context_channels() {
-        let mut ctx = MapContext::new(2);
+        // With a reduce phase: emissions reach the shuffle, side records
+        // their channel, and direct output is counted and dropped.
+        let mut ctx = MapContext::new(1, 2);
         ctx.emit(tuple![1], 0, tuple![1, "a"]);
         ctx.output(tuple![9]);
-        ctx.side(1, tuple!["s"]);
-        assert_eq!(ctx.shuffle.len(), 1);
-        assert_eq!(ctx.direct.len(), 1);
-        assert!(ctx.side[0].is_empty());
-        assert_eq!(ctx.side[1].len(), 1);
+        ctx.side(1, tuple!["s", "a\tb"]);
+        let out = ctx.finish();
+        assert_eq!(shuffled(&out, 1), vec![vec![(tuple![1], 0, tuple![1, "a"])]]);
+        assert!(out.output.is_empty());
+        assert_eq!(out.side, vec![Vec::new(), codec::encode_all(&[tuple!["s", "a\tb"]])]);
+        let c = &out.counters;
+        assert_eq!((c.map_output_records, c.map_output_bytes), (1, 2 + 4));
+        assert_eq!((c.map_direct_output_records, c.output_records), (1, 0));
+        assert_eq!(c.map_side_bytes, tuple!["s", "a\tb"].encoded_len() as u64);
+
+        // Map-only: direct output is the task's output, and what goes to
+        // the shuffle is counted and dropped.
+        let mut ctx = MapContext::new(0, 0);
+        ctx.emit(tuple![1], 0, tuple![1, "a"]);
+        ctx.output(tuple![9]);
+        ctx.output(tuple![10, "x"]);
+        let out = ctx.finish();
+        assert_eq!(out.output, codec::encode_all(&[tuple![9], tuple![10, "x"]]));
+        let c = &out.counters;
+        assert_eq!((c.map_output_records, c.map_output_bytes), (1, 2 + 4));
+        assert_eq!((c.map_direct_output_records, c.output_records), (2, 2));
     }
 
     #[test]
     fn identity_mapper_keys_on_first_field() {
-        let mut ctx = MapContext::new(0);
+        let mut ctx = MapContext::new(1, 0);
         IdentityMapper.map(0, tuple!["k", 5], &mut ctx).unwrap();
-        assert_eq!(ctx.shuffle[0].0, tuple!["k"]);
-        assert_eq!(ctx.shuffle[0].2, tuple!["k", 5]);
+        IdentityMapper.map(3, Tuple::new(), &mut ctx).unwrap();
+        let null_key = Tuple::from_values(vec![Value::Null]);
+        assert_eq!(
+            shuffled(&ctx.finish(), 1),
+            vec![vec![(tuple!["k"], 0, tuple!["k", 5]), (null_key, 3, Tuple::new())]]
+        );
+    }
+
+    #[test]
+    fn a_key_lands_in_the_same_partition_however_it_is_emitted() {
+        let rows = [
+            tuple!["user_1", 2, 3.5],
+            tuple![7, "x"],
+            Tuple::from_values(vec![Value::Null, Value::Bag(vec![tuple![1]])]),
+            Tuple::new(),
+        ];
+        let key_cols: [&[usize]; 4] = [&[0], &[1, 0], &[], &[0, 5]];
+        let partitions = 5;
+        let (mut by_ref, mut owned) =
+            (MapContext::new(partitions, 0), MapContext::new(partitions, 0));
+        for row in &rows {
+            for cols in key_cols {
+                by_ref.emit_by(cols, 1, row);
+                owned.emit(row.project(cols), 1, row.clone());
+                // And that partition is the one `Tuple`'s own hash names.
+                let mut h = DefaultHasher::new();
+                row.project(cols).hash(&mut h);
+                assert_eq!(
+                    partition_of(row.project(cols).iter(), partitions),
+                    (h.finish() % partitions as u64) as usize
+                );
+            }
+        }
+        let (by_ref, owned) = (by_ref.finish(), owned.finish());
+        assert_eq!(by_ref.counters, owned.counters);
+        let records = shuffled(&by_ref, partitions);
+        assert_eq!(format!("{records:?}"), format!("{:?}", shuffled(&owned, partitions)));
+        assert_eq!(records.iter().map(Vec::len).sum::<usize>(), rows.len() * key_cols.len());
     }
 
     #[test]

@@ -178,3 +178,68 @@ fn workflow_stops_at_first_failed_job() {
     assert!(eng.dfs().exists("/mid"));
     assert!(!eng.dfs().exists("/out"));
 }
+
+#[test]
+fn a_failed_task_stops_the_job() {
+    use restore_mapreduce::split_reader::read_split;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// Fails on the last record of the first split, and — so that with
+    /// several workers several tasks fail — on every fiftieth after it.
+    struct FailsAt {
+        first: i64,
+        calls: Arc<AtomicUsize>,
+    }
+    impl Mapper for FailsAt {
+        fn map(&mut self, _t: usize, r: Tuple, _c: &mut MapContext) -> Result<()> {
+            self.calls.fetch_add(1, Ordering::Relaxed);
+            match r.get(0).as_i64() {
+                Some(id) if id >= self.first && (id - self.first) % 50 == 0 => {
+                    Err(Error::Eval(format!("record {id} is bad")))
+                }
+                _ => Ok(()),
+            }
+        }
+    }
+
+    let dfs =
+        Dfs::new(DfsConfig { nodes: 2, block_size: 256, replication: 1, node_capacity: None });
+    let rows: Vec<Tuple> = (0..3000).map(|i| tuple![i, "some payload"]).collect();
+    dfs.write_all("/in", &codec::encode_all(&rows)).unwrap();
+    let splits = dfs.splits("/in").unwrap();
+    assert!(splits.len() > 100, "{} splits", splits.len());
+    let mut first_split = Vec::new();
+    read_split(&dfs, &splits[0], dfs.file_len("/in").unwrap(), None, |t| {
+        first_split.push(t);
+        Ok(())
+    })
+    .unwrap();
+    let first = first_split.last().unwrap().get(0).as_i64().unwrap();
+
+    for threads in [1, 2, 8] {
+        let calls = Arc::new(AtomicUsize::new(0));
+        let factory_calls = Arc::clone(&calls);
+        let spec = JobSpec::new(
+            "stops",
+            vec![JobInput::new("/in")],
+            "/out/never",
+            Arc::new(move || {
+                Box::new(FailsAt { first, calls: Arc::clone(&factory_calls) }) as Box<dyn Mapper>
+            }),
+            None,
+        );
+        let engine = Engine::new(
+            dfs.clone(),
+            ClusterConfig::default(),
+            EngineConfig { worker_threads: threads, default_reduce_tasks: 2 },
+        );
+        // Whichever tasks failed, the error is that of the lowest split.
+        let err = engine.run(&spec).unwrap_err();
+        assert_eq!(err.to_string(), Error::Eval(format!("record {first} is bad")).to_string());
+        assert!(!dfs.exists("/out/never"));
+        if threads == 1 {
+            // The one worker took split 0 first and nothing after it.
+            assert_eq!(calls.load(Ordering::Relaxed), first_split.len());
+        }
+    }
+}

@@ -6,7 +6,7 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 use proptest::sample::select;
 use restore_common::{Tuple, Value};
-use restore_mapreduce::shuffle::{decode_range, Record, Run};
+use restore_mapreduce::shuffle::{decode_range, Record, Run, RunBuilder};
 
 /// Strings the text codec would escape or re-type, and plain ones.
 fn string() -> impl Strategy<Value = String> {
@@ -48,13 +48,22 @@ fn partition_of(key: &Tuple, partitions: usize) -> usize {
     key.arity() % partitions
 }
 
+/// `records` pushed one by one, as a map task emits them.
+fn encode(records: &[Record], partitions: usize) -> Run {
+    let mut run = RunBuilder::new(partitions);
+    for (key, tag, value) in records {
+        run.push(partition_of(key, partitions), key.iter(), *tag, value);
+    }
+    run.finish()
+}
+
 proptest! {
     /// Each partition decodes to the records sent to it, in emission
     /// order, with identical `Debug` text — stricter than `==`, which
     /// equates `Int(1)` with `Double(1.0)` and `-0.0` with `0.0`.
     #[test]
     fn a_run_round_trips_debug_identical(records in records(), partitions in 1usize..6) {
-        let run = Run::encode(&records, partitions, |k| partition_of(k, partitions));
+        let run = encode(&records, partitions);
         for p in 0..partitions {
             let sent: Vec<&Record> =
                 records.iter().filter(|(k, _, _)| partition_of(k, partitions) == p).collect();
@@ -75,7 +84,7 @@ proptest! {
         records in records(),
         masks in vec(1u8..255, 3),
     ) {
-        let run = Run::encode(&records, 2, |k| partition_of(k, 2));
+        let run = encode(&records, 2);
         for p in 0..2 {
             let range = run.range(p);
             let mut whole = Vec::new();

@@ -9,7 +9,9 @@
 //! `sample_size` timed iterations — and reports min / mean / max wall
 //! time plus derived throughput. Results are printed to stdout and, when
 //! `CRITERION_JSON` names a file, appended to it as JSON lines so the
-//! experiment harness can archive `BENCH_*.json` snapshots.
+//! experiment harness can archive `BENCH_*.json` snapshots. As with the
+//! real crate, a positional argument (`cargo bench --bench b -- name`)
+//! runs only the benchmarks whose full name contains it.
 
 use std::fmt::Display;
 use std::io::Write as _;
@@ -173,6 +175,9 @@ fn run_one<F: FnMut(&mut Bencher)>(
         Some(g) => format!("{g}/{name}"),
         None => name.to_string(),
     };
+    if std::env::args().skip(1).any(|arg| !arg.starts_with('-') && !full.contains(&arg)) {
+        return;
+    }
     let mut b = Bencher { samples: samples.max(1), times: Vec::new() };
     f(&mut b);
     if b.times.is_empty() {

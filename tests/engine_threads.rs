@@ -16,6 +16,13 @@
 //! numbers" is checked against that engine rather than against itself. On
 //! a deliberate change to what is counted, the failing assertion prints
 //! the new text to paste in.
+//!
+//! `tests/golden/engine_outputs.txt` pins the *content* the counters only
+//! measure: a 64-bit digest and the length of every job's main and side
+//! outputs, captured from the engine as it stood before map tasks decoded
+//! narrow rows and encoded at emission. `restore-e2e`'s oracle compares a
+//! build only with itself; this file is what makes "every committed byte
+//! unchanged" a check across commits.
 
 use restore_suite::core::enumerator::{inject_subjob_stores, Heuristic};
 use restore_suite::dataflow::compile_canonical;
@@ -32,6 +39,14 @@ struct JobRun {
     files: Vec<Vec<u8>>,
     counters: Counters,
     times: JobTimes,
+}
+
+/// FNV-1a, 64 bits: spelled out here so the digest cannot change with the
+/// toolchain's hashers.
+fn digest(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
 }
 
 /// The standard workload has no map-only job; the direct-output commit
@@ -88,6 +103,7 @@ fn run_workload(threads: usize, instrumented: bool) -> Vec<JobRun> {
 #[test]
 fn outputs_counters_and_times_are_identical_at_1_2_and_8_threads() {
     let mut golden = String::new();
+    let mut outputs = String::new();
     for instrumented in [false, true] {
         let base = run_workload(1, instrumented);
         assert!(base.iter().any(|r| r.counters.reduce_tasks > 0 && r.counters.output_bytes > 0));
@@ -108,8 +124,15 @@ fn outputs_counters_and_times_are_identical_at_1_2_and_8_threads() {
         }
         for run in &base {
             golden.push_str(&format!("{} {:?}\n", run.label, run.counters));
+            outputs.push_str(&run.label);
+            for file in &run.files {
+                outputs.push_str(&format!(" {:016x}/{}", digest(file), file.len()));
+            }
+            outputs.push('\n');
         }
     }
     let want = include_str!("golden/engine_counters.txt");
     assert!(golden == want, "engine counters changed; new text:\n{golden}");
+    let want = include_str!("golden/engine_outputs.txt");
+    assert!(outputs == want, "engine output bytes changed; new text:\n{outputs}");
 }

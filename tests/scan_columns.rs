@@ -3,11 +3,14 @@
 //! `exec::job_spec_for_plan` derives, per Load, the column set its
 //! consumers project (or "all"), from the plan exactly as handed to it —
 //! compiled, instrumented with sub-job Stores, or rewritten against the
-//! repository. These tests pin that derivation on the PigMix plans and
-//! show that the engine's outputs, counters and modeled times do not
-//! depend on it.
+//! repository — compiles the map program against rows of exactly that
+//! layout, and has the job's mapper factory report it to the engine.
+//! These tests pin that derivation on the PigMix plans and show that the
+//! columns outside it really are not read: replace them with other valid
+//! values and nothing a job produces or is charged for changes.
 
-use restore_suite::common::codec::ColumnSet;
+use restore_suite::common::codec;
+use restore_suite::common::{Tuple, Value};
 use restore_suite::core::enumerator::{inject_subjob_stores, Heuristic};
 use restore_suite::core::{matcher, rewriter};
 use restore_suite::dataflow::exec::job_spec_for_plan;
@@ -24,8 +27,9 @@ fn scan_sets(plan: &PhysicalPlan) -> Vec<(String, Option<Vec<usize>>)> {
     let spec = job_spec_for_plan(plan, "t").unwrap();
     let mut sets: Vec<_> = spec
         .inputs
-        .into_iter()
-        .map(|i| (i.path, i.columns.map(|c| c.as_slice().to_vec())))
+        .iter()
+        .enumerate()
+        .map(|(tag, i)| (i.path.clone(), spec.mapper.columns(tag).map(|c| c.as_slice().to_vec())))
         .collect();
     sets.sort();
     sets
@@ -162,54 +166,82 @@ fn instrumented_and_rewritten_plans_are_pruned_by_the_same_rule() {
     );
 }
 
-/// The column set changes what the scan materializes and nothing a job
-/// produces or is charged for.
+/// `path` rewritten with every field outside `read` replaced: strings by
+/// another string, numbers by another number, so the copy is as valid as
+/// the original and differs in nearly every byte of the unread columns.
+fn scramble_unread(dfs: &Dfs, path: &str, read: &[usize]) {
+    let rows = codec::decode_all(&dfs.read_all(path).unwrap()).unwrap();
+    let scrambled: Vec<Tuple> = rows
+        .iter()
+        .map(|row| {
+            row.iter()
+                .enumerate()
+                .map(|(i, v)| match v {
+                    _ if read.contains(&i) => v.clone(),
+                    Value::Str(s) => Value::Str(s.chars().rev().chain("é\t".chars()).collect()),
+                    Value::Int(n) => Value::Double(*n as f64 + 0.5),
+                    Value::Double(d) => Value::Int(*d as i64 + 1),
+                    other => other.clone(),
+                })
+                .collect()
+        })
+        .collect();
+    assert_ne!(rows, scrambled, "{path} has unread columns to scramble");
+    dfs.delete(path);
+    dfs.write_all(path, &codec::encode_all(&scrambled)).unwrap();
+}
+
+/// The column set decides what the scan materializes and nothing a job
+/// produces or is charged for: the same plan over the generated tables
+/// and over copies whose unread columns hold other values gives
+/// byte-identical outputs and equal `Counters` (bar the input bytes,
+/// which the copies changed).
 #[test]
 fn outputs_counters_and_times_do_not_depend_on_the_column_set() {
-    let dfs =
-        Dfs::new(DfsConfig { nodes: 4, block_size: 4 << 10, replication: 2, node_capacity: None });
-    datagen::generate(&dfs, &DataScale::tiny(), 0x5E570E).unwrap();
-    let engine = Engine::new(
-        dfs.clone(),
-        ClusterConfig::default(),
-        EngineConfig { worker_threads: 2, default_reduce_tasks: 3 },
-    );
-
     // L3's join job, instrumented so it also writes map- and reduce-side
     // side outputs.
     let l3 = compiled(&queries::l3("/out/L3"));
     let mut plan = l3.jobs[l3.topo_order().unwrap()[0]].plan.clone();
     instrument(&mut plan, Heuristic::Aggressive);
+    let spec = job_spec_for_plan(&plan, "derived").unwrap();
+    assert!(!spec.side_outputs.is_empty());
+    let read: Vec<Vec<usize>> = (0..spec.inputs.len())
+        .map(|tag| spec.mapper.columns(tag).expect("both inputs are pruned").as_slice().to_vec())
+        .collect();
 
-    let derived = job_spec_for_plan(&plan, "derived").unwrap();
-    assert!(derived.inputs.iter().all(|i| i.columns.is_some()), "both inputs are pruned");
-    assert!(!derived.side_outputs.is_empty());
-    let mut full = derived.clone();
-    for input in &mut full.inputs {
-        input.columns = None;
-    }
-
-    let snapshot = |spec: &restore_suite::mapreduce::JobSpec| {
-        let result = engine.run(spec).unwrap();
+    let snapshot = |scrambled: bool| {
+        let dfs = Dfs::new(DfsConfig {
+            nodes: 4,
+            block_size: 4 << 10,
+            replication: 2,
+            node_capacity: None,
+        });
+        datagen::generate(&dfs, &DataScale::tiny(), 0x5E570E).unwrap();
+        if scrambled {
+            for (input, read) in spec.inputs.iter().zip(&read) {
+                scramble_unread(&dfs, &input.path, read);
+            }
+        }
+        let engine = Engine::new(
+            dfs.clone(),
+            ClusterConfig::default(),
+            EngineConfig { worker_threads: 2, default_reduce_tasks: 3 },
+        );
+        let result = engine.run(&spec).unwrap();
         let files: Vec<Vec<u8>> = std::iter::once(&spec.output)
             .chain(&spec.side_outputs)
             .map(|p| dfs.read_all(p).unwrap())
             .collect();
-        (files, result.counters, result.times)
+        (files, result.counters)
     };
-    let (pruned_files, pruned_counters, pruned_times) = snapshot(&derived);
-    let (full_files, full_counters, full_times) = snapshot(&full);
-    assert!(pruned_files.iter().all(|f| !f.is_empty()), "every output has rows to compare");
-    assert!(pruned_files == full_files, "outputs and side outputs are byte-identical");
-    assert_eq!(pruned_counters, full_counters);
-    assert!(pruned_counters.map_input_records > 0 && pruned_counters.map_output_bytes > 0);
-    assert_eq!(pruned_times, full_times);
-
-    // And the set is really in force: a set that omits a projected
-    // column changes the answer.
-    let mut wrong = derived.clone();
-    let page_views = wrong.inputs.iter_mut().find(|i| i.path == PAGE_VIEWS).unwrap();
-    page_views.columns = Some(ColumnSet::new([0]));
-    let (wrong_files, ..) = snapshot(&wrong);
-    assert!(wrong_files != full_files, "a short column set must show in the output");
+    let (files, counters) = snapshot(false);
+    let (scrambled_files, mut scrambled_counters) = snapshot(true);
+    assert!(files.iter().all(|f| !f.is_empty()), "every output has rows to compare");
+    assert!(files == scrambled_files, "outputs and side outputs are byte-identical");
+    assert!(counters.map_input_records > 0 && counters.map_output_bytes > 0);
+    assert_ne!(counters.map_input_bytes, scrambled_counters.map_input_bytes);
+    // The split boundaries moved with the bytes, so the task count may too.
+    scrambled_counters.map_input_bytes = counters.map_input_bytes;
+    scrambled_counters.map_tasks = counters.map_tasks;
+    assert_eq!(counters, scrambled_counters);
 }
