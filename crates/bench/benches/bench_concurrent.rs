@@ -12,9 +12,9 @@
 //! Each arm also reports the repository's write-side counters as
 //! per-round deltas (`publishes/round`, `writer_sections/round`, from
 //! [`ReStore::write_counters_as`]): warm rounds must show ~0 — serving
-//! is read-only — while mixed rounds expose the registration churn the
-//! sharded write path parallelizes. The numbers are printed after each
-//! group and archived with the entries in `BENCH_concurrent.json`.
+//! is read-only — while mixed rounds expose the registration churn.
+//! The numbers are printed after each group and archived with the
+//! entries in `BENCH_concurrent.json`.
 //!
 //! The warm arm also reports what one wave of the §3 loop costs —
 //! `prepare` µs, probe iterations and applied rewrites per wave, µs per

@@ -55,7 +55,7 @@ fn bench_matching(c: &mut Criterion) {
     let mut group = c.benchmark_group("repository_match");
     group.sample_size(30);
     for &n in &[8usize, 64, 256] {
-        let view = repo_of(n).view();
+        let view = repo_of(n).snapshot();
         // Worst case for the scan: the matching entry is near the end.
         let query = query_plan(n - 1);
         group.bench_with_input(BenchmarkId::new("sequential_scan", n), &n, |b, _| {

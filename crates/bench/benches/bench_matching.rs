@@ -1,7 +1,7 @@
 //! Concurrent repository-matching throughput of the RCU snapshot
 //! design, across repository sizes and submitting threads.
 //!
-//! `snapshot_indexed` — each match grabs the RCU view (lock-free),
+//! `snapshot_indexed` — each match loads the RCU snapshot (lock-free),
 //! filters candidates through the inverted tip-signature index, and
 //! records the reuse through the entry's shared atomics. No lock is
 //! ever taken; the bench asserts the publish counter stays frozen.
@@ -26,13 +26,13 @@
 //! only match entry point and left no bare side to compare; its
 //! numbers are archived in `BENCH_matching.json`.)
 //!
-//! `insert_sharded`, is the **write-path** ablation: 1/2/
-//! 4/8 writer threads registering disjoint plan corpora into a
-//! repository striped 1 vs 8 ways (`MATCHING_SHARDS` overrides the
-//! shard list). Single-shard, every insert serializes on one writer
-//! section and its §3 ordering scan walks the whole repository;
-//! striped, writers whose tip signatures hash to different shards
-//! insert fully in parallel against 8× shorter scans.
+//! `insert_writers` prices the **write path**: 1/2/4/8 writer threads
+//! registering disjoint plan corpora into one repository. Every insert
+//! is a batch of one — a writer section, an O(n) §3 ordering scan, an
+//! O(n) snapshot clone and a publish — so writers serialize and the
+//! round grows with the square of the total inserted. (The
+//! `insert_sharded` arms archived in `BENCH_matching.json` measured a
+//! striped write path that no submission took; see the note there.)
 //!
 //! `paraphrase_reuse` is the **analyzer** ablation:
 //! each round drives the paraphrased-PigMix suite (every query plus
@@ -137,74 +137,61 @@ fn bulk_sizes() -> Vec<usize> {
     }
 }
 
-fn shard_counts() -> Vec<usize> {
-    match std::env::var("MATCHING_SHARDS") {
-        Ok(v) => v.split(',').filter_map(|s| s.trim().parse().ok()).collect(),
-        Err(_) => vec![1, 8],
-    }
-}
-
 /// Inserts per writer thread per measured round. Small enough that a
 /// round stays in milliseconds, large enough that the O(len) ordering
 /// scan inside each insert dominates the fixed per-insert overhead.
 const INSERTS_PER_WRITER: usize = 64;
 
-/// Write-path ablation: concurrent writers registering disjoint
-/// corpora, repository striped `shards` ways. Each timed round builds
-/// a fresh repository (construction is a handful of empty `Rcu`s —
-/// noise next to the inserts) so every round performs identical work.
-fn bench_insert_sharded(c: &mut Criterion) {
-    for &shards in &shard_counts() {
-        let mut group = c.benchmark_group(format!("insert_sharded/shards{shards}"));
-        for &threads in &[1usize, 2, 4, 8] {
-            let corpus: Vec<Vec<(PhysicalPlan, String, RepoStats)>> = (0..threads)
-                .map(|t| {
-                    (0..INSERTS_PER_WRITER)
-                        .map(|k| {
-                            let i = t * INSERTS_PER_WRITER + k;
-                            (
-                                entry_plan(i),
-                                format!("/repo/{i}"),
-                                RepoStats {
-                                    input_bytes: 10_000 - i as u64,
-                                    output_bytes: 100,
-                                    job_time_s: (1_000 - i) as f64,
-                                    ..Default::default()
-                                },
-                            )
-                        })
-                        .collect()
-                })
-                .collect();
-            group.throughput(Throughput::Elements((threads * INSERTS_PER_WRITER) as u64));
-            group.bench_with_input(
-                BenchmarkId::new("writers", threads),
-                &threads,
-                |b, &threads| {
-                    b.iter(|| {
-                        let repo = Repository::with_shards(shards);
-                        std::thread::scope(|scope| {
-                            for slice in corpus.iter().take(threads) {
-                                let repo = &repo;
-                                scope.spawn(move || {
-                                    for (p, path, s) in slice {
-                                        black_box(repo.insert(p.clone(), path.clone(), s.clone()));
-                                    }
-                                });
+/// Write path: concurrent writers registering disjoint corpora into one
+/// repository. Each timed round builds a fresh repository (construction
+/// is one empty `Rcu` — noise next to the inserts) so every round
+/// performs identical work.
+fn bench_insert_writers(c: &mut Criterion) {
+    let mut group = c.benchmark_group("insert_writers");
+    for &threads in &[1usize, 2, 4, 8] {
+        let corpus: Vec<Vec<(PhysicalPlan, String, RepoStats)>> = (0..threads)
+            .map(|t| {
+                (0..INSERTS_PER_WRITER)
+                    .map(|k| {
+                        let i = t * INSERTS_PER_WRITER + k;
+                        (
+                            entry_plan(i),
+                            format!("/repo/{i}"),
+                            RepoStats {
+                                input_bytes: 10_000 - i as u64,
+                                output_bytes: 100,
+                                job_time_s: (1_000 - i) as f64,
+                                ..Default::default()
+                            },
+                        )
+                    })
+                    .collect()
+            })
+            .collect();
+        group.throughput(Throughput::Elements((threads * INSERTS_PER_WRITER) as u64));
+        group.bench_with_input(BenchmarkId::new("writers", threads), &threads, |b, &threads| {
+            b.iter(|| {
+                let repo = Repository::new();
+                std::thread::scope(|scope| {
+                    for slice in corpus.iter().take(threads) {
+                        let repo = &repo;
+                        scope.spawn(move || {
+                            for (p, path, s) in slice {
+                                black_box(repo.insert(p.clone(), path.clone(), s.clone()));
                             }
                         });
-                        assert_eq!(repo.len(), threads * INSERTS_PER_WRITER);
-                        black_box(repo.publish_count())
-                    });
-                },
-            );
-        }
-        group.finish();
+                    }
+                });
+                assert_eq!(repo.len(), threads * INSERTS_PER_WRITER);
+                black_box(repo.publish_count())
+            });
+        });
     }
+    group.finish();
 }
 
 /// One group of the concurrent match arms: `threads` submitters each
-/// match their query mix against a fresh lock-free view per query and
+/// match their query mix against a fresh lock-free snapshot per query and
 /// record every hit through the entry's shared atomics. Asserts the
 /// path stayed write-free — matching and reuse accounting published no
 /// snapshot.
@@ -228,7 +215,7 @@ fn bench_concurrent_matches(
                         let tick = &tick;
                         scope.spawn(move || {
                             for q in qs {
-                                let hit = black_box(repo.view().find_first_match(q));
+                                let hit = black_box(repo.snapshot().find_first_match(q));
                                 if let Some((id, _)) = hit {
                                     let t = tick.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                                     repo.note_use(id, t);
@@ -355,7 +342,7 @@ criterion_group!(
     benches,
     bench_matching,
     bench_matching_bulk,
-    bench_insert_sharded,
+    bench_insert_writers,
     bench_paraphrase_reuse,
     bench_canon_compile
 );

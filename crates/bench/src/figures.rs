@@ -287,7 +287,7 @@ pub fn matcher_ablation() -> Vec<AblationRow> {
             };
             repo.insert(entry_plan(i), format!("/r/{i}"), stats);
         }
-        let view = repo.view();
+        let view = repo.snapshot();
         // Worst case for the scan: the matching entry sits at the end.
         let query = query_plan(n - 1);
         let reps = 200;

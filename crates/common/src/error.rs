@@ -43,7 +43,7 @@ pub enum Error {
     /// corrupt journal points at the offending record instead of a
     /// generic "malformed journal".
     Journal { segment: usize, record: usize, msg: String },
-    /// A configuration value is invalid (e.g. an absurd shard count).
+    /// A configuration value is invalid or no longer supported.
     Config(String),
     /// Record decoding failure when reading DFS files.
     Codec(String),

@@ -97,19 +97,6 @@ pub struct ReStoreConfig {
     /// Algorithm 1); results are byte-identical either way because jobs
     /// within a wave share no outputs.
     pub wave_parallel: bool,
-    /// Number of repository shards per namespace (1 = the classic
-    /// single-shard repository). Shards stripe entries by tip-signature
-    /// hash, each with its own RCU writer section and journal lane, so
-    /// concurrent waves registering into different shards never
-    /// contend; matching, sweeps, and checkpoints produce results
-    /// byte-identical to one shard. The count takes effect when a
-    /// namespace is **created** (or restored via `load_state`): the
-    /// default namespace is sharded at [`ReStore::new`], tenant
-    /// namespaces at first use, and changing this on a live session
-    /// only affects namespaces created afterwards. 0 normalizes to 1;
-    /// counts above [`crate::repository::MAX_REPO_SHARDS`] are a typed
-    /// config error at decode time.
-    pub repo_shards: usize,
     /// What the serving layer does when a submission's execution fails:
     /// retries with backoff, dead-lettering, and the per-tenant circuit
     /// breaker (see [`crate::failure`]). The driver itself only
@@ -137,7 +124,6 @@ impl Default for ReStoreConfig {
             delete_tmp: false,
             register_final_outputs: true,
             wave_parallel: true,
-            repo_shards: 1,
             failure: crate::failure::FailurePolicy::default(),
             canonicalize: true,
         }
@@ -281,7 +267,7 @@ pub(crate) struct Space {
     /// read on the execution path is lock-free like every other shared
     /// map in the session.
     pub(crate) config: Rcu<Option<ReStoreConfig>>,
-    /// Per-namespace match metrics (hits/misses/latency/shard wins).
+    /// Per-namespace match metrics (hits/misses/latency).
     /// Registered against the session registry for namespaces the
     /// driver creates; the detached placeholder `space_snapshot` hands
     /// out for unknown tenants records into the void.
@@ -293,14 +279,10 @@ pub(crate) struct Space {
 }
 
 impl Space {
-    /// A fresh namespace with its repository striped into `shards`
-    /// (normalized — 0 behaves like 1, absurd counts are capped) and
-    /// its match metrics registered under `tenant` in the session
-    /// registry.
-    fn with_shards_registered(shards: usize, registry: &Registry, tenant: &str) -> Self {
-        let repo = Repository::with_shards(shards);
-        let metrics = SpaceMetrics::registered(registry, tenant, repo.shard_count());
-        Space { repo, metrics, ..Default::default() }
+    /// A fresh namespace with its match metrics registered under
+    /// `tenant` in the session registry.
+    fn registered(registry: &Registry, tenant: &str) -> Self {
+        Space { metrics: SpaceMetrics::registered(registry, tenant), ..Default::default() }
     }
 }
 
@@ -386,7 +368,7 @@ impl ReStore {
         let obs = Obs::new();
         ReStore {
             engine,
-            space: Arc::new(Space::with_shards_registered(config.repo_shards, &obs.registry, "")),
+            space: Arc::new(Space::registered(&obs.registry, "")),
             tenants: Rcu::new(HashMap::new()),
             config: RwLock::new(config),
             tick: AtomicU64::new(0),
@@ -442,34 +424,25 @@ impl ReStore {
         self.journal.stats()
     }
 
-    /// Buffered bytes per journal lane (stats only — briefly locks each
-    /// lane in turn, never on the append path).
-    pub fn journal_lane_bytes(&self) -> Vec<usize> {
-        self.journal.lane_bytes()
-    }
-
     /// Journal records appended since the last delta capture — what a
-    /// crash right now would have to replay from the live lanes.
+    /// crash right now would have to replay from the live buffer.
     pub fn journal_seq_lag(&self) -> u64 {
         self.journal.seq_lag()
     }
 
     /// Install the journal sink on a namespace's repository so its
-    /// batches emit `repo-batch` records at publish time. The sink
-    /// carries the emitting shard index, which picks the journal lane —
-    /// sinks of different shards append in parallel.
+    /// batches emit `repo-batch` records at publish time.
     fn wire_space(journal: &Arc<Journal>, name: &str, space: &Space) {
         let j = journal.clone();
         let n = name.to_string();
-        space.repo.set_journal_sink(Some(Arc::new(move |shard: usize, ops: &[RepoOp]| {
-            j.append_repo_batch(&n, shard, ops)
-        })));
+        space
+            .repo
+            .set_journal_sink(Some(Arc::new(move |ops: &[RepoOp]| j.append_repo_batch(&n, ops))));
     }
 
-    /// A fresh namespace with `shards` repository shards, journal-wired
-    /// when the journal is on.
-    fn make_space(&self, name: &str, shards: usize) -> Arc<Space> {
-        let space = Arc::new(Space::with_shards_registered(shards, &self.obs.registry, name));
+    /// A fresh namespace, journal-wired when the journal is on.
+    fn make_space(&self, name: &str) -> Arc<Space> {
+        let space = Arc::new(Space::registered(&self.obs.registry, name));
         if self.journal.enabled() {
             Self::wire_space(&self.journal, name, &space);
         }
@@ -497,15 +470,11 @@ impl ReStore {
             return s.clone();
         }
         let mut created = false;
-        // A namespace created on first use is sharded per the global
-        // config current at creation (a tenant override cannot exist
-        // before its namespace does).
-        let shards = self.config.read().repo_shards;
         let space = self.tenants.update(|m| {
             m.entry(t.to_string())
                 .or_insert_with(|| {
                     created = true;
-                    self.make_space(t, shards)
+                    self.make_space(t)
                 })
                 .clone()
         });
@@ -568,7 +537,7 @@ impl ReStore {
                 let prov = space.prov.load();
                 written.iter().any(|p| prov.contains(p))
             } || {
-                let repo = space.repo.view();
+                let repo = space.repo.snapshot();
                 repo.entries().iter().any(|e| written.contains(&e.output_path))
             };
             if !hit {
@@ -1204,7 +1173,7 @@ impl ReStore {
         // tenant's prefix so namespaces never share materialized files.
         let candidates: Vec<Candidate> = if config.heuristic != Heuristic::None {
             let prov = space.prov.load();
-            let repo = space.repo.view();
+            let repo = space.repo.snapshot();
             let prefix = match tenant {
                 Some(t) => format!("{}/{t}", config.repo_prefix),
                 None => config.repo_prefix.clone(),
@@ -1288,7 +1257,7 @@ impl ReStore {
         for _ in 0..budget {
             let snapshot_t0 = Instant::now();
             let expanded = space.prov.load().expand(plan);
-            let snap = space.repo.view();
+            let snap = space.repo.snapshot();
             self.obs.match_stage.snapshot_load.record_elapsed(snapshot_t0);
             probe.reset();
             let found = snap.find_first_match_probed(
@@ -1297,12 +1266,8 @@ impl ReStore {
                 &mut probe,
             );
             self.obs.match_stage.index_probe.record(probe.probe_ns);
-            self.obs.match_stage.winner_pass.record(probe.winner_ns);
             for c in probe.candidates.iter().filter(|c| !c.matched) {
-                decisions.push(ReuseDecision::CandidateFailedTraversal {
-                    entry_id: c.entry_id,
-                    shard: c.shard,
-                });
+                decisions.push(ReuseDecision::CandidateFailedTraversal { entry_id: c.entry_id });
             }
             let Some((entry_id, m)) = found else {
                 decisions.push(ReuseDecision::NoCandidates {
@@ -1310,7 +1275,6 @@ impl ReStore {
                 });
                 break;
             };
-            let shard = probe.winner_shard.unwrap_or(0);
             let reused_path = snap.get(entry_id).expect("matched entry").output_path.clone();
             if let Some(p) = pins.as_deref_mut() {
                 let pin_t0 = Instant::now();
@@ -1321,7 +1285,7 @@ impl ReStore {
                 // progress; results are unchanged because the entry
                 // could equally have been evicted a moment before our
                 // first snapshot.
-                let present = space.repo.view().contains_id(entry_id);
+                let present = space.repo.snapshot().contains_id(entry_id);
                 self.obs.match_stage.pin_revalidate.record_elapsed(pin_t0);
                 if !present {
                     p.unpin_last();
@@ -1343,16 +1307,11 @@ impl ReStore {
             }
             *plan = rewritten;
             matched_any = true;
-            decisions.push(ReuseDecision::Matched {
-                entry_id,
-                shard,
-                reused_path: reused_path.clone(),
-            });
+            decisions.push(ReuseDecision::Matched { entry_id, reused_path: reused_path.clone() });
             if pins.is_some() {
                 // Write-free reuse accounting: atomics shared by every
                 // snapshot of the entry — never a repository lock.
                 space.repo.note_use(entry_id, tick);
-                space.metrics.shard_hit(shard);
             }
             on_match(entry_id, &reused_path);
             if identity_copy(plan).is_some() {
@@ -1526,7 +1485,7 @@ impl ReStore {
         let wf = self.compile_as(tenant, text, out_prefix)?;
         let mut report = String::new();
         {
-            let repo = space.repo.view();
+            let repo = space.repo.snapshot();
             report.push_str(&format!(
                 "workflow: {} job(s); repository: {} entr{}\n",
                 wf.jobs.len(),
@@ -1631,7 +1590,7 @@ impl ReStore {
             .into_iter()
             .map(|(name, space)| {
                 let provenance_entries = space.prov.load().len();
-                let repo = space.repo.view();
+                let repo = space.repo.snapshot();
                 let entries = repo.entries();
                 let stats = ReStoreStats {
                     repository_entries: entries.len(),
@@ -1654,7 +1613,7 @@ impl ReStore {
         // Wait-free: one provenance snapshot, one repository snapshot;
         // no lock ordering to respect and no writer ever blocked.
         let provenance_entries = space.prov.load().len();
-        let repo = space.repo.view();
+        let repo = space.repo.snapshot();
         let entries = repo.entries();
         ReStoreStats {
             repository_entries: entries.len(),
@@ -1667,8 +1626,8 @@ impl ReStore {
     }
 
     /// Write-side counters of a tenant's repository: `(snapshot
-    /// publishes, writer-section entries)`, both cumulative and summed
-    /// across shards. Benchmarks read deltas of these around a round to
+    /// publishes, writer-section entries)`, both cumulative.
+    /// Benchmarks read deltas of these around a round to
     /// attribute wall-time to write-side contention (`None` = the
     /// default namespace).
     pub fn write_counters_as(&self, tenant: Option<&str>) -> (u64, u64) {
@@ -1676,7 +1635,7 @@ impl ReStore {
         (space.repo.publish_count(), space.repo.writer_sections())
     }
 
-    /// Serialize the full ReStore session state (`restore-state v3`):
+    /// Serialize the full ReStore session state (`restore-state v5`):
     /// the counters, the journal anchor, the global configuration, and
     /// **every** namespace — default and per-tenant — with its
     /// repository, provenance table, and (when set) its policy
@@ -1776,7 +1735,7 @@ impl ReStore {
         );
     }
 
-    /// Flush dirty state and seal the live lanes **without** consuming
+    /// Flush dirty state and seal the live buffer **without** consuming
     /// the sealed queue: registered journal taps (replication) receive
     /// the sealed segments, while the segments stay owned by the next
     /// [`ReStore::save_state_delta`] — shipping never steals from the
@@ -1815,13 +1774,12 @@ impl ReStore {
     }
 
     /// Rebuild session state from a base checkpoint plus journal
-    /// segments: load the base (any wire version), then replay every
-    /// record with a sequence number past the base's anchor, in **seq
-    /// order**. A segment's physical order may interleave seqs from
-    /// different journal lanes (per-shard repository sinks append in
-    /// parallel — see [`crate::journal`]), so recovery decodes all
-    /// segments first and merges on seq; replay order is therefore
-    /// identical to a single-lane journal's. A torn tail in the
+    /// segments: load the base, then replay every record with a
+    /// sequence number past the base's anchor, in **seq order**. The
+    /// journal writes segments and frames in seq order, but segments
+    /// are input: recovery decodes all of them first and sorts on seq,
+    /// so files handed over in the wrong order still replay correctly
+    /// and a repeated frame is refused. A torn tail in the
     /// **final** segment — the crash artifact of a process dying
     /// mid-append — is truncated and reported; a duplicated sequence
     /// number or any other malformation fails with [`Error::Journal`]
@@ -1970,22 +1928,6 @@ impl ReStore {
         Ok(())
     }
 
-    /// Serialize the session in the **legacy v1 format**: counters plus
-    /// the default namespace only, no configuration. Kept for
-    /// compatibility tooling and round-trip tests; new snapshots should
-    /// use [`ReStore::save_state`].
-    pub fn save_state_v1(&self) -> String {
-        let (prov_text, repo_text) = self.capture_space_tables(&self.space);
-        format!(
-            "{}\ntick {}\ncand {}\n--provenance--\n{}--repository--\n{}",
-            crate::state::V1_HEADER,
-            self.tick.load(Ordering::SeqCst),
-            self.cand_counter.load(Ordering::SeqCst),
-            prov_text,
-            repo_text,
-        )
-    }
-
     /// Serialize one namespace's provenance and repository with
     /// condemned paths excluded. The capture **freezes both writer
     /// sides** (no snapshot can be published while it runs): deferrals
@@ -2032,16 +1974,14 @@ impl ReStore {
         out
     }
 
-    /// Restore a session serialized by [`ReStore::save_state`] (v4 or
-    /// the earlier v2/v3) or by a pre-v2 release ([`ReStore::save_state_v1`]'s
-    /// format). The DFS handle (and the stored output files in it) come
-    /// from the engine this instance was built with.
+    /// Restore a session serialized by [`ReStore::save_state`] (v5, or
+    /// the v4 of the release before). The DFS handle (and the stored
+    /// output files in it) come from the engine this instance was built
+    /// with.
     ///
-    /// A v2/v3/v4 document replaces the whole session: global config,
-    /// every tenant namespace (existing tenant state is dropped,
-    /// dead-letter queues included), and the counters. A v1 document
-    /// predates tenant serialization and loads into the default
-    /// namespace only, leaving tenants and the global config untouched.
+    /// The document replaces the whole session: global config, every
+    /// tenant namespace (existing tenant state is dropped, dead-letter
+    /// queues included), and the counters.
     ///
     /// Call on a quiesced session (no workflows in flight) — the
     /// service's `restore` entry point arranges that. Malformed input
@@ -2056,58 +1996,40 @@ impl ReStore {
 
     /// The load itself, journal suspended (shared by [`ReStore::load_state`]
     /// and recovery, which must not re-record what they apply). Returns
-    /// the document's journal anchor (0 for v1/v2).
+    /// the document's journal anchor.
     fn load_state_inner(&self, text: &str) -> Result<u64> {
         let _pause = self.journal.pause();
         let loaded = crate::state::parse(text)?;
-        if let Some(global) = loaded.global_config {
-            // v2/v3: a full-session restore. Reset the default
-            // namespace up front so a document without a `--space ""--`
-            // section (e.g. hand-pruned) still replaces the whole
-            // session instead of leaving stale default-namespace state
-            // behind.
-            self.set_config(global);
-            self.space.prov.store(Provenance::default());
-            self.space.repo.adopt(Repository::default());
-            self.space.config.store(None);
-            *self.space.dlq.lock() = Vec::new();
-            // Breaker state is record-only (never part of a base dump):
-            // a full-session replace resets it; `breaker-state` records
-            // replayed after the base rebuild the open set.
-            self.open_breakers.lock().clear();
-            let mut tenants: HashMap<String, Arc<Space>> = HashMap::new();
-            for sp in loaded.spaces {
-                if sp.name.is_empty() {
-                    self.space.prov.store(sp.prov);
-                    self.space.repo.adopt(sp.repo);
-                    self.space.config.store(None);
-                    *self.space.dlq.lock() = sp.dlq;
-                } else {
-                    // A restored tenant is sharded per its effective
-                    // config: its own override when the document carries
-                    // one, the (already loaded) global config otherwise.
-                    let shards = sp
-                        .config
-                        .as_ref()
-                        .map(|c| c.repo_shards)
-                        .unwrap_or_else(|| self.config.read().repo_shards);
-                    let space = self.make_space(&sp.name, shards);
-                    space.prov.store(sp.prov);
-                    space.repo.adopt(sp.repo);
-                    space.config.store(sp.config);
-                    *space.dlq.lock() = sp.dlq;
-                    tenants.insert(sp.name, space);
-                }
-            }
-            // One publish replaces the whole tenant map atomically.
-            self.tenants.store(tenants);
-        } else {
-            // v1: default namespace only.
-            for sp in loaded.spaces {
+        // Reset the default namespace up front so a document without a
+        // `--space ""--` section (e.g. hand-pruned) still replaces the
+        // whole session instead of leaving stale default-namespace
+        // state behind.
+        self.set_config(loaded.global_config);
+        self.space.prov.store(Provenance::default());
+        self.space.repo.adopt(Repository::default());
+        self.space.config.store(None);
+        *self.space.dlq.lock() = Vec::new();
+        // Breaker state is record-only (never part of a base dump): a
+        // full-session replace resets it; `breaker-state` records
+        // replayed after the base rebuild the open set.
+        self.open_breakers.lock().clear();
+        let mut tenants: HashMap<String, Arc<Space>> = HashMap::new();
+        for sp in loaded.spaces {
+            if sp.name.is_empty() {
                 self.space.prov.store(sp.prov);
                 self.space.repo.adopt(sp.repo);
+                *self.space.dlq.lock() = sp.dlq;
+            } else {
+                let space = self.make_space(&sp.name);
+                space.prov.store(sp.prov);
+                space.repo.adopt(sp.repo);
+                space.config.store(sp.config);
+                *space.dlq.lock() = sp.dlq;
+                tenants.insert(sp.name, space);
             }
         }
+        // One publish replaces the whole tenant map atomically.
+        self.tenants.store(tenants);
         self.tick.store(loaded.tick, Ordering::SeqCst);
         self.cand_counter.store(loaded.cand, Ordering::SeqCst);
         self.journal.sync_counters_cache(loaded.tick, loaded.cand);
@@ -2305,8 +2227,6 @@ mod tests {
             assert!(repo.entries().iter().all(|e| e.output_path != reused));
         });
 
-        // The legacy writer applies the same exclusion.
-        assert!(!rs.save_state_v1().contains(&format!("{reused:?}")));
         drop(pins);
         assert!(!rs.engine().dfs().exists(&reused), "deferred deletion still fires");
     }

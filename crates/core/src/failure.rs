@@ -2,7 +2,7 @@
 //! submission's execution fails.
 //!
 //! The policy is **configuration**, carried on [`ReStoreConfig`] like
-//! every other per-tenant knob (heuristic, §5 selection, shard count):
+//! every other per-tenant knob (heuristic, §5 selection):
 //! a tenant's override travels through `set_config_as`, is serialized
 //! in `restore-state` dumps, journaled in `tenant-config` records, and
 //! ships to warm standbys — so a promoted standby enforces the same

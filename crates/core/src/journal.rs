@@ -41,12 +41,11 @@
 //!
 //! Records are framed as `r <seq> <len> <fnv64>\n` followed by exactly
 //! `len` payload bytes. `seq` is a session-global sequence number
-//! drawn from one atomic counter inside the owning *lane's* lock — the
-//! journal is striped into lanes so per-shard repository sinks append
-//! in parallel, so a segment's physical order may interleave seqs from
-//! different lanes (each lane is internally seq-ordered; recovery
-//! sorts the union by seq before replay). `len` is the payload byte
-//! length, and `fnv64` is the payload's FNV-1a 64-bit checksum in hex. A crash can truncate the tail of the segment being
+//! drawn inside the frame buffer's lock, so a segment's physical order
+//! is its seq order (recovery still sorts by seq and refuses
+//! duplicates: segments are input, and input is checked). `len` is the
+//! payload byte length, and `fnv64` is the payload's FNV-1a 64-bit
+//! checksum in hex. A crash can truncate the tail of the segment being
 //! written; on decode:
 //!
 //! * an **incomplete final frame** (header cut short, or fewer than
@@ -63,7 +62,7 @@
 //!
 //! # Sequence numbers and compaction
 //!
-//! Base checkpoints (`restore-state v3`) record the journal sequence
+//! Base checkpoints (`restore-state v5`) record the journal sequence
 //! number current when the capture began. Recovery replays only records
 //! with `seq >` the base's, and every record is **idempotent** (puts
 //! carry full entries, note-use carries absolute counters), so a base
@@ -183,38 +182,26 @@ pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
 
 // ---- the journal ----
 
-/// Number of independent append lanes. Repository batches from shard
-/// `s` land in lane `s % JOURNAL_LANES`; every other record type uses
-/// lane 0. More lanes than cores buys nothing — contention is already
-/// gone once each busy shard maps to its own lane.
-const JOURNAL_LANES: usize = 8;
-
 /// The session journal: an append-only, segment-rolled record log.
 /// Appends are cheap (encode + one short mutex section) and happen
-/// inside the mutating table's writer section, so each lane's physical
-/// order equals publish order for the shards it serves. The journal is
-/// striped into [`JOURNAL_LANES`] lanes so per-shard repository sinks
-/// append in parallel; the global `seq` is allocated *inside* the
-/// owning lane's lock, which keeps every lane internally seq-ordered
-/// and lets recovery merge lanes by sorting on seq. Disabled journals
-/// drop appends at a single atomic load.
+/// inside the mutating table's writer section, so the log's physical
+/// order equals publish order. Disabled journals drop appends at a
+/// single atomic load.
 pub(crate) struct Journal {
     enabled: AtomicBool,
     /// Recovery replays records through the normal mutation paths;
     /// pausing stops those paths from re-journaling what they apply.
     paused: AtomicUsize,
     /// Last assigned sequence number (lock-free readers; assignments
-    /// happen under the owning lane's lock).
+    /// happen under the `live` lock).
     seq: AtomicU64,
-    /// Seal the live lanes into a segment once their combined size
-    /// crosses this bound.
+    /// Seal the live buffer into a segment once it crosses this bound.
     segment_bytes: AtomicUsize,
-    /// Combined bytes buffered across live lanes (rollover trigger and
-    /// stats — no lane locks needed to read it).
+    /// Bytes in the live buffer, readable without its lock (stats).
     live_bytes: AtomicUsize,
-    /// Per-lane frame buffers (frames only; the segment header is
-    /// prepended when lanes are rolled into a sealed segment).
-    lanes: Vec<Mutex<String>>,
+    /// The live frame buffer (frames only; the segment header is
+    /// prepended when it is sealed).
+    live: Mutex<String>,
     /// Full segments sealed since the last delta capture.
     sealed: Mutex<Vec<String>>,
     /// Highest seq handed off by [`Journal::cut`] — `seq - captured_seq`
@@ -235,8 +222,8 @@ pub(crate) struct Journal {
     /// Segment taps, fired under the sealed-segments lock as each
     /// segment seals — observers (replication) therefore see segments
     /// in exactly the order recovery would replay them. A tap must not
-    /// append to or roll this journal (the lanes are locked while it
-    /// runs).
+    /// append to or roll this journal (the live buffer is locked while
+    /// it runs).
     taps: Mutex<Vec<(u64, SegmentTap)>>,
     tap_ids: AtomicU64,
 }
@@ -257,7 +244,7 @@ impl Default for Journal {
             seq: AtomicU64::new(0),
             segment_bytes: AtomicUsize::new(JournalConfig::default().segment_bytes),
             live_bytes: AtomicUsize::new(0),
-            lanes: (0..JOURNAL_LANES).map(|_| Mutex::new(String::new())).collect(),
+            live: Mutex::new(String::new()),
             sealed: Mutex::new(Vec::new()),
             captured_seq: AtomicU64::new(0),
             counters: Mutex::new((0, 0)),
@@ -294,7 +281,7 @@ impl Journal {
     /// after recovery replays shipped or on-disk records). Records at
     /// or below `to` are durable in the caller's base or segments by
     /// definition, so the captured mark advances too — otherwise a
-    /// freshly recovered session with empty lanes would report `to`
+    /// freshly recovered session with an empty buffer would report `to`
     /// records of phantom seq lag.
     pub(crate) fn advance_seq(&self, to: u64) {
         self.seq.fetch_max(to, SeqCst);
@@ -331,60 +318,38 @@ impl Journal {
         }
     }
 
-    /// Frame `payload` and append it to `lane`'s buffer, rolling every
-    /// lane into a sealed segment once the combined live size crosses
-    /// the bound. The global `seq` is drawn *inside* the owning lane's
-    /// lock, so each lane's physical order equals its seq order — two
-    /// lanes may interleave seqs within a segment, and recovery merges
-    /// them by sorting on seq.
-    fn append_payload(&self, lane: usize, payload: &str) {
-        let total = {
-            let mut buf = self.lanes[lane % JOURNAL_LANES].lock();
-            let before = buf.len();
-            let seq = self.seq.fetch_add(1, SeqCst) + 1;
-            buf.push_str(&format!(
-                "r {seq} {} {:016x}\n",
-                payload.len(),
-                fnv1a64(payload.as_bytes())
-            ));
-            buf.push_str(payload);
-            let added = buf.len() - before;
-            self.live_bytes.fetch_add(added, SeqCst) + added
-        };
-        if total >= self.segment_bytes.load(SeqCst) {
-            self.roll();
+    /// Frame `payload` and append it to the live buffer, sealing the
+    /// buffer into a segment once it crosses the bound. `seq` is drawn
+    /// inside the buffer's lock, so physical order equals seq order.
+    fn append_payload(&self, payload: &str) {
+        let mut buf = self.live.lock();
+        let seq = self.seq.fetch_add(1, SeqCst) + 1;
+        buf.push_str(&format!("r {seq} {} {:016x}\n", payload.len(), fnv1a64(payload.as_bytes())));
+        buf.push_str(payload);
+        self.live_bytes.store(buf.len(), SeqCst);
+        if buf.len() >= self.segment_bytes.load(SeqCst) {
+            self.seal_locked(&mut buf);
         }
     }
 
-    /// Concatenate every non-empty lane (ascending lane order) into one
-    /// sealed segment. Lanes are locked in ascending order with no
-    /// other lane lock held, so concurrent rolls cannot deadlock; a
-    /// roll that loses the race just finds the lanes already empty.
-    fn roll(&self) {
-        let mut guards: Vec<_> = self.lanes.iter().map(|l| l.lock()).collect();
-        let mut seg = String::new();
-        for g in guards.iter_mut() {
-            if !g.is_empty() {
-                if seg.is_empty() {
-                    seg.push_str(SEGMENT_HEADER);
-                    seg.push('\n');
-                }
-                seg.push_str(g);
-                self.live_bytes.fetch_sub(g.len(), SeqCst);
-                g.clear();
-            }
+    /// Move the live buffer (if non-empty) into a sealed segment. The
+    /// caller holds the buffer's lock.
+    fn seal_locked(&self, buf: &mut String) {
+        if buf.is_empty() {
+            return;
         }
-        if !seg.is_empty() {
-            // Push and notify under one sealed-lock hold: concurrent
-            // rolls cannot reorder between the queue and the taps, so
-            // observers see segments in recovery order.
-            let mut sealed = self.sealed.lock();
-            let lineage = self.lineage();
-            for (_, tap) in self.taps.lock().iter() {
-                tap(lineage, &seg);
-            }
-            sealed.push(seg);
+        let seg = format!("{SEGMENT_HEADER}\n{buf}");
+        buf.clear();
+        self.live_bytes.store(0, SeqCst);
+        // Push and notify under one sealed-lock hold: concurrent seals
+        // cannot reorder between the queue and the taps, so observers
+        // see segments in recovery order.
+        let mut sealed = self.sealed.lock();
+        let lineage = self.lineage();
+        for (_, tap) in self.taps.lock().iter() {
+            tap(lineage, &seg);
         }
+        sealed.push(seg);
     }
 
     /// Register a sealed-segment observer (see [`SegmentTap`]). The tap
@@ -401,38 +366,32 @@ impl Journal {
         self.taps.lock().retain(|(tid, _)| *tid != id.0);
     }
 
-    /// Seal the live lanes into a segment **without** consuming the
+    /// Seal the live buffer into a segment **without** consuming the
     /// sealed queue or advancing the captured mark: the segment still
     /// belongs to the next [`Journal::cut`] (the checkpoint keeper's
     /// delta), while registered taps have already received a copy —
     /// replication shipping and incremental checkpointing share the
     /// same sealed segments without stealing from each other.
     pub(crate) fn seal(&self) {
-        self.roll();
+        self.seal_locked(&mut self.live.lock());
     }
 
-    /// Seal the live lanes (if non-empty) and hand every sealed
+    /// Seal the live buffer (if non-empty) and hand every sealed
     /// segment to the caller; the journal forgets them — the caller
     /// (the driver's `save_state_delta`) owns persistence from here.
     pub(crate) fn cut(&self) -> Vec<String> {
-        self.roll();
+        self.seal();
         let segments = std::mem::take(&mut *self.sealed.lock());
-        // Everything sequenced before the roll is now the caller's to
+        // Everything sequenced before the seal is now the caller's to
         // persist; later appends are the new lag.
         self.captured_seq.fetch_max(self.seq(), SeqCst);
         segments
     }
 
     /// Records appended since the last [`Journal::cut`] (what a crash
-    /// right now would replay from the live lanes).
+    /// right now would replay from the live buffer).
     pub(crate) fn seq_lag(&self) -> u64 {
         self.seq().saturating_sub(self.captured_seq.load(SeqCst))
-    }
-
-    /// Buffered bytes per live lane (locks each lane briefly, one at a
-    /// time — stats only, never on the append path).
-    pub(crate) fn lane_bytes(&self) -> Vec<usize> {
-        self.lanes.iter().map(|l| l.lock().len()).collect()
     }
 
     // ---- typed appends (encode side) ----
@@ -450,7 +409,7 @@ impl Journal {
             }
             *last = (tick, cand);
         }
-        self.append_payload(0, &format!("counters {tick} {cand}\n"));
+        self.append_payload(&format!("counters {tick} {cand}\n"));
         true
     }
 
@@ -465,7 +424,7 @@ impl Journal {
 
     pub(crate) fn append_tenant_create(&self, space: &str) {
         if self.active() {
-            self.append_payload(0, &format!("tenant-create {space:?}\n"));
+            self.append_payload(&format!("tenant-create {space:?}\n"));
         }
     }
 
@@ -474,29 +433,22 @@ impl Journal {
             return;
         }
         match config {
-            Some(c) => self.append_payload(
-                0,
-                &format!("tenant-config {space:?}\n{}", crate::state::encode_config(c)),
-            ),
-            None => self.append_payload(0, &format!("tenant-config-clear {space:?}\n")),
+            Some(c) => self.append_payload(&format!(
+                "tenant-config {space:?}\n{}",
+                crate::state::encode_config(c)
+            )),
+            None => self.append_payload(&format!("tenant-config-clear {space:?}\n")),
         }
     }
 
     pub(crate) fn append_global_config(&self, config: &ReStoreConfig) {
         if self.active() {
-            self.append_payload(
-                0,
-                &format!("global-config\n{}", crate::state::encode_config(config)),
-            );
+            self.append_payload(&format!("global-config\n{}", crate::state::encode_config(config)));
         }
     }
 
-    /// Journal one repository batch from `shard`. The record format
-    /// carries no shard number — entries re-route by tip signature on
-    /// replay, so a journal taken under one shard count replays
-    /// correctly into any other. The shard picks the append *lane*, so
-    /// sinks of different shards append in parallel.
-    pub(crate) fn append_repo_batch(&self, space: &str, shard: usize, ops: &[RepoOp]) {
+    /// Journal one repository batch.
+    pub(crate) fn append_repo_batch(&self, space: &str, ops: &[RepoOp]) {
         if !self.active() {
             return;
         }
@@ -507,7 +459,7 @@ impl Journal {
                 RepoOp::Evict(id) => payload.push_str(&format!("evict {id}\n")),
             }
         }
-        self.append_payload(shard, &payload);
+        self.append_payload(&payload);
     }
 
     pub(crate) fn append_note_use(&self, space: &str, uses: &[(u64, u64, u64)]) {
@@ -518,7 +470,7 @@ impl Journal {
         for (id, count, last) in uses {
             payload.push_str(&format!("use {id} {count} {last}\n"));
         }
-        self.append_payload(0, &payload);
+        self.append_payload(&payload);
     }
 
     pub(crate) fn append_prov_batch(
@@ -537,12 +489,12 @@ impl Journal {
         for path in forgets {
             payload.push_str(&format!("forget {path:?}\n"));
         }
-        self.append_payload(0, &payload);
+        self.append_payload(&payload);
     }
 
     pub(crate) fn append_prov_replace(&self, space: &str, table: &str) {
         if self.active() {
-            self.append_payload(0, &format!("prov-replace {space:?}\n{table}"));
+            self.append_payload(&format!("prov-replace {space:?}\n{table}"));
         }
     }
 
@@ -554,7 +506,7 @@ impl Journal {
         }
         let mut payload = format!("dlq-put {space:?}\n");
         crate::dlq::encode_entry_into(&mut payload, entry);
-        self.append_payload(0, &payload);
+        self.append_payload(&payload);
     }
 
     /// Journal a dead-letter removal (redrive or purge) by entry id.
@@ -566,7 +518,7 @@ impl Journal {
         for id in ids {
             payload.push_str(&format!("ack {id}\n"));
         }
-        self.append_payload(0, &payload);
+        self.append_payload(&payload);
     }
 
     /// Journal a circuit-breaker transition for a tenant (`""` is the
@@ -575,13 +527,13 @@ impl Journal {
     pub(crate) fn append_breaker_state(&self, space: &str, open: bool) {
         if self.active() {
             let state = if open { "open" } else { "closed" };
-            self.append_payload(0, &format!("breaker-state {space:?} {state}\n"));
+            self.append_payload(&format!("breaker-state {space:?} {state}\n"));
         }
     }
 
     pub(crate) fn append_replace(&self, state: &str) {
         if self.active() {
-            self.append_payload(0, &format!("replace\n{state}"));
+            self.append_payload(&format!("replace\n{state}"));
         }
     }
 }
@@ -624,9 +576,9 @@ pub fn segment_boundaries(segment: &str) -> Vec<usize> {
 }
 
 /// `(min_seq, max_seq, frames)` of a sealed segment, by walking frame
-/// headers only — no payload decode, no checksum. Lanes interleave
-/// inside a segment, so the first frame is not necessarily the lowest
-/// seq. `None` for a header-less or frame-less segment. Replication
+/// headers only — no payload decode, no checksum. The segment is
+/// input, so nothing is assumed about the order of its frames. `None`
+/// for a header-less or frame-less segment. Replication
 /// stamps shipments with the max (the standby's catch-up target)
 /// without paying for a decode the standby does anyway.
 pub(crate) fn segment_seq_span(segment: &str) -> Option<(u64, u64, usize)> {
@@ -723,17 +675,50 @@ pub(crate) fn decode_segment(
                 format!("checksum mismatch for record seq {seq}: stored {sum:016x}, computed {actual:016x}"),
             ));
         }
-        let record = decode_payload(payload).map_err(|msg| err(ordinal, msg))?;
+        let record = decode_payload(payload).map_err(|e| match e {
+            PayloadError::Malformed(msg) => err(ordinal, msg),
+            PayloadError::Refused(e) => e,
+        })?;
         records.push((seq, record));
         pos = body_start + len;
     }
     Ok((records, None))
 }
 
+/// Why a payload did not decode.
+enum PayloadError {
+    /// A plain message; the caller attaches segment / record coordinates.
+    Malformed(String),
+    /// A well-formed record this release refuses, passed through typed
+    /// (a config written by a sharded repository, [`Error::Config`]).
+    Refused(Error),
+}
+
+impl From<String> for PayloadError {
+    fn from(msg: String) -> Self {
+        PayloadError::Malformed(msg)
+    }
+}
+
+impl From<&str> for PayloadError {
+    fn from(msg: &str) -> Self {
+        PayloadError::Malformed(msg.to_string())
+    }
+}
+
+/// Decode the `key value` body of a `tenant-config` / `global-config`
+/// record.
+fn decode_config_body(body: &str) -> Result<ReStoreConfig, PayloadError> {
+    let lines: Vec<&str> = body.lines().collect();
+    crate::state::decode_config(&lines, 0).map_err(|e| match e {
+        Error::Config(_) => PayloadError::Refused(e),
+        e => PayloadError::Malformed(format!("in config: {e}")),
+    })
+}
+
 /// Decode one record payload (the framed bytes, checksum already
-/// verified). Errors are plain messages; the caller attaches segment /
-/// record coordinates.
-fn decode_payload(payload: &str) -> Result<Record, String> {
+/// verified).
+fn decode_payload(payload: &str) -> Result<Record, PayloadError> {
     let nl = payload.find('\n').ok_or("record payload has no tag line")?;
     let tag_line = &payload[..nl];
     let body = &payload[nl + 1..];
@@ -754,18 +739,10 @@ fn decode_payload(payload: &str) -> Result<Record, String> {
         }
         "tenant-create" => Ok(Record::TenantCreate { space: space(arg)? }),
         "tenant-config" => {
-            let lines: Vec<&str> = body.lines().collect();
-            let config =
-                crate::state::decode_config(&lines, 0).map_err(|e| format!("in config: {e}"))?;
-            Ok(Record::TenantConfigSet { space: space(arg)?, config })
+            Ok(Record::TenantConfigSet { space: space(arg)?, config: decode_config_body(body)? })
         }
         "tenant-config-clear" => Ok(Record::TenantConfigClear { space: space(arg)? }),
-        "global-config" => {
-            let lines: Vec<&str> = body.lines().collect();
-            let config =
-                crate::state::decode_config(&lines, 0).map_err(|e| format!("in config: {e}"))?;
-            Ok(Record::GlobalConfig { config })
-        }
+        "global-config" => Ok(Record::GlobalConfig { config: decode_config_body(body)? }),
         "repo-batch" => {
             let space = space(arg)?;
             let mut ops = Vec::new();
@@ -777,11 +754,11 @@ fn decode_payload(payload: &str) -> Result<Record, String> {
                         continue;
                     }
                     Ok(None) => {}
-                    Err(e) => return Err(format!("in repo-batch: {e}")),
+                    Err(e) => return Err(format!("in repo-batch: {e}").into()),
                 }
                 let Some(line) = lines.next() else { break };
                 let Some(id) = line.strip_prefix("evict ") else {
-                    return Err(format!("unexpected repo-batch line {line:?}"));
+                    return Err(format!("unexpected repo-batch line {line:?}").into());
                 };
                 let id = id.parse().map_err(|_| format!("bad evict id {line:?}"))?;
                 ops.push(RepoRecOp::Evict(id));
@@ -816,11 +793,11 @@ fn decode_payload(payload: &str) -> Result<Record, String> {
                         continue;
                     }
                     Ok(None) => {}
-                    Err(e) => return Err(format!("in prov-batch: {e}")),
+                    Err(e) => return Err(format!("in prov-batch: {e}").into()),
                 }
                 let Some(line) = lines.next() else { break };
                 let Some(p) = line.strip_prefix("forget ") else {
-                    return Err(format!("unexpected prov-batch line {line:?}"));
+                    return Err(format!("unexpected prov-batch line {line:?}").into());
                 };
                 let path =
                     crate::state::unquote(p, 0).map_err(|_| format!("bad forget path {p:?}"))?;
@@ -840,7 +817,7 @@ fn decode_payload(payload: &str) -> Result<Record, String> {
                 .map_err(|e| format!("in dlq-put: {e}"))?
                 .ok_or("dlq-put record has no entry")?;
             if let Some(line) = lines.next() {
-                return Err(format!("unexpected dlq-put line {line:?}"));
+                return Err(format!("unexpected dlq-put line {line:?}").into());
             }
             Ok(Record::DlqPut { space, entry })
         }
@@ -862,12 +839,12 @@ fn decode_payload(payload: &str) -> Result<Record, String> {
             let open = match state {
                 "open" => true,
                 "closed" => false,
-                other => return Err(format!("bad breaker state {other:?}")),
+                other => return Err(format!("bad breaker state {other:?}").into()),
             };
             Ok(Record::BreakerState { space: space(name)?, open })
         }
         "replace" => Ok(Record::Replace { state: body.to_string() }),
-        other => Err(format!("unknown record type {other:?}")),
+        other => Err(format!("unknown record type {other:?}").into()),
     }
 }
 
@@ -1034,6 +1011,42 @@ mod tests {
                 assert!(msg.contains("frobnicate"), "{msg}");
             }
             other => panic!("expected a decode error, got {other:?}"),
+        }
+    }
+    /// A `tenant-config` / `global-config` record written by a sharded
+    /// repository is refused with the same typed error as a base
+    /// document carrying the key; `repo_shards 1` is read and ignored.
+    #[test]
+    fn config_record_from_a_sharded_repository_is_refused_typed() {
+        let seg = |payload: &str| {
+            format!(
+                "{SEGMENT_HEADER}\nr 1 {} {:016x}\n{payload}",
+                payload.len(),
+                fnv1a64(payload.as_bytes())
+            )
+        };
+        for tag in ["tenant-config \"ana\"", "global-config"] {
+            match decode_segment(&seg(&format!("{tag}\nrepo_shards 8\n")), 0, true) {
+                Err(Error::Config(msg)) => {
+                    assert!(msg.contains("shard-concatenation order"), "{msg}")
+                }
+                other => panic!("expected Error::Config, got {other:?}"),
+            }
+            let (records, _) =
+                decode_segment(&seg(&format!("{tag}\nrepo_shards 1\n")), 0, true).unwrap();
+            assert!(matches!(
+                &records[0].1,
+                Record::TenantConfigSet { config, .. } | Record::GlobalConfig { config }
+                    if *config == ReStoreConfig::default()
+            ));
+            // Anything else wrong with the body is still a located
+            // journal error.
+            match decode_segment(&seg(&format!("{tag}\nrepo_shards many\n")), 3, true) {
+                Err(Error::Journal { segment: 3, record: 1, msg }) => {
+                    assert!(msg.contains("repo_shards"), "{msg}")
+                }
+                other => panic!("expected Error::Journal, got {other:?}"),
+            }
         }
     }
 }

@@ -51,7 +51,6 @@ pub use replication::{
     InProcessLink, ReplicaSession, ReplicationError, ReplicationTransport, Replicator, Shipment,
 };
 pub use repository::{
-    normalize_shards, FrozenRepo, MatchProbe, ProbedCandidate, RepoBatch, RepoEntry, RepoSnapshot,
-    RepoStats, RepoView, Repository, MAX_REPO_SHARDS,
+    MatchProbe, ProbedCandidate, RepoBatch, RepoEntry, RepoSnapshot, RepoStats, Repository,
 };
 pub use selector::SelectionPolicy;

@@ -21,10 +21,10 @@ const TRACE_CAPACITY: usize = 4096;
 #[derive(Debug, Clone, PartialEq)]
 pub enum ReuseDecision {
     /// The entry matched and the rewrite made structural progress.
-    Matched { entry_id: u64, shard: usize, reused_path: String },
+    Matched { entry_id: u64, reused_path: String },
     /// The entry's tip signature matched but the pairwise §3 traversal
     /// failed — a signature collision.
-    CandidateFailedTraversal { entry_id: u64, shard: usize },
+    CandidateFailedTraversal { entry_id: u64 },
     /// The entry vanished between match and pin — a concurrent §5
     /// sweep evicted it; the loop unpinned and rescanned.
     RejectedPinRevalidation { entry_id: u64 },
@@ -38,14 +38,11 @@ pub enum ReuseDecision {
 impl fmt::Display for ReuseDecision {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ReuseDecision::Matched { entry_id, shard, reused_path } => {
-                write!(f, "matched entry #{entry_id} (shard {shard}) -> {reused_path}")
+            ReuseDecision::Matched { entry_id, reused_path } => {
+                write!(f, "matched entry #{entry_id} -> {reused_path}")
             }
-            ReuseDecision::CandidateFailedTraversal { entry_id, shard } => {
-                write!(
-                    f,
-                    "candidate #{entry_id} (shard {shard}): tip signature hit, traversal failed"
-                )
+            ReuseDecision::CandidateFailedTraversal { entry_id } => {
+                write!(f, "candidate #{entry_id}: tip signature hit, traversal failed")
             }
             ReuseDecision::RejectedPinRevalidation { entry_id } => {
                 write!(f, "candidate #{entry_id}: rejected, evicted before pin revalidation")
@@ -107,8 +104,6 @@ pub(crate) struct MatchStageHists {
     /// of the hits. (Until the index became the match path this series
     /// timed the sequential scan under the same name.)
     pub index_probe: Histogram,
-    /// Cross-shard pairwise §3 winner pass.
-    pub winner_pass: Histogram,
     /// Pin + fresh-snapshot revalidation of the matched entry.
     pub pin_revalidate: Histogram,
 }
@@ -163,7 +158,6 @@ impl Obs {
             match_stage: MatchStageHists {
                 snapshot_load: match_hist("snapshot_load"),
                 index_probe: match_hist("index_probe"),
-                winner_pass: match_hist("winner_pass"),
                 pin_revalidate: match_hist("pin_revalidate"),
             },
             trace: TraceRing::new(TRACE_CAPACITY),
@@ -193,8 +187,6 @@ pub(crate) struct SpaceMetrics {
     pub misses: Counter,
     /// Full match-loop latency for this namespace.
     pub latency: Histogram,
-    /// Winning matches per repository shard, indexed by shard.
-    pub shard_hits: Vec<Counter>,
 }
 
 impl fmt::Debug for SpaceMetrics {
@@ -207,7 +199,7 @@ impl fmt::Debug for SpaceMetrics {
 }
 
 impl SpaceMetrics {
-    pub(crate) fn registered(registry: &Registry, tenant: &str, shards: usize) -> Self {
+    pub(crate) fn registered(registry: &Registry, tenant: &str) -> Self {
         SpaceMetrics {
             hits: registry.counter(
                 "restore_match_hits_total",
@@ -225,23 +217,6 @@ impl SpaceMetrics {
                 &[("tenant", tenant)],
                 1e-9,
             ),
-            shard_hits: (0..shards)
-                .map(|s| {
-                    registry.counter(
-                        "restore_match_shard_hits_total",
-                        "Winning matches per repository shard",
-                        &[("tenant", tenant), ("shard", &s.to_string())],
-                    )
-                })
-                .collect(),
-        }
-    }
-
-    /// Count a winning match on `shard` (no-op for out-of-range shards
-    /// of a detached namespace).
-    pub(crate) fn shard_hit(&self, shard: usize) {
-        if let Some(c) = self.shard_hits.get(shard) {
-            c.inc();
         }
     }
 }

@@ -63,7 +63,7 @@ pub struct Rcu<T> {
     /// Grace-period epoch; low bit selects the active reader counter.
     epoch: AtomicU64,
     readers: [Padded; 2],
-    /// Serializes writers; also the hook for [`Rcu::freeze`].
+    /// Serializes writers (see [`Rcu::writer`]).
     writer: Mutex<()>,
 }
 
@@ -144,8 +144,7 @@ impl<T> Rcu<T> {
 
     /// Replace the snapshot wholesale.
     pub fn store(&self, value: T) {
-        let _g = self.writer.lock();
-        self.publish(Arc::new(value));
+        self.writer().publish(value);
     }
 
     /// Run `f` against a clone of the current snapshot and publish the
@@ -167,12 +166,10 @@ impl<T> Rcu<T> {
     where
         T: Clone,
     {
-        let _g = self.writer.lock();
-        // Clone directly from the published pointer: the writer lock
-        // keeps it alive, no reader protocol needed.
-        let mut next = unsafe { (*self.ptr.load(SeqCst)).clone() };
+        let mut w = self.writer();
+        let mut next = w.current().clone();
         let a = f(&mut next);
-        self.publish(Arc::new(next));
+        w.publish(next);
         after(a)
     }
 
@@ -181,17 +178,14 @@ impl<T> Rcu<T> {
     /// captures (e.g. `save_state`) use this to pin the snapshot *and*
     /// exclude concurrent sweeps for the duration of the capture.
     pub fn freeze<R>(&self, f: impl FnOnce(&T) -> R) -> R {
-        let _g = self.writer.lock();
-        f(unsafe { &*self.ptr.load(SeqCst) })
+        f(self.writer().current())
     }
 
     /// Enter this cell's writer section and hold it until the guard
-    /// drops. The closure-based [`Rcu::update_then`] / [`Rcu::freeze`]
-    /// can only span *one* cell; multi-cell transactions (the sharded
-    /// repository's batches and freezes) instead collect one guard per
-    /// cell — always in a fixed order — work against each guard's
-    /// [`RcuWriter::current`] snapshot, and publish through the guards
-    /// before releasing them.
+    /// drops. [`Rcu::update_then`] always publishes; a caller that
+    /// publishes only if its closure changed something (the
+    /// repository's batch) works against [`RcuWriter::current`] and
+    /// decides for itself whether to call [`RcuWriter::publish`].
     pub(crate) fn writer(&self) -> RcuWriter<'_, T> {
         RcuWriter { cell: self, _guard: self.writer.lock() }
     }
@@ -206,16 +200,19 @@ pub(crate) struct RcuWriter<'a, T> {
 }
 
 impl<T> RcuWriter<'_, T> {
-    /// The snapshot current inside this writer section. Holding the
-    /// guard keeps the published pointer alive, so no reader protocol
-    /// is needed.
+    /// The snapshot current inside this writer section.
     pub(crate) fn current(&self) -> &T {
+        // SAFETY: the pointer came from `Arc::into_raw`, and only
+        // `Rcu::publish` retires it, under the writer mutex. This guard
+        // holds that mutex, so no other writer can; and its own
+        // `publish` takes `&mut self`, so it cannot run while the
+        // borrow returned here is alive. No reader protocol is needed.
         unsafe { &*self.cell.ptr.load(SeqCst) }
     }
 
     /// Publish `next` as the cell's snapshot (grace-period reclamation
-    /// of the previous one, exactly like the closure-based paths).
-    pub(crate) fn publish(&self, next: T) {
+    /// of the previous one).
+    pub(crate) fn publish(&mut self, next: T) {
         self.cell.publish(Arc::new(next));
     }
 }

@@ -38,12 +38,12 @@
 //!
 //! # Matching
 //!
-//! [`RepoView::find_first_match_probed`] is the match path: an entry can
+//! [`RepoSnapshot::find_first_match_probed`] is the match path: an entry can
 //! only match at an input-plan node whose Merkle signature equals the
 //! entry's cached tip signature, so candidates come out of the inverted
 //! index in O(1) per input node and only they are verified with the full
 //! §3 traversal, in repository order. The paper's sequential scan
-//! ([`RepoView::find_first_match_scan`]) is kept as the test oracle and
+//! ([`RepoSnapshot::find_first_match_scan`]) is kept as the test oracle and
 //! the `bench_matcher` ablation. The two agree exactly — same entry, same
 //! site — because a node signature hashes precisely what operator
 //! equivalence compares: parameters (Store paths excluded) and inputs
@@ -51,7 +51,7 @@
 
 use crate::matcher::{pairwise_plan_traversal_at, plan_tip, subsumes, PlanMatch};
 use crate::plan_text;
-use crate::rcu::{Rcu, RcuWriter};
+use crate::rcu::Rcu;
 use parking_lot::{Mutex, RwLock};
 use restore_common::{Error, Result};
 use restore_dataflow::physical::{NodeId, PhysicalOp, PhysicalPlan};
@@ -471,45 +471,9 @@ pub enum RepoOp {
 }
 
 /// Callback invoked inside the writer section, after a batch publishes,
-/// with the index of the shard that published and the batch's
-/// structural ops for that shard. Installed by the driver when
-/// incremental snapshots are enabled; with several shards the sink is
-/// called from concurrent writer sections, one per shard, so it must
-/// be thread-safe (the journal's lane design is).
-pub type RepoSink = Arc<dyn Fn(usize, &[RepoOp]) + Send + Sync>;
-
-/// Hard ceiling on the shard count: beyond this, striping buys nothing
-/// (there are not that many writer cores) and per-shard overheads
-/// dominate. Config decoding rejects larger values with a typed
-/// [`Error::Config`]; constructors clamp defensively.
-pub const MAX_REPO_SHARDS: usize = 1024;
-
-/// Normalize a configured shard count: 0 (unset/default-constructed)
-/// means 1, and anything past [`MAX_REPO_SHARDS`] is clamped to it.
-pub fn normalize_shards(n: usize) -> usize {
-    n.clamp(1, MAX_REPO_SHARDS)
-}
-
-/// The shard owning a tip signature. The Merkle hash is run through a
-/// splitmix64-style finalizer before the modulo: raw signatures of
-/// structurally similar plans can share low bits (observed in practice
-/// for whole families of blocking tips), and `%` only looks at low
-/// bits. Degenerate plans without a tip live in shard 0.
-fn shard_index(tip: Option<u64>, nshards: usize) -> usize {
-    if nshards <= 1 {
-        return 0;
-    }
-    match tip {
-        Some(t) => {
-            let mut z = t.wrapping_add(0x9e3779b97f4a7c15);
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-            z ^= z >> 31;
-            (z % nshards as u64) as usize
-        }
-        None => 0,
-    }
-}
+/// with the batch's structural ops. Installed by the driver when
+/// incremental snapshots are enabled.
+pub type RepoSink = Arc<dyn Fn(&[RepoOp]) + Send + Sync>;
 
 /// The sink cell; a newtype so `Repository` keeps its derived traits
 /// (`dyn Fn` is neither `Debug` nor `Default`).
@@ -529,14 +493,11 @@ impl std::fmt::Debug for SinkCell {
 /// snapshot (see the module docs). For several mutations that must land
 /// atomically — a wave's registrations, an eviction sweep — use
 /// [`Repository::batch`], which publishes once.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Repository {
-    /// The striped store: one independently published RCU cell per
-    /// shard, keyed by tip-signature hash (see [`shard_index`]). One
-    /// shard (the default) is exactly the pre-sharding repository;
-    /// writers into different shards never contend.
-    shards: Vec<Rcu<RepoSnapshot>>,
-    /// Globally ordered id allocation across every shard.
+    /// The one ordered list, RCU-published.
+    current: Rcu<RepoSnapshot>,
+    /// Id allocation, in registration order.
     next_id: AtomicU64,
     /// Journal sink for structural mutations (see [`RepoSink`]).
     sink: SinkCell,
@@ -547,17 +508,11 @@ pub struct Repository {
     track_usage: AtomicBool,
     /// Ids whose usage dirty bit was freshly set; drained per delta.
     dirty_used: Mutex<Vec<u64>>,
-    /// How many writer sections were entered (one per shard touched per
-    /// mutation; batches and freezes count every shard they lock).
-    /// Benchmarks report this next to [`Repository::publish_count`] to
-    /// attribute wall-time to write-side serialization.
+    /// How many writer sections were entered (one per batch, freeze or
+    /// adopt). Benchmarks report this next to
+    /// [`Repository::publish_count`] to attribute wall-time to
+    /// write-side serialization.
     writer_sections: AtomicU64,
-}
-
-impl Default for Repository {
-    fn default() -> Self {
-        Repository::with_shards(1)
-    }
 }
 
 impl Repository {
@@ -565,66 +520,15 @@ impl Repository {
         Repository::default()
     }
 
-    /// A repository striped into `shards` independently published
-    /// shards. 0 normalizes to 1 (today's single-shard behavior);
-    /// absurd counts clamp to [`MAX_REPO_SHARDS`] — config decoding
-    /// rejects them earlier with a typed error.
-    pub fn with_shards(shards: usize) -> Self {
-        let n = normalize_shards(shards);
-        Repository {
-            shards: (0..n).map(|_| Rcu::default()).collect(),
-            next_id: AtomicU64::new(0),
-            sink: SinkCell::default(),
-            track_usage: AtomicBool::new(false),
-            dirty_used: Mutex::new(Vec::new()),
-            writer_sections: AtomicU64::new(0),
-        }
-    }
-
-    /// Number of shards the store is striped into (≥ 1).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The current published snapshot. With one shard (the default)
-    /// this is the shard's snapshot — lock-free, zero-copy, exactly the
-    /// pre-sharding behavior. With several shards it **materializes** a
-    /// merged snapshot (entries concatenated in shard order, indexes
-    /// rebuilt): convenient for introspection, stats, and persistence,
-    /// but O(entries) per call — hot paths should use
-    /// [`Repository::view`], which is lock-free per shard and
-    /// copy-free.
+    /// The current published snapshot: one lock-free load.
     pub fn snapshot(&self) -> Arc<RepoSnapshot> {
-        if self.shards.len() == 1 {
-            return self.shards[0].load();
-        }
-        let view = self.view();
-        let mut snap = RepoSnapshot::default();
-        for s in view.shards() {
-            snap.stored_bytes += s.stored_bytes;
-            for e in &s.entries {
-                snap.by_signature.insert(e.signature, e.id);
-                snap.entries.push(e.clone());
-            }
-        }
-        snap.reindex();
-        Arc::new(snap)
+        self.current.load()
     }
 
-    /// A coherent multi-shard read view: one lock-free snapshot load
-    /// per shard, no copying. Matching, path resolution, and statistics
-    /// against a view see each shard frozen at its load; cross-shard
-    /// skew is benign for the same reason concurrent eviction is — the
-    /// match loop revalidates against fresh state after pinning.
-    pub fn view(&self) -> RepoView {
-        RepoView { shards: self.shards.iter().map(|s| s.load()).collect() }
-    }
-
-    /// Number of snapshots published so far, summed over shards. Hot
-    /// paths documented as write-free (matching, reuse accounting) can
-    /// assert it stays put.
+    /// Number of snapshots published so far. Hot paths documented as
+    /// write-free (matching, reuse accounting) can assert it stays put.
     pub fn publish_count(&self) -> u64 {
-        self.shards.iter().map(|s| s.version()).sum()
+        self.current.version()
     }
 
     /// How many writer sections were entered so far (see the field
@@ -634,70 +538,38 @@ impl Repository {
     }
 
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.load().len()).sum()
+        self.snapshot().len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.load().is_empty())
+        self.snapshot().is_empty()
     }
 
-    /// Entries across every shard, in shard-concatenation order (within
-    /// a shard: match-priority order).
+    /// Entries in match-priority order.
     pub fn entries(&self) -> Vec<Arc<RepoEntry>> {
-        self.view().entries()
+        self.snapshot().entries.clone()
     }
 
-    /// O(1)-per-shard lookup by id.
+    /// O(1) lookup by id.
     pub fn get(&self, id: u64) -> Option<Arc<RepoEntry>> {
-        self.shards.iter().find_map(|s| s.load().get(id).cloned())
+        self.snapshot().get(id).cloned()
     }
 
-    /// Does any entry already compute this plan? Probes exactly the
-    /// owning shard (the plan's tip signature picks it).
-    pub fn contains_plan(&self, plan: &PhysicalPlan) -> Option<u64> {
-        let tip = plan_tip(plan).map(|t| plan.node_signature(t));
-        self.shards[shard_index(tip, self.shards.len())].load().contains_plan(plan)
-    }
-
-    /// Total bytes of stored outputs (running counters, summed).
+    /// Total bytes of stored outputs (a running counter).
     pub fn stored_bytes(&self) -> u64 {
-        self.shards.iter().map(|s| s.load().stored_bytes()).sum()
+        self.snapshot().stored_bytes()
     }
 
     /// Insert an entry, maintaining the §3 ordering rules. Deduplicates
-    /// by plan signature (the later execution refreshes statistics).
-    ///
-    /// Takes only the owning shard's writer section: concurrent inserts
-    /// whose tip signatures hash to different shards proceed fully in
-    /// parallel — this is the multi-core write path the striping buys.
+    /// by plan signature (the later execution refreshes statistics). A
+    /// batch of one.
     pub fn insert(
         &self,
         plan: PhysicalPlan,
         output_path: impl Into<String>,
         stats: RepoStats,
     ) -> InsertOutcome {
-        // Reserve the id before entering the shard: allocation order is
-        // global, so replay order across shards stays well defined.
-        let id = self.next_id.fetch_add(1, SeqCst);
-        let entry = RepoEntry::new(id, plan, output_path.into(), stats);
-        let sidx = shard_index(entry.tip_signature, self.shards.len());
-        let w = self.shards[sidx].writer();
-        self.writer_sections.fetch_add(1, Relaxed);
-        let mut next = w.current().clone();
-        let (outcome, stored) = next.do_insert(entry);
-        if matches!(outcome, InsertOutcome::Inserted(_)) {
-            next.reindex();
-        } else {
-            // Roll the reservation back when we were the only claimant.
-            let _ = self.next_id.compare_exchange(id + 1, id, SeqCst, SeqCst);
-        }
-        if let Some(e) = stored {
-            w.publish(next);
-            if let Some(sink) = self.sink.0.read().clone() {
-                sink(sidx, &[RepoOp::Put(e)]);
-            }
-        }
-        outcome
+        self.batch(|b| b.insert(plan, output_path, stats))
     }
 
     /// Record a reuse of entry `id` at logical time `tick`. Entirely
@@ -708,7 +580,7 @@ impl Repository {
     /// uncontended mutex push amortized over the checkpoint interval;
     /// every further reuse of the entry stays lock-free.
     pub fn note_use(&self, id: u64, tick: u64) {
-        if let Some(e) = self.shards.iter().find_map(|s| s.load().get(id).cloned()) {
+        if let Some(e) = self.snapshot().get(id) {
             e.note_use(tick);
             if self.track_usage.load(Relaxed) && !e.usage.dirty.swap(true, SeqCst) {
                 self.dirty_used.lock().push(id);
@@ -739,10 +611,10 @@ impl Repository {
         if ids.is_empty() {
             return Vec::new();
         }
-        let view = self.view();
+        let snap = self.snapshot();
         ids.into_iter()
             .filter_map(|id| {
-                view.get(id).map(|e| {
+                snap.get(id).map(|e| {
                     // Clear the dirty bit *before* reading the counters:
                     // a racing reuse after the clear re-marks the entry,
                     // so its bump is never lost between deltas.
@@ -757,30 +629,15 @@ impl Repository {
     /// replay of a `note-use` record). Touches only the shared atomics;
     /// no snapshot is published.
     pub(crate) fn set_usage(&self, id: u64, count: u64, last_used: u64) {
-        if let Some(e) = self.view().get(id) {
+        if let Some(e) = self.snapshot().get(id) {
             e.usage.count.store(count, SeqCst);
             e.usage.last_used.store(last_used, SeqCst);
         }
     }
 
-    /// Remove an entry, returning it. Like [`Repository::insert`], only
-    /// the owning shard's writer section is taken: a lock-free probe
-    /// locates the shard holding the id, then the removal re-checks
-    /// under that shard's writer (the entry may have been evicted by a
-    /// racing sweep in between — ids never move across shards, so the
-    /// probe cannot go stale any other way).
+    /// Remove an entry, returning it. A batch of one.
     pub fn evict(&self, id: u64) -> Option<Arc<RepoEntry>> {
-        let sidx = self.shards.iter().position(|s| s.load().contains_id(id))?;
-        let w = self.shards[sidx].writer();
-        self.writer_sections.fetch_add(1, Relaxed);
-        let mut next = w.current().clone();
-        let e = next.do_evict(id)?;
-        next.reindex();
-        w.publish(next);
-        if let Some(sink) = self.sink.0.read().clone() {
-            sink(sidx, &[RepoOp::Evict(id)]);
-        }
-        Some(e)
+        self.batch(|b| b.evict(id))
     }
 
     /// Apply several mutations as one atomically published snapshot:
@@ -800,121 +657,78 @@ impl Repository {
     /// concurrent `save_state` from serializing a path that is about to
     /// be condemned.
     ///
-    /// The position-dependent indexes (id → position, tip index) are
-    /// rebuilt **once** per batch just before publishing, not per
-    /// mutation — a k-item wave registration pays one O(n) reindex.
+    /// This is the one mutation path: clone the snapshot, let `f`
+    /// mutate the clone, rebuild the position-dependent indexes (id →
+    /// position, tip index) **once** — a k-item wave registration pays
+    /// one O(n) reindex — and publish, but only if the batch changed
+    /// something: a wave that registers nothing costs a writer section
+    /// and no publish.
     pub fn batch_then<A, B>(
         &self,
         f: impl FnOnce(&mut RepoBatch<'_>) -> A,
         after: impl FnOnce(A) -> B,
     ) -> B {
-        let n = self.shards.len();
-        // Every shard's writer, in ascending index order — the one lock
-        // order used by all multi-shard paths (batch, freeze, adopt),
-        // which is what makes them deadlock-free against each other and
-        // against the single-shard fast paths.
-        let writers: Vec<RcuWriter<'_, RepoSnapshot>> =
-            self.shards.iter().map(|s| s.writer()).collect();
-        self.writer_sections.fetch_add(n as u64, Relaxed);
-        let mut works: Vec<RepoSnapshot> = writers.iter().map(|w| w.current().clone()).collect();
-        let (a, dirty, ops) = {
-            let mut b = RepoBatch {
-                shards: &mut works,
-                next_id: &self.next_id,
-                dirty: vec![false; n],
-                ops: vec![Vec::new(); n],
-            };
-            let a = f(&mut b);
-            (a, b.dirty, b.ops)
+        let mut w = self.current.writer();
+        self.writer_sections.fetch_add(1, Relaxed);
+        let mut b = RepoBatch {
+            work: w.current().clone(),
+            next_id: &self.next_id,
+            reindex: false,
+            ops: Vec::new(),
         };
-        for (i, w) in works.iter_mut().enumerate() {
-            if dirty[i] {
-                w.reindex();
+        let a = f(&mut b);
+        let RepoBatch { mut work, reindex, ops, .. } = b;
+        if !ops.is_empty() {
+            if reindex {
+                work.reindex();
             }
-        }
-        // Publish only the shards the batch touched, in ascending
-        // order; untouched shards keep their snapshot (and version).
-        for (i, (w, next)) in writers.iter().zip(works).enumerate() {
-            if dirty[i] || !ops[i].is_empty() {
-                w.publish(next);
-            }
-        }
-        // Journal the batch *after* it published but still inside the
-        // writer sections: each shard's record lands before any later
-        // batch's on that shard, so per-shard journal order equals
-        // publish order, and a base checkpoint whose seq was read
-        // before these records were appended is guaranteed to contain
-        // the mutation (the capture's freeze waits for every writer
-        // section).
-        if let Some(sink) = self.sink.0.read().clone() {
-            for (i, o) in ops.iter().enumerate() {
-                if !o.is_empty() {
-                    sink(i, o);
-                }
+            w.publish(work);
+            // Journal the batch *after* it published but still inside
+            // the writer section: its record lands before any later
+            // batch's, so journal order equals publish order, and a
+            // base checkpoint whose seq was read before this record was
+            // appended is guaranteed to contain the mutation (the
+            // capture's freeze waits for the writer section).
+            if let Some(sink) = self.sink.0.read().clone() {
+                sink(&ops);
             }
         }
         after(a)
     }
 
     /// Run `f` against the current state with all mutations (inserts,
-    /// evictions, sweeps) blocked for the duration: every shard's
-    /// writer is taken, in ascending order, so the view handed to `f`
-    /// is a consistent cross-shard cut. `save_state` uses this to
-    /// capture multi-table state no sweep can interleave with; plain
-    /// readers should use [`Repository::view`] instead.
-    pub fn freeze<R>(&self, f: impl FnOnce(&FrozenRepo<'_>) -> R) -> R {
-        let writers: Vec<RcuWriter<'_, RepoSnapshot>> =
-            self.shards.iter().map(|s| s.writer()).collect();
-        self.writer_sections.fetch_add(writers.len() as u64, Relaxed);
-        let frozen = FrozenRepo { shards: writers.iter().map(|w| w.current()).collect() };
-        f(&frozen)
+    /// evictions, sweeps) blocked for the duration. `save_state` uses
+    /// this to capture multi-table state no sweep can interleave with;
+    /// plain readers should use [`Repository::snapshot`] instead.
+    pub fn freeze<R>(&self, f: impl FnOnce(&RepoSnapshot) -> R) -> R {
+        self.writer_sections.fetch_add(1, Relaxed);
+        self.current.freeze(f)
     }
 
     /// Replace this repository's contents with `other`'s (state
-    /// restore), redistributing entries into **this** repository's
-    /// shard layout (relative order preserved, so a save → load →
-    /// adopt round trip through the same shard count is
-    /// byte-identical). The snapshot replacement and the id-counter
-    /// adoption happen inside one set of writer critical sections, so
-    /// a concurrent batch can neither interleave between them
-    /// (reserving restored ids against pre-restore entries) nor land a
-    /// mutation that this replacement silently wipes.
+    /// restore), order kept. The snapshot replacement and the
+    /// id-counter adoption happen inside one writer section, so a
+    /// concurrent batch can neither interleave between them (reserving
+    /// restored ids against pre-restore entries) nor land a mutation
+    /// that this replacement silently wipes.
     pub fn adopt(&self, other: Repository) {
         let next = other.next_id.load(SeqCst);
-        let view = other.view();
-        let n = self.shards.len();
-        let writers: Vec<RcuWriter<'_, RepoSnapshot>> =
-            self.shards.iter().map(|s| s.writer()).collect();
-        self.writer_sections.fetch_add(n as u64, Relaxed);
-        let mut parts: Vec<Vec<Arc<RepoEntry>>> = vec![Vec::new(); n];
-        for snap in view.shards() {
-            for e in &snap.entries {
-                parts[shard_index(e.tip_signature, n)].push(e.clone());
-            }
-        }
-        for (w, part) in writers.iter().zip(parts) {
-            w.publish(build_shard_snapshot(part));
-        }
-        self.next_id.store(next, SeqCst);
-    }
-
-    /// §3 first-match against the current state. Prefer taking a
-    /// [`Repository::view`] explicitly when issuing several lookups
-    /// that must agree.
-    pub fn find_first_match(&self, input_plan: &PhysicalPlan) -> Option<(u64, PlanMatch)> {
-        self.view().find_first_match(input_plan)
+        let snap = other.snapshot();
+        // With `other`'s cell gone the snapshot is ours alone and moves
+        // in without a copy.
+        drop(other);
+        self.writer_sections.fetch_add(1, Relaxed);
+        self.current.update_then(
+            |s| *s = Arc::unwrap_or_clone(snap),
+            |()| self.next_id.store(next, SeqCst),
+        );
     }
 
     // ---- persistence ----
 
-    /// Serialize the current state (shard-concatenation order).
+    /// Serialize the current state.
     pub fn save(&self) -> String {
-        self.view().save()
-    }
-
-    /// See [`RepoSnapshot::save_filtered`].
-    pub fn save_filtered(&self, keep: impl Fn(&str) -> bool) -> String {
-        self.view().save_filtered(keep)
+        self.snapshot().save()
     }
 
     /// Reload a repository serialized by [`Repository::save`]. Ordering
@@ -933,24 +747,20 @@ impl Repository {
         Ok(Repository::from_entries(entries, next_id))
     }
 
-    /// Build a single-shard repository from fully formed entries (ids
-    /// assigned, order final): one snapshot construction, one reindex.
+    /// Build a repository from fully formed entries (ids assigned,
+    /// order final): one snapshot construction, one reindex.
     fn from_entries(entries: Vec<Arc<RepoEntry>>, next_id: u64) -> Repository {
-        Repository::from_shard_parts(vec![entries], next_id)
-    }
-
-    /// Build a repository whose shard `i` holds exactly `parts[i]`, in
-    /// the given order.
-    fn from_shard_parts(parts: Vec<Vec<Arc<RepoEntry>>>, next_id: u64) -> Repository {
-        let shards: Vec<Rcu<RepoSnapshot>> =
-            parts.into_iter().map(|part| Rcu::new(build_shard_snapshot(part))).collect();
+        let mut snap = RepoSnapshot {
+            stored_bytes: entries.iter().map(|e| e.base.output_bytes).sum(),
+            by_signature: entries.iter().map(|e| (e.signature, e.id)).collect(),
+            entries,
+            ..Default::default()
+        };
+        snap.reindex();
         Repository {
-            shards,
+            current: Rcu::new(snap),
             next_id: AtomicU64::new(next_id),
-            sink: SinkCell::default(),
-            track_usage: AtomicBool::new(false),
-            dirty_used: Mutex::new(Vec::new()),
-            writer_sections: AtomicU64::new(0),
+            ..Default::default()
         }
     }
 
@@ -966,18 +776,6 @@ impl Repository {
     /// §3 "subsuming plans first" guarantee. Duplicate plan signatures
     /// keep the first occurrence.
     pub fn bulk_load(items: Vec<(PhysicalPlan, String, RepoStats)>) -> Repository {
-        Repository::bulk_load_with_shards(items, 1)
-    }
-
-    /// [`Repository::bulk_load`] into a striped repository: the same
-    /// global dedup and rule-2 ordering, then entries are partitioned
-    /// by tip-signature hash (order preserved within each shard) and
-    /// each shard's snapshot is built once.
-    pub fn bulk_load_with_shards(
-        items: Vec<(PhysicalPlan, String, RepoStats)>,
-        shards: usize,
-    ) -> Repository {
-        let n = normalize_shards(shards);
         let mut entries: Vec<Arc<RepoEntry>> = Vec::with_capacity(items.len());
         let mut seen = HashSet::with_capacity(items.len());
         for (i, (plan, path, stats)) in items.into_iter().enumerate() {
@@ -999,73 +797,17 @@ impl Repository {
             let kb = (b.base.reduction_ratio(), b.base.job_time_s);
             kb.partial_cmp(&ka).unwrap_or(std::cmp::Ordering::Equal)
         });
-        let mut parts: Vec<Vec<Arc<RepoEntry>>> = vec![Vec::new(); n];
-        for e in entries {
-            parts[shard_index(e.tip_signature, n)].push(e);
-        }
-        Repository::from_shard_parts(parts, next_id)
+        Repository::from_entries(entries, next_id)
     }
-}
-
-/// Snapshot over fully formed, final-order entries: by-signature map,
-/// running byte total, position indexes — built once.
-fn build_shard_snapshot(entries: Vec<Arc<RepoEntry>>) -> RepoSnapshot {
-    let mut snap = RepoSnapshot {
-        stored_bytes: entries.iter().map(|e| e.base.output_bytes).sum(),
-        ..Default::default()
-    };
-    for e in &entries {
-        snap.by_signature.insert(e.signature, e.id);
-    }
-    snap.entries = entries;
-    snap.reindex();
-    snap
-}
-
-/// §3 winner among per-shard first matches: a candidate that subsumes
-/// another (and not vice versa) wins outright (rule 1); among
-/// incomparables, the higher (reduction ratio, job time) score wins
-/// (rule 2); ties break to the lower id, which is deterministic and —
-/// ids being allocation-ordered — favors the earlier registration,
-/// like single-shard insertion does for equal scores. A linear pass
-/// with explicit pairwise comparison, never a comparator sort:
-/// subsumption is not a total order. Each candidate carries the shard
-/// it came from, so the instrumented probe can attribute the win.
-fn shard_winner(
-    firsts: Vec<(PlanMatch, &Arc<RepoEntry>, usize)>,
-) -> Option<(PlanMatch, &Arc<RepoEntry>, usize)> {
-    firsts.into_iter().reduce(|b, c| {
-        let c_sub_b = subsumes(&c.1.plan, &b.1.plan);
-        let b_sub_c = subsumes(&b.1.plan, &c.1.plan);
-        let c_wins = if c_sub_b != b_sub_c {
-            c_sub_b
-        } else {
-            let sc = (c.1.base.reduction_ratio(), c.1.base.job_time_s);
-            let sb = (b.1.base.reduction_ratio(), b.1.base.job_time_s);
-            match sc.partial_cmp(&sb) {
-                Some(std::cmp::Ordering::Greater) => true,
-                Some(std::cmp::Ordering::Less) => false,
-                _ => c.1.id < b.1.id,
-            }
-        };
-        if c_wins {
-            c
-        } else {
-            b
-        }
-    })
 }
 
 /// What one instrumented match probe observed (see
-/// [`RepoView::find_first_match_probed`]). Timings are nanoseconds.
+/// [`RepoSnapshot::find_first_match_probed`]).
 #[derive(Debug, Default, Clone)]
 pub struct MatchProbe {
-    /// Node signatures + index lookups + pairwise §3 verification time.
+    /// Node signatures + index lookups + pairwise §3 verification time,
+    /// nanoseconds.
     pub probe_ns: u64,
-    /// Cross-shard winner-pass time.
-    pub winner_ns: u64,
-    /// Shard the winning entry lives in, when a match was found.
-    pub winner_shard: Option<usize>,
     /// Input-plan node signatures probed against the inverted index.
     pub signatures_probed: usize,
     /// Candidates whose pairwise traversal ran, in probe order.
@@ -1078,8 +820,6 @@ impl MatchProbe {
     /// one probe per job instead of allocating per iteration.
     pub fn reset(&mut self) {
         self.probe_ns = 0;
-        self.winner_ns = 0;
-        self.winner_shard = None;
         self.signatures_probed = 0;
         self.candidates.clear();
     }
@@ -1089,240 +829,97 @@ impl MatchProbe {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProbedCandidate {
     pub entry_id: u64,
-    pub shard: usize,
     /// The pairwise §3 traversal matched (a `false` is a tip-signature
     /// collision or partial overlap).
     pub matched: bool,
 }
 
-/// A coherent lock-free read view over every shard (see
-/// [`Repository::view`]). Mirrors [`RepoSnapshot`]'s read surface and
-/// adds matching; with one shard every lookup lands in that shard's
-/// snapshot, so results are exactly the single-shard repository's.
-#[derive(Debug, Clone)]
-pub struct RepoView {
-    shards: Vec<Arc<RepoSnapshot>>,
-}
-
-impl RepoView {
-    /// The per-shard snapshots, in shard order.
-    pub fn shards(&self) -> &[Arc<RepoSnapshot>] {
-        &self.shards
-    }
-
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.len()).sum()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.is_empty())
-    }
-
-    /// Entries across every shard, shard-concatenation order.
-    pub fn entries(&self) -> Vec<Arc<RepoEntry>> {
-        let mut out = Vec::with_capacity(self.len());
-        for s in &self.shards {
-            out.extend(s.entries.iter().cloned());
-        }
-        out
-    }
-
-    /// Lookup by id (O(1) within each shard).
-    pub fn get(&self, id: u64) -> Option<&Arc<RepoEntry>> {
-        self.shards.iter().find_map(|s| s.get(id))
-    }
-
-    pub fn contains_id(&self, id: u64) -> bool {
-        self.shards.iter().any(|s| s.contains_id(id))
-    }
-
-    /// Does any entry already compute this plan? Probes exactly the
-    /// owning shard.
-    pub fn contains_plan(&self, plan: &PhysicalPlan) -> Option<u64> {
-        let tip = plan_tip(plan).map(|t| plan.node_signature(t));
-        self.shards[shard_index(tip, self.shards.len())].contains_plan(plan)
-    }
-
-    pub fn stored_bytes(&self) -> u64 {
-        self.shards.iter().map(|s| s.stored_bytes()).sum()
-    }
-
+impl RepoSnapshot {
     /// §3 first match anywhere in `input_plan`; see
-    /// [`RepoView::find_first_match_probed`].
+    /// [`RepoSnapshot::find_first_match_probed`].
     pub fn find_first_match(&self, input_plan: &PhysicalPlan) -> Option<(u64, PlanMatch)> {
         self.find_first_match_probed(input_plan, |_, _| false, &mut MatchProbe::default())
     }
 
-    /// §3 first match: each shard contributes its first verifying entry
-    /// (in that shard's match-priority order), then the winner is
-    /// picked by the ordering rules themselves (see [`shard_winner`]).
-    /// `skip(entry, site)` vetoes anchoring `entry`'s tip at input node
-    /// `site` — the driver passes the sites whose rewrite would change
-    /// nothing ([`crate::provenance::ExpandedPlan::collapses_back`]).
+    /// §3 first match: the first entry, in match-priority order, that
+    /// verifies somewhere in `input_plan`. `skip(entry, site)` vetoes
+    /// anchoring `entry`'s tip at input node `site` — the driver passes
+    /// the sites whose rewrite would change nothing
+    /// ([`crate::provenance::ExpandedPlan::collapses_back`]).
     ///
     /// Candidates come from the inverted tip-signature index: every
-    /// input node's signature (one shared-memo pass) is looked up in
-    /// **exactly one shard** — the one that would own an entry with
-    /// that tip — and only the hits are verified, each at the site that
-    /// produced it, in (repository position, topological site) order.
-    /// That is the order the sequential scan tries them in, so the two
-    /// return the same entry at the same site. The probe records
-    /// per-stage timings and the candidate-by-candidate list the
-    /// reuse-decision trace is built from: two `Instant` reads and a
-    /// small vector, never a lock or a publish.
+    /// input node's signature (one shared-memo pass) is looked up and
+    /// only the hits are verified, each at the site that produced it,
+    /// in (repository position, topological site) order. That is the
+    /// order the sequential scan tries them in, so the two return the
+    /// same entry at the same site. The probe records its timing and
+    /// the candidate-by-candidate list the reuse-decision trace is
+    /// built from: two `Instant` reads and a small vector, never a lock
+    /// or a publish.
     pub fn find_first_match_probed(
         &self,
         input_plan: &PhysicalPlan,
         skip: impl Fn(&RepoEntry, NodeId) -> bool,
         probe: &mut MatchProbe,
     ) -> Option<(u64, PlanMatch)> {
-        let n = self.shards.len();
         let t0 = std::time::Instant::now();
         let sigs = input_plan.node_signatures();
-        // (shard, position, topological rank of the site, site)
-        let mut cands: Vec<(usize, usize, usize, NodeId)> = Vec::new();
+        // (position, topological rank of the site, site)
+        let mut cands: Vec<(usize, usize, NodeId)> = Vec::new();
         for (rank, site) in input_plan.topo_order().into_iter().enumerate() {
             if matches!(input_plan.op(site), PhysicalOp::Store { .. } | PhysicalOp::Split) {
                 continue; // never a rewrite site; a Split signs as its input
             }
             probe.signatures_probed += 1;
-            let sig = sigs[site.index()];
-            let s = shard_index(Some(sig), n);
-            for &pos in self.shards[s].tip_index.get(&sig).into_iter().flatten() {
-                if !skip(&self.shards[s].entries[pos], site) {
-                    cands.push((s, pos, rank, site));
+            for &pos in self.tip_index.get(&sigs[site.index()]).into_iter().flatten() {
+                if !skip(&self.entries[pos], site) {
+                    cands.push((pos, rank, site));
                 }
             }
         }
         cands.sort_unstable();
-        let mut firsts: Vec<(PlanMatch, &Arc<RepoEntry>, usize)> = Vec::new();
-        for (s, pos, _, site) in cands {
-            if firsts.last().is_some_and(|f| f.2 == s) {
-                continue; // this shard already has its first match
-            }
-            let e = &self.shards[s].entries[pos];
+        let found = cands.into_iter().find_map(|(pos, _, site)| {
+            let e = &self.entries[pos];
             let matched = pairwise_plan_traversal_at(&e.plan, input_plan, [site]);
-            probe.candidates.push(ProbedCandidate {
-                entry_id: e.id,
-                shard: s,
-                matched: matched.is_some(),
-            });
-            firsts.extend(matched.map(|m| (m, e, s)));
-        }
+            probe.candidates.push(ProbedCandidate { entry_id: e.id, matched: matched.is_some() });
+            matched.map(|m| (e.id, m))
+        });
         probe.probe_ns = t0.elapsed().as_nanos() as u64;
-        let t1 = std::time::Instant::now();
-        let winner = shard_winner(firsts);
-        probe.winner_ns = t1.elapsed().as_nanos() as u64;
-        probe.winner_shard = winner.as_ref().map(|w| w.2);
-        winner.map(|(m, e, _)| (e.id, m))
+        found
     }
 
-    /// The paper's sequential scan — every entry of every shard, in
-    /// repository order, each tried at every site `skip` allows — kept
-    /// as the oracle the index is tested against and as the
-    /// `bench_matcher` ablation. Same contract and same result as
-    /// [`RepoView::find_first_match_probed`], linear in repository size.
+    /// The paper's sequential scan — every entry, in repository order,
+    /// each tried at every site `skip` allows — kept as the oracle the
+    /// index is tested against and as the `bench_matcher` ablation.
+    /// Same contract and same result as
+    /// [`RepoSnapshot::find_first_match_probed`], linear in repository
+    /// size.
     pub fn find_first_match_scan(
         &self,
         input_plan: &PhysicalPlan,
         skip: impl Fn(&RepoEntry, NodeId) -> bool,
     ) -> Option<(u64, PlanMatch)> {
         let order = input_plan.topo_order();
-        let firsts = self
-            .shards
-            .iter()
-            .enumerate()
-            .filter_map(|(s, shard)| {
-                shard.entries.iter().find_map(|e| {
-                    let sites = order.iter().copied().filter(|&site| !skip(e, site));
-                    pairwise_plan_traversal_at(&e.plan, input_plan, sites).map(|m| (m, e, s))
-                })
-            })
-            .collect();
-        shard_winner(firsts).map(|(m, e, _)| (e.id, m))
-    }
-
-    /// Serialize the view (shard-concatenation order; loading a text
-    /// saved this way back through [`Repository::load`] +
-    /// [`Repository::adopt`] into the same shard count re-saves
-    /// byte-identically).
-    pub fn save(&self) -> String {
-        self.save_filtered(|_| true)
-    }
-
-    /// See [`RepoSnapshot::save_filtered`].
-    pub fn save_filtered(&self, keep: impl Fn(&str) -> bool) -> String {
-        let mut out = String::new();
-        for s in &self.shards {
-            for e in &s.entries {
-                if !keep(&e.output_path) {
-                    continue;
-                }
-                encode_entry_into(&mut out, e);
-            }
-        }
-        out
+        self.entries.iter().find_map(|e| {
+            let sites = order.iter().copied().filter(|&site| !skip(e, site));
+            pairwise_plan_traversal_at(&e.plan, input_plan, sites).map(|m| (e.id, m))
+        })
     }
 }
 
-/// A consistent cross-shard cut with every shard's writer held (see
-/// [`Repository::freeze`]): no mutation can publish anywhere in the
-/// repository while it exists.
-pub struct FrozenRepo<'a> {
-    shards: Vec<&'a RepoSnapshot>,
-}
-
-impl FrozenRepo<'_> {
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.len()).sum()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.is_empty())
-    }
-
-    /// Entries across every shard, shard-concatenation order.
-    pub fn entries(&self) -> impl Iterator<Item = &Arc<RepoEntry>> {
-        self.shards.iter().flat_map(|s| s.entries.iter())
-    }
-
-    /// Serialize the frozen cut (shard-concatenation order).
-    pub fn save(&self) -> String {
-        self.save_filtered(|_| true)
-    }
-
-    /// See [`RepoSnapshot::save_filtered`].
-    pub fn save_filtered(&self, keep: impl Fn(&str) -> bool) -> String {
-        let mut out = String::new();
-        for s in &self.shards {
-            for e in &s.entries {
-                if !keep(&e.output_path) {
-                    continue;
-                }
-                encode_entry_into(&mut out, e);
-            }
-        }
-        out
-    }
-}
-
-/// Mutation scope over the pending working copy of **every** shard
-/// (the batch holds all shard writers, in ascending order); each
-/// touched shard lands in a single publish when the
-/// [`Repository::batch`] closure returns, and its position-dependent
-/// indexes are rebuilt once at that point. Ops route to shards exactly
-/// like the single-op fast paths, so a batch of one insert and a bare
-/// [`Repository::insert`] leave identical state.
+/// Mutation scope over the pending working copy of the snapshot; it
+/// lands in a single publish when the [`Repository::batch`] closure
+/// returns, and its position-dependent indexes are rebuilt once at that
+/// point.
 pub struct RepoBatch<'a> {
-    /// Working copies, one per shard.
-    shards: &'a mut [RepoSnapshot],
+    work: RepoSnapshot,
     next_id: &'a AtomicU64,
-    /// Per shard: a structural mutation happened — reindex before
+    /// An entry moved, appeared or changed its tip — reindex before
     /// publishing.
-    dirty: Vec<bool>,
-    /// Per shard: structural ops in application order, handed to the
-    /// journal sink at publish time.
-    ops: Vec<Vec<RepoOp>>,
+    reindex: bool,
+    /// Structural ops in application order, handed to the journal sink
+    /// at publish time. Empty means the batch changed nothing.
+    ops: Vec<RepoOp>,
 }
 
 impl RepoBatch<'_> {
@@ -1337,28 +934,24 @@ impl RepoBatch<'_> {
         // id space, which nothing depends on.
         let id = self.next_id.fetch_add(1, SeqCst);
         let entry = RepoEntry::new(id, plan, output_path.into(), stats);
-        let s = shard_index(entry.tip_signature, self.shards.len());
-        let (outcome, stored) = self.shards[s].do_insert(entry);
+        let (outcome, stored) = self.work.do_insert(entry);
         if matches!(outcome, InsertOutcome::Inserted(_)) {
-            self.dirty[s] = true;
+            self.reindex = true;
         } else {
             // Roll the reservation back when we were the only claimant.
             let _ = self.next_id.compare_exchange(id + 1, id, SeqCst, SeqCst);
         }
-        if let Some(e) = stored {
-            self.ops[s].push(RepoOp::Put(e));
-        }
+        self.ops.extend(stored.map(RepoOp::Put));
         outcome
     }
 
     /// Journal replay: (re)store an entry under an **explicit id**,
     /// reproducing exactly what the journaled batch did. An existing
     /// entry with the id is replaced in place (the refresh path); a
-    /// fresh id inserts at the §3/§5 position of the shard the plan's
-    /// tip signature owns, like the original insertion — so records
-    /// written under any shard count replay correctly into any other.
-    /// Idempotent — applying a record over a base checkpoint that
-    /// already contains its effects is a no-op in the serialized state.
+    /// fresh id inserts at its §3/§5 position, like the original
+    /// insertion. Idempotent — applying a record over a base checkpoint
+    /// that already contains its effects is a no-op in the serialized
+    /// state.
     pub(crate) fn put(
         &mut self,
         id: u64,
@@ -1368,94 +961,53 @@ impl RepoBatch<'_> {
     ) {
         self.next_id.fetch_max(id + 1, SeqCst);
         let entry = RepoEntry::new(id, plan, output_path, stats);
-        let target = shard_index(entry.tip_signature, self.shards.len());
-        // Locate the id anywhere (mid-batch positions may be stale, so
-        // scan the entry lists, not the maps). An entry's shard never
-        // changes in practice — its tip signature is derived from its
-        // plan — but a divergent record must not leave a duplicate id
-        // behind, so a hit in the wrong shard is dropped there first.
-        let existing = (0..self.shards.len())
-            .find_map(|s| {
-                self.shards[s].entries.iter().position(|e| e.id == id).map(|pos| (s, pos))
-            })
-            // A same-signature entry under another id means the live
-            // session refreshed that entry; mirror it defensively (same
-            // signature implies same tip, hence the target shard).
-            .or_else(|| {
-                self.shards[target].by_signature.get(&entry.signature).copied().and_then(|dup| {
-                    self.shards[target]
-                        .entries
-                        .iter()
-                        .position(|e| e.id == dup)
-                        .map(|pos| (target, pos))
-                })
-            });
-        match existing {
-            Some((s, pos)) if s == target => {
-                let sh = &mut self.shards[s];
-                let old = sh.entries[pos].clone();
-                sh.by_signature.remove(&old.signature);
-                sh.stored_bytes = sh.stored_bytes - old.base.output_bytes + entry.base.output_bytes;
-                let replacement = RepoEntry {
-                    id: old.id,
-                    plan: entry.plan,
-                    signature: entry.signature,
-                    tip_signature: entry.tip_signature,
-                    output_path: entry.output_path,
-                    base: entry.base,
-                    usage: Arc::new(Usage {
-                        count: AtomicU64::new(entry.usage.count.load(SeqCst)),
-                        last_used: AtomicU64::new(entry.usage.last_used.load(SeqCst)),
-                        dirty: AtomicBool::new(false),
-                    }),
-                };
-                sh.by_signature.insert(replacement.signature, replacement.id);
-                let arc = Arc::new(replacement);
-                sh.entries[pos] = arc.clone();
-                self.ops[s].push(RepoOp::Put(arc));
-                self.dirty[s] = true;
+        let work = &mut self.work;
+        // Locate the id by scanning the entry list (mid-batch the
+        // position maps may be stale). A same-signature entry under
+        // another id means the live session refreshed that entry;
+        // mirror it defensively.
+        let by_entry_id = |id: u64| work.entries.iter().position(|e| e.id == id);
+        let existing = by_entry_id(id)
+            .or_else(|| work.by_signature.get(&entry.signature).and_then(|&dup| by_entry_id(dup)));
+        let arc = match existing {
+            Some(pos) => {
+                let old = work.entries[pos].clone();
+                work.by_signature.remove(&old.signature);
+                work.stored_bytes =
+                    work.stored_bytes - old.base.output_bytes + entry.base.output_bytes;
+                let arc = Arc::new(RepoEntry { id: old.id, ..entry });
+                work.by_signature.insert(arc.signature, arc.id);
+                work.entries[pos] = arc.clone();
+                arc
             }
-            other => {
-                if let Some((s, pos)) = other {
-                    // Divergent record: the stored plan routes to a
-                    // different shard than the stale entry's — drop the
-                    // stale one where it sits.
-                    let sh = &mut self.shards[s];
-                    let old = sh.entries.remove(pos);
-                    sh.by_signature.remove(&old.signature);
-                    sh.stored_bytes -= old.base.output_bytes;
-                    self.dirty[s] = true;
-                }
-                let sh = &mut self.shards[target];
-                let pos = sh.insert_position(&entry);
-                sh.by_signature.insert(entry.signature, entry.id);
-                sh.stored_bytes += entry.base.output_bytes;
+            None => {
+                let pos = work.insert_position(&entry);
+                work.by_signature.insert(entry.signature, entry.id);
+                work.stored_bytes += entry.base.output_bytes;
                 let arc = Arc::new(entry);
-                sh.entries.insert(pos, arc.clone());
-                self.ops[target].push(RepoOp::Put(arc));
-                self.dirty[target] = true;
+                work.entries.insert(pos, arc.clone());
+                arc
             }
-        }
+        };
+        self.ops.push(RepoOp::Put(arc));
+        self.reindex = true;
     }
 
     /// Remove an entry, returning it (see [`Repository::evict`]).
     pub fn evict(&mut self, id: u64) -> Option<Arc<RepoEntry>> {
-        let s =
-            (0..self.shards.len()).find(|&i| self.shards[i].entries.iter().any(|e| e.id == id))?;
-        let e = self.shards[s].do_evict(id)?;
-        self.dirty[s] = true;
-        self.ops[s].push(RepoOp::Evict(id));
+        let e = self.work.do_evict(id)?;
+        self.reindex = true;
+        self.ops.push(RepoOp::Evict(id));
         Some(e)
     }
 
-    /// Every entry of the batch's pending working copies (prior
-    /// mutations of this batch visible), shard by shard. Mid-batch the
-    /// entry lists and byte totals are current, but the
-    /// position-dependent lookups (`get`, `contains_id`, the match
-    /// strategies) may lag behind this batch's own structural changes —
-    /// they are rebuilt at publish.
+    /// Every entry of the batch's pending working copy (prior mutations
+    /// of this batch visible). Mid-batch the entry list and byte total
+    /// are current, but the position-dependent lookups (`get`,
+    /// `contains_id`, the match strategies) may lag behind this batch's
+    /// own structural changes — they are rebuilt at publish.
     pub fn pending_entries(&self) -> impl Iterator<Item = &Arc<RepoEntry>> {
-        self.shards.iter().flat_map(|s| s.entries.iter())
+        self.work.entries.iter()
     }
 }
 
@@ -1520,7 +1072,7 @@ mod tests {
     fn insert_and_match() {
         let repo = Repository::new();
         repo.insert(load_project("/pv", vec![0, 2]), "/repo/b", stats(100, 10, 5.0));
-        let (id, m) = repo.find_first_match(&q1_plan()).unwrap();
+        let (id, m) = repo.snapshot().find_first_match(&q1_plan()).unwrap();
         assert_eq!(repo.get(id).unwrap().output_path, "/repo/b");
         assert!(matches!(q1_plan().op(m.tip), PhysicalOp::Project { .. }));
     }
@@ -1571,7 +1123,7 @@ mod tests {
         assert_eq!(snap.entries()[1].output_path, "/r/sub");
         // A fresh Q1-shaped query now matches the *whole* Q1 plan first
         // (the paper's "first match is best match").
-        let (id, _) = repo.find_first_match(&q1_plan()).unwrap();
+        let (id, _) = repo.snapshot().find_first_match(&q1_plan()).unwrap();
         assert_eq!(repo.get(id).unwrap().output_path, "/r/q1");
     }
 
@@ -1615,7 +1167,7 @@ mod tests {
                 stats(100 + i as u64, 10, i as f64),
             );
         }
-        let view = repo.view();
+        let view = repo.snapshot();
         let q = q1_plan();
         let a = view.find_first_match_scan(&q, |_, _| false).map(|(id, m)| (id, m.tip));
         let b = view.find_first_match(&q).map(|(id, m)| (id, m.tip));
@@ -1646,33 +1198,31 @@ mod tests {
         let j = input.add(PhysicalOp::Join { keys: vec![vec![0], vec![0]] }, vec![p, tee]);
         input.add(PhysicalOp::Store { path: "/out".into() }, vec![j]);
 
-        for shards in [1, 8] {
-            let repo = Repository::with_shards(shards);
-            repo.insert(load_project("/pv", vec![0]), "/r/p", stats(100, 50, 1.0));
-            let InsertOutcome::Inserted(id) =
-                repo.insert(stored.clone(), "/r/self", stats(100, 10, 9.0))
-            else {
-                panic!("fresh plan");
-            };
-            let view = repo.view();
-            let scan = view.find_first_match_scan(&input, |_, _| false).map(|(id, m)| (id, m.tip));
-            assert_eq!(scan, Some((id, j)), "the scan sees through the tee");
-            assert_eq!(view.find_first_match(&input).map(|(id, m)| (id, m.tip)), scan);
-            // A vetoed site falls through to the next entry on both paths.
-            let veto = |_: &RepoEntry, site: NodeId| site == j;
-            let scan = view.find_first_match_scan(&input, veto).map(|(id, m)| (id, m.tip));
-            assert_eq!(scan.map(|(_, tip)| tip), Some(p));
-            let mut probe = MatchProbe::default();
-            let indexed = view.find_first_match_probed(&input, veto, &mut probe);
-            assert_eq!(indexed.map(|(id, m)| (id, m.tip)), scan);
-        }
+        let repo = Repository::new();
+        repo.insert(load_project("/pv", vec![0]), "/r/p", stats(100, 50, 1.0));
+        let InsertOutcome::Inserted(id) =
+            repo.insert(stored.clone(), "/r/self", stats(100, 10, 9.0))
+        else {
+            panic!("fresh plan");
+        };
+        let view = repo.snapshot();
+        let scan = view.find_first_match_scan(&input, |_, _| false).map(|(id, m)| (id, m.tip));
+        assert_eq!(scan, Some((id, j)), "the scan sees through the tee");
+        assert_eq!(view.find_first_match(&input).map(|(id, m)| (id, m.tip)), scan);
+        // A vetoed site falls through to the next entry on both paths.
+        let veto = |_: &RepoEntry, site: NodeId| site == j;
+        let scan = view.find_first_match_scan(&input, veto).map(|(id, m)| (id, m.tip));
+        assert_eq!(scan.map(|(_, tip)| tip), Some(p));
+        let mut probe = MatchProbe::default();
+        let indexed = view.find_first_match_probed(&input, veto, &mut probe);
+        assert_eq!(indexed.map(|(id, m)| (id, m.tip)), scan);
     }
 
     #[test]
     fn snapshot_readers_are_isolated_from_mutations() {
         let repo = Repository::new();
         repo.insert(load_project("/pv", vec![0, 2]), "/r/b", stats(100, 10, 5.0));
-        let before = repo.view();
+        let before = repo.snapshot();
         repo.batch(|b| {
             b.insert(load_project("/x", vec![1]), "/r/x", stats(50, 5, 1.0));
             b.insert(load_project("/y", vec![1]), "/r/y", stats(50, 5, 1.0));
@@ -1729,9 +1279,16 @@ mod tests {
         assert_eq!(b.entries()[0].tip_signature, r.entries()[0].tip_signature);
         assert_eq!(b.stored_bytes(), r.stored_bytes());
         // Loaded repository still matches.
-        assert!(back.find_first_match(&q1_plan()).is_some());
+        assert!(b.find_first_match(&q1_plan()).is_some());
         // And re-saving is byte-identical (usage counters round-trip).
         assert_eq!(back.save(), text);
+        // The state-restore path: adopting keeps the order, a frozen
+        // capture sees it, and the id sequence continues.
+        let fresh = Repository::new();
+        fresh.adopt(back);
+        assert_eq!(fresh.freeze(|frozen| frozen.save()), text);
+        let next = fresh.insert(load_project("/new", vec![0]), "/r/new", stats(1, 1, 1.0));
+        assert_eq!(next, InsertOutcome::Inserted(2));
     }
 
     #[test]
@@ -1757,8 +1314,9 @@ mod tests {
         assert_eq!(ids.len(), unique.len(), "ids stay unique after bulk dedup, got {ids:?}");
         assert_eq!(next, 3);
         // And matching still works against the bulk-built indexes.
-        assert!(repo.find_first_match(&q1_plan()).is_none());
+        assert!(repo.snapshot().find_first_match(&q1_plan()).is_none());
         let (hit, _) = repo
+            .snapshot()
             .find_first_match(&{
                 let mut p = load_project("/b", vec![0]);
                 let tip = p.stores()[0];
@@ -1783,179 +1341,5 @@ mod tests {
         assert_eq!(repo.stored_bytes(), 42);
         repo.evict(b);
         assert_eq!(repo.stored_bytes(), 30);
-    }
-
-    #[test]
-    fn shard_count_normalizes_and_caps() {
-        assert_eq!(Repository::with_shards(0).shard_count(), 1);
-        assert_eq!(Repository::with_shards(1).shard_count(), 1);
-        assert_eq!(Repository::with_shards(8).shard_count(), 8);
-        assert_eq!(Repository::with_shards(usize::MAX).shard_count(), MAX_REPO_SHARDS);
-        assert_eq!(normalize_shards(0), 1);
-        assert_eq!(normalize_shards(4), 4);
-        assert_eq!(normalize_shards(MAX_REPO_SHARDS + 1), MAX_REPO_SHARDS);
-    }
-
-    #[test]
-    fn sharded_insert_routes_deterministically_and_dedups() {
-        let repo = Repository::with_shards(4);
-        for i in 0..16 {
-            repo.insert(
-                load_project(&format!("/p{i}"), vec![0]),
-                format!("/r/{i}"),
-                stats(100, 10, 1.0),
-            );
-        }
-        assert_eq!(repo.len(), 16);
-        // A duplicate plan routes to the same shard and refreshes there.
-        let out = repo.insert(load_project("/p3", vec![0]), "/r/dup", stats(100, 20, 2.0));
-        assert!(matches!(out, InsertOutcome::Duplicate(_)));
-        assert_eq!(repo.len(), 16);
-        // Every entry is found and evictable through the routed paths.
-        let view = repo.view();
-        for e in view.entries() {
-            assert!(repo.get(e.id).is_some());
-            assert_eq!(view.contains_plan(&e.plan), Some(e.id));
-        }
-        // Shards partition the entries: ids are globally unique.
-        let ids: HashSet<u64> = view.entries().iter().map(|e| e.id).collect();
-        assert_eq!(ids.len(), 16);
-    }
-
-    #[test]
-    fn sharded_matching_agrees_with_single_shard() {
-        let single = Repository::new();
-        let sharded = Repository::with_shards(8);
-        for (i, cols) in [vec![0], vec![1], vec![0, 2], vec![2]].into_iter().enumerate() {
-            let s = stats(100 + i as u64, 10, i as f64);
-            single.insert(load_project("/pv", cols.clone()), format!("/r/{i}"), s.clone());
-            sharded.insert(load_project("/pv", cols), format!("/r/{i}"), s);
-        }
-        // Subsumption family too: the Q1 plan subsumes the /pv project.
-        single.insert(q1_plan(), "/r/q1", stats(200, 20, 30.0));
-        sharded.insert(q1_plan(), "/r/q1", stats(200, 20, 30.0));
-        for q in [q1_plan(), load_project("/pv", vec![0]), load_project("/nowhere", vec![9])] {
-            let a = single
-                .find_first_match(&q)
-                .map(|(id, m)| (single.get(id).unwrap().output_path.clone(), m.tip));
-            let b = sharded
-                .find_first_match(&q)
-                .map(|(id, m)| (sharded.get(id).unwrap().output_path.clone(), m.tip));
-            assert_eq!(a, b);
-        }
-        // The index and the scan oracle agree on the sharded view.
-        let view = sharded.view();
-        let q = q1_plan();
-        assert_eq!(
-            view.find_first_match_scan(&q, |_, _| false).map(|(id, m)| (id, m.tip)),
-            view.find_first_match(&q).map(|(id, m)| (id, m.tip)),
-        );
-    }
-
-    #[test]
-    fn sharded_save_load_adopt_round_trips_byte_identically() {
-        let repo = Repository::with_shards(8);
-        for i in 0..12 {
-            repo.insert(
-                load_project(&format!("/p{i}"), vec![0]),
-                format!("/r/{i}"),
-                stats(100 + i, 10, i as f64),
-            );
-        }
-        let text = repo.save();
-        // Reload through the state-restore path: parse into a
-        // single-shard repository, adopt into the same shard count.
-        let fresh = Repository::with_shards(8);
-        fresh.adopt(Repository::load(&text).unwrap());
-        assert_eq!(fresh.save(), text, "same shard count round-trips byte-identically");
-        assert_eq!(fresh.len(), repo.len());
-        // A later insert continues the id sequence.
-        let InsertOutcome::Inserted(next) =
-            fresh.insert(load_project("/new", vec![0]), "/r/new", stats(1, 1, 1.0))
-        else {
-            panic!()
-        };
-        assert_eq!(next, 12);
-    }
-
-    #[test]
-    fn sharded_batch_and_fast_paths_leave_identical_state() {
-        let a = Repository::with_shards(4);
-        let b = Repository::with_shards(4);
-        for i in 0..6 {
-            let plan = load_project(&format!("/p{i}"), vec![0]);
-            let s = stats(100 + i, 10, i as f64);
-            a.insert(plan.clone(), format!("/r/{i}"), s.clone());
-            b.batch(|batch| batch.insert(plan, format!("/r/{i}"), s));
-        }
-        a.evict(2);
-        b.batch(|batch| {
-            batch.evict(2);
-        });
-        assert_eq!(a.save(), b.save());
-    }
-
-    #[test]
-    fn bulk_load_with_shards_partitions_the_rule2_order() {
-        let items: Vec<(PhysicalPlan, String, RepoStats)> = (0..20)
-            .map(|i| {
-                (
-                    load_project(&format!("/p{i}"), vec![0]),
-                    format!("/r/{i}"),
-                    stats(100 + i, 10, 1.0),
-                )
-            })
-            .collect();
-        let single = Repository::bulk_load(items.clone());
-        let sharded = Repository::bulk_load_with_shards(items, 8);
-        assert_eq!(sharded.shard_count(), 8);
-        assert_eq!(sharded.len(), single.len());
-        // Within each shard, relative order follows the global rule-2
-        // order (a subsequence of the single-shard order).
-        let global: Vec<u64> = single.entries().iter().map(|e| e.id).collect();
-        for shard in sharded.view().shards() {
-            let mut cursor = 0usize;
-            for e in shard.entries() {
-                let at = global[cursor..].iter().position(|&g| g == e.id).expect("subsequence");
-                cursor += at + 1;
-            }
-        }
-        // And matching agrees.
-        let q = load_project("/p7", vec![0]);
-        let a =
-            single.find_first_match(&q).map(|(id, _)| single.get(id).unwrap().output_path.clone());
-        let b = sharded
-            .find_first_match(&q)
-            .map(|(id, _)| sharded.get(id).unwrap().output_path.clone());
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn sharded_freeze_is_a_consistent_cut() {
-        let repo = Repository::with_shards(4);
-        for i in 0..8 {
-            repo.insert(
-                load_project(&format!("/p{i}"), vec![0]),
-                format!("/r/{i}"),
-                stats(100, 10, 1.0),
-            );
-        }
-        let text = repo.freeze(|frozen| {
-            assert_eq!(frozen.len(), 8);
-            frozen.save()
-        });
-        assert_eq!(text, repo.save());
-    }
-
-    #[test]
-    fn writer_sections_count_shard_acquisitions() {
-        let repo = Repository::with_shards(4);
-        let base = repo.writer_sections();
-        repo.insert(load_project("/a", vec![0]), "/r/a", stats(1, 1, 1.0));
-        assert_eq!(repo.writer_sections(), base + 1, "fast path takes one shard");
-        repo.batch(|b| {
-            b.insert(load_project("/b", vec![0]), "/r/b", stats(1, 1, 1.0));
-        });
-        assert_eq!(repo.writer_sections(), base + 5, "a batch takes every shard");
     }
 }

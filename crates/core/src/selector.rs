@@ -21,7 +21,7 @@ use restore_dfs::Dfs;
 /// With per-tenant policies (see `ReStore::set_config_as`) each tenant
 /// namespace can carry its own instance: sweeps run with the submitting
 /// tenant's rules, and the policy is serialized with the tenant's state
-/// in `restore-state v2` (`PartialEq` lets round-trip tests compare).
+/// in `restore-state` (`PartialEq` lets round-trip tests compare).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SelectionPolicy {
     /// Store every candidate regardless of rules 1–2 (the paper's
@@ -103,36 +103,27 @@ impl SelectionPolicy {
         if self.eviction_window.is_none() && !self.check_input_versions {
             return Vec::new();
         }
-        // Victims are collected shard by shard (ascending shard order)
-        // from one lock-free view: each shard contributes its own
-        // victims — a quota naturally proportional to the entries it
-        // holds — and since every entry lives in exactly one shard the
-        // victim set is identical to a single-shard scan.
-        let view = repo.view();
         let mut victims = Vec::new();
-        for shard in view.shards() {
-            for e in shard.entries() {
-                let stats = e.stats();
-                // Rule 3: unused within the window (entries never used
-                // are judged from their creation tick).
-                if let Some(w) = self.eviction_window {
-                    let last_activity = stats.last_used.max(stats.created);
-                    if now.saturating_sub(last_activity) > w {
-                        victims.push(e.id);
-                        continue;
-                    }
+        for e in repo.snapshot().entries() {
+            let stats = e.stats();
+            // Rule 3: unused within the window (entries never used are
+            // judged from their creation tick).
+            if let Some(w) = self.eviction_window {
+                let last_activity = stats.last_used.max(stats.created);
+                if now.saturating_sub(last_activity) > w {
+                    victims.push(e.id);
+                    continue;
                 }
-                // Rule 4: an input was deleted or modified.
-                if self.check_input_versions {
-                    let invalidated = stats.input_files.iter().any(|(path, version)| {
-                        match dfs.status(path) {
-                            Ok(st) => st.version != *version,
-                            Err(_) => true, // deleted
-                        }
+            }
+            // Rule 4: an input was deleted or modified.
+            if self.check_input_versions {
+                let invalidated =
+                    stats.input_files.iter().any(|(path, version)| match dfs.status(path) {
+                        Ok(st) => st.version != *version,
+                        Err(_) => true, // deleted
                     });
-                    if invalidated {
-                        victims.push(e.id);
-                    }
+                if invalidated {
+                    victims.push(e.id);
                 }
             }
         }

@@ -1,33 +1,29 @@
 //! `restore-state` (de)serialization: the durable session format.
 //!
-//! Four wire versions exist:
+//! Two wire versions are read — the current one and the one before it —
+//! by one parser:
 //!
-//! * **v1** (legacy) — tick/cand counters plus the *default* namespace's
-//!   provenance and repository. Written by earlier releases; still
-//!   accepted by [`ReStore::load_state`](crate::ReStore::load_state),
-//!   which loads it into the default namespace.
-//! * **v2** (legacy) — everything a shared session knows: the global
-//!   configuration, the counters, and **every** namespace (default and
-//!   per-tenant) with its repository, provenance table, and — when the
-//!   tenant carries a policy override — its `ReStoreConfig`.
-//! * **v3** (legacy) — v2 plus one `seq <n>` line after the counters:
-//!   the snapshot-journal sequence number the dump is anchored at (see
-//!   [`crate::journal`]). Recovery loads a v3 base and replays only
-//!   journal records with a later sequence number; v1/v2 documents
-//!   anchor at sequence 0, so *any* journal segment replays on top of
-//!   them. Everything else is identical to v2.
-//! * **v4** (legacy) — v3 plus the failure-policy configuration keys
-//!   (see [`crate::failure`]) and, per namespace, an optional `--dlq--`
-//!   section holding the tenant's dead-letter queue (see
-//!   [`crate::dlq`]; omitted when the queue is empty, so sessions that
-//!   never dead-letter dump identically to v3 modulo the header and
-//!   config keys). Earlier versions parse with the policy defaulted
-//!   and the queue empty.
-//! * **v5** (current) — v4 plus three configuration keys: the
-//!   dead-letter queue caps `dlq_max_entries` / `dlq_max_age_ticks`
-//!   (0 = unbounded, the pre-v5 behavior) and `canonicalize` (the
-//!   analyzer toggle; v4-and-earlier documents load with it **on**,
-//!   the v5 default). The document structure is unchanged.
+//! * **v5** (current, the only one written) — the counters, one
+//!   `seq <n>` line (the snapshot-journal sequence number the dump is
+//!   anchored at, see [`crate::journal`]: recovery loads the base and
+//!   replays only journal records with a later sequence number), the
+//!   global configuration, and **every** namespace (default and
+//!   per-tenant) with its repository, provenance table, its
+//!   `ReStoreConfig` when the tenant carries a policy override, and an
+//!   optional `--dlq--` section holding the tenant's dead-letter queue
+//!   (see [`crate::dlq`]; omitted when the queue is empty).
+//! * **v4** (previous) — the same document without three configuration
+//!   keys: the dead-letter queue caps `dlq_max_entries` /
+//!   `dlq_max_age_ticks` (missing = 0 = unbounded) and `canonicalize`
+//!   (the analyzer toggle; missing = **on**, the v5 default).
+//!
+//! Configuration keys missing from a document keep their defaults, so
+//! dropping a key from the writer does not need a new version. One key
+//! is read but no longer written: `repo_shards`, from releases whose
+//! repository could be striped. `0` and `1` mean the one ordered list
+//! and are ignored; a larger value means the document's entries are in
+//! shard-concatenation order, not §3 order, and the document is refused
+//! with [`Error::Config`].
 //!
 //! The format is line-oriented. Section headers are `--config--`,
 //! `--provenance--`, `--repository--`, `--dlq--`, and
@@ -49,10 +45,7 @@ use crate::repository::Repository;
 use restore_common::{Error, Result};
 use restore_dataflow::physical::PhysicalOp;
 
-pub(crate) const V1_HEADER: &str = "restore-state v1";
-pub(crate) const V2_HEADER: &str = "restore-state v2";
-pub(crate) const V3_HEADER: &str = "restore-state v3";
-pub(crate) const V4_HEADER: &str = "restore-state v4";
+const V4_HEADER: &str = "restore-state v4";
 pub(crate) const V5_HEADER: &str = "restore-state v5";
 
 /// One deserialized namespace (`name == ""` is the default).
@@ -61,7 +54,7 @@ pub(crate) struct LoadedSpace {
     pub config: Option<ReStoreConfig>,
     pub prov: Provenance,
     pub repo: Repository,
-    /// The namespace's dead-letter queue (empty for pre-v4 documents).
+    /// The namespace's dead-letter queue.
     pub dlq: Vec<crate::dlq::DlqEntry>,
 }
 
@@ -69,12 +62,10 @@ pub(crate) struct LoadedSpace {
 pub(crate) struct LoadedState {
     pub tick: u64,
     pub cand: u64,
-    /// Journal sequence number the document is anchored at (0 for
-    /// v1/v2 documents, which predate the journal).
+    /// Journal sequence number the document is anchored at.
     pub seq: u64,
-    /// The global (default) policy; `None` for v1 documents, which
-    /// predate config serialization.
-    pub global_config: Option<ReStoreConfig>,
+    /// The global (default) policy.
+    pub global_config: ReStoreConfig,
     pub spaces: Vec<LoadedSpace>,
 }
 
@@ -134,7 +125,7 @@ pub(crate) fn encode_config(c: &ReStoreConfig) -> String {
         "reuse_enabled {}\nheuristic {}\nrepo_prefix {:?}\ndelete_tmp {}\n\
          register_final_outputs {}\nwave_parallel {}\nstore_all {}\n\
          require_size_reduction {}\nrequire_time_benefit {}\nreload_read_bps {}\n\
-         eviction_window {}\ncheck_input_versions {}\nrepo_shards {}\n\
+         eviction_window {}\ncheck_input_versions {}\n\
          on_failure {}\nmax_retries {}\nretry_backoff_base_ms {}\n\
          retry_backoff_factor {}\nretry_backoff_cap_ms {}\nretry_backoff_jitter {}\n\
          failure_window {}\nfailure_threshold {}\nbreaker_cooldown_ms {}\n\
@@ -152,7 +143,6 @@ pub(crate) fn encode_config(c: &ReStoreConfig) -> String {
         c.selection.reload_read_bps,
         window,
         c.selection.check_input_versions,
-        c.repo_shards,
         disposition_name(c.failure.on_failure),
         c.failure.max_retries,
         c.failure.retry_backoff_base_ms,
@@ -209,16 +199,14 @@ pub(crate) fn decode_config(lines: &[&str], base: usize) -> Result<ReStoreConfig
             }
             "check_input_versions" => c.selection.check_input_versions = parse_bool(value)?,
             "repo_shards" => {
-                // 0 (an "unset" default) normalizes to 1; an absurd
-                // count is a typed config error, not a parse error.
                 let n: usize = value.parse().map_err(|_| bad())?;
-                if n > crate::repository::MAX_REPO_SHARDS {
+                if n > 1 {
                     return Err(Error::Config(format!(
-                        "repo_shards {n} exceeds the maximum of {}",
-                        crate::repository::MAX_REPO_SHARDS
+                        "repo_shards {n}: the document was saved from a sharded repository, \
+                         so its entries are in shard-concatenation order and cannot be \
+                         loaded into one ordered list"
                     )));
                 }
-                c.repo_shards = crate::repository::normalize_shards(n);
             }
             "on_failure" => c.failure.on_failure = disposition_from(value).ok_or_else(bad)?,
             "max_retries" => c.failure.max_retries = value.parse().map_err(|_| bad())?,
@@ -329,59 +317,29 @@ fn parse_tables(lines: &[&str], idx: usize) -> Result<(Provenance, Repository, u
     Ok((prov, repo, repo_end))
 }
 
-/// Parse any wire version into a [`LoadedState`].
+/// Parse a v5 or v4 document into a [`LoadedState`].
 pub(crate) fn parse(text: &str) -> Result<LoadedState> {
     let lines: Vec<&str> = text.lines().collect();
-    match lines.first().copied() {
-        Some(V1_HEADER) => parse_v1(&lines),
-        Some(V2_HEADER) => parse_v2(&lines, false),
-        Some(V3_HEADER) | Some(V4_HEADER) | Some(V5_HEADER) => parse_v2(&lines, true),
-        other => Err(err_at(
+    if !matches!(lines.first().copied(), Some(V4_HEADER | V5_HEADER)) {
+        return Err(err_at(
             0,
             format!(
-                "expected \"{V1_HEADER}\", \"{V2_HEADER}\", \"{V3_HEADER}\", \"{V4_HEADER}\", \
-                 or \"{V5_HEADER}\", got {:?}",
-                other.unwrap_or("<empty document>")
+                "expected \"{V5_HEADER}\" or \"{V4_HEADER}\", got {:?}",
+                lines.first().copied().unwrap_or("<empty document>")
             ),
-        )),
-    }
-}
-
-fn parse_v1(lines: &[&str]) -> Result<LoadedState> {
-    let tick = parse_counter(lines, 1, "tick")?;
-    let cand = parse_counter(lines, 2, "cand")?;
-    let (prov, repo, end) = parse_tables(lines, 3)?;
-    if end != lines.len() {
-        return Err(err_at(end, format!("unexpected trailing section {:?}", lines[end])));
-    }
-    Ok(LoadedState {
-        tick,
-        cand,
-        seq: 0,
-        global_config: None,
-        spaces: vec![LoadedSpace {
-            name: String::new(),
-            config: None,
-            prov,
-            repo,
-            dlq: Vec::new(),
-        }],
-    })
-}
-
-/// v2 and v3 share everything but the `seq` line after the counters.
-fn parse_v2(lines: &[&str], with_seq: bool) -> Result<LoadedState> {
-    let tick = parse_counter(lines, 1, "tick")?;
-    let cand = parse_counter(lines, 2, "cand")?;
-    let (seq, cfg_header) = if with_seq { (parse_counter(lines, 3, "seq")?, 4) } else { (0, 3) };
-    if lines.get(cfg_header).copied() != Some("--config--") {
-        return Err(err_at(
-            cfg_header,
-            format!("expected --config--, got {:?}", lines.get(cfg_header).unwrap_or(&"<eof>")),
         ));
     }
-    let cfg_end = body_end(lines, cfg_header + 1);
-    let global_config = Some(decode_config(&lines[cfg_header + 1..cfg_end], cfg_header + 1)?);
+    let tick = parse_counter(&lines, 1, "tick")?;
+    let cand = parse_counter(&lines, 2, "cand")?;
+    let seq = parse_counter(&lines, 3, "seq")?;
+    if lines.get(4).copied() != Some("--config--") {
+        return Err(err_at(
+            4,
+            format!("expected --config--, got {:?}", lines.get(4).unwrap_or(&"<eof>")),
+        ));
+    }
+    let cfg_end = body_end(&lines, 5);
+    let global_config = decode_config(&lines[5..cfg_end], 5)?;
 
     let mut spaces = Vec::new();
     let mut idx = cfg_end;
@@ -398,18 +356,18 @@ fn parse_v2(lines: &[&str], with_seq: bool) -> Result<LoadedState> {
         }
         idx += 1;
         let config = if lines.get(idx).copied() == Some("--config--") {
-            let end = body_end(lines, idx + 1);
+            let end = body_end(&lines, idx + 1);
             let c = decode_config(&lines[idx + 1..end], idx + 1)?;
             idx = end;
             Some(c)
         } else {
             None
         };
-        let (prov, repo, end) = parse_tables(lines, idx)?;
+        let (prov, repo, end) = parse_tables(&lines, idx)?;
         idx = end;
-        // Optional dead-letter queue (v4+; omitted when empty).
+        // Optional dead-letter queue (omitted when empty).
         let dlq = if lines.get(idx).copied() == Some("--dlq--") {
-            let dend = body_end(lines, idx + 1);
+            let dend = body_end(&lines, idx + 1);
             let q = crate::dlq::load(&lines[idx + 1..dend].join("\n"))
                 .map_err(|e| err_at(idx, format!("in --dlq-- section: {e}")))?;
             idx = dend;
@@ -444,7 +402,6 @@ mod tests {
             delete_tmp: true,
             register_final_outputs: false,
             wave_parallel: false,
-            repo_shards: 8,
             failure: crate::failure::FailurePolicy {
                 on_failure: FailureDisposition::Dlq,
                 max_retries: 3,
@@ -489,27 +446,29 @@ mod tests {
 
     #[test]
     fn repo_shards_zero_normalizes_to_one() {
-        // 0 is "unset", not "no shards": it decodes as the classic
-        // single-shard repository.
-        let back = decode_config(&["repo_shards 0"], 0).unwrap();
-        assert_eq!(back.repo_shards, 1);
+        // 0 ("unset") and 1 both mean the one ordered list: read and
+        // ignored, and never written back.
+        for line in ["repo_shards 0", "repo_shards 1"] {
+            let back = decode_config(&[line], 0).unwrap();
+            assert_eq!(back, ReStoreConfig::default());
+            assert!(!encode_config(&back).contains("repo_shards"));
+        }
     }
 
     #[test]
     fn absurd_repo_shards_is_a_typed_config_error() {
-        let over = crate::repository::MAX_REPO_SHARDS + 1;
-        let line = format!("repo_shards {over}");
-        match decode_config(&[&line], 0).unwrap_err() {
-            Error::Config(msg) => {
-                assert!(msg.contains(&over.to_string()), "{msg}");
-                assert!(msg.contains(&crate::repository::MAX_REPO_SHARDS.to_string()), "{msg}");
+        // A striped repository's dump is in shard-concatenation order:
+        // refused, not loaded mis-ordered.
+        for n in [2usize, 8, 1025] {
+            let line = format!("repo_shards {n}");
+            match decode_config(&[&line], 0).unwrap_err() {
+                Error::Config(msg) => {
+                    assert!(msg.contains(&n.to_string()), "{msg}");
+                    assert!(msg.contains("shard-concatenation order"), "{msg}");
+                }
+                other => panic!("expected Error::Config, got {other:?}"),
             }
-            other => panic!("expected Error::Config, got {other:?}"),
         }
-        // A merely *large* (but sane) count still decodes.
-        let line = format!("repo_shards {}", crate::repository::MAX_REPO_SHARDS);
-        let back = decode_config(&[&line], 0).unwrap();
-        assert_eq!(back.repo_shards, crate::repository::MAX_REPO_SHARDS);
         // And an unparseable value is still a positioned parse error.
         match decode_config(&["repo_shards many"], 0).unwrap_err() {
             Error::State { line, msg } => {

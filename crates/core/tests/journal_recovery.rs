@@ -1,8 +1,10 @@
 //! The snapshot journal end to end: incremental deltas replayed over a
-//! base checkpoint reproduce the session **byte-identically**, mixed
-//! wire versions compose (a committed v2 base + v3-era journal
-//! segments), sequence anchoring skips covered records, and malformed
-//! or truncated segments fail naming the offending record.
+//! base checkpoint reproduce the session **byte-identically**, the
+//! previous wire version composes with today's journal (a committed v4
+//! base + segments), a base and segment captured at PR 19's parent
+//! still recover, sequence anchoring skips covered records, segments
+//! handed over out of order are sorted, and malformed, duplicated or
+//! truncated segments fail naming the offending record.
 
 use restore_common::Error;
 use restore_core::{JournalConfig, ReStore, ReStoreConfig, SelectionPolicy};
@@ -40,14 +42,14 @@ fn join_query(out: &str) -> String {
     )
 }
 
-/// A literal base checkpoint in the **v2** wire format (what
-/// `save_state` produced before the journal existed): one default-
-/// namespace entry and a tenant carrying only a policy override. It
-/// must keep loading — and anchoring journal replay at sequence 0 —
-/// forever.
-const V2_FIXTURE: &str = r#"restore-state v2
+/// A literal base checkpoint in the **v4** wire format (the version
+/// before the current one, from a release that still wrote
+/// `repo_shards`): one default-namespace entry and a tenant carrying
+/// only a policy override, anchored at sequence 0.
+const V4_FIXTURE: &str = r#"restore-state v4
 tick 7
 cand 3
+seq 0
 --config--
 reuse_enabled true
 heuristic aggressive
@@ -61,6 +63,7 @@ require_time_benefit false
 reload_read_bps 83886080
 eviction_window none
 check_input_versions false
+repo_shards 1
 --space ""--
 --provenance--
 path "/repo/b"
@@ -94,14 +97,14 @@ check_input_versions false
 --repository--
 "#;
 
-/// Run a mixed workload on a journaling session loaded from the v2
+/// Run a mixed workload on a journaling session loaded from the v4
 /// fixture, capturing deltas along the way. Returns the shared DFS,
 /// the captured segments, and the reference full dump.
 fn journaled_scenario() -> (Dfs, Vec<String>, String) {
     let shared = dfs();
     shared.write_all("/repo/b", b"stored bytes").unwrap();
     let live = ReStore::new(engine_over(shared.clone()), ReStoreConfig::default());
-    live.load_state(V2_FIXTURE).unwrap();
+    live.load_state(V4_FIXTURE).unwrap();
     live.enable_journal(JournalConfig::default());
 
     let mut segments = Vec::new();
@@ -126,14 +129,14 @@ fn journaled_scenario() -> (Dfs, Vec<String>, String) {
 }
 
 #[test]
-fn v2_fixture_plus_journal_equals_fresh_v5_dump_byte_identically() {
+fn v4_fixture_plus_journal_equals_fresh_v5_dump_byte_identically() {
     let (shared, segments, reference) = journaled_scenario();
     assert!(reference.starts_with("restore-state v5\n"));
     assert!(!segments.is_empty());
 
     let recovered = ReStore::new(engine_over(shared), ReStoreConfig::default());
-    let report = recovered.recover(V2_FIXTURE, &segments).unwrap();
-    assert_eq!(report.base_seq, 0, "a v2 base anchors at sequence 0");
+    let report = recovered.recover(V4_FIXTURE, &segments).unwrap();
+    assert_eq!(report.base_seq, 0, "the fixture anchors at sequence 0");
     assert!(report.records_applied > 0);
     assert_eq!(report.records_skipped, 0);
     assert!(report.torn_tail.is_none());
@@ -148,7 +151,7 @@ fn v2_fixture_plus_journal_equals_fresh_v5_dump_byte_identically() {
 fn recovered_session_serves_warm_hits() {
     let (shared, segments, _) = journaled_scenario();
     let recovered = ReStore::new(engine_over(shared), ReStoreConfig::default());
-    recovered.recover(V2_FIXTURE, &segments).unwrap();
+    recovered.recover(V4_FIXTURE, &segments).unwrap();
     let warm = recovered.execute_query(&sum_query("/out/again"), "/wf/again").unwrap();
     assert_eq!(warm.jobs_skipped, 1, "recovered repository must keep serving reuse");
     let warm_t = recovered.execute_query_as(Some("ana"), &join_query("/out/j2"), "/wf/j2").unwrap();
@@ -161,7 +164,7 @@ fn recovered_session_serves_warm_hits() {
 #[test]
 fn v4_base_skips_records_it_already_covers() {
     let (shared, segments, reference) = journaled_scenario();
-    // The reference dump is itself a v4 base anchored past every
+    // The reference dump is itself a base anchored past every
     // record; replaying the full journal over it must skip everything
     // and land on the same bytes.
     let recovered = ReStore::new(engine_over(shared), ReStoreConfig::default());
@@ -182,7 +185,7 @@ fn torn_final_segment_recovers_a_consistent_prefix() {
     segments.push(last[..cut].to_string());
 
     let recovered = ReStore::new(engine_over(shared.clone()), ReStoreConfig::default());
-    let report = recovered.recover(V2_FIXTURE, &segments).unwrap();
+    let report = recovered.recover(V4_FIXTURE, &segments).unwrap();
     let torn = report.torn_tail.expect("the cut must be reported");
     assert_eq!(torn.segment, segments.len() - 1);
     // The prefix is a real state: it re-saves cleanly and still loads.
@@ -199,7 +202,7 @@ fn torn_non_final_segment_names_the_record() {
     let cut = segments[0].len() - 3;
     segments[0].truncate(cut);
     let recovered = ReStore::new(engine_over(shared), ReStoreConfig::default());
-    match recovered.recover(V2_FIXTURE, &segments) {
+    match recovered.recover(V4_FIXTURE, &segments) {
         Err(Error::Journal { segment: 0, record, msg }) => {
             assert!(record >= 1, "the torn record is named");
             assert!(msg.contains("non-final"), "{msg}");
@@ -218,7 +221,7 @@ fn corrupted_record_names_segment_and_record() {
     bytes[pos] ^= 0x20;
     segments[0] = String::from_utf8(bytes).unwrap();
     let recovered = ReStore::new(engine_over(shared), ReStoreConfig::default());
-    match recovered.recover(V2_FIXTURE, &segments) {
+    match recovered.recover(V4_FIXTURE, &segments) {
         Err(Error::Journal { segment: 0, record, msg }) => {
             assert!(record >= 1);
             assert!(
@@ -273,7 +276,7 @@ fn full_session_replace_is_journaled() {
     let base = live.save_state();
     live.execute_query(&sum_query("/out/a"), "/wf/a").unwrap();
     // A wholesale load_state mid-journal lands as one `replace` record.
-    live.load_state(V2_FIXTURE).unwrap();
+    live.load_state(V4_FIXTURE).unwrap();
     live.execute_query_as(Some("ana"), &sum_query("/out/t"), "/wf/t").unwrap();
     let segments = live.save_state_delta().unwrap();
     let reference = live.save_state();
@@ -283,82 +286,104 @@ fn full_session_replace_is_journaled() {
     assert_eq!(recovered.save_state(), reference);
 }
 
-/// Sharded repositories journal through per-shard lanes, so a cut
-/// segment's physical record order interleaves sequence numbers from
-/// different lanes. Recovery must merge on seq and land on the **byte-
-/// identical** state — and the interleaving must actually occur, or
-/// this test proves nothing.
+/// The journal writes segments and frames in seq order, so recovery's
+/// sort and duplicate check only ever see disorder in what they are
+/// *handed*: segment files listed in the wrong order, a file listed
+/// twice.
 #[test]
-fn sharded_journal_replays_interleaved_lanes_byte_identically() {
-    let shared = dfs();
-    shared.write_all("/repo/b", b"stored bytes").unwrap();
-    let sharded_cfg = ReStoreConfig { repo_shards: 8, ..Default::default() };
-    let live = ReStore::new(engine_over(shared.clone()), sharded_cfg.clone());
-    live.enable_journal(JournalConfig::default());
-    let base = live.save_state();
-    // Mixed workload across two namespaces: repo batches append via
-    // their shards' lanes, provenance/config records via lane 0.
-    live.execute_query(&sum_query("/out/a"), "/wf/a").unwrap();
-    live.execute_query_as(Some("ana"), &join_query("/out/j"), "/wf/j").unwrap();
-    let warm = live.execute_query(&sum_query("/out/a2"), "/wf/a2").unwrap();
-    assert_eq!(warm.jobs_skipped, 1, "rerun must be a warm hit");
-    live.set_config_as(Some("ana"), ReStoreConfig { repo_shards: 8, ..Default::default() });
-    // A sharded repository is only interesting if the workload actually
-    // spans shards: at least one namespace must have entries outside
-    // shard 0, or the lane interleaving below would be vacuous.
-    live.with_repository_as(None, |r| {
-        let spread = r.view().shards().iter().skip(1).any(|s| !s.entries().is_empty());
-        assert!(spread, "workload must place entries outside shard 0");
-    });
-    let segments = live.save_state_delta().unwrap();
-    let reference = live.save_state();
-
-    // Extract each frame's seq in physical order via the public
-    // boundary list (frames start at every boundary but the last).
-    let mut seqs: Vec<u64> = Vec::new();
-    for seg in &segments {
-        let bounds = restore_core::journal::segment_boundaries(seg);
-        for w in bounds.windows(2) {
-            let header = seg[w[0]..].lines().next().unwrap();
-            seqs.push(header.split(' ').nth(1).unwrap().parse().unwrap());
-        }
-    }
-    let mut sorted = seqs.clone();
-    sorted.sort_unstable();
-    assert_ne!(seqs, sorted, "lanes must interleave seqs, or the sort path went unexercised");
-
-    // Same shard layout: recovery is byte-identical.
-    let recovered = ReStore::new(engine_over(shared.clone()), sharded_cfg);
-    let report = recovered.recover(&base, &segments).unwrap();
+fn swapped_segments_replay_in_seq_order_and_a_repeated_frame_is_refused() {
+    let (shared, mut segments, reference) = journaled_scenario();
+    assert!(segments.len() >= 2, "scenario must span segments");
+    segments.swap(0, 1);
+    let recovered = ReStore::new(engine_over(shared.clone()), ReStoreConfig::default());
+    let report = recovered.recover(V4_FIXTURE, &segments).unwrap();
     assert!(report.records_applied > 0);
-    assert_eq!(
-        recovered.save_state(),
-        reference,
-        "interleaved per-shard records must replay to the identical state"
-    );
+    assert_eq!(recovered.save_state(), reference, "replay order is seq order, not file order");
 
-    // Records carry no shard numbers, so the same journal also replays
-    // into a *single-shard* default namespace: same entries, same
-    // footprint, same warm hits (order within the dump may differ).
-    let single = ReStore::new(engine_over(shared), ReStoreConfig::default());
-    single.recover(&base, &segments).unwrap();
-    assert_eq!(single.stats().repository_entries, recovered.stats().repository_entries);
-    assert_eq!(single.stats().stored_bytes, recovered.stats().stored_bytes);
-    let warm = single.execute_query(&sum_query("/out/x"), "/wf/x").unwrap();
-    assert_eq!(warm.jobs_skipped, 1, "cross-shard-count replay must keep serving reuse");
+    // The first file again, as a third: its first frame repeats a seq.
+    segments.push(segments[0].clone());
+    let again = ReStore::new(engine_over(shared), ReStoreConfig::default());
+    match again.recover(V4_FIXTURE, &segments) {
+        Err(Error::Journal { segment: 2, record: 1, msg }) => {
+            assert!(msg.contains("duplicate record seq"), "{msg}");
+        }
+        other => panic!("expected the later copy to be named, got {other:?}"),
+    }
+}
+
+/// A batch that inserts nothing and evicts nothing is a writer section
+/// and nothing else: no snapshot is published and no record journaled
+/// (a wave that registers nothing — every `pigmix_reuse` query whose
+/// candidates are all stored already — takes this path).
+#[test]
+fn an_empty_batch_publishes_and_journals_nothing() {
+    let rs = ReStore::new(engine_over(dfs()), ReStoreConfig::default());
+    rs.enable_journal(JournalConfig::default());
+    rs.execute_query(&sum_query("/out/a"), "/wf/a").unwrap();
+    let (publishes, sections) = rs.write_counters_as(None);
+    let seq = rs.journal_stats().seq;
+    rs.with_repository_mut_as(None, |repo| {
+        repo.batch(|b| assert!(b.evict(u64::MAX).is_none(), "no such entry"));
+    });
+    assert_eq!(rs.write_counters_as(None), (publishes, sections + 1));
+    assert_eq!(rs.journal_stats().seq, seq);
+}
+
+/// One v5 base and one journal segment captured at PR 19's parent
+/// (`8c52a92`) at its default configuration — both carry
+/// `repo_shards 1`, the segment in a `tenant-config` record — with the
+/// state the parent recovered them to: entry ids and paths in
+/// repository order, reuse counters, provenance paths, tick and cand.
+#[test]
+fn base_and_segment_captured_at_the_parent_commit_still_recover() {
+    let base = include_str!("fixtures/parent_v5_base.txt");
+    let segment = include_str!("fixtures/parent_v5_segment.txt");
+    assert!(base.contains("repo_shards 1\n") && segment.contains("repo_shards 1\n"));
+    let rs = ReStore::new(engine_over(dfs()), ReStoreConfig::default());
+    let report = rs.recover(base, &[segment.to_string()]).unwrap();
+    assert_eq!((report.base_seq, report.records_skipped, report.records_applied), (7, 7, 9));
+
+    let state = rs.save_state();
+    let cand = state.lines().nth(2).unwrap();
+    let mut got = format!("tick {}\n{cand}\n", rs.stats().queries_executed);
+    for name in std::iter::once(String::new()).chain(rs.tenant_ids()) {
+        let tenant = Some(name.as_str()).filter(|n| !n.is_empty());
+        got += &format!("space {name:?}\n");
+        rs.with_repository_as(tenant, |repo| {
+            for e in repo.entries() {
+                got += &format!(
+                    "entry {} {:?} uses {} last {}\n",
+                    e.id,
+                    e.output_path,
+                    e.use_count(),
+                    e.last_used()
+                );
+            }
+        });
+        rs.with_provenance_as(tenant, |prov| {
+            let mut paths: Vec<&str> = prov.iter_paths().collect();
+            paths.sort_unstable();
+            for p in paths {
+                got += &format!("prov {p:?}\n");
+            }
+        });
+    }
+    assert_eq!(got, include_str!("fixtures/parent_v5_expect.txt"));
+    assert!(!rs.config_as(Some("ana")).register_final_outputs, "the tenant-config record applied");
+    assert!(!state.contains("repo_shards"), "read, never written back");
 }
 
 /// Regression: `recover` advances the journal's allocation cursor to
 /// the last replayed seq but previously left the capture cursor at
 /// zero, so a freshly recovered session reported every replayed record
 /// as "uncaptured" — a phantom lag that never drained, because those
-/// records were never in the live lanes to begin with. Both cursors
+/// records were never in the live buffer to begin with. Both cursors
 /// must land together.
 #[test]
 fn recover_leaves_no_phantom_seq_lag() {
     let (shared, segments, _) = journaled_scenario();
     let recovered = ReStore::new(engine_over(shared), ReStoreConfig::default());
-    let report = recovered.recover(V2_FIXTURE, &segments).unwrap();
+    let report = recovered.recover(V4_FIXTURE, &segments).unwrap();
     assert!(report.records_applied > 0);
     assert_eq!(
         recovered.journal_seq_lag(),

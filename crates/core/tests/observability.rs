@@ -4,8 +4,7 @@
 //!    enabled — a warm whole-workflow reuse run performs no RCU
 //!    publish and enters no writer section;
 //! 2. the probed matcher (the tip-signature index) returns results
-//!    identical to the sequential-scan oracle (parity proptest over
-//!    sharded repositories);
+//!    identical to the sequential-scan oracle (parity proptest);
 //! 3. the reuse-decision trace explains hits and misses, keyed by the
 //!    execution's tick;
 //! 4. `stats_all` rows come from one consistent cut (one shared clock).
@@ -201,8 +200,8 @@ fn stats_all_rows_share_one_clock_and_cover_all_namespaces() {
 }
 
 /// Small pipeline plans over a handful of load paths so random
-/// repositories produce genuine matches and signature collisions
-/// across shards (same generator family as `prop_concurrent_repo`).
+/// repositories produce genuine matches and signature collisions (same
+/// generator family as `prop_concurrent_repo`).
 fn plan_for(seed: u8, depth: u8) -> PhysicalPlan {
     let mut p = PhysicalPlan::new();
     let path = ["/data/a", "/data/b", "/data/c"][(seed % 3) as usize];
@@ -236,18 +235,16 @@ proptest! {
 
     /// The probed matcher (the tip-signature index, the path the driver
     /// runs) returns what the sequential-scan oracle returns — identical
-    /// (entry id, match tip) on the same view, with entries vetoed,
-    /// across shard counts — and the probe's record is internally
-    /// consistent (a winner implies a winning shard and a matched
-    /// candidate).
+    /// (entry id, match tip) on the same snapshot, with entries vetoed
+    /// — and the probe's record is internally consistent (a winner
+    /// implies a matched candidate).
     #[test]
     fn probed_match_agrees_with_the_scan_oracle(
-        shards in 1usize..5,
         inserts in prop::collection::vec((any::<u8>(), any::<u8>(), 1u64..500), 0..24),
         queries in prop::collection::vec((any::<u8>(), any::<u8>()), 1..8),
         exclude_picks in prop::collection::vec(0usize..24, 0..4),
     ) {
-        let repo = Repository::with_shards(shards);
+        let repo = Repository::new();
         let mut ids = Vec::new();
         for (seed, depth, bytes) in inserts {
             let stats = RepoStats { input_bytes: 4096, output_bytes: bytes, ..Default::default() };
@@ -259,7 +256,7 @@ proptest! {
         }
         let exclude: HashSet<u64> =
             exclude_picks.iter().filter_map(|&p| ids.get(p % ids.len().max(1)).copied()).collect();
-        let view = repo.view();
+        let view = repo.snapshot();
         for (seed, depth) in queries {
             let q = query_for(seed, depth);
             let skip = |e: &RepoEntry, _| exclude.contains(&e.id);
@@ -269,11 +266,10 @@ proptest! {
             prop_assert_eq!(
                 scanned.as_ref().map(|(id, m)| (*id, m.tip)),
                 probed.as_ref().map(|(id, m)| (*id, m.tip)),
-                "probed diverged from the scan (shards={})", shards
+                "probed diverged from the scan"
             );
             match &probed {
                 Some((id, _)) => {
-                    prop_assert!(probe.winner_shard.is_some(), "winner must carry its shard");
                     prop_assert!(
                         probe.candidates.iter().any(|c| c.entry_id == *id && c.matched),
                         "winner {} missing from probe candidates: {:?}", id, probe.candidates

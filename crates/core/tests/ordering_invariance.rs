@@ -59,7 +59,7 @@ fn first_match_is_insertion_order_invariant() {
             "order {order:?} put {} first",
             first.output_path
         );
-        let (id, _) = repo.find_first_match(&query).unwrap();
+        let (id, _) = repo.snapshot().find_first_match(&query).unwrap();
         assert_eq!(repo.get(id).unwrap().output_path, "/out/full", "order {order:?}");
     }
 }

@@ -9,8 +9,8 @@
 //!   (the §3 reference semantics);
 //! * **concurrency** — under real multi-threaded insert/evict/match
 //!   traffic the snapshot matcher only ever returns entries that exist
-//!   in the view it matched against, the index and the scan oracle
-//!   agree on every view, matching publishes nothing,
+//!   in the snapshot it matched against, the index and the scan oracle
+//!   agree on every snapshot, matching publishes nothing,
 //!   and `note_use` accounting is exact under 8-thread contention.
 
 use proptest::prelude::*;
@@ -220,7 +220,7 @@ proptest! {
                 }
                 Op::Match { seed, depth } => {
                     let q = query_for(seed, depth);
-                    let view = repo.view();
+                    let view = repo.snapshot();
                     let got = view.find_first_match(&q);
                     let want = reference.find_first_match(&q);
                     match (&got, &want) {
@@ -322,7 +322,7 @@ fn concurrent_insert_evict_match_is_coherent() {
                 while stop.load(Ordering::SeqCst) < 4 {
                     i += 1;
                     let q = query_for((r as u32 * 17 + i) as u8, (i % 4) as u8);
-                    let snap = repo.view();
+                    let snap = repo.snapshot();
                     let found = snap.find_first_match(&q).map(|(id, m)| (id, m.tip));
                     if let Some((id, tip)) = found {
                         // The match names a live entry of *this* view…
@@ -362,174 +362,12 @@ fn match_path_is_write_free() {
     let publishes = repo.publish_count();
     let q = query_for(1, 2);
     for t in 0..1000u64 {
-        let (found, _) = repo.find_first_match(&q).expect("warm match");
+        let (found, _) = repo.snapshot().find_first_match(&q).expect("warm match");
         assert_eq!(found, id);
         repo.note_use(found, t);
     }
     assert_eq!(repo.publish_count(), publishes, "matching must not publish");
     assert_eq!(repo.get(id).unwrap().use_count(), 1000);
-}
-
-proptest! {
-    /// Sharded-vs-single-shard lockstep: identical op sequences drive a
-    /// classic single-shard repository and an 8-shard one. Ids, lengths,
-    /// footprints, the full id→entry mapping, and every match result
-    /// (hit/miss, winning entry, match tip) must agree after every op —
-    /// striping is a physical layout change, never a semantic one.
-    #[test]
-    fn sharded_repo_stays_in_lockstep_with_single_shard(ops in prop::collection::vec(arb_op(), 1..60)) {
-        let single = Repository::new();
-        let sharded = Repository::with_shards(8);
-        let mut live_ids: Vec<u64> = Vec::new();
-        for op in ops {
-            match op {
-                Op::Insert { seed, depth, out_bytes, time } => {
-                    let stats = RepoStats {
-                        input_bytes: 4096,
-                        output_bytes: out_bytes,
-                        job_time_s: time as f64,
-                        ..Default::default()
-                    };
-                    let plan = plan_for(seed, depth);
-                    let path = format!("/r/{seed}-{depth}");
-                    let a = single.insert(plan.clone(), &path, stats.clone());
-                    let b = sharded.insert(plan, &path, stats);
-                    prop_assert_eq!(a, b, "insert outcomes diverged");
-                    if let restore_core::repository::InsertOutcome::Inserted(id) = a {
-                        live_ids.push(id);
-                    }
-                }
-                Op::Evict { pick } => {
-                    if live_ids.is_empty() { continue; }
-                    let id = live_ids[pick % live_ids.len()];
-                    let a = single.evict(id);
-                    let b = sharded.evict(id);
-                    prop_assert_eq!(a.is_some(), b.is_some(), "evict disagreed for id {}", id);
-                    if let (Some(ea), Some(eb)) = (a, b) {
-                        prop_assert_eq!(&ea.output_path, &eb.output_path);
-                    }
-                    live_ids.retain(|&x| x != id);
-                }
-                Op::Match { seed, depth } => {
-                    let q = query_for(seed, depth);
-                    // The single-shard side answers through the scan
-                    // oracle: the per-shard indexed probe must agree.
-                    let a = single.view().find_first_match_scan(&q, |_, _| false);
-                    let b = sharded.view().find_first_match(&q);
-                    match (a, b) {
-                        (None, None) => {}
-                        (Some((ida, ma)), Some((idb, mb))) => {
-                            prop_assert_eq!(ida, idb, "different winning entries");
-                            prop_assert_eq!(ma.tip, mb.tip, "match tips differ");
-                        }
-                        (a, b) => prop_assert!(
-                            false,
-                            "hit/miss disagreement: single {:?} vs sharded {:?}",
-                            a.is_some(),
-                            b.is_some()
-                        ),
-                    }
-                }
-                Op::NoteUse { pick, tick } => {
-                    if live_ids.is_empty() { continue; }
-                    let id = live_ids[pick % live_ids.len()];
-                    single.note_use(id, tick);
-                    sharded.note_use(id, tick);
-                }
-            }
-            // Full-state lockstep after every op: same ids, same entry
-            // payloads, same footprint. (Global *order* is shard-
-            // concatenated on the sharded side, so compare by id.)
-            prop_assert_eq!(single.len(), sharded.len());
-            prop_assert_eq!(single.stored_bytes(), sharded.stored_bytes());
-            let snap = single.snapshot();
-            let view = sharded.view();
-            let mut a: Vec<_> = snap.entries().iter().collect();
-            let mut b0 = view.entries();
-            let mut b: Vec<_> = b0.iter_mut().collect();
-            a.sort_by_key(|e| e.id);
-            b.sort_by_key(|e| e.id);
-            for (ea, eb) in a.iter().zip(&b) {
-                prop_assert_eq!(ea.id, eb.id, "id sets diverged");
-                prop_assert_eq!(ea.signature, eb.signature);
-                prop_assert_eq!(&ea.output_path, &eb.output_path);
-                prop_assert_eq!(ea.stats(), eb.stats(), "stats diverged");
-                prop_assert_eq!(ea.use_count(), eb.use_count());
-            }
-        }
-    }
-}
-
-/// Sharded coherence under real contention: 8 writer threads churn
-/// inserts/evictions into an 8-shard repository while readers match
-/// through per-shard views. Every match must name a live entry of the
-/// view it was found in and re-verify, and the per-shard indexed probe
-/// must agree with the cross-shard scan on every view.
-#[test]
-fn sharded_concurrent_insert_evict_match_is_coherent() {
-    let repo = Repository::with_shards(8);
-    for s in 0..8u8 {
-        let stats = RepoStats {
-            input_bytes: 4096,
-            output_bytes: 64 + s as u64,
-            job_time_s: s as f64,
-            ..Default::default()
-        };
-        repo.insert(plan_for(s, s % 4), format!("/seed/{s}"), stats);
-    }
-    let stop = AtomicU64::new(0);
-    let matches_seen = AtomicU64::new(0);
-    std::thread::scope(|scope| {
-        for w in 0..8u8 {
-            let repo = &repo;
-            let stop = &stop;
-            scope.spawn(move || {
-                for i in 0..400u32 {
-                    let seed = (w as u32 * 29 + i) as u8;
-                    let stats = RepoStats {
-                        input_bytes: 4096,
-                        output_bytes: 1 + (i as u64 % 100),
-                        job_time_s: (i % 13) as f64,
-                        ..Default::default()
-                    };
-                    match repo.insert(plan_for(seed, (i % 4) as u8), format!("/w{w}/{i}"), stats) {
-                        restore_core::repository::InsertOutcome::Inserted(id) if i % 3 == 0 => {
-                            repo.evict(id);
-                        }
-                        _ => {}
-                    }
-                }
-                stop.fetch_add(1, Ordering::SeqCst);
-            });
-        }
-        for r in 0..4u8 {
-            let repo = &repo;
-            let stop = &stop;
-            let matches_seen = &matches_seen;
-            scope.spawn(move || {
-                let mut i = 0u32;
-                while stop.load(Ordering::SeqCst) < 8 {
-                    i += 1;
-                    let q = query_for((r as u32 * 17 + i) as u8, (i % 4) as u8);
-                    let view = repo.view();
-                    let found = view.find_first_match(&q).map(|(id, m)| (id, m.tip));
-                    if let Some((id, tip)) = found {
-                        let e = view.get(id).expect("matched entry must exist in its view");
-                        let again = pairwise_plan_traversal(&e.plan, &q)
-                            .expect("matched entry must verify");
-                        assert_eq!(again.tip, tip);
-                        matches_seen.fetch_add(1, Ordering::SeqCst);
-                        repo.note_use(id, i as u64);
-                    }
-                    assert_eq!(
-                        view.find_first_match_scan(&q, |_, _| false).map(|(id, m)| (id, m.tip)),
-                        found,
-                    );
-                }
-            });
-        }
-    });
-    assert!(matches_seen.load(Ordering::SeqCst) > 0, "stress must exercise real matches");
 }
 
 /// `note_use` accounting is exact under 8-thread contention, including

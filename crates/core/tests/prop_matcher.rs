@@ -151,8 +151,8 @@ proptest! {
     /// The tip-signature index (the match path) and the paper's
     /// sequential scan (the oracle) return the same entry at the same
     /// site — or the same miss — on random repositories and queries
-    /// that carry `Split` tees and duplicate edges, at one shard and
-    /// several, with and without vetoed sites.
+    /// that carry `Split` tees and duplicate edges, with and without
+    /// vetoed sites.
     #[test]
     fn index_agrees_with_scan(
         entries in prop::collection::vec(arb_teed_plan(), 1..8),
@@ -165,42 +165,40 @@ proptest! {
         // Half the time the query is one of the plans the repository was
         // filled from, so a match (not just an agreed miss) is on offer.
         let query = resubmit.map_or(query, |r| entries[r.index(entries.len())].clone());
-        for shards in [1usize, 4] {
-            let repo = Repository::with_shards(shards);
-            for (i, plan) in entries.iter().enumerate() {
-                let stats = RepoStats {
-                    input_bytes: 100 + i as u64,
-                    output_bytes: 10,
-                    job_time_s: i as f64,
-                    ..Default::default()
-                };
-                // Prefixes of random plans are the realistic sub-job
-                // shapes (`prefix_plan` elides tees, so the stored side
-                // says `Union(x, x)` where the query says
-                // `Union(x, Split(x))`); a single-Store plan is also
-                // stored whole, tees and all.
-                let nodes = op_nodes(plan);
-                let n = nodes[pick.index(nodes.len())];
-                repo.insert(plan.prefix_plan(n, &format!("/r/{i}")), format!("/r/{i}"), stats.clone());
-                if plan.stores().len() == 1 {
-                    repo.insert(plan.clone(), format!("/r/w{i}"), stats);
-                }
+        let repo = Repository::new();
+        for (i, plan) in entries.iter().enumerate() {
+            let stats = RepoStats {
+                input_bytes: 100 + i as u64,
+                output_bytes: 10,
+                job_time_s: i as f64,
+                ..Default::default()
+            };
+            // Prefixes of random plans are the realistic sub-job
+            // shapes (`prefix_plan` elides tees, so the stored side
+            // says `Union(x, x)` where the query says
+            // `Union(x, Split(x))`); a single-Store plan is also
+            // stored whole, tees and all.
+            let nodes = op_nodes(plan);
+            let n = nodes[pick.index(nodes.len())];
+            repo.insert(plan.prefix_plan(n, &format!("/r/{i}")), format!("/r/{i}"), stats.clone());
+            if plan.stores().len() == 1 {
+                repo.insert(plan.clone(), format!("/r/w{i}"), stats);
             }
-            let view = repo.view();
-            let scan = view.find_first_match_scan(&query, |_, _| false).map(|(id, m)| (id, m.tip));
-            let indexed = view.find_first_match(&query).map(|(id, m)| (id, m.tip));
-            prop_assert_eq!(scan, indexed, "{} shard(s), query:\n{}", shards, query.explain());
-
-            let veto: Vec<NodeId> =
-                vetoed.iter().map(|v| NodeId(v.index(query.len()) as u32)).collect();
-            let skip = |_: &RepoEntry, site: NodeId| veto.contains(&site);
-            let scan = view.find_first_match_scan(&query, skip).map(|(id, m)| (id, m.tip));
-            let mut probe = restore_core::MatchProbe::default();
-            let indexed =
-                view.find_first_match_probed(&query, skip, &mut probe).map(|(id, m)| (id, m.tip));
-            prop_assert_eq!(scan, indexed, "{} shard(s), vetoed {:?}", shards, veto);
-            prop_assert!(scan.is_none_or(|(_, tip)| !veto.contains(&tip)));
         }
+        let view = repo.snapshot();
+        let scan = view.find_first_match_scan(&query, |_, _| false).map(|(id, m)| (id, m.tip));
+        let indexed = view.find_first_match(&query).map(|(id, m)| (id, m.tip));
+        prop_assert_eq!(scan, indexed, "query:\n{}", query.explain());
+
+        let veto: Vec<NodeId> =
+            vetoed.iter().map(|v| NodeId(v.index(query.len()) as u32)).collect();
+        let skip = |_: &RepoEntry, site: NodeId| veto.contains(&site);
+        let scan = view.find_first_match_scan(&query, skip).map(|(id, m)| (id, m.tip));
+        let mut probe = restore_core::MatchProbe::default();
+        let indexed =
+            view.find_first_match_probed(&query, skip, &mut probe).map(|(id, m)| (id, m.tip));
+        prop_assert_eq!(scan, indexed, "vetoed {:?}", veto);
+        prop_assert!(scan.is_none_or(|(_, tip)| !veto.contains(&tip)));
     }
 
     /// A `Split` tee never changes a signature: the teed plan signs as

@@ -1,8 +1,8 @@
 //! Lockstep replication parity: a warm standby tailing the primary's
 //! journal shipments is **byte-identical** to the primary at every
-//! shipped boundary — for single-shard and sharded repositories — and
-//! every divergence (lineage break, lost shipment, segments before a
-//! base) is a typed refusal healed by a full-base resync.
+//! shipped boundary, and every divergence (lineage break, lost
+//! shipment, segments before a base) is a typed refusal healed by a
+//! full-base resync.
 
 use proptest::prelude::*;
 use restore_core::{
@@ -24,9 +24,8 @@ fn engine_over(dfs: Dfs) -> Engine {
     Engine::new(dfs, ClusterConfig::default(), EngineConfig::default())
 }
 
-fn session(dfs: Dfs, shards: usize) -> Arc<ReStore> {
-    let config = ReStoreConfig { repo_shards: shards, ..Default::default() };
-    Arc::new(ReStore::new(engine_over(dfs), config))
+fn session(dfs: Dfs) -> Arc<ReStore> {
+    Arc::new(ReStore::new(engine_over(dfs), ReStoreConfig::default()))
 }
 
 fn sum_query(out: &str) -> String {
@@ -83,17 +82,14 @@ proptest! {
 
     /// The tentpole property: execute an arbitrary workload on the
     /// primary, ship after every step, and the standby's full dump is
-    /// byte-identical to the primary's at **every** shipped boundary —
-    /// with matching shard layouts of 1 and 8 (sharded journal lanes
-    /// interleave seqs inside shipped segments; replay must merge).
+    /// byte-identical to the primary's at **every** shipped boundary.
     #[test]
     fn standby_is_byte_identical_at_every_shipped_boundary(
-        shards in prop_oneof![Just(1usize), Just(8usize)],
         ops in proptest::collection::vec(0u8..4, 1..6),
     ) {
         let dfs = dfs();
-        let primary = session(dfs.clone(), shards);
-        let standby = session(dfs, shards);
+        let primary = session(dfs.clone());
+        let standby = session(dfs);
         let link = InProcessLink::new();
         let rep = Replicator::attach(primary.clone(), link.clone()).expect("attach");
         let replica = ReplicaSession::over(standby);
@@ -119,7 +115,7 @@ proptest! {
 
 #[test]
 fn segments_before_a_base_are_refused() {
-    let standby = session(dfs(), 1);
+    let standby = session(dfs());
     let replica = ReplicaSession::over(standby);
     let shipment = Shipment::Segments { lineage: 1, last_seq: 5, segments: Vec::new() };
     assert_eq!(replica.apply_shipment(&shipment), Err(ReplicationError::NotSynced));
@@ -133,10 +129,10 @@ fn segments_before_a_base_are_refused() {
 #[test]
 fn recovery_on_the_primary_breaks_lineage_and_resync_heals() {
     let dfs = dfs();
-    let primary = session(dfs.clone(), 1);
+    let primary = session(dfs.clone());
     let link = InProcessLink::new();
     let rep = Replicator::attach(primary.clone(), link.clone()).expect("attach");
-    let replica = ReplicaSession::over(session(dfs, 1));
+    let replica = ReplicaSession::over(session(dfs));
     drain(&replica, &link);
 
     primary.execute_query(&sum_query("/out/a"), "/wf/a").unwrap();
@@ -180,10 +176,10 @@ fn recovery_on_the_primary_breaks_lineage_and_resync_heals() {
 #[test]
 fn lost_shipment_is_a_seq_gap_and_ship_from_heals() {
     let dfs = dfs();
-    let primary = session(dfs.clone(), 1);
+    let primary = session(dfs.clone());
     let link = InProcessLink::new();
     let rep = Replicator::attach(primary.clone(), link.clone()).expect("attach");
-    let replica = ReplicaSession::over(session(dfs, 1));
+    let replica = ReplicaSession::over(session(dfs));
     drain(&replica, &link);
 
     // Lose everything this query shipped.

@@ -1,5 +1,6 @@
-//! Durable sessions: the `restore-state v2` format, v1 backward
-//! compatibility, typed parse errors, and per-tenant policy overrides.
+//! Durable sessions: the `restore-state` format (v5, and the v4 before
+//! it), typed parse errors, the refusal of a document saved from a
+//! sharded repository, and per-tenant policy overrides.
 
 use restore_common::Error;
 use restore_core::{Heuristic, ReStore, ReStoreConfig, SelectionPolicy};
@@ -37,85 +38,7 @@ fn join_query(out: &str) -> String {
     )
 }
 
-// ---- v1 backward compatibility ----
-
-/// A literal state file in the pre-v2 wire format (what `save_state`
-/// produced before tenant serialization existed). It must keep loading
-/// — into the default namespace — forever.
-const V1_FIXTURE: &str = r#"restore-state v1
-tick 7
-cand 3
---provenance--
-path "/repo/b"
-  0 load "/data/pv"
-  1 project 0,2 <- 0
-  2 store "/repo/b" <- 1
-end
---repository--
-entry 0 "/repo/b" 100 10 5 1.5 2.5 3 6 1
-input "/data/pv" 0
-plan
-  0 load "/data/pv"
-  1 project 0,2 <- 0
-  2 store "/repo/b" <- 1
-end
-"#;
-
-#[test]
-fn v1_fixture_from_before_this_pr_still_loads() {
-    let d = dfs();
-    d.write_all("/repo/b", b"stored bytes").unwrap();
-    let rs = ReStore::new(engine_over(d), ReStoreConfig::default());
-    rs.load_state(V1_FIXTURE).unwrap();
-
-    // Counters and the default namespace are restored.
-    let stats = rs.stats();
-    assert_eq!(stats.queries_executed, 7);
-    assert_eq!(stats.repository_entries, 1);
-    assert_eq!(stats.provenance_entries, 1);
-    rs.with_repository_as(None, |repo| {
-        let e = &repo.entries()[0];
-        assert_eq!(e.output_path, "/repo/b");
-        assert_eq!(e.stats().use_count, 3);
-        assert_eq!(e.stats().input_files, vec![("/data/pv".to_string(), 0)]);
-    });
-    rs.with_provenance_as(None, |prov| assert!(prov.contains("/repo/b")));
-
-    // A v1 document can be re-emitted byte-identically via the legacy
-    // writer (the round-trip property, v1 flavour).
-    assert_eq!(rs.save_state_v1(), V1_FIXTURE);
-}
-
-#[test]
-fn v1_state_load_preserves_warm_hits() {
-    let shared = dfs();
-    let rs = ReStore::new(engine_over(shared.clone()), ReStoreConfig::default());
-    rs.execute_query(&sum_query("/out/cold"), "/wf/cold").unwrap();
-    let v1 = rs.save_state_v1();
-    drop(rs);
-
-    // "Restart": a fresh session over the same DFS resumes from v1 and
-    // answers the rerun from the repository.
-    let resumed = ReStore::new(engine_over(shared), ReStoreConfig::default());
-    resumed.load_state(&v1).unwrap();
-    let warm = resumed.execute_query(&sum_query("/out/warm"), "/wf/warm").unwrap();
-    assert_eq!(warm.jobs_skipped, 1, "v1 state must keep serving warm hits");
-}
-
-#[test]
-fn v1_load_leaves_tenant_state_alone() {
-    let rs = ReStore::new(engine_over(dfs()), ReStoreConfig::default());
-    rs.execute_query_as(Some("ana"), &sum_query("/out/a"), "/wf/a").unwrap();
-    let ana_entries = rs.stats_as(Some("ana")).repository_entries;
-    assert!(ana_entries > 0);
-    rs.load_state(V1_FIXTURE).unwrap();
-    // The v1 document predates tenants: it replaces only the default
-    // namespace.
-    assert_eq!(rs.stats_as(Some("ana")).repository_entries, ana_entries);
-    assert_eq!(rs.stats().repository_entries, 1);
-}
-
-// ---- v2 round trip and restart parity ----
+// ---- round trip and restart parity ----
 
 #[test]
 fn v2_save_load_save_is_byte_identical() {
@@ -193,7 +116,7 @@ fn v2_load_replaces_preexisting_tenants() {
     let other = ReStore::new(engine_over(shared), ReStoreConfig::default());
     other.execute_query_as(Some("stray"), &sum_query("/out/s"), "/wf/s").unwrap();
     other.load_state(&state).unwrap();
-    // A v2 restore is a full-session replacement: tenants not in the
+    // A restore is a full-session replacement: tenants not in the
     // snapshot are gone.
     assert_eq!(other.tenant_ids(), vec!["keeper".to_string()]);
 }
@@ -201,9 +124,9 @@ fn v2_load_replaces_preexisting_tenants() {
 #[test]
 fn v2_load_without_default_section_still_resets_default_namespace() {
     // Hand-prune the default `--space ""--` section out of a valid
-    // document: a v2 restore is a *full* session replacement, so the
+    // document: a restore is a *full* session replacement, so the
     // default namespace must come back empty, not keep stale state.
-    let doc = valid_v2();
+    let doc = valid_doc();
     let start = doc.find("--space \"\"--").unwrap();
     let end = doc.find("--space \"ana\"--").unwrap();
     let pruned = format!("{}{}", &doc[..start], &doc[end..]);
@@ -305,8 +228,8 @@ fn expect_state_err(doc: &str, want_line: usize, needle: &str) {
     }
 }
 
-/// A small valid v2 document to corrupt per test.
-fn valid_v2() -> String {
+/// A small valid document to corrupt per test.
+fn valid_doc() -> String {
     let rs = ReStore::new(engine_over(dfs()), ReStoreConfig::default());
     rs.execute_query_as(Some("ana"), &sum_query("/out/a"), "/wf/a").unwrap();
     rs.save_state()
@@ -316,55 +239,61 @@ fn valid_v2() -> String {
 fn malformed_version_header() {
     expect_state_err("restore-state v9\ntick 0\ncand 0\n", 1, "restore-state");
     expect_state_err("", 1, "empty document");
+    // Only the current and the previous version are read, and the error
+    // names both.
+    for old in ["restore-state v1\n", "restore-state v2\n", "restore-state v3\n"] {
+        expect_state_err(old, 1, "\"restore-state v5\" or \"restore-state v4\"");
+    }
 }
 
 #[test]
 fn malformed_tick_line() {
-    expect_state_err("restore-state v2\ntick x\ncand 0\n", 2, "tick");
-    expect_state_err("restore-state v2\n", 2, "tick");
+    expect_state_err("restore-state v5\ntick x\ncand 0\n", 2, "tick");
+    expect_state_err("restore-state v5\n", 2, "tick");
 }
 
 #[test]
 fn malformed_cand_line() {
-    expect_state_err("restore-state v2\ntick 3\ncand\n", 3, "cand");
+    expect_state_err("restore-state v5\ntick 3\ncand\n", 3, "cand");
+    expect_state_err("restore-state v5\ntick 3\ncand 1\nseq\n", 4, "seq");
 }
 
 #[test]
 fn missing_config_section() {
-    expect_state_err("restore-state v2\ntick 3\ncand 1\n--provenance--\n", 4, "--config--");
+    expect_state_err("restore-state v5\ntick 3\ncand 1\nseq 0\n--provenance--\n", 5, "--config--");
 }
 
 #[test]
 fn unknown_config_key_is_located() {
-    let doc = valid_v2().replace("reuse_enabled true", "frobnicate 9");
+    let doc = valid_doc().replace("reuse_enabled true", "frobnicate 9");
     let line = 1 + doc.lines().position(|l| l == "frobnicate 9").unwrap();
     expect_state_err(&doc, line, "frobnicate");
 }
 
 #[test]
 fn bad_config_value_is_located() {
-    let doc = valid_v2().replace("wave_parallel true", "wave_parallel maybe");
+    let doc = valid_doc().replace("wave_parallel true", "wave_parallel maybe");
     let line = 1 + doc.lines().position(|l| l == "wave_parallel maybe").unwrap();
     expect_state_err(&doc, line, "wave_parallel");
 }
 
 #[test]
 fn malformed_space_header() {
-    let doc = valid_v2().replace("--space \"ana\"--", "--space ana--");
+    let doc = valid_doc().replace("--space \"ana\"--", "--space ana--");
     let line = 1 + doc.lines().position(|l| l == "--space ana--").unwrap();
     expect_state_err(&doc, line, "--space");
 }
 
 #[test]
 fn unknown_section_header() {
-    let doc = valid_v2().replace("--space \"ana\"--", "--tenant \"ana\"--");
+    let doc = valid_doc().replace("--space \"ana\"--", "--tenant \"ana\"--");
     let line = 1 + doc.lines().position(|l| l == "--tenant \"ana\"--").unwrap();
     expect_state_err(&doc, line, "--space");
 }
 
 #[test]
 fn duplicate_space_section_is_rejected() {
-    let base = valid_v2();
+    let base = valid_doc();
     let tail = base[base.find("--space \"ana\"--").unwrap()..].to_string();
     let doc = format!("{base}{tail}");
     let line = doc
@@ -379,21 +308,21 @@ fn duplicate_space_section_is_rejected() {
 
 #[test]
 fn missing_provenance_section() {
-    let doc = valid_v2().replacen("--provenance--", "--prov--", 1);
+    let doc = valid_doc().replacen("--provenance--", "--prov--", 1);
     let line = 1 + doc.lines().position(|l| l == "--prov--").unwrap();
     expect_state_err(&doc, line, "--provenance--");
 }
 
 #[test]
 fn missing_repository_section() {
-    let doc = valid_v2().replacen("--repository--", "--repo--", 1);
+    let doc = valid_doc().replacen("--repository--", "--repo--", 1);
     let line = 1 + doc.lines().position(|l| l == "--repo--").unwrap();
     expect_state_err(&doc, line, "--repository--");
 }
 
 #[test]
 fn corrupt_provenance_body_names_the_section() {
-    let doc = valid_v2().replacen("path \"", "wat \"", 1);
+    let doc = valid_doc().replacen("path \"", "wat \"", 1);
     match ReStore::new(engine_over(dfs()), ReStoreConfig::default()).load_state(&doc) {
         Err(Error::State { msg, .. }) => {
             assert!(msg.contains("--provenance--"), "{msg}");
@@ -404,7 +333,7 @@ fn corrupt_provenance_body_names_the_section() {
 
 #[test]
 fn corrupt_repository_body_names_the_section() {
-    let doc = valid_v2().replacen("entry ", "entryx ", 1);
+    let doc = valid_doc().replacen("entry ", "entryx ", 1);
     match ReStore::new(engine_over(dfs()), ReStoreConfig::default()).load_state(&doc) {
         Err(Error::State { msg, .. }) => {
             assert!(msg.contains("--repository--"), "{msg}");
@@ -413,9 +342,69 @@ fn corrupt_repository_body_names_the_section() {
     }
 }
 
+// ---- the previous version, and documents from sharded repositories ----
+
+/// A v4 document is a v5 document one header apart: it loads, and
+/// re-saves as v5.
 #[test]
-fn v1_trailing_section_is_rejected() {
-    let doc = format!("{V1_FIXTURE}--space \"x\"--\n");
-    let line = doc.lines().count();
-    expect_state_err(&doc, line, "trailing");
+fn v4_document_loads_and_resaves_as_v5() {
+    let shared = dfs();
+    let rs = ReStore::new(engine_over(shared.clone()), ReStoreConfig::default());
+    rs.execute_query_as(Some("ana"), &sum_query("/out/a"), "/wf/a").unwrap();
+    let v5 = rs.save_state();
+    let v4 = v5.replacen("restore-state v5", "restore-state v4", 1);
+    let resumed = ReStore::new(engine_over(shared), ReStoreConfig::default());
+    resumed.load_state(&v4).unwrap();
+    assert_eq!(resumed.save_state(), v5);
+}
+
+/// Insert a `repo_shards <n>` line after the `nth` `check_input_versions`
+/// line — where the releases that wrote the key put it (0 = the global
+/// config, 1 = the first tenant override).
+fn with_repo_shards(doc: &str, nth: usize, n: usize) -> String {
+    let key = "check_input_versions false\n";
+    let at = doc.match_indices(key).nth(nth).expect("config section").0 + key.len();
+    format!("{}repo_shards {n}\n{}", &doc[..at], &doc[at..])
+}
+
+#[test]
+fn sharded_document_is_refused_not_misordered() {
+    let shared = dfs();
+    let rs = ReStore::new(engine_over(shared.clone()), ReStoreConfig::default());
+    rs.set_config_as(
+        Some("ana"),
+        ReStoreConfig { heuristic: Heuristic::Conservative, ..Default::default() },
+    );
+    rs.execute_query(&join_query("/out/d"), "/wf/d").unwrap();
+    rs.execute_query_as(Some("ana"), &sum_query("/out/a"), "/wf/a").unwrap();
+    let doc = rs.save_state();
+    assert!(!doc.contains("repo_shards"), "the key is no longer written");
+
+    // `repo_shards 1` (what every unsharded release wrote), globally
+    // and in the tenant override: the same loaded state as the key
+    // absent, and the same bytes saved back.
+    let absent = ReStore::new(engine_over(shared.clone()), ReStoreConfig::default());
+    absent.load_state(&doc).unwrap();
+    let one = ReStore::new(engine_over(shared.clone()), ReStoreConfig::default());
+    one.load_state(&with_repo_shards(&with_repo_shards(&doc, 1, 1), 0, 1)).unwrap();
+    assert_eq!(one.stats_all(), absent.stats_all());
+    assert_eq!(one.config(), absent.config());
+    assert_eq!(one.config_as(Some("ana")), absent.config_as(Some("ana")));
+    assert_eq!(one.save_state(), doc);
+    assert_eq!(absent.save_state(), doc);
+
+    // `repo_shards 8`: the entries are in shard-concatenation order.
+    for nth in [0, 1] {
+        let fresh = ReStore::new(engine_over(shared.clone()), ReStoreConfig::default());
+        match fresh.load_state(&with_repo_shards(&doc, nth, 8)) {
+            Err(Error::Config(msg)) => {
+                assert!(msg.contains("shard-concatenation order"), "{msg}")
+            }
+            other => panic!("expected Error::Config, got {other:?}"),
+        }
+    }
+    // A value that is not a number is a located parse error.
+    let bad = doc.replacen("check_input_versions false\n", "repo_shards many\n", 1);
+    let line = 1 + bad.lines().position(|l| l == "repo_shards many").unwrap();
+    expect_state_err(&bad, line, "repo_shards");
 }

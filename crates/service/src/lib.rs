@@ -63,7 +63,7 @@
 //!   segments, tolerating a torn tail from a crash mid-append.
 //!   *Full*: [`RestoreService::snapshot`] drain-quiesces the pool and
 //!   serializes the whole session (every namespace, policies,
-//!   counters) as `restore-state v3`; [`RestoreService::restore`]
+//!   counters) as `restore-state v5`; [`RestoreService::restore`]
 //!   rebuilds a service from such a snapshot with warm-hit parity
 //!   after a process restart.
 //!

@@ -432,7 +432,7 @@ impl RestoreService {
         out
     }
 
-    /// Take a consistent `restore-state v2` snapshot of the whole
+    /// Take a consistent `restore-state v5` snapshot of the whole
     /// session: pause dispatch, wait for in-flight workflows to drain,
     /// serialize every tenant namespace (state, provenance, per-tenant
     /// policy, counters), and resume. Submissions arriving during the
@@ -443,8 +443,8 @@ impl RestoreService {
     }
 
     /// Restore session state serialized by [`RestoreService::snapshot`]
-    /// (or [`ReStore::save_state`], or a legacy v1 document): quiesce
-    /// in-flight work, load the state into the driver, and resume.
+    /// (or [`ReStore::save_state`]): quiesce in-flight work, load the
+    /// state into the driver, and resume.
     /// Queued submissions then execute against the restored state.
     ///
     /// In continuous-checkpoint mode the keeper is **rebased** exactly
@@ -776,12 +776,12 @@ impl RestoreService {
                 depth as f64,
             );
         }
-        // Journal gauges (lock-free stats reads plus brief lane peeks).
+        // Journal gauges (lock-free stats reads).
         let js = self.restore.journal_stats();
         g("restore_journal_seq", "Last assigned journal sequence number", &[], js.seq as f64);
         g(
             "restore_journal_live_bytes",
-            "Bytes buffered across live lanes",
+            "Bytes buffered in the live segment",
             &[],
             js.live_bytes as f64,
         );
@@ -797,14 +797,6 @@ impl RestoreService {
             &[],
             self.restore.journal_seq_lag() as f64,
         );
-        for (lane, bytes) in self.restore.journal_lane_bytes().into_iter().enumerate() {
-            g(
-                "restore_journal_lane_bytes",
-                "Bytes buffered per journal lane",
-                &[("lane", &lane.to_string())],
-                bytes as f64,
-            );
-        }
         // Checkpoint keeper gauges.
         {
             let keeper = self.checkpoint.lock().unwrap_or_else(|e| e.into_inner());
@@ -875,15 +867,10 @@ impl RestoreService {
                 &labels,
                 stats.total_uses as f64,
             );
-            g(
-                "restore_repo_publishes",
-                "RCU snapshot publishes (summed across shards)",
-                &labels,
-                publishes as f64,
-            );
+            g("restore_repo_publishes", "RCU snapshot publishes", &labels, publishes as f64);
             g(
                 "restore_repo_writer_sections",
-                "Repository writer-section entries (summed across shards)",
+                "Repository writer-section entries",
                 &labels,
                 writer_sections as f64,
             );

@@ -1,9 +1,8 @@
 //! The service's observability surface:
 //!
 //! 1. `render_metrics` emits every required Prometheus family — match
-//!    (per tenant and per shard), stage timing, journal lanes,
-//!    checkpoint durations, scheduler depth, worker utilization, RCU
-//!    write counters;
+//!    (per tenant), stage timing, journal gauges, checkpoint durations,
+//!    scheduler depth, worker utilization, RCU write counters;
 //! 2. `trace(handle)` explains a completed submission's reuse
 //!    decisions, keyed by the ticket's driver tick;
 //! 3. `stats()` totals always sum — tenant rows and service counters
@@ -42,21 +41,18 @@ fn render_metrics_covers_required_families() {
 
     let text = svc.render_metrics();
     for family in [
-        // Match path, per tenant and per shard.
+        // Match path, per tenant.
         "restore_match_hits_total{tenant=\"ana\"}",
         "restore_match_misses_total{tenant=\"ana\"}",
         "restore_match_seconds_bucket{tenant=\"ana\",le=",
-        "restore_match_shard_hits_total{tenant=\"ana\",shard=\"0\"} 1",
         "restore_match_stage_seconds_bucket{stage=\"index_probe\"",
-        "restore_match_stage_seconds_bucket{stage=\"winner_pass\"",
         // Driver pipeline stages.
         "restore_stage_seconds_bucket{stage=\"match\"",
         "restore_stage_seconds_bucket{stage=\"execute\"",
         "restore_stage_seconds_bucket{stage=\"register\"",
-        // Journal lanes and capture lag.
+        // Journal gauges and capture lag.
         "restore_journal_seq ",
         "restore_journal_seq_lag ",
-        "restore_journal_lane_bytes{lane=\"0\"}",
         "restore_journal_live_bytes ",
         // Checkpoint durations and keeper sizes.
         "restore_checkpoint_capture_seconds_bucket{le=",

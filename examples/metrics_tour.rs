@@ -7,7 +7,7 @@
 //!    repository answered it ([`RestoreService::trace`]);
 //! 2. dumps the complete Prometheus text exposition from
 //!    [`RestoreService::render_metrics`] — match hit/miss/latency per
-//!    tenant and shard, per-stage pipeline timing, journal lanes,
+//!    tenant, per-stage pipeline timing, journal gauges,
 //!    checkpoint durations, scheduler depth, worker utilization,
 //!    replication shipping (a warm standby tails the whole run), and
 //!    the RCU write counters that prove the match path publishes
@@ -55,14 +55,12 @@ fn main() {
         ClusterConfig::default(),
         EngineConfig { worker_threads: 2, default_reduce_tasks: 3 },
     );
-    let repo_shards =
-        std::env::var("RESTORE_REPO_SHARDS").ok().and_then(|v| v.parse().ok()).unwrap_or(4);
     // RESTORE_CANONICALIZE=0 turns the analyzer off; the canonicalization
     // histograms below then stay at zero counts but remain exposed.
     let canonicalize =
         !matches!(std::env::var("RESTORE_CANONICALIZE").as_deref(), Ok("0") | Ok("false"));
     let service = RestoreService::new(
-        ReStore::new(engine, ReStoreConfig { repo_shards, canonicalize, ..Default::default() }),
+        ReStore::new(engine, ReStoreConfig { canonicalize, ..Default::default() }),
         ServiceConfig { workers: 2, queue_depth: 16, ..Default::default() },
     );
     service.checkpoint_begin(CheckpointConfig::default());
@@ -78,10 +76,7 @@ fn main() {
         EngineConfig { worker_threads: 2, default_reduce_tasks: 3 },
     );
     let standby = Standby::attach_manual(
-        ReStore::new(
-            standby_engine,
-            ReStoreConfig { repo_shards, canonicalize, ..Default::default() },
-        ),
+        ReStore::new(standby_engine, ReStoreConfig { canonicalize, ..Default::default() }),
         link,
     );
 
@@ -102,7 +97,6 @@ fn main() {
     service.set_tenant_config(
         Some("flaky"),
         ReStoreConfig {
-            repo_shards,
             failure: FailurePolicy {
                 on_failure: FailureDisposition::Dlq,
                 max_retries: 1,

@@ -11,9 +11,8 @@
 //! cargo run --example service_quickstart
 //! ```
 //!
-//! `RESTORE_REPO_SHARDS=8` stripes every tenant's repository 8 ways
-//! (the sharded write path); `RESTORE_CANONICALIZE=0` disables the
-//! analyzer's canonical form. Output is identical either way.
+//! `RESTORE_CANONICALIZE=0` disables the analyzer's canonical form.
+//! Output is identical either way.
 
 use restore_suite::core::{ReStore, ReStoreConfig};
 use restore_suite::dfs::{Dfs, DfsConfig};
@@ -33,14 +32,11 @@ fn main() {
     );
 
     // 2. The service: bounded queue, 4 workers, cross-workflow overlap.
-    //    RESTORE_REPO_SHARDS stripes the repository write path;
     //    RESTORE_CANONICALIZE=0 turns the analyzer off.
-    let repo_shards =
-        std::env::var("RESTORE_REPO_SHARDS").ok().and_then(|v| v.parse().ok()).unwrap_or(1);
     let canonicalize =
         !matches!(std::env::var("RESTORE_CANONICALIZE").as_deref(), Ok("0") | Ok("false"));
     let service = RestoreService::new(
-        ReStore::new(engine, ReStoreConfig { repo_shards, canonicalize, ..Default::default() }),
+        ReStore::new(engine, ReStoreConfig { canonicalize, ..Default::default() }),
         ServiceConfig { workers: 4, queue_depth: 32, ..Default::default() },
     );
 

@@ -1,8 +1,6 @@
 //! The reproduction's central correctness property, checked over random
 //! data and random query parameters: **ReStore never changes query
-//! answers** — reuse on, reuse off, any heuristic, warm or cold, with
-//! the repository (matched through its tip-signature index) striped
-//! over one shard or eight.
+//! answers** — reuse on, reuse off, any heuristic, warm or cold.
 
 use proptest::prelude::*;
 use restore_suite::common::{codec, Tuple, Value};
@@ -52,7 +50,6 @@ proptest! {
         data in rows(),
         threshold in -50i64..50,
         heuristic_pick in 0usize..3,
-        repo_shards in prop::sample::select(vec![1usize, 8]),
     ) {
         let heuristic = [
             Heuristic::Conservative,
@@ -89,10 +86,7 @@ proptest! {
 
         // ReStore answers (cold then warm, then the cross-query reuse).
         let eng = engine_with(&data);
-        let rs = ReStore::new(
-            eng,
-            ReStoreConfig { heuristic, repo_shards, ..Default::default() },
-        );
+        let rs = ReStore::new(eng, ReStoreConfig { heuristic, ..Default::default() });
         let e1 = rs.execute_query(&q1, "/wf/r1").unwrap();
         prop_assert_eq!(
             read_sorted(rs.engine().dfs(), &e1.final_output),
@@ -115,7 +109,6 @@ proptest! {
     fn projection_reuse_preserves_answers(
         data in rows(),
         cols in prop::sample::subsequence(vec![0usize, 1, 2], 1..=3),
-        repo_shards in prop::sample::select(vec![1usize, 8]),
     ) {
         let names = ["k", "n", "v"];
         let proj: Vec<&str> = cols.iter().map(|&c| names[c]).collect();
@@ -133,7 +126,7 @@ proptest! {
             read_sorted(rs.engine().dfs(), &e.final_output)
         };
         let eng = engine_with(&data);
-        let rs = ReStore::new(eng, ReStoreConfig { repo_shards, ..Default::default() });
+        let rs = ReStore::new(eng, ReStoreConfig::default());
         for round in 0..2 {
             let e = rs.execute_query(&q, &format!("/wf/pr{round}")).unwrap();
             prop_assert_eq!(

@@ -1,7 +1,6 @@
 //! Property: `save_state` → `load_state` → `save_state` round-trips
 //! **byte-identically** for arbitrary multi-tenant repository and
-//! provenance states — in the current v2 wire format and in the legacy
-//! v1 format (`save_state_v1`).
+//! provenance states in the current (v5) wire format.
 
 use proptest::prelude::*;
 use restore_suite::core::{Heuristic, ReStore, ReStoreConfig, RepoStats, SelectionPolicy};
@@ -132,8 +131,9 @@ fn build_session(dfs: &Dfs, spaces: &[(Option<&str>, &SpaceSpec)]) -> ReStore {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// v2: arbitrary multi-tenant states round-trip byte-identically,
-    /// and a second generation reproduces the same bytes again.
+    /// Arbitrary multi-tenant states round-trip byte-identically, and a
+    /// second generation reproduces the same bytes again. ("v2" in the
+    /// name is the first tenant-aware format; what is written is v5.)
     #[test]
     fn v2_round_trip_is_byte_identical(
         default_space in space_spec(),
@@ -153,6 +153,7 @@ proptest! {
         let rs = build_session(&dfs, &spaces);
 
         let s1 = rs.save_state();
+        prop_assert!(s1.starts_with("restore-state v5\n"));
         let engine = Engine::new(dfs.clone(), ClusterConfig::default(), EngineConfig::default());
         let resumed = ReStore::new(engine, ReStoreConfig::default());
         resumed.load_state(&s1).unwrap();
@@ -163,26 +164,5 @@ proptest! {
         let third = ReStore::new(engine, ReStoreConfig::default());
         third.load_state(&s2).unwrap();
         prop_assert_eq!(third.save_state(), s2);
-    }
-
-    /// v1: the legacy single-namespace format round-trips through
-    /// `load_state` and the legacy writer byte-identically.
-    #[test]
-    fn v1_round_trip_is_byte_identical(default_space in space_spec()) {
-        let dfs = Dfs::new(DfsConfig::small_for_tests());
-        let rs = build_session(&dfs, &[(None, &default_space)]);
-
-        let v1 = rs.save_state_v1();
-        prop_assert!(v1.starts_with("restore-state v1\n"));
-        let engine = Engine::new(dfs.clone(), ClusterConfig::default(), EngineConfig::default());
-        let resumed = ReStore::new(engine, ReStoreConfig::default());
-        resumed.load_state(&v1).unwrap();
-        prop_assert_eq!(resumed.save_state_v1(), v1);
-
-        // Loading a v1 document and re-saving in v2 keeps the same
-        // default-namespace content (counted, not byte-compared: the
-        // wire formats differ).
-        let before = rs.stats();
-        prop_assert_eq!(before, resumed.stats());
     }
 }

@@ -79,26 +79,24 @@ fn compiled_job_plans_are_canonical_fixpoints() {
     }
 }
 
-/// All 13 paraphrases are served without running a job, whatever the
-/// shard count. Three of them — the `shared-subplan` case, whose
-/// canonical form reads one branch twice through a `Split` tee — used to
-/// miss the tip-signature index (which hashed the tee as an operator)
-/// while the scan, which walks through tees, found them.
+/// All 13 paraphrases are served without running a job. Three of them —
+/// the `shared-subplan` case, whose canonical form reads one branch
+/// twice through a `Split` tee — used to miss the tip-signature index
+/// (which hashed the tee as an operator) while the scan, which walks
+/// through tees, found them.
 #[test]
 fn every_paraphrase_is_answered_from_the_repository() {
-    for repo_shards in [1, 8] {
-        let rs = session(ReStoreConfig { repo_shards, ..Default::default() });
-        for case in paraphrase::paraphrase_suite("/out/pp") {
-            let label = case.label;
-            rs.execute_query(&case.original, &format!("/wf/pp/{label}/o")).unwrap();
-            for (i, text) in case.paraphrases.iter().enumerate() {
-                let exec = rs.execute_query(text, &format!("/wf/pp/{label}/p{i}")).unwrap();
-                assert!(
-                    exec.job_results.is_empty() && exec.jobs_skipped > 0,
-                    "{label} p{i} ran {} job(s) at {repo_shards} shard(s)",
-                    exec.job_results.len()
-                );
-            }
+    let rs = session(ReStoreConfig::default());
+    for case in paraphrase::paraphrase_suite("/out/pp") {
+        let label = case.label;
+        rs.execute_query(&case.original, &format!("/wf/pp/{label}/o")).unwrap();
+        for (i, text) in case.paraphrases.iter().enumerate() {
+            let exec = rs.execute_query(text, &format!("/wf/pp/{label}/p{i}")).unwrap();
+            assert!(
+                exec.job_results.is_empty() && exec.jobs_skipped > 0,
+                "{label} p{i} ran {} job(s)",
+                exec.job_results.len()
+            );
         }
     }
 }
