@@ -1,10 +1,11 @@
 //! Concurrent repository-matching throughput of the RCU snapshot
 //! design, across repository sizes and submitting threads.
 //!
-//! `snapshot_indexed` — each match loads the RCU snapshot (lock-free),
-//! filters candidates through the inverted tip-signature index, and
-//! records the reuse through the entry's shared atomics. No lock is
-//! ever taken; the bench asserts the publish counter stays frozen.
+//! `snapshot_indexed` — each match loads the RCU snapshot (a pointer
+//! copy), filters candidates through the inverted tip-signature index,
+//! and records the reuse through the entry's shared atomics. No writer
+//! section is entered; the bench asserts the publish counter stays
+//! frozen.
 //! (The `locked_scan` arm it was first measured against — a
 //! repository-wide `RwLock` around the paper's sequential scan — is
 //! archived in `BENCH_matching.json`; the scan-vs-index ablation lives
@@ -30,9 +31,7 @@
 //! registering disjoint plan corpora into one repository. Every insert
 //! is a batch of one — a writer section, an O(n) §3 ordering scan, an
 //! O(n) snapshot clone and a publish — so writers serialize and the
-//! round grows with the square of the total inserted. (The
-//! `insert_sharded` arms archived in `BENCH_matching.json` measured a
-//! striped write path that no submission took; see the note there.)
+//! round grows with the square of the total inserted.
 //!
 //! `paraphrase_reuse` is the **analyzer** ablation:
 //! each round drives the paraphrased-PigMix suite (every query plus
@@ -191,7 +190,7 @@ fn bench_insert_writers(c: &mut Criterion) {
 }
 
 /// One group of the concurrent match arms: `threads` submitters each
-/// match their query mix against a fresh lock-free snapshot per query and
+/// match their query mix against a fresh snapshot per query and
 /// record every hit through the entry's shared atomics. Asserts the
 /// path stayed write-free — matching and reuse accounting published no
 /// snapshot.

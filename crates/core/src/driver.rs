@@ -21,15 +21,17 @@
 //! The repository and provenance table are published as **RCU
 //! snapshots** (see [`crate::rcu`] and [`crate::repository`]), and every
 //! public entry point takes `&self`, so **many threads can submit queries
-//! against one warmed repository**. The match path is entirely
-//! lock-free: each match attempt grabs the current repository snapshot
-//! and provenance snapshot once (lock-free loads) and works against
-//! them — candidate filtering, path resolution, and the scan budget all
-//! come from the snapshot — while reuse accounting (`use_count` /
-//! `last_used`) is carried by atomics shared across snapshots, so a
-//! match never takes a repository lock, let alone a write lock. Entry
-//! registration (batched per wave) and eviction sweeps serialize among
-//! themselves and publish new snapshots without ever blocking readers.
+//! against one warmed repository**. The match path never waits on a
+//! writer's clone, mutation or `after`: each match attempt grabs the
+//! current repository snapshot and provenance snapshot once (a pointer
+//! copy each, see [`crate::rcu`]) and works against them — candidate
+//! filtering, path resolution, and the scan budget all come from the
+//! snapshot — while reuse accounting (`use_count` / `last_used`) is
+//! carried by atomics shared across snapshots, so a match publishes
+//! nothing and enters no writer section (`publish_count` proves it).
+//! Entry registration (batched per wave) and eviction sweeps serialize
+//! among themselves and publish new snapshots; a reader is behind them
+//! for one pointer swap at most.
 //! Job execution itself holds no lock at all, so long-running jobs never
 //! block matching in other sessions; outputs matched for reuse are
 //! pinned (see [`crate::pin`]) so a concurrent sweep cannot delete them
@@ -58,7 +60,7 @@ use restore_dataflow::exec::{job_io, job_spec_for_plan};
 use restore_dataflow::mr_compiler::{CompiledWorkflow, WorkflowIoPaths};
 use restore_dataflow::physical::PhysicalPlan;
 use restore_dfs::Dfs;
-use restore_mapreduce::{Engine, JobResult, JobSpec};
+use restore_mapreduce::{workflow, Engine, JobResult, JobSpec};
 use restore_telemetry::Registry;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -227,8 +229,8 @@ pub struct ReStore {
     /// Per-tenant namespaces, created lazily on first use. A tenant's
     /// matching, registration, and eviction sweeps only ever touch its
     /// own space, so tenants cannot observe (or delete) each other's
-    /// outputs. RCU-published like the tables themselves: lookups are
-    /// lock-free, creation (rare) publishes a new map.
+    /// outputs. RCU-published like the tables themselves: a lookup is
+    /// a snapshot load, creation (rare) publishes a new map.
     tenants: Rcu<HashMap<String, Arc<Space>>>,
     config: RwLock<ReStoreConfig>,
     /// Query counter = the logical clock for usage statistics. Shared by
@@ -253,8 +255,8 @@ pub struct ReStore {
 /// provenance table, the pin set protecting its in-flight matches, and
 /// the tenant's policy override (`None` = follow the global default).
 ///
-/// Both tables are RCU-published: readers load snapshots lock-free,
-/// mutators serialize internally. When a mutation spans both tables
+/// Both tables are RCU-published: readers load snapshots without
+/// waiting on a writer section, mutators serialize internally. When a mutation spans both tables
 /// (wave registration, overwrite invalidation, restore), the writer
 /// sides are entered **provenance first, repository second** —
 /// one fixed order, so cross-table writers can never deadlock.
@@ -264,8 +266,8 @@ pub(crate) struct Space {
     pub(crate) prov: Rcu<Provenance>,
     pub(crate) pins: PinSet,
     /// The tenant's policy override, RCU-published so the per-query
-    /// read on the execution path is lock-free like every other shared
-    /// map in the session.
+    /// read on the execution path is a snapshot load like every other
+    /// shared map in the session.
     pub(crate) config: Rcu<Option<ReStoreConfig>>,
     /// Per-namespace match metrics (hits/misses/latency).
     /// Registered against the session registry for namespaces the
@@ -465,7 +467,7 @@ impl ReStore {
         let Some(t) = Self::normalize(tenant) else {
             return self.space.clone();
         };
-        // Lock-free fast path: the tenant already has a namespace.
+        // Fast path, no writer section: the tenant already has a namespace.
         if let Some(s) = self.tenants.load().get(t) {
             return s.clone();
         }
@@ -531,7 +533,7 @@ impl ReStore {
     /// workflow's live output.
     fn invalidate_overwritten(&self, written: &[String]) {
         for (name, space) in self.all_spaces() {
-            // Cheap lock-free probe first: fresh output paths are almost
+            // Cheap snapshot probe first: fresh output paths are almost
             // never registered anywhere.
             let hit = {
                 let prov = space.prov.load();
@@ -582,14 +584,14 @@ impl ReStore {
     }
 
     /// The current snapshot of the default-namespace repository:
-    /// lock-free, immutable, safe to hold — later registrations and
+    /// immutable, safe to hold — later registrations and
     /// evictions publish new snapshots and never mutate this one.
     pub fn repository(&self) -> Arc<RepoSnapshot> {
         self.space.repo.snapshot()
     }
 
     /// Run `f` against a tenant's repository (`None` = the default
-    /// namespace). The handle's read methods are lock-free.
+    /// namespace). The handle's read methods enter no writer section.
     pub fn with_repository_as<R>(
         &self,
         tenant: Option<&str>,
@@ -762,7 +764,8 @@ impl ReStore {
         let name = Self::normalize(tenant).unwrap_or("");
         let space = self.space_for(tenant);
         // Effective policy read before taking the queue lock (the
-        // config load is lock-free; no lock-order edge is created).
+        // config load holds nothing once it returns; no lock-order edge
+        // is created).
         let policy = (*space.config.load()).clone().unwrap_or_else(|| self.config()).failure;
         let mut q = space.dlq.lock();
         let entry = crate::dlq::DlqEntry {
@@ -951,7 +954,8 @@ impl ReStore {
         self.obs.stage.sweep.record_elapsed(sweep_t0);
 
         let n = wf.jobs.len();
-        let waves = wf.waves()?;
+        let deps = wf.deps();
+        let waves = workflow::waves(&deps)?;
 
         let mut aliases: HashMap<String, String> = HashMap::new();
         let mut et = vec![0.0f64; n];
@@ -1000,7 +1004,8 @@ impl ReStore {
 
             // ---- Phase 2: execute the wave, concurrently ----
             let execute_t0 = Instant::now();
-            let results = self.run_wave(&prepared, config.wave_parallel)?;
+            let specs: Vec<&JobSpec> = prepared.iter().map(|p| &p.spec).collect();
+            let results = self.engine.run_wave(&specs, config.wave_parallel)?;
             self.obs.stage.execute.record_elapsed(execute_t0);
 
             // ---- Phase 3: register outputs (§2.2) and apply §5 rules ----
@@ -1098,7 +1103,7 @@ impl ReStore {
         // the file on the DFS instead of deleting it under the reader.
         pins.preserve(&final_output);
 
-        let total_s = equation_one_total(&wf, &et)?;
+        let (_, total_s, _) = workflow::equation_one(&deps, &et)?;
         Ok(QueryExecution {
             total_s,
             job_results,
@@ -1208,9 +1213,10 @@ impl ReStore {
     /// plan already Loads are vetoed at probe time
     /// ([`crate::provenance::ExpandedPlan::collapses_back`]), and a plan
     /// reduced to a `Load → Store` copy is answered in full, so the loop
-    /// stops there. Entirely lock-free: each iteration loads the current
-    /// repository and provenance snapshots (lock-free), and reuse
-    /// statistics are recorded through the entries' shared atomics;
+    /// stops there. No writer section anywhere: each iteration loads the
+    /// current repository and provenance snapshots (a pointer copy
+    /// each), and reuse statistics are recorded through the entries'
+    /// shared atomics;
     /// `on_match` runs after each applied rewrite. With `pins` present
     /// (a real execution, not a dry run), the reused output is pinned
     /// against concurrent eviction until the workflow finishes.
@@ -1336,21 +1342,6 @@ impl ReStore {
                 decision,
             }));
         }
-    }
-
-    /// Phase 2: execute every prepared job of a wave, in parallel when
-    /// configured. Results come back in `prepared` order; on failure the
-    /// error of the lowest job index wins, matching sequential execution.
-    fn run_wave(&self, prepared: &[PreparedJob], parallel: bool) -> Result<Vec<JobResult>> {
-        if prepared.len() <= 1 || !parallel {
-            return prepared.iter().map(|p| self.engine.run(&p.spec)).collect();
-        }
-        let outcomes: Vec<Result<JobResult>> = std::thread::scope(|scope| {
-            let handles: Vec<_> =
-                prepared.iter().map(|p| scope.spawn(move || self.engine.run(&p.spec))).collect();
-            handles.into_iter().map(|h| h.join().expect("wave job thread panicked")).collect()
-        });
-        outcomes.into_iter().collect()
     }
 
     /// Phase 3 for one executed job: register the whole-job entry, the
@@ -2070,17 +2061,6 @@ fn find_store_tip(plan: &PhysicalPlan, path: &str) -> Result<restore_dataflow::p
     Err(Error::Plan(format!("no Store of {path:?} in plan")))
 }
 
-/// Equation (1) over the compiled workflow's dependency DAG.
-fn equation_one_total(wf: &CompiledWorkflow, et: &[f64]) -> Result<f64> {
-    let order = wf.topo_order()?;
-    let mut totals = vec![0.0f64; et.len()];
-    for i in order {
-        let slowest = wf.jobs[i].deps.iter().map(|&d| totals[d]).fold(0.0f64, f64::max);
-        totals[i] = et[i] + slowest;
-    }
-    Ok(totals.iter().copied().fold(0.0, f64::max))
-}
-
 fn resolve_alias(aliases: &HashMap<String, String>, path: &str) -> String {
     let mut cur = path.to_string();
     let mut hops = 0;
@@ -2172,7 +2152,7 @@ mod tests {
             .prepare_job(&space, None, &wf, 1, 2, &cfg, &mut aliases, &mut rewrites, &mut pins)
             .unwrap();
         let Prepared::Run(job) = prep1 else { panic!("group job should execute") };
-        let results = rs.run_wave(std::slice::from_ref(&job), false).unwrap();
+        let results = rs.engine().run_wave(&[&job.spec], false).unwrap();
         assert_eq!(results.len(), 1);
 
         // Dropping the workflow's pins performs the deferred deletion.

@@ -343,8 +343,8 @@ fn read_sexpr(s: &str) -> Result<(Vec<Tok>, usize)> {
                 i += used;
             }
             Some(b'"') => {
-                let (string, used) = read_quoted(&s[i..])?;
-                out.push(Tok::Atom(format!("\"{string}\"")));
+                let used = read_quoted(&s[i..])?;
+                out.push(Tok::Atom(s[i..i + used].to_string()));
                 i += used;
             }
             Some(_) => {
@@ -431,16 +431,18 @@ fn expr_from_tokens(tokens: &[Tok]) -> Result<Expr> {
     }
 }
 
-/// Read a Rust-debug-quoted string from the front of `s`, returning the
-/// *raw escaped content* and bytes consumed (including quotes).
-fn read_quoted(s: &str) -> Result<(String, usize)> {
+/// The length in bytes, quotes included, of the Rust-debug-quoted
+/// string at the front of `s` (still escaped: [`unquote`] that slice).
+pub(crate) fn read_quoted(s: &str) -> Result<usize> {
     let bytes = s.as_bytes();
-    debug_assert_eq!(bytes[0], b'"');
+    if bytes.first() != Some(&b'"') {
+        return Err(Error::Repository(format!("expected quoted string in {s:?}")));
+    }
     let mut i = 1;
     while i < bytes.len() {
         match bytes[i] {
             b'\\' => i += 2,
-            b'"' => return Ok((s[1..i].to_string(), i + 1)),
+            b'"' => return Ok(i + 1),
             _ => i += 1,
         }
     }
@@ -448,7 +450,7 @@ fn read_quoted(s: &str) -> Result<(String, usize)> {
 }
 
 /// Undo Rust debug-format quoting.
-fn unquote(s: &str) -> Result<String> {
+pub(crate) fn unquote(s: &str) -> Result<String> {
     let s = s.trim();
     let inner = s
         .strip_prefix('"')

@@ -192,16 +192,8 @@ pub(crate) fn parse_record_lines(
     }
     let Some(line) = lines.peek() else { return Ok(None) };
     let Some(rest) = line.strip_prefix("path ") else { return Ok(None) };
-    let rest = rest.to_string();
     lines.next();
-    // Reuse plan_text's string unquoting through a Load shim.
-    let path = match crate::plan_text::decode_plan(&format!("0 load {rest}\n")) {
-        Ok(p) => match p.op(p.loads()[0]) {
-            PhysicalOp::Load { path } => path.clone(),
-            _ => unreachable!(),
-        },
-        Err(e) => return Err(e),
-    };
+    let path = crate::plan_text::unquote(rest)?;
     let mut plan_src = String::new();
     for l in lines.by_ref() {
         if l == "end" {

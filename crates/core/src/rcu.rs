@@ -1,68 +1,29 @@
 //! A minimal RCU (read-copy-update) snapshot cell.
 //!
-//! [`Rcu<T>`] publishes immutable snapshots of `T` behind an atomic
-//! pointer. Readers are **lock-free**: [`Rcu::load`] performs a handful
-//! of atomic operations and never blocks on writers — there is no
-//! reader lock to contend on and no writer critical section a reader
-//! can sit behind (a reader retries only when a publish lands inside
-//! its ~four-instruction registration window, so retries are bounded
-//! by system-wide progress). Writers serialize among themselves on a
-//! mutex, build the next snapshot off to the side, swap the pointer, and
-//! reclaim the previous snapshot only after a **grace period** proves no
-//! reader can still be dereferencing it.
+//! [`Rcu<T>`] publishes immutable snapshots of `T` as an `Arc<T>` behind
+//! a reader-writer lock that is held for **one pointer copy** and
+//! nothing else: [`Rcu::load`] takes it shared to clone the `Arc`, a
+//! publish takes it exclusively to swap the `Arc`. Everything a writer
+//! computes — the clone of the snapshot, the caller's mutation, the
+//! caller's `after` — runs under a separate writer mutex and outside
+//! that lock, so a reader never waits on a writer's closure; the most
+//! it can sit behind is another thread's pointer copy.
 //!
-//! # Reclamation protocol
-//!
-//! The unsafe window is tiny but real: a reader loads the raw pointer
-//! and then bumps the `Arc` strong count; if the writer dropped the old
-//! `Arc` in between, the bump touches freed memory. The cell closes the
-//! window with two epoch-parity reader counters:
-//!
-//! * readers: read `epoch`, register on `readers[epoch & 1]`, then
-//!   **re-read `epoch` and retry if it moved** — only after the
-//!   validated registration do they load the pointer, clone the `Arc`,
-//!   and deregister;
-//! * writers (serialized): swap the pointer to the new snapshot, flip
-//!   the epoch, then spin until `readers[old parity]` drains to zero
-//!   before dropping the old `Arc`.
-//!
-//! The validation step is what makes the argument airtight. A reader
-//! whose re-read sees the epoch unchanged registered **before any flip
-//! that could retire the pointer it is about to load**: to obtain a
-//! pointer a writer retires, the reader's pointer load must precede
-//! that writer's swap, which precedes its flip — and the reader's
-//! registration precedes its validated re-read, which precedes the
-//! flip, so the writer's drain waits for it. Without the re-read, a
-//! reader stalled between reading the epoch and registering could
-//! register on a stale parity *after* publish N drained it, then load
-//! the pointer published by N — which publish N+1 retires and frees
-//! while draining only the other parity: use-after-free. The epoch is
-//! a monotonically increasing `u64` compared in full, so the re-read
-//! cannot be fooled by parity wrap-around. Everything uses `SeqCst`;
-//! the mutation rate (repository inserts/evicts, a few per executed
-//! wave) is far too low for ordering relaxations to matter.
-//!
-//! Writers can stall while a preempted reader sits inside its ~five
-//! instruction critical section — the classic RCU trade: mutations pay
-//! so reads never do.
+//! The retired snapshot is dropped after the exclusive guard is
+//! released (and only when the last reader holding it lets go), so a
+//! `T` whose `Drop` is slow, or itself reads the cell, stalls nobody.
 
-use parking_lot::{Mutex, MutexGuard};
-use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering::SeqCst};
+use parking_lot::{Mutex, MutexGuard, RwLock};
+use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 use std::sync::Arc;
 
-/// Pad the parity counters to their own cache lines so readers on
-/// different cores don't false-share with each other or the pointer.
-#[repr(align(64))]
-struct Padded(AtomicUsize);
-
-/// Lock-free snapshot cell: lock-free `load`, serialized copy-on-write
-/// `update`, grace-period reclamation.
+/// Snapshot cell: `load` copies a pointer, `update` is a serialized
+/// copy-on-write.
 pub struct Rcu<T> {
-    /// `Arc::into_raw` of the current snapshot.
-    ptr: AtomicPtr<T>,
-    /// Grace-period epoch; low bit selects the active reader counter.
-    epoch: AtomicU64,
-    readers: [Padded; 2],
+    /// The current snapshot. Locked only to clone or swap the `Arc`.
+    current: RwLock<Arc<T>>,
+    /// Publishes so far.
+    version: AtomicU64,
     /// Serializes writers (see [`Rcu::writer`]).
     writer: Mutex<()>,
 }
@@ -70,76 +31,24 @@ pub struct Rcu<T> {
 impl<T> Rcu<T> {
     pub fn new(value: T) -> Self {
         Rcu {
-            ptr: AtomicPtr::new(Arc::into_raw(Arc::new(value)) as *mut T),
-            epoch: AtomicU64::new(0),
-            readers: [Padded(AtomicUsize::new(0)), Padded(AtomicUsize::new(0))],
+            current: RwLock::new(Arc::new(value)),
+            version: AtomicU64::new(0),
             writer: Mutex::new(()),
         }
     }
 
-    /// The current snapshot. Lock-free (a reader retries only when a
-    /// publish lands between its epoch read and its registration, so
-    /// retries are bounded by writer progress); the returned `Arc`
-    /// keeps the snapshot alive for as long as the caller holds it,
-    /// unaffected by later updates.
+    /// The current snapshot. Waits for no writer section; the returned
+    /// `Arc` keeps the snapshot alive for as long as the caller holds
+    /// it, unaffected by later updates.
     pub fn load(&self) -> Arc<T> {
-        loop {
-            let e = self.epoch.load(SeqCst);
-            let slot = (e & 1) as usize;
-            self.readers[slot].0.fetch_add(1, SeqCst);
-            // Validate the registration: if the epoch moved, this slot
-            // may already have been drained by a publish that retires
-            // the pointer we would load — deregister and retry on the
-            // fresh parity (see the module docs for why a stale
-            // registration is unsound across *two* publishes).
-            if self.epoch.load(SeqCst) != e {
-                self.readers[slot].0.fetch_sub(1, SeqCst);
-                continue;
-            }
-            let p = self.ptr.load(SeqCst);
-            // SAFETY: `p` came from `Arc::into_raw` and cannot have been
-            // reclaimed: any publish that retires `p` flips the epoch
-            // after swapping it out, our validated registration precedes
-            // that flip, and reclamation drains our slot first — so the
-            // writer waits for the `fetch_sub` below.
-            let snap = unsafe {
-                Arc::increment_strong_count(p);
-                Arc::from_raw(p)
-            };
-            self.readers[slot].0.fetch_sub(1, SeqCst);
-            return snap;
-        }
+        Arc::clone(&self.current.read())
     }
 
     /// Number of snapshots ever published (0 for a freshly built cell).
     /// A hot path that is claimed to be write-free can assert this does
     /// not move.
     pub fn version(&self) -> u64 {
-        self.epoch.load(SeqCst)
-    }
-
-    /// Publish `next` as the current snapshot and reclaim the previous
-    /// one after a grace period. Callers must hold the writer mutex.
-    fn publish(&self, next: Arc<T>) {
-        let old = self.ptr.swap(Arc::into_raw(next) as *mut T, SeqCst);
-        let old_slot = (self.epoch.fetch_add(1, SeqCst) & 1) as usize;
-        // Grace period: readers that might hold `old` without having
-        // bumped its strong count yet are all accounted in the old
-        // parity counter. Writers are rare; spin politely.
-        let mut spins = 0u32;
-        while self.readers[old_slot].0.load(SeqCst) != 0 {
-            spins += 1;
-            if spins < 64 {
-                std::hint::spin_loop();
-            } else {
-                std::thread::yield_now();
-            }
-        }
-        // SAFETY: no reader can reach `old` anymore (the pointer was
-        // swapped before the epoch flip, and the old-parity counter has
-        // drained), so dropping the cell's strong reference is safe.
-        // Readers that cloned it earlier still hold their own counts.
-        unsafe { drop(Arc::from_raw(old)) };
+        self.version.load(SeqCst)
     }
 
     /// Replace the snapshot wholesale.
@@ -187,7 +96,10 @@ impl<T> Rcu<T> {
     /// repository's batch) works against [`RcuWriter::current`] and
     /// decides for itself whether to call [`RcuWriter::publish`].
     pub(crate) fn writer(&self) -> RcuWriter<'_, T> {
-        RcuWriter { cell: self, _guard: self.writer.lock() }
+        let guard = self.writer.lock();
+        // Nobody else can publish until `guard` drops, so what is read
+        // here stays the cell's snapshot.
+        RcuWriter { cell: self, current: self.load(), _guard: guard }
     }
 }
 
@@ -196,39 +108,27 @@ impl<T> Rcu<T> {
 /// [`Rcu::freeze`] blocks; readers are unaffected.
 pub(crate) struct RcuWriter<'a, T> {
     cell: &'a Rcu<T>,
+    /// The cell's snapshot: read at entry, replaced by `publish`.
+    current: Arc<T>,
     _guard: MutexGuard<'a, ()>,
 }
 
 impl<T> RcuWriter<'_, T> {
     /// The snapshot current inside this writer section.
     pub(crate) fn current(&self) -> &T {
-        // SAFETY: the pointer came from `Arc::into_raw`, and only
-        // `Rcu::publish` retires it, under the writer mutex. This guard
-        // holds that mutex, so no other writer can; and its own
-        // `publish` takes `&mut self`, so it cannot run while the
-        // borrow returned here is alive. No reader protocol is needed.
-        unsafe { &*self.cell.ptr.load(SeqCst) }
+        &self.current
     }
 
-    /// Publish `next` as the cell's snapshot (grace-period reclamation
-    /// of the previous one).
+    /// Publish `next` as the cell's snapshot.
     pub(crate) fn publish(&mut self, next: T) {
-        self.cell.publish(Arc::new(next));
+        self.current = Arc::new(next);
+        let old = std::mem::replace(&mut *self.cell.current.write(), Arc::clone(&self.current));
+        // The exclusive guard was a temporary of the statement above:
+        // the retired snapshot is dropped with no lock on `current`.
+        self.cell.version.fetch_add(1, SeqCst);
+        drop(old);
     }
 }
-
-impl<T> Drop for Rcu<T> {
-    fn drop(&mut self) {
-        // SAFETY: exclusive access; reclaim the cell's strong reference.
-        unsafe { drop(Arc::from_raw(self.ptr.load(SeqCst))) };
-    }
-}
-
-// SAFETY: the cell hands out `Arc<T>` across threads, so it needs the
-// same bounds an `Arc` would; the raw pointer is only ever produced and
-// reclaimed through `Arc`.
-unsafe impl<T: Send + Sync> Send for Rcu<T> {}
-unsafe impl<T: Send + Sync> Sync for Rcu<T> {}
 
 impl<T: std::fmt::Debug> std::fmt::Debug for Rcu<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -330,15 +230,72 @@ mod tests {
         assert_eq!(cell.load().a, 5_000);
     }
 
+    /// `load` from a second thread, or `None` if it is still waiting
+    /// after two seconds. A second thread, because a lock wrongly held
+    /// by the caller would otherwise hang the test instead of failing it.
+    fn load_elsewhere<T: Send + Sync + 'static>(cell: &Arc<Rcu<T>>) -> Option<Arc<T>> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let cell = Arc::clone(cell);
+        std::thread::spawn(move || tx.send(cell.load()));
+        rx.recv_timeout(std::time::Duration::from_secs(2)).ok()
+    }
+
+    /// A reader is never behind a writer section: not a frozen one, not
+    /// a writer's mutation, not its `after`.
     #[test]
     fn freeze_blocks_writers_but_not_readers() {
-        let cell = Rcu::new(10u64);
+        let cell = Arc::new(Rcu::new(10u64));
         cell.freeze(|v| {
             assert_eq!(*v, 10);
-            // Readers proceed while frozen.
+            // Readers proceed while frozen. (The other thread goes
+            // first, here and below: were the cell locked, it times out
+            // where this one would deadlock.)
+            assert_eq!(load_elsewhere(&cell).as_deref(), Some(&10));
             assert_eq!(*cell.load(), 10);
         });
-        cell.update(|v| *v += 1);
+        cell.update_then(
+            |v| {
+                *v += 1;
+                // Not published yet: readers still get the old snapshot.
+                assert_eq!(load_elsewhere(&cell).as_deref(), Some(&10));
+                assert_eq!(*cell.load(), 10);
+            },
+            |()| {
+                assert_eq!(load_elsewhere(&cell).as_deref(), Some(&11));
+                assert_eq!(*cell.load(), 11);
+            },
+        );
         assert_eq!(*cell.load(), 11);
+    }
+
+    /// A retired snapshot is dropped with the cell unlocked: its `Drop`
+    /// can have another thread `load` the cell.
+    #[test]
+    fn retired_snapshot_is_dropped_outside_the_lock() {
+        #[derive(Clone)]
+        struct Probe {
+            cell: std::sync::Weak<Rcu<Probe>>,
+            blocked: Arc<AtomicUsize>,
+        }
+        impl Drop for Probe {
+            fn drop(&mut self) {
+                // `None` only when the cell itself is going away.
+                if let Some(cell) = self.cell.upgrade() {
+                    if load_elsewhere(&cell).is_none() {
+                        self.blocked.fetch_add(1, SeqCst);
+                    }
+                }
+            }
+        }
+        let blocked = Arc::new(AtomicUsize::new(0));
+        let cell = Arc::new_cyclic(|weak| {
+            Rcu::new(Probe { cell: weak.clone(), blocked: Arc::clone(&blocked) })
+        });
+        cell.update(|_| ());
+        let held = cell.load();
+        cell.update(|_| ());
+        // The reader's own drop of the last reference holds no lock either.
+        drop(held);
+        assert_eq!(blocked.load(SeqCst), 0, "a snapshot was dropped under the cell's lock");
     }
 }

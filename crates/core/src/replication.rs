@@ -24,7 +24,7 @@
 //!   the capture cannot slip between the base and the first shipped
 //!   segment. Segments that seal early carry seqs the base already
 //!   covers; the standby skips them idempotently.
-//! * **Shared seal.** Shipping seals the live lanes
+//! * **Shared seal.** Shipping seals the live segment
 //!   (`Journal::seal`) without consuming the sealed queue, so the
 //!   service's checkpoint keeper and replication observe the *same*
 //!   segments — neither steals from the other.
@@ -321,7 +321,7 @@ impl Replicator {
     }
 
     /// One shipping beat: honor a pending resync request (full base),
-    /// then flush the lazily tracked state and seal the live lanes —
+    /// then flush the lazily tracked state and seal the live segment —
     /// sealed segments flow to the standby through the tap. The service
     /// calls this after every completed workflow.
     pub fn pump(&self) -> Result<(), ReplicationError> {
@@ -350,8 +350,8 @@ impl Replicator {
         self.core.shipped_seq.load(SeqCst)
     }
 
-    /// Records journaled but not yet shipped (live lanes the next pump
-    /// will seal).
+    /// Records journaled but not yet shipped (the live segment the next
+    /// pump will seal).
     pub fn lag_records(&self) -> u64 {
         self.driver.journal_stats().seq.saturating_sub(self.shipped_seq())
     }

@@ -20,8 +20,9 @@
 //! [`RepoSnapshot`]s through an [`Rcu`](crate::rcu::Rcu) cell:
 //!
 //! * **readers** ([`Repository::snapshot`]) get the current snapshot
-//!   lock-free — no lock, no contention with mutations — and match,
-//!   resolve paths, and read statistics entirely from it;
+//!   for one pointer copy — never waiting on a writer's clone,
+//!   mutation, journal sink or `after` — and match, resolve paths, and
+//!   read statistics entirely from it;
 //! * **writers** ([`Repository::insert`], [`Repository::evict`],
 //!   [`Repository::batch`]) clone the snapshot, mutate the clone, and
 //!   publish it; concurrent readers keep their old snapshot;
@@ -409,9 +410,9 @@ pub(crate) fn parse_entry_lines(
         rest.split_once(' ').ok_or_else(|| Error::Repository("truncated entry header".into()))?;
     let id: u64 = id_str.parse().map_err(|_| Error::Repository("bad entry id".into()))?;
     // Path is Rust-quoted and may contain spaces: find closing quote.
-    let close = find_close_quote(rest)?;
-    let output_path = unquote_header(&rest[..=close])?;
-    let nums: Vec<&str> = rest[close + 1..].split_whitespace().collect();
+    let close = plan_text::read_quoted(rest)?;
+    let output_path = plan_text::unquote(&rest[..close])?;
+    let nums: Vec<&str> = rest[close..].split_whitespace().collect();
     if nums.len() != 8 {
         return Err(Error::Repository(format!("expected 8 stat fields, got {}", nums.len())));
     }
@@ -437,9 +438,9 @@ pub(crate) fn parse_entry_lines(
         let rest = l
             .strip_prefix("input ")
             .ok_or_else(|| Error::Repository(format!("unexpected line {l:?}")))?;
-        let close = find_close_quote(rest)?;
-        let path = unquote_header(&rest[..=close])?;
-        let version: u64 = rest[close + 1..]
+        let close = plan_text::read_quoted(rest)?;
+        let path = plan_text::unquote(&rest[..close])?;
+        let version: u64 = rest[close..]
             .trim()
             .parse()
             .map_err(|_| Error::Repository("bad input version".into()))?;
@@ -488,8 +489,8 @@ impl std::fmt::Debug for SinkCell {
 
 /// The ordered, concurrently shared repository.
 ///
-/// All methods take `&self`: reads are lock-free against the current
-/// [`RepoSnapshot`], mutations serialize internally and publish a new
+/// All methods take `&self`: reads work against the current
+/// [`RepoSnapshot`] and wait on no writer section, mutations serialize internally and publish a new
 /// snapshot (see the module docs). For several mutations that must land
 /// atomically — a wave's registrations, an eviction sweep — use
 /// [`Repository::batch`], which publishes once.
@@ -520,7 +521,8 @@ impl Repository {
         Repository::default()
     }
 
-    /// The current published snapshot: one lock-free load.
+    /// The current published snapshot: one pointer copy, behind no
+    /// writer section.
     pub fn snapshot(&self) -> Arc<RepoSnapshot> {
         self.current.load()
     }
@@ -573,12 +575,13 @@ impl Repository {
     }
 
     /// Record a reuse of entry `id` at logical time `tick`. Entirely
-    /// atomic: no lock is taken and no snapshot is republished, so a
-    /// match never blocks or is blocked by registration. With usage
-    /// tracking on (incremental snapshots), the *first* reuse after a
-    /// delta capture additionally enrolls the id in the dirty set — an
-    /// uncontended mutex push amortized over the checkpoint interval;
-    /// every further reuse of the entry stays lock-free.
+    /// atomic: no writer section is entered and no snapshot is
+    /// republished, so a match never blocks or is blocked by
+    /// registration. With usage tracking on (incremental snapshots),
+    /// the *first* reuse after a delta capture additionally enrolls the
+    /// id in the dirty set — an uncontended mutex push amortized over
+    /// the checkpoint interval; every further reuse of the entry is the
+    /// two atomics again.
     pub fn note_use(&self, id: u64, tick: u64) {
         if let Some(e) = self.snapshot().get(id) {
             e.note_use(tick);
@@ -1009,30 +1012,6 @@ impl RepoBatch<'_> {
     pub fn pending_entries(&self) -> impl Iterator<Item = &Arc<RepoEntry>> {
         self.work.entries.iter()
     }
-}
-
-fn find_close_quote(s: &str) -> Result<usize> {
-    let bytes = s.as_bytes();
-    if bytes.first() != Some(&b'"') {
-        return Err(Error::Repository(format!("expected quoted path in {s:?}")));
-    }
-    let mut i = 1;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'\\' => i += 2,
-            b'"' => return Ok(i),
-            _ => i += 1,
-        }
-    }
-    Err(Error::Repository("unterminated quoted path".into()))
-}
-
-fn unquote_header(s: &str) -> Result<String> {
-    // Reuse plan_text's unquoter through a tiny shim.
-    crate::plan_text::decode_plan(&format!("0 load {s}\n")).map(|p| match p.op(p.loads()[0]) {
-        restore_dataflow::physical::PhysicalOp::Load { path } => path.clone(),
-        _ => unreachable!(),
-    })
 }
 
 #[cfg(test)]

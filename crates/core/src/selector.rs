@@ -92,7 +92,7 @@ impl SelectionPolicy {
     /// entry ids.
     ///
     /// Concurrency: the sweep never blocks matching. Victims are chosen
-    /// from a lock-free snapshot, removed in one atomically published
+    /// from a snapshot, removed in one atomically published
     /// batch, and only **then** are files deleted (pin-checked) — so by
     /// the time a file can disappear, no fresh snapshot still carries
     /// its entry. Sessions matching against an older snapshot are

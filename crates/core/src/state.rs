@@ -40,10 +40,10 @@
 use crate::driver::ReStoreConfig;
 use crate::enumerator::Heuristic;
 use crate::failure::FailureDisposition;
+use crate::plan_text;
 use crate::provenance::Provenance;
 use crate::repository::Repository;
 use restore_common::{Error, Result};
-use restore_dataflow::physical::PhysicalOp;
 
 const V4_HEADER: &str = "restore-state v4";
 pub(crate) const V5_HEADER: &str = "restore-state v5";
@@ -246,20 +246,14 @@ pub(crate) fn decode_config(lines: &[&str], base: usize) -> Result<ReStoreConfig
     Ok(c)
 }
 
-/// Invert `{:?}` string quoting (reuses the plan-text unquoter, the
-/// same shim the provenance loader uses). The input must actually be
-/// quoted — the plan-text parser also accepts bare tokens, which would
-/// let malformed headers slip through.
+/// Invert `{:?}` string quoting. The input must be exactly one quoted
+/// string: [`plan_text::unquote`] trims, which would let a padded header
+/// field slip through.
 pub(crate) fn unquote(s: &str, at: usize) -> Result<String> {
     if !(s.len() >= 2 && s.starts_with('"') && s.ends_with('"')) {
         return Err(err_at(at, format!("expected a quoted string, got {s}")));
     }
-    let plan = crate::plan_text::decode_plan(&format!("0 load {s}\n"))
-        .map_err(|_| err_at(at, format!("bad quoted string {s}")))?;
-    match plan.op(plan.loads()[0]) {
-        PhysicalOp::Load { path } => Ok(path.clone()),
-        _ => Err(err_at(at, format!("bad quoted string {s}"))),
-    }
+    plan_text::unquote(s).map_err(|_| err_at(at, format!("bad quoted string {s}")))
 }
 
 // ---- document structure ----

@@ -38,30 +38,17 @@ pub struct CompiledWorkflow {
 }
 
 impl CompiledWorkflow {
-    /// Dependency waves: jobs grouped by the `JobControlCompiler`
-    /// iteration in which they would be submitted (all dependencies
-    /// satisfied by earlier waves). Jobs within one wave are mutually
-    /// independent and safe to execute concurrently. Stable within a wave
-    /// (job index order); errors on cycles.
+    /// `deps[i]` = the jobs job `i` waits for: the shape
+    /// [`restore_mapreduce::workflow`]'s DAG functions take.
+    pub fn deps(&self) -> Vec<&[usize]> {
+        self.jobs.iter().map(|j| j.deps.as_slice()).collect()
+    }
+
+    /// Dependency waves ([`restore_mapreduce::workflow::waves`]): the
+    /// jobs of one wave are mutually independent and safe to execute
+    /// concurrently.
     pub fn waves(&self) -> Result<Vec<Vec<usize>>> {
-        let n = self.jobs.len();
-        let mut done = vec![false; n];
-        let mut waves = Vec::new();
-        let mut remaining = n;
-        while remaining > 0 {
-            let wave: Vec<usize> = (0..n)
-                .filter(|&i| !done[i] && self.jobs[i].deps.iter().all(|&d| done[d]))
-                .collect();
-            if wave.is_empty() {
-                return Err(Error::Workflow("cycle in compiled workflow".into()));
-            }
-            for &i in &wave {
-                done[i] = true;
-            }
-            remaining -= wave.len();
-            waves.push(wave);
-        }
-        Ok(waves)
+        restore_mapreduce::workflow::waves(&self.deps())
     }
 
     /// A topological order of the jobs: the waves flattened.

@@ -43,6 +43,67 @@ pub struct WorkflowResult {
     pub critical_path: Vec<usize>,
 }
 
+/// Dependency waves of a job DAG (`deps[i]` = the jobs job `i` waits
+/// for): jobs grouped by the `JobControlCompiler` iteration in which
+/// they would be submitted (all dependencies satisfied by earlier
+/// waves). Jobs within one wave are mutually independent and safe to
+/// execute concurrently. Stable within a wave (job index order); errors
+/// on cycles.
+pub fn waves(deps: &[impl AsRef<[usize]>]) -> Result<Vec<Vec<usize>>> {
+    let n = deps.len();
+    let mut done = vec![false; n];
+    let mut waves = Vec::new();
+    let mut remaining = n;
+    while remaining > 0 {
+        let wave: Vec<usize> =
+            (0..n).filter(|&i| !done[i] && deps[i].as_ref().iter().all(|&d| done[d])).collect();
+        if wave.is_empty() {
+            return Err(Error::Workflow("dependency cycle detected".into()));
+        }
+        for &i in &wave {
+            done[i] = true;
+        }
+        remaining -= wave.len();
+        waves.push(wave);
+    }
+    Ok(waves)
+}
+
+/// Equation (1) over a job DAG, given per-job `ET` values. Returns
+/// (per-job totals, overall total, one critical path from source to
+/// sink); an empty DAG takes no time along no path.
+pub fn equation_one(
+    deps: &[impl AsRef<[usize]>],
+    et: &[f64],
+) -> Result<(Vec<f64>, f64, Vec<usize>)> {
+    assert_eq!(et.len(), deps.len());
+    let mut totals = vec![0.0f64; et.len()];
+    let mut pred: Vec<Option<usize>> = vec![None; et.len()];
+    for i in waves(deps)?.into_iter().flatten() {
+        let mut slowest = 0.0f64;
+        for &d in deps[i].as_ref() {
+            if totals[d] > slowest {
+                slowest = totals[d];
+                pred[i] = Some(d);
+            }
+        }
+        totals[i] = et[i] + slowest;
+    }
+    let Some((sink, &total)) =
+        totals.iter().enumerate().max_by(|a, b| a.1.partial_cmp(b.1).expect("no NaN times"))
+    else {
+        return Ok((totals, 0.0, Vec::new()));
+    };
+    let mut path = vec![sink];
+    let mut cur = sink;
+    while let Some(p) = pred[cur] {
+        path.push(p);
+        cur = p;
+    }
+    path.reverse();
+    Ok((totals, total, path))
+}
+
 impl Workflow {
     pub fn new() -> Self {
         Workflow::default()
@@ -87,119 +148,52 @@ impl Workflow {
         &self.deps[idx]
     }
 
-    /// Kahn topological sort; errors on cycles.
+    /// A topological order of the jobs (the waves flattened); errors on
+    /// cycles.
     pub fn topo_order(&self) -> Result<Vec<usize>> {
-        let n = self.jobs.len();
-        // indegree counts *dependencies remaining* per job.
-        let mut indegree = vec![0usize; n];
-        for (i, ds) in self.deps.iter().enumerate() {
-            indegree[i] = ds.len();
-        }
-        let mut ready: Vec<usize> = (0..n).filter(|&i| indegree[i] == 0).collect();
-        let mut order = Vec::with_capacity(n);
-        while let Some(i) = ready.pop() {
-            order.push(i);
-            for (j, deps) in self.deps.iter().enumerate() {
-                if deps.contains(&i) {
-                    indegree[j] -= 1;
-                    if indegree[j] == 0 {
-                        ready.push(j);
-                    }
-                }
-            }
-        }
-        if order.len() != n {
-            return Err(Error::Workflow("dependency cycle detected".into()));
-        }
-        Ok(order)
+        Ok(self.waves()?.into_iter().flatten().collect())
     }
 
-    /// Dependency waves: jobs grouped by the `JobControlCompiler`
-    /// iteration in which they would be submitted (all dependencies
-    /// satisfied by earlier waves). Stable within a wave (job index order).
+    /// This workflow's dependency [`waves`].
     pub fn waves(&self) -> Result<Vec<Vec<usize>>> {
-        let n = self.jobs.len();
-        let mut done = vec![false; n];
-        let mut waves = Vec::new();
-        let mut remaining = n;
-        while remaining > 0 {
-            let wave: Vec<usize> =
-                (0..n).filter(|&i| !done[i] && self.deps[i].iter().all(|&d| done[d])).collect();
-            if wave.is_empty() {
-                return Err(Error::Workflow("dependency cycle detected".into()));
-            }
-            for &i in &wave {
-                done[i] = true;
-            }
-            remaining -= wave.len();
-            waves.push(wave);
-        }
-        Ok(waves)
+        waves(&self.deps)
     }
 
-    /// Equation (1) totals, given per-job `ET` values. Returns
-    /// (per-job totals, overall total, critical path).
+    /// [`equation_one`] over this workflow's dependencies.
     pub fn total_times(&self, et: &[f64]) -> Result<(Vec<f64>, f64, Vec<usize>)> {
-        assert_eq!(et.len(), self.jobs.len());
-        let order = self.topo_order()?;
-        let mut totals = vec![0.0f64; et.len()];
-        let mut pred: Vec<Option<usize>> = vec![None; et.len()];
-        for &i in &order {
-            let mut slowest = 0.0f64;
-            for &d in &self.deps[i] {
-                if totals[d] > slowest {
-                    slowest = totals[d];
-                    pred[i] = Some(d);
-                }
-            }
-            totals[i] = et[i] + slowest;
-        }
-        let (sink, &total) = totals
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).expect("no NaN times"))
-            .ok_or_else(|| Error::Workflow("empty workflow".into()))?;
-        let mut path = vec![sink];
-        let mut cur = sink;
-        while let Some(p) = pred[cur] {
-            path.push(p);
-            cur = p;
-        }
-        path.reverse();
-        Ok((totals, total, path))
+        equation_one(&self.deps, et)
     }
 }
 
 impl Engine {
-    /// Execute an entire workflow in dependency waves — the jobs of each
-    /// wave concurrently, since they share no dependency edges — then
-    /// compute Equation (1) totals from the modeled per-job times.
+    /// Execute the jobs of one wave — concurrently when `parallel`, since
+    /// they share no dependency edges. Results come back in `specs`
+    /// order; on failure the error of the lowest job index wins, matching
+    /// what strictly sequential submission would have reported first.
     ///
     /// Outputs are byte-identical to one-job-at-a-time execution: jobs
     /// within a wave write disjoint files, and per-job execution is
     /// already deterministic regardless of worker threading.
+    pub fn run_wave(&self, specs: &[&JobSpec], parallel: bool) -> Result<Vec<JobResult>> {
+        if specs.len() <= 1 || !parallel {
+            return specs.iter().map(|spec| self.run(spec)).collect();
+        }
+        let outcomes: Vec<Result<JobResult>> = std::thread::scope(|scope| {
+            let handles: Vec<_> =
+                specs.iter().map(|&spec| scope.spawn(move || self.run(spec))).collect();
+            handles.into_iter().map(|h| h.join().expect("wave job thread panicked")).collect()
+        });
+        outcomes.into_iter().collect()
+    }
+
+    /// Execute an entire workflow in dependency waves, then compute
+    /// Equation (1) totals from the modeled per-job times.
     pub fn run_workflow(&self, wf: &Workflow) -> Result<WorkflowResult> {
-        let waves = wf.waves()?;
         let mut results: Vec<Option<JobResult>> = vec![None; wf.len()];
-        for wave in waves {
-            let outcomes: Vec<Result<JobResult>> = if wave.len() == 1 {
-                vec![self.run(wf.job(wave[0]))]
-            } else {
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = wave
-                        .iter()
-                        .map(|&idx| scope.spawn(move || self.run(wf.job(idx))))
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("wave job thread panicked"))
-                        .collect()
-                })
-            };
-            // Errors surface in job-index order, matching what strictly
-            // sequential submission would have reported first.
-            for (idx, outcome) in wave.into_iter().zip(outcomes) {
-                results[idx] = Some(outcome?);
+        for wave in wf.waves()? {
+            let specs: Vec<&JobSpec> = wave.iter().map(|&idx| wf.job(idx)).collect();
+            for (idx, result) in wave.into_iter().zip(self.run_wave(&specs, true)?) {
+                results[idx] = Some(result);
             }
         }
         let job_results: Vec<JobResult> =
