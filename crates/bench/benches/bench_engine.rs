@@ -2,13 +2,15 @@
 //! map-shuffle-reduce cycle at varying input sizes and thread counts,
 //! over narrow rows and over PigMix-shaped wide rows of which the plan
 //! reads two or three columns, with the map phase of the PigMix shapes
-//! broken into its stages. Asserts that shuffle + reduce time does not grow
-//! from one worker thread to two.
+//! broken into its stages, and the text codec over the shapes ReStore
+//! stores. Asserts that shuffle + reduce time does not grow from one
+//! worker thread to two.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use restore_bench::env::{pigmix_env, PigMixEnv};
 use restore_common::codec::{self, ColumnSet};
-use restore_common::{tuple, Tuple};
+use restore_common::rng::SplitMix64;
+use restore_common::{tuple, Tuple, Value};
 use restore_dataflow::exec::job_spec_for_plan;
 use restore_dataflow::expr::{AggFunc, Expr};
 use restore_dataflow::physical::{AggItem, PhysicalOp, PhysicalPlan};
@@ -195,6 +197,60 @@ fn bench_map_stages(c: &mut Criterion) {
     group.finish();
 }
 
+/// What ReStore's stored results hold, as rows: `group_bags`, a Group's
+/// output — a user and the bag of that user's `(user, timestamp,
+/// revenue)` rows, ≈ 20 to a bag; `group_all`, one record holding every
+/// `(user, revenue)` pair, as `group … all` stores it; and `user_sums`,
+/// `(user, SUM(revenue))` rows. Users are `user_<n>`, revenues two-place
+/// decimals like `page_views`' own, and a sum of them is mostly not
+/// one.
+fn stored_shapes() -> [(&'static str, Vec<Tuple>); 3] {
+    let mut rng = SplitMix64::new(0xc0dec);
+    let mut revenue = move || (rng.next_below(10_000) as f64) / 100.0;
+    let user = |u: usize| Value::str(format!("user_{u}"));
+    let group_bags = (0..1_000)
+        .map(|u| {
+            let bag = (0..10 + u % 21)
+                .map(|i| {
+                    let ts = 1_300_000_000 + (u * 97 + i * 13) as i64;
+                    Tuple::from_values(vec![user(u), Value::Int(ts), Value::Double(revenue())])
+                })
+                .collect();
+            Tuple::from_values(vec![user(u), Value::Bag(bag)])
+        })
+        .collect();
+    let pairs = (0..20_000).map(|i| tuple![format!("user_{}", i % 1_000), revenue()]).collect();
+    let group_all = vec![Tuple::from_values(vec![Value::str("all"), Value::Bag(pairs)])];
+    let user_sums = (0..20_000)
+        .map(|u| tuple![format!("user_{u}"), (0..1 + u % 5).map(|_| revenue()).sum::<f64>()])
+        .collect();
+    [("group_bags", group_bags), ("group_all", group_all), ("user_sums", user_sums)]
+}
+
+/// The text codec over [`stored_shapes`], in MB/s of encoded bytes: what a
+/// job that reads a stored result pays to decode it, what one that stores
+/// it pays to encode it, and the `encoded_len` estimate the cost model
+/// charges for it. `restore-e2e`'s `common.*` codec numbers are over
+/// `page_views`, whose rows are none of these shapes.
+fn bench_codec(c: &mut Criterion) {
+    let mut group = c.benchmark_group("engine_codec");
+    group.sample_size(20);
+    for (shape, rows) in stored_shapes() {
+        let bytes = codec::encode_all(&rows);
+        group.throughput(Throughput::Bytes(bytes.len() as u64));
+        group.bench_function(format!("decode_all/{shape}"), |b| {
+            b.iter(|| black_box(codec::decode_all(black_box(&bytes)).unwrap()));
+        });
+        group.bench_function(format!("encode_all/{shape}"), |b| {
+            b.iter(|| black_box(codec::encode_all(black_box(&rows))));
+        });
+        group.bench_function(format!("encoded_len/{shape}"), |b| {
+            b.iter(|| black_box(rows.iter().map(Tuple::encoded_len).sum::<usize>()));
+        });
+    }
+    group.finish();
+}
+
 /// `scan_only` stops at the Project, so a group arm minus `scan_only` at
 /// the same thread count is that arm's shuffle + reduce time. It must not
 /// grow when the second core joins: it did (10.0 ms at two threads against
@@ -248,6 +304,7 @@ criterion_group!(
     bench_thread_scaling,
     bench_pigmix_shape,
     bench_map_stages,
+    bench_codec,
     check_shuffle_scaling
 );
 criterion_main!(benches);

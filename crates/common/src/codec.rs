@@ -8,9 +8,10 @@
 //! braces) is backslash-escaped.
 
 use crate::error::{Error, Result};
+use crate::number::{self, Count, Sink};
+use crate::small_str::SmallStr;
 use crate::tuple::Tuple;
 use crate::value::Value;
-use std::fmt::Write as _;
 
 const SEP: u8 = b'\t';
 const NL: u8 = b'\n';
@@ -20,73 +21,139 @@ const NULL_MARK: &[u8] = b"\\0N";
 /// Bytes that must be escaped inside string payloads.
 const SPECIALS: &[u8] = b"\t\n\\,(){}";
 
-/// Append the encoded form of `t` to `out`, including the trailing newline.
-pub fn encode_tuple(t: &Tuple, out: &mut Vec<u8>) {
-    for (i, v) in t.iter().enumerate() {
-        if i > 0 {
-            out.push(SEP);
-        }
-        encode_value(v, out);
+/// Per byte, what follows the backslash that escapes it, or 0 for a byte
+/// that is written as itself.
+const ESCAPED: [u8; 256] = {
+    let mut table = [0; 256];
+    let mut i = 0;
+    while i < SPECIALS.len() {
+        let b = SPECIALS[i];
+        table[b as usize] = match b {
+            SEP => b't',
+            NL => b'n',
+            other => other,
+        };
+        i += 1;
     }
-    out.push(NL);
+    table
+};
+
+/// Where the encoder writes: a file's bytes, a count of them, or
+/// `Display`'s formatter.
+///
+/// The codec and the cost model's estimate of it are one walk over the
+/// values. The estimate ([`Value::encoded_len`]) is the text with strings
+/// unescaped and a null as nothing, so a sink differs only in how it takes
+/// a string and a null.
+pub(crate) trait Out: Sink {
+    /// A string's bytes.
+    fn text(&mut self, s: &[u8]);
+    /// A null field.
+    fn null(&mut self);
 }
 
-fn encode_value(v: &Value, out: &mut Vec<u8>) {
+impl Out for Vec<u8> {
+    fn text(&mut self, s: &[u8]) {
+        encode_str(s, self);
+    }
+
+    fn null(&mut self) {
+        self.extend_from_slice(NULL_MARK);
+    }
+}
+
+impl Out for Count {
+    fn text(&mut self, s: &[u8]) {
+        self.0 += s.len();
+    }
+
+    fn null(&mut self) {}
+}
+
+/// A file's bytes and their estimate in one pass.
+struct Measured<'a> {
+    out: &'a mut Vec<u8>,
+    estimate: Count,
+}
+
+impl Sink for Measured<'_> {
+    fn put(&mut self, bytes: &[u8]) {
+        self.out.put(bytes);
+        self.estimate.put(bytes);
+    }
+}
+
+impl Out for Measured<'_> {
+    fn text(&mut self, s: &[u8]) {
+        self.out.text(s);
+        self.estimate.text(s);
+    }
+
+    fn null(&mut self) {
+        self.out.null();
+    }
+}
+
+/// Append the encoded form of `t` to `out`, including the trailing newline,
+/// and return [`Tuple::encoded_len`] of it — the estimate the cost model
+/// charges — counted as the bytes are written.
+pub fn encode_tuple(t: &Tuple, out: &mut Vec<u8>) -> usize {
+    let mut both = Measured { out, estimate: Count(0) };
+    write_fields(t.iter(), &mut both);
+    both.estimate.0
+}
+
+/// One record: `fields` tab-separated, then the newline.
+pub(crate) fn write_fields<'a>(fields: impl Iterator<Item = &'a Value>, out: &mut impl Out) {
+    for (i, v) in fields.enumerate() {
+        if i > 0 {
+            out.put(&[SEP]);
+        }
+        write_value(v, out);
+    }
+    out.put(&[NL]);
+}
+
+/// One field. Numbers never contain special bytes.
+pub(crate) fn write_value(v: &Value, out: &mut impl Out) {
     match v {
-        Value::Null => out.extend_from_slice(NULL_MARK),
-        Value::Str(s) => encode_str(s, out),
+        Value::Null => out.null(),
+        Value::Int(i) => number::write_int(*i, out),
+        Value::Double(d) => number::write_double(*d, out),
+        Value::Str(s) => out.text(s.as_bytes()),
         Value::Bag(ts) => {
-            out.push(b'{');
+            out.put(b"{");
             for (i, t) in ts.iter().enumerate() {
-                if i > 0 {
-                    out.push(b',');
-                }
-                out.push(b'(');
+                out.put(if i > 0 { b",(" } else { b"(" });
                 for (j, f) in t.iter().enumerate() {
                     if j > 0 {
-                        out.push(b',');
+                        out.put(b",");
                     }
-                    encode_value(f, out);
+                    write_value(f, out);
                 }
-                out.push(b')');
+                out.put(b")");
             }
-            out.push(b'}');
+            out.put(b"}");
         }
-        // Ints and doubles never contain special bytes.
-        number => write!(Text(out), "{number}").expect("writing to a Vec cannot fail"),
     }
 }
 
-/// `fmt::Write` onto the output buffer, so numbers are rendered in place.
-struct Text<'a>(&'a mut Vec<u8>);
-
-impl std::fmt::Write for Text<'_> {
-    fn write_str(&mut self, s: &str) -> std::fmt::Result {
-        self.0.extend_from_slice(s.as_bytes());
-        Ok(())
+/// A string's bytes, escaped: each run between special bytes is copied in
+/// one go, so a string with none is a single copy.
+fn encode_str(mut s: &[u8], out: &mut Vec<u8>) {
+    while let Some(at) = s.iter().position(|&b| ESCAPED[usize::from(b)] != 0) {
+        out.extend_from_slice(&s[..at]);
+        out.extend_from_slice(&[ESC, ESCAPED[usize::from(s[at])]]);
+        s = &s[at + 1..];
     }
-}
-
-fn encode_str(s: &str, out: &mut Vec<u8>) {
-    for &b in s.as_bytes() {
-        if SPECIALS.contains(&b) {
-            out.push(ESC);
-            out.push(match b {
-                SEP => b't',
-                NL => b'n',
-                other => other,
-            });
-        } else {
-            out.push(b);
-        }
-    }
+    out.extend_from_slice(s);
 }
 
 /// Encode a whole batch of tuples.
 pub fn encode_all(tuples: &[Tuple]) -> Vec<u8> {
     let mut out = Vec::new();
     for t in tuples {
-        encode_tuple(t, &mut out);
+        write_fields(t.iter(), &mut out);
     }
     out
 }
@@ -410,7 +477,7 @@ impl<'a> Parser<'a> {
         }
         Ok(if want {
             // Fields that needed escaping are necessarily strings.
-            Value::Str(String::from_utf8(buf).map_err(not_utf8)?)
+            Value::Str(SmallStr::from(String::from_utf8(buf).map_err(not_utf8)?))
         } else {
             // Escapes swap one ASCII pair for one ASCII byte, so checking
             // the raw bytes of a skipped field checks its content.
@@ -511,7 +578,7 @@ fn infer_value(s: &str) -> Value {
             return Value::Double(d);
         }
     }
-    Value::Str(s.to_owned())
+    Value::Str(SmallStr::from(s))
 }
 
 fn looks_numeric(s: &str) -> bool {

@@ -3,12 +3,14 @@
 //! This crate holds the data model every other crate builds on:
 //!
 //! * [`Value`] — a dynamically typed scalar (null / int / double / chararray),
-//!   with the total ordering and hashing semantics needed for shuffle keys.
+//!   with the total ordering and hashing semantics needed for shuffle keys;
+//!   its strings are [`SmallStr`]s, inline up to 22 bytes.
 //! * [`Tuple`] — a row of values, the unit of data flowing through mappers,
 //!   reducers, and physical operators.
 //! * [`Schema`] — named, typed field lists attached to datasets and plans.
 //! * [`codec`] — the line-oriented record format used for files in the
-//!   simulated DFS (tab-separated, escaped), mirroring `PigStorage`.
+//!   simulated DFS (tab-separated, escaped), mirroring `PigStorage`; its
+//!   one walk over a value also gives `Value::encoded_len` and `Display`.
 //! * [`rng`] — deterministic in-tree PRNG (SplitMix64) and Zipf sampler so
 //!   data generation is bit-reproducible across platforms and crate versions.
 //! * [`Error`] — the shared error type.
@@ -16,13 +18,16 @@
 pub mod bytesize;
 pub mod codec;
 pub mod error;
+mod number;
 pub mod rng;
 pub mod schema;
+pub mod small_str;
 pub mod tuple;
 pub mod value;
 
 pub use bytesize::human_bytes;
 pub use error::{Error, Result};
 pub use schema::{Field, FieldType, Schema};
+pub use small_str::SmallStr;
 pub use tuple::Tuple;
 pub use value::Value;

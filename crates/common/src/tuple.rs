@@ -1,5 +1,7 @@
 //! Tuples: ordered collections of [`Value`]s, the rows of the system.
 
+use crate::codec;
+use crate::number::Count;
 use crate::value::Value;
 use std::fmt;
 
@@ -57,9 +59,10 @@ impl Tuple {
     }
 
     /// [`Tuple::encoded_len`] of the tuple these fields would make.
-    pub fn encoded_len_of<'a>(fields: impl ExactSizeIterator<Item = &'a Value>) -> usize {
-        let seps = fields.len().saturating_sub(1);
-        fields.map(Value::encoded_len).sum::<usize>() + seps + 1
+    pub fn encoded_len_of<'a>(fields: impl Iterator<Item = &'a Value>) -> usize {
+        let mut len = Count(0);
+        codec::write_fields(fields, &mut len);
+        len.0
     }
 
     /// Iterate over the fields.

@@ -7,6 +7,9 @@
 //! explicitly (NaN sorts last among doubles; hashing uses the bit pattern
 //! with `-0.0` normalized to `+0.0`).
 
+use crate::codec::{self, Out};
+use crate::number::{Count, Sink};
+use crate::small_str::SmallStr;
 use crate::tuple::Tuple;
 use std::cmp::Ordering;
 use std::fmt;
@@ -21,17 +24,19 @@ pub enum Value {
     Int(i64),
     /// 64-bit float (covers Pig's float and double).
     Double(f64),
-    /// Character array (Pig `chararray`).
-    Str(String),
+    /// Character array (Pig `chararray`), inline up to 22 bytes.
+    Str(SmallStr),
     /// A bag of tuples (Pig `bag`), produced by Group/CoGroup. Bags are
     /// what makes a grouped relation storable: one row = one whole group,
     /// so a reused Group output can be aggregated map-side.
     Bag(Vec<Tuple>),
 }
 
+const _: () = assert!(std::mem::size_of::<Value>() == 32);
+
 impl Value {
     /// Build a string value from anything string-like.
-    pub fn str(s: impl Into<String>) -> Self {
+    pub fn str(s: impl Into<SmallStr>) -> Self {
         Value::Str(s.into())
     }
 
@@ -63,7 +68,7 @@ impl Value {
     /// String view (no implicit numeric-to-string coercion).
     pub fn as_str(&self) -> Option<&str> {
         match self {
-            Value::Str(s) => Some(s),
+            Value::Str(s) => Some(s.as_str()),
             _ => None,
         }
     }
@@ -90,39 +95,13 @@ impl Value {
 
     /// Estimated on-disk size in bytes under the text codec. This drives the
     /// DFS accounting and the cost model, so it must agree with
-    /// [`crate::codec`]'s actual encoding length for representative data.
+    /// [`crate::codec`]'s actual encoding length for representative data:
+    /// it is that encoding, counted, with strings unescaped and a null as
+    /// an empty field.
     pub fn encoded_len(&self) -> usize {
-        match self {
-            // Encoded as empty field.
-            Value::Null => 0,
-            Value::Int(i) => {
-                let mut n = *i;
-                let mut len = if n < 0 { 1 } else { 0 };
-                loop {
-                    len += 1;
-                    n /= 10;
-                    if n == 0 {
-                        break;
-                    }
-                }
-                len
-            }
-            Value::Double(d) => {
-                let mut len = ByteCount(0);
-                write_double(*d, &mut len).expect("counting cannot fail");
-                len.0
-            }
-            Value::Str(s) => s.len(),
-            Value::Bag(ts) => {
-                // "{(f,f),(f,f)}": braces + per-tuple parens and commas.
-                let mut len = 2 + ts.len().saturating_sub(1);
-                for t in ts {
-                    len += 2 + t.0.len().saturating_sub(1);
-                    len += t.iter().map(|v| v.encoded_len()).sum::<usize>();
-                }
-                len
-            }
-        }
+        let mut len = Count(0);
+        codec::write_value(self, &mut len);
+        len.0
     }
 
     /// Rank used to order values of different runtime types, mirroring
@@ -134,26 +113,6 @@ impl Value {
             Value::Str(_) => 2,
             Value::Bag(_) => 3,
         }
-    }
-}
-
-/// Canonical text rendering for doubles: integral doubles keep a trailing
-/// `.0` so they round-trip as doubles, NaN/inf use Rust's spelling.
-fn write_double(d: f64, out: &mut impl fmt::Write) -> fmt::Result {
-    if d.is_finite() && d.fract() == 0.0 && d.abs() < 1e15 {
-        write!(out, "{d:.1}")
-    } else {
-        write!(out, "{d}")
-    }
-}
-
-/// Sink that measures a rendering without storing it.
-struct ByteCount(usize);
-
-impl fmt::Write for ByteCount {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        self.0 += s.len();
-        Ok(())
     }
 }
 
@@ -229,30 +188,34 @@ impl Hash for Value {
 
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Value::Null => Ok(()),
-            Value::Int(i) => write!(f, "{i}"),
-            Value::Double(d) => write_double(*d, f),
-            Value::Str(s) => write!(f, "{s}"),
-            Value::Bag(ts) => {
-                write!(f, "{{")?;
-                for (i, t) in ts.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ",")?;
-                    }
-                    write!(f, "(")?;
-                    for (j, v) in t.iter().enumerate() {
-                        if j > 0 {
-                            write!(f, ",")?;
-                        }
-                        write!(f, "{v}")?;
-                    }
-                    write!(f, ")")?;
-                }
-                write!(f, "}}")
-            }
+        let mut out = Formatted { f, result: Ok(()) };
+        codec::write_value(self, &mut out);
+        out.result
+    }
+}
+
+/// A formatter as a codec sink: `Display` is the encoding with strings
+/// unescaped and a null as nothing, the text [`Value::encoded_len`] counts.
+struct Formatted<'a, 'b> {
+    f: &'a mut fmt::Formatter<'b>,
+    result: fmt::Result,
+}
+
+impl Sink for Formatted<'_, '_> {
+    fn put(&mut self, bytes: &[u8]) {
+        self.text(bytes);
+    }
+}
+
+impl Out for Formatted<'_, '_> {
+    fn text(&mut self, s: &[u8]) {
+        if self.result.is_ok() {
+            // Syntax and numbers are ASCII, and a string value is UTF-8.
+            self.result = self.f.write_str(std::str::from_utf8(s).expect("encoded text is UTF-8"));
         }
     }
+
+    fn null(&mut self) {}
 }
 
 impl From<i64> for Value {
@@ -269,13 +232,13 @@ impl From<f64> for Value {
 
 impl From<&str> for Value {
     fn from(v: &str) -> Self {
-        Value::Str(v.to_string())
+        Value::Str(v.into())
     }
 }
 
 impl From<String> for Value {
     fn from(v: String) -> Self {
-        Value::Str(v)
+        Value::Str(v.into())
     }
 }
 
@@ -340,6 +303,16 @@ mod tests {
         ] {
             assert_eq!(v.encoded_len(), v.to_string().len(), "value {v:?}");
         }
+    }
+
+    #[test]
+    fn display_is_the_encoding_unescaped() {
+        let bag = Value::Bag(vec![
+            crate::tuple!["a,b", 1, 2.5],
+            Tuple::from_values(vec![Value::Null, Value::str("")]),
+        ]);
+        assert_eq!(bag.to_string(), "{(a,b,1,2.5),(,)}");
+        assert_eq!(bag.encoded_len(), bag.to_string().len());
     }
 
     #[test]

@@ -17,7 +17,7 @@ fn scalar() -> impl Strategy<Value = Value> {
             Just(Value::Double(-0.0)),
         ],
         // Strings including every codec special character.
-        "[a-z0-9 ,(){}\\\\\t\n=;:/.\\-_]{0,24}".prop_map(Value::Str),
+        "[a-z0-9 ,(){}\\\\\t\n=;:/.\\-_]{0,24}".prop_map(Value::str),
     ]
 }
 
@@ -165,7 +165,8 @@ proptest! {
     #[test]
     fn encoded_len_close_to_actual(t in tuple()) {
         let mut buf = Vec::new();
-        codec::encode_tuple(&t, &mut buf);
+        // The writer measures what `encoded_len` would count.
+        prop_assert_eq!(codec::encode_tuple(&t, &mut buf), t.encoded_len());
         // Escaping only adds bytes; the estimate is a lower bound except
         // for the null marker (3 actual vs 0 estimated per null field).
         let nulls = t.iter().filter(|v| v.is_null()).count()
@@ -328,7 +329,7 @@ mod reference {
             p.pos += 1;
             if p.pos == p.bytes.len() {
                 // Trailing separator: final empty field.
-                vals.push(Value::Str(String::new()));
+                vals.push(Value::str(""));
                 break;
             }
         }
@@ -461,7 +462,7 @@ mod reference {
     /// escaping are necessarily strings; otherwise try int, then double.
     fn infer_value(s: String, had_escape: bool) -> Value {
         if had_escape {
-            return Value::Str(s);
+            return Value::str(s);
         }
         if !s.is_empty() && looks_numeric(&s) {
             if let Ok(i) = s.parse::<i64>() {
@@ -471,7 +472,7 @@ mod reference {
                 return Value::Double(d);
             }
         }
-        Value::Str(s)
+        Value::str(s)
     }
 
     fn looks_numeric(s: &str) -> bool {

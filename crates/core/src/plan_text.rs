@@ -376,7 +376,7 @@ fn expr_from_tokens(tokens: &[Tok]) -> Result<Expr> {
         [Tok::Atom(l), Tok::Atom(t), Tok::Atom(v)] if l == "l" => match t.as_str() {
             "i" => Ok(Expr::Lit(Value::Int(v.parse().map_err(|_| bad())?))),
             "d" => Ok(Expr::Lit(Value::Double(v.parse().map_err(|_| bad())?))),
-            "s" => Ok(Expr::Lit(Value::Str(unquote(v)?))),
+            "s" => Ok(Expr::Lit(Value::str(unquote(v)?))),
             _ => Err(bad()),
         },
         [Tok::Atom(op), a] if op == "neg" => Ok(Expr::Neg(Box::new(sub(a)?))),

@@ -362,11 +362,11 @@ fn eval_scalar(f: ScalarFunc, args: &[Value]) -> Result<Value> {
             _ => Ok(Value::Null),
         },
         ScalarFunc::Upper => match arg0.as_str() {
-            Some(s) => Ok(Value::Str(s.to_uppercase())),
+            Some(s) => Ok(Value::str(s.to_uppercase())),
             None => Ok(Value::Null),
         },
         ScalarFunc::Lower => match arg0.as_str() {
-            Some(s) => Ok(Value::Str(s.to_lowercase())),
+            Some(s) => Ok(Value::str(s.to_lowercase())),
             None => Ok(Value::Null),
         },
         ScalarFunc::Strlen => match &arg0 {
@@ -382,7 +382,7 @@ fn eval_scalar(f: ScalarFunc, args: &[Value]) -> Result<Value> {
                 }
                 out.push_str(&a.to_string());
             }
-            Ok(Value::Str(out))
+            Ok(Value::str(out))
         }
         ScalarFunc::Substring => {
             let (Some(s), start, len) = (
@@ -398,10 +398,10 @@ fn eval_scalar(f: ScalarFunc, args: &[Value]) -> Result<Value> {
                 Some(l) if l >= 0 => (start + l as usize).min(chars.len()),
                 _ => chars.len(),
             };
-            Ok(Value::Str(chars[start..end].iter().collect()))
+            Ok(Value::str(chars[start..end].iter().collect::<String>()))
         }
         ScalarFunc::Trim => match arg0.as_str() {
-            Some(s) => Ok(Value::Str(s.trim().to_string())),
+            Some(s) => Ok(Value::str(s.trim())),
             None => Ok(Value::Null),
         },
         ScalarFunc::StartsWith => match (arg0.as_str(), args.get(1).and_then(|v| v.as_str())) {

@@ -428,7 +428,7 @@ impl Parser {
             }
             TokenKind::StrLit(s) => {
                 self.advance();
-                Ok(AstExpr::Lit(Value::Str(s.clone())))
+                Ok(AstExpr::Lit(Value::str(s.as_str())))
             }
             TokenKind::Positional(n) => {
                 self.advance();

@@ -223,12 +223,6 @@ impl Engine {
     }
 }
 
-/// Side-output bytes as the cost model counts them (the `encoded_len`
-/// estimate, not the committed length).
-fn side_bytes(side: &[Vec<Tuple>]) -> u64 {
-    side.iter().flatten().map(|t| t.encoded_len() as u64).sum()
-}
-
 fn run_one_reduce_task(
     factory: &dyn ReducerFactory,
     map_outs: &[TaskOutput],
@@ -266,8 +260,19 @@ fn run_one_reduce_task(
     reducer.finish(&mut ctx)?;
 
     counters.output_records = ctx.output.len() as u64;
-    counters.reduce_side_bytes = side_bytes(&ctx.side);
-    let side = ctx.side.iter().map(|ts| codec::encode_all(ts)).collect();
+    // Side-output bytes as the cost model counts them: the `encoded_len`
+    // estimate `encode_tuple` returns, not the committed length.
+    let side = ctx
+        .side
+        .iter()
+        .map(|ts| {
+            let mut bytes = Vec::new();
+            for t in ts {
+                counters.reduce_side_bytes += codec::encode_tuple(t, &mut bytes) as u64;
+            }
+            bytes
+        })
+        .collect();
     Ok(TaskOutput {
         shuffle: Run::default(),
         output: codec::encode_all(&ctx.output),

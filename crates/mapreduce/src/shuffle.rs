@@ -26,7 +26,7 @@
 //! value  := 0 | 1 i64-le | 2 f64-bits-le | 3 varint(len) utf8 | 4 varint(tuples) tuple*
 //! ```
 
-use restore_common::{Error, Result, Tuple, Value};
+use restore_common::{Error, Result, SmallStr, Tuple, Value};
 
 /// One shuffle emission: key, input tag, value.
 pub type Record = (Tuple, usize, Tuple);
@@ -256,9 +256,9 @@ impl<'a> Reader<'a> {
             DOUBLE => Value::Double(f64::from_bits(u64::from_le_bytes(self.word()?))),
             STR => {
                 let len = self.count(1)?;
-                let s = std::str::from_utf8(self.take(len)?)
+                let s = SmallStr::from_utf8(self.take(len)?)
                     .map_err(|_| corrupt("string is not valid UTF-8"))?;
-                Value::Str(s.to_owned())
+                Value::Str(s)
             }
             BAG => {
                 let tuples = self.count(1)?;

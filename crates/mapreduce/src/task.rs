@@ -100,8 +100,7 @@ impl MapContext {
 
     /// Emit a record to side-output channel `channel`.
     pub fn side(&mut self, channel: usize, value: Tuple) {
-        self.counters.map_side_bytes += value.encoded_len() as u64;
-        codec::encode_tuple(&value, &mut self.side[channel]);
+        self.counters.map_side_bytes += codec::encode_tuple(&value, &mut self.side[channel]) as u64;
     }
 
     /// Everything emitted, as the bytes the engine commits or shuffles and

@@ -27,7 +27,7 @@ fn value(depth: u32) -> BoxedStrategy<Value> {
         // Every bit pattern: NaN payloads, infinities, subnormals.
         (2, any::<u64>().prop_map(|bits| Value::Double(f64::from_bits(bits))).boxed()),
         (1, select(vec![-0.0, 0.0, 1.0, f64::NAN]).prop_map(Value::Double).boxed()),
-        (3, string().prop_map(Value::Str).boxed()),
+        (3, string().prop_map(Value::str).boxed()),
     ];
     if depth > 0 {
         variants.push((2, vec(tuple(depth - 1), 0..4).prop_map(Value::Bag).boxed()));

@@ -32,7 +32,7 @@ pub fn generate(dfs: &Dfs, rows: usize, seed: u64) -> Result<u64> {
     for _ in 0..rows {
         let mut t = Tuple::new();
         for _ in 0..5 {
-            t.push(Value::Str(rng.next_string(20)));
+            t.push(Value::str(rng.next_string(20)));
         }
         for (_, card, pct) in FILTER_FIELDS {
             // Value 0 is the "selected" value with probability `pct`;

@@ -192,7 +192,7 @@ fn run_one<F: FnMut(&mut Bencher)>(
         .map(|t| {
             let per_s = |n: u64| n as f64 / mean.as_secs_f64().max(1e-12);
             match t {
-                Throughput::Bytes(n) => format!("  {:>12.0} B/s", per_s(n)),
+                Throughput::Bytes(n) => format!("  {:>10.1} MB/s", per_s(n) / 1e6),
                 Throughput::Elements(n) => format!("  {:>12.0} elem/s", per_s(n)),
             }
         })

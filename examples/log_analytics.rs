@@ -37,7 +37,7 @@ fn write_logs(dfs: &Dfs, rows: usize) {
             Value::str(service),
             Value::str(level),
             Value::Int(latency),
-            Value::Str(message),
+            Value::str(message),
         ]));
     }
     dfs.write_all("/logs/app", &codec::encode_all(&out)).unwrap();

@@ -30,7 +30,7 @@ fn rows() -> impl Strategy<Value = Vec<Tuple>> {
     prop::collection::vec(
         (0u8..8, -50i64..50, 0u32..1000).prop_map(|(k, n, d)| {
             Tuple::from_values(vec![
-                Value::Str(format!("k{k}")),
+                Value::str(format!("k{k}")),
                 Value::Int(n),
                 Value::Double(d as f64 / 10.0),
             ])

@@ -178,7 +178,9 @@ fn scramble_unread(dfs: &Dfs, path: &str, read: &[usize]) {
                 .enumerate()
                 .map(|(i, v)| match v {
                     _ if read.contains(&i) => v.clone(),
-                    Value::Str(s) => Value::Str(s.chars().rev().chain("é\t".chars()).collect()),
+                    Value::Str(s) => {
+                        Value::str(s.chars().rev().chain("é\t".chars()).collect::<String>())
+                    }
                     Value::Int(n) => Value::Double(*n as f64 + 0.5),
                     Value::Double(d) => Value::Int(*d as i64 + 1),
                     other => other.clone(),
