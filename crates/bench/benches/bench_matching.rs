@@ -8,8 +8,8 @@
 //! frozen.
 //! (The `locked_scan` arm it was first measured against — a
 //! repository-wide `RwLock` around the paper's sequential scan — is
-//! archived in `BENCH_matching.json`; the scan-vs-index ablation lives
-//! in `bench_matcher`.)
+//! archived in `BENCH_matching.json`; the scan-vs-index ablation is
+//! `restore_bench::figures::matcher_ablation`.)
 //!
 //! Repository sizes default to 10² / 10³ / 10⁴ entries and 1/2/4/8
 //! threads; `MATCHING_SIZES` (comma-separated) trims the matrix — CI

@@ -162,12 +162,8 @@ fn bench_replication(c: &mut Criterion) {
         group.bench_function("promote", |b| {
             b.iter(|| {
                 let standby = prepared.pop().expect("one prepared standby per sample");
-                let config = ServiceConfig {
-                    workers: 1,
-                    queue_depth: 16,
-                    max_inflight_per_tenant: 16,
-                    cross_workflow: false,
-                };
+                let config =
+                    ServiceConfig { workers: 1, queue_depth: 16, max_inflight_per_tenant: 16 };
                 promoted.push(standby.promote(config).expect("parity holds"));
             });
         });

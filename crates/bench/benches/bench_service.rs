@@ -1,7 +1,7 @@
 //! Service-level throughput: a mixed-tenant PigMix workload submitted
 //! through `RestoreService` as the worker pool grows (1/2/4/8).
 //!
-//! Four regimes:
+//! Three regimes:
 //! * `service_handoff` — one closed-loop client redeeming a pre-compiled
 //!   workflow the repository answers whole: admission, queue, dispatch,
 //!   the warm driver pass and the ticket, with no compile and no job —
@@ -11,9 +11,11 @@
 //!   repository, isolating queue + scheduler + lock overhead;
 //! * `service_mixed` — fresh output paths each round (final outputs not
 //!   registered), so jobs with reusable prefixes still execute and the
-//!   cross-workflow scheduler overlaps work from different tenants;
-//! * `service_fifo` — the mixed workload with cross-workflow overlap
-//!   disabled (strict FIFO dispatch), the scheduling ablation.
+//!   cross-workflow scheduler overlaps work from different tenants.
+//!
+//! (The `service_fifo` arm — the mixed workload under strict FIFO
+//! dispatch — went with the switch that selected it; its numbers are
+//! archived in `BENCH_service.json`.)
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use restore_core::{ReStore, ReStoreConfig};
@@ -27,7 +29,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 const SEED: u64 = 0x5E_ED_CE;
 const TENANTS: [&str; 4] = ["ana", "bo", "carol", "dee"];
 
-fn service(workers: usize, cross_workflow: bool, register_final: bool) -> RestoreService {
+fn service(workers: usize, register_final: bool) -> RestoreService {
     let dfs =
         Dfs::new(DfsConfig { nodes: 4, block_size: 2048, replication: 2, node_capacity: None });
     datagen::generate(&dfs, &DataScale::tiny(), SEED).expect("data generation");
@@ -42,7 +44,7 @@ fn service(workers: usize, cross_workflow: bool, register_final: bool) -> Restor
     );
     RestoreService::new(
         rs,
-        ServiceConfig { workers, queue_depth: 256, max_inflight_per_tenant: 64, cross_workflow },
+        ServiceConfig { workers, queue_depth: 256, max_inflight_per_tenant: 64 },
     )
 }
 
@@ -68,11 +70,11 @@ fn submit_round(svc: &RestoreService, round: u64) {
     }
 }
 
-fn bench_group(c: &mut Criterion, name: &str, cross_workflow: bool, register_final: bool) {
+fn bench_group(c: &mut Criterion, name: &str, register_final: bool) {
     let mut group = c.benchmark_group(name);
     group.sample_size(10);
     for &workers in &[1usize, 2, 4, 8] {
-        let svc = service(workers, cross_workflow, register_final);
+        let svc = service(workers, register_final);
         // Round 0 warms each tenant's repository.
         submit_round(&svc, 0);
         let round = AtomicU64::new(1);
@@ -91,7 +93,7 @@ fn bench_handoff(c: &mut Criterion) {
     group.sample_size(10);
     group.throughput(Throughput::Elements(BATCH));
     for &workers in &[1usize, 2, 4] {
-        let svc = service(workers, true, true);
+        let svc = service(workers, true);
         let wf = svc
             .driver()
             .compile_as(Some("ana"), &queries::l7("/out/handoff"), "/wf/handoff")
@@ -112,22 +114,12 @@ fn bench_handoff(c: &mut Criterion) {
 }
 
 fn bench_warm_serving(c: &mut Criterion) {
-    bench_group(c, "service_warm", true, true);
+    bench_group(c, "service_warm", true);
 }
 
 fn bench_mixed_workload(c: &mut Criterion) {
-    bench_group(c, "service_mixed", true, false);
+    bench_group(c, "service_mixed", false);
 }
 
-fn bench_fifo_ablation(c: &mut Criterion) {
-    bench_group(c, "service_fifo", false, false);
-}
-
-criterion_group!(
-    benches,
-    bench_handoff,
-    bench_warm_serving,
-    bench_mixed_workload,
-    bench_fifo_ablation
-);
+criterion_group!(benches, bench_handoff, bench_warm_serving, bench_mixed_workload);
 criterion_main!(benches);

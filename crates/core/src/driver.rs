@@ -44,14 +44,17 @@
 //! `_as` entry points gets its own repository/provenance/pin namespace,
 //! so reuse, candidate materialization, and eviction never cross
 //! tenants. The tenant-less API uses the default namespace.
+//!
+//! Saving and loading the session — the journal, base dumps, deltas and
+//! recovery — is the second `impl ReStore`, in `persist.rs`.
 
 use crate::enumerator::{inject_subjob_stores, Candidate, Heuristic};
-use crate::journal::{self, Journal, JournalConfig, JournalStats, Record, RecoveryReport};
+use crate::journal::Journal;
 use crate::obs::{Obs, ReuseDecision, ReuseTraceEvent, SpaceMetrics};
 use crate::pin::PinSet;
 use crate::provenance::Provenance;
 use crate::rcu::Rcu;
-use crate::repository::{MatchProbe, RepoBatch, RepoOp, RepoSnapshot, RepoStats, Repository};
+use crate::repository::{MatchProbe, RepoBatch, RepoSnapshot, RepoStats, Repository};
 use crate::rewriter::{apply_aliases, identity_copy};
 use crate::selector::SelectionPolicy;
 use parking_lot::{Mutex, RwLock};
@@ -62,7 +65,7 @@ use restore_dataflow::physical::PhysicalPlan;
 use restore_dfs::Dfs;
 use restore_mapreduce::{workflow, Engine, JobResult, JobSpec};
 use restore_telemetry::Registry;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -222,33 +225,33 @@ pub struct ReStoreStats {
 /// assert!(rerun.total_s < first.total_s);
 /// ```
 pub struct ReStore {
-    engine: Engine,
+    pub(crate) engine: Engine,
     /// The default namespace: repository, provenance, and pins used by
     /// tenant-less submissions (and by the legacy single-tenant API).
-    space: Arc<Space>,
+    pub(crate) space: Arc<Space>,
     /// Per-tenant namespaces, created lazily on first use. A tenant's
     /// matching, registration, and eviction sweeps only ever touch its
     /// own space, so tenants cannot observe (or delete) each other's
     /// outputs. RCU-published like the tables themselves: a lookup is
     /// a snapshot load, creation (rare) publishes a new map.
-    tenants: Rcu<HashMap<String, Arc<Space>>>,
+    pub(crate) tenants: Rcu<HashMap<String, Arc<Space>>>,
     config: RwLock<ReStoreConfig>,
     /// Query counter = the logical clock for usage statistics. Shared by
     /// all tenants (one clock, many namespaces).
-    tick: AtomicU64,
-    cand_counter: AtomicU64,
+    pub(crate) tick: AtomicU64,
+    pub(crate) cand_counter: AtomicU64,
     /// The snapshot journal behind incremental checkpoints (see
     /// [`crate::journal`]); disabled until [`ReStore::enable_journal`].
-    journal: Arc<Journal>,
+    pub(crate) journal: Arc<Journal>,
     /// Session observability: the metric registry, per-stage span
     /// histograms, and the reuse-decision trace ring (see [`crate::obs`]).
-    obs: Obs,
+    pub(crate) obs: Obs,
     /// Tenant keys (`""` = the default namespace) whose circuit breaker
     /// was open at the last [`ReStore::note_breaker_state`] transition.
     /// Journaled as `breaker-state` records, so a promoted warm standby
     /// seeds its scheduler with the primary's open breakers instead of
     /// admitting a thundering herd at a tenant that was shedding.
-    open_breakers: Mutex<std::collections::BTreeSet<String>>,
+    pub(crate) open_breakers: Mutex<std::collections::BTreeSet<String>>,
 }
 
 /// One isolated repository namespace: the §2.2 repository, its
@@ -283,7 +286,7 @@ pub(crate) struct Space {
 impl Space {
     /// A fresh namespace with its match metrics registered under
     /// `tenant` in the session registry.
-    fn registered(registry: &Registry, tenant: &str) -> Self {
+    pub(crate) fn registered(registry: &Registry, tenant: &str) -> Self {
         Space { metrics: SpaceMetrics::registered(registry, tenant), ..Default::default() }
     }
 }
@@ -392,65 +395,6 @@ impl ReStore {
         &self.engine
     }
 
-    /// Turn on the snapshot journal: from here on, every structural
-    /// mutation (wave registrations, evictions, provenance changes,
-    /// tenant/config changes) is recorded, reuse counters are
-    /// dirty-tracked, and [`ReStore::save_state_delta`] captures cheap
-    /// deltas. Take a base checkpoint ([`ReStore::save_state`]) *after*
-    /// enabling — mutations from before the journal was on are only in
-    /// the base, never in a delta.
-    pub fn enable_journal(&self, config: JournalConfig) {
-        self.journal.enable(config);
-        Self::wire_space(&self.journal, "", &self.space);
-        // Wire existing tenants inside the tenant map's writer section:
-        // tenant creation serializes on the same writer, so a namespace
-        // racing this enable either is in the map when the closure runs
-        // (wired here) or is created by a later-serialized `space_for`
-        // whose `make_space` reads `enabled() == true` (wired there).
-        // Wiring from a plain `load()` would let a concurrently created
-        // space slip through both checks and journal nothing, silently.
-        self.tenants.update(|m| {
-            for (name, space) in m.iter() {
-                Self::wire_space(&self.journal, name, space);
-            }
-        });
-    }
-
-    /// Is the snapshot journal recording?
-    pub fn journal_enabled(&self) -> bool {
-        self.journal.enabled()
-    }
-
-    /// Journal introspection (sequence number, buffered bytes).
-    pub fn journal_stats(&self) -> JournalStats {
-        self.journal.stats()
-    }
-
-    /// Journal records appended since the last delta capture — what a
-    /// crash right now would have to replay from the live buffer.
-    pub fn journal_seq_lag(&self) -> u64 {
-        self.journal.seq_lag()
-    }
-
-    /// Install the journal sink on a namespace's repository so its
-    /// batches emit `repo-batch` records at publish time.
-    fn wire_space(journal: &Arc<Journal>, name: &str, space: &Space) {
-        let j = journal.clone();
-        let n = name.to_string();
-        space
-            .repo
-            .set_journal_sink(Some(Arc::new(move |ops: &[RepoOp]| j.append_repo_batch(&n, ops))));
-    }
-
-    /// A fresh namespace, journal-wired when the journal is on.
-    fn make_space(&self, name: &str) -> Arc<Space> {
-        let space = Arc::new(Space::registered(&self.obs.registry, name));
-        if self.journal.enabled() {
-            Self::wire_space(&self.journal, name, &space);
-        }
-        space
-    }
-
     /// An empty tenant name means the default namespace — the same
     /// normalization the service applies at admission, so the two layers
     /// always agree on which namespace (and which policy) serves a
@@ -463,7 +407,7 @@ impl ReStore {
     /// created on first use. Only execution paths call this; read-only
     /// introspection uses [`ReStore::space_snapshot`] so probing an
     /// unknown tenant never leaks an empty namespace into the map.
-    fn space_for(&self, tenant: Option<&str>) -> Arc<Space> {
+    pub(crate) fn space_for(&self, tenant: Option<&str>) -> Arc<Space> {
         let Some(t) = Self::normalize(tenant) else {
             return self.space.clone();
         };
@@ -518,7 +462,7 @@ impl ReStore {
 
     /// Every namespace with its name: the default space (`""`) plus all
     /// tenant spaces.
-    fn all_spaces(&self) -> Vec<(String, Arc<Space>)> {
+    pub(crate) fn all_spaces(&self) -> Vec<(String, Arc<Space>)> {
         let mut spaces = vec![(String::new(), self.space.clone())];
         spaces.extend(self.tenants.load().iter().map(|(k, v)| (k.clone(), v.clone())));
         spaces
@@ -1576,23 +1520,9 @@ impl ReStore {
     /// calls, whose row-by-row reads can straddle executions.
     pub fn stats_all(&self) -> Vec<(String, ReStoreStats)> {
         let queries_executed = self.tick.load(Ordering::SeqCst);
-        let spaces = self.all_spaces();
-        spaces
+        self.all_spaces()
             .into_iter()
-            .map(|(name, space)| {
-                let provenance_entries = space.prov.load().len();
-                let repo = space.repo.snapshot();
-                let entries = repo.entries();
-                let stats = ReStoreStats {
-                    repository_entries: entries.len(),
-                    stored_bytes: repo.stored_bytes(),
-                    total_uses: entries.iter().map(|e| e.use_count()).sum(),
-                    never_used: entries.iter().filter(|e| e.use_count() == 0).count(),
-                    queries_executed,
-                    provenance_entries,
-                };
-                (name, stats)
-            })
+            .map(|(name, space)| (name, Self::space_stats(&space, queries_executed)))
             .collect()
     }
 
@@ -1600,9 +1530,13 @@ impl ReStore {
     /// `queries_executed` counts queries across all namespaces (the tick
     /// clock is shared).
     pub fn stats_as(&self, tenant: Option<&str>) -> ReStoreStats {
-        let space = self.space_snapshot(tenant);
-        // Wait-free: one provenance snapshot, one repository snapshot;
-        // no lock ordering to respect and no writer ever blocked.
+        Self::space_stats(&self.space_snapshot(tenant), self.tick.load(Ordering::SeqCst))
+    }
+
+    /// One namespace's stats at the given clock reading. Wait-free: one
+    /// provenance snapshot, one repository snapshot; no lock ordering to
+    /// respect and no writer ever blocked.
+    fn space_stats(space: &Space, queries_executed: u64) -> ReStoreStats {
         let provenance_entries = space.prov.load().len();
         let repo = space.repo.snapshot();
         let entries = repo.entries();
@@ -1611,7 +1545,7 @@ impl ReStore {
             stored_bytes: repo.stored_bytes(),
             total_uses: entries.iter().map(|e| e.use_count()).sum(),
             never_used: entries.iter().filter(|e| e.use_count() == 0).count(),
-            queries_executed: self.tick.load(Ordering::SeqCst),
+            queries_executed,
             provenance_entries,
         }
     }
@@ -1624,410 +1558,6 @@ impl ReStore {
     pub fn write_counters_as(&self, tenant: Option<&str>) -> (u64, u64) {
         let space = self.space_snapshot(tenant);
         (space.repo.publish_count(), space.repo.writer_sections())
-    }
-
-    /// Serialize the full ReStore session state (`restore-state v5`):
-    /// the counters, the journal anchor, the global configuration, and
-    /// **every** namespace — default and per-tenant — with its
-    /// repository, provenance table, and (when set) its policy
-    /// override. Paired with [`ReStore::load_state`], this lets a new
-    /// process resume with everything a previous session learned
-    /// (§2.2's repository is persistent in spirit; the DFS holds the
-    /// outputs).
-    ///
-    /// Snapshots are consistent under load: each namespace is captured
-    /// under its own locks with the pin set consulted first, so entries
-    /// whose files have a **pending deferred deletion** (evicted while
-    /// pinned by an in-flight workflow) — or are already gone from the
-    /// DFS — are excluded rather than serialized as dangling paths.
-    /// Tenants are written in sorted order, so re-saving a loaded state
-    /// is byte-identical.
-    ///
-    /// With the journal on, the dump doubles as a **base checkpoint**:
-    /// the `seq` line is the journal sequence read *before* any table
-    /// is captured, so every record at or below it is reflected in the
-    /// dump (its writer section completes before the capture's freeze),
-    /// and records after it replay idempotently on top. No workflow
-    /// drain is required — only per-namespace writer freezes.
-    pub fn save_state(&self) -> String {
-        self.save_state_anchored().0
-    }
-
-    /// [`ReStore::save_state`] plus the anchor coordinates replication
-    /// needs: the journal seq the dump is anchored at and the lineage
-    /// token current while the capture lock was held. Reading both
-    /// under the same capture hold as the dump keeps a shipped base's
-    /// stamp consistent with its contents.
-    pub(crate) fn save_state_anchored(&self) -> (String, u64, u64) {
-        // Serialize with delta captures: a delta drains dirty usage
-        // into absolute-valued `note-use` records stamped *after* this
-        // base's anchor; if that drain interleaved with this capture,
-        // replay could regress a counter the base already saw newer.
-        // Writer-section-emitted records (repo/prov batches) are
-        // race-free by construction; the capture lock extends the same
-        // guarantee to the lazily drained ones.
-        let _capture = self.journal.capture.lock();
-        let seq = self.journal.seq();
-        let lineage = self.journal.lineage();
-        let mut out = format!(
-            "{}\ntick {}\ncand {}\nseq {}\n--config--\n{}",
-            crate::state::V5_HEADER,
-            self.tick.load(Ordering::SeqCst),
-            self.cand_counter.load(Ordering::SeqCst),
-            seq,
-            crate::state::encode_config(&self.config()),
-        );
-        out.push_str(&self.save_space("", &self.space));
-        let mut tenants: Vec<(String, Arc<Space>)> =
-            self.tenants.load().iter().map(|(k, v)| (k.clone(), v.clone())).collect();
-        tenants.sort_by(|a, b| a.0.cmp(&b.0));
-        for (name, space) in tenants {
-            out.push_str(&self.save_space(&name, &space));
-        }
-        (out, seq, lineage)
-    }
-
-    /// Capture an **incremental checkpoint**: every journal record
-    /// accumulated since the previous capture — structural mutations
-    /// recorded at publish time, plus the lazily dirty-tracked state
-    /// flushed here (per-space `note-use` batches for entries whose
-    /// reuse counters moved, and a `counters` record when tick/cand
-    /// advanced). Returns the sealed segments, which the caller
-    /// persists alongside its base checkpoint; an idle session yields
-    /// an empty list. Cost is proportional to what changed, never to
-    /// repository size, and nothing is drained or frozen — submissions
-    /// keep flowing.
-    ///
-    /// Requires [`ReStore::enable_journal`]; recovery is
-    /// [`ReStore::recover`] with a base taken at or after the enable.
-    pub fn save_state_delta(&self) -> Result<Vec<String>> {
-        if !self.journal.enabled() {
-            return Err(Error::Other(
-                "incremental snapshots require ReStore::enable_journal".into(),
-            ));
-        }
-        let _capture = self.journal.capture.lock();
-        self.flush_dirty_locked();
-        Ok(self.journal.cut())
-    }
-
-    /// Drain the lazily tracked state into journal records: per-space
-    /// `note-use` batches for entries whose reuse counters moved, and a
-    /// `counters` record when tick/cand advanced. Caller holds the
-    /// capture lock.
-    fn flush_dirty_locked(&self) {
-        for (name, space) in self.all_spaces() {
-            let uses = space.repo.drain_dirty_usage();
-            self.journal.append_note_use(&name, &uses);
-        }
-        self.journal.append_counters_if_changed(
-            self.tick.load(Ordering::SeqCst),
-            self.cand_counter.load(Ordering::SeqCst),
-        );
-    }
-
-    /// Flush dirty state and seal the live buffer **without** consuming
-    /// the sealed queue: registered journal taps (replication) receive
-    /// the sealed segments, while the segments stay owned by the next
-    /// [`ReStore::save_state_delta`] — shipping never steals from the
-    /// checkpoint keeper. The replication pump calls this at every ship
-    /// cadence point.
-    pub(crate) fn flush_and_seal_journal(&self) -> Result<()> {
-        if !self.journal.enabled() {
-            return Err(Error::Other("journal shipping requires ReStore::enable_journal".into()));
-        }
-        let _capture = self.journal.capture.lock();
-        self.flush_dirty_locked();
-        self.journal.seal();
-        Ok(())
-    }
-
-    /// Replay records shipped from a replication primary, in the seq
-    /// order the caller established, then advance the journal seq past
-    /// `last_seq` so a later promotion continues the same sequence. The
-    /// journal is paused for the replay exactly as in
-    /// [`ReStore::recover`] — a standby must not re-record what its
-    /// primary already journaled.
-    pub(crate) fn replay_shipped(&self, records: Vec<Record>, last_seq: u64) -> Result<()> {
-        let _capture = self.journal.capture.lock();
-        let _pause = self.journal.pause();
-        for record in records {
-            self.apply_record(record)?;
-        }
-        self.journal.advance_seq(last_seq);
-        Ok(())
-    }
-
-    /// The session journal, for in-crate collaborators (replication
-    /// registers segment taps and reads seq/lineage through this).
-    pub(crate) fn journal_handle(&self) -> &Arc<Journal> {
-        &self.journal
-    }
-
-    /// Rebuild session state from a base checkpoint plus journal
-    /// segments: load the base, then replay every record with a
-    /// sequence number past the base's anchor, in **seq order**. The
-    /// journal writes segments and frames in seq order, but segments
-    /// are input: recovery decodes all of them first and sorts on seq,
-    /// so files handed over in the wrong order still replay correctly
-    /// and a repeated frame is refused. A torn tail in the
-    /// **final** segment — the crash artifact of a process dying
-    /// mid-append — is truncated and reported; a duplicated sequence
-    /// number or any other malformation fails with [`Error::Journal`]
-    /// naming the segment and record, leaving whatever prefix already
-    /// applied (call on a fresh or quiesced session, like
-    /// [`ReStore::load_state`]).
-    pub fn recover(&self, base: &str, segments: &[String]) -> Result<RecoveryReport> {
-        let _capture = self.journal.capture.lock();
-        // Replay drives the normal mutation paths; pause the journal so
-        // they do not re-record what they apply.
-        let _pause = self.journal.pause();
-        // Recovery replaces state without journaling what it applies, so
-        // any replica tailing this session's record stream can no longer
-        // reconcile by seq — mark the lineage break (see
-        // [`crate::replication`]'s divergence rule).
-        self.journal.bump_lineage();
-        let base_seq = self.load_state_inner(base)?;
-        let mut torn_tail = None;
-        // (seq, record, segment index, 1-based ordinal) — coordinates
-        // kept so a duplicate seq names its record.
-        let mut all: Vec<(u64, Record, usize, usize)> = Vec::new();
-        for (i, segment) in segments.iter().enumerate() {
-            let is_final = i + 1 == segments.len();
-            let (records, torn) = journal::decode_segment(segment, i, is_final)?;
-            for (ordinal, (seq, record)) in records.into_iter().enumerate() {
-                all.push((seq, record, i, ordinal + 1));
-            }
-            torn_tail = torn;
-        }
-        // Stable on (segment, ordinal) ties — a duplicate pair stays in
-        // physical order, so the error below names the *later* copy.
-        all.sort_by_key(|&(seq, ..)| seq);
-        let mut applied = 0usize;
-        let mut skipped = 0usize;
-        let mut last_seq = base_seq;
-        for (seq, record, segment, ordinal) in all {
-            if seq <= base_seq {
-                skipped += 1;
-                continue;
-            }
-            if seq == last_seq {
-                return Err(Error::Journal {
-                    segment,
-                    record: ordinal,
-                    msg: format!("duplicate record seq {seq}"),
-                });
-            }
-            last_seq = seq;
-            self.apply_record(record)?;
-            applied += 1;
-        }
-        self.journal.advance_seq(last_seq);
-        Ok(RecoveryReport {
-            base_seq,
-            records_applied: applied,
-            records_skipped: skipped,
-            torn_tail,
-        })
-    }
-
-    /// Apply one decoded journal record. Every application is
-    /// idempotent: puts carry full entries, note-use carries absolute
-    /// counters, and space/tenant creation is keyed by name.
-    fn apply_record(&self, record: Record) -> Result<()> {
-        use crate::journal::{ProvRecOp, RepoRecOp};
-        match record {
-            Record::Counters { tick, cand } => {
-                self.tick.store(tick, Ordering::SeqCst);
-                self.cand_counter.store(cand, Ordering::SeqCst);
-                // Replay runs with the journal paused, so the append-side
-                // dedup cache must be moved by hand or the next delta
-                // would re-emit this pair as a phantom record.
-                self.journal.sync_counters_cache(tick, cand);
-            }
-            Record::TenantCreate { space } => {
-                let _ = self.space_for(Some(&space));
-            }
-            Record::TenantConfigSet { space, config } => {
-                self.set_config_as(Some(&space), config);
-            }
-            Record::TenantConfigClear { space } => self.clear_config_as(&space),
-            Record::GlobalConfig { config } => self.set_config(config),
-            Record::RepoBatch { space, ops } => {
-                let sp = self.space_for(Some(&space));
-                sp.repo.batch(|b| {
-                    for op in ops {
-                        match op {
-                            RepoRecOp::Put(e) => b.put(e.id, e.plan, e.output_path, e.stats),
-                            RepoRecOp::Evict(id) => {
-                                b.evict(id);
-                            }
-                        }
-                    }
-                });
-            }
-            Record::NoteUse { space, uses } => {
-                let sp = self.space_for(Some(&space));
-                for (id, count, last_used) in uses {
-                    sp.repo.set_usage(id, count, last_used);
-                }
-            }
-            Record::ProvBatch { space, ops } => {
-                let sp = self.space_for(Some(&space));
-                sp.prov.update(|prov| {
-                    for op in &ops {
-                        match op {
-                            ProvRecOp::Register { path, plan } => {
-                                prov.register_replay(path.clone(), plan.clone())
-                            }
-                            ProvRecOp::Forget { path } => prov.forget(path),
-                        }
-                    }
-                });
-            }
-            Record::ProvReplace { space, table } => {
-                self.space_for(Some(&space)).prov.store(table);
-            }
-            Record::DlqPut { space, entry } => {
-                let sp = self.space_for(Some(&space));
-                let mut q = sp.dlq.lock();
-                // Keyed by id: a re-applied put replaces its own entry.
-                match q.iter_mut().find(|e| e.id == entry.id) {
-                    Some(slot) => *slot = entry,
-                    None => {
-                        q.push(entry);
-                        q.sort_by_key(|e| e.id);
-                    }
-                }
-            }
-            Record::DlqAck { space, ids } => {
-                let sp = self.space_for(Some(&space));
-                sp.dlq.lock().retain(|e| !ids.contains(&e.id));
-            }
-            Record::BreakerState { space, open } => {
-                let mut set = self.open_breakers.lock();
-                if open {
-                    set.insert(space);
-                } else {
-                    set.remove(&space);
-                }
-            }
-            Record::Replace { state } => {
-                self.load_state_inner(&state)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Serialize one namespace's provenance and repository with
-    /// condemned paths excluded. The capture **freezes both writer
-    /// sides** (no snapshot can be published while it runs): deferrals
-    /// come from eviction sweeps, which must enter the repository
-    /// writer, so none can land between the capture of the deferred
-    /// set and the serialization — a deferral either completed before
-    /// we froze (and its path is excluded) or is blocked until we
-    /// finish. Readers (matching, stats) are not blocked; only
-    /// mutations wait, and only for the duration of the serialization.
-    /// A path in the deferred set still exists on the DFS right now but
-    /// is deleted the moment its last pin drops, so serializing it
-    /// would hand a restarted session dangling references.
-    fn capture_space_tables(&self, space: &Space) -> (String, String) {
-        // Writer order: provenance before repository (see [`Space`]).
-        space.prov.freeze(|prov| {
-            space.repo.freeze(|repo| {
-                let deferred: HashSet<String> = space.pins.deferred_paths().into_iter().collect();
-                let dfs = self.engine.dfs();
-                let live = |p: &str| !deferred.contains(p) && dfs.exists(p);
-                (prov.save_filtered(live), repo.save_filtered(live))
-            })
-        })
-    }
-
-    /// One `--space--` section: the namespace's policy override (if
-    /// any), provenance, and repository, with condemned paths excluded.
-    fn save_space(&self, name: &str, space: &Space) -> String {
-        let config = (*space.config.load()).clone();
-        let (prov_text, repo_text) = self.capture_space_tables(space);
-        let mut out = format!("--space {name:?}--\n");
-        if let Some(c) = config {
-            out.push_str("--config--\n");
-            out.push_str(&crate::state::encode_config(&c));
-        }
-        out.push_str("--provenance--\n");
-        out.push_str(&prov_text);
-        out.push_str("--repository--\n");
-        out.push_str(&repo_text);
-        let dlq = space.dlq.lock();
-        if !dlq.is_empty() {
-            out.push_str("--dlq--\n");
-            out.push_str(&crate::dlq::save(&dlq));
-        }
-        out
-    }
-
-    /// Restore a session serialized by [`ReStore::save_state`] (v5, or
-    /// the v4 of the release before). The DFS handle (and the stored
-    /// output files in it) come from the engine this instance was built
-    /// with.
-    ///
-    /// The document replaces the whole session: global config, every
-    /// tenant namespace (existing tenant state is dropped, dead-letter
-    /// queues included), and the counters.
-    ///
-    /// Call on a quiesced session (no workflows in flight) — the
-    /// service's `restore` entry point arranges that. Malformed input
-    /// yields [`Error::State`] naming the offending line. With the
-    /// journal on, the wholesale replacement is recorded as one
-    /// `replace` record, so later deltas still recover correctly.
-    pub fn load_state(&self, text: &str) -> Result<()> {
-        self.load_state_inner(text)?;
-        self.journal.append_replace(text);
-        Ok(())
-    }
-
-    /// The load itself, journal suspended (shared by [`ReStore::load_state`]
-    /// and recovery, which must not re-record what they apply). Returns
-    /// the document's journal anchor.
-    fn load_state_inner(&self, text: &str) -> Result<u64> {
-        let _pause = self.journal.pause();
-        let loaded = crate::state::parse(text)?;
-        // Reset the default namespace up front so a document without a
-        // `--space ""--` section (e.g. hand-pruned) still replaces the
-        // whole session instead of leaving stale default-namespace
-        // state behind.
-        self.set_config(loaded.global_config);
-        self.space.prov.store(Provenance::default());
-        self.space.repo.adopt(Repository::default());
-        self.space.config.store(None);
-        *self.space.dlq.lock() = Vec::new();
-        // Breaker state is record-only (never part of a base dump): a
-        // full-session replace resets it; `breaker-state` records
-        // replayed after the base rebuild the open set.
-        self.open_breakers.lock().clear();
-        let mut tenants: HashMap<String, Arc<Space>> = HashMap::new();
-        for sp in loaded.spaces {
-            if sp.name.is_empty() {
-                self.space.prov.store(sp.prov);
-                self.space.repo.adopt(sp.repo);
-                *self.space.dlq.lock() = sp.dlq;
-            } else {
-                let space = self.make_space(&sp.name);
-                space.prov.store(sp.prov);
-                space.repo.adopt(sp.repo);
-                space.config.store(sp.config);
-                *space.dlq.lock() = sp.dlq;
-                tenants.insert(sp.name, space);
-            }
-        }
-        // One publish replaces the whole tenant map atomically.
-        self.tenants.store(tenants);
-        self.tick.store(loaded.tick, Ordering::SeqCst);
-        self.cand_counter.store(loaded.cand, Ordering::SeqCst);
-        self.journal.sync_counters_cache(loaded.tick, loaded.cand);
-        // Sequence numbers stay monotonic across restores: never hand
-        // out a seq a base checkpoint already covers.
-        self.journal.advance_seq(loaded.seq);
-        Ok(loaded.seq)
     }
 
     fn input_versions(&self, inputs: &[String]) -> Vec<(String, u64)> {
@@ -2201,7 +1731,7 @@ mod tests {
             "a condemned path must not enter the snapshot:\n{state}"
         );
         let resumed = ReStore::new(engine(), ReStoreConfig::default());
-        resumed.load_state(&state).unwrap();
+        resumed.recover(&state, &[]).unwrap();
         resumed.with_provenance_as(None, |prov| assert!(!prov.contains(&reused)));
         resumed.with_repository_as(None, |repo| {
             assert!(repo.entries().iter().all(|e| e.output_path != reused));
@@ -2229,7 +1759,7 @@ mod tests {
         );
         // The snapshot still loads and serves the surviving entries.
         let resumed = ReStore::new(engine(), ReStoreConfig::default());
-        resumed.load_state(&state).unwrap();
+        resumed.recover(&state, &[]).unwrap();
         resumed.with_repository_as(None, |repo| {
             assert_eq!(repo.len(), stored.len() - 1);
         });

@@ -29,8 +29,13 @@
 //! dlq-put <space:?>               + one `dead …` dead-letter entry (see [`crate::dlq`])
 //! dlq-ack <space:?>               + `ack <id>` lines (entries removed)
 //! breaker-state <space:?> <open|closed>
-//! replace                         + a full `restore-state` document
+//! replace                         + a full `restore-state` document (read only)
 //! ```
+//!
+//! `replace` is no longer written: a full document comes back through
+//! `recover`, which bumps the lineage instead of recording the load. It
+//! is still read, so a journal from a release that recorded a wholesale
+//! load mid-journal still replays.
 //!
 //! One record is one **atomic replay unit** — a wave's registrations
 //! land as a single `repo-batch` (plus its `prov-batch`), an eviction
@@ -135,7 +140,8 @@ pub struct RecoveryReport {
 
 // ---- decoded records ----
 
-/// One decoded journal record (see the module docs for the grammar).
+/// One decoded journal record (see the module docs for the grammar;
+/// `Replace` is read, never written).
 #[derive(Debug)]
 pub(crate) enum Record {
     Counters { tick: u64, cand: u64 },
@@ -528,12 +534,6 @@ impl Journal {
         if self.active() {
             let state = if open { "open" } else { "closed" };
             self.append_payload(&format!("breaker-state {space:?} {state}\n"));
-        }
-    }
-
-    pub(crate) fn append_replace(&self, state: &str) {
-        if self.active() {
-            self.append_payload(&format!("replace\n{state}"));
         }
     }
 }

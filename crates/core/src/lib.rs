@@ -28,6 +28,7 @@ pub mod failure;
 pub mod journal;
 pub mod matcher;
 pub mod obs;
+mod persist;
 pub mod pin;
 pub mod plan_text;
 pub mod provenance;

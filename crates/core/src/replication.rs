@@ -304,7 +304,7 @@ impl Replicator {
         });
         let tap_core = core.clone();
         let tap = driver
-            .journal_handle()
+            .journal
             .add_tap(Arc::new(move |lineage, seg| tap_core.ship_segment(lineage, seg)));
         let replicator = Replicator { driver, core, tap };
         replicator.ship_base()?;
@@ -359,7 +359,7 @@ impl Replicator {
 
 impl Drop for Replicator {
     fn drop(&mut self) {
-        self.driver.journal_handle().remove_tap(self.tap);
+        self.driver.journal.remove_tap(self.tap);
     }
 }
 

@@ -45,8 +45,8 @@
 //! index in O(1) per input node and only they are verified with the full
 //! §3 traversal, in repository order. The paper's sequential scan
 //! ([`RepoSnapshot::find_first_match_scan`]) is kept as the test oracle and
-//! the `bench_matcher` ablation. The two agree exactly — same entry, same
-//! site — because a node signature hashes precisely what operator
+//! the baseline of `experiments ablation`. The two agree exactly — same
+//! entry, same site — because a node signature hashes precisely what operator
 //! equivalence compares: parameters (Store paths excluded) and inputs
 //! positionally, with `Split` tees transparent on both sides.
 
@@ -893,7 +893,8 @@ impl RepoSnapshot {
 
     /// The paper's sequential scan — every entry, in repository order,
     /// each tried at every site `skip` allows — kept as the oracle the
-    /// index is tested against and as the `bench_matcher` ablation.
+    /// index is tested against and as the baseline of
+    /// `restore_bench::figures::matcher_ablation`.
     /// Same contract and same result as
     /// [`RepoSnapshot::find_first_match_probed`], linear in repository
     /// size.

@@ -31,7 +31,7 @@
 //! body lines never begin with `--`, so sections split unambiguously.
 //! Tenants are written in sorted order, config fields in a fixed
 //! order, and dead-letter entries in id order, which makes
-//! `save_state → load_state → save_state` byte-identical.
+//! `save_state → recover → save_state` byte-identical.
 //!
 //! Parse failures surface as [`Error::State`] carrying the 1-based line
 //! number and the offending line, so a corrupt snapshot points at

@@ -1,10 +1,12 @@
 //! The snapshot journal end to end: incremental deltas replayed over a
 //! base checkpoint reproduce the session **byte-identically**, the
 //! previous wire version composes with today's journal (a committed v4
-//! base + segments), a base and segment captured at PR 19's parent
-//! still recover, sequence anchoring skips covered records, segments
-//! handed over out of order are sorted, and malformed, duplicated or
-//! truncated segments fail naming the offending record.
+//! base + segments), bases and segments captured at earlier commits
+//! still recover (one of them carrying a `replace` record, which is
+//! read but no longer written), sequence anchoring skips covered
+//! records, segments handed over out of order are sorted, and
+//! malformed, duplicated or truncated segments fail naming the
+//! offending record.
 
 use restore_common::Error;
 use restore_core::{JournalConfig, ReStore, ReStoreConfig, SelectionPolicy};
@@ -104,7 +106,7 @@ fn journaled_scenario() -> (Dfs, Vec<String>, String) {
     let shared = dfs();
     shared.write_all("/repo/b", b"stored bytes").unwrap();
     let live = ReStore::new(engine_over(shared.clone()), ReStoreConfig::default());
-    live.load_state(V4_FIXTURE).unwrap();
+    live.recover(V4_FIXTURE, &[]).unwrap();
     live.enable_journal(JournalConfig::default());
 
     let mut segments = Vec::new();
@@ -191,7 +193,7 @@ fn torn_final_segment_recovers_a_consistent_prefix() {
     // The prefix is a real state: it re-saves cleanly and still loads.
     let state = recovered.save_state();
     let reload = ReStore::new(engine_over(shared), ReStoreConfig::default());
-    reload.load_state(&state).unwrap();
+    reload.recover(&state, &[]).unwrap();
     assert_eq!(reload.save_state(), state);
 }
 
@@ -267,25 +269,6 @@ fn eviction_sweeps_journal_their_evictions() {
     assert_eq!(recovered.save_state(), reference, "evictions replay like any other batch");
 }
 
-#[test]
-fn full_session_replace_is_journaled() {
-    let shared = dfs();
-    shared.write_all("/repo/b", b"stored bytes").unwrap();
-    let live = ReStore::new(engine_over(shared.clone()), ReStoreConfig::default());
-    live.enable_journal(JournalConfig::default());
-    let base = live.save_state();
-    live.execute_query(&sum_query("/out/a"), "/wf/a").unwrap();
-    // A wholesale load_state mid-journal lands as one `replace` record.
-    live.load_state(V4_FIXTURE).unwrap();
-    live.execute_query_as(Some("ana"), &sum_query("/out/t"), "/wf/t").unwrap();
-    let segments = live.save_state_delta().unwrap();
-    let reference = live.save_state();
-
-    let recovered = ReStore::new(engine_over(shared), ReStoreConfig::default());
-    recovered.recover(&base, &segments).unwrap();
-    assert_eq!(recovered.save_state(), reference);
-}
-
 /// The journal writes segments and frames in seq order, so recovery's
 /// sort and duplicate check only ever see disorder in what they are
 /// *handed*: segment files listed in the wrong order, a file listed
@@ -329,20 +312,11 @@ fn an_empty_batch_publishes_and_journals_nothing() {
     assert_eq!(rs.journal_stats().seq, seq);
 }
 
-/// One v5 base and one journal segment captured at PR 19's parent
-/// (`8c52a92`) at its default configuration — both carry
-/// `repo_shards 1`, the segment in a `tenant-config` record — with the
-/// state the parent recovered them to: entry ids and paths in
-/// repository order, reuse counters, provenance paths, tick and cand.
-#[test]
-fn base_and_segment_captured_at_the_parent_commit_still_recover() {
-    let base = include_str!("fixtures/parent_v5_base.txt");
-    let segment = include_str!("fixtures/parent_v5_segment.txt");
-    assert!(base.contains("repo_shards 1\n") && segment.contains("repo_shards 1\n"));
-    let rs = ReStore::new(engine_over(dfs()), ReStoreConfig::default());
-    let report = rs.recover(base, &[segment.to_string()]).unwrap();
-    assert_eq!((report.base_seq, report.records_skipped, report.records_applied), (7, 7, 9));
-
+/// What a recovered session holds, in the form the `*_expect.txt`
+/// fixtures list it: tick and cand, then per namespace the entry ids
+/// and paths in repository order with their reuse counters, and the
+/// sorted provenance paths.
+fn recovered_summary(rs: &ReStore) -> String {
     let state = rs.save_state();
     let cand = state.lines().nth(2).unwrap();
     let mut got = format!("tick {}\n{cand}\n", rs.stats().queries_executed);
@@ -368,9 +342,47 @@ fn base_and_segment_captured_at_the_parent_commit_still_recover() {
             }
         });
     }
-    assert_eq!(got, include_str!("fixtures/parent_v5_expect.txt"));
+    got
+}
+
+/// One v5 base and one journal segment captured at `8c52a92`, whose
+/// repository could still be sharded, at its default configuration —
+/// both carry `repo_shards 1`, the segment in a `tenant-config` record —
+/// with the state that commit recovered them to.
+#[test]
+fn base_and_segment_captured_at_the_parent_commit_still_recover() {
+    let base = include_str!("fixtures/parent_v5_base.txt");
+    let segment = include_str!("fixtures/parent_v5_segment.txt");
+    assert!(base.contains("repo_shards 1\n") && segment.contains("repo_shards 1\n"));
+    let rs = ReStore::new(engine_over(dfs()), ReStoreConfig::default());
+    let report = rs.recover(base, &[segment.to_string()]).unwrap();
+    assert_eq!((report.base_seq, report.records_skipped, report.records_applied), (7, 7, 9));
+
+    assert_eq!(recovered_summary(&rs), include_str!("fixtures/parent_v5_expect.txt"));
     assert!(!rs.config_as(Some("ana")).register_final_outputs, "the tenant-config record applied");
-    assert!(!state.contains("repo_shards"), "read, never written back");
+    assert!(!rs.save_state().contains("repo_shards"), "read, never written back");
+}
+
+/// A journal segment holding a `replace` record — a whole-session
+/// `load_state` in the middle of journaling — between ordinary records,
+/// captured at `f967496`, the last commit that wrote the record, with
+/// the state that commit recovered it to. The record is no longer
+/// written, but a journal that holds one still replays: what came
+/// before it is dropped, the document it carries takes over (a `/other`
+/// repository prefix and an `ana` override), and what came after lands
+/// on top.
+#[test]
+fn segment_with_a_replace_record_captured_at_the_parent_commit_still_recovers() {
+    let base = include_str!("fixtures/parent_replace_base.txt");
+    let segment = include_str!("fixtures/parent_replace_segment.txt");
+    assert!(segment.contains("\nreplace\nrestore-state v5\n"));
+    let rs = ReStore::new(engine_over(dfs()), ReStoreConfig::default());
+    let report = rs.recover(base, &[segment.to_string()]).unwrap();
+    assert_eq!((report.base_seq, report.records_skipped, report.records_applied), (0, 0, 10));
+
+    assert_eq!(recovered_summary(&rs), include_str!("fixtures/parent_replace_expect.txt"));
+    assert_eq!(rs.config().repo_prefix, "/other", "the replacing document's global config");
+    assert!(!rs.config_as(Some("ana")).register_final_outputs, "and its tenant override");
 }
 
 /// Regression: `recover` advances the journal's allocation cursor to

@@ -54,13 +54,13 @@ fn v2_save_load_save_is_byte_identical() {
 
     let s1 = rs.save_state();
     let resumed = ReStore::new(engine_over(shared.clone()), ReStoreConfig::default());
-    resumed.load_state(&s1).unwrap();
+    resumed.recover(&s1, &[]).unwrap();
     let s2 = resumed.save_state();
     assert_eq!(s1, s2, "save -> load -> save must be byte-identical");
 
     // And a second generation, for good measure.
     let third = ReStore::new(engine_over(shared), ReStoreConfig::default());
-    third.load_state(&s2).unwrap();
+    third.recover(&s2, &[]).unwrap();
     assert_eq!(third.save_state(), s2);
 }
 
@@ -84,7 +84,7 @@ fn v2_restores_tenant_namespaces_configs_and_counters() {
     drop(rs);
 
     let resumed = ReStore::new(engine_over(shared), ReStoreConfig::default());
-    resumed.load_state(&state).unwrap();
+    resumed.recover(&state, &[]).unwrap();
     assert_eq!(resumed.stats_as(Some("tuned")), want_tuned);
     assert_eq!(resumed.stats_as(Some("other")), want_other);
     assert_eq!(resumed.stats(), want_default);
@@ -115,7 +115,7 @@ fn v2_load_replaces_preexisting_tenants() {
 
     let other = ReStore::new(engine_over(shared), ReStoreConfig::default());
     other.execute_query_as(Some("stray"), &sum_query("/out/s"), "/wf/s").unwrap();
-    other.load_state(&state).unwrap();
+    other.recover(&state, &[]).unwrap();
     // A restore is a full-session replacement: tenants not in the
     // snapshot are gone.
     assert_eq!(other.tenant_ids(), vec!["keeper".to_string()]);
@@ -134,7 +134,7 @@ fn v2_load_without_default_section_still_resets_default_namespace() {
     let rs = ReStore::new(engine_over(dfs()), ReStoreConfig::default());
     rs.execute_query(&sum_query("/out/stale"), "/wf/stale").unwrap();
     assert!(rs.stats().repository_entries > 0);
-    rs.load_state(&pruned).unwrap();
+    rs.recover(&pruned, &[]).unwrap();
     assert_eq!(rs.stats().repository_entries, 0, "default namespace fully replaced");
     assert_eq!(rs.stats().provenance_entries, 0);
     assert_eq!(rs.tenant_ids(), vec!["ana".to_string()]);
@@ -215,7 +215,7 @@ fn tenant_eviction_policy_sweeps_only_its_own_space() {
 
 fn expect_state_err(doc: &str, want_line: usize, needle: &str) {
     let rs = ReStore::new(engine_over(dfs()), ReStoreConfig::default());
-    match rs.load_state(doc) {
+    match rs.recover(doc, &[]) {
         Err(Error::State { line, msg }) => {
             assert_eq!(line, want_line, "error should point at line {want_line}: {msg}");
             assert!(
@@ -224,7 +224,7 @@ fn expect_state_err(doc: &str, want_line: usize, needle: &str) {
             );
         }
         Err(other) => panic!("expected Error::State, got {other:?}"),
-        Ok(()) => panic!("malformed document must not load"),
+        Ok(_) => panic!("malformed document must not load"),
     }
 }
 
@@ -323,7 +323,7 @@ fn missing_repository_section() {
 #[test]
 fn corrupt_provenance_body_names_the_section() {
     let doc = valid_doc().replacen("path \"", "wat \"", 1);
-    match ReStore::new(engine_over(dfs()), ReStoreConfig::default()).load_state(&doc) {
+    match ReStore::new(engine_over(dfs()), ReStoreConfig::default()).recover(&doc, &[]) {
         Err(Error::State { msg, .. }) => {
             assert!(msg.contains("--provenance--"), "{msg}");
         }
@@ -334,7 +334,7 @@ fn corrupt_provenance_body_names_the_section() {
 #[test]
 fn corrupt_repository_body_names_the_section() {
     let doc = valid_doc().replacen("entry ", "entryx ", 1);
-    match ReStore::new(engine_over(dfs()), ReStoreConfig::default()).load_state(&doc) {
+    match ReStore::new(engine_over(dfs()), ReStoreConfig::default()).recover(&doc, &[]) {
         Err(Error::State { msg, .. }) => {
             assert!(msg.contains("--repository--"), "{msg}");
         }
@@ -354,7 +354,7 @@ fn v4_document_loads_and_resaves_as_v5() {
     let v5 = rs.save_state();
     let v4 = v5.replacen("restore-state v5", "restore-state v4", 1);
     let resumed = ReStore::new(engine_over(shared), ReStoreConfig::default());
-    resumed.load_state(&v4).unwrap();
+    resumed.recover(&v4, &[]).unwrap();
     assert_eq!(resumed.save_state(), v5);
 }
 
@@ -384,9 +384,9 @@ fn sharded_document_is_refused_not_misordered() {
     // and in the tenant override: the same loaded state as the key
     // absent, and the same bytes saved back.
     let absent = ReStore::new(engine_over(shared.clone()), ReStoreConfig::default());
-    absent.load_state(&doc).unwrap();
+    absent.recover(&doc, &[]).unwrap();
     let one = ReStore::new(engine_over(shared.clone()), ReStoreConfig::default());
-    one.load_state(&with_repo_shards(&with_repo_shards(&doc, 1, 1), 0, 1)).unwrap();
+    one.recover(&with_repo_shards(&with_repo_shards(&doc, 1, 1), 0, 1), &[]).unwrap();
     assert_eq!(one.stats_all(), absent.stats_all());
     assert_eq!(one.config(), absent.config());
     assert_eq!(one.config_as(Some("ana")), absent.config_as(Some("ana")));
@@ -396,7 +396,7 @@ fn sharded_document_is_refused_not_misordered() {
     // `repo_shards 8`: the entries are in shard-concatenation order.
     for nth in [0, 1] {
         let fresh = ReStore::new(engine_over(shared.clone()), ReStoreConfig::default());
-        match fresh.load_state(&with_repo_shards(&doc, nth, 8)) {
+        match fresh.recover(&with_repo_shards(&doc, nth, 8), &[]) {
             Err(Error::Config(msg)) => {
                 assert!(msg.contains("shard-concatenation order"), "{msg}")
             }

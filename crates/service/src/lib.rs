@@ -51,21 +51,18 @@
 //!   gives a tenant its own `ReStoreConfig` (heuristic, §5 selection,
 //!   retention); its workflows run under that policy while everyone
 //!   else follows the global default.
-//! * **Durability** — two modes. *Continuous*:
+//! * **Durability** — one way out, one way in.
 //!   [`RestoreService::checkpoint_begin`] turns on the driver's
-//!   snapshot journal and anchors a base checkpoint, after which
-//!   [`RestoreService::checkpoint_incremental`] captures deltas
+//!   snapshot journal and anchors a base checkpoint (the whole session —
+//!   every namespace, policies, counters — as `restore-state v5`), after
+//!   which [`RestoreService::checkpoint_incremental`] captures deltas
 //!   proportional to what changed — **without pausing dispatch or
 //!   draining in-flight workflows** — and folds the journal into a
-//!   fresh base when it outgrows
-//!   [`CheckpointConfig::compact_ratio`];
-//!   [`RestoreService::restore_incremental`] rebuilds from base +
-//!   segments, tolerating a torn tail from a crash mid-append.
-//!   *Full*: [`RestoreService::snapshot`] drain-quiesces the pool and
-//!   serializes the whole session (every namespace, policies,
-//!   counters) as `restore-state v5`; [`RestoreService::restore`]
-//!   rebuilds a service from such a snapshot with warm-hit parity
-//!   after a process restart.
+//!   fresh base when it outgrows [`CheckpointConfig::compact_ratio`].
+//!   [`RestoreService::checkpoint_set`] hands out base + segments to
+//!   persist; [`RestoreService::restore_incremental`] rebuilds from
+//!   them with warm-hit parity after a process restart, tolerating a
+//!   torn tail from a crash mid-append.
 //!
 //! [`CompiledWorkflow::io_path_sets`]: restore_dataflow::CompiledWorkflow::io_path_sets
 

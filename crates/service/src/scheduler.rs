@@ -62,7 +62,7 @@ pub(crate) struct SchedulerState {
     pub failure: HashMap<String, TenantFailureState>,
     pub paused: bool,
     pub shutdown: bool,
-    /// Threads parked on the `idle` condvar (`drain`, quiescers): a
+    /// Threads parked on the `idle` condvar (`drain`, a restore): a
     /// completion signals it only when this is non-zero.
     pub idle_waiters: usize,
     pub submitted: u64,
@@ -73,16 +73,12 @@ pub(crate) struct SchedulerState {
 /// Pick the queue index the next free worker should run, or `None` when
 /// nothing is currently runnable.
 ///
-/// With `cross_workflow` enabled, the queue is scanned in FIFO order and
-/// the first entry whose footprint conflicts with neither the in-flight
-/// workflows nor any earlier-queued (still waiting) workflow is chosen.
-/// Skipped entries add their footprints to the blocked set, so two
-/// conflicting submissions always execute in submission order — the
-/// overlap is only ever between workflows that cannot observe each
-/// other's files.
-///
-/// Without it, only the queue head is eligible, and only once it no
-/// longer conflicts with anything in flight (strict FIFO dispatch).
+/// The queue is scanned in FIFO order and the first entry whose
+/// footprint conflicts with neither the in-flight workflows nor any
+/// earlier-queued (still waiting) workflow is chosen. Skipped entries
+/// add their footprints to the blocked set, so two conflicting
+/// submissions always execute in submission order — the overlap is only
+/// ever between workflows that cannot observe each other's files.
 ///
 /// `is_barrier` flags workflows whose declared writes hit a
 /// repository-registered path (`ReStore::serves_path`). Reuse rewriting
@@ -103,7 +99,6 @@ pub(crate) struct SchedulerState {
 /// under).
 pub(crate) fn pick(
     state: &SchedulerState,
-    cross_workflow: bool,
     now: Instant,
     is_barrier: impl Fn(&QueuedWorkflow) -> bool,
 ) -> Option<(usize, bool)> {
@@ -118,9 +113,6 @@ pub(crate) fn pick(
         }
         if ready && blocked.iter().all(|b| !footprints_conflict(b, &q.footprint)) {
             return Some((i, false));
-        }
-        if !cross_workflow {
-            return None;
         }
         blocked.push(&q.footprint);
     }
@@ -166,8 +158,7 @@ mod tests {
         let mut st = SchedulerState::default();
         st.inflight.push((1, fp(&["/in/a"], &["/out/a"])));
         st.queue.push_back(queued(2, fp(&["/in/b"], &["/out/b"])));
-        assert_eq!(pick(&st, true, Instant::now(), |_| false), Some((0, false)));
-        assert_eq!(pick(&st, false, Instant::now(), |_| false), Some((0, false)));
+        assert_eq!(pick(&st, Instant::now(), |_| false), Some((0, false)));
     }
 
     #[test]
@@ -175,7 +166,7 @@ mod tests {
         let mut st = SchedulerState::default();
         st.inflight.push((1, fp(&["/in/a"], &["/out/a"])));
         st.queue.push_back(queued(2, fp(&["/out/a"], &["/out/b"])));
-        assert_eq!(pick(&st, true, Instant::now(), |_| false), None);
+        assert_eq!(pick(&st, Instant::now(), |_| false), None);
     }
 
     #[test]
@@ -186,14 +177,9 @@ mod tests {
         st.queue.push_back(queued(2, fp(&["/out/a"], &["/out/b"])));
         st.queue.push_back(queued(3, fp(&["/in/c"], &["/out/c"])));
         assert_eq!(
-            pick(&st, true, Instant::now(), |_| false),
+            pick(&st, Instant::now(), |_| false),
             Some((1, false)),
-            "cross-workflow mode overtakes a blocked head"
-        );
-        assert_eq!(
-            pick(&st, false, Instant::now(), |_| false),
-            None,
-            "strict FIFO waits for the head"
+            "a disjoint entry overtakes a blocked head"
         );
     }
 
@@ -207,7 +193,7 @@ mod tests {
         st.queue.push_back(queued(2, fp(&["/out/a"], &["/out/b"])));
         st.queue.push_back(queued(3, fp(&[], &["/out/b"])));
         assert_eq!(
-            pick(&st, true, Instant::now(), |_| false),
+            pick(&st, Instant::now(), |_| false),
             None,
             "order within a conflict group is preserved"
         );
@@ -216,7 +202,7 @@ mod tests {
     #[test]
     fn empty_queue_picks_nothing() {
         let st = SchedulerState::default();
-        assert_eq!(pick(&st, true, Instant::now(), |_| false), None);
+        assert_eq!(pick(&st, Instant::now(), |_| false), None);
     }
 
     #[test]
@@ -226,16 +212,16 @@ mod tests {
         let mut st = SchedulerState::default();
         st.queue.push_back(queued(9, fp(&[], &["/repo/x"])));
         st.queue.push_back(queued(2, fp(&[], &["/out/b"])));
-        assert_eq!(pick(&st, true, Instant::now(), is_barrier), Some((0, true)));
+        assert_eq!(pick(&st, Instant::now(), is_barrier), Some((0, true)));
 
         // Anything in flight — even with a disjoint footprint — holds
         // the barrier back, and nothing overtakes it.
         st.inflight.push((1, fp(&[], &["/out/elsewhere"])));
-        assert_eq!(pick(&st, true, Instant::now(), is_barrier), None);
+        assert_eq!(pick(&st, Instant::now(), is_barrier), None);
         st.inflight.clear();
 
         // An in-flight barrier freezes all dispatch.
         st.inflight_barriers = 1;
-        assert_eq!(pick(&st, true, Instant::now(), |_| false), None);
+        assert_eq!(pick(&st, Instant::now(), |_| false), None);
     }
 }

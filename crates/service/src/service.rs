@@ -34,20 +34,11 @@ pub struct ServiceConfig {
     /// Maximum workflows one tenant may have queued + running; beyond it
     /// submissions are rejected with [`ServiceError::TenantOverloaded`].
     pub max_inflight_per_tenant: usize,
-    /// Overlap queued workflows with disjoint DFS footprints. Disabling
-    /// reverts to strict FIFO dispatch (still pipelined across workers
-    /// when consecutive submissions are disjoint).
-    pub cross_workflow: bool,
 }
 
 impl Default for ServiceConfig {
     fn default() -> Self {
-        ServiceConfig {
-            workers: 4,
-            queue_depth: 64,
-            max_inflight_per_tenant: 16,
-            cross_workflow: true,
-        }
+        ServiceConfig { workers: 4, queue_depth: 64, max_inflight_per_tenant: 16 }
     }
 }
 
@@ -137,11 +128,10 @@ pub struct ServiceStats {
 /// submitters.
 pub(crate) struct Shared {
     restore: Arc<ReStore>,
-    cross_workflow: bool,
     state: Mutex<SchedulerState>,
     /// Workers wait here for runnable queue entries.
     work: Condvar,
-    /// `drain` and quiescers park here (counted in
+    /// `drain` and `restore_incremental` park here (counted in
     /// [`SchedulerState::idle_waiters`]) until the pool goes idle.
     idle: Condvar,
     /// Deterministic fault injection on the execution path (see
@@ -211,13 +201,10 @@ pub struct RestoreService {
     /// counts redrives.
     pub(crate) shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
-    /// Serializes quiesced admin operations (`snapshot`, `restore`):
-    /// two quiescers overlapping would both observe an idle pool and
-    /// run their critical sections — e.g. a restore swapping state
-    /// mid-snapshot — so only one may hold the pool quiesced at a time.
-    quiesce: Mutex<()>,
     /// Continuous-checkpoint state; `None` until
-    /// [`RestoreService::checkpoint_begin`].
+    /// [`RestoreService::checkpoint_begin`]. Its lock also serializes
+    /// [`RestoreService::restore_incremental`] calls, so at most one
+    /// thread holds the pool quiesced.
     checkpoint: Mutex<Option<CheckpointKeeper>>,
 }
 
@@ -231,7 +218,6 @@ impl RestoreService {
     pub fn over(restore: Arc<ReStore>, config: ServiceConfig) -> Self {
         let shared = Arc::new(Shared {
             restore: restore.clone(),
-            cross_workflow: config.cross_workflow,
             state: Mutex::new(SchedulerState::default()),
             work: Condvar::new(),
             idle: Condvar::new(),
@@ -260,14 +246,7 @@ impl RestoreService {
                 std::thread::spawn(move || shared.worker_loop())
             })
             .collect();
-        RestoreService {
-            restore,
-            config,
-            shared,
-            workers,
-            quiesce: Mutex::new(()),
-            checkpoint: Mutex::new(None),
-        }
+        RestoreService { restore, config, shared, workers, checkpoint: Mutex::new(None) }
     }
 
     /// The underlying driver session (e.g. for DFS access or
@@ -389,8 +368,8 @@ impl RestoreService {
 
     /// Stop dispatching queued workflows — by the pool and by waiting
     /// submitters alike (already-running ones finish).
-    /// Useful as a maintenance window — e.g. around
-    /// [`ReStore::save_state`] — and for deterministic admission tests.
+    /// Useful as a maintenance window and for deterministic admission
+    /// tests.
     pub fn pause(&self) {
         self.shared.lock().paused = true;
     }
@@ -406,70 +385,6 @@ impl RestoreService {
     pub fn drain(&self) {
         let st = self.shared.lock();
         drop(self.shared.wait_idle(st, |st| st.queue.is_empty() && st.inflight.is_empty()));
-    }
-
-    /// Run `f` against a quiesced driver: dispatch is paused and no
-    /// workflow is in flight, so nothing mutates repository, provenance,
-    /// config, or DFS reuse state while `f` runs. Queued submissions
-    /// stay queued; dispatch resumes afterwards unless the service was
-    /// already paused by the caller. Concurrent quiescers serialize on
-    /// the quiesce mutex (calling [`RestoreService::resume`] from a
-    /// third thread during a snapshot still un-pauses dispatch — pair
-    /// `resume` with your own `pause`, not with admin operations).
-    fn with_quiesced<R>(&self, f: impl FnOnce(&ReStore) -> R) -> R {
-        let _admin = self.quiesce.lock().unwrap_or_else(|e| e.into_inner());
-        let was_paused;
-        {
-            let mut st = self.shared.lock();
-            was_paused = st.paused;
-            st.paused = true;
-            drop(self.shared.wait_idle(st, |st| st.inflight.is_empty()));
-        }
-        let out = f(&self.restore);
-        if !was_paused {
-            self.resume();
-        }
-        out
-    }
-
-    /// Take a consistent `restore-state v5` snapshot of the whole
-    /// session: pause dispatch, wait for in-flight workflows to drain,
-    /// serialize every tenant namespace (state, provenance, per-tenant
-    /// policy, counters), and resume. Submissions arriving during the
-    /// snapshot are queued, not rejected, and dispatch picks them up as
-    /// soon as the snapshot is written.
-    pub fn snapshot(&self) -> String {
-        self.with_quiesced(|rs| rs.save_state())
-    }
-
-    /// Restore session state serialized by [`RestoreService::snapshot`]
-    /// (or [`ReStore::save_state`]): quiesce in-flight work, load the
-    /// state into the driver, and resume.
-    /// Queued submissions then execute against the restored state.
-    ///
-    /// In continuous-checkpoint mode the keeper is **rebased** exactly
-    /// as [`RestoreService::restore_incremental`] does: the load
-    /// replaces the session wholesale, so the pre-restore base and
-    /// buffered segments are discarded and a fresh base is anchored.
-    /// (The journaled `replace` record would keep the old lineage
-    /// *correct*, but every subsequent set would drag a full-state
-    /// record along — the rebase keeps checkpoint size proportional to
-    /// the restored state.)
-    pub fn restore(&self, state: &str) -> Result<(), ServiceError> {
-        // Keeper before quiesce: the same lock order as
-        // `restore_incremental`, so no capture can interleave between
-        // the state swap and the rebase.
-        let mut keeper = self.checkpoint.lock().unwrap_or_else(|e| e.into_inner());
-        self.with_quiesced(|rs| rs.load_state(state)).map_err(ServiceError::Query)?;
-        if let Some(k) = keeper.as_mut() {
-            // Discard records journaled against the replaced lineage
-            // (including the just-appended `replace`), then anchor.
-            let _ = self.restore.save_state_delta();
-            k.base = self.restore.save_state();
-            k.segments.clear();
-            k.journal_bytes = 0;
-        }
-        Ok(())
     }
 
     /// Attach a warm standby behind `transport`: the driver's journal
@@ -517,9 +432,7 @@ impl RestoreService {
     /// From here, call [`RestoreService::checkpoint_incremental`] on
     /// whatever cadence the durability target requires (every few
     /// seconds, after every N submissions, …) and persist the
-    /// [`CheckpointSet`]. The legacy drain-quiesce
-    /// [`RestoreService::snapshot`] remains available as a manual
-    /// full-dump fallback.
+    /// [`CheckpointSet`].
     pub fn checkpoint_begin(&self, config: CheckpointConfig) -> CheckpointOutcome {
         let mut keeper = self.checkpoint.lock().unwrap_or_else(|e| e.into_inner());
         self.restore.enable_journal(JournalConfig { segment_bytes: config.segment_bytes });
@@ -537,8 +450,7 @@ impl RestoreService {
 
     /// Capture an incremental checkpoint: drain the journal's
     /// accumulated records into sealed segments and append them to the
-    /// checkpoint set. **Zero drain**: unlike
-    /// [`RestoreService::snapshot`], this neither pauses dispatch nor
+    /// checkpoint set. **Zero drain**: this neither pauses dispatch nor
     /// waits for in-flight workflows — capture cost is proportional to
     /// what changed since the last call, so it can run on a tight
     /// cadence under full load.
@@ -593,9 +505,13 @@ impl RestoreService {
         guard.as_ref().map(|k| k.compactions).unwrap_or(0)
     }
 
-    /// Rebuild session state from a [`CheckpointSet`]: quiesce the pool
-    /// (like [`RestoreService::restore`]), load the base, and replay
-    /// the journal segments. A torn tail in the final segment — the
+    /// Rebuild session state from a [`CheckpointSet`] — the one way a
+    /// saved session comes back into a service. A set with no segments
+    /// loads a plain [`ReStore::save_state`] document. The pool is
+    /// quiesced first: dispatch pauses (new submissions queue, they are
+    /// not rejected), in-flight workflows finish, the base is loaded and
+    /// the journal segments replayed, and dispatch resumes unless the
+    /// caller had paused it. A torn tail in the final segment — the
     /// signature of a crash mid-append — is truncated and reported in
     /// the returned [`RecoveryReport`].
     ///
@@ -608,11 +524,20 @@ impl RestoreService {
     /// would no longer reproduce the live session.
     pub fn restore_incremental(&self, set: &CheckpointSet) -> Result<RecoveryReport, ServiceError> {
         // Hold the keeper across the whole quiesced restore so no
-        // capture interleaves between the state swap and the rebase.
+        // capture interleaves between the state swap and the rebase,
+        // and no second restore overlaps this one.
         let mut keeper = self.checkpoint.lock().unwrap_or_else(|e| e.into_inner());
-        let report = self
-            .with_quiesced(|rs| rs.recover(&set.base, &set.segments))
-            .map_err(ServiceError::Query)?;
+        let was_paused = {
+            let mut st = self.shared.lock();
+            let was_paused = std::mem::replace(&mut st.paused, true);
+            drop(self.shared.wait_idle(st, |st| st.inflight.is_empty()));
+            was_paused
+        };
+        let recovered = self.restore.recover(&set.base, &set.segments);
+        if !was_paused {
+            self.resume();
+        }
+        let report = recovered.map_err(ServiceError::Query)?;
         if let Some(k) = keeper.as_mut() {
             // Drop records journaled before the restore (stale
             // lineage), then anchor a fresh base over the restored
@@ -946,7 +871,7 @@ impl Shared {
         let is_barrier =
             |q: &QueuedWorkflow| q.footprint.writes.iter().any(|w| self.restore.serves_path(w));
         let probe_t0 = Instant::now();
-        let picked = pick(st, self.cross_workflow, Instant::now(), is_barrier);
+        let picked = pick(st, Instant::now(), is_barrier);
         self.obs.conflict_probe.record_elapsed(probe_t0);
         let (i, barrier) = picked.filter(|&(i, _)| own.is_none_or(|id| st.queue[i].id == id))?;
         let mut entry = st.queue.remove(i).expect("picked index exists");

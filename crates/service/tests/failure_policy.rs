@@ -16,7 +16,8 @@ use restore_core::{FailureDisposition, FailurePolicy, InProcessLink, ReStore, Re
 use restore_dfs::{Dfs, DfsConfig};
 use restore_mapreduce::{ClusterConfig, Engine, EngineConfig};
 use restore_service::{
-    FaultInjector, RestoreService, ServiceConfig, ServiceError, Standby, SubmitHandle,
+    CheckpointConfig, FaultInjector, RestoreService, ServiceConfig, ServiceError, Standby,
+    SubmitHandle,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -346,17 +347,18 @@ fn redrive_replays_byte_identically_to_a_fresh_submission() {
     assert_eq!(svc.dlq_depth(Some("rd")), 0, "re-driven entry acked");
     assert!(svc.render_metrics().contains("restore_dlq_redrives_total 1"));
 
-    // The ack is journaled: a restarted service sees the empty queue.
-    let snap = svc.snapshot();
+    // The ack is durable: a restarted service sees the empty queue.
+    svc.checkpoint_begin(CheckpointConfig::default());
+    let set = svc.checkpoint_set().expect("checkpointing");
     svc.shutdown();
     let svc2 = service_over(dfs);
-    svc2.restore(&snap).unwrap();
+    svc2.restore_incremental(&set).unwrap();
     assert_eq!(svc2.dlq_depth(Some("rd")), 0);
     svc2.shutdown();
 }
 
 /// Dead letters are part of the durable state: a service rebuilt from a
-/// snapshot serves the exact parked entries, and they re-drive to
+/// checkpoint serves the exact parked entries, and they re-drive to
 /// completion once the fault is gone.
 #[test]
 fn dlq_survives_crash_restart_and_redrives() {
@@ -373,11 +375,12 @@ fn dlq_survives_crash_restart_and_redrives() {
     let parked = svc.dlq_entries(Some("park"));
     assert_eq!(parked.len(), 2);
 
-    // Crash: snapshot, tear down, rebuild from the snapshot alone.
-    let snap = svc.snapshot();
+    // Crash: checkpoint, tear down, rebuild from the checkpoint alone.
+    svc.checkpoint_begin(CheckpointConfig::default());
+    let set = svc.checkpoint_set().expect("checkpointing");
     svc.shutdown();
     let svc2 = service_over(dfs);
-    svc2.restore(&snap).unwrap();
+    svc2.restore_incremental(&set).unwrap();
     assert_eq!(svc2.dlq_entries(Some("park")), parked, "restored queue is exact");
 
     // No injector on the rebuilt service: the redrive completes.

@@ -9,7 +9,8 @@
 //! 4. a submitter blocked in `wait()` runs its own submission when — and
 //!    only when — the scheduler would start it next, and a wake-up goes
 //!    only to someone who can act on it, with `pause`, conflict order,
-//!    barriers, retries, `drain`, `snapshot` and `shutdown` unchanged.
+//!    barriers, retries, `drain`, `restore_incremental` and `shutdown`
+//!    unchanged.
 //!
 //! The tests of (4) script interleavings through the fault injector
 //! ([`Gate`]): every execution attempt announces itself and named
@@ -21,8 +22,8 @@
 //! conflict-probe histogram, recorded under the scheduler lock).
 //! `SETTLE` remains only where the service exposes no such event — a
 //! `wait()` turned away by `pause`, a thread parked in `drain`,
-//! `snapshot` or `shutdown` — and there, like `HANG`, it only decides
-//! how reliably a *broken* rule fails.
+//! `restore_incremental` or `shutdown` — and there, like `HANG`, it only
+//! decides how reliably a *broken* rule fails.
 
 use restore_core::{
     FailureDisposition, FailurePolicy, QueryExecution, ReStore, ReStoreConfig, SelectionPolicy,
@@ -30,7 +31,9 @@ use restore_core::{
 use restore_dfs::{Dfs, DfsConfig};
 use restore_mapreduce::{ClusterConfig, Engine, EngineConfig};
 use restore_pigmix::{datagen, queries, DataScale};
-use restore_service::{FaultInjector, RestoreService, ServiceConfig, ServiceError, SubmitHandle};
+use restore_service::{
+    CheckpointSet, FaultInjector, RestoreService, ServiceConfig, ServiceError, SubmitHandle,
+};
 use std::collections::HashMap;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
@@ -94,12 +97,7 @@ fn queue_saturation_sheds_with_overloaded() {
 
 #[test]
 fn tenant_inflight_cap_rejects_tenant_only() {
-    let svc = service(ServiceConfig {
-        workers: 2,
-        queue_depth: 16,
-        max_inflight_per_tenant: 1,
-        ..Default::default()
-    });
+    let svc = service(ServiceConfig { workers: 2, queue_depth: 16, max_inflight_per_tenant: 1 });
     svc.pause();
     let a = svc.submit(Some("ana"), &queries::l7("/out/a0"), "/wf/a0").unwrap();
     let denied = svc.submit(Some("ana"), &queries::l7("/out/a1"), "/wf/a1");
@@ -180,13 +178,8 @@ fn cross_workflow_scheduling_matches_sequential_driver() {
         }
     }
 
-    // Service: same queries, 8 workers, cross-workflow overlap enabled.
-    let svc = service(ServiceConfig {
-        workers: 8,
-        queue_depth: 64,
-        max_inflight_per_tenant: 16,
-        cross_workflow: true,
-    });
+    // Service: same queries, 8 workers overlapping disjoint workflows.
+    let svc = service(ServiceConfig { workers: 8, queue_depth: 64, max_inflight_per_tenant: 16 });
     let mut handles = Vec::new();
     for t in &tenants {
         for (q, prefix) in mix(t) {
@@ -267,12 +260,7 @@ fn strict_eviction_under_service_concurrency_never_loses_files() {
     };
     let svc = RestoreService::new(
         ReStore::new(engine(), strict),
-        ServiceConfig {
-            workers: 8,
-            queue_depth: 64,
-            max_inflight_per_tenant: 64,
-            ..Default::default()
-        },
+        ServiceConfig { workers: 8, queue_depth: 64, max_inflight_per_tenant: 64 },
     );
     let mut handles = Vec::new();
     for round in 0..4 {
@@ -695,13 +683,16 @@ fn two_waiters_on_one_handle_share_one_run() {
     assert_eq!(svc.stats().completed, 2);
 }
 
-/// `drain` and `snapshot` park on the idle signal; when the last entry
-/// in flight is one a submitter is running, its completion is what
-/// wakes them — and dispatch resumes after the snapshot.
+/// `drain` and `restore_incremental` park on the idle signal; when the
+/// last entry in flight is one a submitter is running, its completion is
+/// what wakes them — and dispatch resumes after the restore.
 #[test]
-fn drain_and_snapshot_return_when_the_last_entry_was_a_waiters() {
+fn drain_and_restore_return_when_the_last_entry_was_a_waiters() {
     let (svc, gate, entered, release_pin) = busy_pool();
     let svc = Arc::new(svc);
+    // The state before anything has run: the pinned submission is held
+    // in the injector, before its driver pass.
+    let set = CheckpointSet { base: svc.driver().save_state(), segments: Vec::new() };
     let release = gate.hold(2, 0);
     // Not the pinned query's text, so it executes and registers its
     // output instead of being answered from the repository.
@@ -713,15 +704,18 @@ fn drain_and_snapshot_return_when_the_last_entry_was_a_waiters() {
         let svc = svc.clone();
         move || svc.drain()
     });
-    let snapshot = start({
+    let restore = start({
         let svc = svc.clone();
-        move || svc.snapshot()
+        move || svc.restore_incremental(&set)
     });
-    assert!(drain.still_blocked() && snapshot.still_blocked(), "both wait for the entry in flight");
+    assert!(drain.still_blocked() && restore.still_blocked(), "both wait for the entry in flight");
     release.send(None).unwrap();
     waiter.get("the waiter's own run").1.expect("completes");
     drain.get("drain(), which only that completion can wake");
-    let snap = snapshot.get("snapshot(), which only that completion can wake");
-    assert!(snap.contains("/out/mine"), "the snapshot follows the waiter's run");
-    solo(&svc, "after").wait().expect("dispatch resumed after the snapshot");
+    restore.get("restore_incremental(), which only that completion can wake").expect("restores");
+    assert!(
+        !svc.driver().save_state().contains("/out/mine"),
+        "the restore replaced the state the waiter's run left, not the reverse"
+    );
+    solo(&svc, "after").wait().expect("dispatch resumed after the restore");
 }

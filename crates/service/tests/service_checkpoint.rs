@@ -32,12 +32,7 @@ fn service_over(dfs: Dfs, workers: usize) -> RestoreService {
     let rs = ReStore::new(engine, ReStoreConfig::default());
     RestoreService::new(
         rs,
-        ServiceConfig {
-            workers,
-            queue_depth: 256,
-            max_inflight_per_tenant: 64,
-            cross_workflow: true,
-        },
+        ServiceConfig { workers, queue_depth: 256, max_inflight_per_tenant: 64 },
     )
 }
 
@@ -71,11 +66,10 @@ impl FaultInjector for HoldFirst {
 
 /// The acceptance property: a capture taken while a workflow is in
 /// flight returns with that workflow **still in flight** — the
-/// incremental path never drain-quiesces the pool the way the full
-/// `snapshot()` does. The workflow is held in flight by the fault
-/// injector, so the property is checked whatever the thread timing: a
-/// sub-millisecond run cannot be caught in flight by polling
-/// `stats()` on a host that gives the test one core.
+/// incremental path never drain-quiesces the pool. The workflow is held
+/// in flight by the fault injector, so the property is checked whatever
+/// the thread timing: a sub-millisecond run cannot be caught in flight
+/// by polling `stats()` on a host that gives the test one core.
 #[test]
 fn checkpoint_incremental_completes_with_zero_drain() {
     let svc = service_over(shared_dfs(), 2);
@@ -191,44 +185,28 @@ fn restore_rebases_the_checkpoint_keeper() {
     );
 }
 
-/// Regression: the **legacy full-snapshot** `restore()` must rebase the
-/// checkpoint keeper exactly like `restore_incremental` does. It used
-/// to leave the pre-restore base and segments in place, so the next
-/// `checkpoint_set()` spliced the old lineage under post-restore
-/// deltas — a set that silently resurrected rolled-back state.
+/// A set with no segments is a plain `save_state` document: restoring
+/// it reproduces the dump byte for byte — the one way a dump comes back
+/// into a service.
 #[test]
-fn legacy_restore_rebases_the_checkpoint_keeper() {
+fn restore_incremental_of_a_bare_base_reproduces_it_byte_for_byte() {
     let dfs = shared_dfs();
     let svc = service_over(dfs.clone(), 2);
-    svc.checkpoint_begin(CheckpointConfig::default());
-
-    // Epoch 1: work captured in a *full* snapshot.
-    svc.submit(Some("ana"), &queries::l3("/out/lr/e1"), "/wf/lr/e1").unwrap().wait().unwrap();
-    let full = svc.snapshot();
-
-    // Epoch 2: diverge under continuous checkpointing…
-    svc.submit(Some("bo"), &queries::l8("/out/lr/e2"), "/wf/lr/e2").unwrap().wait().unwrap();
+    svc.set_tenant_config(
+        Some("bo"),
+        ReStoreConfig { register_final_outputs: false, ..Default::default() },
+    );
+    svc.submit(Some("ana"), &queries::l3("/out/bb/a"), "/wf/bb/a").unwrap().wait().unwrap();
+    svc.submit(Some("bo"), &queries::l8("/out/bb/b"), "/wf/bb/b").unwrap().wait().unwrap();
     svc.drain();
-    svc.checkpoint_incremental().unwrap();
-
-    // …then roll back to epoch 1 through the legacy path.
-    svc.restore(&full).expect("full-snapshot restore");
-
-    // Epoch 3: new work on the restored lineage. The set taken now must
-    // reproduce the live session — no epoch-2 residue, no stale base.
-    svc.submit(Some("ana"), &queries::l3("/out/lr/e3"), "/wf/lr/e3").unwrap().wait().unwrap();
-    svc.drain();
-    svc.checkpoint_incremental().unwrap();
-    let set = svc.checkpoint_set().unwrap();
-    let reference = svc.driver().save_state();
+    let base = svc.driver().save_state();
 
     let resumed = service_over(dfs, 1);
-    resumed.restore_incremental(&set).expect("recovery");
-    assert_eq!(
-        resumed.driver().save_state(),
-        reference,
-        "snapshot restore must rebase the keeper like restore_incremental"
-    );
+    let set = restore_service::CheckpointSet { base: base.clone(), segments: Vec::new() };
+    let report = resumed.restore_incremental(&set).expect("a bare base restores");
+    assert_eq!((report.records_applied, report.records_skipped), (0, 0));
+    assert!(report.torn_tail.is_none());
+    assert_eq!(resumed.driver().save_state(), base);
 }
 
 /// Crash **mid-compaction**: a fold writes `keeper.base` and then

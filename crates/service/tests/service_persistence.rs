@@ -1,10 +1,11 @@
 //! Durable multi-tenant serving: crash-restart parity, snapshots under
-//! load, and per-tenant policy submission through the service.
+//! load, a restore racing submissions, and per-tenant policy submission
+//! through the service.
 
 use restore_core::{Heuristic, ReStore, ReStoreConfig, ReStoreStats, SelectionPolicy};
 use restore_dfs::{Dfs, DfsConfig};
 use restore_mapreduce::{ClusterConfig, Engine, EngineConfig};
-use restore_service::{RestoreService, ServiceConfig};
+use restore_service::{CheckpointConfig, CheckpointSet, RestoreService, ServiceConfig};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -119,13 +120,14 @@ fn run_scenario(restart: bool) -> (Vec<Outcome>, Vec<ReStoreStats>, Vec<ReStoreC
     submit_round(&svc, 1);
 
     let svc = if restart {
-        // Simulated crash/restart: snapshot, tear the whole process
+        // Simulated crash/restart: checkpoint, tear the whole process
         // state down, and bring up a fresh service over the surviving
-        // DFS from the snapshot alone.
-        let snap = svc.snapshot();
+        // DFS from the checkpoint alone.
+        svc.checkpoint_begin(CheckpointConfig::default());
+        let set = svc.checkpoint_set().expect("checkpointing");
         svc.shutdown();
         let svc2 = service_over(dfs.clone(), ReStoreConfig::default());
-        svc2.restore(&snap).expect("snapshot restores");
+        svc2.restore_incremental(&set).expect("checkpoint restores");
         svc2
     } else {
         svc
@@ -139,7 +141,7 @@ fn run_scenario(restart: bool) -> (Vec<Outcome>, Vec<ReStoreStats>, Vec<ReStoreC
 }
 
 /// The crash-restart suite's core claim: a service rebuilt from a
-/// snapshot serves round 2 exactly as the uninterrupted service would
+/// checkpoint serves round 2 exactly as the uninterrupted service would
 /// have — same per-tenant warm-hit statistics, same output bytes, same
 /// repository state, same effective policies.
 #[test]
@@ -186,7 +188,7 @@ fn snapshot_under_load_never_serializes_dead_paths() {
         // cleanly into a fresh session, whatever the race.
         let live = svc.driver().save_state();
         let scratch = ReStore::new(engine_over(dfs.clone()), ReStoreConfig::default());
-        scratch.load_state(&live).unwrap_or_else(|e| {
+        scratch.recover(&live, &[]).unwrap_or_else(|e| {
             panic!("snapshot taken under load must stay loadable: {e}\n{live}")
         });
 
@@ -203,15 +205,15 @@ fn snapshot_under_load_never_serializes_dead_paths() {
     for h in handles {
         h.wait().expect("workflow completes despite snapshots and sweeps");
     }
-    let final_snap = svc.snapshot();
-    assert_all_paths_live(&final_snap, &dfs);
+    svc.drain();
+    assert_all_paths_live(&svc.driver().save_state(), &dfs);
 }
 
 /// Load `snap` into a scratch session and assert every repository and
 /// provenance path in every namespace has a file behind it.
 fn assert_all_paths_live(snap: &str, dfs: &Dfs) {
     let scratch = ReStore::new(engine_over(dfs.clone()), ReStoreConfig::default());
-    scratch.load_state(snap).expect("snapshot loads");
+    scratch.recover(snap, &[]).expect("snapshot loads");
     let mut namespaces: Vec<Option<String>> = vec![None];
     namespaces.extend(scratch.tenant_ids().into_iter().map(Some));
     for ns in namespaces {
@@ -236,30 +238,31 @@ fn assert_all_paths_live(snap: &str, dfs: &Dfs) {
     }
 }
 
-/// Submissions arriving while a snapshot quiesces the pool are queued —
+/// Submissions arriving while a restore quiesces the pool are queued —
 /// not rejected — and execute once dispatch resumes.
 #[test]
-fn snapshot_queues_concurrent_submissions() {
+fn restore_incremental_queues_concurrent_submissions() {
     let dfs = fresh_dfs();
     let svc = Arc::new(service_over(dfs, ReStoreConfig::default()));
     let (q, wf) = tenant_query("ana", 1);
     svc.submit(Some("ana"), &q, &wf).unwrap().wait().unwrap();
+    let set = CheckpointSet { base: svc.driver().save_state(), segments: Vec::new() };
 
-    // A snapshotting thread and a submitting thread race.
-    let snap = std::thread::scope(|s| {
+    // A restoring thread and a submitting thread race.
+    let report = std::thread::scope(|s| {
         let svc2 = svc.clone();
-        let snapper = s.spawn(move || svc2.snapshot());
+        let restorer = s.spawn(move || svc2.restore_incremental(&set));
         let (q2, wf2) = tenant_query("ana", 2);
         let h = svc.submit(Some("ana"), &q2, &wf2).expect("queued, not rejected");
-        let e = h.wait().expect("completes after the snapshot resumes dispatch");
-        assert_eq!(e.jobs_skipped, 1, "warm hit straddling a snapshot");
-        snapper.join().expect("snapshot thread")
+        let e = h.wait().expect("completes after the restore resumes dispatch");
+        assert_eq!(e.jobs_skipped, 1, "warm hit straddling a restore");
+        restorer.join().expect("restore thread")
     });
-    assert!(snap.starts_with("restore-state v5\n"));
+    assert!(report.expect("the base restores").torn_tail.is_none());
 }
 
 /// The service's per-tenant config APIs change behaviour for that
-/// tenant only, and overrides ride along in snapshots.
+/// tenant only, and overrides ride along in checkpoints.
 #[test]
 fn per_tenant_policy_submission_via_service() {
     let dfs = fresh_dfs();
@@ -284,10 +287,11 @@ fn per_tenant_policy_submission_via_service() {
     assert!(svc.driver().stats_as(Some("ana")).repository_entries > 0);
 
     // The override is part of the durable state.
-    let snap = svc.snapshot();
+    svc.checkpoint_begin(CheckpointConfig::default());
+    let set = svc.checkpoint_set().expect("checkpointing");
     svc.shutdown();
     let svc2 = service_over(dfs, ReStoreConfig::default());
-    svc2.restore(&snap).unwrap();
+    svc2.restore_incremental(&set).unwrap();
     assert_eq!(svc2.tenant_config(Some("frugal")), frugal);
     svc2.shutdown();
 }

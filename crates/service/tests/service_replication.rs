@@ -36,7 +36,7 @@ fn session_over(dfs: Dfs) -> ReStore {
 }
 
 fn service_config(workers: usize) -> ServiceConfig {
-    ServiceConfig { workers, queue_depth: 256, max_inflight_per_tenant: 64, cross_workflow: true }
+    ServiceConfig { workers, queue_depth: 256, max_inflight_per_tenant: 64 }
 }
 
 fn service_over(dfs: Dfs, workers: usize) -> RestoreService {

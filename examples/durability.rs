@@ -1,20 +1,18 @@
-//! Durability end to end, in three acts over one setup: a two-tenant
+//! Durability end to end, in two acts over one setup: a two-tenant
 //! PigMix workload (L3 + L7 per tenant) served by `RestoreService`, and
-//! three ways its session outlives the process that built it. In every
-//! act only the DFS and the named artefact survive, and the warm rerun
+//! two ways its session outlives the process that built it. In both
+//! acts only the DFS and the named artefact survive, and the warm rerun
 //! must be answered from the recovered repositories.
 //!
-//! 1. **Quiesced snapshot → restart.** `RestoreService::snapshot`
-//!    drain-quiesces the pool and serializes every tenant namespace
-//!    (repository, provenance, per-tenant policy overrides, counters); a
-//!    fresh service restored from that string alone carries on.
-//! 2. **Continuous checkpoint → torn tail → `restore_incremental`.** A
-//!    base checkpoint is anchored once, then cheap deltas are captured
-//!    between rounds without pausing dispatch. The "crash" truncates the
-//!    last journal segment at pseudo-random byte offsets — what a
-//!    process death mid-append leaves on disk — and recovery loads the
-//!    base, replays the journal and truncates the torn tail.
-//! 3. **Warm standby → divergence resync → `promote`.** The primary
+//! 1. **Continuous checkpoint → torn tail → `restore_incremental`.** A
+//!    base checkpoint — every tenant namespace: repository, provenance,
+//!    per-tenant policy overrides, counters — is anchored once, then
+//!    cheap deltas are captured between rounds without pausing dispatch.
+//!    The "crash" truncates the last journal segment at pseudo-random
+//!    byte offsets — what a process death mid-append leaves on disk —
+//!    and recovery loads the base, replays the journal and truncates the
+//!    torn tail.
+//! 2. **Warm standby → divergence resync → `promote`.** The primary
 //!    ships every sealed segment to a standby that replays it
 //!    continuously. Rolling the primary back through
 //!    `restore_incremental` replays state the record stream never
@@ -76,47 +74,16 @@ fn run_round(service: &RestoreService, tag: &str) -> usize {
     handles.into_iter().map(|h| h.wait().expect("query completes").jobs_skipped).sum()
 }
 
-/// Act 1: a consistent snapshot carries the session across a restart.
-fn snapshot_restart() {
-    let dfs = cluster(0xF00D);
-    let service = new_service(&dfs);
-    service.set_tenant_config(
-        Some("ana"),
-        ReStoreConfig { heuristic: Heuristic::Conservative, ..Default::default() },
-    );
-    println!("cold round: {} job(s) skipped", run_round(&service, "r0"));
-
-    // `snapshot()` pauses dispatch, waits for in-flight workflows,
-    // serializes every tenant namespace, and resumes.
-    let snapshot = service.snapshot();
-    service.shutdown();
-    println!("process restart: {} bytes of restore-state carry the session", snapshot.len());
-
-    let service = new_service(&dfs);
-    service.restore(&snapshot).expect("snapshot restores");
-    assert_eq!(
-        service.tenant_config(Some("ana")).heuristic,
-        Heuristic::Conservative,
-        "per-tenant policy overrides are part of the durable state",
-    );
-    let skipped = run_round(&service, "r1");
-    println!("warm round after restart: {skipped} job(s) skipped");
-    assert!(skipped > 0, "warm round must be served from the restored repositories");
-    for t in &service.stats().tenants {
-        println!(
-            "  tenant {:?}: {} repository entries, {} reuse(s)",
-            t.tenant, t.repository.repository_entries, t.repository.total_uses,
-        );
-    }
-    service.shutdown();
-}
-
-/// Act 2: continuous checkpointing, a kill mid-journal, recovery from
+/// Act 1: continuous checkpointing, a kill mid-journal, recovery from
 /// the torn checkpoint set — at several offsets, to show recovery is
 /// offset-independent.
 fn torn_journal_recovery() {
     let dfs = cluster(0xC0_FFEE);
     let service = new_service(&dfs);
+    service.set_tenant_config(
+        Some("ana"),
+        ReStoreConfig { heuristic: Heuristic::Conservative, ..Default::default() },
+    );
     let begin = service.checkpoint_begin(CheckpointConfig::default());
     println!("base checkpoint anchored: {} bytes", begin.base_bytes);
     for round in 0..3 {
@@ -162,6 +129,11 @@ fn torn_journal_recovery() {
                 None => "none (clean boundary)".to_string(),
             },
         );
+        assert_eq!(
+            resumed.tenant_config(Some("ana")).heuristic,
+            Heuristic::Conservative,
+            "per-tenant policy overrides are part of the durable state",
+        );
         // A full, untorn set must reproduce the live session exactly.
         if cut == last.len() {
             assert_eq!(
@@ -179,7 +151,7 @@ fn torn_journal_recovery() {
     }
 }
 
-/// Act 3: a standby tails the primary's journal, heals a lineage break
+/// Act 2: a standby tails the primary's journal, heals a lineage break
 /// by itself, and takes over warm when the primary dies.
 fn standby_failover() {
     // One DFS, shared by primary and standby the way two processes
@@ -242,11 +214,9 @@ fn standby_failover() {
 }
 
 fn main() {
-    println!("-- act 1: quiesced snapshot, restart --");
-    snapshot_restart();
-    println!("-- act 2: continuous checkpoint, torn journal tail --");
+    println!("-- act 1: continuous checkpoint, torn journal tail --");
     torn_journal_recovery();
-    println!("-- act 3: warm standby, divergence resync, promotion --");
+    println!("-- act 2: warm standby, divergence resync, promotion --");
     standby_failover();
-    println!("durability OK: restart, torn-tail recovery and failover all served the warm rerun");
+    println!("durability OK: torn-tail recovery and failover both served the warm rerun");
 }

@@ -140,7 +140,7 @@ fn concurrent_sessions_preserve_answers() {
     // The session state survives a save/load round trip.
     let state = shared.save_state();
     let resumed = ReStore::new(shared.engine().clone(), ReStoreConfig::default());
-    resumed.load_state(&state).unwrap();
+    resumed.recover(&state, &[]).unwrap();
     assert_eq!(resumed.stats(), stats);
 }
 

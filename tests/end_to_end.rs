@@ -135,7 +135,7 @@ fn full_session_state_round_trips() {
 
     // Resume from the snapshot in a "new process".
     let resumed = ReStore::new(engine, ReStoreConfig::default());
-    resumed.load_state(&state).unwrap();
+    resumed.recover(&state, &[]).unwrap();
     assert!(!resumed.repository().is_empty());
     assert!(resumed.repository().len() <= rs.repository().len());
     let res_exec = resumed.execute_query(&queries::l7("/out/f3b"), "/wf/f3b").unwrap();

@@ -104,9 +104,9 @@ fn scenario() -> &'static Scenario {
     })
 }
 
-/// Recovering from a base and **no segments at all** is the
-/// degenerate-but-legal cold path: nothing to replay, no torn tail,
-/// and the session equals a plain `load_state` of the base.
+/// Recovering from a base and **no segments at all** is how a plain
+/// dump loads: nothing to replay, no torn tail, and the session re-saves
+/// as the base byte for byte.
 #[test]
 fn recovery_with_no_segments_is_the_base() {
     let s = scenario();
@@ -115,9 +115,7 @@ fn recovery_with_no_segments_is_the_base() {
     assert_eq!(report.records_applied, 0);
     assert_eq!(report.records_skipped, 0);
     assert!(report.torn_tail.is_none());
-    let fresh = ReStore::new(engine_over(s.dfs.clone()), ReStoreConfig::default());
-    fresh.load_state(&s.base).unwrap();
-    assert_eq!(rs.save_state(), fresh.save_state());
+    assert_eq!(rs.save_state(), s.base);
 }
 
 /// Degenerate segment bodies a crashed or buggy checkpoint store could
@@ -204,7 +202,7 @@ proptest! {
         }
         let state = rs.save_state();
         let reload = ReStore::new(engine_over(s.dfs.clone()), ReStoreConfig::default());
-        reload.load_state(&state).unwrap();
+        reload.recover(&state, &[]).unwrap();
         prop_assert_eq!(reload.save_state(), state);
     }
 

@@ -1,4 +1,4 @@
-//! Property: `save_state` → `load_state` → `save_state` round-trips
+//! Property: `save_state` → `recover` → `save_state` round-trips
 //! **byte-identically** for arbitrary multi-tenant repository and
 //! provenance states in the current (v5) wire format.
 
@@ -156,13 +156,13 @@ proptest! {
         prop_assert!(s1.starts_with("restore-state v5\n"));
         let engine = Engine::new(dfs.clone(), ClusterConfig::default(), EngineConfig::default());
         let resumed = ReStore::new(engine, ReStoreConfig::default());
-        resumed.load_state(&s1).unwrap();
+        resumed.recover(&s1, &[]).unwrap();
         let s2 = resumed.save_state();
         prop_assert_eq!(&s1, &s2, "save -> load -> save must be byte-identical");
 
         let engine = Engine::new(dfs.clone(), ClusterConfig::default(), EngineConfig::default());
         let third = ReStore::new(engine, ReStoreConfig::default());
-        third.load_state(&s2).unwrap();
+        third.recover(&s2, &[]).unwrap();
         prop_assert_eq!(third.save_state(), s2);
     }
 }
