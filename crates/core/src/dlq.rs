@@ -28,10 +28,17 @@
 //! Entry ids are monotonic within a namespace (max + 1), which makes
 //! replay idempotent: a re-applied put keys on its id, a re-applied
 //! ack removes nothing twice.
+//!
+//! The file holds the codec and the queue's `impl ReStore`
+//! (`dlq_put_as`, `dlq_entries_as`, `dlq_ack_as`, `dlq_depth_as`,
+//! `dlq_depths`); the service's retry and redrive policy sits on top, in
+//! `restore-service`.
 
+use crate::driver::ReStore;
 use restore_common::{Error, Result};
 use restore_dataflow::mr_compiler::CompiledJob;
 use restore_dataflow::CompiledWorkflow;
+use std::sync::atomic::Ordering;
 
 /// One dead-lettered submission.
 #[derive(Debug, Clone, PartialEq)]
@@ -183,6 +190,105 @@ pub(crate) fn load(text: &str) -> Result<Vec<DlqEntry>> {
         return Err(bad(format!("expected 'dead', got {line:?}")));
     }
     Ok(entries)
+}
+
+impl ReStore {
+    /// Park a failed submission in the tenant's dead-letter queue and
+    /// return the durable entry. The entry id is namespace-monotonic
+    /// (max + 1, so the queue is always in id order) and the put is
+    /// journaled inside the queue's lock — record order equals
+    /// application order, and the entry survives crash-recovery,
+    /// checkpoint compaction, and shipment to standbys.
+    pub fn dlq_put_as(
+        &self,
+        tenant: Option<&str>,
+        wf: CompiledWorkflow,
+        error: &str,
+        attempts: u32,
+    ) -> DlqEntry {
+        let name = Self::space_name(tenant);
+        let space = self.space_for(tenant);
+        // Effective policy read before taking the queue lock (the
+        // config load holds nothing once it returns; no lock-order edge
+        // is created).
+        let policy = self.effective_config(&space).failure;
+        let mut q = space.dlq.lock();
+        let entry = DlqEntry {
+            id: q.last().map_or(1, |e| e.id + 1),
+            attempts,
+            tick: self.tick.load(Ordering::SeqCst),
+            error: error.to_string(),
+            wf,
+        };
+        q.push(entry.clone());
+        self.journal.append_dlq_put(name, &entry);
+        // Enforce the tenant's bounds while still holding the queue
+        // lock: age-expire first, then evict oldest past the size cap.
+        // Evictions are journaled as an ack *after* the put record, so
+        // replay converges on exactly this queue.
+        let mut evicted: Vec<u64> = Vec::new();
+        if policy.dlq_max_age_ticks > 0 {
+            let now = entry.tick;
+            q.retain(|e| {
+                if now.saturating_sub(e.tick) > policy.dlq_max_age_ticks {
+                    evicted.push(e.id);
+                    false
+                } else {
+                    true
+                }
+            });
+        }
+        if policy.dlq_max_entries > 0 {
+            while q.len() > policy.dlq_max_entries {
+                evicted.push(q.remove(0).id);
+            }
+        }
+        self.journal.append_dlq_ack(name, &evicted);
+        entry
+    }
+
+    /// The tenant's dead-letter queue, in id (= arrival) order. An
+    /// unknown tenant has an empty queue.
+    pub fn dlq_entries_as(&self, tenant: Option<&str>) -> Vec<DlqEntry> {
+        self.space_snapshot(tenant).dlq.lock().clone()
+    }
+
+    /// Remove entries by id from the tenant's dead-letter queue and
+    /// return the removed entries (unknown ids are skipped). The ack is
+    /// journaled — with exactly the ids actually removed — inside the
+    /// queue's lock, so replay never un-parks an entry twice.
+    pub fn dlq_ack_as(&self, tenant: Option<&str>, ids: &[u64]) -> Vec<DlqEntry> {
+        let name = Self::space_name(tenant);
+        let space = self.space_snapshot(tenant);
+        let mut q = space.dlq.lock();
+        let mut removed = Vec::new();
+        q.retain(|e| {
+            if ids.contains(&e.id) {
+                removed.push(e.clone());
+                false
+            } else {
+                true
+            }
+        });
+        if !removed.is_empty() {
+            let removed_ids: Vec<u64> = removed.iter().map(|e| e.id).collect();
+            self.journal.append_dlq_ack(name, &removed_ids);
+        }
+        removed
+    }
+
+    /// Depth of the tenant's dead-letter queue.
+    pub fn dlq_depth_as(&self, tenant: Option<&str>) -> usize {
+        self.space_snapshot(tenant).dlq.lock().len()
+    }
+
+    /// Dead-letter depth of **every** namespace (the default namespace
+    /// is named `""`), sorted by name — the telemetry scrape's view, so
+    /// `restore_dlq_depth` always reports every live namespace, zeros
+    /// included.
+    pub fn dlq_depths(&self) -> Vec<(String, usize)> {
+        self.spaces_by_name().into_iter().map(|(n, s)| (n, s.dlq.lock().len())).collect()
+    }
 }
 
 #[cfg(test)]

@@ -43,10 +43,13 @@
 //! Reuse state is kept **per tenant**: each tenant submitted through the
 //! `_as` entry points gets its own repository/provenance/pin namespace,
 //! so reuse, candidate materialization, and eviction never cross
-//! tenants. The tenant-less API uses the default namespace.
+//! tenants. The tenant-less API uses the default namespace, the `""`
+//! entry of the same map.
 //!
-//! Saving and loading the session — the journal, base dumps, deltas and
-//! recovery — is the second `impl ReStore`, in `persist.rs`.
+//! This file is the execution loop. Each seam around it is its own
+//! `impl ReStore`: namespaces and configuration in `spaces.rs`, the
+//! dead-letter queue in `dlq.rs`, explain, trace and stats in
+//! `introspect.rs`, and saving and loading the session in `persist.rs`.
 
 use crate::enumerator::{inject_subjob_stores, Candidate, Heuristic};
 use crate::journal::Journal;
@@ -54,7 +57,7 @@ use crate::obs::{Obs, ReuseDecision, ReuseTraceEvent, SpaceMetrics};
 use crate::pin::PinSet;
 use crate::provenance::Provenance;
 use crate::rcu::Rcu;
-use crate::repository::{MatchProbe, RepoBatch, RepoSnapshot, RepoStats, Repository};
+use crate::repository::{MatchProbe, RepoBatch, RepoStats, Repository};
 use crate::rewriter::{apply_aliases, identity_copy};
 use crate::selector::SelectionPolicy;
 use parking_lot::{Mutex, RwLock};
@@ -226,16 +229,16 @@ pub struct ReStoreStats {
 /// ```
 pub struct ReStore {
     pub(crate) engine: Engine,
-    /// The default namespace: repository, provenance, and pins used by
-    /// tenant-less submissions (and by the legacy single-tenant API).
-    pub(crate) space: Arc<Space>,
-    /// Per-tenant namespaces, created lazily on first use. A tenant's
-    /// matching, registration, and eviction sweeps only ever touch its
-    /// own space, so tenants cannot observe (or delete) each other's
-    /// outputs. RCU-published like the tables themselves: a lookup is
-    /// a snapshot load, creation (rare) publishes a new map.
-    pub(crate) tenants: Rcu<HashMap<String, Arc<Space>>>,
-    config: RwLock<ReStoreConfig>,
+    /// Every namespace by tenant name: the default namespace is the
+    /// `""` entry, always present; a tenant's is created lazily on first
+    /// use. A tenant's matching, registration, and eviction sweeps only
+    /// ever touch its own space, so tenants cannot observe (or delete)
+    /// each other's outputs. RCU-published like the tables themselves:
+    /// a lookup is a snapshot load, creation (rare) publishes a new map.
+    pub(crate) spaces: Rcu<HashMap<String, Arc<Space>>>,
+    /// The global configuration, which the default namespace and every
+    /// tenant without an override follow.
+    pub(crate) config: RwLock<ReStoreConfig>,
     /// Query counter = the logical clock for usage statistics. Shared by
     /// all tenants (one clock, many namespaces).
     pub(crate) tick: AtomicU64,
@@ -246,12 +249,6 @@ pub struct ReStore {
     /// Session observability: the metric registry, per-stage span
     /// histograms, and the reuse-decision trace ring (see [`crate::obs`]).
     pub(crate) obs: Obs,
-    /// Tenant keys (`""` = the default namespace) whose circuit breaker
-    /// was open at the last [`ReStore::note_breaker_state`] transition.
-    /// Journaled as `breaker-state` records, so a promoted warm standby
-    /// seeds its scheduler with the primary's open breakers instead of
-    /// admitting a thundering herd at a tenant that was shedding.
-    pub(crate) open_breakers: Mutex<std::collections::BTreeSet<String>>,
 }
 
 /// One isolated repository namespace: the §2.2 repository, its
@@ -268,9 +265,10 @@ pub(crate) struct Space {
     pub(crate) repo: Repository,
     pub(crate) prov: Rcu<Provenance>,
     pub(crate) pins: PinSet,
-    /// The tenant's policy override, RCU-published so the per-query
-    /// read on the execution path is a snapshot load like every other
-    /// shared map in the session.
+    /// The tenant's policy override (always `None` in the default
+    /// namespace, which follows the global config), RCU-published so
+    /// the per-query read on the execution path is a snapshot load like
+    /// every other shared map in the session.
     pub(crate) config: Rcu<Option<ReStoreConfig>>,
     /// Per-namespace match metrics (hits/misses/latency).
     /// Registered against the session registry for namespaces the
@@ -294,7 +292,7 @@ impl Space {
 /// Pins taken by one in-flight workflow. Dropping the guard releases
 /// them and performs any file deletions a sweep deferred in the
 /// meantime.
-struct PinGuard {
+pub(crate) struct PinGuard {
     space: Arc<Space>,
     dfs: Dfs,
     paths: Vec<String>,
@@ -371,16 +369,15 @@ enum Prepared {
 impl ReStore {
     pub fn new(engine: Engine, config: ReStoreConfig) -> Self {
         let obs = Obs::new();
+        let default_space = Arc::new(Space::registered(&obs.registry, ""));
         ReStore {
             engine,
-            space: Arc::new(Space::registered(&obs.registry, "")),
-            tenants: Rcu::new(HashMap::new()),
+            spaces: Rcu::new(HashMap::from([(String::new(), default_space)])),
             config: RwLock::new(config),
             tick: AtomicU64::new(0),
             cand_counter: AtomicU64::new(0),
             journal: Arc::new(Journal::default()),
             obs,
-            open_breakers: Mutex::new(std::collections::BTreeSet::new()),
         }
     }
 
@@ -393,403 +390,6 @@ impl ReStore {
 
     pub fn engine(&self) -> &Engine {
         &self.engine
-    }
-
-    /// An empty tenant name means the default namespace — the same
-    /// normalization the service applies at admission, so the two layers
-    /// always agree on which namespace (and which policy) serves a
-    /// submission.
-    fn normalize(tenant: Option<&str>) -> Option<&str> {
-        tenant.filter(|t| !t.is_empty())
-    }
-
-    /// The namespace serving `tenant` (`None` = the default namespace),
-    /// created on first use. Only execution paths call this; read-only
-    /// introspection uses [`ReStore::space_snapshot`] so probing an
-    /// unknown tenant never leaks an empty namespace into the map.
-    pub(crate) fn space_for(&self, tenant: Option<&str>) -> Arc<Space> {
-        let Some(t) = Self::normalize(tenant) else {
-            return self.space.clone();
-        };
-        // Fast path, no writer section: the tenant already has a namespace.
-        if let Some(s) = self.tenants.load().get(t) {
-            return s.clone();
-        }
-        let mut created = false;
-        let space = self.tenants.update(|m| {
-            m.entry(t.to_string())
-                .or_insert_with(|| {
-                    created = true;
-                    self.make_space(t)
-                })
-                .clone()
-        });
-        if created {
-            // Belt and braces for replay: records touching the space
-            // auto-create it, but a tenant whose only state is a config
-            // override needs the creation on record. Ordering with a
-            // racing first mutation of the space is harmless — replay's
-            // auto-creation makes the record idempotent.
-            self.journal.append_tenant_create(t);
-        }
-        space
-    }
-
-    /// The tenant's namespace for read-only access: an unknown tenant
-    /// gets a detached empty space (reported as zero entries) instead of
-    /// being created.
-    fn space_snapshot(&self, tenant: Option<&str>) -> Arc<Space> {
-        let Some(t) = Self::normalize(tenant) else {
-            return self.space.clone();
-        };
-        self.tenants.load().get(t).cloned().unwrap_or_default()
-    }
-
-    /// Could a rewritten job in *any* namespace be served from `path`?
-    /// True when some namespace's provenance records a producing plan
-    /// for it. The service's cross-workflow scheduler refuses to overlap
-    /// a workflow that writes such a path with any other submission:
-    /// reuse rewriting can introduce Loads of registered paths that the
-    /// submit-time footprint cannot see.
-    pub fn serves_path(&self, path: &str) -> bool {
-        // Wait-free provenance snapshots: the scheduler probes this per
-        // queued workflow, so it must never sit behind a registration.
-        if self.space.prov.load().contains(path) {
-            return true;
-        }
-        self.tenants.load().values().any(|s| s.prov.load().contains(path))
-    }
-
-    /// Every namespace with its name: the default space (`""`) plus all
-    /// tenant spaces.
-    pub(crate) fn all_spaces(&self) -> Vec<(String, Arc<Space>)> {
-        let mut spaces = vec![(String::new(), self.space.clone())];
-        spaces.extend(self.tenants.load().iter().map(|(k, v)| (k.clone(), v.clone())));
-        spaces
-    }
-
-    /// A wave just (over)wrote these DFS paths. Any repository entry —
-    /// in *any* namespace — recorded as producing one of them now points
-    /// at foreign bytes: serving it would return the overwriting
-    /// workflow's data (a wrong answer, and across namespaces a
-    /// cross-tenant leak). Evict such entries and drop their provenance
-    /// records; the files themselves are left alone — they hold the new
-    /// workflow's live output.
-    fn invalidate_overwritten(&self, written: &[String]) {
-        for (name, space) in self.all_spaces() {
-            // Cheap snapshot probe first: fresh output paths are almost
-            // never registered anywhere.
-            let hit = {
-                let prov = space.prov.load();
-                written.iter().any(|p| prov.contains(p))
-            } || {
-                let repo = space.repo.snapshot();
-                repo.entries().iter().any(|e| written.contains(&e.output_path))
-            };
-            if !hit {
-                continue;
-            }
-            // Writer order: provenance before repository (see [`Space`]).
-            // The repository evictions journal themselves through the
-            // batch sink; the provenance forgets are journaled here, in
-            // the writer section, once the update has published.
-            space.prov.update_then(
-                |prov| {
-                    let mut forgets = Vec::new();
-                    space.repo.batch(|repo| {
-                        for p in written {
-                            let stale: Vec<u64> = repo
-                                .pending_entries()
-                                .filter(|e| &e.output_path == p)
-                                .map(|e| e.id)
-                                .collect();
-                            for id in stale {
-                                repo.evict(id);
-                            }
-                            if prov.contains(p) {
-                                prov.forget(p);
-                                forgets.push(p.clone());
-                            }
-                        }
-                    });
-                    forgets
-                },
-                |forgets| self.journal.append_prov_batch(&name, &[], &forgets),
-            );
-        }
-    }
-
-    /// Tenants that have a namespace (sorted; the default namespace is
-    /// not listed).
-    pub fn tenant_ids(&self) -> Vec<String> {
-        let mut ids: Vec<String> = self.tenants.load().keys().cloned().collect();
-        ids.sort();
-        ids
-    }
-
-    /// The current snapshot of the default-namespace repository:
-    /// immutable, safe to hold — later registrations and
-    /// evictions publish new snapshots and never mutate this one.
-    pub fn repository(&self) -> Arc<RepoSnapshot> {
-        self.space.repo.snapshot()
-    }
-
-    /// Run `f` against a tenant's repository (`None` = the default
-    /// namespace). The handle's read methods enter no writer section.
-    pub fn with_repository_as<R>(
-        &self,
-        tenant: Option<&str>,
-        f: impl FnOnce(&Repository) -> R,
-    ) -> R {
-        let space = self.space_snapshot(tenant);
-        f(&space.repo)
-    }
-
-    /// Run `f` against a tenant's repository with mutation intent.
-    /// Since the repository is interior-concurrent, the handle has the
-    /// same capabilities as [`ReStore::with_repository_as`]; the one
-    /// behavioral difference is that this variant **creates the
-    /// namespace if absent** (`None` = the default namespace), where
-    /// the read variant hands an unknown tenant a detached empty space.
-    /// Mutations made through the handle serialize with registration
-    /// and sweeps but never block matching.
-    pub fn with_repository_mut_as<R>(
-        &self,
-        tenant: Option<&str>,
-        f: impl FnOnce(&Repository) -> R,
-    ) -> R {
-        let space = self.space_for(tenant);
-        f(&space.repo)
-    }
-
-    /// Run `f` with a snapshot of a tenant's provenance table (`None` =
-    /// the default namespace).
-    pub fn with_provenance_as<R>(
-        &self,
-        tenant: Option<&str>,
-        f: impl FnOnce(&Provenance) -> R,
-    ) -> R {
-        let space = self.space_snapshot(tenant);
-        let prov = space.prov.load();
-        f(&prov)
-    }
-
-    /// Run `f` with mutable access to a copy of a tenant's provenance
-    /// table, publishing the result (`None` = the default namespace;
-    /// the namespace is created if absent). An arbitrary mutation has
-    /// no op-level record, so with the journal on the whole resulting
-    /// table is journaled as one `prov-replace` record.
-    pub fn with_provenance_mut_as<R>(
-        &self,
-        tenant: Option<&str>,
-        f: impl FnOnce(&mut Provenance) -> R,
-    ) -> R {
-        let space = self.space_for(tenant);
-        let name = Self::normalize(tenant).unwrap_or("").to_string();
-        space.prov.update_then(
-            |prov| {
-                let r = f(prov);
-                // Sample the journal *inside* the writer section: a
-                // `checkpoint_begin` racing this call either captured
-                // its base before we entered (then `active()` is
-                // already true here and the mutation is journaled) or
-                // its base capture freezes behind this writer section
-                // and includes the mutation. Sampling before the
-                // section could read `false`, then lose the mutation
-                // to a base captured in the gap.
-                let table = if self.journal.active() { Some(prov.save()) } else { None };
-                (r, table)
-            },
-            |(r, table)| {
-                if let Some(t) = table {
-                    self.journal.append_prov_replace(&name, &t);
-                }
-                r
-            },
-        )
-    }
-
-    /// Snapshot of the global (default) configuration.
-    pub fn config(&self) -> ReStoreConfig {
-        self.config.read().clone()
-    }
-
-    /// Change the global configuration between queries (experiments flip
-    /// reuse and heuristics while keeping the warmed repository).
-    /// Queries already in flight keep the configuration they started
-    /// with; tenants with an override (see [`ReStore::set_config_as`])
-    /// are unaffected.
-    pub fn set_config(&self, config: ReStoreConfig) {
-        let mut guard = self.config.write();
-        // Journal while still holding the write guard, so record order
-        // matches application order under racing setters.
-        self.journal.append_global_config(&config);
-        *guard = config;
-    }
-
-    /// The effective configuration for `tenant`: its override when one
-    /// is set, the global default otherwise (`None` or an empty name =
-    /// the default namespace, which always follows the global config).
-    pub fn config_as(&self, tenant: Option<&str>) -> ReStoreConfig {
-        match Self::normalize(tenant) {
-            None => self.config(),
-            Some(_) => {
-                let space = self.space_snapshot(tenant);
-                let override_cfg = (*space.config.load()).clone();
-                override_cfg.unwrap_or_else(|| self.config())
-            }
-        }
-    }
-
-    /// Set a tenant's policy override: that tenant's queries now run
-    /// with `config` — heuristic, §5 selection, eviction sweeps, quotas
-    /// — independent of the global default. With `tenant = None` (or an
-    /// empty name) this sets the global configuration itself. Queries
-    /// already in flight keep the configuration they started with.
-    pub fn set_config_as(&self, tenant: Option<&str>, config: ReStoreConfig) {
-        match Self::normalize(tenant) {
-            None => self.set_config(config),
-            Some(t) => {
-                let space = self.space_for(tenant);
-                space.config.update_then(
-                    |c| *c = Some(config.clone()),
-                    |_| self.journal.append_tenant_config(t, Some(&config)),
-                );
-            }
-        }
-    }
-
-    /// Drop a tenant's policy override; its queries follow the global
-    /// default again. A no-op for unknown tenants and for the default
-    /// namespace.
-    pub fn clear_config_as(&self, tenant: &str) {
-        if let Some(space) = self.tenants.load().get(tenant) {
-            space
-                .config
-                .update_then(|c| *c = None, |_| self.journal.append_tenant_config(tenant, None));
-        }
-    }
-
-    /// Record a circuit-breaker transition for a tenant (`None` / `""`
-    /// = the default namespace): `open = true` when the breaker starts
-    /// shedding, `false` when it closes again. Deduplicated and
-    /// journaled inside the set's lock — record order equals
-    /// application order — so a warm standby replaying the journal
-    /// converges on the primary's open set and seeds it into its own
-    /// scheduler at promotion (see `RestoreService`).
-    pub fn note_breaker_state(&self, tenant: Option<&str>, open: bool) {
-        let key = Self::normalize(tenant).unwrap_or("");
-        let mut set = self.open_breakers.lock();
-        let changed = if open { set.insert(key.to_string()) } else { set.remove(key) };
-        if changed {
-            self.journal.append_breaker_state(key, open);
-        }
-    }
-
-    /// Tenant keys (`""` = the default namespace) whose breaker was
-    /// open at the last noted transition, sorted.
-    pub fn open_breaker_keys(&self) -> Vec<String> {
-        self.open_breakers.lock().iter().cloned().collect()
-    }
-
-    /// Park a failed submission in the tenant's dead-letter queue and
-    /// return the durable entry. The entry id is namespace-monotonic
-    /// (max + 1, so the queue is always in id order) and the put is
-    /// journaled inside the queue's lock — record order equals
-    /// application order, and the entry survives crash-recovery,
-    /// checkpoint compaction, and shipment to standbys.
-    pub fn dlq_put_as(
-        &self,
-        tenant: Option<&str>,
-        wf: CompiledWorkflow,
-        error: &str,
-        attempts: u32,
-    ) -> crate::dlq::DlqEntry {
-        let name = Self::normalize(tenant).unwrap_or("");
-        let space = self.space_for(tenant);
-        // Effective policy read before taking the queue lock (the
-        // config load holds nothing once it returns; no lock-order edge
-        // is created).
-        let policy = (*space.config.load()).clone().unwrap_or_else(|| self.config()).failure;
-        let mut q = space.dlq.lock();
-        let entry = crate::dlq::DlqEntry {
-            id: q.last().map_or(1, |e| e.id + 1),
-            attempts,
-            tick: self.tick.load(Ordering::SeqCst),
-            error: error.to_string(),
-            wf,
-        };
-        q.push(entry.clone());
-        self.journal.append_dlq_put(name, &entry);
-        // Enforce the tenant's bounds while still holding the queue
-        // lock: age-expire first, then evict oldest past the size cap.
-        // Evictions are journaled as an ack *after* the put record, so
-        // replay converges on exactly this queue.
-        let mut evicted: Vec<u64> = Vec::new();
-        if policy.dlq_max_age_ticks > 0 {
-            let now = entry.tick;
-            q.retain(|e| {
-                if now.saturating_sub(e.tick) > policy.dlq_max_age_ticks {
-                    evicted.push(e.id);
-                    false
-                } else {
-                    true
-                }
-            });
-        }
-        if policy.dlq_max_entries > 0 {
-            while q.len() > policy.dlq_max_entries {
-                evicted.push(q.remove(0).id);
-            }
-        }
-        self.journal.append_dlq_ack(name, &evicted);
-        entry
-    }
-
-    /// The tenant's dead-letter queue, in id (= arrival) order. An
-    /// unknown tenant has an empty queue.
-    pub fn dlq_entries_as(&self, tenant: Option<&str>) -> Vec<crate::dlq::DlqEntry> {
-        self.space_snapshot(tenant).dlq.lock().clone()
-    }
-
-    /// Remove entries by id from the tenant's dead-letter queue and
-    /// return the removed entries (unknown ids are skipped). The ack is
-    /// journaled — with exactly the ids actually removed — inside the
-    /// queue's lock, so replay never un-parks an entry twice.
-    pub fn dlq_ack_as(&self, tenant: Option<&str>, ids: &[u64]) -> Vec<crate::dlq::DlqEntry> {
-        let name = Self::normalize(tenant).unwrap_or("");
-        let space = self.space_snapshot(tenant);
-        let mut q = space.dlq.lock();
-        let mut removed = Vec::new();
-        q.retain(|e| {
-            if ids.contains(&e.id) {
-                removed.push(e.clone());
-                false
-            } else {
-                true
-            }
-        });
-        if !removed.is_empty() {
-            let removed_ids: Vec<u64> = removed.iter().map(|e| e.id).collect();
-            self.journal.append_dlq_ack(name, &removed_ids);
-        }
-        removed
-    }
-
-    /// Depth of the tenant's dead-letter queue.
-    pub fn dlq_depth_as(&self, tenant: Option<&str>) -> usize {
-        self.space_snapshot(tenant).dlq.lock().len()
-    }
-
-    /// Dead-letter depth of **every** namespace (the default namespace
-    /// is named `""`), sorted by name — the telemetry scrape's view, so
-    /// `restore_dlq_depth` always reports every live namespace, zeros
-    /// included.
-    pub fn dlq_depths(&self) -> Vec<(String, usize)> {
-        let mut depths: Vec<(String, usize)> =
-            self.all_spaces().iter().map(|(n, s)| (n.clone(), s.dlq.lock().len())).collect();
-        depths.sort_by(|a, b| a.0.cmp(&b.0));
-        depths
     }
 
     /// Compile and execute a query text in the default namespace.
@@ -837,12 +437,6 @@ impl ReStore {
         })
     }
 
-    /// Execute a compiled workflow of MapReduce jobs through ReStore, in
-    /// the default namespace.
-    pub fn execute_workflow(&self, wf: CompiledWorkflow) -> Result<QueryExecution> {
-        self.execute_workflow_as(None, wf)
-    }
-
     /// Execute a compiled workflow in a tenant's namespace (see
     /// [`ReStore::execute_query_as`]).
     ///
@@ -862,11 +456,11 @@ impl ReStore {
     ) -> Result<QueryExecution> {
         let tick = self.tick.fetch_add(1, Ordering::SeqCst) + 1;
         let space = self.space_for(tenant);
-        let space_name = Self::normalize(tenant).unwrap_or("");
+        let space_name = Self::space_name(tenant);
         // The submitting tenant's policy governs this execution end to
         // end: reuse, heuristic, §5 selection, sweeps, and candidate
         // placement all read this snapshot.
-        let config = (*space.config.load()).clone().unwrap_or_else(|| self.config());
+        let config = self.effective_config(&space);
         // Pins taken at match time live until the whole workflow (whose
         // later waves may Load the matched outputs) has executed.
         let mut pins = PinGuard::new(space.clone(), self.engine.dfs().clone());
@@ -926,7 +520,7 @@ impl ReStore {
             for &idx in &wave {
                 let prep = self.prepare_job(
                     &space,
-                    tenant,
+                    space_name,
                     &wf,
                     idx,
                     tick,
@@ -1066,7 +660,7 @@ impl ReStore {
     fn prepare_job(
         &self,
         space: &Space,
-        tenant: Option<&str>,
+        space_name: &str,
         wf: &CompiledWorkflow,
         idx: usize,
         tick: u64,
@@ -1087,7 +681,6 @@ impl ReStore {
 
         let mut job_rewrites = 0usize;
         if config.reuse_enabled {
-            let space_name = Self::normalize(tenant).unwrap_or("");
             self.match_loop(
                 space,
                 &mut plan,
@@ -1123,9 +716,9 @@ impl ReStore {
         let candidates: Vec<Candidate> = if config.heuristic != Heuristic::None {
             let prov = space.prov.load();
             let repo = space.repo.snapshot();
-            let prefix = match tenant {
-                Some(t) => format!("{}/{t}", config.repo_prefix),
-                None => config.repo_prefix.clone(),
+            let prefix = match space_name {
+                "" => config.repo_prefix.clone(),
+                t => format!("{}/{t}", config.repo_prefix),
             };
             inject_subjob_stores(
                 &mut plan,
@@ -1178,7 +771,7 @@ impl ReStore {
     /// `SelectionPolicy::sweep`), which is what makes the revalidation
     /// conclusive.
     #[allow(clippy::too_many_arguments)]
-    fn match_loop(
+    pub(crate) fn match_loop(
         &self,
         space: &Space,
         plan: &mut PhysicalPlan,
@@ -1399,167 +992,6 @@ impl ReStore {
         Ok((stored_candidate_bytes, candidates_stored))
     }
 
-    /// Dry-run a query: compile it and report what the repository would
-    /// answer — without executing anything or mutating any state. The
-    /// report lists, per job, the matches the §3 scan finds and whether
-    /// the whole job would be eliminated.
-    pub fn explain_query(&self, text: &str, out_prefix: &str) -> Result<String> {
-        self.explain_query_as(None, text, out_prefix)
-    }
-
-    /// [`ReStore::explain_query`] against a tenant's namespace.
-    pub fn explain_query_as(
-        &self,
-        tenant: Option<&str>,
-        text: &str,
-        out_prefix: &str,
-    ) -> Result<String> {
-        let space = self.space_snapshot(tenant);
-        // Same compile the execution path would use, so the explanation
-        // sees exactly the (canonicalized or not) plans execution would.
-        let wf = self.compile_as(tenant, text, out_prefix)?;
-        let mut report = String::new();
-        {
-            let repo = space.repo.snapshot();
-            report.push_str(&format!(
-                "workflow: {} job(s); repository: {} entr{}\n",
-                wf.jobs.len(),
-                repo.len(),
-                if repo.len() == 1 { "y" } else { "ies" },
-            ));
-        }
-        for (idx, job) in wf.jobs.iter().enumerate() {
-            report.push_str(&format!(
-                "job {idx} ({} operators{}):\n",
-                job.plan.effective_len(),
-                if job.deps.is_empty() {
-                    String::new()
-                } else {
-                    format!(", depends on {:?}", job.deps)
-                }
-            ));
-            // Same match loop as execution, against a scratch plan, with
-            // usage statistics left untouched.
-            let mut plan = job.plan.clone();
-            let mut any = false;
-            let space_name = Self::normalize(tenant).unwrap_or("");
-            self.match_loop(
-                &space,
-                &mut plan,
-                0,
-                space_name,
-                idx,
-                None,
-                |entry_id, reused_path| {
-                    let (bytes, uses) = space
-                        .repo
-                        .get(entry_id)
-                        .map(|e| (e.stats().output_bytes, e.use_count()))
-                        .unwrap_or((0, 0));
-                    report.push_str(&format!(
-                        "  would reuse entry #{} -> {} ({}, used {} time(s))\n",
-                        entry_id,
-                        reused_path,
-                        restore_common::human_bytes(bytes),
-                        uses,
-                    ));
-                    any = true;
-                },
-            );
-            if let Some((src, _)) = identity_copy(&plan) {
-                report
-                    .push_str(&format!("  whole job answered from {src}; job would be skipped\n"));
-            } else if !any {
-                report.push_str("  no matches; job executes in full\n");
-            }
-        }
-        Ok(report)
-    }
-
-    /// The reuse-decision trace of the most recent traced execution in
-    /// the default namespace, rendered one decision per line (newest
-    /// workflow only). `None` when nothing has been traced yet.
-    pub fn explain_last(&self) -> Option<String> {
-        self.explain_last_as(None)
-    }
-
-    /// [`ReStore::explain_last`] for a tenant's namespace.
-    pub fn explain_last_as(&self, tenant: Option<&str>) -> Option<String> {
-        let t = Self::normalize(tenant).unwrap_or("");
-        let last_tick =
-            self.obs.trace.snapshot_filtered(|e| e.tenant == t).iter().map(|e| e.tick).max()?;
-        let events = self.trace_for(tenant, last_tick);
-        let mut out = format!("workflow tick {last_tick} (tenant {t:?}):\n");
-        for e in &events {
-            out.push_str(&format!("  {e}\n"));
-        }
-        Some(out)
-    }
-
-    /// Reuse-decision trace events recorded for `tick` in a tenant's
-    /// namespace, oldest first. The trace ring holds the most recent
-    /// [`crate::obs`] events session-wide; an old workflow's events may
-    /// have been evicted.
-    pub fn trace_for(&self, tenant: Option<&str>, tick: u64) -> Vec<ReuseTraceEvent> {
-        let t = Self::normalize(tenant).unwrap_or("");
-        self.obs.trace.snapshot_filtered(|e| e.tenant == t && e.tick == tick)
-    }
-
-    /// Point-in-time summary of the default namespace's repository and
-    /// reuse activity.
-    pub fn stats(&self) -> ReStoreStats {
-        self.stats_as(None)
-    }
-
-    /// One consistent cut of every namespace's stats: a single tick read
-    /// and a single tenant-map load, so each returned row reports the
-    /// same `queries_executed` and a tenant created concurrently is
-    /// either absent or fully present. The default namespace is the `""`
-    /// row. Callers that show totals (the service's `stats`, the metrics
-    /// exposition) use this instead of per-tenant [`ReStore::stats_as`]
-    /// calls, whose row-by-row reads can straddle executions.
-    pub fn stats_all(&self) -> Vec<(String, ReStoreStats)> {
-        let queries_executed = self.tick.load(Ordering::SeqCst);
-        self.all_spaces()
-            .into_iter()
-            .map(|(name, space)| (name, Self::space_stats(&space, queries_executed)))
-            .collect()
-    }
-
-    /// Point-in-time summary of a tenant's repository and reuse activity.
-    /// `queries_executed` counts queries across all namespaces (the tick
-    /// clock is shared).
-    pub fn stats_as(&self, tenant: Option<&str>) -> ReStoreStats {
-        Self::space_stats(&self.space_snapshot(tenant), self.tick.load(Ordering::SeqCst))
-    }
-
-    /// One namespace's stats at the given clock reading. Wait-free: one
-    /// provenance snapshot, one repository snapshot; no lock ordering to
-    /// respect and no writer ever blocked.
-    fn space_stats(space: &Space, queries_executed: u64) -> ReStoreStats {
-        let provenance_entries = space.prov.load().len();
-        let repo = space.repo.snapshot();
-        let entries = repo.entries();
-        ReStoreStats {
-            repository_entries: entries.len(),
-            stored_bytes: repo.stored_bytes(),
-            total_uses: entries.iter().map(|e| e.use_count()).sum(),
-            never_used: entries.iter().filter(|e| e.use_count() == 0).count(),
-            queries_executed,
-            provenance_entries,
-        }
-    }
-
-    /// Write-side counters of a tenant's repository: `(snapshot
-    /// publishes, writer-section entries)`, both cumulative.
-    /// Benchmarks read deltas of these around a round to
-    /// attribute wall-time to write-side contention (`None` = the
-    /// default namespace).
-    pub fn write_counters_as(&self, tenant: Option<&str>) -> (u64, u64) {
-        let space = self.space_snapshot(tenant);
-        (space.repo.publish_count(), space.repo.writer_sections())
-    }
-
     fn input_versions(&self, inputs: &[String]) -> Vec<(String, u64)> {
         inputs
             .iter()
@@ -1630,6 +1062,42 @@ mod tests {
         Engine::new(dfs, ClusterConfig::default(), EngineConfig::default())
     }
 
+    /// Session T1 halfway through a warm rerun, over a repository with a
+    /// one-tick eviction window whose cold run stored the join job's
+    /// output: phase 1 of the first wave answered job 0 whole from the
+    /// repository, pinning the reused path, and nothing has executed.
+    struct MidFlight {
+        rs: ReStore,
+        wf: CompiledWorkflow,
+        space: Arc<Space>,
+        pins: PinGuard,
+        aliases: HashMap<String, String>,
+        rewrites: Vec<RewriteEvent>,
+        cfg: ReStoreConfig,
+        reused: String,
+    }
+
+    fn mid_flight() -> MidFlight {
+        let config = ReStoreConfig {
+            selection: SelectionPolicy { eviction_window: Some(1), ..Default::default() },
+            ..Default::default()
+        };
+        let rs = ReStore::new(engine(), config);
+        rs.execute_query(&two_job_query("/out/cold"), "/wf/cold").unwrap();
+        let wf = restore_dataflow::compile(&two_job_query("/out/warm"), "/wf/warm").unwrap();
+        let space = rs.space_for(None);
+        let mut pins = PinGuard::new(space.clone(), rs.engine().dfs().clone());
+        let (mut aliases, mut rewrites, cfg) = (HashMap::new(), Vec::new(), rs.config());
+        let prep = rs
+            .prepare_job(&space, "", &wf, 0, 2, &cfg, &mut aliases, &mut rewrites, &mut pins)
+            .unwrap();
+        let Prepared::Skipped { dst } = prep else {
+            panic!("join job should be answered whole from the repository")
+        };
+        let reused = resolve_alias(&aliases, &dst);
+        MidFlight { rs, wf, space, pins, aliases, rewrites, cfg, reused }
+    }
+
     /// Regression for the match-then-evict race (ROADMAP "entry pinning
     /// for eviction under concurrency"): session T1 matches a repository
     /// entry during phase 1, then — before T1 executes the jobs that Load
@@ -1639,31 +1107,8 @@ mod tests {
     /// deferred until T1's workflow drops its pins.
     #[test]
     fn pinned_match_survives_concurrent_eviction_sweep() {
-        let config = ReStoreConfig {
-            selection: SelectionPolicy { eviction_window: Some(1), ..Default::default() },
-            ..Default::default()
-        };
-        let rs = ReStore::new(engine(), config);
-
-        // Cold run at tick 1 registers the join job's intermediate output.
-        rs.execute_query(&two_job_query("/out/cold"), "/wf/cold").unwrap();
-        assert!(!rs.repository().is_empty());
-
-        // T1 runs phase 1 of its first wave: the join job whole-job
-        // matches a stored entry and is skipped, pinning the reused path.
-        let wf = restore_dataflow::compile(&two_job_query("/out/warm"), "/wf/warm").unwrap();
-        let space = rs.space_for(None);
-        let mut pins = PinGuard::new(space.clone(), rs.engine().dfs().clone());
-        let mut aliases = HashMap::new();
-        let mut rewrites = Vec::new();
-        let cfg = rs.config();
-        let prep0 = rs
-            .prepare_job(&space, None, &wf, 0, 2, &cfg, &mut aliases, &mut rewrites, &mut pins)
-            .unwrap();
-        let Prepared::Skipped { dst } = prep0 else {
-            panic!("join job should be answered whole from the repository")
-        };
-        let reused = resolve_alias(&aliases, &dst);
+        let MidFlight { rs, wf, space, mut pins, mut aliases, mut rewrites, cfg, reused } =
+            mid_flight();
         assert!(rs.engine().dfs().exists(&reused));
         assert!(space.pins.is_pinned(&reused));
 
@@ -1679,7 +1124,7 @@ mod tests {
 
         // …so T1's second wave executes successfully against it.
         let prep1 = rs
-            .prepare_job(&space, None, &wf, 1, 2, &cfg, &mut aliases, &mut rewrites, &mut pins)
+            .prepare_job(&space, "", &wf, 1, 2, &cfg, &mut aliases, &mut rewrites, &mut pins)
             .unwrap();
         let Prepared::Run(job) = prep1 else { panic!("group job should execute") };
         let results = rs.engine().run_wave(&[&job.spec], false).unwrap();
@@ -1696,25 +1141,7 @@ mod tests {
     /// restarted session would hold dangling references.
     #[test]
     fn snapshot_excludes_paths_with_pending_deferred_deletion() {
-        let config = ReStoreConfig {
-            selection: SelectionPolicy { eviction_window: Some(1), ..Default::default() },
-            ..Default::default()
-        };
-        let rs = ReStore::new(engine(), config);
-        rs.execute_query(&two_job_query("/out/cold"), "/wf/cold").unwrap();
-
-        // T1 matches and pins the stored join output.
-        let wf = restore_dataflow::compile(&two_job_query("/out/warm"), "/wf/warm").unwrap();
-        let space = rs.space_for(None);
-        let mut pins = PinGuard::new(space.clone(), rs.engine().dfs().clone());
-        let mut aliases = HashMap::new();
-        let mut rewrites = Vec::new();
-        let cfg = rs.config();
-        let prep = rs
-            .prepare_job(&space, None, &wf, 0, 2, &cfg, &mut aliases, &mut rewrites, &mut pins)
-            .unwrap();
-        let Prepared::Skipped { dst } = prep else { panic!("join job should be skipped") };
-        let reused = resolve_alias(&aliases, &dst);
+        let MidFlight { rs, space, pins, cfg, reused, .. } = mid_flight();
 
         // Before any eviction, the path is serialized (control).
         assert!(rs.save_state().contains(&format!("{reused:?}")));
@@ -1770,24 +1197,7 @@ mod tests {
     /// deleting it would hand the caller a dangling result.
     #[test]
     fn preserved_final_output_survives_deferred_deletion() {
-        let config = ReStoreConfig {
-            selection: SelectionPolicy { eviction_window: Some(1), ..Default::default() },
-            ..Default::default()
-        };
-        let rs = ReStore::new(engine(), config);
-        rs.execute_query(&two_job_query("/out/cold"), "/wf/cold").unwrap();
-
-        let wf = restore_dataflow::compile(&two_job_query("/out/warm"), "/wf/warm").unwrap();
-        let space = rs.space_for(None);
-        let mut pins = PinGuard::new(space.clone(), rs.engine().dfs().clone());
-        let mut aliases = HashMap::new();
-        let mut rewrites = Vec::new();
-        let cfg = rs.config();
-        let prep0 = rs
-            .prepare_job(&space, None, &wf, 0, 2, &cfg, &mut aliases, &mut rewrites, &mut pins)
-            .unwrap();
-        let Prepared::Skipped { dst } = prep0 else { panic!("join job should be skipped") };
-        let reused = resolve_alias(&aliases, &dst);
+        let MidFlight { rs, space, mut pins, cfg, reused, .. } = mid_flight();
 
         // Sweep evicts the entry and defers the pinned file's deletion —
         // but this workflow hands `reused` to its caller.

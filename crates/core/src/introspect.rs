@@ -1,0 +1,186 @@
+//! Explain, trace and stats: what an operator can ask a session
+//! without changing it.
+//!
+//! ```text
+//!   explain_query(_as)   dry-run the §3 match loop against a namespace
+//!   explain_last_as      the newest workflow's reuse decisions, rendered
+//!   trace_for            the reuse decisions recorded for one tick
+//!   stats / stats_as     one namespace's repository summary
+//!   stats_all            every namespace from one consistent cut
+//!   write_counters_as    a repository's publish and writer-section counts
+//! ```
+//!
+//! Nothing here enters a writer section: each answer is read from
+//! repository and provenance snapshots and the session's trace ring.
+//!
+//! | File | Purpose |
+//! |------|---------|
+//! | `introspect.rs` | this module: explain, trace, stats |
+//! | `driver.rs` | the match loop that `explain_query` dry-runs |
+//! | `obs.rs` | the registry, stage histograms and the trace ring |
+//! | `spaces.rs` | the namespaces these read |
+
+use crate::driver::{ReStore, ReStoreStats, Space};
+use crate::obs::ReuseTraceEvent;
+use crate::rewriter::identity_copy;
+use restore_common::Result;
+use std::sync::atomic::Ordering;
+
+impl ReStore {
+    /// Dry-run a query: compile it and report what the repository would
+    /// answer — without executing anything or mutating any state. The
+    /// report lists, per job, the matches the §3 scan finds and whether
+    /// the whole job would be eliminated.
+    pub fn explain_query(&self, text: &str, out_prefix: &str) -> Result<String> {
+        self.explain_query_as(None, text, out_prefix)
+    }
+
+    /// [`ReStore::explain_query`] against a tenant's namespace.
+    pub fn explain_query_as(
+        &self,
+        tenant: Option<&str>,
+        text: &str,
+        out_prefix: &str,
+    ) -> Result<String> {
+        let space = self.space_snapshot(tenant);
+        // Same compile the execution path would use, so the explanation
+        // sees exactly the (canonicalized or not) plans execution would.
+        let wf = self.compile_as(tenant, text, out_prefix)?;
+        let mut report = String::new();
+        {
+            let repo = space.repo.snapshot();
+            report.push_str(&format!(
+                "workflow: {} job(s); repository: {} entr{}\n",
+                wf.jobs.len(),
+                repo.len(),
+                if repo.len() == 1 { "y" } else { "ies" },
+            ));
+        }
+        for (idx, job) in wf.jobs.iter().enumerate() {
+            report.push_str(&format!(
+                "job {idx} ({} operators{}):\n",
+                job.plan.effective_len(),
+                if job.deps.is_empty() {
+                    String::new()
+                } else {
+                    format!(", depends on {:?}", job.deps)
+                }
+            ));
+            // Same match loop as execution, against a scratch plan, with
+            // usage statistics left untouched.
+            let mut plan = job.plan.clone();
+            let mut any = false;
+            self.match_loop(
+                &space,
+                &mut plan,
+                0,
+                Self::space_name(tenant),
+                idx,
+                None,
+                |entry_id, reused_path| {
+                    let (bytes, uses) = space
+                        .repo
+                        .get(entry_id)
+                        .map(|e| (e.stats().output_bytes, e.use_count()))
+                        .unwrap_or((0, 0));
+                    report.push_str(&format!(
+                        "  would reuse entry #{} -> {} ({}, used {} time(s))\n",
+                        entry_id,
+                        reused_path,
+                        restore_common::human_bytes(bytes),
+                        uses,
+                    ));
+                    any = true;
+                },
+            );
+            if let Some((src, _)) = identity_copy(&plan) {
+                report
+                    .push_str(&format!("  whole job answered from {src}; job would be skipped\n"));
+            } else if !any {
+                report.push_str("  no matches; job executes in full\n");
+            }
+        }
+        Ok(report)
+    }
+
+    /// The reuse-decision trace of the most recent traced execution in a
+    /// tenant's namespace (`None` = the default namespace), rendered one
+    /// decision per line (newest workflow only). `None` when nothing has
+    /// been traced there yet.
+    pub fn explain_last_as(&self, tenant: Option<&str>) -> Option<String> {
+        let t = Self::space_name(tenant);
+        let last_tick =
+            self.obs.trace.snapshot_filtered(|e| e.tenant == t).iter().map(|e| e.tick).max()?;
+        let events = self.trace_for(tenant, last_tick);
+        let mut out = format!("workflow tick {last_tick} (tenant {t:?}):\n");
+        for e in &events {
+            out.push_str(&format!("  {e}\n"));
+        }
+        Some(out)
+    }
+
+    /// Reuse-decision trace events recorded for `tick` in a tenant's
+    /// namespace, oldest first. The trace ring holds the most recent
+    /// [`crate::obs`] events session-wide; an old workflow's events may
+    /// have been evicted.
+    pub fn trace_for(&self, tenant: Option<&str>, tick: u64) -> Vec<ReuseTraceEvent> {
+        let t = Self::space_name(tenant);
+        self.obs.trace.snapshot_filtered(|e| e.tenant == t && e.tick == tick)
+    }
+
+    /// Point-in-time summary of the default namespace's repository and
+    /// reuse activity.
+    pub fn stats(&self) -> ReStoreStats {
+        self.stats_as(None)
+    }
+
+    /// One consistent cut of every namespace's stats: a single tick read
+    /// and a single tenant-map load, so each returned row reports the
+    /// same `queries_executed` and a tenant created concurrently is
+    /// either absent or fully present. Rows are sorted by name, so the
+    /// default namespace is the first row, `""`. Callers that show
+    /// totals (the service's `stats`, the metrics exposition) use this
+    /// instead of per-tenant [`ReStore::stats_as`] calls, whose
+    /// row-by-row reads can straddle executions.
+    pub fn stats_all(&self) -> Vec<(String, ReStoreStats)> {
+        let queries_executed = self.tick.load(Ordering::SeqCst);
+        self.spaces_by_name()
+            .into_iter()
+            .map(|(name, space)| (name, Self::space_stats(&space, queries_executed)))
+            .collect()
+    }
+
+    /// Point-in-time summary of a tenant's repository and reuse activity.
+    /// `queries_executed` counts queries across all namespaces (the tick
+    /// clock is shared).
+    pub fn stats_as(&self, tenant: Option<&str>) -> ReStoreStats {
+        Self::space_stats(&self.space_snapshot(tenant), self.tick.load(Ordering::SeqCst))
+    }
+
+    /// One namespace's stats at the given clock reading. Wait-free: one
+    /// provenance snapshot, one repository snapshot; no lock ordering to
+    /// respect and no writer ever blocked.
+    fn space_stats(space: &Space, queries_executed: u64) -> ReStoreStats {
+        let provenance_entries = space.prov.load().len();
+        let repo = space.repo.snapshot();
+        let entries = repo.entries();
+        ReStoreStats {
+            repository_entries: entries.len(),
+            stored_bytes: repo.stored_bytes(),
+            total_uses: entries.iter().map(|e| e.use_count()).sum(),
+            never_used: entries.iter().filter(|e| e.use_count() == 0).count(),
+            queries_executed,
+            provenance_entries,
+        }
+    }
+
+    /// Write-side counters of a tenant's repository: `(snapshot
+    /// publishes, writer-section entries)`, both cumulative.
+    /// Benchmarks read deltas of these around a round to
+    /// attribute wall-time to write-side contention (`None` = the
+    /// default namespace).
+    pub fn write_counters_as(&self, tenant: Option<&str>) -> (u64, u64) {
+        let space = self.space_snapshot(tenant);
+        (space.repo.publish_count(), space.repo.writer_sections())
+    }
+}

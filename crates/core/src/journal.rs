@@ -28,14 +28,17 @@
 //! prov-replace <space:?>          + a full provenance table
 //! dlq-put <space:?>               + one `dead …` dead-letter entry (see [`crate::dlq`])
 //! dlq-ack <space:?>               + `ack <id>` lines (entries removed)
-//! breaker-state <space:?> <open|closed>
+//! breaker-state <space:?> <open|closed>   (read only)
 //! replace                         + a full `restore-state` document (read only)
 //! ```
 //!
 //! `replace` is no longer written: a full document comes back through
 //! `recover`, which bumps the lineage instead of recording the load. It
 //! is still read, so a journal from a release that recorded a wholesale
-//! load mid-journal still replays.
+//! load mid-journal still replays. `breaker-state` is no longer written
+//! either: a circuit breaker is the live scheduler's health signal, and a
+//! restarted or promoted service re-earns it. The record is still
+//! decoded (a malformed one is still an error) and replays as a no-op.
 //!
 //! One record is one **atomic replay unit** — a wave's registrations
 //! land as a single `repo-batch` (plus its `prov-batch`), an eviction
@@ -141,7 +144,7 @@ pub struct RecoveryReport {
 // ---- decoded records ----
 
 /// One decoded journal record (see the module docs for the grammar;
-/// `Replace` is read, never written).
+/// `BreakerState` and `Replace` are read, never written).
 #[derive(Debug)]
 pub(crate) enum Record {
     Counters { tick: u64, cand: u64 },
@@ -155,7 +158,7 @@ pub(crate) enum Record {
     ProvReplace { space: String, table: Provenance },
     DlqPut { space: String, entry: DlqEntry },
     DlqAck { space: String, ids: Vec<u64> },
-    BreakerState { space: String, open: bool },
+    BreakerState,
     Replace { state: String },
 }
 
@@ -526,16 +529,6 @@ impl Journal {
         }
         self.append_payload(&payload);
     }
-
-    /// Journal a circuit-breaker transition for a tenant (`""` is the
-    /// default tenant), so a promoted standby inherits open breakers
-    /// instead of admitting a thundering herd at the failing tenant.
-    pub(crate) fn append_breaker_state(&self, space: &str, open: bool) {
-        if self.active() {
-            let state = if open { "open" } else { "closed" };
-            self.append_payload(&format!("breaker-state {space:?} {state}\n"));
-        }
-    }
 }
 
 /// RAII pause token from [`Journal::pause`].
@@ -836,12 +829,11 @@ fn decode_payload(payload: &str) -> Result<Record, PayloadError> {
         "breaker-state" => {
             let (name, state) =
                 arg.rsplit_once(' ').ok_or("breaker-state record needs a space and a state")?;
-            let open = match state {
-                "open" => true,
-                "closed" => false,
-                other => return Err(format!("bad breaker state {other:?}").into()),
-            };
-            Ok(Record::BreakerState { space: space(name)?, open })
+            space(name)?;
+            if !matches!(state, "open" | "closed") {
+                return Err(format!("bad breaker state {state:?}").into());
+            }
+            Ok(Record::BreakerState)
         }
         "replace" => Ok(Record::Replace { state: body.to_string() }),
         other => Err(format!("unknown record type {other:?}").into()),
@@ -901,21 +893,38 @@ mod tests {
         }
     }
 
+    /// A segment of literal payloads, framed with seqs 1, 2, ….
+    fn segment_of(payloads: &[&str]) -> String {
+        let mut seg = format!("{SEGMENT_HEADER}\n");
+        for (i, p) in payloads.iter().enumerate() {
+            seg += &format!("r {} {} {:016x}\n{p}", i + 1, p.len(), fnv1a64(p.as_bytes()));
+        }
+        seg
+    }
+
+    /// `breaker-state` is no longer written, but a segment from a
+    /// release that wrote it still decodes, and a malformed one is still
+    /// named.
     #[test]
-    fn breaker_state_round_trips() {
-        let j = journal();
-        j.append_breaker_state("ana", true);
-        j.append_breaker_state("", false);
-        let seg = j.cut().pop().unwrap();
+    fn breaker_state_records_still_decode() {
+        let seg = segment_of(&["breaker-state \"ana\" open\n", "breaker-state \"\" closed\n"]);
         let (records, torn) = decode_segment(&seg, 0, true).unwrap();
         assert!(torn.is_none());
         assert_eq!(records.len(), 2);
-        assert!(
-            matches!(&records[0].1, Record::BreakerState { space, open: true } if space == "ana")
-        );
-        assert!(
-            matches!(&records[1].1, Record::BreakerState { space, open: false } if space.is_empty())
-        );
+        assert!(records.iter().all(|(_, r)| matches!(r, Record::BreakerState)));
+        for (bad, why) in [
+            ("breaker-state \"ana\" ajar\n", "bad breaker state"),
+            ("breaker-state \"ana\"\n", "needs a space and a state"),
+            ("breaker-state ana open\n", "bad space name"),
+            ("breaker-state\n", "needs a space and a state"),
+        ] {
+            match decode_segment(&segment_of(&["counters 1 0\n", bad]), 4, true) {
+                Err(Error::Journal { segment: 4, record: 2, msg }) => {
+                    assert!(msg.contains(why), "{bad:?}: {msg}")
+                }
+                other => panic!("{bad:?}: expected a journal error, got {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -1000,13 +1009,7 @@ mod tests {
 
     #[test]
     fn unknown_record_type_names_the_record() {
-        let payload = "frobnicate\n";
-        let seg = format!(
-            "{SEGMENT_HEADER}\nr 1 {} {:016x}\n{payload}",
-            payload.len(),
-            fnv1a64(payload.as_bytes())
-        );
-        match decode_segment(&seg, 0, true) {
+        match decode_segment(&segment_of(&["frobnicate\n"]), 0, true) {
             Err(Error::Journal { record: 1, msg, .. }) => {
                 assert!(msg.contains("frobnicate"), "{msg}");
             }
@@ -1018,13 +1021,7 @@ mod tests {
     /// document carrying the key; `repo_shards 1` is read and ignored.
     #[test]
     fn config_record_from_a_sharded_repository_is_refused_typed() {
-        let seg = |payload: &str| {
-            format!(
-                "{SEGMENT_HEADER}\nr 1 {} {:016x}\n{payload}",
-                payload.len(),
-                fnv1a64(payload.as_bytes())
-            )
-        };
+        let seg = |payload: &str| segment_of(&[payload]);
         for tag in ["tenant-config \"ana\"", "global-config"] {
             match decode_segment(&seg(&format!("{tag}\nrepo_shards 8\n")), 0, true) {
                 Err(Error::Config(msg)) => {

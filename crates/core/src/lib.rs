@@ -25,6 +25,7 @@ pub mod dlq;
 pub mod driver;
 pub mod enumerator;
 pub mod failure;
+mod introspect;
 pub mod journal;
 pub mod matcher;
 pub mod obs;
@@ -37,6 +38,7 @@ pub mod replication;
 pub mod repository;
 pub mod rewriter;
 pub mod selector;
+mod spaces;
 mod state;
 
 pub use dlq::DlqEntry;

@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 /// Events the reuse-decision trace keeps per session (oldest evicted
 /// first). A workflow contributes one event per candidate considered,
-/// so this comfortably holds the recent history `explain_last` and
+/// so this comfortably holds the recent history `explain_last_as` and
 /// `RestoreService::trace` inspect.
 const TRACE_CAPACITY: usize = 4096;
 

@@ -15,9 +15,8 @@
 //! keeper (`checkpoint_begin` / `checkpoint_incremental` /
 //! `checkpoint_set` to save, `restore_incremental` to load, in
 //! `restore-service`) and replication (`crate::replication`) are built
-//! on these calls. The execution loop,
-//! configuration and introspection stay in [`crate::driver`]; this is a
-//! second `impl ReStore` over the same fields.
+//! on these calls. This is one of several `impl ReStore` blocks over
+//! the same fields; the table lists the others.
 //!
 //! | File | Purpose |
 //! |------|---------|
@@ -26,11 +25,13 @@
 //! | `journal.rs` | the record log: typed appends, framing, segments, the torn-tail rule |
 //! | `repository.rs`, `provenance.rs`, `dlq.rs` | each table's own text codec, shared by documents and records |
 //! | `replication.rs` | the same journal shipped to a standby |
+//! | `driver.rs` | the execution loop: match, rewrite, run, register |
+//! | `spaces.rs` | the namespace map (the default namespace is its `""` entry) and configuration |
+//! | `introspect.rs` | explain, trace and stats |
 
 use crate::driver::{ReStore, Space};
 use crate::journal::{self, Journal, JournalConfig, JournalStats, Record, RecoveryReport};
-use crate::provenance::Provenance;
-use crate::repository::{RepoOp, Repository};
+use crate::repository::RepoOp;
 use restore_common::{Error, Result};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::Ordering;
@@ -46,15 +47,14 @@ impl ReStore {
     /// the base, never in a delta.
     pub fn enable_journal(&self, config: JournalConfig) {
         self.journal.enable(config);
-        Self::wire_space(&self.journal, "", &self.space);
-        // Wire existing tenants inside the tenant map's writer section:
+        // Wire existing namespaces inside the map's writer section:
         // tenant creation serializes on the same writer, so a namespace
         // racing this enable either is in the map when the closure runs
         // (wired here) or is created by a later-serialized `space_for`
         // whose `make_space` reads `enabled() == true` (wired there).
         // Wiring from a plain `load()` would let a concurrently created
         // space slip through both checks and journal nothing, silently.
-        self.tenants.update(|m| {
+        self.spaces.update(|m| {
             for (name, space) in m.iter() {
                 Self::wire_space(&self.journal, name, space);
             }
@@ -147,11 +147,7 @@ impl ReStore {
             seq,
             crate::state::encode_config(&self.config()),
         );
-        out.push_str(&self.save_space("", &self.space));
-        let mut tenants: Vec<(String, Arc<Space>)> =
-            self.tenants.load().iter().map(|(k, v)| (k.clone(), v.clone())).collect();
-        tenants.sort_by(|a, b| a.0.cmp(&b.0));
-        for (name, space) in tenants {
+        for (name, space) in self.spaces_by_name() {
             out.push_str(&self.save_space(&name, &space));
         }
         (out, seq, lineage)
@@ -186,7 +182,7 @@ impl ReStore {
     /// `counters` record when tick/cand advanced. Caller holds the
     /// capture lock.
     fn flush_dirty_locked(&self) {
-        for (name, space) in self.all_spaces() {
+        for (name, space) in self.spaces_by_name() {
             let uses = space.repo.drain_dirty_usage();
             self.journal.append_note_use(&name, &uses);
         }
@@ -376,14 +372,10 @@ impl ReStore {
                 let sp = self.space_for(Some(&space));
                 sp.dlq.lock().retain(|e| !ids.contains(&e.id));
             }
-            Record::BreakerState { space, open } => {
-                let mut set = self.open_breakers.lock();
-                if open {
-                    set.insert(space);
-                } else {
-                    set.remove(&space);
-                }
-            }
+            // No longer written, and nothing to apply: a breaker is the
+            // live scheduler's health signal, re-earned after a restart
+            // or a promotion. Journals that carry the record still replay.
+            Record::BreakerState => {}
             // No longer written; journals from releases whose
             // `load_state` recorded a wholesale load still replay.
             Record::Replace { state } => {
@@ -444,36 +436,24 @@ impl ReStore {
     /// applies). Returns the document's journal anchor.
     fn load_document(&self, text: &str) -> Result<u64> {
         let loaded = crate::state::parse(text)?;
-        // Reset the default namespace up front so a document without a
+        self.set_config(loaded.global_config);
+        // Start from a fresh default namespace, so a document without a
         // `--space ""--` section (e.g. hand-pruned) still replaces the
         // whole session instead of leaving stale default-namespace
         // state behind.
-        self.set_config(loaded.global_config);
-        self.space.prov.store(Provenance::default());
-        self.space.repo.adopt(Repository::default());
-        self.space.config.store(None);
-        *self.space.dlq.lock() = Vec::new();
-        // Breaker state is record-only (never part of a base dump): a
-        // full-session replace resets it; `breaker-state` records
-        // replayed after the base rebuild the open set.
-        self.open_breakers.lock().clear();
-        let mut tenants: HashMap<String, Arc<Space>> = HashMap::new();
+        let mut spaces = HashMap::from([(String::new(), self.make_space(""))]);
         for sp in loaded.spaces {
-            if sp.name.is_empty() {
-                self.space.prov.store(sp.prov);
-                self.space.repo.adopt(sp.repo);
-                *self.space.dlq.lock() = sp.dlq;
-            } else {
-                let space = self.make_space(&sp.name);
-                space.prov.store(sp.prov);
-                space.repo.adopt(sp.repo);
-                space.config.store(sp.config);
-                *space.dlq.lock() = sp.dlq;
-                tenants.insert(sp.name, space);
-            }
+            let space = self.make_space(&sp.name);
+            space.prov.store(sp.prov);
+            space.repo.adopt(sp.repo);
+            // The default namespace follows the global config; an
+            // override in its section (never written) is not loaded.
+            space.config.store(sp.config.filter(|_| !sp.name.is_empty()));
+            *space.dlq.lock() = sp.dlq;
+            spaces.insert(sp.name, space);
         }
-        // One publish replaces the whole tenant map atomically.
-        self.tenants.store(tenants);
+        // One publish replaces the whole map atomically.
+        self.spaces.store(spaces);
         self.tick.store(loaded.tick, Ordering::SeqCst);
         self.cand_counter.store(loaded.cand, Ordering::SeqCst);
         self.journal.sync_counters_cache(loaded.tick, loaded.cand);

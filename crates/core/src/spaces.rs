@@ -1,0 +1,312 @@
+//! Namespaces and configuration: which repository a submission's
+//! tenant sees, and which policy it runs under.
+//!
+//! Every namespace, the default one included, is an entry of one
+//! RCU-published map, `ReStore::spaces`, keyed by tenant name. The
+//! default namespace is the `""` entry: `ReStore::new` inserts it and
+//! every document load starts from a fresh one, so `None` and `Some("")`
+//! name the same space at every entry point, and the journal and the
+//! `restore-state` document, which have always called it `""`, need no
+//! translation. The global configuration is a session field beside the
+//! map; a tenant's override lives in its own space.
+//!
+//! ```text
+//!   lookup:  space_for (creates on first use) / space_snapshot (read only)
+//!            spaces_by_name   every namespace, `""` first
+//!   policy:  config / set_config                    the global default
+//!            config_as / set_config_as / clear_config_as   per tenant
+//!            effective_config    the override, else the global default
+//!   admin:   repository / with_repository*_as / with_provenance*_as
+//!   writes:  invalidate_overwritten   an overwrite stales every namespace
+//! ```
+//!
+//! | File | Purpose |
+//! |------|---------|
+//! | `spaces.rs` | this module: the namespace map, configuration, admin access |
+//! | `driver.rs` | the `Space` type, and the execution loop that runs in one |
+//! | `dlq.rs` | each namespace's dead-letter queue |
+//! | `introspect.rs` | explain, trace and stats over the namespaces |
+//! | `persist.rs` | saving and loading every namespace |
+
+use crate::driver::{ReStore, ReStoreConfig, Space};
+use crate::provenance::Provenance;
+use crate::repository::{RepoSnapshot, Repository};
+use std::sync::Arc;
+
+impl ReStore {
+    /// The key of `tenant`'s namespace in the map: `None` and an empty
+    /// name are both the default namespace, `""` — the same
+    /// normalization the service applies at admission, so the two layers
+    /// always agree on which namespace (and which policy) serves a
+    /// submission.
+    pub(crate) fn space_name(tenant: Option<&str>) -> &str {
+        tenant.unwrap_or("")
+    }
+
+    /// The namespace serving `tenant` (`None` = the default namespace),
+    /// created on first use. Only execution paths call this; read-only
+    /// introspection uses [`ReStore::space_snapshot`] so probing an
+    /// unknown tenant never leaks an empty namespace into the map.
+    pub(crate) fn space_for(&self, tenant: Option<&str>) -> Arc<Space> {
+        let t = Self::space_name(tenant);
+        // Fast path, no writer section: the namespace exists (the
+        // default one always does).
+        if let Some(s) = self.spaces.load().get(t) {
+            return s.clone();
+        }
+        let mut created = false;
+        let space = self.spaces.update(|m| {
+            m.entry(t.to_string())
+                .or_insert_with(|| {
+                    created = true;
+                    self.make_space(t)
+                })
+                .clone()
+        });
+        if created {
+            // Belt and braces for replay: records touching the space
+            // auto-create it, but a tenant whose only state is a config
+            // override needs the creation on record. Ordering with a
+            // racing first mutation of the space is harmless — replay's
+            // auto-creation makes the record idempotent.
+            self.journal.append_tenant_create(t);
+        }
+        space
+    }
+
+    /// The tenant's namespace for read-only access: an unknown tenant
+    /// gets a detached empty space (reported as zero entries) instead of
+    /// being created.
+    pub(crate) fn space_snapshot(&self, tenant: Option<&str>) -> Arc<Space> {
+        self.spaces.load().get(Self::space_name(tenant)).cloned().unwrap_or_default()
+    }
+
+    /// Could a rewritten job in *any* namespace be served from `path`?
+    /// True when some namespace's provenance records a producing plan
+    /// for it. The service's cross-workflow scheduler refuses to overlap
+    /// a workflow that writes such a path with any other submission:
+    /// reuse rewriting can introduce Loads of registered paths that the
+    /// submit-time footprint cannot see.
+    pub fn serves_path(&self, path: &str) -> bool {
+        // Wait-free provenance snapshots: the scheduler probes this per
+        // queued workflow, so it must never sit behind a registration.
+        self.spaces.load().values().any(|s| s.prov.load().contains(path))
+    }
+
+    /// Every namespace with its name, sorted by name, so the default
+    /// namespace, `""`, comes first — the order documents, journal
+    /// deltas and per-namespace listings are written in.
+    pub(crate) fn spaces_by_name(&self) -> Vec<(String, Arc<Space>)> {
+        let mut spaces: Vec<(String, Arc<Space>)> =
+            self.spaces.load().iter().map(|(k, v)| (k.clone(), v.clone())).collect();
+        spaces.sort_by(|a, b| a.0.cmp(&b.0));
+        spaces
+    }
+
+    /// A wave just (over)wrote these DFS paths. Any repository entry —
+    /// in *any* namespace — recorded as producing one of them now points
+    /// at foreign bytes: serving it would return the overwriting
+    /// workflow's data (a wrong answer, and across namespaces a
+    /// cross-tenant leak). Evict such entries and drop their provenance
+    /// records; the files themselves are left alone — they hold the new
+    /// workflow's live output.
+    pub(crate) fn invalidate_overwritten(&self, written: &[String]) {
+        for (name, space) in self.spaces.load().iter() {
+            // Cheap snapshot probe first: fresh output paths are almost
+            // never registered anywhere.
+            let hit = {
+                let prov = space.prov.load();
+                written.iter().any(|p| prov.contains(p))
+            } || {
+                let repo = space.repo.snapshot();
+                repo.entries().iter().any(|e| written.contains(&e.output_path))
+            };
+            if !hit {
+                continue;
+            }
+            // Writer order: provenance before repository (see [`Space`]).
+            // The repository evictions journal themselves through the
+            // batch sink; the provenance forgets are journaled here, in
+            // the writer section, once the update has published.
+            space.prov.update_then(
+                |prov| {
+                    let mut forgets = Vec::new();
+                    space.repo.batch(|repo| {
+                        for p in written {
+                            let stale: Vec<u64> = repo
+                                .pending_entries()
+                                .filter(|e| &e.output_path == p)
+                                .map(|e| e.id)
+                                .collect();
+                            for id in stale {
+                                repo.evict(id);
+                            }
+                            if prov.contains(p) {
+                                prov.forget(p);
+                                forgets.push(p.clone());
+                            }
+                        }
+                    });
+                    forgets
+                },
+                |forgets| self.journal.append_prov_batch(name, &[], &forgets),
+            );
+        }
+    }
+
+    /// Tenants that have a namespace (sorted; the default namespace is
+    /// not listed).
+    pub fn tenant_ids(&self) -> Vec<String> {
+        let mut ids: Vec<String> =
+            self.spaces.load().keys().filter(|k| !k.is_empty()).cloned().collect();
+        ids.sort();
+        ids
+    }
+
+    /// The current snapshot of the default-namespace repository:
+    /// immutable, safe to hold — later registrations and
+    /// evictions publish new snapshots and never mutate this one.
+    pub fn repository(&self) -> Arc<RepoSnapshot> {
+        self.space_snapshot(None).repo.snapshot()
+    }
+
+    /// Run `f` against a tenant's repository (`None` = the default
+    /// namespace). The handle's read methods enter no writer section.
+    pub fn with_repository_as<R>(
+        &self,
+        tenant: Option<&str>,
+        f: impl FnOnce(&Repository) -> R,
+    ) -> R {
+        let space = self.space_snapshot(tenant);
+        f(&space.repo)
+    }
+
+    /// Run `f` against a tenant's repository with mutation intent.
+    /// Since the repository is interior-concurrent, the handle has the
+    /// same capabilities as [`ReStore::with_repository_as`]; the one
+    /// behavioral difference is that this variant **creates the
+    /// namespace if absent** (`None` = the default namespace), where
+    /// the read variant hands an unknown tenant a detached empty space.
+    /// Mutations made through the handle serialize with registration
+    /// and sweeps but never block matching.
+    pub fn with_repository_mut_as<R>(
+        &self,
+        tenant: Option<&str>,
+        f: impl FnOnce(&Repository) -> R,
+    ) -> R {
+        let space = self.space_for(tenant);
+        f(&space.repo)
+    }
+
+    /// Run `f` with a snapshot of a tenant's provenance table (`None` =
+    /// the default namespace).
+    pub fn with_provenance_as<R>(
+        &self,
+        tenant: Option<&str>,
+        f: impl FnOnce(&Provenance) -> R,
+    ) -> R {
+        let space = self.space_snapshot(tenant);
+        let prov = space.prov.load();
+        f(&prov)
+    }
+
+    /// Run `f` with mutable access to a copy of a tenant's provenance
+    /// table, publishing the result (`None` = the default namespace;
+    /// the namespace is created if absent). An arbitrary mutation has
+    /// no op-level record, so with the journal on the whole resulting
+    /// table is journaled as one `prov-replace` record.
+    pub fn with_provenance_mut_as<R>(
+        &self,
+        tenant: Option<&str>,
+        f: impl FnOnce(&mut Provenance) -> R,
+    ) -> R {
+        let space = self.space_for(tenant);
+        let name = Self::space_name(tenant);
+        space.prov.update_then(
+            |prov| {
+                let r = f(prov);
+                // Sample the journal *inside* the writer section: a
+                // `checkpoint_begin` racing this call either captured
+                // its base before we entered (then `active()` is
+                // already true here and the mutation is journaled) or
+                // its base capture freezes behind this writer section
+                // and includes the mutation. Sampling before the
+                // section could read `false`, then lose the mutation
+                // to a base captured in the gap.
+                let table = if self.journal.active() { Some(prov.save()) } else { None };
+                (r, table)
+            },
+            |(r, table)| {
+                if let Some(t) = table {
+                    self.journal.append_prov_replace(name, &t);
+                }
+                r
+            },
+        )
+    }
+
+    /// Snapshot of the global (default) configuration.
+    pub fn config(&self) -> ReStoreConfig {
+        self.config.read().clone()
+    }
+
+    /// Change the global configuration between queries (experiments flip
+    /// reuse and heuristics while keeping the warmed repository).
+    /// Queries already in flight keep the configuration they started
+    /// with; tenants with an override (see [`ReStore::set_config_as`])
+    /// are unaffected.
+    pub fn set_config(&self, config: ReStoreConfig) {
+        let mut guard = self.config.write();
+        // Journal while still holding the write guard, so record order
+        // matches application order under racing setters.
+        self.journal.append_global_config(&config);
+        *guard = config;
+    }
+
+    /// The one effective-configuration rule: the namespace's override
+    /// when one is set, the global default otherwise. The default
+    /// namespace never holds an override, so it follows the global
+    /// config.
+    pub(crate) fn effective_config(&self, space: &Space) -> ReStoreConfig {
+        (*space.config.load()).clone().unwrap_or_else(|| self.config())
+    }
+
+    /// The effective configuration for `tenant` (`None` or an empty
+    /// name = the default namespace, which always follows the global
+    /// config).
+    pub fn config_as(&self, tenant: Option<&str>) -> ReStoreConfig {
+        match Self::space_name(tenant) {
+            "" => self.config(),
+            _ => self.effective_config(&self.space_snapshot(tenant)),
+        }
+    }
+
+    /// Set a tenant's policy override: that tenant's queries now run
+    /// with `config` — heuristic, §5 selection, eviction sweeps, quotas
+    /// — independent of the global default. With `tenant = None` (or an
+    /// empty name) this sets the global configuration itself. Queries
+    /// already in flight keep the configuration they started with.
+    pub fn set_config_as(&self, tenant: Option<&str>, config: ReStoreConfig) {
+        match Self::space_name(tenant) {
+            "" => self.set_config(config),
+            t => {
+                let space = self.space_for(tenant);
+                space.config.update_then(
+                    |c| *c = Some(config.clone()),
+                    |_| self.journal.append_tenant_config(t, Some(&config)),
+                );
+            }
+        }
+    }
+
+    /// Drop a tenant's policy override; its queries follow the global
+    /// default again. A no-op for unknown tenants and for the default
+    /// namespace, which holds no override.
+    pub fn clear_config_as(&self, tenant: &str) {
+        if let Some(space) = self.spaces.load().get(tenant).filter(|_| !tenant.is_empty()) {
+            space
+                .config
+                .update_then(|c| *c = None, |_| self.journal.append_tenant_config(tenant, None));
+        }
+    }
+}

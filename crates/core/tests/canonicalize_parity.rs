@@ -65,7 +65,7 @@ fn canonicalize_off_is_byte_identical_to_the_plain_compile_path() {
         let a = off.execute_query(&q, &wf).unwrap();
         // The twin drives today's pre-analyzer pipeline by hand.
         let compiled = restore_dataflow::compile(&q, &wf).unwrap();
-        let b = manual.execute_workflow(compiled).unwrap();
+        let b = manual.execute_workflow_as(None, compiled).unwrap();
         assert_eq!(a.jobs_skipped, b.jobs_skipped);
         assert_eq!(a.rewrites, b.rewrites);
         assert_eq!(a.final_output, b.final_output);

@@ -2,8 +2,8 @@
 //! base checkpoint reproduce the session **byte-identically**, the
 //! previous wire version composes with today's journal (a committed v4
 //! base + segments), bases and segments captured at earlier commits
-//! still recover (one of them carrying a `replace` record, which is
-//! read but no longer written), sequence anchoring skips covered
+//! still recover (two of them carrying a `replace` or a `breaker-state`
+//! record, read but no longer written), sequence anchoring skips covered
 //! records, segments handed over out of order are sorted, and
 //! malformed, duplicated or truncated segments fail naming the
 //! offending record.
@@ -320,8 +320,8 @@ fn recovered_summary(rs: &ReStore) -> String {
     let state = rs.save_state();
     let cand = state.lines().nth(2).unwrap();
     let mut got = format!("tick {}\n{cand}\n", rs.stats().queries_executed);
-    for name in std::iter::once(String::new()).chain(rs.tenant_ids()) {
-        let tenant = Some(name.as_str()).filter(|n| !n.is_empty());
+    for (name, _) in rs.stats_all() {
+        let tenant = Some(name.as_str());
         got += &format!("space {name:?}\n");
         rs.with_repository_as(tenant, |repo| {
             for e in repo.entries() {
@@ -383,6 +383,26 @@ fn segment_with_a_replace_record_captured_at_the_parent_commit_still_recovers() 
     assert_eq!(recovered_summary(&rs), include_str!("fixtures/parent_replace_expect.txt"));
     assert_eq!(rs.config().repo_prefix, "/other", "the replacing document's global config");
     assert!(!rs.config_as(Some("ana")).register_final_outputs, "and its tenant override");
+}
+
+/// A journal segment holding three `breaker-state` records (tenant
+/// `ana` opening, the default namespace opening, `ana` closing) between
+/// two namespaces' registrations and a warm rerun's `note-use`, captured
+/// at `94ce5ba`, the last commit that wrote the record, with the state
+/// that commit recovered it to. Breakers are no longer journaled — a
+/// restarted or promoted service re-earns them — but a journal that
+/// holds the record still replays, every record counted as applied.
+#[test]
+fn segment_with_breaker_state_records_captured_at_the_parent_commit_still_recovers() {
+    let base = include_str!("fixtures/parent_breaker_base.txt");
+    let segment = include_str!("fixtures/parent_breaker_segment.txt");
+    for record in ["breaker-state \"ana\" open\n", "breaker-state \"\" open\n"] {
+        assert!(segment.contains(record), "the fixture holds {record:?}");
+    }
+    let rs = ReStore::new(engine_over(dfs()), ReStoreConfig::default());
+    let report = rs.recover(base, &[segment.to_string()]).unwrap();
+    assert_eq!((report.base_seq, report.records_skipped, report.records_applied), (0, 0, 12));
+    assert_eq!(recovered_summary(&rs), include_str!("fixtures/parent_breaker_expect.txt"));
 }
 
 /// Regression: `recover` advances the journal's allocation cursor to

@@ -162,9 +162,9 @@ fn reuse_trace_explains_hits_and_misses() {
         "warm run should trace a match: {warm_trace:?}"
     );
 
-    // explain_last renders the most recent traced workflow (the warm
+    // explain_last_as renders the most recent traced workflow (the warm
     // run) with the matched entry in it.
-    let explained = restore.explain_last().expect("trace exists");
+    let explained = restore.explain_last_as(None).expect("trace exists");
     assert!(explained.contains(&format!("workflow tick {}", warm.tick)), "{explained}");
     assert!(explained.contains("matched entry #"), "{explained}");
 
@@ -178,7 +178,7 @@ fn reuse_trace_explains_hits_and_misses() {
         "explain_query must not add trace events"
     );
     assert_eq!(
-        restore.explain_last().expect("still the warm run"),
+        restore.explain_last_as(None).expect("still the warm run"),
         explained,
         "explain_query must not move the trace cursor"
     );

@@ -126,18 +126,29 @@ fn v2_load_without_default_section_still_resets_default_namespace() {
     // Hand-prune the default `--space ""--` section out of a valid
     // document: a restore is a *full* session replacement, so the
     // default namespace must come back empty, not keep stale state.
-    let doc = valid_doc();
+    let shared = dfs();
+    let src = ReStore::new(engine_over(shared.clone()), ReStoreConfig::default());
+    src.execute_query_as(Some("ana"), &sum_query("/out/a"), "/wf/a").unwrap();
+    let doc = src.save_state();
     let start = doc.find("--space \"\"--").unwrap();
     let end = doc.find("--space \"ana\"--").unwrap();
     let pruned = format!("{}{}", &doc[..start], &doc[end..]);
 
-    let rs = ReStore::new(engine_over(dfs()), ReStoreConfig::default());
+    let rs = ReStore::new(engine_over(shared), ReStoreConfig::default());
     rs.execute_query(&sum_query("/out/stale"), "/wf/stale").unwrap();
+    let parked = restore_dataflow::compile(&sum_query("/out/dead"), "/wf/dead").unwrap();
+    rs.dlq_put_as(None, parked, "stale failure", 1);
     assert!(rs.stats().repository_entries > 0);
     rs.recover(&pruned, &[]).unwrap();
     assert_eq!(rs.stats().repository_entries, 0, "default namespace fully replaced");
     assert_eq!(rs.stats().provenance_entries, 0);
+    assert_eq!(rs.dlq_depth_as(None), 0, "its dead-letter queue too");
     assert_eq!(rs.tenant_ids(), vec!["ana".to_string()]);
+    let names: Vec<String> = rs.stats_all().into_iter().map(|(n, _)| n).collect();
+    assert_eq!(names, ["", "ana"], "the default namespace exists, once");
+    // The source's default section was empty, so the recovered session
+    // saves back as the unpruned document, byte for byte.
+    assert_eq!(rs.save_state(), doc);
 }
 
 // ---- per-tenant policy overrides govern execution ----

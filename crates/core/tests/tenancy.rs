@@ -2,13 +2,17 @@
 //! materialization, statistics, and eviction sweeps are confined to the
 //! submitting tenant's space.
 
-use restore_core::{ReStore, ReStoreConfig, SelectionPolicy};
+use restore_core::{Heuristic, JournalConfig, ReStore, ReStoreConfig, SelectionPolicy};
 use restore_dfs::{Dfs, DfsConfig};
 use restore_mapreduce::{ClusterConfig, Engine, EngineConfig};
 
 fn engine() -> Engine {
     let dfs = Dfs::new(DfsConfig::small_for_tests());
     dfs.write_all("/data/pv", b"alice\t4\nbob\t7\nalice\t1\ncarol\t9\n").unwrap();
+    engine_over(dfs)
+}
+
+fn engine_over(dfs: Dfs) -> Engine {
     Engine::new(dfs, ClusterConfig::default(), EngineConfig::default())
 }
 
@@ -19,6 +23,73 @@ fn sum_query(out: &str) -> String {
          R = foreach G generate group, SUM(A.n);
          store R into '{out}';"
     )
+}
+
+/// `Some("")` and `None` are one namespace, the `""` entry of the
+/// session's namespace map, at every driver entry point: what one
+/// stores the other reuses, reads, configures and dead-letters, and the
+/// journal never records `""` as a tenant being created.
+#[test]
+fn an_empty_tenant_name_is_the_default_namespace_at_every_entry_point() {
+    let rs = ReStore::new(engine(), ReStoreConfig::default());
+    rs.enable_journal(JournalConfig::default());
+    let base = rs.save_state();
+
+    // Execute: either name warms the other, and candidates sit under the
+    // default prefix, not under an empty tenant's `/restore//`.
+    rs.execute_query_as(Some(""), &sum_query("/out/e1"), "/wf/e1").unwrap();
+    let warm = rs.execute_query_as(None, &sum_query("/out/e2"), "/wf/e2").unwrap();
+    assert_eq!(warm.jobs_skipped, 1, "None reuses what Some(\"\") stored");
+    let again = rs.execute_query_as(Some(""), &sum_query("/out/e3"), "/wf/e3").unwrap();
+    assert_eq!(again.jobs_skipped, 1, "and the other way round");
+    let paths: Vec<String> = rs.with_repository_as(Some(""), |repo| {
+        repo.entries().iter().map(|e| e.output_path.clone()).collect()
+    });
+    assert!(paths.iter().any(|p| p.starts_with("/restore/sub-")), "{paths:?}");
+
+    // Reads.
+    assert_eq!(rs.stats_as(Some("")), rs.stats_as(None));
+    assert_eq!(rs.write_counters_as(Some("")), rs.write_counters_as(None));
+    assert!(!rs.trace_for(None, warm.tick).is_empty());
+    assert_eq!(rs.trace_for(Some(""), warm.tick), rs.trace_for(None, warm.tick));
+    assert_eq!(rs.explain_last_as(Some("")), rs.explain_last_as(None));
+    let explained = rs.explain_query_as(Some(""), &sum_query("/out/x"), "/wf/x").unwrap();
+    assert!(explained.contains("would reuse entry"), "{explained}");
+    assert_eq!(explained, rs.explain_query_as(None, &sum_query("/out/x"), "/wf/x").unwrap());
+
+    // Configuration: `Some("")` sets and reads the global config.
+    let tuned = ReStoreConfig { heuristic: Heuristic::Conservative, ..Default::default() };
+    rs.set_config_as(Some(""), tuned.clone());
+    assert_eq!(rs.config(), tuned);
+    assert_eq!(rs.config_as(None), tuned);
+    assert_eq!(rs.config_as(Some("")), tuned);
+    rs.clear_config_as("");
+    assert_eq!(rs.config_as(Some("")), tuned, "the default namespace has no override to drop");
+
+    // Dead letters.
+    let wf = restore_dataflow::compile(&sum_query("/out/dead"), "/wf/dead").unwrap();
+    let parked = rs.dlq_put_as(Some(""), wf, "boom", 1);
+    assert_eq!(rs.dlq_entries_as(None), vec![parked.clone()]);
+    assert_eq!(rs.dlq_depth_as(Some("")), 1);
+    assert_eq!(rs.dlq_depths(), vec![(String::new(), 1)]);
+    assert_eq!(rs.dlq_ack_as(None, &[parked.id]), vec![parked]);
+    assert_eq!(rs.dlq_depth_as(Some("")), 0);
+
+    // Listings: `""` is never a tenant, and is exactly one stats row.
+    rs.execute_query_as(Some("ana"), &sum_query("/out/a"), "/wf/a").unwrap();
+    assert_eq!(rs.tenant_ids(), vec!["ana".to_string()]);
+    let names: Vec<String> = rs.stats_all().into_iter().map(|(n, _)| n).collect();
+    assert_eq!(names, ["", "ana"]);
+
+    // Durable: one default section, no `tenant-create ""` record, and
+    // the journal replays to the same session.
+    let segments = rs.save_state_delta().unwrap();
+    assert!(segments.iter().all(|s| !s.contains("tenant-create \"\"")));
+    let state = rs.save_state();
+    assert_eq!(state.matches("--space \"\"--").count(), 1);
+    let replayed = ReStore::new(engine_over(rs.engine().dfs().clone()), ReStoreConfig::default());
+    replayed.recover(&base, &segments).unwrap();
+    assert_eq!(replayed.save_state(), state);
 }
 
 #[test]

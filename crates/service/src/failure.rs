@@ -7,7 +7,9 @@
 //! serving layer runs them with. One [`TenantFailureState`] per tenant
 //! lives inside the scheduler's state mutex — admission verdicts and
 //! outcome records are already under that lock, so the breaker adds no
-//! locking of its own.
+//! locking of its own. It lives nowhere else: the state is not
+//! journaled, so a restarted or promoted service starts every breaker
+//! closed and re-trips it after `failure_threshold` failures.
 //!
 //! ```text
 //!            failures in window ≥ threshold
@@ -155,20 +157,6 @@ impl TenantFailureState {
             if failures >= policy.failure_threshold {
                 self.trip(policy, now);
             }
-        }
-    }
-
-    /// A state inherited from a primary whose breaker was open at
-    /// promotion (the driver replayed `breaker-state` journal records):
-    /// open for one full cooldown from `now`, with an empty window —
-    /// the tenant re-earns its history after recovery, exactly as after
-    /// a local trip.
-    pub(crate) fn inherited_open(policy: &FailurePolicy, now: Instant) -> Self {
-        TenantFailureState {
-            outcomes: VecDeque::new(),
-            state: BreakerCore::Open {
-                until: now + Duration::from_millis(policy.breaker_cooldown_ms),
-            },
         }
     }
 

@@ -1,7 +1,7 @@
 //! The service object: admission control, the worker pool, and
 //! introspection.
 
-use crate::failure::{Admission, FaultInjector, TenantFailureState};
+use crate::failure::{Admission, FaultInjector};
 use crate::obs::ServiceObs;
 use crate::scheduler::{next_ready_deadline, pick, QueuedWorkflow, SchedulerState};
 use crate::ticket::{SubmitHandle, Ticket};
@@ -225,21 +225,6 @@ impl RestoreService {
             obs: ServiceObs::new(restore.registry()),
             replication: ReplicationHub::default(),
         });
-        // Seed breakers the driver knows to be open (a promoted warm
-        // standby replayed its primary's `breaker-state` records): each
-        // inherited breaker sheds for one full cooldown from now, so
-        // promotion does not greet a failing tenant with a thundering
-        // herd. Seeded before any worker thread exists, so no lock
-        // ordering with the worker loop is created.
-        {
-            let now = Instant::now();
-            let mut st = shared.lock();
-            for key in restore.open_breaker_keys() {
-                let tenant = (!key.is_empty()).then_some(key.as_str());
-                let policy = restore.config_as(tenant).failure;
-                st.failure.insert(key, TenantFailureState::inherited_open(&policy, now));
-            }
-        }
         let workers = (0..config.workers.max(1))
             .map(|_| {
                 let shared = shared.clone();
@@ -771,8 +756,7 @@ impl RestoreService {
         // Per-namespace repository gauges from one consistent cut.
         for (tenant, stats) in self.restore.stats_all() {
             let t = tenant.as_str();
-            let (publishes, writer_sections) =
-                self.restore.write_counters_as(if t.is_empty() { None } else { Some(t) });
+            let (publishes, writer_sections) = self.restore.write_counters_as(Some(t));
             let labels = [("tenant", t)];
             g(
                 "restore_repo_entries",
@@ -960,7 +944,8 @@ impl Shared {
         let restore = &self.restore;
         let QueuedWorkflow { id, key, wf, ticket, enqueued, attempt, probe, .. } = entry;
         self.obs.queue_wait.record_elapsed(enqueued);
-        let tenant = (!key.is_empty()).then_some(key.as_str());
+        // The driver reads the `""` key as the default namespace.
+        let tenant = Some(key.as_str());
         // The failure policy current at dispatch governs this attempt
         // (a mid-flight policy change applies from the next attempt on).
         let policy = restore.config_as(tenant).failure;
@@ -970,7 +955,9 @@ impl Shared {
             (policy.retries() || policy.on_failure == FailureDisposition::Dlq).then(|| wf.clone());
         let injected = {
             let inj = self.fault.lock().unwrap_or_else(|e| e.into_inner()).clone();
-            inj.and_then(|i| i.inject(tenant, id, attempt))
+            // An injector sees the tenant as it was submitted: `None`
+            // for the default namespace.
+            inj.and_then(|i| i.inject(tenant.filter(|t| !t.is_empty()), id, attempt))
         };
         // Contain panics: a poisoned workflow must not kill the thread
         // running it or leave its footprint stuck in the in-flight set
@@ -1022,17 +1009,7 @@ impl Shared {
             let dropped_failure = result.is_err() && policy.on_failure == FailureDisposition::Drop;
             if policy.breaker_enabled() && (probe || !dropped_failure) {
                 let breaker = st.failure.entry(key.clone()).or_default();
-                let was_open = breaker.gauge() != 0.0;
                 breaker.record(&policy, probe, result.is_err(), now);
-                let is_open = breaker.gauge() != 0.0;
-                // Journal the Closed <-> not-Closed transition so a
-                // promoted standby inherits the open breaker. (The
-                // open -> half-open edge happens on the admit path but
-                // never crosses that boundary, so this is the only
-                // transition site that needs to note.)
-                if is_open != was_open {
-                    restore.note_breaker_state(tenant, is_open);
-                }
             }
             if will_retry {
                 // Re-enqueue instead of sleeping on the thread: it

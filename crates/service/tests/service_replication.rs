@@ -6,8 +6,7 @@
 //! lineage and self-heals through the tailer's resync request.
 
 use restore_core::{
-    FailurePolicy, InProcessLink, ReStore, ReStoreConfig, ReplicationError, ReplicationTransport,
-    Shipment,
+    InProcessLink, ReStore, ReStoreConfig, ReplicationError, ReplicationTransport, Shipment,
 };
 use restore_dfs::{Dfs, DfsConfig};
 use restore_mapreduce::{ClusterConfig, Engine, EngineConfig};
@@ -100,74 +99,6 @@ fn standby_promotes_warm_after_primary_shutdown() {
         e.jobs_skipped > 0 || !e.rewrites.is_empty(),
         "promoted standby must serve the old workload warm"
     );
-}
-
-/// An open circuit breaker is part of the shipped state: the primary
-/// journals the trip as a `breaker-state` record, the standby replays
-/// it, and the promoted service starts with the breaker open — the
-/// failing tenant keeps shedding through a full cooldown instead of
-/// greeting the new primary with a thundering herd. A healthy tenant
-/// on the promoted service is unaffected.
-#[test]
-fn promoted_standby_inherits_the_open_breaker() {
-    struct AlwaysFail;
-    impl restore_service::FaultInjector for AlwaysFail {
-        fn inject(&self, tenant: Option<&str>, _id: u64, _attempt: u32) -> Option<String> {
-            (tenant == Some("flappy")).then(|| "injected outage".to_string())
-        }
-    }
-
-    let dfs = shared_dfs();
-    let primary = service_over(dfs.clone(), 1);
-    let link = InProcessLink::new();
-    // Attach *before* the trip: breaker state is record-only (never in
-    // a base dump), so the standby must see the transition record.
-    primary.attach_standby(link.clone()).expect("attach");
-    let standby = Standby::attach(session_over(dfs), link);
-
-    primary.set_fault_injector(Some(std::sync::Arc::new(AlwaysFail)));
-    primary.set_tenant_config(
-        Some("flappy"),
-        ReStoreConfig {
-            failure: FailurePolicy {
-                failure_window: 4,
-                failure_threshold: 2,
-                breaker_cooldown_ms: 60_000,
-                ..Default::default()
-            },
-            ..Default::default()
-        },
-    );
-    for round in 0..2 {
-        let out = format!("/out/bi/r{round}");
-        let wf = format!("/wf/bi/r{round}");
-        primary.submit(Some("flappy"), &queries::l3(&out), &wf).unwrap().wait().unwrap_err();
-    }
-    assert!(
-        matches!(
-            primary.submit(Some("flappy"), &queries::l3("/out/bi/shed"), "/wf/bi/shed"),
-            Err(ServiceError::CircuitOpen { .. })
-        ),
-        "the primary's breaker tripped"
-    );
-
-    primary.drain();
-    primary.ship_now();
-    assert!(standby.wait_caught_up(Duration::from_secs(30)), "standby catches up");
-    primary.shutdown();
-
-    let promoted = standby.promote(service_config(1)).expect("promotion");
-    match promoted.submit(Some("flappy"), &queries::l3("/out/bi/post"), "/wf/bi/post") {
-        Err(ServiceError::CircuitOpen { tenant }) => assert_eq!(tenant, "flappy"),
-        other => panic!("promoted service must shed the flapping tenant, got {other:?}"),
-    }
-    // No injector on the promoted service: a healthy tenant executes.
-    promoted
-        .submit(Some("steady"), &queries::l3("/out/bi/steady"), "/wf/bi/steady")
-        .expect("admitted")
-        .wait()
-        .expect("healthy tenant serves normally on the new primary");
-    promoted.shutdown();
 }
 
 /// Losing a shipment mid-stream must surface at promotion: the standby
