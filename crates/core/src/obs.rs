@@ -90,8 +90,10 @@ pub(crate) struct StageHists {
     pub execute: Histogram,
     /// Per wave: phase 3 (registration batch + publish).
     pub register: Histogram,
-    /// Per canonicalization sweep: analyzer pass latency, one series
-    /// per pass in [`restore_dataflow::analyzer::PASS_NAMES`] order.
+    /// Per canonicalization (once per compile, and once per job plan an
+    /// alias rewrote): analyzer pass latency summed over that call's
+    /// fixpoint sweeps, one series per pass in
+    /// [`restore_dataflow::analyzer::PASS_NAMES`] order.
     pub canon: [Histogram; 3],
 }
 
@@ -165,8 +167,9 @@ impl Obs {
         }
     }
 
-    /// Record one canonicalization sweep's per-pass wall time, as
-    /// returned by [`restore_dataflow::analyzer::canonicalize_timed`].
+    /// Record one canonicalization's per-pass wall time, summed over its
+    /// sweeps, as returned by
+    /// [`restore_dataflow::analyzer::canonicalize_timed`].
     pub(crate) fn record_canon(&self, timings: &[(&'static str, std::time::Duration); 3]) {
         for (hist, (_, d)) in self.stage.canon.iter().zip(timings) {
             hist.record(d.as_nanos() as u64);

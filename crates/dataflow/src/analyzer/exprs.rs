@@ -21,23 +21,26 @@
 //! treated as fallible and left in author order.
 
 use crate::expr::{ArithOp, CmpOp, Expr};
-use crate::physical::{PhysicalOp, PhysicalPlan};
+use crate::physical::{NodeId, PhysicalOp, PhysicalPlan};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
-pub(super) fn run(plan: &mut PhysicalPlan) {
-    for id in plan.ids().collect::<Vec<_>>() {
-        match plan.op(id).clone() {
-            PhysicalOp::Filter { pred } => {
-                plan.node_mut(id).op = PhysicalOp::Filter { pred: normalize(&pred) };
-            }
+/// Normalizes every Filter and MapExpr expression in place. Returns
+/// whether any of them changed; the report is exact.
+pub(super) fn run(plan: &mut PhysicalPlan) -> bool {
+    let mut changed = false;
+    for id in (0..plan.len() as u32).map(NodeId) {
+        match &mut plan.node_mut(id).op {
+            PhysicalOp::Filter { pred } => changed |= normalize(pred),
             PhysicalOp::MapExpr { exprs } => {
-                plan.node_mut(id).op =
-                    PhysicalOp::MapExpr { exprs: exprs.iter().map(normalize).collect() };
+                for e in exprs {
+                    changed |= normalize(e);
+                }
             }
             _ => {}
         }
     }
+    changed
 }
 
 /// Can evaluation never return an error, whatever the input tuple?
@@ -61,69 +64,93 @@ fn key(e: &Expr) -> u64 {
     h.finish()
 }
 
-fn normalize(e: &Expr) -> Expr {
+/// Rewrite `e` to its normal form in place. Returns whether it changed:
+/// every rewrite below fires only when its result differs (a swap only
+/// when the operands differ, a chain rebuild only when the shape or
+/// the leg order moves), so the report is exact.
+fn normalize(e: &mut Expr) -> bool {
     match e {
-        Expr::And(..) => rebuild_chain(e, true),
-        Expr::Or(..) => rebuild_chain(e, false),
+        Expr::And(..) => normalize_chain(e, true),
+        Expr::Or(..) => normalize_chain(e, false),
         Expr::Cmp(a, op, b) => {
-            let (a, b) = (normalize(a), normalize(b));
-            if matches!(a, Expr::Lit(_)) && !matches!(b, Expr::Lit(_)) {
-                Expr::Cmp(Box::new(b), mirror(*op), Box::new(a))
-            } else {
-                Expr::Cmp(Box::new(a), *op, Box::new(b))
+            let changed = normalize(a) | normalize(b);
+            if matches!(**a, Expr::Lit(_)) && !matches!(**b, Expr::Lit(_)) {
+                std::mem::swap(a, b);
+                *op = mirror(*op);
+                return true;
             }
+            changed
         }
-        Expr::Arith(a, op, b) if matches!(op, ArithOp::Add | ArithOp::Mul) => {
-            let (a, b) = (normalize(a), normalize(b));
-            if is_total(&a) && is_total(&b) && key(&a) > key(&b) {
-                Expr::Arith(Box::new(b), *op, Box::new(a))
-            } else {
-                Expr::Arith(Box::new(a), *op, Box::new(b))
+        Expr::Arith(a, op, b) => {
+            let changed = normalize(a) | normalize(b);
+            if matches!(op, ArithOp::Add | ArithOp::Mul)
+                && is_total(a)
+                && is_total(b)
+                && key(a) > key(b)
+            {
+                std::mem::swap(a, b);
+                return true;
             }
+            changed
         }
-        Expr::Arith(a, op, b) => Expr::Arith(Box::new(normalize(a)), *op, Box::new(normalize(b))),
-        Expr::Not(x) => Expr::Not(Box::new(normalize(x))),
-        Expr::Neg(x) => Expr::Neg(Box::new(normalize(x))),
-        Expr::IsNull(x, w) => Expr::IsNull(Box::new(normalize(x)), *w),
-        Expr::Func(f, args) => Expr::Func(*f, args.iter().map(normalize).collect()),
-        Expr::Col(_) | Expr::Lit(_) => e.clone(),
+        Expr::Not(x) | Expr::Neg(x) | Expr::IsNull(x, _) => normalize(x),
+        Expr::Func(_, args) => args.iter_mut().fold(false, |changed, a| normalize(a) | changed),
+        Expr::Col(_) | Expr::Lit(_) => false,
     }
 }
 
 /// Flatten a connective chain, normalize the legs, sort them when all
 /// are total, and rebuild right-associated. An unsorted rebuild
 /// preserves exact left-to-right short-circuit order, so it is always
-/// sound; only the sort needs the totality gate.
-fn rebuild_chain(e: &Expr, conj: bool) -> Expr {
+/// sound; only the sort needs the totality gate. A chain that is
+/// already right-associated and in order is left where it is.
+fn normalize_chain(e: &mut Expr, conj: bool) -> bool {
     let mut legs = Vec::new();
-    flatten(e, conj, &mut legs);
-    let mut legs: Vec<Expr> = legs.into_iter().map(normalize).collect();
-    if legs.iter().all(is_total) {
+    let right_associated = flatten(e, conj, &mut legs);
+    let mut changed = false;
+    for leg in &mut legs {
+        changed |= normalize(leg);
+    }
+    let sort = legs.iter().all(|l| is_total(l));
+    let in_order = !sort || legs.is_sorted_by_key(|l| key(l));
+    if right_associated && in_order {
+        return changed;
+    }
+    let mut legs: Vec<Expr> =
+        legs.into_iter().map(|l| std::mem::replace(l, Expr::Col(0))).collect();
+    if sort {
         legs.sort_by_key(key); // stable: equal keys keep author order
     }
-    let mut it = legs.into_iter().rev();
-    let mut acc = it.next().expect("a connective has at least two legs");
-    for l in it {
-        acc = if conj {
-            Expr::And(Box::new(l), Box::new(acc))
-        } else {
-            Expr::Or(Box::new(l), Box::new(acc))
-        };
-    }
-    acc
+    *e = legs
+        .into_iter()
+        .rev()
+        .reduce(|acc, l| {
+            if conj {
+                Expr::And(Box::new(l), Box::new(acc))
+            } else {
+                Expr::Or(Box::new(l), Box::new(acc))
+            }
+        })
+        .expect("a connective has at least two legs");
+    true
 }
 
-fn flatten<'a>(e: &'a Expr, conj: bool, out: &mut Vec<&'a Expr>) {
+/// Collect the legs of the chain rooted at `e`, left to right. Returns
+/// whether every link's left operand is a leg (the chain is already
+/// right-associated).
+fn flatten<'a>(e: &'a mut Expr, conj: bool, out: &mut Vec<&'a mut Expr>) -> bool {
     match (e, conj) {
-        (Expr::And(a, b), true) => {
-            flatten(a, true, out);
-            flatten(b, true, out);
+        (Expr::And(a, b), true) | (Expr::Or(a, b), false) => {
+            let left_is_leg =
+                !matches!((&**a, conj), (Expr::And(..), true) | (Expr::Or(..), false));
+            let left = flatten(a, conj, out);
+            let right = flatten(b, conj, out);
+            left_is_leg && left && right
         }
-        (Expr::Or(a, b), false) => {
-            flatten(a, false, out);
-            flatten(b, false, out);
+        (e, _) => {
+            out.push(e);
+            true
         }
-        _ => out.push(e),
     }
 }
 
@@ -142,9 +169,19 @@ fn mirror(op: CmpOp) -> CmpOp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::expr::ScalarFunc;
 
     fn and(a: Expr, b: Expr) -> Expr {
         Expr::And(Box::new(a), Box::new(b))
+    }
+
+    /// `e`'s normal form, checking on the way that `normalize` reported
+    /// a change exactly when there was one.
+    fn normalized(e: &Expr) -> Expr {
+        let mut out = e.clone();
+        let changed = normalize(&mut out);
+        assert_eq!(changed, out != *e, "change report for {e:?}");
+        out
     }
 
     #[test]
@@ -152,7 +189,7 @@ mod tests {
         let (x, y, z) = (Expr::col_eq(0, 1i64), Expr::col_eq(1, 2i64), Expr::col_eq(2, 3i64));
         let left = and(and(x.clone(), y.clone()), z.clone());
         let right = and(z, and(y, x));
-        assert_eq!(normalize(&left), normalize(&right));
+        assert_eq!(normalized(&left), normalized(&right));
     }
 
     #[test]
@@ -165,32 +202,32 @@ mod tests {
         );
         let total = Expr::col_eq(2, 3i64);
         let e = and(fallible.clone(), total.clone());
-        assert_eq!(normalize(&e), and(fallible.clone(), total.clone()));
+        assert_eq!(normalized(&e), and(fallible.clone(), total.clone()));
         let e = and(total.clone(), fallible.clone());
-        assert_eq!(normalize(&e), and(total, fallible));
+        assert_eq!(normalized(&e), and(total, fallible));
     }
 
     #[test]
     fn literal_moves_right_with_mirrored_op() {
         let e = Expr::Cmp(Box::new(Expr::Lit(5i64.into())), CmpOp::Le, Box::new(Expr::col(0)));
         let want = Expr::Cmp(Box::new(Expr::col(0)), CmpOp::Ge, Box::new(Expr::Lit(5i64.into())));
-        assert_eq!(normalize(&e), want);
+        assert_eq!(normalized(&e), want);
         // Two literals stay put — there is no preferred side.
         let ll = Expr::Cmp(
             Box::new(Expr::Lit(1i64.into())),
             CmpOp::Lt,
             Box::new(Expr::Lit(2i64.into())),
         );
-        assert_eq!(normalize(&ll), ll);
+        assert_eq!(normalized(&ll), ll);
     }
 
     #[test]
     fn add_orders_but_sub_does_not() {
         let ab = Expr::Arith(Box::new(Expr::col(0)), ArithOp::Add, Box::new(Expr::col(1)));
         let ba = Expr::Arith(Box::new(Expr::col(1)), ArithOp::Add, Box::new(Expr::col(0)));
-        assert_eq!(normalize(&ab), normalize(&ba));
+        assert_eq!(normalized(&ab), normalized(&ba));
         let sub = Expr::Arith(Box::new(Expr::col(1)), ArithOp::Sub, Box::new(Expr::col(0)));
-        assert_eq!(normalize(&sub), sub);
+        assert_eq!(normalized(&sub), sub);
     }
 
     #[test]
@@ -208,8 +245,44 @@ mod tests {
             ),
         ];
         for e in exprs {
-            let once = normalize(&e);
-            assert_eq!(normalize(&once), once);
+            let once = normalized(&e);
+            assert_eq!(normalized(&once), once);
         }
+    }
+
+    #[test]
+    fn the_change_report_is_exact() {
+        let (x, y, z) = (Expr::col_eq(0, 1i64), Expr::col_eq(1, 2i64), Expr::col_eq(2, 3i64));
+        let mut legs = [x, y, z];
+        legs.sort_by_key(key);
+        let [x, y, z] = legs;
+        let or = |a: Expr, b: Expr| Expr::Or(Box::new(a), Box::new(b));
+        let cases = vec![
+            // Canonical already: right-associated, legs in key order.
+            and(x.clone(), and(y.clone(), z.clone())),
+            // Same legs and order, left-associated: only the shape moves.
+            and(and(x.clone(), y.clone()), z.clone()),
+            // Right-associated, legs out of order.
+            and(z.clone(), and(y.clone(), x.clone())),
+            // A leg of another connective is normalized, not flattened.
+            and(x.clone(), or(z.clone(), y.clone())),
+            and(x.clone(), or(y.clone(), z.clone())),
+            Expr::Not(Box::new(Expr::Cmp(
+                Box::new(Expr::Lit(5i64.into())),
+                CmpOp::Lt,
+                Box::new(Expr::col(0)),
+            ))),
+            Expr::IsNull(Box::new(Expr::col(1)), true),
+            Expr::Func(
+                ScalarFunc::Abs,
+                vec![Expr::Arith(Box::new(Expr::col(1)), ArithOp::Mul, Box::new(Expr::col(0)))],
+            ),
+            Expr::Neg(Box::new(Expr::col(0))),
+        ];
+        for e in cases {
+            let once = normalized(&e);
+            assert_eq!(normalized(&once), once);
+        }
+        assert_eq!(normalized(&and(and(x.clone(), y.clone()), z.clone())), and(x, and(y, z)));
     }
 }

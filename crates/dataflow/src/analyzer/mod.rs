@@ -36,6 +36,12 @@
 //! `canonicalize` only returns once another full sweep is a no-op, so a
 //! second call starts (and ends) at that fixpoint.
 //!
+//! Each pass reports whether it changed the plan, and the loop stops
+//! after the first sweep in which none did; no sweep copies the plan to
+//! find out. A pass may over-report (that costs one more sweep) but must
+//! never under-report, or the loop would stop short of the fixpoint.
+//! `tests/prop_canon.rs` keeps the clone-and-compare loop as the oracle.
+//!
 //! Every rewrite here preserves executed output byte-for-byte (property
 //! tested in `tests/prop_canon.rs`): transforms that could change
 //! error or row-duplication behavior — reordering non-total expression
@@ -75,21 +81,28 @@ pub fn canonicalize_timed(plan: &mut PhysicalPlan) -> [(&'static str, Duration);
         (PASS_NAMES[2], Duration::ZERO),
     ];
     for _ in 0..MAX_SWEEPS {
-        let before = plan.clone();
-        let t = Instant::now();
-        placement::run(plan);
-        timings[0].1 += t.elapsed();
-        let t = Instant::now();
-        exprs::run(plan);
-        timings[1].1 += t.elapsed();
-        let t = Instant::now();
-        cse::run(plan);
-        timings[2].1 += t.elapsed();
-        if *plan == before {
+        if !sweep(plan, &mut timings) {
             break;
         }
     }
     timings
+}
+
+/// One sweep: the three passes in order, each one's wall time added to
+/// `timings`. Returns whether any pass reported a change. Public only
+/// for the clone-and-compare oracle in `tests/prop_canon.rs`.
+#[doc(hidden)]
+pub fn sweep(plan: &mut PhysicalPlan, timings: &mut [(&'static str, Duration); 3]) -> bool {
+    let t = Instant::now();
+    let mut changed = placement::run(plan);
+    timings[0].1 += t.elapsed();
+    let t = Instant::now();
+    changed |= exprs::run(plan);
+    timings[1].1 += t.elapsed();
+    let t = Instant::now();
+    changed |= cse::run(plan);
+    timings[2].1 += t.elapsed();
+    changed
 }
 
 /// The canonical fingerprint of a plan: the Merkle signature of its

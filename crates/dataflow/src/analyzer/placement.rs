@@ -20,40 +20,45 @@
 use crate::expr::Expr;
 use crate::physical::{NodeId, PhysicalOp, PhysicalPlan};
 
-pub(super) fn run(plan: &mut PhysicalPlan) {
+/// Returns whether any rewrite fired. Every rewrite changes the plan
+/// (a merge re-points `id` past its input, a swap exchanges two
+/// different operators), so the report is exact.
+pub(super) fn run(plan: &mut PhysicalPlan) -> bool {
+    let mut any = false;
     loop {
         let mut changed = false;
-        for id in plan.ids().collect::<Vec<_>>() {
+        for id in (0..plan.len() as u32).map(NodeId) {
             changed |= try_project_merge(plan, id)
                 || try_filter_merge(plan, id)
                 || try_filter_below_project(plan, id);
         }
         if !changed {
-            break;
+            return any;
         }
+        any = true;
     }
 }
 
 /// Is `p` consumed only by `c`? (Merging `p` into `c` is only sound
-/// when nothing else observes `p`'s output.)
+/// when nothing else observes `p`'s output.) Callers pass a `c` that
+/// reads `p`.
 fn sole_consumer(plan: &PhysicalPlan, p: NodeId, c: NodeId) -> bool {
-    plan.consumers(p) == vec![c]
+    plan.ids().all(|n| n == c || !plan.inputs(n).contains(&p))
 }
 
 /// `Project{inner}` → `Project{outer}` composes: output column `j` of
 /// the pair is input column `inner[outer[j]]`.
 fn try_project_merge(plan: &mut PhysicalPlan, id: NodeId) -> bool {
     let PhysicalOp::Project { cols: outer } = plan.op(id) else { return false };
-    let outer = outer.clone();
     let p = plan.inputs(id)[0];
     let PhysicalOp::Project { cols: inner } = plan.op(p) else { return false };
-    let inner = inner.clone();
     if !sole_consumer(plan, p, id) || outer.iter().any(|&j| j >= inner.len()) {
         return false;
     }
+    let cols = outer.iter().map(|&j| inner[j]).collect();
     let grand = plan.inputs(p).to_vec();
     let node = plan.node_mut(id);
-    node.op = PhysicalOp::Project { cols: outer.iter().map(|&j| inner[j]).collect() };
+    node.op = PhysicalOp::Project { cols };
     node.inputs = grand;
     true
 }
@@ -62,17 +67,20 @@ fn try_project_merge(plan: &mut PhysicalPlan, id: NodeId) -> bool {
 /// short-circuits left-to-right, so evaluation order, count, and any
 /// surfaced error are byte-identical to the chain.
 fn try_filter_merge(plan: &mut PhysicalPlan, id: NodeId) -> bool {
-    let PhysicalOp::Filter { pred: outer } = plan.op(id) else { return false };
-    let outer = outer.clone();
+    let PhysicalOp::Filter { .. } = plan.op(id) else { return false };
     let p = plan.inputs(id)[0];
     let PhysicalOp::Filter { pred: inner } = plan.op(p) else { return false };
     if !sole_consumer(plan, p, id) {
         return false;
     }
-    let merged = Expr::And(Box::new(inner.clone()), Box::new(outer));
+    // `p` is left orphaned for CSE to collect, so its predicate is
+    // copied, never moved.
+    let inner = inner.clone();
     let grand = plan.inputs(p).to_vec();
     let node = plan.node_mut(id);
-    node.op = PhysicalOp::Filter { pred: merged };
+    let PhysicalOp::Filter { pred } = &mut node.op else { unreachable!("matched above") };
+    let outer = std::mem::replace(pred, Expr::Col(0));
+    *pred = Expr::And(Box::new(inner), Box::new(outer));
     node.inputs = grand;
     true
 }
@@ -88,13 +96,12 @@ fn try_filter_below_project(plan: &mut PhysicalPlan, id: NodeId) -> bool {
     let PhysicalOp::Filter { pred } = plan.op(id) else { return false };
     let p = plan.inputs(id)[0];
     let PhysicalOp::Project { cols } = plan.op(p) else { return false };
-    let cols = cols.clone();
     if !sole_consumer(plan, p, id) {
         return false;
     }
     let Some(below) = pred.remap_cols(&|i| cols.get(i).copied()) else { return false };
-    plan.node_mut(p).op = PhysicalOp::Filter { pred: below };
-    plan.node_mut(id).op = PhysicalOp::Project { cols };
+    let project = std::mem::replace(&mut plan.node_mut(p).op, PhysicalOp::Filter { pred: below });
+    plan.node_mut(id).op = project;
     true
 }
 
@@ -120,7 +127,7 @@ mod tests {
             PhysicalOp::Project { cols: vec![2, 0, 1] },
             PhysicalOp::Project { cols: vec![1, 2] },
         ]);
-        run(&mut p);
+        assert!(run(&mut p));
         assert!(matches!(p.op(ids[2]), PhysicalOp::Project { cols } if *cols == vec![0, 1]));
         assert_eq!(p.inputs(ids[2]), &[ids[0]], "inner project bypassed");
     }
@@ -133,7 +140,7 @@ mod tests {
             PhysicalOp::Filter { pred: a.clone() },
             PhysicalOp::Filter { pred: b.clone() },
         ]);
-        run(&mut p);
+        assert!(run(&mut p));
         let expect = Expr::And(Box::new(a), Box::new(b));
         assert!(matches!(p.op(ids[2]), PhysicalOp::Filter { pred } if *pred == expect));
     }
@@ -144,7 +151,7 @@ mod tests {
             PhysicalOp::Project { cols: vec![3, 1] },
             PhysicalOp::Filter { pred: Expr::col_eq(1, 7i64) },
         ]);
-        run(&mut p);
+        assert!(run(&mut p));
         // In-place swap: node ids keep their positions, ops exchange.
         assert!(
             matches!(p.op(ids[1]), PhysicalOp::Filter { pred } if *pred == Expr::col_eq(1, 7i64)),
@@ -164,7 +171,7 @@ mod tests {
         let outer = p.add(PhysicalOp::Project { cols: vec![1] }, vec![inner]);
         p.add(PhysicalOp::Store { path: "/o".into() }, vec![outer]);
         let before = p.clone();
-        run(&mut p);
+        assert!(!run(&mut p), "no rewrite fired");
         assert_eq!(p, before);
     }
 
@@ -176,7 +183,7 @@ mod tests {
             PhysicalOp::Filter { pred: Expr::col_eq(1, 7i64) },
         ]);
         let before = p.clone();
-        run(&mut p);
+        assert!(!run(&mut p), "no rewrite fired");
         assert_eq!(p, before);
     }
 }

@@ -2,21 +2,23 @@
 
 use restore_common::{Error, Result};
 
-/// A token with its source position (for error messages).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Token {
-    pub kind: TokenKind,
+/// A token with its source position (for error messages). Identifier
+/// and string payloads borrow the query text, so a token is `Copy` and
+/// the parser makes a `String` only where the AST keeps one.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Token<'a> {
+    pub kind: TokenKind<'a>,
     pub line: usize,
     pub col: usize,
 }
 
-#[derive(Debug, Clone, PartialEq)]
-pub enum TokenKind {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum TokenKind<'a> {
     /// Bare identifier or keyword (case-insensitive keywords are resolved
     /// by the parser; the raw text is preserved).
-    Ident(String),
+    Ident(&'a str),
     /// `'single quoted string'`.
-    StrLit(String),
+    StrLit(&'a str),
     /// Integer literal.
     IntLit(i64),
     /// Floating literal.
@@ -46,7 +48,7 @@ pub enum TokenKind {
     Eof,
 }
 
-impl TokenKind {
+impl TokenKind<'_> {
     /// Keyword check, case-insensitive.
     pub fn is_kw(&self, kw: &str) -> bool {
         matches!(self, TokenKind::Ident(s) if s.eq_ignore_ascii_case(kw))
@@ -54,7 +56,7 @@ impl TokenKind {
 }
 
 /// Tokenize a full query.
-pub fn tokenize(src: &str) -> Result<Vec<Token>> {
+pub fn tokenize(src: &str) -> Result<Vec<Token<'_>>> {
     let mut tokens = Vec::new();
     let bytes = src.as_bytes();
     let mut i = 0;
@@ -99,10 +101,9 @@ pub fn tokenize(src: &str) -> Result<Vec<Token>> {
                 if j == bytes.len() {
                     return Err(Error::parse(line, col, "unterminated string"));
                 }
-                let s = std::str::from_utf8(&bytes[start..j])
-                    .map_err(|_| Error::parse(line, col, "invalid UTF-8 in string"))?;
+                // Both quotes are ASCII, so the slice is on char boundaries.
                 let len = j + 1 - i;
-                push!(TokenKind::StrLit(s.to_string()), len);
+                push!(TokenKind::StrLit(&src[start..j]), len);
             }
             b'$' => {
                 let start = i + 1;
@@ -113,8 +114,7 @@ pub fn tokenize(src: &str) -> Result<Vec<Token>> {
                 if j == start {
                     return Err(Error::parse(line, col, "expected digits after '$'"));
                 }
-                let n: usize = std::str::from_utf8(&bytes[start..j])
-                    .unwrap()
+                let n: usize = src[start..j]
                     .parse()
                     .map_err(|_| Error::parse(line, col, "positional out of range"))?;
                 let len = j - i;
@@ -137,7 +137,7 @@ pub fn tokenize(src: &str) -> Result<Vec<Token>> {
                     }
                     j += 1;
                 }
-                let text = std::str::from_utf8(&bytes[start..j]).unwrap();
+                let text = &src[start..j];
                 let kind = if has_dot {
                     TokenKind::DoubleLit(
                         text.parse()
@@ -158,9 +158,8 @@ pub fn tokenize(src: &str) -> Result<Vec<Token>> {
                 while j < bytes.len() && (bytes[j].is_ascii_alphanumeric() || bytes[j] == b'_') {
                     j += 1;
                 }
-                let text = std::str::from_utf8(&bytes[start..j]).unwrap().to_string();
                 let len = j - start;
-                push!(TokenKind::Ident(text), len);
+                push!(TokenKind::Ident(&src[start..j]), len);
             }
             b'=' if bytes.get(i + 1) == Some(&b'=') => push!(TokenKind::Eq, 2),
             b'!' if bytes.get(i + 1) == Some(&b'=') => push!(TokenKind::Neq, 2),
@@ -184,7 +183,7 @@ pub fn tokenize(src: &str) -> Result<Vec<Token>> {
             b'.' => push!(TokenKind::Dot, 1),
             b':' => {
                 // Single colon appears in schemas: `name:chararray`.
-                push!(TokenKind::Ident(":".into()), 1);
+                push!(TokenKind::Ident(":"), 1);
             }
             other => {
                 return Err(Error::parse(
@@ -203,17 +202,17 @@ pub fn tokenize(src: &str) -> Result<Vec<Token>> {
 mod tests {
     use super::*;
 
-    fn kinds(src: &str) -> Vec<TokenKind> {
+    fn kinds(src: &str) -> Vec<TokenKind<'_>> {
         tokenize(src).unwrap().into_iter().map(|t| t.kind).collect()
     }
 
     #[test]
     fn basic_statement() {
         let ks = kinds("A = load 'x' as (a, b);");
-        assert_eq!(ks[0], TokenKind::Ident("A".into()));
+        assert_eq!(ks[0], TokenKind::Ident("A"));
         assert_eq!(ks[1], TokenKind::Assign);
         assert!(ks[2].is_kw("LOAD"));
-        assert_eq!(ks[3], TokenKind::StrLit("x".into()));
+        assert_eq!(ks[3], TokenKind::StrLit("x"));
         assert_eq!(*ks.last().unwrap(), TokenKind::Eof);
     }
 
@@ -243,16 +242,34 @@ mod tests {
     #[test]
     fn comments_are_skipped() {
         let ks = kinds("A -- this is a comment\nB");
-        assert_eq!(
-            ks,
-            vec![TokenKind::Ident("A".into()), TokenKind::Ident("B".into()), TokenKind::Eof]
-        );
+        assert_eq!(ks, vec![TokenKind::Ident("A"), TokenKind::Ident("B"), TokenKind::Eof]);
     }
 
     #[test]
     fn alias_field_access() {
         let ks = kinds("C.est_revenue");
         assert_eq!(ks[1], TokenKind::Dot);
+    }
+
+    #[test]
+    fn payloads_borrow_the_source_and_keep_positions() {
+        let src = "B = filter A\n  by s == 'k v';";
+        let toks = tokenize(src).unwrap();
+        let at = |i: usize| (toks[i].kind, toks[i].line, toks[i].col);
+        assert_eq!(at(0), (TokenKind::Ident("B"), 1, 1));
+        assert_eq!(at(2), (TokenKind::Ident("filter"), 1, 5));
+        assert_eq!(at(3), (TokenKind::Ident("A"), 1, 12));
+        assert_eq!(at(4), (TokenKind::Ident("by"), 2, 3));
+        assert_eq!(at(5), (TokenKind::Ident("s"), 2, 6));
+        assert_eq!(at(6), (TokenKind::Eq, 2, 8));
+        assert_eq!(at(7), (TokenKind::StrLit("k v"), 2, 11));
+        assert_eq!(at(8), (TokenKind::Semi, 2, 16));
+        assert_eq!(at(9), (TokenKind::Eof, 2, 17));
+        // A payload is a slice of the query text, not a copy of it.
+        let TokenKind::StrLit(lit) = toks[7].kind else { unreachable!() };
+        assert_eq!(lit.as_ptr(), src[src.find("k v").unwrap()..].as_ptr());
+        // Schema colons are one-character identifiers.
+        assert_eq!(kinds("a:int")[1], TokenKind::Ident(":"));
     }
 
     #[test]

@@ -112,22 +112,19 @@ enum Phase {
 /// Merge Load nodes with identical paths (one scan feeds all consumers,
 /// like Pig's shared-scan multi-query optimization) and drop the orphans.
 fn dedupe_loads(plan: &mut PhysicalPlan) {
-    let loads = plan.loads();
-    let mut canonical: HashMap<String, NodeId> = HashMap::new();
+    // A job reads a handful of files: a linear scan beats hashing paths.
     let mut rewires: Vec<(NodeId, NodeId)> = Vec::new();
-    for l in loads {
-        let PhysicalOp::Load { path } = plan.op(l).clone() else { unreachable!() };
-        match canonical.get(&path) {
-            Some(&first) => rewires.push((l, first)),
-            None => {
-                canonical.insert(path, l);
+    for l in plan.ids() {
+        if let PhysicalOp::Load { .. } = plan.op(l) {
+            if let Some(first) = plan.ids().take(l.index()).find(|&f| plan.op(f) == plan.op(l)) {
+                rewires.push((l, first));
             }
         }
     }
     if rewires.is_empty() {
         return;
     }
-    for id in plan.ids().collect::<Vec<_>>() {
+    for id in (0..plan.len() as u32).map(NodeId) {
         for k in 0..plan.inputs(id).len() {
             let cur = plan.inputs(id)[k];
             if let Some(&(_, to)) = rewires.iter().find(|(from, _)| *from == cur) {
@@ -280,14 +277,15 @@ impl<'a> Compiler<'a> {
             return;
         }
         debug_assert!(!self.frags[b].has_reduce, "cannot merge reduce fragment");
-        let b_frag = std::mem::replace(&mut self.frags[b], Frag::new());
+        let mut b_frag = std::mem::replace(&mut self.frags[b], Frag::new());
         self.frags[b].alive = false;
-        // Copy nodes with id remapping.
+        // Move nodes over with id remapping; `b`'s plan is discarded.
         let mut remap: HashMap<NodeId, NodeId> = HashMap::new();
         for id in b_frag.plan.topo_order() {
-            let node = b_frag.plan.node(id);
+            let node = b_frag.plan.node_mut(id);
             let inputs: Vec<NodeId> = node.inputs.iter().map(|i| remap[i]).collect();
-            let new_id = self.frags[a].plan.add(node.op.clone(), inputs);
+            let op = std::mem::replace(&mut node.op, PhysicalOp::Split);
+            let new_id = self.frags[a].plan.add(op, inputs);
             remap.insert(id, new_id);
         }
         for (q, n) in b_frag.node_map {
@@ -308,8 +306,8 @@ impl<'a> Compiler<'a> {
     }
 
     fn process(&mut self, q: NodeId) -> Result<()> {
-        let op = self.query.op(q).clone();
-        match &op {
+        let op = self.query.op(q);
+        match op {
             PhysicalOp::Load { .. } => Ok(()), // instantiated lazily per consumer
             PhysicalOp::Join { .. } | PhysicalOp::CoGroup { .. } => {
                 self.process_multi_blocking(q, op.clone())
@@ -419,11 +417,11 @@ impl<'a> Compiler<'a> {
         Ok(())
     }
 
-    fn finish(self) -> Result<CompiledWorkflow> {
+    fn finish(mut self) -> Result<CompiledWorkflow> {
         // Surviving fragments become jobs, in creation order.
         let mut job_index: HashMap<usize, usize> = HashMap::new();
         let mut jobs = Vec::new();
-        for (i, frag) in self.frags.iter().enumerate() {
+        for (i, frag) in self.frags.iter_mut().enumerate() {
             if !frag.alive {
                 continue;
             }
@@ -434,7 +432,7 @@ impl<'a> Compiler<'a> {
                 )));
             }
             job_index.insert(i, jobs.len());
-            let mut plan = frag.plan.clone();
+            let mut plan = std::mem::take(&mut frag.plan);
             dedupe_loads(&mut plan);
             jobs.push(CompiledJob { plan, deps: Vec::new() });
         }

@@ -15,22 +15,22 @@ pub fn parse(src: &str) -> Result<Program> {
     Ok(Program { statements })
 }
 
-struct Parser {
-    tokens: Vec<Token>,
+struct Parser<'a> {
+    tokens: Vec<Token<'a>>,
     pos: usize,
 }
 
-impl Parser {
-    fn peek(&self) -> &Token {
-        &self.tokens[self.pos]
+impl<'a> Parser<'a> {
+    fn peek(&self) -> Token<'a> {
+        self.tokens[self.pos]
     }
 
     fn at_eof(&self) -> bool {
         matches!(self.peek().kind, TokenKind::Eof)
     }
 
-    fn advance(&mut self) -> Token {
-        let t = self.tokens[self.pos].clone();
+    fn advance(&mut self) -> Token<'a> {
+        let t = self.tokens[self.pos];
         if self.pos + 1 < self.tokens.len() {
             self.pos += 1;
         }
@@ -42,8 +42,8 @@ impl Parser {
         Error::parse(t.line, t.col, msg.into())
     }
 
-    fn expect(&mut self, kind: &TokenKind) -> Result<Token> {
-        if &self.peek().kind == kind {
+    fn expect(&mut self, kind: TokenKind<'_>) -> Result<Token<'a>> {
+        if self.peek().kind == kind {
             Ok(self.advance())
         } else {
             Err(self.err(format!("expected {kind:?}, found {:?}", self.peek().kind)))
@@ -69,9 +69,13 @@ impl Parser {
     }
 
     fn ident(&mut self) -> Result<String> {
-        match &self.peek().kind {
+        self.ident_str().map(str::to_string)
+    }
+
+    /// [`Parser::ident`] for a name the AST does not keep.
+    fn ident_str(&mut self) -> Result<&'a str> {
+        match self.peek().kind {
             TokenKind::Ident(s) => {
-                let s = s.clone();
                 self.advance();
                 Ok(s)
             }
@@ -80,11 +84,10 @@ impl Parser {
     }
 
     fn str_lit(&mut self) -> Result<String> {
-        match &self.peek().kind {
+        match self.peek().kind {
             TokenKind::StrLit(s) => {
-                let s = s.clone();
                 self.advance();
-                Ok(s)
+                Ok(s.to_string())
             }
             other => Err(self.err(format!("expected string literal, found {other:?}"))),
         }
@@ -111,7 +114,7 @@ impl Parser {
             if branches.len() < 2 {
                 return Err(self.err("SPLIT needs at least two branches"));
             }
-            self.expect(&TokenKind::Semi)?;
+            self.expect(TokenKind::Semi)?;
             return Ok(Statement::Split { input, branches });
         }
         if self.peek().kind.is_kw("STORE") {
@@ -123,19 +126,18 @@ impl Parser {
             if self.eat_kw("USING") {
                 self.skip_using_clause()?;
             }
-            self.expect(&TokenKind::Semi)?;
+            self.expect(TokenKind::Semi)?;
             return Ok(Statement::Store { alias, path });
         }
         let alias = self.ident()?;
-        self.expect(&TokenKind::Assign)?;
+        self.expect(TokenKind::Assign)?;
         let rel = self.rel_expr()?;
-        self.expect(&TokenKind::Semi)?;
+        self.expect(TokenKind::Semi)?;
         Ok(Statement::Assign { alias, rel })
     }
 
     fn rel_expr(&mut self) -> Result<RelExpr> {
-        let t = self.peek().clone();
-        match &t.kind {
+        match self.peek().kind {
             k if k.is_kw("LOAD") => self.load(),
             k if k.is_kw("FOREACH") => self.foreach(),
             k if k.is_kw("FILTER") => self.filter(),
@@ -171,7 +173,7 @@ impl Parser {
     fn skip_using_clause(&mut self) -> Result<()> {
         // `USING name` or `USING name('arg', ...)`; loader choice does not
         // affect semantics here.
-        self.ident()?;
+        self.ident_str()?;
         if matches!(self.peek().kind, TokenKind::LParen) {
             let mut depth = 0usize;
             loop {
@@ -199,14 +201,14 @@ impl Parser {
         }
         let mut schema = Vec::new();
         if self.eat_kw("AS") {
-            self.expect(&TokenKind::LParen)?;
+            self.expect(TokenKind::LParen)?;
             loop {
                 let name = self.ident()?;
                 let mut ty = FieldType::Bytearray;
-                if matches!(&self.peek().kind, TokenKind::Ident(s) if s == ":") {
+                if matches!(self.peek().kind, TokenKind::Ident(":")) {
                     self.advance();
-                    let tyname = self.ident()?;
-                    ty = FieldType::parse(&tyname)
+                    let tyname = self.ident_str()?;
+                    ty = FieldType::parse(tyname)
                         .ok_or_else(|| self.err(format!("unknown type {tyname:?}")))?;
                 }
                 schema.push((name, ty));
@@ -216,7 +218,7 @@ impl Parser {
                     break;
                 }
             }
-            self.expect(&TokenKind::RParen)?;
+            self.expect(TokenKind::RParen)?;
         }
         Ok(RelExpr::Load { path, schema })
     }
@@ -310,7 +312,7 @@ impl Parser {
                 self.advance();
                 keys.push(self.expr()?);
             }
-            self.expect(&TokenKind::RParen)?;
+            self.expect(TokenKind::RParen)?;
             Ok(keys)
         } else {
             Ok(vec![self.expr()?])
@@ -416,28 +418,27 @@ impl Parser {
     }
 
     fn primary(&mut self) -> Result<AstExpr> {
-        let t = self.peek().clone();
-        match &t.kind {
+        match self.peek().kind {
             TokenKind::IntLit(n) => {
                 self.advance();
-                Ok(AstExpr::Lit(Value::Int(*n)))
+                Ok(AstExpr::Lit(Value::Int(n)))
             }
             TokenKind::DoubleLit(d) => {
                 self.advance();
-                Ok(AstExpr::Lit(Value::Double(*d)))
+                Ok(AstExpr::Lit(Value::Double(d)))
             }
             TokenKind::StrLit(s) => {
                 self.advance();
-                Ok(AstExpr::Lit(Value::str(s.as_str())))
+                Ok(AstExpr::Lit(Value::str(s)))
             }
             TokenKind::Positional(n) => {
                 self.advance();
-                Ok(AstExpr::Positional(*n))
+                Ok(AstExpr::Positional(n))
             }
             TokenKind::LParen => {
                 self.advance();
                 let e = self.expr()?;
-                self.expect(&TokenKind::RParen)?;
+                self.expect(TokenKind::RParen)?;
                 Ok(e)
             }
             TokenKind::Ident(name) if name.eq_ignore_ascii_case("NULL") => {
@@ -445,9 +446,9 @@ impl Parser {
                 Ok(AstExpr::Lit(Value::Null))
             }
             TokenKind::Ident(name) => {
-                let name = name.clone();
+                let name = name.to_string();
                 self.advance();
-                match &self.peek().kind {
+                match self.peek().kind {
                     // Function call.
                     TokenKind::LParen => {
                         self.advance();
@@ -459,7 +460,7 @@ impl Parser {
                                 args.push(self.expr()?);
                             }
                         }
-                        self.expect(&TokenKind::RParen)?;
+                        self.expect(TokenKind::RParen)?;
                         Ok(AstExpr::Call(name, args))
                     }
                     // Bag field access `alias.field`.
@@ -633,6 +634,32 @@ mod tests {
         assert!(parse("A = join B by x;").is_err()); // single-input join
         assert!(parse("A = limit B 'x';").is_err());
         assert!(parse("store A;").is_err());
+    }
+
+    #[test]
+    fn error_texts_are_pinned() {
+        // Captured before tokens borrowed the query text: a `&str`
+        // payload must print exactly as the `String` one did.
+        let cases = [
+            ("B = filter A by ;", "parse error at 1:17: unexpected token Semi in expression"),
+            (
+                "store 'x' into '/y';",
+                "parse error at 1:7: expected identifier, found StrLit(\"x\")",
+            ),
+            ("A = load ;", "parse error at 1:10: expected string literal, found Semi"),
+            ("A = load '/x\n;", "parse error at 1:10: unterminated string"),
+            (
+                "A = limit B 99999999999999999999;",
+                "parse error at 1:13: bad number \"99999999999999999999\"",
+            ),
+            (
+                "A = frobnicate B;",
+                "parse error at 1:5: expected relational operator, found Ident(\"frobnicate\")",
+            ),
+        ];
+        for (query, want) in cases {
+            assert_eq!(parse(query).unwrap_err().to_string(), want, "{query:?}");
+        }
     }
 
     #[test]
