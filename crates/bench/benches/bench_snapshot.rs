@@ -1,7 +1,8 @@
-//! Checkpoint capture cost: the full `restore-state` dump vs the
-//! snapshot journal's incremental delta, across repository sizes.
+//! Checkpoint cost: the full `restore-state` dump vs the snapshot
+//! journal's incremental delta, across repository sizes, and what
+//! loading the dump back costs.
 //!
-//! Two arms per size:
+//! Three arms per size:
 //!
 //! * `full_dump` — `save_state()`: serializes every entry of every
 //!   namespace. Cost grows with the repository — this is the stall the
@@ -10,6 +11,11 @@
 //!   reused via `note_use`), then `save_state_delta()` drains the
 //!   journal. Cost tracks **dirty size**, so the curve stays flat
 //!   while `full_dump` climbs with the repository.
+//! * `recover` — `recover(base, &[])` of that size's full dump into a
+//!   fresh session over the same DFS: the load half of a failover
+//!   through the checkpoint set (a new service calling
+//!   `restore_incremental`). Session construction is outside the
+//!   timed region.
 //!
 //! Repository sizes default to 10² / 10³ / 10⁴ entries;
 //! `SNAPSHOT_SIZES` (comma-separated) trims the matrix — CI smoke runs
@@ -23,6 +29,7 @@ use restore_dataflow::physical::{PhysicalOp, PhysicalPlan};
 use restore_dfs::{Dfs, DfsConfig};
 use restore_mapreduce::{ClusterConfig, Engine, EngineConfig};
 use std::hint::black_box;
+use std::time::Instant;
 
 /// Entries touched per delta round — the fixed dirty working set.
 const DIRTY_USES: u64 = 16;
@@ -54,8 +61,7 @@ fn session_of(n: usize) -> ReStore {
     for i in 0..n {
         dfs.write_all(&format!("/repo/{i}"), b"x").unwrap();
     }
-    let engine = Engine::new(dfs, ClusterConfig::default(), EngineConfig::default());
-    let rs = ReStore::new(engine, ReStoreConfig::default());
+    let rs = fresh_session(&dfs);
     rs.with_repository_mut_as(None, |repo| {
         repo.batch(|b| {
             for i in 0..n {
@@ -65,6 +71,11 @@ fn session_of(n: usize) -> ReStore {
     });
     rs.enable_journal(JournalConfig::default());
     rs
+}
+
+fn fresh_session(dfs: &Dfs) -> ReStore {
+    let engine = Engine::new(dfs.clone(), ClusterConfig::default(), EngineConfig::default());
+    ReStore::new(engine, ReStoreConfig::default())
 }
 
 fn sizes() -> Vec<usize> {
@@ -107,6 +118,26 @@ fn bench_snapshot(c: &mut Criterion) {
                     let segs = rs.save_state_delta().unwrap();
                     assert!(!segs.is_empty(), "a dirtied round must capture something");
                     black_box(segs.iter().map(String::len).sum::<usize>())
+                });
+            });
+            group.finish();
+        }
+
+        // ---- recover: load a full dump into a fresh session ----
+        {
+            let base = rs.save_state();
+            let dfs = rs.engine().dfs().clone();
+            let check = fresh_session(&dfs);
+            check.recover(&base, &[]).unwrap();
+            assert_eq!(check.save_state(), base, "recovery must reproduce the dump");
+            let mut group = c.benchmark_group(format!("snapshot_recover/n{n}"));
+            group.throughput(Throughput::Elements(n as u64));
+            group.bench_function("fresh_session", |b| {
+                b.iter_custom(|_| {
+                    let fresh = fresh_session(&dfs);
+                    let t0 = Instant::now();
+                    black_box(fresh.recover(&base, &[]).unwrap());
+                    t0.elapsed()
                 });
             });
             group.finish();

@@ -23,8 +23,8 @@
 //! batches: a put appends a `dlq-put` record inside the queue's lock
 //! (record order = application order), an ack appends `dlq-ack` with
 //! the removed ids, and full dumps write a per-space `--dlq--` section
-//! — so the queue survives crash-recovery, rides checkpoint
-//! compaction, and ships to warm standbys with no extra machinery.
+//! — so the queue survives crash-recovery and rides checkpoint
+//! compaction with no extra machinery.
 //! Entry ids are monotonic within a namespace (max + 1), which makes
 //! replay idempotent: a re-applied put keys on its id, a re-applied
 //! ack removes nothing twice.
@@ -197,8 +197,8 @@ impl ReStore {
     /// return the durable entry. The entry id is namespace-monotonic
     /// (max + 1, so the queue is always in id order) and the put is
     /// journaled inside the queue's lock — record order equals
-    /// application order, and the entry survives crash-recovery,
-    /// checkpoint compaction, and shipment to standbys.
+    /// application order, and the entry survives crash-recovery and
+    /// checkpoint compaction.
     pub fn dlq_put_as(
         &self,
         tenant: Option<&str>,

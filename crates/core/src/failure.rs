@@ -4,9 +4,9 @@
 //! The policy is **configuration**, carried on [`ReStoreConfig`] like
 //! every other per-tenant knob (heuristic, §5 selection):
 //! a tenant's override travels through `set_config_as`, is serialized
-//! in `restore-state` dumps, journaled in `tenant-config` records, and
-//! ships to warm standbys — so a promoted standby enforces the same
-//! policy its primary did. The *enforcement machinery* (retry
+//! in `restore-state` dumps and journaled in `tenant-config` records —
+//! so a service restored from a checkpoint set enforces the same policy
+//! the one before it did. The *enforcement machinery* (retry
 //! scheduling, the circuit breaker, the dead-letter queue) lives in the
 //! service layer; this module only defines the knobs and the
 //! deterministic backoff arithmetic both layers agree on.
@@ -80,8 +80,8 @@ pub struct FailurePolicy {
     pub breaker_success_threshold: u32,
     /// Upper bound on the tenant's dead-letter queue length. Admitting
     /// a new entry past the cap evicts the oldest first; each eviction
-    /// is journaled as an ack so the cap survives recovery and
-    /// replicates to standbys. **0 disables the cap** (the default —
+    /// is journaled as an ack so the cap survives recovery. **0
+    /// disables the cap** (the default —
     /// the unbounded behavior of earlier releases).
     pub dlq_max_entries: usize,
     /// Age bound on dead-letter entries, in driver ticks (the logical

@@ -33,12 +33,12 @@
 //! ```
 //!
 //! `replace` is no longer written: a full document comes back through
-//! `recover`, which bumps the lineage instead of recording the load. It
-//! is still read, so a journal from a release that recorded a wholesale
-//! load mid-journal still replays. `breaker-state` is no longer written
-//! either: a circuit breaker is the live scheduler's health signal, and a
-//! restarted or promoted service re-earns it. The record is still
-//! decoded (a malformed one is still an error) and replays as a no-op.
+//! `recover`, which does not record the load. It is still read, so a
+//! journal from a release that recorded a wholesale load mid-journal
+//! still replays. `breaker-state` is no longer written either: a circuit
+//! breaker is the live scheduler's health signal, and a restarted
+//! service re-earns it. The record is still decoded (a malformed one is
+//! still an error) and replays as a no-op.
 //!
 //! One record is one **atomic replay unit** — a wave's registrations
 //! land as a single `repo-batch` (plus its `prov-batch`), an eviction
@@ -223,27 +223,7 @@ pub(crate) struct Journal {
     /// Serializes delta captures (two concurrent captures would race
     /// on the dirty sets and segment hand-off).
     pub(crate) capture: Mutex<()>,
-    /// Lineage token: bumped whenever the session's state is replaced
-    /// wholesale *without* journaling what changed (recovery replay).
-    /// Replication stamps shipments with it so a standby can detect
-    /// that its primary rolled back underneath the record stream.
-    lineage: AtomicU64,
-    /// Segment taps, fired under the sealed-segments lock as each
-    /// segment seals — observers (replication) therefore see segments
-    /// in exactly the order recovery would replay them. A tap must not
-    /// append to or roll this journal (the live buffer is locked while
-    /// it runs).
-    taps: Mutex<Vec<(u64, SegmentTap)>>,
-    tap_ids: AtomicU64,
 }
-
-/// A sealed-segment observer: called with the current lineage token and
-/// the full segment text (header included) as each segment seals.
-pub(crate) type SegmentTap = Arc<dyn Fn(u64, &str) + Send + Sync>;
-
-/// Handle for deregistering a [`SegmentTap`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct TapId(u64);
 
 impl Default for Journal {
     fn default() -> Self {
@@ -258,9 +238,6 @@ impl Default for Journal {
             captured_seq: AtomicU64::new(0),
             counters: Mutex::new((0, 0)),
             capture: Mutex::new(()),
-            lineage: AtomicU64::new(1),
-            taps: Mutex::new(Vec::new()),
-            tap_ids: AtomicU64::new(0),
         }
     }
 }
@@ -287,29 +264,14 @@ impl Journal {
 
     /// Never hand out a sequence number at or below `to` again (called
     /// when loading a base checkpoint that already covers them, and
-    /// after recovery replays shipped or on-disk records). Records at
-    /// or below `to` are durable in the caller's base or segments by
-    /// definition, so the captured mark advances too — otherwise a
-    /// freshly recovered session with an empty buffer would report `to`
-    /// records of phantom seq lag.
+    /// after recovery replays on-disk records). Records at or below `to`
+    /// are durable in the caller's base or segments by definition, so
+    /// the captured mark advances too — otherwise a freshly recovered
+    /// session with an empty buffer would report `to` records of phantom
+    /// seq lag.
     pub(crate) fn advance_seq(&self, to: u64) {
         self.seq.fetch_max(to, SeqCst);
         self.captured_seq.fetch_max(to, SeqCst);
-    }
-
-    /// Current lineage token (see [`Journal::bump_lineage`]).
-    pub(crate) fn lineage(&self) -> u64 {
-        self.lineage.load(SeqCst)
-    }
-
-    /// Mark a lineage break: the session's state was replaced by a
-    /// replay that did **not** journal what it applied (recovery), so a
-    /// downstream replica that was tailing the old record stream can no
-    /// longer reconcile by seq alone. Replication stamps every shipment
-    /// with the token; a mismatch at the standby is a typed divergence
-    /// that forces a full-base resync.
-    pub(crate) fn bump_lineage(&self) {
-        self.lineage.fetch_add(1, SeqCst);
     }
 
     /// Suspend recording for the guard's lifetime (journal replay).
@@ -350,46 +312,14 @@ impl Journal {
         let seg = format!("{SEGMENT_HEADER}\n{buf}");
         buf.clear();
         self.live_bytes.store(0, SeqCst);
-        // Push and notify under one sealed-lock hold: concurrent seals
-        // cannot reorder between the queue and the taps, so observers
-        // see segments in recovery order.
-        let mut sealed = self.sealed.lock();
-        let lineage = self.lineage();
-        for (_, tap) in self.taps.lock().iter() {
-            tap(lineage, &seg);
-        }
-        sealed.push(seg);
-    }
-
-    /// Register a sealed-segment observer (see [`SegmentTap`]). The tap
-    /// sees every segment sealed from here on; segments sealed earlier
-    /// are invisible to it, which is why replication registers its tap
-    /// *before* capturing the anchoring base.
-    pub(crate) fn add_tap(&self, tap: SegmentTap) -> TapId {
-        let id = TapId(self.tap_ids.fetch_add(1, SeqCst) + 1);
-        self.taps.lock().push((id.0, tap));
-        id
-    }
-
-    pub(crate) fn remove_tap(&self, id: TapId) {
-        self.taps.lock().retain(|(tid, _)| *tid != id.0);
-    }
-
-    /// Seal the live buffer into a segment **without** consuming the
-    /// sealed queue or advancing the captured mark: the segment still
-    /// belongs to the next [`Journal::cut`] (the checkpoint keeper's
-    /// delta), while registered taps have already received a copy —
-    /// replication shipping and incremental checkpointing share the
-    /// same sealed segments without stealing from each other.
-    pub(crate) fn seal(&self) {
-        self.seal_locked(&mut self.live.lock());
+        self.sealed.lock().push(seg);
     }
 
     /// Seal the live buffer (if non-empty) and hand every sealed
     /// segment to the caller; the journal forgets them — the caller
     /// (the driver's `save_state_delta`) owns persistence from here.
     pub(crate) fn cut(&self) -> Vec<String> {
-        self.seal();
+        self.seal_locked(&mut self.live.lock());
         let segments = std::mem::take(&mut *self.sealed.lock());
         // Everything sequenced before the seal is now the caller's to
         // persist; later appends are the new lag.
@@ -423,10 +353,9 @@ impl Journal {
     }
 
     /// Overwrite the `counters` dedup cache without appending. Replay
-    /// paths (state load, recovery, shipped-record replay) move
-    /// tick/cand with the journal paused; the cache must follow, or the
-    /// next delta capture would re-emit an unchanged pair as a phantom
-    /// record.
+    /// paths (state load, recovery) move tick/cand with the journal
+    /// paused; the cache must follow, or the next delta capture would
+    /// re-emit an unchanged pair as a phantom record.
     pub(crate) fn sync_counters_cache(&self, tick: u64, cand: u64) {
         *self.counters.lock() = (tick, cand);
     }
@@ -566,34 +495,6 @@ pub fn segment_boundaries(segment: &str) -> Vec<usize> {
         pos = end;
     }
     out
-}
-
-/// `(min_seq, max_seq, frames)` of a sealed segment, by walking frame
-/// headers only — no payload decode, no checksum. The segment is
-/// input, so nothing is assumed about the order of its frames. `None`
-/// for a header-less or frame-less segment. Replication
-/// stamps shipments with the max (the standby's catch-up target)
-/// without paying for a decode the standby does anyway.
-pub(crate) fn segment_seq_span(segment: &str) -> Option<(u64, u64, usize)> {
-    let header_len = SEGMENT_HEADER.len() + 1;
-    if !segment.starts_with(SEGMENT_HEADER) || segment.len() < header_len {
-        return None;
-    }
-    let mut span: Option<(u64, u64, usize)> = None;
-    let mut pos = header_len;
-    while pos < segment.len() {
-        let (seq, len, _, body_start) = parse_frame_at(segment, pos)?;
-        let end = body_start + len;
-        if end > segment.len() {
-            return None;
-        }
-        span = Some(match span {
-            None => (seq, seq, 1),
-            Some((lo, hi, n)) => (lo.min(seq), hi.max(seq), n + 1),
-        });
-        pos = end;
-    }
-    span
 }
 
 /// Parse the frame header starting at `pos`; returns

@@ -34,7 +34,6 @@ pub mod pin;
 pub mod plan_text;
 pub mod provenance;
 pub mod rcu;
-pub mod replication;
 pub mod repository;
 pub mod rewriter;
 pub mod selector;
@@ -50,9 +49,6 @@ pub use obs::{ReuseDecision, ReuseTraceEvent};
 pub use pin::PinSet;
 pub use provenance::Provenance;
 pub use rcu::Rcu;
-pub use replication::{
-    InProcessLink, ReplicaSession, ReplicationError, ReplicationTransport, Replicator, Shipment,
-};
 pub use repository::{
     MatchProbe, ProbedCandidate, RepoBatch, RepoEntry, RepoSnapshot, RepoStats, Repository,
 };

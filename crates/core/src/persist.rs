@@ -14,9 +14,9 @@
 //! A plain dump loads as `recover(doc, &[])`. The service's checkpoint
 //! keeper (`checkpoint_begin` / `checkpoint_incremental` /
 //! `checkpoint_set` to save, `restore_incremental` to load, in
-//! `restore-service`) and replication (`crate::replication`) are built
-//! on these calls. This is one of several `impl ReStore` blocks over
-//! the same fields; the table lists the others.
+//! `restore-service`) is built on these calls, and it is also how a
+//! session moves to a new process. This is one of several `impl
+//! ReStore` blocks over the same fields; the table lists the others.
 //!
 //! | File | Purpose |
 //! |------|---------|
@@ -24,7 +24,6 @@
 //! | `state.rs` | the `restore-state` document codec (v5 written, v4 read) |
 //! | `journal.rs` | the record log: typed appends, framing, segments, the torn-tail rule |
 //! | `repository.rs`, `provenance.rs`, `dlq.rs` | each table's own text codec, shared by documents and records |
-//! | `replication.rs` | the same journal shipped to a standby |
 //! | `driver.rs` | the execution loop: match, rewrite, run, register |
 //! | `spaces.rs` | the namespace map (the default namespace is its `""` entry) and configuration |
 //! | `introspect.rs` | explain, trace and stats |
@@ -120,15 +119,6 @@ impl ReStore {
     /// and records after it replay idempotently on top. No workflow
     /// drain is required — only per-namespace writer freezes.
     pub fn save_state(&self) -> String {
-        self.save_state_anchored().0
-    }
-
-    /// [`ReStore::save_state`] plus the anchor coordinates replication
-    /// needs: the journal seq the dump is anchored at and the lineage
-    /// token current while the capture lock was held. Reading both
-    /// under the same capture hold as the dump keeps a shipped base's
-    /// stamp consistent with its contents.
-    pub(crate) fn save_state_anchored(&self) -> (String, u64, u64) {
         // Serialize with delta captures: a delta drains dirty usage
         // into absolute-valued `note-use` records stamped *after* this
         // base's anchor; if that drain interleaved with this capture,
@@ -138,7 +128,6 @@ impl ReStore {
         // guarantee to the lazily drained ones.
         let _capture = self.journal.capture.lock();
         let seq = self.journal.seq();
-        let lineage = self.journal.lineage();
         let mut out = format!(
             "{}\ntick {}\ncand {}\nseq {}\n--config--\n{}",
             crate::state::V5_HEADER,
@@ -150,7 +139,7 @@ impl ReStore {
         for (name, space) in self.spaces_by_name() {
             out.push_str(&self.save_space(&name, &space));
         }
-        (out, seq, lineage)
+        out
     }
 
     /// Capture an **incremental checkpoint**: every journal record
@@ -173,15 +162,6 @@ impl ReStore {
             ));
         }
         let _capture = self.journal.capture.lock();
-        self.flush_dirty_locked();
-        Ok(self.journal.cut())
-    }
-
-    /// Drain the lazily tracked state into journal records: per-space
-    /// `note-use` batches for entries whose reuse counters moved, and a
-    /// `counters` record when tick/cand advanced. Caller holds the
-    /// capture lock.
-    fn flush_dirty_locked(&self) {
         for (name, space) in self.spaces_by_name() {
             let uses = space.repo.drain_dirty_usage();
             self.journal.append_note_use(&name, &uses);
@@ -190,38 +170,7 @@ impl ReStore {
             self.tick.load(Ordering::SeqCst),
             self.cand_counter.load(Ordering::SeqCst),
         );
-    }
-
-    /// Flush dirty state and seal the live buffer **without** consuming
-    /// the sealed queue: registered journal taps (replication) receive
-    /// the sealed segments, while the segments stay owned by the next
-    /// [`ReStore::save_state_delta`] — shipping never steals from the
-    /// checkpoint keeper. The replication pump calls this at every ship
-    /// cadence point.
-    pub(crate) fn flush_and_seal_journal(&self) -> Result<()> {
-        if !self.journal.enabled() {
-            return Err(Error::Other("journal shipping requires ReStore::enable_journal".into()));
-        }
-        let _capture = self.journal.capture.lock();
-        self.flush_dirty_locked();
-        self.journal.seal();
-        Ok(())
-    }
-
-    /// Replay records shipped from a replication primary, in the seq
-    /// order the caller established, then advance the journal seq past
-    /// `last_seq` so a later promotion continues the same sequence. The
-    /// journal is paused for the replay exactly as in
-    /// [`ReStore::recover`] — a standby must not re-record what its
-    /// primary already journaled.
-    pub(crate) fn replay_shipped(&self, records: Vec<Record>, last_seq: u64) -> Result<()> {
-        let _capture = self.journal.capture.lock();
-        let _pause = self.journal.pause();
-        for record in records {
-            self.apply_record(record)?;
-        }
-        self.journal.advance_seq(last_seq);
-        Ok(())
+        Ok(self.journal.cut())
     }
 
     /// Rebuild session state from a base checkpoint plus journal
@@ -250,11 +199,6 @@ impl ReStore {
         // Replay drives the normal mutation paths; pause the journal so
         // they do not re-record what they apply.
         let _pause = self.journal.pause();
-        // Recovery replaces state without journaling what it applies, so
-        // any replica tailing this session's record stream can no longer
-        // reconcile by seq — mark the lineage break (see
-        // [`crate::replication`]'s divergence rule).
-        self.journal.bump_lineage();
         let base_seq = self.load_document(base)?;
         let mut torn_tail = None;
         // (seq, record, segment index, 1-based ordinal) — coordinates
@@ -373,8 +317,8 @@ impl ReStore {
                 sp.dlq.lock().retain(|e| !ids.contains(&e.id));
             }
             // No longer written, and nothing to apply: a breaker is the
-            // live scheduler's health signal, re-earned after a restart
-            // or a promotion. Journals that carry the record still replay.
+            // live scheduler's health signal, re-earned after a restart.
+            // Journals that carry the record still replay.
             Record::BreakerState => {}
             // No longer written; journals from releases whose
             // `load_state` recorded a wholesale load still replay.

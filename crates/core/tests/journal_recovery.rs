@@ -1,5 +1,6 @@
 //! The snapshot journal end to end: incremental deltas replayed over a
-//! base checkpoint reproduce the session **byte-identically**, the
+//! base checkpoint reproduce the session **byte-identically** (checked
+//! against the live session after every step of a generated workload), the
 //! previous wire version composes with today's journal (a committed v4
 //! base + segments), bases and segments captured at earlier commits
 //! still recover (two of them carrying a `replace` or a `breaker-state`
@@ -8,6 +9,7 @@
 //! malformed, duplicated or truncated segments fail naming the
 //! offending record.
 
+use proptest::prelude::*;
 use restore_common::Error;
 use restore_core::{JournalConfig, ReStore, ReStoreConfig, SelectionPolicy};
 use restore_dfs::{Dfs, DfsConfig};
@@ -42,6 +44,59 @@ fn join_query(out: &str) -> String {
          E = foreach D generate group, SUM(C.revenue);
          store E into '{out}';"
     )
+}
+
+/// One step of the generated workload: cold queries in two namespaces,
+/// warm reruns (note-use records), config changes.
+fn run_op(rs: &ReStore, op: u8, i: usize) {
+    match op % 4 {
+        0 => {
+            rs.execute_query(&sum_query(&format!("/out/p{i}")), &format!("/wf/p{i}")).unwrap();
+        }
+        1 => {
+            rs.execute_query_as(Some("ana"), &join_query(&format!("/out/t{i}")), "/wf/t").unwrap();
+        }
+        2 => {
+            rs.execute_query(&sum_query(&format!("/out/w{i}")), "/wf/warm").unwrap();
+        }
+        _ => {
+            rs.set_config_as(
+                Some("tuned"),
+                ReStoreConfig { register_final_outputs: i.is_multiple_of(2), ..Default::default() },
+            );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(10))]
+
+    /// The lockstep oracle: run an arbitrary workload on a journaling
+    /// session, capture a delta after every step, and a fresh session
+    /// recovered from the base plus the deltas so far is byte-identical
+    /// to the *live* session at every step. Small segments make a delta
+    /// span several.
+    #[test]
+    fn recovery_matches_the_live_session_after_every_delta(
+        ops in proptest::collection::vec(0u8..4, 1..6),
+    ) {
+        let shared = dfs();
+        let live = ReStore::new(engine_over(shared.clone()), ReStoreConfig::default());
+        live.enable_journal(JournalConfig { segment_bytes: 1024 });
+        let base = live.save_state();
+        let mut segments = Vec::new();
+        for (i, &op) in ops.iter().enumerate() {
+            run_op(&live, op, i);
+            segments.extend(live.save_state_delta().unwrap());
+            let recovered = ReStore::new(engine_over(shared.clone()), ReStoreConfig::default());
+            recovered.recover(&base, &segments).unwrap();
+            prop_assert_eq!(
+                recovered.save_state(),
+                live.save_state(),
+                "recovery diverged after op {} (kind {})", i, op % 4
+            );
+        }
+    }
 }
 
 /// A literal base checkpoint in the **v4** wire format (the version
@@ -390,7 +445,7 @@ fn segment_with_a_replace_record_captured_at_the_parent_commit_still_recovers() 
 /// two namespaces' registrations and a warm rerun's `note-use`, captured
 /// at `94ce5ba`, the last commit that wrote the record, with the state
 /// that commit recovered it to. Breakers are no longer journaled — a
-/// restarted or promoted service re-earns them — but a journal that
+/// restarted service re-earns them — but a journal that
 /// holds the record still replays, every record counted as applied.
 #[test]
 fn segment_with_breaker_state_records_captured_at_the_parent_commit_still_recovers() {

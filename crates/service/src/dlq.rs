@@ -1,7 +1,7 @@
 //! Service surface of the dead-letter queue: inspection and redrive.
 //!
-//! The queue itself lives in the driver (journal-durable, shipped to
-//! standbys; see `restore_core::dlq`); workers park exhausted
+//! The queue itself lives in the driver (journal-durable; see
+//! `restore_core::dlq`); workers park exhausted
 //! submissions there when a tenant's policy says
 //! [`FailureDisposition::Dlq`](restore_core::FailureDisposition::Dlq).
 //! This module adds the operator workflow: list what's parked, and

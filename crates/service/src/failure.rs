@@ -2,14 +2,14 @@
 //! three-state circuit breaker, and the fault-injection hook.
 //!
 //! The *knobs* live on the driver's config
-//! ([`restore_core::FailurePolicy`], journaled and shipped to standbys
-//! like every per-tenant setting); this module is the *machinery* the
-//! serving layer runs them with. One [`TenantFailureState`] per tenant
-//! lives inside the scheduler's state mutex — admission verdicts and
-//! outcome records are already under that lock, so the breaker adds no
-//! locking of its own. It lives nowhere else: the state is not
-//! journaled, so a restarted or promoted service starts every breaker
-//! closed and re-trips it after `failure_threshold` failures.
+//! ([`restore_core::FailurePolicy`], journaled like every per-tenant
+//! setting); this module is the *machinery* the serving layer runs them
+//! with. One [`TenantFailureState`] per tenant lives inside the
+//! scheduler's state mutex — admission verdicts and outcome records are
+//! already under that lock, so the breaker adds no locking of its own.
+//! It lives nowhere else: the state is not journaled, so a restarted
+//! service starts every breaker closed and re-trips it after
+//! `failure_threshold` failures.
 //!
 //! ```text
 //!            failures in window ≥ threshold

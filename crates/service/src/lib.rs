@@ -71,7 +71,6 @@ mod failure;
 mod obs;
 mod scheduler;
 mod service;
-mod standby;
 mod ticket;
 
 pub use dlq::RedriveOutcome;
@@ -81,7 +80,6 @@ pub use service::{
     CheckpointConfig, CheckpointOutcome, CheckpointSet, RestoreService, ServiceConfig,
     ServiceStats, TenantServiceStats,
 };
-pub use standby::Standby;
 pub use ticket::SubmitHandle;
 
 /// Errors surfaced by the service layer.
@@ -112,9 +110,6 @@ pub enum ServiceError {
     CheckpointsNotEnabled,
     /// Compilation or execution of the query failed.
     Query(restore_common::Error),
-    /// Replication shipping, replay, or promotion failed (see
-    /// [`restore_core::ReplicationError`] for the divergence taxonomy).
-    Replication(restore_core::ReplicationError),
 }
 
 impl std::fmt::Display for ServiceError {
@@ -134,7 +129,6 @@ impl std::fmt::Display for ServiceError {
                 write!(f, "incremental checkpoints not enabled: call checkpoint_begin first")
             }
             ServiceError::Query(e) => write!(f, "query failed: {e}"),
-            ServiceError::Replication(e) => write!(f, "replication failed: {e}"),
         }
     }
 }

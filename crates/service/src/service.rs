@@ -7,12 +7,10 @@ use crate::scheduler::{next_ready_deadline, pick, QueuedWorkflow, SchedulerState
 use crate::ticket::{SubmitHandle, Ticket};
 use crate::ServiceError;
 use restore_core::{
-    FailureDisposition, JournalConfig, ReStore, ReStoreStats, RecoveryReport, ReplicationError,
-    ReplicationTransport, Replicator, ReuseTraceEvent,
+    FailureDisposition, JournalConfig, ReStore, ReStoreStats, RecoveryReport, ReuseTraceEvent,
 };
 use restore_dataflow::CompiledWorkflow;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -140,50 +138,6 @@ pub(crate) struct Shared {
     /// Serving-pipeline instruments, registered in the driver session's
     /// registry (see [`crate::obs`]).
     pub(crate) obs: ServiceObs,
-    /// Warm-standby links; empty until
-    /// [`RestoreService::attach_standby`].
-    replication: ReplicationHub,
-}
-
-/// Attached standby links (see [`RestoreService::attach_standby`]).
-/// Whoever completes a workflow pumps every link, so the ship cadence
-/// tracks the mutation rate without a dedicated timer thread.
-#[derive(Default)]
-struct ReplicationHub {
-    replicators: Mutex<Vec<Replicator>>,
-    /// `replicators.len()`, written under its mutex, so the
-    /// per-completion probe is one load when no standby is attached.
-    links: AtomicUsize,
-}
-
-impl ReplicationHub {
-    fn lock(&self) -> MutexGuard<'_, Vec<Replicator>> {
-        self.replicators.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn attached(&self) -> usize {
-        self.links.load(SeqCst)
-    }
-
-    fn attach(&self, replicator: Replicator) {
-        let mut reps = self.lock();
-        reps.push(replicator);
-        self.links.store(reps.len(), SeqCst);
-    }
-
-    /// One shipping beat on every attached link; links whose transport
-    /// closed (the standby promoted or went away) are detached — their
-    /// journal tap goes with them.
-    fn pump_all(&self) {
-        let mut reps = self.lock();
-        reps.retain(|r| !matches!(r.pump(), Err(ReplicationError::Disconnected)));
-        self.links.store(reps.len(), SeqCst);
-    }
-
-    /// Records journaled but not yet shipped, maximized over the links.
-    fn lag_records(&self) -> u64 {
-        self.lock().iter().map(|r| r.lag_records()).max().unwrap_or(0)
-    }
 }
 
 impl std::fmt::Debug for Shared {
@@ -211,11 +165,7 @@ pub struct RestoreService {
 impl RestoreService {
     /// Start the service over a fresh driver session.
     pub fn new(restore: ReStore, config: ServiceConfig) -> Self {
-        Self::over(Arc::new(restore), config)
-    }
-
-    /// Start the service over an existing (possibly shared) session.
-    pub fn over(restore: Arc<ReStore>, config: ServiceConfig) -> Self {
+        let restore = Arc::new(restore);
         let shared = Arc::new(Shared {
             restore: restore.clone(),
             state: Mutex::new(SchedulerState::default()),
@@ -223,7 +173,6 @@ impl RestoreService {
             idle: Condvar::new(),
             fault: Mutex::new(None),
             obs: ServiceObs::new(restore.registry()),
-            replication: ReplicationHub::default(),
         });
         let workers = (0..config.workers.max(1))
             .map(|_| {
@@ -370,41 +319,6 @@ impl RestoreService {
     pub fn drain(&self) {
         let st = self.shared.lock();
         drop(self.shared.wait_idle(st, |st| st.queue.is_empty() && st.inflight.is_empty()));
-    }
-
-    /// Attach a warm standby behind `transport`: the driver's journal
-    /// is enabled if it was off, an anchoring base ships immediately,
-    /// and from here every sealed journal segment is forwarded — whoever
-    /// completes a workflow pumps a shipping beat.
-    /// The receiving side is a [`crate::Standby`] (same process) or any
-    /// [`restore_core::ReplicaSession`] tailing the transport's far
-    /// end. Detach by closing the transport.
-    pub fn attach_standby(
-        &self,
-        transport: Arc<dyn ReplicationTransport>,
-    ) -> Result<(), ServiceError> {
-        let replicator = Replicator::attach(self.restore.clone(), transport)
-            .map_err(ServiceError::Replication)?;
-        self.shared.replication.attach(replicator);
-        Ok(())
-    }
-
-    /// Ship a replication beat on every attached link right now,
-    /// without waiting for the next workflow completion (flush cadence
-    /// control, deterministic tests).
-    pub fn ship_now(&self) {
-        self.shared.replication.pump_all();
-    }
-
-    /// Standby links currently attached.
-    pub fn standby_count(&self) -> usize {
-        self.shared.replication.attached()
-    }
-
-    /// Records journaled but not yet shipped, maximized over attached
-    /// links (0 with no standby attached).
-    pub fn replication_lag_records(&self) -> u64 {
-        self.shared.replication.lag_records()
     }
 
     /// Switch the service into **continuous-checkpoint mode**: enable
@@ -731,28 +645,6 @@ impl RestoreService {
                 );
             }
         }
-        // Replication gauges: one shipping-state sample per scrape. The
-        // rate families (`restore_replication_lag_seconds`,
-        // `restore_replication_records_shipped_total`,
-        // `restore_replica_resyncs_total`) stream in through the
-        // registry as shipping runs.
-        {
-            let links = self.shared.replication.attached();
-            if links > 0 {
-                g(
-                    "restore_replication_standbys",
-                    "Standby links currently attached",
-                    &[],
-                    links as f64,
-                );
-                g(
-                    "restore_replication_lag_records",
-                    "Records journaled but not yet shipped (max over links)",
-                    &[],
-                    self.shared.replication.lag_records() as f64,
-                );
-            }
-        }
         // Per-namespace repository gauges from one consistent cut.
         for (tenant, stats) in self.restore.stats_all() {
             let t = tenant.as_str();
@@ -938,7 +830,7 @@ impl Shared {
 
     /// Execute a dispatched entry and do everything its outcome
     /// requires: retry or dead-letter, breaker and tenant accounting,
-    /// waking whoever the completion unblocks, replication, the ticket.
+    /// waking whoever the completion unblocks, the ticket.
     /// Runs on whichever thread dispatched it.
     fn run(&self, entry: QueuedWorkflow, barrier: bool) {
         let restore = &self.restore;
@@ -1057,12 +949,6 @@ impl Shared {
         }
         if wake_idle {
             self.idle.notify_all();
-        }
-        // Ship the workflow's journal records to attached standbys
-        // before completing the ticket, so a caller that observed the
-        // completion knows the records are at least in flight.
-        if self.replication.attached() > 0 {
-            self.replication.pump_all();
         }
         if !will_retry {
             ticket.complete(result.map_err(ServiceError::Query));

@@ -7,17 +7,16 @@
 //! 2. bounded retries with backoff heal transient failures and give up
 //!    when the outage outlasts the budget;
 //! 3. exhausted `Dlq`-disposition submissions park in a per-tenant
-//!    dead-letter queue that is inspectable, crash-durable, shipped to
-//!    standbys, and re-drivable byte-identically;
+//!    dead-letter queue that is inspectable, crash-durable, and
+//!    re-drivable byte-identically;
 //! 4. `Drop` discards failures without dead-lettering or breaker
 //!    accounting; the default policy stays fail-fast-once.
 
-use restore_core::{FailureDisposition, FailurePolicy, InProcessLink, ReStore, ReStoreConfig};
+use restore_core::{FailureDisposition, FailurePolicy, ReStore, ReStoreConfig};
 use restore_dfs::{Dfs, DfsConfig};
 use restore_mapreduce::{ClusterConfig, Engine, EngineConfig};
 use restore_service::{
-    CheckpointConfig, FaultInjector, RestoreService, ServiceConfig, ServiceError, Standby,
-    SubmitHandle,
+    CheckpointConfig, FaultInjector, RestoreService, ServiceConfig, ServiceError, SubmitHandle,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -392,43 +391,4 @@ fn dlq_survives_crash_restart_and_redrives() {
     }
     assert_eq!(svc2.dlq_depth(Some("park")), 0);
     svc2.shutdown();
-}
-
-/// Dead letters ship to warm standbys with everything else: a promoted
-/// standby serves its primary's queue and can re-drive it.
-#[test]
-fn promoted_standby_serves_the_primary_dlq() {
-    let dfs = fresh_dfs();
-    let primary = service_over(dfs.clone());
-    let link = InProcessLink::new();
-    primary.attach_standby(link.clone()).expect("attach");
-    let standby = Standby::attach(session_over(dfs), link);
-
-    primary.set_fault_injector(Some(TenantOutage::new("park")));
-    primary.set_tenant_config(
-        Some("park"),
-        with_failure(FailurePolicy { on_failure: FailureDisposition::Dlq, ..Default::default() }),
-    );
-    submit(&primary, "park", 0).wait().unwrap_err();
-    let parked = primary.dlq_entries(Some("park"));
-    assert_eq!(parked.len(), 1);
-
-    primary.drain();
-    primary.ship_now();
-    assert!(standby.wait_caught_up(Duration::from_secs(30)), "standby catches up");
-    primary.shutdown();
-
-    let promoted = standby
-        .promote(ServiceConfig { workers: 2, queue_depth: 64, ..Default::default() })
-        .expect("promotion");
-    assert_eq!(promoted.dlq_entries(Some("park")), parked, "promoted queue is the primary's");
-
-    // The promoted service (no injector) re-drives its predecessor's
-    // dead letters to completion.
-    let outcome = promoted.redrive(Some("park"));
-    assert!(outcome.stopped.is_none());
-    assert_eq!(outcome.admitted.len(), 1);
-    outcome.admitted.into_iter().next().unwrap().wait().expect("completes on the new primary");
-    assert_eq!(promoted.dlq_depth(Some("park")), 0);
-    promoted.shutdown();
 }

@@ -125,9 +125,11 @@ fn run_scenario(restart: bool) -> (Vec<Outcome>, Vec<ReStoreStats>, Vec<ReStoreC
         // DFS from the checkpoint alone.
         svc.checkpoint_begin(CheckpointConfig::default());
         let set = svc.checkpoint_set().expect("checkpointing");
+        let before = svc.driver().save_state();
         svc.shutdown();
         let svc2 = service_over(dfs.clone(), ReStoreConfig::default());
         svc2.restore_incremental(&set).expect("checkpoint restores");
+        assert_eq!(svc2.driver().save_state(), before, "restored state is byte-identical");
         svc2
     } else {
         svc

@@ -1,36 +1,27 @@
-//! Durability end to end, in two acts over one setup: a two-tenant
-//! PigMix workload (L3 + L7 per tenant) served by `RestoreService`, and
-//! two ways its session outlives the process that built it. In both
-//! acts only the DFS and the named artefact survive, and the warm rerun
-//! must be answered from the recovered repositories.
+//! Durability end to end: a two-tenant PigMix workload (L3 + L7 per
+//! tenant) served by `RestoreService`, and the one way its session
+//! outlives the process that built it — the checkpoint set. Only the DFS
+//! and the checkpoint set survive the "crash", and the warm rerun must
+//! be answered from the recovered repositories.
 //!
-//! 1. **Continuous checkpoint → torn tail → `restore_incremental`.** A
-//!    base checkpoint — every tenant namespace: repository, provenance,
-//!    per-tenant policy overrides, counters — is anchored once, then
-//!    cheap deltas are captured between rounds without pausing dispatch.
-//!    The "crash" truncates the last journal segment at pseudo-random
-//!    byte offsets — what a process death mid-append leaves on disk —
-//!    and recovery loads the base, replays the journal and truncates the
-//!    torn tail.
-//! 2. **Warm standby → divergence resync → `promote`.** The primary
-//!    ships every sealed segment to a standby that replays it
-//!    continuously. Rolling the primary back through
-//!    `restore_incremental` replays state the record stream never
-//!    described, so the standby refuses the next segment (lineage
-//!    mismatch), asks for a full-base resync over the back channel and
-//!    re-anchors on its own; then the primary is killed and the standby
-//!    promotes into a serving service with **no checkpoint file read**.
+//! A base checkpoint — every tenant namespace: repository, provenance,
+//! per-tenant policy overrides, counters — is anchored once, then cheap
+//! deltas are captured between rounds without pausing dispatch. The
+//! crash truncates the last journal segment at pseudo-random byte
+//! offsets — what a process death mid-append leaves on disk — and
+//! `restore_incremental` on a fresh service loads the base, replays the
+//! journal and truncates the torn tail.
 //!
 //! ```sh
 //! cargo run --example durability
 //! ```
 
-use restore_suite::core::{Heuristic, InProcessLink, ReStore, ReStoreConfig};
+use restore_suite::core::{Heuristic, ReStore, ReStoreConfig};
 use restore_suite::dfs::{Dfs, DfsConfig};
 use restore_suite::mapreduce::{ClusterConfig, Engine, EngineConfig};
 use restore_suite::pigmix::{datagen, queries, DataScale};
-use restore_suite::service::{CheckpointConfig, RestoreService, ServiceConfig, Standby};
-use std::time::{Duration, Instant};
+use restore_suite::service::{CheckpointConfig, RestoreService, ServiceConfig};
+use std::time::Instant;
 
 /// A simulated cluster with PigMix data. The DFS is the durable side:
 /// it survives every "crash" below.
@@ -41,21 +32,16 @@ fn cluster(seed: u64) -> Dfs {
     dfs
 }
 
-fn new_session(dfs: &Dfs) -> ReStore {
+fn new_service(dfs: &Dfs) -> RestoreService {
     let engine = Engine::new(
         dfs.clone(),
         ClusterConfig::default(),
         EngineConfig { worker_threads: 2, default_reduce_tasks: 3 },
     );
-    ReStore::new(engine, ReStoreConfig::default())
-}
-
-fn service_config() -> ServiceConfig {
-    ServiceConfig { workers: 2, queue_depth: 64, ..Default::default() }
-}
-
-fn new_service(dfs: &Dfs) -> RestoreService {
-    RestoreService::new(new_session(dfs), service_config())
+    RestoreService::new(
+        ReStore::new(engine, ReStoreConfig::default()),
+        ServiceConfig { workers: 2, queue_depth: 64, ..Default::default() },
+    )
 }
 
 /// Both tenants submit L3 and L7 at once; returns the jobs answered
@@ -74,8 +60,8 @@ fn run_round(service: &RestoreService, tag: &str) -> usize {
     handles.into_iter().map(|h| h.wait().expect("query completes").jobs_skipped).sum()
 }
 
-/// Act 1: continuous checkpointing, a kill mid-journal, recovery from
-/// the torn checkpoint set — at several offsets, to show recovery is
+/// Continuous checkpointing, a kill mid-journal, recovery from the torn
+/// checkpoint set — at several offsets, to show recovery is
 /// offset-independent.
 fn torn_journal_recovery() {
     let dfs = cluster(0xC0_FFEE);
@@ -119,10 +105,12 @@ fn torn_journal_recovery() {
         *torn_set.segments.last_mut().unwrap() = last[..cut].to_string();
 
         let resumed = new_service(&dfs);
+        let t0 = Instant::now();
         let report = resumed.restore_incremental(&torn_set).expect("recovery");
         println!(
-            "kill at byte {cut}/{}: {} record(s) replayed, torn tail {}",
+            "kill at byte {cut}/{}: restored in {:?}, {} record(s) replayed, torn tail {}",
             last.len(),
+            t0.elapsed(),
             report.records_applied,
             match report.torn_tail {
                 Some(t) => format!("truncated at offset {}", t.offset),
@@ -151,72 +139,7 @@ fn torn_journal_recovery() {
     }
 }
 
-/// Act 2: a standby tails the primary's journal, heals a lineage break
-/// by itself, and takes over warm when the primary dies.
-fn standby_failover() {
-    // One DFS, shared by primary and standby the way two processes
-    // share a cluster.
-    let dfs = cluster(0xFA11);
-    let primary = new_service(&dfs);
-    primary.checkpoint_begin(CheckpointConfig::default());
-    let link = InProcessLink::new();
-    primary.attach_standby(link.clone()).expect("attach");
-    let standby = Standby::attach(new_session(&dfs), link);
-    println!("standby attached ({} link)", primary.standby_count());
-
-    for round in 0..3 {
-        let skipped = run_round(&primary, &format!("r{round}"));
-        println!("round {round}: {skipped} job(s) skipped");
-    }
-    primary.drain();
-    primary.ship_now();
-    assert!(standby.wait_caught_up(Duration::from_secs(30)), "standby catches up");
-    println!(
-        "standby caught up: applied seq {}, unshipped lag {} record(s)",
-        standby.replica().applied_seq(),
-        primary.replication_lag_records(),
-    );
-
-    // Divergence: roll the primary back to its checkpoint — an
-    // un-journaled replay.
-    primary.checkpoint_incremental().expect("capture");
-    let set = primary.checkpoint_set().expect("checkpointing");
-    run_round(&primary, "diverge");
-    primary.drain();
-    primary.restore_incremental(&set).expect("rollback");
-    run_round(&primary, "post-rollback");
-    primary.drain();
-    let healed = (0..200).any(|_| {
-        primary.ship_now();
-        standby.wait_caught_up(Duration::from_millis(50)) && standby.replica().resyncs() > 0
-    });
-    assert!(healed, "tailer must resync past the lineage break");
-    println!("lineage break healed: {} full-base resync(s)", standby.replica().resyncs());
-    assert_eq!(
-        standby.replica().driver().save_state(),
-        primary.driver().save_state(),
-        "post-resync standby must match the primary byte for byte"
-    );
-
-    // Failover: promotion drains the replay queue and checks seq parity
-    // — no checkpoint set, no DFS walk, no journal file.
-    let reference = primary.driver().save_state();
-    primary.shutdown();
-    let t0 = Instant::now();
-    let promoted = standby.promote(service_config()).expect("promotion");
-    println!("promoted in {:?}", t0.elapsed());
-    assert_eq!(promoted.driver().save_state(), reference, "promotion preserves state");
-
-    let warm = run_round(&promoted, "r0");
-    println!("warm rerun on the promoted standby: {warm} job(s) skipped");
-    assert!(warm > 0, "promoted standby must serve reuse");
-    promoted.shutdown();
-}
-
 fn main() {
-    println!("-- act 1: continuous checkpoint, torn journal tail --");
     torn_journal_recovery();
-    println!("-- act 2: warm standby, divergence resync, promotion --");
-    standby_failover();
-    println!("durability OK: torn-tail recovery and failover both served the warm rerun");
+    println!("durability OK: every torn-tail recovery served the warm rerun");
 }

@@ -8,13 +8,9 @@
 //! 2. dumps the complete Prometheus text exposition from
 //!    [`RestoreService::render_metrics`] — match hit/miss/latency per
 //!    tenant, per-stage pipeline timing, journal gauges,
-//!    checkpoint durations, scheduler depth, worker utilization,
-//!    replication shipping (a warm standby tails the whole run), and
+//!    checkpoint durations, scheduler depth, worker utilization, and
 //!    the RCU write counters that prove the match path publishes
-//!    nothing;
-//! 3. prints the standby's replica-side replication families
-//!    (`restore_replica_*`), which live in the *standby's* registry —
-//!    a second process in a real deployment.
+//!    nothing.
 //!
 //! ```sh
 //! cargo run --example metrics_tour
@@ -26,14 +22,12 @@
 //! [`RestoreService::trace`]: restore_suite::service::RestoreService::trace
 //! [`RestoreService::render_metrics`]: restore_suite::service::RestoreService::render_metrics
 
-use restore_suite::core::{
-    FailureDisposition, FailurePolicy, InProcessLink, ReStore, ReStoreConfig,
-};
+use restore_suite::core::{FailureDisposition, FailurePolicy, ReStore, ReStoreConfig};
 use restore_suite::dfs::{Dfs, DfsConfig};
 use restore_suite::mapreduce::{ClusterConfig, Engine, EngineConfig};
 use restore_suite::pigmix::{datagen, queries, DataScale};
 use restore_suite::service::{
-    CheckpointConfig, FaultInjector, RestoreService, ServiceConfig, ServiceError, Standby,
+    CheckpointConfig, FaultInjector, RestoreService, ServiceConfig, ServiceError,
 };
 
 /// Injected outage for the tour's flaky tenant: every attempt fails,
@@ -51,7 +45,7 @@ fn main() {
         Dfs::new(DfsConfig { nodes: 4, block_size: 1024, replication: 2, node_capacity: None });
     datagen::generate(&dfs, &DataScale::tiny(), 0xF00D).expect("data generation");
     let engine = Engine::new(
-        dfs.clone(),
+        dfs,
         ClusterConfig::default(),
         EngineConfig { worker_threads: 2, default_reduce_tasks: 3 },
     );
@@ -64,21 +58,6 @@ fn main() {
         ServiceConfig { workers: 2, queue_depth: 16, ..Default::default() },
     );
     service.checkpoint_begin(CheckpointConfig::default());
-
-    // A warm standby tails the run over an in-process link, so the
-    // replication families below carry real traffic. `attach_manual`
-    // keeps replay on this thread — the tour's output stays ordered.
-    let link = InProcessLink::new();
-    service.attach_standby(link.clone()).expect("standby attach");
-    let standby_engine = Engine::new(
-        dfs,
-        ClusterConfig::default(),
-        EngineConfig { worker_threads: 2, default_reduce_tasks: 3 },
-    );
-    let standby = Standby::attach_manual(
-        ReStore::new(standby_engine, ReStoreConfig { canonicalize, ..Default::default() }),
-        link,
-    );
 
     // Cold round: everything misses, the repository fills.
     for (q, wf) in
@@ -124,9 +103,6 @@ fn main() {
     service.set_fault_injector(None);
 
     service.checkpoint_incremental().expect("delta capture");
-    service.ship_now();
-    let applied = standby.tail_all();
-    assert!(applied > 0, "the standby must have replayed the shipped stream");
 
     println!(
         "-- warm rerun: {} job(s) ran, {} skipped --",
@@ -140,13 +116,6 @@ fn main() {
 
     println!("-- prometheus exposition --");
     print!("{}", service.render_metrics());
-
-    println!("-- standby exposition (replica-side replication families) --");
-    for line in standby.replica().driver().registry().render().lines() {
-        if line.contains("restore_replica_") {
-            println!("{line}");
-        }
-    }
 
     service.shutdown();
 }
