@@ -47,9 +47,9 @@
 //! entry of the same map.
 //!
 //! This file is the execution loop. Each seam around it is its own
-//! `impl ReStore`: namespaces and configuration in `spaces.rs`, the
-//! dead-letter queue in `dlq.rs`, explain, trace and stats in
-//! `introspect.rs`, and saving and loading the session in `persist.rs`.
+//! `impl ReStore`: namespaces and configuration in `spaces.rs`,
+//! explain, trace and stats in `introspect.rs`, and saving and loading
+//! the session in `persist.rs`.
 
 use crate::enumerator::{inject_subjob_stores, Candidate, Heuristic};
 use crate::journal::Journal;
@@ -60,7 +60,7 @@ use crate::rcu::Rcu;
 use crate::repository::{MatchProbe, RepoBatch, RepoStats, Repository};
 use crate::rewriter::{apply_aliases, identity_copy};
 use crate::selector::SelectionPolicy;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 use restore_common::{Error, Result};
 use restore_dataflow::exec::{job_io, job_spec_for_plan};
 use restore_dataflow::mr_compiler::{CompiledWorkflow, WorkflowIoPaths};
@@ -106,10 +106,9 @@ pub struct ReStoreConfig {
     /// within a wave share no outputs.
     pub wave_parallel: bool,
     /// What the serving layer does when a submission's execution fails:
-    /// retries with backoff, dead-lettering, and the per-tenant circuit
-    /// breaker (see [`crate::failure`]). The driver itself only
-    /// carries and persists the policy; enforcement lives in
-    /// `restore-service`. The default (fail-fast, breaker off) is the
+    /// retries with backoff and the per-tenant circuit breaker (see
+    /// [`crate::failure`]). The driver itself only carries and persists
+    /// the policy; enforcement lives in `restore-service`. The default (fail-fast, breaker off) is the
     /// exact behavior of earlier releases.
     pub failure: crate::failure::FailurePolicy,
     /// Canonicalize every compiled plan through the analyzer pass
@@ -275,10 +274,6 @@ pub(crate) struct Space {
     /// driver creates; the detached placeholder `space_snapshot` hands
     /// out for unknown tenants records into the void.
     pub(crate) metrics: SpaceMetrics,
-    /// The namespace's dead-letter queue, always held in id order.
-    /// Mutations journal inside this lock so record order equals
-    /// application order (the same discipline repository batches use).
-    pub(crate) dlq: Mutex<Vec<crate::dlq::DlqEntry>>,
 }
 
 impl Space {
@@ -445,9 +440,8 @@ impl ReStore {
     /// [`ReStoreConfig::canonicalize`] on, only a job whose Loads an
     /// alias rewrote is put through the analyzer again. A workflow from
     /// [`ReStore::compile_as`] under the same configuration is already
-    /// canonical; one built elsewhere (`restore_dataflow::compile`, a
-    /// dead-letter entry parked while `canonicalize` was off) still
-    /// returns the right answer, but matches — and registers its
+    /// canonical; one built elsewhere (`restore_dataflow::compile`)
+    /// still returns the right answer, but matches — and registers its
     /// candidates — in its own uncanonical form.
     pub fn execute_workflow_as(
         &self,

@@ -7,9 +7,11 @@
 //! in `restore-state` dumps and journaled in `tenant-config` records —
 //! so a service restored from a checkpoint set enforces the same policy
 //! the one before it did. The *enforcement machinery* (retry
-//! scheduling, the circuit breaker, the dead-letter queue) lives in the
-//! service layer; this module only defines the knobs and the
-//! deterministic backoff arithmetic both layers agree on.
+//! scheduling, the circuit breaker) lives in the service layer; this
+//! module only defines the knobs and the deterministic backoff
+//! arithmetic both layers agree on. Whatever the disposition, a
+//! submission that finally fails reports its error on its ticket;
+//! nothing keeps the workflow after that.
 //!
 //! The default policy is [`FailureDisposition::FailFast`] with the
 //! breaker disabled: a failed submission surfaces its error once,
@@ -23,24 +25,19 @@ use std::time::Duration;
 /// What to do with a submission whose execution attempt failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FailureDisposition {
-    /// Surface the error immediately: no retries, no dead-letter queue.
-    /// The failure still counts toward the tenant's breaker window.
-    /// This is the default — the exact behavior of earlier releases.
+    /// Surface the error immediately, with no retries. The failure
+    /// still counts toward the tenant's breaker window. This is the
+    /// default — the exact behavior of earlier releases.
     FailFast,
     /// Retry up to [`FailurePolicy::max_retries`] times with
     /// exponential backoff; when retries are exhausted, surface the
     /// last error.
     Retry,
-    /// Retry up to [`FailurePolicy::max_retries`] times; when retries
-    /// are exhausted, park the submission in the tenant's dead-letter
-    /// queue (journal-durable, inspectable, re-drivable) *and* surface
-    /// the last error to the waiting ticket.
-    Dlq,
-    /// Discard the failure: no retries, no dead-letter queue, and the
-    /// outcome does **not** feed the breaker window (a tenant
-    /// explicitly declaring its traffic best-effort must not trip its
-    /// own breaker). The error is still surfaced to the ticket — a
-    /// waiter must always learn its submission's fate.
+    /// Discard the failure: no retries, and the outcome does **not**
+    /// feed the breaker window (a tenant explicitly declaring its
+    /// traffic best-effort must not trip its own breaker). The error is
+    /// still surfaced to the ticket — a waiter must always learn its
+    /// submission's fate.
     Drop,
 }
 
@@ -51,8 +48,8 @@ pub enum FailureDisposition {
 pub struct FailurePolicy {
     /// Disposition of a failed attempt.
     pub on_failure: FailureDisposition,
-    /// Bounded retry budget for [`FailureDisposition::Retry`] /
-    /// [`FailureDisposition::Dlq`] (ignored by `FailFast` / `Drop`).
+    /// Bounded retry budget for [`FailureDisposition::Retry`] (ignored
+    /// by `FailFast` / `Drop`).
     pub max_retries: u32,
     /// First-retry delay, milliseconds.
     pub retry_backoff_base_ms: u64,
@@ -78,17 +75,6 @@ pub struct FailurePolicy {
     pub breaker_half_open_probes: u32,
     /// Probe successes that close the breaker again.
     pub breaker_success_threshold: u32,
-    /// Upper bound on the tenant's dead-letter queue length. Admitting
-    /// a new entry past the cap evicts the oldest first; each eviction
-    /// is journaled as an ack so the cap survives recovery. **0
-    /// disables the cap** (the default —
-    /// the unbounded behavior of earlier releases).
-    pub dlq_max_entries: usize,
-    /// Age bound on dead-letter entries, in driver ticks (the logical
-    /// query clock every entry is stamped with). Entries older than
-    /// this at admission time are expired with a journaled ack.
-    /// **0 disables expiry** (the default).
-    pub dlq_max_age_ticks: u64,
 }
 
 impl Default for FailurePolicy {
@@ -105,8 +91,6 @@ impl Default for FailurePolicy {
             breaker_cooldown_ms: 1_000,
             breaker_half_open_probes: 2,
             breaker_success_threshold: 2,
-            dlq_max_entries: 0,
-            dlq_max_age_ticks: 0,
         }
     }
 }
@@ -119,8 +103,7 @@ impl FailurePolicy {
 
     /// May a failed attempt be re-executed under this policy?
     pub fn retries(&self) -> bool {
-        matches!(self.on_failure, FailureDisposition::Retry | FailureDisposition::Dlq)
-            && self.max_retries > 0
+        self.on_failure == FailureDisposition::Retry && self.max_retries > 0
     }
 
     /// The delay before retry number `attempt` (1-based: the delay

@@ -26,19 +26,27 @@
 //! note-use <space:?>              + `use <id> <count> <last>` lines (absolute values)
 //! prov-batch <space:?>            + `path …` blocks / `forget <p:?>` lines, in order
 //! prov-replace <space:?>          + a full provenance table
-//! dlq-put <space:?>               + one `dead …` dead-letter entry (see [`crate::dlq`])
-//! dlq-ack <space:?>               + `ack <id>` lines (entries removed)
-//! breaker-state <space:?> <open|closed>   (read only)
 //! replace                         + a full `restore-state` document (read only)
+//! breaker-state <space:?> <open|closed>   (read only, retired)
+//! dlq-put <space:?>               + one dead-letter entry (read only, retired)
+//! dlq-ack <space:?>               + `ack <id>` lines (read only, retired)
 //! ```
 //!
 //! `replace` is no longer written: a full document comes back through
 //! `recover`, which does not record the load. It is still read, so a
 //! journal from a release that recorded a wholesale load mid-journal
-//! still replays. `breaker-state` is no longer written either: a circuit
-//! breaker is the live scheduler's health signal, and a restarted
-//! service re-earns it. The record is still decoded (a malformed one is
-//! still an error) and replays as a no-op.
+//! still replays.
+//!
+//! The three **retired** kinds are no longer written and apply nothing.
+//! `breaker-state` recorded a circuit breaker, which is the live
+//! scheduler's health signal that a restarted service re-earns.
+//! `dlq-put` / `dlq-ack` recorded a per-tenant dead-letter queue, which
+//! is gone: a failed submission reports its error on its ticket and
+//! nothing keeps the workflow. A journal that holds them still replays,
+//! and a malformed one is still an error: the space name, the breaker
+//! state and each `ack <id>` line are checked. A `dlq-put` body is not
+//! parsed; it has no type left to decode into, and the frame checksum
+//! already guards its bytes.
 //!
 //! One record is one **atomic replay unit** — a wave's registrations
 //! land as a single `repo-batch` (plus its `prov-batch`), an eviction
@@ -80,7 +88,6 @@
 //! service's checkpoint keeper does exactly that when the
 //! journal-to-base byte ratio crosses its threshold.
 
-use crate::dlq::DlqEntry;
 use crate::driver::ReStoreConfig;
 use crate::provenance::{self, Provenance};
 use crate::repository::{self, RepoOp};
@@ -144,7 +151,9 @@ pub struct RecoveryReport {
 // ---- decoded records ----
 
 /// One decoded journal record (see the module docs for the grammar;
-/// `BreakerState` and `Replace` are read, never written).
+/// `Replace` and `Retired` are read, never written). `Retired` is a
+/// `breaker-state`, `dlq-put` or `dlq-ack` record: checked, counted as
+/// applied, and otherwise a no-op.
 #[derive(Debug)]
 pub(crate) enum Record {
     Counters { tick: u64, cand: u64 },
@@ -156,10 +165,8 @@ pub(crate) enum Record {
     NoteUse { space: String, uses: Vec<(u64, u64, u64)> },
     ProvBatch { space: String, ops: Vec<ProvRecOp> },
     ProvReplace { space: String, table: Provenance },
-    DlqPut { space: String, entry: DlqEntry },
-    DlqAck { space: String, ids: Vec<u64> },
-    BreakerState,
     Replace { state: String },
+    Retired,
 }
 
 /// A decoded repository mutation, in application order.
@@ -435,29 +442,6 @@ impl Journal {
             self.append_payload(&format!("prov-replace {space:?}\n{table}"));
         }
     }
-
-    /// Journal one dead-letter put. Called inside the queue's lock, so
-    /// record order equals application order under racing puts.
-    pub(crate) fn append_dlq_put(&self, space: &str, entry: &DlqEntry) {
-        if !self.active() {
-            return;
-        }
-        let mut payload = format!("dlq-put {space:?}\n");
-        crate::dlq::encode_entry_into(&mut payload, entry);
-        self.append_payload(&payload);
-    }
-
-    /// Journal a dead-letter removal (redrive or purge) by entry id.
-    pub(crate) fn append_dlq_ack(&self, space: &str, ids: &[u64]) {
-        if !self.active() || ids.is_empty() {
-            return;
-        }
-        let mut payload = format!("dlq-ack {space:?}\n");
-        for id in ids {
-            payload.push_str(&format!("ack {id}\n"));
-        }
-        self.append_payload(&payload);
-    }
 }
 
 /// RAII pause token from [`Journal::pause`].
@@ -704,29 +688,7 @@ fn decode_payload(payload: &str) -> Result<Record, PayloadError> {
                 Provenance::load(body).map_err(|e| format!("in prov-replace table: {e}"))?;
             Ok(Record::ProvReplace { space: space(arg)?, table })
         }
-        "dlq-put" => {
-            let space = space(arg)?;
-            let mut lines = body.lines().peekable();
-            let entry = crate::dlq::parse_entry_lines(&mut lines)
-                .map_err(|e| format!("in dlq-put: {e}"))?
-                .ok_or("dlq-put record has no entry")?;
-            if let Some(line) = lines.next() {
-                return Err(format!("unexpected dlq-put line {line:?}").into());
-            }
-            Ok(Record::DlqPut { space, entry })
-        }
-        "dlq-ack" => {
-            let space = space(arg)?;
-            let mut ids = Vec::new();
-            for line in body.lines() {
-                let id = line
-                    .strip_prefix("ack ")
-                    .and_then(|v| v.parse().ok())
-                    .ok_or_else(|| format!("bad dlq-ack line {line:?}"))?;
-                ids.push(id);
-            }
-            Ok(Record::DlqAck { space, ids })
-        }
+        "replace" => Ok(Record::Replace { state: body.to_string() }),
         "breaker-state" => {
             let (name, state) =
                 arg.rsplit_once(' ').ok_or("breaker-state record needs a space and a state")?;
@@ -734,9 +696,21 @@ fn decode_payload(payload: &str) -> Result<Record, PayloadError> {
             if !matches!(state, "open" | "closed") {
                 return Err(format!("bad breaker state {state:?}").into());
             }
-            Ok(Record::BreakerState)
+            Ok(Record::Retired)
         }
-        "replace" => Ok(Record::Replace { state: body.to_string() }),
+        "dlq-put" => {
+            space(arg)?;
+            Ok(Record::Retired)
+        }
+        "dlq-ack" => {
+            space(arg)?;
+            for line in body.lines() {
+                line.strip_prefix("ack ")
+                    .and_then(|v| v.parse::<u64>().ok())
+                    .ok_or_else(|| format!("bad dlq-ack line {line:?}"))?;
+            }
+            Ok(Record::Retired)
+        }
         other => Err(format!("unknown record type {other:?}").into()),
     }
 }
@@ -812,7 +786,7 @@ mod tests {
         let (records, torn) = decode_segment(&seg, 0, true).unwrap();
         assert!(torn.is_none());
         assert_eq!(records.len(), 2);
-        assert!(records.iter().all(|(_, r)| matches!(r, Record::BreakerState)));
+        assert!(records.iter().all(|(_, r)| matches!(r, Record::Retired)));
         for (bad, why) in [
             ("breaker-state \"ana\" ajar\n", "bad breaker state"),
             ("breaker-state \"ana\"\n", "needs a space and a state"),
@@ -821,6 +795,37 @@ mod tests {
         ] {
             match decode_segment(&segment_of(&["counters 1 0\n", bad]), 4, true) {
                 Err(Error::Journal { segment: 4, record: 2, msg }) => {
+                    assert!(msg.contains(why), "{bad:?}: {msg}")
+                }
+                other => panic!("{bad:?}: expected a journal error, got {other:?}"),
+            }
+        }
+    }
+
+    /// `dlq-put` and `dlq-ack` are no longer written either. A segment
+    /// that holds them still decodes, to no-ops; the space name and each
+    /// `ack <id>` line are still checked, and a put's body (its frame
+    /// checksum already verified) is not parsed.
+    #[test]
+    fn dead_letter_records_still_decode() {
+        let seg = segment_of(&[
+            "dlq-put \"ana\"\ndead 3 2 17\nerror \"boom\"\njob -\n  0 load \"/p\"\nend\n",
+            "dlq-put \"\"\nanything at all\n",
+            "dlq-ack \"ana\"\nack 1\nack 2\n",
+            "dlq-ack \"\"\n",
+        ]);
+        let (records, torn) = decode_segment(&seg, 0, true).unwrap();
+        assert!(torn.is_none());
+        assert_eq!(records.len(), 4);
+        assert!(records.iter().all(|(_, r)| matches!(r, Record::Retired)));
+        for (bad, why) in [
+            ("dlq-put ana\ndead 1 1 1\n", "bad space name"),
+            ("dlq-ack ana\nack 1\n", "bad space name"),
+            ("dlq-ack \"ana\"\nack one\n", "bad dlq-ack line"),
+            ("dlq-ack \"ana\"\nnack 1\n", "bad dlq-ack line"),
+        ] {
+            match decode_segment(&segment_of(&["counters 1 0\n", bad]), 5, true) {
+                Err(Error::Journal { segment: 5, record: 2, msg }) => {
                     assert!(msg.contains(why), "{bad:?}: {msg}")
                 }
                 other => panic!("{bad:?}: expected a journal error, got {other:?}"),

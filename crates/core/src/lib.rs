@@ -21,7 +21,6 @@
 //! different times and chained through temporary files all match against
 //! the same canonical shapes.
 
-pub mod dlq;
 pub mod driver;
 pub mod enumerator;
 pub mod failure;
@@ -40,7 +39,6 @@ pub mod selector;
 mod spaces;
 mod state;
 
-pub use dlq::DlqEntry;
 pub use driver::{footprints_conflict, QueryExecution, ReStore, ReStoreConfig, ReStoreStats};
 pub use enumerator::Heuristic;
 pub use failure::{FailureDisposition, FailurePolicy};

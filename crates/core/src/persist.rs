@@ -23,7 +23,7 @@
 //! | `persist.rs` | this module: journal switch, base dumps, delta capture, recovery, record replay |
 //! | `state.rs` | the `restore-state` document codec (v5 written, v4 read) |
 //! | `journal.rs` | the record log: typed appends, framing, segments, the torn-tail rule |
-//! | `repository.rs`, `provenance.rs`, `dlq.rs` | each table's own text codec, shared by documents and records |
+//! | `repository.rs`, `provenance.rs` | each table's own text codec, shared by documents and records |
 //! | `driver.rs` | the execution loop: match, rewrite, run, register |
 //! | `spaces.rs` | the namespace map (the default namespace is its `""` entry) and configuration |
 //! | `introspect.rs` | explain, trace and stats |
@@ -190,10 +190,10 @@ impl ReStore {
     /// document (v5, or the v4 of the release before) — the one way a
     /// saved session comes back. The document replaces the whole
     /// session: global config, every tenant namespace (existing tenant
-    /// state is dropped, dead-letter queues included), and the
-    /// counters; the stored output files come from the DFS of the
-    /// engine this instance was built with. A malformed document yields
-    /// [`Error::State`] naming the offending line.
+    /// state is dropped), and the counters; the stored output files
+    /// come from the DFS of the engine this instance was built with.
+    /// A malformed document yields [`Error::State`] naming the
+    /// offending line.
     pub fn recover(&self, base: &str, segments: &[String]) -> Result<RecoveryReport> {
         let _capture = self.journal.capture.lock();
         // Replay drives the normal mutation paths; pause the journal so
@@ -300,31 +300,15 @@ impl ReStore {
             Record::ProvReplace { space, table } => {
                 self.space_for(Some(&space)).prov.store(table);
             }
-            Record::DlqPut { space, entry } => {
-                let sp = self.space_for(Some(&space));
-                let mut q = sp.dlq.lock();
-                // Keyed by id: a re-applied put replaces its own entry.
-                match q.iter_mut().find(|e| e.id == entry.id) {
-                    Some(slot) => *slot = entry,
-                    None => {
-                        q.push(entry);
-                        q.sort_by_key(|e| e.id);
-                    }
-                }
-            }
-            Record::DlqAck { space, ids } => {
-                let sp = self.space_for(Some(&space));
-                sp.dlq.lock().retain(|e| !ids.contains(&e.id));
-            }
-            // No longer written, and nothing to apply: a breaker is the
-            // live scheduler's health signal, re-earned after a restart.
-            // Journals that carry the record still replay.
-            Record::BreakerState => {}
             // No longer written; journals from releases whose
             // `load_state` recorded a wholesale load still replay.
             Record::Replace { state } => {
                 self.load_document(&state)?;
             }
+            // No longer written, and nothing to apply: what they
+            // recorded is no longer durable state (see the journal's
+            // retired kinds). Journals that carry them still replay.
+            Record::Retired => {}
         }
         Ok(())
     }
@@ -367,11 +351,6 @@ impl ReStore {
         out.push_str(&prov_text);
         out.push_str("--repository--\n");
         out.push_str(&repo_text);
-        let dlq = space.dlq.lock();
-        if !dlq.is_empty() {
-            out.push_str("--dlq--\n");
-            out.push_str(&crate::dlq::save(&dlq));
-        }
         out
     }
 
@@ -393,7 +372,6 @@ impl ReStore {
             // The default namespace follows the global config; an
             // override in its section (never written) is not loaded.
             space.config.store(sp.config.filter(|_| !sp.name.is_empty()));
-            *space.dlq.lock() = sp.dlq;
             spaces.insert(sp.name, space);
         }
         // One publish replaces the whole map atomically.

@@ -24,7 +24,6 @@
 //! |------|---------|
 //! | `spaces.rs` | this module: the namespace map, configuration, admin access |
 //! | `driver.rs` | the `Space` type, and the execution loop that runs in one |
-//! | `dlq.rs` | each namespace's dead-letter queue |
 //! | `introspect.rs` | explain, trace and stats over the namespaces |
 //! | `persist.rs` | saving and loading every namespace |
 

@@ -8,29 +8,33 @@
 //!   anchored at, see [`crate::journal`]: recovery loads the base and
 //!   replays only journal records with a later sequence number), the
 //!   global configuration, and **every** namespace (default and
-//!   per-tenant) with its repository, provenance table, its
-//!   `ReStoreConfig` when the tenant carries a policy override, and an
-//!   optional `--dlq--` section holding the tenant's dead-letter queue
-//!   (see [`crate::dlq`]; omitted when the queue is empty).
-//! * **v4** (previous) — the same document without three configuration
-//!   keys: the dead-letter queue caps `dlq_max_entries` /
-//!   `dlq_max_age_ticks` (missing = 0 = unbounded) and `canonicalize`
-//!   (the analyzer toggle; missing = **on**, the v5 default).
+//!   per-tenant) with its repository, provenance table, and its
+//!   `ReStoreConfig` when the tenant carries a policy override.
+//! * **v4** (previous) — the same document without the `canonicalize`
+//!   configuration key (the analyzer toggle; missing = **on**, the v5
+//!   default).
 //!
 //! Configuration keys missing from a document keep their defaults, so
-//! dropping a key from the writer does not need a new version. One key
-//! is read but no longer written: `repo_shards`, from releases whose
-//! repository could be striped. `0` and `1` mean the one ordered list
-//! and are ignored; a larger value means the document's entries are in
-//! shard-concatenation order, not §3 order, and the document is refused
-//! with [`Error::Config`].
+//! dropping a key from the writer does not need a new version. Some
+//! keys are read but no longer written:
+//!
+//! * `repo_shards`, from releases whose repository could be striped.
+//!   `0` and `1` mean the one ordered list and are ignored; a larger
+//!   value means the document's entries are in shard-concatenation
+//!   order, not §3 order, and the document is refused with
+//!   [`Error::Config`].
+//! * `dlq_max_entries` and `dlq_max_age_ticks`, the caps of the
+//!   dead-letter queue earlier releases kept. They are ignored, and a
+//!   value of `on_failure dlq` reads as `retry`: a `dlq` tenant got
+//!   exactly `retry`'s retries, breaker accounting and ticket error.
 //!
 //! The format is line-oriented. Section headers are `--config--`,
-//! `--provenance--`, `--repository--`, `--dlq--`, and
-//! `--space "<tenant>"--` (the empty name is the default namespace);
-//! body lines never begin with `--`, so sections split unambiguously.
-//! Tenants are written in sorted order, config fields in a fixed
-//! order, and dead-letter entries in id order, which makes
+//! `--provenance--`, `--repository--`, and `--space "<tenant>"--`
+//! (the empty name is the default namespace); body lines never begin
+//! with `--`, so sections split unambiguously. A `--dlq--` section
+//! after a namespace's repository, written by those earlier releases,
+//! is skipped up to the next header. Tenants are written in sorted
+//! order and config fields in a fixed order, which makes
 //! `save_state → recover → save_state` byte-identical.
 //!
 //! Parse failures surface as [`Error::State`] carrying the 1-based line
@@ -54,8 +58,6 @@ pub(crate) struct LoadedSpace {
     pub config: Option<ReStoreConfig>,
     pub prov: Provenance,
     pub repo: Repository,
-    /// The namespace's dead-letter queue.
-    pub dlq: Vec<crate::dlq::DlqEntry>,
 }
 
 /// A fully deserialized `restore-state` document.
@@ -99,7 +101,6 @@ fn disposition_name(d: FailureDisposition) -> &'static str {
     match d {
         FailureDisposition::FailFast => "fail_fast",
         FailureDisposition::Retry => "retry",
-        FailureDisposition::Dlq => "dlq",
         FailureDisposition::Drop => "drop",
     }
 }
@@ -107,8 +108,9 @@ fn disposition_name(d: FailureDisposition) -> &'static str {
 fn disposition_from(name: &str) -> Option<FailureDisposition> {
     match name {
         "fail_fast" => Some(FailureDisposition::FailFast),
-        "retry" => Some(FailureDisposition::Retry),
-        "dlq" => Some(FailureDisposition::Dlq),
+        // `dlq` retried, then parked the workflow as well; without the
+        // queue it is `retry`.
+        "retry" | "dlq" => Some(FailureDisposition::Retry),
         "drop" => Some(FailureDisposition::Drop),
         _ => None,
     }
@@ -129,8 +131,7 @@ pub(crate) fn encode_config(c: &ReStoreConfig) -> String {
          on_failure {}\nmax_retries {}\nretry_backoff_base_ms {}\n\
          retry_backoff_factor {}\nretry_backoff_cap_ms {}\nretry_backoff_jitter {}\n\
          failure_window {}\nfailure_threshold {}\nbreaker_cooldown_ms {}\n\
-         breaker_half_open_probes {}\nbreaker_success_threshold {}\n\
-         dlq_max_entries {}\ndlq_max_age_ticks {}\ncanonicalize {}\n",
+         breaker_half_open_probes {}\nbreaker_success_threshold {}\ncanonicalize {}\n",
         c.reuse_enabled,
         heuristic_name(c.heuristic),
         c.repo_prefix,
@@ -154,8 +155,6 @@ pub(crate) fn encode_config(c: &ReStoreConfig) -> String {
         c.failure.breaker_cooldown_ms,
         c.failure.breaker_half_open_probes,
         c.failure.breaker_success_threshold,
-        c.failure.dlq_max_entries,
-        c.failure.dlq_max_age_ticks,
         c.canonicalize,
     )
 }
@@ -235,9 +234,9 @@ pub(crate) fn decode_config(lines: &[&str], base: usize) -> Result<ReStoreConfig
             "breaker_success_threshold" => {
                 c.failure.breaker_success_threshold = value.parse().map_err(|_| bad())?
             }
-            "dlq_max_entries" => c.failure.dlq_max_entries = value.parse().map_err(|_| bad())?,
-            "dlq_max_age_ticks" => {
-                c.failure.dlq_max_age_ticks = value.parse().map_err(|_| bad())?
+            // The dead-letter queue's caps: checked, then ignored.
+            "dlq_max_entries" | "dlq_max_age_ticks" => {
+                value.parse::<u64>().map_err(|_| bad())?;
             }
             "canonicalize" => c.canonicalize = parse_bool(value)?,
             _ => return Err(err_at(at, format!("unknown config key {key:?}"))),
@@ -359,17 +358,11 @@ pub(crate) fn parse(text: &str) -> Result<LoadedState> {
         };
         let (prov, repo, end) = parse_tables(&lines, idx)?;
         idx = end;
-        // Optional dead-letter queue (omitted when empty).
-        let dlq = if lines.get(idx).copied() == Some("--dlq--") {
-            let dend = body_end(&lines, idx + 1);
-            let q = crate::dlq::load(&lines[idx + 1..dend].join("\n"))
-                .map_err(|e| err_at(idx, format!("in --dlq-- section: {e}")))?;
-            idx = dend;
-            q
-        } else {
-            Vec::new()
-        };
-        spaces.push(LoadedSpace { name, config, prov, repo, dlq });
+        // An earlier release's dead-letter queue: skipped.
+        if lines.get(idx).copied() == Some("--dlq--") {
+            idx = body_end(&lines, idx + 1);
+        }
+        spaces.push(LoadedSpace { name, config, prov, repo });
     }
     Ok(LoadedState { tick, cand, seq, global_config, spaces })
 }
@@ -397,7 +390,7 @@ mod tests {
             register_final_outputs: false,
             wave_parallel: false,
             failure: crate::failure::FailurePolicy {
-                on_failure: FailureDisposition::Dlq,
+                on_failure: FailureDisposition::Retry,
                 max_retries: 3,
                 retry_backoff_base_ms: 10,
                 retry_backoff_factor: 1.5,
@@ -408,8 +401,6 @@ mod tests {
                 breaker_cooldown_ms: 750,
                 breaker_half_open_probes: 1,
                 breaker_success_threshold: 3,
-                dlq_max_entries: 64,
-                dlq_max_age_ticks: 1000,
             },
             canonicalize: false,
         };
@@ -430,12 +421,37 @@ mod tests {
 
     #[test]
     fn pre_v5_documents_default_the_new_keys() {
-        // A config body without the v5 keys (any v4-or-earlier dump)
-        // loads with the analyzer on and the DLQ unbounded.
+        // A config body without `canonicalize` (any v4-or-earlier dump)
+        // loads with the analyzer on.
         let back = decode_config(&["reuse_enabled true"], 0).unwrap();
         assert!(back.canonicalize);
-        assert_eq!(back.failure.dlq_max_entries, 0);
-        assert_eq!(back.failure.dlq_max_age_ticks, 0);
+    }
+
+    #[test]
+    fn dead_letter_caps_are_read_ignored_and_never_written() {
+        let lines = ["max_retries 2", "dlq_max_entries 64", "dlq_max_age_ticks 1000"];
+        let back = decode_config(&lines, 0).unwrap();
+        let want = ReStoreConfig {
+            failure: crate::failure::FailurePolicy { max_retries: 2, ..Default::default() },
+            ..Default::default()
+        };
+        assert_eq!(back, want);
+        assert!(!encode_config(&back).contains("dlq"));
+        // A value that never parsed is still a positioned error.
+        match decode_config(&["dlq_max_entries many"], 4).unwrap_err() {
+            Error::State { line, msg } => {
+                assert_eq!(line, 5);
+                assert!(msg.contains("dlq_max_entries"), "{msg}");
+            }
+            other => panic!("expected Error::State, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn on_failure_dlq_decodes_to_retry() {
+        let back = decode_config(&["on_failure dlq"], 0).unwrap();
+        assert_eq!(back.failure.on_failure, FailureDisposition::Retry);
+        assert!(encode_config(&back).contains("on_failure retry\n"));
     }
 
     #[test]

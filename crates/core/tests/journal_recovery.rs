@@ -3,15 +3,18 @@
 //! against the live session after every step of a generated workload), the
 //! previous wire version composes with today's journal (a committed v4
 //! base + segments), bases and segments captured at earlier commits
-//! still recover (two of them carrying a `replace` or a `breaker-state`
-//! record, read but no longer written), sequence anchoring skips covered
+//! still recover (three of them carrying a `replace`, a `breaker-state`
+//! or the dead-letter queue's sections and records, read but no longer
+//! written), sequence anchoring skips covered
 //! records, segments handed over out of order are sorted, and
 //! malformed, duplicated or truncated segments fail naming the
 //! offending record.
 
 use proptest::prelude::*;
 use restore_common::Error;
-use restore_core::{JournalConfig, ReStore, ReStoreConfig, SelectionPolicy};
+use restore_core::{
+    FailureDisposition, FailurePolicy, JournalConfig, ReStore, ReStoreConfig, SelectionPolicy,
+};
 use restore_dfs::{Dfs, DfsConfig};
 use restore_mapreduce::{ClusterConfig, Engine, EngineConfig};
 
@@ -458,6 +461,39 @@ fn segment_with_breaker_state_records_captured_at_the_parent_commit_still_recove
     let report = rs.recover(base, &[segment.to_string()]).unwrap();
     assert_eq!((report.base_seq, report.records_skipped, report.records_applied), (0, 0, 12));
     assert_eq!(recovered_summary(&rs), include_str!("fixtures/parent_breaker_expect.txt"));
+}
+
+/// A base holding a `--dlq--` section in two namespaces and an `ana`
+/// override with `on_failure dlq` and both queue caps, and a segment
+/// holding three `dlq-put` records into `ana` (the cap of 2 forcing
+/// eviction acks) and a manual `dlq-ack` between a cold run's
+/// `repo-batch` / `prov-batch` records and warm runs' `note-use`,
+/// captured at `da4b0d1`, the last commit that had a dead-letter queue,
+/// with the state that commit recovered them to. The queue is gone: its
+/// sections are skipped, its records replay as no-ops (counted as
+/// applied), its caps are ignored, and `dlq` reads as `retry`.
+#[test]
+fn base_and_segment_with_a_dead_letter_queue_captured_at_the_parent_commit_still_recover() {
+    let base = include_str!("fixtures/parent_dlq_base.txt");
+    let segment = include_str!("fixtures/parent_dlq_segment.txt");
+    assert_eq!(base.matches("\n--dlq--\n").count(), 2);
+    assert!(base.contains("on_failure dlq\n") && base.contains("dlq_max_entries 2\n"));
+    assert_eq!(segment.matches("\ndlq-put \"ana\"\n").count(), 3);
+    assert!(segment.contains("\ndlq-ack \"\"\nack 1\n"), "the manual ack");
+    let rs = ReStore::new(engine_over(dfs()), ReStoreConfig::default());
+    let report = rs.recover(base, &[segment.to_string()]).unwrap();
+    assert_eq!((report.base_seq, report.records_skipped, report.records_applied), (7, 0, 14));
+    assert_eq!(recovered_summary(&rs), include_str!("fixtures/parent_dlq_expect.txt"));
+
+    let policy = rs.config_as(Some("ana")).failure;
+    let want = FailurePolicy {
+        on_failure: FailureDisposition::Retry,
+        max_retries: 1,
+        ..Default::default()
+    };
+    assert_eq!(policy, want);
+    let state = rs.save_state();
+    assert!(!state.contains("dlq"), "read, never written back");
 }
 
 /// Regression: `recover` advances the journal's allocation cursor to

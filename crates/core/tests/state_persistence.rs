@@ -136,13 +136,10 @@ fn v2_load_without_default_section_still_resets_default_namespace() {
 
     let rs = ReStore::new(engine_over(shared), ReStoreConfig::default());
     rs.execute_query(&sum_query("/out/stale"), "/wf/stale").unwrap();
-    let parked = restore_dataflow::compile(&sum_query("/out/dead"), "/wf/dead").unwrap();
-    rs.dlq_put_as(None, parked, "stale failure", 1);
     assert!(rs.stats().repository_entries > 0);
     rs.recover(&pruned, &[]).unwrap();
     assert_eq!(rs.stats().repository_entries, 0, "default namespace fully replaced");
     assert_eq!(rs.stats().provenance_entries, 0);
-    assert_eq!(rs.dlq_depth_as(None), 0, "its dead-letter queue too");
     assert_eq!(rs.tenant_ids(), vec!["ana".to_string()]);
     let names: Vec<String> = rs.stats_all().into_iter().map(|(n, _)| n).collect();
     assert_eq!(names, ["", "ana"], "the default namespace exists, once");

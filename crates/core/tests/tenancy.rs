@@ -27,7 +27,7 @@ fn sum_query(out: &str) -> String {
 
 /// `Some("")` and `None` are one namespace, the `""` entry of the
 /// session's namespace map, at every driver entry point: what one
-/// stores the other reuses, reads, configures and dead-letters, and the
+/// stores the other reuses, reads and configures, and the
 /// journal never records `""` as a tenant being created.
 #[test]
 fn an_empty_tenant_name_is_the_default_namespace_at_every_entry_point() {
@@ -65,15 +65,6 @@ fn an_empty_tenant_name_is_the_default_namespace_at_every_entry_point() {
     assert_eq!(rs.config_as(Some("")), tuned);
     rs.clear_config_as("");
     assert_eq!(rs.config_as(Some("")), tuned, "the default namespace has no override to drop");
-
-    // Dead letters.
-    let wf = restore_dataflow::compile(&sum_query("/out/dead"), "/wf/dead").unwrap();
-    let parked = rs.dlq_put_as(Some(""), wf, "boom", 1);
-    assert_eq!(rs.dlq_entries_as(None), vec![parked.clone()]);
-    assert_eq!(rs.dlq_depth_as(Some("")), 1);
-    assert_eq!(rs.dlq_depths(), vec![(String::new(), 1)]);
-    assert_eq!(rs.dlq_ack_as(None, &[parked.id]), vec![parked]);
-    assert_eq!(rs.dlq_depth_as(Some("")), 0);
 
     // Listings: `""` is never a tenant, and is exactly one stats row.
     rs.execute_query_as(Some("ana"), &sum_query("/out/a"), "/wf/a").unwrap();

@@ -66,16 +66,14 @@
 //!
 //! [`CompiledWorkflow::io_path_sets`]: restore_dataflow::CompiledWorkflow::io_path_sets
 
-mod dlq;
 mod failure;
 mod obs;
 mod scheduler;
 mod service;
 mod ticket;
 
-pub use dlq::RedriveOutcome;
 pub use failure::FaultInjector;
-pub use restore_core::{DlqEntry, FailureDisposition, FailurePolicy};
+pub use restore_core::{FailureDisposition, FailurePolicy};
 pub use service::{
     CheckpointConfig, CheckpointOutcome, CheckpointSet, RestoreService, ServiceConfig,
     ServiceStats, TenantServiceStats,

@@ -36,11 +36,6 @@ pub(crate) struct ServiceObs {
     pub compactions: Counter,
     /// Failed attempts re-enqueued for a backoff retry.
     pub retries: Counter,
-    /// Submissions parked in a dead-letter queue after exhausting
-    /// retries.
-    pub dlq_puts: Counter,
-    /// Dead-letter entries re-driven through normal admission.
-    pub dlq_redrives: Counter,
     /// Submissions shed by an open (or probe-saturated half-open)
     /// circuit breaker.
     pub circuit_shed: Counter,
@@ -103,16 +98,6 @@ impl ServiceObs {
             retries: registry.counter(
                 "restore_retries_total",
                 "Failed attempts re-enqueued for a backoff retry",
-                &[],
-            ),
-            dlq_puts: registry.counter(
-                "restore_dlq_puts_total",
-                "Submissions dead-lettered after exhausting retries",
-                &[],
-            ),
-            dlq_redrives: registry.counter(
-                "restore_dlq_redrives_total",
-                "Dead-letter entries re-driven through admission",
                 &[],
             ),
             circuit_shed: registry.counter(

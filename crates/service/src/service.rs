@@ -151,9 +151,7 @@ impl std::fmt::Debug for Shared {
 pub struct RestoreService {
     restore: Arc<ReStore>,
     config: ServiceConfig,
-    /// Crate-visible so the dead-letter surface (see [`crate::dlq`])
-    /// counts redrives.
-    pub(crate) shared: Arc<Shared>,
+    shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
     /// Continuous-checkpoint state; `None` until
     /// [`RestoreService::checkpoint_begin`]. Its lock also serializes
@@ -470,9 +468,9 @@ impl RestoreService {
     /// attempt with a `Job` error *before* the driver runs (no
     /// repository or DFS state mutates). The failure then flows through
     /// the tenant's [`restore_core::FailurePolicy`] exactly like a real
-    /// one — retries, dead-lettering, breaker accounting — which is the
-    /// point: failure-path tests and drills script exact schedules
-    /// keyed on (tenant, submission id, attempt). Takes effect for
+    /// one — retries, breaker accounting — which is the point:
+    /// failure-path tests and drills script exact schedules keyed on
+    /// (tenant, submission id, attempt). Takes effect for
     /// attempts dispatched after the call.
     pub fn set_fault_injector(&self, injector: Option<Arc<dyn FaultInjector>>) {
         *self.shared.fault.lock().unwrap_or_else(|e| e.into_inner()) = injector;
@@ -589,16 +587,6 @@ impl RestoreService {
                     fs.gauge(),
                 );
             }
-        }
-        // Dead-letter depth for every live namespace, zeros included —
-        // an alert on depth > 0 must see the family exist beforehand.
-        for (tenant, depth) in self.restore.dlq_depths() {
-            g(
-                "restore_dlq_depth",
-                "Dead-letter queue depth",
-                &[("tenant", tenant.as_str())],
-                depth as f64,
-            );
         }
         // Journal gauges (lock-free stats reads).
         let js = self.restore.journal_stats();
@@ -829,7 +817,7 @@ impl Shared {
     }
 
     /// Execute a dispatched entry and do everything its outcome
-    /// requires: retry or dead-letter, breaker and tenant accounting,
+    /// requires: retry, breaker and tenant accounting,
     /// waking whoever the completion unblocks, the ticket.
     /// Runs on whichever thread dispatched it.
     fn run(&self, entry: QueuedWorkflow, barrier: bool) {
@@ -841,10 +829,9 @@ impl Shared {
         // The failure policy current at dispatch governs this attempt
         // (a mid-flight policy change applies from the next attempt on).
         let policy = restore.config_as(tenant).failure;
-        // Retry and dead-letter dispositions need the workflow back
-        // after execution consumes it; everyone else skips the clone.
-        let keep_wf =
-            (policy.retries() || policy.on_failure == FailureDisposition::Dlq).then(|| wf.clone());
+        // A retry needs the workflow back after execution consumes it;
+        // everyone else skips the clone.
+        let keep_wf = policy.retries().then(|| wf.clone());
         let injected = {
             let inj = self.fault.lock().unwrap_or_else(|e| e.into_inner()).clone();
             // An injector sees the tenant as it was submitted: `None`
@@ -876,15 +863,6 @@ impl Shared {
         self.obs.worker_run.record_elapsed(run_t0);
         let now = Instant::now();
         let will_retry = result.is_err() && policy.retries() && attempt < policy.max_retries;
-        // Retries exhausted under the Dlq disposition: park the
-        // workflow durably *before* completing the ticket, so a waiter
-        // observing the error already finds the entry inspectable.
-        if result.is_err() && !will_retry && policy.on_failure == FailureDisposition::Dlq {
-            let why = result.as_ref().err().map(ToString::to_string).unwrap_or_default();
-            let parked = keep_wf.clone().expect("dlq disposition keeps the workflow");
-            restore.dlq_put_as(tenant, parked, &why, attempt + 1);
-            self.obs.dlq_puts.inc();
-        }
         let (wake_pool, wake_idle) = {
             let mut st = self.lock();
             let at = st

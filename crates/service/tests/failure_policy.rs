@@ -6,11 +6,12 @@
 //!    tenant on the same service is unaffected;
 //! 2. bounded retries with backoff heal transient failures and give up
 //!    when the outage outlasts the budget;
-//! 3. exhausted `Dlq`-disposition submissions park in a per-tenant
-//!    dead-letter queue that is inspectable, crash-durable, and
-//!    re-drivable byte-identically;
-//! 4. `Drop` discards failures without dead-lettering or breaker
-//!    accounting; the default policy stays fail-fast-once.
+//! 3. `Drop` discards failures without breaker accounting; the default
+//!    policy stays fail-fast-once;
+//! 4. a tenant's policy survives a checkpoint-set restart.
+//!
+//! Whatever the disposition, the final error reaches the submission's
+//! ticket.
 
 use restore_core::{FailureDisposition, FailurePolicy, ReStore, ReStoreConfig};
 use restore_dfs::{Dfs, DfsConfig};
@@ -185,48 +186,11 @@ fn retries_heal_transients_and_exhaust_into_the_final_error() {
     svc.shutdown();
 }
 
-/// `Dlq` disposition: the exhausted submission parks in the tenant's
-/// dead-letter queue carrying the exact compiled workflow, the attempt
-/// count, and the final error — and the error still reaches the ticket.
+/// `Drop` disposition: the error surfaces once, and dropped failures
+/// never feed the breaker window — best-effort traffic cannot trip its
+/// own breaker.
 #[test]
-fn exhausted_dlq_submission_parks_with_the_exact_workflow() {
-    let svc = service_over(fresh_dfs());
-    svc.set_fault_injector(Some(TenantOutage::new("dl")));
-    svc.set_tenant_config(
-        Some("dl"),
-        with_failure(FailurePolicy {
-            on_failure: FailureDisposition::Dlq,
-            max_retries: 1,
-            retry_backoff_base_ms: 1,
-            ..Default::default()
-        }),
-    );
-
-    let (q, wf) = query("dl", 0);
-    let err = svc.submit(Some("dl"), &q, &wf).unwrap().wait().unwrap_err();
-    assert!(matches!(err, ServiceError::Query(_)), "the waiter still learns the fate");
-
-    let entries = svc.dlq_entries(Some("dl"));
-    assert_eq!(entries.len(), 1);
-    assert_eq!(entries[0].attempts, 2, "initial attempt plus one retry");
-    assert!(entries[0].error.contains("injected outage"));
-    assert_eq!(
-        entries[0].wf,
-        restore_dataflow::compile(&q, &wf).unwrap(),
-        "the parked workflow is exactly what was submitted"
-    );
-    assert_eq!(svc.dlq_depth(None), 0, "other namespaces untouched");
-    let metrics = svc.render_metrics();
-    assert!(metrics.contains("restore_dlq_puts_total 1"));
-    assert!(metrics.contains("restore_dlq_depth{tenant=\"dl\"} 1"));
-    svc.shutdown();
-}
-
-/// `Drop` disposition: the error surfaces once, nothing is parked, and
-/// dropped failures never feed the breaker window — best-effort traffic
-/// cannot trip its own breaker.
-#[test]
-fn drop_disposition_discards_without_dlq_or_breaker_accounting() {
+fn drop_disposition_discards_without_retries_or_breaker_accounting() {
     let svc = service_over(fresh_dfs());
     svc.set_fault_injector(Some(TenantOutage::new("be")));
     svc.set_tenant_config(
@@ -245,7 +209,7 @@ fn drop_disposition_discards_without_dlq_or_breaker_accounting() {
         let err = submit(&svc, "be", round).wait().unwrap_err();
         assert!(matches!(err, ServiceError::Query(_)));
     }
-    assert_eq!(svc.dlq_depth(Some("be")), 0, "nothing dead-lettered");
+    assert!(svc.render_metrics().contains("restore_retries_total 0"), "nothing retried");
     assert!(
         svc.render_metrics().contains("restore_circuit_state{tenant=\"be\"} 0"),
         "breaker stays closed"
@@ -254,14 +218,13 @@ fn drop_disposition_discards_without_dlq_or_breaker_accounting() {
 }
 
 /// The default policy is fail-fast-once: no retry (a retry would have
-/// succeeded here), no dead-letter entry, no breaker.
+/// succeeded here), no breaker.
 #[test]
 fn default_policy_fails_fast_exactly_once() {
     let svc = service_over(fresh_dfs());
     svc.set_fault_injector(Some(Arc::new(TransientFault { fail_first: 1 })));
     let err = submit(&svc, "ana", 0).wait().unwrap_err();
     assert!(matches!(err, ServiceError::Query(_)));
-    assert_eq!(svc.dlq_depth(Some("ana")), 0);
     assert!(svc.render_metrics().contains("restore_retries_total 0"));
     svc.shutdown();
 }
@@ -308,87 +271,31 @@ fn half_open_probe_closes_the_breaker_after_heal() {
     svc.shutdown();
 }
 
-/// Redrive is byte-identical to a fresh submission: the parked workflow
-/// re-enters normal admission, executes, and produces the same output
-/// bytes a never-failed submission of the same query produces on a
-/// pristine service. The ack is durable — a restart does not resurrect
-/// the re-driven entry.
+/// A tenant's failure policy is part of the durable state: a service
+/// rebuilt from a checkpoint set alone retries the tenant's transient
+/// faults exactly as the one before it would have.
 #[test]
-fn redrive_replays_byte_identically_to_a_fresh_submission() {
+fn retry_policy_survives_a_checkpoint_set_restart() {
     let dfs = fresh_dfs();
     let svc = service_over(dfs.clone());
-    let outage = TenantOutage::new("rd");
-    svc.set_fault_injector(Some(outage.clone()));
     svc.set_tenant_config(
-        Some("rd"),
-        with_failure(FailurePolicy { on_failure: FailureDisposition::Dlq, ..Default::default() }),
+        Some("ana"),
+        with_failure(FailurePolicy {
+            on_failure: FailureDisposition::Retry,
+            max_retries: 3,
+            retry_backoff_base_ms: 1,
+            retry_backoff_cap_ms: 4,
+            ..Default::default()
+        }),
     );
-
-    let (q, wf) = query("rd", 0);
-    svc.submit(Some("rd"), &q, &wf).unwrap().wait().unwrap_err();
-    assert_eq!(svc.dlq_depth(Some("rd")), 1);
-
-    outage.heal();
-    let outcome = svc.redrive(Some("rd"));
-    assert!(outcome.stopped.is_none(), "the whole queue re-drives");
-    assert_eq!(outcome.admitted.len(), 1);
-    let exec = outcome.admitted[0].wait().expect("re-driven workflow completes");
-    let redriven = dfs.read_all(&exec.final_output).unwrap();
-
-    // The same query on a pristine twin service, never failed.
-    let twin_dfs = fresh_dfs();
-    let twin = service_over(twin_dfs.clone());
-    let fresh = twin.submit(Some("rd"), &q, &wf).unwrap().wait().unwrap();
-    assert_eq!(exec.final_output, fresh.final_output);
-    assert_eq!(redriven, twin_dfs.read_all(&fresh.final_output).unwrap(), "byte-identical");
-    twin.shutdown();
-
-    assert_eq!(svc.dlq_depth(Some("rd")), 0, "re-driven entry acked");
-    assert!(svc.render_metrics().contains("restore_dlq_redrives_total 1"));
-
-    // The ack is durable: a restarted service sees the empty queue.
     svc.checkpoint_begin(CheckpointConfig::default());
     let set = svc.checkpoint_set().expect("checkpointing");
     svc.shutdown();
+
     let svc2 = service_over(dfs);
     svc2.restore_incremental(&set).unwrap();
-    assert_eq!(svc2.dlq_depth(Some("rd")), 0);
-    svc2.shutdown();
-}
-
-/// Dead letters are part of the durable state: a service rebuilt from a
-/// checkpoint serves the exact parked entries, and they re-drive to
-/// completion once the fault is gone.
-#[test]
-fn dlq_survives_crash_restart_and_redrives() {
-    let dfs = fresh_dfs();
-    let svc = service_over(dfs.clone());
-    svc.set_fault_injector(Some(TenantOutage::new("park")));
-    svc.set_tenant_config(
-        Some("park"),
-        with_failure(FailurePolicy { on_failure: FailureDisposition::Dlq, ..Default::default() }),
-    );
-    for round in 0..2 {
-        submit(&svc, "park", round).wait().unwrap_err();
-    }
-    let parked = svc.dlq_entries(Some("park"));
-    assert_eq!(parked.len(), 2);
-
-    // Crash: checkpoint, tear down, rebuild from the checkpoint alone.
-    svc.checkpoint_begin(CheckpointConfig::default());
-    let set = svc.checkpoint_set().expect("checkpointing");
-    svc.shutdown();
-    let svc2 = service_over(dfs);
-    svc2.restore_incremental(&set).unwrap();
-    assert_eq!(svc2.dlq_entries(Some("park")), parked, "restored queue is exact");
-
-    // No injector on the rebuilt service: the redrive completes.
-    let outcome = svc2.redrive(Some("park"));
-    assert!(outcome.stopped.is_none());
-    assert_eq!(outcome.admitted.len(), 2);
-    for h in outcome.admitted {
-        h.wait().expect("re-driven workflow completes after restart");
-    }
-    assert_eq!(svc2.dlq_depth(Some("park")), 0);
+    svc2.set_fault_injector(Some(Arc::new(TransientFault { fail_first: 2 })));
+    submit(&svc2, "ana", 0).wait().expect("the restored policy retries into a success");
+    assert!(svc2.render_metrics().contains("restore_retries_total 2"));
     svc2.shutdown();
 }

@@ -1,11 +1,10 @@
 //! The failure-policy engine on one page: a tenant starts flapping
 //! (every submission fails via an injected fault), bounded retries burn
-//! down, the exhausted submissions park in the tenant's journal-durable
-//! dead-letter queue, and the circuit breaker trips — subsequent
-//! submissions are shed with `CircuitOpen` before they reach the queue
-//! or a worker. Then the outage ends: the cooldown elapses, a half-open
-//! probe closes the breaker, and a `redrive` pushes the dead letters
-//! back through normal admission to completion.
+//! down, each exhausted submission reports its final error on its
+//! ticket, and the circuit breaker trips — subsequent submissions are
+//! shed with `CircuitOpen` before they reach the queue or a worker.
+//! Then the outage ends: the cooldown elapses, and a half-open probe
+//! closes the breaker.
 //!
 //! ```sh
 //! cargo run --example failure_policy
@@ -49,13 +48,13 @@ fn main() {
         ServiceConfig { workers: 2, queue_depth: 64, ..Default::default() },
     );
 
-    // 1. Tenant "flaky" opts into retries + dead-lettering + a breaker;
+    // 1. Tenant "flaky" opts into retries + a breaker;
     //    everyone else keeps the fail-fast default.
     service.set_tenant_config(
         Some("flaky"),
         ReStoreConfig {
             failure: FailurePolicy {
-                on_failure: FailureDisposition::Dlq,
+                on_failure: FailureDisposition::Retry,
                 max_retries: 1,
                 retry_backoff_base_ms: 5,
                 failure_window: 8,
@@ -71,7 +70,8 @@ fn main() {
     let outage = Arc::new(Outage { tenant: "flaky", failing: AtomicBool::new(true) });
     service.set_fault_injector(Some(outage.clone()));
 
-    // 2. The outage: submissions fail, retry once, park in the DLQ.
+    // 2. The outage: submissions fail, retry once, and the final error
+    //    reaches the waiter.
     println!("-- outage: every submission for \"flaky\" fails --");
     for round in 0..2 {
         let q = queries::l3(&format!("/out/flaky/r{round}"));
@@ -82,13 +82,10 @@ fn main() {
             .expect_err("the injected fault surfaces");
         println!("   submission {round}: {err}");
     }
-    let parked = service.dlq_entries(Some("flaky"));
-    println!("-- dead-letter queue: {} entries --", parked.len());
-    for e in &parked {
-        println!("   #{} after {} attempts: {}", e.id, e.attempts, e.error);
-    }
-    assert_eq!(parked.len(), 2, "both exhausted submissions parked");
-    assert!(parked.iter().all(|e| e.attempts == 2), "initial attempt + one retry each");
+    assert!(
+        service.render_metrics().contains("restore_retries_total 2"),
+        "initial attempt + one retry each"
+    );
 
     // 3. Four failed attempts crossed the threshold: the breaker is
     //    open and submissions are shed before queueing.
@@ -117,30 +114,9 @@ fn main() {
         .expect("probe succeeds");
     println!("-- cooldown elapsed: half-open probe succeeded, breaker closed --");
 
-    // 5. Redrive: the dead letters re-enter normal admission and
-    //    complete; each entry is acked (journal-durably) on admission.
-    let outcome = service.redrive(Some("flaky"));
-    assert!(outcome.stopped.is_none(), "nothing blocked the redrive");
-    for h in outcome.admitted {
-        let exec = h.wait().expect("re-driven workflow completes");
-        println!(
-            "   re-driven workflow served at {} ({} job(s) answered from the repository)",
-            exec.final_output, exec.jobs_skipped
-        );
-    }
-    assert_eq!(service.dlq_depth(Some("flaky")), 0, "queue drained");
-    println!("-- dead-letter queue re-driven to empty --");
-
-    // 6. The whole episode is on the metrics surface.
+    // 5. The whole episode is on the metrics surface.
     let metrics = service.render_metrics();
-    for family in [
-        "restore_retries_total",
-        "restore_dlq_puts_total",
-        "restore_dlq_redrives_total",
-        "restore_circuit_shed_total",
-        "restore_circuit_state",
-        "restore_dlq_depth",
-    ] {
+    for family in ["restore_retries_total", "restore_circuit_shed_total", "restore_circuit_state"] {
         let line = metrics.lines().find(|l| l.starts_with(family)).expect("family present");
         println!("   {line}");
     }

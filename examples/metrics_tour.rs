@@ -69,15 +69,14 @@ fn main() {
     let warm = service.submit(Some("ana"), &queries::l7("/out/warm/l7"), "/wf/warm/l7").unwrap();
     let exec = warm.wait().expect("warm run");
 
-    // Failure-policy beat: a flaky tenant retries once, dead-letters
-    // the exhausted submission, and trips its breaker — populating
-    // `restore_retries_total`, `restore_dlq_depth{tenant="flaky"}`,
-    // and `restore_circuit_state{tenant="flaky"}`.
+    // Failure-policy beat: a flaky tenant retries once, surfaces the
+    // final error, and trips its breaker — populating
+    // `restore_retries_total` and `restore_circuit_state{tenant="flaky"}`.
     service.set_tenant_config(
         Some("flaky"),
         ReStoreConfig {
             failure: FailurePolicy {
-                on_failure: FailureDisposition::Dlq,
+                on_failure: FailureDisposition::Retry,
                 max_retries: 1,
                 retry_backoff_base_ms: 1,
                 failure_window: 4,

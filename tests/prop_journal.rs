@@ -64,9 +64,9 @@ fn scenario() -> &'static Scenario {
         live.execute_query(&sum_query("/out/a"), "/wf/a").unwrap();
         let prior = live.save_state_delta().unwrap();
 
-        // The final segment mixes record types: registrations in two
-        // namespaces, a warm hit (note-use), config changes, counters,
-        // and dead-letter traffic.
+        // The final segment mixes record types: registrations in three
+        // namespaces (two of them created here), a warm hit (note-use),
+        // a config set and its clear, counters.
         live.execute_query_as(Some("ana"), &join_query("/out/j"), "/wf/j").unwrap();
         let warm = live.execute_query(&sum_query("/out/a2"), "/wf/a2").unwrap();
         assert_eq!(warm.jobs_skipped, 1);
@@ -74,14 +74,11 @@ fn scenario() -> &'static Scenario {
             Some("ana"),
             ReStoreConfig { register_final_outputs: false, ..Default::default() },
         );
-        // Dead-letter puts in two namespaces plus an ack, so truncation
-        // coverage includes `dlq-put`/`dlq-ack` records: a cut between
-        // them must recover exactly the committed-prefix queue.
-        let parked = restore_suite::dataflow::compile(&sum_query("/out/dead"), "/wf/dead").unwrap();
-        live.dlq_put_as(Some("ana"), parked.clone(), "engine: node 3 failed", 2);
-        let acked = live.dlq_put_as(None, parked.clone(), "boom", 1);
-        live.dlq_put_as(None, parked, "still failing\nafter retries", 3);
-        live.dlq_ack_as(None, &[acked.id]);
+        // A second tenant's cold run after the config set, then the
+        // clear: a cut between them must recover the committed prefix's
+        // override, and the override's absence after it.
+        live.execute_query_as(Some("bo"), &sum_query("/out/b"), "/wf/b").unwrap();
+        live.clear_config_as("ana");
         let mut tail = live.save_state_delta().unwrap();
         assert_eq!(tail.len(), 1, "tail workload must fit one segment");
         let last = tail.pop().unwrap();
