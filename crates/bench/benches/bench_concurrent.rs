@@ -288,9 +288,9 @@ fn bench_mixed_workload(c: &mut Criterion) {
         let rs = shared_session();
         // Paper-experiment mode: final outputs are not registered, so
         // every round re-executes final jobs over reused prefixes.
-        let mut cfg = rs.config();
+        let mut cfg = rs.config_as(None);
         cfg.register_final_outputs = false;
-        rs.set_config(cfg);
+        rs.set_config_as(None, cfg);
         submit_round(&rs, threads, 0);
         let baseline = stage_rows(&rs);
         let round = AtomicU64::new(1);

@@ -181,7 +181,7 @@ fn bench_insert_writers(c: &mut Criterion) {
                         });
                     }
                 });
-                assert_eq!(repo.len(), threads * INSERTS_PER_WRITER);
+                assert_eq!(repo.snapshot().len(), threads * INSERTS_PER_WRITER);
                 black_box(repo.publish_count())
             });
         });
@@ -248,7 +248,7 @@ fn bench_matching_bulk(c: &mut Criterion) {
             })
             .collect();
         let repo = Repository::bulk_load(items);
-        assert_eq!(repo.len(), n, "generated plans must be signature-distinct");
+        assert_eq!(repo.snapshot().len(), n, "generated plans must be signature-distinct");
         bench_concurrent_matches(c, "matching_bulk_indexed", &repo, n, &[1, 8]);
     }
 }

@@ -109,7 +109,7 @@ fn bench_snapshot(c: &mut Criterion) {
             group.throughput(Throughput::Elements(DIRTY_USES));
             group.bench_function(format!("dirty{DIRTY_USES}"), |b| {
                 b.iter(|| {
-                    rs.with_repository_as(None, |repo| {
+                    rs.with_repository_mut_as(None, |repo| {
                         for id in 0..DIRTY_USES {
                             tick += 1;
                             repo.note_use(id % n as u64, tick);

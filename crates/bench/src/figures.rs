@@ -85,9 +85,9 @@ pub fn subjob_sweep(env: &PigMixEnv) -> Vec<SubJobRow> {
             gen_s[i] = gen.total_s;
             stored_bytes[i] = (gen.stored_candidate_bytes as f64 * env.byte_scale) as u64;
             // Reuse run: same repository, rewriting enabled.
-            let mut cfg = rs.config().clone();
+            let mut cfg = rs.config_as(None);
             cfg.reuse_enabled = true;
-            rs.set_config(cfg);
+            rs.set_config_as(None, cfg);
             let reuse = run(&mut rs, &query, &format!("/wf/{tag}-reuse"));
             reuse_s[i] = reuse.total_s;
         }
@@ -148,9 +148,9 @@ pub fn whole_job_sweep(env: &PigMixEnv) -> Vec<WholeJobRow> {
             // the start; the repository is empty on the first run.
             let mut rs = paper_driver(&env.engine, h, h == Heuristic::None, &tag);
             run(&mut rs, &query, &format!("/wf/{tag}-gen"));
-            let mut cfg = rs.config().clone();
+            let mut cfg = rs.config_as(None);
             cfg.reuse_enabled = true;
-            rs.set_config(cfg);
+            rs.set_config_as(None, cfg);
             run(&mut rs, &query, &format!("/wf/{tag}-reuse")).total_s
         };
 
@@ -198,9 +198,9 @@ pub fn projection_sweep(env: &SyntheticEnv) -> Vec<SweepPoint> {
             let mut rs =
                 paper_driver(&env.engine, Heuristic::Conservative, false, &format!("qp{k}"));
             let gen = run(&mut rs, &query, &format!("/wf/qp{k}-gen"));
-            let mut cfg = rs.config().clone();
+            let mut cfg = rs.config_as(None);
             cfg.reuse_enabled = true;
-            rs.set_config(cfg);
+            rs.set_config_as(None, cfg);
             let reuse_s = run(&mut rs, &query, &format!("/wf/qp{k}-reuse")).total_s;
             let pct_kept = 100.0 * gen.stored_candidate_bytes as f64
                 / (total * env.byte_scale / env.byte_scale);
@@ -221,9 +221,9 @@ pub fn filter_sweep(env: &SyntheticEnv) -> Vec<SweepPoint> {
             let mut rs =
                 paper_driver(&env.engine, Heuristic::Conservative, false, &format!("qf{field}"));
             let gen = run(&mut rs, &query, &format!("/wf/qf{field}-gen"));
-            let mut cfg = rs.config().clone();
+            let mut cfg = rs.config_as(None);
             cfg.reuse_enabled = true;
-            rs.set_config(cfg);
+            rs.set_config_as(None, cfg);
             let reuse_s = run(&mut rs, &query, &format!("/wf/qf{field}-reuse")).total_s;
             SweepPoint { pct_kept: pct * 100.0, plain_s, gen_s: gen.total_s, reuse_s }
         })

@@ -63,7 +63,7 @@ use crate::selector::SelectionPolicy;
 use parking_lot::RwLock;
 use restore_common::{Error, Result};
 use restore_dataflow::exec::{job_io, job_spec_for_plan};
-use restore_dataflow::mr_compiler::{CompiledWorkflow, WorkflowIoPaths};
+use restore_dataflow::mr_compiler::CompiledWorkflow;
 use restore_dataflow::physical::PhysicalPlan;
 use restore_dfs::Dfs;
 use restore_mapreduce::{workflow, Engine, JobResult, JobSpec};
@@ -187,7 +187,7 @@ pub struct QueryExecution {
     pub tick: u64,
 }
 
-/// Summary of the repository and reuse activity (see [`ReStore::stats`]).
+/// Summary of the repository and reuse activity (see [`ReStore::stats_as`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReStoreStats {
     pub repository_entries: usize,
@@ -332,16 +332,6 @@ impl Drop for PinGuard {
             });
         }
     }
-}
-
-/// Do the DFS footprints of two workflows interfere? True when either
-/// writes a path the other reads or writes. The cross-workflow scheduler
-/// of `restore-service` only overlaps workflows for which this probe
-/// returns `false`; such workflows cannot observe each other's files, so
-/// any interleaving of their jobs produces the same bytes as running
-/// them back to back.
-pub fn footprints_conflict(a: &WorkflowIoPaths, b: &WorkflowIoPaths) -> bool {
-    !a.disjoint(b)
 }
 
 /// A wave job that survived matching and is ready to execute.
@@ -786,7 +776,7 @@ impl ReStore {
         // is `last`: a rewrite the probe-time veto should have stopped
         // would be found again at the same (entry, site), and is then
         // checked for a changed plan before it is applied a second time.
-        let budget = 2 * plan.len() + 4 + 2 * space.repo.len();
+        let budget = 2 * plan.len() + 4 + 2 * space.repo.snapshot().len();
         let mut last = None;
         // One probe for the whole loop, reset per iteration: its
         // candidate buffer is reused instead of reallocated.
@@ -857,7 +847,7 @@ impl ReStore {
         }
         self.obs.stage.match_loop.record_elapsed(loop_t0);
         // Per-namespace accounting and the trace ring only see real
-        // executions; `explain_query` dry runs (no pins) stay invisible,
+        // executions; `explain_query_as` dry runs (no pins) stay invisible,
         // matching their no-side-effect contract.
         if pins.is_some() {
             space.metrics.latency.record_elapsed(loop_t0);
@@ -1081,7 +1071,7 @@ mod tests {
         let wf = restore_dataflow::compile(&two_job_query("/out/warm"), "/wf/warm").unwrap();
         let space = rs.space_for(None);
         let mut pins = PinGuard::new(space.clone(), rs.engine().dfs().clone());
-        let (mut aliases, mut rewrites, cfg) = (HashMap::new(), Vec::new(), rs.config());
+        let (mut aliases, mut rewrites, cfg) = (HashMap::new(), Vec::new(), rs.config_as(None));
         let prep = rs
             .prepare_job(&space, "", &wf, 0, 2, &cfg, &mut aliases, &mut rewrites, &mut pins)
             .unwrap();
@@ -1110,7 +1100,7 @@ mod tests {
         // sits between match and execution.
         let evicted = cfg.selection.sweep(&space.repo, rs.engine().dfs(), &space.pins, 99);
         assert!(!evicted.is_empty());
-        assert_eq!(space.repo.len(), 0);
+        assert_eq!(space.repo.snapshot().len(), 0);
 
         // The pinned output survived the sweep (the old code deleted it
         // here, and T1's group job then failed with FileNotFound)…
@@ -1154,9 +1144,7 @@ mod tests {
         let resumed = ReStore::new(engine(), ReStoreConfig::default());
         resumed.recover(&state, &[]).unwrap();
         resumed.with_provenance_as(None, |prov| assert!(!prov.contains(&reused)));
-        resumed.with_repository_as(None, |repo| {
-            assert!(repo.entries().iter().all(|e| e.output_path != reused));
-        });
+        assert!(resumed.repository_as(None).entries().iter().all(|e| e.output_path != reused));
 
         drop(pins);
         assert!(!rs.engine().dfs().exists(&reused), "deferred deletion still fires");
@@ -1169,7 +1157,7 @@ mod tests {
         let rs = ReStore::new(engine(), ReStoreConfig::default());
         rs.execute_query(&two_job_query("/out/cold"), "/wf/cold").unwrap();
         let stored: Vec<String> =
-            rs.repository().entries().iter().map(|e| e.output_path.clone()).collect();
+            rs.repository_as(None).entries().iter().map(|e| e.output_path.clone()).collect();
         assert!(!stored.is_empty());
         let victim = stored[0].clone();
         rs.engine().dfs().delete(&victim);
@@ -1181,9 +1169,7 @@ mod tests {
         // The snapshot still loads and serves the surviving entries.
         let resumed = ReStore::new(engine(), ReStoreConfig::default());
         resumed.recover(&state, &[]).unwrap();
-        resumed.with_repository_as(None, |repo| {
-            assert_eq!(repo.len(), stored.len() - 1);
-        });
+        assert_eq!(resumed.repository_as(None).len(), stored.len() - 1);
     }
 
     /// A path handed to the caller as `final_output` must survive the

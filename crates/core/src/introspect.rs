@@ -2,10 +2,10 @@
 //! without changing it.
 //!
 //! ```text
-//!   explain_query(_as)   dry-run the §3 match loop against a namespace
+//!   explain_query_as     dry-run the §3 match loop against a namespace
 //!   explain_last_as      the newest workflow's reuse decisions, rendered
 //!   trace_for            the reuse decisions recorded for one tick
-//!   stats / stats_as     one namespace's repository summary
+//!   stats_as             one namespace's repository summary
 //!   stats_all            every namespace from one consistent cut
 //!   write_counters_as    a repository's publish and writer-section counts
 //! ```
@@ -16,7 +16,7 @@
 //! | File | Purpose |
 //! |------|---------|
 //! | `introspect.rs` | this module: explain, trace, stats |
-//! | `driver.rs` | the match loop that `explain_query` dry-runs |
+//! | `driver.rs` | the match loop that `explain_query_as` dry-runs |
 //! | `obs.rs` | the registry, stage histograms and the trace ring |
 //! | `spaces.rs` | the namespaces these read |
 
@@ -27,15 +27,11 @@ use restore_common::Result;
 use std::sync::atomic::Ordering;
 
 impl ReStore {
-    /// Dry-run a query: compile it and report what the repository would
-    /// answer — without executing anything or mutating any state. The
-    /// report lists, per job, the matches the §3 scan finds and whether
-    /// the whole job would be eliminated.
-    pub fn explain_query(&self, text: &str, out_prefix: &str) -> Result<String> {
-        self.explain_query_as(None, text, out_prefix)
-    }
-
-    /// [`ReStore::explain_query`] against a tenant's namespace.
+    /// Dry-run a query against a tenant's namespace (`None` = the
+    /// default namespace): compile it and report what the repository
+    /// would answer — without executing anything or mutating any state.
+    /// The report lists, per job, the matches the §3 scan finds and
+    /// whether the whole job would be eliminated.
     pub fn explain_query_as(
         &self,
         tenant: Option<&str>,
@@ -80,6 +76,7 @@ impl ReStore {
                 |entry_id, reused_path| {
                     let (bytes, uses) = space
                         .repo
+                        .snapshot()
                         .get(entry_id)
                         .map(|e| (e.stats().output_bytes, e.use_count()))
                         .unwrap_or((0, 0));
@@ -128,12 +125,6 @@ impl ReStore {
         self.obs.trace.snapshot_filtered(|e| e.tenant == t && e.tick == tick)
     }
 
-    /// Point-in-time summary of the default namespace's repository and
-    /// reuse activity.
-    pub fn stats(&self) -> ReStoreStats {
-        self.stats_as(None)
-    }
-
     /// One consistent cut of every namespace's stats: a single tick read
     /// and a single tenant-map load, so each returned row reports the
     /// same `queries_executed` and a tenant created concurrently is
@@ -150,9 +141,9 @@ impl ReStore {
             .collect()
     }
 
-    /// Point-in-time summary of a tenant's repository and reuse activity.
-    /// `queries_executed` counts queries across all namespaces (the tick
-    /// clock is shared).
+    /// Point-in-time summary of a tenant's repository and reuse activity
+    /// (`None` = the default namespace). `queries_executed` counts
+    /// queries across all namespaces (the tick clock is shared).
     pub fn stats_as(&self, tenant: Option<&str>) -> ReStoreStats {
         Self::space_stats(&self.space_snapshot(tenant), self.tick.load(Ordering::SeqCst))
     }

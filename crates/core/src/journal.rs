@@ -124,6 +124,9 @@ pub struct JournalStats {
     pub live_bytes: usize,
     /// Sealed segments awaiting the next delta capture.
     pub sealed_segments: usize,
+    /// Records appended since the last delta capture — what a crash
+    /// right now would have to replay from the live buffer.
+    pub seq_lag: u64,
 }
 
 /// Where a torn tail was detected (and truncated) during recovery.
@@ -293,6 +296,7 @@ impl Journal {
             seq: self.seq(),
             live_bytes: self.live_bytes.load(SeqCst),
             sealed_segments: self.sealed.lock().len(),
+            seq_lag: self.seq().saturating_sub(self.captured_seq.load(SeqCst)),
         }
     }
 
@@ -332,12 +336,6 @@ impl Journal {
         // persist; later appends are the new lag.
         self.captured_seq.fetch_max(self.seq(), SeqCst);
         segments
-    }
-
-    /// Records appended since the last [`Journal::cut`] (what a crash
-    /// right now would replay from the live buffer).
-    pub(crate) fn seq_lag(&self) -> u64 {
-        self.seq().saturating_sub(self.captured_seq.load(SeqCst))
     }
 
     // ---- typed appends (encode side) ----

@@ -39,7 +39,7 @@ pub mod selector;
 mod spaces;
 mod state;
 
-pub use driver::{footprints_conflict, QueryExecution, ReStore, ReStoreConfig, ReStoreStats};
+pub use driver::{QueryExecution, ReStore, ReStoreConfig, ReStoreStats};
 pub use enumerator::Heuristic;
 pub use failure::{FailureDisposition, FailurePolicy};
 pub use journal::{JournalConfig, JournalStats, RecoveryReport, TornTail};

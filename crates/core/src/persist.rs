@@ -60,20 +60,10 @@ impl ReStore {
         });
     }
 
-    /// Is the snapshot journal recording?
-    pub fn journal_enabled(&self) -> bool {
-        self.journal.enabled()
-    }
-
-    /// Journal introspection (sequence number, buffered bytes).
+    /// Journal introspection: whether it records, its sequence number,
+    /// buffered bytes and segments, and the capture lag.
     pub fn journal_stats(&self) -> JournalStats {
         self.journal.stats()
-    }
-
-    /// Journal records appended since the last delta capture — what a
-    /// crash right now would have to replay from the live buffer.
-    pub fn journal_seq_lag(&self) -> u64 {
-        self.journal.seq_lag()
     }
 
     /// Install the journal sink on a namespace's repository so its
@@ -134,7 +124,7 @@ impl ReStore {
             self.tick.load(Ordering::SeqCst),
             self.cand_counter.load(Ordering::SeqCst),
             seq,
-            crate::state::encode_config(&self.config()),
+            crate::state::encode_config(&self.config_as(None)),
         );
         for (name, space) in self.spaces_by_name() {
             out.push_str(&self.save_space(&name, &space));
@@ -264,7 +254,7 @@ impl ReStore {
                 self.set_config_as(Some(&space), config);
             }
             Record::TenantConfigClear { space } => self.clear_config_as(&space),
-            Record::GlobalConfig { config } => self.set_config(config),
+            Record::GlobalConfig { config } => self.set_config_as(None, config),
             Record::RepoBatch { space, ops } => {
                 let sp = self.space_for(Some(&space));
                 sp.repo.batch(|b| {
@@ -359,7 +349,7 @@ impl ReStore {
     /// applies). Returns the document's journal anchor.
     fn load_document(&self, text: &str) -> Result<u64> {
         let loaded = crate::state::parse(text)?;
-        self.set_config(loaded.global_config);
+        self.set_config_as(None, loaded.global_config);
         // Start from a fresh default namespace, so a document without a
         // `--space ""--` section (e.g. hand-pruned) still replaces the
         // whole session instead of leaving stale default-namespace

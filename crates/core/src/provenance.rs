@@ -109,7 +109,7 @@ impl Provenance {
     }
 
     /// Like [`Provenance::save`], but only records whose path satisfies
-    /// `keep` are written (see `Repository::save_filtered`).
+    /// `keep` are written (see `RepoSnapshot::save_filtered`).
     pub fn save_filtered(&self, keep: impl Fn(&str) -> bool) -> String {
         let mut paths: Vec<&String> = self.plans.keys().filter(|p| keep(p)).collect();
         paths.sort();

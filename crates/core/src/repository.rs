@@ -522,7 +522,8 @@ impl Repository {
     }
 
     /// The current published snapshot: one pointer copy, behind no
-    /// writer section.
+    /// writer section. Every read — length, entries, lookup by id,
+    /// stored bytes, the text dump — goes through it.
     pub fn snapshot(&self) -> Arc<RepoSnapshot> {
         self.current.load()
     }
@@ -537,29 +538,6 @@ impl Repository {
     /// docs); `bench_concurrent` reports the per-round delta.
     pub fn writer_sections(&self) -> u64 {
         self.writer_sections.load(SeqCst)
-    }
-
-    pub fn len(&self) -> usize {
-        self.snapshot().len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.snapshot().is_empty()
-    }
-
-    /// Entries in match-priority order.
-    pub fn entries(&self) -> Vec<Arc<RepoEntry>> {
-        self.snapshot().entries.clone()
-    }
-
-    /// O(1) lookup by id.
-    pub fn get(&self, id: u64) -> Option<Arc<RepoEntry>> {
-        self.snapshot().get(id).cloned()
-    }
-
-    /// Total bytes of stored outputs (a running counter).
-    pub fn stored_bytes(&self) -> u64 {
-        self.snapshot().stored_bytes()
     }
 
     /// Insert an entry, maintaining the §3 ordering rules. Deduplicates
@@ -729,12 +707,7 @@ impl Repository {
 
     // ---- persistence ----
 
-    /// Serialize the current state.
-    pub fn save(&self) -> String {
-        self.snapshot().save()
-    }
-
-    /// Reload a repository serialized by [`Repository::save`]. Ordering
+    /// Reload a repository serialized by [`RepoSnapshot::save`]. Ordering
     /// is preserved verbatim (it was valid when saved).
     pub fn load(text: &str) -> Result<Repository> {
         let mut entries: Vec<Arc<RepoEntry>> = Vec::new();
@@ -1053,7 +1026,7 @@ mod tests {
         let repo = Repository::new();
         repo.insert(load_project("/pv", vec![0, 2]), "/repo/b", stats(100, 10, 5.0));
         let (id, m) = repo.snapshot().find_first_match(&q1_plan()).unwrap();
-        assert_eq!(repo.get(id).unwrap().output_path, "/repo/b");
+        assert_eq!(repo.snapshot().get(id).unwrap().output_path, "/repo/b");
         assert!(matches!(q1_plan().op(m.tip), PhysicalOp::Project { .. }));
     }
 
@@ -1065,12 +1038,12 @@ mod tests {
         repo.note_use(id, 3);
         let b = repo.insert(load_project("/pv", vec![0]), "/r/2", stats(100, 12, 6.0));
         assert_eq!(b, InsertOutcome::Duplicate(id));
-        assert_eq!(repo.len(), 1);
-        let e = repo.get(id).unwrap();
+        assert_eq!(repo.snapshot().len(), 1);
+        let e = repo.snapshot().get(id).cloned().unwrap();
         assert_eq!(e.stats().output_bytes, 12); // refreshed
         assert_eq!(e.stats().use_count, 1); // history kept
         assert_eq!(e.output_path, "/r/1"); // original output retained
-        assert_eq!(repo.stored_bytes(), 12); // counter follows the refresh
+        assert_eq!(repo.snapshot().stored_bytes(), 12); // counter follows the refresh
     }
 
     #[test]
@@ -1087,8 +1060,8 @@ mod tests {
         // …and records a reuse against it. The refreshed entry must see
         // it: the counters are shared, not copied.
         stale.get(id).unwrap().note_use(9);
-        assert_eq!(repo.get(id).unwrap().use_count(), 1);
-        assert_eq!(repo.get(id).unwrap().last_used(), 9);
+        assert_eq!(repo.snapshot().get(id).unwrap().use_count(), 1);
+        assert_eq!(repo.snapshot().get(id).unwrap().last_used(), 9);
     }
 
     #[test]
@@ -1104,7 +1077,7 @@ mod tests {
         // A fresh Q1-shaped query now matches the *whole* Q1 plan first
         // (the paper's "first match is best match").
         let (id, _) = repo.snapshot().find_first_match(&q1_plan()).unwrap();
-        assert_eq!(repo.get(id).unwrap().output_path, "/r/q1");
+        assert_eq!(repo.snapshot().get(id).unwrap().output_path, "/r/q1");
     }
 
     #[test]
@@ -1130,8 +1103,8 @@ mod tests {
             panic!()
         };
         assert!(repo.evict(id).is_some());
-        assert!(repo.is_empty());
-        assert_eq!(repo.stored_bytes(), 0);
+        assert!(repo.snapshot().is_empty());
+        assert_eq!(repo.snapshot().stored_bytes(), 0);
         // Same plan can be inserted again afterwards.
         let again = repo.insert(load_project("/a", vec![0]), "/r/a2", stats(1, 1, 1.0));
         assert!(matches!(again, InsertOutcome::Inserted(_)));
@@ -1208,7 +1181,7 @@ mod tests {
             b.insert(load_project("/y", vec![1]), "/r/y", stats(50, 5, 1.0));
         });
         assert_eq!(before.len(), 1, "held snapshot unchanged");
-        assert_eq!(repo.len(), 3, "batch landed atomically");
+        assert_eq!(repo.snapshot().len(), 3, "batch landed atomically");
         // The old snapshot still matches correctly.
         assert!(before.find_first_match(&q1_plan()).is_some());
     }
@@ -1226,8 +1199,8 @@ mod tests {
             repo.note_use(id, t);
         }
         assert_eq!(repo.publish_count(), publishes, "reuse accounting is write-free");
-        assert_eq!(repo.get(id).unwrap().use_count(), 100);
-        assert_eq!(repo.get(id).unwrap().last_used(), 100);
+        assert_eq!(repo.snapshot().get(id).unwrap().use_count(), 100);
+        assert_eq!(repo.snapshot().get(id).unwrap().last_used(), 100);
     }
 
     #[test]
@@ -1249,9 +1222,9 @@ mod tests {
             },
         );
         repo.insert(load_project("/pv", vec![0, 2]), "/r/sub", stats(100, 10, 2.0));
-        let text = repo.save();
+        let text = repo.snapshot().save();
         let back = Repository::load(&text).unwrap();
-        assert_eq!(back.len(), 2);
+        assert_eq!(back.snapshot().len(), 2);
         let (b, r) = (back.snapshot(), repo.snapshot());
         assert_eq!(b.entries()[0].output_path, r.entries()[0].output_path);
         assert_eq!(b.entries()[0].signature, r.entries()[0].signature);
@@ -1261,7 +1234,7 @@ mod tests {
         // Loaded repository still matches.
         assert!(b.find_first_match(&q1_plan()).is_some());
         // And re-saving is byte-identical (usage counters round-trip).
-        assert_eq!(back.save(), text);
+        assert_eq!(back.snapshot().save(), text);
         // The state-restore path: adopting keeps the order, a frozen
         // capture sees it, and the id sequence continues.
         let fresh = Repository::new();
@@ -1279,7 +1252,7 @@ mod tests {
             (load_project("/a", vec![0]), "/r/dup".into(), stats(100, 50, 9.0)),
             (load_project("/b", vec![0]), "/r/b".into(), stats(100, 5, 1.0)),
         ]);
-        assert_eq!(repo.len(), 2, "duplicate signatures keep the first occurrence");
+        assert_eq!(repo.snapshot().len(), 2, "duplicate signatures keep the first occurrence");
         // Rule-2 order: ratio 20 before ratio 2.
         assert_eq!(repo.snapshot().entries()[0].output_path, "/r/b");
         // A post-bulk insert must not reuse a retained id: entry "/r/b"
@@ -1306,7 +1279,7 @@ mod tests {
                 p
             })
             .unwrap();
-        assert_eq!(repo.get(hit).unwrap().output_path, "/r/b");
+        assert_eq!(repo.snapshot().get(hit).unwrap().output_path, "/r/b");
     }
 
     #[test]
@@ -1318,8 +1291,8 @@ mod tests {
         else {
             panic!()
         };
-        assert_eq!(repo.stored_bytes(), 42);
+        assert_eq!(repo.snapshot().stored_bytes(), 42);
         repo.evict(b);
-        assert_eq!(repo.stored_bytes(), 30);
+        assert_eq!(repo.snapshot().stored_bytes(), 30);
     }
 }

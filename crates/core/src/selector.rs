@@ -8,9 +8,10 @@
 //!
 //! Rules 1–2 gate admission (checked against post-execution statistics);
 //! rules 3–4 drive eviction (a time window of disuse, and invalidated or
-//! deleted inputs). The paper's experiments store everything
-//! (`store_all`), and so does the default policy here; the rules are
-//! exercised by their own tests, benches, and an example.
+//! deleted inputs). The paper's experiments store everything ("we store
+//! the outputs of all candidate jobs and sub-jobs in the repository"),
+//! and so does the default policy here, which enables no rule; the rules
+//! are exercised by their own tests, benches, and an example.
 
 use crate::pin::PinSet;
 use crate::repository::{RepoStats, Repository};
@@ -24,10 +25,6 @@ use restore_dfs::Dfs;
 /// in `restore-state` (`PartialEq` lets round-trip tests compare).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SelectionPolicy {
-    /// Store every candidate regardless of rules 1–2 (the paper's
-    /// experimental setting: "we store the outputs of all candidate jobs
-    /// and sub-jobs in the repository").
-    pub store_all: bool,
     /// Rule 1: keep only if output is smaller than input.
     pub require_size_reduction: bool,
     /// Rule 2: keep only if reloading the output is modeled to be faster
@@ -44,7 +41,6 @@ pub struct SelectionPolicy {
 impl Default for SelectionPolicy {
     fn default() -> Self {
         SelectionPolicy {
-            store_all: true,
             require_size_reduction: false,
             require_time_benefit: false,
             reload_read_bps: 80.0 * 1024.0 * 1024.0,
@@ -58,7 +54,6 @@ impl SelectionPolicy {
     /// A policy enforcing admission rules 1–2 and both eviction rules.
     pub fn strict(window: u64) -> Self {
         SelectionPolicy {
-            store_all: false,
             require_size_reduction: true,
             require_time_benefit: true,
             eviction_window: Some(window),
@@ -68,11 +63,8 @@ impl SelectionPolicy {
     }
 
     /// Admission decision for a candidate with the given statistics
-    /// (rules 1 and 2).
+    /// (rules 1 and 2); with neither rule on, every candidate is kept.
     pub fn should_keep(&self, stats: &RepoStats) -> bool {
-        if self.store_all {
-            return true;
-        }
         if self.require_size_reduction && stats.output_bytes >= stats.input_bytes {
             return false;
         }
@@ -185,11 +177,7 @@ mod tests {
 
     #[test]
     fn rule1_size_reduction() {
-        let p = SelectionPolicy {
-            store_all: false,
-            require_size_reduction: true,
-            ..Default::default()
-        };
+        let p = SelectionPolicy { require_size_reduction: true, ..Default::default() };
         assert!(p.should_keep(&stats(100, 50, 1.0)));
         assert!(!p.should_keep(&stats(100, 100, 1.0)));
         assert!(!p.should_keep(&stats(100, 150, 1.0)));
@@ -198,7 +186,6 @@ mod tests {
     #[test]
     fn rule2_time_benefit() {
         let p = SelectionPolicy {
-            store_all: false,
             require_time_benefit: true,
             reload_read_bps: 100.0,
             ..Default::default()
@@ -226,7 +213,7 @@ mod tests {
         let policy = SelectionPolicy { eviction_window: Some(5), ..Default::default() };
         let evicted = policy.sweep(&repo, &dfs, &PinSet::default(), 10);
         assert_eq!(evicted.len(), 1);
-        assert_eq!(repo.len(), 1);
+        assert_eq!(repo.snapshot().len(), 1);
         assert!(!dfs.exists("/repo/old"), "evicted output deleted from DFS");
         assert!(dfs.exists("/repo/fresh"));
     }
@@ -250,7 +237,7 @@ mod tests {
         w.close().unwrap();
         let evicted = policy.sweep(&repo, &dfs, &PinSet::default(), 2);
         assert_eq!(evicted.len(), 1);
-        assert!(repo.is_empty());
+        assert!(repo.snapshot().is_empty());
     }
 
     #[test]
@@ -270,7 +257,6 @@ mod tests {
     #[test]
     fn strict_policy_combines_rules() {
         let p = SelectionPolicy::strict(7);
-        assert!(!p.store_all);
         assert!(p.require_size_reduction && p.require_time_benefit);
         assert_eq!(p.eviction_window, Some(7));
         assert!(p.check_input_versions);

@@ -13,10 +13,12 @@
 //! ```text
 //!   lookup:  space_for (creates on first use) / space_snapshot (read only)
 //!            spaces_by_name   every namespace, `""` first
-//!   policy:  config / set_config                    the global default
-//!            config_as / set_config_as / clear_config_as   per tenant
+//!   policy:  config_as / set_config_as   `None`: the global default;
+//!                                          a tenant: its effective policy
+//!            config              `config_as(None)`, for `restore-e2e`
+//!            clear_config_as     drop a tenant's override
 //!            effective_config    the override, else the global default
-//!   admin:   repository / with_repository*_as / with_provenance*_as
+//!   admin:   repository_as / with_repository_mut_as / with_provenance*_as
 //!   writes:  invalidate_overwritten   an overwrite stales every namespace
 //! ```
 //!
@@ -162,30 +164,16 @@ impl ReStore {
         ids
     }
 
-    /// The current snapshot of the default-namespace repository:
-    /// immutable, safe to hold — later registrations and
+    /// The current snapshot of a tenant's repository (`None` = the
+    /// default namespace; an unknown tenant reads as empty and is not
+    /// created): immutable, safe to hold — later registrations and
     /// evictions publish new snapshots and never mutate this one.
-    pub fn repository(&self) -> Arc<RepoSnapshot> {
-        self.space_snapshot(None).repo.snapshot()
+    pub fn repository_as(&self, tenant: Option<&str>) -> Arc<RepoSnapshot> {
+        self.space_snapshot(tenant).repo.snapshot()
     }
 
-    /// Run `f` against a tenant's repository (`None` = the default
-    /// namespace). The handle's read methods enter no writer section.
-    pub fn with_repository_as<R>(
-        &self,
-        tenant: Option<&str>,
-        f: impl FnOnce(&Repository) -> R,
-    ) -> R {
-        let space = self.space_snapshot(tenant);
-        f(&space.repo)
-    }
-
-    /// Run `f` against a tenant's repository with mutation intent.
-    /// Since the repository is interior-concurrent, the handle has the
-    /// same capabilities as [`ReStore::with_repository_as`]; the one
-    /// behavioral difference is that this variant **creates the
-    /// namespace if absent** (`None` = the default namespace), where
-    /// the read variant hands an unknown tenant a detached empty space.
+    /// Run `f` against a tenant's live repository, **creating the
+    /// namespace if absent** (`None` = the default namespace).
     /// Mutations made through the handle serialize with registration
     /// and sweeps but never block matching.
     pub fn with_repository_mut_as<R>(
@@ -244,24 +232,6 @@ impl ReStore {
         )
     }
 
-    /// Snapshot of the global (default) configuration.
-    pub fn config(&self) -> ReStoreConfig {
-        self.config.read().clone()
-    }
-
-    /// Change the global configuration between queries (experiments flip
-    /// reuse and heuristics while keeping the warmed repository).
-    /// Queries already in flight keep the configuration they started
-    /// with; tenants with an override (see [`ReStore::set_config_as`])
-    /// are unaffected.
-    pub fn set_config(&self, config: ReStoreConfig) {
-        let mut guard = self.config.write();
-        // Journal while still holding the write guard, so record order
-        // matches application order under racing setters.
-        self.journal.append_global_config(&config);
-        *guard = config;
-    }
-
     /// The one effective-configuration rule: the namespace's override
     /// when one is set, the global default otherwise. The default
     /// namespace never holds an override, so it follows the global
@@ -270,9 +240,9 @@ impl ReStore {
         (*space.config.load()).clone().unwrap_or_else(|| self.config())
     }
 
-    /// The effective configuration for `tenant` (`None` or an empty
-    /// name = the default namespace, which always follows the global
-    /// config).
+    /// The effective configuration for `tenant`: its override, else the
+    /// global configuration, which is what `None` (or an empty name,
+    /// the default namespace) reads.
     pub fn config_as(&self, tenant: Option<&str>) -> ReStoreConfig {
         match Self::space_name(tenant) {
             "" => self.config(),
@@ -280,14 +250,31 @@ impl ReStore {
         }
     }
 
+    /// The global configuration: [`ReStore::config_as`] with `None`.
+    /// The one tenant-less shorthand besides
+    /// [`ReStore::execute_query`], kept because `restore-e2e` calls
+    /// both.
+    pub fn config(&self) -> ReStoreConfig {
+        self.config.read().clone()
+    }
+
     /// Set a tenant's policy override: that tenant's queries now run
     /// with `config` — heuristic, §5 selection, eviction sweeps, quotas
     /// — independent of the global default. With `tenant = None` (or an
-    /// empty name) this sets the global configuration itself. Queries
-    /// already in flight keep the configuration they started with.
+    /// empty name) this sets the global configuration itself, which
+    /// every tenant without an override follows (experiments flip reuse
+    /// and heuristics this way while keeping the warmed repository).
+    /// Queries already in flight keep the configuration they started
+    /// with.
     pub fn set_config_as(&self, tenant: Option<&str>, config: ReStoreConfig) {
         match Self::space_name(tenant) {
-            "" => self.set_config(config),
+            "" => {
+                let mut guard = self.config.write();
+                // Journal while still holding the write guard, so record
+                // order matches application order under racing setters.
+                self.journal.append_global_config(&config);
+                *guard = config;
+            }
             t => {
                 let space = self.space_for(tenant);
                 space.config.update_then(

@@ -23,6 +23,11 @@
 //!   value means the document's entries are in shard-concatenation
 //!   order, not §3 order, and the document is refused with
 //!   [`Error::Config`].
+//! * `store_all`, the switch that kept every candidate whatever rules
+//!   1–2 said. `true` now clears `require_size_reduction` and
+//!   `require_time_benefit`, whatever their lines say, and `false` is
+//!   ignored: with neither rule on, every candidate is kept, so the
+//!   switch repeated what the two rule keys already say.
 //! * `dlq_max_entries` and `dlq_max_age_ticks`, the caps of the
 //!   dead-letter queue earlier releases kept. They are ignored, and a
 //!   value of `on_failure dlq` reads as `retry`: a `dlq` tenant got
@@ -125,7 +130,7 @@ pub(crate) fn encode_config(c: &ReStoreConfig) -> String {
     };
     format!(
         "reuse_enabled {}\nheuristic {}\nrepo_prefix {:?}\ndelete_tmp {}\n\
-         register_final_outputs {}\nwave_parallel {}\nstore_all {}\n\
+         register_final_outputs {}\nwave_parallel {}\n\
          require_size_reduction {}\nrequire_time_benefit {}\nreload_read_bps {}\n\
          eviction_window {}\ncheck_input_versions {}\n\
          on_failure {}\nmax_retries {}\nretry_backoff_base_ms {}\n\
@@ -138,7 +143,6 @@ pub(crate) fn encode_config(c: &ReStoreConfig) -> String {
         c.delete_tmp,
         c.register_final_outputs,
         c.wave_parallel,
-        c.selection.store_all,
         c.selection.require_size_reduction,
         c.selection.require_time_benefit,
         c.selection.reload_read_bps,
@@ -165,6 +169,7 @@ pub(crate) fn encode_config(c: &ReStoreConfig) -> String {
 /// stay loadable if fields are added later).
 pub(crate) fn decode_config(lines: &[&str], base: usize) -> Result<ReStoreConfig> {
     let mut c = ReStoreConfig::default();
+    let mut store_all = false;
     for (i, line) in lines.iter().enumerate() {
         let at = base + i;
         if line.trim().is_empty() {
@@ -186,7 +191,7 @@ pub(crate) fn decode_config(lines: &[&str], base: usize) -> Result<ReStoreConfig
             "delete_tmp" => c.delete_tmp = parse_bool(value)?,
             "register_final_outputs" => c.register_final_outputs = parse_bool(value)?,
             "wave_parallel" => c.wave_parallel = parse_bool(value)?,
-            "store_all" => c.selection.store_all = parse_bool(value)?,
+            "store_all" => store_all = parse_bool(value)?,
             "require_size_reduction" => c.selection.require_size_reduction = parse_bool(value)?,
             "require_time_benefit" => c.selection.require_time_benefit = parse_bool(value)?,
             "reload_read_bps" => c.selection.reload_read_bps = value.parse().map_err(|_| bad())?,
@@ -241,6 +246,10 @@ pub(crate) fn decode_config(lines: &[&str], base: usize) -> Result<ReStoreConfig
             "canonicalize" => c.canonicalize = parse_bool(value)?,
             _ => return Err(err_at(at, format!("unknown config key {key:?}"))),
         }
+    }
+    if store_all {
+        c.selection.require_size_reduction = false;
+        c.selection.require_time_benefit = false;
     }
     Ok(c)
 }
@@ -378,7 +387,6 @@ mod tests {
             reuse_enabled: false,
             heuristic: Heuristic::Conservative,
             selection: SelectionPolicy {
-                store_all: false,
                 require_size_reduction: true,
                 require_time_benefit: true,
                 reload_read_bps: 12345.5,
@@ -445,6 +453,23 @@ mod tests {
             }
             other => panic!("expected Error::State, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn store_all_is_read_as_the_rules_it_overrode_and_never_written() {
+        // `true` beat both admission rules, in whichever order the lines
+        // come; `false` left them as written.
+        let rules = ["require_size_reduction true", "require_time_benefit true"];
+        for store_all in ["store_all true", "store_all false"] {
+            for lines in [[store_all, rules[0], rules[1]], [rules[0], rules[1], store_all]] {
+                let back = decode_config(&lines, 0).unwrap();
+                let kept = store_all.ends_with("false");
+                assert_eq!(back.selection.require_size_reduction, kept, "{lines:?}");
+                assert_eq!(back.selection.require_time_benefit, kept, "{lines:?}");
+                assert!(!encode_config(&back).contains("store_all"));
+            }
+        }
+        assert!(decode_config(&["store_all maybe"], 0).is_err());
     }
 
     #[test]

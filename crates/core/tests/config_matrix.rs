@@ -49,12 +49,11 @@ fn strict_selection_prunes_but_preserves_answers() {
     let all = ReStore::new(eng_all, ReStoreConfig::default());
     let a1 = all.execute_query(Q, "/wf/a1").unwrap();
     let baseline = read_sorted(all.engine().dfs(), &a1.final_output);
-    let repo_all = all.repository().len();
+    let repo_all = all.repository_as(None).len();
 
     let eng_strict = engine();
     let config = ReStoreConfig {
         selection: SelectionPolicy {
-            store_all: false,
             require_size_reduction: true,
             require_time_benefit: true,
             ..Default::default()
@@ -65,13 +64,13 @@ fn strict_selection_prunes_but_preserves_answers() {
     let s1 = strict.execute_query(Q, "/wf/s1").unwrap();
     assert_eq!(read_sorted(strict.engine().dfs(), &s1.final_output), baseline);
     assert!(
-        strict.repository().len() <= repo_all,
+        strict.repository_as(None).len() <= repo_all,
         "strict admission must not grow the repository beyond store-all"
     );
     // Rejected candidates' files were deleted from the DFS.
     for path in strict.engine().dfs().list("/restore/") {
         assert!(
-            strict.repository().entries().iter().any(|e| e.output_path == path),
+            strict.repository_as(None).entries().iter().any(|e| e.output_path == path),
             "orphan candidate file {path} left behind"
         );
     }
@@ -118,7 +117,7 @@ fn eviction_window_mid_workload() {
     let rs = ReStore::new(eng, config);
 
     rs.execute_query(Q, "/wf/w0").unwrap();
-    let initial = rs.repository().len();
+    let initial = rs.repository_as(None).len();
     assert!(initial > 0);
 
     // Unrelated queries age the repository past the window.
@@ -131,7 +130,7 @@ fn eviction_window_mid_workload() {
         rs.execute_query(&unrelated, &format!("/wf/wu{i}")).unwrap();
     }
     // The Q entries are gone (idle), and their DFS files with them.
-    let repo = rs.repository();
+    let repo = rs.repository_as(None);
     let still_q: Vec<_> = repo.entries().iter().filter(|e| e.stats().created == 1).collect();
     assert!(still_q.is_empty(), "tick-1 entries must be evicted: {still_q:?}");
     drop(repo);

@@ -83,7 +83,7 @@ fn baseline_executes_and_deletes_tmp() {
     // Plain Pig deletes the inter-job temporary.
     assert!(rs.engine().dfs().list("/wf/q2/").is_empty());
     // And stores nothing in the repository.
-    assert!(rs.repository().is_empty());
+    assert!(rs.repository_as(None).is_empty());
 }
 
 #[test]
@@ -96,7 +96,7 @@ fn whole_job_reuse_q1_then_q2() {
 
     let e1 = rs.execute_query(&q1("/out/q1"), "/wf/a").unwrap();
     assert!(e1.rewrites.is_empty());
-    assert!(!rs.repository().is_empty());
+    assert!(!rs.repository_as(None).is_empty());
 
     let e2 = rs.execute_query(&q2("/out/q2"), "/wf/b").unwrap();
     // Job 1 of Q2 was eliminated; only the group job executed.
@@ -108,7 +108,7 @@ fn whole_job_reuse_q1_then_q2() {
     // Results are identical to the baseline.
     assert_eq!(read_sorted(rs.engine().dfs(), "/out/q2"), q2_expected());
     // Reuse is reflected in repository statistics.
-    let repo = rs.repository();
+    let repo = rs.repository_as(None);
     let reused = repo.get(e2.rewrites[0].entry_id).unwrap();
     assert_eq!(reused.stats().use_count, 1);
 }
@@ -168,12 +168,12 @@ fn repeat_query_with_aggressive_heuristic_stores_once() {
     let e1 = rs.execute_query(&q2("/out/r1"), "/wf/r1").unwrap();
     let stored_first = e1.stored_candidate_bytes;
     assert!(stored_first > 0);
-    let repo_after_first = rs.repository().len();
+    let repo_after_first = rs.repository_as(None).len();
 
     let e2 = rs.execute_query(&q2("/out/r2"), "/wf/r2").unwrap();
     // Everything matches; no new candidate materialization cost.
     assert_eq!(e2.stored_candidate_bytes, 0);
-    assert_eq!(rs.repository().len(), repo_after_first);
+    assert_eq!(rs.repository_as(None).len(), repo_after_first);
     assert!(e2.total_s < e1.total_s);
 }
 
@@ -205,7 +205,7 @@ fn eviction_by_input_invalidation_disables_reuse() {
     let rs = ReStore::new(eng, config);
 
     rs.execute_query(&q1("/out/e1"), "/wf/e1").unwrap();
-    assert!(!rs.repository().is_empty());
+    assert!(!rs.repository_as(None).is_empty());
 
     // Overwrite page_views: every entry depending on it must go.
     let new_pv = vec![tuple!["zed", 9, 100.0, "i", "l"]];

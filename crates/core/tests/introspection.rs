@@ -32,18 +32,18 @@ fn explain_predicts_execution() {
     let rs = ReStore::new(engine(), ReStoreConfig::default());
 
     // Cold: explain predicts no matches.
-    let cold = rs.explain_query(Q, "/wf/x").unwrap();
+    let cold = rs.explain_query_as(None, Q, "/wf/x").unwrap();
     assert!(cold.contains("no matches"), "{cold}");
     assert!(cold.contains("repository: 0 entries"), "{cold}");
 
     // Warm the repository, then explain again.
     rs.execute_query(Q, "/wf/warm").unwrap();
-    let warm = rs.explain_query(Q, "/wf/x2").unwrap();
+    let warm = rs.explain_query_as(None, Q, "/wf/x2").unwrap();
     assert!(warm.contains("would reuse entry"), "{warm}");
     assert!(warm.contains("job would be skipped"), "{warm}");
 
     // Dry run mutated nothing: use counts unchanged.
-    assert_eq!(rs.stats().total_uses, 0);
+    assert_eq!(rs.stats_as(None).total_uses, 0);
 
     // And the prediction comes true.
     let e = rs.execute_query(Q, "/wf/real").unwrap();
@@ -53,12 +53,12 @@ fn explain_predicts_execution() {
 #[test]
 fn stats_track_activity() {
     let rs = ReStore::new(engine(), ReStoreConfig::default());
-    let s0 = rs.stats();
+    let s0 = rs.stats_as(None);
     assert_eq!(s0.repository_entries, 0);
     assert_eq!(s0.queries_executed, 0);
 
     rs.execute_query(Q, "/wf/1").unwrap();
-    let s1 = rs.stats();
+    let s1 = rs.stats_as(None);
     assert!(s1.repository_entries > 0);
     assert!(s1.stored_bytes > 0);
     assert_eq!(s1.queries_executed, 1);
@@ -67,7 +67,7 @@ fn stats_track_activity() {
     assert_eq!(s1.provenance_entries, s1.repository_entries);
 
     rs.execute_query(Q, "/wf/2").unwrap();
-    let s2 = rs.stats();
+    let s2 = rs.stats_as(None);
     assert!(s2.total_uses > 0, "rerun must register reuse");
     assert!(s2.never_used < s2.repository_entries);
     assert_eq!(s2.queries_executed, 2);
@@ -76,8 +76,9 @@ fn stats_track_activity() {
 #[test]
 fn explain_reports_errors_for_bad_queries() {
     let rs = ReStore::new(engine(), ReStoreConfig::default());
-    assert!(rs.explain_query("not a query", "/wf").is_err());
-    assert!(rs.explain_query("A = load '/data/d' as (x);", "/wf").is_err()); // no STORE
+    assert!(rs.explain_query_as(None, "not a query", "/wf").is_err());
+    assert!(rs.explain_query_as(None, "A = load '/data/d' as (x);", "/wf").is_err());
+    // no STORE
 }
 
 #[test]

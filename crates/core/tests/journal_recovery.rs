@@ -377,21 +377,19 @@ fn an_empty_batch_publishes_and_journals_nothing() {
 fn recovered_summary(rs: &ReStore) -> String {
     let state = rs.save_state();
     let cand = state.lines().nth(2).unwrap();
-    let mut got = format!("tick {}\n{cand}\n", rs.stats().queries_executed);
+    let mut got = format!("tick {}\n{cand}\n", rs.stats_as(None).queries_executed);
     for (name, _) in rs.stats_all() {
         let tenant = Some(name.as_str());
         got += &format!("space {name:?}\n");
-        rs.with_repository_as(tenant, |repo| {
-            for e in repo.entries() {
-                got += &format!(
-                    "entry {} {:?} uses {} last {}\n",
-                    e.id,
-                    e.output_path,
-                    e.use_count(),
-                    e.last_used()
-                );
-            }
-        });
+        for e in rs.repository_as(tenant).entries() {
+            got += &format!(
+                "entry {} {:?} uses {} last {}\n",
+                e.id,
+                e.output_path,
+                e.use_count(),
+                e.last_used()
+            );
+        }
         rs.with_provenance_as(tenant, |prov| {
             let mut paths: Vec<&str> = prov.iter_paths().collect();
             paths.sort_unstable();
@@ -439,7 +437,7 @@ fn segment_with_a_replace_record_captured_at_the_parent_commit_still_recovers() 
     assert_eq!((report.base_seq, report.records_skipped, report.records_applied), (0, 0, 10));
 
     assert_eq!(recovered_summary(&rs), include_str!("fixtures/parent_replace_expect.txt"));
-    assert_eq!(rs.config().repo_prefix, "/other", "the replacing document's global config");
+    assert_eq!(rs.config_as(None).repo_prefix, "/other", "the replacing document's global config");
     assert!(!rs.config_as(Some("ana")).register_final_outputs, "and its tenant override");
 }
 
@@ -509,7 +507,7 @@ fn recover_leaves_no_phantom_seq_lag() {
     let report = recovered.recover(V4_FIXTURE, &segments).unwrap();
     assert!(report.records_applied > 0);
     assert_eq!(
-        recovered.journal_seq_lag(),
+        recovered.journal_stats().seq_lag,
         0,
         "replayed records were never buffered; recovery must not report them as lag"
     );
@@ -517,15 +515,15 @@ fn recover_leaves_no_phantom_seq_lag() {
     // after recovery is empty, not a ghost of the replayed stream.
     recovered.enable_journal(JournalConfig::default());
     assert_eq!(recovered.save_state_delta().unwrap(), Vec::<String>::new());
-    assert_eq!(recovered.journal_seq_lag(), 0);
+    assert_eq!(recovered.journal_stats().seq_lag, 0);
 }
 
 #[test]
 fn journal_stats_track_recording() {
     let rs = ReStore::new(engine_over(dfs()), ReStoreConfig::default());
-    assert!(!rs.journal_enabled());
+    assert!(!rs.journal_stats().enabled);
     rs.enable_journal(JournalConfig { segment_bytes: 256 });
-    assert!(rs.journal_enabled());
+    assert!(rs.journal_stats().enabled);
     rs.execute_query(&sum_query("/out/a"), "/wf/a").unwrap();
     let stats = rs.journal_stats();
     assert!(stats.seq > 0, "mutations must have been recorded");

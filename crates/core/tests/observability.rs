@@ -171,7 +171,7 @@ fn reuse_trace_explains_hits_and_misses() {
     // Dry-run explains never pollute the trace.
     let ticks_before: Vec<u64> =
         restore.trace_for(None, warm.tick).iter().map(|e| e.tick).collect();
-    restore.explain_query(&q1("/out/q1c"), "/wf/3").expect("explain");
+    restore.explain_query_as(None, &q1("/out/q1c"), "/wf/3").expect("explain");
     assert_eq!(
         restore.trace_for(None, warm.tick).iter().map(|e| e.tick).collect::<Vec<_>>(),
         ticks_before,

@@ -53,14 +53,15 @@ fn first_match_is_insertion_order_invariant() {
             repo.insert(plans[i].1.clone(), format!("/out/{}", plans[i].0), stats(2));
         }
         // Rule 1: the subsuming plan comes first regardless of insertion.
-        let first = &repo.entries()[0];
+        let snap = repo.snapshot();
+        let first = &snap.entries()[0];
         assert_eq!(
             first.output_path, "/out/full",
             "order {order:?} put {} first",
             first.output_path
         );
         let (id, _) = repo.snapshot().find_first_match(&query).unwrap();
-        assert_eq!(repo.get(id).unwrap().output_path, "/out/full", "order {order:?}");
+        assert_eq!(repo.snapshot().get(id).unwrap().output_path, "/out/full", "order {order:?}");
     }
 }
 
@@ -85,7 +86,8 @@ fn rule2_order_is_insertion_order_invariant() {
             let (path, ratio) = entries[i];
             repo.insert(mk(path), format!("/out{path}"), stats(ratio));
         }
-        let got: Vec<String> = repo.entries().iter().map(|e| e.output_path.clone()).collect();
+        let got: Vec<String> =
+            repo.snapshot().entries().iter().map(|e| e.output_path.clone()).collect();
         match &reference {
             None => reference = Some(got),
             Some(want) => assert_eq!(&got, want, "order {order:?}"),
@@ -106,9 +108,10 @@ fn eviction_preserves_relative_order() {
         other => panic!("{other:?}"),
     };
     repo.insert(sub_b, "/out/subB", stats(4));
-    assert_eq!(repo.entries()[0].output_path, "/out/full");
+    assert_eq!(repo.snapshot().entries()[0].output_path, "/out/full");
     repo.evict(full_id);
     // Sub-plans retain their rule-2 order (subB has higher ratio).
-    let paths: Vec<String> = repo.entries().iter().map(|e| e.output_path.clone()).collect();
+    let paths: Vec<String> =
+        repo.snapshot().entries().iter().map(|e| e.output_path.clone()).collect();
     assert_eq!(paths, vec!["/out/subB", "/out/subA"]);
 }

@@ -367,7 +367,7 @@ fn match_path_is_write_free() {
         repo.note_use(found, t);
     }
     assert_eq!(repo.publish_count(), publishes, "matching must not publish");
-    assert_eq!(repo.get(id).unwrap().use_count(), 1000);
+    assert_eq!(repo.snapshot().get(id).unwrap().use_count(), 1000);
 }
 
 /// `note_use` accounting is exact under 8-thread contention, including

@@ -80,19 +80,19 @@ fn v2_restores_tenant_namespaces_configs_and_counters() {
     let state = rs.save_state();
     let want_tuned = rs.stats_as(Some("tuned"));
     let want_other = rs.stats_as(Some("other"));
-    let want_default = rs.stats();
+    let want_default = rs.stats_as(None);
     drop(rs);
 
     let resumed = ReStore::new(engine_over(shared), ReStoreConfig::default());
     resumed.recover(&state, &[]).unwrap();
     assert_eq!(resumed.stats_as(Some("tuned")), want_tuned);
     assert_eq!(resumed.stats_as(Some("other")), want_other);
-    assert_eq!(resumed.stats(), want_default);
+    assert_eq!(resumed.stats_as(None), want_default);
     assert_eq!(resumed.tenant_ids(), vec!["other".to_string(), "tuned".to_string()]);
     assert_eq!(resumed.config_as(Some("tuned")), tuned, "policy override survives the restart");
     assert_eq!(
         resumed.config_as(Some("other")),
-        resumed.config(),
+        resumed.config_as(None),
         "tenants without an override follow the global default"
     );
 
@@ -136,10 +136,10 @@ fn v2_load_without_default_section_still_resets_default_namespace() {
 
     let rs = ReStore::new(engine_over(shared), ReStoreConfig::default());
     rs.execute_query(&sum_query("/out/stale"), "/wf/stale").unwrap();
-    assert!(rs.stats().repository_entries > 0);
+    assert!(rs.stats_as(None).repository_entries > 0);
     rs.recover(&pruned, &[]).unwrap();
-    assert_eq!(rs.stats().repository_entries, 0, "default namespace fully replaced");
-    assert_eq!(rs.stats().provenance_entries, 0);
+    assert_eq!(rs.stats_as(None).repository_entries, 0, "default namespace fully replaced");
+    assert_eq!(rs.stats_as(None).provenance_entries, 0);
     assert_eq!(rs.tenant_ids(), vec!["ana".to_string()]);
     let names: Vec<String> = rs.stats_all().into_iter().map(|(n, _)| n).collect();
     assert_eq!(names, ["", "ana"], "the default namespace exists, once");
@@ -176,7 +176,7 @@ fn tenant_config_override_governs_execution() {
     // The override is visible, and clearing it falls back to the global.
     assert_eq!(rs.config_as(Some("frugal")).heuristic, Heuristic::None);
     rs.clear_config_as("frugal");
-    assert_eq!(rs.config_as(Some("frugal")), rs.config());
+    assert_eq!(rs.config_as(Some("frugal")), rs.config_as(None));
     let f2 = rs.execute_query_as(Some("frugal"), &sum_query("/out/f2"), "/wf/f2").unwrap();
     assert!(f2.candidates_stored > 0 || rs.stats_as(Some("frugal")).repository_entries > 0);
 }
@@ -206,12 +206,13 @@ fn tenant_eviction_policy_sweeps_only_its_own_space() {
         rs.execute_query_as(Some("spartan"), &join_query(&format!("/out/s{i}j")), "/wf/sj")
             .unwrap();
     }
-    rs.with_repository_as(Some("spartan"), |repo| {
-        assert!(
-            repo.entries().iter().all(|e| !e.output_path.contains("/out/s1")),
-            "spartan's one-tick window evicted its stale entries"
-        );
-    });
+    assert!(
+        rs.repository_as(Some("spartan"))
+            .entries()
+            .iter()
+            .all(|e| !e.output_path.contains("/out/s1")),
+        "spartan's one-tick window evicted its stale entries"
+    );
     assert_eq!(
         rs.stats_as(Some("packrat")).repository_entries,
         packrat_before,
@@ -396,7 +397,7 @@ fn sharded_document_is_refused_not_misordered() {
     let one = ReStore::new(engine_over(shared.clone()), ReStoreConfig::default());
     one.recover(&with_repo_shards(&with_repo_shards(&doc, 1, 1), 0, 1), &[]).unwrap();
     assert_eq!(one.stats_all(), absent.stats_all());
-    assert_eq!(one.config(), absent.config());
+    assert_eq!(one.config_as(None), absent.config_as(None));
     assert_eq!(one.config_as(Some("ana")), absent.config_as(Some("ana")));
     assert_eq!(one.save_state(), doc);
     assert_eq!(absent.save_state(), doc);

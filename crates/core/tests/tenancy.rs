@@ -42,9 +42,8 @@ fn an_empty_tenant_name_is_the_default_namespace_at_every_entry_point() {
     assert_eq!(warm.jobs_skipped, 1, "None reuses what Some(\"\") stored");
     let again = rs.execute_query_as(Some(""), &sum_query("/out/e3"), "/wf/e3").unwrap();
     assert_eq!(again.jobs_skipped, 1, "and the other way round");
-    let paths: Vec<String> = rs.with_repository_as(Some(""), |repo| {
-        repo.entries().iter().map(|e| e.output_path.clone()).collect()
-    });
+    let paths: Vec<String> =
+        rs.repository_as(Some("")).entries().iter().map(|e| e.output_path.clone()).collect();
     assert!(paths.iter().any(|p| p.starts_with("/restore/sub-")), "{paths:?}");
 
     // Reads.
@@ -60,7 +59,7 @@ fn an_empty_tenant_name_is_the_default_namespace_at_every_entry_point() {
     // Configuration: `Some("")` sets and reads the global config.
     let tuned = ReStoreConfig { heuristic: Heuristic::Conservative, ..Default::default() };
     rs.set_config_as(Some(""), tuned.clone());
-    assert_eq!(rs.config(), tuned);
+    assert_eq!(rs.config_as(None), tuned);
     assert_eq!(rs.config_as(None), tuned);
     assert_eq!(rs.config_as(Some("")), tuned);
     rs.clear_config_as("");
@@ -102,7 +101,7 @@ fn tenants_never_reuse_each_others_entries() {
     assert_eq!(a2.jobs_skipped, 1, "ana's rerun is answered from ana's repository");
 
     // The default namespace is untouched by tenant traffic.
-    assert_eq!(rs.stats().repository_entries, 0);
+    assert_eq!(rs.stats_as(None).repository_entries, 0);
     assert!(rs.stats_as(Some("ana")).repository_entries > 0);
     assert!(rs.stats_as(Some("bo")).repository_entries > 0);
     assert_eq!(rs.tenant_ids(), vec!["ana".to_string(), "bo".to_string()]);
@@ -112,17 +111,15 @@ fn tenants_never_reuse_each_others_entries() {
 fn tenant_candidate_outputs_live_under_tenant_prefix() {
     let rs = ReStore::new(engine(), ReStoreConfig::default());
     rs.execute_query_as(Some("ana"), &sum_query("/out/ap"), "/wf/ap").unwrap();
-    rs.with_repository_as(Some("ana"), |repo| {
-        for e in repo.entries() {
-            if e.output_path.starts_with("/restore/") {
-                assert!(
-                    e.output_path.starts_with("/restore/ana/"),
-                    "candidate {} must be keyed under the tenant prefix",
-                    e.output_path
-                );
-            }
+    for e in rs.repository_as(Some("ana")).entries() {
+        if e.output_path.starts_with("/restore/") {
+            assert!(
+                e.output_path.starts_with("/restore/ana/"),
+                "candidate {} must be keyed under the tenant prefix",
+                e.output_path
+            );
         }
-    });
+    }
 }
 
 #[test]
@@ -148,10 +145,7 @@ fn overwriting_a_registered_path_invalidates_stale_entries() {
     // ana's stale entry must be gone: rerunning her query re-executes
     // instead of serving bo's bytes from the repository.
     assert!(
-        !rs.with_repository_as(Some("ana"), |repo| repo
-            .entries()
-            .iter()
-            .any(|e| e.output_path == "/out/shared")),
+        !rs.repository_as(Some("ana")).entries().iter().any(|e| e.output_path == "/out/shared"),
         "stale entry pointing at overwritten bytes must be evicted"
     );
     let rerun = rs.execute_query_as(Some("ana"), &sum_query("/out/a2"), "/wf/a2").unwrap();
@@ -182,15 +176,13 @@ fn tenant_sweep_never_evicts_other_tenants() {
     // bo's entries (created at tick 1, idle for 7 ticks, well past the
     // window) survive untouched, files included.
     assert_eq!(rs.stats_as(Some("bo")).repository_entries, bo_entries);
-    rs.with_repository_as(Some("bo"), |repo| {
-        for e in repo.entries() {
-            assert!(
-                rs.engine().dfs().exists(&e.output_path),
-                "ana's sweep must not delete bo's output {}",
-                e.output_path
-            );
-        }
-    });
+    for e in rs.repository_as(Some("bo")).entries() {
+        assert!(
+            rs.engine().dfs().exists(&e.output_path),
+            "ana's sweep must not delete bo's output {}",
+            e.output_path
+        );
+    }
 
     // bo's own next query does sweep bo's stale entries — isolation, not
     // immortality.

@@ -9,12 +9,12 @@
 //! branch index.
 
 use crate::expr::Expr;
-use crate::mr_compiler::{CompiledJob, CompiledWorkflow};
+use crate::mr_compiler::CompiledJob;
 use crate::physical::{AggItem, NodeId, PhysicalOp, PhysicalPlan};
 use restore_common::codec::ColumnSet;
 use restore_common::{Error, Result, Tuple, Value};
 use restore_mapreduce::{
-    JobInput, JobSpec, MapContext, Mapper, MapperFactory, ReduceContext, Reducer, Workflow,
+    JobInput, JobSpec, MapContext, Mapper, MapperFactory, ReduceContext, Reducer,
 };
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -720,22 +720,6 @@ pub fn job_spec_for_plan(plan: &PhysicalPlan, name: &str) -> Result<JobSpec> {
     Ok(spec)
 }
 
-/// Convert a whole compiled workflow into an executable MR workflow.
-pub fn to_mr_workflow(wf: &CompiledWorkflow, name_prefix: &str) -> Result<Workflow> {
-    let mut out = Workflow::new();
-    let mut idx = Vec::with_capacity(wf.jobs.len());
-    for (i, job) in wf.jobs.iter().enumerate() {
-        let spec = job_spec(job, &format!("{name_prefix}-job{i}"))?;
-        idx.push(out.add_job(spec));
-    }
-    for (i, job) in wf.jobs.iter().enumerate() {
-        for &d in &job.deps {
-            out.add_dependency(idx[i], idx[d]);
-        }
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -766,8 +750,9 @@ mod tests {
 
     fn run_query(eng: &Engine, q: &str) {
         let wf = compile(q, "/tmpwf").unwrap();
-        let mr = to_mr_workflow(&wf, "t").unwrap();
-        eng.run_workflow(&mr).unwrap();
+        for idx in wf.topo_order().unwrap() {
+            eng.run(&job_spec(&wf.jobs[idx], &format!("t-job{idx}")).unwrap()).unwrap();
+        }
     }
 
     #[test]

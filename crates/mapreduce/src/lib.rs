@@ -38,4 +38,3 @@ pub use job::{JobInput, JobSpec};
 pub use task::{
     MapContext, Mapper, MapperFactory, ReduceContext, Reducer, ReducerFactory, TaskOutput,
 };
-pub use workflow::{Workflow, WorkflowResult};

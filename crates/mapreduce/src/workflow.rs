@@ -5,43 +5,16 @@
 //!
 //! `T_total(Job_n) = ET(Job_n) + max_{i ∈ Y} T_total(Job_i)`
 //!
-//! where `Y` is the set of jobs `Job_n` depends on. The scheduler executes
-//! jobs in dependency waves exactly like Pig's `JobControlCompiler`
-//! iterations (§6.1), and reports both per-job and critical-path totals.
+//! where `Y` is the set of jobs `Job_n` depends on. This crate holds no
+//! workflow type of its own: a DAG is the `deps` lists of
+//! `restore_dataflow::CompiledWorkflow`, and the functions here take it
+//! in that shape. [`waves`] groups jobs like Pig's `JobControlCompiler`
+//! iterations (§6.1), [`Engine::run_wave`] runs one group, and
+//! [`equation_one`] reports per-job and critical-path totals.
 
 use crate::engine::{Engine, JobResult};
 use crate::job::JobSpec;
 use restore_common::{Error, Result};
-
-/// A DAG of jobs with explicit dependencies.
-#[derive(Clone, Default)]
-pub struct Workflow {
-    jobs: Vec<JobSpec>,
-    /// `deps[i]` = indices of jobs that job `i` depends on.
-    deps: Vec<Vec<usize>>,
-}
-
-impl std::fmt::Debug for Workflow {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Workflow")
-            .field("jobs", &self.jobs.iter().map(|j| &j.name).collect::<Vec<_>>())
-            .field("deps", &self.deps)
-            .finish()
-    }
-}
-
-/// Result of executing a workflow.
-#[derive(Debug, Clone)]
-pub struct WorkflowResult {
-    /// Per-job results in job-index order.
-    pub job_results: Vec<JobResult>,
-    /// `T_total` per job per Equation (1).
-    pub job_total_s: Vec<f64>,
-    /// Workflow completion time = max over jobs of `T_total`.
-    pub total_s: f64,
-    /// One critical path (job indices from source to sink).
-    pub critical_path: Vec<usize>,
-}
 
 /// Dependency waves of a job DAG (`deps[i]` = the jobs job `i` waits
 /// for): jobs grouped by the `JobControlCompiler` iteration in which
@@ -104,67 +77,6 @@ pub fn equation_one(
     Ok((totals, total, path))
 }
 
-impl Workflow {
-    pub fn new() -> Self {
-        Workflow::default()
-    }
-
-    /// Add a job, returning its index.
-    pub fn add_job(&mut self, spec: JobSpec) -> usize {
-        self.jobs.push(spec);
-        self.deps.push(Vec::new());
-        self.jobs.len() - 1
-    }
-
-    /// Declare that `job` depends on `on`.
-    pub fn add_dependency(&mut self, job: usize, on: usize) {
-        assert!(job < self.jobs.len() && on < self.jobs.len(), "unknown job index");
-        if !self.deps[job].contains(&on) {
-            self.deps[job].push(on);
-        }
-    }
-
-    pub fn len(&self) -> usize {
-        self.jobs.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.jobs.is_empty()
-    }
-
-    pub fn job(&self, idx: usize) -> &JobSpec {
-        &self.jobs[idx]
-    }
-
-    pub fn job_mut(&mut self, idx: usize) -> &mut JobSpec {
-        &mut self.jobs[idx]
-    }
-
-    pub fn jobs(&self) -> &[JobSpec] {
-        &self.jobs
-    }
-
-    pub fn dependencies(&self, idx: usize) -> &[usize] {
-        &self.deps[idx]
-    }
-
-    /// A topological order of the jobs (the waves flattened); errors on
-    /// cycles.
-    pub fn topo_order(&self) -> Result<Vec<usize>> {
-        Ok(self.waves()?.into_iter().flatten().collect())
-    }
-
-    /// This workflow's dependency [`waves`].
-    pub fn waves(&self) -> Result<Vec<Vec<usize>>> {
-        waves(&self.deps)
-    }
-
-    /// [`equation_one`] over this workflow's dependencies.
-    pub fn total_times(&self, et: &[f64]) -> Result<(Vec<f64>, f64, Vec<usize>)> {
-        equation_one(&self.deps, et)
-    }
-}
-
 impl Engine {
     /// Execute the jobs of one wave — concurrently when `parallel`, since
     /// they share no dependency edges. Results come back in `specs`
@@ -184,23 +96,6 @@ impl Engine {
             handles.into_iter().map(|h| h.join().expect("wave job thread panicked")).collect()
         });
         outcomes.into_iter().collect()
-    }
-
-    /// Execute an entire workflow in dependency waves, then compute
-    /// Equation (1) totals from the modeled per-job times.
-    pub fn run_workflow(&self, wf: &Workflow) -> Result<WorkflowResult> {
-        let mut results: Vec<Option<JobResult>> = vec![None; wf.len()];
-        for wave in wf.waves()? {
-            let specs: Vec<&JobSpec> = wave.iter().map(|&idx| wf.job(idx)).collect();
-            for (idx, result) in wave.into_iter().zip(self.run_wave(&specs, true)?) {
-                results[idx] = Some(result);
-            }
-        }
-        let job_results: Vec<JobResult> =
-            results.into_iter().map(|r| r.expect("all jobs ran")).collect();
-        let et: Vec<f64> = job_results.iter().map(|r| r.times.total_s).collect();
-        let (job_total_s, total_s, critical_path) = wf.total_times(&et)?;
-        Ok(WorkflowResult { job_results, job_total_s, total_s, critical_path })
     }
 }
 
@@ -237,31 +132,38 @@ mod tests {
         )
     }
 
-    fn diamond() -> Workflow {
-        // j0 -> j1, j0 -> j2, {j1, j2} -> j3
-        let mut wf = Workflow::new();
-        let j0 = wf.add_job(pass_job("j0", "/in", "/a"));
-        let j1 = wf.add_job(pass_job("j1", "/a", "/b"));
-        let j2 = wf.add_job(pass_job("j2", "/a", "/c"));
-        let j3 = wf.add_job(pass_job("j3", "/b", "/d"));
-        wf.add_dependency(j1, j0);
-        wf.add_dependency(j2, j0);
-        wf.add_dependency(j3, j1);
-        wf.add_dependency(j3, j2);
-        wf
+    /// j0 -> j1, j0 -> j2, {j1, j2} -> j3, as `deps` lists.
+    const DIAMOND: [&[usize]; 4] = [&[], &[0], &[0], &[1, 2]];
+
+    fn diamond_jobs() -> Vec<JobSpec> {
+        vec![
+            pass_job("j0", "/in", "/a"),
+            pass_job("j1", "/a", "/b"),
+            pass_job("j2", "/a", "/c"),
+            pass_job("j3", "/b", "/d"),
+        ]
+    }
+
+    /// Every wave of `deps` through `run_wave`, in order.
+    fn run_waves(eng: &Engine, jobs: &[JobSpec], parallel: bool) -> Vec<JobResult> {
+        let mut results: Vec<Option<JobResult>> = vec![None; jobs.len()];
+        for wave in waves(&DIAMOND).unwrap() {
+            let specs: Vec<&JobSpec> = wave.iter().map(|&i| &jobs[i]).collect();
+            for (i, r) in wave.into_iter().zip(eng.run_wave(&specs, parallel).unwrap()) {
+                results[i] = Some(r);
+            }
+        }
+        results.into_iter().map(|r| r.expect("every job ran")).collect()
     }
 
     #[test]
     fn waves_respect_dependencies() {
-        let wf = diamond();
-        let waves = wf.waves().unwrap();
-        assert_eq!(waves, vec![vec![0], vec![1, 2], vec![3]]);
+        assert_eq!(waves(&DIAMOND).unwrap(), vec![vec![0], vec![1, 2], vec![3]]);
     }
 
     #[test]
     fn topo_order_is_valid() {
-        let wf = diamond();
-        let order = wf.topo_order().unwrap();
+        let order = waves(&DIAMOND).unwrap().concat();
         let pos = |i: usize| order.iter().position(|&x| x == i).unwrap();
         assert!(pos(0) < pos(1));
         assert!(pos(0) < pos(2));
@@ -271,20 +173,15 @@ mod tests {
 
     #[test]
     fn cycle_is_detected() {
-        let mut wf = Workflow::new();
-        let a = wf.add_job(pass_job("a", "/x", "/y"));
-        let b = wf.add_job(pass_job("b", "/y", "/x"));
-        wf.add_dependency(a, b);
-        wf.add_dependency(b, a);
-        assert!(wf.topo_order().is_err());
-        assert!(wf.waves().is_err());
+        let cycle: [&[usize]; 2] = [&[1], &[0]];
+        assert!(waves(&cycle).is_err());
+        assert!(equation_one(&cycle, &[1.0, 1.0]).is_err());
     }
 
     #[test]
     fn equation_one_totals() {
-        let wf = diamond();
         // ET: j0=10, j1=5, j2=20, j3=1.
-        let (totals, total, path) = wf.total_times(&[10.0, 5.0, 20.0, 1.0]).unwrap();
+        let (totals, total, path) = equation_one(&DIAMOND, &[10.0, 5.0, 20.0, 1.0]).unwrap();
         assert_eq!(totals, vec![10.0, 15.0, 30.0, 31.0]);
         assert_eq!(total, 31.0);
         // Critical path goes through the slow branch j2.
@@ -312,17 +209,15 @@ mod tests {
                 EngineConfig { worker_threads: threads, default_reduce_tasks: 2 },
             )
         };
-        let wf = diamond();
+        let jobs = diamond_jobs();
 
-        // Wave-parallel execution through run_workflow.
+        // Each wave's jobs concurrently.
         let par = mk_engine(4);
-        par.run_workflow(&wf).unwrap();
+        run_waves(&par, &jobs, true);
 
-        // Strictly sequential: one job at a time, in topological order.
+        // Strictly sequential: one job at a time, in wave order.
         let seq = mk_engine(1);
-        for idx in wf.topo_order().unwrap() {
-            seq.run(wf.job(idx)).unwrap();
-        }
+        run_waves(&seq, &jobs, false);
 
         for path in ["/a", "/b", "/c", "/d"] {
             assert_eq!(
@@ -334,7 +229,7 @@ mod tests {
     }
 
     #[test]
-    fn run_workflow_end_to_end() {
+    fn waves_and_equation_one_end_to_end() {
         let dfs =
             Dfs::new(DfsConfig { nodes: 3, block_size: 64, replication: 1, node_capacity: None });
         let rows = vec![tuple![1, "x"], tuple![2, "y"]];
@@ -344,17 +239,19 @@ mod tests {
             ClusterConfig::default(),
             EngineConfig { worker_threads: 2, default_reduce_tasks: 2 },
         );
-        let res = eng.run_workflow(&diamond()).unwrap();
-        assert_eq!(res.job_results.len(), 4);
+        let results = run_waves(&eng, &diamond_jobs(), true);
+        assert_eq!(results.len(), 4);
         // Data flowed through the chain unchanged.
         let out = codec::decode_all(&dfs.read_all("/d").unwrap()).unwrap();
         assert_eq!(out, rows);
-        assert!(res.total_s > 0.0);
+        let et: Vec<f64> = results.iter().map(|r| r.times.total_s).collect();
+        let (_, total, path) = equation_one(&DIAMOND, &et).unwrap();
+        assert!(total > 0.0);
         // Workflow total exceeds every individual job time.
-        for jr in &res.job_results {
-            assert!(res.total_s >= jr.times.total_s);
+        for jr in &results {
+            assert!(total >= jr.times.total_s);
         }
-        assert_eq!(res.critical_path.first(), Some(&0));
-        assert_eq!(res.critical_path.last(), Some(&3));
+        assert_eq!(path.first(), Some(&0));
+        assert_eq!(path.last(), Some(&3));
     }
 }

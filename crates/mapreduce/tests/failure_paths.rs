@@ -163,20 +163,18 @@ fn out_of_capacity_fails_the_write() {
 
 #[test]
 fn workflow_stops_at_first_failed_job() {
-    use restore_mapreduce::Workflow;
     let dfs = Dfs::new(DfsConfig::small_for_tests());
     dfs.write_all("/in", &codec::encode_all(&[tuple!["k", 1]])).unwrap();
     let eng = engine(dfs);
-    let mut wf = Workflow::new();
-    let ok = wf.add_job(job("/in", "/mid"));
-    // Second job reads a file the first never produces (wrong path).
-    let bad = wf.add_job(job("/missing", "/out"));
-    wf.add_dependency(bad, ok);
-    let err = eng.run_workflow(&wf).unwrap_err();
+    // One job at a time, the way a workflow runs without wave
+    // parallelism; the second reads a file nobody produced.
+    let (ok, bad, after) = (job("/in", "/mid"), job("/missing", "/out"), job("/in", "/after"));
+    let err = eng.run_wave(&[&ok, &bad, &after], false).unwrap_err();
     assert!(matches!(err, Error::FileNotFound(_)), "{err}");
-    // First job's output committed; second never ran.
+    // First job's output committed; nothing after the failure ran.
     assert!(eng.dfs().exists("/mid"));
     assert!(!eng.dfs().exists("/out"));
+    assert!(!eng.dfs().exists("/after"));
 }
 
 #[test]

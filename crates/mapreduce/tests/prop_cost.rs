@@ -2,6 +2,7 @@
 //! workflow totals: monotonicity, scaling, and wave arithmetic.
 
 use proptest::prelude::*;
+use restore_mapreduce::workflow::equation_one;
 use restore_mapreduce::{ClusterConfig, CostModel, Counters, JobInput, JobSpec};
 use std::sync::Arc;
 
@@ -127,48 +128,28 @@ proptest! {
         et in prop::collection::vec(0.1f64..100.0, 1..10),
         edges in prop::collection::vec((any::<prop::sample::Index>(), any::<prop::sample::Index>()), 0..15),
     ) {
-        use restore_mapreduce::Workflow;
-        use restore_mapreduce::{MapContext, Mapper};
-        struct Nop;
-        impl Mapper for Nop {
-            fn map(&mut self, _t: usize, _r: restore_common::Tuple, _c: &mut MapContext)
-                -> restore_common::Result<()> { Ok(()) }
-        }
         let n = et.len();
-        let mut wf = Workflow::new();
-        for i in 0..n {
-            wf.add_job(JobSpec::new(
-                format!("j{i}"),
-                vec![JobInput::new("/in")],
-                format!("/out{i}"),
-                Arc::new(|| Box::new(Nop) as Box<dyn Mapper>),
-                None,
-            ));
-        }
+        let mut deps: Vec<Vec<usize>> = vec![Vec::new(); n];
         // Only forward edges (lower index -> higher) keep the DAG acyclic.
         for (a, b) in edges {
             let (x, y) = (a.index(n), b.index(n));
-            if x < y {
-                wf.add_dependency(y, x);
+            if x < y && !deps[y].contains(&x) {
+                deps[y].push(x);
             }
         }
-        let (totals, total, path) = wf.total_times(&et).unwrap();
+        let (totals, total, path) = equation_one(&deps, &et).unwrap();
         let max_et = et.iter().cloned().fold(0.0f64, f64::max);
         let sum_et: f64 = et.iter().sum();
         prop_assert!(total >= max_et - 1e-9);
         prop_assert!(total <= sum_et + 1e-9);
         for i in 0..n {
-            let dep_max = wf
-                .dependencies(i)
-                .iter()
-                .map(|&d| totals[d])
-                .fold(0.0f64, f64::max);
+            let dep_max = deps[i].iter().map(|&d| totals[d]).fold(0.0f64, f64::max);
             prop_assert!((totals[i] - (et[i] + dep_max)).abs() < 1e-9);
         }
         // The critical path is a real dependency chain ending at the max.
         prop_assert!((totals[*path.last().unwrap()] - total).abs() < 1e-9);
         for w in path.windows(2) {
-            prop_assert!(wf.dependencies(w[1]).contains(&w[0]));
+            prop_assert!(deps[w[1]].contains(&w[0]));
         }
     }
 }

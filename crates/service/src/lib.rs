@@ -47,10 +47,13 @@
 //! * **Tenant isolation** — every submission names a tenant; the driver
 //!   keeps one repository namespace per tenant, so reuse, candidate
 //!   materialization, and eviction sweeps never cross tenants.
-//! * **Per-tenant policy** — [`RestoreService::set_tenant_config`]
-//!   gives a tenant its own `ReStoreConfig` (heuristic, §5 selection,
-//!   retention); its workflows run under that policy while everyone
-//!   else follows the global default.
+//! * **Per-tenant policy** — the driver's
+//!   [`ReStore::set_config_as`](restore_core::ReStore::set_config_as),
+//!   reached through [`RestoreService::driver`], gives a tenant its own
+//!   `ReStoreConfig` (heuristic, §5 selection, retention, failure
+//!   policy); its workflows run under that policy while everyone else
+//!   follows the global default. Admission reads the same setting, so
+//!   there is no second copy in the service.
 //! * **Durability** — one way out, one way in.
 //!   [`RestoreService::checkpoint_begin`] turns on the driver's
 //!   snapshot journal and anchors a base checkpoint (the whole session —

@@ -3,7 +3,6 @@
 
 use crate::failure::TenantFailureState;
 use crate::ticket::Ticket;
-use restore_core::footprints_conflict;
 use restore_dataflow::{CompiledWorkflow, WorkflowIoPaths};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -111,7 +110,7 @@ pub(crate) fn pick(
         if is_barrier(q) {
             return if ready && blocked.is_empty() { Some((i, true)) } else { None };
         }
-        if ready && blocked.iter().all(|b| !footprints_conflict(b, &q.footprint)) {
+        if ready && blocked.iter().all(|b| b.disjoint(&q.footprint)) {
             return Some((i, false));
         }
         blocked.push(&q.footprint);

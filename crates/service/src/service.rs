@@ -44,8 +44,9 @@ impl Default for ServiceConfig {
 /// [`RestoreService::checkpoint_begin`]).
 #[derive(Debug, Clone)]
 pub struct CheckpointConfig {
-    /// Journal segment size bound (see [`JournalConfig`]).
-    pub segment_bytes: usize,
+    /// The driver's snapshot journal, which the checkpoint set carries
+    /// as segments.
+    pub journal: JournalConfig,
     /// Compact (fold the journal into a fresh base checkpoint) once
     /// accumulated segment bytes exceed this fraction of the base's
     /// size. Compaction uses the quiesce-free driver dump, so even the
@@ -55,7 +56,7 @@ pub struct CheckpointConfig {
 
 impl Default for CheckpointConfig {
     fn default() -> Self {
-        CheckpointConfig { segment_bytes: 64 * 1024, compact_ratio: 0.5 }
+        CheckpointConfig { journal: JournalConfig::default(), compact_ratio: 0.5 }
     }
 }
 
@@ -332,7 +333,7 @@ impl RestoreService {
     /// [`CheckpointSet`].
     pub fn checkpoint_begin(&self, config: CheckpointConfig) -> CheckpointOutcome {
         let mut keeper = self.checkpoint.lock().unwrap_or_else(|e| e.into_inner());
-        self.restore.enable_journal(JournalConfig { segment_bytes: config.segment_bytes });
+        self.restore.enable_journal(config.journal.clone());
         let base = self.restore.save_state();
         let base_bytes = base.len();
         *keeper = Some(CheckpointKeeper {
@@ -445,21 +446,6 @@ impl RestoreService {
             k.journal_bytes = 0;
         }
         Ok(report)
-    }
-
-    /// Set `tenant`'s policy override: subsequent submissions from that
-    /// tenant run with `config` (heuristic, §5 selection, quotas)
-    /// instead of the global default. `None` (or an empty name) sets
-    /// the global configuration. Workflows already dispatched keep the
-    /// policy they started with.
-    pub fn set_tenant_config(&self, tenant: Option<&str>, config: restore_core::ReStoreConfig) {
-        self.restore.set_config_as(tenant, config);
-    }
-
-    /// The effective policy for `tenant` (its override, or the global
-    /// default).
-    pub fn tenant_config(&self, tenant: Option<&str>) -> restore_core::ReStoreConfig {
-        self.restore.config_as(tenant)
     }
 
     /// Install (`Some`) or remove (`None`) the deterministic
@@ -607,7 +593,7 @@ impl RestoreService {
             "restore_journal_seq_lag",
             "Records appended since the last delta capture",
             &[],
-            self.restore.journal_seq_lag() as f64,
+            js.seq_lag as f64,
         );
         // Checkpoint keeper gauges.
         {

@@ -110,7 +110,7 @@ impl FaultInjector for TransientFault {
 fn flapping_tenant_is_shed_healthy_tenant_unaffected() {
     let svc = service_over(fresh_dfs());
     svc.set_fault_injector(Some(TenantOutage::new("flappy")));
-    svc.set_tenant_config(
+    svc.driver().set_config_as(
         Some("flappy"),
         with_failure(FailurePolicy {
             failure_window: 8,
@@ -162,7 +162,7 @@ fn flapping_tenant_is_shed_healthy_tenant_unaffected() {
 fn retries_heal_transients_and_exhaust_into_the_final_error() {
     let svc = service_over(fresh_dfs());
     svc.set_fault_injector(Some(Arc::new(TransientFault { fail_first: 2 })));
-    svc.set_tenant_config(
+    svc.driver().set_config_as(
         Some("ana"),
         with_failure(FailurePolicy {
             on_failure: FailureDisposition::Retry,
@@ -193,7 +193,7 @@ fn retries_heal_transients_and_exhaust_into_the_final_error() {
 fn drop_disposition_discards_without_retries_or_breaker_accounting() {
     let svc = service_over(fresh_dfs());
     svc.set_fault_injector(Some(TenantOutage::new("be")));
-    svc.set_tenant_config(
+    svc.driver().set_config_as(
         Some("be"),
         with_failure(FailurePolicy {
             on_failure: FailureDisposition::Drop,
@@ -237,7 +237,7 @@ fn half_open_probe_closes_the_breaker_after_heal() {
     let svc = service_over(fresh_dfs());
     let outage = TenantOutage::new("ho");
     svc.set_fault_injector(Some(outage.clone()));
-    svc.set_tenant_config(
+    svc.driver().set_config_as(
         Some("ho"),
         with_failure(FailurePolicy {
             failure_window: 4,
@@ -278,7 +278,7 @@ fn half_open_probe_closes_the_breaker_after_heal() {
 fn retry_policy_survives_a_checkpoint_set_restart() {
     let dfs = fresh_dfs();
     let svc = service_over(dfs.clone());
-    svc.set_tenant_config(
+    svc.driver().set_config_as(
         Some("ana"),
         with_failure(FailurePolicy {
             on_failure: FailureDisposition::Retry,

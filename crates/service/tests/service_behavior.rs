@@ -144,15 +144,13 @@ fn tenant_sweeps_and_reuse_are_isolated() {
         bo_entries,
         "ana's sweeps must not evict bo's entries"
     );
-    svc.driver().with_repository_as(Some("bo"), |repo| {
-        for e in repo.entries() {
-            assert!(
-                svc.driver().engine().dfs().exists(&e.output_path),
-                "bo's output {} deleted by another tenant's sweep",
-                e.output_path
-            );
-        }
-    });
+    for e in svc.driver().repository_as(Some("bo")).entries() {
+        assert!(
+            svc.driver().engine().dfs().exists(&e.output_path),
+            "bo's output {} deleted by another tenant's sweep",
+            e.output_path
+        );
+    }
 
     // No cross-tenant reuse: bo rerunning ana's exact query text (fresh
     // output path) still executes jobs.
@@ -621,7 +619,7 @@ fn a_waiter_finishing_the_last_entry_releases_shutdown() {
 #[test]
 fn a_retry_queued_by_a_waiter_is_run_at_its_deadline() {
     let (svc, gate, entered, release_pin) = busy_pool();
-    svc.set_tenant_config(
+    svc.driver().set_config_as(
         Some("ana"),
         ReStoreConfig {
             failure: FailurePolicy {

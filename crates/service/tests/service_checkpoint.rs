@@ -3,7 +3,7 @@
 //! recover to the exact session state, and compaction folds the
 //! journal into a fresh base without ever pausing dispatch.
 
-use restore_core::{ReStore, ReStoreConfig};
+use restore_core::{JournalConfig, ReStore, ReStoreConfig};
 use restore_dfs::{Dfs, DfsConfig};
 use restore_mapreduce::{ClusterConfig, Engine, EngineConfig};
 use restore_pigmix::{datagen, queries, DataScale};
@@ -192,7 +192,7 @@ fn restore_rebases_the_checkpoint_keeper() {
 fn restore_incremental_of_a_bare_base_reproduces_it_byte_for_byte() {
     let dfs = shared_dfs();
     let svc = service_over(dfs.clone(), 2);
-    svc.set_tenant_config(
+    svc.driver().set_config_as(
         Some("bo"),
         ReStoreConfig { register_final_outputs: false, ..Default::default() },
     );
@@ -258,7 +258,10 @@ fn compaction_folds_segments_into_a_fresh_base() {
     let svc = service_over(dfs.clone(), 2);
     // Ratio 0: any journaled byte triggers a fold — every capture
     // compacts.
-    svc.checkpoint_begin(CheckpointConfig { segment_bytes: 4 * 1024, compact_ratio: 0.0 });
+    svc.checkpoint_begin(CheckpointConfig {
+        journal: JournalConfig { segment_bytes: 4 * 1024 },
+        compact_ratio: 0.0,
+    });
 
     let mut saw_compaction = false;
     for round in 0..3 {

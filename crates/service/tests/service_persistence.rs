@@ -99,11 +99,11 @@ fn submit_round(svc: &RestoreService, round: usize) -> Vec<Outcome> {
 
 fn install_overrides(svc: &RestoreService) {
     // ana materializes conservatively; dee registers nothing final.
-    svc.set_tenant_config(
+    svc.driver().set_config_as(
         Some("ana"),
         ReStoreConfig { heuristic: Heuristic::Conservative, ..Default::default() },
     );
-    svc.set_tenant_config(
+    svc.driver().set_config_as(
         Some("dee"),
         ReStoreConfig { heuristic: Heuristic::None, ..Default::default() },
     );
@@ -137,7 +137,7 @@ fn run_scenario(restart: bool) -> (Vec<Outcome>, Vec<ReStoreStats>, Vec<ReStoreC
 
     let outcomes = submit_round(&svc, 2);
     let stats = TENANTS.iter().map(|t| svc.driver().stats_as(Some(t))).collect();
-    let configs = TENANTS.iter().map(|t| svc.tenant_config(Some(t))).collect();
+    let configs = TENANTS.iter().map(|t| svc.driver().config_as(Some(t))).collect();
     svc.shutdown();
     (outcomes, stats, configs)
 }
@@ -220,15 +220,13 @@ fn assert_all_paths_live(snap: &str, dfs: &Dfs) {
     namespaces.extend(scratch.tenant_ids().into_iter().map(Some));
     for ns in namespaces {
         let t = ns.as_deref();
-        scratch.with_repository_as(t, |repo| {
-            for e in repo.entries() {
-                assert!(
-                    dfs.exists(&e.output_path),
-                    "snapshot serialized dangling repository path {} (tenant {t:?})",
-                    e.output_path
-                );
-            }
-        });
+        for e in scratch.repository_as(t).entries() {
+            assert!(
+                dfs.exists(&e.output_path),
+                "snapshot serialized dangling repository path {} (tenant {t:?})",
+                e.output_path
+            );
+        }
         scratch.with_provenance_as(t, |prov| {
             for p in prov.iter_paths() {
                 assert!(
@@ -274,9 +272,9 @@ fn per_tenant_policy_submission_via_service() {
         register_final_outputs: false,
         ..Default::default()
     };
-    svc.set_tenant_config(Some("frugal"), frugal.clone());
-    assert_eq!(svc.tenant_config(Some("frugal")), frugal);
-    assert_eq!(svc.tenant_config(Some("ana")), svc.driver().config());
+    svc.driver().set_config_as(Some("frugal"), frugal.clone());
+    assert_eq!(svc.driver().config_as(Some("frugal")), frugal);
+    assert_eq!(svc.driver().config_as(Some("ana")), svc.driver().config_as(None));
 
     let (q, _) = tenant_query("ana", 1);
     svc.submit(Some("frugal"), &q, "/wf/f1").unwrap().wait().unwrap();
@@ -294,6 +292,6 @@ fn per_tenant_policy_submission_via_service() {
     svc.shutdown();
     let svc2 = service_over(dfs, ReStoreConfig::default());
     svc2.restore_incremental(&set).unwrap();
-    assert_eq!(svc2.tenant_config(Some("frugal")), frugal);
+    assert_eq!(svc2.driver().config_as(Some("frugal")), frugal);
     svc2.shutdown();
 }

@@ -66,7 +66,7 @@ fn run_round(service: &RestoreService, tag: &str) -> usize {
 fn torn_journal_recovery() {
     let dfs = cluster(0xC0_FFEE);
     let service = new_service(&dfs);
-    service.set_tenant_config(
+    service.driver().set_config_as(
         Some("ana"),
         ReStoreConfig { heuristic: Heuristic::Conservative, ..Default::default() },
     );
@@ -118,7 +118,7 @@ fn torn_journal_recovery() {
             },
         );
         assert_eq!(
-            resumed.tenant_config(Some("ana")).heuristic,
+            resumed.driver().config_as(Some("ana")).heuristic,
             Heuristic::Conservative,
             "per-tenant policy overrides are part of the durable state",
         );

@@ -40,17 +40,17 @@ fn main() {
     let rs = ReStore::new(engine, ReStoreConfig::default());
 
     println!("== dry run against an empty repository ==");
-    print!("{}", rs.explain_query(QUERY, "/wf/x0").unwrap());
+    print!("{}", rs.explain_query_as(None, QUERY, "/wf/x0").unwrap());
 
     println!("\n== execute once (populates the repository) ==");
     let e = rs.execute_query(QUERY, "/wf/run1").unwrap();
     println!("modeled {:.1}s; {} sub-jobs stored", e.total_s, e.candidates_stored);
 
     println!("\n== dry run again: what a rerun would reuse ==");
-    print!("{}", rs.explain_query(QUERY, "/wf/x1").unwrap());
+    print!("{}", rs.explain_query_as(None, QUERY, "/wf/x1").unwrap());
 
     println!("\n== driver statistics ==");
-    let s = rs.stats();
+    let s = rs.stats_as(None);
     println!(
         "entries={} stored={} uses={} never_used={} queries={}",
         s.repository_entries, s.stored_bytes, s.total_uses, s.never_used, s.queries_executed

@@ -50,7 +50,7 @@ fn main() {
 
     // 1. Tenant "flaky" opts into retries + a breaker;
     //    everyone else keeps the fail-fast default.
-    service.set_tenant_config(
+    service.driver().set_config_as(
         Some("flaky"),
         ReStoreConfig {
             failure: FailurePolicy {

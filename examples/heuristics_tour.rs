@@ -52,9 +52,9 @@ fn main() {
         // First run: materialize candidates (pays the overhead).
         let gen = rs.execute_query(&query, &format!("/wf/{}-gen", h.label())).unwrap();
         // Second run: reuse them.
-        let mut cfg = rs.config().clone();
+        let mut cfg = rs.config_as(None);
         cfg.reuse_enabled = true;
-        rs.set_config(cfg);
+        rs.set_config_as(None, cfg);
         let reuse = rs.execute_query(&query, &format!("/wf/{}-re", h.label())).unwrap();
 
         println!(

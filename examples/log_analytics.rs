@@ -156,7 +156,7 @@ fn main() {
     println!("  speedup:         {:8.1}x", plain_total / restore_total);
     println!(
         "\nRepository: {} entries, {} logical bytes of stored outputs",
-        rs.repository().len(),
-        rs.repository().stored_bytes(),
+        rs.repository_as(None).len(),
+        rs.repository_as(None).stored_bytes(),
     );
 }

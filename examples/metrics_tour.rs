@@ -72,7 +72,7 @@ fn main() {
     // Failure-policy beat: a flaky tenant retries once, surfaces the
     // final error, and trips its breaker — populating
     // `restore_retries_total` and `restore_circuit_state{tenant="flaky"}`.
-    service.set_tenant_config(
+    service.driver().set_config_as(
         Some("flaky"),
         ReStoreConfig {
             failure: FailurePolicy {

@@ -51,8 +51,8 @@ fn main() {
         "Q1 executed: modeled time {:.1}s, {} sub-jobs materialized",
         e1.total_s, e1.candidates_stored
     );
-    println!("Repository now holds {} plans:", restore.repository().len());
-    for entry in restore.repository().entries() {
+    println!("Repository now holds {} plans:", restore.repository_as(None).len());
+    for entry in restore.repository_as(None).entries() {
         println!(
             "  #{:<2} {:<22} {:>6} bytes  ({} operators)",
             entry.id,

@@ -61,7 +61,7 @@ fn main() {
 
     println!("== run 1: populate the repository (strict admission) ==");
     rs.execute_query(QUERY, "/wf/run1").unwrap();
-    print_repo(&rs.repository());
+    print_repo(&rs.repository_as(None));
     println!(
         "(rule 1 rejected any candidate whose output was not smaller than its\n\
          input; rule 2 any whose reload would be slower than recomputing)\n"
@@ -70,13 +70,13 @@ fn main() {
     println!("== run 2: the same query reuses the stored outputs ==");
     let e2 = rs.execute_query(QUERY, "/wf/run2").unwrap();
     println!("  rewrites applied: {}", e2.rewrites.len());
-    print_repo(&rs.repository());
+    print_repo(&rs.repository_as(None));
 
     println!("\n== persistence: save and reload the repository ==");
-    let saved = rs.repository().save();
+    let saved = rs.repository_as(None).save();
     println!("  serialized {} bytes", saved.len());
     let reloaded = Repository::load(&saved).unwrap();
-    println!("  reloaded {} entries — identical order and stats", reloaded.len());
+    println!("  reloaded {} entries — identical order and stats", reloaded.snapshot().len());
 
     println!("\n== rule 4: overwriting an input invalidates dependents ==");
     let dfs = rs.engine().dfs().clone();
@@ -85,7 +85,7 @@ fn main() {
     w.close().unwrap();
     let e3 = rs.execute_query(QUERY, "/wf/run3").unwrap();
     println!("  rewrites after overwrite: {} (stale entries evicted)", e3.rewrites.len());
-    print_repo(&rs.repository());
+    print_repo(&rs.repository_as(None));
 
     println!("\n== rule 3: entries unused for >3 queries are evicted ==");
     // Run unrelated queries to advance the clock without touching the
@@ -99,7 +99,7 @@ fn main() {
         rs.execute_query(&q, &format!("/wf/probe{i}")).unwrap();
     }
     println!("  repository after 4 unrelated queries:");
-    print_repo(&rs.repository());
+    print_repo(&rs.repository_as(None));
     println!(
         "\nEvicted outputs were deleted from the DFS; the repository only pays\n\
          for entries with a live chance of reuse."

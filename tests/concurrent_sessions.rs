@@ -60,7 +60,7 @@ fn wave_parallel_output_matches_sequential() {
                 outputs.push((bytes, e.job_results.len(), e.jobs_skipped, e.rewrites.len()));
             }
         }
-        let repo_len = rs.repository().len();
+        let repo_len = rs.repository_as(None).len();
         (outputs, repo_len)
     };
     let parallel = run(true);
@@ -102,7 +102,7 @@ fn concurrent_sessions_preserve_answers() {
                             // Interleave stats polling with registration in
                             // other threads: guards lock ordering (a
                             // repo-then-prov inversion deadlocks here).
-                            let _ = shared.stats();
+                            let _ = shared.stats_as(None);
                             read_sorted(shared.engine().dfs(), &e.final_output)
                         })
                         .collect()
@@ -118,11 +118,11 @@ fn concurrent_sessions_preserve_answers() {
     }
 
     // Repository consistency after the storm.
-    let stats = shared.stats();
+    let stats = shared.stats_as(None);
     assert_eq!(stats.queries_executed, (THREADS * 4) as u64);
     assert!(stats.repository_entries > 0);
     {
-        let repo = shared.repository();
+        let repo = shared.repository_as(None);
         for entry in repo.entries() {
             assert!(
                 shared.engine().dfs().exists(&entry.output_path),
@@ -141,7 +141,7 @@ fn concurrent_sessions_preserve_answers() {
     let state = shared.save_state();
     let resumed = ReStore::new(shared.engine().clone(), ReStoreConfig::default());
     resumed.recover(&state, &[]).unwrap();
-    assert_eq!(resumed.stats(), stats);
+    assert_eq!(resumed.stats_as(None), stats);
 }
 
 /// Racing identical cold queries: whoever registers first wins, everyone

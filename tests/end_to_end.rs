@@ -100,13 +100,13 @@ fn repository_persistence_mid_workload() {
     let engine = pigmix_engine();
     let rs = ReStore::new(engine.clone(), ReStoreConfig::default());
     rs.execute_query(&queries::l3("/out/p1"), "/wf/p1").unwrap();
-    let saved = rs.repository().save();
-    let entries_before = rs.repository().len();
+    let saved = rs.repository_as(None).save();
+    let entries_before = rs.repository_as(None).len();
 
     // "New session": same DFS, fresh driver, reloaded repository.
     let rs2 = ReStore::new(engine, ReStoreConfig::default());
     rs2.with_repository_mut_as(None, |repo| repo.adopt(Repository::load(&saved).unwrap()));
-    assert_eq!(rs2.repository().len(), entries_before);
+    assert_eq!(rs2.repository_as(None).len(), entries_before);
 
     // The fresh driver has no provenance, but repository matching works
     // on base-level plans directly, and L3's first job loads only base
@@ -136,8 +136,8 @@ fn full_session_state_round_trips() {
     // Resume from the snapshot in a "new process".
     let resumed = ReStore::new(engine, ReStoreConfig::default());
     resumed.recover(&state, &[]).unwrap();
-    assert!(!resumed.repository().is_empty());
-    assert!(resumed.repository().len() <= rs.repository().len());
+    assert!(!resumed.repository_as(None).is_empty());
+    assert!(resumed.repository_as(None).len() <= rs.repository_as(None).len());
     let res_exec = resumed.execute_query(&queries::l7("/out/f3b"), "/wf/f3b").unwrap();
 
     // Both sessions rewrite the same way and produce the same rows.
