@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use restore_bench::env::pigmix_env;
 use restore_common::codec::ColumnSet;
 use restore_dfs::{Dfs, DfsConfig};
-use restore_mapreduce::split_reader::read_split;
+use restore_mapreduce::split_reader::{read_split, InputFile};
 use restore_pigmix::datagen::PAGE_VIEWS;
 use restore_pigmix::DataScale;
 use std::hint::black_box;
@@ -62,6 +62,7 @@ fn bench_read_split(c: &mut Criterion) {
     let env = pigmix_env(DataScale::gb15());
     let (dfs, pv_bytes) = (env.engine.dfs(), env.data.page_views_bytes);
     let splits = dfs.splits(PAGE_VIEWS).unwrap();
+    let file = InputFile::open(dfs, PAGE_VIEWS).unwrap();
 
     let mut group = c.benchmark_group("dfs_read_split");
     group.sample_size(20);
@@ -74,7 +75,7 @@ fn bench_read_split(c: &mut Criterion) {
                         black_box(t);
                         Ok(())
                     };
-                    black_box(read_split(dfs, split, pv_bytes, columns.as_ref(), row).unwrap());
+                    black_box(read_split(dfs, split, &file, columns.as_ref(), row).unwrap());
                 }
             });
         });

@@ -15,7 +15,7 @@ use restore_dataflow::exec::job_spec_for_plan;
 use restore_dataflow::expr::{AggFunc, Expr};
 use restore_dataflow::physical::{AggItem, PhysicalOp, PhysicalPlan};
 use restore_dfs::{Dfs, DfsConfig};
-use restore_mapreduce::split_reader::read_split;
+use restore_mapreduce::split_reader::{read_split, InputFile};
 use restore_mapreduce::{ClusterConfig, Engine, EngineConfig};
 use restore_pigmix::datagen::PAGE_VIEWS;
 use restore_pigmix::DataScale;
@@ -162,6 +162,7 @@ fn bench_map_stages(c: &mut Criterion) {
     let env = pigmix_env(DataScale::gb15());
     let (dfs, pv_bytes) = (env.engine.dfs(), env.data.page_views_bytes);
     let splits = dfs.splits(PAGE_VIEWS).unwrap();
+    let file = InputFile::open(dfs, PAGE_VIEWS).unwrap();
 
     let mut group = c.benchmark_group("engine_map_stages");
     group.sample_size(10);
@@ -174,7 +175,7 @@ fn bench_map_stages(c: &mut Criterion) {
                     black_box(t);
                     Ok(())
                 };
-                black_box(read_split(dfs, split, pv_bytes, Some(&columns), row).unwrap());
+                black_box(read_split(dfs, split, &file, Some(&columns), row).unwrap());
             }
         });
     });
@@ -185,7 +186,7 @@ fn bench_map_stages(c: &mut Criterion) {
             b.iter(|| {
                 for split in &splits {
                     black_box(
-                        engine.run_map_task(&spec, 0, split, pv_bytes, reduce_tasks).unwrap(),
+                        engine.run_map_task(&spec, 0, split, &file, reduce_tasks).unwrap(),
                     );
                 }
             });

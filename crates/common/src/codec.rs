@@ -567,29 +567,58 @@ fn not_utf8<E>(_: E) -> Error {
     Error::Codec("record is not valid UTF-8".into())
 }
 
+/// Does `t`, written as text, read back as exactly itself? Text stores no
+/// types, so a value does not when the reader's inference types it
+/// otherwise: a string that looks numeric (`"007"` reads back `Int(7)`),
+/// an integral double of 1e15 or more (written without `.0`, it reads
+/// back an `Int`), a NaN or an infinity (they read back as strings). Nor
+/// does a tuple of no fields, or of one empty string: both are a bare
+/// newline, which reads back as one empty string or as no record.
+pub fn reads_back(t: &Tuple) -> bool {
+    match t.0.as_slice() {
+        [] => false,
+        [Value::Str(s)] if s.is_empty() => false,
+        fields => fields.iter().all(value_reads_back),
+    }
+}
+
+fn value_reads_back(v: &Value) -> bool {
+    match v {
+        Value::Null | Value::Int(_) => true,
+        Value::Double(d) => d.is_finite() && (d.fract() != 0.0 || d.abs() < 1e15),
+        Value::Str(s) => matches!(infer_number(s), None),
+        Value::Bag(ts) => ts.iter().all(|t| t.arity() > 0 && t.iter().all(value_reads_back)),
+    }
+}
+
+/// The number a field's text reads as, if it reads as one.
+fn infer_number(s: &str) -> Option<Value> {
+    if !s.is_empty() && looks_numeric(s) {
+        if let Ok(i) = s.parse::<i64>() {
+            return Some(Value::Int(i));
+        }
+        if let Ok(d) = s.parse::<f64>() {
+            return Some(Value::Double(d));
+        }
+    }
+    None
+}
+
 /// Re-infer the runtime type of a decoded field that needed no escaping:
 /// try int, then double, else string.
 fn infer_value(s: &str) -> Value {
-    if !s.is_empty() && looks_numeric(s) {
-        if let Ok(i) = s.parse::<i64>() {
-            return Value::Int(i);
-        }
-        if let Ok(d) = s.parse::<f64>() {
-            return Value::Double(d);
-        }
-    }
-    Value::Str(SmallStr::from(s))
+    infer_number(s).unwrap_or_else(|| Value::Str(SmallStr::from(s)))
 }
 
 fn looks_numeric(s: &str) -> bool {
     let b = s.as_bytes();
     let start = if b[0] == b'-' || b[0] == b'+' { 1 } else { 0 };
-    if start >= b.len() {
+    if start >= b.len() || !b[start].is_ascii_digit() {
         return false;
     }
     b[start..].iter().all(|&c| {
         c.is_ascii_digit() || c == b'.' || c == b'e' || c == b'E' || c == b'-' || c == b'+'
-    }) && b[start].is_ascii_digit()
+    })
 }
 
 #[cfg(test)]
@@ -743,6 +772,31 @@ mod tests {
             let mut buf = Vec::new();
             encode_tuple(&t, &mut buf);
             assert_eq!(buf.len(), t.encoded_len(), "tuple {t}");
+        }
+    }
+
+    #[test]
+    fn reads_back_is_what_the_decoder_gives_back() {
+        let cases = [
+            (tuple!["alice", 42, 2.5, 3.0, -0.0, 1e14], true),
+            (tuple!["007"], false),
+            (tuple!["-1.5e3"], false),
+            (tuple!["7up", "e7", ""], true),
+            (tuple![2e15], false),
+            (tuple![f64::NAN], false),
+            (tuple![f64::NEG_INFINITY], false),
+            (Tuple::new(), false),
+            (tuple![""], false),
+            (Tuple::from_values(vec![Value::Null, Value::Bag(vec![tuple!["a", 1]])]), true),
+            (Tuple::from_values(vec![Value::Bag(vec![tuple!["12"]])]), false),
+            (Tuple::from_values(vec![Value::Bag(vec![Tuple::new()])]), false),
+        ];
+        for (t, clean) in cases {
+            assert_eq!(reads_back(&t), clean, "{t:?}");
+            if clean {
+                let back = round_trip(&t);
+                assert_eq!(format!("{back:?}"), format!("{t:?}"));
+            }
         }
     }
 

@@ -11,6 +11,9 @@
 //! * [`codec`] — the line-oriented record format used for files in the
 //!   simulated DFS (tab-separated, escaped), mirroring `PigStorage`; its
 //!   one walk over a value also gives `Value::encoded_len` and `Display`.
+//! * [`typed`] — the binary value codec for what the system stores for
+//!   itself (the shuffle, inter-job temporaries, materialized candidates):
+//!   every value keeps its type, and a stored file splits by group.
 //! * [`rng`] — deterministic in-tree PRNG (SplitMix64) and Zipf sampler so
 //!   data generation is bit-reproducible across platforms and crate versions.
 //! * [`Error`] — the shared error type.
@@ -23,6 +26,7 @@ pub mod rng;
 pub mod schema;
 pub mod small_str;
 pub mod tuple;
+pub mod typed;
 pub mod value;
 
 pub use bytesize::human_bytes;

@@ -66,7 +66,7 @@ use restore_dataflow::exec::{job_io, job_spec_for_plan};
 use restore_dataflow::mr_compiler::CompiledWorkflow;
 use restore_dataflow::physical::PhysicalPlan;
 use restore_dfs::Dfs;
-use restore_mapreduce::{workflow, Engine, JobResult, JobSpec};
+use restore_mapreduce::{split_reader, workflow, Engine, JobResult, JobSpec};
 use restore_telemetry::Registry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -685,8 +685,12 @@ impl ReStore {
         }
 
         // Whole-job elimination: the rewrite reduced the job to a copy.
+        // A user's output is text, so a copy of a typed file into one
+        // runs as a job instead: aliasing would hand the user typed bytes.
         if job_rewrites > 0 {
-            if let Some((src, dst)) = identity_copy(&plan) {
+            if let Some((src, dst)) = identity_copy(&plan)
+                .filter(|(src, dst)| wf.tmp_paths.contains(dst) || !self.is_typed_file(src))
+            {
                 aliases.insert(dst.clone(), src);
                 if let Some(ev) = rewrites.last_mut() {
                     ev.whole_job = true;
@@ -723,8 +727,24 @@ impl ReStore {
             Vec::new()
         };
 
-        let spec = job_spec_for_plan(&plan, &format!("q{tick}-job{idx}"))?;
+        let mut spec = job_spec_for_plan(&plan, &format!("q{tick}-job{idx}"))?;
+        // What ReStore reads back itself is typed: the workflow's
+        // temporaries and the candidates just injected.
+        spec.typed_outputs = std::iter::once(&spec.output)
+            .chain(&spec.side_outputs)
+            .filter(|&path| {
+                wf.tmp_paths.contains(path)
+                    || candidates.iter().any(|c| !c.already_stored && c.store_path == *path)
+            })
+            .cloned()
+            .collect();
         Ok(Prepared::Run(Box::new(PreparedJob { idx, plan, candidates, spec })))
+    }
+
+    /// Whether the stored file at `path` is typed; a path that cannot be
+    /// read is not.
+    fn is_typed_file(&self, path: &str) -> bool {
+        split_reader::is_typed(self.engine.dfs(), path).unwrap_or(false)
     }
 
     /// The §3 loop: repeatedly lineage-expand the plan, take the first
@@ -892,6 +912,9 @@ impl ReStore {
         // whole-job reuse (§2.1).
         let is_intermediate = wf.tmp_paths.contains(&io.main_output);
         let register_main = config.register_final_outputs || is_intermediate;
+        // A text output holding a value that would read back retyped is
+        // never Loaded in place of recomputing it.
+        let lossy = |path: &str| result.lossy_outputs.iter().any(|p| p == path);
 
         let whole_prefix =
             job.plan.prefix_plan(find_store_tip(&job.plan, &io.main_output)?, &io.main_output);
@@ -912,7 +935,10 @@ impl ReStore {
             created: tick,
             input_files: input_files.clone(),
         };
-        if register_main && config.selection.should_keep(&whole_stats) {
+        let keep_main = register_main && config.selection.should_keep(&whole_stats);
+        if keep_main && lossy(&io.main_output) {
+            self.obs.vetoed_retypes.inc();
+        } else if keep_main {
             prov.register(&io.main_output, whole_base.clone());
             if let Some(plan) = prov.get_arc(&io.main_output) {
                 registers.push((io.main_output.clone(), plan));
@@ -927,6 +953,10 @@ impl ReStore {
         // final output follows the same final-output policy.
         for cand in &job.candidates {
             if cand.already_stored && cand.store_path == io.main_output && !register_main {
+                continue;
+            }
+            if cand.already_stored && lossy(&cand.store_path) {
+                self.obs.vetoed_retypes.inc();
                 continue;
             }
             let bytes = if cand.already_stored && cand.store_path == io.main_output {

@@ -116,6 +116,10 @@ pub(crate) struct Obs {
     pub stage: StageHists,
     pub match_stage: MatchStageHists,
     pub trace: TraceRing<ReuseTraceEvent>,
+    /// Registrations refused because the stored output is text holding a
+    /// value that would read back retyped
+    /// (`restore_candidates_vetoed_total{reason="retypes"}`).
+    pub vetoed_retypes: Counter,
 }
 
 impl Obs {
@@ -163,6 +167,11 @@ impl Obs {
                 pin_revalidate: match_hist("pin_revalidate"),
             },
             trace: TraceRing::new(TRACE_CAPACITY),
+            vetoed_retypes: registry.counter(
+                "restore_candidates_vetoed_total",
+                "Stored outputs not registered, by reason",
+                &[("reason", "retypes")],
+            ),
             registry,
         }
     }

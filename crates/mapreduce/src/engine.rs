@@ -11,9 +11,16 @@
 //! object is freed by the thread that allocated it, and what crosses a
 //! thread boundary is a contiguous byte buffer the other side only reads.
 //! Tuples never leave the task that made them — map output crosses as a
-//! [`shuffle::Run`], task output as text-codec bytes ready to commit — and
-//! the buffers are dropped by the calling thread after the workers have
-//! gone.
+//! [`shuffle::Run`], task output as [`Chunk`]s of bytes ready to commit —
+//! and the buffers are dropped by the calling thread after the workers
+//! have gone.
+//!
+//! Each output is written in its [`crate::Format`]: PigStorage text for a
+//! user's, the typed stored format for the files the system reads back
+//! itself ([`JobSpec::typed_outputs`]). A typed file is its chunks' bytes
+//! and then their trailer, which indexes groups that never span two
+//! chunks. Each input is read in whichever format it is in: its end is
+//! looked at once per job ([`InputFile::open`]).
 //!
 //! A map task has a rule of its own: it reads each input byte once and
 //! builds each row once. The split is parsed in one pass straight into the
@@ -26,10 +33,11 @@ use crate::cost::{CostModel, JobTimes};
 use crate::counters::Counters;
 use crate::job::JobSpec;
 use crate::shuffle::{self, Run};
-use crate::split_reader::read_split;
-use crate::task::{MapContext, ReduceContext, ReducerFactory, TaskOutput};
+use crate::job::Format;
+use crate::split_reader::{read_split, InputFile};
+use crate::task::{Chunk, MapContext, ReduceContext, ReducerFactory, TaskOutput};
 use parking_lot::Mutex;
-use restore_common::{codec, Error, Result, Tuple};
+use restore_common::{typed, Error, Result, Tuple};
 use restore_dfs::{Dfs, FileSplit};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
@@ -42,6 +50,10 @@ pub struct JobResult {
     pub times: JobTimes,
     pub output: String,
     pub side_outputs: Vec<String>,
+    /// The text outputs holding a record that does not read back as itself
+    /// ([`restore_common::codec::reads_back`]): a later job must not Load
+    /// one in place of recomputing it. A typed output is never lossy.
+    pub lossy_outputs: Vec<String>,
 }
 
 /// The MapReduce engine. Holds the DFS handle and configuration; cheap to
@@ -82,12 +94,12 @@ impl Engine {
             return Err(Error::Job(format!("job {:?} has no inputs", spec.name)));
         }
         // Plan input splits, tagged with their input index.
-        let mut splits: Vec<(usize, FileSplit, u64)> = Vec::new();
+        let mut files = Vec::with_capacity(spec.inputs.len());
+        let mut splits: Vec<(usize, FileSplit)> = Vec::new();
         for (tag, input) in spec.inputs.iter().enumerate() {
-            let file_len = self.dfs.file_len(&input.path)?;
-            for s in self.dfs.splits(&input.path)? {
-                splits.push((tag, s, file_len));
-            }
+            let file = InputFile::open(&self.dfs, &input.path)?;
+            splits.extend(file.splits(&self.dfs)?.into_iter().map(|s| (tag, s)));
+            files.push(file);
         }
 
         let reduce_tasks = if spec.is_map_only() {
@@ -95,12 +107,12 @@ impl Engine {
         } else {
             spec.reduce_tasks.unwrap_or(self.engine_cfg.default_reduce_tasks).max(1)
         };
-        let n_side = spec.side_outputs.len();
+        let (main_format, side_formats) = spec.formats();
 
         // ---- Map phase ----
         let map_outs = self.run_tasks(splits.len(), |idx| {
-            let (tag, split, file_len) = &splits[idx];
-            self.run_map_task(spec, *tag, split, *file_len, reduce_tasks)
+            let (tag, split) = &splits[idx];
+            self.run_map_task(spec, *tag, split, &files[*tag], reduce_tasks)
         })?;
 
         // ---- Reduce phase ----
@@ -109,7 +121,8 @@ impl Engine {
             Some(factory) => {
                 let n_tags = spec.shuffle_tags.unwrap_or(spec.inputs.len()).max(1);
                 self.run_tasks(reduce_tasks, |p| {
-                    run_one_reduce_task(factory.as_ref(), &map_outs, p, n_tags, n_side)
+                    let formats = (main_format, side_formats.as_slice());
+                    run_one_reduce_task(factory.as_ref(), &map_outs, p, n_tags, formats)
                 })?
             }
         };
@@ -126,11 +139,19 @@ impl Engine {
         // map tasks' in task order for a map-only job. Side outputs: map
         // tasks', then reduce tasks'.
         let main = if spec.is_map_only() { &map_outs } else { &reduce_outs };
-        counters.output_bytes = self.commit(&spec.output, main.iter().map(|o| &o.output))?;
-        counters.side_output_bytes = Vec::with_capacity(n_side);
+        let mut lossy_outputs = Vec::new();
+        let mut commit = |path: &String, chunks: Vec<&Chunk>| -> Result<u64> {
+            let (len, lossy) = self.commit(path, &chunks)?;
+            if lossy {
+                lossy_outputs.push(path.clone());
+            }
+            Ok(len)
+        };
+        counters.output_bytes = commit(&spec.output, main.iter().map(|o| &o.output).collect())?;
+        counters.side_output_bytes = Vec::with_capacity(spec.side_outputs.len());
         for (c, path) in spec.side_outputs.iter().enumerate() {
-            let chunks = map_outs.iter().chain(&reduce_outs).map(|o| &o.side[c]);
-            counters.side_output_bytes.push(self.commit(path, chunks)?);
+            let chunks = map_outs.iter().chain(&reduce_outs).map(|o| &o.side[c]).collect();
+            counters.side_output_bytes.push(commit(path, chunks)?);
         }
 
         let times = CostModel::new(self.cluster.clone()).job_times(spec, &counters);
@@ -140,18 +161,28 @@ impl Engine {
             times,
             output: spec.output.clone(),
             side_outputs: spec.side_outputs.clone(),
+            lossy_outputs,
         })
     }
 
-    /// Write `chunks`, in order, as the file at `path`; its length.
-    fn commit<'a>(&self, path: &str, chunks: impl Iterator<Item = &'a Vec<u8>>) -> Result<u64> {
+    /// Write `chunks`, in order, as the file at `path` — and, when they are
+    /// typed, their trailer after them. The file's length, and whether a
+    /// text chunk was lossy.
+    fn commit(&self, path: &str, chunks: &[&Chunk]) -> Result<(u64, bool)> {
         let mut w = self.dfs.create_overwrite(path)?;
+        let mut lossy = false;
+        let mut typed_chunks = Vec::new();
         for chunk in chunks {
-            w.write(chunk);
+            w.write(chunk.bytes());
+            match chunk {
+                Chunk::Text { lossy: l, .. } => lossy |= l,
+                Chunk::Typed(t) => typed_chunks.push(t),
+            }
         }
+        w.write(&typed::trailer(typed_chunks));
         let len = w.len();
         w.close()?;
-        Ok(len)
+        Ok((len, lossy))
     }
 
     /// Run `task(0..n)` on the worker threads; results in index order, or
@@ -195,23 +226,24 @@ impl Engine {
         results.into_iter().map(|(_, r)| r).collect()
     }
 
-    /// One map task of `spec`: `split` of input `tag` (a file of
-    /// `file_len` bytes) through a fresh mapper, for a job with
-    /// `reduce_tasks` reduce tasks (0 = map-only). [`Engine::run`] runs one
-    /// per split; it is public so a bench can time the map phase alone.
+    /// One map task of `spec`: `split` of input `tag` (`file`) through a
+    /// fresh mapper, for a job with `reduce_tasks` reduce tasks (0 =
+    /// map-only). [`Engine::run`] runs one per split; it is public so a
+    /// bench can time the map phase alone.
     pub fn run_map_task(
         &self,
         spec: &JobSpec,
         tag: usize,
         split: &FileSplit,
-        file_len: u64,
+        file: &InputFile,
         reduce_tasks: usize,
     ) -> Result<TaskOutput> {
         let mut mapper = spec.mapper.create();
-        let mut ctx = MapContext::new(reduce_tasks, spec.side_outputs.len());
+        let (output, side) = spec.formats();
+        let mut ctx = MapContext::new(reduce_tasks, output, &side);
         let mut records = 0;
         let payload_bytes =
-            read_split(&self.dfs, split, file_len, spec.mapper.columns(tag), |row| {
+            read_split(&self.dfs, split, file, spec.mapper.columns(tag), |row| {
                 records += 1;
                 mapper.map(tag, row, &mut ctx)
             })?;
@@ -228,7 +260,7 @@ fn run_one_reduce_task(
     map_outs: &[TaskOutput],
     partition: usize,
     n_tags: usize,
-    n_side: usize,
+    (output, side): (Format, &[Format]),
 ) -> Result<TaskOutput> {
     // Map-task order, then emission order within a task: with the stable
     // sort by key only, bag contents do not depend on which thread ran
@@ -240,7 +272,7 @@ fn run_one_reduce_task(
     records.sort_by(|a, b| a.0.cmp(&b.0));
 
     let mut reducer = factory.create();
-    let mut ctx = ReduceContext::new(n_side);
+    let mut ctx = ReduceContext::new(side.len());
     let mut counters =
         Counters { reduce_input_records: records.len() as u64, ..Default::default() };
 
@@ -260,32 +292,32 @@ fn run_one_reduce_task(
     reducer.finish(&mut ctx)?;
 
     counters.output_records = ctx.output.len() as u64;
-    // Side-output bytes as the cost model counts them: the `encoded_len`
-    // estimate `encode_tuple` returns, not the committed length.
+    let mut main = Chunk::new(output);
+    for t in &ctx.output {
+        main.push(t);
+    }
+    // Side-output bytes as the cost model counts them: what `Chunk::push`
+    // charges, not the committed length.
     let side = ctx
         .side
         .iter()
-        .map(|ts| {
-            let mut bytes = Vec::new();
+        .zip(side)
+        .map(|(ts, &format)| {
+            let mut chunk = Chunk::new(format);
             for t in ts {
-                counters.reduce_side_bytes += codec::encode_tuple(t, &mut bytes) as u64;
+                counters.reduce_side_bytes += chunk.push(t) as u64;
             }
-            bytes
+            chunk
         })
         .collect();
-    Ok(TaskOutput {
-        shuffle: Run::default(),
-        output: codec::encode_all(&ctx.output),
-        side,
-        counters,
-    })
+    Ok(TaskOutput { shuffle: Run::default(), output: main, side, counters })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::task::{Mapper, Reducer};
-    use restore_common::{tuple, Value};
+    use restore_common::{codec, tuple, Value};
     use restore_dfs::DfsConfig;
     use std::sync::Arc;
 

@@ -35,6 +35,12 @@ pub struct JobSpec {
     /// Side-output paths (injected Store operators). Channel index is the
     /// position in this vector.
     pub side_outputs: Vec<String>,
+    /// The outputs written in the typed stored format
+    /// ([`restore_common::typed`]): files the system writes for itself to
+    /// read back, the compiler's inter-job temporaries and ReStore's
+    /// materialized candidates. Every other output is PigStorage text,
+    /// for a user to read.
+    pub typed_outputs: Vec<String>,
     /// Mapper factory.
     pub mapper: Arc<dyn MapperFactory>,
     /// Reducer factory; `None` makes this a map-only job.
@@ -60,6 +66,7 @@ impl std::fmt::Debug for JobSpec {
             .field("inputs", &self.inputs)
             .field("output", &self.output)
             .field("side_outputs", &self.side_outputs)
+            .field("typed_outputs", &self.typed_outputs)
             .field("map_only", &self.reducer.is_none())
             .finish()
     }
@@ -80,6 +87,7 @@ impl JobSpec {
             inputs,
             output: output.into(),
             side_outputs: Vec::new(),
+            typed_outputs: Vec::new(),
             mapper,
             reducer,
             reduce_tasks: None,
@@ -92,6 +100,30 @@ impl JobSpec {
     pub fn is_map_only(&self) -> bool {
         self.reducer.is_none()
     }
+
+    /// The format the output at `path` is written in.
+    pub fn format_of(&self, path: &str) -> Format {
+        if self.typed_outputs.iter().any(|p| p == path) {
+            Format::Typed
+        } else {
+            Format::Text
+        }
+    }
+
+    /// The formats of the main output and of each side channel.
+    pub fn formats(&self) -> (Format, Vec<Format>) {
+        let side = self.side_outputs.iter().map(|p| self.format_of(p)).collect();
+        (self.format_of(&self.output), side)
+    }
+}
+
+/// How a job writes one of its outputs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Format {
+    /// PigStorage text ([`restore_common::codec`]).
+    Text,
+    /// The typed stored format ([`restore_common::typed`]).
+    Typed,
 }
 
 #[cfg(test)]

@@ -34,7 +34,7 @@ pub use config::{ClusterConfig, EngineConfig};
 pub use cost::{CostModel, JobTimes};
 pub use counters::Counters;
 pub use engine::{Engine, JobResult};
-pub use job::{JobInput, JobSpec};
+pub use job::{Format, JobInput, JobSpec};
 pub use task::{
-    MapContext, Mapper, MapperFactory, ReduceContext, Reducer, ReducerFactory, TaskOutput,
+    Chunk, MapContext, Mapper, MapperFactory, ReduceContext, Reducer, ReducerFactory, TaskOutput,
 };

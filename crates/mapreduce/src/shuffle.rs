@@ -10,32 +10,23 @@
 //! reduce partition, emission order kept within a partition. Reduce task
 //! *p* decodes range *p* of every run into objects it owns.
 //!
-//! The format is typed and binary, not the text [`restore_common::codec`]:
-//! that codec stores values untyped and re-infers them on read (a
-//! `Str("123")` comes back as `Int(123)`), which is right for PigStorage
-//! files and wrong for a shuffle that must hand reducers exactly what
-//! mappers emitted. Here every value carries a type byte, and `Int` and
-//! `Double` travel as their 8 raw bytes, so the round trip is bit-exact
-//! (`-0.0`, NaN payloads). Runs are process-internal — never written to the
-//! DFS, the journal or a state file — so the format carries no version.
+//! Records are written in the one typed value codec,
+//! [`restore_common::typed`], that ReStore's stored files use too: every
+//! value carries its type, so reducers get exactly what mappers emitted,
+//! down to the bits of a double. Runs are process-internal — never written
+//! to the DFS, the journal or a state file — so a range has no trailer and
+//! no version of its own.
 //!
 //! ```text
 //! range  := varint(records) record*
 //! record := tuple(key) varint(tag) tuple(value)
-//! tuple  := varint(arity) value*
-//! value  := 0 | 1 i64-le | 2 f64-bits-le | 3 varint(len) utf8 | 4 varint(tuples) tuple*
 //! ```
 
-use restore_common::{Error, Result, SmallStr, Tuple, Value};
+use restore_common::typed::{self, Reader};
+use restore_common::{Error, Result, Tuple, Value};
 
 /// One shuffle emission: key, input tag, value.
 pub type Record = (Tuple, usize, Tuple);
-
-const NULL: u8 = 0;
-const INT: u8 = 1;
-const DOUBLE: u8 = 2;
-const STR: u8 = 3;
-const BAG: u8 = 4;
 
 /// The smallest record: an empty key, a one-byte tag, an empty value.
 const MIN_RECORD_BYTES: usize = 3;
@@ -88,12 +79,9 @@ impl RunBuilder {
         value: &Tuple,
     ) {
         self.counts[partition] += 1;
-        put_varint(key.len() as u64, &mut self.bytes);
-        for v in key {
-            put_value(v, &mut self.bytes);
-        }
-        put_varint(tag as u64, &mut self.bytes);
-        put_tuple(value, &mut self.bytes);
+        typed::put_fields(key, &mut self.bytes);
+        typed::put_varint(tag as u64, &mut self.bytes);
+        typed::put_tuple(value, &mut self.bytes);
         self.records.push((partition, self.bytes.len()));
     }
 
@@ -113,7 +101,7 @@ impl RunBuilder {
         let mut cursors = Vec::with_capacity(sizes.len());
         for (&count, &size) in self.counts.iter().zip(&sizes) {
             run.bounds.push(run.bytes.len());
-            put_varint(count as u64, &mut run.bytes);
+            typed::put_varint(count as u64, &mut run.bytes);
             cursors.push(run.bytes.len());
             run.bytes.resize(run.bytes.len() + size, 0);
         }
@@ -129,47 +117,6 @@ impl RunBuilder {
     }
 }
 
-fn put_varint(mut n: u64, out: &mut Vec<u8>) {
-    while n >= 0x80 {
-        out.push(n as u8 | 0x80);
-        n >>= 7;
-    }
-    out.push(n as u8);
-}
-
-fn put_tuple(t: &Tuple, out: &mut Vec<u8>) {
-    put_varint(t.arity() as u64, out);
-    for v in t.iter() {
-        put_value(v, out);
-    }
-}
-
-fn put_value(v: &Value, out: &mut Vec<u8>) {
-    match v {
-        Value::Null => out.push(NULL),
-        Value::Int(i) => {
-            out.push(INT);
-            out.extend_from_slice(&i.to_le_bytes());
-        }
-        Value::Double(d) => {
-            out.push(DOUBLE);
-            out.extend_from_slice(&d.to_bits().to_le_bytes());
-        }
-        Value::Str(s) => {
-            out.push(STR);
-            put_varint(s.len() as u64, out);
-            out.extend_from_slice(s.as_bytes());
-        }
-        Value::Bag(ts) => {
-            out.push(BAG);
-            put_varint(ts.len() as u64, out);
-            for t in ts {
-                put_tuple(t, out);
-            }
-        }
-    }
-}
-
 /// Decode one partition range, appending its records to `out` in the order
 /// they were encoded. The whole range must be consumed: a truncated range
 /// is an error, never a shorter answer. Every length is checked against
@@ -177,100 +124,20 @@ fn put_value(v: &Value, out: &mut Vec<u8>) {
 /// length cannot make the decoder reserve more elements than the range has
 /// bytes.
 pub fn decode_range(bytes: &[u8], out: &mut Vec<Record>) -> Result<()> {
-    let mut r = Reader { bytes };
+    let mut r = Reader::new(bytes);
     let records = r.count(MIN_RECORD_BYTES)?;
     out.reserve(records);
     for _ in 0..records {
         let key = r.tuple()?;
-        let tag = usize::try_from(r.varint()?).map_err(|_| corrupt("tag out of range"))?;
+        let tag = usize::try_from(r.varint()?)
+            .map_err(|_| Error::Codec("shuffle run: tag out of range".into()))?;
         let value = r.tuple()?;
         out.push((key, tag, value));
     }
-    if !r.bytes.is_empty() {
-        return Err(corrupt("bytes after the last record"));
+    if !r.is_empty() {
+        return Err(Error::Codec("shuffle run: bytes after the last record".into()));
     }
     Ok(())
-}
-
-fn corrupt(what: &str) -> Error {
-    Error::Codec(format!("shuffle run: {what}"))
-}
-
-/// Cursor over the undecoded rest of a range.
-struct Reader<'a> {
-    bytes: &'a [u8],
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        if n > self.bytes.len() {
-            return Err(corrupt("unexpected end"));
-        }
-        let (head, rest) = self.bytes.split_at(n);
-        self.bytes = rest;
-        Ok(head)
-    }
-
-    fn word(&mut self) -> Result<[u8; 8]> {
-        Ok(self.take(8)?.try_into().expect("took 8 bytes"))
-    }
-
-    fn varint(&mut self) -> Result<u64> {
-        let mut n = 0u64;
-        for shift in (0..64).step_by(7) {
-            let b = self.take(1)?[0];
-            let bits = u64::from(b & 0x7f);
-            if (bits << shift) >> shift != bits {
-                break; // the tenth byte carries one bit
-            }
-            n |= bits << shift;
-            if b & 0x80 == 0 {
-                return Ok(n);
-            }
-        }
-        Err(corrupt("varint overflows 64 bits"))
-    }
-
-    /// A count of items that each occupy at least `min_bytes`.
-    fn count(&mut self, min_bytes: usize) -> Result<usize> {
-        let n = self.varint()?;
-        match usize::try_from(n) {
-            Ok(n) if n <= self.bytes.len() / min_bytes => Ok(n),
-            _ => Err(corrupt("count exceeds the bytes remaining")),
-        }
-    }
-
-    fn tuple(&mut self) -> Result<Tuple> {
-        let arity = self.count(1)?;
-        let mut vals = Vec::with_capacity(arity);
-        for _ in 0..arity {
-            vals.push(self.value()?);
-        }
-        Ok(Tuple::from_values(vals))
-    }
-
-    fn value(&mut self) -> Result<Value> {
-        Ok(match self.take(1)?[0] {
-            NULL => Value::Null,
-            INT => Value::Int(i64::from_le_bytes(self.word()?)),
-            DOUBLE => Value::Double(f64::from_bits(u64::from_le_bytes(self.word()?))),
-            STR => {
-                let len = self.count(1)?;
-                let s = SmallStr::from_utf8(self.take(len)?)
-                    .map_err(|_| corrupt("string is not valid UTF-8"))?;
-                Value::Str(s)
-            }
-            BAG => {
-                let tuples = self.count(1)?;
-                let mut bag = Vec::with_capacity(tuples);
-                for _ in 0..tuples {
-                    bag.push(self.tuple()?);
-                }
-                Value::Bag(bag)
-            }
-            other => return Err(corrupt(&format!("unknown value type {other}"))),
-        })
-    }
 }
 
 #[cfg(test)]
@@ -329,23 +196,23 @@ mod tests {
     fn varint_edges() {
         for n in [0u64, 0x7f, 0x80, 0x3fff, 0x4000, u64::from(u32::MAX), u64::MAX] {
             let mut buf = Vec::new();
-            put_varint(n, &mut buf);
-            let mut r = Reader { bytes: &buf };
+            typed::put_varint(n, &mut buf);
+            let mut r = Reader::new(&buf);
             assert_eq!(r.varint().unwrap(), n);
-            assert!(r.bytes.is_empty());
+            assert!(r.is_empty());
         }
         // Ten continuation bytes, and a tenth byte with more than one bit.
-        assert!(Reader { bytes: &[0xff; 10] }.varint().is_err());
+        assert!(Reader::new(&[0xff; 10]).varint().is_err());
         let mut over = vec![0xff; 9];
         over.push(0x02);
-        assert!(Reader { bytes: &over }.varint().is_err());
+        assert!(Reader::new(&over).varint().is_err());
     }
 
     #[test]
     fn a_huge_length_is_refused_before_allocating() {
         // One record whose key claims 2^62 fields.
         let mut buf = vec![1];
-        put_varint(1 << 62, &mut buf);
+        typed::put_varint(1 << 62, &mut buf);
         buf.extend_from_slice(&[0, 0, 0]);
         assert!(decode_range(&buf, &mut Vec::new()).is_err());
     }

@@ -1,12 +1,23 @@
 //! Record-boundary-aware split reading.
 //!
 //! DFS blocks split files at arbitrary byte offsets, so a record can
-//! straddle two blocks. Like Hadoop's `LineRecordReader`, a map task over
+//! straddle two blocks. Each input is read in its own format, told apart
+//! once per job by the file's last bytes ([`InputFile::open`]).
+//!
+//! A text file is read like Hadoop's `LineRecordReader`: a map task over
 //! a split with `offset > 0` skips the partial first record (it belongs to
 //! the previous split) and reads past its end to finish its last record.
+//! A split in which no record starts owns nothing and reads no further.
+//!
+//! A typed file ([`restore_common::typed`]) says where its groups start,
+//! so a split reads and decodes exactly the groups that start inside it.
+//! Its splits are runs of groups that hold a block's worth of records as
+//! text ([`InputFile::splits`]): a denser file gets as many map tasks,
+//! each reading fewer bytes, not fewer tasks of more records each.
 
 use restore_common::codec::{self, ColumnSet};
-use restore_common::{Result, Tuple};
+use restore_common::typed::{self, Index};
+use restore_common::{Error, Result, Tuple};
 use restore_dfs::{Dfs, FileSplit};
 
 /// How far past the split end the first read reaches to complete the last
@@ -14,22 +25,126 @@ use restore_dfs::{Dfs, FileSplit};
 const FIRST_TAIL_PROBE: u64 = 1024;
 /// Each further probe doubles, up to this much per read.
 const MAX_TAIL_PROBE: u64 = 64 * 1024;
+/// How much of a file's end [`InputFile::open`] reads: the footer and,
+/// for a file of up to a few hundred KB, its whole index.
+const TRAILER_PROBE: u64 = 256;
 
-/// Read the records logically belonging to `split`, handing each to `row`
-/// as it is cut from the bytes, and return the number of payload bytes
-/// charged to this split. With `columns`, a row holds exactly those
-/// positions (see [`codec::Rows`]); `None` decodes whole records. The
-/// first error — the decoder's or `row`'s — ends the read.
+/// One job input as its map tasks read it: its length, and the index of
+/// a typed file.
+#[derive(Debug, Clone)]
+pub struct InputFile {
+    path: String,
+    len: u64,
+    index: Option<Index>,
+}
+
+impl InputFile {
+    /// Look at the end of the file at `path`: one read for a text file, or
+    /// for a typed one whose index fits the first look.
+    pub fn open(dfs: &Dfs, path: &str) -> Result<InputFile> {
+        let len = dfs.file_len(path)?;
+        let probe = len.min(TRAILER_PROBE);
+        let tail = dfs.read_range(path, len - probe, probe)?;
+        let path = path.to_string();
+        if !typed::is_typed(&tail) {
+            return Ok(InputFile { path, len, index: None });
+        }
+        let (index_len, footer_len) = typed::footer(&tail)?;
+        let data_len = (len - footer_len as u64)
+            .checked_sub(index_len)
+            .ok_or_else(|| Error::Codec(format!("{path}: index longer than the file")))?;
+        let index_end = tail.len() - footer_len;
+        let index = match usize::try_from(index_len) {
+            Ok(n) if n <= index_end => Index::parse(&tail[index_end - n..index_end], data_len)?,
+            _ => Index::parse(&dfs.read_range(&path, data_len, index_len)?, data_len)?,
+        };
+        Ok(InputFile { path, len, index: Some(index) })
+    }
+
+    /// The file's splits: its DFS blocks when it is text; runs of groups
+    /// of a block's worth of text each when it is typed.
+    pub fn splits(&self, dfs: &Dfs) -> Result<Vec<FileSplit>> {
+        let Some(index) = &self.index else { return dfs.splits(&self.path) };
+        let runs = index.splits(dfs.config().block_size);
+        Ok(runs
+            .into_iter()
+            .enumerate()
+            .map(|(block_index, (offset, len))| FileSplit {
+                path: self.path.clone(),
+                block_index,
+                offset,
+                len,
+                hosts: Vec::new(),
+            })
+            .collect())
+    }
+
+    pub fn len(&self) -> u64 {
+        self.len
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    pub fn is_typed(&self) -> bool {
+        self.index.is_some()
+    }
+}
+
+/// Whether the file at `path` is typed: a look at its last two bytes.
+pub fn is_typed(dfs: &Dfs, path: &str) -> Result<bool> {
+    let len = dfs.file_len(path)?;
+    let n = len.min(typed::MAGIC.len() as u64);
+    Ok(typed::is_typed(&dfs.read_range(path, len - n, n)?))
+}
+
+/// Read the records logically belonging to `split` of `file`, handing
+/// each to `row` as it is cut from the bytes, and return the number of
+/// payload bytes charged to this split. With `columns`, a row holds
+/// exactly those positions (see [`codec::Rows`]); `None` decodes whole
+/// records. The first error — the decoder's or `row`'s — ends the read.
 pub fn read_split(
+    dfs: &Dfs,
+    split: &FileSplit,
+    file: &InputFile,
+    columns: Option<&ColumnSet>,
+    row: impl FnMut(Tuple) -> Result<()>,
+) -> Result<u64> {
+    if split.len == 0 {
+        return Ok(0);
+    }
+    match &file.index {
+        None => read_text_split(dfs, split, file.len, columns, row),
+        Some(index) => read_typed_split(dfs, split, index, columns, row),
+    }
+}
+
+/// A typed split: the groups that start inside it, in one read.
+fn read_typed_split(
+    dfs: &Dfs,
+    split: &FileSplit,
+    index: &Index,
+    columns: Option<&ColumnSet>,
+    mut row: impl FnMut(Tuple) -> Result<()>,
+) -> Result<u64> {
+    let groups = index.starting_in(split.offset, split.offset + split.len);
+    let (Some(first), Some(last)) = (groups.first(), groups.last()) else { return Ok(0) };
+    let bytes = dfs.read_range(&split.path, first.start, last.end() - first.start)?;
+    for g in groups {
+        let at = (g.start - first.start) as usize;
+        typed::decode_group(&bytes[at..at + g.len as usize], g, columns, &mut row)?;
+    }
+    Ok(bytes.len() as u64)
+}
+
+fn read_text_split(
     dfs: &Dfs,
     split: &FileSplit,
     file_len: u64,
     columns: Option<&ColumnSet>,
     mut row: impl FnMut(Tuple) -> Result<()>,
 ) -> Result<u64> {
-    if split.len == 0 {
-        return Ok(0);
-    }
     // One read covers the byte before the split (does the split open
     // mid-record?), the split, and the first tail probe.
     let lead = u64::from(split.offset > 0);
@@ -38,9 +153,19 @@ pub fn read_split(
     let read_from = split.offset - lead;
     let mut bytes = dfs.read_range(&split.path, read_from, lead + split.len + probe)?;
 
+    // A record belongs to the split that contains its first byte: one
+    // starts inside this split when it opens the file or follows a
+    // newline at or before the split's second-to-last byte. Without one,
+    // the split lies inside a record owned by an earlier split, and
+    // completing that record is not this split's business.
+    let last = (lead + split.len - 1) as usize;
+    if lead == 1 && !bytes[..last].contains(&b'\n') {
+        return Ok(0);
+    }
+
     // Complete the trailing record: the payload ends after the first
     // newline at or past the split's last byte, or at end of file.
-    let mut searched = (lead + split.len - 1) as usize;
+    let mut searched = last;
     let end = loop {
         if let Some(nl) = bytes[searched..].iter().position(|&b| b == b'\n') {
             break searched + nl + 1;
@@ -54,21 +179,15 @@ pub fn read_split(
         bytes.extend_from_slice(&dfs.read_range(&split.path, tail_pos, probe)?);
     };
 
-    // Skip the partial leading record: a record belongs to the split that
-    // contains its first byte, so when the byte just before this split is
-    // not a record terminator, the leading bytes continue a record owned
-    // by the previous split.
+    // Skip the partial leading record: when the byte just before this
+    // split is not a record terminator, the leading bytes continue a
+    // record owned by the previous split (one starts later in this one).
     let body = lead as usize;
-    let continues_previous = lead == 1 && bytes[0] != b'\n';
-    let start = if !continues_previous {
-        body
+    let start = if lead == 1 && bytes[0] != b'\n' {
+        let nl = bytes[body..last].iter().position(|&b| b == b'\n');
+        body + nl.expect("a record starts inside the split") + 1
     } else {
-        match bytes[body..end].iter().position(|&b| b == b'\n') {
-            Some(nl) => body + nl + 1,
-            // No newline in the entire extended split: the single record
-            // started earlier, so nothing belongs to this split.
-            None => end,
-        }
+        body
     };
 
     let payload = &bytes[start..end];
@@ -87,22 +206,22 @@ mod tests {
     use restore_common::tuple;
     use restore_dfs::DfsConfig;
 
-    fn dfs_with(block_size: u64, tuples: &[Tuple]) -> (Dfs, u64) {
+    fn dfs_with(block_size: u64, bytes: &[u8]) -> (Dfs, InputFile) {
         let dfs = Dfs::new(DfsConfig { nodes: 3, block_size, replication: 1, node_capacity: None });
-        dfs.write_all("/t", &codec::encode_all(tuples)).unwrap();
-        let file_len = dfs.file_len("/t").unwrap();
-        (dfs, file_len)
+        dfs.write_all("/t", bytes).unwrap();
+        let file = InputFile::open(&dfs, "/t").unwrap();
+        (dfs, file)
     }
 
     /// Every row of `split`, collected.
     fn rows_of(
         dfs: &Dfs,
         split: &FileSplit,
-        file_len: u64,
+        file: &InputFile,
         columns: Option<&ColumnSet>,
     ) -> (Vec<Tuple>, u64) {
         let mut rows = Vec::new();
-        let charged = read_split(dfs, split, file_len, columns, |t| {
+        let charged = read_split(dfs, split, file, columns, |t| {
             rows.push(t);
             Ok(())
         })
@@ -114,20 +233,43 @@ mod tests {
     /// the original records (projected onto the column set) with no
     /// duplicates or losses, regardless of where block boundaries fall.
     fn check_partition(block_size: u64, tuples: &[Tuple], columns: Option<&ColumnSet>) {
-        let (dfs, file_len) = dfs_with(block_size, tuples);
-        let mut seen = Vec::new();
-        let mut charged = 0;
-        for split in dfs.splits("/t").unwrap() {
-            let (ts, payload) = rows_of(&dfs, &split, file_len, columns);
-            charged += payload;
-            seen.extend(ts);
-        }
+        check_partition_of(block_size, tuples, &codec::encode_all(tuples), columns);
+    }
+
+    /// [`check_partition`] over `bytes`, the file `tuples` encode to. The
+    /// payload bytes charged partition a text file, and a typed file's
+    /// groups: everything but its trailer.
+    fn check_partition_of(
+        block_size: u64,
+        tuples: &[Tuple],
+        bytes: &[u8],
+        columns: Option<&ColumnSet>,
+    ) {
+        let (dfs, file) = dfs_with(block_size, bytes);
         let expected: Vec<Tuple> = match columns {
             None => tuples.to_vec(),
             Some(columns) => tuples.iter().map(|t| t.project(columns.as_slice())).collect(),
         };
-        assert_eq!(seen, expected, "block_size={block_size} columns={columns:?}");
-        assert_eq!(charged, file_len, "payload bytes partition the file");
+        let payload = match &file.index {
+            None => file.len(),
+            Some(index) => index.groups().last().map_or(0, |g| g.end()),
+        };
+        // The file's own splits, and (the same for text) its DFS blocks.
+        for splits in [file.splits(&dfs).unwrap(), dfs.splits("/t").unwrap()] {
+            let mut seen = Vec::new();
+            let mut charged = 0;
+            for split in splits {
+                let (ts, bytes) = rows_of(&dfs, &split, &file, columns);
+                charged += bytes;
+                seen.extend(ts);
+            }
+            assert_eq!(
+                format!("{seen:?}"),
+                format!("{expected:?}"),
+                "block_size={block_size} columns={columns:?}"
+            );
+            assert_eq!(charged, payload, "payload bytes partition the file");
+        }
     }
 
     fn short_rows(rows: usize) -> Vec<Tuple> {
@@ -167,16 +309,13 @@ mod tests {
 
     #[test]
     fn single_record_larger_than_block() {
-        let dfs =
-            Dfs::new(DfsConfig { nodes: 2, block_size: 8, replication: 1, node_capacity: None });
         let t = tuple!["this-is-a-long-single-record-spanning-blocks"];
-        dfs.write_all("/big", &codec::encode_all(std::slice::from_ref(&t))).unwrap();
-        let file_len = dfs.file_len("/big").unwrap();
-        let splits = dfs.splits("/big").unwrap();
+        let (dfs, file) = dfs_with(8, &codec::encode_all(std::slice::from_ref(&t)));
+        let splits = dfs.splits("/t").unwrap();
         assert!(splits.len() > 1);
         let mut seen = Vec::new();
         for s in &splits {
-            seen.extend(rows_of(&dfs, s, file_len, None).0);
+            seen.extend(rows_of(&dfs, s, &file, None).0);
         }
         assert_eq!(seen, vec![t]);
     }
@@ -184,10 +323,10 @@ mod tests {
     #[test]
     fn the_first_error_ends_the_read() {
         use restore_common::Error;
-        let (dfs, file_len) = dfs_with(1024, &short_rows(10));
+        let (dfs, file) = dfs_with(1024, &codec::encode_all(&short_rows(10)));
         let split = &dfs.splits("/t").unwrap()[0];
         let mut seen = 0;
-        let err = read_split(&dfs, split, file_len, None, |_| {
+        let err = read_split(&dfs, split, &file, None, |_| {
             seen += 1;
             if seen == 3 {
                 return Err(Error::Eval("third row".into()));
@@ -203,7 +342,8 @@ mod tests {
         dfs.write_all("/bad", b"ok\t1\nbad\\q\nnever\t3\n").unwrap();
         let split = &dfs.splits("/bad").unwrap()[0];
         let mut rows = Vec::new();
-        let result = read_split(&dfs, split, dfs.file_len("/bad").unwrap(), None, |t| {
+        let bad = InputFile::open(&dfs, "/bad").unwrap();
+        let result = read_split(&dfs, split, &bad, None, |t| {
             rows.push(t);
             Ok(())
         });
@@ -213,10 +353,10 @@ mod tests {
 
     #[test]
     fn empty_split_reads_nothing() {
-        let dfs = Dfs::new(DfsConfig::small_for_tests());
-        dfs.write_all("/e", b"").unwrap();
-        let splits = dfs.splits("/e").unwrap();
-        let (ts, n) = rows_of(&dfs, &splits[0], 0, None);
+        let (dfs, file) = dfs_with(64, b"");
+        assert!(!file.is_typed());
+        let splits = dfs.splits("/t").unwrap();
+        let (ts, n) = rows_of(&dfs, &splits[0], &file, None);
         assert!(ts.is_empty());
         assert_eq!(n, 0);
     }
@@ -227,16 +367,70 @@ mod tests {
         // read one byte before it and one first probe past it, no more.
         let rows: Vec<Tuple> =
             (0..8500).map(|i| tuple![format!("user_{i}"), i as i64, "p".repeat(580)]).collect();
-        let (dfs, file_len) = dfs_with(24 << 10, &rows);
+        let (dfs, file) = dfs_with(24 << 10, &codec::encode_all(&rows));
         let splits = dfs.splits("/t").unwrap();
         assert!(splits.len() >= 200, "{} splits", splits.len());
         let before = dfs.metrics();
         let mut records = 0;
         for split in &splits {
-            records += rows_of(&dfs, split, file_len, Some(&ColumnSet::new([0]))).0.len();
+            records += rows_of(&dfs, split, &file, Some(&ColumnSet::new([0]))).0.len();
         }
         assert_eq!(records, rows.len());
         let read = dfs.metrics().since(&before).bytes_read;
-        assert!(read as f64 <= 1.05 * file_len as f64, "scan read {read} B of a {file_len} B file");
+        let len = file.len();
+        assert!(read as f64 <= 1.05 * len as f64, "scan read {read} B of a {len} B file");
+    }
+
+    #[test]
+    fn a_split_inside_one_record_reads_only_its_own_bytes() {
+        // One ≈ 150 KB record over ten 16 KiB blocks, like L8's one group:
+        // the split where it starts reads it to its end, every other split
+        // reads its own bytes (and one probe) and owns nothing.
+        let t = tuple!["head", "r".repeat(150_000), 7];
+        let (dfs, file) = dfs_with(16 << 10, &codec::encode_all(std::slice::from_ref(&t)));
+        let splits = dfs.splits("/t").unwrap();
+        assert!(splits.len() >= 8, "{} splits", splits.len());
+        let before = dfs.metrics();
+        let mut seen = Vec::new();
+        for split in &splits {
+            seen.extend(rows_of(&dfs, split, &file, None).0);
+        }
+        assert_eq!(seen, vec![t]);
+        let read = dfs.metrics().since(&before).bytes_read;
+        let len = file.len();
+        assert!(read <= 2 * len, "splits read {read} B of a {len} B file");
+    }
+
+    #[test]
+    fn typed_files_partition_by_group_at_every_block_size() {
+        // Rows of every kind, some longer than a group, so groups of one
+        // record and groups of hundreds both cross block boundaries.
+        let rows: Vec<Tuple> = (0..6000)
+            .map(|i| {
+                let text = if i % 997 == 0 { "w".repeat(5000) } else { format!("row-{i}") };
+                Tuple::from_values(vec![
+                    restore_common::Value::Int(i as i64 - 300),
+                    restore_common::Value::str(text),
+                    restore_common::Value::Double(f64::from(i) / 8.0),
+                    restore_common::Value::Bag(vec![tuple![i as i64, "007"]]),
+                ])
+            })
+            .collect();
+        let bytes = typed::encode_file(&rows);
+        assert!(typed::is_typed(&bytes));
+        let sets = [None, Some(ColumnSet::new([])), Some(ColumnSet::new([1, 3])), Some(ColumnSet::new([0, 9]))];
+        for bs in [7, 64, 1000, 4096, 10_000] {
+            for cols in &sets {
+                check_partition_of(bs, &rows, &bytes, cols.as_ref());
+            }
+        }
+        // Split by text bytes: as many splits as the text has blocks, give
+        // or take the groups' granularity.
+        let (dfs, file) = dfs_with(32 << 10, &bytes);
+        assert!(file.is_typed());
+        let text_blocks = codec::encode_all(&rows).len().div_ceil(32 << 10);
+        let splits = file.splits(&dfs).unwrap().len();
+        assert!(bytes.len().div_ceil(32 << 10) < text_blocks, "the typed file is denser");
+        assert!((text_blocks..=text_blocks + 1).contains(&splits), "{splits} of {text_blocks}");
     }
 }

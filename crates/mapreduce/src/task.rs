@@ -4,24 +4,63 @@
 //! traits with plan-driven interpreters; tests implement them directly.
 
 use crate::counters::Counters;
+use crate::job::Format;
 use crate::shuffle::{Run, RunBuilder};
 use restore_common::codec::{self, ColumnSet};
-use restore_common::{Result, Tuple, Value};
+use restore_common::{typed, Result, Tuple, Value};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
-/// What a task hands back to the engine: bytes and counts only. `output`
-/// and `side` are text-codec chunks, committed by concatenation.
+/// What a task hands back to the engine: bytes and counts only.
 #[derive(Debug)]
 pub struct TaskOutput {
     /// Shuffle records by reduce partition (map tasks of jobs with a
     /// reduce phase; empty otherwise).
     pub shuffle: Run,
     /// The task's share of the job's main output.
-    pub output: Vec<u8>,
+    pub output: Chunk,
     /// The task's share of each side-output channel.
-    pub side: Vec<Vec<u8>>,
+    pub side: Vec<Chunk>,
     pub counters: Counters,
+}
+
+/// One task's share of one output file, encoded in the file's
+/// [`Format`]. The engine commits a file's chunks in task order.
+#[derive(Debug)]
+pub enum Chunk {
+    /// PigStorage text, and whether some record in it does not read back
+    /// as itself ([`codec::reads_back`]).
+    Text { bytes: Vec<u8>, lossy: bool },
+    Typed(typed::Chunk),
+}
+
+impl Chunk {
+    pub fn new(format: Format) -> Chunk {
+        match format {
+            Format::Text => Chunk::Text { bytes: Vec::new(), lossy: false },
+            Format::Typed => Chunk::Typed(typed::Chunk::default()),
+        }
+    }
+
+    /// Append one record; the bytes the cost model charges for it: the
+    /// text estimate [`Tuple::encoded_len`] (as `encode_tuple` returns
+    /// it), or what the typed record takes.
+    pub fn push(&mut self, t: &Tuple) -> usize {
+        match self {
+            Chunk::Text { bytes, lossy } => {
+                *lossy |= !codec::reads_back(t);
+                codec::encode_tuple(t, bytes)
+            }
+            Chunk::Typed(chunk) => chunk.push(t),
+        }
+    }
+
+    pub fn bytes(&self) -> &[u8] {
+        match self {
+            Chunk::Text { bytes, .. } => bytes,
+            Chunk::Typed(chunk) => chunk.bytes(),
+        }
+    }
 }
 
 /// Output collector handed to mappers.
@@ -34,29 +73,30 @@ pub struct TaskOutput {
 ///   (ReStore sub-job materialization in the map phase).
 ///
 /// Nothing emitted is kept as a tuple. Each record is counted for the cost
-/// model (the `encoded_len` estimate, as ever) and encoded on the spot —
-/// shuffle records into the task's [`RunBuilder`] under the partition
-/// their key hashes to, direct and side records as text-codec bytes — so a
-/// map task ends holding exactly the bytes it hands back.
+/// model and encoded on the spot — shuffle records into the task's
+/// [`RunBuilder`] under the partition their key hashes to, direct and side
+/// records into the [`Chunk`] of their output's format — so a map task
+/// ends holding exactly the bytes it hands back.
 #[derive(Debug)]
 pub struct MapContext {
     /// `None` in a map-only job, which has no shuffle: what a mapper emits
     /// there is counted and dropped.
     shuffle: Option<RunBuilder>,
     /// Direct output; a job with a reduce phase counts it and drops it.
-    direct: Vec<u8>,
-    side: Vec<Vec<u8>>,
+    direct: Chunk,
+    side: Vec<Chunk>,
     counters: Counters,
 }
 
 impl MapContext {
     /// Collector for one map task of a job with `reduce_partitions` reduce
-    /// tasks (0 = map-only) and `side_channels` side outputs.
-    pub fn new(reduce_partitions: usize, side_channels: usize) -> Self {
+    /// tasks (0 = map-only), whose main output is written as `output` and
+    /// whose side channels as `side` ([`crate::JobSpec::formats`]).
+    pub fn new(reduce_partitions: usize, output: Format, side: &[Format]) -> Self {
         MapContext {
             shuffle: (reduce_partitions > 0).then(|| RunBuilder::new(reduce_partitions)),
-            direct: Vec::new(),
-            side: vec![Vec::new(); side_channels],
+            direct: Chunk::new(output),
+            side: side.iter().map(|&f| Chunk::new(f)).collect(),
             counters: Counters::default(),
         }
     }
@@ -94,13 +134,13 @@ impl MapContext {
     pub fn output(&mut self, value: Tuple) {
         self.counters.map_direct_output_records += 1;
         if self.shuffle.is_none() {
-            codec::encode_tuple(&value, &mut self.direct);
+            self.direct.push(&value);
         }
     }
 
     /// Emit a record to side-output channel `channel`.
     pub fn side(&mut self, channel: usize, value: Tuple) {
-        self.counters.map_side_bytes += codec::encode_tuple(&value, &mut self.side[channel]) as u64;
+        self.counters.map_side_bytes += self.side[channel].push(&value) as u64;
     }
 
     /// Everything emitted, as the bytes the engine commits or shuffles and
@@ -262,14 +302,15 @@ mod tests {
     fn map_context_channels() {
         // With a reduce phase: emissions reach the shuffle, side records
         // their channel, and direct output is counted and dropped.
-        let mut ctx = MapContext::new(1, 2);
+        let mut ctx = MapContext::new(1, Format::Text, &[Format::Text, Format::Text]);
         ctx.emit(tuple![1], 0, tuple![1, "a"]);
         ctx.output(tuple![9]);
         ctx.side(1, tuple!["s", "a\tb"]);
         let out = ctx.finish();
         assert_eq!(shuffled(&out, 1), vec![vec![(tuple![1], 0, tuple![1, "a"])]]);
-        assert!(out.output.is_empty());
-        assert_eq!(out.side, vec![Vec::new(), codec::encode_all(&[tuple!["s", "a\tb"]])]);
+        assert!(out.output.bytes().is_empty());
+        assert!(out.side[0].bytes().is_empty());
+        assert_eq!(out.side[1].bytes(), codec::encode_all(&[tuple!["s", "a\tb"]]));
         let c = &out.counters;
         assert_eq!((c.map_output_records, c.map_output_bytes), (1, 2 + 4));
         assert_eq!((c.map_direct_output_records, c.output_records), (1, 0));
@@ -277,12 +318,12 @@ mod tests {
 
         // Map-only: direct output is the task's output, and what goes to
         // the shuffle is counted and dropped.
-        let mut ctx = MapContext::new(0, 0);
+        let mut ctx = MapContext::new(0, Format::Text, &[]);
         ctx.emit(tuple![1], 0, tuple![1, "a"]);
         ctx.output(tuple![9]);
         ctx.output(tuple![10, "x"]);
         let out = ctx.finish();
-        assert_eq!(out.output, codec::encode_all(&[tuple![9], tuple![10, "x"]]));
+        assert_eq!(out.output.bytes(), codec::encode_all(&[tuple![9], tuple![10, "x"]]));
         let c = &out.counters;
         assert_eq!((c.map_output_records, c.map_output_bytes), (1, 2 + 4));
         assert_eq!((c.map_direct_output_records, c.output_records), (2, 2));
@@ -290,7 +331,7 @@ mod tests {
 
     #[test]
     fn identity_mapper_keys_on_first_field() {
-        let mut ctx = MapContext::new(1, 0);
+        let mut ctx = MapContext::new(1, Format::Text, &[]);
         IdentityMapper.map(0, tuple!["k", 5], &mut ctx).unwrap();
         IdentityMapper.map(3, Tuple::new(), &mut ctx).unwrap();
         let null_key = Tuple::from_values(vec![Value::Null]);
@@ -311,7 +352,7 @@ mod tests {
         let key_cols: [&[usize]; 4] = [&[0], &[1, 0], &[], &[0, 5]];
         let partitions = 5;
         let (mut by_ref, mut owned) =
-            (MapContext::new(partitions, 0), MapContext::new(partitions, 0));
+            (MapContext::new(partitions, Format::Text, &[]), MapContext::new(partitions, Format::Text, &[]));
         for row in &rows {
             for cols in key_cols {
                 by_ref.emit_by(cols, 1, row);

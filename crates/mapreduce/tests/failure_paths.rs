@@ -179,7 +179,7 @@ fn workflow_stops_at_first_failed_job() {
 
 #[test]
 fn a_failed_task_stops_the_job() {
-    use restore_mapreduce::split_reader::read_split;
+    use restore_mapreduce::split_reader::{read_split, InputFile};
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// Fails on the last record of the first split, and — so that with
@@ -207,7 +207,8 @@ fn a_failed_task_stops_the_job() {
     let splits = dfs.splits("/in").unwrap();
     assert!(splits.len() > 100, "{} splits", splits.len());
     let mut first_split = Vec::new();
-    read_split(&dfs, &splits[0], dfs.file_len("/in").unwrap(), None, |t| {
+    let file = InputFile::open(&dfs, "/in").unwrap();
+    read_split(&dfs, &splits[0], &file, None, |t| {
         first_split.push(t);
         Ok(())
     })

@@ -23,7 +23,15 @@
 //! narrow rows and encoded at emission. `restore-e2e`'s oracle compares a
 //! build only with itself; this file is what makes "every committed byte
 //! unchanged" a check across commits.
+//!
+//! As in the driver, the compiler's temporaries and the injected Stores'
+//! candidates are written in the typed stored format, and a user's Stores
+//! as text. The lines of the jobs that write or read typed files were
+//! regenerated when those files became typed; every user-facing output
+//! kept its digest. Each typed file is checked to be no larger than the
+//! text its records would have been.
 
+use restore_suite::common::{codec, typed};
 use restore_suite::core::enumerator::{inject_subjob_stores, Heuristic};
 use restore_suite::dataflow::compile_canonical;
 use restore_suite::dataflow::exec::job_spec_for_plan;
@@ -47,6 +55,20 @@ fn digest(bytes: &[u8]) -> u64 {
     bytes
         .iter()
         .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+}
+
+/// A typed file's records are no larger than their text, and its trailer
+/// costs at most seven bytes per group beyond the footer. (The trailer is
+/// what can make a whole file larger: one whose records are all a short
+/// string is as long as its text, byte for byte.)
+fn check_typed_size(path: &str, file: &[u8]) {
+    let text = codec::encode_all(&typed::decode_any(file).unwrap()).len();
+    let (index_len, footer_len) = typed::footer(file).unwrap();
+    let data_len = file.len() - footer_len - index_len as usize;
+    let index = typed::Index::parse(&file[data_len..file.len() - footer_len], data_len as u64);
+    let groups = index.unwrap().groups().len() as u64;
+    assert!(data_len <= text, "{path}: typed records {data_len} B, text {text} B");
+    assert!(index_len <= 7 * groups, "{path}: {index_len} B of index for {groups} groups");
 }
 
 /// The standard workload has no map-only job; the direct-output commit
@@ -79,21 +101,34 @@ fn run_workload(threads: usize, instrumented: bool) -> Vec<JobRun> {
         let (wf, _) = compile_canonical(&text, &format!("/wf/{query}")).unwrap();
         for idx in wf.topo_order().unwrap() {
             let mut plan = wf.jobs[idx].plan.clone();
+            let mut typed_outputs = wf.tmp_paths.clone();
             if instrumented {
                 let mut n = 0;
                 let mint = || {
                     n += 1;
                     format!("/restore/{query}/j{idx}c{n}")
                 };
-                inject_subjob_stores(&mut plan, Heuristic::Aggressive, mint, |_| false);
+                let candidates =
+                    inject_subjob_stores(&mut plan, Heuristic::Aggressive, mint, |_| false);
+                typed_outputs.extend(
+                    candidates.into_iter().filter(|c| !c.already_stored).map(|c| c.store_path),
+                );
             }
             let label = format!("{mode} {query} job{idx}");
-            let spec = job_spec_for_plan(&plan, &label).unwrap();
+            let mut spec = job_spec_for_plan(&plan, &label).unwrap();
+            spec.typed_outputs = typed_outputs;
             let result = engine.run(&spec).unwrap();
-            let files = std::iter::once(&spec.output)
+            let files: Vec<Vec<u8>> = std::iter::once(&spec.output)
                 .chain(&spec.side_outputs)
                 .map(|p| dfs.read_all(p).unwrap())
                 .collect();
+            for (path, file) in std::iter::once(&spec.output).chain(&spec.side_outputs).zip(&files) {
+                let is_typed = spec.typed_outputs.contains(path);
+                assert_eq!(typed::is_typed(file), is_typed && !file.is_empty(), "{path}");
+                if is_typed && !file.is_empty() {
+                    check_typed_size(path, file);
+                }
+            }
             runs.push(JobRun { label, files, counters: result.counters, times: result.times });
         }
     }
