@@ -10,6 +10,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use restore_bench::env::{pigmix_env, PigMixEnv};
 use restore_common::codec::{self, ColumnSet};
 use restore_common::rng::SplitMix64;
+use restore_common::typed;
 use restore_common::{tuple, Tuple, Value};
 use restore_dataflow::exec::job_spec_for_plan;
 use restore_dataflow::expr::{AggFunc, Expr};
@@ -185,9 +186,7 @@ fn bench_map_stages(c: &mut Criterion) {
         group.bench_function(format!("map_tasks/{arm}"), |b| {
             b.iter(|| {
                 for split in &splits {
-                    black_box(
-                        engine.run_map_task(&spec, 0, split, &file, reduce_tasks).unwrap(),
-                    );
+                    black_box(engine.run_map_task(&spec, 0, split, &file, reduce_tasks).unwrap());
                 }
             });
         });
@@ -228,16 +227,21 @@ fn stored_shapes() -> [(&'static str, Vec<Tuple>); 3] {
     [("group_bags", group_bags), ("group_all", group_all), ("user_sums", user_sums)]
 }
 
-/// The text codec over [`stored_shapes`], in MB/s of encoded bytes: what a
-/// job that reads a stored result pays to decode it, what one that stores
-/// it pays to encode it, and the `encoded_len` estimate the cost model
-/// charges for it. `restore-e2e`'s `common.*` codec numbers are over
-/// `page_views`, whose rows are none of these shapes.
+/// Both codecs over [`stored_shapes`]: what a job that reads a stored
+/// result pays to decode it and what one that stores it pays to encode
+/// it, as text (`decode_all`, `encode_all`, and the `encoded_len` estimate
+/// the cost model charges) and in the typed stored format ReStore writes
+/// (`decode_typed`, `encode_typed`, a whole file with its trailer). Every
+/// arm of a shape is in MB/s of the shape's *text* bytes, so two arms of
+/// one shape compare as their times do. `restore-e2e`'s `common.*` codec
+/// numbers are over `page_views`, whose rows are none of these shapes.
 fn bench_codec(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine_codec");
     group.sample_size(20);
     for (shape, rows) in stored_shapes() {
         let bytes = codec::encode_all(&rows);
+        let file = typed::encode_file(&rows);
+        println!("engine_codec/{shape}: {} B as text, {} B typed", bytes.len(), file.len());
         group.throughput(Throughput::Bytes(bytes.len() as u64));
         group.bench_function(format!("decode_all/{shape}"), |b| {
             b.iter(|| black_box(codec::decode_all(black_box(&bytes)).unwrap()));
@@ -247,6 +251,12 @@ fn bench_codec(c: &mut Criterion) {
         });
         group.bench_function(format!("encoded_len/{shape}"), |b| {
             b.iter(|| black_box(rows.iter().map(Tuple::encoded_len).sum::<usize>()));
+        });
+        group.bench_function(format!("decode_typed/{shape}"), |b| {
+            b.iter(|| black_box(typed::decode_file(black_box(&file)).unwrap()));
+        });
+        group.bench_function(format!("encode_typed/{shape}"), |b| {
+            b.iter(|| black_box(typed::encode_file(black_box(&rows))));
         });
     }
     group.finish();

@@ -161,7 +161,9 @@ fn unzigzag(z: u64) -> i64 {
 }
 
 /// `(m, k)` with `m as f64 / 10^k` bit-identical to `d`, for the smallest
-/// such `k`; `None` when there is none within `|m| < 2^53`, `k ≤ 22`.
+/// such `k` with `|m| < 2^53` and `k ≤ 22`. Every one with `|m| < 2^50` is
+/// found: below that, rounding `d · 10^k` lands on `m`. Above it the
+/// rounding may miss and the double is stored raw, which is as exact.
 fn decimal(d: f64) -> Option<(i64, u8)> {
     let magnitude = d.abs();
     // Also false for NaN.
@@ -174,8 +176,13 @@ fn decimal(d: f64) -> Option<(i64, u8)> {
             return None;
         }
         // Round to nearest by truncating `+ 0.5`; only the exact check
-        // below decides.
+        // below decides. When `d` is `m / 10^k`, `scaled` is `m` to within
+        // two roundings (a relative 2^-52), so a `scaled` further from an
+        // integer than that is not worth the division.
         let m = (scaled + 0.5) as i64;
+        if (m as f64 - scaled).abs() > scaled * 4.5e-16 {
+            continue;
+        }
         let m = if d < 0.0 { -m } else { m };
         if (m as f64 / scale).to_bits() == d.to_bits() {
             return Some((m, k as u8));
@@ -283,7 +290,10 @@ impl<'a> Reader<'a> {
     fn record(&mut self, arity: usize, cols: Option<&ColumnSet>) -> Result<Tuple> {
         if arity == 0 {
             return match self.byte()? {
-                0 => Ok(Tuple::from_values(vec![Value::Null; cols.map_or(0, |c| c.as_slice().len())])),
+                0 => Ok(Tuple::from_values(vec![
+                    Value::Null;
+                    cols.map_or(0, |c| c.as_slice().len())
+                ])),
                 _ => Err(corrupt("a record of no fields is not one 0 byte")),
             };
         }
@@ -702,17 +712,38 @@ mod tests {
     }
 
     #[test]
+    fn every_exact_decimal_is_found() {
+        // `m / 10^k` for random mantissas of every size below 2^50: the
+        // search finds a decimal no longer than the one it was made from.
+        let mut rng = crate::rng::SplitMix64::new(0xdec1);
+        for i in 0..200_000u64 {
+            let bits = 1 + rng.next_below(50);
+            let m = (rng.next_u64() >> (64 - bits)) as i64 * if i % 2 == 0 { 1 } else { -1 };
+            let k = (i % 23) as usize;
+            let d = m as f64 / POW10[k];
+            let (found_m, found_k) = decimal(d).unwrap_or_else(|| panic!("{m} / 10^{k}"));
+            assert!(usize::from(found_k) <= k);
+            assert_eq!((found_m as f64 / POW10[usize::from(found_k)]).to_bits(), d.to_bits());
+        }
+    }
+
+    #[test]
     fn files_split_into_groups_and_read_back() {
-        let rows: Vec<Tuple> = (0..2000).map(|i| tuple![i as i64, format!("row-{i}"), 0.5]).collect();
+        let rows: Vec<Tuple> =
+            (0..2000).map(|i| tuple![i as i64, format!("row-{i}"), 0.5]).collect();
         let file = encode_file(&rows);
         assert!(is_typed(&file));
         assert_eq!(decode_file(&file).unwrap(), rows);
         assert_eq!(decode_any(&file).unwrap(), rows);
         let (index_len, footer_len) = footer(&file).unwrap();
         let data_len = file.len() - footer_len - index_len as usize;
-        let index = Index::parse(&file[data_len..file.len() - footer_len], data_len as u64).unwrap();
+        let index =
+            Index::parse(&file[data_len..file.len() - footer_len], data_len as u64).unwrap();
         assert!(index.groups().len() > 3);
-        assert!(index.groups().iter().all(|g| g.len >= GROUP_BYTES as u64 || g.end() == data_len as u64));
+        assert!(index
+            .groups()
+            .iter()
+            .all(|g| g.len >= GROUP_BYTES as u64 || g.end() == data_len as u64));
         assert_eq!(index.starting_in(0, 1), &index.groups()[..1]);
         assert_eq!(index.starting_in(1, GROUP_BYTES as u64), &[]);
         assert!(encode_file(&[]).is_empty());

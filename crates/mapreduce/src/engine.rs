@@ -31,9 +31,9 @@
 use crate::config::{ClusterConfig, EngineConfig};
 use crate::cost::{CostModel, JobTimes};
 use crate::counters::Counters;
+use crate::job::Format;
 use crate::job::JobSpec;
 use crate::shuffle::{self, Run};
-use crate::job::Format;
 use crate::split_reader::{read_split, InputFile};
 use crate::task::{Chunk, MapContext, ReduceContext, ReducerFactory, TaskOutput};
 use parking_lot::Mutex;
@@ -242,11 +242,10 @@ impl Engine {
         let (output, side) = spec.formats();
         let mut ctx = MapContext::new(reduce_tasks, output, &side);
         let mut records = 0;
-        let payload_bytes =
-            read_split(&self.dfs, split, file, spec.mapper.columns(tag), |row| {
-                records += 1;
-                mapper.map(tag, row, &mut ctx)
-            })?;
+        let payload_bytes = read_split(&self.dfs, split, file, spec.mapper.columns(tag), |row| {
+            records += 1;
+            mapper.map(tag, row, &mut ctx)
+        })?;
         mapper.finish(&mut ctx)?;
         let mut out = ctx.finish();
         out.counters.map_input_records = records;

@@ -418,7 +418,12 @@ mod tests {
             .collect();
         let bytes = typed::encode_file(&rows);
         assert!(typed::is_typed(&bytes));
-        let sets = [None, Some(ColumnSet::new([])), Some(ColumnSet::new([1, 3])), Some(ColumnSet::new([0, 9]))];
+        let sets = [
+            None,
+            Some(ColumnSet::new([])),
+            Some(ColumnSet::new([1, 3])),
+            Some(ColumnSet::new([0, 9])),
+        ];
         for bs in [7, 64, 1000, 4096, 10_000] {
             for cols in &sets {
                 check_partition_of(bs, &rows, &bytes, cols.as_ref());

@@ -30,7 +30,10 @@ pub struct TaskOutput {
 pub enum Chunk {
     /// PigStorage text, and whether some record in it does not read back
     /// as itself ([`codec::reads_back`]).
-    Text { bytes: Vec<u8>, lossy: bool },
+    Text {
+        bytes: Vec<u8>,
+        lossy: bool,
+    },
     Typed(typed::Chunk),
 }
 
@@ -351,8 +354,10 @@ mod tests {
         ];
         let key_cols: [&[usize]; 4] = [&[0], &[1, 0], &[], &[0, 5]];
         let partitions = 5;
-        let (mut by_ref, mut owned) =
-            (MapContext::new(partitions, Format::Text, &[]), MapContext::new(partitions, Format::Text, &[]));
+        let (mut by_ref, mut owned) = (
+            MapContext::new(partitions, Format::Text, &[]),
+            MapContext::new(partitions, Format::Text, &[]),
+        );
         for row in &rows {
             for cols in key_cols {
                 by_ref.emit_by(cols, 1, row);

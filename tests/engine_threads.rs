@@ -122,7 +122,8 @@ fn run_workload(threads: usize, instrumented: bool) -> Vec<JobRun> {
                 .chain(&spec.side_outputs)
                 .map(|p| dfs.read_all(p).unwrap())
                 .collect();
-            for (path, file) in std::iter::once(&spec.output).chain(&spec.side_outputs).zip(&files) {
+            for (path, file) in std::iter::once(&spec.output).chain(&spec.side_outputs).zip(&files)
+            {
                 let is_typed = spec.typed_outputs.contains(path);
                 assert_eq!(typed::is_typed(file), is_typed && !file.is_empty(), "{path}");
                 if is_typed && !file.is_empty() {

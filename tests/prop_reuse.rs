@@ -19,21 +19,30 @@ fn engine_with(rows: &[Tuple]) -> Engine {
     )
 }
 
-fn read_sorted(dfs: &Dfs, path: &str) -> Vec<Tuple> {
-    let mut t = codec::decode_all(&dfs.read_all(path).unwrap()).unwrap();
-    t.sort();
-    t
+/// An output's lines, sorted: its bytes up to the order reducers wrote
+/// them in. (Decoded tuples would hide a retyped value: `"007"` and `"7"`
+/// both decode to `Int(7)`.)
+fn read_sorted(dfs: &Dfs, path: &str) -> Vec<String> {
+    let text = String::from_utf8(dfs.read_all(path).unwrap()).unwrap();
+    let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+    lines.sort();
+    lines
 }
 
-/// Random rows: (key in a small domain, int, double).
+/// Random rows: (key in a small domain, int, double). Some keys end in a
+/// numeric-looking suffix (`SUBSTRING(k, 1, 9)` of "k007" is "007"), and
+/// some doubles are ones text storage cannot carry once computed on:
+/// `-0.0`, and integral values that reach 1e15 and past.
 fn rows() -> impl Strategy<Value = Vec<Tuple>> {
+    const KEYS: [&str; 10] = ["k0", "k1", "k2", "k3", "k007", "k7", "k07", "k1.5", "k-2", "k1e3"];
+    const EDGES: [f64; 4] = [-0.0, 3.0, 2e15, 1.5];
     prop::collection::vec(
-        (0u8..8, -50i64..50, 0u32..1000).prop_map(|(k, n, d)| {
-            Tuple::from_values(vec![
-                Value::str(format!("k{k}")),
-                Value::Int(n),
-                Value::Double(d as f64 / 10.0),
-            ])
+        (0usize..KEYS.len(), -50i64..50, 0u32..1000).prop_map(|(k, n, d)| {
+            let v = match d.checked_sub(980) {
+                Some(edge) => EDGES[edge as usize % EDGES.len()],
+                None => d as f64 / 10.0,
+            };
+            Tuple::from_values(vec![Value::str(KEYS[k]), Value::Int(n), Value::Double(v)])
         }),
         1..60,
     )
@@ -64,24 +73,30 @@ proptest! {
              R = foreach G generate group, COUNT(B), SUM(B.v);
              store R into '/out/q1';"
         );
-        let q2 = format!(
+        // Its projection makes numeric-looking strings and doubles of
+        // 1e15 and more, which q3 reads back from storage.
+        let project = format!(
             "A = load '/d' as (k, n:int, v:double);
              B = filter A by n > {threshold};
-             P = foreach B generate k, v;
-             G = group P by k;
-             R = foreach G generate group, MAX(P.v);
-             store R into '/out/q2';"
+             P = foreach B generate SUBSTRING(k, 1, 9) as s, v * 1000000000000000.0 as w;
+             G = group P by s;"
+        );
+        let q2 = format!("{project} R = foreach G generate group, MAX(P.w); store R into '/out/q2';");
+        let q3 = format!(
+            "{project} R = foreach G generate group, COUNT(P), MIN(P.w); store R into '/out/q3';"
         );
 
         // Baseline answers.
-        let (want1, want2) = {
+        let (want1, want2, want3) = {
             let eng = engine_with(&data);
             let rs = ReStore::new(eng, ReStoreConfig::baseline());
             let e1 = rs.execute_query(&q1, "/wf/b1").unwrap();
             let w1 = read_sorted(rs.engine().dfs(), &e1.final_output);
             let e2 = rs.execute_query(&q2, "/wf/b2").unwrap();
             let w2 = read_sorted(rs.engine().dfs(), &e2.final_output);
-            (w1, w2)
+            let e3 = rs.execute_query(&q3, "/wf/b3").unwrap();
+            let w3 = read_sorted(rs.engine().dfs(), &e3.final_output);
+            (w1, w2, w3)
         };
 
         // ReStore answers (cold then warm, then the cross-query reuse).
@@ -101,6 +116,11 @@ proptest! {
         prop_assert_eq!(
             read_sorted(rs.engine().dfs(), &e2.final_output),
             want2
+        );
+        let e3 = rs.execute_query(&q3, "/wf/r3").unwrap();
+        prop_assert_eq!(
+            read_sorted(rs.engine().dfs(), &e3.final_output),
+            want3
         );
     }
 

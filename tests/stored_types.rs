@@ -18,8 +18,7 @@ use restore_suite::dfs::{Dfs, DfsConfig};
 use restore_suite::mapreduce::{ClusterConfig, Engine, EngineConfig};
 
 fn session(rows: &[Tuple], config: ReStoreConfig) -> ReStore {
-    let dfs =
-        Dfs::new(DfsConfig { nodes: 4, block_size: 64, replication: 2, node_capacity: None });
+    let dfs = Dfs::new(DfsConfig { nodes: 4, block_size: 64, replication: 2, node_capacity: None });
     dfs.write_all("/d", &codec::encode_all(rows)).unwrap();
     let engine = Engine::new(
         dfs,
