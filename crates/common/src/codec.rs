@@ -1,4 +1,4 @@
-//! Line-oriented record codec for DFS files.
+//! Line-oriented record codec for the files a user writes and reads.
 //!
 //! Mirrors Pig's `PigStorage`: one tuple per line, fields separated by
 //! tabs, bags rendered as `{(f,f),(f,f)}`. Values are stored untyped (like
@@ -6,6 +6,13 @@
 //! distinguishing genuine nulls from empty strings. String content that
 //! collides with the syntax (tab, newline, backslash, comma, parens,
 //! braces) is backslash-escaped.
+//!
+//! It is the format of Load inputs and of final outputs. Inference makes
+//! it lossy — `"007"` reads back `Int(7)` — so what the system stores to
+//! read back itself (the shuffle, inter-job temporaries, materialized
+//! candidates) is in [`crate::typed`] instead, and [`reads_back`] says
+//! whether a record survives the round trip: a final output holding one
+//! that does not is never registered for reuse.
 
 use crate::error::{Error, Result};
 use crate::number::{self, Count, Sink};
@@ -586,7 +593,7 @@ fn value_reads_back(v: &Value) -> bool {
     match v {
         Value::Null | Value::Int(_) => true,
         Value::Double(d) => d.is_finite() && (d.fract() != 0.0 || d.abs() < 1e15),
-        Value::Str(s) => matches!(infer_number(s), None),
+        Value::Str(s) => infer_number(s).is_none(),
         Value::Bag(ts) => ts.iter().all(|t| t.arity() > 0 && t.iter().all(value_reads_back)),
     }
 }
@@ -692,8 +699,8 @@ mod tests {
 
     #[test]
     fn numeric_string_stays_numeric_after_decode() {
-        // "42" written as a *string* decodes as Int — acceptable
-        // lossiness matching PigStorage's untyped storage.
+        // "42" written as a *string* decodes as Int: PigStorage's untyped
+        // storage, which `reads_back` reports.
         let t = tuple!["42"];
         assert_eq!(round_trip(&t), tuple![42]);
     }

@@ -23,12 +23,11 @@
 //! The grammar is compact because stored bytes are what a reused result
 //! costs to read: a short string or a small int is as long as its text
 //! and its separator, a null is one byte, and a double is a decimal
-//! whenever `m as f64 / 10^k` is the double bit for bit. That holds for
-//! `|m| < 2^53` and `k ≤ 22` exactly when it is checked, because both
-//! operands are then exact doubles and IEEE division rounds correctly
-//! (Clinger's exact case), so the decoder's division gives back the same
-//! bits. What is not — `-0.0`, NaN payloads, ±inf, long fractions — is
-//! its raw 8 bytes.
+//! whenever `m as f64 / 10^k` is the double bit for bit. With `|m| < 2^53`
+//! and `k ≤ 22` both operands are exact doubles and IEEE division rounds
+//! correctly (Clinger's exact case), so a decimal the encoder checked is
+//! one the decoder's division gives back to the bit. What is not one —
+//! `-0.0`, NaN payloads, ±inf, long fractions — is its raw 8 bytes.
 //!
 //! ## Stored files
 //!
@@ -43,17 +42,19 @@
 //! The records of a group share one arity, so a record is its values and
 //! nothing else (a record of no fields is one 0 byte, so that every record
 //! is counted in bytes); a record of another arity starts a new group. A
-//! file of one relation is then no larger than its text, whose separators
-//! the tags replace. A task encodes its share of an output as a [`Chunk`]
-//! of whole groups;
+//! relation's records are then no longer than their text, whose
+//! separators the tags replace; the trailer is what a file adds.
+//!
+//! A task encodes its share of an output as a [`Chunk`] of whole groups;
 //! the engine commits the chunks in order and then their [`trailer`]. The
 //! footer is read from the end: the magic's last byte is `0xFF`, which no
 //! UTF-8 text holds, so one look at a file's last bytes tells the two
 //! formats apart ([`is_typed`]), and an empty file is empty in both. A
-//! reader splits a file by group: a split decodes exactly the groups that
-//! start inside it ([`Index::starting_in`]). Each group's record count is
-//! checked, so a damaged file is an error or the same number of records,
-//! never a shorter answer.
+//! split decodes exactly the groups that start inside it
+//! ([`Index::starting_in`]); the index also says how long each group's
+//! records would be as text, so a file is split where its text would be
+//! ([`Index::splits`]). Each group's record count is checked, so a damaged
+//! file is an error or the same number of records, never a shorter answer.
 
 use crate::codec::ColumnSet;
 use crate::error::{Error, Result};
@@ -91,6 +92,18 @@ pub const GROUP_BYTES: usize = 4 << 10;
 // Encoding
 // ---------------------------------------------------------------------
 
+/// Which of a double's two forms an encoder writes; a reader takes
+/// either. The decimal form is searched for, which costs ≈ 10 ns a double:
+/// worth it for what is stored and read again, not for the shuffle, whose
+/// runs never leave memory.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Doubles {
+    /// The decimal form whenever it is exact, else the raw bits.
+    Shortest,
+    /// Always the raw bits.
+    Raw,
+}
+
 pub fn put_varint(mut n: u64, out: &mut Vec<u8>) {
     while n >= 0x80 {
         out.push(n as u8 | 0x80);
@@ -100,25 +113,29 @@ pub fn put_varint(mut n: u64, out: &mut Vec<u8>) {
 }
 
 /// A tuple of `fields`.
-pub fn put_fields<'a>(fields: impl ExactSizeIterator<Item = &'a Value>, out: &mut Vec<u8>) {
+pub fn put_fields<'a>(
+    fields: impl ExactSizeIterator<Item = &'a Value>,
+    doubles: Doubles,
+    out: &mut Vec<u8>,
+) {
     put_varint(fields.len() as u64, out);
     for v in fields {
-        put_value(v, out);
+        put_value(v, doubles, out);
     }
 }
 
-pub fn put_tuple(t: &Tuple, out: &mut Vec<u8>) {
-    put_fields(t.iter(), out);
+pub fn put_tuple(t: &Tuple, doubles: Doubles, out: &mut Vec<u8>) {
+    put_fields(t.iter(), doubles, out);
 }
 
-pub fn put_value(v: &Value, out: &mut Vec<u8>) {
+pub fn put_value(v: &Value, doubles: Doubles, out: &mut Vec<u8>) {
     match v {
         Value::Null => out.push(NULL),
         Value::Int(i) => {
             out.push(INT);
             put_varint(zigzag(*i), out);
         }
-        Value::Double(d) => match decimal(*d) {
+        Value::Double(d) => match (doubles == Doubles::Shortest).then(|| decimal(*d)).flatten() {
             Some((m, k)) => {
                 out.push(k << 3 | DECIMAL);
                 put_varint(zigzag(m), out);
@@ -135,7 +152,7 @@ pub fn put_value(v: &Value, out: &mut Vec<u8>) {
         Value::Bag(ts) => {
             put_sized(BAG, ts.len(), out);
             for t in ts {
-                put_tuple(t, out);
+                put_tuple(t, doubles, out);
             }
         }
     }
@@ -166,8 +183,7 @@ fn unzigzag(z: u64) -> i64 {
 /// rounding may miss and the double is stored raw, which is as exact.
 fn decimal(d: f64) -> Option<(i64, u8)> {
     let magnitude = d.abs();
-    // Also false for NaN.
-    if !(magnitude < EXACT_INTS) {
+    if magnitude.is_nan() || magnitude >= EXACT_INTS {
         return None;
     }
     for (k, &scale) in POW10.iter().enumerate() {
@@ -414,7 +430,7 @@ impl Chunk {
             self.bytes.push(0);
         }
         for v in t.iter() {
-            put_value(v, &mut self.bytes);
+            put_value(v, Doubles::Shortest, &mut self.bytes);
         }
         self.open_records += 1;
         self.open_text += t.encoded_len() as u64;
@@ -516,9 +532,6 @@ pub fn footer(tail: &[u8]) -> Result<(u64, usize)> {
     Err(corrupt("index length overflows"))
 }
 
-/// The longest footer: a ten-byte varint, the version and the magic.
-pub const MAX_FOOTER: usize = 10 + 1 + MAGIC.len();
-
 /// One group of a typed file: where it lies, its records' count and
 /// arity, and how long they would be as text ([`Tuple::encoded_len`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -557,7 +570,7 @@ impl Index {
             let arity = r.varint()?;
             let text_len = r.varint()?;
             let least = records.checked_mul(arity.max(1));
-            if records == 0 || least.map_or(true, |n| n > len) || len > data_len - start {
+            if records == 0 || least.is_none_or(|n| n > len) || len > data_len - start {
                 return Err(corrupt("index does not describe the data"));
             }
             groups.push(Group { start, len, records, arity, text_len });
@@ -659,7 +672,7 @@ mod tests {
 
     fn round_trip(v: Value) {
         let mut buf = Vec::new();
-        put_value(&v, &mut buf);
+        put_value(&v, Doubles::Shortest, &mut buf);
         let mut r = Reader::new(&buf);
         let back = r.value().unwrap();
         assert!(r.is_empty());
@@ -690,7 +703,7 @@ mod tests {
     fn short_values_are_as_long_as_their_text() {
         let len = |v: Value| {
             let mut buf = Vec::new();
-            put_value(&v, &mut buf);
+            put_value(&v, Doubles::Shortest, &mut buf);
             buf.len()
         };
         assert_eq!(len(Value::Null), 1);

@@ -83,7 +83,7 @@ proptest! {
     fn values_and_files_round_trip_exactly(rows in rows()) {
         for t in &rows {
             let mut buf = Vec::new();
-            typed::put_tuple(t, &mut buf);
+            typed::put_tuple(t, typed::Doubles::Shortest, &mut buf);
             let mut r = typed::Reader::new(&buf);
             prop_assert_eq!(format!("{:?}", r.tuple().unwrap()), format!("{t:?}"));
             prop_assert!(r.is_empty());

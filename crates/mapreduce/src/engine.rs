@@ -31,8 +31,7 @@
 use crate::config::{ClusterConfig, EngineConfig};
 use crate::cost::{CostModel, JobTimes};
 use crate::counters::Counters;
-use crate::job::Format;
-use crate::job::JobSpec;
+use crate::job::{Format, JobSpec};
 use crate::shuffle::{self, Run};
 use crate::split_reader::{read_split, InputFile};
 use crate::task::{Chunk, MapContext, ReduceContext, ReducerFactory, TaskOutput};

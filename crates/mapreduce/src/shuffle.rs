@@ -15,14 +15,16 @@
 //! value carries its type, so reducers get exactly what mappers emitted,
 //! down to the bits of a double. Runs are process-internal — never written
 //! to the DFS, the journal or a state file — so a range has no trailer and
-//! no version of its own.
+//! no version of its own, and doubles go in their raw form
+//! ([`Doubles::Raw`]): a run is read once, straight from memory, and the
+//! search for a double's decimal form would cost more than its bytes.
 //!
 //! ```text
 //! range  := varint(records) record*
 //! record := tuple(key) varint(tag) tuple(value)
 //! ```
 
-use restore_common::typed::{self, Reader};
+use restore_common::typed::{self, Doubles, Reader};
 use restore_common::{Error, Result, Tuple, Value};
 
 /// One shuffle emission: key, input tag, value.
@@ -79,9 +81,9 @@ impl RunBuilder {
         value: &Tuple,
     ) {
         self.counts[partition] += 1;
-        typed::put_fields(key, &mut self.bytes);
+        typed::put_fields(key, Doubles::Raw, &mut self.bytes);
         typed::put_varint(tag as u64, &mut self.bytes);
-        typed::put_tuple(value, &mut self.bytes);
+        typed::put_tuple(value, Doubles::Raw, &mut self.bytes);
         self.records.push((partition, self.bytes.len()));
     }
 

@@ -78,18 +78,6 @@ impl InputFile {
             })
             .collect())
     }
-
-    pub fn len(&self) -> u64 {
-        self.len
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    pub fn is_typed(&self) -> bool {
-        self.index.is_some()
-    }
 }
 
 /// Whether the file at `path` is typed: a look at its last two bytes.
@@ -251,7 +239,7 @@ mod tests {
             Some(columns) => tuples.iter().map(|t| t.project(columns.as_slice())).collect(),
         };
         let payload = match &file.index {
-            None => file.len(),
+            None => file.len,
             Some(index) => index.groups().last().map_or(0, |g| g.end()),
         };
         // The file's own splits, and (the same for text) its DFS blocks.
@@ -354,7 +342,7 @@ mod tests {
     #[test]
     fn empty_split_reads_nothing() {
         let (dfs, file) = dfs_with(64, b"");
-        assert!(!file.is_typed());
+        assert!(file.index.is_none());
         let splits = dfs.splits("/t").unwrap();
         let (ts, n) = rows_of(&dfs, &splits[0], &file, None);
         assert!(ts.is_empty());
@@ -377,7 +365,7 @@ mod tests {
         }
         assert_eq!(records, rows.len());
         let read = dfs.metrics().since(&before).bytes_read;
-        let len = file.len();
+        let len = file.len;
         assert!(read as f64 <= 1.05 * len as f64, "scan read {read} B of a {len} B file");
     }
 
@@ -397,7 +385,7 @@ mod tests {
         }
         assert_eq!(seen, vec![t]);
         let read = dfs.metrics().since(&before).bytes_read;
-        let len = file.len();
+        let len = file.len;
         assert!(read <= 2 * len, "splits read {read} B of a {len} B file");
     }
 
@@ -432,7 +420,7 @@ mod tests {
         // Split by text bytes: as many splits as the text has blocks, give
         // or take the groups' granularity.
         let (dfs, file) = dfs_with(32 << 10, &bytes);
-        assert!(file.is_typed());
+        assert!(file.index.is_some());
         let text_blocks = codec::encode_all(&rows).len().div_ceil(32 << 10);
         let splits = file.splits(&dfs).unwrap().len();
         assert!(bytes.len().div_ceil(32 << 10) < text_blocks, "the typed file is denser");

@@ -140,3 +140,25 @@ fn a_final_output_that_would_retype_is_not_registered() {
     let repo = rs.repository_as(None);
     assert!(repo.entries().iter().any(|e| e.output_path == "/out/clean"));
 }
+
+#[test]
+fn a_user_output_is_never_an_alias_of_a_typed_file() {
+    // The prefix stores its filter as a typed candidate; the query is that
+    // filter alone, so its rewritten job is a copy of the candidate into
+    // the user's path. It runs as a job, and the user reads text.
+    let data = rows(&[("a", 1.0), ("b", -2.0), ("c", 3.5)]);
+    let filter = "A = load '/d' as (k, v:double); B = filter A by v > 0.0;";
+    let prefix = format!(
+        "{filter} G = group B by k; R = foreach G generate group, COUNT(B);
+         store R into '/out/prefix';"
+    );
+    let query = format!("{filter} store B into '/out/query';");
+    let rs = session(&data, ReStoreConfig::default());
+    rs.execute_query(&prefix, "/wf/prefix").unwrap();
+    let exec = rs.execute_query(&query, "/wf/query").unwrap();
+    assert_eq!(exec.rewrites.len(), 1, "the query reads the prefix's candidate");
+    assert_eq!((exec.jobs_skipped, exec.job_results.len()), (0, 1), "the copy ran");
+    assert_eq!(exec.final_output, "/out/query");
+    let (_, reused, baseline) = reuse_and_baseline(&data, &prefix, &query);
+    assert_eq!(String::from_utf8(reused).unwrap(), String::from_utf8(baseline).unwrap());
+}
