@@ -102,7 +102,7 @@ impl JobSpec {
     }
 
     /// The format the output at `path` is written in.
-    pub fn format_of(&self, path: &str) -> Format {
+    fn format_of(&self, path: &str) -> Format {
         if self.typed_outputs.iter().any(|p| p == path) {
             Format::Typed
         } else {

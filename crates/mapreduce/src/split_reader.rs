@@ -11,9 +11,9 @@
 //!
 //! A typed file ([`restore_common::typed`]) says where its groups start,
 //! so a split reads and decodes exactly the groups that start inside it.
-//! Its splits are runs of groups that hold a block's worth of records as
-//! text ([`InputFile::splits`]): a denser file gets as many map tasks,
-//! each reading fewer bytes, not fewer tasks of more records each.
+//! It is split where its text would be, one split per block of text
+//! ([`InputFile::splits`]): a denser file gets as many map tasks, each
+//! reading fewer bytes, not fewer tasks of more records each.
 
 use restore_common::codec::{self, ColumnSet};
 use restore_common::typed::{self, Index};
@@ -61,8 +61,8 @@ impl InputFile {
         Ok(InputFile { path, len, index: Some(index) })
     }
 
-    /// The file's splits: its DFS blocks when it is text; runs of groups
-    /// of a block's worth of text each when it is typed.
+    /// The file's splits: its DFS blocks when it is text; when it is
+    /// typed, one per block its text would fill ([`Index::splits`]).
     pub fn splits(&self, dfs: &Dfs) -> Result<Vec<FileSplit>> {
         let Some(index) = &self.index else { return dfs.splits(&self.path) };
         let runs = index.splits(dfs.config().block_size);
