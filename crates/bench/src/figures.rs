@@ -21,10 +21,9 @@ fn base_input_bytes(env: &PigMixEnv, query: &str) -> u64 {
     let mut paths: Vec<String> = Vec::new();
     for job in &wf.jobs {
         for l in job.plan.loads() {
-            if let restore_dataflow::physical::PhysicalOp::Load { path } = job.plan.op(l) {
-                if path.starts_with("/data/") && !paths.contains(path) {
-                    paths.push(path.clone());
-                }
+            let path = job.plan.path(l);
+            if path.starts_with("/data/") && !paths.iter().any(|p| p == path) {
+                paths.push(path.to_string());
             }
         }
     }

@@ -458,10 +458,13 @@ impl ReStore {
             // Wait-free probe; only publish a new provenance snapshot
             // when something actually died.
             let dfs = self.engine.dfs();
-            let dead: Vec<String> = {
+            let mut dead: Vec<String> = {
                 let prov = space.prov.load();
                 prov.iter_paths().filter(|p| !dfs.exists(p)).map(|p| p.to_string()).collect()
             };
+            // The table is a hash map: sort, so the journal's forgets come
+            // out in the same order every run.
+            dead.sort_unstable();
             if !dead.is_empty() {
                 space.prov.update_then(
                     |prov| {
@@ -542,7 +545,7 @@ impl ReStore {
                 // temporary. Registration (below) makes it evictable, so
                 // pin it first — otherwise a concurrent session's strict
                 // sweep could delete it before its consumer executes.
-                if wf.tmp_paths.contains(&result.output) {
+                if wf.jobs[job.idx].typed_outputs.contains(&result.output) {
                     pins.pin(&result.output);
                 }
             }
@@ -610,7 +613,7 @@ impl ReStore {
 
         // ---- plain-Pig tmp cleanup ----
         if config.delete_tmp {
-            for tmp in &wf.tmp_paths {
+            for tmp in wf.tmp_paths() {
                 // Honour pins even here: a hand-built config combining
                 // delete_tmp with reuse could otherwise delete a tmp
                 // that a concurrent session matched and pinned.
@@ -653,7 +656,8 @@ impl ReStore {
         rewrites: &mut Vec<RewriteEvent>,
         pins: &mut PinGuard,
     ) -> Result<Prepared> {
-        let mut plan = wf.jobs[idx].plan.clone();
+        let job = &wf.jobs[idx];
+        let mut plan = job.plan.clone();
         // Re-canonicalize after alias rewriting: aliasing two Loads to
         // the same reused path can expose common subtrees that did not
         // exist at compile time. A plan no alias touched is still the
@@ -685,11 +689,12 @@ impl ReStore {
         }
 
         // Whole-job elimination: the rewrite reduced the job to a copy.
-        // A user's output is text, so a copy of a typed file into one
-        // runs as a job instead: aliasing would hand the user typed bytes.
+        // Alias when the destination is typed or the source is text: a
+        // copy of a typed file into a text output runs as a job instead,
+        // since aliasing would hand the user typed bytes.
         if job_rewrites > 0 {
             if let Some((src, dst)) = identity_copy(&plan)
-                .filter(|(src, dst)| wf.tmp_paths.contains(dst) || !self.is_typed_file(src))
+                .filter(|(src, dst)| job.typed_outputs.contains(dst) || !self.is_typed_file(src))
             {
                 aliases.insert(dst.clone(), src);
                 if let Some(ev) = rewrites.last_mut() {
@@ -728,16 +733,11 @@ impl ReStore {
         };
 
         let mut spec = job_spec_for_plan(&plan, &format!("q{tick}-job{idx}"))?;
-        // What ReStore reads back itself is typed: the workflow's
-        // temporaries and the candidates just injected.
-        spec.typed_outputs = std::iter::once(&spec.output)
-            .chain(&spec.side_outputs)
-            .filter(|&path| {
-                wf.tmp_paths.contains(path)
-                    || candidates.iter().any(|c| !c.already_stored && c.store_path == *path)
-            })
-            .cloned()
-            .collect();
+        // What ReStore reads back itself is typed: the job's temporaries,
+        // as compiled, and the candidates just injected.
+        spec.typed_outputs = job.typed_outputs.clone();
+        spec.typed_outputs
+            .extend(candidates.iter().filter(|c| !c.already_stored).map(|c| c.store_path.clone()));
         Ok(Prepared::Run(Box::new(PreparedJob { idx, plan, candidates, spec })))
     }
 
@@ -910,7 +910,7 @@ impl ReStore {
         // Final outputs (not inter-job temporaries) are only registered
         // when configured; intermediate outputs are always candidates for
         // whole-job reuse (§2.1).
-        let is_intermediate = wf.tmp_paths.contains(&io.main_output);
+        let is_intermediate = wf.jobs[job.idx].typed_outputs.contains(&io.main_output);
         let register_main = config.register_final_outputs || is_intermediate;
         // A text output holding a value that would read back retyped is
         // never Loaded in place of recomputing it.

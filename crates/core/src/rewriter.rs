@@ -118,13 +118,7 @@ mod tests {
         // The /pv branch is now a Load of the stored output.
         let loads = input.loads();
         assert_eq!(loads.len(), 2);
-        let paths: Vec<&str> = loads
-            .iter()
-            .map(|&l| match input.op(l) {
-                PhysicalOp::Load { path } => path.as_str(),
-                _ => unreachable!(),
-            })
-            .collect();
+        let paths: Vec<&str> = loads.iter().map(|&l| input.path(l)).collect();
         assert!(paths.contains(&"/stored/b"));
         assert!(paths.contains(&"/users"));
         assert!(!paths.contains(&"/pv"));
@@ -165,16 +159,9 @@ mod tests {
         let m = pairwise_plan_traversal(&repo, &p).unwrap();
         rewrite(&mut p, &m, "/s");
         // Load(/d) must survive for the Filter branch.
-        let paths: Vec<String> = p
-            .loads()
-            .iter()
-            .map(|&l| match p.op(l) {
-                PhysicalOp::Load { path } => path.clone(),
-                _ => unreachable!(),
-            })
-            .collect();
-        assert!(paths.contains(&"/d".to_string()));
-        assert!(paths.contains(&"/s".to_string()));
+        let paths: Vec<&str> = p.loads().iter().map(|&l| p.path(l)).collect();
+        assert!(paths.contains(&"/d"));
+        assert!(paths.contains(&"/s"));
         assert!(p.ids().any(|i| matches!(p.op(i), PhysicalOp::Filter { .. })));
         // The matched Project is gone.
         assert!(!p.ids().any(|i| matches!(p.op(i), PhysicalOp::Project { .. })));

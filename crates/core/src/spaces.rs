@@ -110,9 +110,10 @@ impl ReStore {
     /// workflow's data (a wrong answer, and across namespaces a
     /// cross-tenant leak). Evict such entries and drop their provenance
     /// records; the files themselves are left alone — they hold the new
-    /// workflow's live output.
+    /// workflow's live output. Namespaces are visited in name order, so
+    /// the journal records the forgets in the same order every run.
     pub(crate) fn invalidate_overwritten(&self, written: &[String]) {
-        for (name, space) in self.spaces.load().iter() {
+        for (name, space) in self.spaces_by_name() {
             // Cheap snapshot probe first: fresh output paths are almost
             // never registered anywhere.
             let hit = {
@@ -150,7 +151,7 @@ impl ReStore {
                     });
                     forgets
                 },
-                |forgets| self.journal.append_prov_batch(name, &[], &forgets),
+                |forgets| self.journal.append_prov_batch(&name, &[], &forgets),
             );
         }
     }

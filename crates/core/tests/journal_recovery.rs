@@ -532,3 +532,76 @@ fn journal_stats_track_recording() {
     let segments = rs.save_state_delta().unwrap();
     assert!(segments.len() > 1, "256-byte segments must roll over, got {}", segments.len());
 }
+
+/// One journaled workload in a fresh session over fresh data: the base,
+/// every delta segment, and the final document. An input overwrite stales
+/// entries in two namespaces, so the next run in each deletes several
+/// stored files at once (their provenance forgotten in one batch); and a
+/// job of the default namespace overwrites a final output of `ana` and one
+/// of `bo` in one wave.
+fn journaled_run() -> (String, Vec<String>, String) {
+    let shared = dfs();
+    let config = ReStoreConfig {
+        selection: SelectionPolicy { check_input_versions: true, ..Default::default() },
+        ..Default::default()
+    };
+    let rs = ReStore::new(engine_over(shared.clone()), config);
+    rs.enable_journal(JournalConfig { segment_bytes: 1024 });
+    let base = rs.save_state();
+    rs.execute_query(&join_query("/out/j"), "/wf/j").unwrap();
+    rs.execute_query(&sum_query("/out/s"), "/wf/s").unwrap();
+    rs.execute_query_as(Some("ana"), &join_query("/out/ana"), "/wf/ana").unwrap();
+    rs.execute_query_as(Some("bo"), &sum_query("/out/bo"), "/wf/bo").unwrap();
+    let mut segments = rs.save_state_delta().unwrap();
+
+    let mut w = shared.create_overwrite("/data/pv").unwrap();
+    w.write(b"alice\t5\nbob\t7\ndave\t2\n");
+    w.close().unwrap();
+    rs.execute_query(&sum_query("/out/s2"), "/wf/s2").unwrap();
+    rs.execute_query(
+        "A = load '/data/users' as (name, city);
+         B = filter A by city != 'x';
+         store A into '/out/ana';
+         store B into '/out/bo';",
+        "/wf/both",
+    )
+    .unwrap();
+    rs.execute_query_as(Some("ana"), &sum_query("/out/ana2"), "/wf/ana2").unwrap();
+    segments.extend(rs.save_state_delta().unwrap());
+    (base, segments, rs.save_state())
+}
+
+/// Each `prov-batch` record's namespace and how many paths it forgets.
+fn forget_batches(segments: &[String]) -> Vec<(String, usize)> {
+    let mut batches: Vec<(String, usize)> = Vec::new();
+    for line in segments.iter().flat_map(|s| s.lines()) {
+        if let Some(space) = line.strip_prefix("prov-batch ") {
+            batches.push((space.to_string(), 0));
+        } else if line.starts_with("forget ") {
+            batches.last_mut().expect("a forget inside a prov-batch").1 += 1;
+        }
+    }
+    batches
+}
+
+/// Same inputs, same bytes: the workload run twice in fresh sessions
+/// journals byte-identical segments and ends in a byte-identical document.
+/// The provenance table and the namespace map are hash maps, so this holds
+/// only because the paths forgotten together and the namespaces an
+/// overwrite reaches are journaled in sorted order.
+#[test]
+fn one_workload_journals_the_same_bytes_every_run() {
+    let (base, segments, state) = journaled_run();
+    let batches = forget_batches(&segments);
+    assert!(batches.iter().any(|(_, n)| *n >= 2), "several paths forgotten at once: {batches:?}");
+    for space in ["\"ana\"", "\"bo\""] {
+        assert!(batches.iter().any(|(s, n)| s == space && *n > 0), "{space} forgets: {batches:?}");
+    }
+    let (base2, segments2, state2) = journaled_run();
+    assert_eq!(base, base2);
+    assert_eq!(segments.len(), segments2.len());
+    for (i, (a, b)) in segments.iter().zip(&segments2).enumerate() {
+        assert_eq!(a, b, "segment {i}");
+    }
+    assert_eq!(state, state2);
+}

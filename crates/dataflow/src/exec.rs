@@ -9,12 +9,12 @@
 //! branch index.
 
 use crate::expr::Expr;
-use crate::mr_compiler::CompiledJob;
+use crate::mr_compiler::{CompiledJob, CompiledWorkflow};
 use crate::physical::{AggItem, NodeId, PhysicalOp, PhysicalPlan};
 use restore_common::codec::ColumnSet;
 use restore_common::{Error, Result, Tuple, Value};
 use restore_mapreduce::{
-    JobInput, JobSpec, MapContext, Mapper, MapperFactory, ReduceContext, Reducer,
+    Engine, JobInput, JobResult, JobSpec, MapContext, Mapper, MapperFactory, ReduceContext, Reducer,
 };
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -38,13 +38,7 @@ pub fn job_io(plan: &PhysicalPlan) -> Result<JobIo> {
     if loads.is_empty() {
         return Err(Error::Plan("job plan has no Load".into()));
     }
-    let inputs = loads
-        .iter()
-        .map(|&l| match plan.op(l) {
-            PhysicalOp::Load { path } => path.clone(),
-            _ => unreachable!(),
-        })
-        .collect();
+    let inputs = loads.iter().map(|&l| plan.path(l).to_string()).collect();
 
     let stores = plan.stores();
     if stores.is_empty() {
@@ -54,17 +48,10 @@ pub fn job_io(plan: &PhysicalPlan) -> Result<JobIo> {
     let reduce_side = reduce_side_set(plan, blocking);
 
     let main = stores.iter().copied().find(|s| reduce_side[s.index()]).unwrap_or(stores[0]);
-    let main_output = store_path(plan, main);
+    let main_output = plan.path(main).to_string();
     let side_outputs =
-        stores.iter().copied().filter(|&s| s != main).map(|s| store_path(plan, s)).collect();
+        stores.iter().filter(|&&s| s != main).map(|&s| plan.path(s).to_string()).collect();
     Ok(JobIo { inputs, main_output, side_outputs })
-}
-
-fn store_path(plan: &PhysicalPlan, id: NodeId) -> String {
-    match plan.op(id) {
-        PhysicalOp::Store { path } => path.clone(),
-        _ => unreachable!("not a store"),
-    }
 }
 
 /// The job's unique blocking node, if any.
@@ -665,13 +652,28 @@ impl Reducer for PlanReducer {
 // Public API
 // ---------------------------------------------------------------------
 
-/// Build a runnable [`JobSpec`] from a compiled job plan.
+/// Build a runnable [`JobSpec`] from a compiled job: its plan, with the
+/// job's inter-job temporaries written typed.
 pub fn job_spec(job: &CompiledJob, name: &str) -> Result<JobSpec> {
-    job_spec_for_plan(&job.plan, name)
+    let mut spec = job_spec_for_plan(&job.plan, name)?;
+    spec.typed_outputs = job.typed_outputs.clone();
+    Ok(spec)
 }
 
-/// Build a runnable [`JobSpec`] directly from a job plan (used by ReStore
-/// after it has rewritten the plan).
+/// Run every job of `wf` as compiled, one at a time in dependency order,
+/// without ReStore: job `i` is named `{name}-job{i}`. The outputs are
+/// written in the formats a ReStore session writes them in, so the final
+/// bytes are the same.
+pub fn run_workflow(eng: &Engine, wf: &CompiledWorkflow, name: &str) -> Result<Vec<JobResult>> {
+    wf.topo_order()?
+        .into_iter()
+        .map(|idx| eng.run(&job_spec(&wf.jobs[idx], &format!("{name}-job{idx}"))?))
+        .collect()
+}
+
+/// Build a runnable [`JobSpec`] directly from a job plan, every output
+/// text (used by ReStore after it has rewritten the plan, which then says
+/// which outputs are typed).
 pub fn job_spec_for_plan(plan: &PhysicalPlan, name: &str) -> Result<JobSpec> {
     let io = job_io(plan)?;
     let blocking = find_blocking(plan)?;
@@ -749,10 +751,7 @@ mod tests {
     }
 
     fn run_query(eng: &Engine, q: &str) {
-        let wf = compile(q, "/tmpwf").unwrap();
-        for idx in wf.topo_order().unwrap() {
-            eng.run(&job_spec(&wf.jobs[idx], &format!("t-job{idx}")).unwrap()).unwrap();
-        }
+        run_workflow(eng, &compile(q, "/tmpwf").unwrap(), "t").unwrap();
     }
 
     #[test]
@@ -909,14 +908,6 @@ mod tests {
              store G into '/out/grouped';",
         );
         // Now aggregate from the stored grouped data (map-only job!).
-        let wf = compile(
-            "G = load '/out/grouped' as (grp, bags:bag);
-             S = foreach G generate grp, SUM($1);
-             store S into '/out/sums';",
-            "/tmpwf2",
-        );
-        // SUM($1) needs bag-field syntax; use the aggregate path instead.
-        drop(wf);
         run_query(
             &eng,
             "G = load '/out/grouped' as (grp, A:bag);

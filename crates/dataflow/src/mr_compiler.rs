@@ -20,24 +20,34 @@ use crate::physical::{NodeId, PhysicalOp, PhysicalPlan};
 use restore_common::{Error, Result};
 use std::collections::{BTreeSet, HashMap};
 
-/// One MapReduce job: its physical plan and workflow dependencies.
+/// One MapReduce job: its physical plan, workflow dependencies, and which
+/// of its Stores are written typed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledJob {
     pub plan: PhysicalPlan,
     /// Indices of jobs this one depends on.
     pub deps: Vec<usize>,
+    /// The Stores of `plan` that are inter-job temporaries (`tmp-N`): a
+    /// later job of the workflow Loads them, so they are written in the
+    /// typed stored format ([`restore_mapreduce::JobSpec::typed_outputs`])
+    /// whoever runs the job. Every other Store is a user's, and text.
+    pub typed_outputs: Vec<String>,
 }
 
 /// A compiled workflow of MapReduce jobs.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CompiledWorkflow {
     pub jobs: Vec<CompiledJob>,
-    /// Paths of the temporary inter-job files (deleted after execution by
-    /// a plain Pig; kept and registered by ReStore).
-    pub tmp_paths: Vec<String>,
 }
 
 impl CompiledWorkflow {
+    /// Paths of the temporary inter-job files, job by job: the jobs'
+    /// typed outputs (deleted after execution by a plain Pig; kept and
+    /// registered by ReStore).
+    pub fn tmp_paths(&self) -> impl Iterator<Item = &String> {
+        self.jobs.iter().flat_map(|j| &j.typed_outputs)
+    }
+
     /// `deps[i]` = the jobs job `i` waits for: the shape
     /// [`restore_mapreduce::workflow`]'s DAG functions take.
     pub fn deps(&self) -> Vec<&[usize]> {
@@ -64,19 +74,9 @@ impl CompiledWorkflow {
     pub fn io_path_sets(&self) -> WorkflowIoPaths {
         let mut io = WorkflowIoPaths::default();
         for job in &self.jobs {
-            for l in job.plan.loads() {
-                if let PhysicalOp::Load { path } = job.plan.op(l) {
-                    io.reads.insert(path.clone());
-                }
-            }
-            for s in job.plan.stores() {
-                if let PhysicalOp::Store { path } = job.plan.op(s) {
-                    io.writes.insert(path.clone());
-                }
-            }
-        }
-        for tmp in &self.tmp_paths {
-            io.writes.insert(tmp.clone());
+            let path = |id| job.plan.path(id).to_string();
+            io.reads.extend(job.plan.loads().into_iter().map(path));
+            io.writes.extend(job.plan.stores().into_iter().map(path));
         }
         io
     }
@@ -135,24 +135,21 @@ fn dedupe_loads(plan: &mut PhysicalPlan) {
     plan.gc();
 }
 
+#[derive(Default)]
 struct Frag {
     plan: PhysicalPlan,
     has_reduce: bool,
     deps: BTreeSet<usize>,
     /// query-node → node within this fragment's plan.
     node_map: HashMap<NodeId, NodeId>,
+    /// The tmp paths this fragment Stores.
+    tmps: Vec<String>,
     alive: bool,
 }
 
 impl Frag {
     fn new() -> Self {
-        Frag {
-            plan: PhysicalPlan::new(),
-            has_reduce: false,
-            deps: BTreeSet::new(),
-            node_map: HashMap::new(),
-            alive: true,
-        }
+        Frag { alive: true, ..Frag::default() }
     }
 }
 
@@ -170,9 +167,9 @@ struct Compiler<'a> {
     redirect: Vec<usize>,
     /// query node → (fragment, phase). Loads are not tracked here.
     frag_of: HashMap<NodeId, (usize, Phase)>,
-    /// query node → tmp path already materializing it.
+    /// query node → tmp path already materializing it (one entry per
+    /// tmp, so its length numbers the next).
     closed: HashMap<NodeId, (String, usize)>,
-    tmp_paths: Vec<String>,
     out_prefix: String,
 }
 
@@ -187,7 +184,6 @@ pub fn compile_plan(query: &PhysicalPlan, out_prefix: &str) -> Result<CompiledWo
         redirect: Vec::new(),
         frag_of: HashMap::new(),
         closed: HashMap::new(),
-        tmp_paths: Vec::new(),
         out_prefix: out_prefix.to_string(),
     };
     for q in query.topo_order() {
@@ -208,12 +204,6 @@ impl<'a> Compiler<'a> {
         self.frags.push(Frag::new());
         self.redirect.push(self.frags.len() - 1);
         self.frags.len() - 1
-    }
-
-    fn fresh_tmp(&mut self) -> String {
-        let path = format!("{}/tmp-{}", self.out_prefix, self.tmp_paths.len());
-        self.tmp_paths.push(path.clone());
-        path
     }
 
     fn source_of(&self, q: NodeId) -> BranchSrc {
@@ -264,9 +254,10 @@ impl<'a> Compiler<'a> {
         }
         let (f, _phase) = self.frag_of[&q];
         let f = self.resolve(f);
-        let tmp = self.fresh_tmp();
+        let tmp = format!("{}/tmp-{}", self.out_prefix, self.closed.len());
         let node = self.frags[f].node_map[&q];
         self.frags[f].plan.add(PhysicalOp::Store { path: tmp.clone() }, vec![node]);
+        self.frags[f].tmps.push(tmp.clone());
         self.closed.insert(q, (tmp.clone(), f));
         (tmp, f)
     }
@@ -277,8 +268,7 @@ impl<'a> Compiler<'a> {
             return;
         }
         debug_assert!(!self.frags[b].has_reduce, "cannot merge reduce fragment");
-        let mut b_frag = std::mem::replace(&mut self.frags[b], Frag::new());
-        self.frags[b].alive = false;
+        let mut b_frag = std::mem::take(&mut self.frags[b]);
         // Move nodes over with id remapping; `b`'s plan is discarded.
         let mut remap: HashMap<NodeId, NodeId> = HashMap::new();
         for id in b_frag.plan.topo_order() {
@@ -291,6 +281,7 @@ impl<'a> Compiler<'a> {
         for (q, n) in b_frag.node_map {
             self.frags[a].node_map.entry(q).or_insert(remap[&n]);
         }
+        self.frags[a].tmps.extend(b_frag.tmps);
         let deps: Vec<usize> = b_frag.deps.iter().copied().collect();
         for d in deps {
             let rd = self.resolve(d);
@@ -434,7 +425,8 @@ impl<'a> Compiler<'a> {
             job_index.insert(i, jobs.len());
             let mut plan = std::mem::take(&mut frag.plan);
             dedupe_loads(&mut plan);
-            jobs.push(CompiledJob { plan, deps: Vec::new() });
+            let typed_outputs = std::mem::take(&mut frag.tmps);
+            jobs.push(CompiledJob { plan, deps: Vec::new(), typed_outputs });
         }
         for (i, frag) in self.frags.iter().enumerate() {
             if !frag.alive {
@@ -447,7 +439,7 @@ impl<'a> Compiler<'a> {
             deps.dedup();
             jobs[ji].deps = deps;
         }
-        Ok(CompiledWorkflow { jobs, tmp_paths: self.tmp_paths })
+        Ok(CompiledWorkflow { jobs })
     }
 }
 
@@ -509,8 +501,9 @@ mod tests {
         assert!(j1.ids().any(|i| matches!(j1.op(i), PhysicalOp::Aggregate { .. })));
         assert_eq!(wf.jobs[1].deps, vec![0]);
         // They communicate through the tmp path.
-        assert_eq!(wf.tmp_paths.len(), 1);
-        let tmp = &wf.tmp_paths[0];
+        assert_eq!(wf.jobs[0].typed_outputs.len(), 1);
+        assert_eq!(wf.tmp_paths().count(), 1);
+        let tmp = &wf.jobs[0].typed_outputs[0];
         assert!(j0.ids().any(|i| matches!(j0.op(i), PhysicalOp::Store { path } if path == tmp)));
         assert!(j1.ids().any(|i| matches!(j1.op(i), PhysicalOp::Load { path } if path == tmp)));
     }
@@ -624,5 +617,49 @@ mod tests {
         assert_eq!(wf.jobs.len(), 1);
         let p = &wf.jobs[0].plan;
         assert_eq!(p.stores().len(), 2);
+    }
+
+    fn paths(plan: &PhysicalPlan, ids: Vec<NodeId>) -> Vec<String> {
+        ids.into_iter().map(|id| plan.path(id).to_string()).collect()
+    }
+
+    /// Over every PigMix and paraphrase-suite query, plain and canonical:
+    /// a job's typed outputs are exactly its own `tmp-N` Stores, no user
+    /// Store is typed, and the workflow's tmp set is what one job Stores
+    /// and another Loads.
+    #[test]
+    fn typed_outputs_are_exactly_the_inter_job_temporaries() {
+        let mut texts: Vec<String> = restore_pigmix::queries::standard_workload("/out")
+            .into_iter()
+            .map(|(_, q)| q)
+            .collect();
+        for case in restore_pigmix::paraphrase::paraphrase_suite("/out") {
+            texts.push(case.original);
+            texts.extend(case.paraphrases);
+        }
+        let mut temporaries = 0;
+        for text in &texts {
+            let canonical = crate::compile_canonical(text, "/wf").unwrap().0;
+            for wf in [crate::compile(text, "/wf").unwrap(), canonical] {
+                let stored: Vec<Vec<String>> =
+                    wf.jobs.iter().map(|j| paths(&j.plan, j.plan.stores())).collect();
+                let mut read_back = BTreeSet::new();
+                for (job, stores) in wf.jobs.iter().zip(&stored) {
+                    let tmps: BTreeSet<&String> =
+                        stores.iter().filter(|p| p.starts_with("/wf/tmp-")).collect();
+                    assert_eq!(job.typed_outputs.iter().collect::<BTreeSet<_>>(), tmps, "{text}");
+                    for load in paths(&job.plan, job.plan.loads()) {
+                        if stored.iter().flatten().any(|p| *p == load) {
+                            read_back.insert(load);
+                        }
+                    }
+                }
+                let tmp_set: BTreeSet<String> = wf.tmp_paths().cloned().collect();
+                assert_eq!(tmp_set.len(), wf.tmp_paths().count(), "one writer per tmp: {text}");
+                assert_eq!(tmp_set, read_back, "{text}");
+                temporaries += tmp_set.len();
+            }
+        }
+        assert!(temporaries > 0, "some query compiles to more than one job");
     }
 }

@@ -205,6 +205,14 @@ impl PhysicalPlan {
         self.ids().filter(|&n| matches!(self.op(n), PhysicalOp::Store { .. })).collect()
     }
 
+    /// The file the Load or Store `id` reads or writes.
+    pub fn path(&self, id: NodeId) -> &str {
+        match self.op(id) {
+            PhysicalOp::Load { path } | PhysicalOp::Store { path } => path,
+            op => unreachable!("{op:?} has no path"),
+        }
+    }
+
     /// Topological order (inputs before consumers). The arena is built
     /// bottom-up so ids are already topological, but rewrites can disturb
     /// that; this recomputes properly.

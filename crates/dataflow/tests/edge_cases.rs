@@ -3,7 +3,7 @@
 //! corner cases.
 
 use restore_common::{codec, tuple, Tuple, Value};
-use restore_dataflow::{compile, exec, CompiledWorkflow};
+use restore_dataflow::{compile, exec};
 use restore_dfs::{Dfs, DfsConfig};
 use restore_mapreduce::{ClusterConfig, Engine, EngineConfig};
 
@@ -18,14 +18,7 @@ fn engine() -> Engine {
 }
 
 fn run(eng: &Engine, q: &str) {
-    run_workflow(eng, &compile(q, "/wf").unwrap(), "e");
-}
-
-/// Every job of `wf` as compiled, one at a time in dependency order.
-fn run_workflow(eng: &Engine, wf: &CompiledWorkflow, name: &str) {
-    for idx in wf.topo_order().unwrap() {
-        eng.run(&exec::job_spec(&wf.jobs[idx], &format!("{name}-job{idx}")).unwrap()).unwrap();
-    }
+    exec::run_workflow(eng, &compile(q, "/wf").unwrap(), "e").unwrap();
 }
 
 fn read_sorted(eng: &Engine, path: &str) -> Vec<Tuple> {

@@ -17,8 +17,7 @@
 use proptest::prelude::*;
 use restore_common::{codec, tuple, Tuple};
 use restore_dataflow::{
-    analyzer, compile, compile_canonical, exec, logical, lower, optimizer, parser,
-    CompiledWorkflow, PhysicalPlan,
+    analyzer, compile, compile_canonical, exec, logical, lower, optimizer, parser, PhysicalPlan,
 };
 use restore_dfs::{Dfs, DfsConfig};
 use restore_mapreduce::{ClusterConfig, Engine, EngineConfig};
@@ -131,13 +130,6 @@ const PREDS: [&str; 8] = [
 /// consumer, which placement may fold in the next sweep), and an
 /// optional self-join (two scans of the same file — the common-subplan
 /// case).
-/// Every job of `wf` as compiled, one at a time in dependency order.
-fn run_workflow(eng: &Engine, wf: &CompiledWorkflow, name: &str) {
-    for idx in wf.topo_order().unwrap() {
-        eng.run(&exec::job_spec(&wf.jobs[idx], &format!("{name}-job{idx}")).unwrap()).unwrap();
-    }
-}
-
 fn arb_query() -> impl Strategy<Value = String> {
     let step = (0u8..7, 0..PREDS.len());
     (prop::collection::vec(step, 0..5), any::<bool>()).prop_map(|(steps, join)| {
@@ -181,12 +173,12 @@ proptest! {
     fn canonicalized_workflow_preserves_output_bytes(q in arb_query()) {
         let plain_eng = engine_with_data();
         let wf = compile(&q, "/wf").unwrap();
-        run_workflow(&plain_eng, &wf, "p");
+        exec::run_workflow(&plain_eng, &wf, "p").unwrap();
         let plain_out = plain_eng.dfs().read_all("/out").unwrap();
 
         let canon_eng = engine_with_data();
         let (cwf, _) = compile_canonical(&q, "/wf").unwrap();
-        run_workflow(&canon_eng, &cwf, "c");
+        exec::run_workflow(&canon_eng, &cwf, "c").unwrap();
         let canon_out = canon_eng.dfs().read_all("/out").unwrap();
 
         prop_assert_eq!(plain_out, canon_out, "outputs diverged for query:\n{}", q);

@@ -3,7 +3,7 @@
 //! against hand-computed answers.
 
 use restore_common::{codec, tuple, Tuple, Value};
-use restore_dataflow::{compile, exec, CompiledWorkflow};
+use restore_dataflow::{compile, exec};
 use restore_dfs::{Dfs, DfsConfig};
 use restore_mapreduce::{ClusterConfig, Engine, EngineConfig};
 
@@ -22,14 +22,7 @@ fn write(dfs: &Dfs, path: &str, rows: &[Tuple]) {
 }
 
 fn run(eng: &Engine, q: &str) {
-    run_workflow(eng, &compile(q, "/wf").unwrap(), "t");
-}
-
-/// Every job of `wf` as compiled, one at a time in dependency order.
-fn run_workflow(eng: &Engine, wf: &CompiledWorkflow, name: &str) {
-    for idx in wf.topo_order().unwrap() {
-        eng.run(&exec::job_spec(&wf.jobs[idx], &format!("{name}-job{idx}")).unwrap()).unwrap();
-    }
+    exec::run_workflow(eng, &compile(q, "/wf").unwrap(), "t").unwrap();
 }
 
 fn read_sorted(eng: &Engine, path: &str) -> Vec<Tuple> {
@@ -253,7 +246,7 @@ fn deeply_chained_workflow() {
     )
     .unwrap();
     assert!(wf.jobs.len() >= 4, "expected >= 4 jobs, got {}", wf.jobs.len());
-    run_workflow(&eng, &wf, "deep");
+    exec::run_workflow(&eng, &wf, "deep").unwrap();
     let got = codec::decode_all(&eng.dfs().read_all("/out/deep").unwrap()).unwrap();
     // All 8 users have 5 rows each -> one group (c=5) with 8 distinct users.
     assert_eq!(got, vec![tuple![5, 8]]);

@@ -17,7 +17,9 @@
 //!
 //! Each output is written in its [`crate::Format`]: PigStorage text for a
 //! user's, the typed stored format for the files the system reads back
-//! itself ([`JobSpec::typed_outputs`]). A typed file is its chunks' bytes
+//! itself ([`JobSpec::typed_outputs`], which the job's builder fills: a
+//! compiled workflow's temporaries and ReStore's candidates). The engine
+//! decides no format of its own. A typed file is its chunks' bytes
 //! and then their trailer, which indexes groups that never span two
 //! chunks. Each input is read in whichever format it is in: its end is
 //! looked at once per job ([`InputFile::open`]).

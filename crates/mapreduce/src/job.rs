@@ -37,9 +37,9 @@ pub struct JobSpec {
     pub side_outputs: Vec<String>,
     /// The outputs written in the typed stored format
     /// ([`restore_common::typed`]): files the system writes for itself to
-    /// read back, the compiler's inter-job temporaries and ReStore's
-    /// materialized candidates. Every other output is PigStorage text,
-    /// for a user to read.
+    /// read back. The dataflow compiler names its inter-job temporaries
+    /// and ReStore adds the candidates it materializes. Every other
+    /// output is PigStorage text, for a user to read.
     pub typed_outputs: Vec<String>,
     /// Mapper factory.
     pub mapper: Arc<dyn MapperFactory>,

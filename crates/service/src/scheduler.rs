@@ -142,7 +142,7 @@ mod tests {
         QueuedWorkflow {
             id,
             key: String::new(),
-            wf: CompiledWorkflow { jobs: Vec::new(), tmp_paths: Vec::new() },
+            wf: CompiledWorkflow::default(),
             footprint,
             ticket: Arc::default(),
             enqueued: Instant::now(),

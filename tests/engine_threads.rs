@@ -101,7 +101,7 @@ fn run_workload(threads: usize, instrumented: bool) -> Vec<JobRun> {
         let (wf, _) = compile_canonical(&text, &format!("/wf/{query}")).unwrap();
         for idx in wf.topo_order().unwrap() {
             let mut plan = wf.jobs[idx].plan.clone();
-            let mut typed_outputs = wf.tmp_paths.clone();
+            let mut typed_outputs = wf.jobs[idx].typed_outputs.clone();
             if instrumented {
                 let mut n = 0;
                 let mint = || {

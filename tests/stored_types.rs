@@ -11,21 +11,28 @@
 //! back an `Int`), and NaN/±inf (rendered `NaN`/`inf`, which come back as
 //! strings). A fourth test covers the one stored result that stays text,
 //! a registered final output.
+//!
+//! A compiled workflow's own job boundaries, the `tmp-N` files, are typed
+//! whoever runs it: the last test runs one with no ReStore at all.
 
 use restore_suite::common::{codec, Tuple, Value};
 use restore_suite::core::{ReStore, ReStoreConfig};
+use restore_suite::dataflow::{compile, exec};
 use restore_suite::dfs::{Dfs, DfsConfig};
 use restore_suite::mapreduce::{ClusterConfig, Engine, EngineConfig};
 
-fn session(rows: &[Tuple], config: ReStoreConfig) -> ReStore {
+fn engine(rows: &[Tuple]) -> Engine {
     let dfs = Dfs::new(DfsConfig { nodes: 4, block_size: 64, replication: 2, node_capacity: None });
     dfs.write_all("/d", &codec::encode_all(rows)).unwrap();
-    let engine = Engine::new(
+    Engine::new(
         dfs,
         ClusterConfig::default(),
         EngineConfig { worker_threads: 2, default_reduce_tasks: 3 },
-    );
-    ReStore::new(engine, config)
+    )
+}
+
+fn session(rows: &[Tuple], config: ReStoreConfig) -> ReStore {
+    ReStore::new(engine(rows), config)
 }
 
 /// Run `prefix` then `query` on a reusing session and on a baseline one
@@ -161,4 +168,27 @@ fn a_user_output_is_never_an_alias_of_a_typed_file() {
     assert_eq!(exec.final_output, "/out/query");
     let (_, reused, baseline) = reuse_and_baseline(&data, &prefix, &query);
     assert_eq!(String::from_utf8(reused).unwrap(), String::from_utf8(baseline).unwrap());
+}
+
+#[test]
+fn a_compiled_workflow_runs_the_same_without_restore() {
+    // The group's output crosses to the order job through `tmp-0`; read
+    // back as text, "007", "07" and "7" would all be Int(7).
+    let data = rows(&[("x007", 1.0), ("x07", 2.0), ("x7", 3.0), ("x007", 4.0)]);
+    let query = "A = load '/d' as (k, v:double);
+                 B = foreach A generate SUBSTRING(k, 1, 9) as s;
+                 G = group B by s;
+                 R = foreach G generate group, COUNT(B);
+                 O = order R by $0;
+                 store O into '/out/query';";
+    let wf = compile(query, "/wf/query").unwrap();
+    assert_eq!(wf.jobs.len(), 2);
+    let eng = engine(&data);
+    exec::run_workflow(&eng, &wf, "plain").unwrap();
+    let plain = eng.dfs().read_all("/out/query").unwrap();
+
+    let rs = session(&data, ReStoreConfig::baseline());
+    let baseline = rs.execute_query(query, "/wf/query").unwrap();
+    let baseline = rs.engine().dfs().read_all(&baseline.final_output).unwrap();
+    assert_eq!(String::from_utf8(plain).unwrap(), String::from_utf8(baseline).unwrap());
 }
