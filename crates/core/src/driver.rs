@@ -68,6 +68,7 @@ use restore_dataflow::physical::PhysicalPlan;
 use restore_dfs::Dfs;
 use restore_mapreduce::{split_reader, workflow, Engine, JobResult, JobSpec};
 use restore_telemetry::Registry;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -410,9 +411,9 @@ impl ReStore {
         text: &str,
         out_prefix: &str,
     ) -> Result<CompiledWorkflow> {
-        let config = self.config_as(tenant);
+        let canonicalize = self.read_config_as(tenant, |config| config.canonicalize);
         self.obs.stage.compile.time(|| {
-            if config.canonicalize {
+            if canonicalize {
                 let (wf, timings) = restore_dataflow::compile_canonical(text, out_prefix)?;
                 self.obs.record_canon(&timings);
                 Ok(wf)
@@ -436,7 +437,7 @@ impl ReStore {
     pub fn execute_workflow_as(
         &self,
         tenant: Option<&str>,
-        wf: CompiledWorkflow,
+        mut wf: CompiledWorkflow,
     ) -> Result<QueryExecution> {
         let tick = self.tick.fetch_add(1, Ordering::SeqCst) + 1;
         let space = self.space_for(tenant);
@@ -455,16 +456,10 @@ impl ReStore {
         let sweep_t0 = Instant::now();
         config.selection.sweep(&space.repo, self.engine.dfs(), &space.pins, tick);
         {
-            // Wait-free probe; only publish a new provenance snapshot
-            // when something actually died.
-            let dfs = self.engine.dfs();
-            let mut dead: Vec<String> = {
-                let prov = space.prov.load();
-                prov.iter_paths().filter(|p| !dfs.exists(p)).map(|p| p.to_string()).collect()
-            };
-            // The table is a hash map: sort, so the journal's forgets come
-            // out in the same order every run.
-            dead.sort_unstable();
+            // Wait-free probe, skipped while nothing was deleted since the
+            // snapshot was last found whole; only publish a new provenance
+            // snapshot when something actually died.
+            let dead = space.prov.load().dead_paths(self.engine.dfs());
             if !dead.is_empty() {
                 space.prov.update_then(
                     |prov| {
@@ -479,6 +474,10 @@ impl ReStore {
         self.obs.stage.sweep.record_elapsed(sweep_t0);
 
         let n = wf.jobs.len();
+        // Only a job's preparation reads its plan: take the plans rather
+        // than copy them.
+        let mut plans: Vec<PhysicalPlan> =
+            wf.jobs.iter_mut().map(|job| std::mem::take(&mut job.plan)).collect();
         let deps = wf.deps();
         let waves = workflow::waves(&deps)?;
 
@@ -505,11 +504,13 @@ impl ReStore {
             let mut wave_outputs: Vec<(usize, String)> = Vec::new();
             let prepare_t0 = Instant::now();
             for &idx in &wave {
+                let plan = std::mem::take(&mut plans[idx]);
                 let prep = self.prepare_job(
                     &space,
                     space_name,
                     &wf,
                     idx,
+                    plan,
                     tick,
                     &config,
                     &mut aliases,
@@ -650,6 +651,7 @@ impl ReStore {
         space_name: &str,
         wf: &CompiledWorkflow,
         idx: usize,
+        mut plan: PhysicalPlan,
         tick: u64,
         config: &ReStoreConfig,
         aliases: &mut HashMap<String, String>,
@@ -657,7 +659,6 @@ impl ReStore {
         pins: &mut PinGuard,
     ) -> Result<Prepared> {
         let job = &wf.jobs[idx];
-        let mut plan = job.plan.clone();
         // Re-canonicalize after alias rewriting: aliasing two Loads to
         // the same reused path can expose common subtrees that did not
         // exist at compile time. A plan no alias touched is still the
@@ -693,10 +694,11 @@ impl ReStore {
         // copy of a typed file into a text output runs as a job instead,
         // since aliasing would hand the user typed bytes.
         if job_rewrites > 0 {
-            if let Some((src, dst)) = identity_copy(&plan)
-                .filter(|(src, dst)| job.typed_outputs.contains(dst) || !self.is_typed_file(src))
-            {
-                aliases.insert(dst.clone(), src);
+            if let Some((src, dst)) = identity_copy(&plan).filter(|&(src, dst)| {
+                job.typed_outputs.iter().any(|t| t == dst) || !self.is_typed_file(src)
+            }) {
+                let dst = dst.to_string();
+                aliases.insert(dst.clone(), src.to_string());
                 if let Some(ev) = rewrites.last_mut() {
                     ev.whole_job = true;
                 }
@@ -724,8 +726,7 @@ impl ReStore {
                     // Skip candidates whose (base-level) plan is already
                     // stored: re-materializing them would pay the Store
                     // cost for nothing.
-                    let base = prov.expand(candidate).plan;
-                    repo.contains_plan(&base).is_some()
+                    repo.contains_plan(&prov.expand(candidate).plan).is_some()
                 },
             )
         } else {
@@ -822,10 +823,10 @@ impl ReStore {
                 });
                 break;
             };
-            let reused_path = snap.get(entry_id).expect("matched entry").output_path.clone();
+            let reused_path = &snap.get(entry_id).expect("matched entry").output_path;
             if let Some(p) = pins.as_deref_mut() {
                 let pin_t0 = Instant::now();
-                p.pin(&reused_path);
+                p.pin(reused_path);
                 // Revalidate against a fresh snapshot now that the pin
                 // is visible (see the method docs). A vanished entry is
                 // absent from every later snapshot, so the retry makes
@@ -841,18 +842,27 @@ impl ReStore {
                 }
             }
             let before = cfg!(debug_assertions).then(|| plan.signature());
-            let rewrite_t0 = Instant::now();
             let site = (entry_id, m.tip);
-            let rewritten = expanded.rewrite(&m, &reused_path);
+            // The same (entry, site) twice: keep the plan to put back if
+            // the rewrite turns out not to change it.
+            let kept = (last.replace(site) == Some(site)).then(|| plan.clone());
+            let rewrite_t0 = Instant::now();
+            if let Cow::Borrowed(_) = expanded.plan {
+                // Nothing expanded: the plan is its own expansion, so
+                // rewrite it where it is.
+                crate::rewriter::rewrite(plan, &m, reused_path);
+            } else {
+                *plan = expanded.rewrite(&m, reused_path);
+            }
             self.obs.stage.rewrite.record_elapsed(rewrite_t0);
-            debug_assert_ne!(Some(rewritten.signature()), before, "the probe let a no-op by");
-            if last.replace(site) == Some(site) && rewritten.signature() == plan.signature() {
+            debug_assert_ne!(Some(plan.signature()), before, "the probe let a no-op by");
+            if let Some(kept) = kept.filter(|kept| kept.signature() == plan.signature()) {
+                *plan = kept;
                 if let Some(p) = pins.as_deref_mut() {
                     p.unpin_last();
                 }
                 break;
             }
-            *plan = rewritten;
             matched_any = true;
             decisions.push(ReuseDecision::Matched { entry_id, reused_path: reused_path.clone() });
             if pins.is_some() {
@@ -860,7 +870,7 @@ impl ReStore {
                 // snapshot of the entry — never a repository lock.
                 space.repo.note_use(entry_id, tick);
             }
-            on_match(entry_id, &reused_path);
+            on_match(entry_id, reused_path);
             if identity_copy(plan).is_some() {
                 break; // the whole job is answered; nothing left to match
             }
@@ -923,7 +933,7 @@ impl ReStore {
         let mut candidates_stored = 0usize;
 
         // Whole-job entry: the main output with the job's plan.
-        let whole_base = prov.expand(&whole_prefix).plan;
+        let whole_base = prov.expand(&whole_prefix).plan.into_owned();
         let whole_stats = RepoStats {
             input_bytes: result.counters.map_input_bytes,
             output_bytes: result.counters.output_bytes,
@@ -976,7 +986,7 @@ impl ReStore {
                 created: tick,
                 input_files: input_files.clone(),
             };
-            let base = prov.expand(&cand.prefix).plan;
+            let base = prov.expand(&cand.prefix).plan.into_owned();
             if config.selection.should_keep(&stats) {
                 let outcome = repo.insert(base.clone(), &cand.store_path, stats);
                 // A racing session (or a same-wave sibling prepared before
@@ -1103,7 +1113,18 @@ mod tests {
         let mut pins = PinGuard::new(space.clone(), rs.engine().dfs().clone());
         let (mut aliases, mut rewrites, cfg) = (HashMap::new(), Vec::new(), rs.config_as(None));
         let prep = rs
-            .prepare_job(&space, "", &wf, 0, 2, &cfg, &mut aliases, &mut rewrites, &mut pins)
+            .prepare_job(
+                &space,
+                "",
+                &wf,
+                0,
+                wf.jobs[0].plan.clone(),
+                2,
+                &cfg,
+                &mut aliases,
+                &mut rewrites,
+                &mut pins,
+            )
             .unwrap();
         let Prepared::Skipped { dst } = prep else {
             panic!("join job should be answered whole from the repository")
@@ -1138,7 +1159,18 @@ mod tests {
 
         // …so T1's second wave executes successfully against it.
         let prep1 = rs
-            .prepare_job(&space, "", &wf, 1, 2, &cfg, &mut aliases, &mut rewrites, &mut pins)
+            .prepare_job(
+                &space,
+                "",
+                &wf,
+                1,
+                wf.jobs[1].plan.clone(),
+                2,
+                &cfg,
+                &mut aliases,
+                &mut rewrites,
+                &mut pins,
+            )
             .unwrap();
         let Prepared::Run(job) = prep1 else { panic!("group job should execute") };
         let results = rs.engine().run_wave(&[&job.spec], false).unwrap();

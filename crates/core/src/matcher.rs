@@ -42,9 +42,9 @@ fn through_splits(plan: &PhysicalPlan, mut id: NodeId) -> NodeId {
 
 /// The operator feeding a single-Store plan's Store node.
 pub fn plan_tip(plan: &PhysicalPlan) -> Option<NodeId> {
-    let stores = plan.stores();
-    match stores.as_slice() {
-        [s] => Some(through_splits(plan, plan.inputs(*s)[0])),
+    let mut stores = plan.ids().filter(|&id| matches!(plan.op(id), PhysicalOp::Store { .. }));
+    match (stores.next(), stores.next()) {
+        (Some(s), None) => Some(through_splits(plan, plan.inputs(s)[0])),
         _ => None,
     }
 }
@@ -133,13 +133,14 @@ pub(crate) fn pairwise_plan_traversal_at(
     sites: impl IntoIterator<Item = NodeId>,
 ) -> Option<PlanMatch> {
     let r_tip = plan_tip(repo_plan)?;
-    let mut m = Matcher { repo: repo_plan, input: input_plan, memo: HashMap::new() };
+    let memo = HashMap::with_capacity(repo_plan.len());
+    let mut m = Matcher { repo: repo_plan, input: input_plan, memo };
     for p in sites {
         if matches!(input_plan.op(p), PhysicalOp::Store { .. } | PhysicalOp::Split) {
             continue;
         }
         if m.equivalent(r_tip, p) {
-            let mut mapping = HashMap::new();
+            let mut mapping = HashMap::with_capacity(repo_plan.len());
             m.collect_mapping(r_tip, p, &mut mapping);
             return Some(PlanMatch { tip: p, mapping });
         }

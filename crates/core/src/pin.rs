@@ -62,7 +62,10 @@ impl PinSet {
     /// the file out from under the reader. The exemption holds until
     /// the path is re-registered ([`PinSet::cancel_deferred`]).
     pub fn preserve(&self, path: &str) {
-        self.inner.lock().preserved.insert(path.to_string());
+        let mut g = self.inner.lock();
+        if !g.preserved.contains(path) {
+            g.preserved.insert(path.to_string());
+        }
     }
 
     /// Paths with a deletion deferred to their last unpin. Their files

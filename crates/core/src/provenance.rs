@@ -9,8 +9,11 @@
 
 use crate::matcher::PlanMatch;
 use restore_dataflow::physical::{NodeId, PhysicalOp, PhysicalPlan};
+use restore_dfs::Dfs;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Path → base-level single-Store plan that produced it.
@@ -21,6 +24,21 @@ use std::sync::Arc;
 #[derive(Debug, Clone, Default)]
 pub struct Provenance {
     plans: HashMap<String, Arc<PhysicalPlan>>,
+    /// When [`Provenance::dead_paths`] last found every path of this
+    /// table on the DFS. A clone does not inherit it.
+    all_present: PresentAt,
+}
+
+/// A DFS clock reading plus one, 0 for never. Cloning forgets it: an
+/// RCU update clones the table before changing it, so a memo belongs to
+/// the one snapshot it was taken of.
+#[derive(Debug, Default)]
+struct PresentAt(AtomicU64);
+
+impl Clone for PresentAt {
+    fn clone(&self) -> Self {
+        PresentAt::default()
+    }
 }
 
 /// An expansion performed by [`Provenance::expand`]: the `Load` of `path`
@@ -34,10 +52,11 @@ pub struct Expansion {
 }
 
 /// A lineage-expanded plan plus enough bookkeeping to collapse unused
-/// expansions back into plain Loads.
+/// expansions back into plain Loads. A plan none of whose Loads has a
+/// producer expands to itself, borrowed, with no expansions.
 #[derive(Debug, Clone)]
-pub struct ExpandedPlan {
-    pub plan: PhysicalPlan,
+pub struct ExpandedPlan<'a> {
+    pub plan: Cow<'a, PhysicalPlan>,
     pub expansions: Vec<Expansion>,
 }
 
@@ -60,6 +79,7 @@ impl Provenance {
             "provenance plans must be base-level"
         );
         self.plans.insert(path.into(), Arc::new(plan));
+        self.all_present = PresentAt::default();
     }
 
     /// Journal replay of a recorded registration: the invariants were
@@ -69,6 +89,7 @@ impl Provenance {
     /// base-level check against the *future* table).
     pub(crate) fn register_replay(&mut self, path: String, plan: PhysicalPlan) {
         self.plans.insert(path, Arc::new(plan));
+        self.all_present = PresentAt::default();
     }
 
     pub fn get(&self, path: &str) -> Option<&PhysicalPlan> {
@@ -103,6 +124,28 @@ impl Provenance {
         self.plans.keys().map(|s| s.as_str())
     }
 
+    /// The recorded paths the DFS no longer holds, sorted (the table is
+    /// a hash map; sorted, the forgets they lead to are journaled in the
+    /// same order every run). Once every path was found at DFS clock
+    /// `c`, the table is not checked again while the clock reads `c`:
+    /// only a delete takes a path away, and a delete ticks the clock
+    /// (see [`Dfs::now`]). Registering a path forgets that.
+    pub fn dead_paths(&self, dfs: &Dfs) -> Vec<String> {
+        let now = dfs.now();
+        // `Relaxed`: the memo publishes no data, only a fact about clock
+        // reading `now`, true whichever thread reads it.
+        if self.all_present.0.load(Ordering::Relaxed) == now + 1 {
+            return Vec::new();
+        }
+        let mut dead: Vec<String> =
+            dfs.missing(self.iter_paths()).into_iter().map(str::to_string).collect();
+        if dead.is_empty() {
+            self.all_present.0.fetch_max(now + 1, Ordering::Relaxed);
+        }
+        dead.sort_unstable();
+        dead
+    }
+
     /// Serialize the table (paths sorted for determinism).
     pub fn save(&self) -> String {
         self.save_filtered(|_| true)
@@ -126,7 +169,7 @@ impl Provenance {
         let mut prov = Provenance::new();
         let mut lines = text.lines().peekable();
         while let Some((path, plan)) = parse_record_lines(&mut lines)? {
-            prov.plans.insert(path, Arc::new(plan));
+            prov.register_replay(path, plan);
         }
         if let Some(line) = lines.next() {
             return Err(Error::Repository(format!("expected 'path', got {line:?}")));
@@ -137,29 +180,36 @@ impl Provenance {
     /// Replace every `Load` of a produced path with its producing plan
     /// (minus that plan's Store). Returns the expanded plan and the list
     /// of expansion tips, so callers can collapse unused expansions after
-    /// rewriting.
-    pub fn expand(&self, plan: &PhysicalPlan) -> ExpandedPlan {
-        let mut out = PhysicalPlan::new();
-        let mut remap: HashMap<NodeId, NodeId> = HashMap::new();
+    /// rewriting. The plan is copied only when something expands (or its
+    /// ids are out of topological order, which the copy puts right).
+    pub fn expand<'a>(&self, plan: &'a PhysicalPlan) -> ExpandedPlan<'a> {
+        let produced = |id: NodeId| match plan.op(id) {
+            PhysicalOp::Load { path } => self.plans.get(path),
+            _ => None,
+        };
+        if plan.is_topological() && !plan.ids().any(|id| produced(id).is_some()) {
+            return ExpandedPlan { plan: Cow::Borrowed(plan), expansions: Vec::new() };
+        }
+        let mut out = PhysicalPlan::with_capacity(
+            plan.len() + plan.ids().filter_map(produced).map(|p| p.len()).sum::<usize>(),
+        );
+        let mut remap: Vec<NodeId> = vec![NodeId(u32::MAX); plan.len()];
         let mut expansions = Vec::new();
 
         for id in plan.topo_order() {
             let node = plan.node(id);
-            if let PhysicalOp::Load { path } = &node.op {
-                if let Some(producer) = self.plans.get(path) {
-                    let first = out.len() as u32;
-                    let tip = inline_producer(&mut out, producer);
-                    remap.insert(id, tip);
-                    let nodes = first..out.len() as u32;
-                    expansions.push(Expansion { path: path.clone(), tip, nodes });
-                    continue;
-                }
+            if let Some(producer) = produced(id) {
+                let first = out.len() as u32;
+                let tip = inline_producer(&mut out, producer);
+                remap[id.index()] = tip;
+                let nodes = first..out.len() as u32;
+                expansions.push(Expansion { path: plan.path(id).to_string(), tip, nodes });
+                continue;
             }
-            let inputs: Vec<NodeId> = node.inputs.iter().map(|i| remap[i]).collect();
-            let new_id = out.add(node.op.clone(), inputs);
-            remap.insert(id, new_id);
+            let inputs: Vec<NodeId> = node.inputs.iter().map(|i| remap[i.index()]).collect();
+            remap[id.index()] = out.add(node.op.clone(), inputs);
         }
-        ExpandedPlan { plan: out, expansions }
+        ExpandedPlan { plan: Cow::Owned(out), expansions }
     }
 }
 
@@ -210,19 +260,19 @@ pub(crate) fn parse_record_lines(
 /// that carried the producer's output.
 fn inline_producer(target: &mut PhysicalPlan, producer: &PhysicalPlan) -> NodeId {
     let store = producer.stores()[0];
-    let mut remap: HashMap<NodeId, NodeId> = HashMap::new();
+    let mut remap: Vec<NodeId> = vec![NodeId(u32::MAX); producer.len()];
     for id in producer.topo_order() {
         if id == store {
             continue;
         }
         let node = producer.node(id);
-        let inputs: Vec<NodeId> = node.inputs.iter().map(|i| remap[i]).collect();
-        remap.insert(id, target.add(node.op.clone(), inputs));
+        let inputs: Vec<NodeId> = node.inputs.iter().map(|i| remap[i.index()]).collect();
+        remap[id.index()] = target.add(node.op.clone(), inputs);
     }
-    remap[&producer.inputs(store)[0]]
+    remap[producer.inputs(store)[0].index()]
 }
 
-impl ExpandedPlan {
+impl ExpandedPlan<'_> {
     /// Would splicing a Load of `stored_path` in at `site` collapse
     /// straight back to the plan that was expanded? It does whenever
     /// the site lies inside an expansion — the expansion's tip survives
@@ -241,7 +291,8 @@ impl ExpandedPlan {
     /// `stored_path` over the matched region, then collapse the lineage
     /// the match did not consume back into plain Loads.
     pub fn rewrite(mut self, m: &PlanMatch, stored_path: &str) -> PhysicalPlan {
-        let remap = crate::rewriter::rewrite(&mut self.plan, m, stored_path);
+        let mut plan = self.plan.into_owned();
+        let remap = crate::rewriter::rewrite(&mut plan, m, stored_path);
         // Translate expansion tips through the GC remap; an expansion
         // whose tip vanished was consumed by the matched region and
         // needs no collapsing.
@@ -252,55 +303,43 @@ impl ExpandedPlan {
             }
             None => false,
         });
-        self.collapse_unused()
+        collapse(&mut plan, &self.expansions);
+        plan
     }
 
     /// Collapse every expansion whose tip is still present and consumed
     /// back into a plain `Load` of the produced path, then GC. Called
     /// after rewriting so unmatched lineage does not get re-executed.
-    pub fn collapse_unused(mut self) -> PhysicalPlan {
-        loop {
-            let mut acted = false;
-            for exp in &self.expansions {
-                let tip = exp.tip;
-                if tip.index() >= self.plan.len() {
-                    continue;
-                }
-                let consumers = self.plan.consumers(tip);
-                if consumers.is_empty() {
-                    continue;
-                }
-                // Skip when the tip already became a Load of the same path
-                // (a rewrite replaced the expansion with the stored file).
-                if matches!(self.plan.op(tip), PhysicalOp::Load { .. }) {
-                    continue;
-                }
-                let load = self.plan.add(PhysicalOp::Load { path: exp.path.clone() }, vec![]);
-                for c in consumers {
-                    for k in 0..self.plan.inputs(c).len() {
-                        if self.plan.inputs(c)[k] == tip {
-                            self.plan.node_mut(c).inputs[k] = load;
-                        }
-                    }
-                }
-                acted = true;
-            }
-            if !acted {
-                break;
-            }
-            // Ids shift on GC; redo in the (rare) multi-expansion case.
-            let remap = self.plan.gc();
-            for exp in &mut self.expansions {
-                exp.tip = match remap.get(exp.tip.index()).copied().flatten() {
-                    Some(t) => t,
-                    None => NodeId(u32::MAX), // gone: fully consumed
-                };
-            }
-            self.expansions.retain(|e| e.tip != NodeId(u32::MAX));
+    pub fn collapse_unused(self) -> PhysicalPlan {
+        let mut plan = self.plan.into_owned();
+        if !collapse(&mut plan, &self.expansions) {
+            plan.gc();
         }
-        self.plan.gc();
-        self.plan
+        plan
     }
+}
+
+/// Redirect the consumers of every expansion tip that is not already a
+/// Load to a fresh Load of the expansion's path, and GC if any was.
+/// Returns whether one was. Expansions are disjoint, so collapsing one
+/// never changes another's tip, and one pass collapses them all.
+fn collapse(plan: &mut PhysicalPlan, expansions: &[Expansion]) -> bool {
+    let mut acted = false;
+    for exp in expansions {
+        let tip = exp.tip;
+        if matches!(plan.op(tip), PhysicalOp::Load { .. })
+            || !plan.ids().any(|c| plan.inputs(c).contains(&tip))
+        {
+            continue;
+        }
+        let load = plan.add(PhysicalOp::Load { path: exp.path.clone() }, vec![]);
+        plan.redirect(tip, load);
+        acted = true;
+    }
+    if acted {
+        plan.gc();
+    }
+    acted
 }
 
 #[cfg(test)]
@@ -328,7 +367,8 @@ mod tests {
     fn expansion_inlines_producer() {
         let mut prov = Provenance::new();
         prov.register("/tmp-0", producer());
-        let exp = prov.expand(&consumer());
+        let plan = consumer();
+        let exp = prov.expand(&plan);
         // Load(/base) -> Project -> Group -> Store.
         assert_eq!(exp.plan.len(), 4);
         assert_eq!(exp.expansions.len(), 1);
@@ -342,7 +382,7 @@ mod tests {
         let prov = Provenance::new();
         let c = consumer();
         let exp = prov.expand(&c);
-        assert_eq!(exp.plan, c);
+        assert!(matches!(exp.plan, Cow::Borrowed(p) if *p == c));
         assert!(exp.expansions.is_empty());
     }
 
@@ -350,7 +390,8 @@ mod tests {
     fn collapse_restores_unmatched_expansion() {
         let mut prov = Provenance::new();
         prov.register("/tmp-0", producer());
-        let exp = prov.expand(&consumer());
+        let plan = consumer();
+        let exp = prov.expand(&plan);
         // No rewrite happened; collapsing must restore the original shape.
         let collapsed = exp.collapse_unused();
         assert_eq!(collapsed.loads().len(), 1);
@@ -366,7 +407,8 @@ mod tests {
         prov.register("/tmp-0", producer());
         // Load(/base) -> Project | -> Group -> Store; the expansion of
         // `/tmp-0` is the first two nodes, its tip the Project.
-        let exp = prov.expand(&consumer());
+        let plan = consumer();
+        let exp = prov.expand(&plan);
         let tip = exp.expansions[0].tip;
         let load = exp.plan.inputs(tip)[0];
         let group = exp.plan.consumers(tip)[0];

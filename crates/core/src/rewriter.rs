@@ -17,18 +17,8 @@ use restore_dataflow::physical::{NodeId, PhysicalOp, PhysicalPlan};
 /// holding node ids into the plan (e.g. lineage-expansion tips) can
 /// translate them.
 pub fn rewrite(plan: &mut PhysicalPlan, m: &PlanMatch, stored_path: &str) -> Vec<Option<NodeId>> {
-    let tip = m.tip;
     let load = plan.add(PhysicalOp::Load { path: stored_path.to_string() }, vec![]);
-    for c in plan.consumers(tip) {
-        if c == load {
-            continue;
-        }
-        for k in 0..plan.inputs(c).len() {
-            if plan.inputs(c)[k] == tip {
-                plan.node_mut(c).inputs[k] = load;
-            }
-        }
-    }
+    plan.redirect(m.tip, load);
     plan.gc()
 }
 
@@ -38,20 +28,17 @@ pub fn rewrite(plan: &mut PhysicalPlan, m: &PlanMatch, stored_path: &str) -> Vec
 /// (§3: "other MapReduce jobs in the workflow that use the output of J as
 /// input are rewritten so that they load their input data from the output
 /// of the repository plan").
-pub fn identity_copy(plan: &PhysicalPlan) -> Option<(String, String)> {
-    let loads = plan.loads();
-    let stores = plan.stores();
-    if loads.len() != 1 || stores.len() != 1 || plan.len() != 2 {
+pub fn identity_copy(plan: &PhysicalPlan) -> Option<(&str, &str)> {
+    if plan.len() != 2 {
         return None;
     }
-    let (l, s) = (loads[0], stores[0]);
+    let (a, b) = (NodeId(0), NodeId(1));
+    let (l, s) = if plan.inputs(b) == [a] { (a, b) } else { (b, a) };
     if plan.inputs(s) != [l] {
         return None;
     }
     match (plan.op(l), plan.op(s)) {
-        (PhysicalOp::Load { path: src }, PhysicalOp::Store { path: dst }) => {
-            Some((src.clone(), dst.clone()))
-        }
+        (PhysicalOp::Load { path: src }, PhysicalOp::Store { path: dst }) => Some((src, dst)),
         _ => None,
     }
 }
@@ -138,7 +125,7 @@ mod tests {
         let m = pairwise_plan_traversal(&repo, &input).unwrap();
         rewrite(&mut input, &m, "/stored/q1");
         let id = identity_copy(&input).unwrap();
-        assert_eq!(id, ("/stored/q1".to_string(), "/out".to_string()));
+        assert_eq!(id, ("/stored/q1", "/out"));
     }
 
     #[test]

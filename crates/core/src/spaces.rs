@@ -238,16 +238,33 @@ impl ReStore {
     /// namespace never holds an override, so it follows the global
     /// config.
     pub(crate) fn effective_config(&self, space: &Space) -> ReStoreConfig {
-        (*space.config.load()).clone().unwrap_or_else(|| self.config())
+        self.read_effective_config(space, ReStoreConfig::clone)
+    }
+
+    /// [`ReStore::effective_config`], read in place by `f`.
+    fn read_effective_config<R>(&self, space: &Space, f: impl FnOnce(&ReStoreConfig) -> R) -> R {
+        match &*space.config.load() {
+            Some(config) => f(config),
+            None => f(&self.config.read()),
+        }
     }
 
     /// The effective configuration for `tenant`: its override, else the
     /// global configuration, which is what `None` (or an empty name,
     /// the default namespace) reads.
     pub fn config_as(&self, tenant: Option<&str>) -> ReStoreConfig {
+        self.read_config_as(tenant, ReStoreConfig::clone)
+    }
+
+    /// [`ReStore::config_as`], read in place by `f`.
+    pub(crate) fn read_config_as<R>(
+        &self,
+        tenant: Option<&str>,
+        f: impl FnOnce(&ReStoreConfig) -> R,
+    ) -> R {
         match Self::space_name(tenant) {
-            "" => self.config(),
-            _ => self.effective_config(&self.space_snapshot(tenant)),
+            "" => f(&self.config.read()),
+            _ => self.read_effective_config(&self.space_snapshot(tenant), f),
         }
     }
 

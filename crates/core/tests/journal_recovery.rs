@@ -538,7 +538,10 @@ fn journal_stats_track_recording() {
 /// entries in two namespaces, so the next run in each deletes several
 /// stored files at once (their provenance forgotten in one batch); and a
 /// job of the default namespace overwrites a final output of `ana` and one
-/// of `bo` in one wave.
+/// of `bo` in one wave. Then two job-free warm reruns with a stored file
+/// deleted behind the session's back between them (the second forgets
+/// it), a strict policy with a one-query eviction window and a retry
+/// policy for `bo`, and that override cleared again.
 fn journaled_run() -> (String, Vec<String>, String) {
     let shared = dfs();
     let config = ReStoreConfig {
@@ -568,6 +571,51 @@ fn journaled_run() -> (String, Vec<String>, String) {
     .unwrap();
     rs.execute_query_as(Some("ana"), &sum_query("/out/ana2"), "/wf/ana2").unwrap();
     segments.extend(rs.save_state_delta().unwrap());
+
+    // The first rerun finds every stored file and forgets nothing. The
+    // second may skip that check only while nothing was deleted since,
+    // and something was.
+    let rerun = rs.execute_query(&sum_query("/out/s3"), "/wf/s3").unwrap();
+    assert!(rerun.job_results.is_empty(), "the rerun is answered from the repository");
+    let first = rs.save_state_delta().unwrap();
+    assert!(!first.iter().any(|s| s.contains("\nforget ")), "nothing to forget: {first:?}");
+    let victim = rs
+        .repository_as(None)
+        .entries()
+        .iter()
+        .map(|e| e.output_path.clone())
+        .find(|p| *p != rerun.final_output)
+        .expect("a second stored file");
+    assert!(shared.delete(&victim));
+    let rerun = rs.execute_query(&sum_query("/out/s4"), "/wf/s4").unwrap();
+    assert!(rerun.job_results.is_empty(), "the rerun is answered from the repository");
+    let second = rs.save_state_delta().unwrap();
+    let forget = format!("\nforget {victim:?}\n");
+    assert!(second.iter().any(|s| s.contains(&forget)), "{victim} forgotten: {second:?}");
+    segments.extend(first);
+    segments.extend(second);
+
+    let strict = ReStoreConfig {
+        selection: SelectionPolicy::strict(1),
+        failure: FailurePolicy {
+            on_failure: FailureDisposition::Retry,
+            max_retries: 2,
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    rs.set_config_as(Some("bo"), strict);
+    rs.execute_query_as(Some("bo"), &join_query("/out/bo2"), "/wf/bo2").unwrap();
+    rs.execute_query(&join_query("/out/j2"), "/wf/j2").unwrap();
+    rs.execute_query_as(Some("bo"), &sum_query("/out/bo3"), "/wf/bo3").unwrap();
+    rs.clear_config_as("bo");
+    rs.execute_query_as(Some("bo"), &join_query("/out/bo4"), "/wf/bo4").unwrap();
+    let last = rs.save_state_delta().unwrap();
+    let evicted: usize =
+        forget_batches(&last).iter().filter(|(s, _)| s == "\"bo\"").map(|b| b.1).sum();
+    assert!(evicted > 0, "the window evicts in bo: {last:?}");
+    assert!(last.concat().contains("\ntenant-config-clear \"bo\"\n"));
+    segments.extend(last);
     (base, segments, rs.save_state())
 }
 
@@ -597,6 +645,9 @@ fn one_workload_journals_the_same_bytes_every_run() {
     for space in ["\"ana\"", "\"bo\""] {
         assert!(batches.iter().any(|(s, n)| s == space && *n > 0), "{space} forgets: {batches:?}");
     }
+    let all = segments.concat();
+    assert!(all.contains("\ntenant-config \"bo\"\n"), "the override is journaled");
+    assert!(all.contains("eviction_window 1\n") && all.contains("on_failure retry\n"));
     let (base2, segments2, state2) = journaled_run();
     assert_eq!(base, base2);
     assert_eq!(segments.len(), segments2.len());

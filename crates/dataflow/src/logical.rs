@@ -10,6 +10,7 @@ use crate::expr::{AggFunc, ArithOp, CmpOp, Expr, ScalarFunc};
 use crate::physical::AggItem;
 use restore_common::{Error, Field, FieldType, Result, Schema};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Node index in a [`LogicalPlan`].
 pub type LNodeId = usize;
@@ -34,14 +35,22 @@ pub enum LogicalOp {
 }
 
 /// A logical node: operator, inputs, output schema, and (for bag-typed
-/// fields) the element schema of each bag.
+/// fields) the element schema of each bag. Both are shared: an operator
+/// that keeps its input's shape (Filter, a SPLIT branch, Distinct, Order,
+/// Limit, Union, Store) holds its input's, and a group's bag holds the
+/// grouped relation's schema.
 #[derive(Debug, Clone)]
 pub struct LogicalNode {
     pub op: LogicalOp,
     pub inputs: Vec<LNodeId>,
-    pub schema: Schema,
+    pub schema: Arc<Schema>,
     /// Parallel to `schema`: element schema of bag-typed fields.
-    pub bag_schemas: Vec<Option<Schema>>,
+    pub bag_schemas: Arc<[Option<Arc<Schema>>]>,
+}
+
+/// `bag_schemas` of a relation with `n` fields and no bags.
+fn no_bags(n: usize) -> Arc<[Option<Arc<Schema>>]> {
+    (0..n).map(|_| None).collect()
 }
 
 /// The logical plan DAG.
@@ -77,13 +86,16 @@ impl LogicalPlan {
 
     /// Build a logical plan from a parsed program.
     pub fn from_ast(program: &Program) -> Result<LogicalPlan> {
-        let mut b = Builder { plan: LogicalPlan::default(), aliases: HashMap::new() };
+        let mut b = Builder {
+            plan: LogicalPlan { nodes: Vec::with_capacity(program.statements.len()) },
+            aliases: HashMap::with_capacity(program.statements.len()),
+        };
         let mut any_store = false;
         for stmt in &program.statements {
             match stmt {
                 Statement::Assign { alias, rel } => {
                     let id = b.build_rel(alias, rel)?;
-                    b.aliases.insert(alias.clone(), id);
+                    b.aliases.insert(alias, id);
                 }
                 Statement::Store { alias, path } => {
                     any_store = true;
@@ -112,7 +124,7 @@ impl LogicalPlan {
                             schema,
                             bag_schemas: bags,
                         });
-                        b.aliases.insert(alias.clone(), id);
+                        b.aliases.insert(alias, id);
                     }
                 }
             }
@@ -124,12 +136,13 @@ impl LogicalPlan {
     }
 }
 
-struct Builder {
+struct Builder<'a> {
     plan: LogicalPlan,
-    aliases: HashMap<String, LNodeId>,
+    /// Alias → the node it names, keyed by the program's own strings.
+    aliases: HashMap<&'a str, LNodeId>,
 }
 
-impl Builder {
+impl Builder<'_> {
     fn alias(&self, name: &str) -> Result<LNodeId> {
         self.aliases.get(name).copied().ok_or_else(|| {
             Error::Plan(format!(
@@ -148,8 +161,8 @@ impl Builder {
                 Ok(self.plan.add(LogicalNode {
                     op: LogicalOp::Load { path: path.clone() },
                     inputs: vec![],
-                    schema: Schema::new(fields),
-                    bag_schemas: vec![None; n],
+                    schema: Arc::new(Schema::new(fields)),
+                    bag_schemas: no_bags(n),
                 }))
             }
             RelExpr::Filter { input, predicate } => {
@@ -239,7 +252,7 @@ impl Builder {
                         // both sides of self-named fields stay reachable.
                         fields.push(Field::new(format!("{a}::{}", f.name), f.ty));
                     }
-                    bags.extend(self.plan.node(id).bag_schemas.clone());
+                    bags.extend(self.plan.node(id).bag_schemas.iter().cloned());
                     ids.push(id);
                 }
                 let arities: Vec<usize> = keys.iter().map(|k| k.len()).collect();
@@ -249,8 +262,8 @@ impl Builder {
                 Ok(self.plan.add(LogicalNode {
                     op: LogicalOp::Join { keys },
                     inputs: ids,
-                    schema: Schema::new(fields),
-                    bag_schemas: bags,
+                    schema: Arc::new(Schema::new(fields)),
+                    bag_schemas: bags.into(),
                 }))
             }
             RelExpr::Group { input, keys, all } => {
@@ -286,8 +299,8 @@ impl Builder {
                 Ok(self.plan.add(LogicalNode {
                     op: LogicalOp::Group { keys: rkeys },
                     inputs: vec![in_id],
-                    schema: Schema::new(fields),
-                    bag_schemas: bags,
+                    schema: Arc::new(Schema::new(fields)),
+                    bag_schemas: bags.into(),
                 }))
             }
             RelExpr::CoGroup { inputs } => {
@@ -327,8 +340,8 @@ impl Builder {
                 Ok(self.plan.add(LogicalNode {
                     op: LogicalOp::CoGroup { keys },
                     inputs: ids,
-                    schema: Schema::new(fields),
-                    bag_schemas: bags,
+                    schema: Arc::new(Schema::new(fields)),
+                    bag_schemas: bags.into(),
                 }))
             }
             RelExpr::Foreach { input, items } => {
@@ -383,8 +396,8 @@ impl Builder {
         Ok(self.plan.add(LogicalNode {
             op,
             inputs: vec![in_id],
-            schema: Schema::new(fields),
-            bag_schemas: bags,
+            schema: Arc::new(Schema::new(fields)),
+            bag_schemas: bags.into(),
         }))
     }
 
@@ -450,8 +463,8 @@ impl Builder {
         Ok(self.plan.add(LogicalNode {
             op: LogicalOp::Aggregate { items: agg_items },
             inputs: vec![in_id],
-            schema: Schema::new(fields),
-            bag_schemas: vec![None; n],
+            schema: Arc::new(Schema::new(fields)),
+            bag_schemas: no_bags(n),
         }))
     }
 
@@ -506,8 +519,8 @@ impl Builder {
         let proj = self.plan.add(LogicalNode {
             op: LogicalOp::Project { cols: cols.clone() },
             inputs: vec![in_id],
-            schema: Schema::new(proj_fields.clone()),
-            bag_schemas: proj_bags,
+            schema: Arc::new(Schema::new(proj_fields.clone())),
+            bag_schemas: proj_bags.into(),
         });
 
         let mut out_fields = Vec::new();
@@ -522,8 +535,8 @@ impl Builder {
         Ok(self.plan.add(LogicalNode {
             op: LogicalOp::Flatten { bag_col: flatten_pos },
             inputs: vec![proj],
-            schema: Schema::new(out_fields),
-            bag_schemas: vec![None; n],
+            schema: Arc::new(Schema::new(out_fields)),
+            bag_schemas: no_bags(n),
         }))
     }
 }
@@ -538,7 +551,7 @@ fn is_aggregate_item(e: &AstExpr) -> bool {
 fn resolve_agg_arg(
     args: &[AstExpr],
     schema: &Schema,
-    bags: &[Option<Schema>],
+    bags: &[Option<Arc<Schema>>],
 ) -> Result<(usize, Option<usize>, String)> {
     // A column is a bag if we tracked its element schema, or if it was
     // *declared* as a bag (e.g. loading a previously stored Group output).
@@ -593,8 +606,8 @@ fn output_field(
     resolved: &Expr,
     rename: Option<&str>,
     schema: &Schema,
-    bags: &[Option<Schema>],
-) -> (String, FieldType, Option<Schema>) {
+    bags: &[Option<Arc<Schema>>],
+) -> (String, FieldType, Option<Arc<Schema>>) {
     if let Expr::Col(c) = resolved {
         let f = schema.field(*c);
         let name = rename

@@ -7,7 +7,6 @@
 use crate::logical::{LNodeId, LogicalOp, LogicalPlan};
 use crate::physical::{NodeId, PhysicalOp, PhysicalPlan};
 use restore_common::{Error, Result};
-use std::collections::HashMap;
 
 /// Lower a logical plan to a physical plan. Only nodes reachable from a
 /// Store survive (dead aliases are dropped).
@@ -16,8 +15,9 @@ pub fn lower(logical: &LogicalPlan) -> Result<PhysicalPlan> {
     if stores.is_empty() {
         return Err(Error::Plan("logical plan has no Store".into()));
     }
-    let mut phys = PhysicalPlan::new();
-    let mut memo: HashMap<LNodeId, NodeId> = HashMap::new();
+    let mut phys = PhysicalPlan::with_capacity(logical.len());
+    // Logical node → its lowered node, once lowered.
+    let mut memo: Vec<Option<NodeId>> = vec![None; logical.len()];
     for s in stores {
         lower_node(logical, s, &mut phys, &mut memo)?;
     }
@@ -28,9 +28,9 @@ fn lower_node(
     logical: &LogicalPlan,
     id: LNodeId,
     phys: &mut PhysicalPlan,
-    memo: &mut HashMap<LNodeId, NodeId>,
+    memo: &mut [Option<NodeId>],
 ) -> Result<NodeId> {
-    if let Some(&done) = memo.get(&id) {
+    if let Some(done) = memo[id] {
         return Ok(done);
     }
     let node = logical.node(id);
@@ -55,7 +55,7 @@ fn lower_node(
         LogicalOp::Limit { n } => PhysicalOp::Limit { n: *n },
     };
     let pid = phys.add(op, inputs);
-    memo.insert(id, pid);
+    memo[id] = Some(pid);
     Ok(pid)
 }
 

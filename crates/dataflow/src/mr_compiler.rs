@@ -156,7 +156,7 @@ impl Frag {
 /// Where a consumer finds its input.
 enum BranchSrc {
     /// A base file (query-level Load node).
-    File(NodeId, String),
+    File(NodeId),
     /// Produced by a fragment at a phase.
     Frag(usize, Phase),
 }
@@ -165,8 +165,9 @@ struct Compiler<'a> {
     query: &'a PhysicalPlan,
     frags: Vec<Frag>,
     redirect: Vec<usize>,
-    /// query node → (fragment, phase). Loads are not tracked here.
-    frag_of: HashMap<NodeId, (usize, Phase)>,
+    /// query node → (fragment, phase), by query node id. Loads are not
+    /// tracked here.
+    frag_of: Vec<Option<(usize, Phase)>>,
     /// query node → tmp path already materializing it (one entry per
     /// tmp, so its length numbers the next).
     closed: HashMap<NodeId, (String, usize)>,
@@ -182,7 +183,7 @@ pub fn compile_plan(query: &PhysicalPlan, out_prefix: &str) -> Result<CompiledWo
         query,
         frags: Vec::new(),
         redirect: Vec::new(),
-        frag_of: HashMap::new(),
+        frag_of: vec![None; query.len()],
         closed: HashMap::new(),
         out_prefix: out_prefix.to_string(),
     };
@@ -208,9 +209,9 @@ impl<'a> Compiler<'a> {
 
     fn source_of(&self, q: NodeId) -> BranchSrc {
         match self.query.op(q) {
-            PhysicalOp::Load { path } => BranchSrc::File(q, path.clone()),
+            PhysicalOp::Load { .. } => BranchSrc::File(q),
             _ => {
-                let (f, phase) = self.frag_of[&q];
+                let (f, phase) = self.frag_of[q.index()].expect("inputs are processed first");
                 BranchSrc::Frag(self.resolve(f), phase)
             }
         }
@@ -221,10 +222,11 @@ impl<'a> Compiler<'a> {
     /// Returns the in-fragment node id.
     fn branch_into(&mut self, target: usize, q: NodeId) -> NodeId {
         match self.source_of(q) {
-            BranchSrc::File(qload, path) => {
+            BranchSrc::File(qload) => {
                 if let Some(&n) = self.frags[target].node_map.get(&qload) {
                     return n;
                 }
+                let path = self.query.path(qload).to_string();
                 let n = self.frags[target].plan.add(PhysicalOp::Load { path }, vec![]);
                 self.frags[target].node_map.insert(qload, n);
                 n
@@ -252,7 +254,7 @@ impl<'a> Compiler<'a> {
         if let Some((tmp, f)) = self.closed.get(&q) {
             return (tmp.clone(), self.resolve(*f));
         }
-        let (f, _phase) = self.frag_of[&q];
+        let (f, _phase) = self.frag_of[q.index()].expect("a closed node was processed");
         let f = self.resolve(f);
         let tmp = format!("{}/tmp-{}", self.out_prefix, self.closed.len());
         let node = self.frags[f].node_map[&q];
@@ -270,16 +272,15 @@ impl<'a> Compiler<'a> {
         debug_assert!(!self.frags[b].has_reduce, "cannot merge reduce fragment");
         let mut b_frag = std::mem::take(&mut self.frags[b]);
         // Move nodes over with id remapping; `b`'s plan is discarded.
-        let mut remap: HashMap<NodeId, NodeId> = HashMap::new();
+        let mut remap: Vec<NodeId> = vec![NodeId(u32::MAX); b_frag.plan.len()];
         for id in b_frag.plan.topo_order() {
             let node = b_frag.plan.node_mut(id);
-            let inputs: Vec<NodeId> = node.inputs.iter().map(|i| remap[i]).collect();
+            let inputs: Vec<NodeId> = node.inputs.iter().map(|i| remap[i.index()]).collect();
             let op = std::mem::replace(&mut node.op, PhysicalOp::Split);
-            let new_id = self.frags[a].plan.add(op, inputs);
-            remap.insert(id, new_id);
+            remap[id.index()] = self.frags[a].plan.add(op, inputs);
         }
         for (q, n) in b_frag.node_map {
-            self.frags[a].node_map.entry(q).or_insert(remap[&n]);
+            self.frags[a].node_map.entry(q).or_insert(remap[n.index()]);
         }
         self.frags[a].tmps.extend(b_frag.tmps);
         let deps: Vec<usize> = b_frag.deps.iter().copied().collect();
@@ -289,7 +290,7 @@ impl<'a> Compiler<'a> {
         }
         self.redirect[b] = a;
         // Re-point assigned query nodes.
-        for (_, (f, _)) in self.frag_of.iter_mut() {
+        for (f, _) in self.frag_of.iter_mut().flatten() {
             if *f == b {
                 *f = a;
             }
@@ -324,7 +325,7 @@ impl<'a> Compiler<'a> {
         };
         let n = self.frags[f].plan.add(op, vec![in_node]);
         self.frags[f].node_map.insert(q, n);
-        self.frag_of.insert(q, (f, phase));
+        self.frag_of[q.index()] = Some((f, phase));
         Ok(())
     }
 
@@ -353,7 +354,7 @@ impl<'a> Compiler<'a> {
         let n = self.frags[f].plan.add(op, vec![in_node]);
         self.frags[f].has_reduce = true;
         self.frags[f].node_map.insert(q, n);
-        self.frag_of.insert(q, (f, Phase::Reduce));
+        self.frag_of[q.index()] = Some((f, Phase::Reduce));
         Ok(())
     }
 
@@ -380,7 +381,7 @@ impl<'a> Compiler<'a> {
         let n = self.frags[target].plan.add(op, branch_nodes);
         self.frags[target].has_reduce = true;
         self.frags[target].node_map.insert(q, n);
-        self.frag_of.insert(q, (target, Phase::Reduce));
+        self.frag_of[q.index()] = Some((target, Phase::Reduce));
         Ok(())
     }
 
@@ -404,25 +405,25 @@ impl<'a> Compiler<'a> {
             inputs.iter().map(|&i| self.branch_into(target, i)).collect();
         let n = self.frags[target].plan.add(PhysicalOp::Union, branch_nodes);
         self.frags[target].node_map.insert(q, n);
-        self.frag_of.insert(q, (target, Phase::Map));
+        self.frag_of[q.index()] = Some((target, Phase::Map));
         Ok(())
     }
 
     fn finish(mut self) -> Result<CompiledWorkflow> {
         // Surviving fragments become jobs, in creation order.
-        let mut job_index: HashMap<usize, usize> = HashMap::new();
+        let mut job_index: Vec<usize> = vec![usize::MAX; self.frags.len()];
         let mut jobs = Vec::new();
         for (i, frag) in self.frags.iter_mut().enumerate() {
             if !frag.alive {
                 continue;
             }
-            if frag.plan.stores().is_empty() {
+            if !frag.plan.ids().any(|id| matches!(frag.plan.op(id), PhysicalOp::Store { .. })) {
                 return Err(Error::Plan(format!(
                     "internal: fragment {i} compiled without a Store:\n{}",
                     frag.plan.explain()
                 )));
             }
-            job_index.insert(i, jobs.len());
+            job_index[i] = jobs.len();
             let mut plan = std::mem::take(&mut frag.plan);
             dedupe_loads(&mut plan);
             let typed_outputs = std::mem::take(&mut frag.tmps);
@@ -432,9 +433,9 @@ impl<'a> Compiler<'a> {
             if !frag.alive {
                 continue;
             }
-            let ji = job_index[&i];
+            let ji = job_index[i];
             let mut deps: Vec<usize> =
-                frag.deps.iter().map(|&d| job_index[&self.resolve(d)]).collect();
+                frag.deps.iter().map(|&d| job_index[self.resolve(d)]).collect();
             deps.sort_unstable();
             deps.dedup();
             jobs[ji].deps = deps;

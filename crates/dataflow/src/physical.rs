@@ -13,7 +13,9 @@
 //! to deduplicate repository entries.
 
 use crate::expr::{AggFunc, Expr};
+use std::cmp::Reverse;
 use std::collections::hash_map::DefaultHasher;
+use std::collections::BinaryHeap;
 use std::hash::{Hash, Hasher};
 
 /// Index of a node within its plan.
@@ -152,6 +154,11 @@ impl PhysicalPlan {
         PhysicalPlan::default()
     }
 
+    /// An empty plan with room for `n` nodes.
+    pub fn with_capacity(n: usize) -> Self {
+        PhysicalPlan { nodes: Vec::with_capacity(n) }
+    }
+
     /// Add a node, returning its id.
     pub fn add(&mut self, op: PhysicalOp, inputs: Vec<NodeId>) -> NodeId {
         for i in &inputs {
@@ -213,32 +220,56 @@ impl PhysicalPlan {
         }
     }
 
-    /// Topological order (inputs before consumers). The arena is built
-    /// bottom-up so ids are already topological, but rewrites can disturb
-    /// that; this recomputes properly.
+    /// Topological order (inputs before consumers): Kahn's algorithm,
+    /// always taking the lowest ready id next. The arena is built
+    /// bottom-up, so ids are usually topological already and the order is
+    /// the ids themselves; rewrites can disturb that, and then it is
+    /// computed.
     pub fn topo_order(&self) -> Vec<NodeId> {
+        if self.is_topological() {
+            return self.ids().collect();
+        }
         let n = self.nodes.len();
-        let mut remaining_inputs: Vec<usize> =
-            self.nodes.iter().map(|nd| nd.inputs.len()).collect();
-        let mut ready: Vec<NodeId> =
-            (0..n as u32).map(NodeId).filter(|id| remaining_inputs[id.index()] == 0).collect();
-        ready.reverse(); // pop from the low end first
+        let mut remaining: Vec<usize> = self.nodes.iter().map(|nd| nd.inputs.len()).collect();
+        let mut ready: BinaryHeap<Reverse<u32>> =
+            (0..n as u32).filter(|&i| remaining[i as usize] == 0).map(Reverse).collect();
         let mut order = Vec::with_capacity(n);
-        while let Some(id) = ready.pop() {
+        while let Some(Reverse(id)) = ready.pop() {
+            let id = NodeId(id);
             order.push(id);
-            for c in self.consumers(id) {
+            for (c, node) in self.nodes.iter().enumerate() {
                 // A consumer can reference the same input in several
                 // positions (e.g. `union A, A`); decrement per edge.
-                let multiplicity = self.inputs(c).iter().filter(|&&i| i == id).count();
-                remaining_inputs[c.index()] -= multiplicity;
-                if remaining_inputs[c.index()] == 0 {
-                    ready.push(c);
-                    ready.sort_by(|a, b| b.cmp(a));
+                let edges = node.inputs.iter().filter(|&&i| i == id).count();
+                if edges > 0 {
+                    remaining[c] -= edges;
+                    if remaining[c] == 0 {
+                        ready.push(Reverse(c as u32));
+                    }
                 }
             }
         }
         debug_assert_eq!(order.len(), n, "plan contains a cycle");
         order
+    }
+
+    /// Does every node read only lower ids? Then the id order is
+    /// [`PhysicalPlan::topo_order`].
+    pub fn is_topological(&self) -> bool {
+        self.nodes.iter().enumerate().all(|(i, nd)| nd.inputs.iter().all(|x| x.index() < i))
+    }
+
+    /// Point every input edge that reads `from` at `to` instead. Returns
+    /// whether there was one.
+    pub fn redirect(&mut self, from: NodeId, to: NodeId) -> bool {
+        let mut any = false;
+        for input in self.nodes.iter_mut().flat_map(|nd| nd.inputs.iter_mut()) {
+            if *input == from {
+                *input = to;
+                any = true;
+            }
+        }
+        any
     }
 
     /// Ancestors of `id` (nodes it transitively reads), excluding `id`.
@@ -295,30 +326,40 @@ impl PhysicalPlan {
     }
 
     /// Drop nodes not reachable (as an ancestor) from any Store. Returns
-    /// the mapping old-id → new-id. Used after rewrites.
+    /// the mapping old-id → new-id. Used after rewrites. The survivors
+    /// keep their operators (moved, not copied) and are renumbered in
+    /// [`PhysicalPlan::topo_order`].
     pub fn gc(&mut self) -> Vec<Option<NodeId>> {
-        let mut live = vec![false; self.nodes.len()];
-        for s in self.stores() {
-            live[s.index()] = true;
-            for a in self.ancestors(s) {
-                live[a.index()] = true;
+        let n = self.nodes.len();
+        let mut live = vec![false; n];
+        let mut stack: Vec<NodeId> =
+            self.ids().filter(|&id| matches!(self.op(id), PhysicalOp::Store { .. })).collect();
+        while let Some(id) = stack.pop() {
+            if !std::mem::replace(&mut live[id.index()], true) {
+                stack.extend_from_slice(self.inputs(id));
             }
         }
-        let mut out = PhysicalPlan::new();
-        let mut remap: Vec<Option<NodeId>> = vec![None; self.nodes.len()];
-        for id in self.topo_order() {
-            if !live[id.index()] {
-                continue;
+        let mut remap: Vec<Option<NodeId>> = vec![None; n];
+        if self.is_topological() {
+            // The order is the ids: compact in place.
+            for (next, (slot, _)) in remap.iter_mut().zip(&live).filter(|(_, &l)| l).enumerate() {
+                *slot = Some(NodeId(next as u32));
             }
-            let node = &self.nodes[id.index()];
-            let inputs: Vec<NodeId> = node
-                .inputs
-                .iter()
-                .map(|i| remap[i.index()].expect("live inputs precede"))
-                .collect();
-            remap[id.index()] = Some(out.add(node.op.clone(), inputs));
+            let mut keep = live.iter();
+            self.nodes.retain(|_| *keep.next().expect("one flag per node"));
+        } else {
+            let order = self.topo_order();
+            let mut old = std::mem::take(&mut self.nodes);
+            self.nodes.reserve_exact(live.iter().filter(|&&l| l).count());
+            for id in order.into_iter().filter(|id| live[id.index()]) {
+                remap[id.index()] = Some(NodeId(self.nodes.len() as u32));
+                let hole = PhysicalNode { op: PhysicalOp::Split, inputs: Vec::new() };
+                self.nodes.push(std::mem::replace(&mut old[id.index()], hole));
+            }
         }
-        *self = out;
+        for input in self.nodes.iter_mut().flat_map(|nd| nd.inputs.iter_mut()) {
+            *input = remap[input.index()].expect("live inputs are live");
+        }
         remap
     }
 
@@ -371,8 +412,8 @@ impl PhysicalPlan {
     /// (order-independent XOR so Store enumeration order is irrelevant).
     pub fn signature(&self) -> u64 {
         let mut memo = vec![None; self.nodes.len()];
-        self.stores()
-            .into_iter()
+        self.ids()
+            .filter(|&id| matches!(self.op(id), PhysicalOp::Store { .. }))
             .map(|s| self.node_signature_memo(s, &mut memo))
             .fold(0u64, |acc, s| acc ^ s)
     }
@@ -474,6 +515,19 @@ mod tests {
         let j = q.add(PhysicalOp::Join { keys: vec![vec![0], vec![1]] }, vec![l, l]);
         q.add(PhysicalOp::Store { path: "/o".into() }, vec![j]);
         assert_eq!(q.topo_order().len(), 3);
+    }
+
+    #[test]
+    fn redirect_moves_every_edge() {
+        // `union A, A`: both positions read the load.
+        let mut p = PhysicalPlan::new();
+        let l = p.add(PhysicalOp::Load { path: "/d".into() }, vec![]);
+        let u = p.add(PhysicalOp::Union, vec![l, l]);
+        p.add(PhysicalOp::Store { path: "/o".into() }, vec![u]);
+        let m = p.add(PhysicalOp::Load { path: "/m".into() }, vec![]);
+        assert!(p.redirect(l, m));
+        assert_eq!(p.inputs(u), [m, m]);
+        assert!(!p.redirect(l, m), "nothing reads it any more");
     }
 
     #[test]

@@ -127,11 +127,12 @@ const PREDS: [&str; 8] = [
 /// (the union of two filters of one input by the same predicate or by
 /// its paraphrase: CSE merges them, after expression normalization in
 /// the paraphrased case, and the merge leaves the input with one
-/// consumer, which placement may fold in the next sweep), and an
-/// optional self-join (two scans of the same file — the common-subplan
-/// case).
+/// consumer, which placement may fold in the next sweep), a union of
+/// a relation with itself (`union A, A`: one producer read twice by
+/// one consumer), and an optional self-join (two scans of the same file
+/// — the common-subplan case).
 fn arb_query() -> impl Strategy<Value = String> {
-    let step = (0u8..7, 0..PREDS.len());
+    let step = (0u8..8, 0..PREDS.len());
     (prop::collection::vec(step, 0..5), any::<bool>()).prop_map(|(steps, join)| {
         let mut q = String::from("A = load '/d' as (a:int, b:int, c:int);\n");
         let mut cur = "A".to_string();
@@ -144,6 +145,7 @@ fn arb_query() -> impl Strategy<Value = String> {
                 2 => q.push_str(&format!("{next} = foreach {cur} generate $1 * $2, $1, $2;\n")),
                 3 => q.push_str(&format!("{next} = distinct {cur};\n")),
                 4 => q.push_str(&format!("{next} = order {cur} by $0;\n")),
+                7 => q.push_str(&format!("{next} = union {cur}, {cur};\n")),
                 _ => {
                     let twin = if kind == 5 { p } else { paraphrase };
                     q.push_str(&format!(

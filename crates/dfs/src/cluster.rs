@@ -101,14 +101,21 @@ impl Dfs {
         &self.inner.config
     }
 
-    /// Advance and return the logical clock. Every mutation ticks it.
+    /// Advance and return the logical clock. Every mutation ticks it; a
+    /// delete ticks after its namespace change, with `Release`, so the
+    /// clock can tell a reader that the change is visible (see
+    /// [`Dfs::now`]).
     fn tick(&self) -> u64 {
-        self.inner.clock.fetch_add(1, Ordering::Relaxed) + 1
+        self.inner.clock.fetch_add(1, Ordering::Release) + 1
     }
 
-    /// Current logical time.
+    /// Current logical time. A reader that sees clock `c` sees every
+    /// delete that ticked at or before `c`: the read is `Acquire` and
+    /// pairs with [`Dfs::tick`]. So a reader that found all its paths
+    /// present at clock `c` knows they still are while the clock reads
+    /// `c`.
     pub fn now(&self) -> u64 {
-        self.inner.clock.load(Ordering::Relaxed)
+        self.inner.clock.load(Ordering::Acquire)
     }
 
     /// Point-in-time I/O metrics.
@@ -118,6 +125,13 @@ impl Dfs {
 
     pub fn exists(&self, path: &str) -> bool {
         self.inner.namenode.read().contains(path)
+    }
+
+    /// The paths of `paths` that do not exist, in the order given, all
+    /// checked under one namespace read.
+    pub fn missing<'a>(&self, paths: impl IntoIterator<Item = &'a str>) -> Vec<&'a str> {
+        let nn = self.inner.namenode.read();
+        paths.into_iter().filter(|p| !nn.contains(p)).collect()
     }
 
     /// Status of a file.
@@ -493,6 +507,20 @@ mod tests {
         assert_eq!(dfs.used_bytes(), 0);
         assert!(!dfs.delete("/x"));
         assert!(!dfs.exists("/x"));
+    }
+
+    #[test]
+    fn missing_lists_absent_paths_and_a_delete_moves_the_clock() {
+        let dfs = tiny();
+        dfs.write_all("/a", b"1").unwrap();
+        dfs.write_all("/b", b"2").unwrap();
+        assert_eq!(dfs.missing(["/a", "/z", "/b", "/y"]), ["/z", "/y"]);
+        let before = dfs.now();
+        assert!(!dfs.delete("/z"), "nothing to delete");
+        assert_eq!(dfs.now(), before, "a delete of nothing leaves the clock");
+        assert!(dfs.delete("/a"));
+        assert!(dfs.now() > before);
+        assert_eq!(dfs.missing(["/a", "/b"]), ["/a"]);
     }
 
     #[test]

@@ -285,3 +285,44 @@ fn compaction_folds_segments_into_a_fresh_base() {
     resumed.restore_incremental(&set).expect("recovery");
     assert_eq!(resumed.driver().save_state(), reference);
 }
+
+/// A checkpoint set can name a stored file that is gone by the time it
+/// is restored. Restored into the same session — whose provenance check
+/// last found everything present, with no DFS change since — the first
+/// query after the restore must still find the file missing and forget
+/// it: the restored table is new, whatever the DFS clock says.
+#[test]
+fn the_first_query_after_a_restore_forgets_a_missing_path() {
+    let dfs = shared_dfs();
+    let svc = service_over(dfs.clone(), 1);
+    svc.checkpoint_begin(CheckpointConfig::default());
+    svc.submit(None, &queries::l3("/out/mp/l3"), "/wf/mp/a").unwrap().wait().unwrap();
+    svc.submit(None, &queries::l8("/out/mp/l8"), "/wf/mp/b").unwrap().wait().unwrap();
+    svc.drain();
+    svc.checkpoint_incremental().unwrap();
+    let set = svc.checkpoint_set().unwrap();
+    let entries = |svc: &RestoreService| svc.driver().stats_as(None).provenance_entries;
+    let recorded = entries(&svc);
+
+    // Gone behind the session's back: the next query forgets it, and a
+    // job-free rerun after that finds the table whole.
+    assert!(dfs.delete("/out/mp/l8"));
+    let warm = |wf: &str| {
+        let e = svc.submit(None, &queries::l3("/out/mp/l3b"), wf).unwrap().wait().unwrap();
+        assert!(e.job_results.is_empty(), "answered from the repository");
+    };
+    warm("/wf/mp/c");
+    assert_eq!(entries(&svc), recorded - 1);
+    warm("/wf/mp/d");
+
+    // The set still names the file.
+    svc.restore_incremental(&set).expect("restore");
+    assert_eq!(entries(&svc), recorded);
+    assert!(!dfs.exists("/out/mp/l8"));
+    warm("/wf/mp/e");
+    assert_eq!(entries(&svc), recorded - 1, "the first query after the restore forgets it");
+    svc.drain();
+    svc.checkpoint_incremental().unwrap();
+    let segments = svc.checkpoint_set().unwrap().segments.concat();
+    assert!(segments.contains("\nforget \"/out/mp/l8\"\n"), "and journals the forget");
+}
