@@ -84,7 +84,6 @@ pub fn paper_driver(engine: &Engine, heuristic: Heuristic, reuse: bool, tag: &st
             heuristic,
             repo_prefix: format!("/restore/{tag}"),
             register_final_outputs: false,
-            delete_tmp: false,
             ..Default::default()
         },
     )

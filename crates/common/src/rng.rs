@@ -35,12 +35,6 @@ impl SplitMix64 {
         ((self.next_u64() as u128 * bound as u128) >> 64) as u64
     }
 
-    /// Uniform in `[lo, hi)`.
-    pub fn next_range(&mut self, lo: i64, hi: i64) -> i64 {
-        assert!(lo < hi, "empty range");
-        lo + self.next_below((hi - lo) as u64) as i64
-    }
-
     /// Uniform float in `[0, 1)`.
     pub fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
@@ -94,10 +88,6 @@ impl Zipf {
             Ok(i) => i,
             Err(i) => i.min(self.cdf.len() - 1),
         }
-    }
-
-    pub fn domain_size(&self) -> usize {
-        self.cdf.len()
     }
 }
 

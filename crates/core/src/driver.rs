@@ -90,10 +90,6 @@ pub struct ReStoreConfig {
     pub selection: SelectionPolicy,
     /// DFS directory for materialized sub-job outputs.
     pub repo_prefix: String,
-    /// Delete inter-job temporary files after the workflow finishes —
-    /// "the current practice" ReStore abolishes. Enabled for plain-Pig
-    /// baselines, disabled when ReStore manages outputs.
-    pub delete_tmp: bool,
     /// Register the workflow's *final* outputs as whole-job repository
     /// entries. The paper's §7.1/§7.2 experiments reuse only intermediate
     /// job outputs and sub-jobs — rerunning a query re-executes its final
@@ -129,7 +125,6 @@ impl Default for ReStoreConfig {
             heuristic: Heuristic::Aggressive,
             selection: SelectionPolicy::default(),
             repo_prefix: "/restore".to_string(),
-            delete_tmp: false,
             register_final_outputs: true,
             wave_parallel: true,
             failure: crate::failure::FailurePolicy::default(),
@@ -145,7 +140,6 @@ impl ReStoreConfig {
         ReStoreConfig {
             reuse_enabled: false,
             heuristic: Heuristic::None,
-            delete_tmp: true,
             canonicalize: false,
             ..Default::default()
         }
@@ -336,7 +330,7 @@ impl Drop for PinGuard {
 }
 
 /// A wave job that survived matching and is ready to execute.
-struct PreparedJob {
+pub(crate) struct PreparedJob {
     idx: usize,
     plan: PhysicalPlan,
     candidates: Vec<Candidate>,
@@ -344,12 +338,12 @@ struct PreparedJob {
 }
 
 /// Outcome of preparing one job of a wave.
-enum Prepared {
+pub(crate) enum Prepared {
     /// Rewriting reduced the job to a pure copy; its output is aliased.
-    Skipped {
-        dst: String,
-    },
-    Run(Box<PreparedJob>),
+    Skipped { dst: String },
+    /// The job runs — as a copy of `copy_of`, a typed file, into a text
+    /// output, if rewriting reduced it to that. A dry run builds no `job`.
+    Run { copy_of: Option<String>, job: Option<Box<PreparedJob>> },
 }
 
 impl ReStore {
@@ -446,6 +440,8 @@ impl ReStore {
         // end: reuse, heuristic, §5 selection, sweeps, and candidate
         // placement all read this snapshot.
         let config = self.effective_config(&space);
+        // Neither reusing nor materializing: nothing registered, tmps deleted.
+        let manage_outputs = config.reuse_enabled || config.heuristic != Heuristic::None;
         // Pins taken at match time live until the whole workflow (whose
         // later waves may Load the matched outputs) has executed.
         let mut pins = PinGuard::new(space.clone(), self.engine.dfs().clone());
@@ -515,7 +511,7 @@ impl ReStore {
                     &config,
                     &mut aliases,
                     &mut rewrites,
-                    &mut pins,
+                    Some(&mut pins),
                 )?;
                 match prep {
                     Prepared::Skipped { dst } => {
@@ -523,7 +519,7 @@ impl ReStore {
                         et[idx] = 0.0;
                         wave_outputs.push((idx, resolve_alias(&aliases, &dst)));
                     }
-                    Prepared::Run(job) => prepared.push(*job),
+                    Prepared::Run { job, .. } => prepared.extend(job.map(|job| *job)),
                 }
             }
             self.obs.stage.prepare.record_elapsed(prepare_t0);
@@ -563,7 +559,6 @@ impl ReStore {
             // writer side is entered O(waves) instead of O(jobs) times.
             // Readers keep matching against the previous snapshots
             // throughout — registration never blocks the match path.
-            let manage_outputs = config.reuse_enabled || config.heuristic != Heuristic::None;
             if manage_outputs && !prepared.is_empty() {
                 // Writer order: provenance before repository (see
                 // [`Space`]). The repository batch journals itself at
@@ -613,11 +608,11 @@ impl ReStore {
         }
 
         // ---- plain-Pig tmp cleanup ----
-        if config.delete_tmp {
+        if !manage_outputs {
             for tmp in wf.tmp_paths() {
-                // Honour pins even here: a hand-built config combining
-                // delete_tmp with reuse could otherwise delete a tmp
-                // that a concurrent session matched and pinned.
+                // Honour pins even here: a run under an earlier policy may
+                // have registered this path, and a concurrent session
+                // matched and pinned it.
                 if !space.pins.defer_delete(tmp) {
                     self.engine.dfs().delete(tmp);
                 }
@@ -644,8 +639,11 @@ impl ReStore {
 
     /// Phase 1 for one job: alias rewriting, the §3 match loop, whole-job
     /// elimination, and §4 sub-job instrumentation.
+    /// Without `pins`, [`ReStore::explain_query_as`]'s dry run: no pins,
+    /// reuse accounting or trace events, and it stops at the verdict — no
+    /// sub-job enumeration (no candidate path taken) and no job spec.
     #[allow(clippy::too_many_arguments)]
-    fn prepare_job(
+    pub(crate) fn prepare_job(
         &self,
         space: &Space,
         space_name: &str,
@@ -656,7 +654,7 @@ impl ReStore {
         config: &ReStoreConfig,
         aliases: &mut HashMap<String, String>,
         rewrites: &mut Vec<RewriteEvent>,
-        pins: &mut PinGuard,
+        mut pins: Option<&mut PinGuard>,
     ) -> Result<Prepared> {
         let job = &wf.jobs[idx];
         // Re-canonicalize after alias rewriting: aliasing two Loads to
@@ -676,7 +674,7 @@ impl ReStore {
                 tick,
                 space_name,
                 idx,
-                Some(pins),
+                pins.as_deref_mut(),
                 |entry_id, reused_path| {
                     rewrites.push(RewriteEvent {
                         job: idx,
@@ -693,10 +691,9 @@ impl ReStore {
         // Alias when the destination is typed or the source is text: a
         // copy of a typed file into a text output runs as a job instead,
         // since aliasing would hand the user typed bytes.
-        if job_rewrites > 0 {
-            if let Some((src, dst)) = identity_copy(&plan).filter(|&(src, dst)| {
-                job.typed_outputs.iter().any(|t| t == dst) || !self.is_typed_file(src)
-            }) {
+        let mut copy_of = None;
+        if let Some((src, dst)) = identity_copy(&plan).filter(|_| job_rewrites > 0) {
+            if job.typed_outputs.iter().any(|t| t == dst) || !self.is_typed_file(src) {
                 let dst = dst.to_string();
                 aliases.insert(dst.clone(), src.to_string());
                 if let Some(ev) = rewrites.last_mut() {
@@ -704,6 +701,10 @@ impl ReStore {
                 }
                 return Ok(Prepared::Skipped { dst });
             }
+            copy_of = Some(src.to_string());
+        }
+        if pins.is_none() {
+            return Ok(Prepared::Run { copy_of, job: None });
         }
 
         // Sub-job enumeration (§4). Candidate outputs are keyed under the
@@ -739,7 +740,8 @@ impl ReStore {
         spec.typed_outputs = job.typed_outputs.clone();
         spec.typed_outputs
             .extend(candidates.iter().filter(|c| !c.already_stored).map(|c| c.store_path.clone()));
-        Ok(Prepared::Run(Box::new(PreparedJob { idx, plan, candidates, spec })))
+        let job = PreparedJob { idx, plan, candidates, spec };
+        Ok(Prepared::Run { copy_of, job: Some(Box::new(job)) })
     }
 
     /// Whether the stored file at `path` is typed; a path that cannot be
@@ -776,7 +778,7 @@ impl ReStore {
     /// `SelectionPolicy::sweep`), which is what makes the revalidation
     /// conclusive.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn match_loop(
+    fn match_loop(
         &self,
         space: &Space,
         plan: &mut PhysicalPlan,
@@ -877,8 +879,8 @@ impl ReStore {
         }
         self.obs.stage.match_loop.record_elapsed(loop_t0);
         // Per-namespace accounting and the trace ring only see real
-        // executions; `explain_query_as` dry runs (no pins) stay invisible,
-        // matching their no-side-effect contract.
+        // executions; dry runs (no pins) stay invisible, matching
+        // `explain_query_as`'s no-side-effect contract.
         if pins.is_some() {
             space.metrics.latency.record_elapsed(loop_t0);
             if matched_any {
@@ -1123,7 +1125,7 @@ mod tests {
                 &cfg,
                 &mut aliases,
                 &mut rewrites,
-                &mut pins,
+                Some(&mut pins),
             )
             .unwrap();
         let Prepared::Skipped { dst } = prep else {
@@ -1169,10 +1171,12 @@ mod tests {
                 &cfg,
                 &mut aliases,
                 &mut rewrites,
-                &mut pins,
+                Some(&mut pins),
             )
             .unwrap();
-        let Prepared::Run(job) = prep1 else { panic!("group job should execute") };
+        let Prepared::Run { job: Some(job), .. } = prep1 else {
+            panic!("group job should execute")
+        };
         let results = rs.engine().run_wave(&[&job.spec], false).unwrap();
         assert_eq!(results.len(), 1);
 

@@ -2,7 +2,7 @@
 //! without changing it.
 //!
 //! ```text
-//!   explain_query_as     dry-run the §3 match loop against a namespace
+//!   explain_query_as     dry-run the prepare phase against a namespace
 //!   explain_last_as      the newest workflow's reuse decisions, rendered
 //!   trace_for            the reuse decisions recorded for one tick
 //!   stats_as             one namespace's repository summary
@@ -16,22 +16,28 @@
 //! | File | Purpose |
 //! |------|---------|
 //! | `introspect.rs` | this module: explain, trace, stats |
-//! | `driver.rs` | the match loop that `explain_query_as` dry-runs |
+//! | `driver.rs` | the per-job preparation that `explain_query_as` dry-runs |
 //! | `obs.rs` | the registry, stage histograms and the trace ring |
 //! | `spaces.rs` | the namespaces these read |
 
-use crate::driver::{ReStore, ReStoreStats, Space};
+use crate::driver::{Prepared, ReStore, ReStoreStats, Space};
 use crate::obs::ReuseTraceEvent;
-use crate::rewriter::identity_copy;
-use restore_common::Result;
+use restore_common::{human_bytes, Result};
+use std::collections::HashMap;
+use std::fmt::Write;
 use std::sync::atomic::Ordering;
 
 impl ReStore {
     /// Dry-run a query against a tenant's namespace (`None` = the
     /// default namespace): compile it and report what the repository
     /// would answer — without executing anything or mutating any state.
-    /// The report lists, per job, the matches the §3 scan finds and
-    /// whether the whole job would be eliminated.
+    /// Each job, in wave order with one alias map, goes through
+    /// execution's own preparation as a dry run: the report lists the
+    /// entries it would reuse and whether it would be skipped. A job
+    /// Loading the output of one that executes is left undecided: that
+    /// output is registered, with its statistics, only once written. Being
+    /// read-only, the dry run skips the §5 sweep and the dead-path forget
+    /// that precede matching, so an entry they would drop may be reported.
     pub fn explain_query_as(
         &self,
         tenant: Option<&str>,
@@ -39,63 +45,77 @@ impl ReStore {
         out_prefix: &str,
     ) -> Result<String> {
         let space = self.space_snapshot(tenant);
-        // Same compile the execution path would use, so the explanation
-        // sees exactly the (canonicalized or not) plans execution would.
+        let config = self.effective_config(&space);
         let wf = self.compile_as(tenant, text, out_prefix)?;
-        let mut report = String::new();
-        {
-            let repo = space.repo.snapshot();
-            report.push_str(&format!(
-                "workflow: {} job(s); repository: {} entr{}\n",
-                wf.jobs.len(),
-                repo.len(),
-                if repo.len() == 1 { "y" } else { "ies" },
-            ));
-        }
-        for (idx, job) in wf.jobs.iter().enumerate() {
-            report.push_str(&format!(
-                "job {idx} ({} operators{}):\n",
-                job.plan.effective_len(),
-                if job.deps.is_empty() {
-                    String::new()
-                } else {
-                    format!(", depends on {:?}", job.deps)
-                }
-            ));
-            // Same match loop as execution, against a scratch plan, with
-            // usage statistics left untouched.
-            let mut plan = job.plan.clone();
-            let mut any = false;
-            self.match_loop(
-                &space,
-                &mut plan,
-                0,
-                Self::space_name(tenant),
-                idx,
-                None,
-                |entry_id, reused_path| {
-                    let (bytes, uses) = space
-                        .repo
-                        .snapshot()
-                        .get(entry_id)
-                        .map(|e| (e.stats().output_bytes, e.use_count()))
-                        .unwrap_or((0, 0));
-                    report.push_str(&format!(
-                        "  would reuse entry #{} -> {} ({}, used {} time(s))\n",
-                        entry_id,
-                        reused_path,
-                        restore_common::human_bytes(bytes),
-                        uses,
-                    ));
-                    any = true;
-                },
-            );
-            if let Some((src, _)) = identity_copy(&plan) {
-                report
-                    .push_str(&format!("  whole job answered from {src}; job would be skipped\n"));
-            } else if !any {
-                report.push_str("  no matches; job executes in full\n");
+        let repo = space.repo.snapshot();
+        let mut report = format!(
+            "workflow: {} job(s); repository: {} entr{}\n",
+            wf.jobs.len(),
+            repo.len(),
+            if repo.len() == 1 { "y" } else { "ies" },
+        );
+        let mut aliases = HashMap::new();
+        // The jobs not predicted skipped: they execute, or are undecided.
+        let mut runs = vec![false; wf.jobs.len()];
+        for idx in wf.waves()?.into_iter().flatten() {
+            let job = &wf.jobs[idx];
+            let deps = match &job.deps[..] {
+                [] => String::new(),
+                deps => format!(", depends on {deps:?}"),
+            };
+            let _ = writeln!(report, "job {idx} ({} operators{deps}):", job.plan.effective_len());
+            let waits: Vec<usize> = job.deps.iter().copied().filter(|&d| runs[d]).collect();
+            if !waits.is_empty() {
+                runs[idx] = true;
+                let _ = writeln!(
+                    report,
+                    "  loads the output of job(s) {waits:?}, not predicted skipped; \
+                     decided only once they have run"
+                );
+                continue;
             }
+            let mut rewrites = Vec::new();
+            let prep = self.prepare_job(
+                &space,
+                Self::space_name(tenant),
+                &wf,
+                idx,
+                job.plan.clone(),
+                0,
+                &config,
+                &mut aliases,
+                &mut rewrites,
+                None,
+            )?;
+            for ev in &rewrites {
+                let (bytes, uses) = repo
+                    .get(ev.entry_id)
+                    .map(|e| (e.stats().output_bytes, e.use_count()))
+                    .unwrap_or((0, 0));
+                let _ = writeln!(
+                    report,
+                    "  would reuse entry #{} -> {} ({}, used {uses} time(s))",
+                    ev.entry_id,
+                    ev.reused_path,
+                    human_bytes(bytes),
+                );
+            }
+            runs[idx] = matches!(prep, Prepared::Run { .. });
+            let verdict = match prep {
+                Prepared::Skipped { dst } => {
+                    format!("whole job answered from {}; job would be skipped", aliases[&dst])
+                }
+                Prepared::Run { copy_of: Some(src), .. } => {
+                    format!(
+                        "reduced to a copy of typed {src} into a text output; job runs as a copy"
+                    )
+                }
+                Prepared::Run { .. } if rewrites.is_empty() => {
+                    "no matches; job executes in full".to_string()
+                }
+                Prepared::Run { .. } => continue,
+            };
+            let _ = writeln!(report, "  {verdict}");
         }
         Ok(report)
     }

@@ -129,7 +129,7 @@ pub(crate) fn encode_config(c: &ReStoreConfig) -> String {
         None => "none".to_string(),
     };
     format!(
-        "reuse_enabled {}\nheuristic {}\nrepo_prefix {:?}\ndelete_tmp {}\n\
+        "reuse_enabled {}\nheuristic {}\nrepo_prefix {:?}\n\
          register_final_outputs {}\nwave_parallel {}\n\
          require_size_reduction {}\nrequire_time_benefit {}\nreload_read_bps {}\n\
          eviction_window {}\ncheck_input_versions {}\n\
@@ -140,7 +140,6 @@ pub(crate) fn encode_config(c: &ReStoreConfig) -> String {
         c.reuse_enabled,
         heuristic_name(c.heuristic),
         c.repo_prefix,
-        c.delete_tmp,
         c.register_final_outputs,
         c.wave_parallel,
         c.selection.require_size_reduction,
@@ -188,7 +187,8 @@ pub(crate) fn decode_config(lines: &[&str], base: usize) -> Result<ReStoreConfig
             "reuse_enabled" => c.reuse_enabled = parse_bool(value)?,
             "heuristic" => c.heuristic = heuristic_from(value).ok_or_else(bad)?,
             "repo_prefix" => c.repo_prefix = unquote(value, at)?,
-            "delete_tmp" => c.delete_tmp = parse_bool(value)?,
+            // Follows from `reuse_enabled` and `heuristic`: checked, then ignored.
+            "delete_tmp" => parse_bool(value).map(drop)?,
             "register_final_outputs" => c.register_final_outputs = parse_bool(value)?,
             "wave_parallel" => c.wave_parallel = parse_bool(value)?,
             "store_all" => store_all = parse_bool(value)?,
@@ -394,7 +394,6 @@ mod tests {
                 check_input_versions: true,
             },
             repo_prefix: "/re store/\"x\"".to_string(),
-            delete_tmp: true,
             register_final_outputs: false,
             wave_parallel: false,
             failure: crate::failure::FailurePolicy {
@@ -470,6 +469,18 @@ mod tests {
             }
         }
         assert!(decode_config(&["store_all maybe"], 0).is_err());
+    }
+
+    #[test]
+    fn delete_tmp_is_read_ignored_and_never_written() {
+        // Whether temporaries are deleted follows from the policy: a stored
+        // flag, either way, changes nothing.
+        for line in ["delete_tmp true", "delete_tmp false"] {
+            let back = decode_config(&[line], 0).unwrap();
+            assert_eq!(back, ReStoreConfig::default(), "{line}");
+            assert!(!encode_config(&back).contains("delete_tmp"));
+        }
+        assert!(decode_config(&["delete_tmp maybe"], 0).is_err());
     }
 
     #[test]

@@ -541,14 +541,21 @@ fn journal_stats_track_recording() {
 /// of `bo` in one wave. Then two job-free warm reruns with a stored file
 /// deleted behind the session's back between them (the second forgets
 /// it), a strict policy with a one-query eviction window and a retry
-/// policy for `bo`, and that override cleared again.
-fn journaled_run() -> (String, Vec<String>, String) {
+/// policy for `bo`, and that override cleared again. Last, the dry runs of
+/// a query the repository answers whole and of one it answers in part.
+/// The engine runs its tasks on `threads` worker threads.
+fn journaled_run(threads: usize) -> (String, Vec<String>, String, [String; 2]) {
     let shared = dfs();
     let config = ReStoreConfig {
         selection: SelectionPolicy { check_input_versions: true, ..Default::default() },
         ..Default::default()
     };
-    let rs = ReStore::new(engine_over(shared.clone()), config);
+    let engine = Engine::new(
+        shared.clone(),
+        ClusterConfig::default(),
+        EngineConfig { worker_threads: threads, ..Default::default() },
+    );
+    let rs = ReStore::new(engine, config);
     rs.enable_journal(JournalConfig { segment_bytes: 1024 });
     let base = rs.save_state();
     rs.execute_query(&join_query("/out/j"), "/wf/j").unwrap();
@@ -616,7 +623,12 @@ fn journaled_run() -> (String, Vec<String>, String) {
     assert!(evicted > 0, "the window evicts in bo: {last:?}");
     assert!(last.concat().contains("\ntenant-config-clear \"bo\"\n"));
     segments.extend(last);
-    (base, segments, rs.save_state())
+    let warm = rs.explain_query_as(None, &join_query("/out/j3"), "/wf/j3").unwrap();
+    assert_eq!(warm.matches("job would be skipped").count(), 2, "{warm}");
+    let by_city = join_query("/out/c").replace("group C by $0", "group C by $1");
+    let partly = rs.explain_query_as(None, &by_city, "/wf/c").unwrap();
+    assert_eq!(partly.matches("job would be skipped").count(), 1, "{partly}");
+    (base, segments, rs.save_state(), [warm, partly])
 }
 
 /// Each `prov-batch` record's namespace and how many paths it forgets.
@@ -632,14 +644,15 @@ fn forget_batches(segments: &[String]) -> Vec<(String, usize)> {
     batches
 }
 
-/// Same inputs, same bytes: the workload run twice in fresh sessions
-/// journals byte-identical segments and ends in a byte-identical document.
-/// The provenance table and the namespace map are hash maps, so this holds
-/// only because the paths forgotten together and the namespaces an
-/// overwrite reaches are journaled in sorted order.
+/// Same inputs, same bytes: the workload run twice in fresh sessions, at
+/// one and at two engine threads, journals byte-identical segments, ends
+/// in a byte-identical document and explains the same. The provenance
+/// table and the namespace map are hash maps, so this holds only because
+/// the paths forgotten together and the namespaces an overwrite reaches
+/// are journaled in sorted order.
 #[test]
 fn one_workload_journals_the_same_bytes_every_run() {
-    let (base, segments, state) = journaled_run();
+    let (base, segments, state, explained) = journaled_run(1);
     let batches = forget_batches(&segments);
     assert!(batches.iter().any(|(_, n)| *n >= 2), "several paths forgotten at once: {batches:?}");
     for space in ["\"ana\"", "\"bo\""] {
@@ -648,11 +661,12 @@ fn one_workload_journals_the_same_bytes_every_run() {
     let all = segments.concat();
     assert!(all.contains("\ntenant-config \"bo\"\n"), "the override is journaled");
     assert!(all.contains("eviction_window 1\n") && all.contains("on_failure retry\n"));
-    let (base2, segments2, state2) = journaled_run();
+    let (base2, segments2, state2, explained2) = journaled_run(2);
     assert_eq!(base, base2);
     assert_eq!(segments.len(), segments2.len());
     for (i, (a, b)) in segments.iter().zip(&segments2).enumerate() {
         assert_eq!(a, b, "segment {i}");
     }
     assert_eq!(state, state2);
+    assert_eq!(explained, explained2);
 }

@@ -418,13 +418,6 @@ impl PhysicalPlan {
             .fold(0u64, |acc, s| acc ^ s)
     }
 
-    /// Combined per-record cost weight of map-side vs reduce-side work is
-    /// computed by the MR compiler; this helper sums all operator weights
-    /// (used for repository ordering heuristics).
-    pub fn total_cost_weight(&self) -> f64 {
-        self.nodes.iter().map(|n| n.op.cost_weight()).sum()
-    }
-
     /// Number of operators excluding Store/Split bookkeeping nodes.
     pub fn effective_len(&self) -> usize {
         self.nodes

@@ -92,11 +92,6 @@ impl Dfs {
         }
     }
 
-    /// Cluster with default (paper-testbed) configuration.
-    pub fn with_defaults() -> Self {
-        Dfs::new(DfsConfig::default())
-    }
-
     pub fn config(&self) -> &DfsConfig {
         &self.inner.config
     }

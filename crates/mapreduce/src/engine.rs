@@ -71,22 +71,8 @@ impl Engine {
         Engine { dfs, cluster, engine_cfg }
     }
 
-    /// Engine with default cluster and engine configuration.
-    pub fn with_defaults(dfs: Dfs) -> Self {
-        Engine::new(dfs, ClusterConfig::default(), EngineConfig::default())
-    }
-
     pub fn dfs(&self) -> &Dfs {
         &self.dfs
-    }
-
-    pub fn cluster_config(&self) -> &ClusterConfig {
-        &self.cluster
-    }
-
-    /// Override the cluster (cost-model) configuration.
-    pub fn set_cluster_config(&mut self, cfg: ClusterConfig) {
-        self.cluster = cfg;
     }
 
     /// Execute one job to completion.

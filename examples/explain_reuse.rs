@@ -1,6 +1,9 @@
 //! Inspecting ReStore's decisions before committing to them: the
-//! `explain_query` dry run, repository statistics, and Graphviz export
-//! of a compiled workflow.
+//! `explain_query_as` dry run of a two-job query (a join, then a group
+//! over its output), repository statistics, and Graphviz export of the
+//! compiled workflow. Once the query has run, the dry run predicts both
+//! jobs skipped: the group job is matched through the output the join's
+//! reuse stands in for, as execution matches it.
 //!
 //! ```sh
 //! cargo run --example explain_reuse
@@ -16,10 +19,11 @@ use restore_suite::mapreduce::{ClusterConfig, Engine, EngineConfig};
 
 const QUERY: &str = "
     A = load '/data/sales' as (region, sku, qty:int, price:double);
-    B = foreach A generate region, qty * price as revenue;
-    G = group B by region;
-    R = foreach G generate group, SUM(B.revenue);
-    store R into '/out/by_region';
+    M = load '/data/managers' as (area, manager);
+    J = join M by area, A by region;
+    G = group J by $1;
+    R = foreach G generate group, SUM(J.qty);
+    store R into '/out/by_manager';
 ";
 
 fn main() {
@@ -36,6 +40,8 @@ fn main() {
         })
         .collect();
     dfs.write_all("/data/sales", &codec::encode_all(&rows)).unwrap();
+    let managers = [tuple!["emea", "ana"], tuple!["apac", "bo"], tuple!["amer", "ana"]];
+    dfs.write_all("/data/managers", &codec::encode_all(&managers)).unwrap();
     let engine = Engine::new(dfs, ClusterConfig::default(), EngineConfig::default());
     let rs = ReStore::new(engine, ReStoreConfig::default());
 
@@ -58,5 +64,5 @@ fn main() {
 
     println!("\n== compiled workflow as Graphviz ==");
     let wf = restore_suite::dataflow::compile(QUERY, "/wf/dot").unwrap();
-    print!("{}", dot::workflow_to_dot(&wf, "by_region"));
+    print!("{}", dot::workflow_to_dot(&wf, "by_manager"));
 }
