@@ -23,24 +23,6 @@ pub fn human_bytes(n: u64) -> String {
     format!("{v:.1} {}", UNITS[unit])
 }
 
-/// Parse shorthand sizes used by experiment configs: `"64MB"`, `"1.5GB"`,
-/// `"512"` (bytes). Returns `None` on malformed input.
-pub fn parse_bytes(s: &str) -> Option<u64> {
-    let s = s.trim();
-    let split = s.find(|c: char| !c.is_ascii_digit() && c != '.').unwrap_or(s.len());
-    let (num, unit) = s.split_at(split);
-    let num: f64 = num.parse().ok()?;
-    let mult: u64 = match unit.trim().to_ascii_uppercase().as_str() {
-        "" | "B" => 1,
-        "K" | "KB" => 1 << 10,
-        "M" | "MB" => 1 << 20,
-        "G" | "GB" => 1 << 30,
-        "T" | "TB" => 1 << 40,
-        _ => return None,
-    };
-    Some((num * mult as f64) as u64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -51,15 +33,5 @@ mod tests {
         assert_eq!(human_bytes(1024), "1.0 KB");
         assert_eq!(human_bytes(5 * 1024 * 1024), "5.0 MB");
         assert_eq!(human_bytes(3 * 1024 * 1024 * 1024), "3.0 GB");
-    }
-
-    #[test]
-    fn parses_round_trip() {
-        assert_eq!(parse_bytes("64MB"), Some(64 << 20));
-        assert_eq!(parse_bytes("1.5GB"), Some((1.5 * (1u64 << 30) as f64) as u64));
-        assert_eq!(parse_bytes("512"), Some(512));
-        assert_eq!(parse_bytes("10 kb"), Some(10 << 10));
-        assert_eq!(parse_bytes("x"), None);
-        assert_eq!(parse_bytes("10XB"), None);
     }
 }

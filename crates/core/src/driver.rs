@@ -69,7 +69,7 @@ use restore_dfs::Dfs;
 use restore_mapreduce::{split_reader, workflow, Engine, JobResult, JobSpec};
 use restore_telemetry::Registry;
 use std::borrow::Cow;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -446,27 +446,10 @@ impl ReStore {
         // later waves may Load the matched outputs) has executed.
         let mut pins = PinGuard::new(space.clone(), self.engine.dfs().clone());
 
-        // Eviction sweep (§5 rules 3–4) runs *before* matching so stale
-        // entries (expired window, modified/deleted inputs) are never
-        // reused in this workflow.
+        // The staleness pass runs *before* matching, so a stale entry
+        // (expired window, changed inputs, lost file) is never reused.
         let sweep_t0 = Instant::now();
-        config.selection.sweep(&space.repo, self.engine.dfs(), &space.pins, tick);
-        {
-            // Wait-free probe, skipped while nothing was deleted since the
-            // snapshot was last found whole; only publish a new provenance
-            // snapshot when something actually died.
-            let dead = space.prov.load().dead_paths(self.engine.dfs());
-            if !dead.is_empty() {
-                space.prov.update_then(
-                    |prov| {
-                        for p in &dead {
-                            prov.forget(p);
-                        }
-                    },
-                    |()| self.journal.append_prov_batch(space_name, &[], &dead),
-                );
-            }
-        }
+        self.sweep(&space, space_name, &config.selection, tick);
         self.obs.stage.sweep.record_elapsed(sweep_t0);
 
         let n = wf.jobs.len();
@@ -485,6 +468,8 @@ impl ReStore {
         let mut stored_candidate_bytes = 0u64;
         let mut candidates_stored = 0usize;
         let mut final_output = String::new();
+        // Each base file an executed job read, at its version before then.
+        let mut versions: HashMap<String, u64> = HashMap::new();
 
         for wave in waves {
             // ---- Phase 1: prepare (match, rewrite, skip, instrument) ----
@@ -524,6 +509,10 @@ impl ReStore {
             }
             self.obs.stage.prepare.record_elapsed(prepare_t0);
 
+            if manage_outputs && !prepared.is_empty() {
+                self.read_versions(&space, &prepared, &mut versions);
+            }
+
             // ---- Phase 2: execute the wave, concurrently ----
             let execute_t0 = Instant::now();
             let specs: Vec<&JobSpec> = prepared.iter().map(|p| &p.spec).collect();
@@ -540,8 +529,8 @@ impl ReStore {
                 wave_written.extend(result.side_outputs.iter().cloned());
                 // A later wave of this workflow Loads this inter-job
                 // temporary. Registration (below) makes it evictable, so
-                // pin it first — otherwise a concurrent session's strict
-                // sweep could delete it before its consumer executes.
+                // pin it first — otherwise a concurrent session's staleness
+                // pass could delete it before its consumer executes.
                 if wf.jobs[job.idx].typed_outputs.contains(&result.output) {
                     pins.pin(&result.output);
                 }
@@ -583,6 +572,7 @@ impl ReStore {
                                         result,
                                         tick,
                                         &config,
+                                        &versions,
                                         &mut registers,
                                     )
                                 })
@@ -775,7 +765,7 @@ impl ReStore {
     /// — the file is safe for the lifetime of the workflow. If it is
     /// gone, we unpin, skip the entry, and rescan. Eviction publishes
     /// the entry's removal **before** deleting the file (see
-    /// `SelectionPolicy::sweep`), which is what makes the revalidation
+    /// `ReStore::sweep`), which is what makes the revalidation
     /// conclusive.
     #[allow(clippy::too_many_arguments)]
     fn match_loop(
@@ -915,10 +905,10 @@ impl ReStore {
         result: &JobResult,
         tick: u64,
         config: &ReStoreConfig,
+        versions: &HashMap<String, u64>,
         registers: &mut Vec<(String, Arc<PhysicalPlan>)>,
     ) -> Result<(u64, usize)> {
         let io = job_io(&job.plan)?;
-        let input_files = self.input_versions(&io.inputs);
         // Final outputs (not inter-job temporaries) are only registered
         // when configured; intermediate outputs are always candidates for
         // whole-job reuse (§2.1).
@@ -945,7 +935,7 @@ impl ReStore {
             use_count: 0,
             last_used: 0,
             created: tick,
-            input_files: input_files.clone(),
+            input_files: input_files(&whole_base, versions),
         };
         let keep_main = register_main && config.selection.should_keep(&whole_stats);
         if keep_main && lossy(&io.main_output) {
@@ -977,6 +967,7 @@ impl ReStore {
                 side_bytes(result, &cand.store_path)
             };
             stored_candidate_bytes += if cand.already_stored { 0 } else { bytes };
+            let base = prov.expand(&cand.prefix).plan.into_owned();
             let stats = RepoStats {
                 input_bytes: result.counters.map_input_bytes,
                 output_bytes: bytes,
@@ -986,9 +977,8 @@ impl ReStore {
                 use_count: 0,
                 last_used: 0,
                 created: tick,
-                input_files: input_files.clone(),
+                input_files: input_files(&base, versions),
             };
-            let base = prov.expand(&cand.prefix).plan.into_owned();
             if config.selection.should_keep(&stats) {
                 let outcome = repo.insert(base.clone(), &cand.store_path, stats);
                 // A racing session (or a same-wave sibling prepared before
@@ -1018,15 +1008,39 @@ impl ReStore {
         Ok((stored_candidate_bytes, candidates_stored))
     }
 
-    fn input_versions(&self, inputs: &[String]) -> Vec<(String, u64)> {
-        inputs
-            .iter()
-            .map(|p| {
-                let v = self.engine.dfs().status(p).map(|s| s.version).unwrap_or(0);
-                (p.clone(), v)
-            })
-            .collect()
+    /// Before a wave runs, record the version of each file its jobs'
+    /// lineage-expanded plans Load that no earlier wave read (§5 rule 4),
+    /// in one namenode read. A version read before the job can only be
+    /// older than what the job read: a racing overwrite makes a miss.
+    fn read_versions(
+        &self,
+        space: &Space,
+        jobs: &[PreparedJob],
+        versions: &mut HashMap<String, u64>,
+    ) {
+        let prov = space.prov.load();
+        let expanded: Vec<_> = jobs.iter().map(|job| prov.expand(&job.plan)).collect();
+        self.engine.dfs().with_versions(|version| {
+            for plan in expanded.iter().map(|e| &e.plan) {
+                for path in plan.loads().into_iter().map(|l| plan.path(l)) {
+                    if !versions.contains_key(path) {
+                        versions.extend(version(path).map(|v| (path.to_string(), v)));
+                    }
+                }
+            }
+        });
     }
+}
+
+/// The Loads of an entry's base plan, sorted, with their versions from
+/// `versions`. A file no job read at a known version (provenance a racing
+/// session registered since) gets a version no file has: a miss later.
+fn input_files(plan: &PhysicalPlan, versions: &HashMap<String, u64>) -> Vec<(String, u64)> {
+    let paths: BTreeSet<&str> = plan.loads().into_iter().map(|l| plan.path(l)).collect();
+    paths
+        .into_iter()
+        .map(|p| (p.to_string(), versions.get(p).copied().unwrap_or(u64::MAX)))
+        .collect()
 }
 
 fn side_bytes(result: &JobResult, path: &str) -> u64 {
@@ -1151,7 +1165,7 @@ mod tests {
 
         // T2's sweep far outside the window evicts every entry while T1
         // sits between match and execution.
-        let evicted = cfg.selection.sweep(&space.repo, rs.engine().dfs(), &space.pins, 99);
+        let evicted = rs.sweep(&space, "", &cfg.selection, 99);
         assert!(!evicted.is_empty());
         assert_eq!(space.repo.snapshot().len(), 0);
 
@@ -1198,7 +1212,7 @@ mod tests {
 
         // T2's sweep evicts everything; the pinned file's deletion is
         // deferred, so it still exists on the DFS…
-        cfg.selection.sweep(&space.repo, rs.engine().dfs(), &space.pins, 99);
+        rs.sweep(&space, "", &cfg.selection, 99);
         assert!(rs.engine().dfs().exists(&reused));
 
         // …but a snapshot taken now must exclude it everywhere.
@@ -1247,7 +1261,7 @@ mod tests {
 
         // Sweep evicts the entry and defers the pinned file's deletion —
         // but this workflow hands `reused` to its caller.
-        cfg.selection.sweep(&space.repo, rs.engine().dfs(), &space.pins, 99);
+        rs.sweep(&space, "", &cfg.selection, 99);
         pins.preserve(&reused);
         drop(pins);
         assert!(

@@ -36,8 +36,8 @@ impl ReStore {
     /// entries it would reuse and whether it would be skipped. A job
     /// Loading the output of one that executes is left undecided: that
     /// output is registered, with its statistics, only once written. Being
-    /// read-only, the dry run skips the §5 sweep and the dead-path forget
-    /// that precede matching, so an entry they would drop may be reported.
+    /// read-only, the dry run skips the staleness pass that precedes
+    /// matching, so an entry it would evict may be reported.
     pub fn explain_query_as(
         &self,
         tenant: Option<&str>,

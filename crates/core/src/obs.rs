@@ -7,6 +7,7 @@
 //! it (`prop_concurrent_repo` and the driver telemetry test pin the
 //! zero-publish invariant with telemetry enabled).
 
+use crate::selector::EVICTION_REASONS;
 use restore_telemetry::{Counter, Histogram, Registry, TraceRing};
 use std::fmt;
 use std::sync::Arc;
@@ -78,7 +79,7 @@ impl fmt::Display for ReuseTraceEvent {
 pub(crate) struct StageHists {
     /// Per workflow: query text → compiled workflow.
     pub compile: Histogram,
-    /// Per workflow: the pre-match §5 eviction sweep + dead-path probe.
+    /// Per workflow: the pre-match staleness pass (`ReStore::sweep`).
     pub sweep: Histogram,
     /// Per wave: phase 1 (match + rewrite + enumerate + job specs).
     pub prepare: Histogram,
@@ -120,6 +121,8 @@ pub(crate) struct Obs {
     /// value that would read back retyped
     /// (`restore_candidates_vetoed_total{reason="retypes"}`).
     pub vetoed_retypes: Counter,
+    /// `restore_entries_evicted_total{reason}`, by `selector::Eviction`.
+    pub evicted: [Counter; 4],
 }
 
 impl Obs {
@@ -172,6 +175,13 @@ impl Obs {
                 "Stored outputs not registered, by reason",
                 &[("reason", "retypes")],
             ),
+            evicted: EVICTION_REASONS.map(|reason| {
+                registry.counter(
+                    "restore_entries_evicted_total",
+                    "Repository entries evicted, by reason",
+                    &[("reason", reason)],
+                )
+            }),
             registry,
         }
     }

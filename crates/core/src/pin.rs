@@ -52,11 +52,6 @@ impl PinSet {
         self.inner.lock().counts.contains_key(path)
     }
 
-    /// Number of distinct pinned paths.
-    pub fn pinned_paths(&self) -> usize {
-        self.inner.lock().counts.len()
-    }
-
     /// Exempt `path` from deferred deletion: it was handed to a caller
     /// as a workflow result, so deleting it at pin release would yank
     /// the file out from under the reader. The exemption holds until
@@ -182,6 +177,6 @@ mod tests {
         let pins = PinSet::default();
         pins.pin("/r/b");
         assert!(!release(&pins, "/r/b"));
-        assert_eq!(pins.pinned_paths(), 0);
+        assert!(!pins.is_pinned("/r/b"));
     }
 }

@@ -9,7 +9,6 @@
 
 use crate::matcher::PlanMatch;
 use restore_dataflow::physical::{NodeId, PhysicalOp, PhysicalPlan};
-use restore_dfs::Dfs;
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::ops::Range;
@@ -24,20 +23,33 @@ use std::sync::Arc;
 #[derive(Debug, Clone, Default)]
 pub struct Provenance {
     plans: HashMap<String, Arc<PhysicalPlan>>,
-    /// When [`Provenance::dead_paths`] last found every path of this
-    /// table on the DFS. A clone does not inherit it.
-    all_present: PresentAt,
+    /// When the staleness pass last found every path on the DFS.
+    pub(crate) clean: PresentAt,
 }
 
-/// A DFS clock reading plus one, 0 for never. Cloning forgets it: an
-/// RCU update clones the table before changing it, so a memo belongs to
-/// the one snapshot it was taken of.
+/// The DFS clock reading at which the staleness pass last found a
+/// snapshot clean, plus one (0 for never). Cloning forgets it: an RCU
+/// update clones the table before changing it, so a memo belongs to the
+/// one snapshot it was taken of.
 #[derive(Debug, Default)]
-struct PresentAt(AtomicU64);
+pub(crate) struct PresentAt(AtomicU64);
 
 impl Clone for PresentAt {
     fn clone(&self) -> Self {
         PresentAt::default()
+    }
+}
+
+impl PresentAt {
+    /// Was the snapshot found clean at DFS clock `now`? `Relaxed` here and
+    /// in `set`: the memo publishes no data, only a fact about a reading.
+    pub(crate) fn at(&self, now: u64) -> bool {
+        self.0.load(Ordering::Relaxed) == now + 1
+    }
+
+    /// Remember that the snapshot was found clean at DFS clock `now`.
+    pub(crate) fn set(&self, now: u64) {
+        self.0.fetch_max(now + 1, Ordering::Relaxed);
     }
 }
 
@@ -79,7 +91,6 @@ impl Provenance {
             "provenance plans must be base-level"
         );
         self.plans.insert(path.into(), Arc::new(plan));
-        self.all_present = PresentAt::default();
     }
 
     /// Journal replay of a recorded registration: the invariants were
@@ -89,7 +100,6 @@ impl Provenance {
     /// base-level check against the *future* table).
     pub(crate) fn register_replay(&mut self, path: String, plan: PhysicalPlan) {
         self.plans.insert(path, Arc::new(plan));
-        self.all_present = PresentAt::default();
     }
 
     pub fn get(&self, path: &str) -> Option<&PhysicalPlan> {
@@ -122,28 +132,6 @@ impl Provenance {
     /// All recorded paths.
     pub fn iter_paths(&self) -> impl Iterator<Item = &str> {
         self.plans.keys().map(|s| s.as_str())
-    }
-
-    /// The recorded paths the DFS no longer holds, sorted (the table is
-    /// a hash map; sorted, the forgets they lead to are journaled in the
-    /// same order every run). Once every path was found at DFS clock
-    /// `c`, the table is not checked again while the clock reads `c`:
-    /// only a delete takes a path away, and a delete ticks the clock
-    /// (see [`Dfs::now`]). Registering a path forgets that.
-    pub fn dead_paths(&self, dfs: &Dfs) -> Vec<String> {
-        let now = dfs.now();
-        // `Relaxed`: the memo publishes no data, only a fact about clock
-        // reading `now`, true whichever thread reads it.
-        if self.all_present.0.load(Ordering::Relaxed) == now + 1 {
-            return Vec::new();
-        }
-        let mut dead: Vec<String> =
-            dfs.missing(self.iter_paths()).into_iter().map(str::to_string).collect();
-        if dead.is_empty() {
-            self.all_present.0.fetch_max(now + 1, Ordering::Relaxed);
-        }
-        dead.sort_unstable();
-        dead
     }
 
     /// Serialize the table (paths sorted for determinism).

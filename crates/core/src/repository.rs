@@ -52,6 +52,7 @@
 
 use crate::matcher::{pairwise_plan_traversal_at, plan_tip, subsumes, PlanMatch};
 use crate::plan_text;
+use crate::provenance::PresentAt;
 use crate::rcu::Rcu;
 use parking_lot::{Mutex, RwLock};
 use restore_common::{Error, Result};
@@ -79,8 +80,8 @@ pub struct RepoStats {
     pub last_used: u64,
     /// Logical tick at which the entry was created.
     pub created: u64,
-    /// Input files and their DFS versions at creation time (eviction
-    /// Rule 4 invalidates the entry when these change).
+    /// The base files the entry's plan Loads, sorted, at their versions
+    /// before the producing job read them (§5 rule 4 evicts on a change).
     pub input_files: Vec<(String, u64)>,
 }
 
@@ -146,6 +147,11 @@ impl RepoEntry {
         s
     }
 
+    /// The base files the entry's plan Loads, at their recorded versions.
+    pub fn input_files(&self) -> &[(String, u64)] {
+        &self.base.input_files
+    }
+
     /// Live reuse count.
     pub fn use_count(&self) -> u64 {
         self.usage.count.load(SeqCst)
@@ -191,6 +197,9 @@ pub struct RepoSnapshot {
     /// Running total of `output_bytes`, maintained on insert/evict
     /// instead of summed per call.
     stored_bytes: u64,
+    /// When the staleness pass last found every file present and every
+    /// input at its version.
+    pub(crate) clean: PresentAt,
 }
 
 impl RepoSnapshot {

@@ -10,14 +10,18 @@
 //! rules 3–4 drive eviction (a time window of disuse, and invalidated or
 //! deleted inputs). The paper's experiments store everything ("we store
 //! the outputs of all candidate jobs and sub-jobs in the repository"),
-//! and so does the default policy here, which enables no rule; the rules
-//! are exercised by their own tests, benches, and an example.
+//! and so does the default policy here: rules 1–3 are off by default.
+//!
+//! Rule 4 is not a setting: reusing an entry whose inputs changed
+//! returns a wrong answer, and one whose file is gone fails the query. So
+//! every execution first runs one staleness pass ([`ReStore::sweep`]).
 
-use crate::pin::PinSet;
-use crate::repository::{RepoStats, Repository};
-use restore_dfs::Dfs;
+use crate::driver::{ReStore, Space};
+use crate::repository::{RepoBatch, RepoEntry, RepoStats};
+use restore_mapreduce::split_reader;
 
-/// Configuration of the §5 rules.
+/// Configuration of the §5 rules that are choices: admission (rules 1–2)
+/// and the disuse window (rule 3); rule 4 is not one (see the module).
 ///
 /// With per-tenant policies (see `ReStore::set_config_as`) each tenant
 /// namespace can carry its own instance: sweeps run with the submitting
@@ -34,8 +38,6 @@ pub struct SelectionPolicy {
     pub reload_read_bps: f64,
     /// Rule 3: evict entries unused for this many ticks (queries).
     pub eviction_window: Option<u64>,
-    /// Rule 4: evict entries whose inputs were deleted or overwritten.
-    pub check_input_versions: bool,
 }
 
 impl Default for SelectionPolicy {
@@ -45,19 +47,17 @@ impl Default for SelectionPolicy {
             require_time_benefit: false,
             reload_read_bps: 80.0 * 1024.0 * 1024.0,
             eviction_window: None,
-            check_input_versions: false,
         }
     }
 }
 
 impl SelectionPolicy {
-    /// A policy enforcing admission rules 1–2 and both eviction rules.
+    /// A policy enforcing admission rules 1–2 and eviction rule 3.
     pub fn strict(window: u64) -> Self {
         SelectionPolicy {
             require_size_reduction: true,
             require_time_benefit: true,
             eviction_window: Some(window),
-            check_input_versions: true,
             ..Default::default()
         }
     }
@@ -77,70 +77,143 @@ impl SelectionPolicy {
         true
     }
 
-    /// Eviction sweep (rules 3 and 4). Evicted outputs are deleted from
-    /// the DFS — except outputs pinned by an in-flight workflow, whose
-    /// file deletion is deferred to the last unpin (the repository entry
-    /// itself is removed immediately either way). Returns the evicted
-    /// entry ids.
+    /// Rule 3: unused within the window at tick `now` (an entry never
+    /// used is judged from its creation tick).
+    fn expired(&self, e: &RepoEntry, now: u64) -> bool {
+        self.eviction_window.is_some_and(|w| {
+            let stats = e.stats();
+            now.saturating_sub(stats.last_used.max(stats.created)) > w
+        })
+    }
+}
+
+/// Why an entry left the repository; the discriminant indexes the
+/// `reason` labels of `restore_entries_evicted_total`. `Overwritten`: a
+/// workflow wrote new bytes to the stored path.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Eviction {
+    Window,
+    InputsChanged,
+    OutputMissing,
+    Overwritten,
+}
+
+pub(crate) const EVICTION_REASONS: [&str; 4] =
+    ["window", "inputs_changed", "output_missing", "overwritten"];
+
+/// A file's DFS version, `None` if there is no such file.
+type VersionOf<'a> = dyn Fn(&str) -> Option<u64> + 'a;
+
+impl ReStore {
+    /// The staleness pass, run once per execution before matching, so no
+    /// stale entry is reused: forget every stored path the DFS no longer
+    /// holds, and evict every entry whose file is gone, whose recorded
+    /// inputs moved (rule 4) or, with a window set, that went unused
+    /// (rule 3). Returns the evicted ids.
     ///
-    /// Concurrency: the sweep never blocks matching. Victims are chosen
-    /// from a snapshot, removed in one atomically published
-    /// batch, and only **then** are files deleted (pin-checked) — so by
-    /// the time a file can disappear, no fresh snapshot still carries
-    /// its entry. Sessions matching against an older snapshot are
-    /// protected by the pin-then-revalidate protocol in the driver's
-    /// match loop. Returns immediately (no writer serialization) when no
-    /// eviction rule is active — the common store-everything policy.
-    pub fn sweep(&self, repo: &Repository, dfs: &Dfs, pins: &PinSet, now: u64) -> Vec<u64> {
-        if self.eviction_window.is_none() && !self.check_input_versions {
+    /// Both DFS checks share one namenode read, skipped while `Dfs::now`
+    /// reads the clock at which both snapshots were last found clean (a
+    /// `PresentAt` memo each, which a publish's clone forgets). A delete
+    /// or commit ticks the clock only once its change is visible, so a
+    /// job-free warm query only reads the clock and the two memos. Rule 3
+    /// deletes its victims' files; a stale entry's file goes only if
+    /// ReStore wrote it for itself (typed), never a user's text output.
+    pub(crate) fn sweep(
+        &self,
+        space: &Space,
+        space_name: &str,
+        policy: &SelectionPolicy,
+        now: u64,
+    ) -> Vec<u64> {
+        let dfs = self.engine.dfs();
+        let clock = dfs.now();
+        let prov = space.prov.load();
+        let repo = space.repo.snapshot();
+        let check = !(prov.clean.at(clock) && repo.clean.at(clock));
+        if !check && policy.eviction_window.is_none() {
             return Vec::new();
         }
-        let mut victims = Vec::new();
-        for e in repo.snapshot().entries() {
-            let stats = e.stats();
-            // Rule 3: unused within the window (entries never used are
-            // judged from their creation tick).
-            if let Some(w) = self.eviction_window {
-                let last_activity = stats.last_used.max(stats.created);
-                if now.saturating_sub(last_activity) > w {
-                    victims.push(e.id);
-                    continue;
-                }
-            }
-            // Rule 4: an input was deleted or modified.
-            if self.check_input_versions {
-                let invalidated =
-                    stats.input_files.iter().any(|(path, version)| match dfs.status(path) {
-                        Ok(st) => st.version != *version,
-                        Err(_) => true, // deleted
-                    });
-                if invalidated {
-                    victims.push(e.id);
-                }
-            }
+        let scan = |version: Option<&VersionOf<'_>>| {
+            let gone = |p: &str| version.is_some_and(|v| v(p).is_none());
+            let moved = |e: &RepoEntry| {
+                version.is_some_and(|v| e.input_files().iter().any(|(p, n)| v(p) != Some(*n)))
+            };
+            let why = |e: &RepoEntry| match () {
+                _ if policy.expired(e, now) => Some(Eviction::Window),
+                _ if gone(&e.output_path) => Some(Eviction::OutputMissing),
+                _ if moved(e) => Some(Eviction::InputsChanged),
+                _ => None,
+            };
+            let dead: Vec<String> =
+                prov.iter_paths().filter(|p| gone(p)).map(String::from).collect();
+            let victims: Vec<_> =
+                repo.entries().iter().filter_map(|e| Some((e.id, why(e)?))).collect();
+            (dead, victims)
+        };
+        let (dead, victims) =
+            if check { dfs.with_versions(|version| scan(Some(version))) } else { scan(None) };
+        if check && dead.is_empty() && victims.iter().all(|&(_, why)| why == Eviction::Window) {
+            prov.clean.set(clock);
+            repo.clean.set(clock);
         }
-        if victims.is_empty() {
-            return victims;
+        if dead.is_empty() && victims.is_empty() {
+            return Vec::new();
         }
-        // Remove every victim in one published batch, then perform the
-        // pin-checked file deletions *after* the publish but still
-        // inside the writer section (see `Repository::batch_then`): a
-        // session that pinned a match and revalidates sees either the
-        // entry (so its pin defers our deletion) or its absence (so it
-        // skips the entry) — never a deleted file behind a live entry.
-        // An id already evicted by a racing sweep simply comes back
-        // `None` and is skipped.
-        repo.batch_then(
-            |b| victims.iter().filter_map(|&id| b.evict(id)).collect::<Vec<_>>(),
-            |evicted| {
-                let mut swept = Vec::with_capacity(evicted.len());
-                for entry in evicted {
-                    if !pins.defer_delete(&entry.output_path) {
-                        dfs.delete(&entry.output_path);
-                    }
-                    swept.push(entry.id);
+        self.evict_entries(space, space_name, dead, |_| victims)
+    }
+
+    /// Evict the entries `pick` chooses from the repository's pending
+    /// state in one published batch, and forget their paths and those of
+    /// `forget` in one provenance update (provenance first, see
+    /// [`Space`]) journaled as one `prov-batch`, in path order. Files are
+    /// deleted, pin-checked, only after the batch publishes: a session
+    /// that pinned a match and revalidates sees the entry (its pin defers
+    /// the delete) or its absence (it skips it), never a deleted file
+    /// behind a live entry. An id a racing writer evicted is skipped.
+    pub(crate) fn evict_entries(
+        &self,
+        space: &Space,
+        space_name: &str,
+        mut forget: Vec<String>,
+        pick: impl FnOnce(&RepoBatch<'_>) -> Vec<(u64, Eviction)>,
+    ) -> Vec<u64> {
+        let dfs = self.engine.dfs();
+        space.prov.update_then(
+            |prov| {
+                let evicted = space.repo.batch_then(
+                    |b| {
+                        let victims = pick(b);
+                        victims
+                            .into_iter()
+                            .filter_map(|(id, why)| Some((b.evict(id)?, why)))
+                            .collect()
+                    },
+                    |evicted: Vec<_>| {
+                        for (entry, why) in &evicted {
+                            let path = &entry.output_path;
+                            let delete = *why == Eviction::Window
+                                || (*why == Eviction::InputsChanged
+                                    && split_reader::is_typed(dfs, path).unwrap_or(false));
+                            if delete && !space.pins.defer_delete(path) {
+                                dfs.delete(path);
+                            }
+                            self.obs.evicted[*why as usize].inc();
+                        }
+                        evicted
+                    },
+                );
+                forget.extend(evicted.iter().map(|(e, _)| e.output_path.clone()));
+                forget.sort_unstable();
+                forget.dedup();
+                forget.retain(|p| prov.contains(p));
+                for p in &forget {
+                    prov.forget(p);
                 }
-                swept
+                (evicted.iter().map(|(e, _)| e.id).collect(), forget)
+            },
+            |(ids, forgets)| {
+                self.journal.append_prov_batch(space_name, &[], &forgets);
+                ids
             },
         )
     }
@@ -149,8 +222,11 @@ impl SelectionPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ReStoreConfig;
     use restore_dataflow::physical::{PhysicalOp, PhysicalPlan};
-    use restore_dfs::DfsConfig;
+    use restore_dfs::{Dfs, DfsConfig};
+    use restore_mapreduce::{ClusterConfig, Engine, EngineConfig};
+    use std::sync::Arc;
 
     fn plan(path: &str) -> PhysicalPlan {
         let mut p = PhysicalPlan::new();
@@ -167,6 +243,24 @@ mod tests {
             job_time_s: time,
             ..Default::default()
         }
+    }
+
+    /// A session whose default namespace holds one entry, created at tick
+    /// 9 from `/data/in` at version 0 and stored as text in `/repo/out`.
+    fn session() -> (ReStore, Arc<Space>) {
+        let dfs = Dfs::new(DfsConfig::small_for_tests());
+        dfs.write_all("/data/in", b"v0").unwrap();
+        dfs.write_all("/repo/out", b"r").unwrap();
+        let engine = Engine::new(dfs, ClusterConfig::default(), EngineConfig::default());
+        let rs = ReStore::new(engine, ReStoreConfig::default());
+        let space = rs.space_for(None);
+        let input_files = vec![("/data/in".into(), 0)];
+        space.repo.insert(
+            plan("/x"),
+            "/repo/out",
+            RepoStats { created: 9, input_files, ..stats(10, 1, 1.0) },
+        );
+        (rs, space)
     }
 
     #[test]
@@ -198,60 +292,45 @@ mod tests {
 
     #[test]
     fn rule3_window_eviction() {
-        let dfs = Dfs::new(DfsConfig::small_for_tests());
+        let (rs, space) = session();
+        let dfs = rs.engine().dfs();
         dfs.write_all("/repo/old", b"x").unwrap();
-        dfs.write_all("/repo/fresh", b"y").unwrap();
-        let repo = Repository::new();
         let mut s_old = stats(10, 1, 1.0);
         s_old.created = 1;
         s_old.last_used = 2;
-        repo.insert(plan("/old"), "/repo/old", s_old);
-        let mut s_new = stats(10, 1, 1.0);
-        s_new.created = 9;
-        repo.insert(plan("/fresh"), "/repo/fresh", s_new);
+        space.repo.insert(plan("/old"), "/repo/old", s_old);
 
         let policy = SelectionPolicy { eviction_window: Some(5), ..Default::default() };
-        let evicted = policy.sweep(&repo, &dfs, &PinSet::default(), 10);
+        let evicted = rs.sweep(&space, "", &policy, 10);
         assert_eq!(evicted.len(), 1);
-        assert_eq!(repo.snapshot().len(), 1);
+        assert_eq!(space.repo.snapshot().len(), 1);
         assert!(!dfs.exists("/repo/old"), "evicted output deleted from DFS");
-        assert!(dfs.exists("/repo/fresh"));
+        assert!(dfs.exists("/repo/out"));
     }
 
     #[test]
     fn rule4_input_invalidation() {
-        let dfs = Dfs::new(DfsConfig::small_for_tests());
-        dfs.write_all("/data/in", b"v0").unwrap();
-        dfs.write_all("/repo/out", b"r").unwrap();
-        let repo = Repository::new();
-        let mut s = stats(10, 1, 1.0);
-        s.input_files = vec![("/data/in".into(), 0)];
-        repo.insert(plan("/x"), "/repo/out", s);
-
-        let policy = SelectionPolicy { check_input_versions: true, ..Default::default() };
-        // Input untouched: nothing happens.
-        assert!(policy.sweep(&repo, &dfs, &PinSet::default(), 1).is_empty());
+        let (rs, space) = session();
+        let dfs = rs.engine().dfs();
+        // Rule 4 holds under the default policy. Input untouched:
+        // nothing happens.
+        let policy = SelectionPolicy::default();
+        assert!(rs.sweep(&space, "", &policy, 1).is_empty());
         // Overwrite the input: version bumps, entry evicted.
         let mut w = dfs.create_overwrite("/data/in").unwrap();
         w.write(b"v1");
         w.close().unwrap();
-        let evicted = policy.sweep(&repo, &dfs, &PinSet::default(), 2);
+        let evicted = rs.sweep(&space, "", &policy, 2);
         assert_eq!(evicted.len(), 1);
-        assert!(repo.snapshot().is_empty());
+        assert!(space.repo.snapshot().is_empty());
+        assert!(dfs.exists("/repo/out"), "a text output is not ReStore's to delete");
     }
 
     #[test]
     fn rule4_deleted_input() {
-        let dfs = Dfs::new(DfsConfig::small_for_tests());
-        dfs.write_all("/data/in", b"v0").unwrap();
-        dfs.write_all("/repo/out", b"r").unwrap();
-        let repo = Repository::new();
-        let mut s = stats(10, 1, 1.0);
-        s.input_files = vec![("/data/in".into(), 0)];
-        repo.insert(plan("/x"), "/repo/out", s);
-        dfs.delete("/data/in");
-        let policy = SelectionPolicy { check_input_versions: true, ..Default::default() };
-        assert_eq!(policy.sweep(&repo, &dfs, &PinSet::default(), 1).len(), 1);
+        let (rs, space) = session();
+        rs.engine().dfs().delete("/data/in");
+        assert_eq!(rs.sweep(&space, "", &SelectionPolicy::default(), 1).len(), 1);
     }
 
     #[test]
@@ -259,6 +338,5 @@ mod tests {
         let p = SelectionPolicy::strict(7);
         assert!(p.require_size_reduction && p.require_time_benefit);
         assert_eq!(p.eviction_window, Some(7));
-        assert!(p.check_input_versions);
     }
 }

@@ -32,6 +32,7 @@
 use crate::driver::{ReStore, ReStoreConfig, Space};
 use crate::provenance::Provenance;
 use crate::repository::{RepoSnapshot, Repository};
+use crate::selector::Eviction;
 use std::sync::Arc;
 
 impl ReStore {
@@ -116,43 +117,16 @@ impl ReStore {
         for (name, space) in self.spaces_by_name() {
             // Cheap snapshot probe first: fresh output paths are almost
             // never registered anywhere.
-            let hit = {
-                let prov = space.prov.load();
-                written.iter().any(|p| prov.contains(p))
-            } || {
-                let repo = space.repo.snapshot();
-                repo.entries().iter().any(|e| written.contains(&e.output_path))
-            };
-            if !hit {
+            let (prov, repo) = (space.prov.load(), space.repo.snapshot());
+            if !written.iter().any(|p| prov.contains(p))
+                && !repo.entries().iter().any(|e| written.contains(&e.output_path))
+            {
                 continue;
             }
-            // Writer order: provenance before repository (see [`Space`]).
-            // The repository evictions journal themselves through the
-            // batch sink; the provenance forgets are journaled here, in
-            // the writer section, once the update has published.
-            space.prov.update_then(
-                |prov| {
-                    let mut forgets = Vec::new();
-                    space.repo.batch(|repo| {
-                        for p in written {
-                            let stale: Vec<u64> = repo
-                                .pending_entries()
-                                .filter(|e| &e.output_path == p)
-                                .map(|e| e.id)
-                                .collect();
-                            for id in stale {
-                                repo.evict(id);
-                            }
-                            if prov.contains(p) {
-                                prov.forget(p);
-                                forgets.push(p.clone());
-                            }
-                        }
-                    });
-                    forgets
-                },
-                |forgets| self.journal.append_prov_batch(&name, &[], &forgets),
-            );
+            self.evict_entries(&space, &name, written.to_vec(), |repo| {
+                let stale = repo.pending_entries().filter(|e| written.contains(&e.output_path));
+                stale.map(|e| (e.id, Eviction::Overwritten)).collect()
+            });
         }
     }
 

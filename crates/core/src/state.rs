@@ -28,6 +28,9 @@
 //!   `require_time_benefit`, whatever their lines say, and `false` is
 //!   ignored: with neither rule on, every candidate is kept, so the
 //!   switch repeated what the two rule keys already say.
+//! * `check_input_versions`, the switch that turned §5 rule 4 on. Rule
+//!   4 is no longer a choice: every execution evicts an entry whose
+//!   inputs changed, so `true` and `false` are both ignored.
 //! * `dlq_max_entries` and `dlq_max_age_ticks`, the caps of the
 //!   dead-letter queue earlier releases kept. They are ignored, and a
 //!   value of `on_failure dlq` reads as `retry`: a `dlq` tenant got
@@ -132,7 +135,7 @@ pub(crate) fn encode_config(c: &ReStoreConfig) -> String {
         "reuse_enabled {}\nheuristic {}\nrepo_prefix {:?}\n\
          register_final_outputs {}\nwave_parallel {}\n\
          require_size_reduction {}\nrequire_time_benefit {}\nreload_read_bps {}\n\
-         eviction_window {}\ncheck_input_versions {}\n\
+         eviction_window {}\n\
          on_failure {}\nmax_retries {}\nretry_backoff_base_ms {}\n\
          retry_backoff_factor {}\nretry_backoff_cap_ms {}\nretry_backoff_jitter {}\n\
          failure_window {}\nfailure_threshold {}\nbreaker_cooldown_ms {}\n\
@@ -146,7 +149,6 @@ pub(crate) fn encode_config(c: &ReStoreConfig) -> String {
         c.selection.require_time_benefit,
         c.selection.reload_read_bps,
         window,
-        c.selection.check_input_versions,
         disposition_name(c.failure.on_failure),
         c.failure.max_retries,
         c.failure.retry_backoff_base_ms,
@@ -201,7 +203,8 @@ pub(crate) fn decode_config(lines: &[&str], base: usize) -> Result<ReStoreConfig
                     v => Some(v.parse().map_err(|_| bad())?),
                 }
             }
-            "check_input_versions" => c.selection.check_input_versions = parse_bool(value)?,
+            // Rule 4 always holds (see `selector`): checked, then ignored.
+            "check_input_versions" => parse_bool(value).map(drop)?,
             "repo_shards" => {
                 let n: usize = value.parse().map_err(|_| bad())?;
                 if n > 1 {
@@ -391,7 +394,6 @@ mod tests {
                 require_time_benefit: true,
                 reload_read_bps: 12345.5,
                 eviction_window: Some(42),
-                check_input_versions: true,
             },
             repo_prefix: "/re store/\"x\"".to_string(),
             register_final_outputs: false,

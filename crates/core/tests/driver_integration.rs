@@ -200,8 +200,8 @@ fn reuse_correctness_matches_baseline_across_configs() {
 fn eviction_by_input_invalidation_disables_reuse() {
     let eng = engine();
     seed_data(eng.dfs());
-    let mut config = ReStoreConfig { heuristic: Heuristic::None, ..Default::default() };
-    config.selection.check_input_versions = true;
+    // Rule 4 holds under every policy, the default included.
+    let config = ReStoreConfig { heuristic: Heuristic::None, ..Default::default() };
     let rs = ReStore::new(eng, config);
 
     rs.execute_query(&q1("/out/e1"), "/wf/e1").unwrap();

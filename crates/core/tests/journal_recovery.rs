@@ -416,7 +416,11 @@ fn base_and_segment_captured_at_the_parent_commit_still_recover() {
 
     assert_eq!(recovered_summary(&rs), include_str!("fixtures/parent_v5_expect.txt"));
     assert!(!rs.config_as(Some("ana")).register_final_outputs, "the tenant-config record applied");
-    assert!(!rs.save_state().contains("repo_shards"), "read, never written back");
+    let saved = rs.save_state();
+    assert!(base.contains("check_input_versions false\n"));
+    for key in ["repo_shards", "check_input_versions"] {
+        assert!(!saved.contains(key), "{key}: read, never written back");
+    }
 }
 
 /// A journal segment holding a `replace` record — a whole-session
@@ -542,14 +546,12 @@ fn journal_stats_track_recording() {
 /// deleted behind the session's back between them (the second forgets
 /// it), a strict policy with a one-query eviction window and a retry
 /// policy for `bo`, and that override cleared again. Last, the dry runs of
-/// a query the repository answers whole and of one it answers in part.
-/// The engine runs its tasks on `threads` worker threads.
-fn journaled_run(threads: usize) -> (String, Vec<String>, String, [String; 2]) {
+/// a query the repository answers whole and of one it answers in part,
+/// and the session's metrics with every timing family masked. The engine
+/// runs its tasks on `threads` worker threads.
+fn journaled_run(threads: usize) -> (String, Vec<String>, String, [String; 3]) {
     let shared = dfs();
-    let config = ReStoreConfig {
-        selection: SelectionPolicy { check_input_versions: true, ..Default::default() },
-        ..Default::default()
-    };
+    let config = ReStoreConfig::default();
     let engine = Engine::new(
         shared.clone(),
         ClusterConfig::default(),
@@ -602,6 +604,19 @@ fn journaled_run(threads: usize) -> (String, Vec<String>, String, [String; 2]) {
     segments.extend(first);
     segments.extend(second);
 
+    // A base input overwritten behind the session's back between two
+    // reruns: the second evicts every entry that read it, and journals
+    // the evictions and the forgets.
+    let mut w = shared.create_overwrite("/data/pv").unwrap();
+    w.write(b"alice\t6\nbob\t7\n");
+    w.close().unwrap();
+    let rerun = rs.execute_query(&sum_query("/out/s5"), "/wf/s5").unwrap();
+    assert_eq!(rerun.jobs_skipped, 0, "the changed input is a miss");
+    let third = rs.save_state_delta().unwrap();
+    assert!(third.iter().any(|s| s.contains("\nevict ")), "evictions journaled: {third:?}");
+    assert!(forget_batches(&third).iter().any(|b| b.0 == "\"\"" && b.1 > 0), "{third:?}");
+    segments.extend(third);
+
     let strict = ReStoreConfig {
         selection: SelectionPolicy::strict(1),
         failure: FailurePolicy {
@@ -628,7 +643,14 @@ fn journaled_run(threads: usize) -> (String, Vec<String>, String, [String; 2]) {
     let by_city = join_query("/out/c").replace("group C by $0", "group C by $1");
     let partly = rs.explain_query_as(None, &by_city, "/wf/c").unwrap();
     assert_eq!(partly.matches("job would be skipped").count(), 1, "{partly}");
-    (base, segments, rs.save_state(), [warm, partly])
+    let metrics: String = rs
+        .registry()
+        .render()
+        .lines()
+        .filter(|l| !l.contains("_seconds"))
+        .flat_map(|l| [l, "\n"])
+        .collect();
+    (base, segments, rs.save_state(), [warm, partly, metrics])
 }
 
 /// Each `prov-batch` record's namespace and how many paths it forgets.
@@ -646,7 +668,8 @@ fn forget_batches(segments: &[String]) -> Vec<(String, usize)> {
 
 /// Same inputs, same bytes: the workload run twice in fresh sessions, at
 /// one and at two engine threads, journals byte-identical segments, ends
-/// in a byte-identical document and explains the same. The provenance
+/// in a byte-identical document, explains the same and renders the same
+/// metrics but for their timings. The provenance
 /// table and the namespace map are hash maps, so this holds only because
 /// the paths forgotten together and the namespaces an overwrite reaches
 /// are journaled in sorted order.

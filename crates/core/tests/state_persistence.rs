@@ -367,11 +367,12 @@ fn v4_document_loads_and_resaves_as_v5() {
     assert_eq!(resumed.save_state(), v5);
 }
 
-/// Insert a `repo_shards <n>` line after the `nth` `check_input_versions`
-/// line — where the releases that wrote the key put it (0 = the global
-/// config, 1 = the first tenant override).
+/// Insert a `repo_shards <n>` line after the `nth` `eviction_window`
+/// line — the key the releases that wrote `repo_shards` put it after,
+/// less the `check_input_versions` line between them, which is no longer
+/// written (0 = the global config, 1 = the first tenant override).
 fn with_repo_shards(doc: &str, nth: usize, n: usize) -> String {
-    let key = "check_input_versions false\n";
+    let key = "eviction_window none\n";
     let at = doc.match_indices(key).nth(nth).expect("config section").0 + key.len();
     format!("{}repo_shards {n}\n{}", &doc[..at], &doc[at..])
 }
@@ -413,7 +414,7 @@ fn sharded_document_is_refused_not_misordered() {
         }
     }
     // A value that is not a number is a located parse error.
-    let bad = doc.replacen("check_input_versions false\n", "repo_shards many\n", 1);
+    let bad = doc.replacen("eviction_window none\n", "eviction_window none\nrepo_shards many\n", 1);
     let line = 1 + bad.lines().position(|l| l == "repo_shards many").unwrap();
     expect_state_err(&bad, line, "repo_shards");
 }

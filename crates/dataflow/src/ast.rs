@@ -85,56 +85,3 @@ pub enum AstExpr {
     /// (SUM, COUNT, AVG, MIN, MAX, COUNT_DISTINCT).
     Call(String, Vec<AstExpr>),
 }
-
-impl Program {
-    /// Aliases referenced as inputs by any statement.
-    pub fn referenced_aliases(&self) -> Vec<&str> {
-        let mut out = Vec::new();
-        for s in &self.statements {
-            match s {
-                Statement::Assign { rel, .. } => match rel {
-                    RelExpr::Load { .. } => {}
-                    RelExpr::Foreach { input, .. }
-                    | RelExpr::Filter { input, .. }
-                    | RelExpr::Group { input, .. }
-                    | RelExpr::Distinct { input }
-                    | RelExpr::OrderBy { input, .. }
-                    | RelExpr::Limit { input, .. } => out.push(input.as_str()),
-                    RelExpr::Join { inputs } | RelExpr::CoGroup { inputs } => {
-                        out.extend(inputs.iter().map(|(a, _)| a.as_str()))
-                    }
-                    RelExpr::Union { inputs } => out.extend(inputs.iter().map(|s| s.as_str())),
-                },
-                Statement::Store { alias, .. } => out.push(alias.as_str()),
-                Statement::Split { input, .. } => out.push(input.as_str()),
-            }
-        }
-        out
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn referenced_aliases_collects_inputs() {
-        let p = Program {
-            statements: vec![
-                Statement::Assign {
-                    alias: "A".into(),
-                    rel: RelExpr::Load { path: "/x".into(), schema: vec![] },
-                },
-                Statement::Assign {
-                    alias: "B".into(),
-                    rel: RelExpr::Filter {
-                        input: "A".into(),
-                        predicate: AstExpr::Lit(Value::Int(1)),
-                    },
-                },
-                Statement::Store { alias: "B".into(), path: "/o".into() },
-            ],
-        };
-        assert_eq!(p.referenced_aliases(), vec!["A", "B"]);
-    }
-}

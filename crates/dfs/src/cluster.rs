@@ -96,19 +96,19 @@ impl Dfs {
         &self.inner.config
     }
 
-    /// Advance and return the logical clock. Every mutation ticks it; a
-    /// delete ticks after its namespace change, with `Release`, so the
-    /// clock can tell a reader that the change is visible (see
-    /// [`Dfs::now`]).
+    /// Advance and return the logical clock, with `Release`. A delete
+    /// ticks after removing its path, a commit inside the namespace lock
+    /// it upserts under (the tick is the file's `mtime`): either way a
+    /// reader that sees the tick sees the change (see [`Dfs::now`]).
     fn tick(&self) -> u64 {
         self.inner.clock.fetch_add(1, Ordering::Release) + 1
     }
 
     /// Current logical time. A reader that sees clock `c` sees every
-    /// delete that ticked at or before `c`: the read is `Acquire` and
-    /// pairs with [`Dfs::tick`]. So a reader that found all its paths
-    /// present at clock `c` knows they still are while the clock reads
-    /// `c`.
+    /// delete and commit that ticked at or before `c`: the read is
+    /// `Acquire` and pairs with [`Dfs::tick`]. So a reader that found its
+    /// paths present, at the versions it expected, at clock `c` knows
+    /// they still are while the clock reads `c`.
     pub fn now(&self) -> u64 {
         self.inner.clock.load(Ordering::Acquire)
     }
@@ -122,11 +122,12 @@ impl Dfs {
         self.inner.namenode.read().contains(path)
     }
 
-    /// The paths of `paths` that do not exist, in the order given, all
-    /// checked under one namespace read.
-    pub fn missing<'a>(&self, paths: impl IntoIterator<Item = &'a str>) -> Vec<&'a str> {
+    /// Run `f` with a lookup of each path's version (`None`: no such
+    /// file), every lookup under one namespace read. `f` must not call
+    /// back into this DFS.
+    pub fn with_versions<R>(&self, f: impl FnOnce(&dyn Fn(&str) -> Option<u64>) -> R) -> R {
         let nn = self.inner.namenode.read();
-        paths.into_iter().filter(|p| !nn.contains(p)).collect()
+        f(&|path| nn.get(path).map(|meta| meta.version))
     }
 
     /// Status of a file.
@@ -352,9 +353,11 @@ impl Dfs {
         self.inner.metrics.add_write(total_len, total_len * replication as u64);
         self.inner.metrics.files_created.fetch_add(1, Ordering::Relaxed);
 
-        let mtime = self.tick();
-        let meta = FileMeta { blocks, len: total_len, replication, mtime, version: 0 };
-        let (old, _version) = self.inner.namenode.write().upsert(path, meta);
+        let (old, _version) = {
+            let mut nn = self.inner.namenode.write();
+            let mtime = self.tick();
+            nn.upsert(path, FileMeta { blocks, len: total_len, replication, mtime, version: 0 })
+        };
         if let Some(old) = old {
             self.release_blocks(&old);
         }
@@ -509,13 +512,20 @@ mod tests {
         let dfs = tiny();
         dfs.write_all("/a", b"1").unwrap();
         dfs.write_all("/b", b"2").unwrap();
-        assert_eq!(dfs.missing(["/a", "/z", "/b", "/y"]), ["/z", "/y"]);
+        let versions = |paths: &[&str]| {
+            dfs.with_versions(|version| paths.iter().map(|p| version(p)).collect::<Vec<_>>())
+        };
+        assert_eq!(versions(&["/a", "/z", "/b", "/y"]), [Some(0), None, Some(0), None]);
         let before = dfs.now();
         assert!(!dfs.delete("/z"), "nothing to delete");
         assert_eq!(dfs.now(), before, "a delete of nothing leaves the clock");
         assert!(dfs.delete("/a"));
         assert!(dfs.now() > before);
-        assert_eq!(dfs.missing(["/a", "/b"]), ["/a"]);
+        assert_eq!(versions(&["/a", "/b"]), [None, Some(0)]);
+        let before = dfs.now();
+        dfs.create_overwrite("/b").unwrap().close().unwrap();
+        assert!(dfs.now() > before, "so does an overwrite");
+        assert_eq!(versions(&["/b"]), [Some(1)]);
     }
 
     #[test]
