@@ -15,16 +15,16 @@
 //!    Equation (1) already models a workflow's makespan as its slowest
 //!    dependency chain, and wave-parallel execution realizes it;
 //! 3. **register** (serialized, in job-index order): outputs, plans, and
-//!    statistics enter the repository and the provenance table (§2.2),
+//!    statistics enter the repository and its provenance table (§2.2),
 //!    and the §5 selection rules are applied.
 //!
-//! The repository and provenance table are published as **RCU
-//! snapshots** (see [`crate::rcu`] and [`crate::repository`]), and every
+//! The repository, its provenance table included, is published as
+//! **RCU snapshots** (see [`crate::rcu`] and [`crate::repository`]), and every
 //! public entry point takes `&self`, so **many threads can submit queries
 //! against one warmed repository**. The match path never waits on a
 //! writer's clone, mutation or `after`: each match attempt grabs the
-//! current repository snapshot and provenance snapshot once (a pointer
-//! copy each, see [`crate::rcu`]) and works against them — candidate
+//! current snapshot once (a pointer copy, see [`crate::rcu`]) and works
+//! against it — candidate
 //! filtering, path resolution, and the scan budget all come from the
 //! snapshot — while reuse accounting (`use_count` / `last_used`) is
 //! carried by atomics shared across snapshots, so a match publishes
@@ -55,7 +55,6 @@ use crate::enumerator::{inject_subjob_stores, Candidate, Heuristic};
 use crate::journal::Journal;
 use crate::obs::{Obs, ReuseDecision, ReuseTraceEvent, SpaceMetrics};
 use crate::pin::PinSet;
-use crate::provenance::Provenance;
 use crate::rcu::Rcu;
 use crate::repository::{MatchProbe, RepoBatch, RepoStats, Repository};
 use crate::rewriter::{apply_aliases, identity_copy};
@@ -245,19 +244,17 @@ pub struct ReStore {
     pub(crate) obs: Obs,
 }
 
-/// One isolated repository namespace: the §2.2 repository, its
+/// One isolated repository namespace: the §2.2 repository with its
 /// provenance table, the pin set protecting its in-flight matches, and
 /// the tenant's policy override (`None` = follow the global default).
 ///
-/// Both tables are RCU-published: readers load snapshots without
-/// waiting on a writer section, mutators serialize internally. When a mutation spans both tables
-/// (wave registration, overwrite invalidation, restore), the writer
-/// sides are entered **provenance first, repository second** —
-/// one fixed order, so cross-table writers can never deadlock.
+/// The repository publishes entries and provenance as one RCU snapshot:
+/// readers load it without waiting on a writer section, and a wave's
+/// registration, an eviction or a restore is one writer section, one
+/// publish and one journal record.
 #[derive(Debug, Default)]
 pub(crate) struct Space {
     pub(crate) repo: Repository,
-    pub(crate) prov: Rcu<Provenance>,
     pub(crate) pins: PinSet,
     /// The tenant's policy override (always `None` in the default
     /// namespace, which follows the global config), RCU-published so
@@ -449,7 +446,7 @@ impl ReStore {
         // The staleness pass runs *before* matching, so a stale entry
         // (expired window, changed inputs, lost file) is never reused.
         let sweep_t0 = Instant::now();
-        self.sweep(&space, space_name, &config.selection, tick);
+        self.sweep(&space, &config.selection, tick);
         self.obs.stage.sweep.record_elapsed(sweep_t0);
 
         let n = wf.jobs.len();
@@ -541,50 +538,33 @@ impl ReStore {
             if !wave_written.is_empty() {
                 self.invalidate_overwritten(&wave_written);
             }
-            // The whole wave's registrations land as one published
-            // provenance snapshot and one published repository snapshot
-            // (in job-index order), instead of a publish per job:
-            // concurrent sessions see the wave land atomically, and the
-            // writer side is entered O(waves) instead of O(jobs) times.
-            // Readers keep matching against the previous snapshots
-            // throughout — registration never blocks the match path.
+            // The whole wave's entries and provenance land as one
+            // published snapshot (in job-index order), journaled at
+            // publish as one `repo-batch` record, instead of a publish
+            // per job: concurrent sessions and recovery see the wave land
+            // atomically, and the writer side is entered O(waves) instead
+            // of O(jobs) times. Readers keep matching against the
+            // previous snapshot throughout — registration never blocks
+            // the match path.
             if manage_outputs && !prepared.is_empty() {
-                // Writer order: provenance before repository (see
-                // [`Space`]). The repository batch journals itself at
-                // publish; the wave's provenance registrations are
-                // journaled here as one `prov-batch` record — both
-                // inside the provenance writer section, so journal
-                // order equals publish order.
-                let registered: Result<Vec<(u64, usize)>> = space.prov.update_then(
-                    |prov| {
-                        let mut registers: Vec<(String, Arc<PhysicalPlan>)> = Vec::new();
-                        let result = space.repo.batch(|repo| {
-                            prepared
-                                .iter()
-                                .zip(&results)
-                                .map(|(job, result)| {
-                                    self.register_outputs_batched(
-                                        prov,
-                                        repo,
-                                        &space.pins,
-                                        &wf,
-                                        job,
-                                        result,
-                                        tick,
-                                        &config,
-                                        &versions,
-                                        &mut registers,
-                                    )
-                                })
-                                .collect()
-                        });
-                        (result, registers)
-                    },
-                    |(result, registers)| {
-                        self.journal.append_prov_batch(space_name, &registers, &[]);
-                        result
-                    },
-                );
+                let registered: Result<Vec<(u64, usize)>> = space.repo.batch(|repo| {
+                    prepared
+                        .iter()
+                        .zip(&results)
+                        .map(|(job, result)| {
+                            self.register_outputs_batched(
+                                repo,
+                                &space.pins,
+                                &wf,
+                                job,
+                                result,
+                                tick,
+                                &config,
+                                &versions,
+                            )
+                        })
+                        .collect()
+                });
                 for (cand_bytes, cand_stored) in registered? {
                     stored_candidate_bytes += cand_bytes;
                     candidates_stored += cand_stored;
@@ -700,8 +680,8 @@ impl ReStore {
         // Sub-job enumeration (§4). Candidate outputs are keyed under the
         // tenant's prefix so namespaces never share materialized files.
         let candidates: Vec<Candidate> = if config.heuristic != Heuristic::None {
-            let prov = space.prov.load();
             let repo = space.repo.snapshot();
+            let prov = repo.provenance();
             let prefix = match space_name {
                 "" => config.repo_prefix.clone(),
                 t => format!("{}/{t}", config.repo_prefix),
@@ -748,8 +728,8 @@ impl ReStore {
     /// ([`crate::provenance::ExpandedPlan::collapses_back`]), and a plan
     /// reduced to a `Load → Store` copy is answered in full, so the loop
     /// stops there. No writer section anywhere: each iteration loads the
-    /// current repository and provenance snapshots (a pointer copy
-    /// each), and reuse statistics are recorded through the entries'
+    /// current repository snapshot, provenance included (a pointer
+    /// copy), and reuse statistics are recorded through the entries'
     /// shared atomics;
     /// `on_match` runs after each applied rewrite. With `pins` present
     /// (a real execution, not a dry run), the reused output is pinned
@@ -796,8 +776,8 @@ impl ReStore {
         let mut probe = MatchProbe::default();
         for _ in 0..budget {
             let snapshot_t0 = Instant::now();
-            let expanded = space.prov.load().expand(plan);
             let snap = space.repo.snapshot();
+            let expanded = snap.provenance().expand(plan);
             self.obs.match_stage.snapshot_load.record_elapsed(snapshot_t0);
             probe.reset();
             let found = snap.find_first_match_probed(
@@ -889,15 +869,14 @@ impl ReStore {
 
     /// Phase 3 for one executed job: register the whole-job entry, the
     /// candidate sub-job entries, and their provenance. The caller runs
-    /// the whole wave inside one provenance update and one repository
-    /// batch, both published when the wave completes, so concurrent
-    /// sessions never observe a half-registered job (e.g. provenance
-    /// without the repository entry) or a half-registered wave. Returns
-    /// (bytes written by injected Stores, candidates kept).
+    /// the whole wave inside one repository batch, published when the
+    /// wave completes, so concurrent sessions and recovery never observe
+    /// a half-registered job (e.g. an entry without its provenance) or
+    /// a half-registered wave. Returns (bytes written by injected
+    /// Stores, candidates kept).
     #[allow(clippy::too_many_arguments)]
     fn register_outputs_batched(
         &self,
-        prov: &mut Provenance,
         repo: &mut RepoBatch<'_>,
         pins: &PinSet,
         wf: &CompiledWorkflow,
@@ -906,7 +885,6 @@ impl ReStore {
         tick: u64,
         config: &ReStoreConfig,
         versions: &HashMap<String, u64>,
-        registers: &mut Vec<(String, Arc<PhysicalPlan>)>,
     ) -> Result<(u64, usize)> {
         let io = job_io(&job.plan)?;
         // Final outputs (not inter-job temporaries) are only registered
@@ -925,7 +903,7 @@ impl ReStore {
         let mut candidates_stored = 0usize;
 
         // Whole-job entry: the main output with the job's plan.
-        let whole_base = prov.expand(&whole_prefix).plan.into_owned();
+        let whole_base = repo.provenance().expand(&whole_prefix).plan.into_owned();
         let whole_stats = RepoStats {
             input_bytes: result.counters.map_input_bytes,
             output_bytes: result.counters.output_bytes,
@@ -941,10 +919,7 @@ impl ReStore {
         if keep_main && lossy(&io.main_output) {
             self.obs.vetoed_retypes.inc();
         } else if keep_main {
-            prov.register(&io.main_output, whole_base.clone());
-            if let Some(plan) = prov.get_arc(&io.main_output) {
-                registers.push((io.main_output.clone(), plan));
-            }
+            repo.register(&io.main_output, whole_base.clone());
             repo.insert(whole_base, &io.main_output, whole_stats);
             // The path holds fresh bytes again: a deletion deferred from
             // a pre-overwrite eviction must not fire on it later.
@@ -967,7 +942,7 @@ impl ReStore {
                 side_bytes(result, &cand.store_path)
             };
             stored_candidate_bytes += if cand.already_stored { 0 } else { bytes };
-            let base = prov.expand(&cand.prefix).plan.into_owned();
+            let base = repo.provenance().expand(&cand.prefix).plan.into_owned();
             let stats = RepoStats {
                 input_bytes: result.counters.map_input_bytes,
                 output_bytes: bytes,
@@ -985,17 +960,15 @@ impl ReStore {
                 // we registered) may have stored an equivalent plan under
                 // another path; the repository keeps the first entry, so a
                 // freshly materialized duplicate file would be orphaned.
+                let registered = repo.provenance().contains(&cand.store_path);
                 let orphaned = matches!(outcome, crate::repository::InsertOutcome::Duplicate(_))
                     && !cand.already_stored
-                    && !prov.contains(&cand.store_path);
+                    && !registered;
                 if orphaned {
                     self.engine.dfs().delete(&cand.store_path);
                 } else {
-                    if !prov.contains(&cand.store_path) {
-                        prov.register(&cand.store_path, base);
-                        if let Some(plan) = prov.get_arc(&cand.store_path) {
-                            registers.push((cand.store_path.clone(), plan));
-                        }
+                    if !registered {
+                        repo.register(&cand.store_path, base);
                     }
                     pins.cancel_deferred(&cand.store_path);
                     candidates_stored += 1;
@@ -1018,8 +991,8 @@ impl ReStore {
         jobs: &[PreparedJob],
         versions: &mut HashMap<String, u64>,
     ) {
-        let prov = space.prov.load();
-        let expanded: Vec<_> = jobs.iter().map(|job| prov.expand(&job.plan)).collect();
+        let snap = space.repo.snapshot();
+        let expanded: Vec<_> = jobs.iter().map(|job| snap.provenance().expand(&job.plan)).collect();
         self.engine.dfs().with_versions(|version| {
             for plan in expanded.iter().map(|e| &e.plan) {
                 for path in plan.loads().into_iter().map(|l| plan.path(l)) {
@@ -1165,7 +1138,7 @@ mod tests {
 
         // T2's sweep far outside the window evicts every entry while T1
         // sits between match and execution.
-        let evicted = rs.sweep(&space, "", &cfg.selection, 99);
+        let evicted = rs.sweep(&space, &cfg.selection, 99);
         assert!(!evicted.is_empty());
         assert_eq!(space.repo.snapshot().len(), 0);
 
@@ -1212,7 +1185,7 @@ mod tests {
 
         // T2's sweep evicts everything; the pinned file's deletion is
         // deferred, so it still exists on the DFS…
-        rs.sweep(&space, "", &cfg.selection, 99);
+        rs.sweep(&space, &cfg.selection, 99);
         assert!(rs.engine().dfs().exists(&reused));
 
         // …but a snapshot taken now must exclude it everywhere.
@@ -1261,7 +1234,7 @@ mod tests {
 
         // Sweep evicts the entry and defers the pinned file's deletion —
         // but this workflow hands `reused` to its caller.
-        rs.sweep(&space, "", &cfg.selection, 99);
+        rs.sweep(&space, &cfg.selection, 99);
         pins.preserve(&reused);
         drop(pins);
         assert!(

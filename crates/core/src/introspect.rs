@@ -11,7 +11,8 @@
 //! ```
 //!
 //! Nothing here enters a writer section: each answer is read from
-//! repository and provenance snapshots and the session's trace ring.
+//! repository snapshots (provenance included) and the session's trace
+//! ring.
 //!
 //! | File | Purpose |
 //! |------|---------|
@@ -169,11 +170,10 @@ impl ReStore {
     }
 
     /// One namespace's stats at the given clock reading. Wait-free: one
-    /// provenance snapshot, one repository snapshot; no lock ordering to
-    /// respect and no writer ever blocked.
+    /// repository snapshot, provenance included; no writer ever blocked.
     fn space_stats(space: &Space, queries_executed: u64) -> ReStoreStats {
-        let provenance_entries = space.prov.load().len();
         let repo = space.repo.snapshot();
+        let provenance_entries = repo.provenance().len();
         let entries = repo.entries();
         ReStoreStats {
             repository_entries: entries.len(),

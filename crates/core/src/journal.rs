@@ -22,10 +22,11 @@
 //! tenant-config <name:?>          + config `key value` lines
 //! tenant-config-clear <name:?>
 //! global-config                   + config `key value` lines
-//! repo-batch <space:?>            + `entry …` blocks / `evict <id>` lines, in order
+//! repo-batch <space:?>            + `entry …` / `path …` blocks, `evict <id>` /
+//!                                   `forget <p:?>` lines, in application order
 //! note-use <space:?>              + `use <id> <count> <last>` lines (absolute values)
-//! prov-batch <space:?>            + `path …` blocks / `forget <p:?>` lines, in order
-//! prov-replace <space:?>          + a full provenance table
+//! prov-batch <space:?>            + `path …` blocks / `forget <p:?>` lines (read only)
+//! prov-replace <space:?>          + a full provenance table (read only)
 //! replace                         + a full `restore-state` document (read only)
 //! breaker-state <space:?> <open|closed>   (read only, retired)
 //! dlq-put <space:?>               + one dead-letter entry (read only, retired)
@@ -35,7 +36,12 @@
 //! `replace` is no longer written: a full document comes back through
 //! `recover`, which does not record the load. It is still read, so a
 //! journal from a release that recorded a wholesale load mid-journal
-//! still replays.
+//! still replays. `prov-batch` and `prov-replace` are not written either:
+//! provenance is part of the repository snapshot, so its registrations
+//! and forgets travel in the `repo-batch` of the batch that made them. A
+//! `prov-batch` replays as a `repo-batch` of its lines, and a
+//! `prov-replace` as the forgets and registrations that turn the table
+//! into the recorded one.
 //!
 //! The three **retired** kinds are no longer written and apply nothing.
 //! `breaker-state` recorded a circuit breaker, which is the live
@@ -48,10 +54,12 @@
 //! parsed; it has no type left to decode into, and the frame checksum
 //! already guards its bytes.
 //!
-//! One record is one **atomic replay unit** — a wave's registrations
-//! land as a single `repo-batch` (plus its `prov-batch`), an eviction
-//! sweep as a single `repo-batch` — so a recovered state is always a
-//! prefix of committed batches, never half a wave.
+//! One record is one **atomic replay unit** — a wave's entries and
+//! their provenance land as a single `repo-batch`, an eviction sweep and
+//! its forgets as another — so a recovered state is always a prefix of
+//! committed batches, never half a wave, and never an entry without the
+//! plan that produced its path (`tests/prop_journal.rs`,
+//! `every_clean_prefix_keeps_each_entry_with_its_provenance`).
 //!
 //! # Framing and the torn-tail rule
 //!
@@ -95,7 +103,6 @@ use parking_lot::Mutex;
 use restore_common::Error;
 use restore_dataflow::physical::PhysicalPlan;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::SeqCst};
-use std::sync::Arc;
 
 /// First line of every journal segment.
 pub const SEGMENT_HEADER: &str = "restore-journal v1";
@@ -154,7 +161,8 @@ pub struct RecoveryReport {
 // ---- decoded records ----
 
 /// One decoded journal record (see the module docs for the grammar;
-/// `Replace` and `Retired` are read, never written). `Retired` is a
+/// `ProvReplace`, `Replace` and `Retired` are read, never written, and a
+/// `prov-batch` decodes as the `RepoBatch` of its lines). `Retired` is a
 /// `breaker-state`, `dlq-put` or `dlq-ack` record: checked, counted as
 /// applied, and otherwise a no-op.
 #[derive(Debug)]
@@ -166,7 +174,6 @@ pub(crate) enum Record {
     GlobalConfig { config: ReStoreConfig },
     RepoBatch { space: String, ops: Vec<RepoRecOp> },
     NoteUse { space: String, uses: Vec<(u64, u64, u64)> },
-    ProvBatch { space: String, ops: Vec<ProvRecOp> },
     ProvReplace { space: String, table: Provenance },
     Replace { state: String },
     Retired,
@@ -177,11 +184,6 @@ pub(crate) enum Record {
 pub(crate) enum RepoRecOp {
     Put(repository::ParsedEntry),
     Evict(u64),
-}
-
-/// A decoded provenance mutation, in application order.
-#[derive(Debug)]
-pub(crate) enum ProvRecOp {
     Register { path: String, plan: PhysicalPlan },
     Forget { path: String },
 }
@@ -390,7 +392,8 @@ impl Journal {
         }
     }
 
-    /// Journal one repository batch.
+    /// Journal one repository batch: its entries, evictions,
+    /// registrations and forgets, in application order.
     pub(crate) fn append_repo_batch(&self, space: &str, ops: &[RepoOp]) {
         if !self.active() {
             return;
@@ -400,6 +403,10 @@ impl Journal {
             match op {
                 RepoOp::Put(e) => repository::encode_entry_into(&mut payload, e),
                 RepoOp::Evict(id) => payload.push_str(&format!("evict {id}\n")),
+                RepoOp::Register(path, plan) => {
+                    provenance::encode_record_into(&mut payload, path, plan)
+                }
+                RepoOp::Forget(path) => payload.push_str(&format!("forget {path:?}\n")),
             }
         }
         self.append_payload(&payload);
@@ -414,31 +421,6 @@ impl Journal {
             payload.push_str(&format!("use {id} {count} {last}\n"));
         }
         self.append_payload(&payload);
-    }
-
-    pub(crate) fn append_prov_batch(
-        &self,
-        space: &str,
-        registers: &[(String, Arc<PhysicalPlan>)],
-        forgets: &[String],
-    ) {
-        if !self.active() || (registers.is_empty() && forgets.is_empty()) {
-            return;
-        }
-        let mut payload = format!("prov-batch {space:?}\n");
-        for (path, plan) in registers {
-            provenance::encode_record_into(&mut payload, path, plan);
-        }
-        for path in forgets {
-            payload.push_str(&format!("forget {path:?}\n"));
-        }
-        self.append_payload(&payload);
-    }
-
-    pub(crate) fn append_prov_replace(&self, space: &str, table: &str) {
-        if self.active() {
-            self.append_payload(&format!("prov-replace {space:?}\n{table}"));
-        }
     }
 }
 
@@ -592,6 +574,37 @@ fn decode_config_body(body: &str) -> Result<ReStoreConfig, PayloadError> {
     })
 }
 
+/// Decode the body of a `repo-batch` (or an old `prov-batch`, whose
+/// lines are a subset) into its ops, in order: `entry …` and `path …`
+/// blocks, `evict <id>` and `forget <p:?>` lines.
+fn decode_batch_body(tag: &str, body: &str) -> Result<Vec<RepoRecOp>, String> {
+    let mut ops = Vec::new();
+    let mut lines = body.lines().peekable();
+    let malformed = |e: Error| format!("in {tag}: {e}");
+    loop {
+        let block = match repository::parse_entry_lines(&mut lines).map_err(malformed)? {
+            Some(e) => Some(RepoRecOp::Put(e)),
+            None => provenance::parse_record_lines(&mut lines)
+                .map_err(malformed)?
+                .map(|(path, plan)| RepoRecOp::Register { path, plan }),
+        };
+        if let Some(op) = block {
+            ops.push(op);
+            continue;
+        }
+        let Some(line) = lines.next() else { break };
+        if let Some(id) = line.strip_prefix("evict ") {
+            ops.push(RepoRecOp::Evict(id.parse().map_err(|_| format!("bad evict id {line:?}"))?));
+        } else if let Some(p) = line.strip_prefix("forget ") {
+            let path = crate::state::unquote(p, 0).map_err(|_| format!("bad forget path {p:?}"))?;
+            ops.push(RepoRecOp::Forget { path });
+        } else {
+            return Err(format!("unexpected {tag} line {line:?}"));
+        }
+    }
+    Ok(ops)
+}
+
 /// Decode one record payload (the framed bytes, checksum already
 /// verified).
 fn decode_payload(payload: &str) -> Result<Record, PayloadError> {
@@ -619,27 +632,8 @@ fn decode_payload(payload: &str) -> Result<Record, PayloadError> {
         }
         "tenant-config-clear" => Ok(Record::TenantConfigClear { space: space(arg)? }),
         "global-config" => Ok(Record::GlobalConfig { config: decode_config_body(body)? }),
-        "repo-batch" => {
-            let space = space(arg)?;
-            let mut ops = Vec::new();
-            let mut lines = body.lines().peekable();
-            loop {
-                match repository::parse_entry_lines(&mut lines) {
-                    Ok(Some(e)) => {
-                        ops.push(RepoRecOp::Put(e));
-                        continue;
-                    }
-                    Ok(None) => {}
-                    Err(e) => return Err(format!("in repo-batch: {e}").into()),
-                }
-                let Some(line) = lines.next() else { break };
-                let Some(id) = line.strip_prefix("evict ") else {
-                    return Err(format!("unexpected repo-batch line {line:?}").into());
-                };
-                let id = id.parse().map_err(|_| format!("bad evict id {line:?}"))?;
-                ops.push(RepoRecOp::Evict(id));
-            }
-            Ok(Record::RepoBatch { space, ops })
+        "repo-batch" | "prov-batch" => {
+            Ok(Record::RepoBatch { space: space(arg)?, ops: decode_batch_body(tag, body)? })
         }
         "note-use" => {
             let space = space(arg)?;
@@ -657,29 +651,6 @@ fn decode_payload(payload: &str) -> Result<Record, PayloadError> {
                 uses.push((next()?, next()?, next()?));
             }
             Ok(Record::NoteUse { space, uses })
-        }
-        "prov-batch" => {
-            let space = space(arg)?;
-            let mut ops = Vec::new();
-            let mut lines = body.lines().peekable();
-            loop {
-                match provenance::parse_record_lines(&mut lines) {
-                    Ok(Some((path, plan))) => {
-                        ops.push(ProvRecOp::Register { path, plan });
-                        continue;
-                    }
-                    Ok(None) => {}
-                    Err(e) => return Err(format!("in prov-batch: {e}").into()),
-                }
-                let Some(line) = lines.next() else { break };
-                let Some(p) = line.strip_prefix("forget ") else {
-                    return Err(format!("unexpected prov-batch line {line:?}").into());
-                };
-                let path =
-                    crate::state::unquote(p, 0).map_err(|_| format!("bad forget path {p:?}"))?;
-                ops.push(ProvRecOp::Forget { path });
-            }
-            Ok(Record::ProvBatch { space, ops })
         }
         "prov-replace" => {
             let table =

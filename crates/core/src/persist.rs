@@ -23,7 +23,8 @@
 //! | `persist.rs` | this module: journal switch, base dumps, delta capture, recovery, record replay |
 //! | `state.rs` | the `restore-state` document codec (v5 written, v4 read) |
 //! | `journal.rs` | the record log: typed appends, framing, segments, the torn-tail rule |
-//! | `repository.rs`, `provenance.rs` | each table's own text codec, shared by documents and records |
+//! | `repository.rs` | the published snapshot — entries and provenance, saved and captured together — and the entry codec |
+//! | `provenance.rs` | the provenance table's codec; documents and `repo-batch` records share both codecs |
 //! | `driver.rs` | the execution loop: match, rewrite, run, register |
 //! | `spaces.rs` | the namespace map (the default namespace is its `""` entry) and configuration |
 //! | `introspect.rs` | explain, trace and stats |
@@ -38,7 +39,7 @@ use std::sync::Arc;
 
 impl ReStore {
     /// Turn on the snapshot journal: from here on, every structural
-    /// mutation (wave registrations, evictions, provenance changes,
+    /// mutation (a repository batch with its provenance changes,
     /// tenant/config changes) is recorded, reuse counters are
     /// dirty-tracked, and [`ReStore::save_state_delta`] captures cheap
     /// deltas. Take a base checkpoint ([`ReStore::save_state`]) *after*
@@ -67,7 +68,8 @@ impl ReStore {
     }
 
     /// Install the journal sink on a namespace's repository so its
-    /// batches emit `repo-batch` records at publish time.
+    /// batches — entries and provenance — emit `repo-batch` records at
+    /// publish time.
     fn wire_space(journal: &Arc<Journal>, name: &str, space: &Space) {
         let j = journal.clone();
         let n = name.to_string();
@@ -95,7 +97,8 @@ impl ReStore {
     /// outputs).
     ///
     /// Snapshots are consistent under load: each namespace is captured
-    /// under its own locks with the pin set consulted first, so entries
+    /// in its repository's writer freeze with the pin set consulted
+    /// first, so entries
     /// whose files have a **pending deferred deletion** (evicted while
     /// pinned by an in-flight workflow) — or are already gone from the
     /// DFS — are excluded rather than serialized as dangling paths.
@@ -113,7 +116,7 @@ impl ReStore {
         // into absolute-valued `note-use` records stamped *after* this
         // base's anchor; if that drain interleaved with this capture,
         // replay could regress a counter the base already saw newer.
-        // Writer-section-emitted records (repo/prov batches) are
+        // Writer-section-emitted records (repository batches) are
         // race-free by construction; the capture lock extends the same
         // guarantee to the lazily drained ones.
         let _capture = self.journal.capture.lock();
@@ -237,7 +240,7 @@ impl ReStore {
     /// idempotent: puts carry full entries, note-use carries absolute
     /// counters, and space/tenant creation is keyed by name.
     fn apply_record(&self, record: Record) -> Result<()> {
-        use crate::journal::{ProvRecOp, RepoRecOp};
+        use crate::journal::RepoRecOp;
         match record {
             Record::Counters { tick, cand } => {
                 self.tick.store(tick, Ordering::SeqCst);
@@ -264,6 +267,12 @@ impl ReStore {
                             RepoRecOp::Evict(id) => {
                                 b.evict(id);
                             }
+                            RepoRecOp::Register { path, plan } => {
+                                b.register_replay(path, Arc::new(plan))
+                            }
+                            RepoRecOp::Forget { path } => {
+                                b.forget(&path);
+                            }
                         }
                     }
                 });
@@ -274,21 +283,22 @@ impl ReStore {
                     sp.repo.set_usage(id, count, last_used);
                 }
             }
-            Record::ProvBatch { space, ops } => {
-                let sp = self.space_for(Some(&space));
-                sp.prov.update(|prov| {
-                    for op in &ops {
-                        match op {
-                            ProvRecOp::Register { path, plan } => {
-                                prov.register_replay(path.clone(), plan.clone())
-                            }
-                            ProvRecOp::Forget { path } => prov.forget(path),
-                        }
+            // No longer written: the table becomes the recorded one.
+            Record::ProvReplace { space, table } => {
+                self.space_for(Some(&space)).repo.batch(|b| {
+                    let gone: Vec<String> = b
+                        .provenance()
+                        .iter_paths()
+                        .filter(|p| !table.contains(p))
+                        .map(String::from)
+                        .collect();
+                    for p in &gone {
+                        b.forget(p);
+                    }
+                    for (path, plan) in table.into_records() {
+                        b.register_replay(path, plan);
                     }
                 });
-            }
-            Record::ProvReplace { space, table } => {
-                self.space_for(Some(&space)).prov.store(table);
             }
             // No longer written; journals from releases whose
             // `load_state` recorded a wholesale load still replay.
@@ -304,9 +314,9 @@ impl ReStore {
     }
 
     /// Serialize one namespace's provenance and repository with
-    /// condemned paths excluded. The capture **freezes both writer
-    /// sides** (no snapshot can be published while it runs): deferrals
-    /// come from eviction sweeps, which must enter the repository
+    /// condemned paths excluded. The capture **freezes the repository's
+    /// writer side** (no snapshot can be published while it runs):
+    /// deferrals come from eviction sweeps, which must enter that
     /// writer, so none can land between the capture of the deferred
     /// set and the serialization — a deferral either completed before
     /// we froze (and its path is excluded) or is blocked until we
@@ -316,14 +326,11 @@ impl ReStore {
     /// is deleted the moment its last pin drops, so serializing it
     /// would hand a restarted session dangling references.
     fn capture_space_tables(&self, space: &Space) -> (String, String) {
-        // Writer order: provenance before repository (see [`Space`]).
-        space.prov.freeze(|prov| {
-            space.repo.freeze(|repo| {
-                let deferred: HashSet<String> = space.pins.deferred_paths().into_iter().collect();
-                let dfs = self.engine.dfs();
-                let live = |p: &str| !deferred.contains(p) && dfs.exists(p);
-                (prov.save_filtered(live), repo.save_filtered(live))
-            })
+        space.repo.freeze(|repo| {
+            let deferred: HashSet<String> = space.pins.deferred_paths().into_iter().collect();
+            let dfs = self.engine.dfs();
+            let live = |p: &str| !deferred.contains(p) && dfs.exists(p);
+            (repo.provenance().save_filtered(live), repo.save_filtered(live))
         })
     }
 
@@ -357,7 +364,6 @@ impl ReStore {
         let mut spaces = HashMap::from([(String::new(), self.make_space(""))]);
         for sp in loaded.spaces {
             let space = self.make_space(&sp.name);
-            space.prov.store(sp.prov);
             space.repo.adopt(sp.repo);
             // The default namespace follows the global config; an
             // override in its section (never written) is not loaded.

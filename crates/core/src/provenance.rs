@@ -12,45 +12,17 @@ use restore_dataflow::physical::{NodeId, PhysicalOp, PhysicalPlan};
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Path → base-level single-Store plan that produced it.
 ///
-/// Plans are held behind `Arc`s so cloning the whole table — which the
-/// driver's RCU publication does on every mutation — copies pointers,
-/// not plans.
+/// The table is part of the repository's published snapshot (see
+/// `RepoSnapshot::provenance`). Plans are held behind `Arc`s so the
+/// first registration or forget of a batch, which copies the table,
+/// copies pointers, not plans.
 #[derive(Debug, Clone, Default)]
 pub struct Provenance {
     plans: HashMap<String, Arc<PhysicalPlan>>,
-    /// When the staleness pass last found every path on the DFS.
-    pub(crate) clean: PresentAt,
-}
-
-/// The DFS clock reading at which the staleness pass last found a
-/// snapshot clean, plus one (0 for never). Cloning forgets it: an RCU
-/// update clones the table before changing it, so a memo belongs to the
-/// one snapshot it was taken of.
-#[derive(Debug, Default)]
-pub(crate) struct PresentAt(AtomicU64);
-
-impl Clone for PresentAt {
-    fn clone(&self) -> Self {
-        PresentAt::default()
-    }
-}
-
-impl PresentAt {
-    /// Was the snapshot found clean at DFS clock `now`? `Relaxed` here and
-    /// in `set`: the memo publishes no data, only a fact about a reading.
-    pub(crate) fn at(&self, now: u64) -> bool {
-        self.0.load(Ordering::Relaxed) == now + 1
-    }
-
-    /// Remember that the snapshot was found clean at DFS clock `now`.
-    pub(crate) fn set(&self, now: u64) {
-        self.0.fetch_max(now + 1, Ordering::Relaxed);
-    }
 }
 
 /// An expansion performed by [`Provenance::expand`]: the `Load` of `path`
@@ -98,8 +70,8 @@ impl Provenance {
     /// verbatim (re-applying a record over a base checkpoint that
     /// already contains later registrations must not re-run the
     /// base-level check against the *future* table).
-    pub(crate) fn register_replay(&mut self, path: String, plan: PhysicalPlan) {
-        self.plans.insert(path, Arc::new(plan));
+    pub(crate) fn register_replay(&mut self, path: String, plan: Arc<PhysicalPlan>) {
+        self.plans.insert(path, plan);
     }
 
     pub fn get(&self, path: &str) -> Option<&PhysicalPlan> {
@@ -134,6 +106,12 @@ impl Provenance {
         self.plans.keys().map(|s| s.as_str())
     }
 
+    /// Every record, consuming the table (journal replay of a
+    /// `prov-replace`).
+    pub(crate) fn into_records(self) -> impl Iterator<Item = (String, Arc<PhysicalPlan>)> {
+        self.plans.into_iter()
+    }
+
     /// Serialize the table (paths sorted for determinism).
     pub fn save(&self) -> String {
         self.save_filtered(|_| true)
@@ -157,7 +135,7 @@ impl Provenance {
         let mut prov = Provenance::new();
         let mut lines = text.lines().peekable();
         while let Some((path, plan)) = parse_record_lines(&mut lines)? {
-            prov.register_replay(path, plan);
+            prov.register_replay(path, Arc::new(plan));
         }
         if let Some(line) = lines.next() {
             return Err(Error::Repository(format!("expected 'path', got {line:?}")));
@@ -203,7 +181,7 @@ impl Provenance {
 
 /// Append one `path …` record in the durable format. Shared by
 /// [`Provenance::save_filtered`] and the snapshot journal's
-/// `prov-batch` records.
+/// `repo-batch` records.
 pub(crate) fn encode_record_into(out: &mut String, path: &str, plan: &PhysicalPlan) {
     out.push_str(&format!("path {path:?}\n"));
     for line in crate::plan_text::encode_plan(plan).lines() {

@@ -37,6 +37,16 @@
 //! tip-signature → candidates multimap, and a running `stored_bytes`
 //! total maintained on insert/evict instead of re-summed per call.
 //!
+//! # Provenance
+//!
+//! A snapshot also holds the namespace's [`Provenance`] table — which
+//! plan produced each stored path — behind an `Arc`, so the path → plan
+//! fact has one home and one publish. A batch registers and forgets
+//! paths next to its inserts and evictions ([`RepoBatch::register`],
+//! [`RepoBatch::forget`]); the table is copied on the batch's first
+//! provenance op only, so a batch that touches no path copies no map,
+//! and the journal records the whole batch as one `repo-batch`.
+//!
 //! # Matching
 //!
 //! [`RepoSnapshot::find_first_match_probed`] is the match path: an entry can
@@ -52,7 +62,7 @@
 
 use crate::matcher::{pairwise_plan_traversal_at, plan_tip, subsumes, PlanMatch};
 use crate::plan_text;
-use crate::provenance::PresentAt;
+use crate::provenance::Provenance;
 use crate::rcu::Rcu;
 use parking_lot::{Mutex, RwLock};
 use restore_common::{Error, Result};
@@ -197,9 +207,38 @@ pub struct RepoSnapshot {
     /// Running total of `output_bytes`, maintained on insert/evict
     /// instead of summed per call.
     stored_bytes: u64,
+    /// Which plan produced each stored path; shared with the previous
+    /// snapshot until a batch registers or forgets a path.
+    prov: Arc<Provenance>,
     /// When the staleness pass last found every file present and every
     /// input at its version.
     pub(crate) clean: PresentAt,
+}
+
+/// The DFS clock reading at which the staleness pass last found a
+/// snapshot clean, plus one (0 for never). Cloning forgets it: a batch
+/// clones the snapshot before changing it, so a memo belongs to the one
+/// snapshot it was taken of.
+#[derive(Debug, Default)]
+pub(crate) struct PresentAt(AtomicU64);
+
+impl Clone for PresentAt {
+    fn clone(&self) -> Self {
+        PresentAt::default()
+    }
+}
+
+impl PresentAt {
+    /// Was the snapshot found clean at DFS clock `now`? `Relaxed` here and
+    /// in `set`: the memo publishes no data, only a fact about a reading.
+    pub(crate) fn at(&self, now: u64) -> bool {
+        self.0.load(Relaxed) == now + 1
+    }
+
+    /// Remember that the snapshot was found clean at DFS clock `now`.
+    pub(crate) fn set(&self, now: u64) {
+        self.0.fetch_max(now + 1, Relaxed);
+    }
 }
 
 impl RepoSnapshot {
@@ -235,6 +274,11 @@ impl RepoSnapshot {
     /// counter, not a scan.
     pub fn stored_bytes(&self) -> u64 {
         self.stored_bytes
+    }
+
+    /// The provenance table published with these entries.
+    pub fn provenance(&self) -> &Provenance {
+        &self.prov
     }
 
     // ---- mutation internals (called with the Rcu writer serialized) ----
@@ -292,7 +336,11 @@ impl RepoSnapshot {
     fn do_insert(&mut self, entry: RepoEntry) -> (InsertOutcome, Option<Arc<RepoEntry>>) {
         if let Some(&dup) = self.by_signature.get(&entry.signature) {
             let mut stored = None;
-            if let Some(pos) = self.entries.iter().position(|e| e.id == dup) {
+            // Same statistics as stored (a wave's whole-job entry and
+            // the candidate aliasing it): the refresh would change
+            // nothing, so there is nothing to publish or journal.
+            let pos = self.entries.iter().position(|e| e.id == dup && e.base != entry.base);
+            if let Some(pos) = pos {
                 // Refresh stats but keep usage history: the replacement
                 // shares the old entry's atomic counters, so reuses
                 // recorded against a stale snapshot still land here.
@@ -478,6 +526,10 @@ pub enum RepoOp {
     Put(Arc<RepoEntry>),
     /// An entry was evicted.
     Evict(u64),
+    /// A path's producing plan was recorded.
+    Register(String, Arc<PhysicalPlan>),
+    /// A path's producing plan was forgotten.
+    Forget(String),
 }
 
 /// Callback invoked inside the writer section, after a batch publishes,
@@ -496,13 +548,13 @@ impl std::fmt::Debug for SinkCell {
     }
 }
 
-/// The ordered, concurrently shared repository.
+/// The ordered, concurrently shared repository, with its provenance.
 ///
 /// All methods take `&self`: reads work against the current
 /// [`RepoSnapshot`] and wait on no writer section, mutations serialize internally and publish a new
 /// snapshot (see the module docs). For several mutations that must land
-/// atomically — a wave's registrations, an eviction sweep — use
-/// [`Repository::batch`], which publishes once.
+/// atomically — a wave's entries and provenance, an eviction sweep and
+/// its forgets — use [`Repository::batch`], which publishes once.
 #[derive(Debug, Default)]
 pub struct Repository {
     /// The one ordered list, RCU-published.
@@ -695,12 +747,12 @@ impl Repository {
         self.current.freeze(f)
     }
 
-    /// Replace this repository's contents with `other`'s (state
-    /// restore), order kept. The snapshot replacement and the
-    /// id-counter adoption happen inside one writer section, so a
-    /// concurrent batch can neither interleave between them (reserving
-    /// restored ids against pre-restore entries) nor land a mutation
-    /// that this replacement silently wipes.
+    /// Replace this repository's contents — entries in order, and
+    /// provenance — with `other`'s (state restore). The snapshot
+    /// replacement and the id-counter adoption happen inside one writer
+    /// section, so a concurrent batch can neither interleave between
+    /// them (reserving restored ids against pre-restore entries) nor land
+    /// a mutation that this replacement silently wipes.
     pub fn adopt(&self, other: Repository) {
         let next = other.next_id.load(SeqCst);
         let snap = other.snapshot();
@@ -717,8 +769,15 @@ impl Repository {
     // ---- persistence ----
 
     /// Reload a repository serialized by [`RepoSnapshot::save`]. Ordering
-    /// is preserved verbatim (it was valid when saved).
+    /// is preserved verbatim (it was valid when saved). The provenance
+    /// table starts empty.
     pub fn load(text: &str) -> Result<Repository> {
+        Repository::load_with(text, Provenance::new())
+    }
+
+    /// [`Repository::load`], publishing the entries with `prov` (a
+    /// `restore-state` namespace's two tables).
+    pub(crate) fn load_with(text: &str, prov: Provenance) -> Result<Repository> {
         let mut entries: Vec<Arc<RepoEntry>> = Vec::new();
         let mut next_id = 0u64;
         let mut lines = text.lines().peekable();
@@ -729,16 +788,17 @@ impl Repository {
         if let Some(line) = lines.next() {
             return Err(Error::Repository(format!("expected 'entry', got {line:?}")));
         }
-        Ok(Repository::from_entries(entries, next_id))
+        Ok(Repository::from_entries(entries, next_id, prov))
     }
 
     /// Build a repository from fully formed entries (ids assigned,
     /// order final): one snapshot construction, one reindex.
-    fn from_entries(entries: Vec<Arc<RepoEntry>>, next_id: u64) -> Repository {
+    fn from_entries(entries: Vec<Arc<RepoEntry>>, next_id: u64, prov: Provenance) -> Repository {
         let mut snap = RepoSnapshot {
             stored_bytes: entries.iter().map(|e| e.base.output_bytes).sum(),
             by_signature: entries.iter().map(|e| (e.signature, e.id)).collect(),
             entries,
+            prov: Arc::new(prov),
             ..Default::default()
         };
         snap.reindex();
@@ -782,7 +842,7 @@ impl Repository {
             let kb = (b.base.reduction_ratio(), b.base.job_time_s);
             kb.partial_cmp(&ka).unwrap_or(std::cmp::Ordering::Equal)
         });
-        Repository::from_entries(entries, next_id)
+        Repository::from_entries(entries, next_id, Provenance::new())
     }
 }
 
@@ -985,6 +1045,39 @@ impl RepoBatch<'_> {
         self.reindex = true;
         self.ops.push(RepoOp::Evict(id));
         Some(e)
+    }
+
+    /// Record `plan` as the producer of `path` (see
+    /// [`Provenance::register`]).
+    pub fn register(&mut self, path: impl Into<String>, plan: PhysicalPlan) {
+        let path = path.into();
+        let prov = Arc::make_mut(&mut self.work.prov);
+        prov.register(path.clone(), plan);
+        let plan = prov.get_arc(&path).expect("just registered");
+        self.ops.push(RepoOp::Register(path, plan));
+    }
+
+    /// Journal replay of a registration, applied verbatim (see
+    /// `Provenance::register_replay`).
+    pub(crate) fn register_replay(&mut self, path: String, plan: Arc<PhysicalPlan>) {
+        Arc::make_mut(&mut self.work.prov).register_replay(path.clone(), plan.clone());
+        self.ops.push(RepoOp::Register(path, plan));
+    }
+
+    /// Forget the producing plan of `path`; returns whether it had one.
+    pub fn forget(&mut self, path: &str) -> bool {
+        if !self.work.prov.contains(path) {
+            return false;
+        }
+        Arc::make_mut(&mut self.work.prov).forget(path);
+        self.ops.push(RepoOp::Forget(path.to_string()));
+        true
+    }
+
+    /// The batch's pending provenance table (its own registrations and
+    /// forgets visible).
+    pub fn provenance(&self) -> &Provenance {
+        &self.work.prov
     }
 
     /// Every entry of the batch's pending working copy (prior mutations

@@ -111,25 +111,20 @@ impl ReStore {
     /// inputs moved (rule 4) or, with a window set, that went unused
     /// (rule 3). Returns the evicted ids.
     ///
-    /// Both DFS checks share one namenode read, skipped while `Dfs::now`
-    /// reads the clock at which both snapshots were last found clean (a
-    /// `PresentAt` memo each, which a publish's clone forgets). A delete
-    /// or commit ticks the clock only once its change is visible, so a
-    /// job-free warm query only reads the clock and the two memos. Rule 3
-    /// deletes its victims' files; a stale entry's file goes only if
-    /// ReStore wrote it for itself (typed), never a user's text output.
-    pub(crate) fn sweep(
-        &self,
-        space: &Space,
-        space_name: &str,
-        policy: &SelectionPolicy,
-        now: u64,
-    ) -> Vec<u64> {
+    /// Both DFS checks read one repository snapshot, provenance included,
+    /// and share one namenode read, skipped while `Dfs::now` reads the
+    /// clock at which that snapshot was last found clean (its `PresentAt`
+    /// memo, which a publish's clone forgets). A delete or commit ticks
+    /// the clock only once its change is visible, so a job-free warm
+    /// query only reads the clock and the memo. A victim's file goes only
+    /// if ReStore wrote it for itself (typed), never a user's text output
+    /// (see [`ReStore::evict_entries`]).
+    pub(crate) fn sweep(&self, space: &Space, policy: &SelectionPolicy, now: u64) -> Vec<u64> {
         let dfs = self.engine.dfs();
         let clock = dfs.now();
-        let prov = space.prov.load();
         let repo = space.repo.snapshot();
-        let check = !(prov.clean.at(clock) && repo.clean.at(clock));
+        let prov = repo.provenance();
+        let check = !repo.clean.at(clock);
         if !check && policy.eviction_window.is_none() {
             return Vec::new();
         }
@@ -153,67 +148,56 @@ impl ReStore {
         let (dead, victims) =
             if check { dfs.with_versions(|version| scan(Some(version))) } else { scan(None) };
         if check && dead.is_empty() && victims.iter().all(|&(_, why)| why == Eviction::Window) {
-            prov.clean.set(clock);
             repo.clean.set(clock);
         }
         if dead.is_empty() && victims.is_empty() {
             return Vec::new();
         }
-        self.evict_entries(space, space_name, dead, |_| victims)
+        self.evict_entries(space, dead, |_| victims)
     }
 
     /// Evict the entries `pick` chooses from the repository's pending
-    /// state in one published batch, and forget their paths and those of
-    /// `forget` in one provenance update (provenance first, see
-    /// [`Space`]) journaled as one `prov-batch`, in path order. Files are
+    /// state, and forget their paths and those of `forget` in path order,
+    /// as one published batch (one `repo-batch` record). Files are
     /// deleted, pin-checked, only after the batch publishes: a session
     /// that pinned a match and revalidates sees the entry (its pin defers
     /// the delete) or its absence (it skips it), never a deleted file
-    /// behind a live entry. An id a racing writer evicted is skipped.
+    /// behind a live entry. Only a file ReStore wrote typed for itself (a
+    /// candidate or a `tmp-N`) is deleted, whatever the reason, never a
+    /// user's text output, and never an overwritten path, which holds the
+    /// overwriting workflow's bytes. An id a racing writer evicted is
+    /// skipped.
     pub(crate) fn evict_entries(
         &self,
         space: &Space,
-        space_name: &str,
         mut forget: Vec<String>,
         pick: impl FnOnce(&RepoBatch<'_>) -> Vec<(u64, Eviction)>,
     ) -> Vec<u64> {
         let dfs = self.engine.dfs();
-        space.prov.update_then(
-            |prov| {
-                let evicted = space.repo.batch_then(
-                    |b| {
-                        let victims = pick(b);
-                        victims
-                            .into_iter()
-                            .filter_map(|(id, why)| Some((b.evict(id)?, why)))
-                            .collect()
-                    },
-                    |evicted: Vec<_>| {
-                        for (entry, why) in &evicted {
-                            let path = &entry.output_path;
-                            let delete = *why == Eviction::Window
-                                || (*why == Eviction::InputsChanged
-                                    && split_reader::is_typed(dfs, path).unwrap_or(false));
-                            if delete && !space.pins.defer_delete(path) {
-                                dfs.delete(path);
-                            }
-                            self.obs.evicted[*why as usize].inc();
-                        }
-                        evicted
-                    },
-                );
+        space.repo.batch_then(
+            |b| {
+                let victims = pick(b);
+                let evicted: Vec<_> =
+                    victims.into_iter().filter_map(|(id, why)| Some((b.evict(id)?, why))).collect();
                 forget.extend(evicted.iter().map(|(e, _)| e.output_path.clone()));
                 forget.sort_unstable();
                 forget.dedup();
-                forget.retain(|p| prov.contains(p));
                 for p in &forget {
-                    prov.forget(p);
+                    b.forget(p);
                 }
-                (evicted.iter().map(|(e, _)| e.id).collect(), forget)
+                evicted
             },
-            |(ids, forgets)| {
-                self.journal.append_prov_batch(space_name, &[], &forgets);
-                ids
+            |evicted| {
+                for (entry, why) in &evicted {
+                    let path = &entry.output_path;
+                    let delete = *why != Eviction::Overwritten
+                        && split_reader::is_typed(dfs, path).unwrap_or(false);
+                    if delete && !space.pins.defer_delete(path) {
+                        dfs.delete(path);
+                    }
+                    self.obs.evicted[*why as usize].inc();
+                }
+                evicted.iter().map(|(e, _)| e.id).collect()
             },
         )
     }
@@ -294,17 +278,21 @@ mod tests {
     fn rule3_window_eviction() {
         let (rs, space) = session();
         let dfs = rs.engine().dfs();
-        dfs.write_all("/repo/old", b"x").unwrap();
+        let typed = restore_common::typed::encode_file(&[restore_common::tuple!["x", 1i64]]);
+        dfs.write_all("/repo/old", &typed).unwrap();
+        dfs.write_all("/repo/text", b"x\t1\n").unwrap();
         let mut s_old = stats(10, 1, 1.0);
         s_old.created = 1;
         s_old.last_used = 2;
-        space.repo.insert(plan("/old"), "/repo/old", s_old);
+        space.repo.insert(plan("/old"), "/repo/old", s_old.clone());
+        space.repo.insert(plan("/text"), "/repo/text", s_old);
 
         let policy = SelectionPolicy { eviction_window: Some(5), ..Default::default() };
-        let evicted = rs.sweep(&space, "", &policy, 10);
-        assert_eq!(evicted.len(), 1);
+        let evicted = rs.sweep(&space, &policy, 10);
+        assert_eq!(evicted.len(), 2);
         assert_eq!(space.repo.snapshot().len(), 1);
-        assert!(!dfs.exists("/repo/old"), "evicted output deleted from DFS");
+        assert!(!dfs.exists("/repo/old"), "a typed output ReStore wrote is deleted");
+        assert!(dfs.exists("/repo/text"), "a text output is not ReStore's to delete");
         assert!(dfs.exists("/repo/out"));
     }
 
@@ -315,12 +303,12 @@ mod tests {
         // Rule 4 holds under the default policy. Input untouched:
         // nothing happens.
         let policy = SelectionPolicy::default();
-        assert!(rs.sweep(&space, "", &policy, 1).is_empty());
+        assert!(rs.sweep(&space, &policy, 1).is_empty());
         // Overwrite the input: version bumps, entry evicted.
         let mut w = dfs.create_overwrite("/data/in").unwrap();
         w.write(b"v1");
         w.close().unwrap();
-        let evicted = rs.sweep(&space, "", &policy, 2);
+        let evicted = rs.sweep(&space, &policy, 2);
         assert_eq!(evicted.len(), 1);
         assert!(space.repo.snapshot().is_empty());
         assert!(dfs.exists("/repo/out"), "a text output is not ReStore's to delete");
@@ -330,7 +318,7 @@ mod tests {
     fn rule4_deleted_input() {
         let (rs, space) = session();
         rs.engine().dfs().delete("/data/in");
-        assert_eq!(rs.sweep(&space, "", &SelectionPolicy::default(), 1).len(), 1);
+        assert_eq!(rs.sweep(&space, &SelectionPolicy::default(), 1).len(), 1);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //!            config              `config_as(None)`, for `restore-e2e`
 //!            clear_config_as     drop a tenant's override
 //!            effective_config    the override, else the global default
-//!   admin:   repository_as / with_repository_mut_as / with_provenance*_as
+//!   admin:   repository_as / with_repository_mut_as / with_provenance_as
 //!   writes:  invalidate_overwritten   an overwrite stales every namespace
 //! ```
 //!
@@ -90,9 +90,9 @@ impl ReStore {
     /// reuse rewriting can introduce Loads of registered paths that the
     /// submit-time footprint cannot see.
     pub fn serves_path(&self, path: &str) -> bool {
-        // Wait-free provenance snapshots: the scheduler probes this per
-        // queued workflow, so it must never sit behind a registration.
-        self.spaces.load().values().any(|s| s.prov.load().contains(path))
+        // Wait-free snapshots: the scheduler probes this per queued
+        // workflow, so it must never sit behind a registration.
+        self.spaces.load().values().any(|s| s.repo.snapshot().provenance().contains(path))
     }
 
     /// Every namespace with its name, sorted by name, so the default
@@ -114,16 +114,16 @@ impl ReStore {
     /// workflow's live output. Namespaces are visited in name order, so
     /// the journal records the forgets in the same order every run.
     pub(crate) fn invalidate_overwritten(&self, written: &[String]) {
-        for (name, space) in self.spaces_by_name() {
+        for (_, space) in self.spaces_by_name() {
             // Cheap snapshot probe first: fresh output paths are almost
             // never registered anywhere.
-            let (prov, repo) = (space.prov.load(), space.repo.snapshot());
-            if !written.iter().any(|p| prov.contains(p))
+            let repo = space.repo.snapshot();
+            if !written.iter().any(|p| repo.provenance().contains(p))
                 && !repo.entries().iter().any(|e| written.contains(&e.output_path))
             {
                 continue;
             }
-            self.evict_entries(&space, &name, written.to_vec(), |repo| {
+            self.evict_entries(&space, written.to_vec(), |repo| {
                 let stale = repo.pending_entries().filter(|e| written.contains(&e.output_path));
                 stale.map(|e| (e.id, Eviction::Overwritten)).collect()
             });
@@ -160,51 +160,16 @@ impl ReStore {
         f(&space.repo)
     }
 
-    /// Run `f` with a snapshot of a tenant's provenance table (`None` =
-    /// the default namespace).
+    /// Run `f` with the provenance table of a tenant's current
+    /// repository snapshot (`None` = the default namespace). To change
+    /// it, register or forget paths in a [`Repository::batch`] through
+    /// [`ReStore::with_repository_mut_as`].
     pub fn with_provenance_as<R>(
         &self,
         tenant: Option<&str>,
         f: impl FnOnce(&Provenance) -> R,
     ) -> R {
-        let space = self.space_snapshot(tenant);
-        let prov = space.prov.load();
-        f(&prov)
-    }
-
-    /// Run `f` with mutable access to a copy of a tenant's provenance
-    /// table, publishing the result (`None` = the default namespace;
-    /// the namespace is created if absent). An arbitrary mutation has
-    /// no op-level record, so with the journal on the whole resulting
-    /// table is journaled as one `prov-replace` record.
-    pub fn with_provenance_mut_as<R>(
-        &self,
-        tenant: Option<&str>,
-        f: impl FnOnce(&mut Provenance) -> R,
-    ) -> R {
-        let space = self.space_for(tenant);
-        let name = Self::space_name(tenant);
-        space.prov.update_then(
-            |prov| {
-                let r = f(prov);
-                // Sample the journal *inside* the writer section: a
-                // `checkpoint_begin` racing this call either captured
-                // its base before we entered (then `active()` is
-                // already true here and the mutation is journaled) or
-                // its base capture freezes behind this writer section
-                // and includes the mutation. Sampling before the
-                // section could read `false`, then lose the mutation
-                // to a base captured in the gap.
-                let table = if self.journal.active() { Some(prov.save()) } else { None };
-                (r, table)
-            },
-            |(r, table)| {
-                if let Some(t) = table {
-                    self.journal.append_prov_replace(name, &t);
-                }
-                r
-            },
-        )
+        f(self.space_snapshot(tenant).repo.snapshot().provenance())
     }
 
     /// The one effective-configuration rule: the namespace's override

@@ -64,7 +64,7 @@ pub(crate) const V5_HEADER: &str = "restore-state v5";
 pub(crate) struct LoadedSpace {
     pub name: String,
     pub config: Option<ReStoreConfig>,
-    pub prov: Provenance,
+    /// The namespace's repository, its provenance table included.
     pub repo: Repository,
 }
 
@@ -298,9 +298,9 @@ fn parse_counter(lines: &[&str], idx: usize, key: &str) -> Result<u64> {
 }
 
 /// Parse a `--provenance--` + `--repository--` pair starting at `idx`.
-/// Returns the loaded tables and the index just past the repository
-/// body.
-fn parse_tables(lines: &[&str], idx: usize) -> Result<(Provenance, Repository, usize)> {
+/// Returns the repository holding both tables and the index just past
+/// the repository body.
+fn parse_tables(lines: &[&str], idx: usize) -> Result<(Repository, usize)> {
     if lines.get(idx).copied() != Some("--provenance--") {
         return Err(err_at(
             idx,
@@ -317,9 +317,9 @@ fn parse_tables(lines: &[&str], idx: usize) -> Result<(Provenance, Repository, u
         ));
     }
     let repo_end = body_end(lines, prov_end + 1);
-    let repo = Repository::load(&lines[prov_end + 1..repo_end].join("\n"))
+    let repo = Repository::load_with(&lines[prov_end + 1..repo_end].join("\n"), prov)
         .map_err(|e| err_at(prov_end, format!("in --repository-- section: {e}")))?;
-    Ok((prov, repo, repo_end))
+    Ok((repo, repo_end))
 }
 
 /// Parse a v5 or v4 document into a [`LoadedState`].
@@ -368,13 +368,13 @@ pub(crate) fn parse(text: &str) -> Result<LoadedState> {
         } else {
             None
         };
-        let (prov, repo, end) = parse_tables(&lines, idx)?;
+        let (repo, end) = parse_tables(&lines, idx)?;
         idx = end;
         // An earlier release's dead-letter queue: skipped.
         if lines.get(idx).copied() == Some("--dlq--") {
             idx = body_end(&lines, idx + 1);
         }
-        spaces.push(LoadedSpace { name, config, prov, repo });
+        spaces.push(LoadedSpace { name, config, repo });
     }
     Ok(LoadedState { tick, cand, seq, global_config, spaces })
 }

@@ -3,12 +3,12 @@
 //! against the live session after every step of a generated workload), the
 //! previous wire version composes with today's journal (a committed v4
 //! base + segments), bases and segments captured at earlier commits
-//! still recover (three of them carrying a `replace`, a `breaker-state`
-//! or the dead-letter queue's sections and records, read but no longer
-//! written), sequence anchoring skips covered
-//! records, segments handed over out of order are sorted, and
-//! malformed, duplicated or truncated segments fail naming the
-//! offending record.
+//! still recover (four of them carrying a `replace`, a `breaker-state`,
+//! `prov-batch` and `prov-replace` records or the dead-letter queue's
+//! sections and records, read but no longer written), sequence
+//! anchoring skips covered records, segments handed over out of order
+//! are sorted, and malformed, duplicated or truncated segments fail
+//! naming the offending record.
 
 use proptest::prelude::*;
 use restore_common::Error;
@@ -355,7 +355,9 @@ fn swapped_segments_replay_in_seq_order_and_a_repeated_frame_is_refused() {
 /// A batch that inserts nothing and evicts nothing is a writer section
 /// and nothing else: no snapshot is published and no record journaled
 /// (a wave that registers nothing — every `pigmix_reuse` query whose
-/// candidates are all stored already — takes this path).
+/// candidates are all stored already — takes this path). So is a batch
+/// that inserts an entry again with the statistics it is stored with,
+/// or forgets a path with no provenance: it changes nothing.
 #[test]
 fn an_empty_batch_publishes_and_journals_nothing() {
     let rs = ReStore::new(engine_over(dfs()), ReStoreConfig::default());
@@ -367,6 +369,16 @@ fn an_empty_batch_publishes_and_journals_nothing() {
         repo.batch(|b| assert!(b.evict(u64::MAX).is_none(), "no such entry"));
     });
     assert_eq!(rs.write_counters_as(None), (publishes, sections + 1));
+    assert_eq!(rs.journal_stats().seq, seq);
+    let stored = rs.repository_as(None).entries()[0].clone();
+    rs.with_repository_mut_as(None, |repo| {
+        repo.batch(|b| {
+            let again = b.insert(stored.plan.clone(), &stored.output_path, stored.stats());
+            assert_eq!(again, restore_core::repository::InsertOutcome::Duplicate(stored.id));
+            assert!(!b.forget("/no/such/path"), "no provenance to forget");
+        })
+    });
+    assert_eq!(rs.write_counters_as(None), (publishes, sections + 2));
     assert_eq!(rs.journal_stats().seq, seq);
 }
 
@@ -463,6 +475,26 @@ fn segment_with_breaker_state_records_captured_at_the_parent_commit_still_recove
     let report = rs.recover(base, &[segment.to_string()]).unwrap();
     assert_eq!((report.base_seq, report.records_skipped, report.records_applied), (0, 0, 12));
     assert_eq!(recovered_summary(&rs), include_str!("fixtures/parent_breaker_expect.txt"));
+}
+
+/// A journal segment holding a `prov-replace` record — the whole `ana`
+/// provenance table after an admin edit, since removed, forgot one path
+/// and registered another — between a cold run's `repo-batch` / `prov-batch`
+/// records and a warm rerun, over a base anchored after the first run,
+/// captured at `e0b16dd`, the last commit that wrote either record, with
+/// the state that commit recovered them to. Provenance now travels in
+/// `repo-batch` records, but a journal that holds the old kinds still
+/// replays.
+#[test]
+fn provenance_records_captured_at_the_parent_commit_still_recover() {
+    let base = include_str!("fixtures/parent_prov_replace_base.txt");
+    let segment = include_str!("fixtures/parent_prov_replace_segment.txt");
+    assert!(segment.contains("\nprov-replace \"ana\"\npath \"/hand/copy\"\n"));
+    assert_eq!(segment.matches("\nprov-batch ").count(), 3);
+    let rs = ReStore::new(engine_over(dfs()), ReStoreConfig::default());
+    let report = rs.recover(base, &[segment.to_string()]).unwrap();
+    assert_eq!((report.base_seq, report.records_skipped, report.records_applied), (2, 2, 8));
+    assert_eq!(recovered_summary(&rs), include_str!("fixtures/parent_prov_replace_expect.txt"));
 }
 
 /// A base holding a `--dlq--` section in two namespaces and an `ana`
@@ -653,14 +685,14 @@ fn journaled_run(threads: usize) -> (String, Vec<String>, String, [String; 3]) {
     (base, segments, rs.save_state(), [warm, partly, metrics])
 }
 
-/// Each `prov-batch` record's namespace and how many paths it forgets.
+/// Each `repo-batch` record's namespace and how many paths it forgets.
 fn forget_batches(segments: &[String]) -> Vec<(String, usize)> {
     let mut batches: Vec<(String, usize)> = Vec::new();
     for line in segments.iter().flat_map(|s| s.lines()) {
-        if let Some(space) = line.strip_prefix("prov-batch ") {
+        if let Some(space) = line.strip_prefix("repo-batch ") {
             batches.push((space.to_string(), 0));
         } else if line.starts_with("forget ") {
-            batches.last_mut().expect("a forget inside a prov-batch").1 += 1;
+            batches.last_mut().expect("a forget inside a repo-batch").1 += 1;
         }
     }
     batches

@@ -10,12 +10,17 @@
 //! crash truncates the last journal segment at pseudo-random byte
 //! offsets — what a process death mid-append leaves on disk — and
 //! `restore_incremental` on a fresh service loads the base, replays the
-//! journal and truncates the torn tail.
+//! journal and truncates the torn tail. Last, a cold round is
+//! checkpointed without compaction and its segment cut at each of its
+//! record boundaries: each recovered prefix holds every entry together
+//! with the plan that produced its path, because a wave's entries and
+//! provenance are one journal record.
 //!
 //! ```sh
 //! cargo run --example durability
 //! ```
 
+use restore_suite::core::journal::segment_boundaries;
 use restore_suite::core::{Heuristic, ReStore, ReStoreConfig};
 use restore_suite::dfs::{Dfs, DfsConfig};
 use restore_suite::mapreduce::{ClusterConfig, Engine, EngineConfig};
@@ -32,14 +37,18 @@ fn cluster(seed: u64) -> Dfs {
     dfs
 }
 
-fn new_service(dfs: &Dfs) -> RestoreService {
+fn new_driver(dfs: &Dfs) -> ReStore {
     let engine = Engine::new(
         dfs.clone(),
         ClusterConfig::default(),
         EngineConfig { worker_threads: 2, default_reduce_tasks: 3 },
     );
+    ReStore::new(engine, ReStoreConfig::default())
+}
+
+fn new_service(dfs: &Dfs) -> RestoreService {
     RestoreService::new(
-        ReStore::new(engine, ReStoreConfig::default()),
+        new_driver(dfs),
         ServiceConfig { workers: 2, queue_depth: 64, ..Default::default() },
     )
 }
@@ -139,7 +148,37 @@ fn torn_journal_recovery() {
     }
 }
 
+/// Both tenants' cold round, checkpointed with compaction off so the
+/// set's last segment holds every wave, recovered with that segment cut
+/// at each of its record boundaries: does every entry of both tenants
+/// have provenance for its stored path?
+fn every_boundary_keeps_provenance() -> bool {
+    let dfs = cluster(0xB0_0DA1);
+    let service = new_service(&dfs);
+    service
+        .checkpoint_begin(CheckpointConfig { compact_ratio: f64::INFINITY, ..Default::default() });
+    run_round(&service, "cold");
+    service.checkpoint_incremental().expect("capture");
+    let set = service.checkpoint_set().expect("checkpointing enabled");
+    service.shutdown();
+    let last = set.segments.last().expect("journaled waves");
+    segment_boundaries(last).into_iter().all(|cut| {
+        let mut segments = set.segments.clone();
+        *segments.last_mut().unwrap() = last[..cut].to_string();
+        let rs = new_driver(&dfs);
+        rs.recover(&set.base, &segments).expect("recovery at a record boundary");
+        ["ana", "bo"].into_iter().all(|t| {
+            let repo = rs.repository_as(Some(t));
+            let prov = |p: &str| rs.with_provenance_as(Some(t), |prov| prov.contains(p));
+            repo.entries().iter().all(|e| prov(&e.output_path))
+        })
+    })
+}
+
 fn main() {
     torn_journal_recovery();
+    let kept = every_boundary_keeps_provenance();
+    println!("every record-boundary prefix keeps entries with their provenance: {kept}");
+    assert!(kept, "a recovered entry lost the plan that produced its path");
     println!("durability OK: every torn-tail recovery served the warm rerun");
 }

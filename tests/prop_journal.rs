@@ -115,6 +115,30 @@ fn recovery_with_no_segments_is_the_base() {
     assert_eq!(rs.save_state(), s.base);
 }
 
+/// A wave's entries and their provenance are one replay unit: at every
+/// clean prefix of the final segment, every recovered entry's stored
+/// path has the plan that produced it, in every namespace — lineage
+/// expansion never stops at a path the repository serves.
+#[test]
+fn every_clean_prefix_keeps_each_entry_with_its_provenance() {
+    let s = scenario();
+    let mut orphans = Vec::new();
+    for &cut in &s.boundaries {
+        let mut segments = s.prior.clone();
+        segments.push(s.last[..cut].to_string());
+        let rs = ReStore::new(engine_over(s.dfs.clone()), ReStoreConfig::default());
+        rs.recover(&s.base, &segments).unwrap();
+        for tenant in [None, Some("ana"), Some("bo")] {
+            for e in rs.repository_as(tenant).entries() {
+                if !rs.with_provenance_as(tenant, |p| p.contains(&e.output_path)) {
+                    orphans.push((cut, tenant, e.output_path.clone()));
+                }
+            }
+        }
+    }
+    assert!(orphans.is_empty(), "entries without provenance (cut, tenant, path): {orphans:?}");
+}
+
 /// Degenerate segment bodies a crashed or buggy checkpoint store could
 /// hand back: empty, whitespace-only, prefixes of the segment header,
 /// a header followed by a torn or over-long frame, arbitrary printable

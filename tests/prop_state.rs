@@ -115,14 +115,14 @@ fn build_session(dfs: &Dfs, spaces: &[(Option<&str>, &SpaceSpec)]) -> ReStore {
                 created: 1,
                 input_files: vec![(input_path, 0)],
             };
-            rs.with_repository_mut_as(*tenant, |repo| repo.insert(plan.clone(), &out_path, stats));
-            if e.register_provenance {
-                rs.with_provenance_mut_as(*tenant, |prov| {
-                    if !prov.contains(&out_path) {
-                        prov.register(&out_path, plan.clone());
+            rs.with_repository_mut_as(*tenant, |repo| {
+                repo.batch(|b| {
+                    b.insert(plan.clone(), &out_path, stats);
+                    if e.register_provenance && !b.provenance().contains(&out_path) {
+                        b.register(&out_path, plan.clone());
                     }
-                });
-            }
+                })
+            });
         }
     }
     rs
