@@ -11,7 +11,10 @@
 //!   repository, isolating queue + scheduler + lock overhead;
 //! * `service_mixed` — fresh output paths each round (final outputs not
 //!   registered), so jobs with reusable prefixes still execute and the
-//!   cross-workflow scheduler overlaps work from different tenants.
+//!   cross-workflow scheduler overlaps work from different tenants;
+//! * `compile_as` — the front of every submission, alone: the 21-query
+//!   `serve_warm` mix compiled under fresh output paths, `first` in a
+//!   session that has never seen the texts, `warm` in one that has.
 //!
 //! (The `service_fifo` arm — the mixed workload under strict FIFO
 //! dispatch — went with the switch that selected it; its numbers are
@@ -21,10 +24,11 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use restore_core::{ReStore, ReStoreConfig};
 use restore_dfs::{Dfs, DfsConfig};
 use restore_mapreduce::{ClusterConfig, Engine, EngineConfig};
-use restore_pigmix::{datagen, queries, DataScale};
+use restore_pigmix::{datagen, paraphrase, queries, DataScale};
 use restore_service::{RestoreService, ServiceConfig};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Instant;
 
 const SEED: u64 = 0x5E_ED_CE;
 const TENANTS: [&str; 4] = ["ana", "bo", "carol", "dee"];
@@ -113,6 +117,58 @@ fn bench_handoff(c: &mut Criterion) {
     group.finish();
 }
 
+/// The `serve_warm` mix — the eight PigMix queries and every
+/// paraphrase-suite paraphrase — as (text, workflow prefix), storing
+/// under round `round`'s own paths.
+fn serve_warm_mix(round: u64) -> Vec<(String, String)> {
+    let out = format!("/out/r{round}");
+    let mut texts: Vec<String> =
+        queries::standard_workload(&out).into_iter().map(|(_, q)| q).collect();
+    texts.extend(paraphrase::paraphrase_suite(&out).into_iter().flat_map(|c| c.paraphrases));
+    texts.into_iter().enumerate().map(|(i, q)| (q, format!("/wf/r{round}/q{i}"))).collect()
+}
+
+fn bench_compile_as(c: &mut Criterion) {
+    /// Passes over the mix per sample.
+    const ROUNDS: u64 = 50;
+    // Compiling reads no data: an empty DFS will do.
+    let session = || {
+        let dfs = Dfs::new(DfsConfig::small_for_tests());
+        ReStore::new(
+            Engine::new(dfs, ClusterConfig::default(), EngineConfig::default()),
+            ReStoreConfig::default(),
+        )
+    };
+    let timed_pass = |rs: &ReStore, round: u64| {
+        let mix = serve_warm_mix(round);
+        let t0 = Instant::now();
+        for (text, prefix) in &mix {
+            black_box(rs.compile_as(None, text, prefix).expect("compiles"));
+        }
+        t0.elapsed()
+    };
+    let mut group = c.benchmark_group("compile_as");
+    group.sample_size(10);
+    group.throughput(Throughput::Elements(ROUNDS * serve_warm_mix(0).len() as u64));
+    // Each pass in a fresh session: every compile is the text's first.
+    group.bench_function("first", |b| {
+        let round = AtomicU64::new(0);
+        b.iter_custom(|_| {
+            (0..ROUNDS).map(|_| timed_pass(&session(), round.fetch_add(1, Ordering::Relaxed))).sum()
+        });
+    });
+    // One session that compiled the mix once; every pass stores elsewhere.
+    group.bench_function("warm", |b| {
+        let rs = session();
+        timed_pass(&rs, 0);
+        let round = AtomicU64::new(1);
+        b.iter_custom(|_| {
+            (0..ROUNDS).map(|_| timed_pass(&rs, round.fetch_add(1, Ordering::Relaxed))).sum()
+        });
+    });
+    group.finish();
+}
+
 fn bench_warm_serving(c: &mut Criterion) {
     bench_group(c, "service_warm", true);
 }
@@ -121,5 +177,11 @@ fn bench_mixed_workload(c: &mut Criterion) {
     bench_group(c, "service_mixed", false);
 }
 
-criterion_group!(benches, bench_handoff, bench_warm_serving, bench_mixed_workload);
+criterion_group!(
+    benches,
+    bench_handoff,
+    bench_compile_as,
+    bench_warm_serving,
+    bench_mixed_workload
+);
 criterion_main!(benches);

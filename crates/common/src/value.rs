@@ -5,7 +5,8 @@
 //! MapReduce shuffle needs a *total* order and a stable hash over values,
 //! which `f64` does not provide natively, so [`Value`] defines both
 //! explicitly (NaN sorts last among doubles; hashing uses the bit pattern
-//! with `-0.0` normalized to `+0.0`).
+//! with `-0.0` normalized to `+0.0` and every NaN to `f64::NAN`'s, since
+//! all NaNs compare equal).
 
 use crate::codec::{self, Out};
 use crate::number::{Count, Sink};
@@ -171,7 +172,15 @@ impl Hash for Value {
             }
             Value::Double(d) => {
                 1u8.hash(state);
-                let d = if *d == 0.0 { 0.0 } else { *d };
+                // Equal values hash alike: -0.0 == 0.0, and every NaN,
+                // whatever its sign and payload, equals every other.
+                let d = if *d == 0.0 {
+                    0.0
+                } else if d.is_nan() {
+                    f64::NAN
+                } else {
+                    *d
+                };
                 d.to_bits().hash(state);
             }
             Value::Str(s) => {
@@ -287,6 +296,34 @@ mod tests {
     fn negative_zero_hashes_like_zero() {
         assert_eq!(Value::Double(-0.0), Value::Double(0.0));
         assert_eq!(hash_of(&Value::Double(-0.0)), hash_of(&Value::Double(0.0)));
+    }
+
+    #[test]
+    fn equal_values_hash_alike() {
+        let nans = [
+            f64::NAN,
+            -f64::NAN,
+            f64::from_bits(0xfff8_0000_0000_0000),
+            f64::from_bits(0x7ff0_0000_0000_0001),
+            f64::from_bits(0xfff0_0000_dead_beef),
+            f64::from_bits(0x7fff_ffff_ffff_ffff),
+            f64::INFINITY - f64::INFINITY,
+        ];
+        let mut vals: Vec<Value> = nans.into_iter().map(Value::Double).collect();
+        vals.extend([0.0, -0.0, 1.0, -1.5, f64::INFINITY].map(Value::Double));
+        for n in [0, 1, -1, 7, 1 << 53, (1 << 53) + 1, i64::MIN, i64::MAX] {
+            vals.push(Value::Int(n));
+            vals.push(Value::Double(n as f64));
+        }
+        for a in &vals {
+            for b in &vals {
+                if a == b {
+                    assert_eq!(hash_of(a), hash_of(b), "{a:?} == {b:?}");
+                }
+            }
+        }
+        assert!(nans.iter().all(|d| d.is_nan()));
+        assert_eq!(Value::Double(nans[2]), Value::Double(f64::NAN), "the NaNs compare equal");
     }
 
     #[test]

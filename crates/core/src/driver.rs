@@ -64,6 +64,7 @@ use restore_common::{Error, Result};
 use restore_dataflow::exec::{job_io, job_spec_for_plan};
 use restore_dataflow::mr_compiler::CompiledWorkflow;
 use restore_dataflow::physical::PhysicalPlan;
+use restore_dataflow::template;
 use restore_dfs::Dfs;
 use restore_mapreduce::{split_reader, workflow, Engine, JobResult, JobSpec};
 use restore_telemetry::Registry;
@@ -72,6 +73,11 @@ use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
+
+/// Templates a session keeps per value of
+/// [`ReStoreConfig::canonicalize`] before it starts over (see
+/// [`ReStore::compile_as`]). A served workload has a few dozen.
+const TEMPLATE_CAPACITY: usize = 256;
 
 /// ReStore configuration.
 ///
@@ -236,6 +242,12 @@ pub struct ReStore {
     /// all tenants (one clock, many namespaces).
     pub(crate) tick: AtomicU64,
     pub(crate) cand_counter: AtomicU64,
+    /// Compiled templates (see [`restore_dataflow::template`]), one map
+    /// per value of [`ReStoreConfig::canonicalize`], keyed by masked
+    /// text. RCU-published like `spaces`: a hit is a snapshot load; a
+    /// miss publishes a new map, an empty one once
+    /// [`TEMPLATE_CAPACITY`] templates are held.
+    pub(crate) templates: Rcu<[HashMap<Arc<str>, Arc<CompiledWorkflow>>; 2]>,
     /// The snapshot journal behind incremental checkpoints (see
     /// [`crate::journal`]); disabled until [`ReStore::enable_journal`].
     pub(crate) journal: Arc<Journal>,
@@ -353,6 +365,7 @@ impl ReStore {
             config: RwLock::new(config),
             tick: AtomicU64::new(0),
             cand_counter: AtomicU64::new(0),
+            templates: Rcu::default(),
             journal: Arc::new(Journal::default()),
             obs,
         }
@@ -396,6 +409,16 @@ impl ReStore {
     /// entries — and each pass's wall time lands in the
     /// `restore_canon_stage_seconds` histogram family. With it off, the
     /// compile path is byte-identical to earlier releases.
+    ///
+    /// A text is compiled once per template: its store paths become
+    /// marks ([`restore_dataflow::template::Key`]), the marked text is
+    /// compiled on first sight and kept, and every submission binds its
+    /// own store paths and `out_prefix` into a copy. The result equals
+    /// compiling `text` directly; a text with no key, or whose marked
+    /// text does not compile, is compiled directly, so an error is the
+    /// direct compile's. `restore_compile_templates_total{outcome}`
+    /// counts each `hit`, `miss` and `bypass`; the analyzer runs only on
+    /// a miss or a bypass.
     pub fn compile_as(
         &self,
         tenant: Option<&str>,
@@ -404,14 +427,46 @@ impl ReStore {
     ) -> Result<CompiledWorkflow> {
         let canonicalize = self.read_config_as(tenant, |config| config.canonicalize);
         self.obs.stage.compile.time(|| {
-            if canonicalize {
-                let (wf, timings) = restore_dataflow::compile_canonical(text, out_prefix)?;
-                self.obs.record_canon(&timings);
-                Ok(wf)
-            } else {
-                restore_dataflow::compile(text, out_prefix)
+            let Some(key) = template::Key::of(text, out_prefix) else {
+                self.obs.templates.bypass.inc();
+                return self.compile_text(text, out_prefix, canonicalize);
+            };
+            let memo = usize::from(canonicalize);
+            if let Some(t) = self.templates.load()[memo].get(key.masked()) {
+                self.obs.templates.hit.inc();
+                return Ok(template::bind(t, key.literals(), out_prefix));
             }
+            let Ok(t) = self.compile_text(key.masked(), template::PREFIX, canonicalize) else {
+                self.obs.templates.bypass.inc();
+                return self.compile_text(text, out_prefix, canonicalize);
+            };
+            self.obs.templates.miss.inc();
+            let wf = template::bind(&t, key.literals(), out_prefix);
+            self.templates.update(|maps| {
+                if maps[memo].len() >= TEMPLATE_CAPACITY {
+                    maps[memo] = HashMap::new();
+                }
+                maps[memo].insert(key.masked().into(), Arc::new(t));
+            });
+            Ok(wf)
         })
+    }
+
+    /// One compile of `text` under `out_prefix`, recording the analyzer
+    /// passes' time when it canonicalizes.
+    fn compile_text(
+        &self,
+        text: &str,
+        out_prefix: &str,
+        canonicalize: bool,
+    ) -> Result<CompiledWorkflow> {
+        if canonicalize {
+            let (wf, timings) = restore_dataflow::compile_canonical(text, out_prefix)?;
+            self.obs.record_canon(&timings);
+            Ok(wf)
+        } else {
+            restore_dataflow::compile(text, out_prefix)
+        }
     }
 
     /// Execute a compiled workflow in a tenant's namespace (see

@@ -91,8 +91,9 @@ pub(crate) struct StageHists {
     pub execute: Histogram,
     /// Per wave: phase 3 (registration batch + publish).
     pub register: Histogram,
-    /// Per canonicalization (once per compile, and once per job plan an
-    /// alias rewrote): analyzer pass latency summed over that call's
+    /// Per canonicalization (once per compile that misses or bypasses
+    /// the template memo — a hit runs no analyzer — and once per job
+    /// plan an alias rewrote): analyzer pass latency summed over that call's
     /// fixpoint sweeps, one series per pass in
     /// [`restore_dataflow::analyzer::PASS_NAMES`] order.
     pub canon: [Histogram; 3],
@@ -123,6 +124,21 @@ pub(crate) struct Obs {
     pub vetoed_retypes: Counter,
     /// `restore_entries_evicted_total{reason}`, by `selector::Eviction`.
     pub evicted: [Counter; 4],
+    /// `restore_compile_templates_total{outcome}`: what each
+    /// `compile_as` did with its template.
+    pub templates: TemplateOutcomes,
+}
+
+/// Outcomes of `ReStore::compile_as`'s template lookup.
+pub(crate) struct TemplateOutcomes {
+    /// The template was held: only binding ran.
+    pub hit: Counter,
+    /// The template was compiled and kept.
+    pub miss: Counter,
+    /// The text has no template (it does not lex, holds a mark, or
+    /// names a temporary), or its marked text does not compile: it was
+    /// compiled directly.
+    pub bypass: Counter,
 }
 
 impl Obs {
@@ -182,6 +198,20 @@ impl Obs {
                     &[("reason", reason)],
                 )
             }),
+            templates: {
+                let outcome = |outcome: &str| {
+                    registry.counter(
+                        "restore_compile_templates_total",
+                        "compile_as template lookups, by outcome",
+                        &[("outcome", outcome)],
+                    )
+                };
+                TemplateOutcomes {
+                    hit: outcome("hit"),
+                    miss: outcome("miss"),
+                    bypass: outcome("bypass"),
+                }
+            },
             registry,
         }
     }

@@ -15,6 +15,7 @@
 //!            spaces_by_name   every namespace, `""` first
 //!   policy:  config_as / set_config_as   `None`: the global default;
 //!                                          a tenant: its effective policy
+//!            read_config_as      the same, borrowed by a closure
 //!            config              `config_as(None)`, for `restore-e2e`
 //!            clear_config_as     drop a tenant's override
 //!            effective_config    the override, else the global default
@@ -195,8 +196,10 @@ impl ReStore {
         self.read_config_as(tenant, ReStoreConfig::clone)
     }
 
-    /// [`ReStore::config_as`], read in place by `f`.
-    pub(crate) fn read_config_as<R>(
+    /// [`ReStore::config_as`], read in place by `f`: a per-submission
+    /// caller that needs one field borrows the policy instead of
+    /// cloning all of it.
+    pub fn read_config_as<R>(
         &self,
         tenant: Option<&str>,
         f: impl FnOnce(&ReStoreConfig) -> R,

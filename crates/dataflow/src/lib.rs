@@ -12,6 +12,9 @@
 //! 6. [`exec`] — plan-driven `Mapper`/`Reducer` implementations so the
 //!    `restore-mapreduce` engine can run compiled jobs.
 //!
+//! [`template`] compiles a query once per shape: the workflow of a text
+//! whose store paths are marks, with this submission's paths bound in.
+//!
 //! The **physical plan of a MapReduce job** ([`physical::PhysicalPlan`])
 //! is the currency of the whole reproduction: ReStore's matcher,
 //! rewriter, and sub-job enumerator in `restore-core` all operate on it,
@@ -30,6 +33,7 @@ pub mod mr_compiler;
 pub mod optimizer;
 pub mod parser;
 pub mod physical;
+pub mod template;
 
 pub use expr::{AggFunc, CmpOp, Expr, ScalarFunc};
 pub use logical::LogicalPlan;

@@ -12,12 +12,16 @@
 //!    first sweep in which no pass reports a change, reaches the same
 //!    plan as [`canonicalize_reference`], which copies the plan before
 //!    every sweep and stops when the copy compares equal; over the
-//!    generator, the eight PigMix queries and every paraphrase.
+//!    generator, the eight PigMix queries and every paraphrase;
+//! 4. **Binding** — a query's [`template`], compiled from its masked
+//!    text and bound to its paths, equals its direct compile, plain and
+//!    canonical.
 
 use proptest::prelude::*;
 use restore_common::{codec, tuple, Tuple};
 use restore_dataflow::{
-    analyzer, compile, compile_canonical, exec, logical, lower, optimizer, parser, PhysicalPlan,
+    analyzer, compile, compile_canonical, exec, logical, lower, optimizer, parser, template,
+    PhysicalPlan,
 };
 use restore_dfs::{Dfs, DfsConfig};
 use restore_mapreduce::{ClusterConfig, Engine, EngineConfig};
@@ -229,5 +233,23 @@ proptest! {
     #[test]
     fn canonicalize_matches_the_clone_and_compare_loop(q in arb_query()) {
         assert_matches_reference(&q);
+    }
+
+    /// `bind(template(q)) == compile(q)`, plain and canonical.
+    #[test]
+    fn a_bound_template_equals_the_direct_compile(q in arb_query()) {
+        let key = template::Key::of(&q, "/wf").unwrap();
+        let plain = compile(key.masked(), template::PREFIX).unwrap();
+        prop_assert_eq!(
+            template::bind(&plain, key.literals(), "/wf"),
+            compile(&q, "/wf").unwrap(),
+            "query:\n{}", q
+        );
+        let (canonical, _) = compile_canonical(key.masked(), template::PREFIX).unwrap();
+        prop_assert_eq!(
+            template::bind(&canonical, key.literals(), "/wf"),
+            compile_canonical(&q, "/wf").unwrap().0,
+            "query:\n{}", q
+        );
     }
 }

@@ -225,7 +225,7 @@ impl RestoreService {
         let key = tenant.unwrap_or("").to_string();
         // Effective failure policy read before the scheduler lock (the
         // driver read takes its own locks).
-        let policy = self.restore.config_as(tenant).failure;
+        let policy = self.restore.read_config_as(tenant, |c| c.failure.clone());
         let mut st = self.shared.lock();
         if st.shutdown {
             return Err(ServiceError::ShuttingDown);
@@ -814,7 +814,7 @@ impl Shared {
         let tenant = Some(key.as_str());
         // The failure policy current at dispatch governs this attempt
         // (a mid-flight policy change applies from the next attempt on).
-        let policy = restore.config_as(tenant).failure;
+        let policy = restore.read_config_as(tenant, |c| c.failure.clone());
         // A retry needs the workflow back after execution consumes it;
         // everyone else skips the clone.
         let keep_wf = policy.retries().then(|| wf.clone());
