@@ -43,8 +43,10 @@ pub enum Error {
     /// corrupt journal points at the offending record instead of a
     /// generic "malformed journal".
     Journal { segment: usize, record: usize, msg: String },
-    /// A configuration value is invalid or no longer supported.
-    Config(String),
+    /// A `restore-state` document or a journal segment whose first line
+    /// names another format epoch than the one this build reads. Carries
+    /// that line and both epochs.
+    Epoch { line: String, found: u64, reads: u64 },
     /// Record decoding failure when reading DFS files.
     Codec(String),
     /// Catch-all with context.
@@ -77,7 +79,9 @@ impl fmt::Display for Error {
             Error::Journal { segment, record, msg } => {
                 write!(f, "journal error in segment {segment} record {record}: {msg}")
             }
-            Error::Config(m) => write!(f, "config error: {m}"),
+            Error::Epoch { line, found, reads } => {
+                write!(f, "{line:?} is format epoch {found}; this build reads epoch {reads} only")
+            }
             Error::Codec(m) => write!(f, "codec error: {m}"),
             Error::Other(m) => write!(f, "{m}"),
         }

@@ -12,9 +12,14 @@
 //!
 //! # Record grammar
 //!
-//! A record's payload is line-oriented text whose first line names its
-//! type; bodies reuse the exact durable codecs of the tables they
-//! touch, so a journaled insert and a full dump are byte-identical:
+//! A segment's first line is [`SEGMENT_HEADER`] (`restore-journal v6`),
+//! which names the format epoch `restore-state` documents name too (see
+//! `state.rs`); a segment of another epoch is refused with
+//! [`Error::Epoch`]. A record's payload is line-oriented text whose first
+//! line names its type; bodies reuse the exact durable codecs of the
+//! tables they touch, so a journaled insert and a full dump are
+//! byte-identical. The reader reads exactly these kinds, the ones the
+//! writer writes:
 //!
 //! ```text
 //! counters <tick> <cand>
@@ -25,34 +30,7 @@
 //! repo-batch <space:?>            + `entry …` / `path …` blocks, `evict <id>` /
 //!                                   `forget <p:?>` lines, in application order
 //! note-use <space:?>              + `use <id> <count> <last>` lines (absolute values)
-//! prov-batch <space:?>            + `path …` blocks / `forget <p:?>` lines (read only)
-//! prov-replace <space:?>          + a full provenance table (read only)
-//! replace                         + a full `restore-state` document (read only)
-//! breaker-state <space:?> <open|closed>   (read only, retired)
-//! dlq-put <space:?>               + one dead-letter entry (read only, retired)
-//! dlq-ack <space:?>               + `ack <id>` lines (read only, retired)
 //! ```
-//!
-//! `replace` is no longer written: a full document comes back through
-//! `recover`, which does not record the load. It is still read, so a
-//! journal from a release that recorded a wholesale load mid-journal
-//! still replays. `prov-batch` and `prov-replace` are not written either:
-//! provenance is part of the repository snapshot, so its registrations
-//! and forgets travel in the `repo-batch` of the batch that made them. A
-//! `prov-batch` replays as a `repo-batch` of its lines, and a
-//! `prov-replace` as the forgets and registrations that turn the table
-//! into the recorded one.
-//!
-//! The three **retired** kinds are no longer written and apply nothing.
-//! `breaker-state` recorded a circuit breaker, which is the live
-//! scheduler's health signal that a restarted service re-earns.
-//! `dlq-put` / `dlq-ack` recorded a per-tenant dead-letter queue, which
-//! is gone: a failed submission reports its error on its ticket and
-//! nothing keeps the workflow. A journal that holds them still replays,
-//! and a malformed one is still an error: the space name, the breaker
-//! state and each `ack <id>` line are checked. A `dlq-put` body is not
-//! parsed; it has no type left to decode into, and the frame checksum
-//! already guards its bytes.
 //!
 //! One record is one **atomic replay unit** — a wave's entries and
 //! their provenance land as a single `repo-batch`, an eviction sweep and
@@ -86,26 +64,27 @@
 //!
 //! # Sequence numbers and compaction
 //!
-//! Base checkpoints (`restore-state v5`) record the journal sequence
-//! number current when the capture began. Recovery replays only records
-//! with `seq >` the base's, and every record is **idempotent** (puts
-//! carry full entries, note-use carries absolute counters), so a base
-//! captured concurrently with journaling is safe: a record the base
-//! already reflects replays as a no-op. Compaction is therefore just
+//! Base checkpoints (`restore-state` documents) record the journal
+//! sequence number current when the capture began. Recovery replays
+//! only records with `seq >` the base's, and every record is
+//! **idempotent** (puts carry full entries, note-use carries absolute
+//! counters), so a base captured concurrently with journaling is safe:
+//! a record the base already reflects replays as a no-op. Compaction is therefore just
 //! "take a fresh base, drop segments whose records it covers" — the
 //! service's checkpoint keeper does exactly that when the
 //! journal-to-base byte ratio crosses its threshold.
 
 use crate::driver::ReStoreConfig;
-use crate::provenance::{self, Provenance};
+use crate::provenance;
 use crate::repository::{self, RepoOp};
 use parking_lot::Mutex;
 use restore_common::Error;
 use restore_dataflow::physical::PhysicalPlan;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::SeqCst};
 
-/// First line of every journal segment.
-pub const SEGMENT_HEADER: &str = "restore-journal v1";
+/// First line of every journal segment: the format epoch, as in a
+/// `restore-state` document's first line.
+pub const SEGMENT_HEADER: &str = concat!("restore-journal v", crate::state::epoch!());
 
 /// Journal tuning.
 #[derive(Debug, Clone)]
@@ -160,11 +139,7 @@ pub struct RecoveryReport {
 
 // ---- decoded records ----
 
-/// One decoded journal record (see the module docs for the grammar;
-/// `ProvReplace`, `Replace` and `Retired` are read, never written, and a
-/// `prov-batch` decodes as the `RepoBatch` of its lines). `Retired` is a
-/// `breaker-state`, `dlq-put` or `dlq-ack` record: checked, counted as
-/// applied, and otherwise a no-op.
+/// One decoded journal record (see the module docs for the grammar).
 #[derive(Debug)]
 pub(crate) enum Record {
     Counters { tick: u64, cand: u64 },
@@ -174,9 +149,6 @@ pub(crate) enum Record {
     GlobalConfig { config: ReStoreConfig },
     RepoBatch { space: String, ops: Vec<RepoRecOp> },
     NoteUse { space: String, uses: Vec<(u64, u64, u64)> },
-    ProvReplace { space: String, table: Provenance },
-    Replace { state: String },
-    Retired,
 }
 
 /// A decoded repository mutation, in application order.
@@ -494,6 +466,9 @@ pub(crate) fn decode_segment(
     let err = |record: usize, msg: String| Error::Journal { segment, record, msg };
     let torn = |records, offset| Ok((records, Some(TornTail { segment, offset })));
     let header_len = SEGMENT_HEADER.len() + 1;
+    if let Some((first, _)) = text.split_once('\n') {
+        crate::state::check_epoch(first, SEGMENT_HEADER)?;
+    }
     if !text.starts_with(SEGMENT_HEADER) || text.len() < header_len {
         // A truncated header can only happen to the segment being
         // written at crash time.
@@ -533,54 +508,26 @@ pub(crate) fn decode_segment(
                 format!("checksum mismatch for record seq {seq}: stored {sum:016x}, computed {actual:016x}"),
             ));
         }
-        let record = decode_payload(payload).map_err(|e| match e {
-            PayloadError::Malformed(msg) => err(ordinal, msg),
-            PayloadError::Refused(e) => e,
-        })?;
+        let record = decode_payload(payload).map_err(|msg| err(ordinal, msg))?;
         records.push((seq, record));
         pos = body_start + len;
     }
     Ok((records, None))
 }
 
-/// Why a payload did not decode.
-enum PayloadError {
-    /// A plain message; the caller attaches segment / record coordinates.
-    Malformed(String),
-    /// A well-formed record this release refuses, passed through typed
-    /// (a config written by a sharded repository, [`Error::Config`]).
-    Refused(Error),
-}
-
-impl From<String> for PayloadError {
-    fn from(msg: String) -> Self {
-        PayloadError::Malformed(msg)
-    }
-}
-
-impl From<&str> for PayloadError {
-    fn from(msg: &str) -> Self {
-        PayloadError::Malformed(msg.to_string())
-    }
-}
-
 /// Decode the `key value` body of a `tenant-config` / `global-config`
 /// record.
-fn decode_config_body(body: &str) -> Result<ReStoreConfig, PayloadError> {
+fn decode_config_body(body: &str) -> Result<ReStoreConfig, String> {
     let lines: Vec<&str> = body.lines().collect();
-    crate::state::decode_config(&lines, 0).map_err(|e| match e {
-        Error::Config(_) => PayloadError::Refused(e),
-        e => PayloadError::Malformed(format!("in config: {e}")),
-    })
+    crate::state::decode_config(&lines, 0).map_err(|e| format!("in config: {e}"))
 }
 
-/// Decode the body of a `repo-batch` (or an old `prov-batch`, whose
-/// lines are a subset) into its ops, in order: `entry …` and `path …`
-/// blocks, `evict <id>` and `forget <p:?>` lines.
-fn decode_batch_body(tag: &str, body: &str) -> Result<Vec<RepoRecOp>, String> {
+/// Decode the body of a `repo-batch` into its ops, in order: `entry …`
+/// and `path …` blocks, `evict <id>` and `forget <p:?>` lines.
+fn decode_batch_body(body: &str) -> Result<Vec<RepoRecOp>, String> {
     let mut ops = Vec::new();
     let mut lines = body.lines().peekable();
-    let malformed = |e: Error| format!("in {tag}: {e}");
+    let malformed = |e: Error| format!("in repo-batch: {e}");
     loop {
         let block = match repository::parse_entry_lines(&mut lines).map_err(malformed)? {
             Some(e) => Some(RepoRecOp::Put(e)),
@@ -599,7 +546,7 @@ fn decode_batch_body(tag: &str, body: &str) -> Result<Vec<RepoRecOp>, String> {
             let path = crate::state::unquote(p, 0).map_err(|_| format!("bad forget path {p:?}"))?;
             ops.push(RepoRecOp::Forget { path });
         } else {
-            return Err(format!("unexpected {tag} line {line:?}"));
+            return Err(format!("unexpected repo-batch line {line:?}"));
         }
     }
     Ok(ops)
@@ -607,7 +554,7 @@ fn decode_batch_body(tag: &str, body: &str) -> Result<Vec<RepoRecOp>, String> {
 
 /// Decode one record payload (the framed bytes, checksum already
 /// verified).
-fn decode_payload(payload: &str) -> Result<Record, PayloadError> {
+fn decode_payload(payload: &str) -> Result<Record, String> {
     let nl = payload.find('\n').ok_or("record payload has no tag line")?;
     let tag_line = &payload[..nl];
     let body = &payload[nl + 1..];
@@ -632,9 +579,7 @@ fn decode_payload(payload: &str) -> Result<Record, PayloadError> {
         }
         "tenant-config-clear" => Ok(Record::TenantConfigClear { space: space(arg)? }),
         "global-config" => Ok(Record::GlobalConfig { config: decode_config_body(body)? }),
-        "repo-batch" | "prov-batch" => {
-            Ok(Record::RepoBatch { space: space(arg)?, ops: decode_batch_body(tag, body)? })
-        }
+        "repo-batch" => Ok(Record::RepoBatch { space: space(arg)?, ops: decode_batch_body(body)? }),
         "note-use" => {
             let space = space(arg)?;
             let mut uses = Vec::new();
@@ -652,35 +597,7 @@ fn decode_payload(payload: &str) -> Result<Record, PayloadError> {
             }
             Ok(Record::NoteUse { space, uses })
         }
-        "prov-replace" => {
-            let table =
-                Provenance::load(body).map_err(|e| format!("in prov-replace table: {e}"))?;
-            Ok(Record::ProvReplace { space: space(arg)?, table })
-        }
-        "replace" => Ok(Record::Replace { state: body.to_string() }),
-        "breaker-state" => {
-            let (name, state) =
-                arg.rsplit_once(' ').ok_or("breaker-state record needs a space and a state")?;
-            space(name)?;
-            if !matches!(state, "open" | "closed") {
-                return Err(format!("bad breaker state {state:?}").into());
-            }
-            Ok(Record::Retired)
-        }
-        "dlq-put" => {
-            space(arg)?;
-            Ok(Record::Retired)
-        }
-        "dlq-ack" => {
-            space(arg)?;
-            for line in body.lines() {
-                line.strip_prefix("ack ")
-                    .and_then(|v| v.parse::<u64>().ok())
-                    .ok_or_else(|| format!("bad dlq-ack line {line:?}"))?;
-            }
-            Ok(Record::Retired)
-        }
-        other => Err(format!("unknown record type {other:?}").into()),
+        other => Err(format!("unknown record type {other:?}")),
     }
 }
 
@@ -744,62 +661,6 @@ mod tests {
             seg += &format!("r {} {} {:016x}\n{p}", i + 1, p.len(), fnv1a64(p.as_bytes()));
         }
         seg
-    }
-
-    /// `breaker-state` is no longer written, but a segment from a
-    /// release that wrote it still decodes, and a malformed one is still
-    /// named.
-    #[test]
-    fn breaker_state_records_still_decode() {
-        let seg = segment_of(&["breaker-state \"ana\" open\n", "breaker-state \"\" closed\n"]);
-        let (records, torn) = decode_segment(&seg, 0, true).unwrap();
-        assert!(torn.is_none());
-        assert_eq!(records.len(), 2);
-        assert!(records.iter().all(|(_, r)| matches!(r, Record::Retired)));
-        for (bad, why) in [
-            ("breaker-state \"ana\" ajar\n", "bad breaker state"),
-            ("breaker-state \"ana\"\n", "needs a space and a state"),
-            ("breaker-state ana open\n", "bad space name"),
-            ("breaker-state\n", "needs a space and a state"),
-        ] {
-            match decode_segment(&segment_of(&["counters 1 0\n", bad]), 4, true) {
-                Err(Error::Journal { segment: 4, record: 2, msg }) => {
-                    assert!(msg.contains(why), "{bad:?}: {msg}")
-                }
-                other => panic!("{bad:?}: expected a journal error, got {other:?}"),
-            }
-        }
-    }
-
-    /// `dlq-put` and `dlq-ack` are no longer written either. A segment
-    /// that holds them still decodes, to no-ops; the space name and each
-    /// `ack <id>` line are still checked, and a put's body (its frame
-    /// checksum already verified) is not parsed.
-    #[test]
-    fn dead_letter_records_still_decode() {
-        let seg = segment_of(&[
-            "dlq-put \"ana\"\ndead 3 2 17\nerror \"boom\"\njob -\n  0 load \"/p\"\nend\n",
-            "dlq-put \"\"\nanything at all\n",
-            "dlq-ack \"ana\"\nack 1\nack 2\n",
-            "dlq-ack \"\"\n",
-        ]);
-        let (records, torn) = decode_segment(&seg, 0, true).unwrap();
-        assert!(torn.is_none());
-        assert_eq!(records.len(), 4);
-        assert!(records.iter().all(|(_, r)| matches!(r, Record::Retired)));
-        for (bad, why) in [
-            ("dlq-put ana\ndead 1 1 1\n", "bad space name"),
-            ("dlq-ack ana\nack 1\n", "bad space name"),
-            ("dlq-ack \"ana\"\nack one\n", "bad dlq-ack line"),
-            ("dlq-ack \"ana\"\nnack 1\n", "bad dlq-ack line"),
-        ] {
-            match decode_segment(&segment_of(&["counters 1 0\n", bad]), 5, true) {
-                Err(Error::Journal { segment: 5, record: 2, msg }) => {
-                    assert!(msg.contains(why), "{bad:?}: {msg}")
-                }
-                other => panic!("{bad:?}: expected a journal error, got {other:?}"),
-            }
-        }
     }
 
     #[test]
@@ -882,42 +743,43 @@ mod tests {
         }
     }
 
+    /// The kinds earlier epochs wrote are read as what they are now:
+    /// unknown.
     #[test]
     fn unknown_record_type_names_the_record() {
-        match decode_segment(&segment_of(&["frobnicate\n"]), 0, true) {
-            Err(Error::Journal { record: 1, msg, .. }) => {
-                assert!(msg.contains("frobnicate"), "{msg}");
+        for kind in [
+            "frobnicate",
+            "prov-batch \"\"",
+            "prov-replace \"\"",
+            "replace",
+            "breaker-state \"ana\" open",
+            "dlq-put \"ana\"",
+            "dlq-ack \"ana\"",
+        ] {
+            let tag = kind.split(' ').next().unwrap();
+            match decode_segment(&segment_of(&["counters 1 0\n", &format!("{kind}\n")]), 3, true) {
+                Err(Error::Journal { segment: 3, record: 2, msg }) => {
+                    assert!(msg.contains(&format!("unknown record type {tag:?}")), "{msg}");
+                }
+                other => panic!("{kind}: expected a decode error, got {other:?}"),
             }
-            other => panic!("expected a decode error, got {other:?}"),
         }
     }
-    /// A `tenant-config` / `global-config` record written by a sharded
-    /// repository is refused with the same typed error as a base
-    /// document carrying the key; `repo_shards 1` is read and ignored.
+
+    /// A config record carrying a key an earlier epoch wrote, such as a
+    /// sharded repository's `repo_shards`, is refused like any unknown
+    /// key: a located journal error.
     #[test]
     fn config_record_from_a_sharded_repository_is_refused_typed() {
-        let seg = |payload: &str| segment_of(&[payload]);
         for tag in ["tenant-config \"ana\"", "global-config"] {
-            match decode_segment(&seg(&format!("{tag}\nrepo_shards 8\n")), 0, true) {
-                Err(Error::Config(msg)) => {
-                    assert!(msg.contains("shard-concatenation order"), "{msg}")
+            for n in [1, 8] {
+                let seg = segment_of(&[&format!("{tag}\nrepo_shards {n}\n")]);
+                match decode_segment(&seg, 3, true) {
+                    Err(Error::Journal { segment: 3, record: 1, msg }) => {
+                        assert!(msg.contains("unknown config key \"repo_shards\""), "{msg}")
+                    }
+                    other => panic!("expected Error::Journal, got {other:?}"),
                 }
-                other => panic!("expected Error::Config, got {other:?}"),
-            }
-            let (records, _) =
-                decode_segment(&seg(&format!("{tag}\nrepo_shards 1\n")), 0, true).unwrap();
-            assert!(matches!(
-                &records[0].1,
-                Record::TenantConfigSet { config, .. } | Record::GlobalConfig { config }
-                    if *config == ReStoreConfig::default()
-            ));
-            // Anything else wrong with the body is still a located
-            // journal error.
-            match decode_segment(&seg(&format!("{tag}\nrepo_shards many\n")), 3, true) {
-                Err(Error::Journal { segment: 3, record: 1, msg }) => {
-                    assert!(msg.contains("repo_shards"), "{msg}")
-                }
-                other => panic!("expected Error::Journal, got {other:?}"),
             }
         }
     }

@@ -51,3 +51,4 @@ pub use repository::{
     MatchProbe, ProbedCandidate, RepoBatch, RepoEntry, RepoSnapshot, RepoStats, Repository,
 };
 pub use selector::SelectionPolicy;
+pub use state::EPOCH;

@@ -6,7 +6,7 @@
 //! is the one way that state is saved and the one way it is loaded:
 //!
 //! ```text
-//!   save:  save_state()        — a full `restore-state v5` document (a base)
+//!   save:  save_state()        — a full `restore-state` document (a base)
 //!          save_state_delta()  — journal segments since the last capture
 //!   load:  recover(base, segments)   — load the base, replay later records
 //! ```
@@ -21,7 +21,7 @@
 //! | File | Purpose |
 //! |------|---------|
 //! | `persist.rs` | this module: journal switch, base dumps, delta capture, recovery, record replay |
-//! | `state.rs` | the `restore-state` document codec (v5 written, v4 read) |
+//! | `state.rs` | the `restore-state` document codec and the format epoch both writers name |
 //! | `journal.rs` | the record log: typed appends, framing, segments, the torn-tail rule |
 //! | `repository.rs` | the published snapshot — entries and provenance, saved and captured together — and the entry codec |
 //! | `provenance.rs` | the provenance table's codec; documents and `repo-batch` records share both codecs |
@@ -87,7 +87,8 @@ impl ReStore {
         space
     }
 
-    /// Serialize the full ReStore session state (`restore-state v5`):
+    /// Serialize the full ReStore session state (a `restore-state`
+    /// document of this build's [`EPOCH`](crate::EPOCH)):
     /// the counters, the journal anchor, the global configuration, and
     /// **every** namespace — default and per-tenant — with its
     /// repository, provenance table, and (when set) its policy
@@ -123,7 +124,7 @@ impl ReStore {
         let seq = self.journal.seq();
         let mut out = format!(
             "{}\ntick {}\ncand {}\nseq {}\n--config--\n{}",
-            crate::state::V5_HEADER,
+            crate::state::HEADER,
             self.tick.load(Ordering::SeqCst),
             self.cand_counter.load(Ordering::SeqCst),
             seq,
@@ -180,13 +181,13 @@ impl ReStore {
     /// applied. Call on a fresh or quiesced session.
     ///
     /// With no segments this loads a plain [`ReStore::save_state`]
-    /// document (v5, or the v4 of the release before) — the one way a
-    /// saved session comes back. The document replaces the whole
-    /// session: global config, every tenant namespace (existing tenant
-    /// state is dropped), and the counters; the stored output files
-    /// come from the DFS of the engine this instance was built with.
-    /// A malformed document yields [`Error::State`] naming the
-    /// offending line.
+    /// document — the one way a saved session comes back. The document
+    /// replaces the whole session: global config, every tenant namespace
+    /// (existing tenant state is dropped), and the counters; the stored
+    /// output files come from the DFS of the engine this instance was
+    /// built with. A malformed document yields [`Error::State`] naming
+    /// the offending line; a document or segment of another format
+    /// epoch yields [`Error::Epoch`].
     pub fn recover(&self, base: &str, segments: &[String]) -> Result<RecoveryReport> {
         let _capture = self.journal.capture.lock();
         // Replay drives the normal mutation paths; pause the journal so
@@ -283,32 +284,6 @@ impl ReStore {
                     sp.repo.set_usage(id, count, last_used);
                 }
             }
-            // No longer written: the table becomes the recorded one.
-            Record::ProvReplace { space, table } => {
-                self.space_for(Some(&space)).repo.batch(|b| {
-                    let gone: Vec<String> = b
-                        .provenance()
-                        .iter_paths()
-                        .filter(|p| !table.contains(p))
-                        .map(String::from)
-                        .collect();
-                    for p in &gone {
-                        b.forget(p);
-                    }
-                    for (path, plan) in table.into_records() {
-                        b.register_replay(path, plan);
-                    }
-                });
-            }
-            // No longer written; journals from releases whose
-            // `load_state` recorded a wholesale load still replay.
-            Record::Replace { state } => {
-                self.load_document(&state)?;
-            }
-            // No longer written, and nothing to apply: what they
-            // recorded is no longer durable state (see the journal's
-            // retired kinds). Journals that carry them still replay.
-            Record::Retired => {}
         }
         Ok(())
     }

@@ -106,12 +106,6 @@ impl Provenance {
         self.plans.keys().map(|s| s.as_str())
     }
 
-    /// Every record, consuming the table (journal replay of a
-    /// `prov-replace`).
-    pub(crate) fn into_records(self) -> impl Iterator<Item = (String, Arc<PhysicalPlan>)> {
-        self.plans.into_iter()
-    }
-
     /// Serialize the table (paths sorted for determinism).
     pub fn save(&self) -> String {
         self.save_filtered(|_| true)

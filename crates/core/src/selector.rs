@@ -230,15 +230,17 @@ mod tests {
     }
 
     /// A session whose default namespace holds one entry, created at tick
-    /// 9 from `/data/in` at version 0 and stored as text in `/repo/out`.
+    /// 9 from `/data/in` at its current version and stored as text in
+    /// `/repo/out`.
     fn session() -> (ReStore, Arc<Space>) {
         let dfs = Dfs::new(DfsConfig::small_for_tests());
         dfs.write_all("/data/in", b"v0").unwrap();
         dfs.write_all("/repo/out", b"r").unwrap();
+        let version = dfs.with_versions(|v| v("/data/in")).unwrap();
         let engine = Engine::new(dfs, ClusterConfig::default(), EngineConfig::default());
         let rs = ReStore::new(engine, ReStoreConfig::default());
         let space = rs.space_for(None);
-        let input_files = vec![("/data/in".into(), 0)];
+        let input_files = vec![("/data/in".into(), version)];
         space.repo.insert(
             plan("/x"),
             "/repo/out",

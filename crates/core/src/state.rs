@@ -1,48 +1,36 @@
 //! `restore-state` (de)serialization: the durable session format.
 //!
-//! Two wire versions are read — the current one and the one before it —
-//! by one parser:
+//! One format epoch is readable, the one this build writes. Its number,
+//! [`EPOCH`], ends the first line of every document (`restore-state v6`)
+//! and of every journal segment (`restore-journal v6`, see
+//! [`crate::journal`]); a document or segment that names another epoch
+//! is refused with [`Error::Epoch`], which shows the line and names both
+//! epochs. A format change either fits inside the epoch — a new optional
+//! config key, which a document without it reads as its default — or
+//! bumps it. Epoch 6 bumped it because an entry's input versions became
+//! DFS commit ticks: an earlier document's versions count writes per
+//! path, and a count can equal a later tick.
 //!
-//! * **v5** (current, the only one written) — the counters, one
-//!   `seq <n>` line (the snapshot-journal sequence number the dump is
-//!   anchored at, see [`crate::journal`]: recovery loads the base and
-//!   replays only journal records with a later sequence number), the
-//!   global configuration, and **every** namespace (default and
-//!   per-tenant) with its repository, provenance table, and its
-//!   `ReStoreConfig` when the tenant carries a policy override.
-//! * **v4** (previous) — the same document without the `canonicalize`
-//!   configuration key (the analyzer toggle; missing = **on**, the v5
-//!   default).
+//! The format is line-oriented:
 //!
-//! Configuration keys missing from a document keep their defaults, so
-//! dropping a key from the writer does not need a new version. Some
-//! keys are read but no longer written:
+//! ```text
+//! restore-state v6
+//! tick <n>
+//! cand <n>
+//! seq <n>                  the journal sequence number the document is anchored at
+//! --config--               the global configuration, `key value` lines
+//! --space "<tenant>"--     one per namespace, sorted by name ("" is the default)
+//! --config--               the tenant's policy override (only when it has one)
+//! --provenance--           `path …` blocks (see `provenance.rs`)
+//! --repository--           `entry …` blocks (see `repository.rs`)
+//! ```
 //!
-//! * `repo_shards`, from releases whose repository could be striped.
-//!   `0` and `1` mean the one ordered list and are ignored; a larger
-//!   value means the document's entries are in shard-concatenation
-//!   order, not §3 order, and the document is refused with
-//!   [`Error::Config`].
-//! * `store_all`, the switch that kept every candidate whatever rules
-//!   1–2 said. `true` now clears `require_size_reduction` and
-//!   `require_time_benefit`, whatever their lines say, and `false` is
-//!   ignored: with neither rule on, every candidate is kept, so the
-//!   switch repeated what the two rule keys already say.
-//! * `check_input_versions`, the switch that turned §5 rule 4 on. Rule
-//!   4 is no longer a choice: every execution evicts an entry whose
-//!   inputs changed, so `true` and `false` are both ignored.
-//! * `dlq_max_entries` and `dlq_max_age_ticks`, the caps of the
-//!   dead-letter queue earlier releases kept. They are ignored, and a
-//!   value of `on_failure dlq` reads as `retry`: a `dlq` tenant got
-//!   exactly `retry`'s retries, breaker accounting and ticket error.
-//!
-//! The format is line-oriented. Section headers are `--config--`,
-//! `--provenance--`, `--repository--`, and `--space "<tenant>"--`
-//! (the empty name is the default namespace); body lines never begin
-//! with `--`, so sections split unambiguously. A `--dlq--` section
-//! after a namespace's repository, written by those earlier releases,
-//! is skipped up to the next header. Tenants are written in sorted
-//! order and config fields in a fixed order, which makes
+//! `seq` anchors the document in the journal: recovery loads it and
+//! replays only records with a later sequence number. Config keys are
+//! written in the fixed order of [`encode_config`]; an unknown key or a
+//! malformed value is an error, a missing key keeps its default. Body
+//! lines never begin with `--`, so sections split unambiguously. Tenants
+//! in sorted order and config keys in a fixed order make
 //! `save_state → recover → save_state` byte-identical.
 //!
 //! Parse failures surface as [`Error::State`] carrying the 1-based line
@@ -57,8 +45,33 @@ use crate::provenance::Provenance;
 use crate::repository::Repository;
 use restore_common::{Error, Result};
 
-const V4_HEADER: &str = "restore-state v4";
-pub(crate) const V5_HEADER: &str = "restore-state v5";
+/// Expands to the format epoch as a literal, so the headers below are
+/// built from the one number.
+macro_rules! epoch {
+    () => {
+        6
+    };
+}
+pub(crate) use epoch;
+
+/// The format epoch both durable writers name in their first line.
+pub const EPOCH: u64 = epoch!();
+
+/// First line of every `restore-state` document.
+pub(crate) const HEADER: &str = concat!("restore-state v", epoch!());
+
+/// Refuse a first line that names another epoch of `header`'s kind
+/// (`restore-state v5` where `restore-state v6` is read). A line of any
+/// other shape passes: the caller reports it as a malformed header.
+pub(crate) fn check_epoch(line: &str, header: &str) -> Result<()> {
+    let kind = header.trim_end_matches(|c: char| c.is_ascii_digit());
+    match line.strip_prefix(kind).and_then(|n| n.parse().ok()) {
+        Some(found) if found != EPOCH => {
+            Err(Error::Epoch { line: line.to_string(), found, reads: EPOCH })
+        }
+        _ => Ok(()),
+    }
+}
 
 /// One deserialized namespace (`name == ""` is the default).
 pub(crate) struct LoadedSpace {
@@ -116,9 +129,7 @@ fn disposition_name(d: FailureDisposition) -> &'static str {
 fn disposition_from(name: &str) -> Option<FailureDisposition> {
     match name {
         "fail_fast" => Some(FailureDisposition::FailFast),
-        // `dlq` retried, then parked the workflow as well; without the
-        // queue it is `retry`.
-        "retry" | "dlq" => Some(FailureDisposition::Retry),
+        "retry" => Some(FailureDisposition::Retry),
         "drop" => Some(FailureDisposition::Drop),
         _ => None,
     }
@@ -166,11 +177,10 @@ pub(crate) fn encode_config(c: &ReStoreConfig) -> String {
 
 /// Decode `key value` config lines. `base` is the document index of the
 /// first line, used for error positions. Unknown keys and malformed
-/// values are errors; missing keys keep their defaults (older snapshots
-/// stay loadable if fields are added later).
+/// values are errors; missing keys keep their defaults (so a key added
+/// within the epoch is optional).
 pub(crate) fn decode_config(lines: &[&str], base: usize) -> Result<ReStoreConfig> {
     let mut c = ReStoreConfig::default();
-    let mut store_all = false;
     for (i, line) in lines.iter().enumerate() {
         let at = base + i;
         if line.trim().is_empty() {
@@ -189,11 +199,8 @@ pub(crate) fn decode_config(lines: &[&str], base: usize) -> Result<ReStoreConfig
             "reuse_enabled" => c.reuse_enabled = parse_bool(value)?,
             "heuristic" => c.heuristic = heuristic_from(value).ok_or_else(bad)?,
             "repo_prefix" => c.repo_prefix = unquote(value, at)?,
-            // Follows from `reuse_enabled` and `heuristic`: checked, then ignored.
-            "delete_tmp" => parse_bool(value).map(drop)?,
             "register_final_outputs" => c.register_final_outputs = parse_bool(value)?,
             "wave_parallel" => c.wave_parallel = parse_bool(value)?,
-            "store_all" => store_all = parse_bool(value)?,
             "require_size_reduction" => c.selection.require_size_reduction = parse_bool(value)?,
             "require_time_benefit" => c.selection.require_time_benefit = parse_bool(value)?,
             "reload_read_bps" => c.selection.reload_read_bps = value.parse().map_err(|_| bad())?,
@@ -201,18 +208,6 @@ pub(crate) fn decode_config(lines: &[&str], base: usize) -> Result<ReStoreConfig
                 c.selection.eviction_window = match value {
                     "none" => None,
                     v => Some(v.parse().map_err(|_| bad())?),
-                }
-            }
-            // Rule 4 always holds (see `selector`): checked, then ignored.
-            "check_input_versions" => parse_bool(value).map(drop)?,
-            "repo_shards" => {
-                let n: usize = value.parse().map_err(|_| bad())?;
-                if n > 1 {
-                    return Err(Error::Config(format!(
-                        "repo_shards {n}: the document was saved from a sharded repository, \
-                         so its entries are in shard-concatenation order and cannot be \
-                         loaded into one ordered list"
-                    )));
                 }
             }
             "on_failure" => c.failure.on_failure = disposition_from(value).ok_or_else(bad)?,
@@ -242,17 +237,9 @@ pub(crate) fn decode_config(lines: &[&str], base: usize) -> Result<ReStoreConfig
             "breaker_success_threshold" => {
                 c.failure.breaker_success_threshold = value.parse().map_err(|_| bad())?
             }
-            // The dead-letter queue's caps: checked, then ignored.
-            "dlq_max_entries" | "dlq_max_age_ticks" => {
-                value.parse::<u64>().map_err(|_| bad())?;
-            }
             "canonicalize" => c.canonicalize = parse_bool(value)?,
             _ => return Err(err_at(at, format!("unknown config key {key:?}"))),
         }
-    }
-    if store_all {
-        c.selection.require_size_reduction = false;
-        c.selection.require_time_benefit = false;
     }
     Ok(c)
 }
@@ -322,17 +309,13 @@ fn parse_tables(lines: &[&str], idx: usize) -> Result<(Repository, usize)> {
     Ok((repo, repo_end))
 }
 
-/// Parse a v5 or v4 document into a [`LoadedState`].
+/// Parse a document of this epoch into a [`LoadedState`].
 pub(crate) fn parse(text: &str) -> Result<LoadedState> {
     let lines: Vec<&str> = text.lines().collect();
-    if !matches!(lines.first().copied(), Some(V4_HEADER | V5_HEADER)) {
-        return Err(err_at(
-            0,
-            format!(
-                "expected \"{V5_HEADER}\" or \"{V4_HEADER}\", got {:?}",
-                lines.first().copied().unwrap_or("<empty document>")
-            ),
-        ));
+    let first = lines.first().copied().unwrap_or("<empty document>");
+    check_epoch(first, HEADER)?;
+    if first != HEADER {
+        return Err(err_at(0, format!("expected {HEADER:?}, got {first:?}")));
     }
     let tick = parse_counter(&lines, 1, "tick")?;
     let cand = parse_counter(&lines, 2, "cand")?;
@@ -370,10 +353,6 @@ pub(crate) fn parse(text: &str) -> Result<LoadedState> {
         };
         let (repo, end) = parse_tables(&lines, idx)?;
         idx = end;
-        // An earlier release's dead-letter queue: skipped.
-        if lines.get(idx).copied() == Some("--dlq--") {
-            idx = body_end(&lines, idx + 1);
-        }
         spaces.push(LoadedSpace { name, config, repo });
     }
     Ok(LoadedState { tick, cand, seq, global_config, spaces })
@@ -430,101 +409,10 @@ mod tests {
 
     #[test]
     fn pre_v5_documents_default_the_new_keys() {
-        // A config body without `canonicalize` (any v4-or-earlier dump)
-        // loads with the analyzer on.
+        // A config body without a key (here `canonicalize`) loads with
+        // that key's default: how a new optional key fits inside an epoch.
         let back = decode_config(&["reuse_enabled true"], 0).unwrap();
         assert!(back.canonicalize);
-    }
-
-    #[test]
-    fn dead_letter_caps_are_read_ignored_and_never_written() {
-        let lines = ["max_retries 2", "dlq_max_entries 64", "dlq_max_age_ticks 1000"];
-        let back = decode_config(&lines, 0).unwrap();
-        let want = ReStoreConfig {
-            failure: crate::failure::FailurePolicy { max_retries: 2, ..Default::default() },
-            ..Default::default()
-        };
-        assert_eq!(back, want);
-        assert!(!encode_config(&back).contains("dlq"));
-        // A value that never parsed is still a positioned error.
-        match decode_config(&["dlq_max_entries many"], 4).unwrap_err() {
-            Error::State { line, msg } => {
-                assert_eq!(line, 5);
-                assert!(msg.contains("dlq_max_entries"), "{msg}");
-            }
-            other => panic!("expected Error::State, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn store_all_is_read_as_the_rules_it_overrode_and_never_written() {
-        // `true` beat both admission rules, in whichever order the lines
-        // come; `false` left them as written.
-        let rules = ["require_size_reduction true", "require_time_benefit true"];
-        for store_all in ["store_all true", "store_all false"] {
-            for lines in [[store_all, rules[0], rules[1]], [rules[0], rules[1], store_all]] {
-                let back = decode_config(&lines, 0).unwrap();
-                let kept = store_all.ends_with("false");
-                assert_eq!(back.selection.require_size_reduction, kept, "{lines:?}");
-                assert_eq!(back.selection.require_time_benefit, kept, "{lines:?}");
-                assert!(!encode_config(&back).contains("store_all"));
-            }
-        }
-        assert!(decode_config(&["store_all maybe"], 0).is_err());
-    }
-
-    #[test]
-    fn delete_tmp_is_read_ignored_and_never_written() {
-        // Whether temporaries are deleted follows from the policy: a stored
-        // flag, either way, changes nothing.
-        for line in ["delete_tmp true", "delete_tmp false"] {
-            let back = decode_config(&[line], 0).unwrap();
-            assert_eq!(back, ReStoreConfig::default(), "{line}");
-            assert!(!encode_config(&back).contains("delete_tmp"));
-        }
-        assert!(decode_config(&["delete_tmp maybe"], 0).is_err());
-    }
-
-    #[test]
-    fn on_failure_dlq_decodes_to_retry() {
-        let back = decode_config(&["on_failure dlq"], 0).unwrap();
-        assert_eq!(back.failure.on_failure, FailureDisposition::Retry);
-        assert!(encode_config(&back).contains("on_failure retry\n"));
-    }
-
-    #[test]
-    fn repo_shards_zero_normalizes_to_one() {
-        // 0 ("unset") and 1 both mean the one ordered list: read and
-        // ignored, and never written back.
-        for line in ["repo_shards 0", "repo_shards 1"] {
-            let back = decode_config(&[line], 0).unwrap();
-            assert_eq!(back, ReStoreConfig::default());
-            assert!(!encode_config(&back).contains("repo_shards"));
-        }
-    }
-
-    #[test]
-    fn absurd_repo_shards_is_a_typed_config_error() {
-        // A striped repository's dump is in shard-concatenation order:
-        // refused, not loaded mis-ordered.
-        for n in [2usize, 8, 1025] {
-            let line = format!("repo_shards {n}");
-            match decode_config(&[&line], 0).unwrap_err() {
-                Error::Config(msg) => {
-                    assert!(msg.contains(&n.to_string()), "{msg}");
-                    assert!(msg.contains("shard-concatenation order"), "{msg}");
-                }
-                other => panic!("expected Error::Config, got {other:?}"),
-            }
-        }
-        // And an unparseable value is still a positioned parse error.
-        match decode_config(&["repo_shards many"], 0).unwrap_err() {
-            Error::State { line, msg } => {
-                assert_eq!(line, 1);
-                assert!(msg.contains("repo_shards"), "{msg}");
-            }
-            other => panic!("expected Error::State, got {other:?}"),
-        }
     }
 
     #[test]
@@ -537,17 +425,38 @@ mod tests {
             }
             other => panic!("expected Error::State, got {other:?}"),
         }
+        // The keys earlier epochs wrote are read as what they are now:
+        // unknown.
+        for line in [
+            "repo_shards 1",
+            "store_all true",
+            "check_input_versions true",
+            "delete_tmp false",
+            "dlq_max_entries 64",
+            "dlq_max_age_ticks 1000",
+        ] {
+            match decode_config(&[line], 0).unwrap_err() {
+                Error::State { line: 1, msg } => {
+                    assert!(msg.contains("unknown config key"), "{msg}")
+                }
+                other => panic!("{line}: expected Error::State, got {other:?}"),
+            }
+        }
     }
 
     #[test]
     fn bad_config_value_names_key_and_line() {
-        let e = decode_config(&["wave_parallel maybe"], 0).unwrap_err();
-        match e {
-            Error::State { line, msg } => {
-                assert_eq!(line, 1);
-                assert!(msg.contains("wave_parallel"), "{msg}");
+        // `dlq` was a disposition of an earlier epoch.
+        for (text, key) in
+            [("wave_parallel maybe", "wave_parallel"), ("on_failure dlq", "on_failure")]
+        {
+            match decode_config(&[text], 0).unwrap_err() {
+                Error::State { line, msg } => {
+                    assert_eq!(line, 1);
+                    assert!(msg.contains(key), "{msg}");
+                }
+                other => panic!("expected Error::State, got {other:?}"),
             }
-            other => panic!("expected Error::State, got {other:?}"),
         }
     }
 }

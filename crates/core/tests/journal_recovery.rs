@@ -1,19 +1,17 @@
 //! The snapshot journal end to end: incremental deltas replayed over a
 //! base checkpoint reproduce the session **byte-identically** (checked
-//! against the live session after every step of a generated workload), the
-//! previous wire version composes with today's journal (a committed v4
-//! base + segments), bases and segments captured at earlier commits
-//! still recover (four of them carrying a `replace`, a `breaker-state`,
-//! `prov-batch` and `prov-replace` records or the dead-letter queue's
-//! sections and records, read but no longer written), sequence
-//! anchoring skips covered records, segments handed over out of order
-//! are sorted, and malformed, duplicated or truncated segments fail
+//! against the live session after every step of a generated workload), a
+//! literal base composes with today's journal, a base and a segment
+//! captured at an earlier commit of this format epoch still recover,
+//! sequence anchoring skips covered records, segments handed over out of
+//! order are sorted, and malformed, duplicated or truncated segments fail
 //! naming the offending record.
 
 use proptest::prelude::*;
 use restore_common::Error;
 use restore_core::{
     FailureDisposition, FailurePolicy, JournalConfig, ReStore, ReStoreConfig, SelectionPolicy,
+    EPOCH,
 };
 use restore_dfs::{Dfs, DfsConfig};
 use restore_mapreduce::{ClusterConfig, Engine, EngineConfig};
@@ -102,11 +100,12 @@ proptest! {
     }
 }
 
-/// A literal base checkpoint in the **v4** wire format (the version
-/// before the current one, from a release that still wrote
-/// `repo_shards`): one default-namespace entry and a tenant carrying
-/// only a policy override, anchored at sequence 0.
-const V4_FIXTURE: &str = r#"restore-state v4
+/// A literal base checkpoint: one default-namespace entry over
+/// `/data/pv` at the version [`dfs`] writes it at (the DFS clock's first
+/// tick), and a tenant carrying only a policy override, anchored at
+/// sequence 0. Its config sections leave keys out, which read as their
+/// defaults.
+const BASE_FIXTURE: &str = r#"restore-state v6
 tick 7
 cand 3
 seq 0
@@ -114,16 +113,12 @@ seq 0
 reuse_enabled true
 heuristic aggressive
 repo_prefix "/restore"
-delete_tmp false
 register_final_outputs true
 wave_parallel true
-store_all true
 require_size_reduction false
 require_time_benefit false
 reload_read_bps 83886080
 eviction_window none
-check_input_versions false
-repo_shards 1
 --space ""--
 --provenance--
 path "/repo/b"
@@ -133,7 +128,7 @@ path "/repo/b"
 end
 --repository--
 entry 0 "/repo/b" 100 10 5 1.5 2.5 3 6 1
-input "/data/pv" 0
+input "/data/pv" 1
 plan
   0 load "/data/pv"
   1 project 0,2 <- 0
@@ -144,27 +139,24 @@ end
 reuse_enabled true
 heuristic conservative
 repo_prefix "/restore"
-delete_tmp false
 register_final_outputs true
 wave_parallel true
-store_all true
 require_size_reduction false
 require_time_benefit false
 reload_read_bps 83886080
 eviction_window none
-check_input_versions false
 --provenance--
 --repository--
 "#;
 
-/// Run a mixed workload on a journaling session loaded from the v4
-/// fixture, capturing deltas along the way. Returns the shared DFS,
+/// Run a mixed workload on a journaling session loaded from the literal
+/// base, capturing deltas along the way. Returns the shared DFS,
 /// the captured segments, and the reference full dump.
 fn journaled_scenario() -> (Dfs, Vec<String>, String) {
     let shared = dfs();
     shared.write_all("/repo/b", b"stored bytes").unwrap();
     let live = ReStore::new(engine_over(shared.clone()), ReStoreConfig::default());
-    live.recover(V4_FIXTURE, &[]).unwrap();
+    live.recover(BASE_FIXTURE, &[]).unwrap();
     live.enable_journal(JournalConfig::default());
 
     let mut segments = Vec::new();
@@ -189,13 +181,13 @@ fn journaled_scenario() -> (Dfs, Vec<String>, String) {
 }
 
 #[test]
-fn v4_fixture_plus_journal_equals_fresh_v5_dump_byte_identically() {
+fn base_fixture_plus_journal_equals_a_fresh_dump_byte_identically() {
     let (shared, segments, reference) = journaled_scenario();
-    assert!(reference.starts_with("restore-state v5\n"));
+    assert!(reference.starts_with(&format!("restore-state v{EPOCH}\n")));
     assert!(!segments.is_empty());
 
     let recovered = ReStore::new(engine_over(shared), ReStoreConfig::default());
-    let report = recovered.recover(V4_FIXTURE, &segments).unwrap();
+    let report = recovered.recover(BASE_FIXTURE, &segments).unwrap();
     assert_eq!(report.base_seq, 0, "the fixture anchors at sequence 0");
     assert!(report.records_applied > 0);
     assert_eq!(report.records_skipped, 0);
@@ -211,7 +203,7 @@ fn v4_fixture_plus_journal_equals_fresh_v5_dump_byte_identically() {
 fn recovered_session_serves_warm_hits() {
     let (shared, segments, _) = journaled_scenario();
     let recovered = ReStore::new(engine_over(shared), ReStoreConfig::default());
-    recovered.recover(V4_FIXTURE, &segments).unwrap();
+    recovered.recover(BASE_FIXTURE, &segments).unwrap();
     let warm = recovered.execute_query(&sum_query("/out/again"), "/wf/again").unwrap();
     assert_eq!(warm.jobs_skipped, 1, "recovered repository must keep serving reuse");
     let warm_t = recovered.execute_query_as(Some("ana"), &join_query("/out/j2"), "/wf/j2").unwrap();
@@ -222,7 +214,7 @@ fn recovered_session_serves_warm_hits() {
 }
 
 #[test]
-fn v4_base_skips_records_it_already_covers() {
+fn a_covering_base_skips_records_it_already_covers() {
     let (shared, segments, reference) = journaled_scenario();
     // The reference dump is itself a base anchored past every
     // record; replaying the full journal over it must skip everything
@@ -245,7 +237,7 @@ fn torn_final_segment_recovers_a_consistent_prefix() {
     segments.push(last[..cut].to_string());
 
     let recovered = ReStore::new(engine_over(shared.clone()), ReStoreConfig::default());
-    let report = recovered.recover(V4_FIXTURE, &segments).unwrap();
+    let report = recovered.recover(BASE_FIXTURE, &segments).unwrap();
     let torn = report.torn_tail.expect("the cut must be reported");
     assert_eq!(torn.segment, segments.len() - 1);
     // The prefix is a real state: it re-saves cleanly and still loads.
@@ -262,7 +254,7 @@ fn torn_non_final_segment_names_the_record() {
     let cut = segments[0].len() - 3;
     segments[0].truncate(cut);
     let recovered = ReStore::new(engine_over(shared), ReStoreConfig::default());
-    match recovered.recover(V4_FIXTURE, &segments) {
+    match recovered.recover(BASE_FIXTURE, &segments) {
         Err(Error::Journal { segment: 0, record, msg }) => {
             assert!(record >= 1, "the torn record is named");
             assert!(msg.contains("non-final"), "{msg}");
@@ -281,7 +273,7 @@ fn corrupted_record_names_segment_and_record() {
     bytes[pos] ^= 0x20;
     segments[0] = String::from_utf8(bytes).unwrap();
     let recovered = ReStore::new(engine_over(shared), ReStoreConfig::default());
-    match recovered.recover(V4_FIXTURE, &segments) {
+    match recovered.recover(BASE_FIXTURE, &segments) {
         Err(Error::Journal { segment: 0, record, msg }) => {
             assert!(record >= 1);
             assert!(
@@ -337,14 +329,14 @@ fn swapped_segments_replay_in_seq_order_and_a_repeated_frame_is_refused() {
     assert!(segments.len() >= 2, "scenario must span segments");
     segments.swap(0, 1);
     let recovered = ReStore::new(engine_over(shared.clone()), ReStoreConfig::default());
-    let report = recovered.recover(V4_FIXTURE, &segments).unwrap();
+    let report = recovered.recover(BASE_FIXTURE, &segments).unwrap();
     assert!(report.records_applied > 0);
     assert_eq!(recovered.save_state(), reference, "replay order is seq order, not file order");
 
     // The first file again, as a third: its first frame repeats a seq.
     segments.push(segments[0].clone());
     let again = ReStore::new(engine_over(shared), ReStoreConfig::default());
-    match again.recover(V4_FIXTURE, &segments) {
+    match again.recover(BASE_FIXTURE, &segments) {
         Err(Error::Journal { segment: 2, record: 1, msg }) => {
             assert!(msg.contains("duplicate record seq"), "{msg}");
         }
@@ -413,121 +405,42 @@ fn recovered_summary(rs: &ReStore) -> String {
     got
 }
 
-/// One v5 base and one journal segment captured at `8c52a92`, whose
-/// repository could still be sharded, at its default configuration —
-/// both carry `repo_shards 1`, the segment in a `tenant-config` record —
-/// with the state that commit recovered them to.
+/// One base and one journal segment captured at the commit that began
+/// format epoch 6, with the state that commit recovered them to. The
+/// segment holds every record kind the journal writes (`repo-batch`
+/// with entries, provenance, evictions and forgets from a window sweep,
+/// `tenant-create`, `tenant-config`, `tenant-config-clear`,
+/// `global-config`, `note-use`, `counters`), and four of its records
+/// are covered by the base. A later format change either keeps this
+/// set recovering or bumps the epoch, and then replaces this triple.
 #[test]
 fn base_and_segment_captured_at_the_parent_commit_still_recover() {
-    let base = include_str!("fixtures/parent_v5_base.txt");
-    let segment = include_str!("fixtures/parent_v5_segment.txt");
-    assert!(base.contains("repo_shards 1\n") && segment.contains("repo_shards 1\n"));
-    let rs = ReStore::new(engine_over(dfs()), ReStoreConfig::default());
-    let report = rs.recover(base, &[segment.to_string()]).unwrap();
-    assert_eq!((report.base_seq, report.records_skipped, report.records_applied), (7, 7, 9));
-
-    assert_eq!(recovered_summary(&rs), include_str!("fixtures/parent_v5_expect.txt"));
-    assert!(!rs.config_as(Some("ana")).register_final_outputs, "the tenant-config record applied");
-    let saved = rs.save_state();
-    assert!(base.contains("check_input_versions false\n"));
-    for key in ["repo_shards", "check_input_versions"] {
-        assert!(!saved.contains(key), "{key}: read, never written back");
-    }
-}
-
-/// A journal segment holding a `replace` record — a whole-session
-/// `load_state` in the middle of journaling — between ordinary records,
-/// captured at `f967496`, the last commit that wrote the record, with
-/// the state that commit recovered it to. The record is no longer
-/// written, but a journal that holds one still replays: what came
-/// before it is dropped, the document it carries takes over (a `/other`
-/// repository prefix and an `ana` override), and what came after lands
-/// on top.
-#[test]
-fn segment_with_a_replace_record_captured_at_the_parent_commit_still_recovers() {
-    let base = include_str!("fixtures/parent_replace_base.txt");
-    let segment = include_str!("fixtures/parent_replace_segment.txt");
-    assert!(segment.contains("\nreplace\nrestore-state v5\n"));
-    let rs = ReStore::new(engine_over(dfs()), ReStoreConfig::default());
-    let report = rs.recover(base, &[segment.to_string()]).unwrap();
-    assert_eq!((report.base_seq, report.records_skipped, report.records_applied), (0, 0, 10));
-
-    assert_eq!(recovered_summary(&rs), include_str!("fixtures/parent_replace_expect.txt"));
-    assert_eq!(rs.config_as(None).repo_prefix, "/other", "the replacing document's global config");
-    assert!(!rs.config_as(Some("ana")).register_final_outputs, "and its tenant override");
-}
-
-/// A journal segment holding three `breaker-state` records (tenant
-/// `ana` opening, the default namespace opening, `ana` closing) between
-/// two namespaces' registrations and a warm rerun's `note-use`, captured
-/// at `94ce5ba`, the last commit that wrote the record, with the state
-/// that commit recovered it to. Breakers are no longer journaled — a
-/// restarted service re-earns them — but a journal that
-/// holds the record still replays, every record counted as applied.
-#[test]
-fn segment_with_breaker_state_records_captured_at_the_parent_commit_still_recovers() {
-    let base = include_str!("fixtures/parent_breaker_base.txt");
-    let segment = include_str!("fixtures/parent_breaker_segment.txt");
-    for record in ["breaker-state \"ana\" open\n", "breaker-state \"\" open\n"] {
-        assert!(segment.contains(record), "the fixture holds {record:?}");
+    let base = include_str!("fixtures/parent_v6_base.txt");
+    let segment = include_str!("fixtures/parent_v6_segment.txt");
+    for kind in [
+        "repo-batch",
+        "tenant-create",
+        "tenant-config",
+        "tenant-config-clear",
+        "global-config",
+        "note-use",
+        "counters",
+        "evict",
+        "forget",
+    ] {
+        let held = segment.lines().any(|l| l.split(' ').next() == Some(kind));
+        assert!(held, "the fixture holds a {kind} line");
     }
     let rs = ReStore::new(engine_over(dfs()), ReStoreConfig::default());
     let report = rs.recover(base, &[segment.to_string()]).unwrap();
-    assert_eq!((report.base_seq, report.records_skipped, report.records_applied), (0, 0, 12));
-    assert_eq!(recovered_summary(&rs), include_str!("fixtures/parent_breaker_expect.txt"));
-}
+    assert_eq!((report.base_seq, report.records_skipped, report.records_applied), (4, 4, 12));
 
-/// A journal segment holding a `prov-replace` record — the whole `ana`
-/// provenance table after an admin edit, since removed, forgot one path
-/// and registered another — between a cold run's `repo-batch` / `prov-batch`
-/// records and a warm rerun, over a base anchored after the first run,
-/// captured at `e0b16dd`, the last commit that wrote either record, with
-/// the state that commit recovered them to. Provenance now travels in
-/// `repo-batch` records, but a journal that holds the old kinds still
-/// replays.
-#[test]
-fn provenance_records_captured_at_the_parent_commit_still_recover() {
-    let base = include_str!("fixtures/parent_prov_replace_base.txt");
-    let segment = include_str!("fixtures/parent_prov_replace_segment.txt");
-    assert!(segment.contains("\nprov-replace \"ana\"\npath \"/hand/copy\"\n"));
-    assert_eq!(segment.matches("\nprov-batch ").count(), 3);
-    let rs = ReStore::new(engine_over(dfs()), ReStoreConfig::default());
-    let report = rs.recover(base, &[segment.to_string()]).unwrap();
-    assert_eq!((report.base_seq, report.records_skipped, report.records_applied), (2, 2, 8));
-    assert_eq!(recovered_summary(&rs), include_str!("fixtures/parent_prov_replace_expect.txt"));
-}
-
-/// A base holding a `--dlq--` section in two namespaces and an `ana`
-/// override with `on_failure dlq` and both queue caps, and a segment
-/// holding three `dlq-put` records into `ana` (the cap of 2 forcing
-/// eviction acks) and a manual `dlq-ack` between a cold run's
-/// `repo-batch` / `prov-batch` records and warm runs' `note-use`,
-/// captured at `da4b0d1`, the last commit that had a dead-letter queue,
-/// with the state that commit recovered them to. The queue is gone: its
-/// sections are skipped, its records replay as no-ops (counted as
-/// applied), its caps are ignored, and `dlq` reads as `retry`.
-#[test]
-fn base_and_segment_with_a_dead_letter_queue_captured_at_the_parent_commit_still_recover() {
-    let base = include_str!("fixtures/parent_dlq_base.txt");
-    let segment = include_str!("fixtures/parent_dlq_segment.txt");
-    assert_eq!(base.matches("\n--dlq--\n").count(), 2);
-    assert!(base.contains("on_failure dlq\n") && base.contains("dlq_max_entries 2\n"));
-    assert_eq!(segment.matches("\ndlq-put \"ana\"\n").count(), 3);
-    assert!(segment.contains("\ndlq-ack \"\"\nack 1\n"), "the manual ack");
-    let rs = ReStore::new(engine_over(dfs()), ReStoreConfig::default());
-    let report = rs.recover(base, &[segment.to_string()]).unwrap();
-    assert_eq!((report.base_seq, report.records_skipped, report.records_applied), (7, 0, 14));
-    assert_eq!(recovered_summary(&rs), include_str!("fixtures/parent_dlq_expect.txt"));
-
-    let policy = rs.config_as(Some("ana")).failure;
-    let want = FailurePolicy {
-        on_failure: FailureDisposition::Retry,
-        max_retries: 1,
-        ..Default::default()
-    };
-    assert_eq!(policy, want);
-    let state = rs.save_state();
-    assert!(!state.contains("dlq"), "read, never written back");
+    assert_eq!(recovered_summary(&rs), include_str!("fixtures/parent_v6_expect.txt"));
+    let ana = rs.config_as(Some("ana"));
+    assert!(!ana.register_final_outputs, "the tenant-config record applied");
+    assert_eq!(ana.selection.eviction_window, Some(1));
+    assert!(!rs.config_as(None).wave_parallel, "and the global-config record");
+    assert_eq!(rs.config_as(Some("scratch")), rs.config_as(None), "and the clear");
 }
 
 /// Regression: `recover` advances the journal's allocation cursor to
@@ -540,7 +453,7 @@ fn base_and_segment_with_a_dead_letter_queue_captured_at_the_parent_commit_still
 fn recover_leaves_no_phantom_seq_lag() {
     let (shared, segments, _) = journaled_scenario();
     let recovered = ReStore::new(engine_over(shared), ReStoreConfig::default());
-    let report = recovered.recover(V4_FIXTURE, &segments).unwrap();
+    let report = recovered.recover(BASE_FIXTURE, &segments).unwrap();
     assert!(report.records_applied > 0);
     assert_eq!(
         recovered.journal_stats().seq_lag,

@@ -1,9 +1,9 @@
-//! Durable sessions: the `restore-state` format (v5, and the v4 before
-//! it), typed parse errors, the refusal of a document saved from a
-//! sharded repository, and per-tenant policy overrides.
+//! Durable sessions: the `restore-state` format, typed parse errors, the
+//! refusal of a document or segment of another format epoch and of a
+//! key an earlier epoch wrote, and per-tenant policy overrides.
 
 use restore_common::Error;
-use restore_core::{Heuristic, ReStore, ReStoreConfig, SelectionPolicy};
+use restore_core::{Heuristic, JournalConfig, ReStore, ReStoreConfig, SelectionPolicy, EPOCH};
 use restore_dfs::{Dfs, DfsConfig};
 use restore_mapreduce::{ClusterConfig, Engine, EngineConfig};
 
@@ -244,32 +244,35 @@ fn valid_doc() -> String {
     rs.save_state()
 }
 
+/// The first line of a document of this epoch.
+fn header() -> String {
+    format!("restore-state v{EPOCH}")
+}
+
 #[test]
 fn malformed_version_header() {
-    expect_state_err("restore-state v9\ntick 0\ncand 0\n", 1, "restore-state");
+    expect_state_err("restore-state\ntick 0\ncand 0\n", 1, "restore-state");
+    expect_state_err("restore-state vx\ntick 0\ncand 0\n", 1, "restore-state");
     expect_state_err("", 1, "empty document");
-    // Only the current and the previous version are read, and the error
-    // names both.
-    for old in ["restore-state v1\n", "restore-state v2\n", "restore-state v3\n"] {
-        expect_state_err(old, 1, "\"restore-state v5\" or \"restore-state v4\"");
-    }
+    expect_state_err("tick 0\n", 1, &format!("expected {:?}", header()));
 }
 
 #[test]
 fn malformed_tick_line() {
-    expect_state_err("restore-state v5\ntick x\ncand 0\n", 2, "tick");
-    expect_state_err("restore-state v5\n", 2, "tick");
+    expect_state_err(&format!("{}\ntick x\ncand 0\n", header()), 2, "tick");
+    expect_state_err(&format!("{}\n", header()), 2, "tick");
 }
 
 #[test]
 fn malformed_cand_line() {
-    expect_state_err("restore-state v5\ntick 3\ncand\n", 3, "cand");
-    expect_state_err("restore-state v5\ntick 3\ncand 1\nseq\n", 4, "seq");
+    expect_state_err(&format!("{}\ntick 3\ncand\n", header()), 3, "cand");
+    expect_state_err(&format!("{}\ntick 3\ncand 1\nseq\n", header()), 4, "seq");
 }
 
 #[test]
 fn missing_config_section() {
-    expect_state_err("restore-state v5\ntick 3\ncand 1\nseq 0\n--provenance--\n", 5, "--config--");
+    let doc = format!("{}\ntick 3\ncand 1\nseq 0\n--provenance--\n", header());
+    expect_state_err(&doc, 5, "--config--");
 }
 
 #[test]
@@ -351,32 +354,73 @@ fn corrupt_repository_body_names_the_section() {
     }
 }
 
-// ---- the previous version, and documents from sharded repositories ----
+// ---- other epochs, and documents from sharded repositories ----
 
-/// A v4 document is a v5 document one header apart: it loads, and
-/// re-saves as v5.
+/// A document or a journal segment whose first line names another epoch
+/// is refused whole with one typed error: the line, the epoch it names
+/// and the one this build reads. The readers read only this epoch: a v5
+/// document's input versions counted writes per path, and a count can
+/// equal a later commit tick.
 #[test]
-fn v4_document_loads_and_resaves_as_v5() {
+fn an_earlier_epoch_is_refused_naming_both_epochs() {
     let shared = dfs();
     let rs = ReStore::new(engine_over(shared.clone()), ReStoreConfig::default());
+    rs.enable_journal(JournalConfig::default());
+    let base = rs.save_state();
     rs.execute_query_as(Some("ana"), &sum_query("/out/a"), "/wf/a").unwrap();
-    let v5 = rs.save_state();
-    let v4 = v5.replacen("restore-state v5", "restore-state v4", 1);
-    let resumed = ReStore::new(engine_over(shared), ReStoreConfig::default());
-    resumed.recover(&v4, &[]).unwrap();
-    assert_eq!(resumed.save_state(), v5);
+    let segments = rs.save_state_delta().unwrap();
+    let doc = rs.save_state();
+    assert!(doc.starts_with(&format!("{}\n", header())));
+    let segment_header = restore_core::journal::SEGMENT_HEADER;
+    assert_eq!(segment_header, format!("restore-journal v{EPOCH}"));
+
+    let refused = |base: &str, segments: &[String], line: &str, found: u64| {
+        let fresh = ReStore::new(engine_over(shared.clone()), ReStoreConfig::default());
+        match fresh.recover(base, segments) {
+            Err(e @ Error::Epoch { .. }) => {
+                assert_eq!(e, Error::Epoch { line: line.into(), found, reads: EPOCH });
+                let text = e.to_string();
+                assert!(text.contains(line) && text.contains(&format!("epoch {EPOCH}")), "{text}");
+            }
+            other => panic!("{line}: expected Error::Epoch, got {other:?}"),
+        }
+    };
+    for found in [4, 5, EPOCH + 1] {
+        let old = format!("restore-state v{found}");
+        refused(&doc.replacen(&header(), &old, 1), &[], &old, found);
+    }
+    // `v1` is the segment header this journal wrote before the epoch.
+    // In the final slot a torn header is forgiven, so check it there and
+    // before it.
+    for found in [1, 5, EPOCH + 1] {
+        let old = format!("restore-journal v{found}");
+        let stale: Vec<String> =
+            segments.iter().map(|s| s.replacen(segment_header, &old, 1)).collect();
+        refused(&base, &stale, &old, found);
+        let mut mixed = stale.clone();
+        mixed.extend(segments.iter().cloned());
+        refused(&base, &mixed, &old, found);
+    }
+
+    // The same base and segments at this epoch recover.
+    let fresh = ReStore::new(engine_over(shared), ReStoreConfig::default());
+    fresh.recover(&base, &segments).unwrap();
+    assert_eq!(fresh.save_state(), doc);
 }
 
 /// Insert a `repo_shards <n>` line after the `nth` `eviction_window`
-/// line — the key the releases that wrote `repo_shards` put it after,
-/// less the `check_input_versions` line between them, which is no longer
-/// written (0 = the global config, 1 = the first tenant override).
+/// line, where the releases that wrote the key put it (0 = the global
+/// config, 1 = the first tenant override).
 fn with_repo_shards(doc: &str, nth: usize, n: usize) -> String {
     let key = "eviction_window none\n";
     let at = doc.match_indices(key).nth(nth).expect("config section").0 + key.len();
     format!("{}repo_shards {n}\n{}", &doc[..at], &doc[at..])
 }
 
+/// A sharded repository's document lists its entries in
+/// shard-concatenation order, not §3 order. Its `repo_shards` key is
+/// unknown to this epoch, so it is refused at that line, whatever its
+/// value, rather than loaded misordered.
 #[test]
 fn sharded_document_is_refused_not_misordered() {
     let shared = dfs();
@@ -388,33 +432,12 @@ fn sharded_document_is_refused_not_misordered() {
     rs.execute_query(&join_query("/out/d"), "/wf/d").unwrap();
     rs.execute_query_as(Some("ana"), &sum_query("/out/a"), "/wf/a").unwrap();
     let doc = rs.save_state();
-    assert!(!doc.contains("repo_shards"), "the key is no longer written");
-
-    // `repo_shards 1` (what every unsharded release wrote), globally
-    // and in the tenant override: the same loaded state as the key
-    // absent, and the same bytes saved back.
-    let absent = ReStore::new(engine_over(shared.clone()), ReStoreConfig::default());
-    absent.recover(&doc, &[]).unwrap();
-    let one = ReStore::new(engine_over(shared.clone()), ReStoreConfig::default());
-    one.recover(&with_repo_shards(&with_repo_shards(&doc, 1, 1), 0, 1), &[]).unwrap();
-    assert_eq!(one.stats_all(), absent.stats_all());
-    assert_eq!(one.config_as(None), absent.config_as(None));
-    assert_eq!(one.config_as(Some("ana")), absent.config_as(Some("ana")));
-    assert_eq!(one.save_state(), doc);
-    assert_eq!(absent.save_state(), doc);
-
-    // `repo_shards 8`: the entries are in shard-concatenation order.
+    assert!(!doc.contains("repo_shards"), "the key is not written");
     for nth in [0, 1] {
-        let fresh = ReStore::new(engine_over(shared.clone()), ReStoreConfig::default());
-        match fresh.recover(&with_repo_shards(&doc, nth, 8), &[]) {
-            Err(Error::Config(msg)) => {
-                assert!(msg.contains("shard-concatenation order"), "{msg}")
-            }
-            other => panic!("expected Error::Config, got {other:?}"),
+        for n in [1, 8] {
+            let bad = with_repo_shards(&doc, nth, n);
+            let line = 1 + bad.lines().position(|l| l.starts_with("repo_shards")).unwrap();
+            expect_state_err(&bad, line, "unknown config key \"repo_shards\"");
         }
     }
-    // A value that is not a number is a located parse error.
-    let bad = doc.replacen("eviction_window none\n", "eviction_window none\nrepo_shards many\n", 1);
-    let line = 1 + bad.lines().position(|l| l == "repo_shards many").unwrap();
-    expect_state_err(&bad, line, "repo_shards");
 }

@@ -123,11 +123,13 @@ impl Dfs {
     }
 
     /// Run `f` with a lookup of each path's version (`None`: no such
-    /// file), every lookup under one namespace read. `f` must not call
-    /// back into this DFS.
+    /// file), every lookup under one namespace read. A version is the
+    /// file's `mtime`, the tick of the commit that wrote it: unique, and
+    /// larger for every later write of the same path, a recreate after a
+    /// delete included. `f` must not call back into this DFS.
     pub fn with_versions<R>(&self, f: impl FnOnce(&dyn Fn(&str) -> Option<u64>) -> R) -> R {
         let nn = self.inner.namenode.read();
-        f(&|path| nn.get(path).map(|meta| meta.version))
+        f(&|path| nn.get(path).map(|meta| meta.mtime))
     }
 
     /// Status of a file.
@@ -140,7 +142,6 @@ impl Dfs {
             replication: meta.replication,
             block_count: meta.blocks.len(),
             mtime: meta.mtime,
-            version: meta.version,
         })
     }
 
@@ -353,10 +354,10 @@ impl Dfs {
         self.inner.metrics.add_write(total_len, total_len * replication as u64);
         self.inner.metrics.files_created.fetch_add(1, Ordering::Relaxed);
 
-        let (old, _version) = {
+        let old = {
             let mut nn = self.inner.namenode.write();
             let mtime = self.tick();
-            nn.upsert(path, FileMeta { blocks, len: total_len, replication, mtime, version: 0 })
+            nn.upsert(path, FileMeta { blocks, len: total_len, replication, mtime })
         };
         if let Some(old) = old {
             self.release_blocks(&old);
@@ -458,13 +459,14 @@ mod tests {
         let dfs = tiny();
         dfs.write_all("/x", b"a").unwrap();
         assert!(matches!(dfs.create("/x"), Err(Error::FileExists(_))));
-        // Overwrite path works and bumps version.
+        // Overwrite path works and moves the version (the commit tick).
+        let before = dfs.status("/x").unwrap().mtime;
         let mut w = dfs.create_overwrite("/x").unwrap();
         w.write(b"bb");
         w.close().unwrap();
         let st = dfs.status("/x").unwrap();
         assert_eq!(st.len, 2);
-        assert_eq!(st.version, 1);
+        assert!(st.mtime > before, "{} > {before}", st.mtime);
     }
 
     #[test]
@@ -515,17 +517,20 @@ mod tests {
         let versions = |paths: &[&str]| {
             dfs.with_versions(|version| paths.iter().map(|p| version(p)).collect::<Vec<_>>())
         };
-        assert_eq!(versions(&["/a", "/z", "/b", "/y"]), [Some(0), None, Some(0), None]);
+        // A version is the tick of the commit that wrote the file.
+        assert_eq!(versions(&["/a", "/z", "/b", "/y"]), [Some(1), None, Some(2), None]);
         let before = dfs.now();
         assert!(!dfs.delete("/z"), "nothing to delete");
         assert_eq!(dfs.now(), before, "a delete of nothing leaves the clock");
         assert!(dfs.delete("/a"));
         assert!(dfs.now() > before);
-        assert_eq!(versions(&["/a", "/b"]), [None, Some(0)]);
+        assert_eq!(versions(&["/a", "/b"]), [None, Some(2)]);
         let before = dfs.now();
         dfs.create_overwrite("/b").unwrap().close().unwrap();
         assert!(dfs.now() > before, "so does an overwrite");
-        assert_eq!(versions(&["/b"]), [Some(1)]);
+        assert_eq!(versions(&["/b"]), [Some(dfs.now())]);
+        dfs.write_all("/a", b"3").unwrap();
+        assert_eq!(versions(&["/a"]), [Some(dfs.now())], "a recreate does not start over");
     }
 
     #[test]

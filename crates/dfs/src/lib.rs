@@ -5,8 +5,9 @@
 //! crate reproduces the observable surface ReStore needs:
 //!
 //! * a **namenode** namespace mapping paths to block lists, with
-//!   per-file replication factor, logical modification time, and a version
-//!   counter (ReStore's eviction Rule 4 watches for modified inputs);
+//!   per-file replication factor and the logical clock's tick at the
+//!   file's commit, which is its version (ReStore's eviction Rule 4
+//!   watches for modified inputs);
 //! * **datanodes** holding replicated block payloads with optional
 //!   capacity limits and per-node usage accounting;
 //! * **block-granular placement** (round-robin with a per-file rotation)

@@ -17,11 +17,12 @@ pub struct FileMeta {
     pub blocks: Vec<BlockMeta>,
     pub len: u64,
     pub replication: usize,
-    /// Logical creation/modification tick (the cluster clock, not wall time).
+    /// The cluster clock's tick at the commit that wrote the file (not
+    /// wall time). Each commit takes its own tick, so it is the file's
+    /// version: a later write under the same path, an overwrite or a
+    /// recreate after a delete, always carries a larger one. ReStore's
+    /// eviction rule 4 compares recorded input versions against it.
     pub mtime: u64,
-    /// Incremented every time the path is overwritten. ReStore's eviction
-    /// Rule 4 compares recorded input versions against this.
-    pub version: u64,
 }
 
 /// Public status view of a file.
@@ -32,7 +33,6 @@ pub struct FileStatus {
     pub replication: usize,
     pub block_count: usize,
     pub mtime: u64,
-    pub version: u64,
 }
 
 /// The namespace: a sorted map so prefix listing is a range scan.
@@ -54,13 +54,10 @@ impl NameNode {
         self.files.contains_key(path)
     }
 
-    /// Insert or replace a file entry. Returns the previous entry (whose
-    /// blocks the caller must release) and the version the new file gets.
-    pub fn upsert(&mut self, path: String, mut meta: FileMeta) -> (Option<FileMeta>, u64) {
-        let next_version = self.files.get(&path).map_or(0, |old| old.version + 1);
-        meta.version = next_version;
-        let old = self.files.insert(path, meta);
-        (old, next_version)
+    /// Insert or replace a file entry. Returns the previous entry, whose
+    /// blocks the caller must release.
+    pub fn upsert(&mut self, path: String, meta: FileMeta) -> Option<FileMeta> {
+        self.files.insert(path, meta)
     }
 
     pub fn remove(&mut self, path: &str) -> Option<FileMeta> {
@@ -108,27 +105,29 @@ pub fn validate_path(path: &str) -> bool {
 mod tests {
     use super::*;
 
-    fn meta(len: u64) -> FileMeta {
-        FileMeta { blocks: vec![], len, replication: 3, mtime: 0, version: 0 }
+    fn meta(len: u64, mtime: u64) -> FileMeta {
+        FileMeta { blocks: vec![], len, replication: 3, mtime }
     }
 
+    /// The version is the commit's tick, kept as given: the namenode keeps
+    /// no per-path counter, so a path removed and written again does not
+    /// start over.
     #[test]
     fn upsert_bumps_version() {
         let mut nn = NameNode::new();
-        let (old, v) = nn.upsert("/a".into(), meta(1));
-        assert!(old.is_none());
-        assert_eq!(v, 0);
-        let (old, v) = nn.upsert("/a".into(), meta(2));
-        assert_eq!(old.unwrap().len, 1);
-        assert_eq!(v, 1);
-        assert_eq!(nn.get("/a").unwrap().version, 1);
+        assert!(nn.upsert("/a".into(), meta(1, 1)).is_none());
+        assert_eq!(nn.upsert("/a".into(), meta(2, 2)).unwrap().mtime, 1);
+        assert_eq!(nn.get("/a").unwrap().mtime, 2);
+        nn.remove("/a");
+        assert!(nn.upsert("/a".into(), meta(3, 4)).is_none());
+        assert_eq!(nn.get("/a").unwrap().mtime, 4);
     }
 
     #[test]
     fn prefix_listing_is_sorted_and_scoped() {
         let mut nn = NameNode::new();
         for p in ["/out/b", "/out/a", "/outx", "/other"] {
-            nn.upsert(p.into(), meta(10));
+            nn.upsert(p.into(), meta(10, 0));
         }
         assert_eq!(nn.list_prefix("/out/"), vec!["/out/a", "/out/b"]);
         assert_eq!(nn.bytes_under("/out/"), 20);

@@ -81,15 +81,32 @@ proptest! {
         prop_assert_eq!(dfs.used_bytes(), 0);
     }
 
-    /// Overwriting bumps the version exactly once per overwrite.
+    /// Across any mix of overwrites, deletes and recreates over a few
+    /// paths, every commit's version is strictly above every earlier
+    /// one, and a delete leaves no version behind.
     #[test]
-    fn versions_count_overwrites(n in 1usize..6) {
+    fn versions_count_overwrites(ops in prop::collection::vec((0u8..3, 0usize..3), 1..24)) {
         let dfs = cluster(64, 1);
-        for i in 0..n {
-            let mut w = dfs.create_overwrite("/v").unwrap();
-            w.write(&[i as u8]);
-            w.close().unwrap();
+        let mut last = None;
+        for (op, p) in ops {
+            let path = format!("/v{p}");
+            let version = || dfs.with_versions(|v| v(&path));
+            match op {
+                0 => {
+                    dfs.delete(&path);
+                    prop_assert_eq!(version(), None);
+                    continue;
+                }
+                1 => dfs.create_overwrite(&path).unwrap().close().unwrap(),
+                _ => {
+                    dfs.delete(&path);
+                    dfs.write_all(&path, &[op]).unwrap();
+                }
+            }
+            let now = version().unwrap();
+            prop_assert!(last.is_none_or(|l| now > l), "{} after {:?}", now, last);
+            prop_assert_eq!(dfs.status(&path).unwrap().mtime, now);
+            last = Some(now);
         }
-        prop_assert_eq!(dfs.status("/v").unwrap().version, (n - 1) as u64);
     }
 }

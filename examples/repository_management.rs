@@ -5,9 +5,10 @@
 //!   via [`SelectionPolicy::strict`];
 //! * repository persistence across "sessions" (save/load);
 //! * eviction rule 3 (a window of disuse);
-//! * eviction rule 4 (input files overwritten), which holds under every
-//!   policy: the example runs it under the default one and checks the
-//!   answer after the overwrite against a no-reuse run.
+//! * eviction rule 4 (input files overwritten, or deleted and written
+//!   again), which holds under every policy: the example runs it under
+//!   the default one and checks the answer after each change against a
+//!   no-reuse run.
 //!
 //! ```sh
 //! cargo run --example repository_management
@@ -48,6 +49,18 @@ fn print_repo(repo: &RepoSnapshot) {
             e.stats().last_used
         );
     }
+}
+
+/// Does `answer` (a reuse run's final output) hold what a no-reuse
+/// session answers over the same DFS?
+fn equals_no_reuse(rs: &ReStore, answer: &str, label: &str) -> bool {
+    let baseline = ReStore::new(rs.engine().clone(), ReStoreConfig::baseline());
+    let out = format!("/out/scores-{label}");
+    let reference = baseline
+        .execute_query(&QUERY.replace("/out/scores", &out), &format!("/wf/{label}"))
+        .unwrap();
+    let dfs = rs.engine().dfs();
+    dfs.read_all(answer).unwrap() == dfs.read_all(&reference.final_output).unwrap()
 }
 
 fn main() {
@@ -98,24 +111,31 @@ fn main() {
     );
 
     // Rule 4 is not part of any policy: a session storing everything
-    // under the default policy evicts the same way.
-    println!("\n== rule 4: overwriting an input invalidates dependents ==");
+    // under the default policy evicts the same way. A file deleted and
+    // written again is a new file: its version is the DFS clock's tick
+    // at the new commit, never one an entry recorded.
+    println!("\n== rule 4: deleting and recreating an input invalidates dependents ==");
     let rs = ReStore::new(rs.engine().clone(), ReStoreConfig::default());
     rs.execute_query(QUERY, "/wf/run3").unwrap();
     let warm = rs.execute_query(QUERY, "/wf/run4").unwrap();
-    println!("  rewrites before the overwrite: {} (default policy)", warm.rewrites.len());
+    println!("  rewrites before the recreate: {} (default policy)", warm.rewrites.len());
     let dfs = rs.engine().dfs().clone();
+    dfs.delete("/data/events");
+    dfs.write_all("/data/events", &codec::encode_all(&[tuple!["yy", 3, 4.5, "pad"]])).unwrap();
+    let after = rs.execute_query(QUERY, "/wf/run5").unwrap();
+    println!("  rewrites after the recreate: {} (stale entries evicted)", after.rewrites.len());
+    let same = equals_no_reuse(&rs, &after.final_output, "recreated");
+    println!("  post-recreate answer equals a no-reuse run: {same}");
+
+    println!("\n== rule 4: overwriting an input invalidates dependents ==");
+    let warm = rs.execute_query(QUERY, "/wf/run6").unwrap();
+    println!("  rewrites before the overwrite: {}", warm.rewrites.len());
     let mut w = dfs.create_overwrite("/data/events").unwrap();
     w.write(&codec::encode_all(&[tuple!["zz", 1, 2.0, "pad"]]));
     w.close().unwrap();
-    let after = rs.execute_query(QUERY, "/wf/run5").unwrap();
+    let after = rs.execute_query(QUERY, "/wf/run7").unwrap();
     println!("  rewrites after the overwrite: {} (stale entries evicted)", after.rewrites.len());
     print_repo(&rs.repository_as(None));
-    let baseline = ReStore::new(rs.engine().clone(), ReStoreConfig::baseline());
-    let reference = baseline
-        .execute_query(&QUERY.replace("/out/scores", "/out/scores-baseline"), "/wf/baseline")
-        .unwrap();
-    let same = dfs.read_all(&after.final_output).unwrap()
-        == dfs.read_all(&reference.final_output).unwrap();
+    let same = equals_no_reuse(&rs, &after.final_output, "overwritten");
     println!("  post-overwrite answer equals a no-reuse run: {same}");
 }

@@ -6,7 +6,7 @@
 
 use proptest::prelude::*;
 use restore_suite::common::Error;
-use restore_suite::core::journal::segment_boundaries;
+use restore_suite::core::journal::{segment_boundaries, SEGMENT_HEADER};
 use restore_suite::core::{JournalConfig, ReStore, ReStoreConfig};
 use restore_suite::dfs::{Dfs, DfsConfig};
 use restore_suite::mapreduce::{ClusterConfig, Engine, EngineConfig};
@@ -144,7 +144,7 @@ fn every_clean_prefix_keeps_each_entry_with_its_provenance() {
 /// a header followed by a torn or over-long frame, arbitrary printable
 /// junk.
 fn degenerate_segment() -> impl Strategy<Value = String> {
-    let header = "restore-journal v1";
+    let header = SEGMENT_HEADER;
     prop_oneof![
         Just(String::new()),
         "[ \t\n]{1,8}",
@@ -213,7 +213,7 @@ proptest! {
                 // the prior-segments prefix (boundary 0 of the final
                 // segment), and any short cut is called out as torn.
                 prop_assert_eq!(&rs.save_state(), &s.expected[0]);
-                let clean = junk == format!("{}\n", "restore-journal v1");
+                let clean = junk == format!("{SEGMENT_HEADER}\n");
                 prop_assert_eq!(report.torn_tail.is_none(), clean, "junk {:?}", &junk);
             }
             Err(Error::Journal { segment, .. }) => {
@@ -240,7 +240,7 @@ proptest! {
         let rs = ReStore::new(engine_over(s.dfs.clone()), ReStoreConfig::default());
         match rs.recover(&s.base, &segments) {
             Ok(report) => {
-                prop_assert_eq!(&junk, &format!("{}\n", "restore-journal v1"));
+                prop_assert_eq!(&junk, &format!("{SEGMENT_HEADER}\n"));
                 prop_assert!(report.torn_tail.is_none());
                 prop_assert_eq!(&rs.save_state(), s.expected.last().unwrap());
             }

@@ -1,9 +1,9 @@
 //! Property: `save_state` → `recover` → `save_state` round-trips
 //! **byte-identically** for arbitrary multi-tenant repository and
-//! provenance states in the current (v5) wire format.
+//! provenance states in the current format epoch.
 
 use proptest::prelude::*;
-use restore_suite::core::{Heuristic, ReStore, ReStoreConfig, RepoStats, SelectionPolicy};
+use restore_suite::core::{Heuristic, ReStore, ReStoreConfig, RepoStats, SelectionPolicy, EPOCH};
 use restore_suite::dataflow::physical::{PhysicalOp, PhysicalPlan};
 use restore_suite::dfs::{Dfs, DfsConfig};
 use restore_suite::mapreduce::{ClusterConfig, Engine, EngineConfig};
@@ -133,7 +133,8 @@ proptest! {
 
     /// Arbitrary multi-tenant states round-trip byte-identically, and a
     /// second generation reproduces the same bytes again. ("v2" in the
-    /// name is the first tenant-aware format; what is written is v5.)
+    /// name is the first tenant-aware format; what is written is the
+    /// current epoch.)
     #[test]
     fn v2_round_trip_is_byte_identical(
         default_space in space_spec(),
@@ -153,7 +154,8 @@ proptest! {
         let rs = build_session(&dfs, &spaces);
 
         let s1 = rs.save_state();
-        prop_assert!(s1.starts_with("restore-state v5\n"));
+        let header = format!("restore-state v{EPOCH}\n");
+        prop_assert!(s1.starts_with(&header));
         let engine = Engine::new(dfs.clone(), ClusterConfig::default(), EngineConfig::default());
         let resumed = ReStore::new(engine, ReStoreConfig::default());
         resumed.recover(&s1, &[]).unwrap();

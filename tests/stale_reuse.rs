@@ -168,3 +168,23 @@ fn a_stored_file_lost_out_of_band_is_a_miss_in_a_recovered_session() {
     }
     report(&failures);
 }
+
+#[test]
+fn a_recreated_input_is_a_miss() {
+    let mut failures = Vec::new();
+    for (case, config) in configs() {
+        let rs = ReStore::new(engine(), config);
+        rs.execute_query(&query(ONE_JOB, "/out/cold"), "/wf/cold").unwrap();
+        let stored = rs.repository_as(None).len() as u64;
+        assert!(stored >= 1, "{case}: the cold run stores");
+
+        // Deleted, then written again under the same path: a new file,
+        // whatever its path held before.
+        let dfs = rs.engine().dfs();
+        assert!(dfs.delete("/data/e"));
+        dfs.write_all("/data/e", b"carol\t100\n").unwrap();
+        failures.extend(rerun(&rs, ONE_JOB, "after").err().map(|e| format!("{case}: {e}")));
+        failures.extend(evictions(&rs, [0, stored, 0, 0]).err().map(|e| format!("{case}: {e}")));
+    }
+    report(&failures);
+}
