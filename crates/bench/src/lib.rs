@@ -1,7 +1,7 @@
 //! Experiment harness regenerating every table and figure of the paper's
 //! evaluation (§7).
 //!
-//! * [`env`] — builds the scaled-down PigMix / synthetic environments
+//! * [`env`](mod@env) — builds the scaled-down PigMix / synthetic environments
 //!   with a cost model parameterized like the paper's 15-node cluster;
 //! * [`figures`] — one runner per experiment (Figures 9–17, Tables 1–2),
 //!   each returning typed rows;

@@ -14,7 +14,7 @@
 //! [`pairwise_plan_traversal`] implements the paper's Algorithm 1: a
 //! simultaneous depth-first walk of both plans starting from their Load
 //! frontiers. The walk delegates the per-pair decision to the memoized
-//! recursive [`equivalent`] check, which resolves the ambiguity the
+//! recursive `equivalent` check, which resolves the ambiguity the
 //! pseudocode leaves open for multi-input operators (Join inputs must
 //! match *positionally*, because join keys are per-position).
 

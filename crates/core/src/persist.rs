@@ -175,10 +175,13 @@ impl ReStore {
     /// so files handed over in the wrong order still replay correctly
     /// and a repeated frame is refused. A torn tail in the
     /// **final** segment — the crash artifact of a process dying
-    /// mid-append — is truncated and reported; a duplicated sequence
-    /// number or any other malformation fails with [`Error::Journal`]
-    /// naming the segment and record, leaving whatever prefix already
-    /// applied. Call on a fresh or quiesced session.
+    /// mid-append — is truncated and reported. A segment that does not
+    /// decode (another epoch, a bad header or frame) fails before the
+    /// base is loaded, leaving the session as it was; a duplicated
+    /// sequence number or a record that does not apply fails with
+    /// [`Error::Journal`] naming the segment and record, leaving the
+    /// base and whatever prefix already applied. Call on a fresh or
+    /// quiesced session.
     ///
     /// With no segments this loads a plain [`ReStore::save_state`]
     /// document — the one way a saved session comes back. The document
@@ -193,7 +196,6 @@ impl ReStore {
         // Replay drives the normal mutation paths; pause the journal so
         // they do not re-record what they apply.
         let _pause = self.journal.pause();
-        let base_seq = self.load_document(base)?;
         let mut torn_tail = None;
         // (seq, record, segment index, 1-based ordinal) — coordinates
         // kept so a duplicate seq names its record.
@@ -206,6 +208,8 @@ impl ReStore {
             }
             torn_tail = torn;
         }
+        // Every segment decoded: only now is the session replaced.
+        let base_seq = self.load_document(base)?;
         // Stable on (segment, ordinal) ties — a duplicate pair stays in
         // physical order, so the error below names the *later* copy.
         all.sort_by_key(|&(seq, ..)| seq);

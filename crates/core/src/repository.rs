@@ -17,7 +17,7 @@
 //! deployment, and its read/write mix is extreme: every job of every
 //! workflow matches against it (reads), while only executed waves and
 //! eviction sweeps mutate it. It is therefore published as immutable
-//! [`RepoSnapshot`]s through an [`Rcu`](crate::rcu::Rcu) cell:
+//! [`RepoSnapshot`]s through an [`Rcu`] cell:
 //!
 //! * **readers** ([`Repository::snapshot`]) get the current snapshot
 //!   for one pointer copy — never waiting on a writer's clone,

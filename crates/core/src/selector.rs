@@ -14,7 +14,7 @@
 //!
 //! Rule 4 is not a setting: reusing an entry whose inputs changed
 //! returns a wrong answer, and one whose file is gone fails the query. So
-//! every execution first runs one staleness pass ([`ReStore::sweep`]).
+//! every execution first runs one staleness pass (`ReStore::sweep`).
 
 use crate::driver::{ReStore, Space};
 use crate::repository::{RepoBatch, RepoEntry, RepoStats};

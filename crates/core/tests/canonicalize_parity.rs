@@ -17,22 +17,11 @@
 use restore_core::{ReStore, ReStoreConfig};
 use restore_dataflow::template::MARK;
 use restore_dataflow::{compile, compile_canonical};
-use restore_dfs::{Dfs, DfsConfig};
-use restore_mapreduce::{ClusterConfig, Engine, EngineConfig};
 use restore_pigmix::{paraphrase, queries, synthetic};
+use restore_testkit::{pv_users, session_over};
 
-fn dfs() -> Dfs {
-    let dfs = Dfs::new(DfsConfig::small_for_tests());
-    dfs.write_all("/data/pv", b"alice\t4\nbob\t7\nalice\t1\ncarol\t9\n").unwrap();
-    dfs.write_all("/data/users", b"alice\tkitchener\nbob\ttoronto\n").unwrap();
-    dfs
-}
-
-fn session(dfs: Dfs, canonicalize: bool) -> ReStore {
-    ReStore::new(
-        Engine::new(dfs, ClusterConfig::default(), EngineConfig::default()),
-        ReStoreConfig { canonicalize, ..Default::default() },
-    )
+fn session(canonicalize: bool) -> ReStore {
+    session_over(&pv_users(), ReStoreConfig { canonicalize, ..Default::default() })
 }
 
 /// A small mixed workload (filter pipeline, join + group, rerun).
@@ -65,8 +54,8 @@ fn workload() -> Vec<(String, String)> {
 
 #[test]
 fn canonicalize_off_is_byte_identical_to_the_plain_compile_path() {
-    let off = session(dfs(), false);
-    let manual = session(dfs(), false);
+    let off = session(false);
+    let manual = session(false);
     for (q, wf) in workload() {
         let a = off.execute_query(&q, &wf).unwrap();
         // The twin drives today's pre-analyzer pipeline by hand.
@@ -90,8 +79,8 @@ fn canonicalize_off_is_byte_identical_to_the_plain_compile_path() {
 
 #[test]
 fn canonicalize_on_preserves_every_output_byte() {
-    let on = session(dfs(), true);
-    let off = session(dfs(), false);
+    let on = session(true);
+    let off = session(false);
     for (q, wf) in workload() {
         let a = on.execute_query(&q, &wf).unwrap();
         let b = off.execute_query(&q, &wf).unwrap();
@@ -116,12 +105,12 @@ fn paraphrase_hits_warm_only_with_the_analyzer_on() {
                       C = filter B by 2 < n;
                       store C into '/out/p';";
 
-    let on = session(dfs(), true);
+    let on = session(true);
     on.execute_query(original, "/wf/p1").unwrap();
     let warm = on.execute_query(paraphrase, "/wf/p2").unwrap();
     assert_eq!(warm.jobs_skipped, 1, "the paraphrase must be served from the repository");
 
-    let off = session(dfs(), false);
+    let off = session(false);
     off.execute_query(original, "/wf/p1").unwrap();
     let cold = off.execute_query(paraphrase, "/wf/p2").unwrap();
     assert_eq!(cold.jobs_skipped, 0, "without the analyzer the paraphrase misses");
@@ -164,7 +153,7 @@ fn oracle_texts(out: &str) -> Vec<String> {
 #[test]
 fn compile_as_binds_a_template_to_the_direct_compile() {
     for canonicalize in [false, true] {
-        let rs = session(dfs(), canonicalize);
+        let rs = session(canonicalize);
         let direct = |text: &str, prefix: &str| {
             if canonicalize {
                 compile_canonical(text, prefix).map(|(wf, _)| wf)

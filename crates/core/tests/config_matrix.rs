@@ -3,12 +3,11 @@
 
 use restore_common::{codec, tuple, Tuple};
 use restore_core::{Heuristic, ReStore, ReStoreConfig, SelectionPolicy};
-use restore_dfs::{Dfs, DfsConfig};
-use restore_mapreduce::{ClusterConfig, Engine, EngineConfig};
+use restore_dfs::DfsConfig;
+use restore_mapreduce::{Engine, EngineConfig};
+use restore_testkit::{engine_over, small_dfs, Oracle};
 
 fn engine() -> Engine {
-    let dfs =
-        Dfs::new(DfsConfig { nodes: 4, block_size: 512, replication: 2, node_capacity: None });
     let rows: Vec<Tuple> = (0..300)
         .map(|i| {
             tuple![
@@ -19,39 +18,31 @@ fn engine() -> Engine {
             ]
         })
         .collect();
-    dfs.write_all("/data/events", &codec::encode_all(&rows)).unwrap();
-    Engine::new(
-        dfs,
-        ClusterConfig::default(),
-        EngineConfig { worker_threads: 4, default_reduce_tasks: 3 },
-    )
+    let dfs = small_dfs(
+        Some(DfsConfig { nodes: 4, block_size: 512, replication: 2, node_capacity: None }),
+        &[("/data/events", &codec::encode_all(&rows))],
+    );
+    engine_over(dfs, Some(EngineConfig { worker_threads: 4, default_reduce_tasks: 3 }))
 }
 
-const Q: &str = "
-    A = load '/data/events' as (u, n:int, v:double, pad);
-    B = foreach A generate u, v;
-    G = group B by u;
-    R = foreach G generate group, SUM(B.v);
-    store R into '/out/q';
-";
-
-fn read_sorted(dfs: &Dfs, path: &str) -> Vec<Tuple> {
-    let mut t = codec::decode_all(&dfs.read_all(path).unwrap()).unwrap();
-    t.sort();
-    t
+fn q(out: &str) -> String {
+    format!(
+        "A = load '/data/events' as (u, n:int, v:double, pad);
+         B = foreach A generate u, v;
+         G = group B by u;
+         R = foreach G generate group, SUM(B.v);
+         store R into '{out}';"
+    )
 }
 
 /// Strict §5 admission keeps the repository smaller without changing
 /// answers.
 #[test]
 fn strict_selection_prunes_but_preserves_answers() {
-    let eng_all = engine();
-    let all = ReStore::new(eng_all, ReStoreConfig::default());
-    let a1 = all.execute_query(Q, "/wf/a1").unwrap();
-    let baseline = read_sorted(all.engine().dfs(), &a1.final_output);
+    let all = ReStore::new(engine(), ReStoreConfig::default());
+    all.execute_query(&q("/out/q"), "/wf/a1").unwrap();
     let repo_all = all.repository_as(None).len();
 
-    let eng_strict = engine();
     let config = ReStoreConfig {
         selection: SelectionPolicy {
             require_size_reduction: true,
@@ -60,9 +51,8 @@ fn strict_selection_prunes_but_preserves_answers() {
         },
         ..Default::default()
     };
-    let strict = ReStore::new(eng_strict, config);
-    let s1 = strict.execute_query(Q, "/wf/s1").unwrap();
-    assert_eq!(read_sorted(strict.engine().dfs(), &s1.final_output), baseline);
+    let strict = ReStore::new(engine(), config);
+    Oracle::check(&strict, &[q("/out/s1")]).unwrap();
     assert!(
         strict.repository_as(None).len() <= repo_all,
         "strict admission must not grow the repository beyond store-all"
@@ -75,8 +65,7 @@ fn strict_selection_prunes_but_preserves_answers() {
         );
     }
     // A rerun still produces correct answers (whatever was kept is used).
-    let s2 = strict.execute_query(Q, "/wf/s2").unwrap();
-    assert_eq!(read_sorted(strict.engine().dfs(), &s2.final_output), baseline);
+    Oracle::check(&strict, &[q("/out/s2")]).unwrap();
 }
 
 /// With `register_final_outputs` off (the paper's experiment semantics),
@@ -84,11 +73,12 @@ fn strict_selection_prunes_but_preserves_answers() {
 /// sub-jobs.
 #[test]
 fn paper_mode_reexecutes_final_job() {
-    let eng = engine();
-    let rs =
-        ReStore::new(eng, ReStoreConfig { register_final_outputs: false, ..Default::default() });
-    let e1 = rs.execute_query(Q, "/wf/p1").unwrap();
-    let e2 = rs.execute_query(Q, "/wf/p2").unwrap();
+    let rs = ReStore::new(
+        engine(),
+        ReStoreConfig { register_final_outputs: false, ..Default::default() },
+    );
+    let e1 = rs.execute_query(&q("/out/q"), "/wf/p1").unwrap();
+    let e2 = rs.execute_query(&q("/out/q"), "/wf/p2").unwrap();
     // The group job is the final job of this 1-job workflow: it must run
     // (not be skipped), but its input is the reused sub-job output.
     assert_eq!(e2.jobs_skipped, 0);
@@ -96,10 +86,9 @@ fn paper_mode_reexecutes_final_job() {
     assert!(!e2.job_results.is_empty());
     assert!(e2.total_s < e1.total_s);
     // Default mode would answer from the repository entirely.
-    let eng2 = engine();
-    let rs2 = ReStore::new(eng2, ReStoreConfig::default());
-    rs2.execute_query(Q, "/wf/d1").unwrap();
-    let d2 = rs2.execute_query(Q, "/wf/d2").unwrap();
+    let rs2 = ReStore::new(engine(), ReStoreConfig::default());
+    rs2.execute_query(&q("/out/q"), "/wf/d1").unwrap();
+    let d2 = rs2.execute_query(&q("/out/q"), "/wf/d2").unwrap();
     assert_eq!(d2.jobs_skipped, 1);
     assert!(d2.job_results.is_empty());
 }
@@ -109,14 +98,13 @@ fn paper_mode_reexecutes_final_job() {
 /// referencing deleted files.
 #[test]
 fn eviction_window_mid_workload() {
-    let eng = engine();
     let config = ReStoreConfig {
         selection: SelectionPolicy { eviction_window: Some(2), ..Default::default() },
         ..Default::default()
     };
-    let rs = ReStore::new(eng, config);
+    let rs = ReStore::new(engine(), config);
 
-    rs.execute_query(Q, "/wf/w0").unwrap();
+    rs.execute_query(&q("/out/q"), "/wf/w0").unwrap();
     let initial = rs.repository_as(None).len();
     assert!(initial > 0);
 
@@ -136,7 +124,7 @@ fn eviction_window_mid_workload() {
     drop(repo);
 
     // Running Q again works from scratch and produces correct results.
-    let e = rs.execute_query(Q, "/wf/wq").unwrap();
+    let e = rs.execute_query(&q("/out/q"), "/wf/wq").unwrap();
     assert!(rs.engine().dfs().exists(&e.final_output));
 }
 
@@ -152,32 +140,32 @@ fn ha_covers_more_than_hc() {
         J = join B by u, C by u;
         store J into '/out/join';
     ";
-    let q_follow = "
-        A = load '/data/events' as (u, n:int, v:double, pad);
-        B = foreach A generate u, v;
-        C = foreach A generate u, n;
-        J = join B by u, C by u;
-        G = group J by $0;
-        R = foreach G generate group, COUNT(J);
-        store R into '/out/follow';
-    ";
+    let q_follow = |out: &str| {
+        format!(
+            "A = load '/data/events' as (u, n:int, v:double, pad);
+             B = foreach A generate u, v;
+             C = foreach A generate u, n;
+             J = join B by u, C by u;
+             G = group J by $0;
+             R = foreach G generate group, COUNT(J);
+             store R into '{out}';"
+        )
+    };
     let time_with = |h: Heuristic| {
-        let eng = engine();
         let rs = ReStore::new(
-            eng,
+            engine(),
             ReStoreConfig { heuristic: h, register_final_outputs: false, ..Default::default() },
         );
-        rs.execute_query(q_join, "/wf/j").unwrap();
         // First follow-up run still *generates* new candidates (HA pays
         // for storing the Group output here); the warm rerun is the fair
-        // reuse comparison.
-        rs.execute_query(q_follow, "/wf/f1").unwrap();
-        let e = rs.execute_query(q_follow, "/wf/f2").unwrap();
-        (e.total_s, read_sorted(rs.engine().dfs(), &e.final_output))
+        // reuse comparison. Every answer is the no-reuse one.
+        let runs =
+            Oracle::check(&rs, &[q_join.to_string(), q_follow("/out/f1"), q_follow("/out/f2")])
+                .unwrap_or_else(|e| panic!("{h:?}: {e}"));
+        runs[2].total_s
     };
-    let (t_hc, rows_hc) = time_with(Heuristic::Conservative);
-    let (t_ha, rows_ha) = time_with(Heuristic::Aggressive);
-    assert_eq!(rows_hc, rows_ha);
+    let t_hc = time_with(Heuristic::Conservative);
+    let t_ha = time_with(Heuristic::Aggressive);
     assert!(
         t_ha <= t_hc + 1e-9,
         "HA ({t_ha}) must not be slower than HC ({t_hc}) on the warm follow-up"

@@ -5,20 +5,11 @@
 
 use restore_common::{codec, tuple, Tuple};
 use restore_core::{Heuristic, ReStore, ReStoreConfig};
-use restore_dfs::{Dfs, DfsConfig};
-use restore_mapreduce::{ClusterConfig, Engine, EngineConfig};
+use restore_dfs::DfsConfig;
+use restore_mapreduce::{Engine, EngineConfig};
+use restore_testkit::{engine_over, lines_of, overwrite, read_lines_sorted, small_dfs, Oracle};
 
 fn engine() -> Engine {
-    let dfs =
-        Dfs::new(DfsConfig { nodes: 4, block_size: 512, replication: 2, node_capacity: None });
-    Engine::new(
-        dfs,
-        ClusterConfig::default(),
-        EngineConfig { worker_threads: 4, default_reduce_tasks: 3 },
-    )
-}
-
-fn seed_data(dfs: &Dfs) {
     let pv: Vec<Tuple> = vec![
         tuple!["ann", 1, 10.0, "infoA", "linksA"],
         tuple!["bob", 2, 20.0, "infoB", "linksB"],
@@ -26,13 +17,19 @@ fn seed_data(dfs: &Dfs) {
         tuple!["cat", 4, 7.5, "infoD", "linksD"],
         tuple!["dan", 5, 2.5, "infoE", "linksE"],
     ];
-    dfs.write_all("/data/page_views", &codec::encode_all(&pv)).unwrap();
     let users: Vec<Tuple> = vec![
         tuple!["ann", "p1", "a1", "c1"],
         tuple!["bob", "p2", "a2", "c2"],
         tuple!["cat", "p3", "a3", "c3"],
     ];
-    dfs.write_all("/data/users", &codec::encode_all(&users)).unwrap();
+    let dfs = small_dfs(
+        Some(DfsConfig { nodes: 4, block_size: 512, replication: 2, node_capacity: None }),
+        &[
+            ("/data/page_views", &codec::encode_all(&pv)),
+            ("/data/users", &codec::encode_all(&users)),
+        ],
+    );
+    engine_over(dfs, Some(EngineConfig { worker_threads: 4, default_reduce_tasks: 3 }))
 }
 
 fn q1(out: &str) -> String {
@@ -59,23 +56,16 @@ fn q2(out: &str) -> String {
     )
 }
 
-fn read_sorted(dfs: &Dfs, path: &str) -> Vec<Tuple> {
-    let mut t = codec::decode_all(&dfs.read_all(path).unwrap()).unwrap();
-    t.sort();
-    t
-}
-
-fn q2_expected() -> Vec<Tuple> {
-    vec![tuple!["ann", 15.0], tuple!["bob", 20.0], tuple!["cat", 7.5]]
+fn q2_expected() -> Vec<String> {
+    lines_of(&[tuple!["ann", 15.0], tuple!["bob", 20.0], tuple!["cat", 7.5]])
 }
 
 #[test]
 fn baseline_executes_and_deletes_tmp() {
     let eng = engine();
-    seed_data(eng.dfs());
     let rs = ReStore::new(eng, ReStoreConfig::baseline());
     let exec = rs.execute_query(&q2("/out/q2"), "/wf/q2").unwrap();
-    assert_eq!(read_sorted(rs.engine().dfs(), "/out/q2"), q2_expected());
+    assert_eq!(read_lines_sorted(rs.engine().dfs(), "/out/q2"), q2_expected());
     assert_eq!(exec.jobs_skipped, 0);
     assert!(exec.rewrites.is_empty());
     assert_eq!(exec.job_results.len(), 2); // join job + group job
@@ -91,7 +81,6 @@ fn whole_job_reuse_q1_then_q2() {
     // The paper's headline scenario (Figures 2–4): Q1's stored join
     // output answers Q2's first job entirely.
     let eng = engine();
-    seed_data(eng.dfs());
     let rs = ReStore::new(eng, ReStoreConfig { heuristic: Heuristic::None, ..Default::default() });
 
     let e1 = rs.execute_query(&q1("/out/q1"), "/wf/a").unwrap();
@@ -106,7 +95,7 @@ fn whole_job_reuse_q1_then_q2() {
     assert!(e2.rewrites[0].whole_job);
     assert_eq!(e2.rewrites[0].reused_path, "/out/q1");
     // Results are identical to the baseline.
-    assert_eq!(read_sorted(rs.engine().dfs(), "/out/q2"), q2_expected());
+    assert_eq!(read_lines_sorted(rs.engine().dfs(), "/out/q2"), q2_expected());
     // Reuse is reflected in repository statistics.
     let repo = rs.repository_as(None);
     let reused = repo.get(e2.rewrites[0].entry_id).unwrap();
@@ -116,7 +105,6 @@ fn whole_job_reuse_q1_then_q2() {
 #[test]
 fn whole_job_reuse_speeds_up_modeled_time() {
     let eng = engine();
-    seed_data(eng.dfs());
     let rs = ReStore::new(eng, ReStoreConfig { heuristic: Heuristic::None, ..Default::default() });
     let cold = rs.execute_query(&q2("/out/cold"), "/wf/cold").unwrap();
     let warm = rs.execute_query(&q2("/out/warm"), "/wf/warm").unwrap();
@@ -125,7 +113,7 @@ fn whole_job_reuse_speeds_up_modeled_time() {
     assert_eq!(warm.jobs_skipped, 2);
     assert!(warm.total_s < cold.total_s);
     assert_eq!(warm.final_output, "/out/cold");
-    assert_eq!(read_sorted(rs.engine().dfs(), &warm.final_output), q2_expected());
+    assert_eq!(read_lines_sorted(rs.engine().dfs(), &warm.final_output), q2_expected());
 }
 
 #[test]
@@ -134,7 +122,6 @@ fn subjob_reuse_between_different_queries() {
     // page_views (Figure 5). A later unrelated aggregation over the same
     // projection gets rewritten to load the stored sub-job (Figure 6).
     let eng = engine();
-    seed_data(eng.dfs());
     let rs = ReStore::new(eng, ReStoreConfig::default());
 
     let e1 = rs.execute_query(&q1("/out/q1"), "/wf/a").unwrap();
@@ -149,9 +136,13 @@ fn subjob_reuse_between_different_queries() {
               store S into '/out/q3';";
     let e3 = rs.execute_query(q3, "/wf/c").unwrap();
     assert!(!e3.rewrites.is_empty(), "sub-job should be reused");
-    let expected =
-        vec![tuple!["ann", 15.0], tuple!["bob", 20.0], tuple!["cat", 7.5], tuple!["dan", 2.5]];
-    assert_eq!(read_sorted(rs.engine().dfs(), "/out/q3"), expected);
+    let expected = lines_of(&[
+        tuple!["ann", 15.0],
+        tuple!["bob", 20.0],
+        tuple!["cat", 7.5],
+        tuple!["dan", 2.5],
+    ]);
+    assert_eq!(read_lines_sorted(rs.engine().dfs(), "/out/q3"), expected);
 
     // The rewritten job loads the small projected file, not the wide one.
     let reused_path = &e3.rewrites[0].reused_path;
@@ -163,7 +154,6 @@ fn subjob_reuse_between_different_queries() {
 #[test]
 fn repeat_query_with_aggressive_heuristic_stores_once() {
     let eng = engine();
-    seed_data(eng.dfs());
     let rs = ReStore::new(eng, ReStoreConfig::default());
     let e1 = rs.execute_query(&q2("/out/r1"), "/wf/r1").unwrap();
     let stored_first = e1.stored_candidate_bytes;
@@ -184,12 +174,12 @@ fn reuse_correctness_matches_baseline_across_configs() {
         [Heuristic::None, Heuristic::Conservative, Heuristic::Aggressive, Heuristic::NoHeuristic]
     {
         let eng = engine();
-        seed_data(eng.dfs());
         let rs = ReStore::new(eng, ReStoreConfig { heuristic, ..Default::default() });
-        rs.execute_query(&q1("/out/h/q1"), "/wf/h1").unwrap();
-        rs.execute_query(&q2("/out/h/q2"), "/wf/h2").unwrap();
+        if let Err(e) = Oracle::check(&rs, &[q1("/out/h/q1"), q2("/out/h/q2")]) {
+            panic!("heuristic {heuristic:?}: {e}");
+        }
         assert_eq!(
-            read_sorted(rs.engine().dfs(), "/out/h/q2"),
+            read_lines_sorted(rs.engine().dfs(), "/out/h/q2"),
             q2_expected(),
             "heuristic {heuristic:?}"
         );
@@ -199,7 +189,6 @@ fn reuse_correctness_matches_baseline_across_configs() {
 #[test]
 fn eviction_by_input_invalidation_disables_reuse() {
     let eng = engine();
-    seed_data(eng.dfs());
     // Rule 4 holds under every policy, the default included.
     let config = ReStoreConfig { heuristic: Heuristic::None, ..Default::default() };
     let rs = ReStore::new(eng, config);
@@ -209,15 +198,13 @@ fn eviction_by_input_invalidation_disables_reuse() {
 
     // Overwrite page_views: every entry depending on it must go.
     let new_pv = vec![tuple!["zed", 9, 100.0, "i", "l"]];
-    let mut w = rs.engine().dfs().create_overwrite("/data/page_views").unwrap();
-    w.write(&codec::encode_all(&new_pv));
-    w.close().unwrap();
+    overwrite(rs.engine().dfs(), "/data/page_views", &codec::encode_all(&new_pv));
 
     let e2 = rs.execute_query(&q2("/out/e2"), "/wf/e2").unwrap();
     assert_eq!(e2.rewrites.len(), 0, "stale entries must not be reused after input overwrite");
     // Fresh data produced fresh (correct) results: only ann/bob/cat are
     // users; zed is not in /data/users, so the join is empty.
-    assert_eq!(read_sorted(rs.engine().dfs(), "/out/e2"), Vec::<Tuple>::new());
+    assert!(read_lines_sorted(rs.engine().dfs(), "/out/e2").is_empty());
 }
 
 #[test]
@@ -225,7 +212,6 @@ fn modeled_times_report_overhead_of_subjob_stores() {
     // Running with injected stores must cost more (modeled) than without
     // — that is Figure 11's "overhead".
     let eng = engine();
-    seed_data(eng.dfs());
     let base = ReStore::new(eng.clone(), ReStoreConfig::baseline());
     let plain = base.execute_query(&q2("/out/o1"), "/wf/o1").unwrap();
 
@@ -249,7 +235,6 @@ fn multi_sink_final_output_is_last_topo_job() {
     // the strict Algorithm-1 topo order — the wave's highest-index job —
     // not whichever job happened to execute.
     let eng = engine();
-    seed_data(eng.dfs());
     let rs = ReStore::new(eng, ReStoreConfig { heuristic: Heuristic::None, ..Default::default() });
 
     // Warm the repository with the second sink's whole job.

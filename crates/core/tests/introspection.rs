@@ -3,24 +3,21 @@
 
 use restore_common::{codec, tuple, Tuple};
 use restore_core::{JournalConfig, ReStore, ReStoreConfig};
-use restore_dfs::{Dfs, DfsConfig};
-use restore_mapreduce::{ClusterConfig, Engine, EngineConfig};
+use restore_dfs::DfsConfig;
+use restore_mapreduce::{Engine, EngineConfig};
 use restore_pigmix::{datagen, paraphrase, queries, DataScale};
+use restore_testkit::{engine_over, small_dfs};
 
 fn engine() -> Engine {
-    let dfs =
-        Dfs::new(DfsConfig { nodes: 4, block_size: 512, replication: 2, node_capacity: None });
     let rows: Vec<Tuple> =
         (0..120).map(|i| tuple![format!("u{}", i % 7), i as i64, (i % 31) as f64]).collect();
-    dfs.write_all("/data/d", &codec::encode_all(&rows)).unwrap();
     let names: Vec<Tuple> =
         (0..7).map(|i| tuple![format!("u{i}"), format!("c{}", i % 3)]).collect();
-    dfs.write_all("/data/names", &codec::encode_all(&names)).unwrap();
-    Engine::new(
-        dfs,
-        ClusterConfig::default(),
-        EngineConfig { worker_threads: 2, default_reduce_tasks: 3 },
-    )
+    let dfs = small_dfs(
+        Some(DfsConfig { nodes: 4, block_size: 512, replication: 2, node_capacity: None }),
+        &[("/data/d", &codec::encode_all(&rows)), ("/data/names", &codec::encode_all(&names))],
+    );
+    engine_over(dfs, Some(EngineConfig { worker_threads: 2, default_reduce_tasks: 3 }))
 }
 
 const Q: &str = "
@@ -241,14 +238,12 @@ fn dot_export_of_compiled_workflow() {
 }
 
 fn pigmix_engine() -> Engine {
-    let dfs =
-        Dfs::new(DfsConfig { nodes: 6, block_size: 4 << 10, replication: 2, node_capacity: None });
+    let dfs = small_dfs(
+        Some(DfsConfig { nodes: 6, block_size: 4 << 10, replication: 2, node_capacity: None }),
+        &[],
+    );
     datagen::generate(&dfs, &DataScale::tiny(), 1234).unwrap();
-    Engine::new(
-        dfs,
-        ClusterConfig::default(),
-        EngineConfig { worker_threads: 2, default_reduce_tasks: 4 },
-    )
+    engine_over(dfs, Some(EngineConfig { worker_threads: 2, default_reduce_tasks: 4 }))
 }
 
 /// Populate a session with `warm`, then explain each query of `mix`

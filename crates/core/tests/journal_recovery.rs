@@ -13,39 +13,9 @@ use restore_core::{
     FailureDisposition, FailurePolicy, JournalConfig, ReStore, ReStoreConfig, SelectionPolicy,
     EPOCH,
 };
-use restore_dfs::{Dfs, DfsConfig};
-use restore_mapreduce::{ClusterConfig, Engine, EngineConfig};
-
-fn dfs() -> Dfs {
-    let dfs = Dfs::new(DfsConfig::small_for_tests());
-    dfs.write_all("/data/pv", b"alice\t4\nbob\t7\nalice\t1\ncarol\t9\n").unwrap();
-    dfs.write_all("/data/users", b"alice\tkitchener\nbob\ttoronto\n").unwrap();
-    dfs
-}
-
-fn engine_over(dfs: Dfs) -> Engine {
-    Engine::new(dfs, ClusterConfig::default(), EngineConfig::default())
-}
-
-fn sum_query(out: &str) -> String {
-    format!(
-        "A = load '/data/pv' as (user, n:int);
-         G = group A by user;
-         R = foreach G generate group, SUM(A.n);
-         store R into '{out}';"
-    )
-}
-
-fn join_query(out: &str) -> String {
-    format!(
-        "A = load '/data/pv' as (user, revenue:int);
-         B = load '/data/users' as (name, city);
-         C = join B by name, A by user;
-         D = group C by $0;
-         E = foreach D generate group, SUM(C.revenue);
-         store E into '{out}';"
-    )
-}
+use restore_dfs::Dfs;
+use restore_mapreduce::EngineConfig;
+use restore_testkit::{join_query, overwrite, pv_users, session_over, sum_query, Journaled};
 
 /// One step of the generated workload: cold queries in two namespaces,
 /// warm reruns (note-use records), config changes.
@@ -81,19 +51,16 @@ proptest! {
     fn recovery_matches_the_live_session_after_every_delta(
         ops in proptest::collection::vec(0u8..4, 1..6),
     ) {
-        let shared = dfs();
-        let live = ReStore::new(engine_over(shared.clone()), ReStoreConfig::default());
-        live.enable_journal(JournalConfig { segment_bytes: 1024 });
-        let base = live.save_state();
-        let mut segments = Vec::new();
+        let shared = pv_users();
+        let mut live = Journaled::start(&shared, None, JournalConfig { segment_bytes: 1024 }, None);
         for (i, &op) in ops.iter().enumerate() {
-            run_op(&live, op, i);
-            segments.extend(live.save_state_delta().unwrap());
-            let recovered = ReStore::new(engine_over(shared.clone()), ReStoreConfig::default());
-            recovered.recover(&base, &segments).unwrap();
+            run_op(&live.session, op, i);
+            live.seal();
+            let recovered = session_over(&shared, ReStoreConfig::default());
+            recovered.recover(&live.base, &live.segments).unwrap();
             prop_assert_eq!(
                 recovered.save_state(),
-                live.save_state(),
+                live.session.save_state(),
                 "recovery diverged after op {} (kind {})", i, op % 4
             );
         }
@@ -101,7 +68,7 @@ proptest! {
 }
 
 /// A literal base checkpoint: one default-namespace entry over
-/// `/data/pv` at the version [`dfs`] writes it at (the DFS clock's first
+/// `/data/pv` at the version `pv_users` writes it at (the DFS clock's first
 /// tick), and a tenant carrying only a policy override, anchored at
 /// sequence 0. Its config sections leave keys out, which read as their
 /// defaults.
@@ -153,18 +120,18 @@ eviction_window none
 /// base, capturing deltas along the way. Returns the shared DFS,
 /// the captured segments, and the reference full dump.
 fn journaled_scenario() -> (Dfs, Vec<String>, String) {
-    let shared = dfs();
+    let shared = pv_users();
     shared.write_all("/repo/b", b"stored bytes").unwrap();
-    let live = ReStore::new(engine_over(shared.clone()), ReStoreConfig::default());
-    live.recover(BASE_FIXTURE, &[]).unwrap();
-    live.enable_journal(JournalConfig::default());
+    let mut journaled =
+        Journaled::start(&shared, None, JournalConfig::default(), Some(BASE_FIXTURE));
+    let live = &journaled.session;
 
-    let mut segments = Vec::new();
     // Cold queries register entries in two namespaces…
     live.execute_query(&sum_query("/out/a"), "/wf/a").unwrap();
     live.execute_query_as(Some("ana"), &join_query("/out/j"), "/wf/j").unwrap();
-    segments.extend(live.save_state_delta().unwrap());
+    journaled.seal();
     // …a warm rerun dirties reuse counters (note-use records)…
+    let live = &journaled.session;
     let warm = live.execute_query(&sum_query("/out/a2"), "/wf/a2").unwrap();
     assert_eq!(warm.jobs_skipped, 1, "rerun must be a warm hit");
     // …and config/tenant changes ride along as their own records.
@@ -174,10 +141,10 @@ fn journaled_scenario() -> (Dfs, Vec<String>, String) {
     );
     live.set_config_as(Some("fresh-tenant"), ReStoreConfig::default());
     live.clear_config_as("fresh-tenant");
-    segments.extend(live.save_state_delta().unwrap());
+    journaled.seal();
 
-    let reference = live.save_state();
-    (shared, segments, reference)
+    let reference = journaled.session.save_state();
+    (shared, journaled.segments, reference)
 }
 
 #[test]
@@ -186,7 +153,7 @@ fn base_fixture_plus_journal_equals_a_fresh_dump_byte_identically() {
     assert!(reference.starts_with(&format!("restore-state v{EPOCH}\n")));
     assert!(!segments.is_empty());
 
-    let recovered = ReStore::new(engine_over(shared), ReStoreConfig::default());
+    let recovered = session_over(&shared, ReStoreConfig::default());
     let report = recovered.recover(BASE_FIXTURE, &segments).unwrap();
     assert_eq!(report.base_seq, 0, "the fixture anchors at sequence 0");
     assert!(report.records_applied > 0);
@@ -202,7 +169,7 @@ fn base_fixture_plus_journal_equals_a_fresh_dump_byte_identically() {
 #[test]
 fn recovered_session_serves_warm_hits() {
     let (shared, segments, _) = journaled_scenario();
-    let recovered = ReStore::new(engine_over(shared), ReStoreConfig::default());
+    let recovered = session_over(&shared, ReStoreConfig::default());
     recovered.recover(BASE_FIXTURE, &segments).unwrap();
     let warm = recovered.execute_query(&sum_query("/out/again"), "/wf/again").unwrap();
     assert_eq!(warm.jobs_skipped, 1, "recovered repository must keep serving reuse");
@@ -219,7 +186,7 @@ fn a_covering_base_skips_records_it_already_covers() {
     // The reference dump is itself a base anchored past every
     // record; replaying the full journal over it must skip everything
     // and land on the same bytes.
-    let recovered = ReStore::new(engine_over(shared), ReStoreConfig::default());
+    let recovered = session_over(&shared, ReStoreConfig::default());
     let report = recovered.recover(&reference, &segments).unwrap();
     assert!(report.base_seq > 0);
     assert_eq!(report.records_applied, 0, "a covering base leaves nothing to replay");
@@ -236,13 +203,13 @@ fn torn_final_segment_recovers_a_consistent_prefix() {
     let cut = last.len() - 3;
     segments.push(last[..cut].to_string());
 
-    let recovered = ReStore::new(engine_over(shared.clone()), ReStoreConfig::default());
+    let recovered = session_over(&shared, ReStoreConfig::default());
     let report = recovered.recover(BASE_FIXTURE, &segments).unwrap();
     let torn = report.torn_tail.expect("the cut must be reported");
     assert_eq!(torn.segment, segments.len() - 1);
     // The prefix is a real state: it re-saves cleanly and still loads.
     let state = recovered.save_state();
-    let reload = ReStore::new(engine_over(shared), ReStoreConfig::default());
+    let reload = session_over(&shared, ReStoreConfig::default());
     reload.recover(&state, &[]).unwrap();
     assert_eq!(reload.save_state(), state);
 }
@@ -253,7 +220,7 @@ fn torn_non_final_segment_names_the_record() {
     assert!(segments.len() >= 2, "scenario must span segments");
     let cut = segments[0].len() - 3;
     segments[0].truncate(cut);
-    let recovered = ReStore::new(engine_over(shared), ReStoreConfig::default());
+    let recovered = session_over(&shared, ReStoreConfig::default());
     match recovered.recover(BASE_FIXTURE, &segments) {
         Err(Error::Journal { segment: 0, record, msg }) => {
             assert!(record >= 1, "the torn record is named");
@@ -272,7 +239,7 @@ fn corrupted_record_names_segment_and_record() {
     let mut bytes = seg.clone().into_bytes();
     bytes[pos] ^= 0x20;
     segments[0] = String::from_utf8(bytes).unwrap();
-    let recovered = ReStore::new(engine_over(shared), ReStoreConfig::default());
+    let recovered = session_over(&shared, ReStoreConfig::default());
     match recovered.recover(BASE_FIXTURE, &segments) {
         Err(Error::Journal { segment: 0, record, msg }) => {
             assert!(record >= 1);
@@ -287,7 +254,7 @@ fn corrupted_record_names_segment_and_record() {
 
 #[test]
 fn delta_capture_requires_the_journal() {
-    let rs = ReStore::new(engine_over(dfs()), ReStoreConfig::default());
+    let rs = session_over(&pv_users(), ReStoreConfig::default());
     assert!(rs.save_state_delta().is_err(), "deltas need enable_journal first");
     rs.enable_journal(JournalConfig::default());
     assert_eq!(rs.save_state_delta().unwrap(), Vec::<String>::new(), "idle session, empty delta");
@@ -295,9 +262,9 @@ fn delta_capture_requires_the_journal() {
 
 #[test]
 fn eviction_sweeps_journal_their_evictions() {
-    let shared = dfs();
-    let live = ReStore::new(
-        engine_over(shared.clone()),
+    let shared = pv_users();
+    let live = session_over(
+        &shared,
         ReStoreConfig {
             selection: SelectionPolicy { eviction_window: Some(1), ..Default::default() },
             ..Default::default()
@@ -314,7 +281,7 @@ fn eviction_sweeps_journal_their_evictions() {
     let segments = live.save_state_delta().unwrap();
     let reference = live.save_state();
 
-    let recovered = ReStore::new(engine_over(shared), ReStoreConfig::default());
+    let recovered = session_over(&shared, ReStoreConfig::default());
     recovered.recover(&base, &segments).unwrap();
     assert_eq!(recovered.save_state(), reference, "evictions replay like any other batch");
 }
@@ -328,14 +295,14 @@ fn swapped_segments_replay_in_seq_order_and_a_repeated_frame_is_refused() {
     let (shared, mut segments, reference) = journaled_scenario();
     assert!(segments.len() >= 2, "scenario must span segments");
     segments.swap(0, 1);
-    let recovered = ReStore::new(engine_over(shared.clone()), ReStoreConfig::default());
+    let recovered = session_over(&shared, ReStoreConfig::default());
     let report = recovered.recover(BASE_FIXTURE, &segments).unwrap();
     assert!(report.records_applied > 0);
     assert_eq!(recovered.save_state(), reference, "replay order is seq order, not file order");
 
     // The first file again, as a third: its first frame repeats a seq.
     segments.push(segments[0].clone());
-    let again = ReStore::new(engine_over(shared), ReStoreConfig::default());
+    let again = session_over(&shared, ReStoreConfig::default());
     match again.recover(BASE_FIXTURE, &segments) {
         Err(Error::Journal { segment: 2, record: 1, msg }) => {
             assert!(msg.contains("duplicate record seq"), "{msg}");
@@ -352,7 +319,7 @@ fn swapped_segments_replay_in_seq_order_and_a_repeated_frame_is_refused() {
 /// or forgets a path with no provenance: it changes nothing.
 #[test]
 fn an_empty_batch_publishes_and_journals_nothing() {
-    let rs = ReStore::new(engine_over(dfs()), ReStoreConfig::default());
+    let rs = session_over(&pv_users(), ReStoreConfig::default());
     rs.enable_journal(JournalConfig::default());
     rs.execute_query(&sum_query("/out/a"), "/wf/a").unwrap();
     let (publishes, sections) = rs.write_counters_as(None);
@@ -431,7 +398,7 @@ fn base_and_segment_captured_at_the_parent_commit_still_recover() {
         let held = segment.lines().any(|l| l.split(' ').next() == Some(kind));
         assert!(held, "the fixture holds a {kind} line");
     }
-    let rs = ReStore::new(engine_over(dfs()), ReStoreConfig::default());
+    let rs = session_over(&pv_users(), ReStoreConfig::default());
     let report = rs.recover(base, &[segment.to_string()]).unwrap();
     assert_eq!((report.base_seq, report.records_skipped, report.records_applied), (4, 4, 12));
 
@@ -452,7 +419,7 @@ fn base_and_segment_captured_at_the_parent_commit_still_recover() {
 #[test]
 fn recover_leaves_no_phantom_seq_lag() {
     let (shared, segments, _) = journaled_scenario();
-    let recovered = ReStore::new(engine_over(shared), ReStoreConfig::default());
+    let recovered = session_over(&shared, ReStoreConfig::default());
     let report = recovered.recover(BASE_FIXTURE, &segments).unwrap();
     assert!(report.records_applied > 0);
     assert_eq!(
@@ -469,7 +436,7 @@ fn recover_leaves_no_phantom_seq_lag() {
 
 #[test]
 fn journal_stats_track_recording() {
-    let rs = ReStore::new(engine_over(dfs()), ReStoreConfig::default());
+    let rs = session_over(&pv_users(), ReStoreConfig::default());
     assert!(!rs.journal_stats().enabled);
     rs.enable_journal(JournalConfig { segment_bytes: 256 });
     assert!(rs.journal_stats().enabled);
@@ -495,25 +462,19 @@ fn journal_stats_track_recording() {
 /// and the session's metrics with every timing family masked. The engine
 /// runs its tasks on `threads` worker threads.
 fn journaled_run(threads: usize) -> (String, Vec<String>, String, [String; 3]) {
-    let shared = dfs();
-    let config = ReStoreConfig::default();
-    let engine = Engine::new(
-        shared.clone(),
-        ClusterConfig::default(),
-        EngineConfig { worker_threads: threads, ..Default::default() },
-    );
-    let rs = ReStore::new(engine, config);
-    rs.enable_journal(JournalConfig { segment_bytes: 1024 });
-    let base = rs.save_state();
+    let shared = pv_users();
+    let engine = EngineConfig { worker_threads: threads, ..Default::default() };
+    let mut journaled =
+        Journaled::start(&shared, Some(engine), JournalConfig { segment_bytes: 1024 }, None);
+    let rs = &journaled.session;
     rs.execute_query(&join_query("/out/j"), "/wf/j").unwrap();
     rs.execute_query(&sum_query("/out/s"), "/wf/s").unwrap();
     rs.execute_query_as(Some("ana"), &join_query("/out/ana"), "/wf/ana").unwrap();
     rs.execute_query_as(Some("bo"), &sum_query("/out/bo"), "/wf/bo").unwrap();
-    let mut segments = rs.save_state_delta().unwrap();
+    journaled.seal();
 
-    let mut w = shared.create_overwrite("/data/pv").unwrap();
-    w.write(b"alice\t5\nbob\t7\ndave\t2\n");
-    w.close().unwrap();
+    let rs = &journaled.session;
+    overwrite(&shared, "/data/pv", b"alice\t5\nbob\t7\ndave\t2\n");
     rs.execute_query(&sum_query("/out/s2"), "/wf/s2").unwrap();
     rs.execute_query(
         "A = load '/data/users' as (name, city);
@@ -524,15 +485,17 @@ fn journaled_run(threads: usize) -> (String, Vec<String>, String, [String; 3]) {
     )
     .unwrap();
     rs.execute_query_as(Some("ana"), &sum_query("/out/ana2"), "/wf/ana2").unwrap();
-    segments.extend(rs.save_state_delta().unwrap());
+    journaled.seal();
 
     // The first rerun finds every stored file and forgets nothing. The
     // second may skip that check only while nothing was deleted since,
     // and something was.
+    let rs = &journaled.session;
     let rerun = rs.execute_query(&sum_query("/out/s3"), "/wf/s3").unwrap();
     assert!(rerun.job_results.is_empty(), "the rerun is answered from the repository");
-    let first = rs.save_state_delta().unwrap();
+    let first = journaled.seal();
     assert!(!first.iter().any(|s| s.contains("\nforget ")), "nothing to forget: {first:?}");
+    let rs = &journaled.session;
     let victim = rs
         .repository_as(None)
         .entries()
@@ -543,24 +506,19 @@ fn journaled_run(threads: usize) -> (String, Vec<String>, String, [String; 3]) {
     assert!(shared.delete(&victim));
     let rerun = rs.execute_query(&sum_query("/out/s4"), "/wf/s4").unwrap();
     assert!(rerun.job_results.is_empty(), "the rerun is answered from the repository");
-    let second = rs.save_state_delta().unwrap();
+    let second = journaled.seal();
     let forget = format!("\nforget {victim:?}\n");
     assert!(second.iter().any(|s| s.contains(&forget)), "{victim} forgotten: {second:?}");
-    segments.extend(first);
-    segments.extend(second);
 
     // A base input overwritten behind the session's back between two
     // reruns: the second evicts every entry that read it, and journals
     // the evictions and the forgets.
-    let mut w = shared.create_overwrite("/data/pv").unwrap();
-    w.write(b"alice\t6\nbob\t7\n");
-    w.close().unwrap();
-    let rerun = rs.execute_query(&sum_query("/out/s5"), "/wf/s5").unwrap();
+    overwrite(&shared, "/data/pv", b"alice\t6\nbob\t7\n");
+    let rerun = journaled.session.execute_query(&sum_query("/out/s5"), "/wf/s5").unwrap();
     assert_eq!(rerun.jobs_skipped, 0, "the changed input is a miss");
-    let third = rs.save_state_delta().unwrap();
+    let third = journaled.seal();
     assert!(third.iter().any(|s| s.contains("\nevict ")), "evictions journaled: {third:?}");
     assert!(forget_batches(&third).iter().any(|b| b.0 == "\"\"" && b.1 > 0), "{third:?}");
-    segments.extend(third);
 
     let strict = ReStoreConfig {
         selection: SelectionPolicy::strict(1),
@@ -571,18 +529,19 @@ fn journaled_run(threads: usize) -> (String, Vec<String>, String, [String; 3]) {
         },
         ..Default::default()
     };
+    let rs = &journaled.session;
     rs.set_config_as(Some("bo"), strict);
     rs.execute_query_as(Some("bo"), &join_query("/out/bo2"), "/wf/bo2").unwrap();
     rs.execute_query(&join_query("/out/j2"), "/wf/j2").unwrap();
     rs.execute_query_as(Some("bo"), &sum_query("/out/bo3"), "/wf/bo3").unwrap();
     rs.clear_config_as("bo");
     rs.execute_query_as(Some("bo"), &join_query("/out/bo4"), "/wf/bo4").unwrap();
-    let last = rs.save_state_delta().unwrap();
+    let last = journaled.seal();
     let evicted: usize =
         forget_batches(&last).iter().filter(|(s, _)| s == "\"bo\"").map(|b| b.1).sum();
     assert!(evicted > 0, "the window evicts in bo: {last:?}");
     assert!(last.concat().contains("\ntenant-config-clear \"bo\"\n"));
-    segments.extend(last);
+    let Journaled { session: rs, base, segments } = journaled;
     let warm = rs.explain_query_as(None, &join_query("/out/j3"), "/wf/j3").unwrap();
     assert_eq!(warm.matches("job would be skipped").count(), 2, "{warm}");
     let by_city = join_query("/out/c").replace("group C by $0", "group C by $1");

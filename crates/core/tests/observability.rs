@@ -17,26 +17,26 @@ use restore_core::{
 };
 use restore_dataflow::expr::Expr;
 use restore_dataflow::physical::{PhysicalOp, PhysicalPlan};
-use restore_dfs::{Dfs, DfsConfig};
-use restore_mapreduce::{ClusterConfig, Engine, EngineConfig};
+use restore_dfs::DfsConfig;
+use restore_mapreduce::{Engine, EngineConfig};
+use restore_testkit::{engine_over, small_dfs};
 use std::collections::HashSet;
 
 fn engine() -> Engine {
-    let dfs =
-        Dfs::new(DfsConfig { nodes: 4, block_size: 512, replication: 2, node_capacity: None });
     let pv: Vec<Tuple> = vec![
         tuple!["ann", 1, 10.0, "infoA", "linksA"],
         tuple!["bob", 2, 20.0, "infoB", "linksB"],
         tuple!["ann", 3, 5.0, "infoC", "linksC"],
     ];
-    dfs.write_all("/data/page_views", &codec::encode_all(&pv)).unwrap();
     let users: Vec<Tuple> = vec![tuple!["ann", "p1", "a1", "c1"], tuple!["bob", "p2", "a2", "c2"]];
-    dfs.write_all("/data/users", &codec::encode_all(&users)).unwrap();
-    Engine::new(
-        dfs,
-        ClusterConfig::default(),
-        EngineConfig { worker_threads: 4, default_reduce_tasks: 3 },
-    )
+    let dfs = small_dfs(
+        Some(DfsConfig { nodes: 4, block_size: 512, replication: 2, node_capacity: None }),
+        &[
+            ("/data/page_views", &codec::encode_all(&pv)),
+            ("/data/users", &codec::encode_all(&users)),
+        ],
+    );
+    engine_over(dfs, Some(EngineConfig { worker_threads: 4, default_reduce_tasks: 3 }))
 }
 
 /// The paper's Q1 (Figure 2): a single join job, so a cold run is

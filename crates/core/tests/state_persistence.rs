@@ -3,47 +3,15 @@
 //! key an earlier epoch wrote, and per-tenant policy overrides.
 
 use restore_common::Error;
-use restore_core::{Heuristic, JournalConfig, ReStore, ReStoreConfig, SelectionPolicy, EPOCH};
-use restore_dfs::{Dfs, DfsConfig};
-use restore_mapreduce::{ClusterConfig, Engine, EngineConfig};
-
-fn dfs() -> Dfs {
-    let dfs = Dfs::new(DfsConfig::small_for_tests());
-    dfs.write_all("/data/pv", b"alice\t4\nbob\t7\nalice\t1\ncarol\t9\n").unwrap();
-    dfs.write_all("/data/users", b"alice\tkitchener\nbob\ttoronto\n").unwrap();
-    dfs
-}
-
-fn engine_over(dfs: Dfs) -> Engine {
-    Engine::new(dfs, ClusterConfig::default(), EngineConfig::default())
-}
-
-fn sum_query(out: &str) -> String {
-    format!(
-        "A = load '/data/pv' as (user, n:int);
-         G = group A by user;
-         R = foreach G generate group, SUM(A.n);
-         store R into '{out}';"
-    )
-}
-
-fn join_query(out: &str) -> String {
-    format!(
-        "A = load '/data/pv' as (user, revenue:int);
-         B = load '/data/users' as (name, city);
-         C = join B by name, A by user;
-         D = group C by $0;
-         E = foreach D generate group, SUM(C.revenue);
-         store E into '{out}';"
-    )
-}
+use restore_core::{Heuristic, JournalConfig, ReStoreConfig, SelectionPolicy, EPOCH};
+use restore_testkit::{join_query, pv_users, session_over, sum_query, Journaled};
 
 // ---- round trip and restart parity ----
 
 #[test]
 fn v2_save_load_save_is_byte_identical() {
-    let shared = dfs();
-    let rs = ReStore::new(engine_over(shared.clone()), ReStoreConfig::default());
+    let shared = pv_users();
+    let rs = session_over(&shared, ReStoreConfig::default());
     rs.set_config_as(
         Some("tuned"),
         ReStoreConfig { heuristic: Heuristic::Conservative, ..Default::default() },
@@ -53,21 +21,21 @@ fn v2_save_load_save_is_byte_identical() {
     rs.execute_query_as(Some("plain"), &sum_query("/out/p"), "/wf/p").unwrap();
 
     let s1 = rs.save_state();
-    let resumed = ReStore::new(engine_over(shared.clone()), ReStoreConfig::default());
+    let resumed = session_over(&shared, ReStoreConfig::default());
     resumed.recover(&s1, &[]).unwrap();
     let s2 = resumed.save_state();
     assert_eq!(s1, s2, "save -> load -> save must be byte-identical");
 
     // And a second generation, for good measure.
-    let third = ReStore::new(engine_over(shared), ReStoreConfig::default());
+    let third = session_over(&shared, ReStoreConfig::default());
     third.recover(&s2, &[]).unwrap();
     assert_eq!(third.save_state(), s2);
 }
 
 #[test]
 fn v2_restores_tenant_namespaces_configs_and_counters() {
-    let shared = dfs();
-    let rs = ReStore::new(engine_over(shared.clone()), ReStoreConfig::default());
+    let shared = pv_users();
+    let rs = session_over(&shared, ReStoreConfig::default());
     let tuned = ReStoreConfig {
         heuristic: Heuristic::Conservative,
         selection: SelectionPolicy { eviction_window: Some(50), ..Default::default() },
@@ -83,7 +51,7 @@ fn v2_restores_tenant_namespaces_configs_and_counters() {
     let want_default = rs.stats_as(None);
     drop(rs);
 
-    let resumed = ReStore::new(engine_over(shared), ReStoreConfig::default());
+    let resumed = session_over(&shared, ReStoreConfig::default());
     resumed.recover(&state, &[]).unwrap();
     assert_eq!(resumed.stats_as(Some("tuned")), want_tuned);
     assert_eq!(resumed.stats_as(Some("other")), want_other);
@@ -108,12 +76,12 @@ fn v2_restores_tenant_namespaces_configs_and_counters() {
 
 #[test]
 fn v2_load_replaces_preexisting_tenants() {
-    let shared = dfs();
-    let rs = ReStore::new(engine_over(shared.clone()), ReStoreConfig::default());
+    let shared = pv_users();
+    let rs = session_over(&shared, ReStoreConfig::default());
     rs.execute_query_as(Some("keeper"), &sum_query("/out/k"), "/wf/k").unwrap();
     let state = rs.save_state();
 
-    let other = ReStore::new(engine_over(shared), ReStoreConfig::default());
+    let other = session_over(&shared, ReStoreConfig::default());
     other.execute_query_as(Some("stray"), &sum_query("/out/s"), "/wf/s").unwrap();
     other.recover(&state, &[]).unwrap();
     // A restore is a full-session replacement: tenants not in the
@@ -126,15 +94,15 @@ fn v2_load_without_default_section_still_resets_default_namespace() {
     // Hand-prune the default `--space ""--` section out of a valid
     // document: a restore is a *full* session replacement, so the
     // default namespace must come back empty, not keep stale state.
-    let shared = dfs();
-    let src = ReStore::new(engine_over(shared.clone()), ReStoreConfig::default());
+    let shared = pv_users();
+    let src = session_over(&shared, ReStoreConfig::default());
     src.execute_query_as(Some("ana"), &sum_query("/out/a"), "/wf/a").unwrap();
     let doc = src.save_state();
     let start = doc.find("--space \"\"--").unwrap();
     let end = doc.find("--space \"ana\"--").unwrap();
     let pruned = format!("{}{}", &doc[..start], &doc[end..]);
 
-    let rs = ReStore::new(engine_over(shared), ReStoreConfig::default());
+    let rs = session_over(&shared, ReStoreConfig::default());
     rs.execute_query(&sum_query("/out/stale"), "/wf/stale").unwrap();
     assert!(rs.stats_as(None).repository_entries > 0);
     rs.recover(&pruned, &[]).unwrap();
@@ -152,7 +120,7 @@ fn v2_load_without_default_section_still_resets_default_namespace() {
 
 #[test]
 fn tenant_config_override_governs_execution() {
-    let rs = ReStore::new(engine_over(dfs()), ReStoreConfig::default());
+    let rs = session_over(&pv_users(), ReStoreConfig::default());
     // "frugal" stores nothing: no candidate heuristic, no whole-job
     // registration.
     rs.set_config_as(
@@ -183,7 +151,7 @@ fn tenant_config_override_governs_execution() {
 
 #[test]
 fn tenant_eviction_policy_sweeps_only_its_own_space() {
-    let rs = ReStore::new(engine_over(dfs()), ReStoreConfig::default());
+    let rs = session_over(&pv_users(), ReStoreConfig::default());
     // "spartan" evicts anything unused for one tick; the global default
     // (and thus "packrat") never evicts.
     rs.set_config_as(
@@ -223,7 +191,7 @@ fn tenant_eviction_policy_sweeps_only_its_own_space() {
 // ---- typed parse errors ----
 
 fn expect_state_err(doc: &str, want_line: usize, needle: &str) {
-    let rs = ReStore::new(engine_over(dfs()), ReStoreConfig::default());
+    let rs = session_over(&pv_users(), ReStoreConfig::default());
     match rs.recover(doc, &[]) {
         Err(Error::State { line, msg }) => {
             assert_eq!(line, want_line, "error should point at line {want_line}: {msg}");
@@ -239,7 +207,7 @@ fn expect_state_err(doc: &str, want_line: usize, needle: &str) {
 
 /// A small valid document to corrupt per test.
 fn valid_doc() -> String {
-    let rs = ReStore::new(engine_over(dfs()), ReStoreConfig::default());
+    let rs = session_over(&pv_users(), ReStoreConfig::default());
     rs.execute_query_as(Some("ana"), &sum_query("/out/a"), "/wf/a").unwrap();
     rs.save_state()
 }
@@ -335,7 +303,7 @@ fn missing_repository_section() {
 #[test]
 fn corrupt_provenance_body_names_the_section() {
     let doc = valid_doc().replacen("path \"", "wat \"", 1);
-    match ReStore::new(engine_over(dfs()), ReStoreConfig::default()).recover(&doc, &[]) {
+    match session_over(&pv_users(), ReStoreConfig::default()).recover(&doc, &[]) {
         Err(Error::State { msg, .. }) => {
             assert!(msg.contains("--provenance--"), "{msg}");
         }
@@ -346,7 +314,7 @@ fn corrupt_provenance_body_names_the_section() {
 #[test]
 fn corrupt_repository_body_names_the_section() {
     let doc = valid_doc().replacen("entry ", "entryx ", 1);
-    match ReStore::new(engine_over(dfs()), ReStoreConfig::default()).recover(&doc, &[]) {
+    match session_over(&pv_users(), ReStoreConfig::default()).recover(&doc, &[]) {
         Err(Error::State { msg, .. }) => {
             assert!(msg.contains("--repository--"), "{msg}");
         }
@@ -363,20 +331,20 @@ fn corrupt_repository_body_names_the_section() {
 /// equal a later commit tick.
 #[test]
 fn an_earlier_epoch_is_refused_naming_both_epochs() {
-    let shared = dfs();
-    let rs = ReStore::new(engine_over(shared.clone()), ReStoreConfig::default());
-    rs.enable_journal(JournalConfig::default());
-    let base = rs.save_state();
+    let mut journaled = Journaled::start(&pv_users(), None, JournalConfig::default(), None);
+    let rs = &journaled.session;
     rs.execute_query_as(Some("ana"), &sum_query("/out/a"), "/wf/a").unwrap();
-    let segments = rs.save_state_delta().unwrap();
+    journaled.seal();
+    let Journaled { session: rs, base, segments } = journaled;
     let doc = rs.save_state();
     assert!(doc.starts_with(&format!("{}\n", header())));
     let segment_header = restore_core::journal::SEGMENT_HEADER;
     assert_eq!(segment_header, format!("restore-journal v{EPOCH}"));
 
+    // Refused on a session that holds `doc`, and refused whole: the
+    // session still holds `doc` after the error.
     let refused = |base: &str, segments: &[String], line: &str, found: u64| {
-        let fresh = ReStore::new(engine_over(shared.clone()), ReStoreConfig::default());
-        match fresh.recover(base, segments) {
+        match rs.recover(base, segments) {
             Err(e @ Error::Epoch { .. }) => {
                 assert_eq!(e, Error::Epoch { line: line.into(), found, reads: EPOCH });
                 let text = e.to_string();
@@ -384,6 +352,7 @@ fn an_earlier_epoch_is_refused_naming_both_epochs() {
             }
             other => panic!("{line}: expected Error::Epoch, got {other:?}"),
         }
+        assert_eq!(rs.save_state(), doc, "{line}: the refused recovery changed the session");
     };
     for found in [4, 5, EPOCH + 1] {
         let old = format!("restore-state v{found}");
@@ -403,7 +372,7 @@ fn an_earlier_epoch_is_refused_naming_both_epochs() {
     }
 
     // The same base and segments at this epoch recover.
-    let fresh = ReStore::new(engine_over(shared), ReStoreConfig::default());
+    let fresh = session_over(rs.engine().dfs(), ReStoreConfig::default());
     fresh.recover(&base, &segments).unwrap();
     assert_eq!(fresh.save_state(), doc);
 }
@@ -423,8 +392,8 @@ fn with_repo_shards(doc: &str, nth: usize, n: usize) -> String {
 /// value, rather than loaded misordered.
 #[test]
 fn sharded_document_is_refused_not_misordered() {
-    let shared = dfs();
-    let rs = ReStore::new(engine_over(shared.clone()), ReStoreConfig::default());
+    let shared = pv_users();
+    let rs = session_over(&shared, ReStoreConfig::default());
     rs.set_config_as(
         Some("ana"),
         ReStoreConfig { heuristic: Heuristic::Conservative, ..Default::default() },

@@ -3,26 +3,10 @@
 //! submitting tenant's space.
 
 use restore_core::{Heuristic, JournalConfig, ReStore, ReStoreConfig, SelectionPolicy};
-use restore_dfs::{Dfs, DfsConfig};
-use restore_mapreduce::{ClusterConfig, Engine, EngineConfig};
+use restore_testkit::{check_repository, pv_users, session_over, sum_query};
 
-fn engine() -> Engine {
-    let dfs = Dfs::new(DfsConfig::small_for_tests());
-    dfs.write_all("/data/pv", b"alice\t4\nbob\t7\nalice\t1\ncarol\t9\n").unwrap();
-    engine_over(dfs)
-}
-
-fn engine_over(dfs: Dfs) -> Engine {
-    Engine::new(dfs, ClusterConfig::default(), EngineConfig::default())
-}
-
-fn sum_query(out: &str) -> String {
-    format!(
-        "A = load '/data/pv' as (user, n:int);
-         G = group A by user;
-         R = foreach G generate group, SUM(A.n);
-         store R into '{out}';"
-    )
+fn session(config: ReStoreConfig) -> ReStore {
+    session_over(&pv_users(), config)
 }
 
 /// `Some("")` and `None` are one namespace, the `""` entry of the
@@ -31,7 +15,7 @@ fn sum_query(out: &str) -> String {
 /// journal never records `""` as a tenant being created.
 #[test]
 fn an_empty_tenant_name_is_the_default_namespace_at_every_entry_point() {
-    let rs = ReStore::new(engine(), ReStoreConfig::default());
+    let rs = session(ReStoreConfig::default());
     rs.enable_journal(JournalConfig::default());
     let base = rs.save_state();
 
@@ -77,14 +61,14 @@ fn an_empty_tenant_name_is_the_default_namespace_at_every_entry_point() {
     assert!(segments.iter().all(|s| !s.contains("tenant-create \"\"")));
     let state = rs.save_state();
     assert_eq!(state.matches("--space \"\"--").count(), 1);
-    let replayed = ReStore::new(engine_over(rs.engine().dfs().clone()), ReStoreConfig::default());
+    let replayed = session_over(rs.engine().dfs(), ReStoreConfig::default());
     replayed.recover(&base, &segments).unwrap();
     assert_eq!(replayed.save_state(), state);
 }
 
 #[test]
 fn tenants_never_reuse_each_others_entries() {
-    let rs = ReStore::new(engine(), ReStoreConfig::default());
+    let rs = session(ReStoreConfig::default());
 
     // Tenant "ana" runs the query cold.
     let a1 = rs.execute_query_as(Some("ana"), &sum_query("/out/a1"), "/wf/a1").unwrap();
@@ -109,7 +93,7 @@ fn tenants_never_reuse_each_others_entries() {
 
 #[test]
 fn tenant_candidate_outputs_live_under_tenant_prefix() {
-    let rs = ReStore::new(engine(), ReStoreConfig::default());
+    let rs = session(ReStoreConfig::default());
     rs.execute_query_as(Some("ana"), &sum_query("/out/ap"), "/wf/ap").unwrap();
     for e in rs.repository_as(Some("ana")).entries() {
         if e.output_path.starts_with("/restore/") {
@@ -124,7 +108,7 @@ fn tenant_candidate_outputs_live_under_tenant_prefix() {
 
 #[test]
 fn overwriting_a_registered_path_invalidates_stale_entries() {
-    let rs = ReStore::new(engine(), ReStoreConfig::default());
+    let rs = session(ReStoreConfig::default());
 
     // ana's query registers its final output at /out/shared.
     rs.execute_query_as(Some("ana"), &sum_query("/out/shared"), "/wf/a").unwrap();
@@ -159,7 +143,7 @@ fn tenant_sweep_never_evicts_other_tenants() {
         selection: SelectionPolicy { eviction_window: Some(2), ..Default::default() },
         ..Default::default()
     };
-    let rs = ReStore::new(engine(), config);
+    let rs = session(config);
 
     // Tick 1: bo stores entries, then goes idle.
     rs.execute_query_as(Some("bo"), &sum_query("/out/b"), "/wf/b").unwrap();
@@ -176,13 +160,7 @@ fn tenant_sweep_never_evicts_other_tenants() {
     // bo's entries (created at tick 1, idle for 7 ticks, well past the
     // window) survive untouched, files included.
     assert_eq!(rs.stats_as(Some("bo")).repository_entries, bo_entries);
-    for e in rs.repository_as(Some("bo")).entries() {
-        assert!(
-            rs.engine().dfs().exists(&e.output_path),
-            "ana's sweep must not delete bo's output {}",
-            e.output_path
-        );
-    }
+    check_repository(&rs).unwrap();
 
     // bo's own next query does sweep bo's stale entries — isolation, not
     // immortality.

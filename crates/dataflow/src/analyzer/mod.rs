@@ -13,17 +13,17 @@
 //! Three passes run in a fixed order, and the whole sequence repeats
 //! until the plan stops changing:
 //!
-//! 1. [`placement`] — operator placement: merge single-consumer
+//! 1. `placement` — operator placement: merge single-consumer
 //!    Project/Project and Filter/Filter chains, sink every Filter below
 //!    the Project feeding it (the optimizer's pushdown direction), so
 //!    pass 2 sees whole conjunctions and pass 3 sees maximal subtrees.
-//! 2. [`exprs`] — expression normalization: flatten AND/OR chains and
+//! 2. `exprs` — expression normalization: flatten AND/OR chains and
 //!    order their legs by a deterministic structural hash (only when
 //!    every leg is total — reordering may change *which* error
 //!    surfaces, never a value), put literals on the right of
 //!    comparisons by mirroring the operator, and order the operands of
 //!    total `+`/`*` the same way.
-//! 3. [`cse`] — common-subplan extraction: hash-cons the DAG so
+//! 3. `cse` — common-subplan extraction: hash-cons the DAG so
 //!    repeated subtrees share one node (the executor already fans a
 //!    multi-consumer node out to each consumer).
 //!

@@ -4,27 +4,20 @@
 
 use restore_common::{codec, tuple, Tuple, Value};
 use restore_dataflow::{compile, exec};
-use restore_dfs::{Dfs, DfsConfig};
-use restore_mapreduce::{ClusterConfig, Engine, EngineConfig};
+use restore_dfs::DfsConfig;
+use restore_mapreduce::{Engine, EngineConfig};
+use restore_testkit::{engine_over, lines_of, read_lines_sorted, small_dfs};
 
 fn engine() -> Engine {
-    let dfs =
-        Dfs::new(DfsConfig { nodes: 3, block_size: 256, replication: 1, node_capacity: None });
-    Engine::new(
-        dfs,
-        ClusterConfig::default(),
-        EngineConfig { worker_threads: 3, default_reduce_tasks: 2 },
-    )
+    let dfs = small_dfs(
+        Some(DfsConfig { nodes: 3, block_size: 256, replication: 1, node_capacity: None }),
+        &[],
+    );
+    engine_over(dfs, Some(EngineConfig { worker_threads: 3, default_reduce_tasks: 2 }))
 }
 
 fn run(eng: &Engine, q: &str) {
     exec::run_workflow(eng, &compile(q, "/wf").unwrap(), "e").unwrap();
-}
-
-fn read_sorted(eng: &Engine, path: &str) -> Vec<Tuple> {
-    let mut rows = codec::decode_all(&eng.dfs().read_all(path).unwrap()).unwrap();
-    rows.sort();
-    rows
 }
 
 #[test]
@@ -39,7 +32,7 @@ fn filter_that_drops_everything() {
          R = foreach G generate group, COUNT(B);
          store R into '/out/empty';",
     );
-    assert_eq!(read_sorted(&eng, "/out/empty"), Vec::<Tuple>::new());
+    assert!(read_lines_sorted(eng.dfs(), "/out/empty").is_empty());
 }
 
 #[test]
@@ -55,7 +48,7 @@ fn single_hot_key_group() {
          R = foreach G generate group, COUNT(A), MIN(A.n), MAX(A.n);
          store R into '/out/hot';",
     );
-    assert_eq!(read_sorted(&eng, "/out/hot"), vec![tuple!["hot", 200, 0, 199]]);
+    assert_eq!(read_lines_sorted(eng.dfs(), "/out/hot"), lines_of(&[tuple!["hot", 200, 0, 199]]));
 }
 
 #[test]
@@ -70,7 +63,10 @@ fn unicode_payloads_survive_the_stack() {
          R = foreach G generate group, COUNT(A);
          store R into '/out/uni';",
     );
-    assert_eq!(read_sorted(&eng, "/out/uni"), vec![tuple!["köln", 2], tuple!["東京", 1]]);
+    assert_eq!(
+        read_lines_sorted(eng.dfs(), "/out/uni"),
+        lines_of(&[tuple!["köln", 2], tuple!["東京", 1]])
+    );
 }
 
 #[test]
@@ -84,7 +80,7 @@ fn wide_tuples_project_correctly() {
          B = foreach A generate $39, $0, $20;
          store B into '/out/wide';",
     );
-    assert_eq!(read_sorted(&eng, "/out/wide"), vec![tuple![39, 0, 20]]);
+    assert_eq!(read_lines_sorted(eng.dfs(), "/out/wide"), lines_of(&[tuple![39, 0, 20]]));
 }
 
 #[test]
@@ -99,7 +95,7 @@ fn join_with_empty_side_is_empty() {
          J = join A by k, B by k;
          store J into '/out/j';",
     );
-    assert_eq!(read_sorted(&eng, "/out/j"), Vec::<Tuple>::new());
+    assert!(read_lines_sorted(eng.dfs(), "/out/j").is_empty());
 }
 
 #[test]
@@ -124,7 +120,7 @@ fn join_keys_with_nulls_are_dropped() {
          store J into '/out/jn';",
     );
     // Only the non-null key pair joins.
-    assert_eq!(read_sorted(&eng, "/out/jn"), vec![tuple!["k", 2, "k", 20]]);
+    assert_eq!(read_lines_sorted(eng.dfs(), "/out/jn"), lines_of(&[tuple!["k", 2, "k", 20]]));
 }
 
 #[test]
@@ -139,7 +135,8 @@ fn distinct_on_duplicated_file() {
          C = distinct B;
          store C into '/out/dd';",
     );
-    assert_eq!(read_sorted(&eng, "/out/dd"), (0..5).map(|i| tuple![i]).collect::<Vec<_>>());
+    let want: Vec<Tuple> = (0..5).map(|i| tuple![i]).collect();
+    assert_eq!(read_lines_sorted(eng.dfs(), "/out/dd"), lines_of(&want));
 }
 
 #[test]
@@ -152,7 +149,7 @@ fn limit_zero_produces_empty_output() {
          B = limit A 0;
          store B into '/out/l0';",
     );
-    assert_eq!(read_sorted(&eng, "/out/l0"), Vec::<Tuple>::new());
+    assert!(read_lines_sorted(eng.dfs(), "/out/l0").is_empty());
 }
 
 #[test]
@@ -193,7 +190,10 @@ fn group_by_double_keys() {
          R = foreach G generate group, SUM(A.n);
          store R into '/out/fk';",
     );
-    assert_eq!(read_sorted(&eng, "/out/fk"), vec![tuple![0.5, 4], tuple![1.5, 2]]);
+    assert_eq!(
+        read_lines_sorted(eng.dfs(), "/out/fk"),
+        lines_of(&[tuple![0.5, 4], tuple![1.5, 2]])
+    );
 }
 
 #[test]
@@ -208,5 +208,5 @@ fn deeply_nested_expressions() {
          store B into '/out/expr';",
     );
     // (3+4)*(3-4) = -7; -7 % 7 = 0 (Rust semantics). 3/4*100 = 75.
-    assert_eq!(read_sorted(&eng, "/out/expr"), vec![tuple![0, 75]]);
+    assert_eq!(read_lines_sorted(eng.dfs(), "/out/expr"), lines_of(&[tuple![0, 75]]));
 }

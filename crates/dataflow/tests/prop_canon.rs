@@ -24,8 +24,9 @@ use restore_dataflow::{
     PhysicalPlan,
 };
 use restore_dfs::{Dfs, DfsConfig};
-use restore_mapreduce::{ClusterConfig, Engine, EngineConfig};
+use restore_mapreduce::{Engine, EngineConfig};
 use restore_pigmix::{paraphrase, queries};
+use restore_testkit::engine_over;
 use std::time::Duration;
 
 /// The analyzer's fixpoint loop as it was before passes reported their
@@ -104,11 +105,7 @@ fn engine_with_data() -> Engine {
         Dfs::new(DfsConfig { nodes: 4, block_size: 512, replication: 2, node_capacity: None });
     let rows: Vec<Tuple> = (0..24).map(|i: i64| tuple![i % 7, (i * 3) % 5, (i * i) % 11]).collect();
     dfs.write_all("/d", &codec::encode_all(&rows)).unwrap();
-    Engine::new(
-        dfs,
-        ClusterConfig::default(),
-        EngineConfig { worker_threads: 2, default_reduce_tasks: 2 },
-    )
+    engine_over(dfs, Some(EngineConfig { worker_threads: 2, default_reduce_tasks: 2 }))
 }
 
 /// Filter predicates in paraphrase pairs: entries `2k` and `2k + 1`

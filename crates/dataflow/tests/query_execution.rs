@@ -5,16 +5,15 @@
 use restore_common::{codec, tuple, Tuple, Value};
 use restore_dataflow::{compile, exec};
 use restore_dfs::{Dfs, DfsConfig};
-use restore_mapreduce::{ClusterConfig, Engine, EngineConfig};
+use restore_mapreduce::{Engine, EngineConfig};
+use restore_testkit::{engine_over, lines_of, read_lines_sorted, small_dfs};
 
 fn engine() -> Engine {
-    let dfs =
-        Dfs::new(DfsConfig { nodes: 4, block_size: 512, replication: 2, node_capacity: None });
-    Engine::new(
-        dfs,
-        ClusterConfig::default(),
-        EngineConfig { worker_threads: 4, default_reduce_tasks: 3 },
-    )
+    let dfs = small_dfs(
+        Some(DfsConfig { nodes: 4, block_size: 512, replication: 2, node_capacity: None }),
+        &[],
+    );
+    engine_over(dfs, Some(EngineConfig { worker_threads: 4, default_reduce_tasks: 3 }))
 }
 
 fn write(dfs: &Dfs, path: &str, rows: &[Tuple]) {
@@ -23,12 +22,6 @@ fn write(dfs: &Dfs, path: &str, rows: &[Tuple]) {
 
 fn run(eng: &Engine, q: &str) {
     exec::run_workflow(eng, &compile(q, "/wf").unwrap(), "t").unwrap();
-}
-
-fn read_sorted(eng: &Engine, path: &str) -> Vec<Tuple> {
-    let mut rows = codec::decode_all(&eng.dfs().read_all(path).unwrap()).unwrap();
-    rows.sort();
-    rows
 }
 
 #[test]
@@ -43,9 +36,12 @@ fn split_statement_end_to_end() {
          store Mid into '/out/mid';
          store Big into '/out/big';",
     );
-    assert_eq!(read_sorted(&eng, "/out/small"), vec![tuple![5, "a"]]);
-    assert_eq!(read_sorted(&eng, "/out/mid"), vec![tuple![10, "d"], tuple![15, "b"]]);
-    assert_eq!(read_sorted(&eng, "/out/big"), vec![tuple![25, "c"]]);
+    assert_eq!(read_lines_sorted(eng.dfs(), "/out/small"), lines_of(&[tuple![5, "a"]]));
+    assert_eq!(
+        read_lines_sorted(eng.dfs(), "/out/mid"),
+        lines_of(&[tuple![10, "d"], tuple![15, "b"]])
+    );
+    assert_eq!(read_lines_sorted(eng.dfs(), "/out/big"), lines_of(&[tuple![25, "c"]]));
 }
 
 #[test]
@@ -60,8 +56,8 @@ fn split_branches_can_overlap() {
          store Odd into '/out/odd';
          store All into '/out/all';",
     );
-    assert_eq!(read_sorted(&eng, "/out/odd"), vec![tuple![1], tuple![3]]);
-    assert_eq!(read_sorted(&eng, "/out/all").len(), 3);
+    assert_eq!(read_lines_sorted(eng.dfs(), "/out/odd"), lines_of(&[tuple![1], tuple![3]]));
+    assert_eq!(read_lines_sorted(eng.dfs(), "/out/all").len(), 3);
 }
 
 #[test]
@@ -76,8 +72,8 @@ fn string_functions_in_queries() {
          store B into '/out/s';",
     );
     assert_eq!(
-        read_sorted(&eng, "/out/s"),
-        vec![tuple!["alpha", "prefix", 1], tuple!["beta", "other-", 0]]
+        read_lines_sorted(eng.dfs(), "/out/s"),
+        lines_of(&[tuple!["alpha", "prefix", 1], tuple!["beta", "other-", 0]])
     );
 }
 
@@ -95,8 +91,8 @@ fn three_way_union_and_distinct() {
          store D into '/out/u';",
     );
     assert_eq!(
-        read_sorted(&eng, "/out/u"),
-        vec![tuple!["w"], tuple!["x"], tuple!["y"], tuple!["z"]]
+        read_lines_sorted(eng.dfs(), "/out/u"),
+        lines_of(&[tuple!["w"], tuple!["x"], tuple!["y"], tuple!["z"]])
     );
 }
 
@@ -115,7 +111,10 @@ fn three_way_join() {
          store J into '/out/j3';",
     );
     // Only k1 appears in all three inputs.
-    assert_eq!(read_sorted(&eng, "/out/j3"), vec![tuple!["k1", 1, "k1", 10.0, "k1", "x"]]);
+    assert_eq!(
+        read_lines_sorted(eng.dfs(), "/out/j3"),
+        lines_of(&[tuple!["k1", 1, "k1", 10.0, "k1", "x"]])
+    );
 }
 
 #[test]
@@ -130,7 +129,10 @@ fn composite_key_join() {
          J = join A by (k1, k2), B by (k1, k2);
          store J into '/out/ck';",
     );
-    assert_eq!(read_sorted(&eng, "/out/ck"), vec![tuple!["u", 1, "left1", "u", 1, "right1"]]);
+    assert_eq!(
+        read_lines_sorted(eng.dfs(), "/out/ck"),
+        lines_of(&[tuple!["u", 1, "left1", "u", 1, "right1"]])
+    );
 }
 
 #[test]
@@ -163,12 +165,9 @@ fn aggregates_over_empty_groups_and_nulls() {
          R = foreach G generate group, COUNT(A.v), SUM(A.v);
          store R into '/out/agg';",
     );
-    let got = read_sorted(&eng, "/out/agg");
     // COUNT skips nulls; SUM of all-null is null.
-    assert_eq!(got[0], tuple!["k", 1, 4]);
-    assert_eq!(got[1].get(0), &Value::str("m"));
-    assert_eq!(got[1].get(1), &Value::Int(0));
-    assert!(got[1].get(2).is_null());
+    let m = Tuple::from_values(vec![Value::str("m"), Value::Int(0), Value::Null]);
+    assert_eq!(read_lines_sorted(eng.dfs(), "/out/agg"), lines_of(&[tuple!["k", 1, 4], m]));
 }
 
 #[test]
@@ -181,7 +180,10 @@ fn arithmetic_projection_pipeline() {
          B = foreach A generate n * 2 as dbl, f + 1.0 as inc, n % 3 as rem;
          store B into '/out/math';",
     );
-    assert_eq!(read_sorted(&eng, "/out/math"), vec![tuple![6, 5.0, 0], tuple![20, 1.5, 1]]);
+    assert_eq!(
+        read_lines_sorted(eng.dfs(), "/out/math"),
+        lines_of(&[tuple![6, 5.0, 0], tuple![20, 1.5, 1]])
+    );
 }
 
 #[test]
@@ -216,7 +218,7 @@ fn cogroup_preserves_empty_sides() {
          C = cogroup A by k, B by k;
          store C into '/out/cg';",
     );
-    let got = read_sorted(&eng, "/out/cg");
+    let got = codec::decode_all(&eng.dfs().read_all("/out/cg").unwrap()).unwrap();
     assert_eq!(got.len(), 2);
     // Key x: bag A non-empty, bag B empty; key y: the reverse.
     let x = got.iter().find(|t| t.get(0) == &Value::str("x")).unwrap();
@@ -267,5 +269,5 @@ fn is_null_filters() {
          C = foreach B generate k;
          store C into '/out/nulls';",
     );
-    assert_eq!(read_sorted(&eng, "/out/nulls"), vec![tuple!["a"]]);
+    assert_eq!(read_lines_sorted(eng.dfs(), "/out/nulls"), lines_of(&[tuple!["a"]]));
 }

@@ -106,9 +106,10 @@ impl Dfs {
 
     /// Current logical time. A reader that sees clock `c` sees every
     /// delete and commit that ticked at or before `c`: the read is
-    /// `Acquire` and pairs with [`Dfs::tick`]. So a reader that found its
-    /// paths present, at the versions it expected, at clock `c` knows
-    /// they still are while the clock reads `c`.
+    /// `Acquire` and pairs with the `Release` of the tick each of them
+    /// takes. So a reader that found its paths present, at the versions
+    /// it expected, at clock `c` knows they still are while the clock
+    /// reads `c`.
     pub fn now(&self) -> u64 {
         self.inner.clock.load(Ordering::Acquire)
     }

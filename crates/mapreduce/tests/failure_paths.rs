@@ -5,17 +5,13 @@
 use restore_common::{codec, tuple, Error, Result, Tuple};
 use restore_dfs::{Dfs, DfsConfig};
 use restore_mapreduce::{
-    ClusterConfig, Engine, EngineConfig, JobInput, JobSpec, MapContext, Mapper, ReduceContext,
-    Reducer,
+    Engine, EngineConfig, JobInput, JobSpec, MapContext, Mapper, ReduceContext, Reducer,
 };
+use restore_testkit::engine_over;
 use std::sync::Arc;
 
 fn engine(dfs: Dfs) -> Engine {
-    Engine::new(
-        dfs,
-        ClusterConfig::default(),
-        EngineConfig { worker_threads: 3, default_reduce_tasks: 2 },
-    )
+    engine_over(dfs, Some(EngineConfig { worker_threads: 3, default_reduce_tasks: 2 }))
 }
 
 struct KeyFirst;
@@ -227,10 +223,9 @@ fn a_failed_task_stops_the_job() {
             }),
             None,
         );
-        let engine = Engine::new(
+        let engine = engine_over(
             dfs.clone(),
-            ClusterConfig::default(),
-            EngineConfig { worker_threads: threads, default_reduce_tasks: 2 },
+            Some(EngineConfig { worker_threads: threads, default_reduce_tasks: 2 }),
         );
         // Whichever tasks failed, the error is that of the lowest split.
         let err = engine.run(&spec).unwrap_err();

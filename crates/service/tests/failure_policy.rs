@@ -14,28 +14,19 @@
 //! ticket.
 
 use restore_core::{FailureDisposition, FailurePolicy, ReStore, ReStoreConfig};
-use restore_dfs::{Dfs, DfsConfig};
-use restore_mapreduce::{ClusterConfig, Engine, EngineConfig};
+use restore_dfs::Dfs;
+use restore_mapreduce::EngineConfig;
 use restore_service::{
     CheckpointConfig, FaultInjector, RestoreService, ServiceConfig, ServiceError, SubmitHandle,
 };
+use restore_testkit::{engine_over, pv_users, sum_query};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-fn fresh_dfs() -> Dfs {
-    let dfs =
-        Dfs::new(DfsConfig { nodes: 4, block_size: 256, replication: 2, node_capacity: None });
-    dfs.write_all("/data/pv", b"alice\t4\nbob\t7\nalice\t1\ncarol\t9\ndan\t2\n").unwrap();
-    dfs
-}
-
 fn session_over(dfs: Dfs) -> ReStore {
-    let engine = Engine::new(
-        dfs,
-        ClusterConfig::default(),
-        EngineConfig { worker_threads: 2, default_reduce_tasks: 2 },
-    );
+    let engine =
+        engine_over(dfs, Some(EngineConfig { worker_threads: 2, default_reduce_tasks: 2 }));
     ReStore::new(engine, ReStoreConfig::default())
 }
 
@@ -47,14 +38,7 @@ fn service_over(dfs: Dfs) -> RestoreService {
 }
 
 fn query(tag: &str, round: usize) -> (String, String) {
-    let out = format!("/out/{tag}/r{round}");
-    let q = format!(
-        "A = load '/data/pv' as (user, n:int);
-         G = group A by user;
-         R = foreach G generate group, SUM(A.n);
-         store R into '{out}';"
-    );
-    (q, format!("/wf/{tag}/r{round}"))
+    (sum_query(&format!("/out/{tag}/r{round}")), format!("/wf/{tag}/r{round}"))
 }
 
 fn submit(svc: &RestoreService, tag: &str, round: usize) -> SubmitHandle {
@@ -108,7 +92,7 @@ impl FaultInjector for TransientFault {
 /// the queue or a worker, and a healthy tenant keeps executing.
 #[test]
 fn flapping_tenant_is_shed_healthy_tenant_unaffected() {
-    let svc = service_over(fresh_dfs());
+    let svc = service_over(pv_users());
     svc.set_fault_injector(Some(TenantOutage::new("flappy")));
     svc.driver().set_config_as(
         Some("flappy"),
@@ -160,7 +144,7 @@ fn flapping_tenant_is_shed_healthy_tenant_unaffected() {
 /// runs through re-enqueue, so the worker pool is never parked.
 #[test]
 fn retries_heal_transients_and_exhaust_into_the_final_error() {
-    let svc = service_over(fresh_dfs());
+    let svc = service_over(pv_users());
     svc.set_fault_injector(Some(Arc::new(TransientFault { fail_first: 2 })));
     svc.driver().set_config_as(
         Some("ana"),
@@ -191,7 +175,7 @@ fn retries_heal_transients_and_exhaust_into_the_final_error() {
 /// own breaker.
 #[test]
 fn drop_disposition_discards_without_retries_or_breaker_accounting() {
-    let svc = service_over(fresh_dfs());
+    let svc = service_over(pv_users());
     svc.set_fault_injector(Some(TenantOutage::new("be")));
     svc.driver().set_config_as(
         Some("be"),
@@ -221,7 +205,7 @@ fn drop_disposition_discards_without_retries_or_breaker_accounting() {
 /// succeeded here), no breaker.
 #[test]
 fn default_policy_fails_fast_exactly_once() {
-    let svc = service_over(fresh_dfs());
+    let svc = service_over(pv_users());
     svc.set_fault_injector(Some(Arc::new(TransientFault { fail_first: 1 })));
     let err = submit(&svc, "ana", 0).wait().unwrap_err();
     assert!(matches!(err, ServiceError::Query(_)));
@@ -234,7 +218,7 @@ fn default_policy_fails_fast_exactly_once() {
 /// serves normally again.
 #[test]
 fn half_open_probe_closes_the_breaker_after_heal() {
-    let svc = service_over(fresh_dfs());
+    let svc = service_over(pv_users());
     let outage = TenantOutage::new("ho");
     svc.set_fault_injector(Some(outage.clone()));
     svc.driver().set_config_as(
@@ -276,7 +260,7 @@ fn half_open_probe_closes_the_breaker_after_heal() {
 /// faults exactly as the one before it would have.
 #[test]
 fn retry_policy_survives_a_checkpoint_set_restart() {
-    let dfs = fresh_dfs();
+    let dfs = pv_users();
     let svc = service_over(dfs.clone());
     svc.driver().set_config_as(
         Some("ana"),

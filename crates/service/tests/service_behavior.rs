@@ -28,12 +28,13 @@
 use restore_core::{
     FailureDisposition, FailurePolicy, QueryExecution, ReStore, ReStoreConfig, SelectionPolicy,
 };
-use restore_dfs::{Dfs, DfsConfig};
-use restore_mapreduce::{ClusterConfig, Engine, EngineConfig};
+use restore_dfs::DfsConfig;
+use restore_mapreduce::{Engine, EngineConfig};
 use restore_pigmix::{datagen, queries, DataScale};
 use restore_service::{
     CheckpointSet, FaultInjector, RestoreService, ServiceConfig, ServiceError, SubmitHandle,
 };
+use restore_testkit::{check_repository, engine_over, small_dfs};
 use std::collections::HashMap;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
@@ -43,14 +44,12 @@ use std::time::{Duration, Instant};
 const SEED: u64 = 0x5EED;
 
 fn engine() -> Engine {
-    let dfs =
-        Dfs::new(DfsConfig { nodes: 4, block_size: 1024, replication: 2, node_capacity: None });
+    let dfs = small_dfs(
+        Some(DfsConfig { nodes: 4, block_size: 1024, replication: 2, node_capacity: None }),
+        &[],
+    );
     datagen::generate(&dfs, &DataScale::tiny(), SEED).expect("data generation");
-    Engine::new(
-        dfs,
-        ClusterConfig::default(),
-        EngineConfig { worker_threads: 2, default_reduce_tasks: 3 },
-    )
+    engine_over(dfs, Some(EngineConfig { worker_threads: 2, default_reduce_tasks: 3 }))
 }
 
 fn service(config: ServiceConfig) -> RestoreService {
@@ -144,12 +143,8 @@ fn tenant_sweeps_and_reuse_are_isolated() {
         bo_entries,
         "ana's sweeps must not evict bo's entries"
     );
-    for e in svc.driver().repository_as(Some("bo")).entries() {
-        assert!(
-            svc.driver().engine().dfs().exists(&e.output_path),
-            "bo's output {} deleted by another tenant's sweep",
-            e.output_path
-        );
+    if let Err(e) = check_repository(svc.driver()) {
+        panic!("an output deleted by another tenant's sweep: {e}");
     }
 
     // No cross-tenant reuse: bo rerunning ana's exact query text (fresh

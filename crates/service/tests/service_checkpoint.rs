@@ -5,11 +5,12 @@
 
 use restore_core::{JournalConfig, ReStore, ReStoreConfig};
 use restore_dfs::{Dfs, DfsConfig};
-use restore_mapreduce::{ClusterConfig, Engine, EngineConfig};
+use restore_mapreduce::EngineConfig;
 use restore_pigmix::{datagen, queries, DataScale};
 use restore_service::{
     CheckpointConfig, FaultInjector, RestoreService, ServiceConfig, ServiceError,
 };
+use restore_testkit::{engine_over, small_dfs};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -17,18 +18,17 @@ use std::time::Duration;
 const SEED: u64 = 0xC0FFEE;
 
 fn shared_dfs() -> Dfs {
-    let dfs =
-        Dfs::new(DfsConfig { nodes: 4, block_size: 2048, replication: 2, node_capacity: None });
+    let dfs = small_dfs(
+        Some(DfsConfig { nodes: 4, block_size: 2048, replication: 2, node_capacity: None }),
+        &[],
+    );
     datagen::generate(&dfs, &DataScale::tiny(), SEED).expect("data generation");
     dfs
 }
 
 fn service_over(dfs: Dfs, workers: usize) -> RestoreService {
-    let engine = Engine::new(
-        dfs,
-        ClusterConfig::default(),
-        EngineConfig { worker_threads: 2, default_reduce_tasks: 2 },
-    );
+    let engine =
+        engine_over(dfs, Some(EngineConfig { worker_threads: 2, default_reduce_tasks: 2 }));
     let rs = ReStore::new(engine, ReStoreConfig::default());
     RestoreService::new(
         rs,

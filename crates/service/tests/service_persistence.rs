@@ -3,33 +3,20 @@
 //! through the service.
 
 use restore_core::{Heuristic, ReStore, ReStoreConfig, ReStoreStats, SelectionPolicy};
-use restore_dfs::{Dfs, DfsConfig};
-use restore_mapreduce::{ClusterConfig, Engine, EngineConfig};
+use restore_dfs::Dfs;
+use restore_mapreduce::EngineConfig;
 use restore_service::{CheckpointConfig, CheckpointSet, RestoreService, ServiceConfig};
+use restore_testkit::{check_repository, engine_over, pv_users, session_over};
 use std::sync::Arc;
 use std::time::Duration;
 
 const TENANTS: [&str; 4] = ["ana", "bo", "cy", "dee"];
 
-fn fresh_dfs() -> Dfs {
-    let dfs =
-        Dfs::new(DfsConfig { nodes: 4, block_size: 256, replication: 2, node_capacity: None });
-    dfs.write_all("/data/pv", b"alice\t4\nbob\t7\nalice\t1\ncarol\t9\ndan\t2\n").unwrap();
-    dfs.write_all("/data/users", b"alice\tkitchener\nbob\ttoronto\ncarol\twaterloo\n").unwrap();
-    dfs
-}
-
-fn engine_over(dfs: Dfs) -> Engine {
-    Engine::new(
-        dfs,
-        ClusterConfig::default(),
-        EngineConfig { worker_threads: 2, default_reduce_tasks: 2 },
-    )
-}
-
 fn service_over(dfs: Dfs, config: ReStoreConfig) -> RestoreService {
+    let engine =
+        engine_over(dfs, Some(EngineConfig { worker_threads: 2, default_reduce_tasks: 2 }));
     RestoreService::new(
-        ReStore::new(engine_over(dfs), config),
+        ReStore::new(engine, config),
         ServiceConfig { workers: 4, queue_depth: 256, ..Default::default() },
     )
 }
@@ -114,7 +101,7 @@ fn install_overrides(svc: &RestoreService) {
 /// Returns the round-2 outcomes, the per-tenant repository statistics,
 /// and each tenant's effective config.
 fn run_scenario(restart: bool) -> (Vec<Outcome>, Vec<ReStoreStats>, Vec<ReStoreConfig>) {
-    let dfs = fresh_dfs();
+    let dfs = pv_users();
     let svc = service_over(dfs.clone(), ReStoreConfig::default());
     install_overrides(&svc);
     submit_round(&svc, 1);
@@ -170,7 +157,7 @@ fn crash_restart_matches_uninterrupted_run() {
 /// never references a path that does not exist in the DFS.
 #[test]
 fn snapshot_under_load_never_serializes_dead_paths() {
-    let dfs = fresh_dfs();
+    let dfs = pv_users();
     // Aggressive retention: anything unused for 2 ticks is evicted (and
     // its file deleted — deferred when pinned by an in-flight workflow).
     let config = ReStoreConfig {
@@ -189,7 +176,7 @@ fn snapshot_under_load_never_serializes_dead_paths() {
         // Snapshot while workflows are in flight: must always load
         // cleanly into a fresh session, whatever the race.
         let live = svc.driver().save_state();
-        let scratch = ReStore::new(engine_over(dfs.clone()), ReStoreConfig::default());
+        let scratch = session_over(&dfs, ReStoreConfig::default());
         scratch.recover(&live, &[]).unwrap_or_else(|e| {
             panic!("snapshot taken under load must stay loadable: {e}\n{live}")
         });
@@ -214,19 +201,15 @@ fn snapshot_under_load_never_serializes_dead_paths() {
 /// Load `snap` into a scratch session and assert every repository and
 /// provenance path in every namespace has a file behind it.
 fn assert_all_paths_live(snap: &str, dfs: &Dfs) {
-    let scratch = ReStore::new(engine_over(dfs.clone()), ReStoreConfig::default());
+    let scratch = session_over(dfs, ReStoreConfig::default());
     scratch.recover(snap, &[]).expect("snapshot loads");
+    if let Err(e) = check_repository(&scratch) {
+        panic!("snapshot serialized a dangling repository path: {e}");
+    }
     let mut namespaces: Vec<Option<String>> = vec![None];
     namespaces.extend(scratch.tenant_ids().into_iter().map(Some));
     for ns in namespaces {
         let t = ns.as_deref();
-        for e in scratch.repository_as(t).entries() {
-            assert!(
-                dfs.exists(&e.output_path),
-                "snapshot serialized dangling repository path {} (tenant {t:?})",
-                e.output_path
-            );
-        }
         scratch.with_provenance_as(t, |prov| {
             for p in prov.iter_paths() {
                 assert!(
@@ -242,7 +225,7 @@ fn assert_all_paths_live(snap: &str, dfs: &Dfs) {
 /// not rejected — and execute once dispatch resumes.
 #[test]
 fn restore_incremental_queues_concurrent_submissions() {
-    let dfs = fresh_dfs();
+    let dfs = pv_users();
     let svc = Arc::new(service_over(dfs, ReStoreConfig::default()));
     let (q, wf) = tenant_query("ana", 1);
     svc.submit(Some("ana"), &q, &wf).unwrap().wait().unwrap();
@@ -265,7 +248,7 @@ fn restore_incremental_queues_concurrent_submissions() {
 /// tenant only, and overrides ride along in checkpoints.
 #[test]
 fn per_tenant_policy_submission_via_service() {
-    let dfs = fresh_dfs();
+    let dfs = pv_users();
     let svc = service_over(dfs.clone(), ReStoreConfig::default());
     let frugal = ReStoreConfig {
         heuristic: Heuristic::None,

@@ -9,22 +9,21 @@
 //!    come from one cut, even while submissions race the reader.
 
 use restore_core::{ReStore, ReStoreConfig, ReuseDecision};
-use restore_dfs::{Dfs, DfsConfig};
-use restore_mapreduce::{ClusterConfig, Engine, EngineConfig};
+use restore_dfs::DfsConfig;
+use restore_mapreduce::{Engine, EngineConfig};
 use restore_pigmix::{datagen, queries, DataScale};
 use restore_service::{CheckpointConfig, RestoreService, ServiceConfig};
+use restore_testkit::{engine_over, small_dfs};
 
 const SEED: u64 = 0x5EED;
 
 fn engine() -> Engine {
-    let dfs =
-        Dfs::new(DfsConfig { nodes: 4, block_size: 1024, replication: 2, node_capacity: None });
+    let dfs = small_dfs(
+        Some(DfsConfig { nodes: 4, block_size: 1024, replication: 2, node_capacity: None }),
+        &[],
+    );
     datagen::generate(&dfs, &DataScale::tiny(), SEED).expect("data generation");
-    Engine::new(
-        dfs,
-        ClusterConfig::default(),
-        EngineConfig { worker_threads: 2, default_reduce_tasks: 3 },
-    )
+    engine_over(dfs, Some(EngineConfig { worker_threads: 2, default_reduce_tasks: 3 }))
 }
 
 fn service(config: ServiceConfig) -> RestoreService {

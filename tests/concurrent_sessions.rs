@@ -9,23 +9,21 @@
 //!    entry's output exists in the DFS, usage accounting adds up, and the
 //!    session state still round-trips through save/load.
 
-use restore_suite::common::codec;
 use restore_suite::core::{ReStore, ReStoreConfig};
-use restore_suite::dfs::{Dfs, DfsConfig};
-use restore_suite::mapreduce::{ClusterConfig, Engine, EngineConfig};
+use restore_suite::dfs::DfsConfig;
+use restore_suite::mapreduce::{Engine, EngineConfig};
 use restore_suite::pigmix::{datagen, queries, DataScale};
+use restore_testkit::{check_repository, engine_over, read_lines_sorted, small_dfs, Oracle};
 
 const SEED: u64 = 0xC0FFEE;
 
 fn engine() -> Engine {
-    let dfs =
-        Dfs::new(DfsConfig { nodes: 4, block_size: 1024, replication: 2, node_capacity: None });
+    let dfs = small_dfs(
+        Some(DfsConfig { nodes: 4, block_size: 1024, replication: 2, node_capacity: None }),
+        &[],
+    );
     datagen::generate(&dfs, &DataScale::tiny(), SEED).expect("data generation");
-    Engine::new(
-        dfs,
-        ClusterConfig::default(),
-        EngineConfig { worker_threads: 2, default_reduce_tasks: 3 },
-    )
+    engine_over(dfs, Some(EngineConfig { worker_threads: 2, default_reduce_tasks: 3 }))
 }
 
 /// The workload of one session: multi-job L11 (3 jobs, 2 of them in one
@@ -37,12 +35,6 @@ fn session_queries(tag: &str) -> Vec<(String, String)> {
         (queries::l7(&format!("/out/{tag}/l7")), format!("/wf/{tag}/l7")),
         (queries::l8(&format!("/out/{tag}/l8")), format!("/wf/{tag}/l8")),
     ]
-}
-
-fn read_sorted(dfs: &Dfs, path: &str) -> Vec<restore_suite::common::Tuple> {
-    let mut t = codec::decode_all(&dfs.read_all(path).unwrap()).unwrap();
-    t.sort();
-    t
 }
 
 /// Wave-parallel execution must be byte-identical to sequential: same
@@ -79,63 +71,41 @@ fn wave_parallel_output_matches_sequential() {
 fn concurrent_sessions_preserve_answers() {
     const THREADS: usize = 8;
 
-    // Baseline answers on an isolated engine (no reuse at all).
-    let baseline_engine = engine();
-    let baseline = ReStore::new(baseline_engine, ReStoreConfig::baseline());
-    let mut expected = Vec::new();
-    for (q, prefix) in session_queries("base") {
-        let e = baseline.execute_query(&q, &prefix).unwrap();
-        expected.push(read_sorted(baseline.engine().dfs(), &e.final_output));
-    }
-
-    // Shared session: all threads submit against one repository.
+    // Shared session: all threads submit against one repository, and
+    // each checks its sequence against a no-reuse session of its own.
     let shared = ReStore::new(engine(), ReStoreConfig::default());
-    let results: Vec<Vec<Vec<restore_suite::common::Tuple>>> = std::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let shared = &shared;
         let handles: Vec<_> = (0..THREADS)
             .map(|t| {
                 scope.spawn(move || {
-                    session_queries(&format!("t{t}"))
-                        .into_iter()
-                        .map(|(q, prefix)| {
-                            let e = shared.execute_query(&q, &prefix).unwrap();
-                            // Interleave stats polling with registration in
-                            // other threads: guards lock ordering (a
-                            // repo-then-prov inversion deadlocks here).
-                            let _ = shared.stats_as(None);
-                            read_sorted(shared.engine().dfs(), &e.final_output)
-                        })
-                        .collect()
+                    session_queries(&format!("t{t}")).into_iter().try_for_each(|(q, _)| {
+                        Oracle::check(shared, &[q])?;
+                        // Interleave stats polling with registration in
+                        // other threads: guards lock ordering (a
+                        // repo-then-prov inversion deadlocks here).
+                        let _ = shared.stats_as(None);
+                        Ok::<(), String>(())
+                    })
                 })
             })
             .collect();
-        handles.into_iter().map(|h| h.join().expect("session thread")).collect()
-    });
-    for (t, per_thread) in results.iter().enumerate() {
-        for (i, got) in per_thread.iter().enumerate() {
-            assert_eq!(got, &expected[i], "thread {t}, query {i} diverged from baseline");
+        for (t, h) in handles.into_iter().enumerate() {
+            if let Err(e) = h.join().expect("session thread") {
+                panic!("thread {t} diverged from baseline: {e}");
+            }
         }
-    }
+    });
 
     // Repository consistency after the storm.
     let stats = shared.stats_as(None);
     assert_eq!(stats.queries_executed, (THREADS * 4) as u64);
     assert!(stats.repository_entries > 0);
-    {
-        let repo = shared.repository_as(None);
-        for entry in repo.entries() {
-            assert!(
-                shared.engine().dfs().exists(&entry.output_path),
-                "repository entry {} points at missing file {}",
-                entry.id,
-                entry.output_path
-            );
-        }
-        assert_eq!(
-            stats.total_uses,
-            repo.entries().iter().map(|e| e.stats().use_count).sum::<u64>()
-        );
-    }
+    check_repository(&shared).unwrap();
+    assert_eq!(
+        stats.total_uses,
+        shared.repository_as(None).entries().iter().map(|e| e.stats().use_count).sum::<u64>()
+    );
 
     // The session state survives a save/load round trip.
     let state = shared.save_state();
@@ -151,14 +121,14 @@ fn racing_identical_queries_converge() {
     const THREADS: usize = 6;
     let shared = ReStore::new(engine(), ReStoreConfig::default());
 
-    let outputs: Vec<Vec<restore_suite::common::Tuple>> = std::thread::scope(|scope| {
+    let outputs: Vec<Vec<String>> = std::thread::scope(|scope| {
         let shared = &shared;
         let handles: Vec<_> = (0..THREADS)
             .map(|t| {
                 scope.spawn(move || {
                     let q = queries::l3(&format!("/out/race/{t}"));
                     let e = shared.execute_query(&q, &format!("/wf/race/{t}")).unwrap();
-                    read_sorted(shared.engine().dfs(), &e.final_output)
+                    read_lines_sorted(shared.engine().dfs(), &e.final_output)
                 })
             })
             .collect();

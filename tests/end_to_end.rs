@@ -3,57 +3,35 @@
 
 use restore_suite::common::{codec, tuple, Tuple};
 use restore_suite::core::{Heuristic, ReStore, ReStoreConfig, Repository};
-use restore_suite::dfs::{Dfs, DfsConfig};
-use restore_suite::mapreduce::{ClusterConfig, Engine, EngineConfig};
+use restore_suite::dfs::DfsConfig;
+use restore_suite::mapreduce::{Engine, EngineConfig};
 use restore_suite::pigmix::{datagen, queries, DataScale};
+use restore_testkit::{engine_over, lines_of, read_lines_sorted, small_dfs, Oracle};
 
 fn pigmix_engine() -> Engine {
-    let dfs =
-        Dfs::new(DfsConfig { nodes: 6, block_size: 4 << 10, replication: 2, node_capacity: None });
+    let dfs = small_dfs(
+        Some(DfsConfig { nodes: 6, block_size: 4 << 10, replication: 2, node_capacity: None }),
+        &[],
+    );
     datagen::generate(&dfs, &DataScale::tiny(), 1234).unwrap();
-    Engine::new(
-        dfs,
-        ClusterConfig::default(),
-        EngineConfig { worker_threads: 4, default_reduce_tasks: 4 },
-    )
+    engine_over(dfs, Some(EngineConfig { worker_threads: 4, default_reduce_tasks: 4 }))
 }
 
-fn read_sorted(dfs: &Dfs, path: &str) -> Vec<Tuple> {
-    let mut rows = codec::decode_all(&dfs.read_all(path).unwrap()).unwrap();
-    rows.sort();
-    rows
+fn workload(out: &str) -> Vec<String> {
+    queries::standard_workload(out).into_iter().map(|(_, q)| q).collect()
 }
 
-/// Every PigMix query must produce byte-identical (sorted) results under
-/// every ReStore configuration, warm or cold.
+/// Every PigMix query must produce the no-reuse answer under every
+/// ReStore configuration, warm or cold.
 #[test]
 fn pigmix_results_invariant_under_reuse() {
-    // Golden results from the plain baseline.
-    let golden: Vec<(String, Vec<Tuple>)> = {
-        let engine = pigmix_engine();
-        let rs = ReStore::new(engine, ReStoreConfig::baseline());
-        queries::standard_workload("/out/golden")
-            .into_iter()
-            .map(|(label, q)| {
-                let e = rs.execute_query(&q, &format!("/wf/g-{label}")).unwrap();
-                (label, read_sorted(rs.engine().dfs(), &e.final_output))
-            })
-            .collect()
-    };
-
     for heuristic in [Heuristic::Conservative, Heuristic::Aggressive, Heuristic::NoHeuristic] {
-        let engine = pigmix_engine();
-        let rs = ReStore::new(engine, ReStoreConfig { heuristic, ..Default::default() });
+        let rs = ReStore::new(pigmix_engine(), ReStoreConfig { heuristic, ..Default::default() });
         // Run the whole workload twice: cold (generating) and warm
-        // (reusing). Both must match the golden answers.
+        // (reusing).
         for round in 0..2 {
-            for (i, (label, q)) in
-                queries::standard_workload(&format!("/out/r{round}")).into_iter().enumerate()
-            {
-                let e =
-                    rs.execute_query(&q, &format!("/wf/{heuristic:?}-{round}-{label}")).unwrap();
-                let got = read_sorted(rs.engine().dfs(), &e.final_output);
-                assert_eq!(got, golden[i].1, "{label} differs under {heuristic:?} round {round}");
+            if let Err(e) = Oracle::check(&rs, &workload(&format!("/out/r{round}"))) {
+                panic!("{heuristic:?} round {round}: {e}");
             }
         }
     }
@@ -63,34 +41,26 @@ fn pigmix_results_invariant_under_reuse() {
 /// must compose (Q1's sub-job feeds Q2, whose output feeds Q3's match).
 #[test]
 fn chained_reuse_across_three_queries() {
-    let engine = pigmix_engine();
-    let rs = ReStore::new(engine, ReStoreConfig::default());
-
-    let q1 = queries::l2("/out/c1");
-    rs.execute_query(&q1, "/wf/c1").unwrap();
+    let rs = ReStore::new(pigmix_engine(), ReStoreConfig::default());
 
     // Q2 extends the L2 join with a group — its first job should be
-    // answered by L2's stored output (whole-job or join sub-job).
-    let q2 = "
-        A = load '/data/page_views' as (user, action:int, timestamp:int, est_revenue:double, page_info, page_links);
-        B = foreach A generate user, est_revenue;
-        alpha = load '/data/power_users' as (name, phone, address, city);
-        beta = foreach alpha generate name;
-        C = join beta by name, B by user;
-        D = group C by $0;
-        E = foreach D generate group, COUNT(C);
-        store E into '/out/c2';
-    ";
-    let e2 = rs.execute_query(q2, "/wf/c2").unwrap();
-    assert!(!e2.rewrites.is_empty(), "Q2 must reuse Q1's join: {:?}", e2.rewrites);
-
-    // Q3 repeats Q2 — everything should come from the repository.
-    let e3 = rs.execute_query(q2, "/wf/c3").unwrap();
-    assert!(e3.jobs_skipped >= 1, "Q3 should skip at least the join job");
-    assert_eq!(
-        read_sorted(rs.engine().dfs(), &e3.final_output),
-        read_sorted(rs.engine().dfs(), "/out/c2"),
-    );
+    // answered by L2's stored output (whole-job or join sub-job). Q3
+    // repeats Q2 — everything should come from the repository.
+    let q2 = |out: &str| {
+        format!(
+            "A = load '/data/page_views' as (user, action:int, timestamp:int, est_revenue:double, page_info, page_links);
+             B = foreach A generate user, est_revenue;
+             alpha = load '/data/power_users' as (name, phone, address, city);
+             beta = foreach alpha generate name;
+             C = join beta by name, B by user;
+             D = group C by $0;
+             E = foreach D generate group, COUNT(C);
+             store E into '{out}';"
+        )
+    };
+    let runs = Oracle::check(&rs, &[queries::l2("/out/c1"), q2("/out/c2"), q2("/out/c3")]).unwrap();
+    assert!(!runs[1].rewrites.is_empty(), "Q2 must reuse Q1's join: {:?}", runs[1].rewrites);
+    assert!(runs[2].jobs_skipped >= 1, "Q3 should skip at least the join job");
 }
 
 /// The repository survives a save/load cycle mid-workload and the
@@ -111,12 +81,8 @@ fn repository_persistence_mid_workload() {
     // The fresh driver has no provenance, but repository matching works
     // on base-level plans directly, and L3's first job loads only base
     // data, so the whole-job match still fires.
-    let e = rs2.execute_query(&queries::l3("/out/p2"), "/wf/p2").unwrap();
-    assert!(!e.rewrites.is_empty(), "reloaded repository must still produce rewrites");
-    assert_eq!(
-        read_sorted(rs2.engine().dfs(), &e.final_output),
-        read_sorted(rs2.engine().dfs(), "/out/p1"),
-    );
+    let runs = Oracle::check(&rs2, &[queries::l3("/out/p2")]).unwrap();
+    assert!(!runs[0].rewrites.is_empty(), "reloaded repository must still produce rewrites");
 }
 
 /// Full session persistence: repository + provenance + counters survive,
@@ -131,21 +97,18 @@ fn full_session_state_round_trips() {
     let state = rs.save_state();
 
     // Continue in the original session as the reference.
-    let ref_exec = rs.execute_query(&queries::l7("/out/f3a"), "/wf/f3a").unwrap();
+    let ref_exec = Oracle::check(&rs, &[queries::l7("/out/f3a")]).unwrap().remove(0);
 
     // Resume from the snapshot in a "new process".
     let resumed = ReStore::new(engine, ReStoreConfig::default());
     resumed.recover(&state, &[]).unwrap();
     assert!(!resumed.repository_as(None).is_empty());
     assert!(resumed.repository_as(None).len() <= rs.repository_as(None).len());
-    let res_exec = resumed.execute_query(&queries::l7("/out/f3b"), "/wf/f3b").unwrap();
+    let res_exec = Oracle::check(&resumed, &[queries::l7("/out/f3b")]).unwrap().remove(0);
 
-    // Both sessions rewrite the same way and produce the same rows.
+    // Both sessions rewrite the same way, and both answer as no reuse
+    // does.
     assert_eq!(res_exec.rewrites.len(), ref_exec.rewrites.len());
-    assert_eq!(
-        read_sorted(resumed.engine().dfs(), &res_exec.final_output),
-        read_sorted(rs.engine().dfs(), &ref_exec.final_output),
-    );
     // Candidate counters resumed: no path collisions with pre-snapshot
     // sub-job files (paths under /restore are all distinct).
     let paths = resumed.engine().dfs().list("/restore/");
@@ -198,17 +161,15 @@ fn storage_accounting() {
 /// entire stack match a hand-rolled in-memory oracle.
 #[test]
 fn full_stack_matches_oracle() {
-    let dfs =
-        Dfs::new(DfsConfig { nodes: 3, block_size: 256, replication: 1, node_capacity: None });
     let rows: Vec<Tuple> = (0..200)
         .map(|i| tuple![format!("k{}", i % 13), i as i64, ((i * 7) % 100) as f64])
         .collect();
-    dfs.write_all("/d", &codec::encode_all(&rows)).unwrap();
-    let engine = Engine::new(
-        dfs,
-        ClusterConfig::default(),
-        EngineConfig { worker_threads: 2, default_reduce_tasks: 3 },
+    let dfs = small_dfs(
+        Some(DfsConfig { nodes: 3, block_size: 256, replication: 1, node_capacity: None }),
+        &[("/d", &codec::encode_all(&rows))],
     );
+    let engine =
+        engine_over(dfs, Some(EngineConfig { worker_threads: 2, default_reduce_tasks: 3 }));
     let rs = ReStore::new(engine, ReStoreConfig::default());
     let e = rs
         .execute_query(
@@ -220,7 +181,7 @@ fn full_stack_matches_oracle() {
             "/wf/oracle",
         )
         .unwrap();
-    let got = read_sorted(rs.engine().dfs(), &e.final_output);
+    let got = read_lines_sorted(rs.engine().dfs(), &e.final_output);
 
     use std::collections::BTreeMap;
     let mut oracle: BTreeMap<String, (i64, f64)> = BTreeMap::new();
@@ -230,5 +191,5 @@ fn full_stack_matches_oracle() {
         e.1 += t.get(2).as_f64().unwrap();
     }
     let want: Vec<Tuple> = oracle.into_iter().map(|(k, (c, s))| tuple![k, c, s]).collect();
-    assert_eq!(got, want);
+    assert_eq!(got, lines_of(&want));
 }

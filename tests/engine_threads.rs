@@ -36,9 +36,10 @@ use restore_suite::core::enumerator::{inject_subjob_stores, Heuristic};
 use restore_suite::dataflow::compile_canonical;
 use restore_suite::dataflow::exec::job_spec_for_plan;
 use restore_suite::dfs::{Dfs, DfsConfig};
-use restore_suite::mapreduce::{ClusterConfig, Counters, Engine, EngineConfig, JobTimes};
+use restore_suite::mapreduce::{Counters, EngineConfig, JobTimes};
 use restore_suite::pigmix::datagen::{self, PAGE_VIEWS};
 use restore_suite::pigmix::{queries, DataScale};
+use restore_testkit::engine_over;
 
 struct JobRun {
     /// `"<mode> <query> job<i>"`.
@@ -90,10 +91,9 @@ fn run_workload(threads: usize, instrumented: bool) -> Vec<JobRun> {
     let dfs =
         Dfs::new(DfsConfig { nodes: 4, block_size: 4 << 10, replication: 2, node_capacity: None });
     datagen::generate(&dfs, &DataScale::tiny(), 0x5E570E).unwrap();
-    let engine = Engine::new(
+    let engine = engine_over(
         dfs.clone(),
-        ClusterConfig::default(),
-        EngineConfig { worker_threads: threads, default_reduce_tasks: 7 },
+        Some(EngineConfig { worker_threads: threads, default_reduce_tasks: 7 }),
     );
     let mode = if instrumented { "stores" } else { "plain" };
     let mut runs = Vec::new();

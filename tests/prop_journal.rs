@@ -7,34 +7,10 @@
 use proptest::prelude::*;
 use restore_suite::common::Error;
 use restore_suite::core::journal::{segment_boundaries, SEGMENT_HEADER};
-use restore_suite::core::{JournalConfig, ReStore, ReStoreConfig};
-use restore_suite::dfs::{Dfs, DfsConfig};
-use restore_suite::mapreduce::{ClusterConfig, Engine, EngineConfig};
+use restore_suite::core::{JournalConfig, ReStoreConfig};
+use restore_suite::dfs::Dfs;
+use restore_testkit::{join_query, pv_users, session_over, sum_query, Journaled};
 use std::sync::OnceLock;
-
-fn engine_over(dfs: Dfs) -> Engine {
-    Engine::new(dfs, ClusterConfig::default(), EngineConfig::default())
-}
-
-fn sum_query(out: &str) -> String {
-    format!(
-        "A = load '/data/pv' as (user, n:int);
-         G = group A by user;
-         R = foreach G generate group, SUM(A.n);
-         store R into '{out}';"
-    )
-}
-
-fn join_query(out: &str) -> String {
-    format!(
-        "A = load '/data/pv' as (user, revenue:int);
-         B = load '/data/users' as (name, city);
-         C = join B by name, A by user;
-         D = group C by $0;
-         E = foreach D generate group, SUM(C.revenue);
-         store E into '{out}';"
-    )
-}
 
 /// One journaled workload, built once: the shared DFS, the base
 /// checkpoint, the earlier (intact) segments, the final segment the
@@ -52,21 +28,18 @@ struct Scenario {
 fn scenario() -> &'static Scenario {
     static S: OnceLock<Scenario> = OnceLock::new();
     S.get_or_init(|| {
-        let dfs = Dfs::new(DfsConfig::small_for_tests());
-        dfs.write_all("/data/pv", b"alice\t4\nbob\t7\nalice\t1\ncarol\t9\n").unwrap();
-        dfs.write_all("/data/users", b"alice\tkitchener\nbob\ttoronto\n").unwrap();
-
-        let live = ReStore::new(engine_over(dfs.clone()), ReStoreConfig::default());
-        live.enable_journal(JournalConfig::default());
-        let base = live.save_state();
+        let dfs = pv_users();
+        let mut journaled = Journaled::start(&dfs, None, JournalConfig::default(), None);
+        let live = &journaled.session;
 
         // Earlier history, sealed into intact segments.
         live.execute_query(&sum_query("/out/a"), "/wf/a").unwrap();
-        let prior = live.save_state_delta().unwrap();
+        let prior = journaled.seal();
 
         // The final segment mixes record types: registrations in three
         // namespaces (two of them created here), a warm hit (note-use),
         // a config set and its clear, counters.
+        let live = &journaled.session;
         live.execute_query_as(Some("ana"), &join_query("/out/j"), "/wf/j").unwrap();
         let warm = live.execute_query(&sum_query("/out/a2"), "/wf/a2").unwrap();
         assert_eq!(warm.jobs_skipped, 1);
@@ -79,9 +52,10 @@ fn scenario() -> &'static Scenario {
         // override, and the override's absence after it.
         live.execute_query_as(Some("bo"), &sum_query("/out/b"), "/wf/b").unwrap();
         live.clear_config_as("ana");
-        let mut tail = live.save_state_delta().unwrap();
+        let mut tail = journaled.seal();
         assert_eq!(tail.len(), 1, "tail workload must fit one segment");
         let last = tail.pop().unwrap();
+        let base = journaled.base;
 
         let boundaries = segment_boundaries(&last);
         assert!(boundaries.len() > 3, "need several records to truncate between");
@@ -92,7 +66,7 @@ fn scenario() -> &'static Scenario {
             .map(|&b| {
                 let mut segments = prior.clone();
                 segments.push(last[..b].to_string());
-                let rs = ReStore::new(engine_over(dfs.clone()), ReStoreConfig::default());
+                let rs = session_over(&dfs, ReStoreConfig::default());
                 rs.recover(&base, &segments).unwrap();
                 rs.save_state()
             })
@@ -107,7 +81,7 @@ fn scenario() -> &'static Scenario {
 #[test]
 fn recovery_with_no_segments_is_the_base() {
     let s = scenario();
-    let rs = ReStore::new(engine_over(s.dfs.clone()), ReStoreConfig::default());
+    let rs = session_over(&s.dfs, ReStoreConfig::default());
     let report = rs.recover(&s.base, &[]).unwrap();
     assert_eq!(report.records_applied, 0);
     assert_eq!(report.records_skipped, 0);
@@ -126,7 +100,7 @@ fn every_clean_prefix_keeps_each_entry_with_its_provenance() {
     for &cut in &s.boundaries {
         let mut segments = s.prior.clone();
         segments.push(s.last[..cut].to_string());
-        let rs = ReStore::new(engine_over(s.dfs.clone()), ReStoreConfig::default());
+        let rs = session_over(&s.dfs, ReStoreConfig::default());
         rs.recover(&s.base, &segments).unwrap();
         for tenant in [None, Some("ana"), Some("bo")] {
             for e in rs.repository_as(tenant).entries() {
@@ -169,7 +143,7 @@ proptest! {
         let mut segments = s.prior.clone();
         segments.push(s.last[..cut].to_string());
 
-        let rs = ReStore::new(engine_over(s.dfs.clone()), ReStoreConfig::default());
+        let rs = session_over(&s.dfs, ReStoreConfig::default());
         let report = rs.recover(&s.base, &segments).unwrap();
 
         // Largest committed prefix at or below the cut (cut below the
@@ -190,7 +164,7 @@ proptest! {
         let cut = s.boundaries[idx];
         let mut segments = s.prior.clone();
         segments.push(s.last[..cut].to_string());
-        let rs = ReStore::new(engine_over(s.dfs.clone()), ReStoreConfig::default());
+        let rs = session_over(&s.dfs, ReStoreConfig::default());
         let report = rs.recover(&s.base, &segments).unwrap();
         prop_assert!(report.torn_tail.is_none());
         prop_assert_eq!(&rs.save_state(), &s.expected[idx]);
@@ -206,7 +180,7 @@ proptest! {
         let s = scenario();
         let mut segments = s.prior.clone();
         segments.push(junk.clone());
-        let rs = ReStore::new(engine_over(s.dfs.clone()), ReStoreConfig::default());
+        let rs = session_over(&s.dfs, ReStoreConfig::default());
         match rs.recover(&s.base, &segments) {
             Ok(report) => {
                 // Nothing decodable in the junk: the state is exactly
@@ -222,7 +196,7 @@ proptest! {
             Err(other) => prop_assert!(false, "expected a typed journal error, got {other:?}"),
         }
         let state = rs.save_state();
-        let reload = ReStore::new(engine_over(s.dfs.clone()), ReStoreConfig::default());
+        let reload = session_over(&s.dfs, ReStoreConfig::default());
         reload.recover(&state, &[]).unwrap();
         prop_assert_eq!(reload.save_state(), state);
     }
@@ -237,7 +211,7 @@ proptest! {
         let mut segments = vec![junk.clone()];
         segments.extend(s.prior.iter().cloned());
         segments.push(s.last.clone());
-        let rs = ReStore::new(engine_over(s.dfs.clone()), ReStoreConfig::default());
+        let rs = session_over(&s.dfs, ReStoreConfig::default());
         match rs.recover(&s.base, &segments) {
             Ok(report) => {
                 prop_assert_eq!(&junk, &format!("{SEGMENT_HEADER}\n"));

@@ -5,28 +5,16 @@
 use proptest::prelude::*;
 use restore_suite::common::{codec, Tuple, Value};
 use restore_suite::core::{Heuristic, ReStore, ReStoreConfig};
-use restore_suite::dfs::{Dfs, DfsConfig};
-use restore_suite::mapreduce::{ClusterConfig, Engine, EngineConfig};
+use restore_suite::dfs::DfsConfig;
+use restore_suite::mapreduce::{Engine, EngineConfig};
+use restore_testkit::{engine_over, small_dfs, Oracle};
 
 fn engine_with(rows: &[Tuple]) -> Engine {
-    let dfs =
-        Dfs::new(DfsConfig { nodes: 4, block_size: 128, replication: 2, node_capacity: None });
-    dfs.write_all("/d", &codec::encode_all(rows)).unwrap();
-    Engine::new(
-        dfs,
-        ClusterConfig::default(),
-        EngineConfig { worker_threads: 2, default_reduce_tasks: 3 },
-    )
-}
-
-/// An output's lines, sorted: its bytes up to the order reducers wrote
-/// them in. (Decoded tuples would hide a retyped value: `"007"` and `"7"`
-/// both decode to `Int(7)`.)
-fn read_sorted(dfs: &Dfs, path: &str) -> Vec<String> {
-    let text = String::from_utf8(dfs.read_all(path).unwrap()).unwrap();
-    let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
-    lines.sort();
-    lines
+    let dfs = small_dfs(
+        Some(DfsConfig { nodes: 4, block_size: 128, replication: 2, node_capacity: None }),
+        &[("/d", &codec::encode_all(rows))],
+    );
+    engine_over(dfs, Some(EngineConfig { worker_threads: 2, default_reduce_tasks: 3 }))
 }
 
 /// Random rows: (key in a small domain, int, double). Some keys end in a
@@ -66,12 +54,12 @@ proptest! {
             Heuristic::NoHeuristic,
         ][heuristic_pick];
 
-        let q1 = format!(
+        let q1 = |out: &str| format!(
             "A = load '/d' as (k, n:int, v:double);
              B = filter A by n > {threshold};
              G = group B by k;
              R = foreach G generate group, COUNT(B), SUM(B.v);
-             store R into '/out/q1';"
+             store R into '{out}';"
         );
         // Its projection makes numeric-looking strings and doubles of
         // 1e15 and more, which q3 reads back from storage.
@@ -86,42 +74,10 @@ proptest! {
             "{project} R = foreach G generate group, COUNT(P), MIN(P.w); store R into '/out/q3';"
         );
 
-        // Baseline answers.
-        let (want1, want2, want3) = {
-            let eng = engine_with(&data);
-            let rs = ReStore::new(eng, ReStoreConfig::baseline());
-            let e1 = rs.execute_query(&q1, "/wf/b1").unwrap();
-            let w1 = read_sorted(rs.engine().dfs(), &e1.final_output);
-            let e2 = rs.execute_query(&q2, "/wf/b2").unwrap();
-            let w2 = read_sorted(rs.engine().dfs(), &e2.final_output);
-            let e3 = rs.execute_query(&q3, "/wf/b3").unwrap();
-            let w3 = read_sorted(rs.engine().dfs(), &e3.final_output);
-            (w1, w2, w3)
-        };
-
-        // ReStore answers (cold then warm, then the cross-query reuse).
-        let eng = engine_with(&data);
-        let rs = ReStore::new(eng, ReStoreConfig { heuristic, ..Default::default() });
-        let e1 = rs.execute_query(&q1, "/wf/r1").unwrap();
-        prop_assert_eq!(
-            read_sorted(rs.engine().dfs(), &e1.final_output),
-            want1.clone()
-        );
-        let e1b = rs.execute_query(&q1, "/wf/r1b").unwrap();
-        prop_assert_eq!(
-            read_sorted(rs.engine().dfs(), &e1b.final_output),
-            want1
-        );
-        let e2 = rs.execute_query(&q2, "/wf/r2").unwrap();
-        prop_assert_eq!(
-            read_sorted(rs.engine().dfs(), &e2.final_output),
-            want2
-        );
-        let e3 = rs.execute_query(&q3, "/wf/r3").unwrap();
-        prop_assert_eq!(
-            read_sorted(rs.engine().dfs(), &e3.final_output),
-            want3
-        );
+        // Cold, then warm, then the cross-query reuse: every answer
+        // equals a no-reuse session's.
+        let rs = ReStore::new(engine_with(&data), ReStoreConfig { heuristic, ..Default::default() });
+        Oracle::check(&rs, &[q1("/out/q1"), q1("/out/q1b"), q2, q3]).map_err(TestCaseError::fail)?;
     }
 
     /// Projection-only workloads: random column subsets reuse cleanly.
@@ -132,28 +88,14 @@ proptest! {
     ) {
         let names = ["k", "n", "v"];
         let proj: Vec<&str> = cols.iter().map(|&c| names[c]).collect();
-        let q = format!(
+        let proj = proj.join(", ");
+        let q = |out: &str| format!(
             "A = load '/d' as (k, n:int, v:double);
-             B = foreach A generate {};
+             B = foreach A generate {proj};
              C = distinct B;
-             store C into '/out/p';",
-            proj.join(", ")
+             store C into '{out}';"
         );
-        let want = {
-            let eng = engine_with(&data);
-            let rs = ReStore::new(eng, ReStoreConfig::baseline());
-            let e = rs.execute_query(&q, "/wf/pb").unwrap();
-            read_sorted(rs.engine().dfs(), &e.final_output)
-        };
-        let eng = engine_with(&data);
-        let rs = ReStore::new(eng, ReStoreConfig::default());
-        for round in 0..2 {
-            let e = rs.execute_query(&q, &format!("/wf/pr{round}")).unwrap();
-            prop_assert_eq!(
-                read_sorted(rs.engine().dfs(), &e.final_output),
-                want.clone(),
-                "round {}", round
-            );
-        }
+        let rs = ReStore::new(engine_with(&data), ReStoreConfig::default());
+        Oracle::check(&rs, &[q("/out/p0"), q("/out/p1")]).map_err(TestCaseError::fail)?;
     }
 }

@@ -13,18 +13,16 @@
 
 use restore_suite::core::{ReStore, ReStoreConfig};
 use restore_suite::dfs::{Dfs, DfsConfig};
-use restore_suite::mapreduce::{ClusterConfig, Engine, EngineConfig};
+use restore_suite::mapreduce::EngineConfig;
 use restore_suite::pigmix::{datagen, paraphrase, queries, DataScale};
+use restore_testkit::engine_over;
 
 fn session(config: ReStoreConfig) -> ReStore {
     let dfs =
         Dfs::new(DfsConfig { nodes: 6, block_size: 4 << 10, replication: 2, node_capacity: None });
     datagen::generate(&dfs, &DataScale::tiny(), 0x5E570E).unwrap();
-    let engine = Engine::new(
-        dfs,
-        ClusterConfig::default(),
-        EngineConfig { worker_threads: 2, default_reduce_tasks: 4 },
-    );
+    let engine =
+        engine_over(dfs, Some(EngineConfig { worker_threads: 2, default_reduce_tasks: 4 }));
     ReStore::new(engine, config)
 }
 

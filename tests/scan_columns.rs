@@ -17,9 +17,10 @@ use restore_suite::dataflow::exec::job_spec_for_plan;
 use restore_suite::dataflow::physical::{PhysicalOp, PhysicalPlan};
 use restore_suite::dataflow::{compile_canonical, CompiledWorkflow};
 use restore_suite::dfs::{Dfs, DfsConfig};
-use restore_suite::mapreduce::{ClusterConfig, Engine, EngineConfig};
+use restore_suite::mapreduce::EngineConfig;
 use restore_suite::pigmix::datagen::{self, PAGE_VIEWS, POWER_USERS, USERS, WIDEROW};
 use restore_suite::pigmix::{queries, DataScale};
+use restore_testkit::engine_over;
 
 /// `(input path, columns read)` per job input, by path; `None` = every
 /// column.
@@ -224,10 +225,9 @@ fn outputs_counters_and_times_do_not_depend_on_the_column_set() {
                 scramble_unread(&dfs, &input.path, read);
             }
         }
-        let engine = Engine::new(
+        let engine = engine_over(
             dfs.clone(),
-            ClusterConfig::default(),
-            EngineConfig { worker_threads: 2, default_reduce_tasks: 3 },
+            Some(EngineConfig { worker_threads: 2, default_reduce_tasks: 3 }),
         );
         let result = engine.run(&spec).unwrap();
         let files: Vec<Vec<u8>> = std::iter::once(&spec.output)

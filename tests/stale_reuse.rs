@@ -11,8 +11,8 @@
 //! covered, and asserts `restore_entries_evicted_total` by reason.
 
 use restore_suite::core::{ReStore, ReStoreConfig};
-use restore_suite::dfs::{Dfs, DfsConfig};
-use restore_suite::mapreduce::{ClusterConfig, Engine, EngineConfig};
+use restore_suite::dfs::Dfs;
+use restore_testkit::{baseline_output, engine_over, overwrite, small_dfs, Oracle};
 
 /// Filter, group and sum over one base file: one job.
 const ONE_JOB: &str = "A = load '/data/e' as (user, n:int);
@@ -41,43 +41,33 @@ fn configs() -> [(&'static str, ReStoreConfig); 2] {
     ]
 }
 
-fn engine() -> Engine {
-    let dfs = Dfs::new(DfsConfig::small_for_tests());
-    dfs.write_all("/data/e", b"alice\t4\nbob\t7\nalice\t1\n").unwrap();
-    dfs.write_all("/data/pv", b"alice\t4\nbob\t7\nalice\t1\n").unwrap();
-    dfs.write_all("/data/users", b"alice\tkitchener\nbob\ttoronto\ncarol\tparis\n").unwrap();
-    Engine::new(dfs, ClusterConfig::default(), EngineConfig::default())
+/// Every user in `/data/users` has a city, carol included: an answer
+/// after `/data/pv` is rewritten to carol's row alone is not empty.
+fn dfs() -> Dfs {
+    const ROWS: &[u8] = b"alice\t4\nbob\t7\nalice\t1\n";
+    const USERS: &[u8] = b"alice\tkitchener\nbob\ttoronto\ncarol\tparis\n";
+    small_dfs(None, &[("/data/e", ROWS), ("/data/pv", ROWS), ("/data/users", USERS)])
+}
+
+fn session(config: ReStoreConfig) -> ReStore {
+    ReStore::new(engine_over(dfs(), None), config)
 }
 
 fn query(template: &str, out: &str) -> String {
     template.replace("OUT", out)
 }
 
-fn overwrite(dfs: &Dfs, path: &str, bytes: &[u8]) {
-    let mut w = dfs.create_overwrite(path).unwrap();
-    w.write(bytes);
-    w.close().unwrap();
-}
-
 /// Run `template` on `rs` under a fresh output path: `Err` says how its
-/// answer differs from a no-reuse session's over the same DFS.
+/// answer differs from a no-reuse session's over the same DFS, line for
+/// line and then byte for byte.
 fn rerun(rs: &ReStore, template: &str, label: &str) -> Result<(), String> {
     let out = format!("/out/{label}");
-    let rerun = rs
-        .execute_query(&query(template, &out), &format!("/wf/{label}"))
-        .map_err(|e| format!("the rerun failed: {e}"))?;
+    let runs = Oracle::check(rs, &[query(template, &out)])?;
     let dfs = rs.engine().dfs();
-    let got = dfs.read_all(&rerun.final_output).map_err(|e| format!("no final output: {e}"))?;
-    let baseline = ReStore::new(rs.engine().clone(), ReStoreConfig::baseline());
-    let want = baseline
-        .execute_query(&query(template, &format!("{out}-baseline")), &format!("/wf/{label}-b"))
-        .unwrap();
-    let want = dfs.read_all(&want.final_output).unwrap();
+    let got = dfs.read_all(&runs[0].final_output).unwrap();
+    let want = dfs.read_all(&baseline_output(&out)).unwrap();
     let (got, want) = (String::from_utf8(got).unwrap(), String::from_utf8(want).unwrap());
-    if got != want {
-        return Err(format!("answered {got:?}, no reuse answers {want:?}"));
-    }
-    Ok(())
+    (got == want).then_some(()).ok_or(format!("answered {got:?}, no reuse answers {want:?}"))
 }
 
 /// Every failed case, one per line.
@@ -100,7 +90,7 @@ fn evictions(rs: &ReStore, want: [u64; 4]) -> Result<(), String> {
 fn an_overwritten_input_is_a_miss_for_one_job() {
     let mut failures = Vec::new();
     for (case, config) in configs() {
-        let rs = ReStore::new(engine(), config);
+        let rs = session(config);
         rs.execute_query(&query(ONE_JOB, "/out/cold"), "/wf/cold").unwrap();
         let warm = rs.execute_query(&query(ONE_JOB, "/out/warm"), "/wf/warm").unwrap();
         assert!(!warm.rewrites.is_empty(), "{case}: the warm run reuses");
@@ -118,7 +108,7 @@ fn an_overwritten_input_is_a_miss_for_one_job() {
 fn an_overwritten_input_is_a_miss_through_an_intermediate_job() {
     let mut failures = Vec::new();
     for (case, config) in configs() {
-        let rs = ReStore::new(engine(), config);
+        let rs = session(config);
         rs.execute_query(&query(JOIN_GROUP, "/out/cold"), "/wf/cold").unwrap();
         let paths: Vec<String> =
             rs.repository_as(None).entries().iter().map(|e| e.output_path.clone()).collect();
@@ -145,7 +135,7 @@ fn an_overwritten_input_is_a_miss_through_an_intermediate_job() {
 fn a_stored_file_lost_out_of_band_is_a_miss_in_a_recovered_session() {
     let mut failures = Vec::new();
     for (case, config) in configs() {
-        let cold = ReStore::new(engine(), config.clone());
+        let cold = session(config.clone());
         cold.execute_query(&query(JOIN_GROUP, "/out/cold"), "/wf/cold").unwrap();
         let state = cold.save_state();
         let stored: Vec<String> =
@@ -153,13 +143,12 @@ fn a_stored_file_lost_out_of_band_is_a_miss_in_a_recovered_session() {
         assert!(stored.len() >= 2, "{case}: {stored:?}");
         for victim in &stored {
             // The same cold run in a fresh DFS stores the same paths.
-            let engine = engine();
-            let populate = ReStore::new(engine.clone(), config.clone());
+            let populate = session(config.clone());
             populate.execute_query(&query(JOIN_GROUP, "/out/cold"), "/wf/cold").unwrap();
             assert_eq!(populate.save_state(), state, "{case}: the cold run repeats");
-            assert!(engine.dfs().delete(victim), "{case}: {victim} was stored");
+            assert!(populate.engine().dfs().delete(victim), "{case}: {victim} was stored");
 
-            let rs = ReStore::new(engine, config.clone());
+            let rs = ReStore::new(populate.engine().clone(), config.clone());
             rs.recover(&state, &[]).unwrap();
             let case = format!("{case}, {victim} deleted");
             failures.extend(rerun(&rs, JOIN_GROUP, "after").err().map(|e| format!("{case}: {e}")));
@@ -173,7 +162,7 @@ fn a_stored_file_lost_out_of_band_is_a_miss_in_a_recovered_session() {
 fn a_recreated_input_is_a_miss() {
     let mut failures = Vec::new();
     for (case, config) in configs() {
-        let rs = ReStore::new(engine(), config);
+        let rs = session(config);
         rs.execute_query(&query(ONE_JOB, "/out/cold"), "/wf/cold").unwrap();
         let stored = rs.repository_as(None).len() as u64;
         assert!(stored >= 1, "{case}: the cold run stores");

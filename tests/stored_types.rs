@@ -16,38 +16,36 @@
 //! whoever runs it: the last test runs one with no ReStore at all.
 
 use restore_suite::common::{codec, Tuple, Value};
-use restore_suite::core::{ReStore, ReStoreConfig};
+use restore_suite::core::{QueryExecution, ReStore, ReStoreConfig};
 use restore_suite::dataflow::{compile, exec};
-use restore_suite::dfs::{Dfs, DfsConfig};
-use restore_suite::mapreduce::{ClusterConfig, Engine, EngineConfig};
+use restore_suite::dfs::DfsConfig;
+use restore_suite::mapreduce::{Engine, EngineConfig};
+use restore_testkit::{baseline_output, engine_over, small_dfs, Oracle};
 
 fn engine(rows: &[Tuple]) -> Engine {
-    let dfs = Dfs::new(DfsConfig { nodes: 4, block_size: 64, replication: 2, node_capacity: None });
-    dfs.write_all("/d", &codec::encode_all(rows)).unwrap();
-    Engine::new(
-        dfs,
-        ClusterConfig::default(),
-        EngineConfig { worker_threads: 2, default_reduce_tasks: 3 },
-    )
+    let dfs = small_dfs(
+        Some(DfsConfig { nodes: 4, block_size: 64, replication: 2, node_capacity: None }),
+        &[("/d", &codec::encode_all(rows))],
+    );
+    engine_over(dfs, Some(EngineConfig { worker_threads: 2, default_reduce_tasks: 3 }))
 }
 
 fn session(rows: &[Tuple], config: ReStoreConfig) -> ReStore {
     ReStore::new(engine(rows), config)
 }
 
-/// Run `prefix` then `query` on a reusing session and on a baseline one
-/// over the same rows: the rewrites `query` got, and its output bytes on
-/// both sides.
-fn reuse_and_baseline(rows: &[Tuple], prefix: &str, query: &str) -> (usize, Vec<u8>, Vec<u8>) {
-    let run = |config: ReStoreConfig| {
-        let rs = session(rows, config);
-        rs.execute_query(prefix, "/wf/prefix").unwrap();
-        let exec = rs.execute_query(query, "/wf/query").unwrap();
-        (exec.rewrites.len(), rs.engine().dfs().read_all(&exec.final_output).unwrap())
-    };
-    let (rewrites, reused) = run(ReStoreConfig::default());
-    let (_, baseline) = run(ReStoreConfig::baseline());
-    (rewrites, reused, baseline)
+/// Run `prefix` then `query` through the oracle on a reusing session
+/// over `rows`, and compare `query`'s output with the baseline's byte for
+/// byte, line order included. Returns `query`'s execution.
+fn reuse_matches_baseline(rows: &[Tuple], prefix: &str, query: &str) -> QueryExecution {
+    let rs = session(rows, ReStoreConfig::default());
+    let mut runs = Oracle::check(&rs, &[prefix, query]).unwrap();
+    let query = runs.pop().unwrap();
+    let dfs = rs.engine().dfs();
+    let got = dfs.read_all(&query.final_output).unwrap();
+    let want = dfs.read_all(&baseline_output("/out/query")).unwrap();
+    assert_eq!(String::from_utf8(got).unwrap(), String::from_utf8(want).unwrap());
+    query
 }
 
 fn rows(keys: &[(&str, f64)]) -> Vec<Tuple> {
@@ -67,9 +65,8 @@ fn a_numeric_looking_string_stays_a_string() {
          R = foreach G generate group, COUNT(B), MIN(B.c);
          store R into '/out/query';"
     );
-    let (rewrites, reused, baseline) = reuse_and_baseline(&data, &prefix, &query);
-    assert!(rewrites > 0, "the query reads the prefix's stored candidate");
-    assert_eq!(String::from_utf8(reused).unwrap(), String::from_utf8(baseline).unwrap());
+    let exec = reuse_matches_baseline(&data, &prefix, &query);
+    assert!(!exec.rewrites.is_empty(), "the query reads the prefix's stored candidate");
 }
 
 #[test]
@@ -84,9 +81,8 @@ fn an_integral_double_of_1e15_or_more_stays_a_double() {
         "{make} C = filter B by w / 7 > 285714285714285.5;
          store C into '/out/query';"
     );
-    let (rewrites, reused, baseline) = reuse_and_baseline(&data, &prefix, &query);
-    assert!(rewrites > 0, "the query reads the prefix's stored candidate");
-    assert_eq!(String::from_utf8(reused).unwrap(), String::from_utf8(baseline).unwrap());
+    let exec = reuse_matches_baseline(&data, &prefix, &query);
+    assert!(!exec.rewrites.is_empty(), "the query reads the prefix's stored candidate");
 }
 
 #[test]
@@ -103,9 +99,8 @@ fn nan_and_infinities_stay_doubles() {
     );
     let prefix = format!("{make} C = filter B by w is not null; store C into '/out/prefix';");
     let query = format!("{make} O = order B by w, z; store O into '/out/query';");
-    let (rewrites, reused, baseline) = reuse_and_baseline(&data, &prefix, &query);
-    assert!(rewrites > 0, "the query reads the prefix's stored candidate");
-    assert_eq!(String::from_utf8(reused).unwrap(), String::from_utf8(baseline).unwrap());
+    let exec = reuse_matches_baseline(&data, &prefix, &query);
+    assert!(!exec.rewrites.is_empty(), "the query reads the prefix's stored candidate");
 }
 
 #[test]
@@ -121,9 +116,8 @@ fn a_final_output_that_would_retype_is_not_registered() {
          R = foreach G generate group, COUNT(B);
          store R into '/out/query';"
     );
-    let (rewrites, reused, baseline) = reuse_and_baseline(&data, &prefix, &query);
-    assert_eq!(rewrites, 0, "nothing the query could reuse was registered");
-    assert_eq!(String::from_utf8(reused).unwrap(), String::from_utf8(baseline).unwrap());
+    let exec = reuse_matches_baseline(&data, &prefix, &query);
+    assert_eq!(exec.rewrites.len(), 0, "nothing the query could reuse was registered");
 
     let rs = session(&data, ReStoreConfig::default());
     rs.execute_query(&prefix, "/wf/prefix").unwrap();
@@ -160,14 +154,10 @@ fn a_user_output_is_never_an_alias_of_a_typed_file() {
          store R into '/out/prefix';"
     );
     let query = format!("{filter} store B into '/out/query';");
-    let rs = session(&data, ReStoreConfig::default());
-    rs.execute_query(&prefix, "/wf/prefix").unwrap();
-    let exec = rs.execute_query(&query, "/wf/query").unwrap();
+    let exec = reuse_matches_baseline(&data, &prefix, &query);
     assert_eq!(exec.rewrites.len(), 1, "the query reads the prefix's candidate");
     assert_eq!((exec.jobs_skipped, exec.job_results.len()), (0, 1), "the copy ran");
     assert_eq!(exec.final_output, "/out/query");
-    let (_, reused, baseline) = reuse_and_baseline(&data, &prefix, &query);
-    assert_eq!(String::from_utf8(reused).unwrap(), String::from_utf8(baseline).unwrap());
 }
 
 #[test]
