@@ -83,7 +83,7 @@ const EXACT_INTS: f64 = 9_007_199_254_740_992.0; // 2^53
 
 /// The stored format's version, and the magic that ends every typed file.
 pub const VERSION: u8 = 1;
-pub const MAGIC: [u8; 2] = [b'T', 0xFF];
+const MAGIC: [u8; 2] = [b'T', 0xFF];
 
 /// A group is closed once it holds this many bytes.
 pub const GROUP_BYTES: usize = 4 << 10;

@@ -56,7 +56,7 @@ use crate::journal::Journal;
 use crate::obs::{Obs, ReuseDecision, ReuseTraceEvent, SpaceMetrics};
 use crate::pin::PinSet;
 use crate::rcu::Rcu;
-use crate::repository::{MatchProbe, RepoBatch, RepoStats, Repository};
+use crate::repository::{MatchProbe, RepoBatch, RepoEntry, RepoStats, Repository};
 use crate::rewriter::{apply_aliases, identity_copy};
 use crate::selector::SelectionPolicy;
 use parking_lot::RwLock;
@@ -66,10 +66,10 @@ use restore_dataflow::mr_compiler::CompiledWorkflow;
 use restore_dataflow::physical::PhysicalPlan;
 use restore_dataflow::template;
 use restore_dfs::Dfs;
-use restore_mapreduce::{split_reader, workflow, Engine, JobResult, JobSpec};
+use restore_mapreduce::{workflow, Engine, JobResult, JobSpec};
 use restore_telemetry::Registry;
 use std::borrow::Cow;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -549,6 +549,7 @@ impl ReStore {
                     &mut aliases,
                     &mut rewrites,
                     Some(&mut pins),
+                    &HashSet::new(),
                 )?;
                 match prep {
                     Prepared::Skipped { dst } => {
@@ -663,7 +664,8 @@ impl ReStore {
     }
 
     /// Phase 1 for one job: alias rewriting, the §3 match loop, whole-job
-    /// elimination, and §4 sub-job instrumentation.
+    /// elimination, and §4 sub-job instrumentation. Entries in `stale` are
+    /// not matched.
     /// Without `pins`, [`ReStore::explain_query_as`]'s dry run: no pins,
     /// reuse accounting or trace events, and it stops at the verdict — no
     /// sub-job enumeration (no candidate path taken) and no job spec.
@@ -680,6 +682,7 @@ impl ReStore {
         aliases: &mut HashMap<String, String>,
         rewrites: &mut Vec<RewriteEvent>,
         mut pins: Option<&mut PinGuard>,
+        stale: &HashSet<u64>,
     ) -> Result<Prepared> {
         let job = &wf.jobs[idx];
         // Re-canonicalize after alias rewriting: aliasing two Loads to
@@ -692,6 +695,9 @@ impl ReStore {
         }
 
         let mut job_rewrites = 0usize;
+        // Whether the file the last rewrite Loads is typed, as its entry
+        // recorded in the snapshot it matched in.
+        let mut reused_typed = false;
         if config.reuse_enabled {
             self.match_loop(
                 space,
@@ -700,25 +706,29 @@ impl ReStore {
                 space_name,
                 idx,
                 pins.as_deref_mut(),
-                |entry_id, reused_path| {
+                stale,
+                |entry| {
                     rewrites.push(RewriteEvent {
                         job: idx,
-                        entry_id,
-                        reused_path: reused_path.to_string(),
+                        entry_id: entry.id,
+                        reused_path: entry.output_path.clone(),
                         whole_job: false,
                     });
                     job_rewrites += 1;
+                    reused_typed = entry.typed();
                 },
             );
         }
 
-        // Whole-job elimination: the rewrite reduced the job to a copy.
-        // Alias when the destination is typed or the source is text: a
-        // copy of a typed file into a text output runs as a job instead,
-        // since aliasing would hand the user typed bytes.
+        // Whole-job elimination: the rewrite reduced the job to a copy,
+        // whose source is the file the last rewrite Loads (the loop stops
+        // at the rewrite that leaves a copy). Alias when the destination
+        // is typed or the source is text: a copy of a typed file into a
+        // text output runs as a job instead, since aliasing would hand
+        // the user typed bytes.
         let mut copy_of = None;
         if let Some((src, dst)) = identity_copy(&plan).filter(|_| job_rewrites > 0) {
-            if job.typed_outputs.iter().any(|t| t == dst) || !self.is_typed_file(src) {
+            if job.typed_outputs.iter().any(|t| t == dst) || !reused_typed {
                 let dst = dst.to_string();
                 aliases.insert(dst.clone(), src.to_string());
                 if let Some(ev) = rewrites.last_mut() {
@@ -769,12 +779,6 @@ impl ReStore {
         Ok(Prepared::Run { copy_of, job: Some(Box::new(job)) })
     }
 
-    /// Whether the stored file at `path` is typed; a path that cannot be
-    /// read is not.
-    fn is_typed_file(&self, path: &str) -> bool {
-        split_reader::is_typed(self.engine.dfs(), path).unwrap_or(false)
-    }
-
     /// The §3 loop: repeatedly lineage-expand the plan, take the first
     /// repository match whose rewrite changes it, and rewrite — one
     /// probe per applied rewrite, plus the probe that comes back empty.
@@ -786,7 +790,9 @@ impl ReStore {
     /// current repository snapshot, provenance included (a pointer
     /// copy), and reuse statistics are recorded through the entries'
     /// shared atomics;
-    /// `on_match` runs after each applied rewrite. With `pins` present
+    /// `on_match` runs after each applied rewrite, with the entry as the
+    /// snapshot it matched in holds it. Entries in `stale` are never
+    /// matched. With `pins` present
     /// (a real execution, not a dry run), the reused output is pinned
     /// against concurrent eviction until the workflow finishes.
     ///
@@ -811,7 +817,8 @@ impl ReStore {
         tenant: &str,
         job: usize,
         mut pins: Option<&mut PinGuard>,
-        mut on_match: impl FnMut(u64, &str),
+        stale: &HashSet<u64>,
+        mut on_match: impl FnMut(&RepoEntry),
     ) {
         let loop_t0 = Instant::now();
         // Reuse decisions buffered locally and pushed to the trace ring
@@ -837,7 +844,7 @@ impl ReStore {
             probe.reset();
             let found = snap.find_first_match_probed(
                 &expanded.plan,
-                |e, site| expanded.collapses_back(site, &e.output_path),
+                |e, site| stale.contains(&e.id) || expanded.collapses_back(site, &e.output_path),
                 &mut probe,
             );
             self.obs.match_stage.index_probe.record(probe.probe_ns);
@@ -850,7 +857,8 @@ impl ReStore {
                 });
                 break;
             };
-            let reused_path = &snap.get(entry_id).expect("matched entry").output_path;
+            let entry = snap.get(entry_id).expect("matched entry");
+            let reused_path = &entry.output_path;
             if let Some(p) = pins.as_deref_mut() {
                 let pin_t0 = Instant::now();
                 p.pin(reused_path);
@@ -897,7 +905,7 @@ impl ReStore {
                 // snapshot of the entry — never a repository lock.
                 space.repo.note_use(entry_id, tick);
             }
-            on_match(entry_id, reused_path);
+            on_match(entry);
             if identity_copy(plan).is_some() {
                 break; // the whole job is answered; nothing left to match
             }
@@ -969,6 +977,7 @@ impl ReStore {
             last_used: 0,
             created: tick,
             input_files: input_files(&whole_base, versions),
+            ..stored_file(job, result, &io.main_output)?
         };
         let keep_main = register_main && config.selection.should_keep(&whole_stats);
         if keep_main && lossy(&io.main_output) {
@@ -1008,6 +1017,7 @@ impl ReStore {
                 last_used: 0,
                 created: tick,
                 input_files: input_files(&base, versions),
+                ..stored_file(job, result, &cand.store_path)?
             };
             if config.selection.should_keep(&stats) {
                 let outcome = repo.insert(base.clone(), &cand.store_path, stats);
@@ -1069,6 +1079,17 @@ fn input_files(plan: &PhysicalPlan, versions: &HashMap<String, u64>) -> Vec<(Str
         .into_iter()
         .map(|p| (p.to_string(), versions.get(p).copied().unwrap_or(u64::MAX)))
         .collect()
+}
+
+/// What an entry records of its own file, the job output at `path`: the
+/// version the job committed it at, and whether the job wrote it typed.
+/// The other statistics are left at their defaults.
+fn stored_file(job: &PreparedJob, result: &JobResult, path: &str) -> Result<RepoStats> {
+    let output_version = result
+        .version_of(path)
+        .ok_or_else(|| Error::Job(format!("{path} is not an output of {}", result.job_name)))?;
+    let typed = job.spec.typed_outputs.iter().any(|p| p == path);
+    Ok(RepoStats { output_version, typed, ..Default::default() })
 }
 
 fn side_bytes(result: &JobResult, path: &str) -> u64 {
@@ -1168,6 +1189,7 @@ mod tests {
                 &mut aliases,
                 &mut rewrites,
                 Some(&mut pins),
+                &HashSet::new(),
             )
             .unwrap();
         let Prepared::Skipped { dst } = prep else {
@@ -1214,6 +1236,7 @@ mod tests {
                 &mut aliases,
                 &mut rewrites,
                 Some(&mut pins),
+                &HashSet::new(),
             )
             .unwrap();
         let Prepared::Run { job: Some(job), .. } = prep1 else {

@@ -24,7 +24,7 @@
 use crate::driver::{Prepared, ReStore, ReStoreStats, Space};
 use crate::obs::ReuseTraceEvent;
 use restore_common::{human_bytes, Result};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt::Write;
 use std::sync::atomic::Ordering;
 
@@ -36,9 +36,12 @@ impl ReStore {
     /// execution's own preparation as a dry run: the report lists the
     /// entries it would reuse and whether it would be skipped. A job
     /// Loading the output of one that executes is left undecided: that
-    /// output is registered, with its statistics, only once written. Being
-    /// read-only, the dry run skips the staleness pass that precedes
-    /// matching, so an entry it would evict may be reported.
+    /// output is registered, with its statistics, only once written. The
+    /// dry run reads the staleness pass that precedes matching without
+    /// running it: an entry the pass would evict is never reused here,
+    /// and stays in the repository. (The pass would also forget the
+    /// provenance of the paths it evicts; the dry run still expands a
+    /// Load of such a path.)
     pub fn explain_query_as(
         &self,
         tenant: Option<&str>,
@@ -49,6 +52,13 @@ impl ReStore {
         let config = self.effective_config(&space);
         let wf = self.compile_as(tenant, text, out_prefix)?;
         let repo = space.repo.snapshot();
+        let next_tick = self.tick.load(Ordering::SeqCst) + 1;
+        let stale: HashSet<u64> = self
+            .stale(&repo, &config.selection, next_tick)
+            .victims
+            .into_iter()
+            .map(|(id, _)| id)
+            .collect();
         let mut report = format!(
             "workflow: {} job(s); repository: {} entr{}\n",
             wf.jobs.len(),
@@ -87,6 +97,7 @@ impl ReStore {
                 &mut aliases,
                 &mut rewrites,
                 None,
+                &stale,
             )?;
             for ev in &rewrites {
                 let (bytes, uses) = repo

@@ -12,7 +12,7 @@
 //!
 //! # Record grammar
 //!
-//! A segment's first line is [`SEGMENT_HEADER`] (`restore-journal v6`),
+//! A segment's first line is [`SEGMENT_HEADER`] (`restore-journal v7`),
 //! which names the format epoch `restore-state` documents name too (see
 //! `state.rs`); a segment of another epoch is refused with
 //! [`Error::Epoch`]. A record's payload is line-oriented text whose first

@@ -93,6 +93,14 @@ pub struct RepoStats {
     /// The base files the entry's plan Loads, sorted, at their versions
     /// before the producing job read them (§5 rule 4 evicts on a change).
     pub input_files: Vec<(String, u64)>,
+    /// The version the producing job committed the entry's own file at:
+    /// the file is the entry's only while it is at this version (§5 rule
+    /// 4 evicts on a change, as for an input).
+    pub output_version: u64,
+    /// The entry's file is in the typed stored format: ReStore wrote it
+    /// for itself (a candidate or a `tmp-N`), so evicting the entry may
+    /// delete it. A text file is a user's output.
+    pub typed: bool,
 }
 
 impl RepoStats {
@@ -160,6 +168,16 @@ impl RepoEntry {
     /// The base files the entry's plan Loads, at their recorded versions.
     pub fn input_files(&self) -> &[(String, u64)] {
         &self.base.input_files
+    }
+
+    /// The version of the entry's own file it was registered at.
+    pub fn output_version(&self) -> u64 {
+        self.base.output_version
+    }
+
+    /// Whether the entry's file is typed (see [`RepoStats::typed`]).
+    pub fn typed(&self) -> bool {
+        self.base.typed
     }
 
     /// Live reuse count.
@@ -336,29 +354,39 @@ impl RepoSnapshot {
     fn do_insert(&mut self, entry: RepoEntry) -> (InsertOutcome, Option<Arc<RepoEntry>>) {
         if let Some(&dup) = self.by_signature.get(&entry.signature) {
             let mut stored = None;
-            // Same statistics as stored (a wave's whole-job entry and
-            // the candidate aliasing it): the refresh would change
-            // nothing, so there is nothing to publish or journal.
-            let pos = self.entries.iter().position(|e| e.id == dup && e.base != entry.base);
-            if let Some(pos) = pos {
-                // Refresh stats but keep usage history: the replacement
-                // shares the old entry's atomic counters, so reuses
-                // recorded against a stale snapshot still land here.
+            if let Some(pos) = self.entries.iter().position(|e| e.id == dup) {
                 let old = &self.entries[pos];
-                let refreshed = RepoEntry {
-                    id: old.id,
-                    plan: old.plan.clone(),
-                    signature: old.signature,
-                    tip_signature: old.tip_signature,
-                    output_path: old.output_path.clone(),
-                    base: entry.base,
-                    usage: old.usage.clone(),
+                // The entry keeps its own file, so it keeps what it
+                // recorded of that file, not what the duplicate's
+                // statistics say of another.
+                let base = RepoStats {
+                    output_version: old.base.output_version,
+                    typed: old.base.typed,
+                    ..entry.base
                 };
-                self.stored_bytes =
-                    self.stored_bytes - old.base.output_bytes + refreshed.base.output_bytes;
-                let arc = Arc::new(refreshed);
-                self.entries[pos] = arc.clone();
-                stored = Some(arc);
+                // Same statistics as stored (a wave's whole-job entry and
+                // the candidate aliasing it): the refresh would change
+                // nothing, so there is nothing to publish or journal.
+                if old.base != base {
+                    // Refresh stats but keep usage history: the
+                    // replacement shares the old entry's atomic counters,
+                    // so reuses recorded against a stale snapshot still
+                    // land here.
+                    let refreshed = RepoEntry {
+                        id: old.id,
+                        plan: old.plan.clone(),
+                        signature: old.signature,
+                        tip_signature: old.tip_signature,
+                        output_path: old.output_path.clone(),
+                        base,
+                        usage: old.usage.clone(),
+                    };
+                    self.stored_bytes =
+                        self.stored_bytes - old.base.output_bytes + refreshed.base.output_bytes;
+                    let arc = Arc::new(refreshed);
+                    self.entries[pos] = arc.clone();
+                    stored = Some(arc);
+                }
             }
             return (InsertOutcome::Duplicate(dup), stored);
         }
@@ -424,6 +452,8 @@ pub(crate) fn encode_entry_into(out: &mut String, e: &RepoEntry) {
         stats.last_used,
         stats.created,
     ));
+    let format = if stats.typed { "typed" } else { "text" };
+    out.push_str(&format!("output {} {format}\n", stats.output_version));
     for (p, v) in &stats.input_files {
         out.push_str(&format!("input {p:?} {v}\n"));
     }
@@ -485,8 +515,21 @@ pub(crate) fn parse_entry_lines(
         last_used: parse_u(nums[6])?,
         created: parse_u(nums[7])?,
         input_files: Vec::new(),
+        output_version: 0,
+        typed: false,
     };
-    // Optional input lines, then "plan".
+    // The entry's own file, then optional input lines, then "plan".
+    let output = lines.next().and_then(|l| l.strip_prefix("output ")?.split_once(' '));
+    let Some((version, format)) = output else {
+        return Err(Error::Repository("entry without its output line".into()));
+    };
+    stats.output_version =
+        version.parse().map_err(|_| Error::Repository("bad output version".into()))?;
+    stats.typed = match format {
+        "typed" => true,
+        "text" => false,
+        _ => return Err(Error::Repository(format!("bad output format {format:?}"))),
+    };
     loop {
         let l = lines.next().ok_or_else(|| Error::Repository("truncated entry".into()))?;
         if l == "plan" {
@@ -1135,16 +1178,20 @@ mod tests {
     #[test]
     fn duplicate_signature_refreshes_stats() {
         let repo = Repository::new();
-        let a = repo.insert(load_project("/pv", vec![0]), "/r/1", stats(100, 10, 5.0));
+        let first = RepoStats { output_version: 3, typed: true, ..stats(100, 10, 5.0) };
+        let a = repo.insert(load_project("/pv", vec![0]), "/r/1", first);
         let InsertOutcome::Inserted(id) = a else { panic!() };
         repo.note_use(id, 3);
-        let b = repo.insert(load_project("/pv", vec![0]), "/r/2", stats(100, 12, 6.0));
+        let second = RepoStats { output_version: 9, typed: false, ..stats(100, 12, 6.0) };
+        let b = repo.insert(load_project("/pv", vec![0]), "/r/2", second);
         assert_eq!(b, InsertOutcome::Duplicate(id));
         assert_eq!(repo.snapshot().len(), 1);
         let e = repo.snapshot().get(id).cloned().unwrap();
         assert_eq!(e.stats().output_bytes, 12); // refreshed
         assert_eq!(e.stats().use_count, 1); // history kept
         assert_eq!(e.output_path, "/r/1"); // original output retained
+                                           // …and what the entry recorded of that file, not of `/r/2`.
+        assert_eq!((e.output_version(), e.typed()), (3, true));
         assert_eq!(repo.snapshot().stored_bytes(), 12); // counter follows the refresh
     }
 
@@ -1321,6 +1368,8 @@ mod tests {
                 last_used: 9,
                 created: 1,
                 input_files: vec![("/pv".into(), 0), ("/users dir/x".into(), 2)],
+                output_version: 7,
+                typed: true,
             },
         );
         repo.insert(load_project("/pv", vec![0, 2]), "/r/sub", stats(100, 10, 2.0));

@@ -12,13 +12,14 @@
 //! the outputs of all candidate jobs and sub-jobs in the repository"),
 //! and so does the default policy here: rules 1–3 are off by default.
 //!
-//! Rule 4 is not a setting: reusing an entry whose inputs changed
-//! returns a wrong answer, and one whose file is gone fails the query. So
-//! every execution first runs one staleness pass (`ReStore::sweep`).
+//! Rule 4 is not a setting: reusing an entry whose inputs changed, or
+//! whose own file was rewritten, returns a wrong answer, and one whose
+//! file is gone fails the query. So every execution first runs one
+//! staleness pass (`ReStore::sweep`), which checks every file an entry
+//! names against the version the entry recorded of it.
 
 use crate::driver::{ReStore, Space};
-use crate::repository::{RepoBatch, RepoEntry, RepoStats};
-use restore_mapreduce::split_reader;
+use crate::repository::{RepoBatch, RepoEntry, RepoSnapshot, RepoStats};
 
 /// Configuration of the §5 rules that are choices: admission (rules 1–2)
 /// and the disuse window (rule 3); rule 4 is not one (see the module).
@@ -88,8 +89,9 @@ impl SelectionPolicy {
 }
 
 /// Why an entry left the repository; the discriminant indexes the
-/// `reason` labels of `restore_entries_evicted_total`. `Overwritten`: a
-/// workflow wrote new bytes to the stored path.
+/// `reason` labels of `restore_entries_evicted_total`. `Overwritten`:
+/// the entry's file is at another version than the one it recorded (a
+/// workflow, or someone out of band, wrote new bytes to the path).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Eviction {
     Window,
@@ -101,53 +103,41 @@ pub(crate) enum Eviction {
 pub(crate) const EVICTION_REASONS: [&str; 4] =
     ["window", "inputs_changed", "output_missing", "overwritten"];
 
+impl Eviction {
+    /// Whether evicting an entry for this reason deletes its file, if
+    /// ReStore wrote the file for itself (typed). A missing file has
+    /// nothing to delete and an overwritten one holds another writer's
+    /// bytes; a user's text output is never ReStore's to delete.
+    fn deletes(self, typed: bool) -> bool {
+        typed && matches!(self, Eviction::Window | Eviction::InputsChanged)
+    }
+}
+
 /// A file's DFS version, `None` if there is no such file.
 type VersionOf<'a> = dyn Fn(&str) -> Option<u64> + 'a;
+
+/// The staleness pass's verdicts on one repository snapshot (see
+/// [`ReStore::stale`]).
+pub(crate) struct Stale {
+    /// The DFS clock reading the file checks ran at; `None` when the
+    /// snapshot's memo showed nothing moved since it was found clean.
+    pub checked_at: Option<u64>,
+    /// Stored paths the DFS no longer holds.
+    pub dead: Vec<String>,
+    /// Entries to evict, in repository order, each with its reason.
+    pub victims: Vec<(u64, Eviction)>,
+}
 
 impl ReStore {
     /// The staleness pass, run once per execution before matching, so no
     /// stale entry is reused: forget every stored path the DFS no longer
-    /// holds, and evict every entry whose file is gone, whose recorded
-    /// inputs moved (rule 4) or, with a window set, that went unused
-    /// (rule 3). Returns the evicted ids.
-    ///
-    /// Both DFS checks read one repository snapshot, provenance included,
-    /// and share one namenode read, skipped while `Dfs::now` reads the
-    /// clock at which that snapshot was last found clean (its `PresentAt`
-    /// memo, which a publish's clone forgets). A delete or commit ticks
-    /// the clock only once its change is visible, so a job-free warm
-    /// query only reads the clock and the memo. A victim's file goes only
-    /// if ReStore wrote it for itself (typed), never a user's text output
-    /// (see [`ReStore::evict_entries`]).
+    /// holds, and evict every entry [`ReStore::stale`] names. Returns the
+    /// evicted ids.
     pub(crate) fn sweep(&self, space: &Space, policy: &SelectionPolicy, now: u64) -> Vec<u64> {
-        let dfs = self.engine.dfs();
-        let clock = dfs.now();
         let repo = space.repo.snapshot();
-        let prov = repo.provenance();
-        let check = !repo.clean.at(clock);
-        if !check && policy.eviction_window.is_none() {
-            return Vec::new();
-        }
-        let scan = |version: Option<&VersionOf<'_>>| {
-            let gone = |p: &str| version.is_some_and(|v| v(p).is_none());
-            let moved = |e: &RepoEntry| {
-                version.is_some_and(|v| e.input_files().iter().any(|(p, n)| v(p) != Some(*n)))
-            };
-            let why = |e: &RepoEntry| match () {
-                _ if policy.expired(e, now) => Some(Eviction::Window),
-                _ if gone(&e.output_path) => Some(Eviction::OutputMissing),
-                _ if moved(e) => Some(Eviction::InputsChanged),
-                _ => None,
-            };
-            let dead: Vec<String> =
-                prov.iter_paths().filter(|p| gone(p)).map(String::from).collect();
-            let victims: Vec<_> =
-                repo.entries().iter().filter_map(|e| Some((e.id, why(e)?))).collect();
-            (dead, victims)
-        };
-        let (dead, victims) =
-            if check { dfs.with_versions(|version| scan(Some(version))) } else { scan(None) };
-        if check && dead.is_empty() && victims.iter().all(|&(_, why)| why == Eviction::Window) {
+        let Stale { checked_at, dead, victims } = self.stale(&repo, policy, now);
+        let window_only = victims.iter().all(|&(_, why)| why == Eviction::Window);
+        if let Some(clock) = checked_at.filter(|_| dead.is_empty() && window_only) {
             repo.clean.set(clock);
         }
         if dead.is_empty() && victims.is_empty() {
@@ -156,17 +146,57 @@ impl ReStore {
         self.evict_entries(space, dead, |_| victims)
     }
 
+    /// What the staleness pass would do to `repo` at driver tick `now`,
+    /// without doing it. An entry is stale when a file it names is not
+    /// at the version it recorded, or, with a window set, when it went
+    /// unused (rule 3). The first reason that holds is the one counted:
+    /// its own file is gone (`output_missing`), its file is at another
+    /// version (`overwritten`), its window expired (`window`), a base
+    /// file its plan reads moved or is gone (`inputs_changed`, rule 4).
+    ///
+    /// Every file check reads one namenode view, skipped while `Dfs::now`
+    /// reads the clock at which `repo` was last found clean (its
+    /// `PresentAt` memo, which a publish's clone forgets). A delete or
+    /// commit ticks the clock only once its change is visible, so a
+    /// job-free warm query only reads the clock and the memo.
+    pub(crate) fn stale(&self, repo: &RepoSnapshot, policy: &SelectionPolicy, now: u64) -> Stale {
+        let dfs = self.engine.dfs();
+        let clock = dfs.now();
+        let checked_at = (!repo.clean.at(clock)).then_some(clock);
+        if checked_at.is_none() && policy.eviction_window.is_none() {
+            return Stale { checked_at, dead: Vec::new(), victims: Vec::new() };
+        }
+        let scan = |version: Option<&VersionOf<'_>>| {
+            let moved = |(p, n): &(String, u64)| version.is_some_and(|v| v(p) != Some(*n));
+            let why = |e: &RepoEntry| match version.map(|v| v(&e.output_path)) {
+                Some(None) => Some(Eviction::OutputMissing),
+                Some(Some(at)) if at != e.output_version() => Some(Eviction::Overwritten),
+                _ if policy.expired(e, now) => Some(Eviction::Window),
+                _ if e.input_files().iter().any(moved) => Some(Eviction::InputsChanged),
+                _ => None,
+            };
+            let gone = |p: &&str| version.is_some_and(|v| v(p).is_none());
+            let dead = repo.provenance().iter_paths().filter(gone).map(String::from).collect();
+            let victims = repo.entries().iter().filter_map(|e| Some((e.id, why(e)?))).collect();
+            Stale { checked_at, dead, victims }
+        };
+        match checked_at {
+            Some(_) => dfs.with_versions(|version| scan(Some(version))),
+            None => scan(None),
+        }
+    }
+
     /// Evict the entries `pick` chooses from the repository's pending
     /// state, and forget their paths and those of `forget` in path order,
     /// as one published batch (one `repo-batch` record). Files are
     /// deleted, pin-checked, only after the batch publishes: a session
     /// that pinned a match and revalidates sees the entry (its pin defers
     /// the delete) or its absence (it skips it), never a deleted file
-    /// behind a live entry. Only a file ReStore wrote typed for itself (a
-    /// candidate or a `tmp-N`) is deleted, whatever the reason, never a
-    /// user's text output, and never an overwritten path, which holds the
-    /// overwriting workflow's bytes. An id a racing writer evicted is
-    /// skipped.
+    /// behind a live entry. Whether a victim's file goes is decided from
+    /// the entry alone, without reading the DFS: only a file ReStore
+    /// wrote typed for itself (a candidate or a `tmp-N`), evicted for
+    /// its window or its inputs (see `Eviction::deletes`). An id a
+    /// racing writer evicted is skipped.
     pub(crate) fn evict_entries(
         &self,
         space: &Space,
@@ -190,9 +220,7 @@ impl ReStore {
             |evicted| {
                 for (entry, why) in &evicted {
                     let path = &entry.output_path;
-                    let delete = *why != Eviction::Overwritten
-                        && split_reader::is_typed(dfs, path).unwrap_or(false);
-                    if delete && !space.pins.defer_delete(path) {
+                    if why.deletes(entry.typed()) && !space.pins.defer_delete(path) {
                         dfs.delete(path);
                     }
                     self.obs.evicted[*why as usize].inc();
@@ -229,23 +257,33 @@ mod tests {
         }
     }
 
+    /// Write `path` as one row, typed or text, and return the statistics
+    /// of an entry stored there: its file's real version and format.
+    fn stored(dfs: &Dfs, path: &str, typed: bool) -> RepoStats {
+        let rows = [restore_common::tuple!["x", 1i64]];
+        let bytes = if typed {
+            restore_common::typed::encode_file(&rows)
+        } else {
+            restore_common::codec::encode_all(&rows)
+        };
+        dfs.write_all(path, &bytes).unwrap();
+        let output_version = dfs.status(path).unwrap().mtime;
+        RepoStats { output_version, typed, ..stats(10, 1, 1.0) }
+    }
+
     /// A session whose default namespace holds one entry, created at tick
     /// 9 from `/data/in` at its current version and stored as text in
     /// `/repo/out`.
     fn session() -> (ReStore, Arc<Space>) {
         let dfs = Dfs::new(DfsConfig::small_for_tests());
         dfs.write_all("/data/in", b"v0").unwrap();
-        dfs.write_all("/repo/out", b"r").unwrap();
+        let out = stored(&dfs, "/repo/out", false);
         let version = dfs.with_versions(|v| v("/data/in")).unwrap();
         let engine = Engine::new(dfs, ClusterConfig::default(), EngineConfig::default());
         let rs = ReStore::new(engine, ReStoreConfig::default());
         let space = rs.space_for(None);
         let input_files = vec![("/data/in".into(), version)];
-        space.repo.insert(
-            plan("/x"),
-            "/repo/out",
-            RepoStats { created: 9, input_files, ..stats(10, 1, 1.0) },
-        );
+        space.repo.insert(plan("/x"), "/repo/out", RepoStats { created: 9, input_files, ..out });
         (rs, space)
     }
 
@@ -280,14 +318,9 @@ mod tests {
     fn rule3_window_eviction() {
         let (rs, space) = session();
         let dfs = rs.engine().dfs();
-        let typed = restore_common::typed::encode_file(&[restore_common::tuple!["x", 1i64]]);
-        dfs.write_all("/repo/old", &typed).unwrap();
-        dfs.write_all("/repo/text", b"x\t1\n").unwrap();
-        let mut s_old = stats(10, 1, 1.0);
-        s_old.created = 1;
-        s_old.last_used = 2;
-        space.repo.insert(plan("/old"), "/repo/old", s_old.clone());
-        space.repo.insert(plan("/text"), "/repo/text", s_old);
+        let old = |path, typed| RepoStats { created: 1, last_used: 2, ..stored(dfs, path, typed) };
+        space.repo.insert(plan("/old"), "/repo/old", old("/repo/old", true));
+        space.repo.insert(plan("/text"), "/repo/text", old("/repo/text", false));
 
         let policy = SelectionPolicy { eviction_window: Some(5), ..Default::default() };
         let evicted = rs.sweep(&space, &policy, 10);
@@ -321,6 +354,28 @@ mod tests {
         let (rs, space) = session();
         rs.engine().dfs().delete("/data/in");
         assert_eq!(rs.sweep(&space, &SelectionPolicy::default(), 1).len(), 1);
+    }
+
+    #[test]
+    fn a_rewritten_output_is_overwritten_before_expired_and_its_file_stays() {
+        let (rs, space) = session();
+        let dfs = rs.engine().dfs();
+        let expired = RepoStats { created: 1, ..stored(dfs, "/repo/cand", true) };
+        space.repo.insert(plan("/cand"), "/repo/cand", expired);
+        let mut w = dfs.create_overwrite("/repo/cand").unwrap();
+        w.write(b"mallory\t1\n");
+        w.close().unwrap();
+
+        let policy = SelectionPolicy { eviction_window: Some(5), ..Default::default() };
+        // The read-only step names the entry and leaves it where it is.
+        let stale = rs.stale(&space.repo.snapshot(), &policy, 10);
+        let reasons: Vec<Eviction> = stale.victims.iter().map(|&(_, why)| why).collect();
+        assert_eq!(reasons, [Eviction::Overwritten]);
+        assert_eq!(space.repo.snapshot().len(), 2);
+
+        assert_eq!(rs.sweep(&space, &policy, 10).len(), 1);
+        assert_eq!(dfs.read_all("/repo/cand").unwrap(), b"mallory\t1\n", "the new bytes stay");
+        assert!(space.repo.snapshot().entries().iter().all(|e| e.output_path == "/repo/out"));
     }
 
     #[test]

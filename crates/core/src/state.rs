@@ -1,20 +1,22 @@
 //! `restore-state` (de)serialization: the durable session format.
 //!
 //! One format epoch is readable, the one this build writes. Its number,
-//! [`EPOCH`], ends the first line of every document (`restore-state v6`)
-//! and of every journal segment (`restore-journal v6`, see
+//! [`EPOCH`], ends the first line of every document (`restore-state v7`)
+//! and of every journal segment (`restore-journal v7`, see
 //! [`crate::journal`]); a document or segment that names another epoch
 //! is refused with [`Error::Epoch`], which shows the line and names both
 //! epochs. A format change either fits inside the epoch — a new optional
 //! config key, which a document without it reads as its default — or
 //! bumps it. Epoch 6 bumped it because an entry's input versions became
 //! DFS commit ticks: an earlier document's versions count writes per
-//! path, and a count can equal a later tick.
+//! path, and a count can equal a later tick. Epoch 7 bumped it because
+//! an entry records its own file — the version it was committed at and
+//! whether it is typed — in an `output` line an epoch-6 entry lacks.
 //!
 //! The format is line-oriented:
 //!
 //! ```text
-//! restore-state v6
+//! restore-state v7
 //! tick <n>
 //! cand <n>
 //! seq <n>                  the journal sequence number the document is anchored at
@@ -49,7 +51,7 @@ use restore_common::{Error, Result};
 /// built from the one number.
 macro_rules! epoch {
     () => {
-        6
+        7
     };
 }
 pub(crate) use epoch;
@@ -61,7 +63,7 @@ pub const EPOCH: u64 = epoch!();
 pub(crate) const HEADER: &str = concat!("restore-state v", epoch!());
 
 /// Refuse a first line that names another epoch of `header`'s kind
-/// (`restore-state v5` where `restore-state v6` is read). A line of any
+/// (`restore-state v6` where `restore-state v7` is read). A line of any
 /// other shape passes: the caller reports it as a malformed header.
 pub(crate) fn check_epoch(line: &str, header: &str) -> Result<()> {
     let kind = header.trim_end_matches(|c: char| c.is_ascii_digit());

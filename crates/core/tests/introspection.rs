@@ -6,7 +6,7 @@ use restore_core::{JournalConfig, ReStore, ReStoreConfig};
 use restore_dfs::DfsConfig;
 use restore_mapreduce::{Engine, EngineConfig};
 use restore_pigmix::{datagen, paraphrase, queries, DataScale};
-use restore_testkit::{engine_over, small_dfs};
+use restore_testkit::{engine_over, overwrite, small_dfs};
 
 fn engine() -> Engine {
     let rows: Vec<Tuple> =
@@ -131,6 +131,28 @@ fn explain_predicts_execution() {
     // The dry runs took no candidate path: the next one stored is `sub-3`.
     assert!(rs.execute_query(JOIN_GROUP, "/wf/jg").unwrap().candidates_stored > 0);
     assert!(rs.serves_path("/restore/sub-3"));
+}
+
+/// The dry run reads the staleness pass without running it: once the
+/// stored answer is overwritten out of band, explain predicts the job
+/// executes (on the sub-jobs still stored), execution agrees, and the
+/// dry run evicted nothing.
+#[test]
+fn explain_sees_a_stored_output_overwritten_out_of_band() {
+    let rs = ReStore::new(engine(), ReStoreConfig::default());
+    rs.execute_query(Q, "/wf/warm").unwrap();
+    overwrite(rs.engine().dfs(), "/out/q", b"mallory\t1\n");
+
+    let before = (footprint(&rs), rs.repository_as(None).len());
+    let report = rs.explain_query_as(None, Q, "/wf/x").unwrap();
+    assert_eq!((footprint(&rs), rs.repository_as(None).len()), before, "{report}");
+    let jobs = verdicts(&report);
+    assert!(!jobs[0].skipped, "{report}");
+
+    let e = rs.execute_query(Q, "/wf/real").unwrap();
+    assert_eq!((e.jobs_skipped, e.job_results.len()), (0, 1));
+    assert!(!reused(&e, 0).is_empty(), "the job reuses a stored sub-job");
+    assert_eq!(jobs[0].entries, reused(&e, 0), "{report}");
 }
 
 /// A job that Loads a skipped job's output is matched through the alias

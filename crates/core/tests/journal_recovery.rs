@@ -69,10 +69,11 @@ proptest! {
 
 /// A literal base checkpoint: one default-namespace entry over
 /// `/data/pv` at the version `pv_users` writes it at (the DFS clock's first
-/// tick), and a tenant carrying only a policy override, anchored at
+/// tick), stored as text in `/repo/b` at the version the scenarios below
+/// write it at (the third tick), and a tenant carrying only a policy override, anchored at
 /// sequence 0. Its config sections leave keys out, which read as their
 /// defaults.
-const BASE_FIXTURE: &str = r#"restore-state v6
+const BASE_FIXTURE: &str = r#"restore-state v7
 tick 7
 cand 3
 seq 0
@@ -95,6 +96,7 @@ path "/repo/b"
 end
 --repository--
 entry 0 "/repo/b" 100 10 5 1.5 2.5 3 6 1
+output 3 text
 input "/data/pv" 1
 plan
   0 load "/data/pv"
@@ -373,7 +375,7 @@ fn recovered_summary(rs: &ReStore) -> String {
 }
 
 /// One base and one journal segment captured at the commit that began
-/// format epoch 6, with the state that commit recovered them to. The
+/// format epoch 7, with the state that commit recovered them to. The
 /// segment holds every record kind the journal writes (`repo-batch`
 /// with entries, provenance, evictions and forgets from a window sweep,
 /// `tenant-create`, `tenant-config`, `tenant-config-clear`,
@@ -382,8 +384,8 @@ fn recovered_summary(rs: &ReStore) -> String {
 /// set recovering or bumps the epoch, and then replaces this triple.
 #[test]
 fn base_and_segment_captured_at_the_parent_commit_still_recover() {
-    let base = include_str!("fixtures/parent_v6_base.txt");
-    let segment = include_str!("fixtures/parent_v6_segment.txt");
+    let base = include_str!("fixtures/parent_v7_base.txt");
+    let segment = include_str!("fixtures/parent_v7_segment.txt");
     for kind in [
         "repo-batch",
         "tenant-create",
@@ -402,7 +404,7 @@ fn base_and_segment_captured_at_the_parent_commit_still_recover() {
     let report = rs.recover(base, &[segment.to_string()]).unwrap();
     assert_eq!((report.base_seq, report.records_skipped, report.records_applied), (4, 4, 12));
 
-    assert_eq!(recovered_summary(&rs), include_str!("fixtures/parent_v6_expect.txt"));
+    assert_eq!(recovered_summary(&rs), include_str!("fixtures/parent_v7_expect.txt"));
     let ana = rs.config_as(Some("ana"));
     assert!(!ana.register_final_outputs, "the tenant-config record applied");
     assert_eq!(ana.selection.eviction_window, Some(1));

@@ -328,7 +328,8 @@ fn corrupt_repository_body_names_the_section() {
 /// is refused whole with one typed error: the line, the epoch it names
 /// and the one this build reads. The readers read only this epoch: a v5
 /// document's input versions counted writes per path, and a count can
-/// equal a later commit tick.
+/// equal a later commit tick; a v6 document's entries do not say which
+/// version of their own file they stored, or in which format.
 #[test]
 fn an_earlier_epoch_is_refused_naming_both_epochs() {
     let mut journaled = Journaled::start(&pv_users(), None, JournalConfig::default(), None);
@@ -354,14 +355,24 @@ fn an_earlier_epoch_is_refused_naming_both_epochs() {
         }
         assert_eq!(rs.save_state(), doc, "{line}: the refused recovery changed the session");
     };
-    for found in [4, 5, EPOCH + 1] {
+    for found in [4, 5, 6, EPOCH + 1] {
         let old = format!("restore-state v{found}");
         refused(&doc.replacen(&header(), &old, 1), &[], &old, found);
     }
+    // A v6 document as that epoch wrote it: its entries have no `output`
+    // line.
+    let v6: String = doc
+        .replacen(&header(), "restore-state v6", 1)
+        .lines()
+        .filter(|l| !l.starts_with("output "))
+        .map(|l| format!("{l}\n"))
+        .collect();
+    assert!(v6.len() < doc.len(), "the document holds entries");
+    refused(&v6, &[], "restore-state v6", 6);
     // `v1` is the segment header this journal wrote before the epoch.
     // In the final slot a torn header is forgiven, so check it there and
     // before it.
-    for found in [1, 5, EPOCH + 1] {
+    for found in [1, 5, 6, EPOCH + 1] {
         let old = format!("restore-journal v{found}");
         let stale: Vec<String> =
             segments.iter().map(|s| s.replacen(segment_header, &old, 1)).collect();

@@ -191,7 +191,7 @@ impl Dfs {
     pub fn write_all(&self, path: &str, data: &[u8]) -> Result<()> {
         let mut w = self.create(path)?;
         w.write(data);
-        w.close()
+        w.close().map(drop)
     }
 
     /// Read an entire file into memory.
@@ -324,8 +324,9 @@ impl Dfs {
     }
 
     /// Commit a fully buffered file: split into blocks, place replicas,
-    /// register in the namespace. Called by [`DfsWriter::close`].
-    fn commit_file(&self, path: String, data: Vec<u8>) -> Result<()> {
+    /// register in the namespace. Called by [`DfsWriter::close`]; returns
+    /// the tick the commit took, the file's `mtime`.
+    fn commit_file(&self, path: String, data: Vec<u8>) -> Result<u64> {
         let block_size = self.inner.config.block_size as usize;
         let total_len = data.len() as u64;
         let replication = self.inner.config.replication.min(self.inner.config.nodes);
@@ -355,15 +356,15 @@ impl Dfs {
         self.inner.metrics.add_write(total_len, total_len * replication as u64);
         self.inner.metrics.files_created.fetch_add(1, Ordering::Relaxed);
 
-        let old = {
+        let (old, mtime) = {
             let mut nn = self.inner.namenode.write();
             let mtime = self.tick();
-            nn.upsert(path, FileMeta { blocks, len: total_len, replication, mtime })
+            (nn.upsert(path, FileMeta { blocks, len: total_len, replication, mtime }), mtime)
         };
         if let Some(old) = old {
             self.release_blocks(&old);
         }
-        Ok(())
+        Ok(mtime)
     }
 }
 
@@ -395,8 +396,10 @@ impl DfsWriter {
         self.buf.is_empty()
     }
 
-    /// Commit the file. Consumes the writer.
-    pub fn close(mut self) -> Result<()> {
+    /// Commit the file, returning its version: the DFS clock's tick at
+    /// the commit, which [`FileStatus::mtime`] reads until the path is
+    /// written or deleted again. Consumes the writer.
+    pub fn close(mut self) -> Result<u64> {
         self.closed = true;
         let buf = std::mem::take(&mut self.buf);
         let path = std::mem::take(&mut self.path);
@@ -464,10 +467,11 @@ mod tests {
         let before = dfs.status("/x").unwrap().mtime;
         let mut w = dfs.create_overwrite("/x").unwrap();
         w.write(b"bb");
-        w.close().unwrap();
+        let committed = w.close().unwrap();
         let st = dfs.status("/x").unwrap();
         assert_eq!(st.len, 2);
         assert!(st.mtime > before, "{} > {before}", st.mtime);
+        assert_eq!(committed, st.mtime, "close returns the version it committed");
     }
 
     #[test]

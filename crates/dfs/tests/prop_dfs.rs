@@ -97,7 +97,10 @@ proptest! {
                     prop_assert_eq!(version(), None);
                     continue;
                 }
-                1 => dfs.create_overwrite(&path).unwrap().close().unwrap(),
+                1 => {
+                    let committed = dfs.create_overwrite(&path).unwrap().close().unwrap();
+                    prop_assert_eq!(version(), Some(committed));
+                }
                 _ => {
                     dfs.delete(&path);
                     dfs.write_all(&path, &[op]).unwrap();

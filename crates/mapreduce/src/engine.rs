@@ -55,6 +55,28 @@ pub struct JobResult {
     /// ([`restore_common::codec::reads_back`]): a later job must not Load
     /// one in place of recomputing it. A typed output is never lossy.
     pub lossy_outputs: Vec<String>,
+    /// The version each output was committed at, the DFS clock's tick at
+    /// its commit (what `Dfs::status` reads as its `mtime` until the path
+    /// changes again): the main output's first, then each side output's
+    /// in channel order.
+    pub versions: Vec<u64>,
+}
+
+/// A job whose tasks have run and whose outputs are not yet committed:
+/// its counters, and each output's chunks in commit order.
+pub(crate) struct Ran {
+    counters: Counters,
+    main: Vec<Chunk>,
+    side: Vec<Vec<Chunk>>,
+}
+
+impl JobResult {
+    /// The version the output at `path`, main or side, was committed at;
+    /// `None` if the job wrote no such output.
+    pub fn version_of(&self, path: &str) -> Option<u64> {
+        let outputs = std::iter::once(&self.output).chain(&self.side_outputs);
+        outputs.zip(&self.versions).find(|(p, _)| *p == path).map(|(_, v)| *v)
+    }
 }
 
 /// The MapReduce engine. Holds the DFS handle and configuration; cheap to
@@ -77,6 +99,13 @@ impl Engine {
 
     /// Execute one job to completion.
     pub fn run(&self, spec: &JobSpec) -> Result<JobResult> {
+        let ran = self.execute(spec)?;
+        self.commit_outputs(spec, ran)
+    }
+
+    /// Run a job's tasks, up to the point where its outputs would be
+    /// committed; [`Engine::commit_outputs`] commits them.
+    pub(crate) fn execute(&self, spec: &JobSpec) -> Result<Ran> {
         if spec.inputs.is_empty() {
             return Err(Error::Job(format!("job {:?} has no inputs", spec.name)));
         }
@@ -121,25 +150,44 @@ impl Engine {
         counters.map_tasks = map_outs.len() as u64;
         counters.reduce_tasks = reduce_tasks as u64;
 
-        // ---- Commit outputs ----
         // Main output: the reduce tasks' chunks in partition order, or the
         // map tasks' in task order for a map-only job. Side outputs: map
-        // tasks', then reduce tasks'.
-        let main = if spec.is_map_only() { &map_outs } else { &reduce_outs };
+        // tasks', then reduce tasks'. The shuffle runs are dropped here.
+        let (maps, map_only) = (map_outs.len(), spec.is_map_only());
+        let mut main = Vec::new();
+        let mut side: Vec<Vec<Chunk>> = spec.side_outputs.iter().map(|_| Vec::new()).collect();
+        for (i, out) in map_outs.into_iter().chain(reduce_outs).enumerate() {
+            if (i < maps) == map_only {
+                main.push(out.output);
+            }
+            for (channel, chunk) in side.iter_mut().zip(out.side) {
+                channel.push(chunk);
+            }
+        }
+        Ok(Ran { counters, main, side })
+    }
+
+    /// Commit what [`Engine::execute`] left: the main output, then each
+    /// side output in channel order, each one DFS commit.
+    pub(crate) fn commit_outputs(&self, spec: &JobSpec, ran: Ran) -> Result<JobResult> {
+        let Ran { mut counters, main, side } = ran;
         let mut lossy_outputs = Vec::new();
-        let mut commit = |path: &String, chunks: Vec<&Chunk>| -> Result<u64> {
-            let (len, lossy) = self.commit(path, &chunks)?;
+        let mut versions = Vec::with_capacity(1 + spec.side_outputs.len());
+        let mut commit = |path: &String, chunks: Vec<Chunk>| -> Result<u64> {
+            let (len, lossy, version) = self.commit(path, &chunks)?;
             if lossy {
                 lossy_outputs.push(path.clone());
             }
+            versions.push(version);
             Ok(len)
         };
-        counters.output_bytes = commit(&spec.output, main.iter().map(|o| &o.output).collect())?;
-        counters.side_output_bytes = Vec::with_capacity(spec.side_outputs.len());
-        for (c, path) in spec.side_outputs.iter().enumerate() {
-            let chunks = map_outs.iter().chain(&reduce_outs).map(|o| &o.side[c]).collect();
-            counters.side_output_bytes.push(commit(path, chunks)?);
-        }
+        counters.output_bytes = commit(&spec.output, main)?;
+        counters.side_output_bytes = spec
+            .side_outputs
+            .iter()
+            .zip(side)
+            .map(|(path, c)| commit(path, c))
+            .collect::<Result<_>>()?;
 
         let times = CostModel::new(self.cluster.clone()).job_times(spec, &counters);
         Ok(JobResult {
@@ -149,13 +197,14 @@ impl Engine {
             output: spec.output.clone(),
             side_outputs: spec.side_outputs.clone(),
             lossy_outputs,
+            versions,
         })
     }
 
     /// Write `chunks`, in order, as the file at `path` — and, when they are
-    /// typed, their trailer after them. The file's length, and whether a
-    /// text chunk was lossy.
-    fn commit(&self, path: &str, chunks: &[&Chunk]) -> Result<(u64, bool)> {
+    /// typed, their trailer after them. The file's length, whether a text
+    /// chunk was lossy, and the version the file was committed at.
+    fn commit(&self, path: &str, chunks: &[Chunk]) -> Result<(u64, bool, u64)> {
         let mut w = self.dfs.create_overwrite(path)?;
         let mut lossy = false;
         let mut typed_chunks = Vec::new();
@@ -168,8 +217,7 @@ impl Engine {
         }
         w.write(&typed::trailer(typed_chunks));
         let len = w.len();
-        w.close()?;
-        Ok((len, lossy))
+        Ok((len, lossy, w.close()?))
     }
 
     /// Run `task(0..n)` on the worker threads; results in index order, or
@@ -511,6 +559,11 @@ mod tests {
         assert_eq!(res.counters.side_output_bytes.len(), 2);
         assert!(res.counters.map_side_bytes > 0);
         assert!(res.counters.reduce_side_bytes > 0);
+        // Each output's version is the one its file carries.
+        for path in ["/out", "/side/map", "/side/reduce"] {
+            assert_eq!(res.version_of(path), Some(eng.dfs().status(path).unwrap().mtime), "{path}");
+        }
+        assert_eq!(res.version_of("/in"), None);
     }
 
     #[test]

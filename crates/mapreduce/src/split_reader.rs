@@ -80,13 +80,6 @@ impl InputFile {
     }
 }
 
-/// Whether the file at `path` is typed: a look at its last two bytes.
-pub fn is_typed(dfs: &Dfs, path: &str) -> Result<bool> {
-    let len = dfs.file_len(path)?;
-    let n = len.min(typed::MAGIC.len() as u64);
-    Ok(typed::is_typed(&dfs.read_range(path, len - n, n)?))
-}
-
 /// Read the records logically belonging to `split` of `file`, handing
 /// each to `row` as it is cut from the bytes, and return the number of
 /// payload bytes charged to this split. With `columns`, a row holds

@@ -85,17 +85,20 @@ impl Engine {
     ///
     /// Outputs are byte-identical to one-job-at-a-time execution: jobs
     /// within a wave write disjoint files, and per-job execution is
-    /// already deterministic regardless of worker threading.
+    /// already deterministic regardless of worker threading. So are their
+    /// versions: the jobs' tasks run concurrently, but their outputs are
+    /// committed in `specs` order once all have run, so which job finished
+    /// first does not decide which commit tick each file gets.
     pub fn run_wave(&self, specs: &[&JobSpec], parallel: bool) -> Result<Vec<JobResult>> {
         if specs.len() <= 1 || !parallel {
             return specs.iter().map(|spec| self.run(spec)).collect();
         }
-        let outcomes: Vec<Result<JobResult>> = std::thread::scope(|scope| {
+        let ran: Vec<Result<_>> = std::thread::scope(|scope| {
             let handles: Vec<_> =
-                specs.iter().map(|&spec| scope.spawn(move || self.run(spec))).collect();
+                specs.iter().map(|&spec| scope.spawn(move || self.execute(spec))).collect();
             handles.into_iter().map(|h| h.join().expect("wave job thread panicked")).collect()
         });
-        outcomes.into_iter().collect()
+        specs.iter().zip(ran).map(|(spec, ran)| self.commit_outputs(spec, ran?)).collect()
     }
 }
 
@@ -213,11 +216,11 @@ mod tests {
 
         // Each wave's jobs concurrently.
         let par = mk_engine(4);
-        run_waves(&par, &jobs, true);
+        let par_results = run_waves(&par, &jobs, true);
 
         // Strictly sequential: one job at a time, in wave order.
         let seq = mk_engine(1);
-        run_waves(&seq, &jobs, false);
+        let seq_results = run_waves(&seq, &jobs, false);
 
         for path in ["/a", "/b", "/c", "/d"] {
             assert_eq!(
@@ -226,6 +229,10 @@ mod tests {
                 "output {path} diverged between wave-parallel and sequential"
             );
         }
+        // Committed in job order, so at the same versions.
+        let versions = |results: &[JobResult]| results.iter().map(|r| r.versions.clone()).collect();
+        let par_versions: Vec<Vec<u64>> = versions(&par_results);
+        assert_eq!(par_versions, versions(&seq_results));
     }
 
     #[test]

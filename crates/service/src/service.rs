@@ -91,7 +91,6 @@ struct CheckpointKeeper {
     base: String,
     segments: Vec<String>,
     journal_bytes: usize,
-    compactions: u64,
 }
 
 /// Snapshot of one tenant's serving activity (see
@@ -336,13 +335,7 @@ impl RestoreService {
         self.restore.enable_journal(config.journal.clone());
         let base = self.restore.save_state();
         let base_bytes = base.len();
-        *keeper = Some(CheckpointKeeper {
-            config,
-            base,
-            segments: Vec::new(),
-            journal_bytes: 0,
-            compactions: 0,
-        });
+        *keeper = Some(CheckpointKeeper { config, base, segments: Vec::new(), journal_bytes: 0 });
         CheckpointOutcome { segments_added: 0, compacted: false, base_bytes, journal_bytes: 0 }
     }
 
@@ -377,7 +370,6 @@ impl RestoreService {
             keeper.base = self.restore.save_state();
             keeper.segments.clear();
             keeper.journal_bytes = 0;
-            keeper.compactions += 1;
             self.shared.obs.checkpoint_compact.record_elapsed(compact_t0);
             self.shared.obs.compactions.inc();
             compacted = true;
@@ -395,12 +387,6 @@ impl RestoreService {
     pub fn checkpoint_set(&self) -> Option<CheckpointSet> {
         let guard = self.checkpoint.lock().unwrap_or_else(|e| e.into_inner());
         guard.as_ref().map(|k| CheckpointSet { base: k.base.clone(), segments: k.segments.clone() })
-    }
-
-    /// How many times the journal has been folded into a fresh base.
-    pub fn checkpoint_compactions(&self) -> u64 {
-        let guard = self.checkpoint.lock().unwrap_or_else(|e| e.into_inner());
-        guard.as_ref().map(|k| k.compactions).unwrap_or(0)
     }
 
     /// Rebuild session state from a [`CheckpointSet`] — the one way a

@@ -7,7 +7,7 @@
 //! [`ReStoreConfig::baseline`] session over the same DFS, and names the
 //! first query whose output differs. After the sequence it runs
 //! [`check_repository`]: every entry the session holds points at a file
-//! that reads back whole.
+//! that reads back whole and is still the one it registered.
 //!
 //! Outputs are compared as their lines, sorted, byte for byte — the
 //! order reducers wrote them in is the only freedom. They are never
@@ -194,7 +194,8 @@ impl Oracle {
 }
 
 /// Every entry in every namespace of `rs` points at a file that reads
-/// back in full and decodes, typed or text.
+/// back in full and decodes, typed or text, and is the file the entry
+/// registered: at the version it recorded.
 pub fn check_repository(rs: &ReStore) -> Result<(), String> {
     let dfs = rs.engine().dfs();
     let tenants = rs.tenant_ids();
@@ -208,6 +209,15 @@ pub fn check_repository(rs: &ReStore) -> Result<(), String> {
             typed::decode_any(&bytes).map_err(|err| {
                 format!("{space}: entry {}'s file {} does not decode: {err}", e.id, e.output_path)
             })?;
+            let version = dfs.status(&e.output_path).map_or(0, |status| status.mtime);
+            if version != e.output_version() {
+                return Err(format!(
+                    "{space}: entry {}'s file {} is at version {version}, not the {} it registered",
+                    e.id,
+                    e.output_path,
+                    e.output_version()
+                ));
+            }
         }
     }
     Ok(())

@@ -1,8 +1,9 @@
 //! The oracle cannot pass vacuously: a session whose answer was tampered
 //! with is named, query index and both answers, and a repository entry
-//! whose file is gone or does not decode is named by its path.
+//! whose file is gone, does not decode or was written again is named by
+//! its path.
 
-use restore_core::{ReStore, ReStoreConfig};
+use restore_core::{ReStore, ReStoreConfig, RepoStats};
 use restore_testkit::{
     check_repository, join_query, overwrite, pv_users, session_over, sum_query, Oracle,
 };
@@ -17,12 +18,16 @@ fn a_tampered_output_is_named_with_both_answers() {
     // The entry that answers the query is replaced by one with the same
     // plan and statistics whose file holds another answer: what a wrong
     // registration or a wrong match would serve.
-    rs.engine().dfs().write_all("/out/forged", b"mallory\t1\n").unwrap();
+    // It records its forged file as it is, so the staleness pass keeps it.
+    let dfs = rs.engine().dfs();
+    dfs.write_all("/out/forged", b"mallory\t1\n").unwrap();
+    let output_version = dfs.status("/out/forged").unwrap().mtime;
     rs.with_repository_mut_as(None, |repo| {
         let snapshot = repo.snapshot();
         let real = snapshot.entries().iter().find(|e| e.output_path == "/out/a").unwrap();
         repo.evict(real.id);
-        repo.insert(real.plan.clone(), "/out/forged", real.stats());
+        let stats = RepoStats { output_version, ..real.stats() };
+        repo.insert(real.plan.clone(), "/out/forged", stats);
     });
     let err = Oracle::check(&rs, &[join_query("/out/j"), sum_query("/out/c")]).unwrap_err();
     assert!(err.starts_with("query 1 (stores /out/c): "), "{err}");
@@ -51,7 +56,13 @@ fn an_entry_whose_file_is_gone_or_garbled_is_named() {
         .into_iter()
         .find(|p| p.starts_with("/restore/"))
         .expect("a typed candidate is stored");
+    // Written again with the very bytes it held: it decodes, but it is
+    // not the file the entry registered.
     let mut bytes = dfs.read_all(&typed).unwrap();
+    overwrite(dfs, &typed, &bytes);
+    let err = check_repository(&rs).unwrap_err();
+    assert!(err.contains(&format!("{typed} is at version")), "{err}");
+
     bytes.remove(0);
     overwrite(dfs, &typed, &bytes);
     let err = check_repository(&rs).unwrap_err();

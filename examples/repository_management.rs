@@ -6,9 +6,9 @@
 //! * repository persistence across "sessions" (save/load);
 //! * eviction rule 3 (a window of disuse);
 //! * eviction rule 4 (input files overwritten, or deleted and written
-//!   again), which holds under every policy: the example runs it under
-//!   the default one and checks the answer after each change against a
-//!   no-reuse run.
+//!   again, or a stored output overwritten), which holds under every
+//!   policy: the example runs it under the default one and checks the
+//!   answer after each change against a no-reuse run.
 //!
 //! ```sh
 //! cargo run --example repository_management
@@ -138,4 +138,17 @@ fn main() {
     print_repo(&rs.repository_as(None));
     let same = equals_no_reuse(&rs, &after.final_output, "overwritten");
     println!("  post-overwrite answer equals a no-reuse run: {same}");
+
+    // An entry records the version its own file was committed at, so a
+    // stored answer rewritten behind the session is a miss too.
+    println!("\n== rule 4: overwriting a stored output invalidates its entry ==");
+    let warm = rs.execute_query(QUERY, "/wf/run8").unwrap();
+    println!("  jobs skipped before the overwrite: {}", warm.jobs_skipped);
+    let mut w = dfs.create_overwrite(&warm.final_output).unwrap();
+    w.write(&codec::encode_all(&[tuple!["mallory", 1.0]]));
+    w.close().unwrap();
+    let after = rs.execute_query(QUERY, "/wf/run9").unwrap();
+    println!("  jobs skipped after the overwrite: {} (stale entry evicted)", after.jobs_skipped);
+    let same = equals_no_reuse(&rs, &after.final_output, "output-overwritten");
+    println!("  post-output-overwrite answer equals a no-reuse run: {same}");
 }

@@ -3,13 +3,14 @@
 //! provenance states in the current format epoch.
 
 use proptest::prelude::*;
+use restore_suite::common::{codec, tuple, typed};
 use restore_suite::core::{Heuristic, ReStore, ReStoreConfig, RepoStats, SelectionPolicy, EPOCH};
 use restore_suite::dataflow::physical::{PhysicalOp, PhysicalPlan};
 use restore_suite::dfs::{Dfs, DfsConfig};
 use restore_suite::mapreduce::{ClusterConfig, Engine, EngineConfig};
 
 /// One synthetic repository entry: which base input it loads, which
-/// columns it projects, and its statistics.
+/// columns it projects, its statistics, and whether its file is typed.
 #[derive(Debug, Clone)]
 struct EntrySpec {
     input: u8,
@@ -19,6 +20,7 @@ struct EntrySpec {
     time_ds: u32,
     uses: u64,
     register_provenance: bool,
+    typed: bool,
 }
 
 /// One synthetic tenant namespace: its entries and an optional policy
@@ -38,10 +40,22 @@ fn entry_spec() -> impl Strategy<Value = EntrySpec> {
         0u32..5000,
         0u64..9,
         any::<bool>(),
+        any::<bool>(),
     )
-        .prop_map(|(input, cols, in_bytes, out_bytes, time_ds, uses, register_provenance)| {
-            EntrySpec { input, cols, in_bytes, out_bytes, time_ds, uses, register_provenance }
-        })
+        .prop_map(
+            |(input, cols, in_bytes, out_bytes, time_ds, uses, register_provenance, typed)| {
+                EntrySpec {
+                    input,
+                    cols,
+                    in_bytes,
+                    out_bytes,
+                    time_ds,
+                    uses,
+                    register_provenance,
+                    typed,
+                }
+            },
+        )
 }
 
 fn space_spec() -> impl Strategy<Value = SpaceSpec> {
@@ -102,8 +116,12 @@ fn build_session(dfs: &Dfs, spaces: &[(Option<&str>, &SpaceSpec)]) -> ReStore {
                 dfs.write_all(&input_path, b"a\t1\nb\t2\n").unwrap();
             }
             if !dfs.exists(&out_path) {
-                dfs.write_all(&out_path, b"x\t1\n").unwrap();
+                let rows = [tuple!["x", 1i64]];
+                let bytes =
+                    if e.typed { typed::encode_file(&rows) } else { codec::encode_all(&rows) };
+                dfs.write_all(&out_path, &bytes).unwrap();
             }
+            let version = |path: &str| dfs.status(path).unwrap().mtime;
             let stats = RepoStats {
                 input_bytes: e.in_bytes,
                 output_bytes: e.out_bytes,
@@ -113,7 +131,9 @@ fn build_session(dfs: &Dfs, spaces: &[(Option<&str>, &SpaceSpec)]) -> ReStore {
                 use_count: e.uses,
                 last_used: e.uses,
                 created: 1,
-                input_files: vec![(input_path, 0)],
+                input_files: vec![(input_path.clone(), version(&input_path))],
+                output_version: version(&out_path),
+                typed: e.typed,
             };
             rs.with_repository_mut_as(*tenant, |repo| {
                 repo.batch(|b| {

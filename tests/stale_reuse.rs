@@ -1,18 +1,22 @@
 //! Reuse must not outlive the data it was computed from. A stored result
 //! answers a query only while every base file its plan reads still holds
 //! the bytes it was computed from, and only while the stored file itself
-//! is still there. Each test changes one of those behind the session's
-//! back, reruns a query, and compares its output bytes with a no-reuse
-//! session reading the same DFS; the answer must be a miss (the work
-//! runs again), never a stale answer or an error.
+//! is still there and still the one ReStore registered. Each test changes
+//! one of those behind the session's back, reruns a query, and compares
+//! its output bytes with a no-reuse session reading the same DFS; the
+//! answer must be a miss (the work runs again), never a stale answer or
+//! an error.
 //!
 //! Each case runs under the default configuration and with final outputs
 //! not registered, so both whole-job entries and sub-job candidates are
 //! covered, and asserts `restore_entries_evicted_total` by reason.
 
-use restore_suite::core::{ReStore, ReStoreConfig};
+use restore_suite::core::{ReStore, ReStoreConfig, SelectionPolicy};
 use restore_suite::dfs::Dfs;
-use restore_testkit::{baseline_output, engine_over, overwrite, small_dfs, Oracle};
+use restore_testkit::{
+    baseline_output, engine_over, join_query, overwrite, pv_users, session_over, small_dfs,
+    sum_query, Oracle,
+};
 
 /// Filter, group and sum over one base file: one job.
 const ONE_JOB: &str = "A = load '/data/e' as (user, n:int);
@@ -174,6 +178,80 @@ fn a_recreated_input_is_a_miss() {
         dfs.write_all("/data/e", b"carol\t100\n").unwrap();
         failures.extend(rerun(&rs, ONE_JOB, "after").err().map(|e| format!("{case}: {e}")));
         failures.extend(evictions(&rs, [0, stored, 0, 0]).err().map(|e| format!("{case}: {e}")));
+    }
+    report(&failures);
+}
+
+/// What an intruder writes over a stored file: one text row.
+const FOREIGN: &[u8] = b"mallory\t1\n";
+
+/// The paths the default namespace's entries store into.
+fn stored_paths(rs: &ReStore) -> Vec<String> {
+    rs.repository_as(None).entries().iter().map(|e| e.output_path.clone()).collect()
+}
+
+#[test]
+fn a_registered_output_overwritten_out_of_band_is_a_miss() {
+    let mut failures = Vec::new();
+    for (case, config) in configs() {
+        let rs = session_over(&pv_users(), config);
+        Oracle::check(&rs, &[sum_query("/out/a")]).unwrap();
+        // Registered only under the default configuration.
+        let n = stored_paths(&rs).iter().filter(|p| *p == "/out/a").count() as u64;
+
+        overwrite(rs.engine().dfs(), "/out/a", FOREIGN);
+        let check = Oracle::check(&rs, &[sum_query("/out/b")]);
+        failures.extend(check.err().map(|e| format!("{case}: {e}")));
+        failures.extend(evictions(&rs, [0, 0, 0, n]).err().map(|e| format!("{case}: {e}")));
+    }
+    report(&failures);
+}
+
+#[test]
+fn a_typed_candidate_overwritten_out_of_band_is_a_miss_and_keeps_the_new_bytes() {
+    let mut failures = Vec::new();
+    for (case, config) in configs() {
+        let rs = session_over(&pv_users(), config);
+        Oracle::check(&rs, &[sum_query("/out/a")]).unwrap();
+        let candidate = "/restore/sub-1";
+        assert!(stored_paths(&rs).iter().any(|p| p == candidate), "{case}: {candidate} is stored");
+
+        let dfs = rs.engine().dfs();
+        overwrite(dfs, candidate, FOREIGN);
+        let check = Oracle::check(&rs, &[sum_query("/out/b")]);
+        failures.extend(check.err().map(|e| format!("{case}: {e}")));
+        failures.extend(evictions(&rs, [0, 0, 0, 1]).err().map(|e| format!("{case}: {e}")));
+        // Evicted, not deleted: the file holds what its last writer wrote.
+        if dfs.read_all(candidate).ok().as_deref() != Some(FOREIGN) {
+            failures.push(format!("{case}: {candidate} does not hold the overwriting bytes"));
+        }
+    }
+    report(&failures);
+}
+
+#[test]
+fn an_expired_entry_overwritten_out_of_band_counts_as_overwritten_and_keeps_its_file() {
+    let mut failures = Vec::new();
+    for (case, config) in configs() {
+        let registered = config.register_final_outputs;
+        let window = SelectionPolicy { eviction_window: Some(1), ..Default::default() };
+        let rs = session_over(&pv_users(), ReStoreConfig { selection: window, ..config });
+        // Tick 1 stores the candidate; tick 2 reads nothing it stored, so
+        // at tick 3 the candidate is past its one-tick window.
+        Oracle::check(&rs, &[sum_query("/out/a"), join_query("/out/j")]).unwrap();
+        let candidate = "/restore/sub-1";
+        assert!(stored_paths(&rs).iter().any(|p| p == candidate), "{case}: {candidate} is stored");
+
+        let dfs = rs.engine().dfs();
+        overwrite(dfs, candidate, FOREIGN);
+        let check = Oracle::check(&rs, &[sum_query("/out/b")]);
+        failures.extend(check.err().map(|e| format!("{case}: {e}")));
+        // `/out/a`, when registered, is past its window too, and is text.
+        let window = u64::from(registered);
+        failures.extend(evictions(&rs, [window, 0, 0, 1]).err().map(|e| format!("{case}: {e}")));
+        if dfs.read_all(candidate).ok().as_deref() != Some(FOREIGN) {
+            failures.push(format!("{case}: {candidate} does not hold the overwriting bytes"));
+        }
     }
     report(&failures);
 }
