@@ -46,7 +46,7 @@
 //! per-compile cost the canonical form adds to the submission path.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use restore_core::{ReStore, ReStoreConfig, RepoStats, Repository};
+use restore_core::{ReStore, ReStoreConfig, RepoStats, Repository, StoredFile};
 use restore_dataflow::expr::Expr;
 use restore_dataflow::physical::{PhysicalOp, PhysicalPlan};
 use restore_dfs::{Dfs, DfsConfig};
@@ -87,8 +87,7 @@ fn repo_of(n: usize) -> Repository {
     repo.batch(|b| {
         for i in 0..n {
             b.insert(
-                entry_plan(i),
-                format!("/repo/{i}"),
+                StoredFile::new(format!("/repo/{i}"), entry_plan(i)),
                 RepoStats {
                     input_bytes: 10 * n as u64 - i as u64,
                     output_bytes: 100,
@@ -148,14 +147,13 @@ const INSERTS_PER_WRITER: usize = 64;
 fn bench_insert_writers(c: &mut Criterion) {
     let mut group = c.benchmark_group("insert_writers");
     for &threads in &[1usize, 2, 4, 8] {
-        let corpus: Vec<Vec<(PhysicalPlan, String, RepoStats)>> = (0..threads)
+        let corpus: Vec<Vec<(StoredFile, RepoStats)>> = (0..threads)
             .map(|t| {
                 (0..INSERTS_PER_WRITER)
                     .map(|k| {
                         let i = t * INSERTS_PER_WRITER + k;
                         (
-                            entry_plan(i),
-                            format!("/repo/{i}"),
+                            StoredFile::new(format!("/repo/{i}"), entry_plan(i)),
                             RepoStats {
                                 input_bytes: 10_000 - i as u64,
                                 output_bytes: 100,
@@ -175,8 +173,8 @@ fn bench_insert_writers(c: &mut Criterion) {
                     for slice in corpus.iter().take(threads) {
                         let repo = &repo;
                         scope.spawn(move || {
-                            for (p, path, s) in slice {
-                                black_box(repo.insert(p.clone(), path.clone(), s.clone()));
+                            for (file, s) in slice {
+                                black_box(repo.insert(file.clone(), s.clone()));
                             }
                         });
                     }
@@ -236,8 +234,7 @@ fn bench_matching_bulk(c: &mut Criterion) {
         let items: Vec<_> = (0..n)
             .map(|i| {
                 (
-                    entry_plan(i),
-                    format!("/repo/{i}"),
+                    StoredFile::new(format!("/repo/{i}"), entry_plan(i)),
                     RepoStats {
                         input_bytes: 10 * n as u64 - i as u64,
                         output_bytes: 100,

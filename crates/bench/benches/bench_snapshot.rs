@@ -23,7 +23,7 @@
 //! `CRITERION_JSON`.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use restore_core::{JournalConfig, ReStore, ReStoreConfig, RepoStats};
+use restore_core::{JournalConfig, ReStore, ReStoreConfig, RepoStats, StoredFile};
 use restore_dataflow::expr::Expr;
 use restore_dataflow::physical::{PhysicalOp, PhysicalPlan};
 use restore_dfs::{Dfs, DfsConfig};
@@ -65,7 +65,7 @@ fn session_of(n: usize) -> ReStore {
     rs.with_repository_mut_as(None, |repo| {
         repo.batch(|b| {
             for i in 0..n {
-                b.insert(entry_plan(i), format!("/repo/{i}"), stats(i, n));
+                b.insert(StoredFile::new(format!("/repo/{i}"), entry_plan(i)), stats(i, n));
             }
         })
     });

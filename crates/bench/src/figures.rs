@@ -249,7 +249,7 @@ pub struct AblationRow {
 /// Both strategies return identical matches; the index prunes candidates
 /// by tip signature before running the full traversal.
 pub fn matcher_ablation() -> Vec<AblationRow> {
-    use restore_core::{RepoStats, Repository};
+    use restore_core::{RepoStats, Repository, StoredFile};
     use restore_dataflow::expr::Expr;
     use restore_dataflow::physical::{PhysicalOp, PhysicalPlan};
     use std::time::Instant;
@@ -284,7 +284,7 @@ pub fn matcher_ablation() -> Vec<AblationRow> {
                 job_time_s: (n - i) as f64,
                 ..Default::default()
             };
-            repo.insert(entry_plan(i), format!("/r/{i}"), stats);
+            repo.insert(StoredFile::new(format!("/r/{i}"), entry_plan(i)), stats);
         }
         let view = repo.snapshot();
         // Worst case for the scan: the matching entry sits at the end.

@@ -14,11 +14,11 @@
 //!    concurrently on the MapReduce engine via `std::thread::scope` —
 //!    Equation (1) already models a workflow's makespan as its slowest
 //!    dependency chain, and wave-parallel execution realizes it;
-//! 3. **register** (serialized, in job-index order): outputs, plans, and
-//!    statistics enter the repository and its provenance table (§2.2),
-//!    and the §5 selection rules are applied.
+//! 3. **register** (serialized, in job-index order): each output's
+//!    record — its plan, file and inputs — and statistics enter the
+//!    repository (§2.2), and the §5 selection rules are applied.
 //!
-//! The repository, its provenance table included, is published as
+//! The repository, every record included, is published as
 //! **RCU snapshots** (see [`crate::rcu`] and [`crate::repository`]), and every
 //! public entry point takes `&self`, so **many threads can submit queries
 //! against one warmed repository**. The match path never waits on a
@@ -41,7 +41,7 @@
 //! using it (see [`ReStore`]'s match loop for the race argument).
 //!
 //! Reuse state is kept **per tenant**: each tenant submitted through the
-//! `_as` entry points gets its own repository/provenance/pin namespace,
+//! `_as` entry points gets its own repository/pin namespace,
 //! so reuse, candidate materialization, and eviction never cross
 //! tenants. The tenant-less API uses the default namespace, the `""`
 //! entry of the same map.
@@ -56,7 +56,7 @@ use crate::journal::Journal;
 use crate::obs::{Obs, ReuseDecision, ReuseTraceEvent, SpaceMetrics};
 use crate::pin::PinSet;
 use crate::rcu::Rcu;
-use crate::repository::{MatchProbe, RepoBatch, RepoEntry, RepoStats, Repository};
+use crate::repository::{MatchProbe, RepoBatch, RepoEntry, RepoStats, Repository, StoredFile};
 use crate::rewriter::{apply_aliases, identity_copy};
 use crate::selector::SelectionPolicy;
 use parking_lot::RwLock;
@@ -199,7 +199,9 @@ pub struct ReStoreStats {
     pub never_used: usize,
     /// Queries executed through this driver.
     pub queries_executed: u64,
-    pub provenance_entries: usize,
+    /// Records of stored files: every entry's, and every second file
+    /// holding a plan an entry stores.
+    pub stored_files: usize,
 }
 
 /// The ReStore system: a shared session object. All entry points take
@@ -257,10 +259,10 @@ pub struct ReStore {
 }
 
 /// One isolated repository namespace: the §2.2 repository with its
-/// provenance table, the pin set protecting its in-flight matches, and
-/// the tenant's policy override (`None` = follow the global default).
+/// records, the pin set protecting its in-flight matches, and the
+/// tenant's policy override (`None` = follow the global default).
 ///
-/// The repository publishes entries and provenance as one RCU snapshot:
+/// The repository publishes entries and records as one RCU snapshot:
 /// readers load it without waiting on a writer section, and a wave's
 /// registration, an eviction or a restore is one writer section, one
 /// publish and one journal record.
@@ -594,7 +596,7 @@ impl ReStore {
             if !wave_written.is_empty() {
                 self.invalidate_overwritten(&wave_written);
             }
-            // The whole wave's entries and provenance land as one
+            // The whole wave's entries and records land as one
             // published snapshot (in job-index order), journaled at
             // publish as one `repo-batch` record, instead of a publish
             // per job: concurrent sessions and recovery see the wave land
@@ -664,8 +666,8 @@ impl ReStore {
     }
 
     /// Phase 1 for one job: alias rewriting, the §3 match loop, whole-job
-    /// elimination, and §4 sub-job instrumentation. Entries in `stale` are
-    /// not matched.
+    /// elimination, and §4 sub-job instrumentation. The records of the
+    /// paths in `stale` are neither expanded nor matched.
     /// Without `pins`, [`ReStore::explain_query_as`]'s dry run: no pins,
     /// reuse accounting or trace events, and it stops at the verdict — no
     /// sub-job enumeration (no candidate path taken) and no job spec.
@@ -682,7 +684,7 @@ impl ReStore {
         aliases: &mut HashMap<String, String>,
         rewrites: &mut Vec<RewriteEvent>,
         mut pins: Option<&mut PinGuard>,
-        stale: &HashSet<u64>,
+        stale: &HashSet<String>,
     ) -> Result<Prepared> {
         let job = &wf.jobs[idx];
         // Re-canonicalize after alias rewriting: aliasing two Loads to
@@ -711,11 +713,11 @@ impl ReStore {
                     rewrites.push(RewriteEvent {
                         job: idx,
                         entry_id: entry.id,
-                        reused_path: entry.output_path.clone(),
+                        reused_path: entry.file.path.clone(),
                         whole_job: false,
                     });
                     job_rewrites += 1;
-                    reused_typed = entry.typed();
+                    reused_typed = entry.file.typed;
                 },
             );
         }
@@ -746,7 +748,6 @@ impl ReStore {
         // tenant's prefix so namespaces never share materialized files.
         let candidates: Vec<Candidate> = if config.heuristic != Heuristic::None {
             let repo = space.repo.snapshot();
-            let prov = repo.provenance();
             let prefix = match space_name {
                 "" => config.repo_prefix.clone(),
                 t => format!("{}/{t}", config.repo_prefix),
@@ -762,7 +763,7 @@ impl ReStore {
                     // Skip candidates whose (base-level) plan is already
                     // stored: re-materializing them would pay the Store
                     // cost for nothing.
-                    repo.contains_plan(&prov.expand(candidate).plan).is_some()
+                    repo.contains_plan(&repo.expand(candidate).plan).is_some()
                 },
             )
         } else {
@@ -787,12 +788,12 @@ impl ReStore {
     /// ([`crate::provenance::ExpandedPlan::collapses_back`]), and a plan
     /// reduced to a `Load → Store` copy is answered in full, so the loop
     /// stops there. No writer section anywhere: each iteration loads the
-    /// current repository snapshot, provenance included (a pointer
-    /// copy), and reuse statistics are recorded through the entries'
-    /// shared atomics;
+    /// current repository snapshot, records included (a pointer copy),
+    /// and reuse statistics are recorded through the entries' shared
+    /// atomics;
     /// `on_match` runs after each applied rewrite, with the entry as the
-    /// snapshot it matched in holds it. Entries in `stale` are never
-    /// matched. With `pins` present
+    /// snapshot it matched in holds it. The records of the paths in
+    /// `stale` are never expanded or matched. With `pins` present
     /// (a real execution, not a dry run), the reused output is pinned
     /// against concurrent eviction until the workflow finishes.
     ///
@@ -817,7 +818,7 @@ impl ReStore {
         tenant: &str,
         job: usize,
         mut pins: Option<&mut PinGuard>,
-        stale: &HashSet<u64>,
+        stale: &HashSet<String>,
         mut on_match: impl FnMut(&RepoEntry),
     ) {
         let loop_t0 = Instant::now();
@@ -839,12 +840,15 @@ impl ReStore {
         for _ in 0..budget {
             let snapshot_t0 = Instant::now();
             let snap = space.repo.snapshot();
-            let expanded = snap.provenance().expand(plan);
+            let live = |path: &str| snap.file(path).filter(|_| !stale.contains(path));
+            let expanded = crate::provenance::expand(plan, |path| live(path).map(|f| &f.plan));
             self.obs.match_stage.snapshot_load.record_elapsed(snapshot_t0);
             probe.reset();
             let found = snap.find_first_match_probed(
                 &expanded.plan,
-                |e, site| stale.contains(&e.id) || expanded.collapses_back(site, &e.output_path),
+                |e, site| {
+                    stale.contains(&e.file.path) || expanded.collapses_back(site, &e.file.path)
+                },
                 &mut probe,
             );
             self.obs.match_stage.index_probe.record(probe.probe_ns);
@@ -858,7 +862,7 @@ impl ReStore {
                 break;
             };
             let entry = snap.get(entry_id).expect("matched entry");
-            let reused_path = &entry.output_path;
+            let reused_path = &entry.file.path;
             if let Some(p) = pins.as_deref_mut() {
                 let pin_t0 = Instant::now();
                 p.pin(reused_path);
@@ -930,13 +934,12 @@ impl ReStore {
         }
     }
 
-    /// Phase 3 for one executed job: register the whole-job entry, the
-    /// candidate sub-job entries, and their provenance. The caller runs
-    /// the whole wave inside one repository batch, published when the
-    /// wave completes, so concurrent sessions and recovery never observe
-    /// a half-registered job (e.g. an entry without its provenance) or
-    /// a half-registered wave. Returns (bytes written by injected
-    /// Stores, candidates kept).
+    /// Phase 3 for one executed job: register the whole-job entry and
+    /// the candidate sub-job entries, each with its file's record. The
+    /// caller runs the whole wave inside one repository batch, published
+    /// when the wave completes, so concurrent sessions and recovery never
+    /// observe a half-registered job or a half-registered wave. Returns
+    /// (bytes written by injected Stores, candidates kept).
     #[allow(clippy::too_many_arguments)]
     fn register_outputs_batched(
         &self,
@@ -958,33 +961,34 @@ impl ReStore {
         // A text output holding a value that would read back retyped is
         // never Loaded in place of recomputing it.
         let lossy = |path: &str| result.lossy_outputs.iter().any(|p| p == path);
-
-        let whole_prefix =
-            job.plan.prefix_plan(find_store_tip(&job.plan, &io.main_output)?, &io.main_output);
-
-        let mut stored_candidate_bytes = 0u64;
-        let mut candidates_stored = 0usize;
-
-        // Whole-job entry: the main output with the job's plan.
-        let whole_base = repo.provenance().expand(&whole_prefix).plan.into_owned();
-        let whole_stats = RepoStats {
+        // Every output of the job shares its statistics but its size.
+        let stats = |output_bytes| RepoStats {
             input_bytes: result.counters.map_input_bytes,
-            output_bytes: result.counters.output_bytes,
+            output_bytes,
             job_time_s: result.times.total_s,
             avg_map_time_s: result.times.avg_map_task_s,
             avg_reduce_time_s: result.times.avg_reduce_task_s,
             use_count: 0,
             last_used: 0,
             created: tick,
-            input_files: input_files(&whole_base, versions),
-            ..stored_file(job, result, &io.main_output)?
         };
+        let record = |repo: &RepoBatch<'_>, path: &str, prefix: &PhysicalPlan| {
+            stored_file(job, result, path, repo.expand(prefix).plan.into_owned(), versions)
+        };
+
+        let mut stored_candidate_bytes = 0u64;
+        let mut candidates_stored = 0usize;
+
+        // Whole-job entry: the main output with the job's plan.
+        let whole_prefix =
+            job.plan.prefix_plan(find_store_tip(&job.plan, &io.main_output)?, &io.main_output);
+        let whole = record(repo, &io.main_output, &whole_prefix)?;
+        let whole_stats = stats(result.counters.output_bytes);
         let keep_main = register_main && config.selection.should_keep(&whole_stats);
         if keep_main && lossy(&io.main_output) {
             self.obs.vetoed_retypes.inc();
         } else if keep_main {
-            repo.register(&io.main_output, whole_base.clone());
-            repo.insert(whole_base, &io.main_output, whole_stats);
+            repo.insert(whole, whole_stats);
             // The path holds fresh bytes again: a deletion deferred from
             // a pre-overwrite eviction must not fire on it later.
             pins.cancel_deferred(&io.main_output);
@@ -1006,41 +1010,27 @@ impl ReStore {
                 side_bytes(result, &cand.store_path)
             };
             stored_candidate_bytes += if cand.already_stored { 0 } else { bytes };
-            let base = repo.provenance().expand(&cand.prefix).plan.into_owned();
-            let stats = RepoStats {
-                input_bytes: result.counters.map_input_bytes,
-                output_bytes: bytes,
-                job_time_s: result.times.total_s,
-                avg_map_time_s: result.times.avg_map_task_s,
-                avg_reduce_time_s: result.times.avg_reduce_task_s,
-                use_count: 0,
-                last_used: 0,
-                created: tick,
-                input_files: input_files(&base, versions),
-                ..stored_file(job, result, &cand.store_path)?
-            };
-            if config.selection.should_keep(&stats) {
-                let outcome = repo.insert(base.clone(), &cand.store_path, stats);
-                // A racing session (or a same-wave sibling prepared before
-                // we registered) may have stored an equivalent plan under
-                // another path; the repository keeps the first entry, so a
-                // freshly materialized duplicate file would be orphaned.
-                let registered = repo.provenance().contains(&cand.store_path);
-                let orphaned = matches!(outcome, crate::repository::InsertOutcome::Duplicate(_))
-                    && !cand.already_stored
-                    && !registered;
-                if orphaned {
-                    self.engine.dfs().delete(&cand.store_path);
-                } else {
-                    if !registered {
-                        repo.register(&cand.store_path, base);
-                    }
-                    pins.cancel_deferred(&cand.store_path);
-                    candidates_stored += 1;
-                }
-            } else if !cand.already_stored {
+            let file = record(repo, &cand.store_path, &cand.prefix)?;
+            let stats = stats(bytes);
+            if !config.selection.should_keep(&stats) {
                 // Rejected by rules 1–2: drop the materialized file.
+                if !cand.already_stored {
+                    self.engine.dfs().delete(&cand.store_path);
+                }
+                continue;
+            }
+            let outcome = repo.insert(file, stats);
+            if matches!(outcome, crate::repository::InsertOutcome::Duplicate(_))
+                && !cand.already_stored
+            {
+                // A racing session, or a same-wave sibling prepared before
+                // we registered, stored this plan first: the file just
+                // written duplicates its entry's and goes.
+                repo.forget(&cand.store_path);
                 self.engine.dfs().delete(&cand.store_path);
+            } else {
+                pins.cancel_deferred(&cand.store_path);
+                candidates_stored += 1;
             }
         }
         Ok((stored_candidate_bytes, candidates_stored))
@@ -1057,7 +1047,7 @@ impl ReStore {
         versions: &mut HashMap<String, u64>,
     ) {
         let snap = space.repo.snapshot();
-        let expanded: Vec<_> = jobs.iter().map(|job| snap.provenance().expand(&job.plan)).collect();
+        let expanded: Vec<_> = jobs.iter().map(|job| snap.expand(&job.plan)).collect();
         self.engine.dfs().with_versions(|version| {
             for plan in expanded.iter().map(|e| &e.plan) {
                 for path in plan.loads().into_iter().map(|l| plan.path(l)) {
@@ -1070,9 +1060,9 @@ impl ReStore {
     }
 }
 
-/// The Loads of an entry's base plan, sorted, with their versions from
-/// `versions`. A file no job read at a known version (provenance a racing
-/// session registered since) gets a version no file has: a miss later.
+/// The Loads of a record's base plan, sorted, with their versions from
+/// `versions`. A file no job read at a known version (a record a racing
+/// session made since) gets a version no file has: a miss later.
 fn input_files(plan: &PhysicalPlan, versions: &HashMap<String, u64>) -> Vec<(String, u64)> {
     let paths: BTreeSet<&str> = plan.loads().into_iter().map(|l| plan.path(l)).collect();
     paths
@@ -1081,15 +1071,22 @@ fn input_files(plan: &PhysicalPlan, versions: &HashMap<String, u64>) -> Vec<(Str
         .collect()
 }
 
-/// What an entry records of its own file, the job output at `path`: the
-/// version the job committed it at, and whether the job wrote it typed.
-/// The other statistics are left at their defaults.
-fn stored_file(job: &PreparedJob, result: &JobResult, path: &str) -> Result<RepoStats> {
-    let output_version = result
+/// The record of the job output at `path`, produced by the base plan
+/// `plan`: the tick the job committed it at, whether the job wrote it
+/// typed, and the versions of the base files `plan` reads.
+fn stored_file(
+    job: &PreparedJob,
+    result: &JobResult,
+    path: &str,
+    plan: PhysicalPlan,
+    versions: &HashMap<String, u64>,
+) -> Result<StoredFile> {
+    let tick = result
         .version_of(path)
         .ok_or_else(|| Error::Job(format!("{path} is not an output of {}", result.job_name)))?;
     let typed = job.spec.typed_outputs.iter().any(|p| p == path);
-    Ok(RepoStats { output_version, typed, ..Default::default() })
+    let inputs = input_files(&plan, versions);
+    Ok(StoredFile { path: path.to_string(), tick, typed, plan, inputs })
 }
 
 fn side_bytes(result: &JobResult, path: &str) -> u64 {
@@ -1274,8 +1271,7 @@ mod tests {
         );
         let resumed = ReStore::new(engine(), ReStoreConfig::default());
         resumed.recover(&state, &[]).unwrap();
-        resumed.with_provenance_as(None, |prov| assert!(!prov.contains(&reused)));
-        assert!(resumed.repository_as(None).entries().iter().all(|e| e.output_path != reused));
+        assert!(resumed.repository_as(None).file(&reused).is_none());
 
         drop(pins);
         assert!(!rs.engine().dfs().exists(&reused), "deferred deletion still fires");
@@ -1288,7 +1284,7 @@ mod tests {
         let rs = ReStore::new(engine(), ReStoreConfig::default());
         rs.execute_query(&two_job_query("/out/cold"), "/wf/cold").unwrap();
         let stored: Vec<String> =
-            rs.repository_as(None).entries().iter().map(|e| e.output_path.clone()).collect();
+            rs.repository_as(None).entries().iter().map(|e| e.file.path.clone()).collect();
         assert!(!stored.is_empty());
         let victim = stored[0].clone();
         rs.engine().dfs().delete(&victim);

@@ -11,7 +11,7 @@
 //! ```
 //!
 //! Nothing here enters a writer section: each answer is read from
-//! repository snapshots (provenance included) and the session's trace
+//! repository snapshots (records included) and the session's trace
 //! ring.
 //!
 //! | File | Purpose |
@@ -38,10 +38,8 @@ impl ReStore {
     /// Loading the output of one that executes is left undecided: that
     /// output is registered, with its statistics, only once written. The
     /// dry run reads the staleness pass that precedes matching without
-    /// running it: an entry the pass would evict is never reused here,
-    /// and stays in the repository. (The pass would also forget the
-    /// provenance of the paths it evicts; the dry run still expands a
-    /// Load of such a path.)
+    /// running it: a record the pass would forget is neither expanded nor
+    /// reused here, and stays in the repository.
     pub fn explain_query_as(
         &self,
         tenant: Option<&str>,
@@ -53,11 +51,11 @@ impl ReStore {
         let wf = self.compile_as(tenant, text, out_prefix)?;
         let repo = space.repo.snapshot();
         let next_tick = self.tick.load(Ordering::SeqCst) + 1;
-        let stale: HashSet<u64> = self
+        let stale: HashSet<String> = self
             .stale(&repo, &config.selection, next_tick)
             .victims
             .into_iter()
-            .map(|(id, _)| id)
+            .map(|(path, _)| path)
             .collect();
         let mut report = format!(
             "workflow: {} job(s); repository: {} entr{}\n",
@@ -181,10 +179,10 @@ impl ReStore {
     }
 
     /// One namespace's stats at the given clock reading. Wait-free: one
-    /// repository snapshot, provenance included; no writer ever blocked.
+    /// repository snapshot, records included; no writer ever blocked.
     fn space_stats(space: &Space, queries_executed: u64) -> ReStoreStats {
         let repo = space.repo.snapshot();
-        let provenance_entries = repo.provenance().len();
+        let stored_files = repo.files().len();
         let entries = repo.entries();
         ReStoreStats {
             repository_entries: entries.len(),
@@ -192,7 +190,7 @@ impl ReStore {
             total_uses: entries.iter().map(|e| e.use_count()).sum(),
             never_used: entries.iter().filter(|e| e.use_count() == 0).count(),
             queries_executed,
-            provenance_entries,
+            stored_files,
         }
     }
 

@@ -12,7 +12,7 @@
 //!
 //! # Record grammar
 //!
-//! A segment's first line is [`SEGMENT_HEADER`] (`restore-journal v7`),
+//! A segment's first line is [`SEGMENT_HEADER`] (`restore-journal v8`),
 //! which names the format epoch `restore-state` documents name too (see
 //! `state.rs`); a segment of another epoch is refused with
 //! [`Error::Epoch`]. A record's payload is line-oriented text whose first
@@ -27,17 +27,19 @@
 //! tenant-config <name:?>          + config `key value` lines
 //! tenant-config-clear <name:?>
 //! global-config                   + config `key value` lines
-//! repo-batch <space:?>            + `entry …` / `path …` blocks, `evict <id>` /
-//!                                   `forget <p:?>` lines, in application order
+//! repo-batch <space:?>            + `entry …` + `file …` / lone `file …` blocks,
+//!                                   `evict <id>` / `forget <p:?>` lines, in
+//!                                   application order
 //! note-use <space:?>              + `use <id> <count> <last>` lines (absolute values)
 //! ```
 //!
 //! One record is one **atomic replay unit** — a wave's entries and
-//! their provenance land as a single `repo-batch`, an eviction sweep and
-//! its forgets as another — so a recovered state is always a prefix of
-//! committed batches, never half a wave, and never an entry without the
-//! plan that produced its path (`tests/prop_journal.rs`,
-//! `every_clean_prefix_keeps_each_entry_with_its_provenance`).
+//! records land as a single `repo-batch`, an eviction sweep's forgets as
+//! another — so a recovered state is always a prefix of committed
+//! batches, never half a wave. An entry and its file's record are one
+//! block, so no prefix recovers one without the other
+//! (`tests/prop_journal.rs`,
+//! `every_clean_prefix_recovers_records_at_their_files_ticks`).
 //!
 //! # Framing and the torn-tail rule
 //!
@@ -75,11 +77,9 @@
 //! journal-to-base byte ratio crosses its threshold.
 
 use crate::driver::ReStoreConfig;
-use crate::provenance;
-use crate::repository::{self, RepoOp};
+use crate::repository::{self, Block, RepoOp};
 use parking_lot::Mutex;
 use restore_common::Error;
-use restore_dataflow::physical::PhysicalPlan;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::SeqCst};
 
 /// First line of every journal segment: the format epoch, as in a
@@ -154,10 +154,10 @@ pub(crate) enum Record {
 /// A decoded repository mutation, in application order.
 #[derive(Debug)]
 pub(crate) enum RepoRecOp {
-    Put(repository::ParsedEntry),
+    /// An entry put, or a record without an entry.
+    Block(Block),
     Evict(u64),
-    Register { path: String, plan: PhysicalPlan },
-    Forget { path: String },
+    Forget(String),
 }
 
 // ---- checksum ----
@@ -364,8 +364,8 @@ impl Journal {
         }
     }
 
-    /// Journal one repository batch: its entries, evictions,
-    /// registrations and forgets, in application order.
+    /// Journal one repository batch: its entries, records, evictions and
+    /// forgets, in application order.
     pub(crate) fn append_repo_batch(&self, space: &str, ops: &[RepoOp]) {
         if !self.active() {
             return;
@@ -374,10 +374,8 @@ impl Journal {
         for op in ops {
             match op {
                 RepoOp::Put(e) => repository::encode_entry_into(&mut payload, e),
+                RepoOp::File(f) => repository::encode_file_into(&mut payload, f),
                 RepoOp::Evict(id) => payload.push_str(&format!("evict {id}\n")),
-                RepoOp::Register(path, plan) => {
-                    provenance::encode_record_into(&mut payload, path, plan)
-                }
                 RepoOp::Forget(path) => payload.push_str(&format!("forget {path:?}\n")),
             }
         }
@@ -523,20 +521,15 @@ fn decode_config_body(body: &str) -> Result<ReStoreConfig, String> {
 }
 
 /// Decode the body of a `repo-batch` into its ops, in order: `entry …`
-/// and `path …` blocks, `evict <id>` and `forget <p:?>` lines.
+/// and `file …` blocks, `evict <id>` and `forget <p:?>` lines.
 fn decode_batch_body(body: &str) -> Result<Vec<RepoRecOp>, String> {
     let mut ops = Vec::new();
     let mut lines = body.lines().peekable();
-    let malformed = |e: Error| format!("in repo-batch: {e}");
     loop {
-        let block = match repository::parse_entry_lines(&mut lines).map_err(malformed)? {
-            Some(e) => Some(RepoRecOp::Put(e)),
-            None => provenance::parse_record_lines(&mut lines)
-                .map_err(malformed)?
-                .map(|(path, plan)| RepoRecOp::Register { path, plan }),
-        };
-        if let Some(op) = block {
-            ops.push(op);
+        if let Some(block) =
+            repository::parse_block(&mut lines).map_err(|e| format!("in repo-batch: {e}"))?
+        {
+            ops.push(RepoRecOp::Block(block));
             continue;
         }
         let Some(line) = lines.next() else { break };
@@ -544,7 +537,7 @@ fn decode_batch_body(body: &str) -> Result<Vec<RepoRecOp>, String> {
             ops.push(RepoRecOp::Evict(id.parse().map_err(|_| format!("bad evict id {line:?}"))?));
         } else if let Some(p) = line.strip_prefix("forget ") {
             let path = crate::state::unquote(p, 0).map_err(|_| format!("bad forget path {p:?}"))?;
-            ops.push(RepoRecOp::Forget { path });
+            ops.push(RepoRecOp::Forget(path));
         } else {
             return Err(format!("unexpected repo-batch line {line:?}"));
         }

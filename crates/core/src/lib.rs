@@ -16,10 +16,11 @@
 //! 4. applies the keep/evict rules of §5 ([`selector`]).
 //!
 //! Plans in the repository are kept at **base level**: a `Load` of a path
-//! that was itself produced by a job is expanded through the
-//! [`provenance`] table into the producing plan, so jobs submitted at
-//! different times and chained through temporary files all match against
-//! the same canonical shapes.
+//! that was itself produced by a job is expanded ([`provenance`]) into the
+//! producing plan its record holds — the repository keeps one record per
+//! stored file, [`StoredFile`], with its plan, tick and inputs — so jobs
+//! submitted at different times and chained through temporary files all
+//! match against the same canonical shapes.
 
 pub mod driver;
 pub mod enumerator;
@@ -45,10 +46,10 @@ pub use failure::{FailureDisposition, FailurePolicy};
 pub use journal::{JournalConfig, JournalStats, RecoveryReport, TornTail};
 pub use obs::{ReuseDecision, ReuseTraceEvent};
 pub use pin::PinSet;
-pub use provenance::Provenance;
 pub use rcu::Rcu;
 pub use repository::{
     MatchProbe, ProbedCandidate, RepoBatch, RepoEntry, RepoSnapshot, RepoStats, Repository,
+    StoredFile,
 };
 pub use selector::SelectionPolicy;
 pub use state::EPOCH;

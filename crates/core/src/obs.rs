@@ -101,7 +101,7 @@ pub(crate) struct StageHists {
 
 /// Span histograms inside one §3 match iteration.
 pub(crate) struct MatchStageHists {
-    /// Provenance lineage expansion + repository snapshot load.
+    /// Lineage expansion through the records + repository snapshot load.
     pub snapshot_load: Histogram,
     /// One probe of the inverted tip-signature index: node signatures
     /// of the expanded plan, index lookups, and pairwise verification

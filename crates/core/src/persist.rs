@@ -23,15 +23,14 @@
 //! | `persist.rs` | this module: journal switch, base dumps, delta capture, recovery, record replay |
 //! | `state.rs` | the `restore-state` document codec and the format epoch both writers name |
 //! | `journal.rs` | the record log: typed appends, framing, segments, the torn-tail rule |
-//! | `repository.rs` | the published snapshot — entries and provenance, saved and captured together — and the entry codec |
-//! | `provenance.rs` | the provenance table's codec; documents and `repo-batch` records share both codecs |
+//! | `repository.rs` | the published snapshot — entries and the record of every stored file, saved and captured together — and the one record codec documents and `repo-batch` records share |
 //! | `driver.rs` | the execution loop: match, rewrite, run, register |
 //! | `spaces.rs` | the namespace map (the default namespace is its `""` entry) and configuration |
 //! | `introspect.rs` | explain, trace and stats |
 
 use crate::driver::{ReStore, Space};
 use crate::journal::{self, Journal, JournalConfig, JournalStats, Record, RecoveryReport};
-use crate::repository::RepoOp;
+use crate::repository::{Block, RepoOp};
 use restore_common::{Error, Result};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::Ordering;
@@ -39,10 +38,9 @@ use std::sync::Arc;
 
 impl ReStore {
     /// Turn on the snapshot journal: from here on, every structural
-    /// mutation (a repository batch with its provenance changes,
-    /// tenant/config changes) is recorded, reuse counters are
-    /// dirty-tracked, and [`ReStore::save_state_delta`] captures cheap
-    /// deltas. Take a base checkpoint ([`ReStore::save_state`]) *after*
+    /// mutation (a repository batch, tenant/config changes) is
+    /// recorded, reuse counters are dirty-tracked, and
+    /// [`ReStore::save_state_delta`] captures cheap deltas. Take a base checkpoint ([`ReStore::save_state`]) *after*
     /// enabling — mutations from before the journal was on are only in
     /// the base, never in a delta.
     pub fn enable_journal(&self, config: JournalConfig) {
@@ -68,7 +66,7 @@ impl ReStore {
     }
 
     /// Install the journal sink on a namespace's repository so its
-    /// batches — entries and provenance — emit `repo-batch` records at
+    /// batches — entries and records — emit `repo-batch` records at
     /// publish time.
     fn wire_space(journal: &Arc<Journal>, name: &str, space: &Space) {
         let j = journal.clone();
@@ -91,7 +89,7 @@ impl ReStore {
     /// document of this build's [`EPOCH`](crate::EPOCH)):
     /// the counters, the journal anchor, the global configuration, and
     /// **every** namespace — default and per-tenant — with its
-    /// repository, provenance table, and (when set) its policy
+    /// repository (every record included) and (when set) its policy
     /// override. Paired with [`ReStore::recover`], this lets a new
     /// process resume with everything a previous session learned
     /// (§2.2's repository is persistent in spirit; the DFS holds the
@@ -99,7 +97,7 @@ impl ReStore {
     ///
     /// Snapshots are consistent under load: each namespace is captured
     /// in its repository's writer freeze with the pin set consulted
-    /// first, so entries
+    /// first, so records
     /// whose files have a **pending deferred deletion** (evicted while
     /// pinned by an in-flight workflow) — or are already gone from the
     /// DFS — are excluded rather than serialized as dangling paths.
@@ -268,14 +266,14 @@ impl ReStore {
                 sp.repo.batch(|b| {
                     for op in ops {
                         match op {
-                            RepoRecOp::Put(e) => b.put(e.id, e.plan, e.output_path, e.stats),
+                            RepoRecOp::Block(Block::Entry { id, stats, file }) => {
+                                b.put(id, file, stats)
+                            }
+                            RepoRecOp::Block(Block::File(file)) => b.put_file(file),
                             RepoRecOp::Evict(id) => {
                                 b.evict(id);
                             }
-                            RepoRecOp::Register { path, plan } => {
-                                b.register_replay(path, Arc::new(plan))
-                            }
-                            RepoRecOp::Forget { path } => {
+                            RepoRecOp::Forget(path) => {
                                 b.forget(&path);
                             }
                         }
@@ -292,8 +290,8 @@ impl ReStore {
         Ok(())
     }
 
-    /// Serialize one namespace's provenance and repository with
-    /// condemned paths excluded. The capture **freezes the repository's
+    /// Serialize one namespace's repository with condemned paths
+    /// excluded. The capture **freezes the repository's
     /// writer side** (no snapshot can be published while it runs):
     /// deferrals come from eviction sweeps, which must enter that
     /// writer, so none can land between the capture of the deferred
@@ -304,27 +302,24 @@ impl ReStore {
     /// A path in the deferred set still exists on the DFS right now but
     /// is deleted the moment its last pin drops, so serializing it
     /// would hand a restarted session dangling references.
-    fn capture_space_tables(&self, space: &Space) -> (String, String) {
+    fn capture_repository(&self, space: &Space) -> String {
         space.repo.freeze(|repo| {
             let deferred: HashSet<String> = space.pins.deferred_paths().into_iter().collect();
             let dfs = self.engine.dfs();
-            let live = |p: &str| !deferred.contains(p) && dfs.exists(p);
-            (repo.provenance().save_filtered(live), repo.save_filtered(live))
+            repo.save_filtered(|p| !deferred.contains(p) && dfs.exists(p))
         })
     }
 
     /// One `--space--` section: the namespace's policy override (if
-    /// any), provenance, and repository, with condemned paths excluded.
+    /// any) and repository, with condemned paths excluded.
     fn save_space(&self, name: &str, space: &Space) -> String {
         let config = (*space.config.load()).clone();
-        let (prov_text, repo_text) = self.capture_space_tables(space);
+        let repo_text = self.capture_repository(space);
         let mut out = format!("--space {name:?}--\n");
         if let Some(c) = config {
             out.push_str("--config--\n");
             out.push_str(&crate::state::encode_config(&c));
         }
-        out.push_str("--provenance--\n");
-        out.push_str(&prov_text);
         out.push_str("--repository--\n");
         out.push_str(&repo_text);
         out

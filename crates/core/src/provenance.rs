@@ -1,32 +1,21 @@
-//! Provenance: which base-level plan produced each stored path.
+//! Lineage expansion: a Load of a stored file becomes the plan that
+//! produced it.
 //!
 //! ReStore matches one MapReduce job at a time, but jobs within a
 //! workflow communicate through temporary files, and rewritten jobs load
 //! repository outputs. To compare apples to apples, every plan that
 //! enters the matcher or the repository is **lineage-expanded**: a `Load`
-//! of a produced path is replaced by the (base-level) plan that produced
-//! it. The provenance table records those producing plans.
+//! of a recorded path is replaced by the (base-level) plan that produced
+//! it, read from the path's record in the repository snapshot
+//! ([`crate::repository::StoredFile`], [`crate::RepoSnapshot::expand`]).
 
 use crate::matcher::PlanMatch;
 use restore_dataflow::physical::{NodeId, PhysicalOp, PhysicalPlan};
 use std::borrow::Cow;
-use std::collections::HashMap;
 use std::ops::Range;
-use std::sync::Arc;
 
-/// Path → base-level single-Store plan that produced it.
-///
-/// The table is part of the repository's published snapshot (see
-/// `RepoSnapshot::provenance`). Plans are held behind `Arc`s so the
-/// first registration or forget of a batch, which copies the table,
-/// copies pointers, not plans.
-#[derive(Debug, Clone, Default)]
-pub struct Provenance {
-    plans: HashMap<String, Arc<PhysicalPlan>>,
-}
-
-/// An expansion performed by [`Provenance::expand`]: the `Load` of `path`
-/// was replaced by its producing plan, whose output now flows from `tip`.
+/// An expansion performed by [`expand`]: the `Load` of `path` was
+/// replaced by its producing plan, whose output now flows from `tip`.
 #[derive(Debug, Clone)]
 pub struct Expansion {
     pub path: String,
@@ -44,176 +33,44 @@ pub struct ExpandedPlan<'a> {
     pub expansions: Vec<Expansion>,
 }
 
-impl Provenance {
-    pub fn new() -> Self {
-        Provenance::default()
+/// Replace every `Load` of a path `producer` knows with its producing
+/// plan (minus that plan's Store). A producing plan is base-level (none
+/// of its Loads has a producer) and single-Store. Returns the expanded
+/// plan and the list of expansion tips, so callers can collapse unused
+/// expansions after rewriting. The plan is copied only when something
+/// expands (or its ids are out of topological order, which the copy
+/// puts right).
+pub fn expand<'a, 'p>(
+    plan: &'a PhysicalPlan,
+    producer: impl Fn(&str) -> Option<&'p PhysicalPlan>,
+) -> ExpandedPlan<'a> {
+    let produced = |id: NodeId| match plan.op(id) {
+        PhysicalOp::Load { path } => producer(path),
+        _ => None,
+    };
+    if plan.is_topological() && !plan.ids().any(|id| produced(id).is_some()) {
+        return ExpandedPlan { plan: Cow::Borrowed(plan), expansions: Vec::new() };
     }
+    let mut out = PhysicalPlan::with_capacity(
+        plan.len() + plan.ids().filter_map(produced).map(|p| p.len()).sum::<usize>(),
+    );
+    let mut remap: Vec<NodeId> = vec![NodeId(u32::MAX); plan.len()];
+    let mut expansions = Vec::new();
 
-    /// Register the producing plan of `path`. The plan must be base-level
-    /// (its Loads must not themselves have provenance) and single-Store.
-    pub fn register(&mut self, path: impl Into<String>, plan: PhysicalPlan) {
-        debug_assert_eq!(plan.stores().len(), 1, "provenance plans are single-Store");
-        debug_assert!(
-            plan.loads().iter().all(|&l| {
-                match plan.op(l) {
-                    PhysicalOp::Load { path } => !self.plans.contains_key(path),
-                    _ => false,
-                }
-            }),
-            "provenance plans must be base-level"
-        );
-        self.plans.insert(path.into(), Arc::new(plan));
-    }
-
-    /// Journal replay of a recorded registration: the invariants were
-    /// checked when the record was emitted, so replay applies it
-    /// verbatim (re-applying a record over a base checkpoint that
-    /// already contains later registrations must not re-run the
-    /// base-level check against the *future* table).
-    pub(crate) fn register_replay(&mut self, path: String, plan: Arc<PhysicalPlan>) {
-        self.plans.insert(path, plan);
-    }
-
-    pub fn get(&self, path: &str) -> Option<&PhysicalPlan> {
-        self.plans.get(path).map(|p| &**p)
-    }
-
-    /// The producing plan behind its shared `Arc` (cheap to hand to the
-    /// journal without cloning the plan).
-    pub(crate) fn get_arc(&self, path: &str) -> Option<Arc<PhysicalPlan>> {
-        self.plans.get(path).cloned()
-    }
-
-    pub fn contains(&self, path: &str) -> bool {
-        self.plans.contains_key(path)
-    }
-
-    pub fn len(&self) -> usize {
-        self.plans.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.plans.is_empty()
-    }
-
-    /// Remove the record for a path (e.g. after eviction deleted it).
-    pub fn forget(&mut self, path: &str) {
-        self.plans.remove(path);
-    }
-
-    /// All recorded paths.
-    pub fn iter_paths(&self) -> impl Iterator<Item = &str> {
-        self.plans.keys().map(|s| s.as_str())
-    }
-
-    /// Serialize the table (paths sorted for determinism).
-    pub fn save(&self) -> String {
-        self.save_filtered(|_| true)
-    }
-
-    /// Like [`Provenance::save`], but only records whose path satisfies
-    /// `keep` are written (see `RepoSnapshot::save_filtered`).
-    pub fn save_filtered(&self, keep: impl Fn(&str) -> bool) -> String {
-        let mut paths: Vec<&String> = self.plans.keys().filter(|p| keep(p)).collect();
-        paths.sort();
-        let mut out = String::new();
-        for p in paths {
-            encode_record_into(&mut out, p, &self.plans[p]);
+    for id in plan.topo_order() {
+        let node = plan.node(id);
+        if let Some(producer) = produced(id) {
+            let first = out.len() as u32;
+            let tip = inline_producer(&mut out, producer);
+            remap[id.index()] = tip;
+            let nodes = first..out.len() as u32;
+            expansions.push(Expansion { path: plan.path(id).to_string(), tip, nodes });
+            continue;
         }
-        out
+        let inputs: Vec<NodeId> = node.inputs.iter().map(|i| remap[i.index()]).collect();
+        remap[id.index()] = out.add(node.op.clone(), inputs);
     }
-
-    /// Reload a table serialized by [`Provenance::save`].
-    pub fn load(text: &str) -> restore_common::Result<Provenance> {
-        use restore_common::Error;
-        let mut prov = Provenance::new();
-        let mut lines = text.lines().peekable();
-        while let Some((path, plan)) = parse_record_lines(&mut lines)? {
-            prov.register_replay(path, Arc::new(plan));
-        }
-        if let Some(line) = lines.next() {
-            return Err(Error::Repository(format!("expected 'path', got {line:?}")));
-        }
-        Ok(prov)
-    }
-
-    /// Replace every `Load` of a produced path with its producing plan
-    /// (minus that plan's Store). Returns the expanded plan and the list
-    /// of expansion tips, so callers can collapse unused expansions after
-    /// rewriting. The plan is copied only when something expands (or its
-    /// ids are out of topological order, which the copy puts right).
-    pub fn expand<'a>(&self, plan: &'a PhysicalPlan) -> ExpandedPlan<'a> {
-        let produced = |id: NodeId| match plan.op(id) {
-            PhysicalOp::Load { path } => self.plans.get(path),
-            _ => None,
-        };
-        if plan.is_topological() && !plan.ids().any(|id| produced(id).is_some()) {
-            return ExpandedPlan { plan: Cow::Borrowed(plan), expansions: Vec::new() };
-        }
-        let mut out = PhysicalPlan::with_capacity(
-            plan.len() + plan.ids().filter_map(produced).map(|p| p.len()).sum::<usize>(),
-        );
-        let mut remap: Vec<NodeId> = vec![NodeId(u32::MAX); plan.len()];
-        let mut expansions = Vec::new();
-
-        for id in plan.topo_order() {
-            let node = plan.node(id);
-            if let Some(producer) = produced(id) {
-                let first = out.len() as u32;
-                let tip = inline_producer(&mut out, producer);
-                remap[id.index()] = tip;
-                let nodes = first..out.len() as u32;
-                expansions.push(Expansion { path: plan.path(id).to_string(), tip, nodes });
-                continue;
-            }
-            let inputs: Vec<NodeId> = node.inputs.iter().map(|i| remap[i.index()]).collect();
-            remap[id.index()] = out.add(node.op.clone(), inputs);
-        }
-        ExpandedPlan { plan: Cow::Owned(out), expansions }
-    }
-}
-
-/// Append one `path …` record in the durable format. Shared by
-/// [`Provenance::save_filtered`] and the snapshot journal's
-/// `repo-batch` records.
-pub(crate) fn encode_record_into(out: &mut String, path: &str, plan: &PhysicalPlan) {
-    out.push_str(&format!("path {path:?}\n"));
-    for line in crate::plan_text::encode_plan(plan).lines() {
-        out.push_str("  ");
-        out.push_str(line);
-        out.push('\n');
-    }
-    out.push_str("end\n");
-}
-
-/// Parse the next `path …` record off the line iterator. Returns
-/// `Ok(None)` — consuming nothing — when the next non-empty line does
-/// not start a record, so callers with mixed bodies (the journal) can
-/// dispatch on the leading keyword.
-pub(crate) fn parse_record_lines(
-    lines: &mut std::iter::Peekable<std::str::Lines<'_>>,
-) -> restore_common::Result<Option<(String, PhysicalPlan)>> {
-    while let Some(l) = lines.peek() {
-        if l.trim().is_empty() {
-            lines.next();
-        } else {
-            break;
-        }
-    }
-    let Some(line) = lines.peek() else { return Ok(None) };
-    let Some(rest) = line.strip_prefix("path ") else { return Ok(None) };
-    lines.next();
-    let path = crate::plan_text::unquote(rest)?;
-    let mut plan_src = String::new();
-    for l in lines.by_ref() {
-        if l == "end" {
-            break;
-        }
-        plan_src.push_str(l.trim_start());
-        plan_src.push('\n');
-    }
-    let plan = crate::plan_text::decode_plan(&plan_src)?;
-    Ok(Some((path, plan)))
+    ExpandedPlan { plan: Cow::Owned(out), expansions }
 }
 
 /// Copy `producer` (minus its Store) into `target`, returning the node
@@ -323,12 +180,15 @@ mod tests {
         p
     }
 
+    /// `consumer` expanded with `/tmp-0` produced by `producer`.
+    fn expanded<'a>(plan: &'a PhysicalPlan, tmp: &PhysicalPlan) -> ExpandedPlan<'a> {
+        expand(plan, |path| (path == "/tmp-0").then_some(tmp))
+    }
+
     #[test]
     fn expansion_inlines_producer() {
-        let mut prov = Provenance::new();
-        prov.register("/tmp-0", producer());
-        let plan = consumer();
-        let exp = prov.expand(&plan);
+        let (plan, tmp) = (consumer(), producer());
+        let exp = expanded(&plan, &tmp);
         // Load(/base) -> Project -> Group -> Store.
         assert_eq!(exp.plan.len(), 4);
         assert_eq!(exp.expansions.len(), 1);
@@ -339,19 +199,16 @@ mod tests {
 
     #[test]
     fn plans_without_provenance_pass_through() {
-        let prov = Provenance::new();
         let c = consumer();
-        let exp = prov.expand(&c);
+        let exp = expand(&c, |_| None);
         assert!(matches!(exp.plan, Cow::Borrowed(p) if *p == c));
         assert!(exp.expansions.is_empty());
     }
 
     #[test]
     fn collapse_restores_unmatched_expansion() {
-        let mut prov = Provenance::new();
-        prov.register("/tmp-0", producer());
-        let plan = consumer();
-        let exp = prov.expand(&plan);
+        let (plan, tmp) = (consumer(), producer());
+        let exp = expanded(&plan, &tmp);
         // No rewrite happened; collapsing must restore the original shape.
         let collapsed = exp.collapse_unused();
         assert_eq!(collapsed.loads().len(), 1);
@@ -363,12 +220,10 @@ mod tests {
 
     #[test]
     fn only_sites_a_rewrite_could_change_survive_the_veto() {
-        let mut prov = Provenance::new();
-        prov.register("/tmp-0", producer());
         // Load(/base) -> Project | -> Group -> Store; the expansion of
         // `/tmp-0` is the first two nodes, its tip the Project.
-        let plan = consumer();
-        let exp = prov.expand(&plan);
+        let (plan, tmp) = (consumer(), producer());
+        let exp = expanded(&plan, &tmp);
         let tip = exp.expansions[0].tip;
         let load = exp.plan.inputs(tip)[0];
         let group = exp.plan.consumers(tip)[0];
@@ -376,14 +231,5 @@ mod tests {
         assert!(exp.collapses_back(tip, "/tmp-0"), "the file the plan already loads");
         assert!(!exp.collapses_back(tip, "/repo/7"), "same data stored elsewhere");
         assert!(!exp.collapses_back(group, "/tmp-0"), "outside every expansion");
-    }
-
-    #[test]
-    fn forget_removes_entry() {
-        let mut prov = Provenance::new();
-        prov.register("/tmp-0", producer());
-        assert!(prov.contains("/tmp-0"));
-        prov.forget("/tmp-0");
-        assert!(!prov.contains("/tmp-0"));
     }
 }

@@ -37,15 +37,19 @@
 //! tip-signature → candidates multimap, and a running `stored_bytes`
 //! total maintained on insert/evict instead of re-summed per call.
 //!
-//! # Provenance
+//! # One record per stored file
 //!
-//! A snapshot also holds the namespace's [`Provenance`] table — which
-//! plan produced each stored path — behind an `Arc`, so the path → plan
-//! fact has one home and one publish. A batch registers and forgets
-//! paths next to its inserts and evictions ([`RepoBatch::register`],
-//! [`RepoBatch::forget`]); the table is copied on the batch's first
-//! provenance op only, so a batch that touches no path copies no map,
-//! and the journal records the whole batch as one `repo-batch`.
+//! A snapshot also holds the namespace's table of [`StoredFile`]s,
+//! keyed by path, behind an `Arc`: what each stored file holds (the
+//! base plan that produced it), the tick it was committed at, its
+//! format, and the base files its plan read at their ticks. An entry is
+//! its record plus what matching needs (the signatures), its
+//! [`RepoStats`] and its usage; a second file holding a plan an entry
+//! already stores is a record without an entry. Lineage expansion
+//! ([`RepoSnapshot::expand`]), the staleness pass and the codecs all
+//! read the one table. The table is copied on a batch's first change to
+//! it only, so a batch that touches no record copies no map, and the
+//! journal records the whole batch as one `repo-batch`.
 //!
 //! # Matching
 //!
@@ -62,7 +66,7 @@
 
 use crate::matcher::{pairwise_plan_traversal_at, plan_tip, subsumes, PlanMatch};
 use crate::plan_text;
-use crate::provenance::Provenance;
+use crate::provenance::{self, ExpandedPlan};
 use crate::rcu::Rcu;
 use parking_lot::{Mutex, RwLock};
 use restore_common::{Error, Result};
@@ -90,17 +94,6 @@ pub struct RepoStats {
     pub last_used: u64,
     /// Logical tick at which the entry was created.
     pub created: u64,
-    /// The base files the entry's plan Loads, sorted, at their versions
-    /// before the producing job read them (§5 rule 4 evicts on a change).
-    pub input_files: Vec<(String, u64)>,
-    /// The version the producing job committed the entry's own file at:
-    /// the file is the entry's only while it is at this version (§5 rule
-    /// 4 evicts on a change, as for an input).
-    pub output_version: u64,
-    /// The entry's file is in the typed stored format: ReStore wrote it
-    /// for itself (a candidate or a `tmp-N`), so evicting the entry may
-    /// delete it. A text file is a user's output.
-    pub typed: bool,
 }
 
 impl RepoStats {
@@ -123,20 +116,49 @@ struct Usage {
     dirty: AtomicBool,
 }
 
-/// One stored job output.
+/// One stored file, and the one record of it (§2.2's plan and file
+/// name, with what the staleness pass checks): the file is this record's
+/// only while it is at `tick` and every input is at its recorded tick.
+#[derive(Debug, Clone, PartialEq)]
+pub struct StoredFile {
+    /// Where the file lives in the DFS; the table's key.
+    pub path: String,
+    /// The DFS clock tick the producing job committed the file at (§5
+    /// rule 4 forgets the record when the file is at another).
+    pub tick: u64,
+    /// The file is in the typed stored format: ReStore wrote it for
+    /// itself (a candidate or a `tmp-N`), so evicting its entry may
+    /// delete it. A text file is a user's output.
+    pub typed: bool,
+    /// The base-level, single-Store plan that produced the file.
+    pub plan: PhysicalPlan,
+    /// The base files `plan` Loads, sorted, at their ticks before the
+    /// producing job read them (§5 rule 4 forgets on a change).
+    pub inputs: Vec<(String, u64)>,
+}
+
+impl StoredFile {
+    /// A text file at `path` produced by `plan`, committed at tick 0,
+    /// with no recorded inputs: the start of a record built by hand.
+    pub fn new(path: impl Into<String>, plan: PhysicalPlan) -> StoredFile {
+        StoredFile { path: path.into(), tick: 0, typed: false, plan, inputs: Vec::new() }
+    }
+}
+
+/// One stored job output: its file's record, plus what matching and
+/// the §5 rules read.
 #[derive(Debug)]
 pub struct RepoEntry {
     pub id: u64,
-    /// Base-level physical plan (single Store).
-    pub plan: PhysicalPlan,
-    /// Merkle signature of `plan` (Store paths excluded).
+    /// The record of the file the entry answers from, shared with the
+    /// snapshot's table.
+    pub file: Arc<StoredFile>,
+    /// Merkle signature of the file's plan (Store paths excluded).
     pub signature: u64,
     /// Cached signature of the operator feeding the plan's Store (`None`
     /// for degenerate multi-Store plans). Computed once at insertion;
     /// the fingerprint index keys candidates by it.
     pub tip_signature: Option<u64>,
-    /// Where the output lives in the DFS.
-    pub output_path: String,
     /// Statistics at creation/refresh time. `use_count`/`last_used` in
     /// here are the *persisted baseline*; the live values come from the
     /// shared atomics (see [`RepoEntry::stats`]).
@@ -145,15 +167,15 @@ pub struct RepoEntry {
 }
 
 impl RepoEntry {
-    fn new(id: u64, plan: PhysicalPlan, output_path: String, stats: RepoStats) -> RepoEntry {
-        let signature = plan.signature();
-        let tip_signature = plan_tip(&plan).map(|t| plan.node_signature(t));
+    fn new(id: u64, file: Arc<StoredFile>, stats: RepoStats) -> RepoEntry {
+        let signature = file.plan.signature();
+        let tip_signature = plan_tip(&file.plan).map(|t| file.plan.node_signature(t));
         let usage = Arc::new(Usage {
             count: AtomicU64::new(stats.use_count),
             last_used: AtomicU64::new(stats.last_used),
             dirty: AtomicBool::new(false),
         });
-        RepoEntry { id, plan, signature, tip_signature, output_path, base: stats, usage }
+        RepoEntry { id, file, signature, tip_signature, base: stats, usage }
     }
 
     /// Point-in-time statistics: the stored baseline with the live
@@ -163,21 +185,6 @@ impl RepoEntry {
         s.use_count = self.usage.count.load(SeqCst);
         s.last_used = self.usage.last_used.load(SeqCst);
         s
-    }
-
-    /// The base files the entry's plan Loads, at their recorded versions.
-    pub fn input_files(&self) -> &[(String, u64)] {
-        &self.base.input_files
-    }
-
-    /// The version of the entry's own file it was registered at.
-    pub fn output_version(&self) -> u64 {
-        self.base.output_version
-    }
-
-    /// Whether the entry's file is typed (see [`RepoStats::typed`]).
-    pub fn typed(&self) -> bool {
-        self.base.typed
     }
 
     /// Live reuse count.
@@ -225,9 +232,10 @@ pub struct RepoSnapshot {
     /// Running total of `output_bytes`, maintained on insert/evict
     /// instead of summed per call.
     stored_bytes: u64,
-    /// Which plan produced each stored path; shared with the previous
-    /// snapshot until a batch registers or forgets a path.
-    prov: Arc<Provenance>,
+    /// The record of every stored file, by path: each entry's, and each
+    /// file that holds a plan an entry already stores. Shared with the
+    /// previous snapshot until a batch changes a record.
+    files: Arc<HashMap<String, Arc<StoredFile>>>,
     /// When the staleness pass last found every file present and every
     /// input at its version.
     pub(crate) clean: PresentAt,
@@ -294,9 +302,20 @@ impl RepoSnapshot {
         self.stored_bytes
     }
 
-    /// The provenance table published with these entries.
-    pub fn provenance(&self) -> &Provenance {
-        &self.prov
+    /// The record of the file at `path`, if one is stored.
+    pub fn file(&self, path: &str) -> Option<&Arc<StoredFile>> {
+        self.files.get(path)
+    }
+
+    /// Every record, in no particular order.
+    pub fn files(&self) -> impl ExactSizeIterator<Item = &Arc<StoredFile>> {
+        self.files.values()
+    }
+
+    /// Lineage-expand `plan`: every Load of a recorded file becomes the
+    /// plan that produced it (see [`provenance::expand`]).
+    pub fn expand<'a>(&self, plan: &'a PhysicalPlan) -> ExpandedPlan<'a> {
+        provenance::expand(plan, |path| self.file(path).map(|f| &f.plan))
     }
 
     // ---- mutation internals (called with the Rcu writer serialized) ----
@@ -320,8 +339,8 @@ impl RepoSnapshot {
         let mut lo = 0usize;
         let mut hi = self.entries.len();
         for (i, e) in self.entries.iter().enumerate() {
-            let e_subsumes_new = subsumes(&e.plan, &new.plan);
-            let new_subsumes_e = subsumes(&new.plan, &e.plan);
+            let e_subsumes_new = subsumes(&e.file.plan, &new.file.plan);
+            let new_subsumes_e = subsumes(&new.file.plan, &e.file.plan);
             if e_subsumes_new && !new_subsumes_e {
                 lo = lo.max(i + 1);
             } else if new_subsumes_e && !e_subsumes_new {
@@ -348,65 +367,84 @@ impl RepoSnapshot {
 
     /// Batch-internal insert. Position lookups scan `entries` directly
     /// (the position maps may be stale mid-batch); the caller reindexes
-    /// once before publishing — see [`Repository::batch_then`]. Returns
-    /// the outcome and the `Arc` of the entry as stored (inserted or
-    /// refreshed), which the batch's journal op log records.
-    fn do_insert(&mut self, entry: RepoEntry) -> (InsertOutcome, Option<Arc<RepoEntry>>) {
-        if let Some(&dup) = self.by_signature.get(&entry.signature) {
-            let mut stored = None;
-            if let Some(pos) = self.entries.iter().position(|e| e.id == dup) {
-                let old = &self.entries[pos];
-                // The entry keeps its own file, so it keeps what it
-                // recorded of that file, not what the duplicate's
-                // statistics say of another.
-                let base = RepoStats {
-                    output_version: old.base.output_version,
-                    typed: old.base.typed,
-                    ..entry.base
+    /// once before publishing — see [`Repository::batch_then`]. Pushes
+    /// the batch's journal ops: the entry as stored (inserted or
+    /// refreshed), and the record of a second file holding a stored plan.
+    fn do_insert(&mut self, entry: RepoEntry, ops: &mut Vec<RepoOp>) -> InsertOutcome {
+        let Some(&dup) = self.by_signature.get(&entry.signature) else {
+            self.evict_at(&entry.file.path, ops);
+            self.files_mut().insert(entry.file.path.clone(), entry.file.clone());
+            let pos = self.insert_position(&entry);
+            let id = entry.id;
+            self.by_signature.insert(entry.signature, id);
+            self.stored_bytes += entry.base.output_bytes;
+            let arc = Arc::new(entry);
+            self.entries.insert(pos, arc.clone());
+            ops.push(RepoOp::Put(arc));
+            return InsertOutcome::Inserted(id);
+        };
+        if let Some(pos) = self.entries.iter().position(|e| e.id == dup) {
+            let old = self.entries[pos].clone();
+            // Same statistics as stored (a wave's whole-job entry and the
+            // candidate aliasing it): the refresh would change nothing,
+            // so there is nothing to publish or journal.
+            if old.base != entry.base {
+                // Refresh stats but keep the entry's own file and its
+                // usage history: the replacement shares the old entry's
+                // atomic counters, so reuses recorded against a stale
+                // snapshot still land here.
+                let refreshed = RepoEntry {
+                    file: old.file.clone(),
+                    base: entry.base.clone(),
+                    usage: old.usage.clone(),
+                    ..*old
                 };
-                // Same statistics as stored (a wave's whole-job entry and
-                // the candidate aliasing it): the refresh would change
-                // nothing, so there is nothing to publish or journal.
-                if old.base != base {
-                    // Refresh stats but keep usage history: the
-                    // replacement shares the old entry's atomic counters,
-                    // so reuses recorded against a stale snapshot still
-                    // land here.
-                    let refreshed = RepoEntry {
-                        id: old.id,
-                        plan: old.plan.clone(),
-                        signature: old.signature,
-                        tip_signature: old.tip_signature,
-                        output_path: old.output_path.clone(),
-                        base,
-                        usage: old.usage.clone(),
-                    };
-                    self.stored_bytes =
-                        self.stored_bytes - old.base.output_bytes + refreshed.base.output_bytes;
-                    let arc = Arc::new(refreshed);
-                    self.entries[pos] = arc.clone();
-                    stored = Some(arc);
-                }
+                self.stored_bytes =
+                    self.stored_bytes - old.base.output_bytes + refreshed.base.output_bytes;
+                let arc = Arc::new(refreshed);
+                self.entries[pos] = arc.clone();
+                ops.push(RepoOp::Put(arc));
             }
-            return (InsertOutcome::Duplicate(dup), stored);
+            // Another file holding the same plan is a record without an
+            // entry: expanded and checked like any other.
+            if old.file.path != entry.file.path {
+                self.put_file(entry.file, ops);
+            }
         }
-        let pos = self.insert_position(&entry);
-        let id = entry.id;
-        self.by_signature.insert(entry.signature, id);
-        self.stored_bytes += entry.base.output_bytes;
-        let arc = Arc::new(entry);
-        self.entries.insert(pos, arc.clone());
-        (InsertOutcome::Inserted(id), Some(arc))
+        InsertOutcome::Duplicate(dup)
     }
 
-    /// Batch-internal evict; same staleness contract as
-    /// [`RepoSnapshot::do_insert`].
+    /// Record the file at `file.path` without an entry of its own.
+    fn put_file(&mut self, file: Arc<StoredFile>, ops: &mut Vec<RepoOp>) {
+        self.evict_at(&file.path, ops);
+        self.files_mut().insert(file.path.clone(), file.clone());
+        ops.push(RepoOp::File(file));
+    }
+
+    /// A path holds one file: a record replacing another at its path
+    /// evicts the entry the old one had.
+    fn evict_at(&mut self, path: &str, ops: &mut Vec<RepoOp>) {
+        if let Some(old) = self.entries.iter().find(|e| e.file.path == path) {
+            let id = old.id;
+            self.do_evict(id);
+            ops.push(RepoOp::Evict(id));
+        }
+    }
+
+    /// Batch-internal evict, forgetting the entry's record too; same
+    /// staleness contract as [`RepoSnapshot::do_insert`].
     fn do_evict(&mut self, id: u64) -> Option<Arc<RepoEntry>> {
         let pos = self.entries.iter().position(|e| e.id == id)?;
         let e = self.entries.remove(pos);
         self.by_signature.remove(&e.signature);
         self.stored_bytes -= e.base.output_bytes;
+        self.files_mut().remove(&e.file.path);
         Some(e)
+    }
+
+    /// The record table, copied on a batch's first change to it.
+    fn files_mut(&mut self) -> &mut HashMap<String, Arc<StoredFile>> {
+        Arc::make_mut(&mut self.files)
     }
 
     // ---- persistence ----
@@ -416,33 +454,38 @@ impl RepoSnapshot {
         self.save_filtered(|_| true)
     }
 
-    /// Like [`RepoSnapshot::save`], but only entries whose output path
-    /// satisfies `keep` are written. The driver's `save_state` passes a
-    /// liveness predicate so entries condemned by a pending deferred
-    /// deletion (or already gone from the DFS) never enter a snapshot
-    /// as dangling paths.
+    /// Like [`RepoSnapshot::save`], but only records whose path
+    /// satisfies `keep` are written: the entries in match-priority
+    /// order, then the records without an entry, by path. The driver's
+    /// `save_state` passes a liveness predicate so files condemned by a
+    /// pending deferred deletion (or already gone from the DFS) never
+    /// enter a snapshot as dangling paths.
     pub fn save_filtered(&self, keep: impl Fn(&str) -> bool) -> String {
         let mut out = String::new();
-        for e in &self.entries {
-            if !keep(&e.output_path) {
-                continue;
-            }
+        for e in self.entries.iter().filter(|e| keep(&e.file.path)) {
             encode_entry_into(&mut out, e);
+        }
+        let entries: HashSet<&str> = self.entries.iter().map(|e| e.file.path.as_str()).collect();
+        let mut alone: Vec<&Arc<StoredFile>> =
+            self.files().filter(|f| keep(&f.path) && !entries.contains(f.path.as_str())).collect();
+        alone.sort_by(|a, b| a.path.cmp(&b.path));
+        for f in alone {
+            encode_file_into(&mut out, f);
         }
         out
     }
 }
 
-/// Append one entry in the durable `entry …` block format. Shared by
+/// Append one entry in the durable format: an `entry …` line with its
+/// statistics, then its file's record. Shared by
 /// [`RepoSnapshot::save_filtered`] and the snapshot journal's
 /// `repo-batch` records, so a journaled insert and a full dump agree
 /// byte for byte.
 pub(crate) fn encode_entry_into(out: &mut String, e: &RepoEntry) {
     let stats = e.stats();
     out.push_str(&format!(
-        "entry {} {:?} {} {} {} {} {} {} {} {}\n",
+        "entry {} {} {} {} {} {} {} {} {}\n",
         e.id,
-        e.output_path,
         stats.input_bytes,
         stats.output_bytes,
         stats.job_time_s,
@@ -452,13 +495,20 @@ pub(crate) fn encode_entry_into(out: &mut String, e: &RepoEntry) {
         stats.last_used,
         stats.created,
     ));
-    let format = if stats.typed { "typed" } else { "text" };
-    out.push_str(&format!("output {} {format}\n", stats.output_version));
-    for (p, v) in &stats.input_files {
+    encode_file_into(out, &e.file);
+}
+
+/// Append one record in the durable `file …` block format: the path,
+/// tick and format, an `input` line per recorded input, the plan. The
+/// one codec of the path → plan fact, an entry's and a lone record's.
+pub(crate) fn encode_file_into(out: &mut String, f: &StoredFile) {
+    let format = if f.typed { "typed" } else { "text" };
+    out.push_str(&format!("file {:?} {} {format}\n", f.path, f.tick));
+    for (p, v) in &f.inputs {
         out.push_str(&format!("input {p:?} {v}\n"));
     }
     out.push_str("plan\n");
-    for line in plan_text::encode_plan(&e.plan).lines() {
+    for line in plan_text::encode_plan(&f.plan).lines() {
         out.push_str("  ");
         out.push_str(line);
         out.push('\n');
@@ -466,72 +516,71 @@ pub(crate) fn encode_entry_into(out: &mut String, e: &RepoEntry) {
     out.push_str("end\n");
 }
 
-/// One decoded `entry …` block (see [`parse_entry_lines`]).
+/// One decoded block (see [`parse_block`]).
 #[derive(Debug)]
-pub(crate) struct ParsedEntry {
-    pub id: u64,
-    pub output_path: String,
-    pub stats: RepoStats,
-    pub plan: PhysicalPlan,
+pub(crate) enum Block {
+    /// An `entry …` line and its file's record.
+    Entry { id: u64, stats: RepoStats, file: StoredFile },
+    /// A record without an entry.
+    File(StoredFile),
 }
 
-/// Parse the next `entry …` block off the line iterator. Returns
-/// `Ok(None)` — consuming nothing — when the next non-empty line does
-/// not start an entry block, so callers with mixed-record bodies (the
-/// journal) can dispatch on the leading keyword.
-pub(crate) fn parse_entry_lines(
+/// Parse the next block off the line iterator: an `entry …` line and
+/// the `file …` block after it, or a `file …` block alone. Returns
+/// `Ok(None)` — consuming nothing — when the next non-empty line starts
+/// neither, so callers with mixed-record bodies (the journal) can
+/// dispatch on the leading keyword.
+pub(crate) fn parse_block(
     lines: &mut std::iter::Peekable<std::str::Lines<'_>>,
-) -> Result<Option<ParsedEntry>> {
-    while let Some(l) = lines.peek() {
-        if l.trim_end().is_empty() {
-            lines.next();
-        } else {
-            break;
-        }
-    }
+) -> Result<Option<Block>> {
+    while lines.next_if(|l| l.trim_end().is_empty()).is_some() {}
     let Some(line) = lines.peek() else { return Ok(None) };
+    if line.starts_with("file ") {
+        return Ok(Some(Block::File(parse_file(lines)?)));
+    }
     let Some(rest) = line.trim_end().strip_prefix("entry ") else { return Ok(None) };
-    let rest = rest.to_string();
-    lines.next();
-    let (id_str, rest) =
-        rest.split_once(' ').ok_or_else(|| Error::Repository("truncated entry header".into()))?;
-    let id: u64 = id_str.parse().map_err(|_| Error::Repository("bad entry id".into()))?;
-    // Path is Rust-quoted and may contain spaces: find closing quote.
-    let close = plan_text::read_quoted(rest)?;
-    let output_path = plan_text::unquote(&rest[..close])?;
-    let nums: Vec<&str> = rest[close..].split_whitespace().collect();
-    if nums.len() != 8 {
-        return Err(Error::Repository(format!("expected 8 stat fields, got {}", nums.len())));
+    let fields: Vec<&str> = rest.split_whitespace().collect();
+    if fields.len() != 9 {
+        return Err(Error::Repository(format!("expected an id and 8 stat fields, got {rest:?}")));
     }
     let parse_u = |s: &str| s.parse::<u64>().map_err(|_| Error::Repository("bad stat".into()));
     let parse_f = |s: &str| s.parse::<f64>().map_err(|_| Error::Repository("bad stat".into()));
-    let mut stats = RepoStats {
-        input_bytes: parse_u(nums[0])?,
-        output_bytes: parse_u(nums[1])?,
-        job_time_s: parse_f(nums[2])?,
-        avg_map_time_s: parse_f(nums[3])?,
-        avg_reduce_time_s: parse_f(nums[4])?,
-        use_count: parse_u(nums[5])?,
-        last_used: parse_u(nums[6])?,
-        created: parse_u(nums[7])?,
-        input_files: Vec::new(),
-        output_version: 0,
-        typed: false,
+    let id = fields[0].parse().map_err(|_| Error::Repository("bad entry id".into()))?;
+    let stats = RepoStats {
+        input_bytes: parse_u(fields[1])?,
+        output_bytes: parse_u(fields[2])?,
+        job_time_s: parse_f(fields[3])?,
+        avg_map_time_s: parse_f(fields[4])?,
+        avg_reduce_time_s: parse_f(fields[5])?,
+        use_count: parse_u(fields[6])?,
+        last_used: parse_u(fields[7])?,
+        created: parse_u(fields[8])?,
     };
-    // The entry's own file, then optional input lines, then "plan".
-    let output = lines.next().and_then(|l| l.strip_prefix("output ")?.split_once(' '));
-    let Some((version, format)) = output else {
-        return Err(Error::Repository("entry without its output line".into()));
+    lines.next();
+    if !lines.peek().is_some_and(|l| l.starts_with("file ")) {
+        return Err(Error::Repository("entry without its file".into()));
+    }
+    Ok(Some(Block::Entry { id, stats, file: parse_file(lines)? }))
+}
+
+/// Parse one `file …` block; the caller has seen its first line.
+fn parse_file(lines: &mut std::iter::Peekable<std::str::Lines<'_>>) -> Result<StoredFile> {
+    let header = lines.next().and_then(|l| l.strip_prefix("file ")).unwrap_or_default();
+    // The path is Rust-quoted and may contain spaces: find the closing quote.
+    let close = plan_text::read_quoted(header)?;
+    let path = plan_text::unquote(&header[..close])?;
+    let Some((tick, format)) = header[close..].trim().split_once(' ') else {
+        return Err(Error::Repository(format!("truncated file line {header:?}")));
     };
-    stats.output_version =
-        version.parse().map_err(|_| Error::Repository("bad output version".into()))?;
-    stats.typed = match format {
+    let tick = tick.parse().map_err(|_| Error::Repository(format!("bad file tick {tick:?}")))?;
+    let typed = match format {
         "typed" => true,
         "text" => false,
-        _ => return Err(Error::Repository(format!("bad output format {format:?}"))),
+        _ => return Err(Error::Repository(format!("bad file format {format:?}"))),
     };
+    let mut inputs = Vec::new();
     loop {
-        let l = lines.next().ok_or_else(|| Error::Repository("truncated entry".into()))?;
+        let l = lines.next().ok_or_else(|| Error::Repository("truncated file".into()))?;
         if l == "plan" {
             break;
         }
@@ -539,12 +588,12 @@ pub(crate) fn parse_entry_lines(
             .strip_prefix("input ")
             .ok_or_else(|| Error::Repository(format!("unexpected line {l:?}")))?;
         let close = plan_text::read_quoted(rest)?;
-        let path = plan_text::unquote(&rest[..close])?;
+        let input = plan_text::unquote(&rest[..close])?;
         let version: u64 = rest[close..]
             .trim()
             .parse()
             .map_err(|_| Error::Repository("bad input version".into()))?;
-        stats.input_files.push((path, version));
+        inputs.push((input, version));
     }
     let mut plan_src = String::new();
     loop {
@@ -556,7 +605,7 @@ pub(crate) fn parse_entry_lines(
         plan_src.push('\n');
     }
     let plan = plan_text::decode_plan(&plan_src)?;
-    Ok(Some(ParsedEntry { id, output_path, stats, plan }))
+    Ok(StoredFile { path, tick, typed, plan, inputs })
 }
 
 /// One structural mutation of a published batch, in application order.
@@ -567,11 +616,11 @@ pub enum RepoOp {
     /// An entry was inserted or refreshed; the `Arc` is the entry as
     /// stored (so the sink serializes exactly what readers see).
     Put(Arc<RepoEntry>),
-    /// An entry was evicted.
+    /// A file was recorded without an entry.
+    File(Arc<StoredFile>),
+    /// An entry was evicted, and its record forgotten.
     Evict(u64),
-    /// A path's producing plan was recorded.
-    Register(String, Arc<PhysicalPlan>),
-    /// A path's producing plan was forgotten.
+    /// A record without an entry was forgotten.
     Forget(String),
 }
 
@@ -591,13 +640,13 @@ impl std::fmt::Debug for SinkCell {
     }
 }
 
-/// The ordered, concurrently shared repository, with its provenance.
+/// The ordered, concurrently shared repository, with its records.
 ///
 /// All methods take `&self`: reads work against the current
 /// [`RepoSnapshot`] and wait on no writer section, mutations serialize internally and publish a new
 /// snapshot (see the module docs). For several mutations that must land
-/// atomically — a wave's entries and provenance, an eviction sweep and
-/// its forgets — use [`Repository::batch`], which publishes once.
+/// atomically — a wave's entries and records, a staleness pass's
+/// forgets — use [`Repository::batch`], which publishes once.
 #[derive(Debug, Default)]
 pub struct Repository {
     /// The one ordered list, RCU-published.
@@ -644,16 +693,12 @@ impl Repository {
         self.writer_sections.load(SeqCst)
     }
 
-    /// Insert an entry, maintaining the §3 ordering rules. Deduplicates
-    /// by plan signature (the later execution refreshes statistics). A
+    /// Insert an entry for `file`, maintaining the §3 ordering rules.
+    /// Deduplicates by plan signature (the later execution refreshes
+    /// statistics, and `file` becomes a record without an entry). A
     /// batch of one.
-    pub fn insert(
-        &self,
-        plan: PhysicalPlan,
-        output_path: impl Into<String>,
-        stats: RepoStats,
-    ) -> InsertOutcome {
-        self.batch(|b| b.insert(plan, output_path, stats))
+    pub fn insert(&self, file: StoredFile, stats: RepoStats) -> InsertOutcome {
+        self.batch(|b| b.insert(file, stats))
     }
 
     /// Record a reuse of entry `id` at logical time `tick`. Entirely
@@ -720,7 +765,8 @@ impl Repository {
         }
     }
 
-    /// Remove an entry, returning it. A batch of one.
+    /// Remove an entry and its record, returning the entry. A batch of
+    /// one.
     pub fn evict(&self, id: u64) -> Option<Arc<RepoEntry>> {
         self.batch(|b| b.evict(id))
     }
@@ -790,8 +836,8 @@ impl Repository {
         self.current.freeze(f)
     }
 
-    /// Replace this repository's contents — entries in order, and
-    /// provenance — with `other`'s (state restore). The snapshot
+    /// Replace this repository's contents — entries in order, and every
+    /// record — with `other`'s (state restore). The snapshot
     /// replacement and the id-counter adoption happen inside one writer
     /// section, so a concurrent batch can neither interleave between
     /// them (reserving restored ids against pre-restore entries) nor land
@@ -812,36 +858,42 @@ impl Repository {
     // ---- persistence ----
 
     /// Reload a repository serialized by [`RepoSnapshot::save`]. Ordering
-    /// is preserved verbatim (it was valid when saved). The provenance
-    /// table starts empty.
+    /// is preserved verbatim (it was valid when saved).
     pub fn load(text: &str) -> Result<Repository> {
-        Repository::load_with(text, Provenance::new())
-    }
-
-    /// [`Repository::load`], publishing the entries with `prov` (a
-    /// `restore-state` namespace's two tables).
-    pub(crate) fn load_with(text: &str, prov: Provenance) -> Result<Repository> {
         let mut entries: Vec<Arc<RepoEntry>> = Vec::new();
+        let mut files = HashMap::new();
         let mut next_id = 0u64;
         let mut lines = text.lines().peekable();
-        while let Some(p) = parse_entry_lines(&mut lines)? {
-            next_id = next_id.max(p.id + 1);
-            entries.push(Arc::new(RepoEntry::new(p.id, p.plan, p.output_path, p.stats)));
+        while let Some(block) = parse_block(&mut lines)? {
+            let (file, entry) = match block {
+                Block::Entry { id, stats, file } => (Arc::new(file), Some((id, stats))),
+                Block::File(file) => (Arc::new(file), None),
+            };
+            files.insert(file.path.clone(), file.clone());
+            if let Some((id, stats)) = entry {
+                next_id = next_id.max(id + 1);
+                entries.push(Arc::new(RepoEntry::new(id, file, stats)));
+            }
         }
         if let Some(line) = lines.next() {
-            return Err(Error::Repository(format!("expected 'entry', got {line:?}")));
+            return Err(Error::Repository(format!("expected 'entry' or 'file', got {line:?}")));
         }
-        Ok(Repository::from_entries(entries, next_id, prov))
+        Ok(Repository::from_entries(entries, files, next_id))
     }
 
     /// Build a repository from fully formed entries (ids assigned,
-    /// order final): one snapshot construction, one reindex.
-    fn from_entries(entries: Vec<Arc<RepoEntry>>, next_id: u64, prov: Provenance) -> Repository {
+    /// order final) and every record: one snapshot construction, one
+    /// reindex.
+    fn from_entries(
+        entries: Vec<Arc<RepoEntry>>,
+        files: HashMap<String, Arc<StoredFile>>,
+        next_id: u64,
+    ) -> Repository {
         let mut snap = RepoSnapshot {
             stored_bytes: entries.iter().map(|e| e.base.output_bytes).sum(),
             by_signature: entries.iter().map(|e| (e.signature, e.id)).collect(),
             entries,
-            prov: Arc::new(prov),
+            files: Arc::new(files),
             ..Default::default()
         };
         snap.reindex();
@@ -863,15 +915,16 @@ impl Repository {
     /// subsumption chains must use [`Repository::insert`] to get the
     /// §3 "subsuming plans first" guarantee. Duplicate plan signatures
     /// keep the first occurrence.
-    pub fn bulk_load(items: Vec<(PhysicalPlan, String, RepoStats)>) -> Repository {
+    pub fn bulk_load(items: Vec<(StoredFile, RepoStats)>) -> Repository {
         let mut entries: Vec<Arc<RepoEntry>> = Vec::with_capacity(items.len());
         let mut seen = HashSet::with_capacity(items.len());
-        for (i, (plan, path, stats)) in items.into_iter().enumerate() {
-            let e = RepoEntry::new(i as u64, plan, path, stats);
+        for (i, (file, stats)) in items.into_iter().enumerate() {
+            let e = RepoEntry::new(i as u64, Arc::new(file), stats);
             if seen.insert(e.signature) {
                 entries.push(Arc::new(e));
             }
         }
+        let files = entries.iter().map(|e| (e.file.path.clone(), e.file.clone())).collect();
         // Ids were assigned before dedup, so the retained maximum — not
         // the retained count — bounds the id space; `entries.len()`
         // would let a later insert reserve an id a kept entry already
@@ -885,7 +938,7 @@ impl Repository {
             let kb = (b.base.reduction_ratio(), b.base.job_time_s);
             kb.partial_cmp(&ka).unwrap_or(std::cmp::Ordering::Equal)
         });
-        Repository::from_entries(entries, next_id, Provenance::new())
+        Repository::from_entries(entries, files, next_id)
     }
 }
 
@@ -968,7 +1021,7 @@ impl RepoSnapshot {
         cands.sort_unstable();
         let found = cands.into_iter().find_map(|(pos, _, site)| {
             let e = &self.entries[pos];
-            let matched = pairwise_plan_traversal_at(&e.plan, input_plan, [site]);
+            let matched = pairwise_plan_traversal_at(&e.file.plan, input_plan, [site]);
             probe.candidates.push(ProbedCandidate { entry_id: e.id, matched: matched.is_some() });
             matched.map(|m| (e.id, m))
         });
@@ -991,7 +1044,7 @@ impl RepoSnapshot {
         let order = input_plan.topo_order();
         self.entries.iter().find_map(|e| {
             let sites = order.iter().copied().filter(|&site| !skip(e, site));
-            pairwise_plan_traversal_at(&e.plan, input_plan, sites).map(|m| (e.id, m))
+            pairwise_plan_traversal_at(&e.file.plan, input_plan, sites).map(|m| (e.id, m))
         })
     }
 }
@@ -1012,25 +1065,22 @@ pub struct RepoBatch<'a> {
 }
 
 impl RepoBatch<'_> {
-    /// Insert an entry (see [`Repository::insert`]).
-    pub fn insert(
-        &mut self,
-        plan: PhysicalPlan,
-        output_path: impl Into<String>,
-        stats: RepoStats,
-    ) -> InsertOutcome {
+    /// Insert an entry for `file` (see [`Repository::insert`]).
+    pub fn insert(&mut self, file: StoredFile, stats: RepoStats) -> InsertOutcome {
         // Reserve the id optimistically; duplicates leave a gap in the
         // id space, which nothing depends on.
         let id = self.next_id.fetch_add(1, SeqCst);
-        let entry = RepoEntry::new(id, plan, output_path.into(), stats);
-        let (outcome, stored) = self.work.do_insert(entry);
+        let entry = RepoEntry::new(id, Arc::new(file), stats);
+        let len = self.work.entries.len();
+        let outcome = self.work.do_insert(entry, &mut self.ops);
+        // A duplicate's record may have evicted the entry at its path.
+        self.reindex |= self.work.entries.len() != len;
         if matches!(outcome, InsertOutcome::Inserted(_)) {
             self.reindex = true;
         } else {
             // Roll the reservation back when we were the only claimant.
             let _ = self.next_id.compare_exchange(id + 1, id, SeqCst, SeqCst);
         }
-        self.ops.extend(stored.map(RepoOp::Put));
         outcome
     }
 
@@ -1041,16 +1091,12 @@ impl RepoBatch<'_> {
     /// insertion. Idempotent — applying a record over a base checkpoint
     /// that already contains its effects is a no-op in the serialized
     /// state.
-    pub(crate) fn put(
-        &mut self,
-        id: u64,
-        plan: PhysicalPlan,
-        output_path: String,
-        stats: RepoStats,
-    ) {
+    pub(crate) fn put(&mut self, id: u64, file: StoredFile, stats: RepoStats) {
         self.next_id.fetch_max(id + 1, SeqCst);
-        let entry = RepoEntry::new(id, plan, output_path, stats);
+        let file = Arc::new(file);
+        let entry = RepoEntry::new(id, file.clone(), stats);
         let work = &mut self.work;
+        work.files_mut().insert(file.path.clone(), file);
         // Locate the id by scanning the entry list (mid-batch the
         // position maps may be stale). A same-signature entry under
         // another id means the live session refreshed that entry;
@@ -1082,7 +1128,14 @@ impl RepoBatch<'_> {
         self.reindex = true;
     }
 
-    /// Remove an entry, returning it (see [`Repository::evict`]).
+    /// Journal replay of a record without an entry.
+    pub(crate) fn put_file(&mut self, file: StoredFile) {
+        self.reindex = true;
+        self.work.put_file(Arc::new(file), &mut self.ops);
+    }
+
+    /// Remove an entry and its record, returning the entry (see
+    /// [`Repository::evict`]).
     pub fn evict(&mut self, id: u64) -> Option<Arc<RepoEntry>> {
         let e = self.work.do_evict(id)?;
         self.reindex = true;
@@ -1090,46 +1143,22 @@ impl RepoBatch<'_> {
         Some(e)
     }
 
-    /// Record `plan` as the producer of `path` (see
-    /// [`Provenance::register`]).
-    pub fn register(&mut self, path: impl Into<String>, plan: PhysicalPlan) {
-        let path = path.into();
-        let prov = Arc::make_mut(&mut self.work.prov);
-        prov.register(path.clone(), plan);
-        let plan = prov.get_arc(&path).expect("just registered");
-        self.ops.push(RepoOp::Register(path, plan));
-    }
-
-    /// Journal replay of a registration, applied verbatim (see
-    /// `Provenance::register_replay`).
-    pub(crate) fn register_replay(&mut self, path: String, plan: Arc<PhysicalPlan>) {
-        Arc::make_mut(&mut self.work.prov).register_replay(path.clone(), plan.clone());
-        self.ops.push(RepoOp::Register(path, plan));
-    }
-
-    /// Forget the producing plan of `path`; returns whether it had one.
-    pub fn forget(&mut self, path: &str) -> bool {
-        if !self.work.prov.contains(path) {
-            return false;
+    /// Forget the record of `path`, evicting its entry if it has one;
+    /// returns the evicted entry.
+    pub fn forget(&mut self, path: &str) -> Option<Arc<RepoEntry>> {
+        if let Some(id) = self.work.entries.iter().find(|e| e.file.path == path).map(|e| e.id) {
+            return self.evict(id);
         }
-        Arc::make_mut(&mut self.work.prov).forget(path);
-        self.ops.push(RepoOp::Forget(path.to_string()));
-        true
+        if self.work.files.contains_key(path) {
+            self.work.files_mut().remove(path);
+            self.ops.push(RepoOp::Forget(path.to_string()));
+        }
+        None
     }
 
-    /// The batch's pending provenance table (its own registrations and
-    /// forgets visible).
-    pub fn provenance(&self) -> &Provenance {
-        &self.work.prov
-    }
-
-    /// Every entry of the batch's pending working copy (prior mutations
-    /// of this batch visible). Mid-batch the entry list and byte total
-    /// are current, but the position-dependent lookups (`get`,
-    /// `contains_id`, the match strategies) may lag behind this batch's
-    /// own structural changes — they are rebuilt at publish.
-    pub fn pending_entries(&self) -> impl Iterator<Item = &Arc<RepoEntry>> {
-        self.work.entries.iter()
+    /// [`RepoSnapshot::expand`] over the batch's pending records.
+    pub fn expand<'a>(&self, plan: &'a PhysicalPlan) -> ExpandedPlan<'a> {
+        self.work.expand(plan)
     }
 }
 
@@ -1169,43 +1198,86 @@ mod tests {
     #[test]
     fn insert_and_match() {
         let repo = Repository::new();
-        repo.insert(load_project("/pv", vec![0, 2]), "/repo/b", stats(100, 10, 5.0));
+        repo.insert(
+            StoredFile::new("/repo/b", load_project("/pv", vec![0, 2])),
+            stats(100, 10, 5.0),
+        );
         let (id, m) = repo.snapshot().find_first_match(&q1_plan()).unwrap();
-        assert_eq!(repo.snapshot().get(id).unwrap().output_path, "/repo/b");
+        assert_eq!(repo.snapshot().get(id).unwrap().file.path, "/repo/b");
         assert!(matches!(q1_plan().op(m.tip), PhysicalOp::Project { .. }));
     }
 
     #[test]
     fn duplicate_signature_refreshes_stats() {
         let repo = Repository::new();
-        let first = RepoStats { output_version: 3, typed: true, ..stats(100, 10, 5.0) };
-        let a = repo.insert(load_project("/pv", vec![0]), "/r/1", first);
+        let plan = || load_project("/pv", vec![0]);
+        let first = StoredFile { tick: 3, typed: true, ..StoredFile::new("/r/1", plan()) };
+        let a = repo.insert(first, stats(100, 10, 5.0));
         let InsertOutcome::Inserted(id) = a else { panic!() };
         repo.note_use(id, 3);
-        let second = RepoStats { output_version: 9, typed: false, ..stats(100, 12, 6.0) };
-        let b = repo.insert(load_project("/pv", vec![0]), "/r/2", second);
+        let second = StoredFile { tick: 9, ..StoredFile::new("/r/2", plan()) };
+        let b = repo.insert(second.clone(), stats(100, 12, 6.0));
         assert_eq!(b, InsertOutcome::Duplicate(id));
-        assert_eq!(repo.snapshot().len(), 1);
-        let e = repo.snapshot().get(id).cloned().unwrap();
+        let snap = repo.snapshot();
+        assert_eq!(snap.len(), 1);
+        let e = snap.get(id).cloned().unwrap();
         assert_eq!(e.stats().output_bytes, 12); // refreshed
         assert_eq!(e.stats().use_count, 1); // history kept
-        assert_eq!(e.output_path, "/r/1"); // original output retained
-                                           // …and what the entry recorded of that file, not of `/r/2`.
-        assert_eq!((e.output_version(), e.typed()), (3, true));
-        assert_eq!(repo.snapshot().stored_bytes(), 12); // counter follows the refresh
+                                            // The entry keeps its own file and what it recorded of it…
+        assert_eq!((e.file.path.as_str(), e.file.tick, e.file.typed), ("/r/1", 3, true));
+        // …and the second file is a record without an entry.
+        assert_eq!(snap.file("/r/2").map(|f| &**f), Some(&second));
+        assert_eq!(snap.files().len(), 2);
+        assert_eq!(snap.stored_bytes(), 12); // counter follows the refresh
+    }
+
+    #[test]
+    fn eviction_and_forget_take_the_record_with_them() {
+        let repo = Repository::new();
+        let plan = || load_project("/pv", vec![0]);
+        let InsertOutcome::Inserted(id) =
+            repo.insert(StoredFile::new("/r/1", plan()), stats(1, 1, 1.0))
+        else {
+            panic!()
+        };
+        repo.insert(StoredFile::new("/r/2", plan()), stats(1, 1, 1.0));
+        repo.insert(StoredFile::new("/r/3", load_project("/x", vec![1])), stats(1, 1, 1.0));
+        assert_eq!(repo.snapshot().files().len(), 3);
+        // Evicting an entry forgets its record; a lone record stays.
+        repo.evict(id);
+        assert!(repo.snapshot().file("/r/1").is_none());
+        assert!(repo.snapshot().file("/r/2").is_some());
+        // Forgetting a path evicts its entry, or forgets a lone record.
+        let gone =
+            repo.batch(|b| (b.forget("/r/3").map(|e| e.file.path.clone()), b.forget("/r/2")));
+        assert_eq!((gone.0.as_deref(), gone.1.is_none()), (Some("/r/3"), true));
+        let snap = repo.snapshot();
+        assert!(snap.is_empty() && snap.files().len() == 0);
+    }
+
+    #[test]
+    fn a_record_replacing_another_at_its_path_evicts_its_entry() {
+        let repo = Repository::new();
+        repo.insert(StoredFile::new("/r/1", load_project("/pv", vec![0])), stats(1, 1, 1.0));
+        let fresh =
+            repo.insert(StoredFile::new("/r/1", load_project("/pv", vec![1])), stats(1, 1, 1.0));
+        let snap = repo.snapshot();
+        assert_eq!(snap.entries().iter().map(|e| e.id).collect::<Vec<_>>(), [1]);
+        assert_eq!(fresh, InsertOutcome::Inserted(1));
+        assert_eq!(snap.file("/r/1").map(|f| f.plan.clone()), Some(load_project("/pv", vec![1])));
     }
 
     #[test]
     fn refreshed_entry_shares_usage_with_stale_snapshots() {
         let repo = Repository::new();
         let InsertOutcome::Inserted(id) =
-            repo.insert(load_project("/pv", vec![0]), "/r/1", stats(100, 10, 5.0))
+            repo.insert(StoredFile::new("/r/1", load_project("/pv", vec![0])), stats(100, 10, 5.0))
         else {
             panic!()
         };
         // A reader holds the pre-refresh snapshot…
         let stale = repo.snapshot();
-        repo.insert(load_project("/pv", vec![0]), "/r/2", stats(100, 12, 6.0));
+        repo.insert(StoredFile::new("/r/2", load_project("/pv", vec![0])), stats(100, 12, 6.0));
         // …and records a reuse against it. The refreshed entry must see
         // it: the counters are shared, not copied.
         stale.get(id).unwrap().note_use(9);
@@ -1217,37 +1289,40 @@ mod tests {
     fn subsuming_plan_ordered_first() {
         let repo = Repository::new();
         // Insert the small plan first…
-        repo.insert(load_project("/pv", vec![0, 2]), "/r/sub", stats(100, 50, 2.0));
+        repo.insert(
+            StoredFile::new("/r/sub", load_project("/pv", vec![0, 2])),
+            stats(100, 50, 2.0),
+        );
         // …then the Q1 plan that subsumes it.
-        repo.insert(q1_plan(), "/r/q1", stats(200, 20, 30.0));
+        repo.insert(StoredFile::new("/r/q1", q1_plan()), stats(200, 20, 30.0));
         let snap = repo.snapshot();
-        assert_eq!(snap.entries()[0].output_path, "/r/q1");
-        assert_eq!(snap.entries()[1].output_path, "/r/sub");
+        assert_eq!(snap.entries()[0].file.path, "/r/q1");
+        assert_eq!(snap.entries()[1].file.path, "/r/sub");
         // A fresh Q1-shaped query now matches the *whole* Q1 plan first
         // (the paper's "first match is best match").
         let (id, _) = repo.snapshot().find_first_match(&q1_plan()).unwrap();
-        assert_eq!(repo.snapshot().get(id).unwrap().output_path, "/r/q1");
+        assert_eq!(repo.snapshot().get(id).unwrap().file.path, "/r/q1");
     }
 
     #[test]
     fn incomparable_plans_ordered_by_reduction_then_time() {
         let repo = Repository::new();
-        repo.insert(load_project("/a", vec![0]), "/r/low", stats(100, 50, 9.0));
-        repo.insert(load_project("/b", vec![0]), "/r/high", stats(100, 5, 1.0));
+        repo.insert(StoredFile::new("/r/low", load_project("/a", vec![0])), stats(100, 50, 9.0));
+        repo.insert(StoredFile::new("/r/high", load_project("/b", vec![0])), stats(100, 5, 1.0));
         // ratio 20 beats ratio 2 despite lower time.
-        assert_eq!(repo.snapshot().entries()[0].output_path, "/r/high");
+        assert_eq!(repo.snapshot().entries()[0].file.path, "/r/high");
         // Same ratio: longer time first.
         let repo = Repository::new();
-        repo.insert(load_project("/a", vec![0]), "/r/fast", stats(100, 10, 1.0));
-        repo.insert(load_project("/b", vec![0]), "/r/slow", stats(100, 10, 9.0));
-        assert_eq!(repo.snapshot().entries()[0].output_path, "/r/slow");
+        repo.insert(StoredFile::new("/r/fast", load_project("/a", vec![0])), stats(100, 10, 1.0));
+        repo.insert(StoredFile::new("/r/slow", load_project("/b", vec![0])), stats(100, 10, 9.0));
+        assert_eq!(repo.snapshot().entries()[0].file.path, "/r/slow");
     }
 
     #[test]
     fn eviction_removes_entry_and_signature() {
         let repo = Repository::new();
         let InsertOutcome::Inserted(id) =
-            repo.insert(load_project("/a", vec![0]), "/r/a", stats(1, 1, 1.0))
+            repo.insert(StoredFile::new("/r/a", load_project("/a", vec![0])), stats(1, 1, 1.0))
         else {
             panic!()
         };
@@ -1255,7 +1330,8 @@ mod tests {
         assert!(repo.snapshot().is_empty());
         assert_eq!(repo.snapshot().stored_bytes(), 0);
         // Same plan can be inserted again afterwards.
-        let again = repo.insert(load_project("/a", vec![0]), "/r/a2", stats(1, 1, 1.0));
+        let again =
+            repo.insert(StoredFile::new("/r/a2", load_project("/a", vec![0])), stats(1, 1, 1.0));
         assert!(matches!(again, InsertOutcome::Inserted(_)));
     }
 
@@ -1264,8 +1340,7 @@ mod tests {
         let repo = Repository::new();
         for (i, cols) in [vec![0], vec![1], vec![0, 2], vec![2]].into_iter().enumerate() {
             repo.insert(
-                load_project("/pv", cols),
-                format!("/r/{i}"),
+                StoredFile::new(format!("/r/{i}"), load_project("/pv", cols)),
                 stats(100 + i as u64, 10, i as f64),
             );
         }
@@ -1301,9 +1376,9 @@ mod tests {
         input.add(PhysicalOp::Store { path: "/out".into() }, vec![j]);
 
         let repo = Repository::new();
-        repo.insert(load_project("/pv", vec![0]), "/r/p", stats(100, 50, 1.0));
+        repo.insert(StoredFile::new("/r/p", load_project("/pv", vec![0])), stats(100, 50, 1.0));
         let InsertOutcome::Inserted(id) =
-            repo.insert(stored.clone(), "/r/self", stats(100, 10, 9.0))
+            repo.insert(StoredFile::new("/r/self", stored.clone()), stats(100, 10, 9.0))
         else {
             panic!("fresh plan");
         };
@@ -1323,11 +1398,11 @@ mod tests {
     #[test]
     fn snapshot_readers_are_isolated_from_mutations() {
         let repo = Repository::new();
-        repo.insert(load_project("/pv", vec![0, 2]), "/r/b", stats(100, 10, 5.0));
+        repo.insert(StoredFile::new("/r/b", load_project("/pv", vec![0, 2])), stats(100, 10, 5.0));
         let before = repo.snapshot();
         repo.batch(|b| {
-            b.insert(load_project("/x", vec![1]), "/r/x", stats(50, 5, 1.0));
-            b.insert(load_project("/y", vec![1]), "/r/y", stats(50, 5, 1.0));
+            b.insert(StoredFile::new("/r/x", load_project("/x", vec![1])), stats(50, 5, 1.0));
+            b.insert(StoredFile::new("/r/y", load_project("/y", vec![1])), stats(50, 5, 1.0));
         });
         assert_eq!(before.len(), 1, "held snapshot unchanged");
         assert_eq!(repo.snapshot().len(), 3, "batch landed atomically");
@@ -1339,7 +1414,7 @@ mod tests {
     fn note_use_publishes_no_snapshot() {
         let repo = Repository::new();
         let InsertOutcome::Inserted(id) =
-            repo.insert(load_project("/pv", vec![0]), "/r/1", stats(100, 10, 5.0))
+            repo.insert(StoredFile::new("/r/1", load_project("/pv", vec![0])), stats(100, 10, 5.0))
         else {
             panic!()
         };
@@ -1355,9 +1430,10 @@ mod tests {
     #[test]
     fn save_load_round_trip() {
         let repo = Repository::new();
+        let inputs = vec![("/pv".into(), 0), ("/users dir/x".into(), 2)];
+        let q1 = StoredFile { tick: 7, typed: true, inputs, ..StoredFile::new("/r/q1", q1_plan()) };
         repo.insert(
-            q1_plan(),
-            "/r/q1",
+            q1,
             RepoStats {
                 input_bytes: 1000,
                 output_bytes: 50,
@@ -1367,17 +1443,23 @@ mod tests {
                 use_count: 3,
                 last_used: 9,
                 created: 1,
-                input_files: vec![("/pv".into(), 0), ("/users dir/x".into(), 2)],
-                output_version: 7,
-                typed: true,
             },
         );
-        repo.insert(load_project("/pv", vec![0, 2]), "/r/sub", stats(100, 10, 2.0));
+        repo.insert(
+            StoredFile::new("/r/sub", load_project("/pv", vec![0, 2])),
+            stats(100, 10, 2.0),
+        );
+        // A second file holding the first plan: a record without an entry.
+        repo.insert(
+            StoredFile { tick: 8, ..StoredFile::new("/r/copy", q1_plan()) },
+            stats(1, 1, 1.0),
+        );
         let text = repo.snapshot().save();
         let back = Repository::load(&text).unwrap();
         assert_eq!(back.snapshot().len(), 2);
         let (b, r) = (back.snapshot(), repo.snapshot());
-        assert_eq!(b.entries()[0].output_path, r.entries()[0].output_path);
+        assert_eq!(b.file("/r/copy"), r.file("/r/copy"));
+        assert_eq!(b.entries()[0].file, r.entries()[0].file);
         assert_eq!(b.entries()[0].signature, r.entries()[0].signature);
         assert_eq!(b.entries()[0].stats(), r.entries()[0].stats());
         assert_eq!(b.entries()[0].tip_signature, r.entries()[0].tip_signature);
@@ -1391,25 +1473,26 @@ mod tests {
         let fresh = Repository::new();
         fresh.adopt(back);
         assert_eq!(fresh.freeze(|frozen| frozen.save()), text);
-        let next = fresh.insert(load_project("/new", vec![0]), "/r/new", stats(1, 1, 1.0));
+        let next = fresh
+            .insert(StoredFile::new("/r/new", load_project("/new", vec![0])), stats(1, 1, 1.0));
         assert_eq!(next, InsertOutcome::Inserted(2));
     }
 
     #[test]
     fn bulk_load_orders_by_score_and_keeps_ids_unique_after_dedup() {
         let repo = Repository::bulk_load(vec![
-            (load_project("/a", vec![0]), "/r/a".into(), stats(100, 50, 1.0)),
+            (StoredFile::new("/r/a", load_project("/a", vec![0])), stats(100, 50, 1.0)),
             // Duplicate signature: dropped, but its id (1) was consumed.
-            (load_project("/a", vec![0]), "/r/dup".into(), stats(100, 50, 9.0)),
-            (load_project("/b", vec![0]), "/r/b".into(), stats(100, 5, 1.0)),
+            (StoredFile::new("/r/dup", load_project("/a", vec![0])), stats(100, 50, 9.0)),
+            (StoredFile::new("/r/b", load_project("/b", vec![0])), stats(100, 5, 1.0)),
         ]);
         assert_eq!(repo.snapshot().len(), 2, "duplicate signatures keep the first occurrence");
         // Rule-2 order: ratio 20 before ratio 2.
-        assert_eq!(repo.snapshot().entries()[0].output_path, "/r/b");
+        assert_eq!(repo.snapshot().entries()[0].file.path, "/r/b");
         // A post-bulk insert must not reuse a retained id: entry "/r/b"
         // carries id 2, so the next insert gets 3.
         let InsertOutcome::Inserted(next) =
-            repo.insert(load_project("/c", vec![0]), "/r/c", stats(1, 1, 1.0))
+            repo.insert(StoredFile::new("/r/c", load_project("/c", vec![0])), stats(1, 1, 1.0))
         else {
             panic!()
         };
@@ -1430,15 +1513,15 @@ mod tests {
                 p
             })
             .unwrap();
-        assert_eq!(repo.snapshot().get(hit).unwrap().output_path, "/r/b");
+        assert_eq!(repo.snapshot().get(hit).unwrap().file.path, "/r/b");
     }
 
     #[test]
     fn stored_bytes_is_maintained_incrementally() {
         let repo = Repository::new();
-        repo.insert(load_project("/a", vec![0]), "/r/a", stats(100, 30, 1.0));
+        repo.insert(StoredFile::new("/r/a", load_project("/a", vec![0])), stats(100, 30, 1.0));
         let InsertOutcome::Inserted(b) =
-            repo.insert(load_project("/b", vec![0]), "/r/b", stats(100, 12, 1.0))
+            repo.insert(StoredFile::new("/r/b", load_project("/b", vec![0])), stats(100, 12, 1.0))
         else {
             panic!()
         };

@@ -14,12 +14,14 @@
 //!
 //! Rule 4 is not a setting: reusing an entry whose inputs changed, or
 //! whose own file was rewritten, returns a wrong answer, and one whose
-//! file is gone fails the query. So every execution first runs one
-//! staleness pass (`ReStore::sweep`), which checks every file an entry
-//! names against the version the entry recorded of it.
+//! file is gone fails the query; expanding a Load of such a file into
+//! its plan does the same. So every execution first runs one staleness
+//! pass (`ReStore::sweep`), which checks every file a record names
+//! against the tick the record holds of it.
 
 use crate::driver::{ReStore, Space};
-use crate::repository::{RepoBatch, RepoEntry, RepoSnapshot, RepoStats};
+use crate::repository::{RepoEntry, RepoSnapshot, RepoStats, StoredFile};
+use std::collections::HashMap;
 
 /// Configuration of the §5 rules that are choices: admission (rules 1–2)
 /// and the disuse window (rule 3); rule 4 is not one (see the module).
@@ -88,10 +90,11 @@ impl SelectionPolicy {
     }
 }
 
-/// Why an entry left the repository; the discriminant indexes the
-/// `reason` labels of `restore_entries_evicted_total`. `Overwritten`:
-/// the entry's file is at another version than the one it recorded (a
-/// workflow, or someone out of band, wrote new bytes to the path).
+/// Why a record was forgotten; the discriminant indexes the `reason`
+/// labels of `restore_entries_evicted_total`, which counts the entries
+/// evicted with their records. `Overwritten`: the file is at another
+/// tick than the one its record holds (a workflow, or someone out of
+/// band, wrote new bytes to the path).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Eviction {
     Window,
@@ -122,37 +125,37 @@ pub(crate) struct Stale {
     /// The DFS clock reading the file checks ran at; `None` when the
     /// snapshot's memo showed nothing moved since it was found clean.
     pub checked_at: Option<u64>,
-    /// Stored paths the DFS no longer holds.
-    pub dead: Vec<String>,
-    /// Entries to evict, in repository order, each with its reason.
-    pub victims: Vec<(u64, Eviction)>,
+    /// The paths of the records to forget, sorted, each with its reason.
+    pub victims: Vec<(String, Eviction)>,
 }
 
 impl ReStore {
     /// The staleness pass, run once per execution before matching, so no
-    /// stale entry is reused: forget every stored path the DFS no longer
-    /// holds, and evict every entry [`ReStore::stale`] names. Returns the
-    /// evicted ids.
+    /// stale record is expanded or reused: forget every record
+    /// [`ReStore::stale`] names, evicting its entry if it has one.
+    /// Returns the evicted ids.
     pub(crate) fn sweep(&self, space: &Space, policy: &SelectionPolicy, now: u64) -> Vec<u64> {
         let repo = space.repo.snapshot();
-        let Stale { checked_at, dead, victims } = self.stale(&repo, policy, now);
-        let window_only = victims.iter().all(|&(_, why)| why == Eviction::Window);
-        if let Some(clock) = checked_at.filter(|_| dead.is_empty() && window_only) {
+        let Stale { checked_at, victims } = self.stale(&repo, policy, now);
+        if let Some(clock) =
+            checked_at.filter(|_| victims.iter().all(|(_, why)| *why == Eviction::Window))
+        {
             repo.clean.set(clock);
         }
-        if dead.is_empty() && victims.is_empty() {
+        if victims.is_empty() {
             return Vec::new();
         }
-        self.evict_entries(space, dead, |_| victims)
+        self.forget_files(space, victims)
     }
 
     /// What the staleness pass would do to `repo` at driver tick `now`,
-    /// without doing it. An entry is stale when a file it names is not
-    /// at the version it recorded, or, with a window set, when it went
+    /// without doing it. A record is stale when a file it names is not
+    /// at the tick it holds, or, with a window set, when its entry went
     /// unused (rule 3). The first reason that holds is the one counted:
     /// its own file is gone (`output_missing`), its file is at another
-    /// version (`overwritten`), its window expired (`window`), a base
-    /// file its plan reads moved or is gone (`inputs_changed`, rule 4).
+    /// tick (`overwritten`), its entry's window expired (`window`), a
+    /// base file its plan reads moved or is gone (`inputs_changed`,
+    /// rule 4).
     ///
     /// Every file check reads one namenode view, skipped while `Dfs::now`
     /// reads the clock at which `repo` was last found clean (its
@@ -164,21 +167,28 @@ impl ReStore {
         let clock = dfs.now();
         let checked_at = (!repo.clean.at(clock)).then_some(clock);
         if checked_at.is_none() && policy.eviction_window.is_none() {
-            return Stale { checked_at, dead: Vec::new(), victims: Vec::new() };
+            return Stale { checked_at, victims: Vec::new() };
         }
+        // Rule 3 reads an entry's usage, so only a window needs them.
+        let entries: HashMap<&str, &RepoEntry> = match policy.eviction_window {
+            Some(_) => repo.entries().iter().map(|e| (e.file.path.as_str(), &**e)).collect(),
+            None => HashMap::new(),
+        };
         let scan = |version: Option<&VersionOf<'_>>| {
             let moved = |(p, n): &(String, u64)| version.is_some_and(|v| v(p) != Some(*n));
-            let why = |e: &RepoEntry| match version.map(|v| v(&e.output_path)) {
+            let why = |f: &StoredFile| match version.map(|v| v(&f.path)) {
                 Some(None) => Some(Eviction::OutputMissing),
-                Some(Some(at)) if at != e.output_version() => Some(Eviction::Overwritten),
-                _ if policy.expired(e, now) => Some(Eviction::Window),
-                _ if e.input_files().iter().any(moved) => Some(Eviction::InputsChanged),
+                Some(Some(at)) if at != f.tick => Some(Eviction::Overwritten),
+                _ if entries.get(f.path.as_str()).is_some_and(|e| policy.expired(e, now)) => {
+                    Some(Eviction::Window)
+                }
+                _ if f.inputs.iter().any(moved) => Some(Eviction::InputsChanged),
                 _ => None,
             };
-            let gone = |p: &&str| version.is_some_and(|v| v(p).is_none());
-            let dead = repo.provenance().iter_paths().filter(gone).map(String::from).collect();
-            let victims = repo.entries().iter().filter_map(|e| Some((e.id, why(e)?))).collect();
-            Stale { checked_at, dead, victims }
+            let mut victims: Vec<_> =
+                repo.files().filter_map(|f| Some((f.path.clone(), why(f)?))).collect();
+            victims.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+            Stale { checked_at, victims }
         };
         match checked_at {
             Some(_) => dfs.with_versions(|version| scan(Some(version))),
@@ -186,41 +196,31 @@ impl ReStore {
         }
     }
 
-    /// Evict the entries `pick` chooses from the repository's pending
-    /// state, and forget their paths and those of `forget` in path order,
-    /// as one published batch (one `repo-batch` record). Files are
-    /// deleted, pin-checked, only after the batch publishes: a session
-    /// that pinned a match and revalidates sees the entry (its pin defers
-    /// the delete) or its absence (it skips it), never a deleted file
-    /// behind a live entry. Whether a victim's file goes is decided from
-    /// the entry alone, without reading the DFS: only a file ReStore
-    /// wrote typed for itself (a candidate or a `tmp-N`), evicted for
-    /// its window or its inputs (see `Eviction::deletes`). An id a
-    /// racing writer evicted is skipped.
-    pub(crate) fn evict_entries(
-        &self,
-        space: &Space,
-        mut forget: Vec<String>,
-        pick: impl FnOnce(&RepoBatch<'_>) -> Vec<(u64, Eviction)>,
-    ) -> Vec<u64> {
+    /// Forget the records of `victims`' paths, in order, evicting the
+    /// entry of each that has one, as one published batch (one
+    /// `repo-batch` record). Files are deleted,
+    /// pin-checked, only after the batch publishes: a session that
+    /// pinned a match and revalidates sees the entry (its pin defers the
+    /// delete) or its absence (it skips it), never a deleted file behind
+    /// a live entry. Whether an evicted entry's file goes is decided
+    /// from its record alone, without reading the DFS: only a file
+    /// ReStore wrote typed for itself (a candidate or a `tmp-N`),
+    /// evicted for its window or its inputs (see `Eviction::deletes`). A
+    /// path with no record in the pending state (a racing writer forgot
+    /// it) is skipped. Returns the evicted ids.
+    pub(crate) fn forget_files(&self, space: &Space, victims: Vec<(String, Eviction)>) -> Vec<u64> {
         let dfs = self.engine.dfs();
         space.repo.batch_then(
             |b| {
-                let victims = pick(b);
-                let evicted: Vec<_> =
-                    victims.into_iter().filter_map(|(id, why)| Some((b.evict(id)?, why))).collect();
-                forget.extend(evicted.iter().map(|(e, _)| e.output_path.clone()));
-                forget.sort_unstable();
-                forget.dedup();
-                for p in &forget {
-                    b.forget(p);
-                }
-                evicted
+                victims
+                    .into_iter()
+                    .filter_map(|(path, why)| Some((b.forget(&path)?, why)))
+                    .collect()
             },
-            |evicted| {
+            |evicted: Vec<(std::sync::Arc<RepoEntry>, Eviction)>| {
                 for (entry, why) in &evicted {
-                    let path = &entry.output_path;
-                    if why.deletes(entry.typed()) && !space.pins.defer_delete(path) {
+                    let path = &entry.file.path;
+                    if why.deletes(entry.file.typed) && !space.pins.defer_delete(path) {
                         dfs.delete(path);
                     }
                     self.obs.evicted[*why as usize].inc();
@@ -257,9 +257,9 @@ mod tests {
         }
     }
 
-    /// Write `path` as one row, typed or text, and return the statistics
-    /// of an entry stored there: its file's real version and format.
-    fn stored(dfs: &Dfs, path: &str, typed: bool) -> RepoStats {
+    /// Write `path` as one row, typed or text, and return the record of
+    /// it as produced by `plan(input)`: its file's real tick and format.
+    fn stored(dfs: &Dfs, path: &str, typed: bool, input: &str) -> StoredFile {
         let rows = [restore_common::tuple!["x", 1i64]];
         let bytes = if typed {
             restore_common::typed::encode_file(&rows)
@@ -267,8 +267,8 @@ mod tests {
             restore_common::codec::encode_all(&rows)
         };
         dfs.write_all(path, &bytes).unwrap();
-        let output_version = dfs.status(path).unwrap().mtime;
-        RepoStats { output_version, typed, ..stats(10, 1, 1.0) }
+        let tick = dfs.status(path).unwrap().mtime;
+        StoredFile { tick, typed, ..StoredFile::new(path, plan(input)) }
     }
 
     /// A session whose default namespace holds one entry, created at tick
@@ -277,13 +277,15 @@ mod tests {
     fn session() -> (ReStore, Arc<Space>) {
         let dfs = Dfs::new(DfsConfig::small_for_tests());
         dfs.write_all("/data/in", b"v0").unwrap();
-        let out = stored(&dfs, "/repo/out", false);
+        let out = stored(&dfs, "/repo/out", false, "/x");
         let version = dfs.with_versions(|v| v("/data/in")).unwrap();
         let engine = Engine::new(dfs, ClusterConfig::default(), EngineConfig::default());
         let rs = ReStore::new(engine, ReStoreConfig::default());
         let space = rs.space_for(None);
-        let input_files = vec![("/data/in".into(), version)];
-        space.repo.insert(plan("/x"), "/repo/out", RepoStats { created: 9, input_files, ..out });
+        let inputs = vec![("/data/in".into(), version)];
+        space
+            .repo
+            .insert(StoredFile { inputs, ..out }, RepoStats { created: 9, ..stats(10, 1, 1.0) });
         (rs, space)
     }
 
@@ -318,9 +320,9 @@ mod tests {
     fn rule3_window_eviction() {
         let (rs, space) = session();
         let dfs = rs.engine().dfs();
-        let old = |path, typed| RepoStats { created: 1, last_used: 2, ..stored(dfs, path, typed) };
-        space.repo.insert(plan("/old"), "/repo/old", old("/repo/old", true));
-        space.repo.insert(plan("/text"), "/repo/text", old("/repo/text", false));
+        let old = RepoStats { created: 1, last_used: 2, ..stats(10, 1, 1.0) };
+        space.repo.insert(stored(dfs, "/repo/old", true, "/old"), old.clone());
+        space.repo.insert(stored(dfs, "/repo/text", false, "/text"), old);
 
         let policy = SelectionPolicy { eviction_window: Some(5), ..Default::default() };
         let evicted = rs.sweep(&space, &policy, 10);
@@ -360,8 +362,8 @@ mod tests {
     fn a_rewritten_output_is_overwritten_before_expired_and_its_file_stays() {
         let (rs, space) = session();
         let dfs = rs.engine().dfs();
-        let expired = RepoStats { created: 1, ..stored(dfs, "/repo/cand", true) };
-        space.repo.insert(plan("/cand"), "/repo/cand", expired);
+        let expired = RepoStats { created: 1, ..stats(10, 1, 1.0) };
+        space.repo.insert(stored(dfs, "/repo/cand", true, "/cand"), expired);
         let mut w = dfs.create_overwrite("/repo/cand").unwrap();
         w.write(b"mallory\t1\n");
         w.close().unwrap();
@@ -369,13 +371,13 @@ mod tests {
         let policy = SelectionPolicy { eviction_window: Some(5), ..Default::default() };
         // The read-only step names the entry and leaves it where it is.
         let stale = rs.stale(&space.repo.snapshot(), &policy, 10);
-        let reasons: Vec<Eviction> = stale.victims.iter().map(|&(_, why)| why).collect();
+        let reasons: Vec<Eviction> = stale.victims.iter().map(|(_, why)| *why).collect();
         assert_eq!(reasons, [Eviction::Overwritten]);
         assert_eq!(space.repo.snapshot().len(), 2);
 
         assert_eq!(rs.sweep(&space, &policy, 10).len(), 1);
         assert_eq!(dfs.read_all("/repo/cand").unwrap(), b"mallory\t1\n", "the new bytes stay");
-        assert!(space.repo.snapshot().entries().iter().all(|e| e.output_path == "/repo/out"));
+        assert!(space.repo.snapshot().entries().iter().all(|e| e.file.path == "/repo/out"));
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //!            config              `config_as(None)`, for `restore-e2e`
 //!            clear_config_as     drop a tenant's override
 //!            effective_config    the override, else the global default
-//!   admin:   repository_as / with_repository_mut_as / with_provenance_as
+//!   admin:   repository_as / with_repository_mut_as
 //!   writes:  invalidate_overwritten   an overwrite stales every namespace
 //! ```
 //!
@@ -31,7 +31,6 @@
 //! | `persist.rs` | saving and loading every namespace |
 
 use crate::driver::{ReStore, ReStoreConfig, Space};
-use crate::provenance::Provenance;
 use crate::repository::{RepoSnapshot, Repository};
 use crate::selector::Eviction;
 use std::sync::Arc;
@@ -85,15 +84,15 @@ impl ReStore {
     }
 
     /// Could a rewritten job in *any* namespace be served from `path`?
-    /// True when some namespace's provenance records a producing plan
-    /// for it. The service's cross-workflow scheduler refuses to overlap
-    /// a workflow that writes such a path with any other submission:
-    /// reuse rewriting can introduce Loads of registered paths that the
+    /// True when some namespace holds a record of the file at `path`.
+    /// The service's cross-workflow scheduler refuses to overlap a
+    /// workflow that writes such a path with any other submission:
+    /// reuse rewriting can introduce Loads of recorded paths that the
     /// submit-time footprint cannot see.
     pub fn serves_path(&self, path: &str) -> bool {
         // Wait-free snapshots: the scheduler probes this per queued
         // workflow, so it must never sit behind a registration.
-        self.spaces.load().values().any(|s| s.repo.snapshot().provenance().contains(path))
+        self.spaces.load().values().any(|s| s.repo.snapshot().file(path).is_some())
     }
 
     /// Every namespace with its name, sorted by name, so the default
@@ -106,28 +105,27 @@ impl ReStore {
         spaces
     }
 
-    /// A wave just (over)wrote these DFS paths. Any repository entry —
-    /// in *any* namespace — recorded as producing one of them now points
-    /// at foreign bytes: serving it would return the overwriting
-    /// workflow's data (a wrong answer, and across namespaces a
-    /// cross-tenant leak). Evict such entries and drop their provenance
-    /// records; the files themselves are left alone — they hold the new
-    /// workflow's live output. Namespaces are visited in name order, so
-    /// the journal records the forgets in the same order every run.
+    /// A wave just (over)wrote these DFS paths. Any record — in *any*
+    /// namespace — of one of them now describes foreign bytes: serving
+    /// or expanding it would return the overwriting workflow's data (a
+    /// wrong answer, and across namespaces a cross-tenant leak). Forget
+    /// such records and evict their entries; the files themselves are
+    /// left alone — they hold the new workflow's live output. Namespaces
+    /// are visited in name order, so the journal records the forgets in
+    /// the same order every run.
     pub(crate) fn invalidate_overwritten(&self, written: &[String]) {
         for (_, space) in self.spaces_by_name() {
             // Cheap snapshot probe first: fresh output paths are almost
-            // never registered anywhere.
+            // never recorded anywhere.
             let repo = space.repo.snapshot();
-            if !written.iter().any(|p| repo.provenance().contains(p))
-                && !repo.entries().iter().any(|e| written.contains(&e.output_path))
-            {
+            if !written.iter().any(|p| repo.file(p).is_some()) {
                 continue;
             }
-            self.evict_entries(&space, written.to_vec(), |repo| {
-                let stale = repo.pending_entries().filter(|e| written.contains(&e.output_path));
-                stale.map(|e| (e.id, Eviction::Overwritten)).collect()
-            });
+            // Forgetting a path with no record does nothing.
+            self.forget_files(
+                &space,
+                written.iter().map(|p| (p.clone(), Eviction::Overwritten)).collect(),
+            );
         }
     }
 
@@ -159,18 +157,6 @@ impl ReStore {
     ) -> R {
         let space = self.space_for(tenant);
         f(&space.repo)
-    }
-
-    /// Run `f` with the provenance table of a tenant's current
-    /// repository snapshot (`None` = the default namespace). To change
-    /// it, register or forget paths in a [`Repository::batch`] through
-    /// [`ReStore::with_repository_mut_as`].
-    pub fn with_provenance_as<R>(
-        &self,
-        tenant: Option<&str>,
-        f: impl FnOnce(&Provenance) -> R,
-    ) -> R {
-        f(self.space_snapshot(tenant).repo.snapshot().provenance())
     }
 
     /// The one effective-configuration rule: the namespace's override

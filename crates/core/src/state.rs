@@ -1,8 +1,8 @@
 //! `restore-state` (de)serialization: the durable session format.
 //!
 //! One format epoch is readable, the one this build writes. Its number,
-//! [`EPOCH`], ends the first line of every document (`restore-state v7`)
-//! and of every journal segment (`restore-journal v7`, see
+//! [`EPOCH`], ends the first line of every document (`restore-state v8`)
+//! and of every journal segment (`restore-journal v8`, see
 //! [`crate::journal`]); a document or segment that names another epoch
 //! is refused with [`Error::Epoch`], which shows the line and names both
 //! epochs. A format change either fits inside the epoch — a new optional
@@ -12,19 +12,25 @@
 //! path, and a count can equal a later tick. Epoch 7 bumped it because
 //! an entry records its own file — the version it was committed at and
 //! whether it is typed — in an `output` line an epoch-6 entry lacks.
+//! Epoch 8 bumped it because the path → plan fact became one record per
+//! stored file: an entry's file, and a second file holding a plan an
+//! entry stores, are both `file …` blocks carrying the file's tick and
+//! inputs, and epoch 7's provenance section, whose `path …` blocks
+//! carried neither, is gone.
 //!
 //! The format is line-oriented:
 //!
 //! ```text
-//! restore-state v7
+//! restore-state v8
 //! tick <n>
 //! cand <n>
 //! seq <n>                  the journal sequence number the document is anchored at
 //! --config--               the global configuration, `key value` lines
 //! --space "<tenant>"--     one per namespace, sorted by name ("" is the default)
 //! --config--               the tenant's policy override (only when it has one)
-//! --provenance--           `path …` blocks (see `provenance.rs`)
-//! --repository--           `entry …` blocks (see `repository.rs`)
+//! --repository--           `entry …` lines, each with its `file …` block, in
+//!                          match-priority order, then the `file …` blocks of
+//!                          records without an entry, by path (see `repository.rs`)
 //! ```
 //!
 //! `seq` anchors the document in the journal: recovery loads it and
@@ -43,7 +49,6 @@ use crate::driver::ReStoreConfig;
 use crate::enumerator::Heuristic;
 use crate::failure::FailureDisposition;
 use crate::plan_text;
-use crate::provenance::Provenance;
 use crate::repository::Repository;
 use restore_common::{Error, Result};
 
@@ -51,7 +56,7 @@ use restore_common::{Error, Result};
 /// built from the one number.
 macro_rules! epoch {
     () => {
-        7
+        8
     };
 }
 pub(crate) use epoch;
@@ -63,7 +68,7 @@ pub const EPOCH: u64 = epoch!();
 pub(crate) const HEADER: &str = concat!("restore-state v", epoch!());
 
 /// Refuse a first line that names another epoch of `header`'s kind
-/// (`restore-state v6` where `restore-state v7` is read). A line of any
+/// (`restore-state v7` where `restore-state v8` is read). A line of any
 /// other shape passes: the caller reports it as a malformed header.
 pub(crate) fn check_epoch(line: &str, header: &str) -> Result<()> {
     let kind = header.trim_end_matches(|c: char| c.is_ascii_digit());
@@ -79,7 +84,7 @@ pub(crate) fn check_epoch(line: &str, header: &str) -> Result<()> {
 pub(crate) struct LoadedSpace {
     pub name: String,
     pub config: Option<ReStoreConfig>,
-    /// The namespace's repository, its provenance table included.
+    /// The namespace's repository, every record included.
     pub repo: Repository,
 }
 
@@ -286,29 +291,19 @@ fn parse_counter(lines: &[&str], idx: usize, key: &str) -> Result<u64> {
         })
 }
 
-/// Parse a `--provenance--` + `--repository--` pair starting at `idx`.
-/// Returns the repository holding both tables and the index just past
-/// the repository body.
-fn parse_tables(lines: &[&str], idx: usize) -> Result<(Repository, usize)> {
-    if lines.get(idx).copied() != Some("--provenance--") {
+/// Parse a `--repository--` section starting at `idx`. Returns the
+/// repository and the index just past its body.
+fn parse_repository(lines: &[&str], idx: usize) -> Result<(Repository, usize)> {
+    if lines.get(idx).copied() != Some("--repository--") {
         return Err(err_at(
             idx,
-            format!("expected --provenance--, got {:?}", lines.get(idx).unwrap_or(&"<eof>")),
+            format!("expected --repository--, got {:?}", lines.get(idx).unwrap_or(&"<eof>")),
         ));
     }
-    let prov_end = body_end(lines, idx + 1);
-    let prov = Provenance::load(&lines[idx + 1..prov_end].join("\n"))
-        .map_err(|e| err_at(idx, format!("in --provenance-- section: {e}")))?;
-    if lines.get(prov_end).copied() != Some("--repository--") {
-        return Err(err_at(
-            prov_end,
-            format!("expected --repository--, got {:?}", lines.get(prov_end).unwrap_or(&"<eof>")),
-        ));
-    }
-    let repo_end = body_end(lines, prov_end + 1);
-    let repo = Repository::load_with(&lines[prov_end + 1..repo_end].join("\n"), prov)
-        .map_err(|e| err_at(prov_end, format!("in --repository-- section: {e}")))?;
-    Ok((repo, repo_end))
+    let end = body_end(lines, idx + 1);
+    let repo = Repository::load(&lines[idx + 1..end].join("\n"))
+        .map_err(|e| err_at(idx, format!("in --repository-- section: {e}")))?;
+    Ok((repo, end))
 }
 
 /// Parse a document of this epoch into a [`LoadedState`].
@@ -353,7 +348,7 @@ pub(crate) fn parse(text: &str) -> Result<LoadedState> {
         } else {
             None
         };
-        let (repo, end) = parse_tables(&lines, idx)?;
+        let (repo, end) = parse_repository(&lines, idx)?;
         idx = end;
         spaces.push(LoadedSpace { name, config, repo });
     }

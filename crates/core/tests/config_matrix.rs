@@ -60,7 +60,7 @@ fn strict_selection_prunes_but_preserves_answers() {
     // Rejected candidates' files were deleted from the DFS.
     for path in strict.engine().dfs().list("/restore/") {
         assert!(
-            strict.repository_as(None).entries().iter().any(|e| e.output_path == path),
+            strict.repository_as(None).entries().iter().any(|e| e.file.path == path),
             "orphan candidate file {path} left behind"
         );
     }

@@ -6,7 +6,7 @@ use restore_core::{JournalConfig, ReStore, ReStoreConfig};
 use restore_dfs::DfsConfig;
 use restore_mapreduce::{Engine, EngineConfig};
 use restore_pigmix::{datagen, paraphrase, queries, DataScale};
-use restore_testkit::{engine_over, overwrite, small_dfs};
+use restore_testkit::{engine_over, overwrite, pv_users, small_dfs};
 
 fn engine() -> Engine {
     let rows: Vec<Tuple> =
@@ -188,7 +188,7 @@ fn explain_names_the_sub_job_a_consumer_reuses() {
     assert!(!reused(&e, 1).is_empty(), "the group job reuses a sub-job");
     assert_eq!(jobs[1].entries, reused(&e, 1), "{report}");
     for id in reused(&e, 1) {
-        let path = rs.repository_as(None).get(id).unwrap().output_path.clone();
+        let path = rs.repository_as(None).get(id).unwrap().file.path.clone();
         assert!(path.starts_with("/restore/sub-"), "{path}");
         assert!(report.contains(&format!("entry #{id} -> {path}")), "{report}");
     }
@@ -233,7 +233,7 @@ fn stats_track_activity() {
     assert_eq!(s1.queries_executed, 1);
     assert_eq!(s1.total_uses, 0);
     assert_eq!(s1.never_used, s1.repository_entries);
-    assert_eq!(s1.provenance_entries, s1.repository_entries);
+    assert_eq!(s1.stored_files, s1.repository_entries);
 
     rs.execute_query(Q, "/wf/2").unwrap();
     let s2 = rs.stats_as(None);
@@ -329,4 +329,29 @@ fn explain_predicts_the_pigmix_reuse_sequence() {
     assert_eq!(mix.len(), 8);
     let wrong = mispredictions(config, warm, mix);
     assert!(wrong.is_empty(), "{} mispredicted:\n{}", wrong.len(), wrong.join("\n"));
+}
+
+/// A final output whose plan duplicates a stored candidate's is a record
+/// without an entry. Once it is overwritten out of band, the dry run
+/// reads the pass as execution does: a job that Loads it reads the file,
+/// with no rewrite.
+#[test]
+fn explain_does_not_expand_a_final_output_overwritten_out_of_band() {
+    let rs = ReStore::new(engine_over(pv_users(), None), ReStoreConfig::default());
+    let filter = "A = load '/data/pv' as (user, n:int); B = filter A by n > 0;";
+    let sums = "G = group B by user; R = foreach G generate group, SUM(B.n);";
+    rs.execute_query(&format!("{filter} {sums} store R into '/out/a';"), "/wf/a").unwrap();
+    rs.execute_query(&format!("{filter} store B into '/out/b';"), "/wf/b").unwrap();
+    overwrite(rs.engine().dfs(), "/out/b", b"zed\t3\n");
+
+    let q3 = "A = load '/out/b' as (user, n:int); B = filter A by n > 0;
+              C = foreach B generate user; store C into '/out/c';";
+    let report = rs.explain_query_as(None, q3, "/wf/x").unwrap();
+    let jobs = verdicts(&report);
+    assert!(jobs.len() == 1 && jobs[0].entries.is_empty(), "{report}");
+    assert!(jobs[0].text.contains("no matches; job executes in full"), "{report}");
+
+    let e = rs.execute_query(q3, "/wf/c").unwrap();
+    assert!(e.rewrites.is_empty() && e.job_results.len() == 1, "{:?}", e.rewrites);
+    assert_eq!(rs.engine().dfs().read_all("/out/c").unwrap(), b"zed\n");
 }

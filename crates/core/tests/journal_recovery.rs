@@ -73,7 +73,7 @@ proptest! {
 /// write it at (the third tick), and a tenant carrying only a policy override, anchored at
 /// sequence 0. Its config sections leave keys out, which read as their
 /// defaults.
-const BASE_FIXTURE: &str = r#"restore-state v7
+const BASE_FIXTURE: &str = r#"restore-state v8
 tick 7
 cand 3
 seq 0
@@ -88,15 +88,9 @@ require_time_benefit false
 reload_read_bps 83886080
 eviction_window none
 --space ""--
---provenance--
-path "/repo/b"
-  0 load "/data/pv"
-  1 project 0,2 <- 0
-  2 store "/repo/b" <- 1
-end
 --repository--
-entry 0 "/repo/b" 100 10 5 1.5 2.5 3 6 1
-output 3 text
+entry 0 100 10 5 1.5 2.5 3 6 1
+file "/repo/b" 3 text
 input "/data/pv" 1
 plan
   0 load "/data/pv"
@@ -114,7 +108,6 @@ require_size_reduction false
 require_time_benefit false
 reload_read_bps 83886080
 eviction_window none
---provenance--
 --repository--
 "#;
 
@@ -318,7 +311,7 @@ fn swapped_segments_replay_in_seq_order_and_a_repeated_frame_is_refused() {
 /// (a wave that registers nothing — every `pigmix_reuse` query whose
 /// candidates are all stored already — takes this path). So is a batch
 /// that inserts an entry again with the statistics it is stored with,
-/// or forgets a path with no provenance: it changes nothing.
+/// or forgets a path with no record: it changes nothing.
 #[test]
 fn an_empty_batch_publishes_and_journals_nothing() {
     let rs = session_over(&pv_users(), ReStoreConfig::default());
@@ -334,9 +327,9 @@ fn an_empty_batch_publishes_and_journals_nothing() {
     let stored = rs.repository_as(None).entries()[0].clone();
     rs.with_repository_mut_as(None, |repo| {
         repo.batch(|b| {
-            let again = b.insert(stored.plan.clone(), &stored.output_path, stored.stats());
+            let again = b.insert((*stored.file).clone(), stored.stats());
             assert_eq!(again, restore_core::repository::InsertOutcome::Duplicate(stored.id));
-            assert!(!b.forget("/no/such/path"), "no provenance to forget");
+            assert!(b.forget("/no/such/path").is_none(), "no record to forget");
         })
     });
     assert_eq!(rs.write_counters_as(None), (publishes, sections + 2));
@@ -346,7 +339,7 @@ fn an_empty_batch_publishes_and_journals_nothing() {
 /// What a recovered session holds, in the form the `*_expect.txt`
 /// fixtures list it: tick and cand, then per namespace the entry ids
 /// and paths in repository order with their reuse counters, and the
-/// sorted provenance paths.
+/// sorted paths of every record.
 fn recovered_summary(rs: &ReStore) -> String {
     let state = rs.save_state();
     let cand = state.lines().nth(2).unwrap();
@@ -358,34 +351,35 @@ fn recovered_summary(rs: &ReStore) -> String {
             got += &format!(
                 "entry {} {:?} uses {} last {}\n",
                 e.id,
-                e.output_path,
+                e.file.path,
                 e.use_count(),
                 e.last_used()
             );
         }
-        rs.with_provenance_as(tenant, |prov| {
-            let mut paths: Vec<&str> = prov.iter_paths().collect();
-            paths.sort_unstable();
-            for p in paths {
-                got += &format!("prov {p:?}\n");
-            }
-        });
+        let repo = rs.repository_as(tenant);
+        let mut paths: Vec<&str> = repo.files().map(|f| f.path.as_str()).collect();
+        paths.sort_unstable();
+        for p in paths {
+            got += &format!("file {p:?}\n");
+        }
     }
     got
 }
 
 /// One base and one journal segment captured at the commit that began
-/// format epoch 7, with the state that commit recovered them to. The
+/// format epoch 8, with the state that commit recovered them to. The
 /// segment holds every record kind the journal writes (`repo-batch`
-/// with entries, provenance, evictions and forgets from a window sweep,
-/// `tenant-create`, `tenant-config`, `tenant-config-clear`,
-/// `global-config`, `note-use`, `counters`), and four of its records
-/// are covered by the base. A later format change either keeps this
-/// set recovering or bumps the epoch, and then replaces this triple.
+/// with entries and their records, a record without an entry — a final
+/// output duplicating a stored candidate's plan — forgotten once it was
+/// overwritten, and evictions from a window sweep; `tenant-create`,
+/// `tenant-config`, `tenant-config-clear`, `global-config`, `note-use`,
+/// `counters`), and four of its records are covered by the base. A
+/// later format change either keeps this set recovering or bumps the
+/// epoch, and then replaces this triple.
 #[test]
 fn base_and_segment_captured_at_the_parent_commit_still_recover() {
-    let base = include_str!("fixtures/parent_v7_base.txt");
-    let segment = include_str!("fixtures/parent_v7_segment.txt");
+    let base = include_str!("fixtures/parent_v8_base.txt");
+    let segment = include_str!("fixtures/parent_v8_segment.txt");
     for kind in [
         "repo-batch",
         "tenant-create",
@@ -394,17 +388,22 @@ fn base_and_segment_captured_at_the_parent_commit_still_recover() {
         "global-config",
         "note-use",
         "counters",
+        "entry",
+        "file",
         "evict",
         "forget",
     ] {
         let held = segment.lines().any(|l| l.split(' ').next() == Some(kind));
         assert!(held, "the fixture holds a {kind} line");
     }
+    let lines: Vec<&str> = segment.lines().collect();
+    let lone = lines.windows(2).any(|w| w[1].starts_with("file ") && !w[0].starts_with("entry "));
+    assert!(lone, "the fixture holds a record without an entry");
     let rs = session_over(&pv_users(), ReStoreConfig::default());
     let report = rs.recover(base, &[segment.to_string()]).unwrap();
-    assert_eq!((report.base_seq, report.records_skipped, report.records_applied), (4, 4, 12));
+    assert_eq!((report.base_seq, report.records_skipped, report.records_applied), (4, 4, 15));
 
-    assert_eq!(recovered_summary(&rs), include_str!("fixtures/parent_v7_expect.txt"));
+    assert_eq!(recovered_summary(&rs), include_str!("fixtures/parent_v8_expect.txt"));
     let ana = rs.config_as(Some("ana"));
     assert!(!ana.register_final_outputs, "the tenant-config record applied");
     assert_eq!(ana.selection.eviction_window, Some(1));
@@ -454,7 +453,7 @@ fn journal_stats_track_recording() {
 /// One journaled workload in a fresh session over fresh data: the base,
 /// every delta segment, and the final document. An input overwrite stales
 /// entries in two namespaces, so the next run in each deletes several
-/// stored files at once (their provenance forgotten in one batch); and a
+/// stored files at once (their records forgotten in one batch); and a
 /// job of the default namespace overwrites a final output of `ana` and one
 /// of `bo` in one wave. Then two job-free warm reruns with a stored file
 /// deleted behind the session's back between them (the second forgets
@@ -496,21 +495,21 @@ fn journaled_run(threads: usize) -> (String, Vec<String>, String, [String; 3]) {
     let rerun = rs.execute_query(&sum_query("/out/s3"), "/wf/s3").unwrap();
     assert!(rerun.job_results.is_empty(), "the rerun is answered from the repository");
     let first = journaled.seal();
-    assert!(!first.iter().any(|s| s.contains("\nforget ")), "nothing to forget: {first:?}");
+    assert!(forget_batches(&first).iter().all(|b| b.1 == 0), "nothing to forget: {first:?}");
     let rs = &journaled.session;
-    let victim = rs
+    let (id, victim) = rs
         .repository_as(None)
         .entries()
         .iter()
-        .map(|e| e.output_path.clone())
-        .find(|p| *p != rerun.final_output)
+        .map(|e| (e.id, e.file.path.clone()))
+        .find(|(_, p)| *p != rerun.final_output)
         .expect("a second stored file");
     assert!(shared.delete(&victim));
     let rerun = rs.execute_query(&sum_query("/out/s4"), "/wf/s4").unwrap();
     assert!(rerun.job_results.is_empty(), "the rerun is answered from the repository");
     let second = journaled.seal();
-    let forget = format!("\nforget {victim:?}\n");
-    assert!(second.iter().any(|s| s.contains(&forget)), "{victim} forgotten: {second:?}");
+    let evict = format!("\nevict {id}\n");
+    assert!(second.iter().any(|s| s.contains(&evict)), "{victim} forgotten: {second:?}");
 
     // A base input overwritten behind the session's back between two
     // reruns: the second evicts every entry that read it, and journals
@@ -559,13 +558,14 @@ fn journaled_run(threads: usize) -> (String, Vec<String>, String, [String; 3]) {
     (base, segments, rs.save_state(), [warm, partly, metrics])
 }
 
-/// Each `repo-batch` record's namespace and how many paths it forgets.
+/// Each `repo-batch` record's namespace and how many records it forgets
+/// (an `evict` forgets its entry's).
 fn forget_batches(segments: &[String]) -> Vec<(String, usize)> {
     let mut batches: Vec<(String, usize)> = Vec::new();
     for line in segments.iter().flat_map(|s| s.lines()) {
         if let Some(space) = line.strip_prefix("repo-batch ") {
             batches.push((space.to_string(), 0));
-        } else if line.starts_with("forget ") {
+        } else if line.starts_with("forget ") || line.starts_with("evict ") {
             batches.last_mut().expect("a forget inside a repo-batch").1 += 1;
         }
     }
@@ -575,7 +575,7 @@ fn forget_batches(segments: &[String]) -> Vec<(String, usize)> {
 /// Same inputs, same bytes: the workload run twice in fresh sessions, at
 /// one and at two engine threads, journals byte-identical segments, ends
 /// in a byte-identical document, explains the same and renders the same
-/// metrics but for their timings. The provenance
+/// metrics but for their timings. The record
 /// table and the namespace map are hash maps, so this holds only because
 /// the paths forgotten together and the namespaces an overwrite reaches
 /// are journaled in sorted order.

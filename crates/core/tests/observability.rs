@@ -14,6 +14,7 @@ use restore_common::{codec, tuple, Tuple};
 use restore_core::repository::InsertOutcome;
 use restore_core::{
     Heuristic, MatchProbe, ReStore, ReStoreConfig, RepoEntry, RepoStats, Repository, ReuseDecision,
+    StoredFile,
 };
 use restore_dataflow::expr::Expr;
 use restore_dataflow::physical::{PhysicalOp, PhysicalPlan};
@@ -249,7 +250,7 @@ proptest! {
         for (seed, depth, bytes) in inserts {
             let stats = RepoStats { input_bytes: 4096, output_bytes: bytes, ..Default::default() };
             if let InsertOutcome::Inserted(id) =
-                repo.insert(plan_for(seed, depth), format!("/r/{seed}-{depth}"), stats)
+                repo.insert(StoredFile::new(format!("/r/{seed}-{depth}"), plan_for(seed, depth)), stats)
             {
                 ids.push(id);
             }

@@ -1,7 +1,7 @@
 //! Repository ordering invariants: the §3 "first match is best match"
 //! guarantee must not depend on the order entries were inserted.
 
-use restore_core::{RepoStats, Repository};
+use restore_core::{RepoStats, Repository, StoredFile};
 use restore_dataflow::expr::Expr;
 use restore_dataflow::physical::{PhysicalOp, PhysicalPlan};
 
@@ -50,18 +50,17 @@ fn first_match_is_insertion_order_invariant() {
     for order in orders {
         let repo = Repository::new();
         for &i in &order {
-            repo.insert(plans[i].1.clone(), format!("/out/{}", plans[i].0), stats(2));
+            repo.insert(
+                StoredFile::new(format!("/out/{}", plans[i].0), plans[i].1.clone()),
+                stats(2),
+            );
         }
         // Rule 1: the subsuming plan comes first regardless of insertion.
         let snap = repo.snapshot();
         let first = &snap.entries()[0];
-        assert_eq!(
-            first.output_path, "/out/full",
-            "order {order:?} put {} first",
-            first.output_path
-        );
+        assert_eq!(first.file.path, "/out/full", "order {order:?} put {} first", first.file.path);
         let (id, _) = repo.snapshot().find_first_match(&query).unwrap();
-        assert_eq!(repo.snapshot().get(id).unwrap().output_path, "/out/full", "order {order:?}");
+        assert_eq!(repo.snapshot().get(id).unwrap().file.path, "/out/full", "order {order:?}");
     }
 }
 
@@ -84,10 +83,10 @@ fn rule2_order_is_insertion_order_invariant() {
         let repo = Repository::new();
         for &i in &order {
             let (path, ratio) = entries[i];
-            repo.insert(mk(path), format!("/out{path}"), stats(ratio));
+            repo.insert(StoredFile::new(format!("/out{path}"), mk(path)), stats(ratio));
         }
         let got: Vec<String> =
-            repo.snapshot().entries().iter().map(|e| e.output_path.clone()).collect();
+            repo.snapshot().entries().iter().map(|e| e.file.path.clone()).collect();
         match &reference {
             None => reference = Some(got),
             Some(want) => assert_eq!(&got, want, "order {order:?}"),
@@ -102,16 +101,16 @@ fn rule2_order_is_insertion_order_invariant() {
 fn eviction_preserves_relative_order() {
     let (full, sub_a, sub_b) = q1_family();
     let repo = Repository::new();
-    repo.insert(sub_a, "/out/subA", stats(2));
-    let full_id = match repo.insert(full, "/out/full", stats(3)) {
+    repo.insert(StoredFile::new("/out/subA", sub_a), stats(2));
+    let full_id = match repo.insert(StoredFile::new("/out/full", full), stats(3)) {
         restore_core::repository::InsertOutcome::Inserted(id) => id,
         other => panic!("{other:?}"),
     };
-    repo.insert(sub_b, "/out/subB", stats(4));
-    assert_eq!(repo.snapshot().entries()[0].output_path, "/out/full");
+    repo.insert(StoredFile::new("/out/subB", sub_b), stats(4));
+    assert_eq!(repo.snapshot().entries()[0].file.path, "/out/full");
     repo.evict(full_id);
     // Sub-plans retain their rule-2 order (subB has higher ratio).
     let paths: Vec<String> =
-        repo.snapshot().entries().iter().map(|e| e.output_path.clone()).collect();
+        repo.snapshot().entries().iter().map(|e| e.file.path.clone()).collect();
     assert_eq!(paths, vec!["/out/subB", "/out/subA"]);
 }

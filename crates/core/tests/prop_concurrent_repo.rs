@@ -15,7 +15,7 @@
 
 use proptest::prelude::*;
 use restore_core::matcher::{pairwise_plan_traversal, subsumes, PlanMatch};
-use restore_core::{RepoStats, Repository};
+use restore_core::{RepoStats, Repository, StoredFile};
 use restore_dataflow::expr::Expr;
 use restore_dataflow::physical::{NodeId, PhysicalOp, PhysicalPlan};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -194,7 +194,7 @@ proptest! {
                     };
                     let plan = plan_for(seed, depth);
                     let path = format!("/r/{seed}-{depth}");
-                    let a = repo.insert(plan.clone(), &path, stats.clone());
+                    let a = repo.insert(StoredFile::new(&path, plan.clone()), stats.clone());
                     let b = reference.insert(plan, path, stats);
                     // Same id under both Inserted and Duplicate: the RCU
                     // repo burns ids on duplicates, the reference does
@@ -256,7 +256,7 @@ proptest! {
             prop_assert_eq!(snap.stored_bytes(), reference.stored_bytes());
             for (e, r) in snap.entries().iter().zip(&reference.entries) {
                 prop_assert_eq!(e.signature, r.2, "order diverged");
-                prop_assert_eq!(&e.output_path, &r.3);
+                prop_assert_eq!(&e.file.path, &r.3);
                 prop_assert_eq!(e.stats(), r.4.clone(), "stats diverged");
             }
         }
@@ -286,7 +286,7 @@ fn concurrent_insert_evict_match_is_coherent() {
             job_time_s: s as f64,
             ..Default::default()
         };
-        repo.insert(plan_for(s, s % 4), format!("/seed/{s}"), stats);
+        repo.insert(StoredFile::new(format!("/seed/{s}"), plan_for(s, s % 4)), stats);
     }
     let stop = AtomicU64::new(0);
     let matches_seen = AtomicU64::new(0);
@@ -303,7 +303,10 @@ fn concurrent_insert_evict_match_is_coherent() {
                         job_time_s: (i % 13) as f64,
                         ..Default::default()
                     };
-                    match repo.insert(plan_for(seed, (i % 4) as u8), format!("/w{w}/{i}"), stats) {
+                    match repo.insert(
+                        StoredFile::new(format!("/w{w}/{i}"), plan_for(seed, (i % 4) as u8)),
+                        stats,
+                    ) {
                         restore_core::repository::InsertOutcome::Inserted(id) if i % 3 == 0 => {
                             repo.evict(id);
                         }
@@ -328,7 +331,7 @@ fn concurrent_insert_evict_match_is_coherent() {
                         // The match names a live entry of *this* view…
                         let e = snap.get(id).expect("matched entry must exist in its view");
                         // …that genuinely matches (re-verify the traversal).
-                        let again = pairwise_plan_traversal(&e.plan, &q)
+                        let again = pairwise_plan_traversal(&e.file.plan, &q)
                             .expect("matched entry must verify");
                         assert_eq!(again.tip, tip);
                         matches_seen.fetch_add(1, Ordering::SeqCst);
@@ -353,8 +356,7 @@ fn concurrent_insert_evict_match_is_coherent() {
 fn match_path_is_write_free() {
     let repo = Repository::new();
     let restore_core::repository::InsertOutcome::Inserted(id) = repo.insert(
-        plan_for(1, 2),
-        "/r/1",
+        StoredFile::new("/r/1", plan_for(1, 2)),
         RepoStats { input_bytes: 4096, output_bytes: 64, ..Default::default() },
     ) else {
         panic!()
@@ -384,7 +386,7 @@ fn note_use_totals_are_exact_under_contention() {
             job_time_s: 1.0,
             ..Default::default()
         };
-        match repo.insert(plan_for(s, 3), format!("/r/{s}"), stats) {
+        match repo.insert(StoredFile::new(format!("/r/{s}"), plan_for(s, 3)), stats) {
             restore_core::repository::InsertOutcome::Inserted(id) => ids.push(id),
             restore_core::repository::InsertOutcome::Duplicate(_) => unreachable!(),
         }
@@ -415,7 +417,8 @@ fn note_use_totals_are_exact_under_contention() {
                         job_time_s: 1.0,
                         ..Default::default()
                     };
-                    let out = repo.insert(plan_for(s, 3), format!("/r/{s}"), stats);
+                    let out =
+                        repo.insert(StoredFile::new(format!("/r/{s}"), plan_for(s, 3)), stats);
                     assert!(matches!(out, restore_core::repository::InsertOutcome::Duplicate(_)));
                 }
             }

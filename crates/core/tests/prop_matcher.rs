@@ -161,7 +161,7 @@ proptest! {
         resubmit in prop::option::of(any::<prop::sample::Index>()),
         vetoed in prop::collection::vec(any::<prop::sample::Index>(), 0..3),
     ) {
-        use restore_core::{RepoEntry, RepoStats, Repository};
+        use restore_core::{RepoEntry, RepoStats, Repository, StoredFile};
         // Half the time the query is one of the plans the repository was
         // filled from, so a match (not just an agreed miss) is on offer.
         let query = resubmit.map_or(query, |r| entries[r.index(entries.len())].clone());
@@ -180,9 +180,9 @@ proptest! {
             // stored whole, tees and all.
             let nodes = op_nodes(plan);
             let n = nodes[pick.index(nodes.len())];
-            repo.insert(plan.prefix_plan(n, &format!("/r/{i}")), format!("/r/{i}"), stats.clone());
+            repo.insert(StoredFile::new(format!("/r/{i}"), plan.prefix_plan(n, &format!("/r/{i}"))), stats.clone());
             if plan.stores().len() == 1 {
-                repo.insert(plan.clone(), format!("/r/w{i}"), stats);
+                repo.insert(StoredFile::new(format!("/r/w{i}"), plan.clone()), stats);
             }
         }
         let view = repo.snapshot();

@@ -107,7 +107,7 @@ fn v2_load_without_default_section_still_resets_default_namespace() {
     assert!(rs.stats_as(None).repository_entries > 0);
     rs.recover(&pruned, &[]).unwrap();
     assert_eq!(rs.stats_as(None).repository_entries, 0, "default namespace fully replaced");
-    assert_eq!(rs.stats_as(None).provenance_entries, 0);
+    assert_eq!(rs.stats_as(None).stored_files, 0);
     assert_eq!(rs.tenant_ids(), vec!["ana".to_string()]);
     let names: Vec<String> = rs.stats_all().into_iter().map(|(n, _)| n).collect();
     assert_eq!(names, ["", "ana"], "the default namespace exists, once");
@@ -178,7 +178,7 @@ fn tenant_eviction_policy_sweeps_only_its_own_space() {
         rs.repository_as(Some("spartan"))
             .entries()
             .iter()
-            .all(|e| !e.output_path.contains("/out/s1")),
+            .all(|e| !e.file.path.contains("/out/s1")),
         "spartan's one-tick window evicted its stale entries"
     );
     assert_eq!(
@@ -239,7 +239,7 @@ fn malformed_cand_line() {
 
 #[test]
 fn missing_config_section() {
-    let doc = format!("{}\ntick 3\ncand 1\nseq 0\n--provenance--\n", header());
+    let doc = format!("{}\ntick 3\ncand 1\nseq 0\n--repository--\n", header());
     expect_state_err(&doc, 5, "--config--");
 }
 
@@ -286,11 +286,13 @@ fn duplicate_space_section_is_rejected() {
     expect_state_err(&doc, line, "duplicate");
 }
 
+/// The section epoch 7 kept provenance in is not read: records are
+/// `file …` blocks of the repository.
 #[test]
-fn missing_provenance_section() {
-    let doc = valid_doc().replacen("--provenance--", "--prov--", 1);
-    let line = 1 + doc.lines().position(|l| l == "--prov--").unwrap();
-    expect_state_err(&doc, line, "--provenance--");
+fn a_provenance_section_is_refused() {
+    let doc = valid_doc().replacen("--repository--", "--provenance--\n--repository--", 1);
+    let line = 1 + doc.lines().position(|l| l == "--provenance--").unwrap();
+    expect_state_err(&doc, line, "expected --repository--, got \"--provenance--\"");
 }
 
 #[test]
@@ -301,11 +303,11 @@ fn missing_repository_section() {
 }
 
 #[test]
-fn corrupt_provenance_body_names_the_section() {
-    let doc = valid_doc().replacen("path \"", "wat \"", 1);
+fn corrupt_file_block_names_the_section() {
+    let doc = valid_doc().replacen(" text\n", " txt\n", 1);
     match session_over(&pv_users(), ReStoreConfig::default()).recover(&doc, &[]) {
         Err(Error::State { msg, .. }) => {
-            assert!(msg.contains("--provenance--"), "{msg}");
+            assert!(msg.contains("--repository--") && msg.contains("\"txt\""), "{msg}");
         }
         other => panic!("expected Error::State, got {other:?}"),
     }
@@ -329,7 +331,8 @@ fn corrupt_repository_body_names_the_section() {
 /// and the one this build reads. The readers read only this epoch: a v5
 /// document's input versions counted writes per path, and a count can
 /// equal a later commit tick; a v6 document's entries do not say which
-/// version of their own file they stored, or in which format.
+/// version of their own file they stored, or in which format; a v7
+/// document's provenance records say neither that nor what they read.
 #[test]
 fn an_earlier_epoch_is_refused_naming_both_epochs() {
     let mut journaled = Journaled::start(&pv_users(), None, JournalConfig::default(), None);
@@ -355,24 +358,21 @@ fn an_earlier_epoch_is_refused_naming_both_epochs() {
         }
         assert_eq!(rs.save_state(), doc, "{line}: the refused recovery changed the session");
     };
-    for found in [4, 5, 6, EPOCH + 1] {
+    for found in [4, 5, 6, 7, EPOCH + 1] {
         let old = format!("restore-state v{found}");
         refused(&doc.replacen(&header(), &old, 1), &[], &old, found);
     }
-    // A v6 document as that epoch wrote it: its entries have no `output`
-    // line.
-    let v6: String = doc
-        .replacen(&header(), "restore-state v6", 1)
-        .lines()
-        .filter(|l| !l.starts_with("output "))
-        .map(|l| format!("{l}\n"))
-        .collect();
-    assert!(v6.len() < doc.len(), "the document holds entries");
-    refused(&v6, &[], "restore-state v6", 6);
+    // A v7 document's layout: a `--provenance--` section before each
+    // namespace's repository.
+    let v7 = doc
+        .replacen(&header(), "restore-state v7", 1)
+        .replace("--repository--\n", "--provenance--\n--repository--\n");
+    assert!(v7.len() > doc.len(), "the document holds namespaces");
+    refused(&v7, &[], "restore-state v7", 7);
     // `v1` is the segment header this journal wrote before the epoch.
     // In the final slot a torn header is forgiven, so check it there and
     // before it.
-    for found in [1, 5, 6, EPOCH + 1] {
+    for found in [1, 5, 6, 7, EPOCH + 1] {
         let old = format!("restore-journal v{found}");
         let stale: Vec<String> =
             segments.iter().map(|s| s.replacen(segment_header, &old, 1)).collect();

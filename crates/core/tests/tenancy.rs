@@ -27,7 +27,7 @@ fn an_empty_tenant_name_is_the_default_namespace_at_every_entry_point() {
     let again = rs.execute_query_as(Some(""), &sum_query("/out/e3"), "/wf/e3").unwrap();
     assert_eq!(again.jobs_skipped, 1, "and the other way round");
     let paths: Vec<String> =
-        rs.repository_as(Some("")).entries().iter().map(|e| e.output_path.clone()).collect();
+        rs.repository_as(Some("")).entries().iter().map(|e| e.file.path.clone()).collect();
     assert!(paths.iter().any(|p| p.starts_with("/restore/sub-")), "{paths:?}");
 
     // Reads.
@@ -96,11 +96,11 @@ fn tenant_candidate_outputs_live_under_tenant_prefix() {
     let rs = session(ReStoreConfig::default());
     rs.execute_query_as(Some("ana"), &sum_query("/out/ap"), "/wf/ap").unwrap();
     for e in rs.repository_as(Some("ana")).entries() {
-        if e.output_path.starts_with("/restore/") {
+        if e.file.path.starts_with("/restore/") {
             assert!(
-                e.output_path.starts_with("/restore/ana/"),
+                e.file.path.starts_with("/restore/ana/"),
                 "candidate {} must be keyed under the tenant prefix",
-                e.output_path
+                e.file.path
             );
         }
     }
@@ -129,7 +129,7 @@ fn overwriting_a_registered_path_invalidates_stale_entries() {
     // ana's stale entry must be gone: rerunning her query re-executes
     // instead of serving bo's bytes from the repository.
     assert!(
-        !rs.repository_as(Some("ana")).entries().iter().any(|e| e.output_path == "/out/shared"),
+        !rs.repository_as(Some("ana")).entries().iter().any(|e| e.file.path == "/out/shared"),
         "stale entry pointing at overwritten bytes must be evicted"
     );
     let rerun = rs.execute_query_as(Some("ana"), &sum_query("/out/a2"), "/wf/a2").unwrap();

@@ -481,7 +481,7 @@ impl RestoreService {
                     total_uses: 0,
                     never_used: 0,
                     queries_executed,
-                    provenance_entries: 0,
+                    stored_files: 0,
                 });
                 TenantServiceStats {
                     tenant,

@@ -289,7 +289,7 @@ fn compaction_folds_segments_into_a_fresh_base() {
 }
 
 /// A checkpoint set can name a stored file that is gone by the time it
-/// is restored. Restored into the same session — whose provenance check
+/// is restored. Restored into the same session — whose staleness pass
 /// last found everything present, with no DFS change since — the first
 /// query after the restore must still find the file missing and forget
 /// it: the restored table is new, whatever the DFS clock says.
@@ -303,8 +303,16 @@ fn the_first_query_after_a_restore_forgets_a_missing_path() {
     svc.drain();
     svc.checkpoint_incremental().unwrap();
     let set = svc.checkpoint_set().unwrap();
-    let entries = |svc: &RestoreService| svc.driver().stats_as(None).provenance_entries;
+    let entries = |svc: &RestoreService| svc.driver().stats_as(None).stored_files;
     let recorded = entries(&svc);
+    let l8 = svc
+        .driver()
+        .repository_as(None)
+        .entries()
+        .iter()
+        .find(|e| e.file.path == "/out/mp/l8")
+        .map(|e| e.id);
+    let l8 = l8.expect("the final output is an entry");
 
     // Gone behind the session's back: the next query forgets it, and a
     // job-free rerun after that finds the table whole.
@@ -326,5 +334,5 @@ fn the_first_query_after_a_restore_forgets_a_missing_path() {
     svc.drain();
     svc.checkpoint_incremental().unwrap();
     let segments = svc.checkpoint_set().unwrap().segments.concat();
-    assert!(segments.contains("\nforget \"/out/mp/l8\"\n"), "and journals the forget");
+    assert!(segments.contains(&format!("\nevict {l8}\n")), "and journals the eviction");
 }

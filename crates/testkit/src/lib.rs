@@ -6,8 +6,8 @@
 //! queries on a session, runs each again on a fresh
 //! [`ReStoreConfig::baseline`] session over the same DFS, and names the
 //! first query whose output differs. After the sequence it runs
-//! [`check_repository`]: every entry the session holds points at a file
-//! that reads back whole and is still the one it registered.
+//! [`check_repository`]: every record the session holds points at a
+//! file that reads back whole and is still the one it registered.
 //!
 //! Outputs are compared as their lines, sorted, byte for byte — the
 //! order reducers wrote them in is the only freedom. They are never
@@ -193,29 +193,34 @@ impl Oracle {
     }
 }
 
-/// Every entry in every namespace of `rs` points at a file that reads
-/// back in full and decodes, typed or text, and is the file the entry
-/// registered: at the version it recorded.
+/// Every record in every namespace of `rs` — an entry's, or a second
+/// file holding a plan an entry stores — points at a file that reads
+/// back in full and decodes, typed or text, and is the file it recorded:
+/// at the tick it holds. Every entry's record is the one its namespace
+/// holds for its path.
 pub fn check_repository(rs: &ReStore) -> Result<(), String> {
     let dfs = rs.engine().dfs();
     let tenants = rs.tenant_ids();
     let spaces = std::iter::once(None).chain(tenants.iter().map(|t| Some(t.as_str())));
     for tenant in spaces {
-        for e in rs.repository_as(tenant).entries() {
-            let space = tenant.unwrap_or("the default namespace");
-            let bytes = dfs.read_all(&e.output_path).map_err(|err| {
-                format!("{space}: entry {} points at {}: {err}", e.id, e.output_path)
-            })?;
-            typed::decode_any(&bytes).map_err(|err| {
-                format!("{space}: entry {}'s file {} does not decode: {err}", e.id, e.output_path)
-            })?;
-            let version = dfs.status(&e.output_path).map_or(0, |status| status.mtime);
-            if version != e.output_version() {
+        let space = tenant.unwrap_or("the default namespace");
+        let repo = rs.repository_as(tenant);
+        if let Some(e) = repo.entries().iter().find(|e| repo.file(&e.file.path) != Some(&e.file)) {
+            return Err(format!("{space}: entry {} is not its path's record", e.id));
+        }
+        let mut files: Vec<_> = repo.files().collect();
+        files.sort_by(|a, b| a.path.cmp(&b.path));
+        for f in files {
+            let bytes = dfs
+                .read_all(&f.path)
+                .map_err(|err| format!("{space}: a record points at {}: {err}", f.path))?;
+            typed::decode_any(&bytes)
+                .map_err(|err| format!("{space}: the file {} does not decode: {err}", f.path))?;
+            let version = dfs.status(&f.path).map_or(0, |status| status.mtime);
+            if version != f.tick {
                 return Err(format!(
-                    "{space}: entry {}'s file {} is at version {version}, not the {} it registered",
-                    e.id,
-                    e.output_path,
-                    e.output_version()
+                    "{space}: the file {} is at version {version}, not the {} it registered",
+                    f.path, f.tick
                 ));
             }
         }

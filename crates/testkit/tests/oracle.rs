@@ -3,7 +3,7 @@
 //! whose file is gone, does not decode or was written again is named by
 //! its path.
 
-use restore_core::{ReStore, ReStoreConfig, RepoStats};
+use restore_core::{ReStore, ReStoreConfig, StoredFile};
 use restore_testkit::{
     check_repository, join_query, overwrite, pv_users, session_over, sum_query, Oracle,
 };
@@ -21,13 +21,13 @@ fn a_tampered_output_is_named_with_both_answers() {
     // It records its forged file as it is, so the staleness pass keeps it.
     let dfs = rs.engine().dfs();
     dfs.write_all("/out/forged", b"mallory\t1\n").unwrap();
-    let output_version = dfs.status("/out/forged").unwrap().mtime;
+    let tick = dfs.status("/out/forged").unwrap().mtime;
     rs.with_repository_mut_as(None, |repo| {
         let snapshot = repo.snapshot();
-        let real = snapshot.entries().iter().find(|e| e.output_path == "/out/a").unwrap();
+        let real = snapshot.entries().iter().find(|e| e.file.path == "/out/a").unwrap();
         repo.evict(real.id);
-        let stats = RepoStats { output_version, ..real.stats() };
-        repo.insert(real.plan.clone(), "/out/forged", stats);
+        let forged = StoredFile { path: "/out/forged".into(), tick, ..(*real.file).clone() };
+        repo.insert(forged, real.stats());
     });
     let err = Oracle::check(&rs, &[join_query("/out/j"), sum_query("/out/c")]).unwrap_err();
     assert!(err.starts_with("query 1 (stores /out/c): "), "{err}");
@@ -44,7 +44,7 @@ fn a_store_path_is_used_once() {
 }
 
 fn stored(rs: &ReStore) -> Vec<String> {
-    rs.repository_as(None).entries().iter().map(|e| e.output_path.clone()).collect()
+    rs.repository_as(None).entries().iter().map(|e| e.file.path.clone()).collect()
 }
 
 #[test]

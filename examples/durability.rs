@@ -4,8 +4,9 @@
 //! and the checkpoint set survive the "crash", and the warm rerun must
 //! be answered from the recovered repositories.
 //!
-//! A base checkpoint — every tenant namespace: repository, provenance,
-//! per-tenant policy overrides, counters — is anchored once, then cheap
+//! A base checkpoint — every tenant namespace: repository with the record
+//! of every stored file, per-tenant policy overrides, counters — is
+//! anchored once, then cheap
 //! deltas are captured between rounds without pausing dispatch. The
 //! crash truncates the last journal segment at pseudo-random byte
 //! offsets — what a process death mid-append leaves on disk — and
@@ -13,8 +14,9 @@
 //! journal and truncates the torn tail. Last, a cold round is
 //! checkpointed without compaction and its segment cut at each of its
 //! record boundaries: each recovered prefix holds every entry together
-//! with the plan that produced its path, because a wave's entries and
-//! provenance are one journal record.
+//! with its file's record, and every record names its file at the tick
+//! it holds, because a wave's entries and records are one journal
+//! record.
 //!
 //! ```sh
 //! cargo run --example durability
@@ -151,8 +153,9 @@ fn torn_journal_recovery() {
 /// Both tenants' cold round, checkpointed with compaction off so the
 /// set's last segment holds every wave, recovered with that segment cut
 /// at each of its record boundaries: does every entry of both tenants
-/// have provenance for its stored path?
-fn every_boundary_keeps_provenance() -> bool {
+/// have its file's record, and does every record name its file at the
+/// tick it holds?
+fn every_boundary_recovers_records_at_their_ticks() -> bool {
     let dfs = cluster(0xB0_0DA1);
     let service = new_service(&dfs);
     service
@@ -169,16 +172,17 @@ fn every_boundary_keeps_provenance() -> bool {
         rs.recover(&set.base, &segments).expect("recovery at a record boundary");
         ["ana", "bo"].into_iter().all(|t| {
             let repo = rs.repository_as(Some(t));
-            let prov = |p: &str| rs.with_provenance_as(Some(t), |prov| prov.contains(p));
-            repo.entries().iter().all(|e| prov(&e.output_path))
+            let at_tick = |path: &str, tick| dfs.status(path).is_ok_and(|s| s.mtime == tick);
+            repo.entries().iter().all(|e| repo.file(&e.file.path) == Some(&e.file))
+                && repo.files().all(|f| at_tick(&f.path, f.tick))
         })
     })
 }
 
 fn main() {
     torn_journal_recovery();
-    let kept = every_boundary_keeps_provenance();
-    println!("every record-boundary prefix keeps entries with their provenance: {kept}");
-    assert!(kept, "a recovered entry lost the plan that produced its path");
+    let kept = every_boundary_recovers_records_at_their_ticks();
+    println!("every record-boundary prefix recovers each record at its file's tick: {kept}");
+    assert!(kept, "a recovered entry lost its record, or a record names a moved file");
     println!("durability OK: every torn-tail recovery served the warm rerun");
 }

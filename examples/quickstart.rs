@@ -56,9 +56,9 @@ fn main() {
         println!(
             "  #{:<2} {:<22} {:>6} bytes  ({} operators)",
             entry.id,
-            entry.output_path,
+            entry.file.path,
             entry.stats().output_bytes,
-            entry.plan.effective_len(),
+            entry.file.plan.effective_len(),
         );
     }
 

@@ -43,7 +43,7 @@ fn print_repo(repo: &RepoSnapshot) {
         println!(
             "  #{:<2} {:<26} out={:<8} used={} last_tick={}",
             e.id,
-            e.output_path,
+            e.file.path,
             e.stats().output_bytes,
             e.stats().use_count,
             e.stats().last_used

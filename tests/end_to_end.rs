@@ -78,14 +78,14 @@ fn repository_persistence_mid_workload() {
     rs2.with_repository_mut_as(None, |repo| repo.adopt(Repository::load(&saved).unwrap()));
     assert_eq!(rs2.repository_as(None).len(), entries_before);
 
-    // The fresh driver has no provenance, but repository matching works
-    // on base-level plans directly, and L3's first job loads only base
-    // data, so the whole-job match still fires.
+    // Repository matching works on base-level plans, and L3's first job
+    // loads only base data, so the whole-job match fires in the reloaded
+    // repository.
     let runs = Oracle::check(&rs2, &[queries::l3("/out/p2")]).unwrap();
     assert!(!runs[0].rewrites.is_empty(), "reloaded repository must still produce rewrites");
 }
 
-/// Full session persistence: repository + provenance + counters survive,
+/// Full session persistence: repository (every record) + counters survive,
 /// so a resumed session behaves identically to the uninterrupted one —
 /// including lineage-based matching through stored sub-job paths.
 #[test]

@@ -9,7 +9,7 @@ use restore_suite::common::Error;
 use restore_suite::core::journal::{segment_boundaries, SEGMENT_HEADER};
 use restore_suite::core::{JournalConfig, ReStoreConfig};
 use restore_suite::dfs::Dfs;
-use restore_testkit::{join_query, pv_users, session_over, sum_query, Journaled};
+use restore_testkit::{check_repository, join_query, pv_users, session_over, sum_query, Journaled};
 use std::sync::OnceLock;
 
 /// One journaled workload, built once: the shared DFS, the base
@@ -89,28 +89,24 @@ fn recovery_with_no_segments_is_the_base() {
     assert_eq!(rs.save_state(), s.base);
 }
 
-/// A wave's entries and their provenance are one replay unit: at every
-/// clean prefix of the final segment, every recovered entry's stored
-/// path has the plan that produced it, in every namespace — lineage
-/// expansion never stops at a path the repository serves.
+/// A wave's entries and records are one replay unit: at every clean
+/// prefix of the final segment, in every namespace, every recovered
+/// record names its file at the tick it holds, and every entry's record
+/// is the one its namespace holds for its path — lineage expansion never
+/// stops at a path the repository serves, and never expands one whose
+/// file moved.
 #[test]
-fn every_clean_prefix_keeps_each_entry_with_its_provenance() {
+fn every_clean_prefix_recovers_records_at_their_files_ticks() {
     let s = scenario();
-    let mut orphans = Vec::new();
+    let mut failures = Vec::new();
     for &cut in &s.boundaries {
         let mut segments = s.prior.clone();
         segments.push(s.last[..cut].to_string());
         let rs = session_over(&s.dfs, ReStoreConfig::default());
         rs.recover(&s.base, &segments).unwrap();
-        for tenant in [None, Some("ana"), Some("bo")] {
-            for e in rs.repository_as(tenant).entries() {
-                if !rs.with_provenance_as(tenant, |p| p.contains(&e.output_path)) {
-                    orphans.push((cut, tenant, e.output_path.clone()));
-                }
-            }
-        }
+        failures.extend(check_repository(&rs).err().map(|e| (cut, e)));
     }
-    assert!(orphans.is_empty(), "entries without provenance (cut, tenant, path): {orphans:?}");
+    assert!(failures.is_empty(), "records that do not check out (cut, why): {failures:?}");
 }
 
 /// Degenerate segment bodies a crashed or buggy checkpoint store could

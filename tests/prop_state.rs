@@ -1,16 +1,19 @@
 //! Property: `save_state` → `recover` → `save_state` round-trips
-//! **byte-identically** for arbitrary multi-tenant repository and
-//! provenance states in the current format epoch.
+//! **byte-identically** for arbitrary multi-tenant repository states —
+//! entries and records without an entry — in the current format epoch.
 
 use proptest::prelude::*;
 use restore_suite::common::{codec, tuple, typed};
-use restore_suite::core::{Heuristic, ReStore, ReStoreConfig, RepoStats, SelectionPolicy, EPOCH};
+use restore_suite::core::{
+    Heuristic, ReStore, ReStoreConfig, RepoStats, SelectionPolicy, StoredFile, EPOCH,
+};
 use restore_suite::dataflow::physical::{PhysicalOp, PhysicalPlan};
 use restore_suite::dfs::{Dfs, DfsConfig};
 use restore_suite::mapreduce::{ClusterConfig, Engine, EngineConfig};
 
 /// One synthetic repository entry: which base input it loads, which
-/// columns it projects, its statistics, and whether its file is typed.
+/// columns it projects, its statistics, whether its file is typed, and
+/// whether a second file holds its plan (a record without an entry).
 #[derive(Debug, Clone)]
 struct EntrySpec {
     input: u8,
@@ -19,7 +22,7 @@ struct EntrySpec {
     out_bytes: u64,
     time_ds: u32,
     uses: u64,
-    register_provenance: bool,
+    copied: bool,
     typed: bool,
 }
 
@@ -42,20 +45,9 @@ fn entry_spec() -> impl Strategy<Value = EntrySpec> {
         any::<bool>(),
         any::<bool>(),
     )
-        .prop_map(
-            |(input, cols, in_bytes, out_bytes, time_ds, uses, register_provenance, typed)| {
-                EntrySpec {
-                    input,
-                    cols,
-                    in_bytes,
-                    out_bytes,
-                    time_ds,
-                    uses,
-                    register_provenance,
-                    typed,
-                }
-            },
-        )
+        .prop_map(|(input, cols, in_bytes, out_bytes, time_ds, uses, copied, typed)| {
+            EntrySpec { input, cols, in_bytes, out_bytes, time_ds, uses, copied, typed }
+        })
 }
 
 fn space_spec() -> impl Strategy<Value = SpaceSpec> {
@@ -83,8 +75,8 @@ fn plan_for(slug: &str, idx: usize, spec: &EntrySpec) -> (PhysicalPlan, String) 
 
 /// Materialize a synthetic multi-tenant session: every referenced path
 /// is written to the DFS (snapshots exclude paths with no file behind
-/// them), repositories and provenance tables are populated through the
-/// public admin APIs, and tenant overrides are installed.
+/// them), repositories are populated through the public admin APIs, and
+/// tenant overrides are installed.
 fn build_session(dfs: &Dfs, spaces: &[(Option<&str>, &SpaceSpec)]) -> ReStore {
     let engine = Engine::new(
         dfs.clone(),
@@ -115,13 +107,25 @@ fn build_session(dfs: &Dfs, spaces: &[(Option<&str>, &SpaceSpec)]) -> ReStore {
             if !dfs.exists(&input_path) {
                 dfs.write_all(&input_path, b"a\t1\nb\t2\n").unwrap();
             }
-            if !dfs.exists(&out_path) {
-                let rows = [tuple!["x", 1i64]];
-                let bytes =
-                    if e.typed { typed::encode_file(&rows) } else { codec::encode_all(&rows) };
-                dfs.write_all(&out_path, &bytes).unwrap();
+            let copy_path = format!("{out_path}-copy");
+            for path in [&out_path, &copy_path] {
+                if !dfs.exists(path) {
+                    let rows = [tuple!["x", 1i64]];
+                    let bytes =
+                        if e.typed { typed::encode_file(&rows) } else { codec::encode_all(&rows) };
+                    dfs.write_all(path, &bytes).unwrap();
+                }
             }
             let version = |path: &str| dfs.status(path).unwrap().mtime;
+            let file = StoredFile {
+                path: out_path.clone(),
+                tick: version(&out_path),
+                typed: e.typed,
+                plan,
+                inputs: vec![(input_path.clone(), version(&input_path))],
+            };
+            let copy =
+                StoredFile { path: copy_path.clone(), tick: version(&copy_path), ..file.clone() };
             let stats = RepoStats {
                 input_bytes: e.in_bytes,
                 output_bytes: e.out_bytes,
@@ -131,15 +135,12 @@ fn build_session(dfs: &Dfs, spaces: &[(Option<&str>, &SpaceSpec)]) -> ReStore {
                 use_count: e.uses,
                 last_used: e.uses,
                 created: 1,
-                input_files: vec![(input_path.clone(), version(&input_path))],
-                output_version: version(&out_path),
-                typed: e.typed,
             };
             rs.with_repository_mut_as(*tenant, |repo| {
                 repo.batch(|b| {
-                    b.insert(plan.clone(), &out_path, stats);
-                    if e.register_provenance && !b.provenance().contains(&out_path) {
-                        b.register(&out_path, plan.clone());
+                    b.insert(file, stats.clone());
+                    if e.copied {
+                        b.insert(copy, stats);
                     }
                 })
             });

@@ -115,7 +115,7 @@ fn an_overwritten_input_is_a_miss_through_an_intermediate_job() {
         let rs = session(config);
         rs.execute_query(&query(JOIN_GROUP, "/out/cold"), "/wf/cold").unwrap();
         let paths: Vec<String> =
-            rs.repository_as(None).entries().iter().map(|e| e.output_path.clone()).collect();
+            rs.repository_as(None).entries().iter().map(|e| e.file.path.clone()).collect();
         let stored = paths.len() as u64;
         assert!(stored >= 2, "{case}: the join's tmp-0 and more are stored");
 
@@ -143,7 +143,7 @@ fn a_stored_file_lost_out_of_band_is_a_miss_in_a_recovered_session() {
         cold.execute_query(&query(JOIN_GROUP, "/out/cold"), "/wf/cold").unwrap();
         let state = cold.save_state();
         let stored: Vec<String> =
-            cold.repository_as(None).entries().iter().map(|e| e.output_path.clone()).collect();
+            cold.repository_as(None).entries().iter().map(|e| e.file.path.clone()).collect();
         assert!(stored.len() >= 2, "{case}: {stored:?}");
         for victim in &stored {
             // The same cold run in a fresh DFS stores the same paths.
@@ -187,7 +187,7 @@ const FOREIGN: &[u8] = b"mallory\t1\n";
 
 /// The paths the default namespace's entries store into.
 fn stored_paths(rs: &ReStore) -> Vec<String> {
-    rs.repository_as(None).entries().iter().map(|e| e.output_path.clone()).collect()
+    rs.repository_as(None).entries().iter().map(|e| e.file.path.clone()).collect()
 }
 
 #[test]
@@ -252,6 +252,59 @@ fn an_expired_entry_overwritten_out_of_band_counts_as_overwritten_and_keeps_its_
         if dfs.read_all(candidate).ok().as_deref() != Some(FOREIGN) {
             failures.push(format!("{case}: {candidate} does not hold the overwriting bytes"));
         }
+    }
+    report(&failures);
+}
+
+/// `/data/pv`'s rows with `n > 0`: the candidate the queries below store.
+const FILTERED: &str = "A = load '/data/pv' as (user, n:int); B = filter A by n > 0;";
+
+/// Group [`FILTERED`] by user and sum.
+fn filtered_sums(out: &str) -> String {
+    format!("{FILTERED} G = group B by user; R = foreach G generate group, SUM(B.n); store R into '{out}';")
+}
+
+/// [`FILTERED`] as the answer: a final output whose plan duplicates the
+/// stored candidate's, so its record has no entry.
+fn filtered(out: &str) -> String {
+    format!("{FILTERED} store B into '{out}';")
+}
+
+/// Read `/out/b` back, filter it and keep its users.
+fn users_of_b(out: &str) -> String {
+    format!("A = load '/out/b' as (user, n:int); B = filter A by n > 0; C = foreach B generate user; store C into '{out}';")
+}
+
+#[test]
+fn a_final_output_overwritten_out_of_band_is_not_expanded() {
+    let mut failures = Vec::new();
+    for (case, config) in configs() {
+        let rs = session_over(&pv_users(), config);
+        Oracle::check(&rs, &[filtered_sums("/out/a"), filtered("/out/b")]).unwrap();
+
+        overwrite(rs.engine().dfs(), "/out/b", b"zed\t3\n");
+        let check = Oracle::check(&rs, &[users_of_b("/out/c")]);
+        failures.extend(check.err().map(|e| format!("{case}: {e}")));
+        // `/out/b`'s record has no entry: it is forgotten, and no
+        // eviction is counted.
+        failures.extend(evictions(&rs, [0, 0, 0, 0]).err().map(|e| format!("{case}: {e}")));
+    }
+    report(&failures);
+}
+
+#[test]
+fn a_final_output_whose_input_moved_is_not_expanded() {
+    let mut failures = Vec::new();
+    for (case, config) in configs() {
+        let rs = session_over(&pv_users(), config);
+        Oracle::check(&rs, &[filtered_sums("/out/a"), filtered("/out/b")]).unwrap();
+        let stored = rs.repository_as(None).len() as u64;
+
+        overwrite(rs.engine().dfs(), "/data/pv", b"zed\t3\nyan\t5\n");
+        let check = Oracle::check(&rs, &[filtered_sums("/out/a2"), users_of_b("/out/c")]);
+        failures.extend(check.err().map(|e| format!("{case}: {e}")));
+        // Every entry read `/data/pv`; `/out/b`'s record goes uncounted.
+        failures.extend(evictions(&rs, [0, stored, 0, 0]).err().map(|e| format!("{case}: {e}")));
     }
     report(&failures);
 }

@@ -123,7 +123,7 @@ fn a_final_output_that_would_retype_is_not_registered() {
     rs.execute_query(&prefix, "/wf/prefix").unwrap();
     let repo = rs.repository_as(None);
     assert!(
-        repo.entries().iter().all(|e| e.output_path != "/out/prefix"),
+        repo.entries().iter().all(|e| e.file.path != "/out/prefix"),
         "the lossy final output has no entry"
     );
     let metrics = rs.registry().render();
@@ -139,7 +139,7 @@ fn a_final_output_that_would_retype_is_not_registered() {
     );
     clean.unwrap();
     let repo = rs.repository_as(None);
-    assert!(repo.entries().iter().any(|e| e.output_path == "/out/clean"));
+    assert!(repo.entries().iter().any(|e| e.file.path == "/out/clean"));
 }
 
 #[test]
