@@ -2,8 +2,8 @@
 //! map-shuffle-reduce cycle at varying input sizes and thread counts,
 //! over narrow rows and over PigMix-shaped wide rows of which the plan
 //! reads two or three columns, with the map phase of the PigMix shapes
-//! broken into its stages, and the text codec over the shapes ReStore
-//! stores. Asserts that shuffle + reduce time does not grow from one
+//! broken into its stages, the reduce phase of a grouped job alone, and
+//! the text and typed codecs over the shapes ReStore stores. Asserts that shuffle + reduce time does not grow from one
 //! worker thread to two.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -197,6 +197,36 @@ fn bench_map_stages(c: &mut Criterion) {
     group.finish();
 }
 
+/// The reduce phase alone, at one worker thread: every reduce task of
+/// `project_group_sum` (Group by user → SUM) over the shuffle runs its map
+/// tasks made once from the whole of `page_views` — 20 000 shuffled
+/// records, ≈ 20 to a group. A reduce task decodes its ranges, sorts and
+/// groups them, and runs the reducer; there is no commit.
+fn bench_reduce(c: &mut Criterion) {
+    let env = pigmix_env(DataScale::gb15());
+    let (engine, spec, rows) = setup_pigmix(&env, 1, Shape::GroupSum);
+    let dfs = env.engine.dfs();
+    let file = InputFile::open(dfs, PAGE_VIEWS).unwrap();
+    let reduce_tasks = 28;
+    let map_outs: Vec<_> = dfs
+        .splits(PAGE_VIEWS)
+        .unwrap()
+        .iter()
+        .map(|split| engine.run_map_task(&spec, 0, split, &file, reduce_tasks).unwrap())
+        .collect();
+    let mut group = c.benchmark_group("engine_reduce");
+    group.sample_size(20);
+    group.throughput(Throughput::Elements(rows));
+    group.bench_function("project_group_sum", |b| {
+        b.iter(|| {
+            for p in 0..reduce_tasks {
+                black_box(engine.run_reduce_task(&spec, &map_outs, p).unwrap());
+            }
+        });
+    });
+    group.finish();
+}
+
 /// What ReStore's stored results hold, as rows: `group_bags`, a Group's
 /// output — a user and the bag of that user's `(user, timestamp,
 /// revenue)` rows, ≈ 20 to a bag; `group_all`, one record holding every
@@ -316,6 +346,7 @@ criterion_group!(
     bench_pigmix_shape,
     bench_map_stages,
     bench_codec,
+    bench_reduce,
     check_shuffle_scaling
 );
 criterion_main!(benches);

@@ -14,6 +14,7 @@
 //! whether a record survives the round trip: a final output holding one
 //! that does not is never registered for reuse.
 
+use crate::bag::BagBuilder;
 use crate::error::{Error, Result};
 use crate::number::{self, Count, Sink};
 use crate::small_str::SmallStr;
@@ -128,9 +129,9 @@ pub(crate) fn write_value(v: &Value, out: &mut impl Out) {
         Value::Int(i) => number::write_int(*i, out),
         Value::Double(d) => number::write_double(*d, out),
         Value::Str(s) => out.text(s.as_bytes()),
-        Value::Bag(ts) => {
+        Value::Bag(bag) => {
             out.put(b"{");
-            for (i, t) in ts.iter().enumerate() {
+            for (i, t) in bag.rows().enumerate() {
                 out.put(if i > 0 { b",(" } else { b"(" });
                 for (j, f) in t.iter().enumerate() {
                     if j > 0 {
@@ -497,15 +498,12 @@ impl<'a> Parser<'a> {
 
     fn parse_bag(&mut self, want: bool) -> Result<Value> {
         self.expect(b'{')?;
-        let mut tuples = Vec::new();
+        let mut bag = BagBuilder::default();
         if self.peek() == Some(b'}') {
             self.pos += 1;
         } else {
             loop {
-                let t = self.parse_bag_tuple(want)?;
-                if want {
-                    tuples.push(t);
-                }
+                self.parse_bag_tuple(want, &mut bag)?;
                 match self.next_byte()? {
                     b',' => continue,
                     b'}' => break,
@@ -518,33 +516,36 @@ impl<'a> Parser<'a> {
                 }
             }
         }
-        Ok(if want { Value::Bag(tuples) } else { Value::Null })
+        Ok(if want { Value::Bag(bag.finish()) } else { Value::Null })
     }
 
-    fn parse_bag_tuple(&mut self, want: bool) -> Result<Tuple> {
+    /// One member of a bag, straight into `bag` when it is `want`ed.
+    fn parse_bag_tuple(&mut self, want: bool, bag: &mut BagBuilder) -> Result<()> {
         self.expect(b'(')?;
-        let mut vals = Vec::new();
         if self.peek() == Some(b')') {
             self.pos += 1;
-            return Ok(Tuple::from_values(vals));
-        }
-        loop {
-            let v = self.parse_field(true, want)?;
-            if want {
-                vals.push(v);
-            }
-            match self.next_byte()? {
-                b',' => continue,
-                b')' => break,
-                other => {
-                    return Err(Error::Codec(format!(
-                        "expected ',' or ')' in bag tuple, found {:?}",
-                        other as char
-                    )))
+        } else {
+            loop {
+                let v = self.parse_field(true, want)?;
+                if want {
+                    bag.push(v);
+                }
+                match self.next_byte()? {
+                    b',' => continue,
+                    b')' => break,
+                    other => {
+                        return Err(Error::Codec(format!(
+                            "expected ',' or ')' in bag tuple, found {:?}",
+                            other as char
+                        )))
+                    }
                 }
             }
         }
-        Ok(Tuple::from_values(vals))
+        if want {
+            bag.end_row();
+        }
+        Ok(())
     }
 
     /// The byte at the cursor; `None` at the end of the record.
@@ -594,7 +595,9 @@ fn value_reads_back(v: &Value) -> bool {
         Value::Null | Value::Int(_) => true,
         Value::Double(d) => d.is_finite() && (d.fract() != 0.0 || d.abs() < 1e15),
         Value::Str(s) => infer_number(s).is_none(),
-        Value::Bag(ts) => ts.iter().all(|t| t.arity() > 0 && t.iter().all(value_reads_back)),
+        Value::Bag(bag) => {
+            bag.rows().all(|row| !row.is_empty() && row.iter().all(value_reads_back))
+        }
     }
 }
 
@@ -660,16 +663,16 @@ mod tests {
 
     #[test]
     fn bag_round_trip() {
-        let bag = Value::Bag(vec![tuple!["u1", 10], tuple!["u2", 20]]);
+        let bag = Value::Bag(vec![tuple!["u1", 10], tuple!["u2", 20]].into());
         let t = Tuple::from_values(vec![Value::str("k"), bag]);
         assert_eq!(round_trip(&t), t);
     }
 
     #[test]
     fn empty_bag_and_empty_tuple_in_bag() {
-        let t = Tuple::from_values(vec![Value::Bag(vec![])]);
+        let t = Tuple::from_values(vec![Value::Bag(vec![].into())]);
         assert_eq!(round_trip(&t), t);
-        let t = Tuple::from_values(vec![Value::Bag(vec![Tuple::new()])]);
+        let t = Tuple::from_values(vec![Value::Bag(vec![Tuple::new()].into())]);
         // An empty tuple encodes as "()" whose single field decodes as
         // empty string — acceptable PigStorage-style lossiness.
         let rt = round_trip(&t);
@@ -678,10 +681,13 @@ mod tests {
 
     #[test]
     fn bag_with_nulls_and_specials() {
-        let bag = Value::Bag(vec![
-            Tuple::from_values(vec![Value::Null, Value::str("a,b")]),
-            Tuple::from_values(vec![Value::str("c}d"), Value::Double(1.5)]),
-        ]);
+        let bag = Value::Bag(
+            vec![
+                Tuple::from_values(vec![Value::Null, Value::str("a,b")]),
+                Tuple::from_values(vec![Value::str("c}d"), Value::Double(1.5)]),
+            ]
+            .into(),
+        );
         let t = Tuple::from_values(vec![bag, Value::Int(7)]);
         assert_eq!(round_trip(&t), t);
     }
@@ -691,8 +697,8 @@ mod tests {
         // CoGroup output carries multiple bags in one row.
         let t = Tuple::from_values(vec![
             Value::str("key"),
-            Value::Bag(vec![tuple![1], tuple![2]]),
-            Value::Bag(vec![tuple!["x", "y"]]),
+            Value::Bag(vec![tuple![1], tuple![2]].into()),
+            Value::Bag(vec![tuple!["x", "y"]].into()),
         ]);
         assert_eq!(round_trip(&t), t);
     }
@@ -756,7 +762,7 @@ mod tests {
             ]
         );
         assert_eq!(rows(&[]), vec![Tuple::new(), Tuple::new(), Tuple::new()]);
-        assert_eq!(rows(&[3])[2], Tuple::from_values(vec![Value::Bag(vec![tuple!["a"]])]));
+        assert_eq!(rows(&[3])[2], Tuple::from_values(vec![Value::Bag(vec![tuple!["a"]].into())]));
         // An unread field is still checked.
         let set = ColumnSet::new([0]);
         assert!(Rows::new(b"a\tb\\q", Some(&set)).any(|r| r.is_err()));
@@ -772,7 +778,7 @@ mod tests {
             tuple!["alice", 42, 2.5],
             Tuple::from_values(vec![
                 Value::str("k"),
-                Value::Bag(vec![tuple!["u", 1], tuple!["v", 2]]),
+                Value::Bag(vec![tuple!["u", 1], tuple!["v", 2]].into()),
             ]),
         ];
         for t in cases {
@@ -794,9 +800,9 @@ mod tests {
             (tuple![f64::NEG_INFINITY], false),
             (Tuple::new(), false),
             (tuple![""], false),
-            (Tuple::from_values(vec![Value::Null, Value::Bag(vec![tuple!["a", 1]])]), true),
-            (Tuple::from_values(vec![Value::Bag(vec![tuple!["12"]])]), false),
-            (Tuple::from_values(vec![Value::Bag(vec![Tuple::new()])]), false),
+            (Tuple::from_values(vec![Value::Null, Value::Bag(vec![tuple!["a", 1]].into())]), true),
+            (Tuple::from_values(vec![Value::Bag(vec![tuple!["12"]].into())]), false),
+            (Tuple::from_values(vec![Value::Bag(vec![Tuple::new()].into())]), false),
         ];
         for (t, clean) in cases {
             assert_eq!(reads_back(&t), clean, "{t:?}");

@@ -5,6 +5,8 @@
 //! * [`Value`] — a dynamically typed scalar (null / int / double / chararray),
 //!   with the total ordering and hashing semantics needed for shuffle keys;
 //!   its strings are [`SmallStr`]s, inline up to 22 bytes.
+//! * [`Bag`] — the tuples a Group gathers into one field, flat: its
+//!   members' fields in one allocation, read as row slices.
 //! * [`Tuple`] — a row of values, the unit of data flowing through mappers,
 //!   reducers, and physical operators.
 //! * [`Schema`] — named, typed field lists attached to datasets and plans.
@@ -18,6 +20,7 @@
 //!   data generation is bit-reproducible across platforms and crate versions.
 //! * [`Error`] — the shared error type.
 
+pub mod bag;
 pub mod bytesize;
 pub mod codec;
 pub mod error;
@@ -29,6 +32,7 @@ pub mod tuple;
 pub mod typed;
 pub mod value;
 
+pub use bag::Bag;
 pub use bytesize::human_bytes;
 pub use error::{Error, Result};
 pub use schema::{Field, FieldType, Schema};

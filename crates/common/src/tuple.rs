@@ -90,6 +90,15 @@ impl From<Vec<Value>> for Tuple {
     }
 }
 
+impl IntoIterator for Tuple {
+    type Item = Value;
+    type IntoIter = std::vec::IntoIter<Value>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.into_iter()
+    }
+}
+
 impl FromIterator<Value> for Tuple {
     fn from_iter<T: IntoIterator<Item = Value>>(iter: T) -> Self {
         Tuple(iter.into_iter().collect())

@@ -56,6 +56,7 @@
 //! ([`Index::splits`]). Each group's record count is checked, so a damaged
 //! file is an error or the same number of records, never a shorter answer.
 
+use crate::bag::{Bag, BagBuilder};
 use crate::codec::ColumnSet;
 use crate::error::{Error, Result};
 use crate::small_str::SmallStr;
@@ -149,10 +150,10 @@ pub fn put_value(v: &Value, doubles: Doubles, out: &mut Vec<u8>) {
             put_sized(STR, s.len(), out);
             out.extend_from_slice(s.as_bytes());
         }
-        Value::Bag(ts) => {
-            put_sized(BAG, ts.len(), out);
-            for t in ts {
-                put_tuple(t, doubles, out);
+        Value::Bag(bag) => {
+            put_sized(BAG, bag.len(), out);
+            for row in bag.rows() {
+                put_fields(row.iter(), doubles, out);
             }
         }
     }
@@ -352,15 +353,40 @@ impl<'a> Reader<'a> {
                 Value::Str(SmallStr::from_utf8(self.take(len)?).map_err(not_utf8)?)
             }
             BAG => {
-                let tuples = self.size(arg, 1)?;
-                let mut bag = Vec::with_capacity(tuples);
-                for _ in 0..tuples {
-                    bag.push(self.tuple()?);
-                }
-                Value::Bag(bag)
+                let members = self.size(arg, 1)?;
+                Value::Bag(self.bag(members)?)
             }
             _ => return Err(corrupt(&format!("unknown tag {tag:#04x}"))),
         })
+    }
+
+    /// A bag of `members` tuples, decoded flat. The first member's arity
+    /// sizes the whole bag, which is exact when the members share it (as
+    /// a group's do); room is never reserved past the bytes remaining,
+    /// each field taking at least one.
+    fn bag(&mut self, members: usize) -> Result<Bag> {
+        let mut bag = BagBuilder::default();
+        for i in 0..members {
+            let arity = self.count(1)?;
+            if i == 0 {
+                bag.reserve(arity.saturating_mul(members).min(self.bytes.len()));
+            }
+            for _ in 0..arity {
+                bag.push(self.value()?);
+            }
+            bag.end_row();
+        }
+        Ok(bag.finish())
+    }
+
+    /// Append one tuple's fields to `out`; how many there were.
+    pub fn fields_into(&mut self, out: &mut Vec<Value>) -> Result<usize> {
+        let arity = self.count(1)?;
+        out.reserve(arity);
+        for _ in 0..arity {
+            out.push(self.value()?);
+        }
+        Ok(arity)
     }
 
     /// Step over one value, checking it as [`Reader::value`] would and
@@ -695,7 +721,7 @@ mod tests {
         for s in ["", "007", "x".repeat(30).as_str(), "y".repeat(31).as_str(), "ünï"] {
             round_trip(Value::str(s));
         }
-        round_trip(Value::Bag(vec![tuple![1, "a"], Tuple::new()]));
+        round_trip(Value::Bag(vec![tuple![1, "a"], Tuple::new()].into()));
         round_trip(Value::Null);
     }
 

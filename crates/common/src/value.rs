@@ -8,18 +8,19 @@
 //! with `-0.0` normalized to `+0.0` and every NaN to `f64::NAN`'s, since
 //! all NaNs compare equal).
 
+use crate::bag::Bag;
 use crate::codec::{self, Out};
 use crate::number::{Count, Sink};
 use crate::small_str::SmallStr;
-use crate::tuple::Tuple;
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
 /// A dynamically typed scalar, the atom of the data model.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub enum Value {
     /// SQL-style null; sorts before everything else.
+    #[default]
     Null,
     /// 64-bit signed integer (covers Pig's int and long).
     Int(i64),
@@ -29,8 +30,9 @@ pub enum Value {
     Str(SmallStr),
     /// A bag of tuples (Pig `bag`), produced by Group/CoGroup. Bags are
     /// what makes a grouped relation storable: one row = one whole group,
-    /// so a reused Group output can be aggregated map-side.
-    Bag(Vec<Tuple>),
+    /// so a reused Group output can be aggregated map-side. A bag is flat,
+    /// one allocation however many members it holds ([`Bag`]).
+    Bag(Bag),
 }
 
 const _: () = assert!(std::mem::size_of::<Value>() == 32);
@@ -75,7 +77,7 @@ impl Value {
     }
 
     /// Bag view.
-    pub fn as_bag(&self) -> Option<&[Tuple]> {
+    pub fn as_bag(&self) -> Option<&Bag> {
         match self {
             Value::Bag(b) => Some(b),
             _ => None,
@@ -344,10 +346,10 @@ mod tests {
 
     #[test]
     fn display_is_the_encoding_unescaped() {
-        let bag = Value::Bag(vec![
-            crate::tuple!["a,b", 1, 2.5],
-            Tuple::from_values(vec![Value::Null, Value::str("")]),
-        ]);
+        let bag = Value::Bag(Bag::from_rows([
+            vec![Value::str("a,b"), Value::Int(1), Value::Double(2.5)],
+            vec![Value::Null, Value::str("")],
+        ]));
         assert_eq!(bag.to_string(), "{(a,b,1,2.5),(,)}");
         assert_eq!(bag.encoded_len(), bag.to_string().len());
     }

@@ -31,7 +31,7 @@ fn value() -> impl Strategy<Value = Value> {
             prop::collection::vec(scalar(), 1..4).prop_map(Tuple::from_values),
             0..4
         )
-        .prop_map(Value::Bag),
+        .prop_map(|ts| Value::Bag(ts.into())),
     ]
 }
 
@@ -172,12 +172,7 @@ proptest! {
         let nulls = t.iter().filter(|v| v.is_null()).count()
             + t.iter()
                 .filter_map(|v| match v {
-                    Value::Bag(ts) => Some(
-                        ts.iter()
-                            .flat_map(|t| t.iter())
-                            .filter(|v| v.is_null())
-                            .count(),
-                    ),
+                    Value::Bag(ts) => Some(ts.rows().flatten().filter(|v| v.is_null()).count()),
                     _ => None,
                 })
                 .sum::<usize>();
@@ -293,7 +288,7 @@ fn round_trip_equiv(orig: &Value, back: &Value) -> Result<(), TestCaseError> {
         // here means a genuine mismatch.
         (Value::Bag(a), Value::Bag(b)) => {
             prop_assert_eq!(a.len(), b.len());
-            for (ta, tb) in a.iter().zip(b.iter()) {
+            for (ta, tb) in a.rows().zip(b.rows()) {
                 for (va, vb) in ta.iter().zip(tb.iter()) {
                     round_trip_equiv(va, vb)?;
                 }
@@ -395,7 +390,7 @@ mod reference {
             let mut tuples = Vec::new();
             if self.peek() == Some(b'}') {
                 self.pos += 1;
-                return Ok(Value::Bag(tuples));
+                return Ok(Value::Bag(tuples.into()));
             }
             loop {
                 tuples.push(self.parse_bag_tuple()?);
@@ -410,7 +405,7 @@ mod reference {
                     }
                 }
             }
-            Ok(Value::Bag(tuples))
+            Ok(Value::Bag(tuples.into()))
         }
 
         fn parse_bag_tuple(&mut self) -> Result<Tuple> {

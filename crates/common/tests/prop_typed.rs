@@ -47,7 +47,7 @@ fn scalar() -> impl Strategy<Value = Value> {
 /// A bag of tuples of any arity, zero included.
 fn bag(element: impl Strategy<Value = Value>) -> impl Strategy<Value = Value> {
     prop::collection::vec(prop::collection::vec(element, 0..4).prop_map(Tuple::from_values), 0..4)
-        .prop_map(Value::Bag)
+        .prop_map(|ts| Value::Bag(ts.into()))
 }
 
 fn value() -> impl Strategy<Value = Value> {
@@ -143,7 +143,7 @@ fn no_escapes_or_minus_zero(v: &Value) -> bool {
     match v {
         Value::Str(s) => !s.bytes().any(|b| b"\t\n\\,(){}".contains(&b)),
         Value::Double(d) => d.to_bits() != (-0.0f64).to_bits(),
-        Value::Bag(ts) => ts.iter().all(|t| t.iter().all(no_escapes_or_minus_zero)),
+        Value::Bag(ts) => ts.rows().all(|t| t.iter().all(no_escapes_or_minus_zero)),
         _ => true,
     }
 }
@@ -160,11 +160,11 @@ fn the_edge_values_are_covered() {
             Value::Double(4e15),
             Value::str("007"),
             Value::str("ünïcödé €"),
-            Value::Bag(vec![]),
-            Value::Bag(vec![
-                Tuple::new(),
-                Tuple::from_values(vec![Value::Bag(vec![Tuple::new()])]),
-            ]),
+            Value::Bag(vec![].into()),
+            Value::Bag(
+                vec![Tuple::new(), Tuple::from_values(vec![Value::Bag(vec![Tuple::new()].into())])]
+                    .into(),
+            ),
         ]),
         Tuple::new(),
     ];
@@ -172,4 +172,211 @@ fn the_edge_values_are_covered() {
     assert_eq!(debug(&back), debug(&rows));
     let Value::Double(nan) = back[0].get(1) else { panic!() };
     assert_eq!(nan.to_bits(), 0x7ff8_0000_dead_beef, "the NaN payload survives");
+}
+
+// ---------------------------------------------------------------------
+// The flat bag against the nested form it replaced
+// ---------------------------------------------------------------------
+
+/// A value as it was when a bag was a `Vec` of tuples, each a `Vec` of
+/// values: the reference a flat [`restore_common::Bag`] must behave as.
+/// Its order, equality and hash are the ones `Value` had then; its
+/// scalars encode through the library, which did not change for them.
+#[derive(Debug, Clone)]
+enum Nested {
+    Scalar(Value),
+    Bag(Vec<Vec<Nested>>),
+}
+
+impl Nested {
+    /// The flat value this reference stands for.
+    fn flat(&self) -> Value {
+        match self {
+            Nested::Scalar(v) => v.clone(),
+            Nested::Bag(tuples) => Value::Bag(restore_common::Bag::from_rows(
+                tuples.iter().map(|t| t.iter().map(Nested::flat).collect::<Vec<_>>()),
+            )),
+        }
+    }
+
+    fn rank(&self) -> u8 {
+        match self {
+            Nested::Scalar(Value::Null) => 0,
+            Nested::Scalar(Value::Int(_) | Value::Double(_)) => 1,
+            Nested::Scalar(Value::Str(_)) => 2,
+            Nested::Scalar(Value::Bag(_)) => unreachable!("bags are nested"),
+            Nested::Bag(_) => 3,
+        }
+    }
+
+    /// Text: a scalar as the codec writes it, a bag as `{(f,f),(f)}`.
+    fn text(&self, out: &mut Vec<u8>) {
+        match self {
+            Nested::Scalar(v) => {
+                codec::encode_tuple(&Tuple::from_values(vec![v.clone()]), out);
+                out.pop(); // the newline
+            }
+            Nested::Bag(tuples) => {
+                out.push(b'{');
+                for (i, t) in tuples.iter().enumerate() {
+                    out.extend_from_slice(if i > 0 { b",(" } else { b"(" });
+                    for (j, f) in t.iter().enumerate() {
+                        if j > 0 {
+                            out.push(b',');
+                        }
+                        f.text(out);
+                    }
+                    out.push(b')');
+                }
+                out.push(b'}');
+            }
+        }
+    }
+
+    /// What the cost model counts: the text, strings unescaped and a null
+    /// as nothing.
+    fn encoded_len(&self) -> usize {
+        match self {
+            Nested::Scalar(v) => v.encoded_len(),
+            Nested::Bag(tuples) => {
+                let members: usize = tuples
+                    .iter()
+                    .map(|t| {
+                        2 + t.len().saturating_sub(1)
+                            + t.iter().map(Nested::encoded_len).sum::<usize>()
+                    })
+                    .sum();
+                2 + tuples.len().saturating_sub(1) + members
+            }
+        }
+    }
+
+    /// Typed: a bag's tag and count, then each tuple's arity and values.
+    fn typed(&self, out: &mut Vec<u8>) {
+        match self {
+            Nested::Scalar(v) => typed::put_value(v, typed::Doubles::Shortest, out),
+            Nested::Bag(tuples) => {
+                match u8::try_from(tuples.len()) {
+                    Ok(n) if n < 31 => out.push(n << 3 | 5),
+                    _ => {
+                        out.push(31 << 3 | 5);
+                        typed::put_varint(tuples.len() as u64, out);
+                    }
+                }
+                for t in tuples {
+                    typed::put_varint(t.len() as u64, out);
+                    for f in t {
+                        f.typed(out);
+                    }
+                }
+            }
+        }
+    }
+}
+
+impl PartialEq for Nested {
+    fn eq(&self, other: &Nested) -> bool {
+        self.cmp(other) == std::cmp::Ordering::Equal
+    }
+}
+
+impl Eq for Nested {}
+
+impl PartialOrd for Nested {
+    fn partial_cmp(&self, other: &Nested) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Nested {
+    fn cmp(&self, other: &Nested) -> std::cmp::Ordering {
+        match (self, other) {
+            // Scalars compare as they always did.
+            (Nested::Scalar(a), Nested::Scalar(b)) => a.cmp(b),
+            (Nested::Bag(a), Nested::Bag(b)) => a.cmp(b),
+            _ => self.rank().cmp(&other.rank()),
+        }
+    }
+}
+
+impl std::hash::Hash for Nested {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        match self {
+            Nested::Scalar(v) => v.hash(state),
+            Nested::Bag(tuples) => {
+                3u8.hash(state);
+                tuples.hash(state);
+            }
+        }
+    }
+}
+
+fn nested(depth: u32) -> BoxedStrategy<Nested> {
+    let mut variants: Vec<(u32, BoxedStrategy<Nested>)> = vec![
+        (4, scalar().prop_map(Nested::Scalar).boxed()),
+        (1, Just(Nested::Scalar(Value::Double(-0.0))).boxed()),
+        (1, Just(Nested::Scalar(Value::Double(f64::NAN))).boxed()),
+    ];
+    if depth > 0 {
+        variants.push((3, nested_bag(depth - 1).boxed()));
+    }
+    proptest::Union::new_weighted(variants).boxed()
+}
+
+/// Bags empty, of one arity, ragged, and of tuples with no fields.
+fn nested_bag(depth: u32) -> BoxedStrategy<Nested> {
+    let bag = |arity: std::ops::Range<usize>| {
+        prop::collection::vec(prop::collection::vec(nested(depth), arity), 1..6)
+            .prop_map(Nested::Bag)
+    };
+    prop_oneof![
+        1 => Just(Nested::Bag(Vec::new())),
+        1 => bag(1..2),
+        1 => bag(2..3),
+        1 => bag(3..4),
+        3 => bag(0..4),
+        1 => bag(0..1),
+    ]
+    .boxed()
+}
+
+fn default_hash(v: &impl std::hash::Hash) -> u64 {
+    use std::hash::Hasher;
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    v.hash(&mut h);
+    h.finish()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// A flat bag orders, compares, hashes and encodes (text, typed, and
+    /// the cost model's length) exactly as its nested form did; a grouped
+    /// row holding one, the whole key of a Distinct over grouped rows,
+    /// hashes as the nested row did, so it lands in the same partition.
+    #[test]
+    fn a_flat_bag_is_its_nested_form(a in nested_bag(2), b in nested_bag(2), key in scalar()) {
+        let (fa, fb) = (a.flat(), b.flat());
+        prop_assert_eq!(fa.cmp(&fb), a.cmp(&b));
+        prop_assert_eq!(fa == fb, a == b);
+        prop_assert_eq!(default_hash(&fa), default_hash(&a));
+        prop_assert_eq!(fa.encoded_len(), a.encoded_len());
+        let mut text = Vec::new();
+        a.text(&mut text);
+        prop_assert_eq!(fa.to_string().len(), fa.encoded_len());
+        let mut flat_text = Vec::new();
+        codec::encode_tuple(&Tuple::from_values(vec![fa.clone()]), &mut flat_text);
+        flat_text.pop();
+        prop_assert_eq!(flat_text, text);
+        let (mut typed_ref, mut typed_flat) = (Vec::new(), Vec::new());
+        a.typed(&mut typed_ref);
+        typed::put_value(&fa, typed::Doubles::Shortest, &mut typed_flat);
+        prop_assert_eq!(&typed_flat, &typed_ref);
+        let back = typed::Reader::new(&typed_flat).value().unwrap();
+        prop_assert_eq!(format!("{back:?}"), format!("{fa:?}"));
+
+        let row = Tuple::from_values(vec![key.clone(), fa]);
+        let nested_row = vec![Nested::Scalar(key), a];
+        prop_assert_eq!(default_hash(&row), default_hash(&nested_row));
+    }
 }

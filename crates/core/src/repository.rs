@@ -385,20 +385,23 @@ impl RepoSnapshot {
         };
         if let Some(pos) = self.entries.iter().position(|e| e.id == dup) {
             let old = self.entries[pos].clone();
+            // The size describes a file: another file's is not the
+            // entry's, which keeps its own (`stored_bytes` sums the
+            // entries' own files). The job's statistics are refreshed.
+            let mut base = entry.base.clone();
+            if old.file.path != entry.file.path {
+                base.output_bytes = old.base.output_bytes;
+            }
             // Same statistics as stored (a wave's whole-job entry and the
             // candidate aliasing it): the refresh would change nothing,
             // so there is nothing to publish or journal.
-            if old.base != entry.base {
+            if old.base != base {
                 // Refresh stats but keep the entry's own file and its
                 // usage history: the replacement shares the old entry's
                 // atomic counters, so reuses recorded against a stale
                 // snapshot still land here.
-                let refreshed = RepoEntry {
-                    file: old.file.clone(),
-                    base: entry.base.clone(),
-                    usage: old.usage.clone(),
-                    ..*old
-                };
+                let refreshed =
+                    RepoEntry { file: old.file.clone(), base, usage: old.usage.clone(), ..*old };
                 self.stored_bytes =
                     self.stored_bytes - old.base.output_bytes + refreshed.base.output_bytes;
                 let arc = Arc::new(refreshed);
@@ -1221,14 +1224,41 @@ mod tests {
         let snap = repo.snapshot();
         assert_eq!(snap.len(), 1);
         let e = snap.get(id).cloned().unwrap();
-        assert_eq!(e.stats().output_bytes, 12); // refreshed
+        assert_eq!(e.stats().job_time_s, 6.0); // refreshed
+        assert_eq!(e.stats().output_bytes, 10); // its own file's size
         assert_eq!(e.stats().use_count, 1); // history kept
                                             // The entry keeps its own file and what it recorded of it…
         assert_eq!((e.file.path.as_str(), e.file.tick, e.file.typed), ("/r/1", 3, true));
         // …and the second file is a record without an entry.
         assert_eq!(snap.file("/r/2").map(|f| &**f), Some(&second));
         assert_eq!(snap.files().len(), 2);
-        assert_eq!(snap.stored_bytes(), 12); // counter follows the refresh
+        assert_eq!(snap.stored_bytes(), 10); // the entries' own files
+    }
+
+    #[test]
+    fn a_duplicate_in_another_file_keeps_the_entrys_own_size() {
+        // The v8 fixture's record 13: the text output `/out/fb` (30 bytes,
+        // written by a 12 s copy job) holds the plan the typed candidate
+        // `/restore/sub-4` (38 bytes, a 54 s job) already stores.
+        let repo = Repository::new();
+        let plan = || load_project("/pv", vec![0]);
+        let sub = StoredFile { typed: true, ..StoredFile::new("/restore/sub-4", plan()) };
+        let InsertOutcome::Inserted(id) = repo.insert(sub, stats(30, 38, 54.0)) else { panic!() };
+        let fb = repo.insert(StoredFile::new("/out/fb", plan()), stats(30, 30, 12.0));
+        assert_eq!(fb, InsertOutcome::Duplicate(id));
+        let snap = repo.snapshot();
+        let e = snap.get(id).unwrap();
+        assert_eq!(e.file.path, "/restore/sub-4");
+        assert_eq!(e.stats().output_bytes, 38, "the size of the entry's own file");
+        assert_eq!(snap.stored_bytes(), 38, "the sum of the entries' own files");
+        assert_eq!(e.stats().job_time_s, 12.0, "the job's statistics are refreshed");
+        // A duplicate at the entry's own path describes its own file.
+        repo.insert(StoredFile::new("/restore/sub-4", plan()), stats(30, 41, 54.0));
+        let snap = repo.snapshot();
+        assert_eq!(
+            (snap.get(id).map(|e| e.stats().output_bytes), snap.stored_bytes()),
+            (Some(41), 41)
+        );
     }
 
     #[test]

@@ -35,10 +35,14 @@ impl LockedRepo {
     fn insert(&mut self, plan: PhysicalPlan, path: String, stats: RepoStats) -> u64 {
         let signature = plan.signature();
         if let Some(e) = self.entries.iter_mut().find(|e| e.2 == signature) {
-            let (uses, last) = (e.4.use_count, e.4.last_used);
+            let (uses, last, size) = (e.4.use_count, e.4.last_used, e.4.output_bytes);
             e.4 = stats;
             e.4.use_count = uses;
             e.4.last_used = last;
+            // Another file's size is not the entry's own.
+            if e.3 != path {
+                e.4.output_bytes = size;
+            }
             return e.0;
         }
         let id = self.next_id;

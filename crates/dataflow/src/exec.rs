@@ -12,7 +12,7 @@ use crate::expr::Expr;
 use crate::mr_compiler::{CompiledJob, CompiledWorkflow};
 use crate::physical::{AggItem, NodeId, PhysicalOp, PhysicalPlan};
 use restore_common::codec::ColumnSet;
-use restore_common::{Error, Result, Tuple, Value};
+use restore_common::{Bag, Error, Result, Tuple, Value};
 use restore_mapreduce::{
     Engine, JobInput, JobResult, JobSpec, MapContext, Mapper, MapperFactory, ReduceContext, Reducer,
 };
@@ -228,12 +228,13 @@ impl Program {
                 let slot = fields.get_mut(*bag_col).map(|v| std::mem::replace(v, Value::Null));
                 let bag = match slot {
                     Some(Value::Bag(b)) => b,
-                    Some(Value::Null) | None => Vec::new(),
+                    Some(Value::Null) | None => Bag::default(),
                     Some(other) => {
                         return Err(Error::Eval(format!("FLATTEN of non-bag value {other:?}")))
                     }
                 };
-                for Tuple(inner) in bag {
+                let mut members = bag.into_rows();
+                while let Some(inner) = members.next_row() {
                     let mut row = Vec::with_capacity(fields.len() - 1 + inner.len());
                     row.extend_from_slice(&fields[..*bag_col]);
                     row.extend(inner);
@@ -248,9 +249,10 @@ impl Program {
                     match item {
                         AggItem::Key(c) => out.push(t.get(*c).clone()),
                         AggItem::Agg { func, bag_col, field } => {
+                            let empty = Bag::default();
                             let bag = match t.get(*bag_col) {
-                                Value::Bag(b) => b.as_slice(),
-                                Value::Null => &[],
+                                Value::Bag(b) => b,
+                                Value::Null => &empty,
                                 other => {
                                     return Err(Error::Eval(format!(
                                         "aggregate over non-bag {other:?}"
@@ -569,12 +571,7 @@ struct PlanReducer {
 }
 
 impl Reducer for PlanReducer {
-    fn reduce(
-        &mut self,
-        key: Tuple,
-        bags: &mut [Vec<Tuple>],
-        ctx: &mut ReduceContext,
-    ) -> Result<()> {
+    fn reduce(&mut self, key: Tuple, bags: &mut [Bag], ctx: &mut ReduceContext) -> Result<()> {
         let (kind, prog) = self.programs.reduce.as_ref().expect("reducer without program");
         let mut sink = ReduceSink(ctx);
         match kind {
@@ -587,7 +584,7 @@ impl Reducer for PlanReducer {
                 loop {
                     let mut row = Vec::new();
                     for b in 0..*n_branches {
-                        row.extend(bags[b][row_stack[b]].iter().cloned());
+                        row.extend_from_slice(bags[b].row(row_stack[b]));
                     }
                     prog.push_entries(0, Tuple::from_values(row), &mut sink)?;
                     // Odometer increment.
@@ -619,7 +616,8 @@ impl Reducer for PlanReducer {
             }
             BlockKind::Distinct => prog.push_entries(0, key, &mut sink),
             BlockKind::OrderBy { keys } => {
-                bags[0].sort_by(|a, b| {
+                let mut rows = tuples(std::mem::take(&mut bags[0]), usize::MAX);
+                rows.sort_by(|a, b| {
                     for (col, asc) in keys {
                         let o = a.get(*col).cmp(b.get(*col));
                         let o = if *asc { o } else { o.reverse() };
@@ -629,23 +627,36 @@ impl Reducer for PlanReducer {
                     }
                     std::cmp::Ordering::Equal
                 });
-                for r in bags[0].drain(..) {
+                for r in rows {
                     prog.push_entries(0, r, &mut sink)?;
                 }
                 Ok(())
             }
             BlockKind::Limit { n } => {
-                for r in bags[0].drain(..) {
-                    if self.emitted >= *n {
-                        break;
-                    }
-                    self.emitted += 1;
+                let left = n.saturating_sub(self.emitted);
+                let rows = tuples(
+                    std::mem::take(&mut bags[0]),
+                    usize::try_from(left).unwrap_or(usize::MAX),
+                );
+                self.emitted += rows.len() as u64;
+                for r in rows {
                     prog.push_entries(0, r, &mut sink)?;
                 }
                 Ok(())
             }
         }
     }
+}
+
+/// The first `limit` members of `bag`, each moved into a tuple of its own.
+fn tuples(bag: Bag, limit: usize) -> Vec<Tuple> {
+    let mut out = Vec::with_capacity(bag.len().min(limit));
+    let mut members = bag.into_rows();
+    while out.len() < limit {
+        let Some(fields) = members.next_row() else { break };
+        out.push(fields.collect());
+    }
+    out
 }
 
 // ---------------------------------------------------------------------

@@ -6,7 +6,7 @@
 //! functions that produce the same output data") compares them
 //! structurally.
 
-use restore_common::{Error, Result, Tuple, Value};
+use restore_common::{Bag, Error, Result, Tuple, Value};
 
 /// Comparison operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -95,16 +95,15 @@ impl AggFunc {
 
     /// Apply the aggregate to one column of a bag of tuples.
     /// `col = None` means COUNT(*) semantics (count tuples).
-    pub fn apply(&self, bag: &[Tuple], col: Option<usize>) -> Value {
+    pub fn apply(&self, bag: &Bag, col: Option<usize>) -> Value {
         match self {
             AggFunc::Count => match col {
                 None => Value::Int(bag.len() as i64),
-                Some(c) => Value::Int(bag.iter().filter(|t| !t.get(c).is_null()).count() as i64),
+                Some(c) => Value::Int(bag.column(c).filter(|v| !v.is_null()).count() as i64),
             },
             AggFunc::CountDistinct => {
                 let c = col.unwrap_or(0);
-                let mut seen: Vec<&Value> =
-                    bag.iter().map(|t| t.get(c)).filter(|v| !v.is_null()).collect();
+                let mut seen: Vec<&Value> = bag.column(c).filter(|v| !v.is_null()).collect();
                 seen.sort();
                 seen.dedup();
                 Value::Int(seen.len() as i64)
@@ -114,9 +113,9 @@ impl AggFunc {
                 let mut acc = 0.0f64;
                 let mut any = false;
                 let mut all_int = true;
-                for t in bag {
-                    if let Some(x) = t.get(c).as_f64() {
-                        if !matches!(t.get(c), Value::Int(_)) {
+                for v in bag.column(c) {
+                    if let Some(x) = v.as_f64() {
+                        if !matches!(v, Value::Int(_)) {
                             all_int = false;
                         }
                         acc += x;
@@ -133,7 +132,7 @@ impl AggFunc {
             }
             AggFunc::Avg => {
                 let c = col.unwrap_or(0);
-                let vals: Vec<f64> = bag.iter().filter_map(|t| t.get(c).as_f64()).collect();
+                let vals: Vec<f64> = bag.column(c).filter_map(Value::as_f64).collect();
                 if vals.is_empty() {
                     Value::Null
                 } else {
@@ -142,21 +141,11 @@ impl AggFunc {
             }
             AggFunc::Min => {
                 let c = col.unwrap_or(0);
-                bag.iter()
-                    .map(|t| t.get(c))
-                    .filter(|v| !v.is_null())
-                    .min()
-                    .cloned()
-                    .unwrap_or(Value::Null)
+                bag.column(c).filter(|v| !v.is_null()).min().cloned().unwrap_or(Value::Null)
             }
             AggFunc::Max => {
                 let c = col.unwrap_or(0);
-                bag.iter()
-                    .map(|t| t.get(c))
-                    .filter(|v| !v.is_null())
-                    .max()
-                    .cloned()
-                    .unwrap_or(Value::Null)
+                bag.column(c).filter(|v| !v.is_null()).max().cloned().unwrap_or(Value::Null)
             }
         }
     }
@@ -503,7 +492,7 @@ mod tests {
 
     #[test]
     fn aggregates() {
-        let bag = vec![tuple!["a", 1], tuple!["b", 2], tuple!["a", 3]];
+        let bag = Bag::from(vec![tuple!["a", 1], tuple!["b", 2], tuple!["a", 3]]);
         assert_eq!(AggFunc::Count.apply(&bag, None), Value::Int(3));
         assert_eq!(AggFunc::Sum.apply(&bag, Some(1)), Value::Int(6));
         assert_eq!(AggFunc::Avg.apply(&bag, Some(1)), Value::Double(2.0));
@@ -514,18 +503,21 @@ mod tests {
 
     #[test]
     fn aggregates_ignore_nulls() {
-        let bag =
-            vec![Tuple::from_values(vec![Value::Null]), Tuple::from_values(vec![Value::Int(4)])];
+        // A ragged bag: its first member has one field, its second two.
+        let bag = Bag::from(vec![
+            Tuple::from_values(vec![Value::Null]),
+            Tuple::from_values(vec![Value::Int(4), Value::Null]),
+        ]);
         assert_eq!(AggFunc::Count.apply(&bag, Some(0)), Value::Int(1));
         assert_eq!(AggFunc::Sum.apply(&bag, Some(0)), Value::Int(4));
         assert_eq!(AggFunc::Min.apply(&bag, Some(0)), Value::Int(4));
         // Empty bag / all-null column.
-        assert!(AggFunc::Sum.apply(&[], Some(0)).is_null());
+        assert!(AggFunc::Sum.apply(&Bag::default(), Some(0)).is_null());
     }
 
     #[test]
     fn sum_widens_to_double_when_mixed() {
-        let bag = vec![tuple![1], tuple![2.5]];
+        let bag = Bag::from(vec![tuple![1], tuple![2.5]]);
         assert_eq!(AggFunc::Sum.apply(&bag, Some(0)), Value::Double(3.5));
     }
 

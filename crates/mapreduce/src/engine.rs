@@ -11,9 +11,12 @@
 //! object is freed by the thread that allocated it, and what crosses a
 //! thread boundary is a contiguous byte buffer the other side only reads.
 //! Tuples never leave the task that made them — map output crosses as a
-//! [`shuffle::Run`], task output as [`Chunk`]s of bytes ready to commit —
+//! [`Run`], task output as [`Chunk`]s of bytes ready to commit —
 //! and the buffers are dropped by the calling thread after the workers
-//! have gone.
+//! have gone. A reduce task's [`Arena`] falls under the same rule: the
+//! task decodes its ranges into it, moves each group's fields out of it
+//! into the key and bags it hands the reducer, and drops it, all on one
+//! thread; the reducer's own output leaves as encoded chunks.
 //!
 //! Each output is written in its [`crate::Format`]: PigStorage text for a
 //! user's, the typed stored format for the files the system reads back
@@ -26,21 +29,25 @@
 //!
 //! A map task has a rule of its own: it reads each input byte once and
 //! builds each row once. The split is parsed in one pass straight into the
-//! columns the mapper declared ([`crate::MapperFactory::columns`]), each row goes
-//! to the mapper as it is cut, and whatever the mapper emits is counted
-//! and encoded on the spot ([`MapContext`]).
+//! columns the mapper declared ([`crate::MapperFactory::columns`]), rows go
+//! to the mapper a batch at a time in the order they are cut (a batch is
+//! what lets decoding be timed apart from mapping, [`crate::PhaseTimes`]),
+//! and whatever the mapper emits is counted and encoded on the spot
+//! ([`MapContext`]).
 
 use crate::config::{ClusterConfig, EngineConfig};
 use crate::cost::{CostModel, JobTimes};
 use crate::counters::Counters;
 use crate::job::{Format, JobSpec};
-use crate::shuffle::{self, Run};
+use crate::phases::PhaseTimes;
+use crate::shuffle::{Arena, Run};
 use crate::split_reader::{read_split, InputFile};
 use crate::task::{Chunk, MapContext, ReduceContext, ReducerFactory, TaskOutput};
 use parking_lot::Mutex;
-use restore_common::{typed, Error, Result, Tuple};
+use restore_common::{typed, Error, Result};
 use restore_dfs::{Dfs, FileSplit};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::time::Instant;
 
 /// Result of one executed job: measured counters, modeled times, output
 /// locations.
@@ -60,12 +67,15 @@ pub struct JobResult {
     /// changes again): the main output's first, then each side output's
     /// in channel order.
     pub versions: Vec<u64>,
+    /// Where the job's time went, measured ([`PhaseTimes`]).
+    pub phases: PhaseTimes,
 }
 
 /// A job whose tasks have run and whose outputs are not yet committed:
 /// its counters, and each output's chunks in commit order.
 pub(crate) struct Ran {
     counters: Counters,
+    phases: PhaseTimes,
     main: Vec<Chunk>,
     side: Vec<Vec<Chunk>>,
 }
@@ -123,29 +133,23 @@ impl Engine {
         } else {
             spec.reduce_tasks.unwrap_or(self.engine_cfg.default_reduce_tasks).max(1)
         };
-        let (main_format, side_formats) = spec.formats();
 
         // ---- Map phase ----
+        let map_started = Instant::now();
         let map_outs = self.run_tasks(splits.len(), |idx| {
             let (tag, split) = &splits[idx];
             self.run_map_task(spec, *tag, split, &files[*tag], reduce_tasks)
         })?;
+        let mut phases = PhaseTimes { map_wall: map_started.elapsed(), ..Default::default() };
 
         // ---- Reduce phase ----
-        let reduce_outs = match &spec.reducer {
-            None => Vec::new(),
-            Some(factory) => {
-                let n_tags = spec.shuffle_tags.unwrap_or(spec.inputs.len()).max(1);
-                self.run_tasks(reduce_tasks, |p| {
-                    let formats = (main_format, side_formats.as_slice());
-                    run_one_reduce_task(factory.as_ref(), &map_outs, p, n_tags, formats)
-                })?
-            }
-        };
+        let reduce_outs =
+            self.run_tasks(reduce_tasks, |p| self.run_reduce_task(spec, &map_outs, p))?;
 
         let mut counters = Counters::default();
         for out in map_outs.iter().chain(&reduce_outs) {
             counters.absorb(&out.counters);
+            phases.absorb(&out.phases);
         }
         counters.map_tasks = map_outs.len() as u64;
         counters.reduce_tasks = reduce_tasks as u64;
@@ -164,13 +168,14 @@ impl Engine {
                 channel.push(chunk);
             }
         }
-        Ok(Ran { counters, main, side })
+        Ok(Ran { counters, phases, main, side })
     }
 
     /// Commit what [`Engine::execute`] left: the main output, then each
     /// side output in channel order, each one DFS commit.
     pub(crate) fn commit_outputs(&self, spec: &JobSpec, ran: Ran) -> Result<JobResult> {
-        let Ran { mut counters, main, side } = ran;
+        let Ran { mut counters, mut phases, main, side } = ran;
+        let commit_started = Instant::now();
         let mut lossy_outputs = Vec::new();
         let mut versions = Vec::with_capacity(1 + spec.side_outputs.len());
         let mut commit = |path: &String, chunks: Vec<Chunk>| -> Result<u64> {
@@ -188,6 +193,7 @@ impl Engine {
             .zip(side)
             .map(|(path, c)| commit(path, c))
             .collect::<Result<_>>()?;
+        phases.commit_wall = commit_started.elapsed();
 
         let times = CostModel::new(self.cluster.clone()).job_times(spec, &counters);
         Ok(JobResult {
@@ -198,6 +204,7 @@ impl Engine {
             side_outputs: spec.side_outputs.clone(),
             lossy_outputs,
             versions,
+            phases,
         })
     }
 
@@ -230,12 +237,15 @@ impl Engine {
         n: usize,
         task: impl Fn(usize) -> Result<T> + Sync,
     ) -> Result<Vec<T>> {
+        if n == 0 {
+            return Ok(Vec::new());
+        }
         let next = AtomicUsize::new(0);
         // A hint to stop early and nothing more: results travel under the
         // mutex, so `Relaxed` is enough.
         let failed = AtomicBool::new(false);
         let results: Mutex<Vec<(usize, Result<T>)>> = Mutex::new(Vec::with_capacity(n));
-        let threads = self.engine_cfg.worker_threads.max(1).min(n.max(1));
+        let threads = self.engine_cfg.worker_threads.max(1).min(n);
 
         std::thread::scope(|scope| {
             for _ in 0..threads {
@@ -277,19 +287,39 @@ impl Engine {
         let (output, side) = spec.formats();
         let mut ctx = MapContext::new(reduce_tasks, output, &side);
         let mut records = 0;
-        let payload_bytes = read_split(&self.dfs, split, file, spec.mapper.columns(tag), |row| {
+        let read = read_split(&self.dfs, split, file, spec.mapper.columns(tag), |row| {
             records += 1;
             mapper.map(tag, row, &mut ctx)
         })?;
         mapper.finish(&mut ctx)?;
         let mut out = ctx.finish();
         out.counters.map_input_records = records;
-        out.counters.map_input_bytes = payload_bytes;
+        out.counters.map_input_bytes = read.payload_bytes;
+        out.phases.map_decode = read.decode;
         Ok(out)
+    }
+
+    /// Reduce task `partition` of `spec`, over `map_outs`, the outputs of
+    /// every one of its map tasks in task order. [`Engine::run`] runs one
+    /// per partition; it is public so a bench can time the reduce phase
+    /// alone. An error for a map-only job.
+    pub fn run_reduce_task(
+        &self,
+        spec: &JobSpec,
+        map_outs: &[TaskOutput],
+        partition: usize,
+    ) -> Result<TaskOutput> {
+        let factory = spec
+            .reducer
+            .as_ref()
+            .ok_or_else(|| Error::Job(format!("job {:?} has no reduce phase", spec.name)))?;
+        let n_tags = spec.shuffle_tags.unwrap_or(spec.inputs.len()).max(1);
+        let (output, side) = spec.formats();
+        reduce_task(factory.as_ref(), map_outs, partition, n_tags, (output, &side))
     }
 }
 
-fn run_one_reduce_task(
+fn reduce_task(
     factory: &dyn ReducerFactory,
     map_outs: &[TaskOutput],
     partition: usize,
@@ -299,30 +329,20 @@ fn run_one_reduce_task(
     // Map-task order, then emission order within a task: with the stable
     // sort by key only, bag contents do not depend on which thread ran
     // which map task.
-    let mut records = Vec::new();
+    let started = Instant::now();
+    let mut arena = Arena::default();
     for out in map_outs {
-        shuffle::decode_range(out.shuffle.range(partition), &mut records)?;
+        arena.decode(out.shuffle.range(partition))?;
     }
-    records.sort_by(|a, b| a.0.cmp(&b.0));
+    let decoded = Instant::now();
+    arena.sort();
+    let sorted = Instant::now();
 
     let mut reducer = factory.create();
     let mut ctx = ReduceContext::new(side.len());
-    let mut counters =
-        Counters { reduce_input_records: records.len() as u64, ..Default::default() };
-
-    let mut bags: Vec<Vec<Tuple>> = (0..n_tags).map(|_| Vec::new()).collect();
-    let mut records = records.into_iter().peekable();
-    while let Some((key, tag, value)) = records.next() {
-        bags[tag].push(value);
-        while let Some((_, tag, value)) = records.next_if(|(k, _, _)| *k == key) {
-            bags[tag].push(value);
-        }
-        counters.reduce_input_groups += 1;
-        reducer.reduce(key, &mut bags, &mut ctx)?;
-        for bag in &mut bags {
-            bag.clear();
-        }
-    }
+    let mut counters = Counters { reduce_input_records: arena.len() as u64, ..Default::default() };
+    counters.reduce_input_groups =
+        arena.groups(n_tags, |key, bags| reducer.reduce(key, bags, &mut ctx))?;
     reducer.finish(&mut ctx)?;
 
     counters.output_records = ctx.output.len() as u64;
@@ -344,14 +364,20 @@ fn run_one_reduce_task(
             chunk
         })
         .collect();
-    Ok(TaskOutput { shuffle: Run::default(), output: main, side, counters })
+    let phases = PhaseTimes {
+        shuffle_decode: decoded - started,
+        sort: sorted - decoded,
+        reduce: sorted.elapsed(),
+        ..Default::default()
+    };
+    Ok(TaskOutput { shuffle: Run::default(), output: main, side, counters, phases })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::task::{Mapper, Reducer};
-    use restore_common::{codec, tuple, Value};
+    use restore_common::{codec, tuple, Bag, Tuple, Value};
     use restore_dfs::DfsConfig;
     use std::sync::Arc;
 
@@ -383,12 +409,7 @@ mod tests {
     }
     struct WcReduce;
     impl Reducer for WcReduce {
-        fn reduce(
-            &mut self,
-            key: Tuple,
-            bags: &mut [Vec<Tuple>],
-            ctx: &mut ReduceContext,
-        ) -> Result<()> {
+        fn reduce(&mut self, key: Tuple, bags: &mut [Bag], ctx: &mut ReduceContext) -> Result<()> {
             let count = bags[0].len() as i64;
             ctx.output(Tuple::from_values(vec![key.get(0).clone(), Value::Int(count)]));
             Ok(())
@@ -480,12 +501,12 @@ mod tests {
             fn reduce(
                 &mut self,
                 _k: Tuple,
-                bags: &mut [Vec<Tuple>],
+                bags: &mut [Bag],
                 ctx: &mut ReduceContext,
             ) -> Result<()> {
-                for l in &bags[0] {
-                    for r in &bags[1] {
-                        ctx.output(l.concat(r));
+                for l in bags[0].rows() {
+                    for r in bags[1].rows() {
+                        ctx.output(l.iter().chain(r).cloned().collect());
                     }
                 }
                 Ok(())
@@ -527,7 +548,7 @@ mod tests {
             fn reduce(
                 &mut self,
                 key: Tuple,
-                bags: &mut [Vec<Tuple>],
+                bags: &mut [Bag],
                 ctx: &mut ReduceContext,
             ) -> Result<()> {
                 let t =
@@ -564,6 +585,31 @@ mod tests {
             assert_eq!(res.version_of(path), Some(eng.dfs().status(path).unwrap().mtime), "{path}");
         }
         assert_eq!(res.version_of("/in"), None);
+    }
+
+    #[test]
+    fn a_job_reports_the_phases_it_ran() {
+        let eng = small_engine(2);
+        let input: Vec<Tuple> = (0..200).map(|i| tuple![format!("w{}", i % 7), i as i64]).collect();
+        write_tuples(eng.dfs(), "/in", &input);
+        let grouped = eng.run(&word_count_job("/in", "/out")).unwrap().phases;
+        let zero = std::time::Duration::ZERO;
+        for (phase, t) in [
+            ("map_wall", grouped.map_wall),
+            ("map_decode", grouped.map_decode),
+            ("shuffle_decode", grouped.shuffle_decode),
+            ("sort", grouped.sort),
+            ("reduce", grouped.reduce),
+            ("commit_wall", grouped.commit_wall),
+        ] {
+            assert!(t > zero, "{phase} of a map+reduce job");
+        }
+        let mut map_only = word_count_job("/in", "/out2");
+        map_only.reducer = None;
+        let map_only = eng.run(&map_only).unwrap().phases;
+        assert!(map_only.map_wall > zero && map_only.map_decode > zero);
+        assert_eq!((map_only.shuffle_decode, map_only.sort, map_only.reduce), (zero, zero, zero));
+        assert!(map_only.commit_wall > zero);
     }
 
     #[test]

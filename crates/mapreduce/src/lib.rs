@@ -25,6 +25,7 @@ pub mod cost;
 pub mod counters;
 pub mod engine;
 pub mod job;
+pub mod phases;
 pub mod shuffle;
 pub mod split_reader;
 pub mod task;
@@ -35,6 +36,7 @@ pub use cost::{CostModel, JobTimes};
 pub use counters::Counters;
 pub use engine::{Engine, JobResult};
 pub use job::{Format, JobInput, JobSpec};
+pub use phases::PhaseTimes;
 pub use task::{
     Chunk, MapContext, Mapper, MapperFactory, ReduceContext, Reducer, ReducerFactory, TaskOutput,
 };

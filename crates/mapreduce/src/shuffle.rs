@@ -8,7 +8,11 @@
 //! moment it is made — from the mapper's own values, which it then drops —
 //! and ends by laying the encoded records out as one [`Run`]: grouped by
 //! reduce partition, emission order kept within a partition. Reduce task
-//! *p* decodes range *p* of every run into objects it owns.
+//! *p* decodes range *p* of every run into an [`Arena`] it owns: every
+//! record's fields in one vector of values, and per record where its key
+//! and value lie. It sorts and groups the records by those positions, and
+//! moves a group's fields out of the arena into its key and its bags, so
+//! what it allocates is per group, not per record.
 //!
 //! Records are written in the one typed value codec,
 //! [`restore_common::typed`], that ReStore's stored files use too: every
@@ -24,6 +28,7 @@
 //! record := tuple(key) varint(tag) tuple(value)
 //! ```
 
+use restore_common::bag::{Bag, BagBuilder};
 use restore_common::typed::{self, Doubles, Reader};
 use restore_common::{Error, Result, Tuple, Value};
 
@@ -119,26 +124,144 @@ impl RunBuilder {
     }
 }
 
-/// Decode one partition range, appending its records to `out` in the order
-/// they were encoded. The whole range must be consumed: a truncated range
-/// is an error, never a shorter answer. Every length is checked against
-/// the bytes remaining before anything is allocated for it, so a corrupt
-/// length cannot make the decoder reserve more elements than the range has
-/// bytes.
+/// A reduce task's shuffled records: every record's key and value fields
+/// in one vector, and per record where they lie.
+#[derive(Debug, Default)]
+pub struct Arena {
+    values: Vec<Value>,
+    records: Vec<Slot>,
+}
+
+/// Where one record lies in its [`Arena`]: its key's fields from `start`,
+/// then its value's.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    start: u32,
+    key_len: u32,
+    value_len: u32,
+    tag: u32,
+}
+
+impl Slot {
+    fn key(self) -> std::ops::Range<usize> {
+        let start = self.start as usize;
+        start..start + self.key_len as usize
+    }
+
+    fn value(self) -> std::ops::Range<usize> {
+        let start = self.key().end;
+        start..start + self.value_len as usize
+    }
+}
+
+fn out_of_range(what: &str) -> Error {
+    Error::Codec(format!("shuffle run: {what} out of range"))
+}
+
+impl Arena {
+    /// Decode one partition range, appending its records in the order they
+    /// were encoded. The whole range must be consumed: a truncated range is
+    /// an error, never a shorter answer. Every length is checked against
+    /// the bytes remaining before anything is allocated for it, so a
+    /// corrupt length cannot make the decoder reserve more elements than
+    /// the range has bytes.
+    pub fn decode(&mut self, bytes: &[u8]) -> Result<()> {
+        let mut r = Reader::new(bytes);
+        let records = r.count(MIN_RECORD_BYTES)?;
+        self.records.reserve(records);
+        let position = |n: usize| u32::try_from(n).map_err(|_| out_of_range("arena position"));
+        for _ in 0..records {
+            let start = position(self.values.len())?;
+            let key_len = position(r.fields_into(&mut self.values)?)?;
+            let tag = u32::try_from(r.varint()?).map_err(|_| out_of_range("tag"))?;
+            let value_len = position(r.fields_into(&mut self.values)?)?;
+            position(self.values.len())?;
+            self.records.push(Slot { start, key_len, value_len, tag });
+        }
+        if !r.is_empty() {
+            return Err(Error::Codec("shuffle run: bytes after the last record".into()));
+        }
+        Ok(())
+    }
+
+    /// How many records the arena holds.
+    pub fn len(&self) -> usize {
+        self.records.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.records.is_empty()
+    }
+
+    /// Sort the records by key, stably: records with equal keys keep the
+    /// order they were decoded in.
+    pub fn sort(&mut self) {
+        let values = &self.values;
+        self.records.sort_by(|a, b| values[a.key()].cmp(&values[b.key()]));
+    }
+
+    /// Record `i`: its key's fields, its tag, its value's fields.
+    pub fn record(&self, i: usize) -> (&[Value], usize, &[Value]) {
+        let slot = self.records[i];
+        (&self.values[slot.key()], slot.tag as usize, &self.values[slot.value()])
+    }
+
+    /// Call `reduce` once per run of records with equal keys, in order,
+    /// with the key and one bag per tag (`bags[tag]` holds the values of
+    /// the run's records from input `tag`, in record order). Both are built
+    /// by moving the fields out of the arena: the key once per group, each
+    /// bag one allocation, exactly as large as its fields. The number of
+    /// groups; an error for a tag of `tags` or more.
+    pub fn groups(
+        &mut self,
+        tags: usize,
+        mut reduce: impl FnMut(Tuple, &mut [Bag]) -> Result<()>,
+    ) -> Result<u64> {
+        let Arena { values, records } = self;
+        let mut bags: Vec<Bag> = (0..tags).map(|_| Bag::default()).collect();
+        let mut builders: Vec<BagBuilder> = (0..tags).map(|_| BagBuilder::default()).collect();
+        let mut sizes = vec![0usize; tags];
+        let mut groups = 0;
+        let mut rest = records.as_slice();
+        while let Some(first) = rest.first() {
+            let key = &values[first.key()];
+            let len = 1 + rest[1..].iter().take_while(|s| values[s.key()] == *key).count();
+            let (group, after) = rest.split_at(len);
+            rest = after;
+            sizes.fill(0);
+            for slot in group {
+                let size = sizes.get_mut(slot.tag as usize).ok_or_else(|| {
+                    Error::Codec(format!("shuffle run: tag {} of {tags}", slot.tag))
+                })?;
+                *size += slot.value_len as usize;
+            }
+            for (builder, &size) in builders.iter_mut().zip(&sizes) {
+                builder.reserve(size);
+            }
+            for slot in group {
+                let fields = values[slot.value()].iter_mut().map(std::mem::take);
+                builders[slot.tag as usize].push_row(fields);
+            }
+            for (bag, builder) in bags.iter_mut().zip(&mut builders) {
+                *bag = builder.finish();
+            }
+            let key = values[first.key()].iter_mut().map(std::mem::take).collect();
+            groups += 1;
+            reduce(key, &mut bags)?;
+        }
+        Ok(groups)
+    }
+}
+
+/// Decode one partition range as [`Arena::decode`] does, appending its
+/// records to `out` as tuples.
 pub fn decode_range(bytes: &[u8], out: &mut Vec<Record>) -> Result<()> {
-    let mut r = Reader::new(bytes);
-    let records = r.count(MIN_RECORD_BYTES)?;
-    out.reserve(records);
-    for _ in 0..records {
-        let key = r.tuple()?;
-        let tag = usize::try_from(r.varint()?)
-            .map_err(|_| Error::Codec("shuffle run: tag out of range".into()))?;
-        let value = r.tuple()?;
-        out.push((key, tag, value));
-    }
-    if !r.is_empty() {
-        return Err(Error::Codec("shuffle run: bytes after the last record".into()));
-    }
+    let mut arena = Arena::default();
+    arena.decode(bytes)?;
+    out.extend((0..arena.len()).map(|i| {
+        let (key, tag, value) = arena.record(i);
+        (Tuple::from_values(key.to_vec()), tag, Tuple::from_values(value.to_vec()))
+    }));
     Ok(())
 }
 
@@ -172,7 +295,11 @@ mod tests {
             (tuple!["b"], 0, tuple!["123", 1]),
             (tuple!["a"], 1, tuple![2.0]),
             (tuple!["b"], 0, Tuple::new()),
-            (Tuple::new(), 2, Tuple::from_values(vec![Value::Null, Value::Bag(vec![tuple![1]])])),
+            (
+                Tuple::new(),
+                2,
+                Tuple::from_values(vec![Value::Null, Value::Bag(vec![tuple![1]].into())]),
+            ),
         ];
         // Partition by key arity and first letter: "b" -> 1, others -> 0.
         let run = encode(&records, 3, |k| usize::from(k.get(0) == &Value::str("b")));

@@ -19,12 +19,16 @@ use restore_common::codec::{self, ColumnSet};
 use restore_common::typed::{self, Index};
 use restore_common::{Error, Result, Tuple};
 use restore_dfs::{Dfs, FileSplit};
+use std::time::{Duration, Instant};
 
 /// How far past the split end the first read reaches to complete the last
 /// record: a couple of typical records, not another split's worth.
 const FIRST_TAIL_PROBE: u64 = 1024;
 /// Each further probe doubles, up to this much per read.
 const MAX_TAIL_PROBE: u64 = 64 * 1024;
+/// Text rows decoded per timed batch: enough that the two clock reads a
+/// batch costs are lost in its decoding.
+const TEXT_BATCH: usize = 64;
 /// How much of a file's end [`InputFile::open`] reads: the footer and,
 /// for a file of up to a few hundred KB, its whole index.
 const TRAILER_PROBE: u64 = 256;
@@ -80,25 +84,54 @@ impl InputFile {
     }
 }
 
+/// What reading one split cost.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SplitRead {
+    /// The payload bytes charged to the split.
+    pub payload_bytes: u64,
+    /// The time spent decoding them into rows, the handing over excluded.
+    pub decode: Duration,
+}
+
 /// Read the records logically belonging to `split` of `file`, handing
-/// each to `row` as it is cut from the bytes, and return the number of
-/// payload bytes charged to this split. With `columns`, a row holds
-/// exactly those positions (see [`codec::Rows`]); `None` decodes whole
-/// records. The first error — the decoder's or `row`'s — ends the read.
+/// each to `row` in the order they are cut from the bytes. With
+/// `columns`, a row holds exactly those positions (see [`codec::Rows`]);
+/// `None` decodes whole records. Rows are decoded a batch at a time — a
+/// typed group, or 64 text records — so that decoding can be
+/// timed apart from `row` at two clock reads a batch. The first error —
+/// the decoder's or `row`'s — ends the read; the rows decoded before a
+/// decoder error are handed over first.
 pub fn read_split(
     dfs: &Dfs,
     split: &FileSplit,
     file: &InputFile,
     columns: Option<&ColumnSet>,
     row: impl FnMut(Tuple) -> Result<()>,
-) -> Result<u64> {
+) -> Result<SplitRead> {
     if split.len == 0 {
-        return Ok(0);
+        return Ok(SplitRead::default());
     }
     match &file.index {
         None => read_text_split(dfs, split, file.len, columns, row),
         Some(index) => read_typed_split(dfs, split, index, columns, row),
     }
+}
+
+/// Decode one batch with `fill`, timed into `decode`, then hand its rows
+/// to `row`; the decoder's error, if any, after them.
+fn batch(
+    rows: &mut Vec<Tuple>,
+    decode: &mut Duration,
+    fill: impl FnOnce(&mut Vec<Tuple>) -> Result<()>,
+    row: &mut impl FnMut(Tuple) -> Result<()>,
+) -> Result<()> {
+    let started = Instant::now();
+    let decoded = fill(rows);
+    *decode += started.elapsed();
+    for t in rows.drain(..) {
+        row(t)?;
+    }
+    decoded
 }
 
 /// A typed split: the groups that start inside it, in one read.
@@ -108,15 +141,25 @@ fn read_typed_split(
     index: &Index,
     columns: Option<&ColumnSet>,
     mut row: impl FnMut(Tuple) -> Result<()>,
-) -> Result<u64> {
+) -> Result<SplitRead> {
     let groups = index.starting_in(split.offset, split.offset + split.len);
-    let (Some(first), Some(last)) = (groups.first(), groups.last()) else { return Ok(0) };
+    let (Some(first), Some(last)) = (groups.first(), groups.last()) else {
+        return Ok(SplitRead::default());
+    };
     let bytes = dfs.read_range(&split.path, first.start, last.end() - first.start)?;
+    let (mut rows, mut decode) = (Vec::new(), Duration::ZERO);
     for g in groups {
         let at = (g.start - first.start) as usize;
-        typed::decode_group(&bytes[at..at + g.len as usize], g, columns, &mut row)?;
+        let group = &bytes[at..at + g.len as usize];
+        let fill = |rows: &mut Vec<Tuple>| {
+            typed::decode_group(group, g, columns, |t| {
+                rows.push(t);
+                Ok(())
+            })
+        };
+        batch(&mut rows, &mut decode, fill, &mut row)?;
     }
-    Ok(bytes.len() as u64)
+    Ok(SplitRead { payload_bytes: bytes.len() as u64, decode })
 }
 
 fn read_text_split(
@@ -125,7 +168,7 @@ fn read_text_split(
     file_len: u64,
     columns: Option<&ColumnSet>,
     mut row: impl FnMut(Tuple) -> Result<()>,
-) -> Result<u64> {
+) -> Result<SplitRead> {
     // One read covers the byte before the split (does the split open
     // mid-record?), the split, and the first tail probe.
     let lead = u64::from(split.offset > 0);
@@ -141,7 +184,7 @@ fn read_text_split(
     // completing that record is not this split's business.
     let last = (lead + split.len - 1) as usize;
     if lead == 1 && !bytes[..last].contains(&b'\n') {
-        return Ok(0);
+        return Ok(SplitRead::default());
     }
 
     // Complete the trailing record: the payload ends after the first
@@ -172,13 +215,23 @@ fn read_text_split(
     };
 
     let payload = &bytes[start..end];
+    let (mut rows, mut decode) = (Vec::with_capacity(TEXT_BATCH), Duration::ZERO);
     // A payload that is one bare newline is not a row.
     if payload != b"\n" {
-        for decoded in codec::Rows::new(payload, columns) {
-            row(decoded?)?;
+        let mut decoder = codec::Rows::new(payload, columns);
+        let mut more = true;
+        while more {
+            let fill = |rows: &mut Vec<Tuple>| {
+                for decoded in decoder.by_ref().take(TEXT_BATCH) {
+                    rows.push(decoded?);
+                }
+                more = rows.len() == TEXT_BATCH;
+                Ok(())
+            };
+            batch(&mut rows, &mut decode, fill, &mut row)?;
         }
     }
-    Ok(payload.len() as u64)
+    Ok(SplitRead { payload_bytes: payload.len() as u64, decode })
 }
 
 #[cfg(test)]
@@ -202,12 +255,12 @@ mod tests {
         columns: Option<&ColumnSet>,
     ) -> (Vec<Tuple>, u64) {
         let mut rows = Vec::new();
-        let charged = read_split(dfs, split, file, columns, |t| {
+        let read = read_split(dfs, split, file, columns, |t| {
             rows.push(t);
             Ok(())
         })
         .unwrap();
-        (rows, charged)
+        (rows, read.payload_bytes)
     }
 
     /// Write records, then check that reading all splits yields exactly
@@ -393,7 +446,7 @@ mod tests {
                     restore_common::Value::Int(i as i64 - 300),
                     restore_common::Value::str(text),
                     restore_common::Value::Double(f64::from(i) / 8.0),
-                    restore_common::Value::Bag(vec![tuple![i as i64, "007"]]),
+                    restore_common::Value::Bag(vec![tuple![i as i64, "007"]].into()),
                 ])
             })
             .collect();

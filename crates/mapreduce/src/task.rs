@@ -5,9 +5,10 @@
 
 use crate::counters::Counters;
 use crate::job::Format;
+use crate::phases::PhaseTimes;
 use crate::shuffle::{Run, RunBuilder};
 use restore_common::codec::{self, ColumnSet};
-use restore_common::{typed, Result, Tuple, Value};
+use restore_common::{typed, Bag, Result, Tuple, Value};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
@@ -22,6 +23,8 @@ pub struct TaskOutput {
     /// The task's share of each side-output channel.
     pub side: Vec<Chunk>,
     pub counters: Counters,
+    /// The phases the task timed.
+    pub phases: PhaseTimes,
 }
 
 /// One task's share of one output file, encoded in the file's
@@ -156,7 +159,13 @@ impl MapContext {
                 Run::default()
             }
         };
-        TaskOutput { shuffle, output: self.direct, side: self.side, counters: self.counters }
+        TaskOutput {
+            shuffle,
+            output: self.direct,
+            side: self.side,
+            counters: self.counters,
+            phases: PhaseTimes::default(),
+        }
     }
 }
 
@@ -212,21 +221,17 @@ pub trait Mapper: Send {
 /// Reduce function. One instance processes one partition.
 pub trait Reducer: Send {
     /// Process one key group. `bags[tag]` holds the values that arrived
-    /// from input `tag` (Join and CoGroup need per-input bags; Group uses
-    /// a single bag).
+    /// from input `tag`, in arrival order (Join and CoGroup need per-input
+    /// bags; Group uses a single bag). A bag is flat: its members are read
+    /// as row slices ([`Bag::rows`]).
     ///
-    /// The key and the bags' contents are the reducer's to take: they were
-    /// decoded by this task's thread for this call and nothing reads them
-    /// afterwards, so a reducer that builds its output from them should
-    /// move them (`std::mem::take` a bag, `drain` it, sort it in place)
-    /// rather than clone. The engine owns the slice itself — one bag per
-    /// tag, allocated once per task — and clears every bag after the call.
-    fn reduce(
-        &mut self,
-        key: Tuple,
-        bags: &mut [Vec<Tuple>],
-        ctx: &mut ReduceContext,
-    ) -> Result<()>;
+    /// The key and the bags are the reducer's to take: they were built by
+    /// this task's thread for this call and nothing reads them afterwards,
+    /// so a reducer that builds its output from them should move them
+    /// (`std::mem::take` a bag, [`Bag::into_rows`]) rather than clone. The
+    /// engine owns the slice itself — one bag per tag — and replaces every
+    /// bag before the next call.
+    fn reduce(&mut self, key: Tuple, bags: &mut [Bag], ctx: &mut ReduceContext) -> Result<()>;
 
     /// Called once after the last key of the partition.
     fn finish(&mut self, _ctx: &mut ReduceContext) -> Result<()> {
@@ -349,7 +354,7 @@ mod tests {
         let rows = [
             tuple!["user_1", 2, 3.5],
             tuple![7, "x"],
-            Tuple::from_values(vec![Value::Null, Value::Bag(vec![tuple![1]])]),
+            Tuple::from_values(vec![Value::Null, Value::Bag(vec![tuple![1]].into())]),
             Tuple::new(),
         ];
         let key_cols: [&[usize]; 4] = [&[0], &[1, 0], &[], &[0, 5]];
@@ -376,6 +381,38 @@ mod tests {
         let records = shuffled(&by_ref, partitions);
         assert_eq!(format!("{records:?}"), format!("{:?}", shuffled(&owned, partitions)));
         assert_eq!(records.iter().map(Vec::len).sum::<usize>(), rows.len() * key_cols.len());
+    }
+
+    /// Grouped rows of every shape: bags of one arity, empty, of tuples
+    /// with no fields, ragged, nested, holding `-0.0` and NaN.
+    fn grouped_rows() -> Vec<Tuple> {
+        let bag = |ts: Vec<Tuple>| Value::Bag(ts.into());
+        let row = |key: &str, bag: Value| Tuple::from_values(vec![Value::str(key), bag]);
+        vec![
+            row("alice", bag(vec![tuple!["alice", 1, 2.5], tuple!["alice", 2, -0.0]])),
+            row("bob", bag(vec![])),
+            row("carol", bag(vec![Tuple::new(), Tuple::new()])),
+            row("dave", bag(vec![tuple![1], tuple![2, "x"], Tuple::new()])),
+            row("eve", bag(vec![Tuple::from_values(vec![bag(vec![tuple![1]])]), tuple![f64::NAN]])),
+        ]
+    }
+
+    #[test]
+    fn a_grouped_row_keys_the_partition_it_always_did() {
+        // Distinct over grouped rows shuffles each whole row as its key.
+        let mut got = Vec::new();
+        for partitions in [7, 13] {
+            let mut ctx = MapContext::new(partitions, Format::Text, &[]);
+            for row in grouped_rows() {
+                ctx.emit(row, 0, Tuple::new());
+            }
+            let shuffled = shuffled(&ctx.finish(), partitions);
+            for row in grouped_rows() {
+                got.push(shuffled.iter().position(|p| p.iter().any(|r| r.0 == row)).unwrap());
+            }
+        }
+        // As computed when a bag was a `Vec` of tuples.
+        assert_eq!(got, [1, 2, 4, 6, 5, 2, 0, 0, 1, 0]);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! exhaustion, and mapper/reducer errors must surface as errors — never
 //! panics, hangs, or silent truncation.
 
-use restore_common::{codec, tuple, Error, Result, Tuple};
+use restore_common::{codec, tuple, Bag, Error, Result, Tuple};
 use restore_dfs::{Dfs, DfsConfig};
 use restore_mapreduce::{
     Engine, EngineConfig, JobInput, JobSpec, MapContext, Mapper, ReduceContext, Reducer,
@@ -24,12 +24,7 @@ impl Mapper for KeyFirst {
 
 struct CountRed;
 impl Reducer for CountRed {
-    fn reduce(
-        &mut self,
-        key: Tuple,
-        bags: &mut [Vec<Tuple>],
-        ctx: &mut ReduceContext,
-    ) -> Result<()> {
+    fn reduce(&mut self, key: Tuple, bags: &mut [Bag], ctx: &mut ReduceContext) -> Result<()> {
         ctx.output(Tuple::from_values(vec![key.get(0).clone(), (bags[0].len() as i64).into()]));
         Ok(())
     }
@@ -83,12 +78,7 @@ fn mapper_errors_propagate() {
 fn reducer_errors_propagate() {
     struct BadReduce;
     impl Reducer for BadReduce {
-        fn reduce(
-            &mut self,
-            _k: Tuple,
-            _b: &mut [Vec<Tuple>],
-            _c: &mut ReduceContext,
-        ) -> Result<()> {
+        fn reduce(&mut self, _k: Tuple, _b: &mut [Bag], _c: &mut ReduceContext) -> Result<()> {
             Err(Error::Eval("reduce failed".into()))
         }
     }

@@ -30,7 +30,8 @@ fn value(depth: u32) -> BoxedStrategy<Value> {
         (3, string().prop_map(Value::str).boxed()),
     ];
     if depth > 0 {
-        variants.push((2, vec(tuple(depth - 1), 0..4).prop_map(Value::Bag).boxed()));
+        variants
+            .push((2, vec(tuple(depth - 1), 0..4).prop_map(|ts| Value::Bag(ts.into())).boxed()));
     }
     proptest::Union::new_weighted(variants).boxed()
 }
