@@ -58,7 +58,7 @@ use crate::pin::PinSet;
 use crate::rcu::Rcu;
 use crate::repository::{MatchProbe, RepoBatch, RepoEntry, RepoStats, Repository, StoredFile};
 use crate::rewriter::{apply_aliases, identity_copy};
-use crate::selector::SelectionPolicy;
+use crate::selector::{Eviction, SelectionPolicy};
 use parking_lot::RwLock;
 use restore_common::{Error, Result};
 use restore_dataflow::exec::{job_io, job_spec_for_plan};
@@ -522,8 +522,6 @@ impl ReStore {
         let mut stored_candidate_bytes = 0u64;
         let mut candidates_stored = 0usize;
         let mut final_output = String::new();
-        // Each base file an executed job read, at its version before then.
-        let mut versions: HashMap<String, u64> = HashMap::new();
 
         for wave in waves {
             // ---- Phase 1: prepare (match, rewrite, skip, instrument) ----
@@ -563,10 +561,6 @@ impl ReStore {
                 }
             }
             self.obs.stage.prepare.record_elapsed(prepare_t0);
-
-            if manage_outputs && !prepared.is_empty() {
-                self.read_versions(&space, &prepared, &mut versions);
-            }
 
             // ---- Phase 2: execute the wave, concurrently ----
             let execute_t0 = Instant::now();
@@ -618,7 +612,6 @@ impl ReStore {
                                 result,
                                 tick,
                                 &config,
-                                &versions,
                             )
                         })
                         .collect()
@@ -950,7 +943,6 @@ impl ReStore {
         result: &JobResult,
         tick: u64,
         config: &ReStoreConfig,
-        versions: &HashMap<String, u64>,
     ) -> Result<(u64, usize)> {
         let io = job_io(&job.plan)?;
         // Final outputs (not inter-job temporaries) are only registered
@@ -972,9 +964,6 @@ impl ReStore {
             last_used: 0,
             created: tick,
         };
-        let record = |repo: &RepoBatch<'_>, path: &str, prefix: &PhysicalPlan| {
-            stored_file(job, result, path, repo.expand(prefix).plan.into_owned(), versions)
-        };
 
         let mut stored_candidate_bytes = 0u64;
         let mut candidates_stored = 0usize;
@@ -982,7 +971,7 @@ impl ReStore {
         // Whole-job entry: the main output with the job's plan.
         let whole_prefix =
             job.plan.prefix_plan(find_store_tip(&job.plan, &io.main_output)?, &io.main_output);
-        let whole = record(repo, &io.main_output, &whole_prefix)?;
+        let whole = self.stored_file(repo, job, result, &io.main_output, &whole_prefix)?;
         let whole_stats = stats(result.counters.output_bytes);
         let keep_main = register_main && config.selection.should_keep(&whole_stats);
         if keep_main && lossy(&io.main_output) {
@@ -1010,7 +999,7 @@ impl ReStore {
                 side_bytes(result, &cand.store_path)
             };
             stored_candidate_bytes += if cand.already_stored { 0 } else { bytes };
-            let file = record(repo, &cand.store_path, &cand.prefix)?;
+            let file = self.stored_file(repo, job, result, &cand.store_path, &cand.prefix)?;
             let stats = stats(bytes);
             if !config.selection.should_keep(&stats) {
                 // Rejected by rules 1–2: drop the materialized file.
@@ -1036,57 +1025,49 @@ impl ReStore {
         Ok((stored_candidate_bytes, candidates_stored))
     }
 
-    /// Before a wave runs, record the version of each file its jobs'
-    /// lineage-expanded plans Load that no earlier wave read (§5 rule 4),
-    /// in one namenode read. A version read before the job can only be
-    /// older than what the job read: a racing overwrite makes a miss.
-    fn read_versions(
+    /// The record of the job output at `path`, produced by `prefix`, a
+    /// plan over the job's inputs: the tick the job committed the file
+    /// at, whether it wrote it typed, and what it read. A record of a
+    /// file the job read at another tick no longer holds that file: it is
+    /// forgotten, as the next pass would, so no record's plan Loads a
+    /// recorded path. Then a Load of a file with a record expands to the
+    /// record's plan and takes the record's inputs; any other Load is an
+    /// input at the tick the job read.
+    fn stored_file(
         &self,
-        space: &Space,
-        jobs: &[PreparedJob],
-        versions: &mut HashMap<String, u64>,
-    ) {
-        let snap = space.repo.snapshot();
-        let expanded: Vec<_> = jobs.iter().map(|job| snap.expand(&job.plan)).collect();
-        self.engine.dfs().with_versions(|version| {
-            for plan in expanded.iter().map(|e| &e.plan) {
-                for path in plan.loads().into_iter().map(|l| plan.path(l)) {
-                    if !versions.contains_key(path) {
-                        versions.extend(version(path).map(|v| (path.to_string(), v)));
-                    }
-                }
+        repo: &mut RepoBatch<'_>,
+        job: &PreparedJob,
+        result: &JobResult,
+        path: &str,
+        prefix: &PhysicalPlan,
+    ) -> Result<StoredFile> {
+        let tick = result
+            .version_of(path)
+            .ok_or_else(|| Error::Job(format!("{path} is not an output of {}", result.job_name)))?;
+        let typed = job.spec.typed_outputs.iter().any(|p| p == path);
+        let loads: BTreeSet<&str> = prefix.loads().into_iter().map(|l| prefix.path(l)).collect();
+        let paths = job.spec.inputs.iter().map(|i| i.path.as_str());
+        let read: Vec<(&str, u64)> = paths
+            .zip(result.input_versions.iter().copied())
+            .filter(|(p, _)| loads.contains(p))
+            .collect();
+        // After this, every record of a file the job read is at the tick
+        // read, so the lookups below need no tick of their own.
+        for &(p, at) in &read {
+            if repo.file(p).is_some_and(|f| f.tick != at) && repo.forget(p).is_some() {
+                self.obs.evicted[Eviction::Overwritten as usize].inc();
             }
-        });
+        }
+        let inputs: BTreeSet<(String, u64)> = read
+            .into_iter()
+            .flat_map(|(p, at)| {
+                repo.file(p).map_or(vec![(p.to_string(), at)], |f| f.inputs.clone())
+            })
+            .collect();
+        let plan = crate::provenance::expand(prefix, |p| repo.file(p).map(|f| &f.plan)).plan;
+        let inputs = inputs.into_iter().collect();
+        Ok(StoredFile { path: path.to_string(), tick, typed, plan: plan.into_owned(), inputs })
     }
-}
-
-/// The Loads of a record's base plan, sorted, with their versions from
-/// `versions`. A file no job read at a known version (a record a racing
-/// session made since) gets a version no file has: a miss later.
-fn input_files(plan: &PhysicalPlan, versions: &HashMap<String, u64>) -> Vec<(String, u64)> {
-    let paths: BTreeSet<&str> = plan.loads().into_iter().map(|l| plan.path(l)).collect();
-    paths
-        .into_iter()
-        .map(|p| (p.to_string(), versions.get(p).copied().unwrap_or(u64::MAX)))
-        .collect()
-}
-
-/// The record of the job output at `path`, produced by the base plan
-/// `plan`: the tick the job committed it at, whether the job wrote it
-/// typed, and the versions of the base files `plan` reads.
-fn stored_file(
-    job: &PreparedJob,
-    result: &JobResult,
-    path: &str,
-    plan: PhysicalPlan,
-    versions: &HashMap<String, u64>,
-) -> Result<StoredFile> {
-    let tick = result
-        .version_of(path)
-        .ok_or_else(|| Error::Job(format!("{path} is not an output of {}", result.job_name)))?;
-    let typed = job.spec.typed_outputs.iter().any(|p| p == path);
-    let inputs = input_files(&plan, versions);
-    Ok(StoredFile { path: path.to_string(), tick, typed, plan, inputs })
 }
 
 fn side_bytes(result: &JobResult, path: &str) -> u64 {
@@ -1129,14 +1110,15 @@ mod tests {
     use restore_mapreduce::{ClusterConfig, EngineConfig};
 
     /// Join then group: compiles to a two-job workflow whose second job
-    /// loads the first job's temporary output.
-    fn two_job_query(out: &str) -> String {
+    /// loads the first job's temporary output and applies `agg` to each
+    /// user's revenue.
+    fn two_job_query(agg: &str, out: &str) -> String {
         format!(
             "A = load '/data/pv' as (user, revenue:int);
              B = load '/data/users' as (name, city);
              C = join B by name, A by user;
              D = group C by $0;
-             E = foreach D generate group, SUM(C.revenue);
+             E = foreach D generate group, {agg}(C.revenue);
              store E into '{out}';"
         )
     }
@@ -1148,10 +1130,11 @@ mod tests {
         Engine::new(dfs, ClusterConfig::default(), EngineConfig::default())
     }
 
-    /// Session T1 halfway through a warm rerun, over a repository with a
-    /// one-tick eviction window whose cold run stored the join job's
-    /// output: phase 1 of the first wave answered job 0 whole from the
-    /// repository, pinning the reused path, and nothing has executed.
+    /// Session T1 halfway through a warm run of the query with `agg`,
+    /// over a repository with a one-tick eviction window whose cold
+    /// `SUM` run stored the join job's output: the pass ran, phase 1 of
+    /// the first wave answered job 0 whole from the repository, pinning
+    /// the reused path, and nothing has executed.
     struct MidFlight {
         rs: ReStore,
         wf: CompiledWorkflow,
@@ -1163,17 +1146,18 @@ mod tests {
         reused: String,
     }
 
-    fn mid_flight() -> MidFlight {
+    fn mid_flight(agg: &str) -> MidFlight {
         let config = ReStoreConfig {
             selection: SelectionPolicy { eviction_window: Some(1), ..Default::default() },
             ..Default::default()
         };
         let rs = ReStore::new(engine(), config);
-        rs.execute_query(&two_job_query("/out/cold"), "/wf/cold").unwrap();
-        let wf = restore_dataflow::compile(&two_job_query("/out/warm"), "/wf/warm").unwrap();
+        rs.execute_query(&two_job_query("SUM", "/out/cold"), "/wf/cold").unwrap();
+        let wf = restore_dataflow::compile(&two_job_query(agg, "/out/warm"), "/wf/warm").unwrap();
         let space = rs.space_for(None);
         let mut pins = PinGuard::new(space.clone(), rs.engine().dfs().clone());
         let (mut aliases, mut rewrites, cfg) = (HashMap::new(), Vec::new(), rs.config_as(None));
+        rs.sweep(&space, &cfg.selection, 2);
         let prep = rs
             .prepare_job(
                 &space,
@@ -1196,6 +1180,102 @@ mod tests {
         MidFlight { rs, wf, space, pins, aliases, rewrites, cfg, reused }
     }
 
+    impl MidFlight {
+        /// The rest of the warm run: prepare job 1, run it, and register
+        /// its outputs as phase 3 of its wave would. Returns the files
+        /// job 1 read.
+        fn finish(&mut self) -> Vec<String> {
+            let MidFlight { rs, wf, space, pins, aliases, rewrites, cfg, .. } = self;
+            let plan = wf.jobs[1].plan.clone();
+            let prep = rs
+                .prepare_job(
+                    space,
+                    "",
+                    wf,
+                    1,
+                    plan,
+                    2,
+                    cfg,
+                    aliases,
+                    rewrites,
+                    Some(pins),
+                    &HashSet::new(),
+                )
+                .unwrap();
+            let Prepared::Run { job: Some(job), .. } = prep else {
+                panic!("the aggregate job should execute")
+            };
+            let result = rs.engine().run(&job.spec).unwrap();
+            let written = std::iter::once(&result.output).chain(&result.side_outputs);
+            rs.invalidate_overwritten(&written.cloned().collect::<Vec<_>>());
+            space
+                .repo
+                .batch(|repo| {
+                    rs.register_outputs_batched(repo, &space.pins, wf, &job, &result, 2, cfg)
+                })
+                .unwrap();
+            job.spec.inputs.iter().map(|i| i.path.clone()).collect()
+        }
+    }
+
+    /// Write `text` over the file at `path`, out of band.
+    fn overwrite(rs: &ReStore, path: &str, text: &str) {
+        let mut w = rs.engine().dfs().create_overwrite(path).unwrap();
+        w.write(text.as_bytes());
+        w.close().unwrap();
+    }
+
+    /// The lines of the answer to the query with `agg`, run through `rs`
+    /// and then through a no-reuse session over the same DFS, each sorted.
+    fn answers(rs: &ReStore, agg: &str) -> (Vec<String>, Vec<String>) {
+        let lines = |rs: &ReStore, out: &str| {
+            let ran = rs.execute_query(&two_job_query(agg, out), &format!("/wf{out}")).unwrap();
+            let bytes = rs.engine().dfs().read_all(&ran.final_output).unwrap();
+            let mut lines: Vec<String> =
+                String::from_utf8(bytes.to_vec()).unwrap().lines().map(String::from).collect();
+            lines.sort();
+            lines
+        };
+        let baseline = ReStore::new(rs.engine().clone(), ReStoreConfig::baseline());
+        (lines(rs, "/out/later"), lines(&baseline, "/baseline/later"))
+    }
+
+    /// An input overwritten after job 0 was answered from the repository
+    /// and before job 1 ran: job 1 read the stored join, computed from
+    /// the old input, so its record holds the join's inputs, and the
+    /// next pass forgets it. Before, the record took the input's new
+    /// tick from a read before the wave, and the later query was
+    /// answered with the old data.
+    #[test]
+    fn an_input_overwritten_mid_flight_is_recorded_at_the_tick_the_job_read() {
+        let mut warm = mid_flight("MAX");
+        overwrite(&warm.rs, "/data/pv", "alice\t100\n");
+        warm.finish();
+        let (got, want) = answers(&warm.rs, "MAX");
+        assert_eq!(got, want);
+    }
+
+    /// A stored candidate overwritten after job 0 was answered and before
+    /// job 1, which reads it, ran: job 1's record holds the candidate at
+    /// the tick read, not the candidate's own inputs, and the candidate's
+    /// record, at another tick, is forgotten. Before, the record took the
+    /// candidate's base inputs, and the later query was answered with the
+    /// new bytes.
+    #[test]
+    fn a_candidate_overwritten_mid_flight_is_an_input_at_the_tick_the_job_read() {
+        let mut warm = mid_flight("MAX");
+        overwrite(&warm.rs, "/restore/sub-1", "alice\t{(alice,kitchener,alice,100)}\n");
+        assert_eq!(warm.finish(), ["/restore/sub-1"]);
+        let repo = warm.rs.repository_as(None);
+        for f in repo.files() {
+            for path in f.plan.loads().into_iter().map(|l| f.plan.path(l)) {
+                assert!(repo.file(path).is_none(), "{}'s plan Loads recorded {path}", f.path);
+            }
+        }
+        let (got, want) = answers(&warm.rs, "MAX");
+        assert_eq!(got, want);
+    }
+
     /// Regression for the match-then-evict race (ROADMAP "entry pinning
     /// for eviction under concurrency"): session T1 matches a repository
     /// entry during phase 1, then — before T1 executes the jobs that Load
@@ -1205,14 +1285,14 @@ mod tests {
     /// deferred until T1's workflow drops its pins.
     #[test]
     fn pinned_match_survives_concurrent_eviction_sweep() {
-        let MidFlight { rs, wf, space, mut pins, mut aliases, mut rewrites, cfg, reused } =
-            mid_flight();
+        let mut t1 = mid_flight("SUM");
+        let (rs, space, reused) = (&t1.rs, &t1.space, t1.reused.clone());
         assert!(rs.engine().dfs().exists(&reused));
         assert!(space.pins.is_pinned(&reused));
 
         // T2's sweep far outside the window evicts every entry while T1
         // sits between match and execution.
-        let evicted = rs.sweep(&space, &cfg.selection, 99);
+        let evicted = rs.sweep(space, &t1.cfg.selection, 99);
         assert!(!evicted.is_empty());
         assert_eq!(space.repo.snapshot().len(), 0);
 
@@ -1221,30 +1301,11 @@ mod tests {
         assert!(rs.engine().dfs().exists(&reused), "pinned output must survive the sweep");
 
         // …so T1's second wave executes successfully against it.
-        let prep1 = rs
-            .prepare_job(
-                &space,
-                "",
-                &wf,
-                1,
-                wf.jobs[1].plan.clone(),
-                2,
-                &cfg,
-                &mut aliases,
-                &mut rewrites,
-                Some(&mut pins),
-                &HashSet::new(),
-            )
-            .unwrap();
-        let Prepared::Run { job: Some(job), .. } = prep1 else {
-            panic!("group job should execute")
-        };
-        let results = rs.engine().run_wave(&[&job.spec], false).unwrap();
-        assert_eq!(results.len(), 1);
+        assert_eq!(t1.finish(), [reused.as_str()]);
 
         // Dropping the workflow's pins performs the deferred deletion.
-        drop(pins);
-        assert!(!rs.engine().dfs().exists(&reused), "deferred deletion runs at last unpin");
+        drop(t1.pins);
+        assert!(!t1.rs.engine().dfs().exists(&reused), "deferred deletion runs at last unpin");
     }
 
     /// A snapshot taken while a deferred deletion is pending must not
@@ -1253,7 +1314,7 @@ mod tests {
     /// restarted session would hold dangling references.
     #[test]
     fn snapshot_excludes_paths_with_pending_deferred_deletion() {
-        let MidFlight { rs, space, pins, cfg, reused, .. } = mid_flight();
+        let MidFlight { rs, space, pins, cfg, reused, .. } = mid_flight("SUM");
 
         // Before any eviction, the path is serialized (control).
         assert!(rs.save_state().contains(&format!("{reused:?}")));
@@ -1282,7 +1343,7 @@ mod tests {
     #[test]
     fn snapshot_excludes_paths_missing_from_the_dfs() {
         let rs = ReStore::new(engine(), ReStoreConfig::default());
-        rs.execute_query(&two_job_query("/out/cold"), "/wf/cold").unwrap();
+        rs.execute_query(&two_job_query("SUM", "/out/cold"), "/wf/cold").unwrap();
         let stored: Vec<String> =
             rs.repository_as(None).entries().iter().map(|e| e.file.path.clone()).collect();
         assert!(!stored.is_empty());
@@ -1304,7 +1365,7 @@ mod tests {
     /// deleting it would hand the caller a dangling result.
     #[test]
     fn preserved_final_output_survives_deferred_deletion() {
-        let MidFlight { rs, space, mut pins, cfg, reused, .. } = mid_flight();
+        let MidFlight { rs, space, mut pins, cfg, reused, .. } = mid_flight("SUM");
 
         // Sweep evicts the entry and defers the pinned file's deletion —
         // but this workflow hands `reused` to its caller.

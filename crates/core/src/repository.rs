@@ -1159,9 +1159,9 @@ impl RepoBatch<'_> {
         None
     }
 
-    /// [`RepoSnapshot::expand`] over the batch's pending records.
-    pub fn expand<'a>(&self, plan: &'a PhysicalPlan) -> ExpandedPlan<'a> {
-        self.work.expand(plan)
+    /// The pending record of the file at `path`, if one is stored.
+    pub fn file(&self, path: &str) -> Option<&Arc<StoredFile>> {
+        self.work.file(path)
     }
 }
 

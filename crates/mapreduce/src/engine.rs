@@ -67,15 +67,21 @@ pub struct JobResult {
     /// changes again): the main output's first, then each side output's
     /// in channel order.
     pub versions: Vec<u64>,
+    /// The version each input was read at, its `mtime` when the job
+    /// opened it ([`InputFile::open`]): one per [`JobSpec::inputs`]
+    /// entry, in order.
+    pub input_versions: Vec<u64>,
     /// Where the job's time went, measured ([`PhaseTimes`]).
     pub phases: PhaseTimes,
 }
 
 /// A job whose tasks have run and whose outputs are not yet committed:
-/// its counters, and each output's chunks in commit order.
+/// its counters, the versions its inputs were opened at, and each
+/// output's chunks in commit order.
 pub(crate) struct Ran {
     counters: Counters,
     phases: PhaseTimes,
+    input_versions: Vec<u64>,
     main: Vec<Chunk>,
     side: Vec<Vec<Chunk>>,
 }
@@ -168,13 +174,14 @@ impl Engine {
                 channel.push(chunk);
             }
         }
-        Ok(Ran { counters, phases, main, side })
+        let input_versions = files.iter().map(|f| f.version).collect();
+        Ok(Ran { counters, phases, input_versions, main, side })
     }
 
     /// Commit what [`Engine::execute`] left: the main output, then each
     /// side output in channel order, each one DFS commit.
     pub(crate) fn commit_outputs(&self, spec: &JobSpec, ran: Ran) -> Result<JobResult> {
-        let Ran { mut counters, mut phases, main, side } = ran;
+        let Ran { mut counters, mut phases, input_versions, main, side } = ran;
         let commit_started = Instant::now();
         let mut lossy_outputs = Vec::new();
         let mut versions = Vec::with_capacity(1 + spec.side_outputs.len());
@@ -204,6 +211,7 @@ impl Engine {
             side_outputs: spec.side_outputs.clone(),
             lossy_outputs,
             versions,
+            input_versions,
             phases,
         })
     }
@@ -585,6 +593,30 @@ mod tests {
             assert_eq!(res.version_of(path), Some(eng.dfs().status(path).unwrap().mtime), "{path}");
         }
         assert_eq!(res.version_of("/in"), None);
+    }
+
+    /// Each input's version is the `mtime` the job opened it at, text or
+    /// typed, and a later overwrite moves the file, not the result.
+    #[test]
+    fn a_job_reports_the_version_it_read_each_input_at() {
+        let eng = small_engine(2);
+        let rows = [tuple!["a", 1], tuple!["b", 2]];
+        write_tuples(eng.dfs(), "/text", &rows);
+        eng.dfs().write_all("/typed", &typed::encode_file(&rows)).unwrap();
+        let mut spec = word_count_job("/text", "/out");
+        spec.inputs.push(crate::job::JobInput::new("/typed"));
+        let mtime = |path| eng.dfs().status(path).unwrap().mtime;
+        let opened = vec![mtime("/text"), mtime("/typed")];
+
+        let res = eng.run(&spec).unwrap();
+        assert_eq!(res.input_versions, opened);
+        let mut w = eng.dfs().create_overwrite("/text").unwrap();
+        w.write(&codec::encode_all(&rows[..1]));
+        w.close().unwrap();
+        assert_ne!(mtime("/text"), opened[0]);
+        assert_eq!(res.input_versions, opened, "what the job read stays what it read");
+        let rerun = eng.run(&spec).unwrap();
+        assert_eq!(rerun.input_versions, vec![mtime("/text"), opened[1]]);
     }
 
     #[test]

@@ -33,12 +33,14 @@ const TEXT_BATCH: usize = 64;
 /// for a file of up to a few hundred KB, its whole index.
 const TRAILER_PROBE: u64 = 256;
 
-/// One job input as its map tasks read it: its length, and the index of
-/// a typed file.
+/// One job input as its map tasks read it: its length, its version when
+/// opened, and the index of a typed file.
 #[derive(Debug, Clone)]
 pub struct InputFile {
     path: String,
     len: u64,
+    /// The file's `mtime` when it was opened.
+    pub(crate) version: u64,
     index: Option<Index>,
 }
 
@@ -46,12 +48,13 @@ impl InputFile {
     /// Look at the end of the file at `path`: one read for a text file, or
     /// for a typed one whose index fits the first look.
     pub fn open(dfs: &Dfs, path: &str) -> Result<InputFile> {
-        let len = dfs.file_len(path)?;
+        let status = dfs.status(path)?;
+        let (len, version) = (status.len, status.mtime);
         let probe = len.min(TRAILER_PROBE);
         let tail = dfs.read_range(path, len - probe, probe)?;
         let path = path.to_string();
         if !typed::is_typed(&tail) {
-            return Ok(InputFile { path, len, index: None });
+            return Ok(InputFile { path, len, version, index: None });
         }
         let (index_len, footer_len) = typed::footer(&tail)?;
         let data_len = (len - footer_len as u64)
@@ -62,7 +65,7 @@ impl InputFile {
             Ok(n) if n <= index_end => Index::parse(&tail[index_end - n..index_end], data_len)?,
             _ => Index::parse(&dfs.read_range(&path, data_len, index_len)?, data_len)?,
         };
-        Ok(InputFile { path, len, index: Some(index) })
+        Ok(InputFile { path, len, version, index: Some(index) })
     }
 
     /// The file's splits: its DFS blocks when it is text; when it is
