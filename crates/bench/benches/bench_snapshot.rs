@@ -1,4 +1,4 @@
-//! Checkpoint cost: the full `restore-state` dump vs the snapshot
+//! Checkpoint cost: the full base dump (one journal segment) vs the snapshot
 //! journal's incremental delta, across repository sizes, and what
 //! loading the dump back costs.
 //!

@@ -34,18 +34,19 @@ pub enum Error {
     Workflow(String),
     /// Repository (de)serialization failure.
     Repository(String),
-    /// A serialized `restore-state` document failed to parse. Carries
-    /// the 1-based line number and the offending line so operators can
-    /// pinpoint corruption in a snapshot file.
-    State { line: usize, msg: String },
+    /// A base checkpoint is not whole: it failed to decode, was cut, or
+    /// lacks its opening or closing record. Carries the 1-based record
+    /// ordinal (0 for the header), so a damaged base points at itself.
+    Base { record: usize, msg: String },
     /// A snapshot-journal segment failed to decode. Carries the 0-based
     /// segment index and the 1-based record ordinal within it, so a
     /// corrupt journal points at the offending record instead of a
     /// generic "malformed journal".
     Journal { segment: usize, record: usize, msg: String },
-    /// A `restore-state` document or a journal segment whose first line
-    /// names another format epoch than the one this build reads. Carries
-    /// that line and both epochs.
+    /// A journal segment, base or delta, or an earlier epoch's
+    /// `restore-state` document, whose first line names another format
+    /// epoch than the one this build reads. Carries that line and both
+    /// epochs.
     Epoch { line: String, found: u64, reads: u64 },
     /// Record decoding failure when reading DFS files.
     Codec(String),
@@ -73,9 +74,7 @@ impl fmt::Display for Error {
             Error::Job(m) => write!(f, "job error: {m}"),
             Error::Workflow(m) => write!(f, "workflow error: {m}"),
             Error::Repository(m) => write!(f, "repository error: {m}"),
-            Error::State { line, msg } => {
-                write!(f, "restore-state parse error at line {line}: {msg}")
-            }
+            Error::Base { record, msg } => write!(f, "base error in record {record}: {msg}"),
             Error::Journal { segment, record, msg } => {
                 write!(f, "journal error in segment {segment} record {record}: {msg}")
             }

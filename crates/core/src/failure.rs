@@ -4,7 +4,7 @@
 //! The policy is **configuration**, carried on [`ReStoreConfig`] like
 //! every other per-tenant knob (heuristic, §5 selection):
 //! a tenant's override travels through `set_config_as`, is serialized
-//! in `restore-state` dumps and journaled in `tenant-config` records —
+//! in a base checkpoint and journaled in `tenant-config` records —
 //! so a service restored from a checkpoint set enforces the same policy
 //! the one before it did. The *enforcement machinery* (retry
 //! scheduling, the circuit breaker) lives in the service layer; this
@@ -42,7 +42,7 @@ pub enum FailureDisposition {
 }
 
 /// Per-tenant failure policy (see the module docs). Flat knobs so the
-/// `restore-state` config codec serializes them like every other
+/// config codec serializes them like every other
 /// configuration field, in fixed order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FailurePolicy {

@@ -1,25 +1,24 @@
-//! The snapshot journal: an append-only record log behind incremental
-//! session checkpoints.
+//! The snapshot journal: the one durable format of a session, and the
+//! append-only record log behind incremental checkpoints.
 //!
-//! A full `restore-state` dump costs O(repository) — at scale that is a
-//! stall on the exact path the paper says should be cheap bookkeeping
-//! (ReStore's metadata store is maintained *alongside* job execution,
-//! §2.2). The journal makes checkpoint cost proportional to **what
-//! changed** instead: every structural mutation is recorded as a typed
-//! record at publish time, reuse accounting is dirty-tracked per entry,
-//! and a delta capture drains only the accumulated records — no
-//! quiesce, no repository walk.
+//! A base checkpoint costs O(repository) — at scale that is a stall on
+//! the exact path the paper says should be cheap bookkeeping (ReStore's
+//! metadata store is maintained *alongside* job execution, §2.2). The
+//! journal makes checkpoint cost proportional to **what changed**
+//! instead: every structural mutation is recorded as a typed record at
+//! publish time, reuse accounting is dirty-tracked per entry, and a delta
+//! capture drains only the accumulated records — no quiesce, no
+//! repository walk.
 //!
 //! # Record grammar
 //!
-//! A segment's first line is [`SEGMENT_HEADER`] (`restore-journal v8`),
-//! which names the format epoch `restore-state` documents name too (see
-//! `state.rs`); a segment of another epoch is refused with
-//! [`Error::Epoch`]. A record's payload is line-oriented text whose first
-//! line names its type; bodies reuse the exact durable codecs of the
-//! tables they touch, so a journaled insert and a full dump are
-//! byte-identical. The reader reads exactly these kinds, the ones the
-//! writer writes:
+//! A segment's first line is [`SEGMENT_HEADER`] (`restore-journal v9`),
+//! which names the format epoch (see `state.rs`); a segment of another
+//! epoch, or a `restore-state` document of an earlier one, is refused
+//! with [`Error::Epoch`]. A record's payload is line-oriented text whose
+//! first line names its type; bodies reuse the codecs of the tables they
+//! touch (`repository.rs`'s blocks, `state.rs`'s config lines). The
+//! reader reads exactly these kinds, the ones the writer writes:
 //!
 //! ```text
 //! counters <tick> <cand>
@@ -31,6 +30,8 @@
 //!                                   `evict <id>` / `forget <p:?>` lines, in
 //!                                   application order
 //! note-use <space:?>              + `use <id> <count> <last>` lines (absolute values)
+//! repository <space:?>            + the namespace's whole table (bases only)
+//! base-end <seq>                  the anchor; closes a base (bases only)
 //! ```
 //!
 //! One record is one **atomic replay unit** — a wave's entries and
@@ -41,24 +42,45 @@
 //! (`tests/prop_journal.rs`,
 //! `every_clean_prefix_recovers_records_at_their_files_ticks`).
 //!
+//! # A base is a segment
+//!
+//! [`ReStore::save_state`](crate::ReStore::save_state) writes a segment
+//! too, with the payload encoders and the frame writer the appends use,
+//! so a record of one kind has the same payload bytes in a base and in a
+//! delta. In order: `global-config`; per namespace, sorted with `""`
+//! first, `tenant-create` (not for `""`), `tenant-config` when the
+//! namespace has an override, and `repository`; `counters`; last,
+//! `base-end <seq>`. Every frame of a base carries the anchor `seq`, and
+//! the closing record carries it again inside its checksummed payload.
+//! A `repository` body is the namespace's table in match-priority order
+//! (`RepoSnapshot::save_filtered`), loaded verbatim by
+//! `Repository::load` rather than replayed entry by entry: a replayed
+//! put re-derives each entry's position, O(n) per entry.
+//!
+//! A base is read by `decode_base`, which forgives nothing: a torn
+//! frame, a first record other than `global-config`, a last record
+//! other than `base-end`, or a frame whose seq is not the anchor is an
+//! [`Error::Base`] naming the record. So a base cut at any byte, or with
+//! any one byte changed, is refused before the session is touched.
+//!
 //! # Framing and the torn-tail rule
 //!
 //! Records are framed as `r <seq> <len> <fnv64>\n` followed by exactly
-//! `len` payload bytes. `seq` is a session-global sequence number
-//! drawn inside the frame buffer's lock, so a segment's physical order
-//! is its seq order (recovery still sorts by seq and refuses
+//! `len` payload bytes. In a delta, `seq` is a session-global sequence
+//! number drawn inside the frame buffer's lock, so a segment's physical
+//! order is its seq order (recovery still sorts by seq and refuses
 //! duplicates: segments are input, and input is checked). `len` is the
 //! payload byte length, and `fnv64` is the payload's FNV-1a 64-bit
 //! checksum in hex. A crash can truncate the tail of the segment being
 //! written; on decode:
 //!
 //! * an **incomplete final frame** (header cut short, or fewer than
-//!   `len` payload bytes remaining) in the *final* segment is a **torn
-//!   tail**: it is dropped and recovery proceeds with the consistent
-//!   prefix — truncation at *any* byte offset recovers to some prefix
-//!   of committed records;
-//! * the same in a non-final segment is an error (later segments would
-//!   replay against a hole);
+//!   `len` payload bytes remaining) in the *final* delta segment is a
+//!   **torn tail**: it is dropped and recovery proceeds with the
+//!   consistent prefix — truncation at *any* byte offset recovers to
+//!   some prefix of committed records;
+//! * the same in a non-final segment or in a base is an error (later
+//!   records would replay against a hole);
 //! * a checksum mismatch on a *complete* frame, an unparseable frame
 //!   header, or an undecodable payload is **corruption**, not a crash
 //!   artifact, and fails with [`Error::Journal`] naming the segment and
@@ -66,25 +88,28 @@
 //!
 //! # Sequence numbers and compaction
 //!
-//! Base checkpoints (`restore-state` documents) record the journal
-//! sequence number current when the capture began. Recovery replays
-//! only records with `seq >` the base's, and every record is
-//! **idempotent** (puts carry full entries, note-use carries absolute
-//! counters), so a base captured concurrently with journaling is safe:
-//! a record the base already reflects replays as a no-op. Compaction is therefore just
-//! "take a fresh base, drop segments whose records it covers" — the
-//! service's checkpoint keeper does exactly that when the
-//! journal-to-base byte ratio crosses its threshold.
+//! A base records the journal sequence number current when the capture
+//! began. Recovery replays only delta records with `seq >` the base's,
+//! and every record is **idempotent** (puts carry full entries, note-use
+//! carries absolute counters), so a base captured concurrently with
+//! journaling is safe: a record the base already reflects replays as a
+//! no-op. Compaction is therefore just "take a fresh base, drop segments
+//! whose records it covers" — the service's checkpoint keeper does
+//! exactly that when the journal-to-base byte ratio crosses its
+//! threshold.
 
 use crate::driver::ReStoreConfig;
-use crate::repository::{self, Block, RepoOp};
+use crate::repository::{self, Block, RepoOp, Repository};
+use crate::state::{self, EPOCH};
 use parking_lot::Mutex;
-use restore_common::Error;
+use restore_common::{Error, Result};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::SeqCst};
 
-/// First line of every journal segment: the format epoch, as in a
-/// `restore-state` document's first line.
+/// First line of every segment, base or delta: the format epoch.
 pub const SEGMENT_HEADER: &str = concat!("restore-journal v", crate::state::epoch!());
+
+/// [`SEGMENT_HEADER`] with its newline: what every segment begins with.
+const HEADER_LINE: &str = concat!("restore-journal v", crate::state::epoch!(), "\n");
 
 /// Journal tuning.
 #[derive(Debug, Clone)]
@@ -139,7 +164,9 @@ pub struct RecoveryReport {
 
 // ---- decoded records ----
 
-/// One decoded journal record (see the module docs for the grammar).
+/// One decoded journal record (see the module docs for the grammar;
+/// only a base holds `Repository`, a namespace's whole table, and
+/// `BaseEnd`, its closing anchor).
 #[derive(Debug)]
 pub(crate) enum Record {
     Counters { tick: u64, cand: u64 },
@@ -149,6 +176,8 @@ pub(crate) enum Record {
     GlobalConfig { config: ReStoreConfig },
     RepoBatch { space: String, ops: Vec<RepoRecOp> },
     NoteUse { space: String, uses: Vec<(u64, u64, u64)> },
+    Repository { space: String, repo: Repository },
+    BaseEnd { seq: u64 },
 }
 
 /// A decoded repository mutation, in application order.
@@ -171,6 +200,64 @@ pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x1000_0000_01b3);
     }
     h
+}
+
+// ---- payload encoders and the frame writer ----
+
+/// Frame `payload` as one record with sequence number `seq`.
+fn write_frame(out: &mut String, seq: u64, payload: &str) {
+    out.push_str(&format!("r {seq} {} {:016x}\n", payload.len(), fnv1a64(payload.as_bytes())));
+    out.push_str(payload);
+}
+
+pub(crate) fn counters_payload(tick: u64, cand: u64) -> String {
+    format!("counters {tick} {cand}\n")
+}
+
+pub(crate) fn tenant_create_payload(space: &str) -> String {
+    format!("tenant-create {space:?}\n")
+}
+
+/// A `tenant-config` record, or `tenant-config-clear` for `None`.
+pub(crate) fn tenant_config_payload(space: &str, config: Option<&ReStoreConfig>) -> String {
+    match config {
+        Some(c) => format!("tenant-config {space:?}\n{}", state::encode_config(c)),
+        None => format!("tenant-config-clear {space:?}\n"),
+    }
+}
+
+pub(crate) fn global_config_payload(config: &ReStoreConfig) -> String {
+    format!("global-config\n{}", state::encode_config(config))
+}
+
+/// A `repository` record: `table` is the namespace's whole table in the
+/// block format of `RepoSnapshot::save_filtered`.
+pub(crate) fn repository_payload(space: &str, table: &str) -> String {
+    format!("repository {space:?}\n{table}")
+}
+
+/// A base checkpoint being written: a segment whose every frame carries
+/// the anchor `seq`, closed by a `base-end` record (see the module
+/// docs).
+pub(crate) struct BaseWriter {
+    out: String,
+    seq: u64,
+}
+
+impl BaseWriter {
+    pub(crate) fn new(seq: u64) -> BaseWriter {
+        BaseWriter { out: HEADER_LINE.to_string(), seq }
+    }
+
+    pub(crate) fn push(&mut self, payload: &str) {
+        write_frame(&mut self.out, self.seq, payload);
+    }
+
+    /// Close the base with its `base-end` record.
+    pub(crate) fn finish(mut self) -> String {
+        self.push(&format!("base-end {}\n", self.seq));
+        self.out
+    }
 }
 
 // ---- the journal ----
@@ -228,7 +315,7 @@ impl Default for Journal {
 
 impl Journal {
     pub(crate) fn enable(&self, config: JournalConfig) {
-        self.segment_bytes.store(config.segment_bytes.max(SEGMENT_HEADER.len() + 1), SeqCst);
+        self.segment_bytes.store(config.segment_bytes.max(HEADER_LINE.len()), SeqCst);
         self.enabled.store(true, SeqCst);
     }
 
@@ -280,8 +367,7 @@ impl Journal {
     fn append_payload(&self, payload: &str) {
         let mut buf = self.live.lock();
         let seq = self.seq.fetch_add(1, SeqCst) + 1;
-        buf.push_str(&format!("r {seq} {} {:016x}\n", payload.len(), fnv1a64(payload.as_bytes())));
-        buf.push_str(payload);
+        write_frame(&mut buf, seq, payload);
         self.live_bytes.store(buf.len(), SeqCst);
         if buf.len() >= self.segment_bytes.load(SeqCst) {
             self.seal_locked(&mut buf);
@@ -294,7 +380,7 @@ impl Journal {
         if buf.is_empty() {
             return;
         }
-        let seg = format!("{SEGMENT_HEADER}\n{buf}");
+        let seg = format!("{HEADER_LINE}{buf}");
         buf.clear();
         self.live_bytes.store(0, SeqCst);
         self.sealed.lock().push(seg);
@@ -327,7 +413,7 @@ impl Journal {
             }
             *last = (tick, cand);
         }
-        self.append_payload(&format!("counters {tick} {cand}\n"));
+        self.append_payload(&counters_payload(tick, cand));
         true
     }
 
@@ -341,26 +427,19 @@ impl Journal {
 
     pub(crate) fn append_tenant_create(&self, space: &str) {
         if self.active() {
-            self.append_payload(&format!("tenant-create {space:?}\n"));
+            self.append_payload(&tenant_create_payload(space));
         }
     }
 
     pub(crate) fn append_tenant_config(&self, space: &str, config: Option<&ReStoreConfig>) {
-        if !self.active() {
-            return;
-        }
-        match config {
-            Some(c) => self.append_payload(&format!(
-                "tenant-config {space:?}\n{}",
-                crate::state::encode_config(c)
-            )),
-            None => self.append_payload(&format!("tenant-config-clear {space:?}\n")),
+        if self.active() {
+            self.append_payload(&tenant_config_payload(space, config));
         }
     }
 
     pub(crate) fn append_global_config(&self, config: &ReStoreConfig) {
         if self.active() {
-            self.append_payload(&format!("global-config\n{}", crate::state::encode_config(config)));
+            self.append_payload(&global_config_payload(config));
         }
     }
 
@@ -411,12 +490,11 @@ impl Drop for PauseGuard<'_> {
 /// largest boundary ≤ `o` — the torn-tail rule in one list. Returns an
 /// empty list when the text does not begin with a full segment header.
 pub fn segment_boundaries(segment: &str) -> Vec<usize> {
-    let header_len = SEGMENT_HEADER.len() + 1;
-    if !segment.starts_with(SEGMENT_HEADER) || segment.len() < header_len {
+    if !segment.starts_with(HEADER_LINE) {
         return Vec::new();
     }
-    let mut out = vec![header_len];
-    let mut pos = header_len;
+    let mut out = vec![HEADER_LINE.len()];
+    let mut pos = HEADER_LINE.len();
     while pos < segment.len() {
         let Some((_, len, sum, body_start)) = parse_frame_at(segment, pos) else { break };
         let end = body_start + len;
@@ -452,31 +530,41 @@ fn parse_frame_at(text: &str, pos: usize) -> Option<(u64, usize, u64, usize)> {
 /// the final frame was cut short.
 pub(crate) type DecodedSegment = (Vec<(u64, Record)>, Option<TornTail>);
 
+/// Refuse a first line that names another epoch: a segment of another
+/// epoch, or a `restore-state` document, the base format before epoch 9.
+/// A line of any other shape passes; the caller reports a missing header.
+fn check_epoch(line: &str) -> Result<()> {
+    let found = ["restore-journal v", "restore-state v"]
+        .into_iter()
+        .find_map(|kind| line.strip_prefix(kind)?.parse().ok());
+    match found {
+        Some(found) if found != EPOCH => {
+            Err(Error::Epoch { line: line.to_string(), found, reads: EPOCH })
+        }
+        _ => Ok(()),
+    }
+}
+
 /// Decode one segment into `(seq, record)` pairs. `is_final` permits a
 /// torn tail (reported, not fatal); any other malformation is an
 /// [`Error::Journal`] naming the segment and the 1-based record
 /// ordinal.
-pub(crate) fn decode_segment(
-    text: &str,
-    segment: usize,
-    is_final: bool,
-) -> restore_common::Result<DecodedSegment> {
+pub(crate) fn decode_segment(text: &str, segment: usize, is_final: bool) -> Result<DecodedSegment> {
     let err = |record: usize, msg: String| Error::Journal { segment, record, msg };
     let torn = |records, offset| Ok((records, Some(TornTail { segment, offset })));
-    let header_len = SEGMENT_HEADER.len() + 1;
     if let Some((first, _)) = text.split_once('\n') {
-        crate::state::check_epoch(first, SEGMENT_HEADER)?;
+        check_epoch(first)?;
     }
-    if !text.starts_with(SEGMENT_HEADER) || text.len() < header_len {
+    if !text.starts_with(HEADER_LINE) {
         // A truncated header can only happen to the segment being
         // written at crash time.
-        if is_final && format!("{SEGMENT_HEADER}\n").starts_with(text) {
+        if is_final && HEADER_LINE.starts_with(text) {
             return torn(Vec::new(), 0);
         }
         return Err(err(0, "missing segment header".into()));
     }
     let mut records = Vec::new();
-    let mut pos = header_len;
+    let mut pos = HEADER_LINE.len();
     let mut ordinal = 0usize;
     while pos < text.len() {
         ordinal += 1;
@@ -513,16 +601,35 @@ pub(crate) fn decode_segment(
     Ok((records, None))
 }
 
-/// Decode the `key value` body of a `tenant-config` / `global-config`
-/// record.
-fn decode_config_body(body: &str) -> Result<ReStoreConfig, String> {
-    let lines: Vec<&str> = body.lines().collect();
-    crate::state::decode_config(&lines, 0).map_err(|e| format!("in config: {e}"))
+/// Decode a base checkpoint (see the module docs): a segment read with
+/// no torn tail forgiven, which begins with `global-config`, ends with
+/// `base-end <seq>`, and every frame of which carries that seq. Returns
+/// the anchor and the records before the closing one, in order. A base
+/// that is not whole is an [`Error::Base`] naming the record (0 for the
+/// header); one of another epoch is an [`Error::Epoch`].
+pub(crate) fn decode_base(text: &str) -> Result<(u64, Vec<Record>)> {
+    let (mut framed, _) = decode_segment(text, 0, false).map_err(|e| match e {
+        Error::Journal { record, msg, .. } => Error::Base { record, msg },
+        e => e,
+    })?;
+    let err = |record: usize, msg: String| Err(Error::Base { record, msg });
+    let anchor = match framed.last() {
+        Some(&(_, Record::BaseEnd { seq })) => seq,
+        _ => return err(framed.len(), "the base does not end with its base-end record".into()),
+    };
+    if let Some(i) = framed.iter().position(|&(seq, _)| seq != anchor) {
+        return err(i + 1, format!("frame seq {} is not the base's anchor {anchor}", framed[i].0));
+    }
+    if !matches!(framed.first(), Some((_, Record::GlobalConfig { .. }))) {
+        return err(1, "the base does not begin with its global-config record".into());
+    }
+    framed.pop();
+    Ok((anchor, framed.into_iter().map(|(_, record)| record).collect()))
 }
 
 /// Decode the body of a `repo-batch` into its ops, in order: `entry …`
 /// and `file …` blocks, `evict <id>` and `forget <p:?>` lines.
-fn decode_batch_body(body: &str) -> Result<Vec<RepoRecOp>, String> {
+fn decode_batch_body(body: &str) -> std::result::Result<Vec<RepoRecOp>, String> {
     let mut ops = Vec::new();
     let mut lines = body.lines().peekable();
     loop {
@@ -536,7 +643,7 @@ fn decode_batch_body(body: &str) -> Result<Vec<RepoRecOp>, String> {
         if let Some(id) = line.strip_prefix("evict ") {
             ops.push(RepoRecOp::Evict(id.parse().map_err(|_| format!("bad evict id {line:?}"))?));
         } else if let Some(p) = line.strip_prefix("forget ") {
-            let path = crate::state::unquote(p, 0).map_err(|_| format!("bad forget path {p:?}"))?;
+            let path = state::unquote(p).ok_or_else(|| format!("bad forget path {p:?}"))?;
             ops.push(RepoRecOp::Forget(path));
         } else {
             return Err(format!("unexpected repo-batch line {line:?}"));
@@ -547,7 +654,7 @@ fn decode_batch_body(body: &str) -> Result<Vec<RepoRecOp>, String> {
 
 /// Decode one record payload (the framed bytes, checksum already
 /// verified).
-fn decode_payload(payload: &str) -> Result<Record, String> {
+fn decode_payload(payload: &str) -> std::result::Result<Record, String> {
     let nl = payload.find('\n').ok_or("record payload has no tag line")?;
     let tag_line = &payload[..nl];
     let body = &payload[nl + 1..];
@@ -555,9 +662,8 @@ fn decode_payload(payload: &str) -> Result<Record, String> {
         Some((t, a)) => (t, a),
         None => (tag_line, ""),
     };
-    let space = |arg: &str| -> Result<String, String> {
-        crate::state::unquote(arg, 0).map_err(|_| format!("bad space name {arg:?}"))
-    };
+    let space = |arg: &str| state::unquote(arg).ok_or_else(|| format!("bad space name {arg:?}"));
+    let config = |body: &str| state::decode_config(body).map_err(|e| format!("in config: {e}"));
     match tag {
         "counters" => {
             let (t, c) = arg.split_once(' ').ok_or("counters record needs two values")?;
@@ -568,10 +674,10 @@ fn decode_payload(payload: &str) -> Result<Record, String> {
         }
         "tenant-create" => Ok(Record::TenantCreate { space: space(arg)? }),
         "tenant-config" => {
-            Ok(Record::TenantConfigSet { space: space(arg)?, config: decode_config_body(body)? })
+            Ok(Record::TenantConfigSet { space: space(arg)?, config: config(body)? })
         }
         "tenant-config-clear" => Ok(Record::TenantConfigClear { space: space(arg)? }),
-        "global-config" => Ok(Record::GlobalConfig { config: decode_config_body(body)? }),
+        "global-config" => Ok(Record::GlobalConfig { config: config(body)? }),
         "repo-batch" => Ok(Record::RepoBatch { space: space(arg)?, ops: decode_batch_body(body)? }),
         "note-use" => {
             let space = space(arg)?;
@@ -590,6 +696,11 @@ fn decode_payload(payload: &str) -> Result<Record, String> {
             }
             Ok(Record::NoteUse { space, uses })
         }
+        "repository" => Ok(Record::Repository {
+            space: space(arg)?,
+            repo: Repository::load(body).map_err(|e| format!("in repository: {e}"))?,
+        }),
+        "base-end" => Ok(Record::BaseEnd { seq: arg.parse().map_err(|_| "bad base-end seq")? }),
         other => Err(format!("unknown record type {other:?}")),
     }
 }

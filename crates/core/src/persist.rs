@@ -6,30 +6,34 @@
 //! is the one way that state is saved and the one way it is loaded:
 //!
 //! ```text
-//!   save:  save_state()        — a full `restore-state` document (a base)
+//!   save:  save_state()        — a base: one segment holding the whole session
 //!          save_state_delta()  — journal segments since the last capture
-//!   load:  recover(base, segments)   — load the base, replay later records
+//!   load:  recover(base, segments)   — apply the base, replay later records
 //! ```
 //!
-//! A plain dump loads as `recover(doc, &[])`. The service's checkpoint
-//! keeper (`checkpoint_begin` / `checkpoint_incremental` /
-//! `checkpoint_set` to save, `restore_incremental` to load, in
-//! `restore-service`) is built on these calls, and it is also how a
-//! session moves to a new process. This is one of several `impl
-//! ReStore` blocks over the same fields; the table lists the others.
+//! Both are `restore-journal` segments read by one decoder (see
+//! `journal.rs`). A plain dump loads as `recover(base, &[])`. The
+//! service's checkpoint keeper (`checkpoint_begin` /
+//! `checkpoint_incremental` / `checkpoint_set` to save,
+//! `restore_incremental` to load, in `restore-service`) is built on
+//! these calls, and it is also how a session moves to a new process.
+//! This is one of several `impl ReStore` blocks over the same fields;
+//! the table lists the others.
 //!
 //! | File | Purpose |
 //! |------|---------|
 //! | `persist.rs` | this module: journal switch, base dumps, delta capture, recovery, record replay |
-//! | `state.rs` | the `restore-state` document codec and the format epoch both writers name |
-//! | `journal.rs` | the record log: typed appends, framing, segments, the torn-tail rule |
-//! | `repository.rs` | the published snapshot — entries and the record of every stored file, saved and captured together — and the one record codec documents and `repo-batch` records share |
+//! | `state.rs` | the format epoch and the config codec |
+//! | `journal.rs` | the one durable format: typed records, framing, segments, bases, the torn-tail rule |
+//! | `repository.rs` | the published snapshot — entries and the record of every stored file, saved and captured together — and the one block codec `repository` and `repo-batch` records share |
 //! | `driver.rs` | the execution loop: match, rewrite, run, register |
 //! | `spaces.rs` | the namespace map (the default namespace is its `""` entry) and configuration |
 //! | `introspect.rs` | explain, trace and stats |
 
 use crate::driver::{ReStore, Space};
-use crate::journal::{self, Journal, JournalConfig, JournalStats, Record, RecoveryReport};
+use crate::journal::{
+    self, BaseWriter, Journal, JournalConfig, JournalStats, Record, RecoveryReport,
+};
 use crate::repository::{Block, RepoOp};
 use restore_common::{Error, Result};
 use std::collections::{HashMap, HashSet};
@@ -85,15 +89,15 @@ impl ReStore {
         space
     }
 
-    /// Serialize the full ReStore session state (a `restore-state`
-    /// document of this build's [`EPOCH`](crate::EPOCH)):
-    /// the counters, the journal anchor, the global configuration, and
-    /// **every** namespace — default and per-tenant — with its
-    /// repository (every record included) and (when set) its policy
-    /// override. Paired with [`ReStore::recover`], this lets a new
-    /// process resume with everything a previous session learned
-    /// (§2.2's repository is persistent in spirit; the DFS holds the
-    /// outputs).
+    /// Serialize the full ReStore session state as a **base**: one
+    /// `restore-journal` segment of this build's [`EPOCH`](crate::EPOCH)
+    /// holding the global configuration, **every** namespace — default
+    /// and per-tenant — with its (when set) policy override and its
+    /// repository (every record included), the counters, and last the
+    /// journal anchor (see `journal.rs`, "A base is a segment"). Paired
+    /// with [`ReStore::recover`], this lets a new process resume with
+    /// everything a previous session learned (§2.2's repository is
+    /// persistent in spirit; the DFS holds the outputs).
     ///
     /// Snapshots are consistent under load: each namespace is captured
     /// in its repository's writer freeze with the pin set consulted
@@ -104,12 +108,12 @@ impl ReStore {
     /// Tenants are written in sorted order, so re-saving a loaded state
     /// is byte-identical.
     ///
-    /// With the journal on, the dump doubles as a **base checkpoint**:
-    /// the `seq` line is the journal sequence read *before* any table
-    /// is captured, so every record at or below it is reflected in the
-    /// dump (its writer section completes before the capture's freeze),
-    /// and records after it replay idempotently on top. No workflow
-    /// drain is required — only per-namespace writer freezes.
+    /// With the journal on, the anchor is the journal sequence read
+    /// *before* any table is captured, so every record at or below it is
+    /// reflected in the base (its writer section completes before the
+    /// capture's freeze), and records after it replay idempotently on
+    /// top. No workflow drain is required — only per-namespace writer
+    /// freezes.
     pub fn save_state(&self) -> String {
         // Serialize with delta captures: a delta drains dirty usage
         // into absolute-valued `note-use` records stamped *after* this
@@ -119,19 +123,22 @@ impl ReStore {
         // race-free by construction; the capture lock extends the same
         // guarantee to the lazily drained ones.
         let _capture = self.journal.capture.lock();
-        let seq = self.journal.seq();
-        let mut out = format!(
-            "{}\ntick {}\ncand {}\nseq {}\n--config--\n{}",
-            crate::state::HEADER,
+        let mut base = BaseWriter::new(self.journal.seq());
+        base.push(&journal::global_config_payload(&self.config_as(None)));
+        for (name, space) in self.spaces_by_name() {
+            if !name.is_empty() {
+                base.push(&journal::tenant_create_payload(&name));
+            }
+            if let Some(config) = &*space.config.load() {
+                base.push(&journal::tenant_config_payload(&name, Some(config)));
+            }
+            base.push(&journal::repository_payload(&name, &self.capture_repository(&space)));
+        }
+        base.push(&journal::counters_payload(
             self.tick.load(Ordering::SeqCst),
             self.cand_counter.load(Ordering::SeqCst),
-            seq,
-            crate::state::encode_config(&self.config_as(None)),
-        );
-        for (name, space) in self.spaces_by_name() {
-            out.push_str(&self.save_space(&name, &space));
-        }
-        out
+        ));
+        base.finish()
     }
 
     /// Capture an **incremental checkpoint**: every journal record
@@ -166,34 +173,35 @@ impl ReStore {
     }
 
     /// Rebuild session state from a base checkpoint plus journal
-    /// segments: load the base, then replay every record with a
+    /// segments: apply the base, then replay every record with a
     /// sequence number past the base's anchor, in **seq order**. The
     /// journal writes segments and frames in seq order, but segments
     /// are input: recovery decodes all of them first and sorts on seq,
     /// so files handed over in the wrong order still replay correctly
     /// and a repeated frame is refused. A torn tail in the
     /// **final** segment — the crash artifact of a process dying
-    /// mid-append — is truncated and reported. A segment that does not
-    /// decode (another epoch, a bad header or frame) fails before the
-    /// base is loaded, leaving the session as it was; a duplicated
-    /// sequence number or a record that does not apply fails with
-    /// [`Error::Journal`] naming the segment and record, leaving the
-    /// base and whatever prefix already applied. Call on a fresh or
-    /// quiesced session.
+    /// mid-append — is truncated and reported. A base that is not whole
+    /// (cut, changed, or without its closing record) fails with
+    /// [`Error::Base`] naming the record, and a segment that does not
+    /// decode (a bad header or frame) with [`Error::Journal`], both
+    /// before the session is touched; a duplicated sequence number
+    /// fails with [`Error::Journal`] naming the segment and record,
+    /// leaving the base and whatever prefix already applied. Call on a
+    /// fresh or quiesced session.
     ///
     /// With no segments this loads a plain [`ReStore::save_state`]
-    /// document — the one way a saved session comes back. The document
-    /// replaces the whole session: global config, every tenant namespace
+    /// base — the one way a saved session comes back. The base replaces
+    /// the whole session: global config, every tenant namespace
     /// (existing tenant state is dropped), and the counters; the stored
     /// output files come from the DFS of the engine this instance was
-    /// built with. A malformed document yields [`Error::State`] naming
-    /// the offending line; a document or segment of another format
-    /// epoch yields [`Error::Epoch`].
+    /// built with. A base or segment of another format epoch, or a
+    /// `restore-state` document, yields [`Error::Epoch`].
     pub fn recover(&self, base: &str, segments: &[String]) -> Result<RecoveryReport> {
         let _capture = self.journal.capture.lock();
         // Replay drives the normal mutation paths; pause the journal so
         // they do not re-record what they apply.
         let _pause = self.journal.pause();
+        let (base_seq, base_records) = journal::decode_base(base)?;
         let mut torn_tail = None;
         // (seq, record, segment index, 1-based ordinal) — coordinates
         // kept so a duplicate seq names its record.
@@ -206,8 +214,16 @@ impl ReStore {
             }
             torn_tail = torn;
         }
-        // Every segment decoded: only now is the session replaced.
-        let base_seq = self.load_document(base)?;
+        // Everything decoded: only now is the session replaced, from a
+        // fresh default namespace, so a base without a `repository ""`
+        // record still leaves no stale default-namespace state behind.
+        self.spaces.store(HashMap::from([(String::new(), self.make_space(""))]));
+        for record in base_records {
+            self.apply_record(record)?;
+        }
+        // Sequence numbers stay monotonic across restores: never hand
+        // out a seq a base checkpoint already covers.
+        self.journal.advance_seq(base_seq);
         // Stable on (segment, ordinal) ties — a duplicate pair stays in
         // physical order, so the error below names the *later* copy.
         all.sort_by_key(|&(seq, ..)| seq);
@@ -286,6 +302,11 @@ impl ReStore {
                     sp.repo.set_usage(id, count, last_used);
                 }
             }
+            // A table loaded verbatim, in the order it was saved in.
+            Record::Repository { space, repo } => self.space_for(Some(&space)).repo.adopt(repo),
+            // The anchor means something only as a base's last record,
+            // which `decode_base` reads.
+            Record::BaseEnd { .. } => {}
         }
         Ok(())
     }
@@ -308,50 +329,5 @@ impl ReStore {
             let dfs = self.engine.dfs();
             repo.save_filtered(|p| !deferred.contains(p) && dfs.exists(p))
         })
-    }
-
-    /// One `--space--` section: the namespace's policy override (if
-    /// any) and repository, with condemned paths excluded.
-    fn save_space(&self, name: &str, space: &Space) -> String {
-        let config = (*space.config.load()).clone();
-        let repo_text = self.capture_repository(space);
-        let mut out = format!("--space {name:?}--\n");
-        if let Some(c) = config {
-            out.push_str("--config--\n");
-            out.push_str(&crate::state::encode_config(&c));
-        }
-        out.push_str("--repository--\n");
-        out.push_str(&repo_text);
-        out
-    }
-
-    /// Replace the session with a `restore-state` document. The caller
-    /// holds a journal pause (replay must not re-record what it
-    /// applies). Returns the document's journal anchor.
-    fn load_document(&self, text: &str) -> Result<u64> {
-        let loaded = crate::state::parse(text)?;
-        self.set_config_as(None, loaded.global_config);
-        // Start from a fresh default namespace, so a document without a
-        // `--space ""--` section (e.g. hand-pruned) still replaces the
-        // whole session instead of leaving stale default-namespace
-        // state behind.
-        let mut spaces = HashMap::from([(String::new(), self.make_space(""))]);
-        for sp in loaded.spaces {
-            let space = self.make_space(&sp.name);
-            space.repo.adopt(sp.repo);
-            // The default namespace follows the global config; an
-            // override in its section (never written) is not loaded.
-            space.config.store(sp.config.filter(|_| !sp.name.is_empty()));
-            spaces.insert(sp.name, space);
-        }
-        // One publish replaces the whole map atomically.
-        self.spaces.store(spaces);
-        self.tick.store(loaded.tick, Ordering::SeqCst);
-        self.cand_counter.store(loaded.cand, Ordering::SeqCst);
-        self.journal.sync_counters_cache(loaded.tick, loaded.cand);
-        // Sequence numbers stay monotonic across restores: never hand
-        // out a seq a base checkpoint already covers.
-        self.journal.advance_seq(loaded.seq);
-        Ok(loaded.seq)
     }
 }

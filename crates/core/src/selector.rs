@@ -29,7 +29,8 @@ use std::collections::HashMap;
 /// With per-tenant policies (see `ReStore::set_config_as`) each tenant
 /// namespace can carry its own instance: sweeps run with the submitting
 /// tenant's rules, and the policy is serialized with the tenant's state
-/// in `restore-state` (`PartialEq` lets round-trip tests compare).
+/// in its `tenant-config` record (`PartialEq` lets round-trip tests
+/// compare).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SelectionPolicy {
     /// Rule 1: keep only if output is smaller than input.

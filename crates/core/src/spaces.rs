@@ -4,10 +4,9 @@
 //! Every namespace, the default one included, is an entry of one
 //! RCU-published map, `ReStore::spaces`, keyed by tenant name. The
 //! default namespace is the `""` entry: `ReStore::new` inserts it and
-//! every document load starts from a fresh one, so `None` and `Some("")`
-//! name the same space at every entry point, and the journal and the
-//! `restore-state` document, which have always called it `""`, need no
-//! translation. The global configuration is a session field beside the
+//! every recovery starts from a fresh one, so `None` and `Some("")`
+//! name the same space at every entry point, and the journal, which has
+//! always called it `""`, needs no translation. The global configuration is a session field beside the
 //! map; a tenant's override lives in its own space.
 //!
 //! ```text

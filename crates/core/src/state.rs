@@ -1,108 +1,46 @@
-//! `restore-state` (de)serialization: the durable session format.
+//! The format epoch, and the config codec every durable record of a
+//! configuration shares.
 //!
-//! One format epoch is readable, the one this build writes. Its number,
-//! [`EPOCH`], ends the first line of every document (`restore-state v8`)
-//! and of every journal segment (`restore-journal v8`, see
-//! [`crate::journal`]); a document or segment that names another epoch
-//! is refused with [`Error::Epoch`], which shows the line and names both
-//! epochs. A format change either fits inside the epoch — a new optional
-//! config key, which a document without it reads as its default — or
-//! bumps it. Epoch 6 bumped it because an entry's input versions became
-//! DFS commit ticks: an earlier document's versions count writes per
-//! path, and a count can equal a later tick. Epoch 7 bumped it because
-//! an entry records its own file — the version it was committed at and
-//! whether it is typed — in an `output` line an epoch-6 entry lacks.
-//! Epoch 8 bumped it because the path → plan fact became one record per
-//! stored file: an entry's file, and a second file holding a plan an
-//! entry stores, are both `file …` blocks carrying the file's tick and
-//! inputs, and epoch 7's provenance section, whose `path …` blocks
-//! carried neither, is gone.
+//! A session is saved in one format, the journal's (see
+//! [`crate::journal`]): a base checkpoint and a delta are both
+//! `restore-journal` segments of framed, checksummed records. One format
+//! epoch is readable, the one this build writes. Its number, [`EPOCH`],
+//! ends the first line of every segment (`restore-journal v9`); a segment
+//! that names another epoch, or a `restore-state` document of an earlier
+//! one, is refused with [`Error::Epoch`](restore_common::Error::Epoch),
+//! which shows the line and names both epochs. A format change either
+//! fits inside the epoch — a new optional config key, which a record
+//! without it reads as its default — or bumps it. Epoch 6 bumped it
+//! because an entry's input versions became DFS commit ticks: an earlier
+//! document's versions count writes per path, and a count can equal a
+//! later tick. Epoch 7 bumped it because an entry records its own file —
+//! the version it was committed at and whether it is typed. Epoch 8
+//! bumped it because the path → plan fact became one record per stored
+//! file. Epoch 9 bumped it because a base checkpoint stopped being a
+//! `restore-state` document and became a segment: a `repository` record
+//! per namespace and a closing `base-end` record carrying the anchor.
 //!
-//! The format is line-oriented:
-//!
-//! ```text
-//! restore-state v8
-//! tick <n>
-//! cand <n>
-//! seq <n>                  the journal sequence number the document is anchored at
-//! --config--               the global configuration, `key value` lines
-//! --space "<tenant>"--     one per namespace, sorted by name ("" is the default)
-//! --config--               the tenant's policy override (only when it has one)
-//! --repository--           `entry …` lines, each with its `file …` block, in
-//!                          match-priority order, then the `file …` blocks of
-//!                          records without an entry, by path (see `repository.rs`)
-//! ```
-//!
-//! `seq` anchors the document in the journal: recovery loads it and
-//! replays only records with a later sequence number. Config keys are
-//! written in the fixed order of [`encode_config`]; an unknown key or a
-//! malformed value is an error, a missing key keeps its default. Body
-//! lines never begin with `--`, so sections split unambiguously. Tenants
-//! in sorted order and config keys in a fixed order make
+//! Config keys are written in the fixed order of [`encode_config`]; an
+//! unknown key or a malformed value is an error, a missing key keeps its
+//! default. The fixed order is what makes
 //! `save_state → recover → save_state` byte-identical.
-//!
-//! Parse failures surface as [`Error::State`] carrying the 1-based line
-//! number and the offending line, so a corrupt snapshot points at
-//! itself instead of a generic "malformed restore-state".
 
 use crate::driver::ReStoreConfig;
 use crate::enumerator::Heuristic;
 use crate::failure::FailureDisposition;
 use crate::plan_text;
-use crate::repository::Repository;
-use restore_common::{Error, Result};
 
-/// Expands to the format epoch as a literal, so the headers below are
+/// Expands to the format epoch as a literal, so the segment header is
 /// built from the one number.
 macro_rules! epoch {
     () => {
-        8
+        9
     };
 }
 pub(crate) use epoch;
 
-/// The format epoch both durable writers name in their first line.
+/// The format epoch every segment, base or delta, names in its first line.
 pub const EPOCH: u64 = epoch!();
-
-/// First line of every `restore-state` document.
-pub(crate) const HEADER: &str = concat!("restore-state v", epoch!());
-
-/// Refuse a first line that names another epoch of `header`'s kind
-/// (`restore-state v7` where `restore-state v8` is read). A line of any
-/// other shape passes: the caller reports it as a malformed header.
-pub(crate) fn check_epoch(line: &str, header: &str) -> Result<()> {
-    let kind = header.trim_end_matches(|c: char| c.is_ascii_digit());
-    match line.strip_prefix(kind).and_then(|n| n.parse().ok()) {
-        Some(found) if found != EPOCH => {
-            Err(Error::Epoch { line: line.to_string(), found, reads: EPOCH })
-        }
-        _ => Ok(()),
-    }
-}
-
-/// One deserialized namespace (`name == ""` is the default).
-pub(crate) struct LoadedSpace {
-    pub name: String,
-    pub config: Option<ReStoreConfig>,
-    /// The namespace's repository, every record included.
-    pub repo: Repository,
-}
-
-/// A fully deserialized `restore-state` document.
-pub(crate) struct LoadedState {
-    pub tick: u64,
-    pub cand: u64,
-    /// Journal sequence number the document is anchored at.
-    pub seq: u64,
-    /// The global (default) policy.
-    pub global_config: ReStoreConfig,
-    pub spaces: Vec<LoadedSpace>,
-}
-
-/// Typed parse error pointing at a 1-based document line.
-fn err_at(line_idx: usize, msg: impl Into<String>) -> Error {
-    Error::State { line: line_idx + 1, msg: msg.into() }
-}
 
 // ---- config codec ----
 
@@ -182,21 +120,15 @@ pub(crate) fn encode_config(c: &ReStoreConfig) -> String {
     )
 }
 
-/// Decode `key value` config lines. `base` is the document index of the
-/// first line, used for error positions. Unknown keys and malformed
-/// values are errors; missing keys keep their defaults (so a key added
-/// within the epoch is optional).
-pub(crate) fn decode_config(lines: &[&str], base: usize) -> Result<ReStoreConfig> {
+/// Decode the `key value` lines of a config record's body. Unknown keys
+/// and malformed values are errors naming the line; missing keys keep
+/// their defaults (so a key added within the epoch is optional).
+pub(crate) fn decode_config(body: &str) -> Result<ReStoreConfig, String> {
     let mut c = ReStoreConfig::default();
-    for (i, line) in lines.iter().enumerate() {
-        let at = base + i;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let (key, value) = line
-            .split_once(' ')
-            .ok_or_else(|| err_at(at, format!("config line has no value: {line:?}")))?;
-        let bad = || err_at(at, format!("bad value for config key {key}: {line:?}"));
+    for line in body.lines().filter(|l| !l.trim().is_empty()) {
+        let (key, value) =
+            line.split_once(' ').ok_or_else(|| format!("config line has no value: {line:?}"))?;
+        let bad = || format!("bad value for config key {key}: {line:?}");
         let parse_bool = |v: &str| match v {
             "true" => Ok(true),
             "false" => Ok(false),
@@ -205,7 +137,7 @@ pub(crate) fn decode_config(lines: &[&str], base: usize) -> Result<ReStoreConfig
         match key {
             "reuse_enabled" => c.reuse_enabled = parse_bool(value)?,
             "heuristic" => c.heuristic = heuristic_from(value).ok_or_else(bad)?,
-            "repo_prefix" => c.repo_prefix = unquote(value, at)?,
+            "repo_prefix" => c.repo_prefix = unquote(value).ok_or_else(bad)?,
             "register_final_outputs" => c.register_final_outputs = parse_bool(value)?,
             "wave_parallel" => c.wave_parallel = parse_bool(value)?,
             "require_size_reduction" => c.selection.require_size_reduction = parse_bool(value)?,
@@ -245,114 +177,18 @@ pub(crate) fn decode_config(lines: &[&str], base: usize) -> Result<ReStoreConfig
                 c.failure.breaker_success_threshold = value.parse().map_err(|_| bad())?
             }
             "canonicalize" => c.canonicalize = parse_bool(value)?,
-            _ => return Err(err_at(at, format!("unknown config key {key:?}"))),
+            _ => return Err(format!("unknown config key {key:?} in {line:?}")),
         }
     }
     Ok(c)
 }
 
 /// Invert `{:?}` string quoting. The input must be exactly one quoted
-/// string: [`plan_text::unquote`] trims, which would let a padded header
-/// field slip through.
-pub(crate) fn unquote(s: &str, at: usize) -> Result<String> {
-    if !(s.len() >= 2 && s.starts_with('"') && s.ends_with('"')) {
-        return Err(err_at(at, format!("expected a quoted string, got {s}")));
-    }
-    plan_text::unquote(s).map_err(|_| err_at(at, format!("bad quoted string {s}")))
-}
-
-// ---- document structure ----
-
-/// Is this line a section header (`--…--`)?
-fn is_header(line: &str) -> bool {
-    line.len() >= 4 && line.starts_with("--") && line.ends_with("--")
-}
-
-/// Collect body lines from `idx` until the next section header (or the
-/// end of the document); returns the body slice bounds.
-fn body_end(lines: &[&str], mut idx: usize) -> usize {
-    while idx < lines.len() && !is_header(lines[idx]) {
-        idx += 1;
-    }
-    idx
-}
-
-fn parse_counter(lines: &[&str], idx: usize, key: &str) -> Result<u64> {
-    lines
-        .get(idx)
-        .and_then(|l| l.strip_prefix(key))
-        .and_then(|l| l.strip_prefix(' '))
-        .and_then(|v| v.parse().ok())
-        .ok_or_else(|| {
-            err_at(
-                idx,
-                format!("expected \"{key} <number>\", got {:?}", lines.get(idx).unwrap_or(&"")),
-            )
-        })
-}
-
-/// Parse a `--repository--` section starting at `idx`. Returns the
-/// repository and the index just past its body.
-fn parse_repository(lines: &[&str], idx: usize) -> Result<(Repository, usize)> {
-    if lines.get(idx).copied() != Some("--repository--") {
-        return Err(err_at(
-            idx,
-            format!("expected --repository--, got {:?}", lines.get(idx).unwrap_or(&"<eof>")),
-        ));
-    }
-    let end = body_end(lines, idx + 1);
-    let repo = Repository::load(&lines[idx + 1..end].join("\n"))
-        .map_err(|e| err_at(idx, format!("in --repository-- section: {e}")))?;
-    Ok((repo, end))
-}
-
-/// Parse a document of this epoch into a [`LoadedState`].
-pub(crate) fn parse(text: &str) -> Result<LoadedState> {
-    let lines: Vec<&str> = text.lines().collect();
-    let first = lines.first().copied().unwrap_or("<empty document>");
-    check_epoch(first, HEADER)?;
-    if first != HEADER {
-        return Err(err_at(0, format!("expected {HEADER:?}, got {first:?}")));
-    }
-    let tick = parse_counter(&lines, 1, "tick")?;
-    let cand = parse_counter(&lines, 2, "cand")?;
-    let seq = parse_counter(&lines, 3, "seq")?;
-    if lines.get(4).copied() != Some("--config--") {
-        return Err(err_at(
-            4,
-            format!("expected --config--, got {:?}", lines.get(4).unwrap_or(&"<eof>")),
-        ));
-    }
-    let cfg_end = body_end(&lines, 5);
-    let global_config = decode_config(&lines[5..cfg_end], 5)?;
-
-    let mut spaces = Vec::new();
-    let mut idx = cfg_end;
-    while idx < lines.len() {
-        let header = lines[idx];
-        let bad_header = || err_at(idx, format!("expected --space \"<tenant>\"--, got {header:?}"));
-        let name = header
-            .strip_prefix("--space ")
-            .and_then(|r| r.strip_suffix("--"))
-            .ok_or_else(bad_header)
-            .and_then(|quoted| unquote(quoted, idx).map_err(|_| bad_header()))?;
-        if spaces.iter().any(|s: &LoadedSpace| s.name == name) {
-            return Err(err_at(idx, format!("duplicate --space-- section for {name:?}")));
-        }
-        idx += 1;
-        let config = if lines.get(idx).copied() == Some("--config--") {
-            let end = body_end(&lines, idx + 1);
-            let c = decode_config(&lines[idx + 1..end], idx + 1)?;
-            idx = end;
-            Some(c)
-        } else {
-            None
-        };
-        let (repo, end) = parse_repository(&lines, idx)?;
-        idx = end;
-        spaces.push(LoadedSpace { name, config, repo });
-    }
-    Ok(LoadedState { tick, cand, seq, global_config, spaces })
+/// string: [`plan_text::unquote`] trims, which would let a padded field
+/// slip through.
+pub(crate) fn unquote(s: &str) -> Option<String> {
+    let quoted = s.len() >= 2 && s.starts_with('"') && s.ends_with('"');
+    quoted.then(|| plan_text::unquote(s).ok()).flatten()
 }
 
 #[cfg(test)]
@@ -390,8 +226,7 @@ mod tests {
             canonicalize: false,
         };
         let text = encode_config(&config);
-        let lines: Vec<&str> = text.lines().collect();
-        let back = decode_config(&lines, 0).unwrap();
+        let back = decode_config(&text).unwrap();
         assert_eq!(back, config);
         // And encoding is canonical: re-encoding is byte-identical.
         assert_eq!(encode_config(&back), text);
@@ -400,28 +235,22 @@ mod tests {
     #[test]
     fn config_codec_default_round_trips() {
         let text = encode_config(&ReStoreConfig::default());
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(decode_config(&lines, 0).unwrap(), ReStoreConfig::default());
+        assert_eq!(decode_config(&text).unwrap(), ReStoreConfig::default());
     }
 
     #[test]
     fn pre_v5_documents_default_the_new_keys() {
         // A config body without a key (here `canonicalize`) loads with
         // that key's default: how a new optional key fits inside an epoch.
-        let back = decode_config(&["reuse_enabled true"], 0).unwrap();
+        let back = decode_config("reuse_enabled true\n").unwrap();
         assert!(back.canonicalize);
     }
 
     #[test]
     fn unknown_config_key_names_its_line() {
-        let e = decode_config(&["reuse_enabled true", "frobnicate 7"], 10).unwrap_err();
-        match e {
-            Error::State { line, msg } => {
-                assert_eq!(line, 12, "1-based document line of the bad key");
-                assert!(msg.contains("frobnicate"), "{msg}");
-            }
-            other => panic!("expected Error::State, got {other:?}"),
-        }
+        let msg = decode_config("reuse_enabled true\nfrobnicate 7\n").unwrap_err();
+        assert!(msg.contains("unknown config key \"frobnicate\""), "{msg}");
+        assert!(msg.contains("\"frobnicate 7\""), "the line itself: {msg}");
         // The keys earlier epochs wrote are read as what they are now:
         // unknown.
         for line in [
@@ -432,12 +261,8 @@ mod tests {
             "dlq_max_entries 64",
             "dlq_max_age_ticks 1000",
         ] {
-            match decode_config(&[line], 0).unwrap_err() {
-                Error::State { line: 1, msg } => {
-                    assert!(msg.contains("unknown config key"), "{msg}")
-                }
-                other => panic!("{line}: expected Error::State, got {other:?}"),
-            }
+            let msg = decode_config(line).unwrap_err();
+            assert!(msg.contains("unknown config key") && msg.contains(line), "{line}: {msg}");
         }
     }
 
@@ -447,13 +272,10 @@ mod tests {
         for (text, key) in
             [("wave_parallel maybe", "wave_parallel"), ("on_failure dlq", "on_failure")]
         {
-            match decode_config(&[text], 0).unwrap_err() {
-                Error::State { line, msg } => {
-                    assert_eq!(line, 1);
-                    assert!(msg.contains(key), "{msg}");
-                }
-                other => panic!("expected Error::State, got {other:?}"),
-            }
+            let msg = decode_config(text).unwrap_err();
+            assert!(msg.contains(key) && msg.contains(text), "{msg}");
         }
+        let msg = decode_config("repo_prefix /restore").unwrap_err();
+        assert!(msg.contains("repo_prefix"), "an unquoted prefix: {msg}");
     }
 }

@@ -70,14 +70,12 @@ proptest! {
 /// A literal base checkpoint: one default-namespace entry over
 /// `/data/pv` at the version `pv_users` writes it at (the DFS clock's first
 /// tick), stored as text in `/repo/b` at the version the scenarios below
-/// write it at (the third tick), and a tenant carrying only a policy override, anchored at
-/// sequence 0. Its config sections leave keys out, which read as their
-/// defaults.
-const BASE_FIXTURE: &str = r#"restore-state v8
-tick 7
-cand 3
-seq 0
---config--
+/// write it at (the third tick), and a tenant carrying only a policy
+/// override, anchored at sequence 0. Its config records leave keys out,
+/// which read as their defaults.
+const BASE_FIXTURE: &str = r#"restore-journal v9
+r 0 226 16db6bfba54cf96c
+global-config
 reuse_enabled true
 heuristic aggressive
 repo_prefix "/restore"
@@ -87,8 +85,8 @@ require_size_reduction false
 require_time_benefit false
 reload_read_bps 83886080
 eviction_window none
---space ""--
---repository--
+r 0 161 36a7e028ea7dd8b8
+repository ""
 entry 0 100 10 5 1.5 2.5 3 6 1
 file "/repo/b" 3 text
 input "/data/pv" 1
@@ -97,8 +95,10 @@ plan
   1 project 0,2 <- 0
   2 store "/repo/b" <- 1
 end
---space "tuned"--
---config--
+r 0 22 cdbf7f6c7caaf98c
+tenant-create "tuned"
+r 0 236 00269321cb38c486
+tenant-config "tuned"
 reuse_enabled true
 heuristic conservative
 repo_prefix "/restore"
@@ -108,7 +108,12 @@ require_size_reduction false
 require_time_benefit false
 reload_read_bps 83886080
 eviction_window none
---repository--
+r 0 19 1b022970fa8a1e77
+repository "tuned"
+r 0 13 3e73e726830d7a6a
+counters 7 3
+r 0 11 7f494fe11934e512
+base-end 0
 "#;
 
 /// Run a mixed workload on a journaling session loaded from the literal
@@ -145,7 +150,7 @@ fn journaled_scenario() -> (Dfs, Vec<String>, String) {
 #[test]
 fn base_fixture_plus_journal_equals_a_fresh_dump_byte_identically() {
     let (shared, segments, reference) = journaled_scenario();
-    assert!(reference.starts_with(&format!("restore-state v{EPOCH}\n")));
+    assert!(reference.starts_with(&format!("restore-journal v{EPOCH}\n")));
     assert!(!segments.is_empty());
 
     let recovered = session_over(&shared, ReStoreConfig::default());
@@ -342,8 +347,9 @@ fn an_empty_batch_publishes_and_journals_nothing() {
 /// sorted paths of every record.
 fn recovered_summary(rs: &ReStore) -> String {
     let state = rs.save_state();
-    let cand = state.lines().nth(2).unwrap();
-    let mut got = format!("tick {}\n{cand}\n", rs.stats_as(None).queries_executed);
+    let counters = state.lines().find_map(|l| l.strip_prefix("counters ")).unwrap();
+    let cand = counters.split(' ').nth(1).unwrap();
+    let mut got = format!("tick {}\ncand {cand}\n", rs.stats_as(None).queries_executed);
     for (name, _) in rs.stats_all() {
         let tenant = Some(name.as_str());
         got += &format!("space {name:?}\n");
@@ -367,8 +373,9 @@ fn recovered_summary(rs: &ReStore) -> String {
 }
 
 /// One base and one journal segment captured at the commit that began
-/// format epoch 8, with the state that commit recovered them to. The
-/// segment holds every record kind the journal writes (`repo-batch`
+/// format epoch 9, with the state that commit recovered them to. The
+/// base holds every record kind a base is written with; the segment
+/// holds every record kind the journal writes (`repo-batch`
 /// with entries and their records, a record without an entry — a final
 /// output duplicating a stored candidate's plan — forgotten once it was
 /// overwritten, and evictions from a window sweep; `tenant-create`,
@@ -378,8 +385,12 @@ fn recovered_summary(rs: &ReStore) -> String {
 /// epoch, and then replaces this triple.
 #[test]
 fn base_and_segment_captured_at_the_parent_commit_still_recover() {
-    let base = include_str!("fixtures/parent_v8_base.txt");
-    let segment = include_str!("fixtures/parent_v8_segment.txt");
+    let base = include_str!("fixtures/parent_v9_base.txt");
+    let segment = include_str!("fixtures/parent_v9_segment.txt");
+    for kind in ["global-config", "tenant-create", "repository", "counters", "base-end"] {
+        let held = base.lines().any(|l| l.split(' ').next() == Some(kind));
+        assert!(held, "the base holds a {kind} record");
+    }
     for kind in [
         "repo-batch",
         "tenant-create",
@@ -403,7 +414,7 @@ fn base_and_segment_captured_at_the_parent_commit_still_recover() {
     let report = rs.recover(base, &[segment.to_string()]).unwrap();
     assert_eq!((report.base_seq, report.records_skipped, report.records_applied), (4, 4, 15));
 
-    assert_eq!(recovered_summary(&rs), include_str!("fixtures/parent_v8_expect.txt"));
+    assert_eq!(recovered_summary(&rs), include_str!("fixtures/parent_v9_expect.txt"));
     let ana = rs.config_as(Some("ana"));
     assert!(!ana.register_final_outputs, "the tenant-config record applied");
     assert_eq!(ana.selection.eviction_window, Some(1));

@@ -1,10 +1,13 @@
-//! Durable sessions: the `restore-state` format, typed parse errors, the
-//! refusal of a document or segment of another format epoch and of a
-//! key an earlier epoch wrote, and per-tenant policy overrides.
+//! Durable sessions: a base checkpoint round trips byte for byte, a base
+//! that is cut, changed or malformed is refused whole with a typed error
+//! naming its record, a base or segment of another format epoch (or a
+//! `restore-state` document) and a key an earlier epoch wrote are
+//! refused, and per-tenant policy overrides govern execution.
 
 use restore_common::Error;
-use restore_core::{Heuristic, JournalConfig, ReStoreConfig, SelectionPolicy, EPOCH};
-use restore_testkit::{join_query, pv_users, session_over, sum_query, Journaled};
+use restore_core::journal::{segment_boundaries, SEGMENT_HEADER};
+use restore_core::{Heuristic, JournalConfig, ReStore, ReStoreConfig, SelectionPolicy, EPOCH};
+use restore_testkit::{join_query, pv_users, session_over, sum_query, Journaled, Oracle};
 
 // ---- round trip and restart parity ----
 
@@ -91,16 +94,17 @@ fn v2_load_replaces_preexisting_tenants() {
 
 #[test]
 fn v2_load_without_default_section_still_resets_default_namespace() {
-    // Hand-prune the default `--space ""--` section out of a valid
-    // document: a restore is a *full* session replacement, so the
-    // default namespace must come back empty, not keep stale state.
+    // Drop the default namespace's `repository ""` record out of a valid
+    // base: a restore is a *full* session replacement, so the default
+    // namespace must come back empty, not keep stale state.
     let shared = pv_users();
     let src = session_over(&shared, ReStoreConfig::default());
     src.execute_query_as(Some("ana"), &sum_query("/out/a"), "/wf/a").unwrap();
-    let doc = src.save_state();
-    let start = doc.find("--space \"\"--").unwrap();
-    let end = doc.find("--space \"ana\"--").unwrap();
-    let pruned = format!("{}{}", &doc[..start], &doc[end..]);
+    let base = src.save_state();
+    let mut records = payloads(&base);
+    records.retain(|p| p != "repository \"\"\n");
+    let pruned = reframed(&base, &records);
+    assert_eq!(payloads(&pruned).len() + 1, payloads(&base).len(), "one record dropped");
 
     let rs = session_over(&shared, ReStoreConfig::default());
     rs.execute_query(&sum_query("/out/stale"), "/wf/stale").unwrap();
@@ -111,9 +115,9 @@ fn v2_load_without_default_section_still_resets_default_namespace() {
     assert_eq!(rs.tenant_ids(), vec!["ana".to_string()]);
     let names: Vec<String> = rs.stats_all().into_iter().map(|(n, _)| n).collect();
     assert_eq!(names, ["", "ana"], "the default namespace exists, once");
-    // The source's default section was empty, so the recovered session
-    // saves back as the unpruned document, byte for byte.
-    assert_eq!(rs.save_state(), doc);
+    // The source's default namespace was empty, so the recovered session
+    // saves back as the unpruned base, byte for byte.
+    assert_eq!(rs.save_state(), base);
 }
 
 // ---- per-tenant policy overrides govern execution ----
@@ -188,151 +192,334 @@ fn tenant_eviction_policy_sweeps_only_its_own_space() {
     );
 }
 
-// ---- typed parse errors ----
+// ---- a base is whole, or it is refused ----
 
-fn expect_state_err(doc: &str, want_line: usize, needle: &str) {
-    let rs = session_over(&pv_users(), ReStoreConfig::default());
-    match rs.recover(doc, &[]) {
-        Err(Error::State { line, msg }) => {
-            assert_eq!(line, want_line, "error should point at line {want_line}: {msg}");
-            assert!(
-                msg.contains(needle),
-                "error at line {line} should mention {needle:?}, got: {msg}"
-            );
+/// Group-free filter of `/data/pv` on `n > k` into `out`.
+fn filter_query(k: i64, out: &str) -> String {
+    format!(
+        "A = load '/data/pv' as (user, n:int);
+         B = filter A by n > {k};
+         store B into '{out}';"
+    )
+}
+
+/// One byte of a saved base changed: a stored plan's filter constant,
+/// `3` to `5`. Recovered, the entry would answer `n > 5` with the bytes
+/// of `n > 3`; it is refused, and the session keeps what it held.
+#[test]
+fn a_base_with_one_flipped_byte_is_refused() {
+    let shared = pv_users();
+    let src = session_over(&shared, ReStoreConfig::default());
+    src.execute_query(&filter_query(3, "/out/f"), "/wf/f").unwrap();
+    let base = src.save_state();
+    let flipped = base.replacen("(l i 3)", "(l i 5)", 1);
+    assert_eq!(flipped.len(), base.len());
+    assert_ne!(flipped, base, "the base holds the plan");
+
+    let rs = session_over(&shared, ReStoreConfig::default());
+    rs.recover(&base, &[]).unwrap();
+    match rs.recover(&flipped, &[]) {
+        Ok(_) => {
+            Oracle::check(&rs, &[filter_query(5, "/out/f5")]).unwrap();
+            panic!("a base with a flipped byte recovered");
         }
-        Err(other) => panic!("expected Error::State, got {other:?}"),
-        Ok(_) => panic!("malformed document must not load"),
+        Err(Error::Base { msg, .. }) => assert!(msg.contains("checksum mismatch"), "{msg}"),
+        Err(other) => panic!("expected Error::Base, got {other:?}"),
+    }
+    assert_eq!(rs.save_state(), base, "the refused recovery changed the session");
+}
+
+/// A base cut just after its first `repository` line — what a crash
+/// mid-copy leaves — is refused, not recovered as an empty repository.
+#[test]
+fn a_cut_base_is_refused() {
+    let shared = pv_users();
+    let src = session_over(&shared, ReStoreConfig::default());
+    src.execute_query(&sum_query("/out/a"), "/wf/a").unwrap();
+    let base = src.save_state();
+    let at = base.find("repository").unwrap();
+    let cut = &base[..at + base[at..].find('\n').unwrap() + 1];
+
+    let rs = session_over(&shared, ReStoreConfig::default());
+    rs.recover(&base, &[]).unwrap();
+    assert!(rs.stats_as(None).repository_entries > 0);
+    match rs.recover(cut, &[]) {
+        Ok(report) => panic!(
+            "a cut base recovered {report:?} with {} entries",
+            rs.stats_as(None).repository_entries
+        ),
+        Err(Error::Base { msg, .. }) => assert!(msg.contains("non-final"), "{msg}"),
+        Err(other) => panic!("expected Error::Base, got {other:?}"),
+    }
+    assert_eq!(rs.save_state(), base, "the refused recovery changed the session");
+}
+
+/// A small base: two namespaces, a tenant override, and a record
+/// without an entry (a final output holding the plan of a stored
+/// candidate), anchored past zero.
+fn small_base() -> (ReStore, String) {
+    let shared = pv_users();
+    let rs = session_over(&shared, ReStoreConfig::default());
+    rs.enable_journal(JournalConfig::default());
+    let override_ = ReStoreConfig { register_final_outputs: false, ..Default::default() };
+    rs.set_config_as(Some("ana"), override_);
+    rs.execute_query(
+        "A = load '/data/pv' as (user, n:int);
+         B = filter A by n > 0;
+         G = group B by user;
+         R = foreach G generate group, SUM(B.n);
+         store R into '/out/f';",
+        "/wf/f",
+    )
+    .unwrap();
+    rs.execute_query(&filter_query(0, "/out/fb"), "/wf/fb").unwrap();
+    rs.execute_query_as(Some("ana"), &sum_query("/out/a"), "/wf/a").unwrap();
+    let repo = rs.repository_as(None);
+    assert!(repo.files().len() > repo.len(), "a record without an entry");
+    assert!(!rs.repository_as(Some("ana")).is_empty());
+    let base = rs.save_state();
+    assert!(base.is_ascii());
+    assert!(rs.journal_stats().seq > 0);
+    (rs, base)
+}
+
+/// Every cut of a small base, and every single-byte change of it (one
+/// substitute per offset: the byte with its low bit flipped), is either
+/// refused with a typed error that leaves the session as it was, or
+/// recovers a session that saves back to the same base. A cut is always
+/// refused.
+#[test]
+fn every_cut_or_changed_byte_of_a_base_is_refused_or_changes_nothing() {
+    let (src, base) = small_base();
+    let rs = session_over(src.engine().dfs(), ReStoreConfig::default());
+    rs.recover(&base, &[]).unwrap();
+    assert_eq!(rs.save_state(), base);
+    let typed = |r: Result<_, Error>, what: &str| match r {
+        Ok(_) => false,
+        Err(Error::Base { .. } | Error::Epoch { .. }) => true,
+        Err(other) => panic!("{what}: expected a typed refusal, got {other:?}"),
+    };
+    for cut in 0..base.len() {
+        let what = format!("cut at byte {cut}");
+        assert!(typed(rs.recover(&base[..cut], &[]), &what), "{what} recovered");
+        assert_eq!(rs.save_state(), base, "{what}");
+    }
+    let mut refused = 0;
+    for at in 0..base.len() {
+        let mut bytes = base.clone().into_bytes();
+        bytes[at] ^= 1;
+        let changed = String::from_utf8(bytes).unwrap();
+        let what = format!("byte {at} changed");
+        refused += usize::from(typed(rs.recover(&changed, &[]), &what));
+        assert_eq!(rs.save_state(), base, "{what}");
+    }
+    assert!(refused > 0);
+}
+
+/// Every frame of a base carries its anchor: a frame whose seq says
+/// otherwise is refused, naming the record, whichever frame it is.
+#[test]
+fn a_base_frame_whose_seq_is_not_the_anchor_is_refused() {
+    let (src, base) = small_base();
+    let anchor = anchor_of(&base);
+    let rs = session_over(src.engine().dfs(), ReStoreConfig::default());
+    rs.recover(&base, &[]).unwrap();
+    let bounds = segment_boundaries(&base);
+    assert_eq!(bounds.last(), Some(&base.len()));
+    for (i, &start) in bounds[..bounds.len() - 1].iter().enumerate() {
+        let old = format!("r {anchor} ");
+        assert!(base[start..].starts_with(&old));
+        let moved = format!("{}r {} {}", &base[..start], anchor + 1, &base[start + old.len()..]);
+        expect_base_err_on(&rs, &base, &moved, i + 1, "is not the base's anchor");
     }
 }
 
-/// A small valid document to corrupt per test.
-fn valid_doc() -> String {
+/// Recovery into `rs`, which holds `held`, is refused with an
+/// [`Error::Base`] naming `record` and mentioning `needle`, and `rs`
+/// still holds `held`.
+fn expect_base_err_on(rs: &ReStore, held: &str, bad: &str, record: usize, needle: &str) {
+    match rs.recover(bad, &[]) {
+        Err(Error::Base { record: got, msg }) => {
+            assert_eq!(got, record, "the error names record {record}: {msg}");
+            assert!(msg.contains(needle), "record {got}: expected {needle:?} in: {msg}");
+        }
+        Err(other) => panic!("expected Error::Base, got {other:?}"),
+        Ok(_) => panic!("a malformed base must not load"),
+    }
+    assert_eq!(rs.save_state(), held, "the refused recovery changed the session");
+}
+
+/// [`expect_base_err_on`] on a session recovered from a valid base.
+fn expect_base_err(bad: &str, record: usize, needle: &str) {
     let rs = session_over(&pv_users(), ReStoreConfig::default());
+    rs.recover(&valid_base(), &[]).unwrap();
+    let held = rs.save_state();
+    assert!(held.contains("tenant-config \"ana\""));
+    expect_base_err_on(&rs, &held, bad, record, needle);
+}
+
+/// A small valid base to corrupt per test.
+fn valid_base() -> String {
+    let rs = session_over(&pv_users(), ReStoreConfig::default());
+    rs.set_config_as(
+        Some("ana"),
+        ReStoreConfig { heuristic: Heuristic::Conservative, ..Default::default() },
+    );
     rs.execute_query_as(Some("ana"), &sum_query("/out/a"), "/wf/a").unwrap();
     rs.save_state()
 }
 
-/// The first line of a document of this epoch.
-fn header() -> String {
-    format!("restore-state v{EPOCH}")
+/// The payloads of a base's records, in order.
+fn payloads(base: &str) -> Vec<String> {
+    let bounds = segment_boundaries(base);
+    bounds
+        .windows(2)
+        .map(|w| {
+            let frame = &base[w[0]..w[1]];
+            frame[frame.find('\n').unwrap() + 1..].to_string()
+        })
+        .collect()
+}
+
+/// The anchor a base closes with.
+fn anchor_of(base: &str) -> u64 {
+    let last = payloads(base).pop().unwrap();
+    last.strip_prefix("base-end ").unwrap().trim_end().parse().unwrap()
+}
+
+/// `records` framed as a base anchored where `base` is, every frame with
+/// its correct length and checksum: what a test refuses is then the
+/// content, not the frame.
+fn reframed(base: &str, records: &[String]) -> String {
+    let anchor = anchor_of(base);
+    let mut out = format!("{SEGMENT_HEADER}\n");
+    for p in records {
+        out += &format!("r {anchor} {} {:016x}\n{p}", p.len(), fnv1a64(p.as_bytes()));
+    }
+    out
+}
+
+/// FNV-1a 64, the frame checksum.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ b as u64).wrapping_mul(0x1000_0000_01b3))
+}
+
+/// `valid_base()` with the record whose payload starts with `tag` passed
+/// through `edit`; returns the base and that record's 1-based ordinal.
+fn edited(tag: &str, edit: impl Fn(&str) -> String) -> (String, usize) {
+    let base = valid_base();
+    let mut records = payloads(&base);
+    let i = records.iter().position(|p| p.starts_with(tag)).expect("the base holds the record");
+    records[i] = edit(&records[i]);
+    (reframed(&base, &records), i + 1)
 }
 
 #[test]
 fn malformed_version_header() {
-    expect_state_err("restore-state\ntick 0\ncand 0\n", 1, "restore-state");
-    expect_state_err("restore-state vx\ntick 0\ncand 0\n", 1, "restore-state");
-    expect_state_err("", 1, "empty document");
-    expect_state_err("tick 0\n", 1, &format!("expected {:?}", header()));
+    let body = &valid_base()[SEGMENT_HEADER.len()..];
+    for header in ["restore-journal", "restore-journal vx", "restore-state", ""] {
+        expect_base_err(&format!("{header}{body}"), 0, "missing segment header");
+    }
+    expect_base_err("", 0, "missing segment header");
+    expect_base_err(&format!("{SEGMENT_HEADER} {body}"), 0, "missing segment header");
 }
 
 #[test]
 fn malformed_tick_line() {
-    expect_state_err(&format!("{}\ntick x\ncand 0\n", header()), 2, "tick");
-    expect_state_err(&format!("{}\n", header()), 2, "tick");
+    let (bad, record) = edited("counters ", |_| "counters x 1\n".into());
+    expect_base_err(&bad, record, "bad tick value");
+    let (bad, record) = edited("counters ", |_| "counters 3\n".into());
+    expect_base_err(&bad, record, "counters record needs two values");
 }
 
 #[test]
 fn malformed_cand_line() {
-    expect_state_err(&format!("{}\ntick 3\ncand\n", header()), 3, "cand");
-    expect_state_err(&format!("{}\ntick 3\ncand 1\nseq\n", header()), 4, "seq");
+    let (bad, record) = edited("counters ", |_| "counters 3 x\n".into());
+    expect_base_err(&bad, record, "bad cand value");
+    let (bad, record) = edited("base-end ", |_| "base-end x\n".into());
+    expect_base_err(&bad, record, "bad base-end seq");
 }
 
+/// A base opens with the global configuration it replaces the
+/// session's with.
 #[test]
 fn missing_config_section() {
-    let doc = format!("{}\ntick 3\ncand 1\nseq 0\n--repository--\n", header());
-    expect_state_err(&doc, 5, "--config--");
+    let base = valid_base();
+    let records = payloads(&base);
+    assert!(records[0].starts_with("global-config\n"));
+    expect_base_err(&reframed(&base, &records[1..]), 1, "global-config");
 }
 
 #[test]
 fn unknown_config_key_is_located() {
-    let doc = valid_doc().replace("reuse_enabled true", "frobnicate 9");
-    let line = 1 + doc.lines().position(|l| l == "frobnicate 9").unwrap();
-    expect_state_err(&doc, line, "frobnicate");
+    let (bad, record) =
+        edited("global-config", |p| p.replace("reuse_enabled true", "frobnicate 9"));
+    assert_eq!(record, 1);
+    expect_base_err(&bad, record, "unknown config key \"frobnicate\"");
 }
 
 #[test]
 fn bad_config_value_is_located() {
-    let doc = valid_doc().replace("wave_parallel true", "wave_parallel maybe");
-    let line = 1 + doc.lines().position(|l| l == "wave_parallel maybe").unwrap();
-    expect_state_err(&doc, line, "wave_parallel");
+    let (bad, record) =
+        edited("tenant-config \"ana\"", |p| p.replace("wave_parallel true", "wave_parallel maybe"));
+    assert!(record > 1);
+    expect_base_err(&bad, record, "wave_parallel");
 }
 
 #[test]
 fn malformed_space_header() {
-    let doc = valid_doc().replace("--space \"ana\"--", "--space ana--");
-    let line = 1 + doc.lines().position(|l| l == "--space ana--").unwrap();
-    expect_state_err(&doc, line, "--space");
+    let (bad, record) = edited("repository \"ana\"", |p| p.replacen("\"ana\"", "ana", 1));
+    expect_base_err(&bad, record, "bad space name \"ana\"");
 }
 
 #[test]
 fn unknown_section_header() {
-    let doc = valid_doc().replace("--space \"ana\"--", "--tenant \"ana\"--");
-    let line = 1 + doc.lines().position(|l| l == "--tenant \"ana\"--").unwrap();
-    expect_state_err(&doc, line, "--space");
+    let (bad, record) =
+        edited("tenant-create \"ana\"", |p| p.replacen("tenant-create", "tenant", 1));
+    expect_base_err(&bad, record, "unknown record type \"tenant\"");
 }
 
-#[test]
-fn duplicate_space_section_is_rejected() {
-    let base = valid_doc();
-    let tail = base[base.find("--space \"ana\"--").unwrap()..].to_string();
-    let doc = format!("{base}{tail}");
-    let line = doc
-        .lines()
-        .enumerate()
-        .filter(|(_, l)| *l == "--space \"ana\"--")
-        .nth(1)
-        .map(|(i, _)| i + 1)
-        .unwrap();
-    expect_state_err(&doc, line, "duplicate");
-}
-
-/// The section epoch 7 kept provenance in is not read: records are
-/// `file …` blocks of the repository.
+/// The record kind epoch 7 journaled provenance in is not read: records
+/// are `file …` blocks of the repository.
 #[test]
 fn a_provenance_section_is_refused() {
-    let doc = valid_doc().replacen("--repository--", "--provenance--\n--repository--", 1);
-    let line = 1 + doc.lines().position(|l| l == "--provenance--").unwrap();
-    expect_state_err(&doc, line, "expected --repository--, got \"--provenance--\"");
+    let base = valid_base();
+    let mut records = payloads(&base);
+    let i = records.iter().position(|p| p.starts_with("repository \"ana\"")).unwrap();
+    records.insert(i, "prov-batch \"ana\"\n".into());
+    expect_base_err(&reframed(&base, &records), i + 1, "unknown record type \"prov-batch\"");
 }
 
 #[test]
 fn missing_repository_section() {
-    let doc = valid_doc().replacen("--repository--", "--repo--", 1);
-    let line = 1 + doc.lines().position(|l| l == "--repo--").unwrap();
-    expect_state_err(&doc, line, "--repository--");
+    let (bad, record) = edited("repository \"ana\"", |p| p.replacen("repository", "repo", 1));
+    expect_base_err(&bad, record, "unknown record type \"repo\"");
 }
 
 #[test]
 fn corrupt_file_block_names_the_section() {
-    let doc = valid_doc().replacen(" text\n", " txt\n", 1);
-    match session_over(&pv_users(), ReStoreConfig::default()).recover(&doc, &[]) {
-        Err(Error::State { msg, .. }) => {
-            assert!(msg.contains("--repository--") && msg.contains("\"txt\""), "{msg}");
-        }
-        other => panic!("expected Error::State, got {other:?}"),
-    }
+    let (bad, record) = edited("repository \"ana\"", |p| p.replacen(" text\n", " txt\n", 1));
+    expect_base_err(&bad, record, "in repository");
+    expect_base_err(&bad, record, "\"txt\"");
 }
 
 #[test]
 fn corrupt_repository_body_names_the_section() {
-    let doc = valid_doc().replacen("entry ", "entryx ", 1);
-    match session_over(&pv_users(), ReStoreConfig::default()).recover(&doc, &[]) {
-        Err(Error::State { msg, .. }) => {
-            assert!(msg.contains("--repository--"), "{msg}");
-        }
-        other => panic!("expected Error::State, got {other:?}"),
-    }
+    let (bad, record) = edited("repository \"ana\"", |p| p.replacen("entry ", "entryx ", 1));
+    expect_base_err(&bad, record, "in repository");
 }
 
-// ---- other epochs, and documents from sharded repositories ----
+// ---- other epochs, and bases from sharded repositories ----
 
-/// A document or a journal segment whose first line names another epoch
-/// is refused whole with one typed error: the line, the epoch it names
-/// and the one this build reads. The readers read only this epoch: a v5
+/// A base or a journal segment whose first line names another epoch,
+/// and a `restore-state` document (the base format through epoch 8), is
+/// refused whole with one typed error: the line, the epoch it names and
+/// the one this build reads. The readers read only this epoch: a v5
 /// document's input versions counted writes per path, and a count can
 /// equal a later commit tick; a v6 document's entries do not say which
 /// version of their own file they stored, or in which format; a v7
-/// document's provenance records say neither that nor what they read.
+/// document's provenance records say neither that nor what they read;
+/// a v8 document is not framed, so a changed or cut one loaded.
 #[test]
 fn an_earlier_epoch_is_refused_naming_both_epochs() {
     let mut journaled = Journaled::start(&pv_users(), None, JournalConfig::default(), None);
@@ -340,13 +527,12 @@ fn an_earlier_epoch_is_refused_naming_both_epochs() {
     rs.execute_query_as(Some("ana"), &sum_query("/out/a"), "/wf/a").unwrap();
     journaled.seal();
     let Journaled { session: rs, base, segments } = journaled;
-    let doc = rs.save_state();
-    assert!(doc.starts_with(&format!("{}\n", header())));
-    let segment_header = restore_core::journal::SEGMENT_HEADER;
-    assert_eq!(segment_header, format!("restore-journal v{EPOCH}"));
+    let held = rs.save_state();
+    assert_eq!(SEGMENT_HEADER, format!("restore-journal v{EPOCH}"));
+    assert!(held.starts_with(&format!("{SEGMENT_HEADER}\n")));
 
-    // Refused on a session that holds `doc`, and refused whole: the
-    // session still holds `doc` after the error.
+    // Refused on a session that holds `held`, and refused whole: the
+    // session still holds `held` after the error.
     let refused = |base: &str, segments: &[String], line: &str, found: u64| {
         match rs.recover(base, segments) {
             Err(e @ Error::Epoch { .. }) => {
@@ -356,26 +542,26 @@ fn an_earlier_epoch_is_refused_naming_both_epochs() {
             }
             other => panic!("{line}: expected Error::Epoch, got {other:?}"),
         }
-        assert_eq!(rs.save_state(), doc, "{line}: the refused recovery changed the session");
+        assert_eq!(rs.save_state(), held, "{line}: the refused recovery changed the session");
     };
-    for found in [4, 5, 6, 7, EPOCH + 1] {
+    // A `restore-state` document of each epoch that wrote one, in the
+    // layout epoch 8 wrote.
+    for found in [4, 5, 6, 7, 8] {
         let old = format!("restore-state v{found}");
-        refused(&doc.replacen(&header(), &old, 1), &[], &old, found);
+        let doc = format!(
+            "{old}\ntick 2\ncand 1\nseq 0\n--config--\nreuse_enabled true\n\
+             --space \"\"--\n--repository--\n"
+        );
+        refused(&doc, &[], &old, found);
     }
-    // A v7 document's layout: a `--provenance--` section before each
-    // namespace's repository.
-    let v7 = doc
-        .replacen(&header(), "restore-state v7", 1)
-        .replace("--repository--\n", "--provenance--\n--repository--\n");
-    assert!(v7.len() > doc.len(), "the document holds namespaces");
-    refused(&v7, &[], "restore-state v7", 7);
     // `v1` is the segment header this journal wrote before the epoch.
     // In the final slot a torn header is forgiven, so check it there and
     // before it.
-    for found in [1, 5, 6, 7, EPOCH + 1] {
+    for found in [1, 5, 6, 7, 8, EPOCH + 1] {
         let old = format!("restore-journal v{found}");
+        refused(&held.replacen(SEGMENT_HEADER, &old, 1), &[], &old, found);
         let stale: Vec<String> =
-            segments.iter().map(|s| s.replacen(segment_header, &old, 1)).collect();
+            segments.iter().map(|s| s.replacen(SEGMENT_HEADER, &old, 1)).collect();
         refused(&base, &stale, &old, found);
         let mut mixed = stale.clone();
         mixed.extend(segments.iter().cloned());
@@ -385,39 +571,23 @@ fn an_earlier_epoch_is_refused_naming_both_epochs() {
     // The same base and segments at this epoch recover.
     let fresh = session_over(rs.engine().dfs(), ReStoreConfig::default());
     fresh.recover(&base, &segments).unwrap();
-    assert_eq!(fresh.save_state(), doc);
+    assert_eq!(fresh.save_state(), held);
 }
 
-/// Insert a `repo_shards <n>` line after the `nth` `eviction_window`
-/// line, where the releases that wrote the key put it (0 = the global
-/// config, 1 = the first tenant override).
-fn with_repo_shards(doc: &str, nth: usize, n: usize) -> String {
-    let key = "eviction_window none\n";
-    let at = doc.match_indices(key).nth(nth).expect("config section").0 + key.len();
-    format!("{}repo_shards {n}\n{}", &doc[..at], &doc[at..])
-}
-
-/// A sharded repository's document lists its entries in
-/// shard-concatenation order, not §3 order. Its `repo_shards` key is
-/// unknown to this epoch, so it is refused at that line, whatever its
-/// value, rather than loaded misordered.
+/// A sharded repository listed its entries in shard-concatenation
+/// order, not §3 order. Its `repo_shards` key is unknown to this epoch,
+/// so a config record carrying it — the global one or a tenant's — is
+/// refused naming that record, whatever its value, rather than loaded.
 #[test]
 fn sharded_document_is_refused_not_misordered() {
-    let shared = pv_users();
-    let rs = session_over(&shared, ReStoreConfig::default());
-    rs.set_config_as(
-        Some("ana"),
-        ReStoreConfig { heuristic: Heuristic::Conservative, ..Default::default() },
-    );
-    rs.execute_query(&join_query("/out/d"), "/wf/d").unwrap();
-    rs.execute_query_as(Some("ana"), &sum_query("/out/a"), "/wf/a").unwrap();
-    let doc = rs.save_state();
-    assert!(!doc.contains("repo_shards"), "the key is not written");
-    for nth in [0, 1] {
+    let base = valid_base();
+    assert!(!base.contains("repo_shards"), "the key is not written");
+    for tag in ["global-config", "tenant-config \"ana\""] {
         for n in [1, 8] {
-            let bad = with_repo_shards(&doc, nth, n);
-            let line = 1 + bad.lines().position(|l| l.starts_with("repo_shards")).unwrap();
-            expect_state_err(&bad, line, "unknown config key \"repo_shards\"");
+            let key = "eviction_window none\n";
+            let (bad, record) =
+                edited(tag, |p| p.replacen(key, &format!("{key}repo_shards {n}\n"), 1));
+            expect_base_err(&bad, record, "unknown config key \"repo_shards\"");
         }
     }
 }

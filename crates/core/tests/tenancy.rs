@@ -55,12 +55,13 @@ fn an_empty_tenant_name_is_the_default_namespace_at_every_entry_point() {
     let names: Vec<String> = rs.stats_all().into_iter().map(|(n, _)| n).collect();
     assert_eq!(names, ["", "ana"]);
 
-    // Durable: one default section, no `tenant-create ""` record, and
-    // the journal replays to the same session.
+    // Durable: one default `repository` record, no `tenant-create ""`
+    // record, and the journal replays to the same session.
     let segments = rs.save_state_delta().unwrap();
     assert!(segments.iter().all(|s| !s.contains("tenant-create \"\"")));
     let state = rs.save_state();
-    assert_eq!(state.matches("--space \"\"--").count(), 1);
+    assert_eq!(state.matches("\nrepository \"\"\n").count(), 1);
+    assert!(!state.contains("tenant-create \"\""));
     let replayed = session_over(rs.engine().dfs(), ReStoreConfig::default());
     replayed.recover(&base, &segments).unwrap();
     assert_eq!(replayed.save_state(), state);

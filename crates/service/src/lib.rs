@@ -57,8 +57,8 @@
 //! * **Durability** — one way out, one way in.
 //!   [`RestoreService::checkpoint_begin`] turns on the driver's
 //!   snapshot journal and anchors a base checkpoint (the whole session —
-//!   every namespace, policies, counters — as a `restore-state`
-//!   document), after
+//!   every namespace, policies, counters — as one journal segment),
+//!   after
 //!   which [`RestoreService::checkpoint_incremental`] captures deltas
 //!   proportional to what changed — **without pausing dispatch or
 //!   draining in-flight workflows** — and folds the journal into a

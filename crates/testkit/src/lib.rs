@@ -228,7 +228,7 @@ pub fn check_repository(rs: &ReStore) -> Result<(), String> {
     Ok(())
 }
 
-/// A journaling session and what it has journaled: the document its
+/// A journaling session and what it has journaled: the base its
 /// journal continues from, and every segment sealed since, in order.
 pub struct Journaled {
     pub session: ReStore,
@@ -247,8 +247,8 @@ impl Journaled {
         from: Option<&str>,
     ) -> Journaled {
         let session = ReStore::new(engine_over(dfs.clone(), engine), ReStoreConfig::default());
-        if let Some(doc) = from {
-            session.recover(doc, &[]).expect("the base document loads");
+        if let Some(base) = from {
+            session.recover(base, &[]).expect("the base loads");
         }
         session.enable_journal(journal);
         let base = from.map_or_else(|| session.save_state(), str::to_string);

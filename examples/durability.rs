@@ -16,7 +16,9 @@
 //! record boundaries: each recovered prefix holds every entry together
 //! with its file's record, and every record names its file at the tick
 //! it holds, because a wave's entries and records are one journal
-//! record.
+//! record. And the base itself, cut at each of its record boundaries
+//! or with one byte flipped in each of its frames, is refused, and the
+//! session that refuses it keeps what it held.
 //!
 //! ```sh
 //! cargo run --example durability
@@ -179,10 +181,40 @@ fn every_boundary_recovers_records_at_their_ticks() -> bool {
     })
 }
 
+/// A base taken after both tenants' cold round, cut at each of its
+/// record boundaries and, separately, with one byte flipped in each of
+/// its frames: is every such base refused, leaving a session that held
+/// the whole base holding it still?
+fn every_cut_or_flipped_base_is_refused() -> bool {
+    let dfs = cluster(0xBA5E);
+    let service = new_service(&dfs);
+    run_round(&service, "cold");
+    service.checkpoint_begin(CheckpointConfig::default());
+    let base = service.checkpoint_set().expect("checkpointing enabled").base;
+    service.shutdown();
+    let bounds = segment_boundaries(&base);
+    let cuts = bounds[..bounds.len() - 1].iter().map(|&cut| base[..cut].to_string());
+    let flips = bounds.windows(2).map(|frame| {
+        let mut bytes = base.clone().into_bytes();
+        let mid = (frame[0] + frame[1]) / 2;
+        let at = (mid..frame[1]).find(|&i| bytes[i].is_ascii()).expect("an ASCII byte");
+        bytes[at] ^= 1;
+        String::from_utf8(bytes).expect("still UTF-8")
+    });
+    let rs = new_driver(&dfs);
+    rs.recover(&base, &[]).expect("the whole base recovers");
+    let mut bad = cuts.chain(flips).peekable();
+    assert!(bad.peek().is_some(), "the base has records");
+    bad.all(|bad| rs.recover(&bad, &[]).is_err() && rs.save_state() == base)
+}
+
 fn main() {
     torn_journal_recovery();
     let kept = every_boundary_recovers_records_at_their_ticks();
     println!("every record-boundary prefix recovers each record at its file's tick: {kept}");
     assert!(kept, "a recovered entry lost its record, or a record names a moved file");
+    let refused = every_cut_or_flipped_base_is_refused();
+    println!("every cut or flipped base is refused: {refused}");
+    assert!(refused, "a cut or flipped base recovered, or its refusal changed the session");
     println!("durability OK: every torn-tail recovery served the warm rerun");
 }

@@ -175,7 +175,7 @@ proptest! {
         let rs = build_session(&dfs, &spaces);
 
         let s1 = rs.save_state();
-        let header = format!("restore-state v{EPOCH}\n");
+        let header = format!("restore-journal v{EPOCH}\n");
         prop_assert!(s1.starts_with(&header));
         let engine = Engine::new(dfs.clone(), ClusterConfig::default(), EngineConfig::default());
         let resumed = ReStore::new(engine, ReStoreConfig::default());
