@@ -231,10 +231,12 @@ fn bench_reduce(c: &mut Criterion) {
 /// output — a user and the bag of that user's `(user, timestamp,
 /// revenue)` rows, ≈ 20 to a bag; `group_all`, one record holding every
 /// `(user, revenue)` pair, as `group … all` stores it; and `user_sums`,
-/// `(user, SUM(revenue))` rows. Users are `user_<n>`, revenues two-place
-/// decimals like `page_views`' own, and a sum of them is mostly not
-/// one.
-fn stored_shapes() -> [(&'static str, Vec<Tuple>); 3] {
+/// `(user, SUM(revenue))` rows; and `group_singletons`, 20 000 groups of
+/// one member, `(user, timestamp, {(user, timestamp, revenue)})`, the
+/// shape of L6's stored group, where every bag is a member's three
+/// fields. Users are `user_<n>`, revenues two-place decimals like
+/// `page_views`' own, and a sum of them is mostly not one.
+fn stored_shapes() -> [(&'static str, Vec<Tuple>); 4] {
     let mut rng = SplitMix64::new(0xc0dec);
     let mut revenue = move || (rng.next_below(10_000) as f64) / 100.0;
     let user = |u: usize| Value::str(format!("user_{u}"));
@@ -254,7 +256,19 @@ fn stored_shapes() -> [(&'static str, Vec<Tuple>); 3] {
     let user_sums = (0..20_000)
         .map(|u| tuple![format!("user_{u}"), (0..1 + u % 5).map(|_| revenue()).sum::<f64>()])
         .collect();
-    [("group_bags", group_bags), ("group_all", group_all), ("user_sums", user_sums)]
+    let group_singletons = (0..20_000)
+        .map(|u| {
+            let ts = Value::Int(1_300_000_000 + (u * 97) as i64);
+            let member = tuple![user(u % 1_000), ts.clone(), Value::Double(revenue())];
+            Tuple::from_values(vec![user(u % 1_000), ts, Value::Bag(vec![member].into())])
+        })
+        .collect();
+    [
+        ("group_bags", group_bags),
+        ("group_all", group_all),
+        ("user_sums", user_sums),
+        ("group_singletons", group_singletons),
+    ]
 }
 
 /// Both codecs over [`stored_shapes`]: what a job that reads a stored

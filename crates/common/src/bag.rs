@@ -200,9 +200,10 @@ pub struct BagBuilder {
 }
 
 impl BagBuilder {
-    /// Room for `fields` fields, over all members.
+    /// Room for exactly `fields` more fields, over all members: a bag
+    /// that fills it keeps that one allocation through [`Self::finish`].
     pub fn reserve(&mut self, fields: usize) {
-        self.values.reserve(fields);
+        self.values.reserve_exact(fields);
     }
 
     /// Add a field to the open member.
@@ -364,6 +365,23 @@ mod tests {
         let next = builder.finish();
         assert_eq!((next.len(), next.arity), (1, 1));
         assert_eq!(builder.finish(), Bag::default());
+    }
+
+    #[test]
+    fn a_bag_reserved_exactly_keeps_its_buffer() {
+        for arity in 1..=4 {
+            for members in 1..=3 {
+                let mut builder = BagBuilder::default();
+                builder.reserve(arity * members);
+                let buffer = builder.values.as_ptr();
+                for m in 0..members {
+                    builder.push_row((0..arity).map(|f| Value::Int((m * arity + f) as i64)));
+                }
+                let bag = builder.finish();
+                assert_eq!(bag.values.as_ptr(), buffer, "{members} x {arity}");
+                assert_eq!(bag.values.len(), arity * members);
+            }
+        }
     }
 
     #[test]

@@ -594,7 +594,9 @@ fn value_reads_back(v: &Value) -> bool {
     match v {
         Value::Null | Value::Int(_) => true,
         Value::Double(d) => d.is_finite() && (d.fract() != 0.0 || d.abs() < 1e15),
-        Value::Str(s) => infer_number(s).is_none(),
+        // The bytes first: viewing an inline string as a `str` re-checks
+        // its UTF-8, which only a string that looks numeric needs.
+        Value::Str(s) => !looks_numeric(s.as_bytes()) || infer_number(s).is_none(),
         Value::Bag(bag) => {
             bag.rows().all(|row| !row.is_empty() && row.iter().all(value_reads_back))
         }
@@ -603,7 +605,7 @@ fn value_reads_back(v: &Value) -> bool {
 
 /// The number a field's text reads as, if it reads as one.
 fn infer_number(s: &str) -> Option<Value> {
-    if !s.is_empty() && looks_numeric(s) {
+    if looks_numeric(s.as_bytes()) {
         if let Ok(i) = s.parse::<i64>() {
             return Some(Value::Int(i));
         }
@@ -620,9 +622,12 @@ fn infer_value(s: &str) -> Value {
     infer_number(s).unwrap_or_else(|| Value::Str(SmallStr::from(s)))
 }
 
-fn looks_numeric(s: &str) -> bool {
-    let b = s.as_bytes();
-    let start = if b[0] == b'-' || b[0] == b'+' { 1 } else { 0 };
+fn looks_numeric(b: &[u8]) -> bool {
+    let start = match b.first() {
+        None => return false,
+        Some(b'-' | b'+') => 1,
+        Some(_) => 0,
+    };
     if start >= b.len() || !b[start].is_ascii_digit() {
         return false;
     }

@@ -13,6 +13,11 @@
 //! `len` and the comparisons read; only a `&str` view of an inline string
 //! ([`SmallStr::as_str`], `Deref`) re-checks its UTF-8, which is the one
 //! way safe code can turn a byte array back into a `str`.
+//!
+//! Decoding builds a short string from bytes in one step
+//! ([`SmallStr::from_utf8`]): the bytes are copied into the inline array,
+//! and three word reads of the array find them all ASCII, which is UTF-8.
+//! Any other string goes through `std::str::from_utf8`.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -40,9 +45,14 @@ const _: () = assert!(std::mem::size_of::<SmallStr>() == 24);
 
 impl SmallStr {
     /// The string `bytes` spell, if they are UTF-8; a short one is copied
-    /// inline with no allocation.
+    /// inline with no allocation. A short all-ASCII string is built and
+    /// checked in one step (see the [module docs](self)); anything else
+    /// goes through `std::str::from_utf8`, so what it refuses is refused.
     pub fn from_utf8(bytes: &[u8]) -> Result<Self, std::str::Utf8Error> {
-        std::str::from_utf8(bytes).map(SmallStr::from)
+        match ascii_inline(bytes) {
+            Some(inline) => Ok(SmallStr(Repr::Inline { len: bytes.len() as u8, bytes: inline })),
+            None => std::str::from_utf8(bytes).map(SmallStr::from),
+        }
     }
 
     /// The string's bytes, read without a check.
@@ -69,6 +79,26 @@ impl SmallStr {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+}
+
+/// Check that `bytes` are UTF-8 as [`SmallStr::from_utf8`] does, building
+/// nothing.
+pub(crate) fn check_utf8(bytes: &[u8]) -> Result<(), std::str::Utf8Error> {
+    match ascii_inline(bytes) {
+        Some(_) => Ok(()),
+        None => std::str::from_utf8(bytes).map(drop),
+    }
+}
+
+/// `bytes` copied into an inline array, if they fit and are all ASCII,
+/// which makes them UTF-8. The array is read as three overlapping words,
+/// bytes 0–7, 8–15 and 14–21, whose high bits must all be clear; the
+/// bytes past `bytes.len()` are zeros and pass.
+fn ascii_inline(bytes: &[u8]) -> Option<[u8; INLINE_CAP]> {
+    let mut inline = [0; INLINE_CAP];
+    inline.get_mut(..bytes.len())?.copy_from_slice(bytes);
+    let word = |at: usize| u64::from_le_bytes(inline[at..at + 8].try_into().expect("8 bytes"));
+    ((word(0) | word(8) | word(INLINE_CAP - 8)) & 0x8080_8080_8080_8080 == 0).then_some(inline)
 }
 
 impl From<&str> for SmallStr {
@@ -201,6 +231,54 @@ mod tests {
                 assert_eq!(sa.cmp(sb), a.cmp(b), "{a:?} vs {b:?}");
                 assert_eq!(sa == sb, a == b, "{a:?} vs {b:?}");
             }
+        }
+    }
+
+    /// At every length 0–23, one byte ≥ 0x80 at each position, in ASCII
+    /// padding: alone (never UTF-8), or opening a two-, three- or
+    /// four-byte character that is whole, cut short, or overlong.
+    /// `from_utf8` and `check_utf8` refuse exactly what `std` refuses,
+    /// and build what `std::str::from_utf8` then `SmallStr::from` build.
+    #[test]
+    fn from_utf8_is_std_then_from_at_every_length_and_position() {
+        let units: [&[u8]; 10] = [
+            b"\x80",
+            b"\xff",
+            b"\xc3\xa9",
+            b"\xc3",
+            b"\xc0\xaf",
+            b"\xe2\x82\xac",
+            b"\xe2\x82",
+            b"\xed\xa0\x80",
+            b"\xf0\x9f\x98\x80",
+            b"\xf0\x9f\x98",
+        ];
+        let mut cases = 0;
+        for len in 0..=INLINE_CAP + 1 {
+            let ascii = vec![b'a'; len];
+            check_against_std(&ascii);
+            for at in 0..len {
+                for unit in units {
+                    let mut bytes = ascii.clone();
+                    let end = (at + unit.len()).min(len);
+                    bytes[at..end].copy_from_slice(&unit[..end - at]);
+                    check_against_std(&bytes);
+                    cases += 1;
+                }
+            }
+        }
+        assert_eq!(cases, 10 * (0..=INLINE_CAP + 1).sum::<usize>());
+    }
+
+    fn check_against_std(bytes: &[u8]) {
+        let want = std::str::from_utf8(bytes).map(SmallStr::from);
+        let got = SmallStr::from_utf8(bytes);
+        assert_eq!(got.is_ok(), want.is_ok(), "{bytes:x?}");
+        assert_eq!(check_utf8(bytes).is_ok(), want.is_ok(), "{bytes:x?}");
+        if let (Ok(got), Ok(want)) = (got, want) {
+            assert_eq!(got.as_bytes(), want.as_bytes());
+            assert_eq!(got.as_str(), std::str::from_utf8(bytes).unwrap());
+            assert_eq!(matches!(got.0, Repr::Inline { .. }), bytes.len() <= INLINE_CAP);
         }
     }
 

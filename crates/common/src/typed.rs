@@ -59,7 +59,7 @@
 use crate::bag::{Bag, BagBuilder};
 use crate::codec::ColumnSet;
 use crate::error::{Error, Result};
-use crate::small_str::SmallStr;
+use crate::small_str::{check_utf8, SmallStr};
 use crate::tuple::Tuple;
 use crate::value::Value;
 
@@ -248,24 +248,22 @@ impl<'a> Reader<'a> {
         Ok(b)
     }
 
+    /// A varint of at most ten bytes, read in one pass over the bytes
+    /// remaining: the tenth byte carries one bit, so one above 1 is an
+    /// overflow, and bytes that end on a continuation are a truncation.
     pub fn varint(&mut self) -> Result<u64> {
-        let b = self.byte()?;
-        if b < 0x80 {
-            return Ok(u64::from(b));
-        }
-        let mut n = u64::from(b & 0x7f);
-        for shift in (7..64).step_by(7) {
-            let b = self.byte()?;
-            let bits = u64::from(b & 0x7f);
-            if (bits << shift) >> shift != bits {
-                break; // the tenth byte carries one bit
+        let mut n = 0;
+        for (i, &b) in self.bytes.iter().take(10).enumerate() {
+            if i == 9 && b > 1 {
+                return Err(corrupt("varint overflows 64 bits"));
             }
-            n |= bits << shift;
+            n |= u64::from(b & 0x7f) << (7 * i);
             if b < 0x80 {
+                self.bytes = &self.bytes[i + 1..];
                 return Ok(n);
             }
         }
-        Err(corrupt("varint overflows 64 bits"))
+        Err(corrupt("unexpected end"))
     }
 
     /// A count of items that each occupy at least `min_bytes`.
@@ -407,7 +405,7 @@ impl<'a> Reader<'a> {
             }
             STR => {
                 let len = self.size(arg, 1)?;
-                std::str::from_utf8(self.take(len)?).map_err(not_utf8)?;
+                check_utf8(self.take(len)?).map_err(not_utf8)?;
             }
             BAG => {
                 for _ in 0..self.size(arg, 1)? {
@@ -738,6 +736,81 @@ mod tests {
         assert_eq!(len(Value::Double(-0.0)), 9, "raw bits");
         assert_eq!(len(Value::str("user_12")), 8);
         assert_eq!(len(Value::str("z".repeat(31))), 33);
+    }
+
+    /// The byte-at-a-time varint `Reader::varint` replaced: its value and
+    /// the bytes it took, or its error's text.
+    fn varint_reference(bytes: &[u8]) -> std::result::Result<(u64, usize), String> {
+        let end = || corrupt("unexpected end").to_string();
+        let mut n = 0u64;
+        for (i, shift) in (0..64).step_by(7).enumerate() {
+            let b = *bytes.get(i).ok_or_else(end)?;
+            let bits = u64::from(b & 0x7f);
+            if (bits << shift) >> shift != bits {
+                break;
+            }
+            n |= bits << shift;
+            if b < 0x80 {
+                return Ok((n, i + 1));
+            }
+        }
+        Err(corrupt("varint overflows 64 bits").to_string())
+    }
+
+    fn varint_read(bytes: &[u8]) -> std::result::Result<(u64, usize), String> {
+        let mut r = Reader::new(bytes);
+        let n = r.varint().map_err(|e| e.to_string())?;
+        Ok((n, bytes.len() - r.bytes.len()))
+    }
+
+    #[test]
+    fn a_varint_reads_as_the_byte_wise_reference() {
+        let mut rng = crate::rng::SplitMix64::new(0x7a71);
+        let mut cases = 0;
+        // Every encoded length 1-10, its least, greatest and random
+        // values, at every distance 0-9 from the buffer's end; then every
+        // strict prefix of it, each of which is a truncation.
+        for len in 1..=10u32 {
+            let least = if len == 1 { 0 } else { 1u64 << (7 * (len - 1)) };
+            let most = if len == 10 { u64::MAX } else { (1u64 << (7 * len)) - 1 };
+            for n in [least, most, least + rng.next_u64() % (most - least)] {
+                let mut encoded = Vec::new();
+                put_varint(n, &mut encoded);
+                assert_eq!(encoded.len(), len as usize);
+                for after in 0..10 {
+                    let mut buf = encoded.clone();
+                    buf.extend((0..after).map(|_| rng.next_u64() as u8));
+                    assert_eq!(varint_read(&buf), Ok((n, len as usize)));
+                    assert_eq!(varint_read(&buf), varint_reference(&buf));
+                    cases += 1;
+                }
+                for cut in 0..encoded.len() {
+                    let got = varint_read(&encoded[..cut]);
+                    assert_eq!(got, Err(corrupt("unexpected end").to_string()));
+                    assert_eq!(got, varint_reference(&encoded[..cut]));
+                }
+            }
+        }
+        assert_eq!(cases, 10 * 3 * 10);
+        // A tenth byte of each value, after nine continuations: only 0
+        // and 1 fit; every other one overflows, as does an eleventh byte.
+        for tenth in 0..=255u8 {
+            let mut buf = vec![0xff; 9];
+            buf.push(tenth);
+            let got = varint_read(&buf);
+            assert_eq!(got, varint_reference(&buf), "{tenth:#04x}");
+            assert_eq!(got.is_ok(), tenth <= 1, "{tenth:#04x}");
+        }
+        // Random bytes, mostly continuations, of every length to 12.
+        for _ in 0..200_000 {
+            let len = rng.next_below(13) as usize;
+            let mut byte = || match rng.next_below(8) {
+                0 => rng.next_u64() as u8 & 0x7f,
+                _ => rng.next_u64() as u8 | 0x80,
+            };
+            let buf: Vec<u8> = (0..len).map(|_| byte()).collect();
+            assert_eq!(varint_read(&buf), varint_reference(&buf), "{buf:x?}");
+        }
     }
 
     #[test]

@@ -137,6 +137,47 @@ proptest! {
     }
 }
 
+/// `file`'s records decoded group by group as a split reader decodes
+/// them: only `cols`, every other field skipped by its length.
+fn decode_columns(file: &[u8], cols: &codec::ColumnSet) -> restore_common::Result<Vec<Tuple>> {
+    let (index_len, footer_len) = typed::footer(file)?;
+    let data_len = file.len() - footer_len - index_len as usize;
+    let index = typed::Index::parse(&file[data_len..file.len() - footer_len], data_len as u64)?;
+    let mut out = Vec::new();
+    for g in index.groups() {
+        typed::decode_group(&file[g.start as usize..g.end() as usize], g, Some(cols), |t| {
+            out.push(t);
+            Ok(())
+        })?;
+    }
+    Ok(out)
+}
+
+/// A skipped field is still checked: a string of any length to 40 in a
+/// column the reader does not ask for, with one byte at each position
+/// changed to one that breaks its UTF-8, makes the file an error.
+#[test]
+fn a_pruned_column_holding_invalid_utf8_is_refused() {
+    let pruned = codec::ColumnSet::new([0, 2]);
+    for len in 1..=40 {
+        let s: String = (b'a'..=b'z').cycle().take(len).map(char::from).collect();
+        let rows =
+            vec![Tuple::from_values(vec![Value::Int(1), Value::str(s.as_str()), Value::Int(2)])];
+        let file = typed::encode_file(&rows);
+        let want = vec![Tuple::from_values(vec![Value::Int(1), Value::Int(2)])];
+        assert_eq!(decode_columns(&file, &pruned).unwrap(), want);
+        let at = file.windows(len).position(|w| w == s.as_bytes()).unwrap();
+        for i in 0..len {
+            for bad in [0x80, 0xc3, 0xff] {
+                let mut damaged = file.clone();
+                damaged[at + i] = bad;
+                assert!(decode_columns(&damaged, &pruned).is_err(), "{len} bytes, {bad:#x} at {i}");
+                assert!(typed::decode_file(&damaged).is_err(), "{len} bytes, {bad:#x} at {i}");
+            }
+        }
+    }
+}
+
 /// No byte the text codec escapes (an escaped string is longer as text),
 /// and no `-0.0`.
 fn no_escapes_or_minus_zero(v: &Value) -> bool {

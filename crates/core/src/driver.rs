@@ -567,6 +567,9 @@ impl ReStore {
             let specs: Vec<&JobSpec> = prepared.iter().map(|p| &p.spec).collect();
             let results = self.engine.run_wave(&specs, config.wave_parallel)?;
             self.obs.stage.execute.record_elapsed(execute_t0);
+            for result in &results {
+                self.obs.record_phases(&result.phases);
+            }
 
             // ---- Phase 3: register outputs (§2.2) and apply §5 rules ----
             let register_t0 = Instant::now();

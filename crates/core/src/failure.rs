@@ -116,12 +116,12 @@ impl FailurePolicy {
         let exp = attempt.saturating_sub(1).min(24);
         let raw = self.retry_backoff_base_ms as f64 * self.retry_backoff_factor.powi(exp as i32);
         let capped = raw.min(self.retry_backoff_cap_ms as f64);
-        // FNV over (salt, attempt) → a unit fraction → a scale factor
+        // The frame hash over (salt, attempt) → a unit fraction → a scale factor
         // in [1 - jitter, 1 + jitter).
         let mut bytes = [0u8; 12];
         bytes[..8].copy_from_slice(&salt.to_le_bytes());
         bytes[8..].copy_from_slice(&attempt.to_le_bytes());
-        let unit = (crate::journal::fnv1a64(&bytes) >> 11) as f64 / (1u64 << 53) as f64;
+        let unit = (crate::journal::frame_hash(&bytes) >> 11) as f64 / (1u64 << 53) as f64;
         let jitter = self.retry_backoff_jitter.clamp(0.0, 1.0);
         let scaled = capped * (1.0 - jitter + 2.0 * jitter * unit);
         Duration::from_micros((scaled * 1_000.0).max(0.0) as u64)

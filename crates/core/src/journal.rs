@@ -65,14 +65,14 @@
 //!
 //! # Framing and the torn-tail rule
 //!
-//! Records are framed as `r <seq> <len> <fnv64>\n` followed by exactly
+//! Records are framed as `r <seq> <len> <sum>\n` followed by exactly
 //! `len` payload bytes. In a delta, `seq` is a session-global sequence
 //! number drawn inside the frame buffer's lock, so a segment's physical
 //! order is its seq order (recovery still sorts by seq and refuses
 //! duplicates: segments are input, and input is checked). `len` is the
-//! payload byte length, and `fnv64` is the payload's FNV-1a 64-bit
-//! checksum in hex. A crash can truncate the tail of the segment being
-//! written; on decode:
+//! payload byte length, and `sum` is the payload's 64-bit checksum
+//! (`frame_hash`) in hex. A crash can truncate the tail of the segment
+//! being written; on decode:
 //!
 //! * an **incomplete final frame** (header cut short, or fewer than
 //!   `len` payload bytes remaining) in the *final* delta segment is a
@@ -191,9 +191,14 @@ pub(crate) enum RepoRecOp {
 
 // ---- checksum ----
 
-/// FNV-1a 64-bit: tiny, dependency-free, and plenty to catch the
-/// random corruption the frame checksum exists for.
-pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
+/// The frame checksum: FNV-1a's shape (offset basis
+/// `0xcbf2_9ce4_8422_2325`, then per byte XOR and multiply), but the
+/// multiplier is `0x1000_0000_01b3` = 2^44 + 0x1b3, not FNV's 64-bit
+/// prime 2^40 + 0x1b3, so it is not FNV-1a and a standard FNV-1a does
+/// not reproduce a frame's sum. Tiny, dependency-free, and plenty to
+/// catch the random corruption it exists for. The multiplier is part of
+/// every frame's bytes: changing it waits for a format epoch.
+pub(crate) fn frame_hash(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= b as u64;
@@ -206,7 +211,7 @@ pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
 
 /// Frame `payload` as one record with sequence number `seq`.
 fn write_frame(out: &mut String, seq: u64, payload: &str) {
-    out.push_str(&format!("r {seq} {} {:016x}\n", payload.len(), fnv1a64(payload.as_bytes())));
+    out.push_str(&format!("r {seq} {} {:016x}\n", payload.len(), frame_hash(payload.as_bytes())));
     out.push_str(payload);
 }
 
@@ -498,7 +503,7 @@ pub fn segment_boundaries(segment: &str) -> Vec<usize> {
     while pos < segment.len() {
         let Some((_, len, sum, body_start)) = parse_frame_at(segment, pos) else { break };
         let end = body_start + len;
-        if end > segment.len() || fnv1a64(&segment.as_bytes()[body_start..end]) != sum {
+        if end > segment.len() || frame_hash(&segment.as_bytes()[body_start..end]) != sum {
             // Incomplete or checksum-invalid frame: no boundary past
             // here — decode_segment would reject the same frame.
             break;
@@ -587,7 +592,7 @@ pub(crate) fn decode_segment(text: &str, segment: usize, is_final: bool) -> Resu
             return Err(err(ordinal, "truncated record payload in non-final segment".into()));
         }
         let payload = &text[body_start..body_start + len];
-        let actual = fnv1a64(payload.as_bytes());
+        let actual = frame_hash(payload.as_bytes());
         if actual != sum {
             return Err(err(
                 ordinal,
@@ -762,7 +767,7 @@ mod tests {
     fn segment_of(payloads: &[&str]) -> String {
         let mut seg = format!("{SEGMENT_HEADER}\n");
         for (i, p) in payloads.iter().enumerate() {
-            seg += &format!("r {} {} {:016x}\n{p}", i + 1, p.len(), fnv1a64(p.as_bytes()));
+            seg += &format!("r {} {} {:016x}\n{p}", i + 1, p.len(), frame_hash(p.as_bytes()));
         }
         seg
     }

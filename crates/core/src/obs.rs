@@ -8,6 +8,7 @@
 //! zero-publish invariant with telemetry enabled).
 
 use crate::selector::EVICTION_REASONS;
+use restore_mapreduce::PhaseTimes;
 use restore_telemetry::{Counter, Histogram, Registry, TraceRing};
 use std::fmt;
 use std::sync::Arc;
@@ -97,7 +98,16 @@ pub(crate) struct StageHists {
     /// fixpoint sweeps, one series per pass in
     /// [`restore_dataflow::analyzer::PASS_NAMES`] order.
     pub canon: [Histogram; 3],
+    /// Per executed job: its measured phases (`JobResult::phases`), one
+    /// series per phase in [`JOB_PHASES`] order. A job answered from the
+    /// repository runs no phase and records nothing.
+    pub job_phase: [Histogram; 6],
 }
+
+/// The `phase` labels of `restore_job_phase_seconds`, in the order
+/// [`Obs::record_phases`] records them.
+pub(crate) const JOB_PHASES: [&str; 6] =
+    ["map_wall", "map_decode", "shuffle_decode", "sort", "reduce", "commit_wall"];
 
 /// Span histograms inside one §3 match iteration.
 pub(crate) struct MatchStageHists {
@@ -168,6 +178,14 @@ impl Obs {
                 1e-9,
             )
         };
+        let phase_hist = |phase: &str| {
+            registry.histogram(
+                "restore_job_phase_seconds",
+                "Measured phase time per executed job",
+                &[("phase", phase)],
+                1e-9,
+            )
+        };
         let passes = restore_dataflow::analyzer::PASS_NAMES;
         Obs {
             stage: StageHists {
@@ -179,6 +197,7 @@ impl Obs {
                 execute: stage_hist("execute"),
                 register: stage_hist("register"),
                 canon: [canon_hist(passes[0]), canon_hist(passes[1]), canon_hist(passes[2])],
+                job_phase: JOB_PHASES.map(phase_hist),
             },
             match_stage: MatchStageHists {
                 snapshot_load: match_hist("snapshot_load"),
@@ -213,6 +232,16 @@ impl Obs {
                 }
             },
             registry,
+        }
+    }
+
+    /// Record one executed job's measured phases.
+    pub(crate) fn record_phases(&self, phases: &PhaseTimes) {
+        let PhaseTimes { map_wall, map_decode, shuffle_decode, sort, reduce, commit_wall } =
+            *phases;
+        let times = [map_wall, map_decode, shuffle_decode, sort, reduce, commit_wall];
+        for (hist, d) in self.stage.job_phase.iter().zip(times) {
+            hist.record(d.as_nanos() as u64);
         }
     }
 

@@ -95,6 +95,32 @@ fn stage_count(restore: &ReStore, family: &str, stage: &str) -> u64 {
         .map_or(0, |(_, count, _)| count)
 }
 
+/// Each executed job's measured phases are in the session registry, one
+/// observation per phase per job; a job answered whole from the
+/// repository runs no phase and records none.
+#[test]
+fn an_executed_job_records_each_phase_once_and_a_warm_hit_none() {
+    let restore = restore();
+    let phase_stats = || restore.registry().histogram_stats("restore_job_phase_seconds");
+    let cold = restore.execute_query(&q1("/out/p"), "/wf/p").expect("cold run");
+    assert_eq!(cold.job_results.len(), 1);
+    let stats = phase_stats();
+    let phases = ["map_wall", "map_decode", "shuffle_decode", "sort", "reduce", "commit_wall"];
+    assert_eq!(stats.len(), phases.len(), "{stats:?}");
+    for phase in phases {
+        let key = format!("phase=\"{phase}\"");
+        let series = stats.iter().find(|(labels, ..)| labels.contains(&key));
+        assert_eq!(series.map(|(_, count, _)| *count), Some(1), "{phase}: {stats:?}");
+    }
+    let map_wall = stats.iter().find(|(labels, ..)| labels.contains("phase=\"map_wall\""));
+    assert_eq!(map_wall.unwrap().2, cold.job_results[0].phases.map_wall.as_nanos() as u64);
+
+    let warm = restore.execute_query(&q1("/out/p2"), "/wf/p2").expect("warm run");
+    assert_eq!((warm.jobs_skipped, warm.job_results.len()), (1, 0));
+    assert_eq!(phase_stats(), stats, "a warm whole-job hit records no phase");
+    assert!(restore.registry().render().contains("restore_job_phase_seconds_bucket{phase="));
+}
+
 /// A two-job workflow (join, then group) over the same inputs as `q1`.
 fn two_job(out: &str) -> String {
     format!(

@@ -394,13 +394,14 @@ fn reframed(base: &str, records: &[String]) -> String {
     let anchor = anchor_of(base);
     let mut out = format!("{SEGMENT_HEADER}\n");
     for p in records {
-        out += &format!("r {anchor} {} {:016x}\n{p}", p.len(), fnv1a64(p.as_bytes()));
+        out += &format!("r {anchor} {} {:016x}\n{p}", p.len(), frame_hash(p.as_bytes()));
     }
     out
 }
 
-/// FNV-1a 64, the frame checksum.
-fn fnv1a64(bytes: &[u8]) -> u64 {
+/// The frame checksum (`journal::frame_hash`): FNV-1a's shape with the
+/// multiplier 2^44 + 0x1b3, not FNV's prime 2^40 + 0x1b3.
+fn frame_hash(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ b as u64).wrapping_mul(0x1000_0000_01b3))
 }
 

@@ -49,6 +49,9 @@ fn render_metrics_covers_required_families() {
         "restore_stage_seconds_bucket{stage=\"match\"",
         "restore_stage_seconds_bucket{stage=\"execute\"",
         "restore_stage_seconds_bucket{stage=\"register\"",
+        // Each executed job's measured phases.
+        "restore_job_phase_seconds_bucket{phase=\"map_decode\"",
+        "restore_job_phase_seconds_bucket{phase=\"commit_wall\"",
         // Journal gauges and capture lag.
         "restore_journal_seq ",
         "restore_journal_seq_lag ",
