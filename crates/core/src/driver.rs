@@ -2,21 +2,35 @@
 //! extended into a shared, concurrently-usable session object.
 //!
 //! A workflow executes in **dependency waves** (the same grouping Pig's
-//! `JobControlCompiler` submits in, §6.1). Each wave goes through three
-//! phases:
+//! `JobControlCompiler` submits in, §6.1). Each job of a wave goes
+//! through one lifecycle, prepare → run → register, whether it succeeds
+//! or fails, and each step takes the whole wave at once:
 //!
 //! 1. **prepare** (serialized, cheap): per job — rewrite Loads of outputs
 //!    that earlier skipped jobs aliased away, lineage-expand the plan and
 //!    repeatedly match/rewrite it against the repository (§3), skip the
 //!    job entirely when rewriting reduced it to a pure copy, and inject
 //!    sub-job Stores per the active heuristic (§4);
-//! 2. **execute** (parallel): all surviving jobs of the wave run
+//! 2. **run** (parallel): all surviving jobs of the wave run
 //!    concurrently on the MapReduce engine via `std::thread::scope` —
 //!    Equation (1) already models a workflow's makespan as its slowest
-//!    dependency chain, and wave-parallel execution realizes it;
+//!    dependency chain, and wave-parallel execution realizes it. The
+//!    engine reports each job's outcome: one job's failure stops no
+//!    other, and a failed job leaves no visible output;
 //! 3. **register** (serialized, in job-index order): each output's
 //!    record — its plan, file and inputs — and statistics enter the
-//!    repository (§2.2), and the §5 selection rules are applied.
+//!    repository (§2.2), and the §5 selection rules are applied, for
+//!    every job that ran, whether or not a wave-mate failed.
+//!
+//! A failed job ends the workflow after its wave: no later wave runs,
+//! the end-of-workflow steps run as on success (a no-reuse session's
+//! temporaries are deleted, the pins drop), and the submission returns
+//! the error of the lowest-indexed failed job. The jobs that ran keep
+//! their outputs and records exactly as on success; the failed job and
+//! later waves leave nothing, except a job whose own registration failed:
+//! its outputs were committed, and stay without a record. (As on success,
+//! a final output under `register_final_outputs: false`, and a temporary
+//! whose entry the §5 rules reject, have no record either.)
 //!
 //! The repository, every record included, is published as
 //! **RCU snapshots** (see [`crate::rcu`] and [`crate::repository`]), and every
@@ -490,9 +504,8 @@ impl ReStore {
         let tick = self.tick.fetch_add(1, Ordering::SeqCst) + 1;
         let space = self.space_for(tenant);
         let space_name = Self::space_name(tenant);
-        // The submitting tenant's policy governs this execution end to
-        // end: reuse, heuristic, §5 selection, sweeps, and candidate
-        // placement all read this snapshot.
+        // The submitting tenant's policy governs this execution end to end:
+        // reuse, heuristic, §5 selection, sweeps and placement read it.
         let config = self.effective_config(&space);
         // Neither reusing nor materializing: nothing registered, tmps deleted.
         let manage_outputs = config.reuse_enabled || config.heuristic != Heuristic::None;
@@ -506,7 +519,6 @@ impl ReStore {
         self.sweep(&space, &config.selection, tick);
         self.obs.stage.sweep.record_elapsed(sweep_t0);
 
-        let n = wf.jobs.len();
         // Only a job's preparation reads its plan: take the plans rather
         // than copy them.
         let mut plans: Vec<PhysicalPlan> =
@@ -515,30 +527,28 @@ impl ReStore {
         let waves = workflow::waves(&deps)?;
 
         let mut aliases: HashMap<String, String> = HashMap::new();
-        let mut et = vec![0.0f64; n];
+        let mut et = vec![0.0f64; wf.jobs.len()];
         let mut job_results = Vec::new();
         let mut rewrites = Vec::new();
         let mut jobs_skipped = 0;
         let mut stored_candidate_bytes = 0u64;
         let mut candidates_stored = 0usize;
         let mut final_output = String::new();
+        // (job index, error) of each failed job: a wave with one is the last.
+        let mut failed: Vec<(usize, Error)> = Vec::new();
 
         for wave in waves {
-            // ---- Phase 1: prepare (match, rewrite, skip, instrument) ----
-            // Jobs within a wave are independent — a skipped job's alias
-            // can only affect consumers, which sit in later waves — so
-            // preparing them in index order keeps rewrite bookkeeping
-            // deterministic without constraining execution.
+            // ---- prepare: match, rewrite, skip, instrument ----
+            // Jobs within a wave are independent (a skipped job's alias only
+            // reaches later waves): index order keeps the rewrites deterministic.
             let mut prepared: Vec<PreparedJob> = Vec::new();
-            // Outputs produced this wave, keyed by job index: the
-            // highest-index job defines `final_output`, exactly as the
-            // strict Algorithm-1 topo order (which ends each wave on its
-            // highest index) would have left it.
+            // Outputs produced this wave, by job index: the highest index's
+            // is `final_output`, as Algorithm 1's topo order would leave it.
             let mut wave_outputs: Vec<(usize, String)> = Vec::new();
             let prepare_t0 = Instant::now();
             for &idx in &wave {
                 let plan = std::mem::take(&mut plans[idx]);
-                let prep = self.prepare_job(
+                match self.prepare_job(
                     &space,
                     space_name,
                     &wf,
@@ -550,102 +560,105 @@ impl ReStore {
                     &mut rewrites,
                     Some(&mut pins),
                     &HashSet::new(),
-                )?;
-                match prep {
-                    Prepared::Skipped { dst } => {
+                ) {
+                    Ok(Prepared::Skipped { dst }) => {
                         jobs_skipped += 1;
-                        et[idx] = 0.0;
                         wave_outputs.push((idx, resolve_alias(&aliases, &dst)));
                     }
-                    Prepared::Run { job, .. } => prepared.extend(job.map(|job| *job)),
+                    Ok(Prepared::Run { job, .. }) => prepared.extend(job.map(|job| *job)),
+                    Err(e) => failed.push((idx, e)),
                 }
             }
             self.obs.stage.prepare.record_elapsed(prepare_t0);
 
-            // ---- Phase 2: execute the wave, concurrently ----
+            // ---- run: the wave, concurrently ----
+            // The engine reports each job's outcome. A failed job left no
+            // visible output, so it leaves the wave here.
             let execute_t0 = Instant::now();
             let specs: Vec<&JobSpec> = prepared.iter().map(|p| &p.spec).collect();
-            let results = self.engine.run_wave(&specs, config.wave_parallel)?;
+            let outcomes = self.engine.run_wave(&specs, config.wave_parallel);
             self.obs.stage.execute.record_elapsed(execute_t0);
-            for result in &results {
-                self.obs.record_phases(&result.phases);
+            let mut ran = Vec::with_capacity(prepared.len());
+            for (job, outcome) in prepared.into_iter().zip(outcomes) {
+                match outcome {
+                    Ok(result) => ran.push((job, result)),
+                    Err(e) => failed.push((job.idx, e)),
+                }
             }
 
-            // ---- Phase 3: register outputs (§2.2) and apply §5 rules ----
+            // ---- register (§2.2, §5 rules): every job that ran ----
             let register_t0 = Instant::now();
             let mut wave_written: Vec<String> = Vec::new();
-            for (job, result) in prepared.iter().zip(&results) {
+            for (job, result) in &ran {
+                self.obs.record_phases(&result.phases);
                 et[job.idx] = result.times.total_s;
                 wave_outputs.push((job.idx, result.output.clone()));
                 wave_written.push(result.output.clone());
                 wave_written.extend(result.side_outputs.iter().cloned());
-                // A later wave of this workflow Loads this inter-job
-                // temporary. Registration (below) makes it evictable, so
-                // pin it first — otherwise a concurrent session's staleness
-                // pass could delete it before its consumer executes.
+                // A later wave Loads this inter-job temporary, and registration
+                // (below) makes it evictable: pin it first, or a concurrent
+                // session's sweep could delete it before its consumer runs.
                 if wf.jobs[job.idx].typed_outputs.contains(&result.output) {
                     pins.pin(&result.output);
                 }
             }
-            // Overwriting a registered path stales every entry that
-            // recorded the old bytes; invalidate before registering the
-            // new ones.
+            // Overwriting a registered path stales the entries that
+            // recorded the old bytes: invalidate before registering.
             if !wave_written.is_empty() {
                 self.invalidate_overwritten(&wave_written);
             }
-            // The whole wave's entries and records land as one
-            // published snapshot (in job-index order), journaled at
-            // publish as one `repo-batch` record, instead of a publish
-            // per job: concurrent sessions and recovery see the wave land
-            // atomically, and the writer side is entered O(waves) instead
-            // of O(jobs) times. Readers keep matching against the
-            // previous snapshot throughout — registration never blocks
-            // the match path.
-            if manage_outputs && !prepared.is_empty() {
-                let registered: Result<Vec<(u64, usize)>> = space.repo.batch(|repo| {
-                    prepared
-                        .iter()
-                        .zip(&results)
-                        .map(|(job, result)| {
-                            self.register_outputs_batched(
-                                repo,
-                                &space.pins,
-                                &wf,
-                                job,
-                                result,
-                                tick,
-                                &config,
-                            )
-                        })
-                        .collect()
+            // The wave's entries and records land as one published
+            // snapshot (in job-index order), journaled as one `repo-batch`:
+            // concurrent sessions and recovery see the wave land at once,
+            // and readers keep matching the previous snapshot meanwhile.
+            if manage_outputs && !ran.is_empty() {
+                space.repo.batch(|repo| {
+                    for (job, result) in &ran {
+                        match self.register_outputs_batched(
+                            repo,
+                            &space.pins,
+                            &wf,
+                            job,
+                            result,
+                            tick,
+                            &config,
+                        ) {
+                            Ok((cand_bytes, cand_stored)) => {
+                                stored_candidate_bytes += cand_bytes;
+                                candidates_stored += cand_stored;
+                            }
+                            Err(e) => failed.push((job.idx, e)),
+                        }
+                    }
                 });
-                for (cand_bytes, cand_stored) in registered? {
-                    stored_candidate_bytes += cand_bytes;
-                    candidates_stored += cand_stored;
-                }
             }
             self.obs.stage.register.record_elapsed(register_t0);
-            job_results.extend(results);
+            job_results.extend(ran.into_iter().map(|(_, result)| result));
             if let Some((_, out)) = wave_outputs.into_iter().max_by_key(|(idx, _)| *idx) {
                 final_output = out;
             }
+            if !failed.is_empty() {
+                break;
+            }
         }
 
-        // ---- plain-Pig tmp cleanup ----
+        // ---- end of the workflow, on every exit: plain-Pig tmp cleanup ----
         if !manage_outputs {
             for tmp in wf.tmp_paths() {
-                // Honour pins even here: a run under an earlier policy may
-                // have registered this path, and a concurrent session
-                // matched and pinned it.
+                // Honour pins even here: an earlier policy may have registered
+                // this path, and a concurrent session matched and pinned it.
                 if !space.pins.defer_delete(tmp) {
                     self.engine.dfs().delete(tmp);
                 }
             }
         }
-
-        // The caller is handed `final_output` to read; if it aliases a
-        // pinned repository path that a sweep evicted mid-flight, leave
-        // the file on the DFS instead of deleting it under the reader.
+        // The pins drop on return, performing deletions deferred meanwhile.
+        if let Some((_, e)) = failed.into_iter().min_by_key(|(idx, _)| *idx) {
+            return Err(e);
+        }
+        // The caller is handed `final_output` to read (a failed submission
+        // hands none); if it aliases a pinned repository path that a sweep
+        // evicted mid-flight, leave the file instead of deleting it.
         pins.preserve(&final_output);
 
         let (_, total_s, _) = workflow::equation_one(&deps, &et)?;
@@ -661,7 +674,7 @@ impl ReStore {
         })
     }
 
-    /// Phase 1 for one job: alias rewriting, the §3 match loop, whole-job
+    /// The prepare step for one job: alias rewriting, the §3 match loop, whole-job
     /// elimination, and §4 sub-job instrumentation. The records of the
     /// paths in `stale` are neither expanded nor matched.
     /// Without `pins`, [`ReStore::explain_query_as`]'s dry run: no pins,
@@ -930,8 +943,9 @@ impl ReStore {
         }
     }
 
-    /// Phase 3 for one executed job: register the whole-job entry and
-    /// the candidate sub-job entries, each with its file's record. The
+    /// The register step for one executed job: register the whole-job
+    /// entry and the candidate sub-job entries, each with its file's
+    /// record. The
     /// caller runs the whole wave inside one repository batch, published
     /// when the wave completes, so concurrent sessions and recovery never
     /// observe a half-registered job or a half-registered wave. Returns
@@ -1135,7 +1149,7 @@ mod tests {
 
     /// Session T1 halfway through a warm run of the query with `agg`,
     /// over a repository with a one-tick eviction window whose cold
-    /// `SUM` run stored the join job's output: the pass ran, phase 1 of
+    /// `SUM` run stored the join job's output: the pass ran, the prepare step of
     /// the first wave answered job 0 whole from the repository, pinning
     /// the reused path, and nothing has executed.
     struct MidFlight {
@@ -1185,7 +1199,7 @@ mod tests {
 
     impl MidFlight {
         /// The rest of the warm run: prepare job 1, run it, and register
-        /// its outputs as phase 3 of its wave would. Returns the files
+        /// its outputs as the register step of its wave would. Returns the files
         /// job 1 read.
         fn finish(&mut self) -> Vec<String> {
             let MidFlight { rs, wf, space, pins, aliases, rewrites, cfg, .. } = self;
@@ -1281,7 +1295,7 @@ mod tests {
 
     /// Regression for the match-then-evict race (ROADMAP "entry pinning
     /// for eviction under concurrency"): session T1 matches a repository
-    /// entry during phase 1, then — before T1 executes the jobs that Load
+    /// entry during the prepare step, then — before T1 executes the jobs that Load
     /// the matched output — session T2's eviction sweep evicts that
     /// entry. Without pins the sweep deleted the output file and T1
     /// failed with `FileNotFound`; with pins the file deletion is

@@ -82,15 +82,15 @@ pub(crate) struct StageHists {
     pub compile: Histogram,
     /// Per workflow: the pre-match staleness pass (`ReStore::sweep`).
     pub sweep: Histogram,
-    /// Per wave: phase 1 (match + rewrite + enumerate + job specs).
+    /// Per wave: the prepare step (match + rewrite + enumerate + job specs).
     pub prepare: Histogram,
     /// Per job: one full §3 match loop.
     pub match_loop: Histogram,
     /// Per applied rewrite: splice + collapse.
     pub rewrite: Histogram,
-    /// Per wave: phase 2 (engine execution).
+    /// Per wave: the run step (engine execution).
     pub execute: Histogram,
-    /// Per wave: phase 3 (registration batch + publish).
+    /// Per wave: the register step (registration batch + publish).
     pub register: Histogram,
     /// Per canonicalization (once per compile that misses or bypasses
     /// the template memo — a hit runs no analyzer — and once per job

@@ -179,27 +179,35 @@ impl Engine {
     }
 
     /// Commit what [`Engine::execute`] left: the main output, then each
-    /// side output in channel order, each one DFS commit.
+    /// side output in channel order, each one DFS commit. If one fails,
+    /// the outputs committed before it are deleted: a failed job leaves
+    /// no visible output.
     pub(crate) fn commit_outputs(&self, spec: &JobSpec, ran: Ran) -> Result<JobResult> {
         let Ran { mut counters, mut phases, input_versions, main, side } = ran;
         let commit_started = Instant::now();
+        let outputs: Vec<&String> =
+            std::iter::once(&spec.output).chain(&spec.side_outputs).collect();
         let mut lossy_outputs = Vec::new();
-        let mut versions = Vec::with_capacity(1 + spec.side_outputs.len());
-        let mut commit = |path: &String, chunks: Vec<Chunk>| -> Result<u64> {
-            let (len, lossy, version) = self.commit(path, &chunks)?;
+        let mut versions = Vec::with_capacity(outputs.len());
+        let mut lens = Vec::with_capacity(outputs.len());
+        for (&path, chunks) in outputs.iter().zip(std::iter::once(main).chain(side)) {
+            let (len, lossy, version) = match self.commit(path, &chunks) {
+                Ok(committed) => committed,
+                Err(e) => {
+                    for done in &outputs[..versions.len()] {
+                        self.dfs.delete(done);
+                    }
+                    return Err(e);
+                }
+            };
             if lossy {
                 lossy_outputs.push(path.clone());
             }
             versions.push(version);
-            Ok(len)
-        };
-        counters.output_bytes = commit(&spec.output, main)?;
-        counters.side_output_bytes = spec
-            .side_outputs
-            .iter()
-            .zip(side)
-            .map(|(path, c)| commit(path, c))
-            .collect::<Result<_>>()?;
+            lens.push(len);
+        }
+        counters.output_bytes = lens[0];
+        counters.side_output_bytes = lens.split_off(1);
         phases.commit_wall = commit_started.elapsed();
 
         let times = CostModel::new(self.cluster.clone()).job_times(spec, &counters);

@@ -79,17 +79,18 @@ pub fn equation_one(
 
 impl Engine {
     /// Execute the jobs of one wave — concurrently when `parallel`, since
-    /// they share no dependency edges. Results come back in `specs`
-    /// order; on failure the error of the lowest job index wins, matching
-    /// what strictly sequential submission would have reported first.
+    /// they share no dependency edges — and report each job's outcome, in
+    /// `specs` order. One job's failure stops no other: every job that
+    /// succeeds commits, and a job that fails leaves no visible output.
     ///
     /// Outputs are byte-identical to one-job-at-a-time execution: jobs
     /// within a wave write disjoint files, and per-job execution is
     /// already deterministic regardless of worker threading. So are their
     /// versions: the jobs' tasks run concurrently, but their outputs are
     /// committed in `specs` order once all have run, so which job finished
-    /// first does not decide which commit tick each file gets.
-    pub fn run_wave(&self, specs: &[&JobSpec], parallel: bool) -> Result<Vec<JobResult>> {
+    /// first does not decide which commit tick each file gets. Run one at
+    /// a time, each job commits before the next starts.
+    pub fn run_wave(&self, specs: &[&JobSpec], parallel: bool) -> Vec<Result<JobResult>> {
         if specs.len() <= 1 || !parallel {
             return specs.iter().map(|spec| self.run(spec)).collect();
         }
@@ -152,8 +153,8 @@ mod tests {
         let mut results: Vec<Option<JobResult>> = vec![None; jobs.len()];
         for wave in waves(&DIAMOND).unwrap() {
             let specs: Vec<&JobSpec> = wave.iter().map(|&i| &jobs[i]).collect();
-            for (i, r) in wave.into_iter().zip(eng.run_wave(&specs, parallel).unwrap()) {
-                results[i] = Some(r);
+            for (i, r) in wave.into_iter().zip(eng.run_wave(&specs, parallel)) {
+                results[i] = Some(r.unwrap());
             }
         }
         results.into_iter().map(|r| r.expect("every job ran")).collect()

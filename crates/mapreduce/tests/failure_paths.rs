@@ -147,20 +147,62 @@ fn out_of_capacity_fails_the_write() {
     assert!(matches!(err, Error::OutOfStorage { .. }), "{err}");
 }
 
+/// The main output fits, the side output does not: the job fails, and
+/// the main output it had already committed is taken back.
 #[test]
-fn workflow_stops_at_first_failed_job() {
-    let dfs = Dfs::new(DfsConfig::small_for_tests());
-    dfs.write_all("/in", &codec::encode_all(&[tuple!["k", 1]])).unwrap();
+fn a_failed_side_commit_takes_back_the_main_output() {
+    let dfs =
+        Dfs::new(DfsConfig { nodes: 2, block_size: 64, replication: 2, node_capacity: Some(400) });
+    dfs.write_all("/in", &codec::encode_all(&[tuple![1, "data"]])).unwrap();
+    struct SideHeavy;
+    impl Mapper for SideHeavy {
+        fn map(&mut self, _t: usize, r: Tuple, ctx: &mut MapContext) -> Result<()> {
+            ctx.output(r.clone());
+            for _ in 0..100 {
+                ctx.side(0, r.clone());
+            }
+            Ok(())
+        }
+    }
     let eng = engine(dfs);
-    // One job at a time, the way a workflow runs without wave
-    // parallelism; the second reads a file nobody produced.
-    let (ok, bad, after) = (job("/in", "/mid"), job("/missing", "/out"), job("/in", "/after"));
-    let err = eng.run_wave(&[&ok, &bad, &after], false).unwrap_err();
-    assert!(matches!(err, Error::FileNotFound(_)), "{err}");
-    // First job's output committed; nothing after the failure ran.
-    assert!(eng.dfs().exists("/mid"));
-    assert!(!eng.dfs().exists("/out"));
-    assert!(!eng.dfs().exists("/after"));
+    let mut spec = JobSpec::new(
+        "side-heavy",
+        vec![JobInput::new("/in")],
+        "/out/main",
+        Arc::new(|| Box::new(SideHeavy) as Box<dyn Mapper>),
+        None,
+    );
+    spec.side_outputs = vec!["/out/side".into()];
+    let err = eng.run(&spec).unwrap_err();
+    assert!(matches!(err, Error::OutOfStorage { .. }), "{err}");
+    assert!(!eng.dfs().exists("/out/main"), "a failed job left its main output");
+    assert!(!eng.dfs().exists("/out/side"));
+}
+
+#[test]
+fn a_failed_job_stops_none_of_its_wave_mates() {
+    for parallel in [false, true] {
+        let dfs = Dfs::new(DfsConfig::small_for_tests());
+        dfs.write_all("/in", &codec::encode_all(&[tuple!["k", 1]])).unwrap();
+        let eng = engine(dfs);
+        // The second job reads a file nobody produced.
+        let (ok, bad, after) = (job("/in", "/mid"), job("/missing", "/out"), job("/in", "/after"));
+        let outcomes = eng.run_wave(&[&ok, &bad, &after], parallel);
+        assert_eq!(outcomes.len(), 3);
+        assert_eq!(outcomes[0].as_ref().unwrap().output, "/mid", "parallel {parallel}");
+        assert!(
+            matches!(&outcomes[1], Err(Error::FileNotFound(p)) if p == "/missing"),
+            "parallel {parallel}: {:?}",
+            outcomes[1].as_ref().map(|r| &r.output)
+        );
+        assert_eq!(outcomes[2].as_ref().unwrap().output, "/after", "parallel {parallel}");
+        // Both successes committed, in job order; the failure left nothing.
+        assert!(eng.dfs().exists("/mid"));
+        assert!(!eng.dfs().exists("/out"));
+        assert!(eng.dfs().exists("/after"));
+        let version = |i: usize| outcomes[i].as_ref().unwrap().versions[0];
+        assert!(version(0) < version(2), "parallel {parallel}");
+    }
 }
 
 #[test]

@@ -4,7 +4,9 @@
 //! ticket, and the circuit breaker trips — subsequent submissions are
 //! shed with `CircuitOpen` before they reach the queue or a worker.
 //! Then the outage ends: the cooldown elapses, and a half-open probe
-//! closes the breaker.
+//! closes the breaker. Last, a real engine failure: a job's input is
+//! deleted between compile and run, and the failed submission leaves
+//! no file behind that no record names.
 //!
 //! ```sh
 //! cargo run --example failure_policy
@@ -15,6 +17,7 @@
 use restore_suite::core::{FailureDisposition, FailurePolicy, ReStore, ReStoreConfig};
 use restore_suite::dfs::{Dfs, DfsConfig};
 use restore_suite::mapreduce::{ClusterConfig, Engine, EngineConfig};
+use restore_suite::pigmix::datagen::USERS;
 use restore_suite::pigmix::{datagen, queries, DataScale};
 use restore_suite::service::{FaultInjector, RestoreService, ServiceConfig, ServiceError};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -114,7 +117,42 @@ fn main() {
         .expect("probe succeeds");
     println!("-- cooldown elapsed: half-open probe succeeded, breaker closed --");
 
-    // 5. The whole episode is on the metrics surface.
+    // 5. A real engine failure, not an injected one: of a wave's two
+    //    jobs, one loses its input between compile and run. The healthy
+    //    job is committed and registered, the failed one leaves nothing,
+    //    and the submission reports the lost input.
+    println!("-- engine failure: an input deleted after compile --");
+    let dfs = service.driver().engine().dfs();
+    dfs.write_all("/data/users_copy", &dfs.read_all(USERS).expect("users")).expect("copy");
+    let by_city = |input: &str, out: &str| {
+        format!(
+            "U = load '{input}' as (name, phone, address, city);
+             G = group U by city;
+             C = foreach G generate group, COUNT(U);
+             store C into '{out}';"
+        )
+    };
+    let (kept, lost) = ("/out/lossy/cities", "/out/lossy/copy");
+    let q = format!("{}\n{}", by_city(USERS, kept), by_city("/data/users_copy", lost));
+    let wf = service.driver().compile_as(Some("lossy"), &q, "/wf/lossy").expect("compiles");
+    dfs.delete("/data/users_copy");
+    let err = service
+        .submit_workflow(Some("lossy"), wf)
+        .expect("admitted")
+        .wait()
+        .expect_err("the lost input fails its job");
+    println!("   submission: {err}");
+    let repo = service.driver().repository_as(Some("lossy"));
+    let mut files = dfs.list("/restore/lossy/");
+    files.extend(dfs.list("/wf/lossy/"));
+    files.extend([kept, lost].into_iter().filter(|p| dfs.exists(p)).map(String::from));
+    let unnamed: Vec<&String> = files.iter().filter(|p| repo.file(p).is_none()).collect();
+    assert!(dfs.exists(kept) && !dfs.exists(lost), "the healthy job committed, the failed one not");
+    println!("   files left: {files:?}");
+    println!("a failed submission leaves no unnamed file: {}", unnamed.is_empty());
+    assert!(unnamed.is_empty(), "files without a record: {unnamed:?}");
+
+    // 6. The whole episode is on the metrics surface.
     let metrics = service.render_metrics();
     for family in ["restore_retries_total", "restore_circuit_shed_total", "restore_circuit_state"] {
         let line = metrics.lines().find(|l| l.starts_with(family)).expect("family present");
