@@ -23,14 +23,15 @@
 //!    every job that ran, whether or not a wave-mate failed.
 //!
 //! A failed job ends the workflow after its wave: no later wave runs,
-//! the end-of-workflow steps run as on success (a no-reuse session's
-//! temporaries are deleted, the pins drop), and the submission returns
-//! the error of the lowest-indexed failed job. The jobs that ran keep
-//! their outputs and records exactly as on success; the failed job and
-//! later waves leave nothing, except a job whose own registration failed:
-//! its outputs were committed, and stay without a record. (As on success,
-//! a final output under `register_final_outputs: false`, and a temporary
-//! whose entry the §5 rules reject, have no record either.)
+//! the end-of-workflow steps run as on success, and the submission
+//! returns the error of the lowest-indexed failed job; the failed job
+//! and later waves leave nothing. Registration writes records only, and
+//! the workflow's end, on every exit, deletes each typed file (temporary
+//! or injected candidate) its jobs committed that has no record, as plain
+//! Pig deletes its temporaries. So no committed file lacks a record but
+//! a user's text output that was not registered (`register_final_outputs:
+//! false`, a §5 rejection, a value that would read back retyped, or a
+//! failed registration), which is never deleted.
 //!
 //! The repository, every record included, is published as
 //! **RCU snapshots** (see [`crate::rcu`] and [`crate::repository`]), and every
@@ -507,7 +508,7 @@ impl ReStore {
         // The submitting tenant's policy governs this execution end to end:
         // reuse, heuristic, §5 selection, sweeps and placement read it.
         let config = self.effective_config(&space);
-        // Neither reusing nor materializing: nothing registered, tmps deleted.
+        // Neither reusing nor materializing: nothing registered.
         let manage_outputs = config.reuse_enabled || config.heuristic != Heuristic::None;
         // Pins taken at match time live until the whole workflow (whose
         // later waves may Load the matched outputs) has executed.
@@ -536,6 +537,7 @@ impl ReStore {
         let mut final_output = String::new();
         // (job index, error) of each failed job: a wave with one is the last.
         let mut failed: Vec<(usize, Error)> = Vec::new();
+        let mut written_typed = Vec::new(); // typed files the jobs that ran committed
 
         for wave in waves {
             // ---- prepare: match, rewrite, skip, instrument ----
@@ -595,6 +597,7 @@ impl ReStore {
                 wave_outputs.push((job.idx, result.output.clone()));
                 wave_written.push(result.output.clone());
                 wave_written.extend(result.side_outputs.iter().cloned());
+                written_typed.extend(job.spec.typed_outputs.iter().cloned());
                 // A later wave Loads this inter-job temporary, and registration
                 // (below) makes it evictable: pin it first, or a concurrent
                 // session's sweep could delete it before its consumer runs.
@@ -642,13 +645,13 @@ impl ReStore {
             }
         }
 
-        // ---- end of the workflow, on every exit: plain-Pig tmp cleanup ----
-        if !manage_outputs {
-            for tmp in wf.tmp_paths() {
-                // Honour pins even here: an earlier policy may have registered
-                // this path, and a concurrent session matched and pinned it.
-                if !space.pins.defer_delete(tmp) {
-                    self.engine.dfs().delete(tmp);
+        // ---- end of the workflow, on every exit: a typed file it wrote
+        // survives only with its record; a pinned one goes at its last unpin ----
+        if !written_typed.is_empty() {
+            let repo = space.repo.snapshot();
+            for path in written_typed.iter().filter(|p| repo.file(p).is_none()) {
+                if !space.pins.defer_delete(path) {
+                    self.engine.dfs().delete(path);
                 }
             }
         }
@@ -945,11 +948,12 @@ impl ReStore {
 
     /// The register step for one executed job: register the whole-job
     /// entry and the candidate sub-job entries, each with its file's
-    /// record. The
-    /// caller runs the whole wave inside one repository batch, published
-    /// when the wave completes, so concurrent sessions and recovery never
-    /// observe a half-registered job or a half-registered wave. Returns
-    /// (bytes written by injected Stores, candidates kept).
+    /// record, and nothing else: a file left without one goes when the
+    /// workflow ends. The caller runs the whole wave inside one repository
+    /// batch, published when the wave completes, so concurrent sessions
+    /// and recovery never observe a half-registered job or a
+    /// half-registered wave. Returns (bytes written by injected Stores,
+    /// candidates kept).
     #[allow(clippy::too_many_arguments)]
     fn register_outputs_batched(
         &self,
@@ -1019,21 +1023,15 @@ impl ReStore {
             let file = self.stored_file(repo, job, result, &cand.store_path, &cand.prefix)?;
             let stats = stats(bytes);
             if !config.selection.should_keep(&stats) {
-                // Rejected by rules 1–2: drop the materialized file.
-                if !cand.already_stored {
-                    self.engine.dfs().delete(&cand.store_path);
-                }
-                continue;
+                continue; // rejected by rules 1–2
             }
             let outcome = repo.insert(file, stats);
             if matches!(outcome, crate::repository::InsertOutcome::Duplicate(_))
                 && !cand.already_stored
             {
-                // A racing session, or a same-wave sibling prepared before
-                // we registered, stored this plan first: the file just
-                // written duplicates its entry's and goes.
+                // A racing session or a same-wave sibling stored this plan
+                // first: the file just written keeps no record.
                 repo.forget(&cand.store_path);
-                self.engine.dfs().delete(&cand.store_path);
             } else {
                 pins.cancel_deferred(&cand.store_path);
                 candidates_stored += 1;

@@ -5,7 +5,7 @@ use restore_common::{codec, tuple, Tuple};
 use restore_core::{Heuristic, ReStore, ReStoreConfig, SelectionPolicy};
 use restore_dfs::DfsConfig;
 use restore_mapreduce::{Engine, EngineConfig};
-use restore_testkit::{engine_over, small_dfs, Oracle};
+use restore_testkit::{engine_over, join_query, pv_users, small_dfs, Oracle};
 
 fn engine() -> Engine {
     let rows: Vec<Tuple> = (0..300)
@@ -36,7 +36,9 @@ fn q(out: &str) -> String {
 }
 
 /// Strict §5 admission keeps the repository smaller without changing
-/// answers.
+/// answers, and a file it rejects does not outlive its workflow: with
+/// the join's temporary rejected, `/wf/out/j/tmp-0` was left with no
+/// record after a successful submission.
 #[test]
 fn strict_selection_prunes_but_preserves_answers() {
     let all = ReStore::new(engine(), ReStoreConfig::default());
@@ -57,12 +59,23 @@ fn strict_selection_prunes_but_preserves_answers() {
         strict.repository_as(None).len() <= repo_all,
         "strict admission must not grow the repository beyond store-all"
     );
-    // Rejected candidates' files were deleted from the DFS.
-    for path in strict.engine().dfs().list("/restore/") {
+    // A two-job query, so that a temporary is written too.
+    let dfs = strict.engine().dfs();
+    let data = pv_users();
+    for path in ["/data/pv", "/data/users"] {
+        dfs.write_all(path, &data.read_all(path).unwrap()).unwrap();
+    }
+    Oracle::check(&strict, &[join_query("/out/j")]).unwrap();
+    // Rejected candidates' and temporaries' files were deleted from the DFS.
+    let repo = strict.repository_as(None);
+    for path in dfs.list("/restore/") {
         assert!(
-            strict.repository_as(None).entries().iter().any(|e| e.file.path == path),
+            repo.entries().iter().any(|e| e.file.path == path),
             "orphan candidate file {path} left behind"
         );
+    }
+    for path in dfs.list("/wf/") {
+        assert!(repo.file(&path).is_some(), "orphan temporary {path} left behind");
     }
     // A rerun still produces correct answers (whatever was kept is used).
     Oracle::check(&strict, &[q("/out/s2")]).unwrap();

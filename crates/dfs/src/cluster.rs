@@ -245,7 +245,7 @@ impl Dfs {
         let meta = self.inner.namenode.write().remove(path);
         match meta {
             Some(meta) => {
-                self.release_blocks(&meta);
+                self.release_blocks(&meta.blocks);
                 self.inner.metrics.files_deleted.fetch_add(1, Ordering::Relaxed);
                 self.tick();
                 true
@@ -291,8 +291,8 @@ impl Dfs {
         )))
     }
 
-    fn release_blocks(&self, meta: &FileMeta) {
-        for bm in &meta.blocks {
+    fn release_blocks(&self, blocks: &[BlockMeta]) {
+        for bm in blocks {
             for &host in &bm.replicas {
                 self.inner.nodes[host].lock().evict(bm.id);
             }
@@ -341,7 +341,15 @@ impl Dfs {
             let chunk = payload.slice(start..end);
             let id = BlockId(self.inner.next_block.fetch_add(1, Ordering::Relaxed));
             let cursor = (id.0 as usize) % self.inner.config.nodes;
-            let hosts = self.place_replicas(chunk.len() as u64, cursor)?;
+            let hosts = match self.place_replicas(chunk.len() as u64, cursor) {
+                Ok(hosts) => hosts,
+                Err(e) => {
+                    // The file never becomes visible: give back the
+                    // replicas of the blocks placed so far.
+                    self.release_blocks(&blocks);
+                    return Err(e);
+                }
+            };
             for &h in &hosts {
                 self.inner.nodes[h].lock().put(id, chunk.clone());
             }
@@ -362,7 +370,7 @@ impl Dfs {
             (nn.upsert(path, FileMeta { blocks, len: total_len, replication, mtime }), mtime)
         };
         if let Some(old) = old {
-            self.release_blocks(&old);
+            self.release_blocks(&old.blocks);
         }
         Ok(mtime)
     }
@@ -585,6 +593,31 @@ mod tests {
         dfs.write_all("/a", &[0u8; 90]).unwrap();
         let err = dfs.write_all("/b", &[0u8; 90]).unwrap_err();
         assert!(matches!(err, Error::OutOfStorage { .. }));
+    }
+
+    /// A commit that runs out of storage part-way gives back the
+    /// replicas of the blocks it had already placed, and an overwrite
+    /// that fails so leaves the old file as it was.
+    #[test]
+    fn a_commit_out_of_storage_holds_no_space() {
+        let dfs = Dfs::new(DfsConfig {
+            nodes: 2,
+            block_size: 64,
+            replication: 2,
+            node_capacity: Some(400),
+        });
+        let err = dfs.write_all("/big", &[0u8; 1000]).unwrap_err();
+        assert!(matches!(err, Error::OutOfStorage { .. }), "{err}");
+        assert!(!dfs.exists("/big"));
+        assert_eq!(dfs.used_bytes(), 0);
+
+        dfs.write_all("/o", &[7u8; 100]).unwrap();
+        let used = dfs.used_bytes();
+        let mut w = dfs.create_overwrite("/o").unwrap();
+        w.write(&[1u8; 1000]);
+        assert!(matches!(w.close(), Err(Error::OutOfStorage { .. })));
+        assert_eq!(dfs.read_all("/o").unwrap(), vec![7u8; 100]);
+        assert_eq!(dfs.used_bytes(), used);
     }
 
     #[test]
