@@ -277,8 +277,11 @@ fn stored_shapes() -> [(&'static str, Vec<Tuple>); 4] {
 /// the cost model charges) and in the typed stored format ReStore writes
 /// (`decode_typed`, `encode_typed`, a whole file with its trailer). Every
 /// arm of a shape is in MB/s of the shape's *text* bytes, so two arms of
-/// one shape compare as their times do. `restore-e2e`'s `common.*` codec
-/// numbers are over `page_views`, whose rows are none of these shapes.
+/// one shape compare as their times do. `decode_members` reads a group
+/// shape as a rerun's Aggregate does ([`aggregate_read`]): the keys and
+/// one member field; set against `decode_typed`, it is what that pruning
+/// saves. `restore-e2e`'s `common.*` codec numbers are over `page_views`,
+/// whose rows are none of these shapes.
 fn bench_codec(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine_codec");
     group.sample_size(20);
@@ -302,8 +305,42 @@ fn bench_codec(c: &mut Criterion) {
         group.bench_function(format!("encode_typed/{shape}"), |b| {
             b.iter(|| black_box(typed::encode_file(black_box(&rows))));
         });
+        if let Some(cols) = aggregate_read(shape) {
+            group.bench_function(format!("decode_members/{shape}"), |b| {
+                b.iter(|| black_box(decode_typed_columns(black_box(&file), &cols)));
+            });
+        }
     }
     group.finish();
+}
+
+/// What a rerun's `foreach … generate group, SUM(B.revenue)` reads of a
+/// stored group shape: its keys, and of its bag the revenue alone.
+fn aggregate_read(shape: &str) -> Option<ColumnSet> {
+    match shape {
+        "group_bags" => Some(ColumnSet::with_members([0], [(1, Some(2))])),
+        "group_singletons" => Some(ColumnSet::with_members([0, 1], [(2, Some(2))])),
+        _ => None,
+    }
+}
+
+/// `file` decoded group by group as a split reader decodes it, with
+/// `cols`: what [`typed::decode_file`] is without them.
+fn decode_typed_columns(file: &[u8], cols: &ColumnSet) -> Vec<Tuple> {
+    let (index_len, footer_len) = typed::footer(file).unwrap();
+    let data_len = file.len() - footer_len - index_len as usize;
+    let index =
+        typed::Index::parse(&file[data_len..file.len() - footer_len], data_len as u64).unwrap();
+    let mut out = Vec::new();
+    for g in index.groups() {
+        let bytes = &file[g.start as usize..g.end() as usize];
+        typed::decode_group(bytes, g, Some(cols), |t| {
+            out.push(t);
+            Ok(())
+        })
+        .unwrap();
+    }
+    out
 }
 
 /// `scan_only` stops at the Project, so a group arm minus `scan_only` at

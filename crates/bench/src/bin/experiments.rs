@@ -3,40 +3,55 @@
 //! ```text
 //! experiments [fig9|fig10|fig11|fig12|fig13|fig14|fig15|fig16|fig17|table1|table2|all]
 //!             [--quick]
+//! experiments model-check [--quick] [--json FILE]
 //! ```
 //!
 //! `--quick` substitutes smaller data so everything finishes in seconds
 //! (shapes hold, absolute numbers shrink). Times are *modeled* cluster
 //! minutes from the calibrated cost model (see DESIGN.md §4); the paper's
 //! reference values are printed alongside where they exist.
+//!
+//! `model-check` is not a figure and `all` leaves it out: it runs every
+//! PigMix job at gb15, plain and as a reuse rerun, 50 times each
+//! ([`restore_bench::model::PASSES`]), and prints each modeled `JobTimes`
+//! term beside the median phase the engine measured for it, then how
+//! alike the two rank the jobs ([`restore_bench::model`]); `--json` also
+//! writes that to FILE.
 
 use restore_bench::env::{pigmix_env, synthetic_env, PigMixEnv, SyntheticEnv};
 use restore_bench::figures::{
     filter_sweep, matcher_ablation, minutes, projection_sweep, subjob_sweep, table2_check,
     whole_job_sweep, SubJobRow, WholeJobRow,
 };
+use restore_bench::model;
 use restore_bench::report::{fmin, fratio, mean, Table};
 use restore_pigmix::DataScale;
 
 struct Args {
     what: String,
     quick: bool,
+    json: Option<String>,
 }
 
 fn parse_args() -> Args {
-    let mut what = "all".to_string();
-    let mut quick = false;
-    for a in std::env::args().skip(1) {
+    let mut args = Args { what: "all".to_string(), quick: false, json: None };
+    let mut argv = std::env::args().skip(1);
+    while let Some(a) = argv.next() {
         match a.as_str() {
-            "--quick" => quick = true,
-            other if !other.starts_with('-') => what = other.to_string(),
-            other => {
-                eprintln!("unknown flag {other}");
-                std::process::exit(2);
+            "--quick" => args.quick = true,
+            "--json" => {
+                args.json = Some(argv.next().unwrap_or_else(|| usage("--json takes a file")))
             }
+            other if !other.starts_with('-') => args.what = other.to_string(),
+            other => usage(&format!("unknown flag {other}")),
         }
     }
-    Args { what, quick }
+    args
+}
+
+fn usage(why: &str) -> ! {
+    eprintln!("{why}");
+    std::process::exit(2);
 }
 
 fn scales(quick: bool) -> (DataScale, DataScale) {
@@ -376,8 +391,62 @@ fn ablation(_lazy: &mut Lazy) {
     print!("{}", t.render());
 }
 
+/// The model-vs-engine report: one table of every job's terms, one of
+/// the rank agreement per term, and the JSON archive when asked for.
+fn model_check(args: &Args) {
+    let scale = if args.quick { DataScale::tiny() } else { DataScale::gb15() };
+    let env = pigmix_env(scale.clone());
+    let rows = model::measure(&env);
+    println!("\n== Model check: JobTimes terms (modeled s) beside measured phases (ms) ==");
+    println!("({} scale, {} passes, median per phase)\n", scale.name, model::PASSES);
+    let mut header = vec!["Job".to_string()];
+    for t in &model::TERMS {
+        header.push(t.model.to_string());
+        header.push(t.measured.to_string());
+    }
+    let mut table = Table::new(&header.iter().map(String::as_str).collect::<Vec<_>>());
+    for r in &rows {
+        let mut cells = vec![r.name.clone()];
+        for (m, e) in r.model_s.iter().zip(&r.measured_s) {
+            cells.push(format!("{m:.2}"));
+            cells.push(format!("{:.3}", e * 1e3));
+        }
+        table.row(cells);
+    }
+    print!("{}", table.render());
+
+    println!(
+        "\nRank agreement over {} jobs (Spearman's rho; rank 1 is the cheapest)\n",
+        rows.len()
+    );
+    let agreements: Vec<model::Agreement> =
+        (0..model::TERMS.len()).map(|t| model::agreement(&rows, t)).collect();
+    let mut table = Table::new(&["Model term", "Measured phase", "rho", "Disagreements"]);
+    for (t, a) in model::TERMS.iter().zip(&agreements) {
+        let apart: Vec<String> =
+            a.disagreements.iter().map(|(job, m, e)| format!("{job} ({m} vs {e})")).collect();
+        table.row(vec![
+            t.model.to_string(),
+            t.measured.to_string(),
+            format!("{:.3}", a.rho),
+            apart.join(", "),
+        ]);
+    }
+    print!("{}", table.render());
+    println!("\nNo measured counterpart: {}", model::UNPAIRED.join(", "));
+    if let Some(path) = &args.json {
+        std::fs::write(path, model::to_json(&scale, &rows, &agreements))
+            .unwrap_or_else(|e| usage(&format!("cannot write {path}: {e}")));
+        println!("wrote {path}");
+    }
+}
+
 fn main() {
     let args = parse_args();
+    if args.what == "model-check" {
+        model_check(&args);
+        return;
+    }
     let mut lazy = Lazy::new(args.quick);
     let what = args.what.as_str();
     let all = what == "all";
@@ -407,7 +476,8 @@ fn main() {
 
     if !ran {
         eprintln!(
-            "unknown experiment {what:?}; expected fig9..fig17, table1, table2, ablation, or all"
+            "unknown experiment {what:?}; expected fig9..fig17, table1, table2, ablation, all, \
+             or model-check"
         );
         std::process::exit(2);
     }

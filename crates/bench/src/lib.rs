@@ -5,6 +5,8 @@
 //!   with a cost model parameterized like the paper's 15-node cluster;
 //! * [`figures`] — one runner per experiment (Figures 9–17, Tables 1–2),
 //!   each returning typed rows;
+//! * [`model`] — every PigMix job's modeled terms beside its measured
+//!   phases, and how alike the two rank the jobs (`model-check`);
 //! * [`report`] — fixed-width table rendering for the harness binary.
 //!
 //! Run `cargo run -p restore-bench --release --bin experiments -- all`
@@ -12,4 +14,5 @@
 
 pub mod env;
 pub mod figures;
+pub mod model;
 pub mod report;

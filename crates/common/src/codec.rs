@@ -170,24 +170,101 @@ pub fn encode_all(tuples: &[Tuple]) -> Vec<u8> {
 /// which is what lets the decoder test membership with one cursor as it
 /// walks a line left to right, and what fixes the layout of the rows it
 /// hands back — value `i` of a row is position `as_slice()[i]` of its line.
+///
+/// A column may also name the member fields its readers use of the bag it
+/// holds ([`ColumnSet::members`]): a bag there is built with exactly those
+/// fields of each member, ascending, a field past a short member's end
+/// reading [`Value::Null`]. No fields at all still builds every member,
+/// empty, so the bag keeps its count. A value there that is not a bag is
+/// read whole.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ColumnSet(Vec<usize>);
+pub struct ColumnSet {
+    cols: Vec<usize>,
+    /// Per entry of `cols`: the member fields read of its bag, ascending
+    /// and distinct, or `None` when the column is read whole.
+    members: Vec<Option<Box<[usize]>>>,
+}
 
 impl ColumnSet {
+    /// Every column of `cols` read whole.
     pub fn new(cols: impl IntoIterator<Item = usize>) -> Self {
-        let mut cols: Vec<usize> = cols.into_iter().collect();
+        ColumnSet::with_members(cols, [])
+    }
+
+    /// The columns of `whole`, read whole, and those of `members`, each a
+    /// bag column with one member field its readers use (`None`: only the
+    /// member count). A column in both is read whole.
+    pub fn with_members(
+        whole: impl IntoIterator<Item = usize>,
+        members: impl IntoIterator<Item = (usize, Option<usize>)>,
+    ) -> Self {
+        let whole: Vec<usize> = whole.into_iter().collect();
+        let mut fields: Vec<(usize, Option<usize>)> =
+            members.into_iter().filter(|(col, _)| !whole.contains(col)).collect();
+        let mut cols: Vec<usize> =
+            whole.iter().copied().chain(fields.iter().map(|f| f.0)).collect();
         cols.sort_unstable();
         cols.dedup();
-        ColumnSet(cols)
+        fields.sort_unstable();
+        let members = cols
+            .iter()
+            .map(|&col| {
+                let of_col = fields.iter().filter(|f| f.0 == col);
+                let mut read: Vec<usize> = of_col.filter_map(|f| f.1).collect();
+                read.dedup();
+                (!whole.contains(&col)).then(|| read.into_boxed_slice())
+            })
+            .collect();
+        ColumnSet { cols, members }
     }
 
     pub fn as_slice(&self) -> &[usize] {
-        &self.0
+        &self.cols
     }
 
     /// Where position `col` of a line sits in a row decoded with this set.
     pub fn index_of(&self, col: usize) -> Option<usize> {
-        self.0.binary_search(&col).ok()
+        self.cols.binary_search(&col).ok()
+    }
+
+    /// The member fields read of the bag in the set's `i`th column, or
+    /// `None` when that column is read whole.
+    pub fn members(&self, i: usize) -> Option<&[usize]> {
+        self.members[i].as_deref()
+    }
+}
+
+/// The fields of one tuple a reader builds, as it walks them left to
+/// right: all of them, or the positions of an ascending list.
+#[derive(Clone, Copy)]
+pub(crate) struct Pick<'a>(Option<&'a [usize]>);
+
+impl<'a> Pick<'a> {
+    pub(crate) fn new(fields: Option<&'a [usize]>) -> Self {
+        Pick(fields)
+    }
+
+    /// Is field `idx`, the one after the last asked about, built?
+    #[inline(always)]
+    pub(crate) fn take(&mut self, idx: usize) -> bool {
+        match &mut self.0 {
+            None => true,
+            Some(rest) if rest.first() == Some(&idx) => {
+                *rest = &rest[1..];
+                true
+            }
+            Some(_) => false,
+        }
+    }
+
+    /// How many fields a tuple of `arity` holds once picked.
+    pub(crate) fn width(&self, arity: usize) -> usize {
+        self.0.map_or(arity, <[usize]>::len)
+    }
+
+    /// The picked fields the tuple ended before, each to read null.
+    pub(crate) fn missing(&self) -> usize {
+        self.0.map_or(0, <[usize]>::len)
     }
 }
 
@@ -368,19 +445,16 @@ impl<'a> Parser<'a> {
     /// Parse the record at the cursor and step over the newline that ends
     /// it. `arity_hint` sizes an all-columns tuple up front.
     fn row(&mut self, cols: Option<&ColumnSet>, arity_hint: usize) -> Result<Tuple> {
-        let mut unread = cols.map(ColumnSet::as_slice);
-        let mut vals = Vec::with_capacity(unread.map_or(arity_hint, <[usize]>::len));
+        let mut pick = Pick::new(cols.map(ColumnSet::as_slice));
+        let mut vals = Vec::with_capacity(cols.map_or(arity_hint, |c| c.as_slice().len()));
         let mut idx = 0;
         loop {
-            let want = match &mut unread {
-                None => true,
-                Some(cols) if cols.first() == Some(&idx) => {
-                    *cols = &cols[1..];
-                    true
-                }
-                Some(_) => false,
+            let want = pick.take(idx);
+            let members = match cols {
+                Some(set) if want => set.members(vals.len()),
+                _ => None,
             };
-            let v = self.parse_field(false, want)?;
+            let v = self.parse_field(false, want, members)?;
             if want {
                 vals.push(v);
             }
@@ -396,20 +470,25 @@ impl<'a> Parser<'a> {
         // Over the newline, if that is what ended the record.
         self.pos = (self.pos + 1).min(self.bytes.len());
         // Wanted positions the line did not reach.
-        if let Some(rest) = unread {
-            vals.resize(vals.len() + rest.len(), Value::Null);
-        }
+        vals.resize(vals.len() + pick.missing(), Value::Null);
         Ok(Tuple::from_values(vals))
     }
 
     /// Parse one field, stopping (without consuming) at the first
     /// unescaped separator: a tab at the top level, `,` or `)` when
     /// `nested` in a bag tuple. With `want` false the field is checked the
-    /// same way but nothing is built and `Value::Null` comes back.
+    /// same way but nothing is built and `Value::Null` comes back. A bag
+    /// is built with the `members` fields of each member (see
+    /// [`ColumnSet::members`]), or whole when `None`.
     #[inline]
-    fn parse_field(&mut self, nested: bool, want: bool) -> Result<Value> {
+    fn parse_field(
+        &mut self,
+        nested: bool,
+        want: bool,
+        members: Option<&[usize]>,
+    ) -> Result<Value> {
         if self.peek() == Some(b'{') {
-            return self.parse_bag(want);
+            return self.parse_bag(want, members);
         }
         let start = self.pos;
         let (stop, high_bit) = if nested { self.nested_stop() } else { self.field_stop() };
@@ -496,14 +575,14 @@ impl<'a> Parser<'a> {
         })
     }
 
-    fn parse_bag(&mut self, want: bool) -> Result<Value> {
+    fn parse_bag(&mut self, want: bool, members: Option<&[usize]>) -> Result<Value> {
         self.expect(b'{')?;
         let mut bag = BagBuilder::default();
         if self.peek() == Some(b'}') {
             self.pos += 1;
         } else {
             loop {
-                self.parse_bag_tuple(want, &mut bag)?;
+                self.parse_bag_tuple(want, Pick::new(members), &mut bag)?;
                 match self.next_byte()? {
                     b',' => continue,
                     b'}' => break,
@@ -519,17 +598,21 @@ impl<'a> Parser<'a> {
         Ok(if want { Value::Bag(bag.finish()) } else { Value::Null })
     }
 
-    /// One member of a bag, straight into `bag` when it is `want`ed.
-    fn parse_bag_tuple(&mut self, want: bool, bag: &mut BagBuilder) -> Result<()> {
+    /// One member of a bag, its `pick`ed fields straight into `bag` when
+    /// it is `want`ed.
+    fn parse_bag_tuple(&mut self, want: bool, mut pick: Pick, bag: &mut BagBuilder) -> Result<()> {
         self.expect(b'(')?;
         if self.peek() == Some(b')') {
             self.pos += 1;
         } else {
+            let mut idx = 0;
             loop {
-                let v = self.parse_field(true, want)?;
-                if want {
+                let keep = want && pick.take(idx);
+                let v = self.parse_field(true, keep, None)?;
+                if keep {
                     bag.push(v);
                 }
+                idx += 1;
                 match self.next_byte()? {
                     b',' => continue,
                     b')' => break,
@@ -543,6 +626,9 @@ impl<'a> Parser<'a> {
             }
         }
         if want {
+            for _ in 0..pick.missing() {
+                bag.push(Value::Null);
+            }
             bag.end_row();
         }
         Ok(())

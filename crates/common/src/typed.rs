@@ -57,7 +57,7 @@
 //! file is an error or the same number of records, never a shorter answer.
 
 use crate::bag::{Bag, BagBuilder};
-use crate::codec::ColumnSet;
+use crate::codec::{ColumnSet, Pick};
 use crate::error::{Error, Result};
 use crate::small_str::{check_utf8, SmallStr};
 use crate::tuple::Tuple;
@@ -299,9 +299,10 @@ impl<'a> Reader<'a> {
 
     /// A stored record of `arity` values laid out as `cols` asks: exactly
     /// the set's positions, in ascending order, a position past the
-    /// record's end reading null (see [`crate::codec::Rows`]); `None` is
-    /// the whole record. A field nobody asked for is skipped by its
-    /// length, and still checked.
+    /// record's end reading null, and a bag column's members holding the
+    /// fields the set names (see [`crate::codec::Rows`]); `None` is the
+    /// whole record. A value nobody asked for is skipped by its length,
+    /// and still checked.
     fn record(&mut self, arity: usize, cols: Option<&ColumnSet>) -> Result<Tuple> {
         if arity == 0 {
             return match self.byte()? {
@@ -319,21 +320,28 @@ impl<'a> Reader<'a> {
             }
             return Ok(Tuple::from_values(vals));
         };
-        let mut want = cols.as_slice();
-        let mut vals = Vec::with_capacity(want.len());
+        let mut pick = Pick::new(Some(cols.as_slice()));
+        let mut vals = Vec::with_capacity(cols.as_slice().len());
         for idx in 0..arity {
-            if want.first() == Some(&idx) {
-                want = &want[1..];
-                vals.push(self.value()?);
-            } else {
+            if !pick.take(idx) {
                 self.skip_value()?;
+                continue;
             }
+            vals.push(self.value_picked(cols.members(vals.len()))?);
         }
-        vals.resize(vals.len() + want.len(), Value::Null);
+        vals.resize(vals.len() + pick.missing(), Value::Null);
         Ok(Tuple::from_values(vals))
     }
 
+    #[inline]
     pub fn value(&mut self) -> Result<Value> {
+        self.value_picked(None)
+    }
+
+    /// A value whole, except that a bag's members hold only the fields
+    /// `members` names when it is `Some` (see [`Reader::bag`]); a value
+    /// that is not a bag is read whole either way.
+    fn value_picked(&mut self, members: Option<&[usize]>) -> Result<Value> {
         let tag = self.byte()?;
         let arg = tag >> 3;
         Ok(match tag & 7 {
@@ -351,26 +359,41 @@ impl<'a> Reader<'a> {
                 Value::Str(SmallStr::from_utf8(self.take(len)?).map_err(not_utf8)?)
             }
             BAG => {
-                let members = self.size(arg, 1)?;
-                Value::Bag(self.bag(members)?)
+                let count = self.size(arg, 1)?;
+                // Two calls, so a whole bag's loop is built without the
+                // per-field pick test a member-selected one needs.
+                Value::Bag(match members {
+                    None => self.bag(count, Pick::new(None))?,
+                    Some(fields) => self.bag(count, Pick::new(Some(fields)))?,
+                })
             }
             _ => return Err(corrupt(&format!("unknown tag {tag:#04x}"))),
         })
     }
 
-    /// A bag of `members` tuples, decoded flat. The first member's arity
-    /// sizes the whole bag, which is exact when the members share it (as
-    /// a group's do); room is never reserved past the bytes remaining,
-    /// each field taking at least one.
-    fn bag(&mut self, members: usize) -> Result<Bag> {
+    /// A bag of `members` tuples, decoded flat, each holding its `pick`ed
+    /// fields: a field past a member's end reads null, and one not picked
+    /// is skipped and still checked. The first member sizes the whole
+    /// bag, which is exact when the members share an arity (as a group's
+    /// do); room is never reserved past the bytes remaining, each field
+    /// taking at least one.
+    fn bag(&mut self, members: usize, pick: Pick) -> Result<Bag> {
         let mut bag = BagBuilder::default();
         for i in 0..members {
             let arity = self.count(1)?;
             if i == 0 {
-                bag.reserve(arity.saturating_mul(members).min(self.bytes.len()));
+                bag.reserve(pick.width(arity).saturating_mul(members).min(self.bytes.len()));
             }
-            for _ in 0..arity {
-                bag.push(self.value()?);
+            let mut pick = pick;
+            for idx in 0..arity {
+                if pick.take(idx) {
+                    bag.push(self.value()?);
+                } else {
+                    self.skip_value()?;
+                }
+            }
+            for _ in 0..pick.missing() {
+                bag.push(Value::Null);
             }
             bag.end_row();
         }

@@ -1,7 +1,7 @@
 //! Property-based tests of the record codec and the value ordering.
 
 use proptest::prelude::*;
-use restore_common::{codec, Tuple, Value};
+use restore_common::{codec, Bag, Tuple, Value};
 
 /// Arbitrary scalar values, biased toward the nasty cases (empty
 /// strings, codec specials, negative zero, extreme ints).
@@ -58,8 +58,36 @@ fn nasty_line() -> impl Strategy<Value = Vec<u8>> {
     ]
 }
 
+/// Columns read whole and, now and then, bag columns read for some member
+/// fields (the sets `exec` derives from Projects and Aggregates).
 fn column_set() -> impl Strategy<Value = codec::ColumnSet> {
-    prop::collection::vec(0usize..10, 0..5).prop_map(codec::ColumnSet::new)
+    let members = prop::collection::vec((0usize..10, prop::option::of(0usize..4)), 0..4);
+    prop_oneof![
+        prop::collection::vec(0usize..10, 0..5).prop_map(codec::ColumnSet::new),
+        (prop::collection::vec(0usize..10, 0..3), members)
+            .prop_map(|(whole, members)| codec::ColumnSet::with_members(whole, members)),
+    ]
+}
+
+/// A group record as text: keys, then a bag whose members have any arity
+/// (zero, short and ragged ones included) and hold nulls, NaN and nested
+/// bags; now and then a scalar where the bag would be.
+fn group_line() -> impl Strategy<Value = Tuple> {
+    let field = prop_oneof![
+        4 => scalar(),
+        1 => Just(Value::Null),
+        1 => Just(Value::Double(f64::NAN)),
+        1 => prop::collection::vec(prop::collection::vec(scalar(), 0..3), 0..3)
+            .prop_map(|members| Value::Bag(Bag::from_rows(members))),
+    ];
+    let group = prop::collection::vec(prop::collection::vec(field, 0..4), 0..4)
+        .prop_map(|members| Value::Bag(Bag::from_rows(members)));
+    (prop::collection::vec(scalar(), 1..3), prop_oneof![3 => group, 1 => scalar()]).prop_map(
+        |(mut keys, group)| {
+            keys.push(group);
+            Tuple::from_values(keys)
+        },
+    )
 }
 
 proptest! {
@@ -91,6 +119,18 @@ proptest! {
     ) {
         let payload = lines.join(&b'\n');
         if let Err(why) = check_against_oracle(&payload, &cols) {
+            prop_assert!(false, "{}", why);
+        }
+    }
+
+    /// A read with a member selection is the oracle's whole read projected
+    /// onto it, over group records as the encoder writes them.
+    #[test]
+    fn a_member_selection_reads_as_the_whole_read_projected(
+        rows in prop::collection::vec(group_line(), 0..6),
+        cols in column_set(),
+    ) {
+        if let Err(why) = check_against_oracle(&codec::encode_all(&rows), &cols) {
             prop_assert!(false, "{}", why);
         }
     }
@@ -186,7 +226,8 @@ proptest! {
 /// verdict line by line up to the first rejected one, where the iteration
 /// must end; same values (by `Debug`: `Value`'s `Eq` equates `Int(x)` with
 /// `Double(x)`); and a narrow row holding exactly the set's positions of
-/// the oracle's row, null past its end.
+/// the oracle's row, null past its end, a bag read for its members holding
+/// exactly those fields of each member, null past a member's end.
 fn check_against_oracle(payload: &[u8], cols: &codec::ColumnSet) -> Result<(), String> {
     let mut lines: Vec<&[u8]> = payload.split(|&b| b == b'\n').collect();
     if payload.is_empty() || payload.ends_with(b"\n") {
@@ -215,7 +256,20 @@ fn check_against_oracle(payload: &[u8], cols: &codec::ColumnSet) -> Result<(), S
             }
             return Ok(());
         };
-        let projected: Tuple = cols.as_slice().iter().map(|&c| oracle.get(c).clone()).collect();
+        let projected: Tuple = cols
+            .as_slice()
+            .iter()
+            .enumerate()
+            .map(|(i, &c)| match (oracle.get(c), cols.members(i)) {
+                (Value::Bag(bag), Some(fields)) => {
+                    Value::Bag(Bag::from_rows(bag.rows().map(|member| {
+                        let field = |f: &usize| member.get(*f).cloned().unwrap_or(Value::Null);
+                        fields.iter().map(field).collect::<Vec<_>>()
+                    })))
+                }
+                (v, _) => v.clone(),
+            })
+            .collect();
         let want = (format!("{oracle:?}"), format!("{projected:?}"));
         let got = (format!("{:?}", full_row.unwrap()), format!("{:?}", narrow_row.unwrap()));
         if got != want || format!("{:?}", alone.unwrap()) != want.0 {
@@ -246,8 +300,13 @@ fn block_scan_matches_a_byte_at_a_time_decoder_at_every_offset() {
         "\u{e9}".as_bytes(), "\u{20ac}".as_bytes(), "\u{1f600}".as_bytes(), b"\xc3", b"\xe2\x82",
         b"\xf0\x9f\x98", b"\xa9", b"\xff", b"\xc3\n\xa9", b"\xc3\t\xa9",
     ];
-    let sets =
-        [codec::ColumnSet::new([]), codec::ColumnSet::new([0]), codec::ColumnSet::new([1, 3])];
+    let sets = [
+        codec::ColumnSet::new([]),
+        codec::ColumnSet::new([0]),
+        codec::ColumnSet::new([1, 3]),
+        codec::ColumnSet::with_members([0], [(1, Some(1))]),
+        codec::ColumnSet::with_members([], [(0, None), (1, Some(0))]),
+    ];
     let check = |payload: &[u8]| {
         for cols in &sets {
             check_against_oracle(payload, cols).unwrap();
@@ -265,6 +324,38 @@ fn block_scan_matches_a_byte_at_a_time_decoder_at_every_offset() {
                 check(&[&before[..], fragment, &after[..]].concat());
                 check(&[&before[..], b"\t", fragment, &after[..], b"\tlast"].concat());
             }
+        }
+    }
+}
+
+/// A member field a reader skips is still checked: a bad escape, broken
+/// UTF-8 or broken bag syntax in it, or in a bag nested there, makes the
+/// line an error, read for the other field as when read whole.
+#[test]
+fn a_skipped_member_field_is_checked() {
+    let members = codec::ColumnSet::with_members([0], [(1, Some(1))]);
+    let count_only = codec::ColumnSet::with_members([], [(1, None)]);
+    let good: &[u8] = b"k\t{(a\\,b,1),(\\0N,2),({(x)},3)}";
+    for cols in [&members, &count_only] {
+        check_against_oracle(good, cols).unwrap();
+        assert!(codec::Rows::new(good, Some(cols)).next().unwrap().is_ok());
+    }
+    for bad in [
+        &b"k\t{(a\\q,1)}"[..],
+        b"k\t{(\xff,1)}",
+        b"k\t{(\xc3,1)}",
+        b"k\t{(a\\0Nb,1)}",
+        b"k\t{({(\\q)},1)}",
+        b"k\t{({(x),1)}",
+        b"k\t{(x,1)",
+        b"k\t{(x,1}",
+        b"k\t{x,1}",
+    ] {
+        for cols in [&members, &count_only] {
+            check_against_oracle(bad, cols).unwrap();
+            let narrow = codec::Rows::new(bad, Some(cols)).next().unwrap();
+            assert!(narrow.is_err(), "{:?} read for {cols:?}", String::from_utf8_lossy(bad));
+            assert!(codec::decode_all(bad).is_err());
         }
     }
 }

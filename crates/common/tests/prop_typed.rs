@@ -4,7 +4,7 @@
 //! an error, never a panic or a shorter answer.
 
 use proptest::prelude::*;
-use restore_common::{codec, typed, Tuple, Value};
+use restore_common::{codec, typed, Bag, Tuple, Value};
 
 /// Doubles the text codec cannot carry, and their neighbours.
 fn edge_double() -> impl Strategy<Value = f64> {
@@ -69,6 +69,53 @@ fn rows() -> impl Strategy<Value = Vec<Tuple>> {
         )
     };
     prop_oneof![2 => of_arity(3..4), 1 => of_arity(1..2), 1 => of_arity(0..5)]
+}
+
+/// Group records: keys, then a bag of members of any arity (zero, short
+/// and ragged ones included) holding nulls, NaN and nested bags; now and
+/// then a scalar where the bag would be.
+fn grouped() -> impl Strategy<Value = Vec<Tuple>> {
+    let group = prop_oneof![3 => bag(prop_oneof![scalar(), bag(scalar())]), 1 => scalar()];
+    prop::collection::vec(
+        (prop::collection::vec(scalar(), 1..3), group).prop_map(|(mut keys, group)| {
+            keys.push(group);
+            Tuple::from_values(keys)
+        }),
+        0..30,
+    )
+}
+
+/// Columns read whole and bag columns read for some member fields, the
+/// two overlapping at times: the sets `exec` derives from a plan's
+/// Projects and Aggregates.
+fn member_column_set() -> impl Strategy<Value = codec::ColumnSet> {
+    (
+        prop::collection::vec(0usize..5, 0..3),
+        prop::collection::vec((0usize..5, prop::option::of(0usize..4)), 0..5),
+    )
+        .prop_map(|(whole, members)| codec::ColumnSet::with_members(whole, members))
+}
+
+/// `rows` as a reader with `cols` builds them, from the whole read: the
+/// set's positions, null past a record's end, and a bag read for its
+/// members holding exactly those fields of each member, null past a
+/// member's end.
+fn projected(rows: &[Tuple], cols: &codec::ColumnSet) -> Vec<Tuple> {
+    let member_fields = |v: &Value, fields: Option<&[usize]>| match (v, fields) {
+        (Value::Bag(bag), Some(fields)) => Value::Bag(Bag::from_rows(bag.rows().map(|member| {
+            fields
+                .iter()
+                .map(|&f| member.get(f).cloned().unwrap_or(Value::Null))
+                .collect::<Vec<_>>()
+        }))),
+        _ => v.clone(),
+    };
+    rows.iter()
+        .map(|row| {
+            let at = cols.as_slice().iter().enumerate();
+            at.map(|(i, &c)| member_fields(row.get(c), cols.members(i))).collect()
+        })
+        .collect()
 }
 
 fn debug(rows: &[Tuple]) -> String {
@@ -138,8 +185,12 @@ proptest! {
 }
 
 /// `file`'s records decoded group by group as a split reader decodes
-/// them: only `cols`, every other field skipped by its length.
+/// them: only `cols`, every other field skipped by its length. A file of
+/// no records is empty.
 fn decode_columns(file: &[u8], cols: &codec::ColumnSet) -> restore_common::Result<Vec<Tuple>> {
+    if file.is_empty() {
+        return Ok(Vec::new());
+    }
     let (index_len, footer_len) = typed::footer(file)?;
     let data_len = file.len() - footer_len - index_len as usize;
     let index = typed::Index::parse(&file[data_len..file.len() - footer_len], data_len as u64)?;
@@ -153,29 +204,113 @@ fn decode_columns(file: &[u8], cols: &codec::ColumnSet) -> restore_common::Resul
     Ok(out)
 }
 
-/// A skipped field is still checked: a string of any length to 40 in a
-/// column the reader does not ask for, with one byte at each position
-/// changed to one that breaks its UTF-8, makes the file an error.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A read with a member selection is the whole read projected onto
+    /// it: the same records, the same verdict.
+    #[test]
+    fn a_member_selection_reads_as_the_whole_read_projected(
+        rows in prop_oneof![grouped(), rows()],
+        cols in member_column_set(),
+    ) {
+        let file = typed::encode_file(&rows);
+        let whole = typed::decode_any(&file).unwrap();
+        let got = decode_columns(&file, &cols);
+        prop_assert_eq!(debug(&got.unwrap()), debug(&projected(&whole, &cols)), "{:?}", cols);
+    }
+}
+
+/// A skipped field is still checked: a string of any length to 40 that
+/// the reader does not ask for, in a column or in a member field of a bag
+/// read for its other fields, with one byte at each position changed to
+/// one that breaks its UTF-8, makes the file an error, pruned and whole.
 #[test]
 fn a_pruned_column_holding_invalid_utf8_is_refused() {
+    let (one, two) = (Value::Int(1), Value::Int(2));
     let pruned = codec::ColumnSet::new([0, 2]);
+    let members = codec::ColumnSet::with_members([0], [(1, Some(1))]);
     for len in 1..=40 {
         let s: String = (b'a'..=b'z').cycle().take(len).map(char::from).collect();
-        let rows =
-            vec![Tuple::from_values(vec![Value::Int(1), Value::str(s.as_str()), Value::Int(2)])];
-        let file = typed::encode_file(&rows);
-        let want = vec![Tuple::from_values(vec![Value::Int(1), Value::Int(2)])];
-        assert_eq!(decode_columns(&file, &pruned).unwrap(), want);
-        let at = file.windows(len).position(|w| w == s.as_bytes()).unwrap();
-        for i in 0..len {
-            for bad in [0x80, 0xc3, 0xff] {
-                let mut damaged = file.clone();
-                damaged[at + i] = bad;
-                assert!(decode_columns(&damaged, &pruned).is_err(), "{len} bytes, {bad:#x} at {i}");
-                assert!(typed::decode_file(&damaged).is_err(), "{len} bytes, {bad:#x} at {i}");
+        let group = |fields: Vec<Value>| Value::Bag(Bag::from_rows([fields]));
+        let cases = [
+            (
+                &pruned,
+                Tuple::from_values(vec![one.clone(), Value::str(s.as_str()), two.clone()]),
+                Tuple::from_values(vec![one.clone(), two.clone()]),
+            ),
+            (
+                &members,
+                Tuple::from_values(vec![
+                    one.clone(),
+                    group(vec![Value::str(s.as_str()), two.clone()]),
+                ]),
+                Tuple::from_values(vec![one.clone(), group(vec![two.clone()])]),
+            ),
+        ];
+        for (cols, row, want) in cases {
+            let file = typed::encode_file(&[row]);
+            assert_eq!(decode_columns(&file, cols).unwrap(), vec![want]);
+            let at = file.windows(len).position(|w| w == s.as_bytes()).unwrap();
+            for i in 0..len {
+                for bad in [0x80, 0xc3, 0xff] {
+                    let mut damaged = file.clone();
+                    damaged[at + i] = bad;
+                    let what = format!("{len} bytes, {bad:#x} at {i}, {cols:?}");
+                    assert!(decode_columns(&damaged, cols).is_err(), "{what}");
+                    assert!(typed::decode_file(&damaged).is_err(), "{what}");
+                }
             }
         }
     }
+}
+
+/// The member reads the properties above may not draw: a bag column read
+/// for no field keeps every member, empty, so COUNT(*) counts them; a
+/// field past a member's end reads null; a scalar or a null where a bag
+/// would be is read whole; a nested bag in a picked field is whole.
+#[test]
+fn member_reads_at_the_edges() {
+    let int = Value::Int;
+    let bag = |members: Vec<Vec<Value>>| Value::Bag(Bag::from_rows(members));
+    let nested = bag(vec![vec![int(7), int(8)]]);
+    let group = bag(vec![
+        vec![int(1), nested.clone(), int(3)],
+        vec![],
+        vec![int(4)],
+        vec![Value::Null, Value::Double(f64::NAN)],
+    ]);
+    let rows = vec![
+        Tuple::from_values(vec![int(0), group]),
+        Tuple::from_values(vec![int(1), Value::str("not a bag")]),
+        Tuple::from_values(vec![int(2), Value::Null]),
+        Tuple::from_values(vec![int(3)]),
+    ];
+    let file = typed::encode_file(&rows);
+    let read = |cols: &codec::ColumnSet| debug(&decode_columns(&file, cols).unwrap());
+    let one_column = |values: [Value; 4]| values.map(|v| Tuple::from_values(vec![v]));
+
+    let count_only = codec::ColumnSet::with_members([], [(1, None)]);
+    let counted = bag(vec![vec![]; 4]);
+    let rest = [Value::str("not a bag"), Value::Null, Value::Null];
+    let [a, b, c] = rest.clone();
+    assert_eq!(read(&count_only), debug(&one_column([counted, a, b, c])));
+
+    let picked = codec::ColumnSet::with_members([], [(1, Some(2)), (1, Some(1))]);
+    let null = || Value::Null;
+    let two_fields = bag(vec![
+        vec![nested, int(3)],
+        vec![null(), null()],
+        vec![null(), null()],
+        vec![Value::Double(f64::NAN), null()],
+    ]);
+    let [a, b, c] = rest;
+    assert_eq!(read(&picked), debug(&one_column([two_fields, a, b, c])));
+
+    // Read whole as well: whole wins.
+    let both = codec::ColumnSet::with_members([1], [(1, Some(0))]);
+    assert_eq!(both.members(0), None);
+    assert_eq!(read(&both), debug(&projected(&rows, &codec::ColumnSet::new([1]))));
 }
 
 /// No byte the text codec escapes (an escaped string is longer as text),

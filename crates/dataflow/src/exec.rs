@@ -81,26 +81,46 @@ fn reduce_side_set(plan: &PhysicalPlan, blocking: Option<NodeId>) -> Vec<bool> {
     set
 }
 
-/// The field positions of `load`'s records that the plan reads: the union
-/// of its consumers' Project lists when every consumer, looking through
-/// Split, is a Project; `None` when any other operator sees whole records.
-/// This is the one place the scan's column set is decided, and it is
-/// decided from the plan as given, so a plan ReStore rewrote or injected
-/// Stores into is pruned by the same rule. Plans, signatures and the
-/// repository never carry it: it is a property of the compiled programs,
-/// which are built against it ([`Compilation::project_step`]) and hand it
-/// to the engine themselves ([`PlanMapperFactory`]).
+/// The field positions of `load`'s records that the plan reads, and of a
+/// bag among them the member fields: when every consumer, looking through
+/// Split, is a Project or an Aggregate, a Project's columns and an
+/// Aggregate's keys are read whole, and an aggregated bag column only for
+/// the member fields its aggregates read
+/// ([`AggFunc::field_read`](crate::expr::AggFunc::field_read)) unless
+/// something reads it whole; `None` when any other operator sees whole
+/// records. This is the one place the scan's column set is decided, and
+/// it is decided from the plan as given, so a plan ReStore rewrote or
+/// injected Stores into is pruned by the same rule. Plans, signatures and
+/// the repository never carry it: it is a property of the compiled
+/// programs, which are built against it ([`Compilation::scanned`]) and
+/// hand it to the engine themselves ([`PlanMapperFactory`]).
 fn columns_read(plan: &PhysicalPlan, load: NodeId) -> Option<ColumnSet> {
-    let mut cols = Vec::new();
+    let mut whole = Vec::new();
+    let mut members = Vec::new();
     let mut pending = plan.consumers(load);
     while let Some(id) = pending.pop() {
         match plan.op(id) {
-            PhysicalOp::Project { cols: read } => cols.extend_from_slice(read),
+            PhysicalOp::Project { cols: read } => whole.extend_from_slice(read),
+            PhysicalOp::Aggregate { items } => {
+                for item in items {
+                    match *item {
+                        AggItem::Key(c) => whole.push(c),
+                        AggItem::Agg { func, bag_col, field } => {
+                            members.push((bag_col, func.field_read(field)))
+                        }
+                    }
+                }
+            }
             PhysicalOp::Split => pending.extend(plan.consumers(id)),
             _ => return None,
         }
     }
-    Some(ColumnSet::new(cols))
+    Some(ColumnSet::with_members(whole, members))
+}
+
+/// Where column `col` of a Load's records sits in a row scanned with `set`.
+fn at(set: &ColumnSet, col: usize) -> usize {
+    set.index_of(col).expect("the scan set is the union of its readers' columns")
 }
 
 // ---------------------------------------------------------------------
@@ -361,29 +381,57 @@ struct Compilation<'a> {
 }
 
 impl<'a> Compilation<'a> {
-    /// The Project at `id`, compiled against the rows that reach it. Under
-    /// a pruned Load (directly or through Splits) those hold only the
-    /// scan's column set, so each position becomes its index in the set —
-    /// and a Project that lists the whole set in order, the usual
-    /// `generate user, est_revenue` over `{0,3}`, has nothing left to do.
-    fn project_step(&self, id: NodeId, cols: &[usize]) -> StepKind {
+    /// The scan's column set when the rows reaching `id` come from a
+    /// pruned Load (directly or through Splits), which then hold only the
+    /// set's columns: a position `c` of the plan is `index_of(c)` there.
+    fn scanned(&self, id: NodeId) -> Option<&ColumnSet> {
         let mut source = self.plan.inputs(id)[0];
         while matches!(self.plan.op(source), PhysicalOp::Split) {
             source = self.plan.inputs(source)[0];
         }
-        let scanned = self.plan.loads().iter().position(|&l| l == source);
-        let Some(set) = scanned.and_then(|load| self.scan_columns[load].as_ref()) else {
+        let load = self.plan.loads().iter().position(|&l| l == source)?;
+        self.scan_columns[load].as_ref()
+    }
+
+    /// The Project at `id`, compiled against the rows that reach it: a
+    /// Project that lists the whole scan set in order, the usual
+    /// `generate user, est_revenue` over `{0,3}`, has nothing left to do.
+    fn project_step(&self, id: NodeId, cols: &[usize]) -> StepKind {
+        let Some(set) = self.scanned(id) else {
             return StepKind::Project(cols.to_vec());
         };
-        let narrow: Vec<usize> = cols
-            .iter()
-            .map(|&c| set.index_of(c).expect("the scan set is the union of its Projects' lists"))
-            .collect();
+        let narrow: Vec<usize> = cols.iter().map(|&c| at(set, c)).collect();
         if narrow.iter().copied().eq(0..set.as_slice().len()) {
             StepKind::Pass
         } else {
             StepKind::Project(narrow)
         }
+    }
+
+    /// The Aggregate at `id`, compiled against the rows that reach it: a
+    /// key or bag column is its index in the scan set, and a member field
+    /// of a bag read for its members is that field's index among them.
+    fn aggregate_step(&self, id: NodeId, items: &[AggItem]) -> StepKind {
+        let Some(set) = self.scanned(id) else {
+            return StepKind::Aggregate(items.to_vec());
+        };
+        let narrow = items
+            .iter()
+            .map(|item| match *item {
+                AggItem::Key(c) => AggItem::Key(at(set, c)),
+                AggItem::Agg { func, bag_col, field } => {
+                    let bag_at = at(set, bag_col);
+                    let field = match set.members(bag_at) {
+                        None => field,
+                        Some(read) => func.field_read(field).map(|f| {
+                            read.binary_search(&f).expect("the scan set holds its readers' fields")
+                        }),
+                    };
+                    AggItem::Agg { func, bag_col: bag_at, field }
+                }
+            })
+            .collect();
+        StepKind::Aggregate(narrow)
     }
 
     /// Step kind for a non-Load, non-blocking node.
@@ -393,7 +441,7 @@ impl<'a> Compilation<'a> {
             PhysicalOp::MapExpr { exprs } => StepKind::MapExpr(exprs.clone()),
             PhysicalOp::Filter { pred } => StepKind::Filter(pred.clone()),
             PhysicalOp::Flatten { bag_col } => StepKind::Flatten(*bag_col),
-            PhysicalOp::Aggregate { items } => StepKind::Aggregate(items.clone()),
+            PhysicalOp::Aggregate { items } => self.aggregate_step(id, items),
             PhysicalOp::Split | PhysicalOp::Union => StepKind::Pass,
             PhysicalOp::Store { path } => {
                 if *path == self.io.main_output {

@@ -93,23 +93,30 @@ impl AggFunc {
         }
     }
 
+    /// The member field [`AggFunc::apply`] reads for `col`: none for
+    /// COUNT(*), and field 0 for any other aggregate given none.
+    pub fn field_read(&self, col: Option<usize>) -> Option<usize> {
+        match self {
+            AggFunc::Count => col,
+            _ => Some(col.unwrap_or(0)),
+        }
+    }
+
     /// Apply the aggregate to one column of a bag of tuples.
     /// `col = None` means COUNT(*) semantics (count tuples).
     pub fn apply(&self, bag: &Bag, col: Option<usize>) -> Value {
+        let Some(c) = self.field_read(col) else {
+            return Value::Int(bag.len() as i64);
+        };
         match self {
-            AggFunc::Count => match col {
-                None => Value::Int(bag.len() as i64),
-                Some(c) => Value::Int(bag.column(c).filter(|v| !v.is_null()).count() as i64),
-            },
+            AggFunc::Count => Value::Int(bag.column(c).filter(|v| !v.is_null()).count() as i64),
             AggFunc::CountDistinct => {
-                let c = col.unwrap_or(0);
                 let mut seen: Vec<&Value> = bag.column(c).filter(|v| !v.is_null()).collect();
                 seen.sort();
                 seen.dedup();
                 Value::Int(seen.len() as i64)
             }
             AggFunc::Sum => {
-                let c = col.unwrap_or(0);
                 let mut acc = 0.0f64;
                 let mut any = false;
                 let mut all_int = true;
@@ -131,7 +138,6 @@ impl AggFunc {
                 }
             }
             AggFunc::Avg => {
-                let c = col.unwrap_or(0);
                 let vals: Vec<f64> = bag.column(c).filter_map(Value::as_f64).collect();
                 if vals.is_empty() {
                     Value::Null
@@ -140,11 +146,9 @@ impl AggFunc {
                 }
             }
             AggFunc::Min => {
-                let c = col.unwrap_or(0);
                 bag.column(c).filter(|v| !v.is_null()).min().cloned().unwrap_or(Value::Null)
             }
             AggFunc::Max => {
-                let c = col.unwrap_or(0);
                 bag.column(c).filter(|v| !v.is_null()).max().cloned().unwrap_or(Value::Null)
             }
         }
