@@ -16,10 +16,12 @@
 //! The numbers are printed after each group and archived with the
 //! entries in `BENCH_concurrent.json`.
 //!
-//! The warm arm also reports what one wave of the §3 loop costs —
-//! `prepare` µs, probe iterations and applied rewrites per wave, µs per
-//! probe — and asserts the budget: one probe and one rewrite per warm
-//! job at every thread count, and `prepare` within [`PREPARE_FACTOR`]
+//! The warm arm also reports what one wave of the §3 match step costs —
+//! `prepare` µs, probe iterations, applied rewrites and memo hits per
+//! wave, µs per probe — and asserts the budget at every thread count:
+//! each wave's job either replays the outcome its snapshot memoized (a
+//! hit: no probe, no rewrite) or runs the loop once (a miss: one probe
+//! and one rewrite), and the measured rounds hit; and `prepare` within [`PREPARE_FACTOR`]
 //! (2×) of the same run's one-thread arm wherever the threads fit the
 //! host's cores (past that the number measures the scheduler's time
 //! slices, not the loop). Sharing the session must not slow the loop
@@ -146,6 +148,15 @@ fn weighted_median_us(rounds: &mut [(u64, u64)]) -> f64 {
         .map_or(0.0, mean_us)
 }
 
+/// `(hits, misses)` of the match step's memo so far
+/// (`restore_match_memo_total`).
+fn memo_totals(rs: &ReStore) -> (u64, u64) {
+    let count = |outcome| {
+        rs.registry().counter("restore_match_memo_total", "", &[("outcome", outcome)]).get()
+    };
+    (count("hit"), count("miss"))
+}
+
 /// `(family, labels, count, raw-ns sum)` for every pipeline stage and
 /// match sub-stage series the session has recorded.
 fn stage_rows(rs: &ReStore) -> Vec<(String, String, u64, u64)> {
@@ -191,14 +202,17 @@ fn report_stages(
     rows
 }
 
-/// What one warm wave of the §3 loop costs, from the stage deltas: the
-/// loop must spend one probe and one rewrite per job it answers, and
-/// `prepare` — `prepare_median_us`, see [`weighted_median_us`] — must
+/// What one warm wave of the §3 match step costs, from the stage and
+/// memo deltas (`memo`: hits, misses): every wave's job looks its
+/// outcome up once; a miss runs the loop, which spends one probe and
+/// one rewrite on a whole-job answer; a hit spends neither; the
+/// measured rounds hit. And `prepare` — `prepare_median_us`, see [`weighted_median_us`] — must
 /// stay within [`PREPARE_FACTOR`] × `one_thread_us` (the loop measures
 /// ≈ 9–14 µs/wave since matches that cannot change the plan are
 /// skipped; 65.4 before) unless the arm oversubscribes the host.
 fn report_wave_cost(
     rows: &[(String, String, u64, u64)],
+    memo: (u64, u64),
     label: &str,
     threads: usize,
     prepare_median_us: f64,
@@ -213,17 +227,21 @@ fn report_wave_cost(
     let (waves, prepare_ns) = stage("prepare");
     let (probes, probe_ns) = stage("index_probe");
     let (rewrites, _) = stage("rewrite");
+    let (hits, misses) = memo;
     let prepare_us = prepare_ns as f64 / waves as f64 / 1e3;
     println!(
         "{label:<48} per wave ({cores} host cores): prepare_us={prepare_us:.1} \
          prepare_median_us={prepare_median_us:.1} probe_iterations={:.2} rewrites={:.2} \
-         probe_us_per_iteration={:.1}",
+         memo_hits={:.2} probe_us_per_iteration={:.1}",
         probes as f64 / waves as f64,
         rewrites as f64 / waves as f64,
-        probe_ns as f64 / probes as f64 / 1e3,
+        hits as f64 / waves as f64,
+        probe_ns as f64 / probes.max(1) as f64 / 1e3,
     );
-    assert_eq!(probes, waves, "{label}: a warm whole-job hit takes exactly one probe");
-    assert_eq!(rewrites, waves, "{label}: a warm whole-job hit applies exactly one rewrite");
+    assert_eq!(hits + misses, waves, "{label}: every warm wave looks its outcome up once");
+    assert_eq!(probes, misses, "{label}: a memo miss runs the loop, which probes once");
+    assert_eq!(rewrites, misses, "{label}: a memo miss applies exactly one rewrite");
+    assert!(hits > 0, "{label}: the measured rounds replay memoized outcomes");
     assert!(
         threads > cores || prepare_median_us <= budget_us,
         "{label}: prepare {prepare_median_us:.1} us/wave (median) exceeds the \
@@ -243,6 +261,7 @@ fn bench_warm_serving(c: &mut Criterion) {
         let rs = shared_session();
         submit_round(&rs, threads, 0);
         let baseline = stage_rows(&rs);
+        let memo_baseline = memo_totals(&rs);
         let round = AtomicU64::new(1);
         let probe = WriteCounterProbe::new(&rs);
         let mut prepare_rounds = Vec::new();
@@ -270,8 +289,10 @@ fn bench_warm_serving(c: &mut Criterion) {
         probe.report(&label);
         let prepare_median_us = weighted_median_us(&mut prepare_rounds);
         let one_thread_us = *one_thread_us.get_or_insert(prepare_median_us);
+        let memo = memo_totals(&rs);
         report_wave_cost(
             &report_stages(&rs, &baseline, &label),
+            (memo.0 - memo_baseline.0, memo.1 - memo_baseline.1),
             &label,
             threads,
             prepare_median_us,

@@ -44,6 +44,8 @@
 //! snapshot — while reuse accounting (`use_count` / `last_used`) is
 //! carried by atomics shared across snapshots, so a match publishes
 //! nothing and enters no writer section (`publish_count` proves it).
+//! The snapshot keeps each match's outcome, so a job whose plan it has
+//! already matched replays that outcome instead of matching again.
 //! Entry registration (batched per wave) and eviction sweeps serialize
 //! among themselves and publish new snapshots; a reader is behind them
 //! for one pointer swap at most.
@@ -51,9 +53,9 @@
 //! block matching in other sessions; outputs matched for reuse are
 //! pinned (see [`crate::pin`]) so a concurrent sweep cannot delete them
 //! mid-flight. Because a match can be made against a snapshot that a
-//! concurrent sweep has already superseded, the match loop **pins, then
-//! revalidates** the matched entry against a fresh snapshot before
-//! using it (see [`ReStore`]'s match loop for the race argument).
+//! concurrent sweep has already superseded, the match step **pins, then
+//! revalidates** the matched entries against a fresh snapshot before
+//! using them (see [`ReStore`]'s match step for the race argument).
 //!
 //! Reuse state is kept **per tenant**: each tenant submitted through the
 //! `_as` entry points gets its own repository/pin namespace,
@@ -71,7 +73,9 @@ use crate::journal::Journal;
 use crate::obs::{Obs, ReuseDecision, ReuseTraceEvent, SpaceMetrics};
 use crate::pin::PinSet;
 use crate::rcu::Rcu;
-use crate::repository::{MatchProbe, RepoBatch, RepoEntry, RepoStats, Repository, StoredFile};
+use crate::repository::{
+    MatchProbe, Matched, RepoBatch, RepoEntry, RepoSnapshot, RepoStats, Repository, StoredFile,
+};
 use crate::rewriter::{apply_aliases, identity_copy};
 use crate::selector::{Eviction, SelectionPolicy};
 use parking_lot::RwLock;
@@ -332,10 +336,10 @@ impl PinGuard {
         self.space.pins.preserve(path);
     }
 
-    /// Release the most recently taken pin (a speculative match that made
-    /// no structural progress).
-    fn unpin_last(&mut self) {
-        if let Some(p) = self.paths.pop() {
+    /// Release the pins taken since the guard held `mark` of them (a
+    /// match whose entries did not all survive revalidation).
+    fn unpin_since(&mut self, mark: usize) {
+        for p in self.paths.split_off(mark) {
             let dfs = &self.dfs;
             self.space.pins.unpin(&p, || {
                 dfs.delete(&p);
@@ -708,14 +712,14 @@ impl ReStore {
             self.obs.record_canon(&timings);
         }
 
-        let mut job_rewrites = 0usize;
         // Whether the file the last rewrite Loads is typed, as its entry
         // recorded in the snapshot it matched in.
         let mut reused_typed = false;
-        if config.reuse_enabled {
+        let matched = config.reuse_enabled.then(|| {
             self.match_loop(
                 space,
-                &mut plan,
+                space.repo.snapshot(),
+                &plan,
                 tick,
                 space_name,
                 idx,
@@ -728,20 +732,19 @@ impl ReStore {
                         reused_path: entry.file.path.clone(),
                         whole_job: false,
                     });
-                    job_rewrites += 1;
                     reused_typed = entry.file.typed;
                 },
-            );
-        }
+            )
+        });
 
         // Whole-job elimination: the rewrite reduced the job to a copy,
         // whose source is the file the last rewrite Loads (the loop stops
         // at the rewrite that leaves a copy). Alias when the destination
         // is typed or the source is text: a copy of a typed file into a
         // text output runs as a job instead, since aliasing would hand
-        // the user typed bytes.
+        // the user typed bytes. An aliased job needs no rewritten plan.
         let mut copy_of = None;
-        if let Some((src, dst)) = identity_copy(&plan).filter(|_| job_rewrites > 0) {
+        if let Some((src, dst)) = matched.as_ref().and_then(|m| m.copy(&plan)) {
             if job.typed_outputs.iter().any(|t| t == dst) || !reused_typed {
                 let dst = dst.to_string();
                 aliases.insert(dst.clone(), src.to_string());
@@ -754,6 +757,9 @@ impl ReStore {
         }
         if pins.is_none() {
             return Ok(Prepared::Run { copy_of, job: None });
+        }
+        if let Some(m) = matched {
+            m.replay(&mut plan);
         }
 
         // Sub-job enumeration (§4). Candidate outputs are keyed under the
@@ -792,69 +798,170 @@ impl ReStore {
         Ok(Prepared::Run { copy_of, job: Some(Box::new(job)) })
     }
 
-    /// The §3 loop: repeatedly lineage-expand the plan, take the first
-    /// repository match whose rewrite changes it, and rewrite — one
-    /// probe per applied rewrite, plus the probe that comes back empty.
-    /// Sites whose rewrite would only collapse back into lineage the
-    /// plan already Loads are vetoed at probe time
-    /// ([`crate::provenance::ExpandedPlan::collapses_back`]), and a plan
-    /// reduced to a `Load → Store` copy is answered in full, so the loop
-    /// stops there. No writer section anywhere: each iteration loads the
-    /// current repository snapshot, records included (a pointer copy),
-    /// and reuse statistics are recorded through the entries' shared
-    /// atomics;
-    /// `on_match` runs after each applied rewrite, with the entry as the
-    /// snapshot it matched in holds it. The records of the paths in
-    /// `stale` are never expanded or matched. With `pins` present
-    /// (a real execution, not a dry run), the reused output is pinned
-    /// against concurrent eviction until the workflow finishes.
+    /// The §3 match step for one job: the loop's outcome, then its
+    /// effects. The outcome comes from [`ReStore::match_plan`], a pure
+    /// function of the plan and one repository snapshot, memoized in
+    /// that snapshot (`RepoSnapshot::matches`, keyed by the plan's
+    /// signature, which excludes Store paths): a plan equal to one the
+    /// snapshot has matched, Store paths aside, takes the memoized
+    /// outcome, and the loop does not run. The outcome used is returned:
+    /// the caller takes a whole-job answer from it (`Matched::copy`) or
+    /// the rewritten plan with its own Store paths (`Matched::replay`). A
+    /// publish clones the snapshot and the clone holds no outcome, so
+    /// the memo never outlives what it was computed from; the staleness
+    /// pass runs first and publishes on any staleness. A dry run (no
+    /// `pins`: nothing to revalidate a replay with) and a run with a
+    /// non-empty `stale` set (the loop then computes something else)
+    /// neither read nor fill the memo.
     ///
-    /// **Pin-then-revalidate.** A match can be found in a snapshot that
+    /// Hit or miss, the effects are one path: with `pins` present (a
+    /// real execution, not a dry run), each reused output is pinned
+    /// against concurrent eviction until the workflow finishes, reuse
+    /// statistics are recorded through the entries' shared atomics (no
+    /// writer section anywhere), the decisions go to the trace, and the
+    /// namespace's hit/miss counters and latency histogram are
+    /// recorded. `on_match` runs for each applied rewrite, in order,
+    /// with the entry as the matched snapshot holds it, dry run or not.
+    ///
+    /// **Pin-then-revalidate.** An outcome can come from a snapshot that
     /// a concurrent sweep has already superseded — by the time we pin,
-    /// the entry may be evicted and its file deleted (the sweep saw no
-    /// pin). So after pinning we re-check the entry against a *fresh*
-    /// snapshot: if it is still present, any later eviction must
-    /// publish after this check, hence run its pin-checked file
-    /// deletion after our pin is visible, and the deletion is deferred
-    /// — the file is safe for the lifetime of the workflow. If it is
-    /// gone, we unpin, skip the entry, and rescan. Eviction publishes
-    /// the entry's removal **before** deleting the file (see
-    /// `ReStore::sweep`), which is what makes the revalidation
-    /// conclusive.
+    /// an entry may be evicted and its file deleted (the sweep saw no
+    /// pin). So after pinning every reused path we re-check the entries
+    /// against one *fresh* snapshot: if they are all present, any later
+    /// eviction must publish after this check, hence run its
+    /// pin-checked file deletion after our pins are visible, and the
+    /// deletion is deferred — the files are safe for the lifetime of the
+    /// workflow. If one is gone, we unpin everything this step took and
+    /// match again against the fresh snapshot. A vanished entry is absent
+    /// from every later snapshot, so the retry makes progress; results
+    /// are unchanged because the entry could equally have been evicted a
+    /// moment before our first snapshot. Eviction publishes the entry's
+    /// removal **before** deleting the file (see `ReStore::sweep`), which
+    /// is what makes the revalidation conclusive.
     #[allow(clippy::too_many_arguments)]
     fn match_loop(
         &self,
         space: &Space,
-        plan: &mut PhysicalPlan,
+        mut snap: Arc<RepoSnapshot>,
+        plan: &PhysicalPlan,
         tick: u64,
         tenant: &str,
         job: usize,
         mut pins: Option<&mut PinGuard>,
         stale: &HashSet<String>,
         mut on_match: impl FnMut(&RepoEntry),
-    ) {
-        let loop_t0 = Instant::now();
-        // Reuse decisions buffered locally and pushed to the trace ring
-        // in one batch at the end — the loop itself touches no lock.
-        let mut decisions: Vec<ReuseDecision> = Vec::new();
-        let mut matched_any = false;
+    ) -> Arc<Matched> {
+        let t0 = Instant::now();
+        let signature = (pins.is_some() && stale.is_empty()).then(|| plan.signature());
+        // Entries found gone at revalidation, traced ahead of the outcome
+        // that was used.
+        let mut rejected: Vec<ReuseDecision> = Vec::new();
+        let matched = loop {
+            let matched = match signature.map(|sig| (sig, snap.matches.get(sig, plan))) {
+                Some((_, Some(hit))) => {
+                    self.obs.memo.hit.inc();
+                    hit
+                }
+                Some((sig, None)) => {
+                    self.obs.memo.miss.inc();
+                    let matched = Arc::new(self.match_plan(&snap, plan, stale));
+                    snap.matches.insert(sig, matched.clone());
+                    matched
+                }
+                None => Arc::new(self.match_plan(&snap, plan, stale)),
+            };
+            let Some(p) = pins.as_deref_mut().filter(|_| !matched.entries.is_empty()) else {
+                break matched;
+            };
+            let pin_t0 = Instant::now();
+            let mark = p.paths.len();
+            for entry in &matched.entries {
+                p.pin(&entry.file.path);
+            }
+            let fresh = space.repo.snapshot();
+            let gone: Vec<u64> = matched
+                .entries
+                .iter()
+                .map(|e| e.id)
+                .filter(|&id| !Arc::ptr_eq(&fresh, &snap) && !fresh.contains_id(id))
+                .collect();
+            self.obs.match_stage.pin_revalidate.record_elapsed(pin_t0);
+            if gone.is_empty() {
+                break matched;
+            }
+            p.unpin_since(mark);
+            rejected.extend(
+                gone.into_iter()
+                    .map(|entry_id| ReuseDecision::RejectedPinRevalidation { entry_id }),
+            );
+            snap = fresh;
+        };
+        for entry in &matched.entries {
+            if pins.is_some() {
+                // Write-free reuse accounting: atomics shared by every
+                // snapshot of the entry — never a repository lock.
+                space.repo.note_use_of(entry, tick);
+            }
+            on_match(entry);
+        }
+        self.obs.stage.match_loop.record_elapsed(t0);
+        // Per-namespace accounting and the trace ring only see real
+        // executions; dry runs (no pins) stay invisible, matching
+        // `explain_query_as`'s no-side-effect contract.
+        if pins.is_some() {
+            space.metrics.latency.record_elapsed(t0);
+            if matched.entries.is_empty() {
+                space.metrics.misses.inc();
+            } else {
+                space.metrics.hits.inc();
+            }
+            let decisions = rejected.into_iter().chain(matched.decisions.iter().cloned());
+            self.obs.trace.extend(decisions.map(|decision| ReuseTraceEvent {
+                tick,
+                tenant: tenant.to_string(),
+                job,
+                decision,
+            }));
+        }
+        matched
+    }
+
+    /// The §3 loop against one snapshot: repeatedly lineage-expand the
+    /// plan, take the first repository match whose rewrite changes it,
+    /// and rewrite — one probe per applied rewrite, plus the probe that
+    /// comes back empty. Sites whose rewrite would only collapse back
+    /// into lineage the plan already Loads are vetoed at probe time
+    /// ([`crate::provenance::ExpandedPlan::collapses_back`]), and a plan
+    /// reduced to a `Load → Store` copy is answered in full, so the loop
+    /// stops there. The records of the paths in `stale` are never
+    /// expanded or matched. It reads `input` and `snap` only — no DFS
+    /// state, no clock, no usage statistics — which is what lets
+    /// [`ReStore::match_loop`] memoize it in the snapshot.
+    fn match_plan(
+        &self,
+        snap: &RepoSnapshot,
+        input: &PhysicalPlan,
+        stale: &HashSet<String>,
+    ) -> Matched {
+        let mut plan = Cow::Borrowed(input);
+        let mut entries = Vec::new();
+        let mut decisions = Vec::new();
+        let live = |path: &str| snap.file(path).filter(|_| !stale.contains(path));
         // Every applied rewrite changes the plan (an operator becomes a
         // Load, or a Load moves to the entry that stores its data), so
         // the loop terminates on its own; the budget is the belt, and so
         // is `last`: a rewrite the probe-time veto should have stopped
         // would be found again at the same (entry, site), and is then
         // checked for a changed plan before it is applied a second time.
-        let budget = 2 * plan.len() + 4 + 2 * space.repo.snapshot().len();
+        let budget = 2 * input.len() + 4 + 2 * snap.len();
         let mut last = None;
         // One probe for the whole loop, reset per iteration: its
         // candidate buffer is reused instead of reallocated.
         let mut probe = MatchProbe::default();
         for _ in 0..budget {
-            let snapshot_t0 = Instant::now();
-            let snap = space.repo.snapshot();
-            let live = |path: &str| snap.file(path).filter(|_| !stale.contains(path));
-            let expanded = crate::provenance::expand(plan, |path| live(path).map(|f| &f.plan));
-            self.obs.match_stage.snapshot_load.record_elapsed(snapshot_t0);
+            let expand_t0 = Instant::now();
+            let expanded = crate::provenance::expand(&plan, |path| live(path).map(|f| &f.plan));
+            self.obs.match_stage.snapshot_load.record_elapsed(expand_t0);
             probe.reset();
             let found = snap.find_first_match_probed(
                 &expanded.plan,
@@ -875,75 +982,38 @@ impl ReStore {
             };
             let entry = snap.get(entry_id).expect("matched entry");
             let reused_path = &entry.file.path;
-            if let Some(p) = pins.as_deref_mut() {
-                let pin_t0 = Instant::now();
-                p.pin(reused_path);
-                // Revalidate against a fresh snapshot now that the pin
-                // is visible (see the method docs). A vanished entry is
-                // absent from every later snapshot, so the retry makes
-                // progress; results are unchanged because the entry
-                // could equally have been evicted a moment before our
-                // first snapshot.
-                let present = space.repo.snapshot().contains_id(entry_id);
-                self.obs.match_stage.pin_revalidate.record_elapsed(pin_t0);
-                if !present {
-                    p.unpin_last();
-                    decisions.push(ReuseDecision::RejectedPinRevalidation { entry_id });
-                    continue;
-                }
-            }
             let before = cfg!(debug_assertions).then(|| plan.signature());
             let site = (entry_id, m.tip);
             // The same (entry, site) twice: keep the plan to put back if
             // the rewrite turns out not to change it.
-            let kept = (last.replace(site) == Some(site)).then(|| plan.clone());
+            let kept = (last.replace(site) == Some(site)).then(|| plan.clone().into_owned());
             let rewrite_t0 = Instant::now();
-            if let Cow::Borrowed(_) = expanded.plan {
+            let rewritten = if let Cow::Borrowed(_) = expanded.plan {
                 // Nothing expanded: the plan is its own expansion, so
                 // rewrite it where it is.
-                crate::rewriter::rewrite(plan, &m, reused_path);
+                drop(expanded);
+                crate::rewriter::rewrite(plan.to_mut(), &m, reused_path);
+                None
             } else {
-                *plan = expanded.rewrite(&m, reused_path);
+                Some(expanded.rewrite(&m, reused_path))
+            };
+            if let Some(rewritten) = rewritten {
+                plan = Cow::Owned(rewritten);
             }
             self.obs.stage.rewrite.record_elapsed(rewrite_t0);
             debug_assert_ne!(Some(plan.signature()), before, "the probe let a no-op by");
             if let Some(kept) = kept.filter(|kept| kept.signature() == plan.signature()) {
-                *plan = kept;
-                if let Some(p) = pins.as_deref_mut() {
-                    p.unpin_last();
-                }
+                plan = Cow::Owned(kept);
                 break;
             }
-            matched_any = true;
             decisions.push(ReuseDecision::Matched { entry_id, reused_path: reused_path.clone() });
-            if pins.is_some() {
-                // Write-free reuse accounting: atomics shared by every
-                // snapshot of the entry — never a repository lock.
-                space.repo.note_use(entry_id, tick);
-            }
-            on_match(entry);
-            if identity_copy(plan).is_some() {
+            entries.push(entry.clone());
+            if identity_copy(&plan).is_some() {
                 break; // the whole job is answered; nothing left to match
             }
         }
-        self.obs.stage.match_loop.record_elapsed(loop_t0);
-        // Per-namespace accounting and the trace ring only see real
-        // executions; dry runs (no pins) stay invisible, matching
-        // `explain_query_as`'s no-side-effect contract.
-        if pins.is_some() {
-            space.metrics.latency.record_elapsed(loop_t0);
-            if matched_any {
-                space.metrics.hits.inc();
-            } else {
-                space.metrics.misses.inc();
-            }
-            self.obs.trace.extend(decisions.into_iter().map(|decision| ReuseTraceEvent {
-                tick,
-                tenant: tenant.to_string(),
-                job,
-                decision,
-            }));
-        }
+        let plan = (!entries.is_empty()).then(|| plan.into_owned());
+        Matched { input: input.clone(), plan, entries, decisions }
     }
 
     /// The register step for one executed job: register the whole-job
@@ -1321,6 +1391,98 @@ mod tests {
         // Dropping the workflow's pins performs the deferred deletion.
         drop(t1.pins);
         assert!(!t1.rs.engine().dfs().exists(&reused), "deferred deletion runs at last unpin");
+    }
+
+    /// A memoized outcome replayed from a snapshot that a sweep has
+    /// since superseded: between the lookup and the pin, the entry it
+    /// reuses was evicted and its file deleted. The pin step's
+    /// revalidation finds the entry gone, unpins, and the loop runs
+    /// again against the fresh snapshot, which answers nothing.
+    #[test]
+    fn a_replay_of_an_evicted_entry_falls_back_to_the_loop() {
+        let config = ReStoreConfig {
+            selection: SelectionPolicy { eviction_window: Some(1), ..Default::default() },
+            ..Default::default()
+        };
+        let rs = ReStore::new(engine(), config);
+        rs.execute_query(&two_job_query("SUM", "/out/cold"), "/wf/cold").unwrap();
+        let wf = restore_dataflow::compile(&two_job_query("SUM", "/out/warm"), "/wf/warm").unwrap();
+        let (space, cfg) = (rs.space_for(None), rs.config_as(None));
+        rs.sweep(&space, &cfg.selection, 2);
+        let looked_up = space.repo.snapshot();
+        let run = |snap: Arc<RepoSnapshot>, tick: u64| {
+            let mut pins = PinGuard::new(space.clone(), rs.engine().dfs().clone());
+            let mut reused = Vec::new();
+            let matched = rs.match_loop(
+                &space,
+                snap,
+                &wf.jobs[0].plan,
+                tick,
+                "",
+                0,
+                Some(&mut pins),
+                &HashSet::new(),
+                |e| reused.push(e.file.path.clone()),
+            );
+            (matched, reused, pins)
+        };
+        // The lookup's snapshot memoizes the join job's whole-job answer.
+        let (_, reused, pins) = run(looked_up.clone(), 2);
+        let [path] = &reused[..] else { panic!("one whole-job rewrite: {reused:?}") };
+        let entry_id = looked_up.entries().iter().find(|e| &e.file.path == path).unwrap().id;
+        drop(pins);
+
+        rs.sweep(&space, &cfg.selection, 99);
+        assert!(!rs.engine().dfs().exists(path), "the sweep deleted the unpinned file");
+        let (hits, probes) = (rs.obs.memo.hit.get(), rs.obs.match_stage.index_probe.count());
+        let (matched, reused, pins) = run(looked_up, 3);
+        assert_eq!(rs.obs.memo.hit.get(), hits + 1, "the superseded outcome was replayed");
+        assert_eq!(rs.obs.match_stage.index_probe.count(), probes + 1, "and the loop ran again");
+        assert!(reused.is_empty(), "{reused:?}");
+        assert!(matched.plan.is_none(), "the plan was rewritten: {:?}", matched.plan);
+        assert!(!space.pins.is_pinned(path));
+        drop(pins);
+        let decisions: Vec<ReuseDecision> =
+            rs.trace_for(None, 3).into_iter().map(|e| e.decision).collect();
+        assert!(
+            matches!(
+                &decisions[..],
+                [
+                    ReuseDecision::RejectedPinRevalidation { entry_id: gone },
+                    ReuseDecision::NoCandidates { .. },
+                ] if *gone == entry_id
+            ),
+            "{decisions:?}"
+        );
+    }
+
+    /// A run with records held stale matches as if they were absent, so
+    /// it neither replays an outcome the snapshot memoized without them
+    /// nor leaves its own for a run that holds nothing stale.
+    #[test]
+    fn a_run_with_records_held_stale_neither_reads_nor_fills_the_memo() {
+        let rs = ReStore::new(engine(), ReStoreConfig::default());
+        rs.execute_query(&two_job_query("SUM", "/out/cold"), "/wf/cold").unwrap();
+        let wf = restore_dataflow::compile(&two_job_query("SUM", "/out/warm"), "/wf/warm").unwrap();
+        let (space, snap) = (rs.space_for(None), rs.repository_as(None));
+        let run = |stale: &HashSet<String>| {
+            let mut pins = PinGuard::new(space.clone(), rs.engine().dfs().clone());
+            let plan = &wf.jobs[0].plan;
+            let mut reused = Vec::new();
+            rs.match_loop(&space, snap.clone(), plan, 2, "", 0, Some(&mut pins), stale, |e| {
+                reused.push(e.file.path.clone())
+            });
+            reused
+        };
+        let memo = || (rs.obs.memo.hit.get(), rs.obs.memo.miss.get());
+        let plain = run(&HashSet::new());
+        let [path] = &plain[..] else { panic!("one whole-job rewrite: {plain:?}") };
+        let before = memo();
+        let held = run(&HashSet::from([path.clone()]));
+        assert!(!held.contains(path), "a record held stale was reused: {held:?}");
+        assert_eq!(memo(), before, "a run with records held stale used the memo");
+        assert_eq!(run(&HashSet::new()), plain);
+        assert_eq!(memo(), (before.0 + 1, before.1), "the plain run's outcome is still kept");
     }
 
     /// A snapshot taken while a deferred deletion is pending must not

@@ -84,9 +84,11 @@ pub(crate) struct StageHists {
     pub sweep: Histogram,
     /// Per wave: the prepare step (match + rewrite + enumerate + job specs).
     pub prepare: Histogram,
-    /// Per job: one full §3 match loop.
+    /// Per job: the whole match step — the memo lookup, the loop on a
+    /// miss, and the pins, reuse accounting and trace of either.
     pub match_loop: Histogram,
-    /// Per applied rewrite: splice + collapse.
+    /// Per rewrite a run of the loop applied: splice + collapse. A memo
+    /// hit replays rewrites and records none.
     pub rewrite: Histogram,
     /// Per wave: the run step (engine execution).
     pub execute: Histogram,
@@ -109,7 +111,11 @@ pub(crate) struct StageHists {
 pub(crate) const JOB_PHASES: [&str; 6] =
     ["map_wall", "map_decode", "shuffle_decode", "sort", "reduce", "commit_wall"];
 
-/// Span histograms inside one §3 match iteration.
+/// Span histograms inside the match step. `snapshot_load` and
+/// `index_probe` record runs of the §3 loop only — a memo miss, a dry
+/// run, a run with records held stale — so a memo hit adds to neither;
+/// `pin_revalidate` records every real execution's pin step, hit or
+/// miss.
 pub(crate) struct MatchStageHists {
     /// Lineage expansion through the records + repository snapshot load.
     pub snapshot_load: Histogram,
@@ -118,7 +124,7 @@ pub(crate) struct MatchStageHists {
     /// of the hits. (Until the index became the match path this series
     /// timed the sequential scan under the same name.)
     pub index_probe: Histogram,
-    /// Pin + fresh-snapshot revalidation of the matched entry.
+    /// Pins of the matched entries + one fresh-snapshot revalidation.
     pub pin_revalidate: Histogram,
 }
 
@@ -137,6 +143,20 @@ pub(crate) struct Obs {
     /// `restore_compile_templates_total{outcome}`: what each
     /// `compile_as` did with its template.
     pub templates: TemplateOutcomes,
+    /// `restore_match_memo_total{outcome}`: what each real execution's
+    /// match step found in its snapshot's memo (see
+    /// `repository::MatchMemo`).
+    pub memo: MemoOutcomes,
+}
+
+/// Outcomes of the match step's memo lookup. A dry run, and a run with
+/// records held stale, neither read nor fill the memo and count in
+/// neither.
+pub(crate) struct MemoOutcomes {
+    /// The snapshot held the outcome: it was replayed.
+    pub hit: Counter,
+    /// The loop ran, and its outcome was kept.
+    pub miss: Counter,
 }
 
 /// Outcomes of `ReStore::compile_as`'s template lookup.
@@ -230,6 +250,16 @@ impl Obs {
                     miss: outcome("miss"),
                     bypass: outcome("bypass"),
                 }
+            },
+            memo: {
+                let outcome = |outcome: &str| {
+                    registry.counter(
+                        "restore_match_memo_total",
+                        "Match-step memo lookups, by outcome",
+                        &[("outcome", outcome)],
+                    )
+                };
+                MemoOutcomes { hit: outcome("hit"), miss: outcome("miss") }
             },
             registry,
         }

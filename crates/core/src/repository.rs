@@ -65,9 +65,11 @@
 //! positionally, with `Split` tees transparent on both sides.
 
 use crate::matcher::{pairwise_plan_traversal_at, plan_tip, subsumes, PlanMatch};
+use crate::obs::ReuseDecision;
 use crate::plan_text;
 use crate::provenance::{self, ExpandedPlan};
 use crate::rcu::Rcu;
+use crate::rewriter::identity_copy;
 use parking_lot::{Mutex, RwLock};
 use restore_common::{Error, Result};
 use restore_dataflow::physical::{NodeId, PhysicalOp, PhysicalPlan};
@@ -239,6 +241,8 @@ pub struct RepoSnapshot {
     /// When the staleness pass last found every file present and every
     /// input at its version.
     pub(crate) clean: PresentAt,
+    /// What the §3 loop computed against this snapshot, per plan.
+    pub(crate) matches: MatchMemo,
 }
 
 /// The DFS clock reading at which the staleness pass last found a
@@ -264,6 +268,131 @@ impl PresentAt {
     /// Remember that the snapshot was found clean at DFS clock `now`.
     pub(crate) fn set(&self, now: u64) {
         self.0.fetch_max(now + 1, Relaxed);
+    }
+}
+
+/// Outcomes one snapshot keeps before it starts over, by the same rule
+/// as the driver's template memo: a served workload has a few dozen
+/// distinct job plans.
+const MATCH_MEMO_CAPACITY: usize = 256;
+
+/// What one run of the §3 loop computed for one plan against one
+/// snapshot (see `ReStore::match_loop`). It reads the plan and the
+/// snapshot only, so a plan equal to `input` but for its Store paths
+/// gets the same outcome from the same snapshot.
+#[derive(Debug)]
+pub(crate) struct Matched {
+    /// The plan the loop was given.
+    pub input: PhysicalPlan,
+    /// The plan the loop left, with `input`'s Store paths; `None` when
+    /// no rewrite applied.
+    pub plan: Option<PhysicalPlan>,
+    /// The entry of each applied rewrite, in order, as the snapshot
+    /// holds it.
+    pub entries: Vec<Arc<RepoEntry>>,
+    /// The loop's reuse decisions, in order.
+    pub decisions: Vec<ReuseDecision>,
+}
+
+impl Matched {
+    /// Is `plan` the plan this outcome was computed for, Store paths
+    /// aside?
+    fn fits(&self, plan: &PhysicalPlan) -> bool {
+        let input = &self.input;
+        input.len() == plan.len()
+            && input.ids().all(|id| {
+                input.inputs(id) == plan.inputs(id)
+                    && match (input.op(id), plan.op(id)) {
+                        (PhysicalOp::Store { .. }, PhysicalOp::Store { .. }) => true,
+                        (a, b) => a == b,
+                    }
+            })
+    }
+
+    /// Can a fitting plan take the outcome's plan by Store path? Every
+    /// Store the loop left is one of `input`'s (a rewrite adds Loads,
+    /// and an expansion inlines a plan without its Store), and `input`
+    /// stores each path once.
+    fn replayable(&self) -> bool {
+        let stores: Vec<&str> =
+            self.input.stores().into_iter().map(|s| self.input.path(s)).collect();
+        let distinct: HashSet<&str> = stores.iter().copied().collect();
+        distinct.len() == stores.len()
+            && self
+                .plan
+                .iter()
+                .all(|out| out.stores().into_iter().all(|s| distinct.contains(out.path(s))))
+    }
+
+    /// Where `plan`, which fits, stores what `input` stores at `path`.
+    fn own_path<'p>(&self, plan: &'p PhysicalPlan, path: &str) -> &'p str {
+        let store = self
+            .input
+            .ids()
+            .find(|&s| matches!(self.input.op(s), PhysicalOp::Store { path: p } if p == path))
+            .expect("a memoized outcome stores only at its input's Store paths");
+        plan.path(store)
+    }
+
+    /// When the loop reduced the plan to a `Load → Store` copy: the file
+    /// it copies, and where `plan`, which fits, stores the copy.
+    pub(crate) fn copy<'p>(&self, plan: &'p PhysicalPlan) -> Option<(&str, &'p str)> {
+        let (src, dst) = identity_copy(self.plan.as_ref()?)?;
+        Some((src, self.own_path(plan, dst)))
+    }
+
+    /// Make `plan`, which fits, the plan the loop left, each Store
+    /// writing where `plan`'s own Store at the same place in `input`
+    /// writes.
+    pub(crate) fn replay(&self, plan: &mut PhysicalPlan) {
+        let Some(out) = &self.plan else { return };
+        let mut next = PhysicalPlan::with_capacity(out.len());
+        for id in out.ids() {
+            let op = match out.op(id) {
+                PhysicalOp::Store { path } => {
+                    PhysicalOp::Store { path: self.own_path(plan, path).to_string() }
+                }
+                op => op.clone(),
+            };
+            next.add(op, out.inputs(id).to_vec());
+        }
+        *plan = next;
+    }
+}
+
+/// The outcomes of the §3 loop run against one snapshot, by the
+/// signature of the plan matched (Store paths excluded). Cloning
+/// forgets them, as it forgets [`PresentAt`]: every publish starts a
+/// snapshot with none. RCU-published like the driver's templates: a
+/// hit is a snapshot load; a miss publishes a new map, an empty one
+/// once [`MATCH_MEMO_CAPACITY`] outcomes are held.
+#[derive(Debug, Default)]
+pub(crate) struct MatchMemo(Rcu<HashMap<u64, Arc<Matched>>>);
+
+impl Clone for MatchMemo {
+    fn clone(&self) -> Self {
+        MatchMemo::default()
+    }
+}
+
+impl MatchMemo {
+    /// The outcome memoized for `plan`, whose signature is `signature`.
+    pub(crate) fn get(&self, signature: u64, plan: &PhysicalPlan) -> Option<Arc<Matched>> {
+        self.0.load().get(&signature).filter(|m| m.fits(plan)).cloned()
+    }
+
+    /// Keep `matched` for plans signed `signature`, if it can be
+    /// replayed.
+    pub(crate) fn insert(&self, signature: u64, matched: Arc<Matched>) {
+        if !matched.replayable() {
+            return;
+        }
+        self.0.update(|map| {
+            if map.len() >= MATCH_MEMO_CAPACITY {
+                *map = HashMap::new();
+            }
+            map.insert(signature, matched);
+        });
     }
 }
 
@@ -714,10 +843,16 @@ impl Repository {
     /// two atomics again.
     pub fn note_use(&self, id: u64, tick: u64) {
         if let Some(e) = self.snapshot().get(id) {
-            e.note_use(tick);
-            if self.track_usage.load(Relaxed) && !e.usage.dirty.swap(true, SeqCst) {
-                self.dirty_used.lock().push(id);
-            }
+            self.note_use_of(e, tick);
+        }
+    }
+
+    /// [`Repository::note_use`] of an entry the caller holds, from any
+    /// snapshot of it: every snapshot's entry shares its counters.
+    pub(crate) fn note_use_of(&self, e: &RepoEntry, tick: u64) {
+        e.note_use(tick);
+        if self.track_usage.load(Relaxed) && !e.usage.dirty.swap(true, SeqCst) {
+            self.dirty_used.lock().push(e.id);
         }
     }
 

@@ -166,6 +166,24 @@ fn a_warm_whole_job_hit_is_one_probe_and_one_rewrite() {
         let trace = restore.trace_for(None, warm.tick);
         assert_eq!(trace.len() as u64, jobs, "{trace:?}");
         assert!(trace.iter().all(|e| matches!(e.decision, ReuseDecision::Matched { .. })));
+
+        // The warm run published nothing, so a third run finds each
+        // job's outcome memoized in the snapshot: no probe, no rewrite,
+        // and the same answer and trace.
+        let (probes, rewrites) = (
+            stage_count(&restore, "restore_match_stage_seconds", "index_probe"),
+            stage_count(&restore, "restore_stage_seconds", "rewrite"),
+        );
+        let third = restore.execute_query(&query("/out/c"), "/wf/c").expect("third run");
+        assert_eq!(stage_count(&restore, "restore_match_stage_seconds", "index_probe"), probes);
+        assert_eq!(stage_count(&restore, "restore_stage_seconds", "rewrite"), rewrites);
+        assert_eq!(third.rewrites, warm.rewrites);
+        assert_eq!(third.final_output, warm.final_output);
+        let untimed = |tick| {
+            let trace = restore.trace_for(None, tick);
+            trace.into_iter().map(|e| (e.job, e.decision)).collect::<Vec<_>>()
+        };
+        assert_eq!(untimed(third.tick), untimed(warm.tick));
     }
 }
 

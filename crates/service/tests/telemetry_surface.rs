@@ -1,7 +1,7 @@
 //! The service's observability surface:
 //!
 //! 1. `render_metrics` emits every required Prometheus family — match
-//!    (per tenant), stage timing, journal gauges, checkpoint durations,
+//!    (per tenant), the match step's memo, stage timing, journal gauges, checkpoint durations,
 //!    scheduler depth, worker utilization, RCU write counters;
 //! 2. `trace(handle)` explains a completed submission's reuse
 //!    decisions, keyed by the ticket's driver tick;
@@ -45,6 +45,10 @@ fn render_metrics_covers_required_families() {
         "restore_match_misses_total{tenant=\"ana\"}",
         "restore_match_seconds_bucket{tenant=\"ana\",le=",
         "restore_match_stage_seconds_bucket{stage=\"index_probe\"",
+        // The match step's memo: the warm rerun ran the loop against a
+        // snapshot its cold run's registration had just published.
+        "restore_match_memo_total{outcome=\"hit\"} 0",
+        "restore_match_memo_total{outcome=\"miss\"} 2",
         // Driver pipeline stages.
         "restore_stage_seconds_bucket{stage=\"match\"",
         "restore_stage_seconds_bucket{stage=\"execute\"",
