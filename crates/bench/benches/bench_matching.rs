@@ -46,7 +46,7 @@
 //! per-compile cost the canonical form adds to the submission path.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use restore_core::{ReStore, ReStoreConfig, RepoStats, Repository, StoredFile};
+use restore_core::{MatchProbe, ReStore, ReStoreConfig, RepoStats, Repository, StoredFile};
 use restore_dataflow::expr::Expr;
 use restore_dataflow::physical::{PhysicalOp, PhysicalPlan};
 use restore_dfs::{Dfs, DfsConfig};
@@ -212,7 +212,12 @@ fn bench_concurrent_matches(
                         let tick = &tick;
                         scope.spawn(move || {
                             for q in qs {
-                                let hit = black_box(repo.snapshot().find_first_match(q));
+                                let mut probe = MatchProbe::default();
+                                let hit = black_box(repo.snapshot().find_first_match_probed(
+                                    q,
+                                    |_, _| false,
+                                    &mut probe,
+                                ));
                                 if let Some((id, _)) = hit {
                                     let t = tick.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                                     repo.note_use(id, t);

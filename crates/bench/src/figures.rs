@@ -299,7 +299,9 @@ pub fn matcher_ablation() -> Vec<AblationRow> {
         let t1 = Instant::now();
         let mut index_hit = None;
         for _ in 0..reps {
-            index_hit = view.find_first_match(&query).map(|(id, _)| id);
+            let mut probe = restore_core::MatchProbe::default();
+            index_hit =
+                view.find_first_match_probed(&query, |_, _| false, &mut probe).map(|(id, _)| id);
         }
         let index_us = t1.elapsed().as_secs_f64() * 1e6 / reps as f64;
         rows.push(AblationRow {

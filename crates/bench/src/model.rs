@@ -108,7 +108,7 @@ pub struct Agreement {
 }
 
 /// Run the PigMix workload over `env`, each query [`PASSES`] times: plain
-/// (no reuse), and as a rerun on a repository two untimed passes
+/// (no reuse), and as a rerun on a repository one untimed pass
 /// populated, with final outputs unregistered so the final job runs on
 /// stored inputs, as `restore-e2e`'s `pigmix_reuse` does. One row per
 /// executed job.
@@ -118,14 +118,13 @@ pub fn measure(env: &PigMixEnv) -> Vec<JobRow> {
         env.engine.clone(),
         ReStoreConfig { register_final_outputs: false, ..Default::default() },
     );
-    // A first rerun still stores a candidate or two (L3's join, rewritten
-    // against L2's stored projection, is registered under its new plan),
-    // so the repository is settled after the second pass.
-    for warm in 0..2 {
-        for (_, query) in queries::standard_workload(&format!("/out/model/warm{warm}")) {
-            let wf = format!("/wf/model/warm{warm}");
-            reuse.execute_query(&query, &wf).expect("populating query failed");
-        }
+    // Every query gets its own workflow prefix, here and in the timed
+    // passes: with one prefix per pass, L11's `tmp-0` overwrote L3's
+    // registered temporary, the staleness pass forgot L3's join, and the
+    // next rerun stored it again. So one pass settles the repository.
+    for (label, query) in queries::standard_workload("/out/model/warm0") {
+        let wf = format!("/wf/model/warm0/{label}");
+        reuse.execute_query(&query, &wf).expect("populating query failed");
     }
     let mut rows = Vec::new();
     for (mode, rs) in [("plain", &plain), ("rerun", &reuse)] {
@@ -133,8 +132,11 @@ pub fn measure(env: &PigMixEnv) -> Vec<JobRow> {
         for pass in 0..PASSES {
             let out = format!("/out/model/{mode}{pass}");
             for (q, (label, query)) in queries::standard_workload(&out).into_iter().enumerate() {
-                let wf = format!("/wf/model/{mode}{pass}");
+                let wf = format!("/wf/model/{mode}{pass}/{label}");
                 let exec = rs.execute_query(&query, &wf).expect("query failed");
+                if mode == "rerun" {
+                    assert_eq!(exec.candidates_stored, 0, "{label}: a rerun stored a candidate");
+                }
                 if pass == 0 {
                     jobs.push((
                         label,

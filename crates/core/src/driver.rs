@@ -66,17 +66,18 @@
 //! This file is the execution loop. Each seam around it is its own
 //! `impl ReStore`: namespaces and configuration in `spaces.rs`,
 //! explain, trace and stats in `introspect.rs`, and saving and loading
-//! the session in `persist.rs`.
+//! the session in `persist.rs`. The §3 match is a free function of a
+//! plan and a snapshot in `matching.rs`, which its signature keeps pure;
+//! the driver's match step keeps only its effects.
 
 use crate::enumerator::{inject_subjob_stores, Candidate, Heuristic};
 use crate::journal::Journal;
+use crate::matching::{match_memoized, Matched, Source};
 use crate::obs::{Obs, ReuseDecision, ReuseTraceEvent, SpaceMetrics};
 use crate::pin::PinSet;
 use crate::rcu::Rcu;
-use crate::repository::{
-    MatchProbe, Matched, RepoBatch, RepoEntry, RepoSnapshot, RepoStats, Repository, StoredFile,
-};
-use crate::rewriter::{apply_aliases, identity_copy};
+use crate::repository::{RepoBatch, RepoSnapshot, RepoStats, Repository, StoredFile};
+use crate::rewriter::apply_aliases;
 use crate::selector::{Eviction, SelectionPolicy};
 use parking_lot::RwLock;
 use restore_common::{Error, Result};
@@ -87,7 +88,6 @@ use restore_dataflow::template;
 use restore_dfs::Dfs;
 use restore_mapreduce::{workflow, Engine, JobResult, JobSpec};
 use restore_telemetry::Registry;
-use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -350,12 +350,7 @@ impl PinGuard {
 
 impl Drop for PinGuard {
     fn drop(&mut self) {
-        for p in &self.paths {
-            let dfs = &self.dfs;
-            self.space.pins.unpin(p, || {
-                dfs.delete(p);
-            });
-        }
+        self.unpin_since(0);
     }
 }
 
@@ -712,30 +707,20 @@ impl ReStore {
             self.obs.record_canon(&timings);
         }
 
+        let matched = config.reuse_enabled.then(|| {
+            let snap = space.repo.snapshot();
+            self.match_loop(space, snap, &plan, tick, space_name, idx, pins.as_deref_mut(), stale)
+        });
+        let reused = matched.as_ref().map_or(&[][..], |m| &m.entries[..]);
+        rewrites.extend(reused.iter().map(|entry| RewriteEvent {
+            job: idx,
+            entry_id: entry.id,
+            reused_path: entry.file.path.clone(),
+            whole_job: false,
+        }));
         // Whether the file the last rewrite Loads is typed, as its entry
         // recorded in the snapshot it matched in.
-        let mut reused_typed = false;
-        let matched = config.reuse_enabled.then(|| {
-            self.match_loop(
-                space,
-                space.repo.snapshot(),
-                &plan,
-                tick,
-                space_name,
-                idx,
-                pins.as_deref_mut(),
-                stale,
-                |entry| {
-                    rewrites.push(RewriteEvent {
-                        job: idx,
-                        entry_id: entry.id,
-                        reused_path: entry.file.path.clone(),
-                        whole_job: false,
-                    });
-                    reused_typed = entry.file.typed;
-                },
-            )
-        });
+        let reused_typed = reused.last().is_some_and(|entry| entry.file.typed);
 
         // Whole-job elimination: the rewrite reduced the job to a copy,
         // whose source is the file the last rewrite Loads (the loop stops
@@ -798,21 +783,12 @@ impl ReStore {
         Ok(Prepared::Run { copy_of, job: Some(Box::new(job)) })
     }
 
-    /// The §3 match step for one job: the loop's outcome, then its
-    /// effects. The outcome comes from [`ReStore::match_plan`], a pure
-    /// function of the plan and one repository snapshot, memoized in
-    /// that snapshot (`RepoSnapshot::matches`, keyed by the plan's
-    /// signature, which excludes Store paths): a plan equal to one the
-    /// snapshot has matched, Store paths aside, takes the memoized
-    /// outcome, and the loop does not run. The outcome used is returned:
-    /// the caller takes a whole-job answer from it (`Matched::copy`) or
-    /// the rewritten plan with its own Store paths (`Matched::replay`). A
-    /// publish clones the snapshot and the clone holds no outcome, so
-    /// the memo never outlives what it was computed from; the staleness
-    /// pass runs first and publishes on any staleness. A dry run (no
-    /// `pins`: nothing to revalidate a replay with) and a run with a
-    /// non-empty `stale` set (the loop then computes something else)
-    /// neither read nor fill the memo.
+    /// The §3 match step for one job: the outcome of the pure match
+    /// (`matching::match_memoized`, from the snapshot's memo or a run of
+    /// the loop), then its effects. The outcome used is returned: the
+    /// caller takes a whole-job answer from it (`Matched::copy`) or the
+    /// rewritten plan with its own Store paths (`Matched::replay`), and a
+    /// rewrite event per entry.
     ///
     /// Hit or miss, the effects are one path: with `pins` present (a
     /// real execution, not a dry run), each reused output is pinned
@@ -820,8 +796,8 @@ impl ReStore {
     /// statistics are recorded through the entries' shared atomics (no
     /// writer section anywhere), the decisions go to the trace, and the
     /// namespace's hit/miss counters and latency histogram are
-    /// recorded. `on_match` runs for each applied rewrite, in order,
-    /// with the entry as the matched snapshot holds it, dry run or not.
+    /// recorded. The loop's timings are recorded whenever it ran, so a
+    /// memo hit records none.
     ///
     /// **Pin-then-revalidate.** An outcome can come from a snapshot that
     /// a concurrent sweep has already superseded — by the time we pin,
@@ -849,27 +825,21 @@ impl ReStore {
         job: usize,
         mut pins: Option<&mut PinGuard>,
         stale: &HashSet<String>,
-        mut on_match: impl FnMut(&RepoEntry),
     ) -> Arc<Matched> {
         let t0 = Instant::now();
-        let signature = (pins.is_some() && stale.is_empty()).then(|| plan.signature());
         // Entries found gone at revalidation, traced ahead of the outcome
         // that was used.
         let mut rejected: Vec<ReuseDecision> = Vec::new();
         let matched = loop {
-            let matched = match signature.map(|sig| (sig, snap.matches.get(sig, plan))) {
-                Some((_, Some(hit))) => {
-                    self.obs.memo.hit.inc();
-                    hit
-                }
-                Some((sig, None)) => {
+            let (matched, source) = match_memoized(&snap, plan, stale, pins.is_some());
+            match source {
+                Source::Hit => self.obs.memo.hit.inc(),
+                Source::Miss(times) => {
                     self.obs.memo.miss.inc();
-                    let matched = Arc::new(self.match_plan(&snap, plan, stale));
-                    snap.matches.insert(sig, matched.clone());
-                    matched
+                    self.obs.record_match(&times);
                 }
-                None => Arc::new(self.match_plan(&snap, plan, stale)),
-            };
+                Source::Bypass(times) => self.obs.record_match(&times),
+            }
             let Some(p) = pins.as_deref_mut().filter(|_| !matched.entries.is_empty()) else {
                 break matched;
             };
@@ -887,6 +857,11 @@ impl ReStore {
                 .collect();
             self.obs.match_stage.pin_revalidate.record_elapsed(pin_t0);
             if gone.is_empty() {
+                for entry in &matched.entries {
+                    // Write-free reuse accounting: atomics shared by every
+                    // snapshot of the entry — never a repository lock.
+                    space.repo.note_use_of(entry, tick);
+                }
                 break matched;
             }
             p.unpin_since(mark);
@@ -896,14 +871,6 @@ impl ReStore {
             );
             snap = fresh;
         };
-        for entry in &matched.entries {
-            if pins.is_some() {
-                // Write-free reuse accounting: atomics shared by every
-                // snapshot of the entry — never a repository lock.
-                space.repo.note_use_of(entry, tick);
-            }
-            on_match(entry);
-        }
         self.obs.stage.match_loop.record_elapsed(t0);
         // Per-namespace accounting and the trace ring only see real
         // executions; dry runs (no pins) stay invisible, matching
@@ -924,96 +891,6 @@ impl ReStore {
             }));
         }
         matched
-    }
-
-    /// The §3 loop against one snapshot: repeatedly lineage-expand the
-    /// plan, take the first repository match whose rewrite changes it,
-    /// and rewrite — one probe per applied rewrite, plus the probe that
-    /// comes back empty. Sites whose rewrite would only collapse back
-    /// into lineage the plan already Loads are vetoed at probe time
-    /// ([`crate::provenance::ExpandedPlan::collapses_back`]), and a plan
-    /// reduced to a `Load → Store` copy is answered in full, so the loop
-    /// stops there. The records of the paths in `stale` are never
-    /// expanded or matched. It reads `input` and `snap` only — no DFS
-    /// state, no clock, no usage statistics — which is what lets
-    /// [`ReStore::match_loop`] memoize it in the snapshot.
-    fn match_plan(
-        &self,
-        snap: &RepoSnapshot,
-        input: &PhysicalPlan,
-        stale: &HashSet<String>,
-    ) -> Matched {
-        let mut plan = Cow::Borrowed(input);
-        let mut entries = Vec::new();
-        let mut decisions = Vec::new();
-        let live = |path: &str| snap.file(path).filter(|_| !stale.contains(path));
-        // Every applied rewrite changes the plan (an operator becomes a
-        // Load, or a Load moves to the entry that stores its data), so
-        // the loop terminates on its own; the budget is the belt, and so
-        // is `last`: a rewrite the probe-time veto should have stopped
-        // would be found again at the same (entry, site), and is then
-        // checked for a changed plan before it is applied a second time.
-        let budget = 2 * input.len() + 4 + 2 * snap.len();
-        let mut last = None;
-        // One probe for the whole loop, reset per iteration: its
-        // candidate buffer is reused instead of reallocated.
-        let mut probe = MatchProbe::default();
-        for _ in 0..budget {
-            let expand_t0 = Instant::now();
-            let expanded = crate::provenance::expand(&plan, |path| live(path).map(|f| &f.plan));
-            self.obs.match_stage.snapshot_load.record_elapsed(expand_t0);
-            probe.reset();
-            let found = snap.find_first_match_probed(
-                &expanded.plan,
-                |e, site| {
-                    stale.contains(&e.file.path) || expanded.collapses_back(site, &e.file.path)
-                },
-                &mut probe,
-            );
-            self.obs.match_stage.index_probe.record(probe.probe_ns);
-            for c in probe.candidates.iter().filter(|c| !c.matched) {
-                decisions.push(ReuseDecision::CandidateFailedTraversal { entry_id: c.entry_id });
-            }
-            let Some((entry_id, m)) = found else {
-                decisions.push(ReuseDecision::NoCandidates {
-                    signatures_probed: probe.signatures_probed,
-                });
-                break;
-            };
-            let entry = snap.get(entry_id).expect("matched entry");
-            let reused_path = &entry.file.path;
-            let before = cfg!(debug_assertions).then(|| plan.signature());
-            let site = (entry_id, m.tip);
-            // The same (entry, site) twice: keep the plan to put back if
-            // the rewrite turns out not to change it.
-            let kept = (last.replace(site) == Some(site)).then(|| plan.clone().into_owned());
-            let rewrite_t0 = Instant::now();
-            let rewritten = if let Cow::Borrowed(_) = expanded.plan {
-                // Nothing expanded: the plan is its own expansion, so
-                // rewrite it where it is.
-                drop(expanded);
-                crate::rewriter::rewrite(plan.to_mut(), &m, reused_path);
-                None
-            } else {
-                Some(expanded.rewrite(&m, reused_path))
-            };
-            if let Some(rewritten) = rewritten {
-                plan = Cow::Owned(rewritten);
-            }
-            self.obs.stage.rewrite.record_elapsed(rewrite_t0);
-            debug_assert_ne!(Some(plan.signature()), before, "the probe let a no-op by");
-            if let Some(kept) = kept.filter(|kept| kept.signature() == plan.signature()) {
-                plan = Cow::Owned(kept);
-                break;
-            }
-            decisions.push(ReuseDecision::Matched { entry_id, reused_path: reused_path.clone() });
-            entries.push(entry.clone());
-            if identity_copy(&plan).is_some() {
-                break; // the whole job is answered; nothing left to match
-            }
-        }
-        let plan = (!entries.is_empty()).then(|| plan.into_owned());
-        Matched { input: input.clone(), plan, entries, decisions }
     }
 
     /// The register step for one executed job: register the whole-job
@@ -1412,18 +1289,10 @@ mod tests {
         let looked_up = space.repo.snapshot();
         let run = |snap: Arc<RepoSnapshot>, tick: u64| {
             let mut pins = PinGuard::new(space.clone(), rs.engine().dfs().clone());
-            let mut reused = Vec::new();
-            let matched = rs.match_loop(
-                &space,
-                snap,
-                &wf.jobs[0].plan,
-                tick,
-                "",
-                0,
-                Some(&mut pins),
-                &HashSet::new(),
-                |e| reused.push(e.file.path.clone()),
-            );
+            let plan = &wf.jobs[0].plan;
+            let matched =
+                rs.match_loop(&space, snap, plan, tick, "", 0, Some(&mut pins), &HashSet::new());
+            let reused: Vec<String> = matched.entries.iter().map(|e| e.file.path.clone()).collect();
             (matched, reused, pins)
         };
         // The lookup's snapshot memoizes the join job's whole-job answer.
@@ -1468,11 +1337,9 @@ mod tests {
         let run = |stale: &HashSet<String>| {
             let mut pins = PinGuard::new(space.clone(), rs.engine().dfs().clone());
             let plan = &wf.jobs[0].plan;
-            let mut reused = Vec::new();
-            rs.match_loop(&space, snap.clone(), plan, 2, "", 0, Some(&mut pins), stale, |e| {
-                reused.push(e.file.path.clone())
-            });
-            reused
+            let matched =
+                rs.match_loop(&space, snap.clone(), plan, 2, "", 0, Some(&mut pins), stale);
+            matched.entries.iter().map(|e| e.file.path.clone()).collect::<Vec<_>>()
         };
         let memo = || (rs.obs.memo.hit.get(), rs.obs.memo.miss.get());
         let plain = run(&HashSet::new());

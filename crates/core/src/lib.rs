@@ -6,8 +6,9 @@
 //! job of an incoming workflow it:
 //!
 //! 1. **matches** the job's physical plan against the repository of
-//!    stored job outputs and **rewrites** it to load stored results
-//!    ([`matcher`], [`rewriter`], §3, Algorithm 1);
+//!    stored job outputs and **rewrites** it to load stored results (§3,
+//!    Algorithm 1: one pure function of a plan and a repository snapshot
+//!    in `matching.rs`, over [`matcher`] and [`rewriter`]);
 //! 2. **enumerates candidate sub-jobs** and injects `Split`+`Store`
 //!    operators to materialize them ([`enumerator`], §4 — Conservative,
 //!    Aggressive, and No-Heuristic policies);
@@ -28,6 +29,7 @@ pub mod failure;
 mod introspect;
 pub mod journal;
 pub mod matcher;
+mod matching;
 pub mod obs;
 mod persist;
 pub mod pin;

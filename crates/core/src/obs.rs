@@ -7,6 +7,7 @@
 //! it (`prop_concurrent_repo` and the driver telemetry test pin the
 //! zero-publish invariant with telemetry enabled).
 
+use crate::matching::IterationTimes;
 use crate::selector::EVICTION_REASONS;
 use restore_mapreduce::PhaseTimes;
 use restore_telemetry::{Counter, Histogram, Registry, TraceRing};
@@ -87,8 +88,9 @@ pub(crate) struct StageHists {
     /// Per job: the whole match step — the memo lookup, the loop on a
     /// miss, and the pins, reuse accounting and trace of either.
     pub match_loop: Histogram,
-    /// Per rewrite a run of the loop applied: splice + collapse. A memo
-    /// hit replays rewrites and records none.
+    /// Per rewrite a run of the loop applied: splice + collapse, as
+    /// `matching::match_plan` timed it. A memo hit replays rewrites and
+    /// records none.
     pub rewrite: Histogram,
     /// Per wave: the run step (engine execution).
     pub execute: Histogram,
@@ -113,7 +115,8 @@ pub(crate) const JOB_PHASES: [&str; 6] =
 
 /// Span histograms inside the match step. `snapshot_load` and
 /// `index_probe` record runs of the §3 loop only — a memo miss, a dry
-/// run, a run with records held stale — so a memo hit adds to neither;
+/// run, a run with records held stale — from the timings the pure
+/// `matching::match_plan` returns, so a memo hit adds to neither;
 /// `pin_revalidate` records every real execution's pin step, hit or
 /// miss.
 pub(crate) struct MatchStageHists {
@@ -145,7 +148,7 @@ pub(crate) struct Obs {
     pub templates: TemplateOutcomes,
     /// `restore_match_memo_total{outcome}`: what each real execution's
     /// match step found in its snapshot's memo (see
-    /// `repository::MatchMemo`).
+    /// `matching::MatchMemo`).
     pub memo: MemoOutcomes,
 }
 
@@ -174,93 +177,59 @@ pub(crate) struct TemplateOutcomes {
 impl Obs {
     pub(crate) fn new() -> Self {
         let registry = Arc::new(Registry::new());
-        let stage_hist = |stage: &str| {
-            registry.histogram(
-                "restore_stage_seconds",
-                "Driver pipeline stage latency",
-                &[("stage", stage)],
-                1e-9,
-            )
+        // A family of histograms, (name, help, label), and one series of
+        // it per value of the label.
+        let hist = |[name, help, label]: [&str; 3], value: &str| {
+            registry.histogram(name, help, &[(label, value)], 1e-9)
         };
-        let match_hist = |stage: &str| {
-            registry.histogram(
-                "restore_match_stage_seconds",
-                "Match-loop stage latency",
-                &[("stage", stage)],
-                1e-9,
-            )
+        let stage = ["restore_stage_seconds", "Driver pipeline stage latency", "stage"];
+        let matching = ["restore_match_stage_seconds", "Match-loop stage latency", "stage"];
+        let canon =
+            ["restore_canon_stage_seconds", "Analyzer canonicalization pass latency", "pass"];
+        let phase = ["restore_job_phase_seconds", "Measured phase time per executed job", "phase"];
+        // The same for counters.
+        let counter = |[name, help, label]: [&str; 3], value: &str| {
+            registry.counter(name, help, &[(label, value)])
         };
-        let canon_hist = |pass: &'static str| {
-            registry.histogram(
-                "restore_canon_stage_seconds",
-                "Analyzer canonicalization pass latency",
-                &[("pass", pass)],
-                1e-9,
-            )
-        };
-        let phase_hist = |phase: &str| {
-            registry.histogram(
-                "restore_job_phase_seconds",
-                "Measured phase time per executed job",
-                &[("phase", phase)],
-                1e-9,
-            )
-        };
-        let passes = restore_dataflow::analyzer::PASS_NAMES;
+        let vetoed = [
+            "restore_candidates_vetoed_total",
+            "Stored outputs not registered, by reason",
+            "reason",
+        ];
+        let evicted =
+            ["restore_entries_evicted_total", "Repository entries evicted, by reason", "reason"];
+        let templates = [
+            "restore_compile_templates_total",
+            "compile_as template lookups, by outcome",
+            "outcome",
+        ];
+        let memo = ["restore_match_memo_total", "Match-step memo lookups, by outcome", "outcome"];
         Obs {
             stage: StageHists {
-                compile: stage_hist("compile"),
-                sweep: stage_hist("sweep"),
-                prepare: stage_hist("prepare"),
-                match_loop: stage_hist("match"),
-                rewrite: stage_hist("rewrite"),
-                execute: stage_hist("execute"),
-                register: stage_hist("register"),
-                canon: [canon_hist(passes[0]), canon_hist(passes[1]), canon_hist(passes[2])],
-                job_phase: JOB_PHASES.map(phase_hist),
+                compile: hist(stage, "compile"),
+                sweep: hist(stage, "sweep"),
+                prepare: hist(stage, "prepare"),
+                match_loop: hist(stage, "match"),
+                rewrite: hist(stage, "rewrite"),
+                execute: hist(stage, "execute"),
+                register: hist(stage, "register"),
+                canon: restore_dataflow::analyzer::PASS_NAMES.map(|pass| hist(canon, pass)),
+                job_phase: JOB_PHASES.map(|p| hist(phase, p)),
             },
             match_stage: MatchStageHists {
-                snapshot_load: match_hist("snapshot_load"),
-                index_probe: match_hist("index_probe"),
-                pin_revalidate: match_hist("pin_revalidate"),
+                snapshot_load: hist(matching, "snapshot_load"),
+                index_probe: hist(matching, "index_probe"),
+                pin_revalidate: hist(matching, "pin_revalidate"),
             },
             trace: TraceRing::new(TRACE_CAPACITY),
-            vetoed_retypes: registry.counter(
-                "restore_candidates_vetoed_total",
-                "Stored outputs not registered, by reason",
-                &[("reason", "retypes")],
-            ),
-            evicted: EVICTION_REASONS.map(|reason| {
-                registry.counter(
-                    "restore_entries_evicted_total",
-                    "Repository entries evicted, by reason",
-                    &[("reason", reason)],
-                )
-            }),
-            templates: {
-                let outcome = |outcome: &str| {
-                    registry.counter(
-                        "restore_compile_templates_total",
-                        "compile_as template lookups, by outcome",
-                        &[("outcome", outcome)],
-                    )
-                };
-                TemplateOutcomes {
-                    hit: outcome("hit"),
-                    miss: outcome("miss"),
-                    bypass: outcome("bypass"),
-                }
+            vetoed_retypes: counter(vetoed, "retypes"),
+            evicted: EVICTION_REASONS.map(|reason| counter(evicted, reason)),
+            templates: TemplateOutcomes {
+                hit: counter(templates, "hit"),
+                miss: counter(templates, "miss"),
+                bypass: counter(templates, "bypass"),
             },
-            memo: {
-                let outcome = |outcome: &str| {
-                    registry.counter(
-                        "restore_match_memo_total",
-                        "Match-step memo lookups, by outcome",
-                        &[("outcome", outcome)],
-                    )
-                };
-                MemoOutcomes { hit: outcome("hit"), miss: outcome("miss") }
-            },
+            memo: MemoOutcomes { hit: counter(memo, "hit"), miss: counter(memo, "miss") },
             registry,
         }
     }
@@ -281,6 +250,17 @@ impl Obs {
     pub(crate) fn record_canon(&self, timings: &[(&'static str, std::time::Duration); 3]) {
         for (hist, (_, d)) in self.stage.canon.iter().zip(timings) {
             hist.record(d.as_nanos() as u64);
+        }
+    }
+
+    /// Record one run of the §3 loop, as `matching::match_plan` timed it.
+    pub(crate) fn record_match(&self, times: &[IterationTimes]) {
+        for t in times {
+            self.match_stage.snapshot_load.record(t.snapshot_load);
+            self.match_stage.index_probe.record(t.index_probe);
+            if let Some(rewrite) = t.rewrite {
+                self.stage.rewrite.record(rewrite);
+            }
         }
     }
 }

@@ -26,7 +26,8 @@
 //! | `state.rs` | the format epoch and the config codec |
 //! | `journal.rs` | the one durable format: typed records, framing, segments, bases, the torn-tail rule |
 //! | `repository.rs` | the published snapshot — entries and the record of every stored file, saved and captured together — and the one block codec `repository` and `repo-batch` records share |
-//! | `driver.rs` | the execution loop: match, rewrite, run, register |
+//! | `driver.rs` | the execution loop: the match step's effects (pins, revalidation, use, trace, counters), run, register |
+//! | `matching.rs` | no `impl ReStore`: the §3 match and rewrite, a free function of a plan and a snapshot, and the snapshot's memo of its outcomes |
 //! | `spaces.rs` | the namespace map (the default namespace is its `""` entry) and configuration |
 //! | `introspect.rs` | explain, trace and stats |
 

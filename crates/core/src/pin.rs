@@ -47,11 +47,6 @@ impl PinSet {
         *self.inner.lock().counts.entry(path.to_string()).or_insert(0) += 1;
     }
 
-    /// Is any workflow currently pinning `path`?
-    pub fn is_pinned(&self, path: &str) -> bool {
-        self.inner.lock().counts.contains_key(path)
-    }
-
     /// Exempt `path` from deferred deletion: it was handed to a caller
     /// as a workflow result, so deleting it at pin release would yank
     /// the file out from under the reader. The exemption holds until
@@ -112,6 +107,14 @@ impl PinSet {
             }
             None => {}
         }
+    }
+}
+
+#[cfg(test)]
+impl PinSet {
+    /// Is any workflow currently pinning `path`?
+    pub(crate) fn is_pinned(&self, path: &str) -> bool {
+        self.inner.lock().counts.contains_key(path)
     }
 }
 

@@ -65,11 +65,10 @@
 //! positionally, with `Split` tees transparent on both sides.
 
 use crate::matcher::{pairwise_plan_traversal_at, plan_tip, subsumes, PlanMatch};
-use crate::obs::ReuseDecision;
+use crate::matching::MatchMemo;
 use crate::plan_text;
 use crate::provenance::{self, ExpandedPlan};
 use crate::rcu::Rcu;
-use crate::rewriter::identity_copy;
 use parking_lot::{Mutex, RwLock};
 use restore_common::{Error, Result};
 use restore_dataflow::physical::{NodeId, PhysicalOp, PhysicalPlan};
@@ -268,131 +267,6 @@ impl PresentAt {
     /// Remember that the snapshot was found clean at DFS clock `now`.
     pub(crate) fn set(&self, now: u64) {
         self.0.fetch_max(now + 1, Relaxed);
-    }
-}
-
-/// Outcomes one snapshot keeps before it starts over, by the same rule
-/// as the driver's template memo: a served workload has a few dozen
-/// distinct job plans.
-const MATCH_MEMO_CAPACITY: usize = 256;
-
-/// What one run of the §3 loop computed for one plan against one
-/// snapshot (see `ReStore::match_loop`). It reads the plan and the
-/// snapshot only, so a plan equal to `input` but for its Store paths
-/// gets the same outcome from the same snapshot.
-#[derive(Debug)]
-pub(crate) struct Matched {
-    /// The plan the loop was given.
-    pub input: PhysicalPlan,
-    /// The plan the loop left, with `input`'s Store paths; `None` when
-    /// no rewrite applied.
-    pub plan: Option<PhysicalPlan>,
-    /// The entry of each applied rewrite, in order, as the snapshot
-    /// holds it.
-    pub entries: Vec<Arc<RepoEntry>>,
-    /// The loop's reuse decisions, in order.
-    pub decisions: Vec<ReuseDecision>,
-}
-
-impl Matched {
-    /// Is `plan` the plan this outcome was computed for, Store paths
-    /// aside?
-    fn fits(&self, plan: &PhysicalPlan) -> bool {
-        let input = &self.input;
-        input.len() == plan.len()
-            && input.ids().all(|id| {
-                input.inputs(id) == plan.inputs(id)
-                    && match (input.op(id), plan.op(id)) {
-                        (PhysicalOp::Store { .. }, PhysicalOp::Store { .. }) => true,
-                        (a, b) => a == b,
-                    }
-            })
-    }
-
-    /// Can a fitting plan take the outcome's plan by Store path? Every
-    /// Store the loop left is one of `input`'s (a rewrite adds Loads,
-    /// and an expansion inlines a plan without its Store), and `input`
-    /// stores each path once.
-    fn replayable(&self) -> bool {
-        let stores: Vec<&str> =
-            self.input.stores().into_iter().map(|s| self.input.path(s)).collect();
-        let distinct: HashSet<&str> = stores.iter().copied().collect();
-        distinct.len() == stores.len()
-            && self
-                .plan
-                .iter()
-                .all(|out| out.stores().into_iter().all(|s| distinct.contains(out.path(s))))
-    }
-
-    /// Where `plan`, which fits, stores what `input` stores at `path`.
-    fn own_path<'p>(&self, plan: &'p PhysicalPlan, path: &str) -> &'p str {
-        let store = self
-            .input
-            .ids()
-            .find(|&s| matches!(self.input.op(s), PhysicalOp::Store { path: p } if p == path))
-            .expect("a memoized outcome stores only at its input's Store paths");
-        plan.path(store)
-    }
-
-    /// When the loop reduced the plan to a `Load → Store` copy: the file
-    /// it copies, and where `plan`, which fits, stores the copy.
-    pub(crate) fn copy<'p>(&self, plan: &'p PhysicalPlan) -> Option<(&str, &'p str)> {
-        let (src, dst) = identity_copy(self.plan.as_ref()?)?;
-        Some((src, self.own_path(plan, dst)))
-    }
-
-    /// Make `plan`, which fits, the plan the loop left, each Store
-    /// writing where `plan`'s own Store at the same place in `input`
-    /// writes.
-    pub(crate) fn replay(&self, plan: &mut PhysicalPlan) {
-        let Some(out) = &self.plan else { return };
-        let mut next = PhysicalPlan::with_capacity(out.len());
-        for id in out.ids() {
-            let op = match out.op(id) {
-                PhysicalOp::Store { path } => {
-                    PhysicalOp::Store { path: self.own_path(plan, path).to_string() }
-                }
-                op => op.clone(),
-            };
-            next.add(op, out.inputs(id).to_vec());
-        }
-        *plan = next;
-    }
-}
-
-/// The outcomes of the §3 loop run against one snapshot, by the
-/// signature of the plan matched (Store paths excluded). Cloning
-/// forgets them, as it forgets [`PresentAt`]: every publish starts a
-/// snapshot with none. RCU-published like the driver's templates: a
-/// hit is a snapshot load; a miss publishes a new map, an empty one
-/// once [`MATCH_MEMO_CAPACITY`] outcomes are held.
-#[derive(Debug, Default)]
-pub(crate) struct MatchMemo(Rcu<HashMap<u64, Arc<Matched>>>);
-
-impl Clone for MatchMemo {
-    fn clone(&self) -> Self {
-        MatchMemo::default()
-    }
-}
-
-impl MatchMemo {
-    /// The outcome memoized for `plan`, whose signature is `signature`.
-    pub(crate) fn get(&self, signature: u64, plan: &PhysicalPlan) -> Option<Arc<Matched>> {
-        self.0.load().get(&signature).filter(|m| m.fits(plan)).cloned()
-    }
-
-    /// Keep `matched` for plans signed `signature`, if it can be
-    /// replayed.
-    pub(crate) fn insert(&self, signature: u64, matched: Arc<Matched>) {
-        if !matched.replayable() {
-            return;
-        }
-        self.0.update(|map| {
-            if map.len() >= MATCH_MEMO_CAPACITY {
-                *map = HashMap::new();
-            }
-            map.insert(signature, matched);
-        });
     }
 }
 
@@ -1114,12 +988,6 @@ pub struct ProbedCandidate {
 }
 
 impl RepoSnapshot {
-    /// §3 first match anywhere in `input_plan`; see
-    /// [`RepoSnapshot::find_first_match_probed`].
-    pub fn find_first_match(&self, input_plan: &PhysicalPlan) -> Option<(u64, PlanMatch)> {
-        self.find_first_match_probed(input_plan, |_, _| false, &mut MatchProbe::default())
-    }
-
     /// §3 first match: the first entry, in match-priority order, that
     /// verifies somewhere in `input_plan`. `skip(entry, site)` vetoes
     /// anchoring `entry`'s tip at input node `site` — the driver passes
@@ -1313,6 +1181,11 @@ mod tests {
         p
     }
 
+    /// The index's first match in `q`, no site vetoed.
+    fn first_match(snap: &RepoSnapshot, q: &PhysicalPlan) -> Option<(u64, PlanMatch)> {
+        snap.find_first_match_probed(q, |_, _| false, &mut MatchProbe::default())
+    }
+
     fn q1_plan() -> PhysicalPlan {
         let mut p = PhysicalPlan::new();
         let l1 = p.add(PhysicalOp::Load { path: "/users".into() }, vec![]);
@@ -1340,7 +1213,7 @@ mod tests {
             StoredFile::new("/repo/b", load_project("/pv", vec![0, 2])),
             stats(100, 10, 5.0),
         );
-        let (id, m) = repo.snapshot().find_first_match(&q1_plan()).unwrap();
+        let (id, m) = first_match(&repo.snapshot(), &q1_plan()).unwrap();
         assert_eq!(repo.snapshot().get(id).unwrap().file.path, "/repo/b");
         assert!(matches!(q1_plan().op(m.tip), PhysicalOp::Project { .. }));
     }
@@ -1465,7 +1338,7 @@ mod tests {
         assert_eq!(snap.entries()[1].file.path, "/r/sub");
         // A fresh Q1-shaped query now matches the *whole* Q1 plan first
         // (the paper's "first match is best match").
-        let (id, _) = repo.snapshot().find_first_match(&q1_plan()).unwrap();
+        let (id, _) = first_match(&repo.snapshot(), &q1_plan()).unwrap();
         assert_eq!(repo.snapshot().get(id).unwrap().file.path, "/r/q1");
     }
 
@@ -1512,13 +1385,13 @@ mod tests {
         let view = repo.snapshot();
         let q = q1_plan();
         let a = view.find_first_match_scan(&q, |_, _| false).map(|(id, m)| (id, m.tip));
-        let b = view.find_first_match(&q).map(|(id, m)| (id, m.tip));
+        let b = first_match(&view, &q).map(|(id, m)| (id, m.tip));
         assert_eq!(a, b);
         assert!(a.is_some());
         // And both agree on a non-match.
         let other = load_project("/nowhere", vec![9]);
         assert!(view.find_first_match_scan(&other, |_, _| false).is_none());
-        assert!(view.find_first_match(&other).is_none());
+        assert!(first_match(&view, &other).is_none());
     }
 
     #[test]
@@ -1550,7 +1423,7 @@ mod tests {
         let view = repo.snapshot();
         let scan = view.find_first_match_scan(&input, |_, _| false).map(|(id, m)| (id, m.tip));
         assert_eq!(scan, Some((id, j)), "the scan sees through the tee");
-        assert_eq!(view.find_first_match(&input).map(|(id, m)| (id, m.tip)), scan);
+        assert_eq!(first_match(&view, &input).map(|(id, m)| (id, m.tip)), scan);
         // A vetoed site falls through to the next entry on both paths.
         let veto = |_: &RepoEntry, site: NodeId| site == j;
         let scan = view.find_first_match_scan(&input, veto).map(|(id, m)| (id, m.tip));
@@ -1572,7 +1445,7 @@ mod tests {
         assert_eq!(before.len(), 1, "held snapshot unchanged");
         assert_eq!(repo.snapshot().len(), 3, "batch landed atomically");
         // The old snapshot still matches correctly.
-        assert!(before.find_first_match(&q1_plan()).is_some());
+        assert!(first_match(&before, &q1_plan()).is_some());
     }
 
     #[test]
@@ -1630,7 +1503,7 @@ mod tests {
         assert_eq!(b.entries()[0].tip_signature, r.entries()[0].tip_signature);
         assert_eq!(b.stored_bytes(), r.stored_bytes());
         // Loaded repository still matches.
-        assert!(b.find_first_match(&q1_plan()).is_some());
+        assert!(first_match(&b, &q1_plan()).is_some());
         // And re-saving is byte-identical (usage counters round-trip).
         assert_eq!(back.snapshot().save(), text);
         // The state-restore path: adopting keeps the order, a frozen
@@ -1666,18 +1539,12 @@ mod tests {
         assert_eq!(ids.len(), unique.len(), "ids stay unique after bulk dedup, got {ids:?}");
         assert_eq!(next, 3);
         // And matching still works against the bulk-built indexes.
-        assert!(repo.snapshot().find_first_match(&q1_plan()).is_none());
-        let (hit, _) = repo
-            .snapshot()
-            .find_first_match(&{
-                let mut p = load_project("/b", vec![0]);
-                let tip = p.stores()[0];
-                let before = p.inputs(tip)[0];
-                let g = p.add(PhysicalOp::Group { keys: vec![0] }, vec![before]);
-                p.add(PhysicalOp::Store { path: "/out".into() }, vec![g]);
-                p
-            })
-            .unwrap();
+        assert!(first_match(&repo.snapshot(), &q1_plan()).is_none());
+        let mut p = load_project("/b", vec![0]);
+        let before = p.inputs(p.stores()[0])[0];
+        let g = p.add(PhysicalOp::Group { keys: vec![0] }, vec![before]);
+        p.add(PhysicalOp::Store { path: "/out".into() }, vec![g]);
+        let (hit, _) = first_match(&repo.snapshot(), &p).unwrap();
         assert_eq!(repo.snapshot().get(hit).unwrap().file.path, "/r/b");
     }
 

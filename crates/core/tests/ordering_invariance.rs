@@ -1,7 +1,7 @@
 //! Repository ordering invariants: the §3 "first match is best match"
 //! guarantee must not depend on the order entries were inserted.
 
-use restore_core::{RepoStats, Repository, StoredFile};
+use restore_core::{MatchProbe, RepoStats, Repository, StoredFile};
 use restore_dataflow::expr::Expr;
 use restore_dataflow::physical::{PhysicalOp, PhysicalPlan};
 
@@ -59,7 +59,9 @@ fn first_match_is_insertion_order_invariant() {
         let snap = repo.snapshot();
         let first = &snap.entries()[0];
         assert_eq!(first.file.path, "/out/full", "order {order:?} put {} first", first.file.path);
-        let (id, _) = repo.snapshot().find_first_match(&query).unwrap();
+        let mut probe = MatchProbe::default();
+        let (id, _) =
+            repo.snapshot().find_first_match_probed(&query, |_, _| false, &mut probe).unwrap();
         assert_eq!(repo.snapshot().get(id).unwrap().file.path, "/out/full", "order {order:?}");
     }
 }

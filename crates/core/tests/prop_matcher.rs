@@ -187,7 +187,9 @@ proptest! {
         }
         let view = repo.snapshot();
         let scan = view.find_first_match_scan(&query, |_, _| false).map(|(id, m)| (id, m.tip));
-        let indexed = view.find_first_match(&query).map(|(id, m)| (id, m.tip));
+        let mut probe = restore_core::MatchProbe::default();
+        let indexed =
+            view.find_first_match_probed(&query, |_, _| false, &mut probe).map(|(id, m)| (id, m.tip));
         prop_assert_eq!(scan, indexed, "query:\n{}", query.explain());
 
         let veto: Vec<NodeId> =
